@@ -49,6 +49,11 @@ impl ExecMode {
         matches!(self, ExecMode::WorkSteal { .. })
     }
 
+    /// True when the launch queue is pre-compacted to the active set.
+    pub fn compacts(self) -> bool {
+        matches!(self, ExecMode::WorkSteal { compact: true, .. })
+    }
+
     /// Short label for reports.
     pub fn label(self) -> &'static str {
         match self {
@@ -177,7 +182,9 @@ mod tests {
     fn mode_labels_and_default() {
         assert_eq!(ExecMode::default(), ExecMode::work_steal());
         assert!(ExecMode::default().uses_executor());
+        assert!(ExecMode::default().compacts());
         assert!(!ExecMode::StaticTiles.uses_executor());
+        assert!(!ExecMode::StaticTiles.compacts());
         assert_eq!(ExecMode::StaticTiles.label(), "static-tiles");
         assert_eq!(
             ExecMode::WorkSteal {

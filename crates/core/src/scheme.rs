@@ -1,10 +1,15 @@
-//! The four versions of `fast_sbm` over a patch.
+//! The four versions of `fast_sbm` over a patch — one hot path.
 //!
-//! * [`SbmVersion::Baseline`] — Listing 1: one serial grid loop; inside
-//!   the collision call, `kernals_ks` refills the 20 *shared* dense
+//! The paper walks a single loop nest through four versions by changing
+//! three decisions; here each [`SbmVersion`] resolves to a plain-data
+//! plan (dense tables or lookup, fissioned or not, collapse depth) and
+//! [`FastSbm::step`] is a short driver over row-level stage functions.
+//!
+//! * [`SbmVersion::Baseline`] — Listing 1: the unfissioned grid loop;
+//!   inside the collision call, `kernals_ks` refills the 20 dense
 //!   collision tables for the local pressure (the global-module-state
 //!   pattern that blocks parallelization and that Codee's dependence
-//!   analysis untangles).
+//!   analysis untangles; `THREADPRIVATE` per tile here).
 //! * [`SbmVersion::Lookup`] — §VI-A: dense tables and `kernals_ks`
 //!   deleted; kernel entries computed on demand by pure functions.
 //! * [`SbmVersion::OffloadCollapse2`] — §VI-B: loop fission isolates the
@@ -18,7 +23,9 @@
 //!
 //! All versions run identical physics in identical per-point order, so
 //! their outputs agree to f32 round-off — the property §VII-B verifies
-//! with `diffwrf`.
+//! with `diffwrf`. [`Layout`] is orthogonal: the per-point AoS stages are
+//! the reference every gate compares against, the SoA lane panels are the
+//! production path, and both hang off the same driver, plan and launcher.
 
 use crate::exec::{compact_active_columns, compact_active_points, ExecMode, ExecSummary};
 use crate::kernels::{kernals_ks, CollisionTables, KernelCache, KernelMode, KernelTables};
@@ -27,7 +34,7 @@ use crate::panels::{
     panel_coal, panel_coal_predicate, panel_condensation, sedimentation_column_soa, DepositSplits,
     SedScratch, SoaPanel, LANES,
 };
-use crate::point::{Grids, PointBins};
+use crate::point::{BinsView, Grids, PointBins, PointThermo};
 use crate::processes::driver::{
     fast_sbm_coal, fast_sbm_nucleate, fast_sbm_post, fast_sbm_pre, PointOutcome,
 };
@@ -39,8 +46,9 @@ use gpu_sim::launch::{
     launch_functional_list, launch_functional_on, launch_functional_static, KernelSpec,
 };
 use gpu_sim::syncslice::SyncWriteSlice;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 use wrf_exec::Executor;
+use wrf_grid::{split_patch_into_tiles, PatchSpec, Span, TileSpec};
 
 /// Which optimization stage of the paper to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -55,6 +63,30 @@ pub enum SbmVersion {
     OffloadCollapse3,
 }
 
+/// Collapse depth of the fissioned collision launch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Collapse {
+    /// `collapse(2)`: one device thread per `(j,k)` column with a serial
+    /// `i` loop; per-point bins in automatic (stack) arrays (Listing 7).
+    Two,
+    /// `collapse(3)`: one device thread per grid point, operating in place
+    /// on slices of the `temp_arrays` slabs (Listing 8).
+    Three,
+}
+
+/// The decisions that tell the four versions apart, as data. The dense
+/// tables are per-tile (`THREADPRIVATE`) state, so only unfissioned plans
+/// carry them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct VersionPlan {
+    /// Refill the dense `kernals_ks` tables per collision call instead of
+    /// looking entries up.
+    dense_tables: bool,
+    /// Fission the grid loop around an offloaded collision launch of this
+    /// collapse depth; `None` keeps Listing 1's single loop, run per tile.
+    fission: Option<Collapse>,
+}
+
 impl SbmVersion {
     /// All versions in paper order.
     pub const ALL: [SbmVersion; 4] = [
@@ -64,12 +96,29 @@ impl SbmVersion {
         SbmVersion::OffloadCollapse3,
     ];
 
+    /// The version's plan: the only place the four are told apart.
+    fn plan(self) -> VersionPlan {
+        let (dense_tables, fission) = match self {
+            SbmVersion::Baseline => (true, None),
+            SbmVersion::Lookup => (false, None),
+            SbmVersion::OffloadCollapse2 => (false, Some(Collapse::Two)),
+            SbmVersion::OffloadCollapse3 => (false, Some(Collapse::Three)),
+        };
+        VersionPlan {
+            dense_tables,
+            fission,
+        }
+    }
+
     /// True for the two offloaded versions.
     pub fn offloaded(self) -> bool {
-        matches!(
-            self,
-            SbmVersion::OffloadCollapse2 | SbmVersion::OffloadCollapse3
-        )
+        self.plan().fission.is_some()
+    }
+
+    /// Launch descriptor of the version's offloaded collision kernel
+    /// (`None` for the CPU versions).
+    pub fn kernel_spec(self) -> Option<KernelSpec> {
+        self.plan().fission.map(coal_kernel_spec)
     }
 
     /// Human-readable label used in reports.
@@ -83,24 +132,45 @@ impl SbmVersion {
     }
 }
 
+/// The collision kernel's launch descriptor at `collapse` depth: NVHPC's
+/// 128-thread teams; ~40 automatic bin arrays on the stack and 168
+/// registers at `collapse(2)` (Listing 7), pointers into the `temp_arrays`
+/// slabs and 80 registers at `collapse(3)` (Listing 8).
+fn coal_kernel_spec(collapse: Collapse) -> KernelSpec {
+    let (name, regs_per_thread, stack_bytes_per_thread, depth) = match collapse {
+        Collapse::Two => ("coal_bott_new_loop_collapse2", 168, 20 * 1024, 2),
+        Collapse::Three => ("coal_bott_new_loop_collapse3", 80, 640, 3),
+    };
+    KernelSpec {
+        name: name.into(),
+        block_threads: 128,
+        regs_per_thread,
+        smem_per_block: 0,
+        stack_bytes_per_thread,
+        collapse: depth,
+    }
+}
+
 /// Memory layout of the microphysics inner loops.
 ///
 /// Orthogonal to [`SbmVersion`]: every version runs in either layout and
 /// produces bitwise-identical state (the layout proptests and the golden
-/// gate pin this). `PointAos` is the historical layout the committed
-/// goldens were blessed with and stays the default.
+/// gate pin this). `PanelSoa` is the production layout and the default;
+/// `PointAos` is the reference path the gates and the benchmark oracle
+/// compare against, selected programmatically through
+/// [`SbmConfig::layout`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Layout {
     /// Per-grid-point AoS bin arrays, one point at a time.
-    #[default]
     PointAos,
     /// SoA lane panels: up to [`LANES`] active points batched per inner
     /// loop with lane masks (see [`crate::panels`]).
+    #[default]
     PanelSoa,
 }
 
 impl Layout {
-    /// Both layouts, default first.
+    /// Both layouts, reference first.
     pub const ALL: [Layout; 2] = [Layout::PointAos, Layout::PanelSoa];
 
     /// Stable label used in reports and benchmark JSON.
@@ -126,8 +196,7 @@ pub struct SbmConfig {
     pub workers: Option<usize>,
     /// WRF `numtiles`: OpenMP tiles per patch for the CPU versions
     /// (Fig. 1's shared-memory level; the paper runs 1). The baseline's
-    /// shared collision tables become per-tile (`THREADPRIVATE`) copies
-    /// when tiled.
+    /// shared collision tables become per-tile (`THREADPRIVATE`) copies.
     pub tiles: usize,
     /// How iterations are scheduled onto the emulated device threads
     /// (and the tiled CPU path): static partition or the persistent
@@ -141,7 +210,8 @@ pub struct SbmConfig {
     /// [`SbmStepStats::coal_profile`] (off by default; used by
     /// `bench-exec` to replay the schedule).
     pub profile_coal: bool,
-    /// Memory layout of the inner loops (AoS points vs SoA lane panels).
+    /// Memory layout of the inner loops (SoA lane panels, or the AoS
+    /// reference path).
     pub layout: Layout,
 }
 
@@ -195,15 +265,13 @@ pub struct SbmStepStats {
     pub coal_profile: Option<Vec<u64>>,
 }
 
-/// The scheme driver holding static tables and (for the baseline) the
-/// shared dense collision arrays.
+/// The scheme driver holding the static tables, the worker pool and the
+/// per-step scratch.
 pub struct FastSbm {
     /// Configuration.
     pub cfg: SbmConfig,
     grids: Grids,
     tables: KernelTables,
-    /// The baseline's global module state (`cwll`, `cwls`, ...).
-    dense: CollisionTables,
     /// Persistent worker pool, created lazily on the first step that
     /// needs one and reused for the rest of the run (per rank — each
     /// rank's scheme owns its own pool).
@@ -228,7 +296,6 @@ impl FastSbm {
             cfg,
             grids,
             tables: KernelTables::new(),
-            dense: CollisionTables::new(),
             exec: None,
             kcache: None,
             splits,
@@ -238,14 +305,10 @@ impl FastSbm {
 
     /// Creates the persistent executor if this configuration needs one.
     fn ensure_exec(&mut self) {
-        if self.exec.is_none() {
-            let w = self.cfg.workers.unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(4)
-            });
-            self.exec = Some(Executor::new(w));
-        }
+        self.exec.get_or_insert_with(|| match self.cfg.workers {
+            Some(w) => Executor::new(w),
+            None => Executor::with_available_parallelism(),
+        });
     }
 
     /// Fills (or refreshes) the per-level kernel cache from the patch's
@@ -266,27 +329,6 @@ impl FastSbm {
         };
         for (kx, k) in p.kp.iter().enumerate() {
             kc.ensure_level(kx, state.p.get(p.ip.lo, k, p.jp.lo), tables);
-        }
-    }
-
-    /// Kernel mode for a non-dense collision call at level `k`
-    /// (absolute index; `k0` is the patch's first compute level).
-    #[inline]
-    fn lookup_mode<'a>(
-        kcache: Option<&'a KernelCache>,
-        tables: &'a KernelTables,
-        k: i32,
-        k0: i32,
-        p: f32,
-    ) -> KernelMode<'a> {
-        match kcache {
-            Some(cache) => KernelMode::Cached {
-                cache,
-                tables,
-                level: (k - k0) as usize,
-                p,
-            },
-            None => KernelMode::OnDemand { tables, p },
         }
     }
 
@@ -330,36 +372,14 @@ impl FastSbm {
     }
 
     /// The device resources an offloaded version needs for `state`:
-    /// the collision kernel's spec plus the `temp_arrays` slab bytes —
-    /// what a rank's context must satisfy before its first launch. CPU
-    /// versions need nothing and return `None`.
+    /// the collision kernel's spec plus the bytes its context must hold —
+    /// what a rank's context must satisfy before its first launch. Only
+    /// the state slabs move: `collapse(2)` keeps its bins in automatic
+    /// arrays, `collapse(3)` points into the slabs. CPU versions need
+    /// nothing and return `None`.
     pub fn device_requirements(&self, state: &SbmPatchState) -> Option<(KernelSpec, u64)> {
-        match self.cfg.version {
-            SbmVersion::OffloadCollapse2 => Some((
-                KernelSpec {
-                    name: "coal_bott_new_loop_collapse2".into(),
-                    block_threads: 128,
-                    regs_per_thread: 168,
-                    smem_per_block: 0,
-                    stack_bytes_per_thread: 20 * 1024,
-                    collapse: 2,
-                },
-                // Automatic arrays: no slabs; only the state fields move.
-                state.slab_bytes(),
-            )),
-            SbmVersion::OffloadCollapse3 => Some((
-                KernelSpec {
-                    name: "coal_bott_new_loop_collapse3".into(),
-                    block_threads: 128,
-                    regs_per_thread: 80,
-                    smem_per_block: 0,
-                    stack_bytes_per_thread: 640,
-                    collapse: 3,
-                },
-                state.slab_bytes(),
-            )),
-            _ => None,
-        }
+        let spec = self.cfg.version.kernel_spec()?;
+        Some((spec, state.slab_bytes()))
     }
 
     /// Validates the offloaded launch against a device context (the
@@ -379,811 +399,83 @@ impl FastSbm {
         Ok(())
     }
 
-    /// Advances the microphysics on `state` by one step.
+    /// Advances the microphysics on `state` by one step: snapshot `T_OLD`,
+    /// make sure the kernel cache and worker pool the configuration asks
+    /// for exist, run the grid loop the version's plan describes, then
+    /// sediment.
     pub fn step(&mut self, state: &mut SbmPatchState) -> SbmStepStats {
         state.snapshot_t_old();
+        let plan = self.cfg.version.plan();
         if self.cfg.cached_kernels {
             self.ensure_kcache(state);
         }
-        if self.cfg.sched.uses_executor() && (self.cfg.version.offloaded() || self.cfg.tiles > 1) {
+        if self.cfg.sched.uses_executor() && (plan.fission.is_some() || self.cfg.tiles > 1) {
             self.ensure_exec();
         }
-        let mut stats = match (self.cfg.version, self.cfg.tiles, self.cfg.layout) {
-            // The panel layout always runs the tiled path (a single tile
-            // executes inline on the caller thread), so the row-phased
-            // batch body exists in one place.
-            (SbmVersion::Baseline, t, Layout::PointAos) if t <= 1 => self.step_serial(state, true),
-            (SbmVersion::Lookup, t, Layout::PointAos) if t <= 1 => self.step_serial(state, false),
-            (SbmVersion::Baseline, _, _) => self.step_tiled(state, true),
-            (SbmVersion::Lookup, _, _) => self.step_tiled(state, false),
-            (SbmVersion::OffloadCollapse2, _, _) => self.step_offload(state, 2),
-            (SbmVersion::OffloadCollapse3, _, _) => self.step_offload(state, 3),
+        let mut stats = empty_stats(state.patch.compute_points());
+        let tally = {
+            let v = PatchViews::new(
+                &self.grids,
+                &self.tables,
+                self.kcache.as_ref(),
+                &self.splits,
+                self.cfg.dt,
+                state,
+            );
+            let launcher = Launcher {
+                sched: self.cfg.sched,
+                workers: self.cfg.workers,
+                exec: self.exec.as_ref(),
+            };
+            match plan.fission {
+                None => unfissioned_tiles(&v, &launcher, &self.cfg, plan.dense_tables),
+                Some(collapse) => {
+                    let scratch = &mut self.scratch;
+                    pre_sweep(&v, self.cfg.layout, scratch);
+                    let mut tally =
+                        coal_launch(&v, &launcher, &self.cfg, collapse, scratch, &mut stats);
+                    tally += post_sweep(&v, scratch);
+                    tally
+                }
+            }
         };
+        stats.active_points = tally.active;
+        stats.coal_points = tally.coal_points;
+        stats.coal_entries = tally.coal_entries;
+        stats.work = tally.work;
         self.sedimentation_pass(state, &mut stats);
         stats
     }
 
-    // ---- Baseline / Lookup: the unfissioned Listing 1 loop ------------
-    fn step_serial(&mut self, state: &mut SbmPatchState, dense_tables: bool) -> SbmStepStats {
-        let p = state.patch;
-        let dt = self.cfg.dt;
-        let mut stats = empty_stats(p.compute_points());
-        let mut bins = PointBins::empty();
-        for j in p.jp.iter() {
-            for k in p.kp.iter() {
-                for i in p.ip.iter() {
-                    let t_old = state.t_old.get(i, k, j);
-                    let mut th = state.thermo_at(i, k, j);
-                    state.load_bins(i, k, j, &mut bins);
-                    let mut view = bins.view();
-                    let mut out = fast_sbm_pre(&mut view, &mut th, &self.grids, dt, t_old);
-                    if out.coal_called {
-                        if dense_tables {
-                            // kernals_ks refills the shared module arrays
-                            // for this point's pressure — the baseline's
-                            // defining cost and dependence hazard.
-                            let mut kw = PointWork::ZERO;
-                            kernals_ks(&self.tables, th.p, &mut self.dense, &mut kw);
-                            out.work.kernals = kw;
-                            fast_sbm_coal(
-                                &mut view,
-                                &mut th,
-                                &self.grids,
-                                KernelMode::Dense(&self.dense),
-                                dt,
-                                &mut out,
-                            );
-                        } else {
-                            let pressure = th.p;
-                            let km = Self::lookup_mode(
-                                self.kcache.as_ref(),
-                                &self.tables,
-                                k,
-                                p.kp.lo,
-                                pressure,
-                            );
-                            fast_sbm_coal(&mut view, &mut th, &self.grids, km, dt, &mut out);
-                        }
-                    }
-                    fast_sbm_post(&mut view, &mut th, &self.grids, dt, &mut out);
-                    drop(view);
-                    state.store_bins(i, k, j, &bins);
-                    state.store_thermo(i, k, j, &th);
-                    accumulate(&mut stats, &out);
-                }
-            }
-        }
-        stats
-    }
-
-    /// Tiled CPU execution (WRF `numtiles` > 1): the patch splits into
-    /// tiles run by concurrent host threads. Every tile owns its
-    /// automatic arrays and — for the baseline — a private copy of the
-    /// collision tables (what `!$omp threadprivate(cw**)` would give the
-    /// Fortran code). Bitwise identical to the serial path.
-    fn step_tiled(&mut self, state: &mut SbmPatchState, dense_tables: bool) -> SbmStepStats {
-        use wrf_grid::split_patch_into_tiles;
-        let patch = state.patch;
-        let dt = self.cfg.dt;
-        let layout = self.cfg.layout;
-        // A single tile runs inline on the caller thread (the panel
-        // layout's serial configuration); the Vec is only built when the
-        // patch actually splits.
-        let single_tile;
-        let tiles_vec;
-        let tiles: &[wrf_grid::TileSpec] = if self.cfg.tiles <= 1 {
-            single_tile = [wrf_grid::TileSpec {
-                id: 0,
-                it: patch.ip,
-                kt: patch.kp,
-                jt: patch.jp,
-            }];
-            &single_tile
-        } else {
-            tiles_vec = split_patch_into_tiles(&patch, self.cfg.tiles);
-            &tiles_vec
-        };
-        let mut stats = empty_stats(patch.compute_points());
-
-        let meta = FieldMeta {
-            ilen: patch.im.len(),
-            klen: patch.km.len(),
-            i0: patch.im.lo,
-            k0: patch.km.lo,
-            j0: patch.jm.lo,
-        };
-        let grids = &self.grids;
-        let tables = &self.tables;
-        let kcache = self.kcache.as_ref();
-        let splits = &self.splits;
-        let kp_lo = patch.kp.lo;
-
-        let tile_stats: Vec<SbmStepStats> = {
-            let t_old = &state.t_old;
-            let p_field = &state.p;
-            let rho_field = &state.rho;
-            // Disjoint per-point writes across tiles (tiles partition the
-            // compute region).
-            let tt_view = unsafe { SyncWriteSlice::new(state.tt.as_mut_slice()) };
-            let qv_view = unsafe { SyncWriteSlice::new(state.qv.as_mut_slice()) };
-            let mut ff_it = state.ff.iter_mut();
-            let ff_views: [SyncWriteSlice<'_, f32>; NTYPES] = std::array::from_fn(|_| unsafe {
-                SyncWriteSlice::new(ff_it.next().expect("NTYPES slabs").as_mut_slice())
-            });
-
-            // The per-tile body, shared by both schedulers below.
-            let run_tile = |tile: &wrf_grid::TileSpec| -> SbmStepStats {
-                match layout {
-                    Layout::PointAos => run_tile_aos(
-                        tile,
-                        meta,
-                        grids,
-                        tables,
-                        kcache,
-                        kp_lo,
-                        dt,
-                        dense_tables,
-                        t_old,
-                        p_field,
-                        rho_field,
-                        &tt_view,
-                        &qv_view,
-                        &ff_views,
-                    ),
-                    Layout::PanelSoa => run_tile_panels(
-                        tile,
-                        meta,
-                        grids,
-                        tables,
-                        kcache,
-                        kp_lo,
-                        dt,
-                        dense_tables,
-                        splits,
-                        t_old,
-                        p_field,
-                        rho_field,
-                        &tt_view,
-                        &qv_view,
-                        &ff_views,
-                    ),
-                }
-            };
-
-            if tiles.len() == 1 {
-                // Inline: no spawn, no per-step allocation.
-                let ts = run_tile(&tiles[0]);
-                stats.active_points += ts.active_points;
-                stats.coal_points += ts.coal_points;
-                stats.coal_entries += ts.coal_entries;
-                stats.work += ts.work;
-                return stats;
-            }
-
-            match self.exec.as_ref() {
-                // Persistent pool: one chunk per tile on the stealing
-                // deques instead of a fresh thread per tile per step.
-                Some(exec) if self.cfg.sched.uses_executor() => {
-                    let slots: Vec<std::sync::Mutex<SbmStepStats>> = tiles
-                        .iter()
-                        .map(|t| std::sync::Mutex::new(empty_stats(t.points())))
-                        .collect();
-                    exec.run_indexed(tiles.len() as u64, Some(1), |t| {
-                        let st = run_tile(&tiles[t as usize]);
-                        *slots[t as usize].lock().unwrap() = st;
-                    });
-                    slots.into_iter().map(|m| m.into_inner().unwrap()).collect()
-                }
-                _ => crossbeam::thread::scope(|scope| {
-                    let handles: Vec<_> = tiles
-                        .iter()
-                        .map(|tile| {
-                            let run_tile = &run_tile;
-                            scope.spawn(move |_| run_tile(tile))
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("tile thread panicked"))
-                        .collect()
-                })
-                .expect("tile scope failed"),
-            }
-        };
-        for ts in tile_stats {
-            stats.active_points += ts.active_points;
-            stats.coal_points += ts.coal_points;
-            stats.coal_entries += ts.coal_entries;
-            stats.work += ts.work;
-        }
-        stats
-    }
-
-    // ---- Offloaded versions: fissioned loops (Listings 6–8) -----------
-    fn step_offload(&mut self, state: &mut SbmPatchState, collapse: u32) -> SbmStepStats {
-        let p = state.patch;
-        let dt = self.cfg.dt;
-        let (ilen, klen, jlen) = (p.ip.len(), p.kp.len(), p.jp.len());
-        let points = ilen * klen * jlen;
-        let mut stats = empty_stats(points);
-
-        // Sweep 1 (host): nucleation + condensation; fill the predicate
-        // array `call_coal_bott_new` and remember which points are active.
-        {
-            let scratch = &mut self.scratch;
-            let grids = &self.grids;
-            scratch.predicate.resize(points, false);
-            scratch.outcomes.resize(points, PointOutcome::default());
-            match self.cfg.layout {
-                Layout::PointAos => {
-                    let mut bins = PointBins::empty();
-                    for (jx, j) in p.jp.iter().enumerate() {
-                        for (kx, k) in p.kp.iter().enumerate() {
-                            for (ix, i) in p.ip.iter().enumerate() {
-                                let idx = (jx * klen + kx) * ilen + ix;
-                                let t_old = state.t_old.get(i, k, j);
-                                let mut th = state.thermo_at(i, k, j);
-                                state.load_bins(i, k, j, &mut bins);
-                                let mut view = bins.view();
-                                let out = fast_sbm_pre(&mut view, &mut th, grids, dt, t_old);
-                                drop(view);
-                                state.store_bins(i, k, j, &bins);
-                                state.store_thermo(i, k, j, &th);
-                                scratch.predicate[idx] = out.coal_called;
-                                scratch.outcomes[idx] = out;
-                            }
-                        }
-                    }
-                }
-                Layout::PanelSoa => {
-                    // Row-phased: scalar guard + nucleation per point, then
-                    // condensation and the predicate in lane batches.
-                    for (jx, j) in p.jp.iter().enumerate() {
-                        for (kx, k) in p.kp.iter().enumerate() {
-                            let row = (jx * klen + kx) * ilen;
-                            let mut lane_ix = [0usize; LANES];
-                            let mut panel = SoaPanel::new();
-                            for (ix, i) in p.ip.iter().enumerate() {
-                                let idx = row + ix;
-                                let t_old = state.t_old.get(i, k, j);
-                                let mut th = state.thermo_at(i, k, j);
-                                let mut view = state.bins_view_at(i, k, j);
-                                let out = fast_sbm_nucleate(&mut view, &mut th, grids, dt, t_old);
-                                drop(view);
-                                match out {
-                                    Some(out) => {
-                                        state.store_thermo(i, k, j, &th);
-                                        scratch.outcomes[idx] = out;
-                                        lane_ix[panel.len] = ix;
-                                        let l = panel.len;
-                                        panel.len = l + 1;
-                                        panel.t[l] = th.t;
-                                        panel.qv[l] = th.qv;
-                                        panel.p[l] = th.p;
-                                        panel.rho[l] = th.rho;
-                                        for (c, f) in state.ff.iter().enumerate() {
-                                            let src = f.bin_slice(i, k, j);
-                                            for (kk, s) in src.iter().enumerate() {
-                                                panel.n[c][kk][l] = *s;
-                                            }
-                                        }
-                                        if panel.is_full() {
-                                            flush_cond_panel(
-                                                &mut panel,
-                                                &lane_ix,
-                                                row,
-                                                p.ip.lo,
-                                                k,
-                                                j,
-                                                grids,
-                                                dt,
-                                                state,
-                                                &mut scratch.predicate,
-                                                &mut scratch.outcomes,
-                                            );
-                                        }
-                                    }
-                                    None => {
-                                        scratch.predicate[idx] = false;
-                                        scratch.outcomes[idx] = PointOutcome::default();
-                                    }
-                                }
-                            }
-                            flush_cond_panel(
-                                &mut panel,
-                                &lane_ix,
-                                row,
-                                p.ip.lo,
-                                k,
-                                j,
-                                grids,
-                                dt,
-                                state,
-                                &mut scratch.predicate,
-                                &mut scratch.outcomes,
-                            );
-                        }
-                    }
-                }
-            }
-        }
-
-        // Pre-build the collision batch list for the panel collapse(3)
-        // kernel (runs of predicate-true points in a row sharing pressure
-        // bits, gaps allowed).
-        if self.cfg.layout == Layout::PanelSoa && collapse == 3 {
-            let scratch = &mut self.scratch;
-            scratch.batches.clear();
-            for (jx, j) in p.jp.iter().enumerate() {
-                for (kx, k) in p.kp.iter().enumerate() {
-                    let row = (jx * klen + kx) * ilen;
-                    let mut ix = 0usize;
-                    while ix < ilen {
-                        if !scratch.predicate[row + ix] {
-                            ix += 1;
-                            continue;
-                        }
-                        let pb = state.p.get(p.ip.lo + ix as i32, k, j).to_bits();
-                        let mut b = PanelBatch {
-                            j,
-                            k,
-                            ixs: [0; LANES],
-                            len: 0,
-                        };
-                        while ix < ilen && (b.len as usize) < LANES {
-                            if !scratch.predicate[row + ix] {
-                                ix += 1;
-                                continue;
-                            }
-                            if state.p.get(p.ip.lo + ix as i32, k, j).to_bits() != pb {
-                                break;
-                            }
-                            b.ixs[b.len as usize] = ix as u32;
-                            b.len += 1;
-                            ix += 1;
-                        }
-                        scratch.batches.push(b);
-                    }
-                }
-            }
-            scratch.batch_ids.clear();
-            scratch.batch_ids.extend(0..scratch.batches.len() as u32);
-        }
-
-        // Sweep 2 (device): the isolated collision loop of Listing 6.
-        let coal_stats = self.coal_kernel(state, collapse);
-        stats.coal_iters = coal_stats.iters;
-        stats.warp_efficiency = coal_stats.warp_eff;
-        stats.kernel_spec = Some(coal_stats.spec.clone());
-        stats.coal_entries = coal_stats.entries;
-        stats.coal_wall = coal_stats.wall;
-        stats.coal_profile = coal_stats.profile;
-        debug_assert!(coal_stats.coal_points as usize <= points);
-        stats.work.coal = PointWork {
-            flops: coal_stats.flops,
-            mem_ops: coal_stats.mem_ops,
-        };
-
-        // Sweep 3 (host): freezing/melting + breakup.
-        let mut bins = PointBins::empty();
-        for (jx, j) in p.jp.iter().enumerate() {
-            for (kx, k) in p.kp.iter().enumerate() {
-                for (ix, i) in p.ip.iter().enumerate() {
-                    let idx = (jx * klen + kx) * ilen + ix;
-                    let mut out = self.scratch.outcomes[idx];
-                    let mut th = state.thermo_at(i, k, j);
-                    state.load_bins(i, k, j, &mut bins);
-                    let mut view = bins.view();
-                    fast_sbm_post(&mut view, &mut th, &self.grids, dt, &mut out);
-                    drop(view);
-                    state.store_bins(i, k, j, &bins);
-                    state.store_thermo(i, k, j, &th);
-                    accumulate_pre_post(&mut stats, &out, self.scratch.predicate[idx]);
-                }
-            }
-        }
-        stats
-    }
-
-    /// The offloaded collision kernel body, executed with real host
-    /// parallelism. `collapse = 2` parallelizes `(j,k)` with a serial `i`
-    /// loop per thread and per-thread automatic arrays; `collapse = 3`
-    /// parallelizes all three loops operating in place on the slabs.
-    fn coal_kernel(&self, state: &mut SbmPatchState, collapse: u32) -> CoalKernelStats {
-        let p = state.patch;
-        let dt = self.cfg.dt;
-        let predicate: &[bool] = &self.scratch.predicate;
-        let batches: &[PanelBatch] = &self.scratch.batches;
-        let batch_ids: &[u32] = &self.scratch.batch_ids;
-        let layout = self.cfg.layout;
-        let (ilen, klen, jlen) = (p.ip.len(), p.kp.len(), p.jp.len());
-
-        // Warp-efficiency of the launch from the predicate layout.
-        let (iters, warp_eff, spec) = if collapse == 2 {
-            let mut lane_active = vec![false; jlen * klen];
-            for jk in 0..jlen * klen {
-                lane_active[jk] = (0..ilen).any(|ix| predicate[jk * ilen + ix]);
-            }
-            (
-                (jlen * klen) as u64,
-                warp_efficiency(&lane_active, 32),
-                KernelSpec {
-                    name: "coal_bott_new_loop_collapse2".into(),
-                    block_threads: 128,
-                    regs_per_thread: 168,
-                    smem_per_block: 0,
-                    // ~40 automatic bin arrays (Listing 7).
-                    stack_bytes_per_thread: 20 * 1024,
-                    collapse: 2,
-                },
-            )
-        } else {
-            (
-                (jlen * klen * ilen) as u64,
-                warp_efficiency(predicate, 32),
-                KernelSpec {
-                    name: "coal_bott_new_loop_collapse3".into(),
-                    block_threads: 128,
-                    regs_per_thread: 80,
-                    smem_per_block: 0,
-                    // Pointers into temp_arrays slabs (Listing 8).
-                    stack_bytes_per_thread: 640,
-                    collapse: 3,
-                },
-            )
-        };
-
-        // Shared counters flushed once per device thread iteration.
-        let entries = AtomicU64::new(0);
-        let flops = AtomicU64::new(0);
-        let mem_ops = AtomicU64::new(0);
-        let coal_points = AtomicU64::new(0);
-        // Per-launch-unit metered flops, only when profiling is on.
-        let profile: Option<Vec<AtomicU64>> = self
-            .cfg
-            .profile_coal
-            .then(|| (0..iters).map(|_| AtomicU64::new(0)).collect());
-        let wall;
-
-        {
-            // Disjoint-write views (the Codee-proven independence).
-            // SAFETY: every kernel iteration touches only its own grid
-            // point's bin slices and tt element, and iterations are
-            // disjoint by construction (one iteration per point, per
-            // batch of distinct points, or per (j,k) column with a serial
-            // i loop).
-            let tt_field = &mut state.tt;
-            let p_field = &state.p;
-            let rho_field = &state.rho;
-            let mut ff_it = state.ff.iter_mut();
-            let ff_views: [SyncWriteSlice<'_, f32>; NTYPES] = std::array::from_fn(|_| unsafe {
-                SyncWriteSlice::new(ff_it.next().expect("NTYPES slabs").as_mut_slice())
-            });
-            // Strides recomputed from the patch spans (Field4 layout: bin
-            // fastest, then i, k, j); the thermo fields share the same
-            // 3-D part.
-            let meta = FieldMeta {
-                ilen: p.im.len(),
-                klen: p.km.len(),
-                i0: p.im.lo,
-                k0: p.km.lo,
-                j0: p.jm.lo,
-            };
-            let tt_view = unsafe { SyncWriteSlice::new(tt_field.as_mut_slice()) };
-
-            let grids = &self.grids;
-            let tables = &self.tables;
-            let kcache = self.kcache.as_ref();
-            let splits = &self.splits;
-            let kp_lo = p.kp.lo;
-
-            let run_point = |i: i32, k: i32, j: i32, use_slabs: bool| {
-                let th_p = p_field.get(i, k, j);
-                let th_rho = rho_field.get(i, k, j);
-                let t_idx = meta.flat3(i, k, j);
-                let mut th = crate::point::PointThermo {
-                    t: tt_view.get(t_idx),
-                    qv: 0.0, // unused by the collision stage
-                    p: th_p,
-                    rho: th_rho,
-                };
-                let mut out = PointOutcome {
-                    active: true,
-                    coal_called: true,
-                    ..Default::default()
-                };
-                let km = Self::lookup_mode(kcache, tables, k, kp_lo, th_p);
-                if use_slabs {
-                    // Listing 8: operate in place on slab slices.
-                    let mut view = bins_view_from(&ff_views, &meta, i, k, j);
-                    fast_sbm_coal(&mut view, &mut th, grids, km, dt, &mut out);
-                } else {
-                    // Listing 7: automatic (stack) arrays + copy in/out.
-                    let mut local = PointBins::empty();
-                    let base = meta.flat4(i, k, j);
-                    for (c, v) in ff_views.iter().enumerate() {
-                        local.n[c].copy_from_slice(v.subslice_mut(base, NKR));
-                    }
-                    let mut view = local.view();
-                    fast_sbm_coal(&mut view, &mut th, grids, km, dt, &mut out);
-                    drop(view);
-                    for (c, v) in ff_views.iter().enumerate() {
-                        v.subslice_mut(base, NKR).copy_from_slice(&local.n[c]);
-                    }
-                }
-                tt_view.set(t_idx, th.t);
-                (out.coal_entries, out.work.coal)
-            };
-
-            // Gather → panel_coal → scatter for one pressure-uniform
-            // batch; returns per-lane entry counts and metered work.
-            let run_batch = |j: i32, k: i32, ixs: &[u32; LANES], len: usize| {
-                let mut panel = SoaPanel::new();
-                panel.len = len;
-                let mut t_idx = [0usize; LANES];
-                for l in 0..len {
-                    let i = p.ip.lo + ixs[l] as i32;
-                    let ti = meta.flat3(i, k, j);
-                    t_idx[l] = ti;
-                    panel.t[l] = tt_view.get(ti);
-                    panel.qv[l] = 0.0; // unused by the collision stage
-                    panel.p[l] = p_field.get(i, k, j);
-                    panel.rho[l] = rho_field.get(i, k, j);
-                    let base = meta.flat4(i, k, j);
-                    for (c, v) in ff_views.iter().enumerate() {
-                        let src = v.subslice_mut(base, NKR);
-                        for (kk, s) in src.iter().enumerate() {
-                            panel.n[c][kk][l] = *s;
-                        }
-                    }
-                }
-                let km = Self::lookup_mode(kcache, tables, k, kp_lo, panel.p[0]);
-                let mut works = [PointWork::ZERO; LANES];
-                let mut ent = [0u64; LANES];
-                panel_coal(&mut panel, grids, km, splits, dt, &mut works, &mut ent);
-                for l in 0..len {
-                    let i = p.ip.lo + ixs[l] as i32;
-                    let base = meta.flat4(i, k, j);
-                    for (c, v) in ff_views.iter().enumerate() {
-                        let dst = v.subslice_mut(base, NKR);
-                        for (kk, d) in dst.iter_mut().enumerate() {
-                            *d = panel.n[c][kk][l];
-                        }
-                    }
-                    tt_view.set(t_idx[l], panel.t[l]);
-                }
-                (ent, works)
-            };
-
-            // Launch geometry (`iters`, warp efficiency) is always
-            // reported from the *full* iteration space — compaction and
-            // the panel layout change how host threads are scheduled, not
-            // what the modeled device launch looks like.
-            wall = match (collapse, layout) {
-                (2, Layout::PointAos) => {
-                    let total = (jlen * klen) as u64;
-                    let body = |idx: u64| {
-                        let jk = idx as usize;
-                        let (jx, kx) = (jk / klen, jk % klen);
-                        let j = p.jp.lo + jx as i32;
-                        let k = p.kp.lo + kx as i32;
-                        let mut e = 0u64;
-                        let mut w = PointWork::ZERO;
-                        let mut pts = 0u64;
-                        for ix in 0..ilen {
-                            if predicate[jk * ilen + ix] {
-                                let i = p.ip.lo + ix as i32;
-                                let (ee, ww) = run_point(i, k, j, false);
-                                e += ee;
-                                w += ww;
-                                pts += 1;
-                            }
-                        }
-                        entries.fetch_add(e, Ordering::Relaxed);
-                        flops.fetch_add(w.flops, Ordering::Relaxed);
-                        mem_ops.fetch_add(w.mem_ops, Ordering::Relaxed);
-                        coal_points.fetch_add(pts, Ordering::Relaxed);
-                        if let Some(pr) = &profile {
-                            pr[jk].fetch_add(w.flops, Ordering::Relaxed);
-                        }
-                    };
-                    match self.cfg.sched {
-                        ExecMode::StaticTiles => {
-                            launch_functional_static(total, self.cfg.workers, body)
-                        }
-                        ExecMode::WorkSteal { chunk, compact } => {
-                            let exec = self.exec.as_ref().expect("executor created in step()");
-                            if compact {
-                                let cols = compact_active_columns(predicate, ilen);
-                                launch_functional_list(exec, &cols, chunk, body)
-                            } else {
-                                launch_functional_on(exec, total, chunk, body)
-                            }
-                        }
-                    }
-                }
-                (2, Layout::PanelSoa) => {
-                    // Same per-column launch units; inside each column the
-                    // serial i loop is replaced by pressure-uniform lane
-                    // batches formed on the fly.
-                    let total = (jlen * klen) as u64;
-                    let body = |idx: u64| {
-                        let jk = idx as usize;
-                        let (jx, kx) = (jk / klen, jk % klen);
-                        let j = p.jp.lo + jx as i32;
-                        let k = p.kp.lo + kx as i32;
-                        let mut e = 0u64;
-                        let mut w = PointWork::ZERO;
-                        let mut pts = 0u64;
-                        let mut ix = 0usize;
-                        while ix < ilen {
-                            let mut ixs = [0u32; LANES];
-                            let mut blen = 0usize;
-                            let mut pb = 0u32;
-                            while ix < ilen && blen < LANES {
-                                if !predicate[jk * ilen + ix] {
-                                    ix += 1;
-                                    continue;
-                                }
-                                let bits = p_field.get(p.ip.lo + ix as i32, k, j).to_bits();
-                                if blen == 0 {
-                                    pb = bits;
-                                } else if bits != pb {
-                                    break;
-                                }
-                                ixs[blen] = ix as u32;
-                                blen += 1;
-                                ix += 1;
-                            }
-                            if blen == 0 {
-                                break; // no further active points in the row
-                            }
-                            let (ent, works) = run_batch(j, k, &ixs, blen);
-                            for l in 0..blen {
-                                e += ent[l];
-                                w += works[l];
-                            }
-                            pts += blen as u64;
-                        }
-                        entries.fetch_add(e, Ordering::Relaxed);
-                        flops.fetch_add(w.flops, Ordering::Relaxed);
-                        mem_ops.fetch_add(w.mem_ops, Ordering::Relaxed);
-                        coal_points.fetch_add(pts, Ordering::Relaxed);
-                        if let Some(pr) = &profile {
-                            pr[jk].fetch_add(w.flops, Ordering::Relaxed);
-                        }
-                    };
-                    match self.cfg.sched {
-                        ExecMode::StaticTiles => {
-                            launch_functional_static(total, self.cfg.workers, body)
-                        }
-                        ExecMode::WorkSteal { chunk, compact } => {
-                            let exec = self.exec.as_ref().expect("executor created in step()");
-                            if compact {
-                                let cols = compact_active_columns(predicate, ilen);
-                                launch_functional_list(exec, &cols, chunk, body)
-                            } else {
-                                launch_functional_on(exec, total, chunk, body)
-                            }
-                        }
-                    }
-                }
-                (_, Layout::PointAos) => {
-                    let total = (jlen * klen * ilen) as u64;
-                    let body = |idx: u64| {
-                        let idx = idx as usize;
-                        if !predicate[idx] {
-                            return;
-                        }
-                        let ix = idx % ilen;
-                        let kx = (idx / ilen) % klen;
-                        let jx = idx / (ilen * klen);
-                        let i = p.ip.lo + ix as i32;
-                        let k = p.kp.lo + kx as i32;
-                        let j = p.jp.lo + jx as i32;
-                        let (e, w) = run_point(i, k, j, true);
-                        entries.fetch_add(e, Ordering::Relaxed);
-                        flops.fetch_add(w.flops, Ordering::Relaxed);
-                        mem_ops.fetch_add(w.mem_ops, Ordering::Relaxed);
-                        coal_points.fetch_add(1, Ordering::Relaxed);
-                        if let Some(pr) = &profile {
-                            pr[idx].fetch_add(w.flops, Ordering::Relaxed);
-                        }
-                    };
-                    match self.cfg.sched {
-                        ExecMode::StaticTiles => {
-                            launch_functional_static(total, self.cfg.workers, body)
-                        }
-                        ExecMode::WorkSteal { chunk, compact } => {
-                            let exec = self.exec.as_ref().expect("executor created in step()");
-                            if compact {
-                                let pts = compact_active_points(predicate);
-                                launch_functional_list(exec, &pts, chunk, body)
-                            } else {
-                                launch_functional_on(exec, total, chunk, body)
-                            }
-                        }
-                    }
-                }
-                (_, Layout::PanelSoa) => {
-                    // Launch units are the pre-built pressure-uniform
-                    // batches: the activity compaction of the collapse(3)
-                    // queue happens at batch granularity.
-                    let nb = batches.len() as u64;
-                    let body = |bi: u64| {
-                        let b = &batches[bi as usize];
-                        let blen = b.len as usize;
-                        let (ent, works) = run_batch(b.j, b.k, &b.ixs, blen);
-                        let mut e = 0u64;
-                        let mut w = PointWork::ZERO;
-                        for l in 0..blen {
-                            e += ent[l];
-                            w += works[l];
-                        }
-                        entries.fetch_add(e, Ordering::Relaxed);
-                        flops.fetch_add(w.flops, Ordering::Relaxed);
-                        mem_ops.fetch_add(w.mem_ops, Ordering::Relaxed);
-                        coal_points.fetch_add(blen as u64, Ordering::Relaxed);
-                        if let Some(pr) = &profile {
-                            let jx = (b.j - p.jp.lo) as usize;
-                            let kx = (b.k - p.kp.lo) as usize;
-                            for (l, w) in works.iter().enumerate().take(blen) {
-                                let idx = (jx * klen + kx) * ilen + b.ixs[l] as usize;
-                                pr[idx].fetch_add(w.flops, Ordering::Relaxed);
-                            }
-                        }
-                    };
-                    match self.cfg.sched {
-                        ExecMode::StaticTiles => {
-                            launch_functional_static(nb, self.cfg.workers, body)
-                        }
-                        ExecMode::WorkSteal { chunk, compact } => {
-                            let exec = self.exec.as_ref().expect("executor created in step()");
-                            if compact {
-                                launch_functional_list(exec, batch_ids, chunk, body)
-                            } else {
-                                launch_functional_on(exec, nb, chunk, body)
-                            }
-                        }
-                    }
-                }
-            };
-        }
-
-        CoalKernelStats {
-            iters,
-            warp_eff,
-            spec,
-            entries: entries.into_inner(),
-            flops: flops.into_inner(),
-            mem_ops: mem_ops.into_inner(),
-            coal_points: coal_points.into_inner(),
-            wall,
-            profile: profile.map(|v| v.into_iter().map(AtomicU64::into_inner).collect()),
-        }
-    }
-
     /// Column sedimentation (all versions; serial host pass, as in the
-    /// paper where only the collision loop is offloaded).
+    /// paper where only the collision loop is offloaded). The layouts
+    /// differ only in how a column is held while it falls: `[level][bin]`
+    /// rows, or bin-major transposed so each bin's k-sweep is a
+    /// contiguous, cache-blocked pass.
     fn sedimentation_pass(&mut self, state: &mut SbmPatchState, stats: &mut SbmStepStats) {
         let p = state.patch;
         let nz = p.kp.len();
+        let (dz, dt, layout) = (self.cfg.dz, self.cfg.dt, self.cfg.layout);
         let mut w = PointWork::ZERO;
         let scratch = &mut self.scratch;
         scratch.rho.resize(nz, 0.0);
-        match self.cfg.layout {
-            Layout::PointAos => {
-                scratch.col.resize(nz, [0.0f32; NKR]);
-                for j in p.jp.iter() {
-                    for i in p.ip.iter() {
-                        for (kx, k) in p.kp.iter().enumerate() {
-                            scratch.rho[kx] = state.rho.get(i, k, j);
-                        }
-                        let mut col_precip = 0.0f32;
-                        for c in 0..NTYPES {
-                            let mut any = false;
+        match layout {
+            Layout::PointAos => scratch.col.resize(nz, [0.0f32; NKR]),
+            Layout::PanelSoa => scratch.sed.ensure(nz),
+        }
+        for j in p.jp.iter() {
+            for i in p.ip.iter() {
+                for (kx, k) in p.kp.iter().enumerate() {
+                    scratch.rho[kx] = state.rho.get(i, k, j);
+                }
+                let mut col_precip = 0.0f32;
+                for (c, slab) in state.ff.iter_mut().enumerate() {
+                    let grid = self.grids.by_index(c);
+                    let mut any = false;
+                    let precip = match layout {
+                        Layout::PointAos => {
                             for (kx, k) in p.kp.iter().enumerate() {
-                                scratch.col[kx].copy_from_slice(state.ff[c].bin_slice(i, k, j));
+                                scratch.col[kx].copy_from_slice(slab.bin_slice(i, k, j));
                                 any |= scratch.col[kx].iter().any(|&v| v > 0.0);
                             }
                             if !any {
@@ -1191,42 +483,21 @@ impl FastSbm {
                             }
                             let precip = sedimentation_column(
                                 &mut scratch.col,
-                                self.grids.by_index(c),
+                                grid,
                                 &scratch.rho,
-                                self.cfg.dz,
-                                self.cfg.dt,
+                                dz,
+                                dt,
                                 &mut w,
                             );
-                            col_precip += precip;
-                            stats.precip += precip as f64;
                             for (kx, k) in p.kp.iter().enumerate() {
-                                state.ff[c]
-                                    .bin_slice_mut(i, k, j)
+                                slab.bin_slice_mut(i, k, j)
                                     .copy_from_slice(&scratch.col[kx]);
                             }
+                            precip
                         }
-                        if col_precip > 0.0 {
-                            let idx = state.column_index(i, j);
-                            state.rainnc[idx] += col_precip;
-                        }
-                    }
-                }
-            }
-            Layout::PanelSoa => {
-                // Bin-major transposed columns: each bin's k-sweep is a
-                // contiguous, cache-blocked pass.
-                scratch.sed.ensure(nz);
-                for j in p.jp.iter() {
-                    for i in p.ip.iter() {
-                        for (kx, k) in p.kp.iter().enumerate() {
-                            scratch.rho[kx] = state.rho.get(i, k, j);
-                        }
-                        let mut col_precip = 0.0f32;
-                        for c in 0..NTYPES {
-                            let mut any = false;
+                        Layout::PanelSoa => {
                             for (kx, k) in p.kp.iter().enumerate() {
-                                let src = state.ff[c].bin_slice(i, k, j);
-                                for (kb, &v) in src.iter().enumerate() {
+                                for (kb, &v) in slab.bin_slice(i, k, j).iter().enumerate() {
                                     scratch.sed.bins[kb * nz + kx] = v;
                                     any |= v > 0.0;
                                 }
@@ -1236,31 +507,262 @@ impl FastSbm {
                             }
                             let precip = sedimentation_column_soa(
                                 &mut scratch.sed,
-                                self.grids.by_index(c),
+                                grid,
                                 &scratch.rho,
-                                self.cfg.dz,
-                                self.cfg.dt,
+                                dz,
+                                dt,
                                 &mut w,
                             );
-                            col_precip += precip;
-                            stats.precip += precip as f64;
                             for (kx, k) in p.kp.iter().enumerate() {
-                                let dst = state.ff[c].bin_slice_mut(i, k, j);
-                                for (kb, d) in dst.iter_mut().enumerate() {
+                                for (kb, d) in slab.bin_slice_mut(i, k, j).iter_mut().enumerate() {
                                     *d = scratch.sed.bins[kb * nz + kx];
                                 }
                             }
+                            precip
                         }
-                        if col_precip > 0.0 {
-                            let idx = state.column_index(i, j);
-                            state.rainnc[idx] += col_precip;
-                        }
-                    }
+                    };
+                    col_precip += precip;
+                    stats.precip += precip as f64;
+                }
+                if col_precip > 0.0 {
+                    let idx = state.column_index(i, j);
+                    state.rainnc[idx] += col_precip;
                 }
             }
         }
         stats.work.sed = w;
         state.precip_acc += stats.precip;
+    }
+}
+
+// ---- The driver's three shapes of grid loop ---------------------------
+
+/// Baseline / Lookup: Listing 1's unfissioned loop, run per tile (WRF
+/// `numtiles`; one inline tile when `tiles <= 1`). Tiles partition the
+/// compute region and every tile owns its row scratch and — for the
+/// baseline — a private copy of the collision tables (what
+/// `!$omp threadprivate(cw**)` gives the Fortran code), so any tiling is
+/// bitwise identical to the serial sweep.
+fn unfissioned_tiles(
+    v: &PatchViews<'_>,
+    launcher: &Launcher<'_>,
+    cfg: &SbmConfig,
+    dense_tables: bool,
+) -> Tally {
+    // The Vec is only built when the patch actually splits, so the serial
+    // configuration allocates nothing per step.
+    let whole = [TileSpec {
+        id: 0,
+        it: v.patch.ip,
+        kt: v.patch.kp,
+        jt: v.patch.jp,
+    }];
+    let split;
+    let tiles: &[TileSpec] = if cfg.tiles <= 1 {
+        &whole
+    } else {
+        split = split_patch_into_tiles(&v.patch, cfg.tiles);
+        &split
+    };
+    let total = Mutex::new(Tally::default());
+    launcher.run(tiles.len() as u64, None, Grain::Coarse, |t| {
+        let tile = &tiles[t as usize];
+        let mut tally = Tally::default();
+        let mut dense = dense_tables.then(CollisionTables::new);
+        ROW_SCRATCH.with(|cell| {
+            let (pred, outs) = &mut *cell.borrow_mut();
+            pred.resize(tile.it.len(), false);
+            outs.resize(tile.it.len(), PointOutcome::default());
+            for j in tile.jt.iter() {
+                for k in tile.kt.iter() {
+                    pre_row(v, cfg.layout, j, k, tile.it, pred, outs);
+                    tally += coal_row(v, cfg.layout, j, k, tile.it, pred, dense.as_mut());
+                    tally += post_row(v, j, k, tile.it, outs);
+                }
+            }
+        });
+        *total.lock().expect("a tile body panicked") += tally;
+    });
+    total.into_inner().expect("a tile body panicked")
+}
+
+/// Fissioned sweep 1 (host): nucleation + condensation over every row,
+/// filling the predicate array `call_coal_bott_new` and the per-point
+/// outcomes.
+fn pre_sweep(v: &PatchViews<'_>, layout: Layout, scratch: &mut StepScratch) {
+    let ilen = v.patch.ip.len();
+    let points = v.patch.compute_points();
+    scratch.predicate.resize(points, false);
+    scratch.outcomes.resize(points, PointOutcome::default());
+    for (row, (j, k)) in v.rows().enumerate() {
+        let r = row * ilen..(row + 1) * ilen;
+        pre_row(
+            v,
+            layout,
+            j,
+            k,
+            v.patch.ip,
+            &mut scratch.predicate[r.clone()],
+            &mut scratch.outcomes[r],
+        );
+    }
+}
+
+/// Fissioned sweep 2 (device): the isolated collision loop of Listing 6,
+/// executed with real host parallelism. `collapse(2)` launches one unit
+/// per `(j,k)` column with a serial `i` loop and per-thread automatic
+/// arrays; `collapse(3)` launches one unit per point operating in place
+/// on the slabs — or, in the panel layout, per pressure-uniform lane
+/// batch, so activity compaction happens at batch granularity.
+///
+/// Launch geometry (`coal_iters`, warp efficiency) is always reported
+/// from the *full* iteration space: compaction and the panel layout
+/// change how host threads are scheduled, not what the modeled device
+/// launch looks like.
+fn coal_launch(
+    v: &PatchViews<'_>,
+    launcher: &Launcher<'_>,
+    cfg: &SbmConfig,
+    collapse: Collapse,
+    scratch: &mut StepScratch,
+    stats: &mut SbmStepStats,
+) -> Tally {
+    let p = v.patch;
+    let ilen = p.ip.len();
+    let rows = p.jp.len() * p.kp.len();
+    let predicate: &[bool] = &scratch.predicate;
+    let compact = cfg.sched.compacts();
+
+    let iters = match collapse {
+        Collapse::Two => {
+            scratch.lane_active.clear();
+            scratch
+                .lane_active
+                .extend(predicate.chunks_exact(ilen).map(|row| row.contains(&true)));
+            stats.warp_efficiency = warp_efficiency(&scratch.lane_active, 32);
+            rows
+        }
+        Collapse::Three => {
+            stats.warp_efficiency = warp_efficiency(predicate, 32);
+            rows * ilen
+        }
+    };
+    stats.coal_iters = iters as u64;
+    stats.kernel_spec = Some(coal_kernel_spec(collapse));
+
+    let sink = Mutex::new(CoalSink {
+        tally: Tally::default(),
+        profile: cfg.profile_coal.then(|| vec![0; iters]),
+    });
+    let sink_lock = || sink.lock().expect("a collision unit panicked");
+
+    stats.coal_wall = match (collapse, cfg.layout) {
+        (Collapse::Two, layout) => {
+            let active = compact.then(|| compact_active_columns(predicate, ilen));
+            launcher.run(rows as u64, active.as_deref(), Grain::Fine, |jk| {
+                let jk = jk as usize;
+                let (j, k) = v.row(jk);
+                let pred = &predicate[jk * ilen..(jk + 1) * ilen];
+                let tally = coal_row(v, layout, j, k, p.ip, pred, None);
+                sink_lock().add(jk, tally);
+            })
+        }
+        (Collapse::Three, Layout::PointAos) => {
+            let active = compact.then(|| compact_active_points(predicate));
+            launcher.run(iters as u64, active.as_deref(), Grain::Fine, |idx| {
+                let idx = idx as usize;
+                if predicate[idx] {
+                    let (j, k) = v.row(idx / ilen);
+                    let at = v.idx3(p.ip.lo + (idx % ilen) as i32, k, j);
+                    let tally = coal_point_aos(v, at, k, true, None);
+                    sink_lock().add(idx, tally);
+                }
+            })
+        }
+        (Collapse::Three, Layout::PanelSoa) => {
+            build_batch_list(v, predicate, &mut scratch.batches);
+            let batches: &[PanelBatch] = &scratch.batches;
+            // The list holds only active batches: it is its own
+            // compaction, under every scheduler.
+            launcher.run(batches.len() as u64, None, Grain::Fine, |bi| {
+                let b = &batches[bi as usize];
+                let (lanes, (j, k)) = (&b.ixs[..b.len as usize], v.row(b.row as usize));
+                let per_lane = coal_batch(v, v.idx3(p.ip.lo, k, j), k, lanes, None);
+                let mut sink = sink_lock();
+                for (&ix, tally) in lanes.iter().zip(per_lane) {
+                    sink.add(b.row as usize * ilen + ix as usize, tally);
+                }
+            })
+        }
+    };
+    let CoalSink { tally, profile } = sink.into_inner().expect("a collision unit panicked");
+    stats.coal_profile = profile;
+    tally
+}
+
+/// Fissioned sweep 3 (host): freezing/melting + breakup, and the tally of
+/// everything the two host sweeps metered.
+fn post_sweep(v: &PatchViews<'_>, scratch: &mut StepScratch) -> Tally {
+    let ilen = v.patch.ip.len();
+    let mut tally = Tally::default();
+    for (row, (j, k)) in v.rows().enumerate() {
+        let outs = &mut scratch.outcomes[row * ilen..(row + 1) * ilen];
+        tally += post_row(v, j, k, v.patch.ip, outs);
+    }
+    tally
+}
+
+// ---- Launching ----------------------------------------------------------
+
+/// Size class of a launch unit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Grain {
+    /// Points, columns, lane batches: thousands per launch, each small.
+    Fine,
+    /// Whole tiles: a handful per launch, each a worker's full share.
+    Coarse,
+}
+
+/// Where a step's parallel launches run — tiles and collision units
+/// alike. The one place that tells [`ExecMode`]'s variants apart.
+struct Launcher<'a> {
+    sched: ExecMode,
+    workers: Option<usize>,
+    /// The persistent pool; `None` when the configuration needs none (a
+    /// CPU version on a single tile).
+    exec: Option<&'a Executor>,
+}
+
+impl Launcher<'_> {
+    /// Runs `body(u)` for every launch unit `u` in `0..total` — or only
+    /// for the units listed in `active`, when the scheduler compacts —
+    /// and returns the wall seconds. Static dispatch: `body` is inlined
+    /// into each scheduler's loop.
+    fn run<F>(&self, total: u64, active: Option<&[u32]>, grain: Grain, body: F) -> f64
+    where
+        F: Fn(u64) + Sync,
+    {
+        // A fine-grained static launch under 256 units is not worth its
+        // thread spawns, and a work-stealing chunk is the configured
+        // size; tiles are each worth a thread and a chunk of their own.
+        let (inline_below, coarse_chunk) = match grain {
+            Grain::Fine => (256, None),
+            Grain::Coarse => (2, Some(1)),
+        };
+        match (self.sched, self.exec) {
+            (ExecMode::WorkSteal { chunk, .. }, Some(exec)) => {
+                let chunk = coarse_chunk.or(chunk);
+                match active {
+                    Some(list) => launch_functional_list(exec, list, chunk, body),
+                    None => launch_functional_on(exec, total, chunk, body),
+                }
+            }
+            // No pool, no parallelism: the static launcher's inline path.
+            (ExecMode::WorkSteal { .. }, None) => launch_functional_static(total, Some(1), 0, body),
+            (ExecMode::StaticTiles, _) => {
+                launch_functional_static(total, self.workers, inline_below, body)
+            }
+        }
     }
 }
 
@@ -1273,406 +775,503 @@ impl FastSbm {
 struct StepScratch {
     predicate: Vec<bool>,
     outcomes: Vec<PointOutcome>,
+    /// Per-column "any point active" flags of the `collapse(2)` launch.
+    lane_active: Vec<bool>,
     batches: Vec<PanelBatch>,
-    batch_ids: Vec<u32>,
     col: Vec<[f32; NKR]>,
     rho: Vec<f32>,
     sed: SedScratch,
 }
 
 /// One SoA collision batch: up to [`LANES`] predicate-true points of one
-/// `(j, k)` row sharing pressure bits (so the kernel value per `(i, j)`
+/// compute row sharing pressure bits (so the kernel value per `(i, j)`
 /// is resolved once for the whole batch).
 #[derive(Debug, Clone, Copy)]
 struct PanelBatch {
-    j: i32,
-    k: i32,
+    /// Index of the batch's `(j, k)` row in sweep order.
+    row: u32,
+    /// Offsets of the batch's points from the row's first `i`.
     ixs: [u32; LANES],
     len: u8,
 }
 
-// Per-thread row scratch for the panel CPU path: the active and
-// coal-called `i` lists of the row being processed. Thread-local so the
-// tiled scheduler's worker threads don't contend, and so steady-state
-// steps stay allocation-free.
+// Per-thread row scratch of the unfissioned tile body: the predicate and
+// outcome slots of the row being processed (the patch-sized arrays of the
+// fissioned sweeps, one row long). Thread-local so the tile scheduler's
+// workers don't contend, and so steady-state steps stay allocation-free.
 thread_local! {
-    static PANEL_ROW_SCRATCH: std::cell::RefCell<(Vec<i32>, Vec<i32>)> =
+    static ROW_SCRATCH: std::cell::RefCell<(Vec<bool>, Vec<PointOutcome>)> =
         const { std::cell::RefCell::new((Vec::new(), Vec::new())) };
 }
 
-/// An in-place [`BinsView`] over the seven slab views at one grid point.
-#[inline]
-fn bins_view_from<'a>(
-    ff_views: &'a [SyncWriteSlice<'_, f32>; NTYPES],
-    meta: &FieldMeta,
-    i: i32,
-    k: i32,
-    j: i32,
-) -> crate::point::BinsView<'a> {
-    crate::point::BinsView::from_slices(std::array::from_fn(|c| {
-        ff_views[c].subslice_mut(meta.flat4(i, k, j), NKR)
-    }))
+/// Everything a stage function needs, borrowed once per step: the static
+/// physics tables, the read-only fields, and disjoint-write views of the
+/// fields the microphysics updates. Flat indices are recomputed from the
+/// patch spans (`Field3` order: `i` fastest, then `k`, then `j`; the bin
+/// slabs prepend the bin index), so the views need no field borrows.
+struct PatchViews<'a> {
+    patch: PatchSpec,
+    grids: &'a Grids,
+    tables: &'a KernelTables,
+    kcache: Option<&'a KernelCache>,
+    splits: &'a DepositSplits,
+    dt: f32,
+    t_old: &'a [f32],
+    p: &'a [f32],
+    rho: &'a [f32],
+    tt: SyncWriteSlice<'a, f32>,
+    qv: SyncWriteSlice<'a, f32>,
+    ff: [SyncWriteSlice<'a, f32>; NTYPES],
 }
 
-/// The AoS per-tile body: one point at a time, exactly the serial sweep.
-#[allow(clippy::too_many_arguments)]
-fn run_tile_aos(
-    tile: &wrf_grid::TileSpec,
-    meta: FieldMeta,
-    grids: &Grids,
-    tables: &KernelTables,
-    kcache: Option<&KernelCache>,
-    kp_lo: i32,
-    dt: f32,
-    dense_tables: bool,
-    t_old: &wrf_grid::Field3<f32>,
-    p_field: &wrf_grid::Field3<f32>,
-    rho_field: &wrf_grid::Field3<f32>,
-    tt_view: &SyncWriteSlice<'_, f32>,
-    qv_view: &SyncWriteSlice<'_, f32>,
-    ff_views: &[SyncWriteSlice<'_, f32>; NTYPES],
-) -> SbmStepStats {
-    let mut st = empty_stats(tile.points());
-    let mut bins = PointBins::empty();
-    // THREADPRIVATE collision tables for the baseline.
-    let mut dense = if dense_tables {
-        Some(CollisionTables::new())
-    } else {
-        None
-    };
-    for j in tile.jt.iter() {
-        for k in tile.kt.iter() {
-            for i in tile.it.iter() {
-                let idx3 = meta.flat3(i, k, j);
-                let told = t_old.get(i, k, j);
-                let mut th = crate::point::PointThermo {
-                    t: tt_view.get(idx3),
-                    qv: qv_view.get(idx3),
-                    p: p_field.get(i, k, j),
-                    rho: rho_field.get(i, k, j),
-                };
-                for (c, v) in ff_views.iter().enumerate() {
-                    bins.n[c].copy_from_slice(v.subslice_mut(meta.flat4(i, k, j), NKR));
-                }
-                let mut view = bins.view();
-                let mut out = fast_sbm_pre(&mut view, &mut th, grids, dt, told);
-                if out.coal_called {
-                    let pressure = th.p;
-                    if let Some(dense) = dense.as_mut() {
-                        let mut kw = PointWork::ZERO;
-                        kernals_ks(tables, pressure, dense, &mut kw);
-                        out.work.kernals = kw;
-                        fast_sbm_coal(
-                            &mut view,
-                            &mut th,
-                            grids,
-                            KernelMode::Dense(dense),
-                            dt,
-                            &mut out,
-                        );
-                    } else {
-                        let km = FastSbm::lookup_mode(kcache, tables, k, kp_lo, pressure);
-                        fast_sbm_coal(&mut view, &mut th, grids, km, dt, &mut out);
-                    }
-                }
-                fast_sbm_post(&mut view, &mut th, grids, dt, &mut out);
-                drop(view);
-                for (c, v) in ff_views.iter().enumerate() {
-                    v.subslice_mut(meta.flat4(i, k, j), NKR)
-                        .copy_from_slice(&bins.n[c]);
-                }
-                tt_view.set(idx3, th.t);
-                qv_view.set(idx3, th.qv);
-                accumulate(&mut st, &out);
-            }
-        }
-    }
-    st
-}
-
-/// The panel per-tile body: rows are processed in four phases —
-/// scalar guard + nucleation, lane-batched condensation + predicate,
-/// pressure-uniform lane-batched collision, scalar freezing/breakup.
-/// Loop fission per point is bitwise-neutral (the driver's
-/// `fissioned_equals_unfissioned` test), points are independent, and each
-/// lane replays its exact scalar operation sequence, so this path is
-/// bitwise-identical to [`run_tile_aos`].
-#[allow(clippy::too_many_arguments)]
-fn run_tile_panels(
-    tile: &wrf_grid::TileSpec,
-    meta: FieldMeta,
-    grids: &Grids,
-    tables: &KernelTables,
-    kcache: Option<&KernelCache>,
-    kp_lo: i32,
-    dt: f32,
-    dense_tables: bool,
-    splits: &DepositSplits,
-    t_old: &wrf_grid::Field3<f32>,
-    p_field: &wrf_grid::Field3<f32>,
-    rho_field: &wrf_grid::Field3<f32>,
-    tt_view: &SyncWriteSlice<'_, f32>,
-    qv_view: &SyncWriteSlice<'_, f32>,
-    ff_views: &[SyncWriteSlice<'_, f32>; NTYPES],
-) -> SbmStepStats {
-    let mut st = empty_stats(tile.points());
-    let mut dense = if dense_tables {
-        Some(CollisionTables::new())
-    } else {
-        None
-    };
-    PANEL_ROW_SCRATCH.with(|cell| {
-        let (row_active, row_coal) = &mut *cell.borrow_mut();
-        for j in tile.jt.iter() {
-            for k in tile.kt.iter() {
-                row_active.clear();
-                row_coal.clear();
-
-                // Phase A: guard + nucleation, scalar, in place.
-                for i in tile.it.iter() {
-                    let idx3 = meta.flat3(i, k, j);
-                    let told = t_old.get(i, k, j);
-                    let mut th = crate::point::PointThermo {
-                        t: tt_view.get(idx3),
-                        qv: qv_view.get(idx3),
-                        p: p_field.get(i, k, j),
-                        rho: rho_field.get(i, k, j),
-                    };
-                    let mut view = bins_view_from(ff_views, &meta, i, k, j);
-                    let out = fast_sbm_nucleate(&mut view, &mut th, grids, dt, told);
-                    drop(view);
-                    if let Some(out) = out {
-                        st.active_points += 1;
-                        st.work.nucl += out.work.nucl;
-                        tt_view.set(idx3, th.t);
-                        qv_view.set(idx3, th.qv);
-                        row_active.push(i);
-                    }
-                }
-
-                // Phase B: condensation + the collision predicate in lane
-                // batches over the row's active points.
-                let mut pos = 0usize;
-                while pos < row_active.len() {
-                    let batch = &row_active[pos..(pos + LANES).min(row_active.len())];
-                    pos += batch.len();
-                    let mut panel = SoaPanel::new();
-                    panel.len = batch.len();
-                    for (l, &i) in batch.iter().enumerate() {
-                        let idx3 = meta.flat3(i, k, j);
-                        panel.t[l] = tt_view.get(idx3);
-                        panel.qv[l] = qv_view.get(idx3);
-                        panel.p[l] = p_field.get(i, k, j);
-                        panel.rho[l] = rho_field.get(i, k, j);
-                        let base = meta.flat4(i, k, j);
-                        for (c, v) in ff_views.iter().enumerate() {
-                            let src = v.subslice_mut(base, NKR);
-                            for (kk, s) in src.iter().enumerate() {
-                                panel.n[c][kk][l] = *s;
-                            }
-                        }
-                    }
-                    let mut works = [PointWork::ZERO; LANES];
-                    panel_condensation(&mut panel, grids, dt, &mut works);
-                    let preds = panel_coal_predicate(&panel, grids, &mut works);
-                    for (l, &i) in batch.iter().enumerate() {
-                        let idx3 = meta.flat3(i, k, j);
-                        let base = meta.flat4(i, k, j);
-                        for (c, v) in ff_views.iter().enumerate() {
-                            let dst = v.subslice_mut(base, NKR);
-                            for (kk, d) in dst.iter_mut().enumerate() {
-                                *d = panel.n[c][kk][l];
-                            }
-                        }
-                        tt_view.set(idx3, panel.t[l]);
-                        qv_view.set(idx3, panel.qv[l]);
-                        st.work.cond += works[l];
-                        if preds[l] {
-                            st.coal_points += 1;
-                            row_coal.push(i);
-                        }
-                    }
-                }
-
-                // Phase C: collision in pressure-uniform lane batches.
-                let mut pos = 0usize;
-                while pos < row_coal.len() {
-                    let pb = p_field.get(row_coal[pos], k, j).to_bits();
-                    let mut end = pos + 1;
-                    while end < row_coal.len()
-                        && end - pos < LANES
-                        && p_field.get(row_coal[end], k, j).to_bits() == pb
-                    {
-                        end += 1;
-                    }
-                    let batch = &row_coal[pos..end];
-                    pos = end;
-                    let mut panel = SoaPanel::new();
-                    panel.len = batch.len();
-                    let mut t_idx = [0usize; LANES];
-                    for (l, &i) in batch.iter().enumerate() {
-                        let idx3 = meta.flat3(i, k, j);
-                        t_idx[l] = idx3;
-                        panel.t[l] = tt_view.get(idx3);
-                        panel.qv[l] = 0.0; // unused by the collision stage
-                        panel.p[l] = p_field.get(i, k, j);
-                        panel.rho[l] = rho_field.get(i, k, j);
-                        let base = meta.flat4(i, k, j);
-                        for (c, v) in ff_views.iter().enumerate() {
-                            let src = v.subslice_mut(base, NKR);
-                            for (kk, s) in src.iter().enumerate() {
-                                panel.n[c][kk][l] = *s;
-                            }
-                        }
-                    }
-                    let pressure = f32::from_bits(pb);
-                    let mut works = [PointWork::ZERO; LANES];
-                    let mut ent = [0u64; LANES];
-                    if let Some(dense) = dense.as_mut() {
-                        // One shared fill per batch (identical pressure),
-                        // metered per point as the scalar baseline does.
-                        let mut kw = PointWork::ZERO;
-                        kernals_ks(tables, pressure, dense, &mut kw);
-                        for _ in 0..batch.len() {
-                            st.work.kernals += kw;
-                        }
-                        panel_coal(
-                            &mut panel,
-                            grids,
-                            KernelMode::Dense(dense),
-                            splits,
-                            dt,
-                            &mut works,
-                            &mut ent,
-                        );
-                    } else {
-                        let km = FastSbm::lookup_mode(kcache, tables, k, kp_lo, pressure);
-                        panel_coal(&mut panel, grids, km, splits, dt, &mut works, &mut ent);
-                    }
-                    for (l, &i) in batch.iter().enumerate() {
-                        let base = meta.flat4(i, k, j);
-                        for (c, v) in ff_views.iter().enumerate() {
-                            let dst = v.subslice_mut(base, NKR);
-                            for (kk, d) in dst.iter_mut().enumerate() {
-                                *d = panel.n[c][kk][l];
-                            }
-                        }
-                        tt_view.set(t_idx[l], panel.t[l]);
-                        st.coal_entries += ent[l];
-                        st.work.coal += works[l];
-                    }
-                }
-
-                // Phase D: freezing/melting + breakup, scalar, in place.
-                for &i in row_active.iter() {
-                    let idx3 = meta.flat3(i, k, j);
-                    let mut th = crate::point::PointThermo {
-                        t: tt_view.get(idx3),
-                        qv: qv_view.get(idx3),
-                        p: p_field.get(i, k, j),
-                        rho: rho_field.get(i, k, j),
-                    };
-                    let mut out = PointOutcome {
-                        active: true,
-                        ..Default::default()
-                    };
-                    let mut view = bins_view_from(ff_views, &meta, i, k, j);
-                    fast_sbm_post(&mut view, &mut th, grids, dt, &mut out);
-                    drop(view);
-                    tt_view.set(idx3, th.t);
-                    qv_view.set(idx3, th.qv);
-                    st.work.freeze += out.work.freeze;
-                    st.work.breakup += out.work.breakup;
-                }
-            }
-        }
-    });
-    st
-}
-
-/// Flushes one condensation lane panel of the panel-layout first sweep:
-/// runs batched condensation + the collision predicate, scatters bins and
-/// thermo back to the state, and records per-point outcomes.
-#[allow(clippy::too_many_arguments)]
-fn flush_cond_panel(
-    panel: &mut SoaPanel,
-    lane_ix: &[usize; LANES],
-    row: usize,
-    i0: i32,
-    k: i32,
-    j: i32,
-    grids: &Grids,
-    dt: f32,
-    state: &mut SbmPatchState,
-    predicate: &mut [bool],
-    outcomes: &mut [PointOutcome],
-) {
-    if panel.len == 0 {
-        return;
-    }
-    let mut works = [PointWork::ZERO; LANES];
-    panel_condensation(panel, grids, dt, &mut works);
-    let preds = panel_coal_predicate(panel, grids, &mut works);
-    for l in 0..panel.len {
-        let ix = lane_ix[l];
-        let i = i0 + ix as i32;
-        for (c, f) in state.ff.iter_mut().enumerate() {
-            let dst = f.bin_slice_mut(i, k, j);
-            for (kk, d) in dst.iter_mut().enumerate() {
-                *d = panel.n[c][kk][l];
-            }
-        }
-        let th = crate::point::PointThermo {
-            t: panel.t[l],
-            qv: panel.qv[l],
-            p: panel.p[l],
-            rho: panel.rho[l],
+impl<'a> PatchViews<'a> {
+    fn new(
+        grids: &'a Grids,
+        tables: &'a KernelTables,
+        kcache: Option<&'a KernelCache>,
+        splits: &'a DepositSplits,
+        dt: f32,
+        state: &'a mut SbmPatchState,
+    ) -> Self {
+        let mut slabs = state.ff.iter_mut();
+        // SAFETY: the views are written only by the stage functions below,
+        // and every stage function touches nothing but the `tt`/`qv`
+        // elements and bin slices of the grid points of the launch unit it
+        // was called for — a tile, a `(j,k)` row of one, a column, a lane
+        // batch of distinct points, or a single point. Concurrent launch
+        // units partition the compute points (tiles partition the patch;
+        // compacted lists and batch lists name each unit, and each point,
+        // at most once — `many_tiles_cover_exactly` and
+        // `batch_list_covers_active_points_exactly_once` test both),
+        // so no element is written by two threads, or read by one while
+        // another writes it (the Codee-proven independence of the grid
+        // loop). `t_old`, `p` and `rho` are never written during a step.
+        let (tt, qv, ff) = unsafe {
+            (
+                SyncWriteSlice::new(state.tt.as_mut_slice()),
+                SyncWriteSlice::new(state.qv.as_mut_slice()),
+                std::array::from_fn(|_| {
+                    SyncWriteSlice::new(slabs.next().expect("NTYPES slabs").as_mut_slice())
+                }),
+            )
         };
-        state.store_thermo(i, k, j, &th);
-        let idx = row + ix;
-        outcomes[idx].work.cond = works[l];
-        predicate[idx] = preds[l];
+        PatchViews {
+            patch: state.patch,
+            grids,
+            tables,
+            kcache,
+            splits,
+            dt,
+            t_old: state.t_old.as_slice(),
+            p: state.p.as_slice(),
+            rho: state.rho.as_slice(),
+            tt,
+            qv,
+            ff,
+        }
     }
-    panel.clear();
-}
 
-/// Flat-index helpers for the kernel bodies (recomputed from patch spans
-/// so views need no field borrows).
-#[derive(Debug, Clone, Copy)]
-struct FieldMeta {
-    ilen: usize,
-    klen: usize,
-    i0: i32,
-    k0: i32,
-    j0: i32,
-}
-
-impl FieldMeta {
+    /// Flat index of a grid point in the 3-D fields.
     #[inline]
-    fn flat3(&self, i: i32, k: i32, j: i32) -> usize {
-        let ii = (i - self.i0) as usize;
-        let kk = (k - self.k0) as usize;
-        let jj = (j - self.j0) as usize;
-        ii + self.ilen * (kk + self.klen * jj)
+    fn idx3(&self, i: i32, k: i32, j: i32) -> usize {
+        let p = &self.patch;
+        let (ii, kk, jj) = (i - p.im.lo, k - p.km.lo, j - p.jm.lo);
+        ii as usize + p.im.len() * (kk as usize + p.km.len() * jj as usize)
+    }
+
+    /// The compute rows in sweep order (`j` outer, `k` inner) as `(j, k)`.
+    fn rows(&self) -> impl Iterator<Item = (i32, i32)> {
+        let kp = self.patch.kp;
+        (self.patch.jp.iter()).flat_map(move |j| kp.iter().map(move |k| (j, k)))
+    }
+
+    /// `(j, k)` of the `row`-th compute row in sweep order.
+    #[inline]
+    fn row(&self, row: usize) -> (i32, i32) {
+        let (p, klen) = (&self.patch, self.patch.kp.len());
+        (p.jp.lo + (row / klen) as i32, p.kp.lo + (row % klen) as i32)
     }
 
     #[inline]
-    fn flat4(&self, i: i32, k: i32, j: i32) -> usize {
-        self.flat3(i, k, j) * NKR
+    fn thermo(&self, at: usize) -> PointThermo {
+        PointThermo {
+            t: self.tt.get(at),
+            qv: self.qv.get(at),
+            p: self.p[at],
+            rho: self.rho[at],
+        }
+    }
+
+    #[inline]
+    fn store_thermo(&self, at: usize, th: &PointThermo) {
+        self.tt.set(at, th.t);
+        self.qv.set(at, th.qv);
+    }
+
+    /// An in-place [`BinsView`] over the seven slab slices at a point
+    /// (Listing 8's pointers into `temp_arrays`).
+    #[inline]
+    fn bins(&self, at: usize) -> BinsView<'_> {
+        BinsView::from_slices(std::array::from_fn(|c| {
+            self.ff[c].subslice_mut(at * NKR, NKR)
+        }))
+    }
+
+    /// Copies a point's bins into automatic arrays, and back (Listing 7).
+    #[inline]
+    fn load_bins(&self, at: usize, local: &mut PointBins) {
+        for (dst, src) in local.n.iter_mut().zip(self.bins(at).n) {
+            dst.copy_from_slice(src);
+        }
+    }
+
+    #[inline]
+    fn store_bins(&self, at: usize, local: &PointBins) {
+        for (src, dst) in local.n.iter().zip(self.bins(at).n) {
+            dst.copy_from_slice(src);
+        }
+    }
+
+    /// Gathers the point at `at` into the panel's next lane.
+    #[inline]
+    fn gather(&self, at: usize, panel: &mut SoaPanel) {
+        let (th, src) = (self.thermo(at), self.bins(at));
+        panel.push_with(th.t, th.qv, th.p, th.rho, |c, kk| src.n[c][kk]);
+    }
+
+    /// Scatters lane `l` back to the point at `at`: its bins and its
+    /// temperature (vapor moves only in condensation, whose caller
+    /// stores it).
+    #[inline]
+    fn scatter(&self, at: usize, panel: &SoaPanel, l: usize) {
+        let mut dst = self.bins(at);
+        panel.scatter_with(l, |c, kk, x| dst.n[c][kk] = x);
+        self.tt.set(at, panel.t[l]);
+    }
+
+    /// Kernel mode for a non-dense collision call at level `k` and
+    /// pressure `p`.
+    #[inline]
+    fn kernel_mode(&self, k: i32, p: f32) -> KernelMode<'_> {
+        match self.kcache {
+            Some(cache) => KernelMode::Cached {
+                cache,
+                tables: self.tables,
+                level: (k - self.patch.kp.lo) as usize,
+                p,
+            },
+            None => KernelMode::OnDemand {
+                tables: self.tables,
+                p,
+            },
+        }
+    }
+
+    /// The kernel mode of one collision call at pressure `p`: a fresh
+    /// `kernals_ks` fill of the caller's dense tables (metered into
+    /// `kernals` — the baseline's defining cost), or the lookup mode.
+    fn collision_kernels<'d>(
+        &'d self,
+        k: i32,
+        p: f32,
+        dense: Option<&'d mut CollisionTables>,
+        kernals: &mut PointWork,
+    ) -> KernelMode<'d> {
+        match dense {
+            Some(dense) => {
+                kernals_ks(self.tables, p, dense, kernals);
+                KernelMode::Dense(dense)
+            }
+            None => self.kernel_mode(k, p),
+        }
     }
 }
 
-#[derive(Debug, Clone)]
-struct CoalKernelStats {
-    iters: u64,
-    warp_eff: f64,
-    spec: KernelSpec,
-    entries: u64,
-    flops: u64,
-    mem_ops: u64,
-    coal_points: u64,
-    wall: f64,
+// ---- Row-level stages -----------------------------------------------------
+//
+// A row is the `i`-span `it` at one `(j, k)`; `pred` and `outs` are its
+// predicate and outcome slots. The unfissioned tile body runs the three
+// stages back to back per row, the fissioned driver runs each as a sweep
+// (the middle one as a launch). Only the stages whose arithmetic differs
+// between the layouts have two forms.
+
+/// Nucleation + condensation + the collision predicate of Listing 6.
+fn pre_row(
+    v: &PatchViews<'_>,
+    layout: Layout,
+    j: i32,
+    k: i32,
+    it: Span,
+    pred: &mut [bool],
+    outs: &mut [PointOutcome],
+) {
+    match layout {
+        Layout::PointAos => {
+            let mut bins = PointBins::empty();
+            for (ix, i) in it.iter().enumerate() {
+                let at = v.idx3(i, k, j);
+                let mut th = v.thermo(at);
+                v.load_bins(at, &mut bins);
+                outs[ix] = fast_sbm_pre(&mut bins.view(), &mut th, v.grids, v.dt, v.t_old[at]);
+                v.store_bins(at, &bins);
+                v.store_thermo(at, &th);
+            }
+        }
+        Layout::PanelSoa => pre_row_panels(v, j, k, it, outs),
+    }
+    for (p, out) in pred.iter_mut().zip(outs.iter()) {
+        *p = out.coal_called;
+    }
+}
+
+/// The panel form of [`pre_row`]: scalar guard + nucleation per point in
+/// place, then condensation and the predicate in lane batches over the
+/// row's active points (condensation batches may mix pressures).
+fn pre_row_panels(v: &PatchViews<'_>, j: i32, k: i32, it: Span, outs: &mut [PointOutcome]) {
+    for (ix, i) in it.iter().enumerate() {
+        let at = v.idx3(i, k, j);
+        let mut th = v.thermo(at);
+        let out = fast_sbm_nucleate(&mut v.bins(at), &mut th, v.grids, v.dt, v.t_old[at]);
+        if out.is_some() {
+            v.store_thermo(at, &th);
+        }
+        outs[ix] = out.unwrap_or_default();
+    }
+    let mut panel = SoaPanel::new();
+    let mut lane_ix = [0usize; LANES];
+    for ix in 0..=it.len() {
+        let row_done = ix == it.len();
+        if !row_done && outs[ix].active {
+            lane_ix[panel.len] = ix;
+            v.gather(v.idx3(it.lo + ix as i32, k, j), &mut panel);
+        }
+        if panel.is_full() || (row_done && panel.len > 0) {
+            let mut works = [PointWork::ZERO; LANES];
+            panel_condensation(&mut panel, v.grids, v.dt, &mut works);
+            let preds = panel_coal_predicate(&panel, v.grids, &mut works);
+            for (l, &lx) in lane_ix.iter().enumerate().take(panel.len) {
+                let at = v.idx3(it.lo + lx as i32, k, j);
+                v.scatter(at, &panel, l);
+                v.qv.set(at, panel.qv[l]);
+                outs[lx].work.cond = works[l];
+                outs[lx].coal_called = preds[l];
+            }
+            panel.clear();
+        }
+    }
+}
+
+/// The collision stage over the predicate-true points of one row: the
+/// middle phase of the unfissioned tile body and the body of one
+/// `collapse(2)` launch unit (a column with its serial `i` loop, bins in
+/// automatic arrays). The panel form replaces the serial loop by
+/// pressure-uniform lane batches formed on the fly.
+fn coal_row(
+    v: &PatchViews<'_>,
+    layout: Layout,
+    j: i32,
+    k: i32,
+    it: Span,
+    pred: &[bool],
+    mut dense: Option<&mut CollisionTables>,
+) -> Tally {
+    let mut tally = Tally::default();
+    let at0 = v.idx3(it.lo, k, j);
+    match layout {
+        Layout::PointAos => {
+            for ix in (0..it.len()).filter(|&ix| pred[ix]) {
+                tally += coal_point_aos(v, at0 + ix, k, false, dense.as_deref_mut());
+            }
+        }
+        Layout::PanelSoa => {
+            let mut ix = 0;
+            while let Some((ixs, len)) = next_batch(pred, &v.p[at0..at0 + it.len()], &mut ix) {
+                for lane in coal_batch(v, at0, k, &ixs[..len], dense.as_deref_mut()) {
+                    tally += lane;
+                }
+            }
+        }
+    }
+    tally
+}
+
+/// One point of the collision stage, AoS form: in place on the slab
+/// slices (Listing 8), or on automatic arrays with copy in/out
+/// (Listing 7).
+fn coal_point_aos(
+    v: &PatchViews<'_>,
+    at: usize,
+    k: i32,
+    in_place: bool,
+    dense: Option<&mut CollisionTables>,
+) -> Tally {
+    let mut th = v.thermo(at);
+    let mut out = PointOutcome {
+        active: true,
+        coal_called: true,
+        ..Default::default()
+    };
+    let km = v.collision_kernels(k, th.p, dense, &mut out.work.kernals);
+    if in_place {
+        fast_sbm_coal(&mut v.bins(at), &mut th, v.grids, km, v.dt, &mut out);
+    } else {
+        let mut local = PointBins::empty();
+        v.load_bins(at, &mut local);
+        fast_sbm_coal(&mut local.view(), &mut th, v.grids, km, v.dt, &mut out);
+        v.store_bins(at, &local);
+    }
+    v.tt.set(at, th.t);
+    Tally::coal(out.coal_entries, out.work.coal, out.work.kernals)
+}
+
+/// Gather → `panel_coal` → scatter for one pressure-uniform lane batch at
+/// level `k` (`lanes` are `i` offsets from the point at flat index `at0`);
+/// yields the per-lane tallies. With dense tables the batch shares one
+/// fill (identical pressure), metered per point as the scalar baseline
+/// does.
+fn coal_batch(
+    v: &PatchViews<'_>,
+    at0: usize,
+    k: i32,
+    lanes: &[u32],
+    dense: Option<&mut CollisionTables>,
+) -> impl Iterator<Item = Tally> {
+    let mut panel = SoaPanel::new();
+    for &ix in lanes {
+        v.gather(at0 + ix as usize, &mut panel);
+    }
+    let mut kernals = PointWork::ZERO;
+    let km = v.collision_kernels(k, panel.p[0], dense, &mut kernals);
+    let mut works = [PointWork::ZERO; LANES];
+    let mut entries = [0u64; LANES];
+    panel_coal(
+        &mut panel,
+        v.grids,
+        km,
+        v.splits,
+        v.dt,
+        &mut works,
+        &mut entries,
+    );
+    for (l, &ix) in lanes.iter().enumerate() {
+        v.scatter(at0 + ix as usize, &panel, l);
+    }
+    let n = lanes.len();
+    (0..n).map(move |l| Tally::coal(entries[l], works[l], kernals))
+}
+
+/// Freezing/melting + breakup over the row's active points, scalar and in
+/// place in both layouts; returns the tally of the row's outcomes (all
+/// the host stages metered, and the point counts).
+fn post_row(v: &PatchViews<'_>, j: i32, k: i32, it: Span, outs: &mut [PointOutcome]) -> Tally {
+    let mut tally = Tally::default();
+    for (i, out) in it.iter().zip(outs) {
+        if out.active {
+            let at = v.idx3(i, k, j);
+            let mut th = v.thermo(at);
+            fast_sbm_post(&mut v.bins(at), &mut th, v.grids, v.dt, out);
+            v.store_thermo(at, &th);
+        }
+        tally.add_point(out);
+    }
+    tally
+}
+
+/// The next collision lane batch of a row: starting at `*ix`, up to
+/// [`LANES`] predicate-true offsets whose pressures share the first one's
+/// bits (gaps of predicate-false points allowed; a pressure change ends
+/// the batch). Returns `None` once the row holds no further active point.
+fn next_batch(pred: &[bool], p: &[f32], ix: &mut usize) -> Option<([u32; LANES], usize)> {
+    let mut ixs = [0u32; LANES];
+    let mut len = 0;
+    while *ix < pred.len() && len < LANES {
+        if pred[*ix] {
+            if len > 0 && p[*ix].to_bits() != p[ixs[0] as usize].to_bits() {
+                break;
+            }
+            ixs[len] = *ix as u32;
+            len += 1;
+        }
+        *ix += 1;
+    }
+    (len > 0).then_some((ixs, len))
+}
+
+/// Pre-builds the launch units of the panel `collapse(3)` kernel: every
+/// row's collision batches, in sweep order. `predicate` is laid out
+/// `[row][i]` over the patch's compute points.
+fn build_batch_list(v: &PatchViews<'_>, predicate: &[bool], out: &mut Vec<PanelBatch>) {
+    let ip = v.patch.ip;
+    out.clear();
+    for (row, ((j, k), pred)) in (0..).zip(v.rows().zip(predicate.chunks_exact(ip.len()))) {
+        let at0 = v.idx3(ip.lo, k, j);
+        let mut ix = 0;
+        while let Some((ixs, len)) = next_batch(pred, &v.p[at0..at0 + ip.len()], &mut ix) {
+            let len = len as u8;
+            out.push(PanelBatch { row, ixs, len });
+        }
+    }
+}
+
+// ---- Statistics -------------------------------------------------------------
+
+/// What a launch unit or a sweep adds to the step statistics. All
+/// counters are integers, so the order units finish in cannot change the
+/// sums.
+#[derive(Clone, Copy, Default)]
+struct Tally {
+    active: usize,
+    coal_points: usize,
+    coal_entries: u64,
+    work: WorkBreakdown,
+}
+
+impl Tally {
+    /// The collision stage's share of one point.
+    fn coal(coal_entries: u64, coal: PointWork, kernals: PointWork) -> Self {
+        Tally {
+            coal_entries,
+            work: WorkBreakdown {
+                coal,
+                kernals,
+                ..Default::default()
+            },
+            ..Default::default()
+        }
+    }
+
+    /// The host stages' share of one point (its collision share arrives
+    /// through [`Tally::coal`]).
+    fn add_point(&mut self, out: &PointOutcome) {
+        self.active += usize::from(out.active);
+        self.coal_points += usize::from(out.coal_called);
+        self.work += out.work;
+    }
+}
+
+impl std::ops::AddAssign for Tally {
+    fn add_assign(&mut self, rhs: Tally) {
+        self.active += rhs.active;
+        self.coal_points += rhs.coal_points;
+        self.coal_entries += rhs.coal_entries;
+        self.work += rhs.work;
+    }
+}
+
+/// Where the collision launch's units report: the running tally and,
+/// when profiling, the metered collision flops per launch unit.
+struct CoalSink {
+    tally: Tally,
     profile: Option<Vec<u64>>,
+}
+
+impl CoalSink {
+    fn add(&mut self, unit: usize, tally: Tally) {
+        self.tally += tally;
+        if let Some(profile) = &mut self.profile {
+            profile[unit] += tally.work.coal.flops;
+        }
+    }
 }
 
 fn empty_stats(points: usize) -> SbmStepStats {
@@ -1689,32 +1288,6 @@ fn empty_stats(points: usize) -> SbmStepStats {
         coal_wall: 0.0,
         coal_profile: None,
     }
-}
-
-fn accumulate(stats: &mut SbmStepStats, out: &PointOutcome) {
-    if out.active {
-        stats.active_points += 1;
-    }
-    if out.coal_called {
-        stats.coal_points += 1;
-    }
-    stats.coal_entries += out.coal_entries;
-    stats.work += out.work;
-}
-
-/// Accumulation for the fissioned path: coal work was already added from
-/// the kernel counters, so only pre/post work and point counts land here.
-fn accumulate_pre_post(stats: &mut SbmStepStats, out: &PointOutcome, coal: bool) {
-    if out.active {
-        stats.active_points += 1;
-    }
-    if coal {
-        stats.coal_points += 1;
-    }
-    let mut w = out.work;
-    w.coal = PointWork::ZERO;
-    w.kernals = PointWork::ZERO;
-    stats.work += w;
 }
 
 #[cfg(test)]
@@ -1821,6 +1394,30 @@ mod tests {
         );
         // Lookup evaluates exactly the entries the math needs.
         assert!(sl.work.coal_loop().flops < sb.work.coal_loop().flops / 2);
+    }
+
+    /// The four versions are four constants of the plan: dense tables
+    /// only in the baseline, fission only in the offloaded pair, and the
+    /// public views of the plan agree with it.
+    #[test]
+    fn version_plans_are_the_papers_ladder() {
+        use Collapse::{Three, Two};
+        let ladder = [
+            (true, None),
+            (false, None),
+            (false, Some(Two)),
+            (false, Some(Three)),
+        ];
+        for (version, (dense_tables, fission)) in SbmVersion::ALL.into_iter().zip(ladder) {
+            let plan = VersionPlan {
+                dense_tables,
+                fission,
+            };
+            assert_eq!(version.plan(), plan, "{version:?}");
+            assert_eq!(version.offloaded(), fission.is_some(), "{version:?}");
+            let depth = version.kernel_spec().map(|s| s.collapse);
+            assert_eq!(depth, fission.map(|c| if c == Two { 2 } else { 3 }));
+        }
     }
 
     #[test]
@@ -2014,50 +1611,142 @@ mod tile_tests {
 
     /// WRF numtiles > 1 must be bitwise identical to the serial sweep —
     /// the shared-memory level of Fig. 1 changes nothing, including for
-    /// the baseline once its tables are THREADPRIVATE.
+    /// the baseline once its tables are THREADPRIVATE — in both layouts
+    /// and under both tile schedulers (the static one runs its four tiles
+    /// on threads, not inline).
     #[test]
     fn tiled_equals_serial_bitwise() {
         for version in [SbmVersion::Baseline, SbmVersion::Lookup] {
-            let mut serial_state = base_tests::test_state();
-            let mut tiled_state = serial_state.clone();
+            for layout in Layout::ALL {
+                for sched in [ExecMode::work_steal(), ExecMode::StaticTiles] {
+                    let what = format!("{version:?} {layout:?} {sched:?}");
+                    let mut serial_state = base_tests::test_state();
+                    let mut tiled_state = serial_state.clone();
 
-            let mut serial = FastSbm::new(SbmConfig::new(version));
-            let mut cfg = SbmConfig::new(version);
-            cfg.tiles = 4;
-            let mut tiled = FastSbm::new(cfg);
+                    let mut cfg = SbmConfig::new(version);
+                    cfg.layout = layout;
+                    let mut serial = FastSbm::new(cfg);
+                    cfg.tiles = 4;
+                    cfg.sched = sched;
+                    let mut tiled = FastSbm::new(cfg);
 
-            for _ in 0..3 {
-                let a = serial.step(&mut serial_state);
-                let b = tiled.step(&mut tiled_state);
-                assert_eq!(a.coal_entries, b.coal_entries, "{version:?}");
-                assert_eq!(a.active_points, b.active_points);
-                assert_eq!(a.coal_points, b.coal_points);
-                assert_eq!(a.work.total(), b.work.total());
-            }
-            assert_eq!(
-                serial_state.tt.as_slice(),
-                tiled_state.tt.as_slice(),
-                "{version:?}: temperatures must match bitwise"
-            );
-            for c in 0..NTYPES {
-                assert_eq!(
-                    serial_state.ff[c].as_slice(),
-                    tiled_state.ff[c].as_slice(),
-                    "{version:?}: class {c} bins must match bitwise"
-                );
+                    for _ in 0..3 {
+                        let a = serial.step(&mut serial_state);
+                        let b = tiled.step(&mut tiled_state);
+                        assert_eq!(a.coal_entries, b.coal_entries, "{what}");
+                        assert_eq!(a.active_points, b.active_points, "{what}");
+                        assert_eq!(a.coal_points, b.coal_points, "{what}");
+                        assert_eq!(a.work.total(), b.work.total(), "{what}");
+                    }
+                    assert_eq!(
+                        serial_state.tt.as_slice(),
+                        tiled_state.tt.as_slice(),
+                        "{what}: temperatures must match bitwise"
+                    );
+                    for c in 0..NTYPES {
+                        assert_eq!(
+                            serial_state.ff[c].as_slice(),
+                            tiled_state.ff[c].as_slice(),
+                            "{what}: class {c} bins must match bitwise"
+                        );
+                    }
+                }
             }
         }
     }
 
-    /// More tiles than j-rows still covers every point exactly once.
+    /// The launch units the disjoint-write views rely on: any tile count
+    /// (more tiles than j-rows included) covers every compute point
+    /// exactly once, and the compacted lists name each active unit once.
     #[test]
     fn many_tiles_cover_exactly() {
         let mut state = base_tests::test_state();
+        let p = state.patch;
+        for ntiles in [1, 2, 3, 5, 8, 16] {
+            let mut hits = vec![0u8; p.jp.len() * p.ip.len()];
+            for t in split_patch_into_tiles(&p, ntiles) {
+                assert_eq!(t.kt, p.kp, "tiles never split k");
+                for j in t.jt.iter() {
+                    for i in t.it.iter() {
+                        assert!(p.jp.contains(j) && p.ip.contains(i));
+                        hits[(j - p.jp.lo) as usize * p.ip.len() + (i - p.ip.lo) as usize] += 1;
+                    }
+                }
+            }
+            assert!(hits.iter().all(|&h| h == 1), "{ntiles} tiles");
+        }
+
+        let ilen = 5;
+        let predicate: Vec<bool> = (0..60)
+            .map(|x| x % 7 == 0 || (20..25).contains(&x))
+            .collect();
+        let points = compact_active_points(&predicate);
+        assert!(points.windows(2).all(|w| w[0] < w[1]), "each point once");
+        assert!(points.iter().all(|&x| predicate[x as usize]));
+        assert_eq!(points.len(), predicate.iter().filter(|&&on| on).count());
+        let columns = compact_active_columns(&predicate, ilen);
+        assert!(columns.windows(2).all(|w| w[0] < w[1]), "each column once");
+        for (c, col) in predicate.chunks_exact(ilen).enumerate() {
+            assert_eq!(columns.contains(&(c as u32)), col.contains(&true));
+        }
+
         let mut cfg = SbmConfig::new(SbmVersion::Lookup);
         cfg.tiles = 16;
         let mut scheme = FastSbm::new(cfg);
         let stats = scheme.step(&mut state);
         assert_eq!(stats.active_points, state.patch.compute_points());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// The panel `collapse(3)` launch units: over random predicates
+        /// and pressure fields, the batch list covers every
+        /// predicate-true point exactly once and never a predicate-false
+        /// one; each batch holds at most `LANES` points of one row, in
+        /// ascending order, with identical pressure bits.
+        #[test]
+        fn batch_list_covers_active_points_exactly_once(
+            ni in 1i32..40, nk in 1i32..4, nj in 1i32..4, halo in 0i32..3,
+            act10 in 0u64..11, levels in 1u64..4, seed in 1u64..1_000_000,
+        ) {
+            let d = wrf_grid::Domain::new(ni, nk, nj);
+            let patch = wrf_grid::two_d_decomposition(d, 1, halo).patches[0];
+            let mut state = SbmPatchState::new(patch);
+            let mut rng = seed;
+            let mut draw = |n: u64| {
+                rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                (rng >> 33) % n
+            };
+            for v in state.p.as_mut_slice() {
+                *v = 90_000.0 - 1_000.0 * draw(levels) as f32;
+            }
+            let predicate: Vec<bool> =
+                (0..patch.compute_points()).map(|_| draw(10) < act10).collect();
+
+            let sbm = FastSbm::new(SbmConfig::new(SbmVersion::OffloadCollapse3));
+            let v = PatchViews::new(&sbm.grids, &sbm.tables, None, &sbm.splits, 5.0, &mut state);
+            let mut batches = Vec::new();
+            build_batch_list(&v, &predicate, &mut batches);
+
+            let ilen = patch.ip.len();
+            let mut hits = vec![0u8; predicate.len()];
+            for b in &batches {
+                let lanes = &b.ixs[..b.len as usize];
+                proptest::prop_assert!(!lanes.is_empty() && lanes.len() <= LANES);
+                proptest::prop_assert!(lanes.windows(2).all(|w| w[0] < w[1]));
+                let (j, k) = v.row(b.row as usize);
+                let bits = |ix: u32| v.p[v.idx3(patch.ip.lo + ix as i32, k, j)].to_bits();
+                for &ix in lanes {
+                    proptest::prop_assert!((ix as usize) < ilen, "offset {} leaves the row", ix);
+                    proptest::prop_assert_eq!(bits(ix), bits(lanes[0]));
+                    hits[b.row as usize * ilen + ix as usize] += 1;
+                }
+            }
+            for (idx, (&h, &on)) in hits.iter().zip(&predicate).enumerate() {
+                proptest::prop_assert_eq!(h, u8::from(on), "point {}", idx);
+            }
+        }
     }
 }
 

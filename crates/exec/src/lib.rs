@@ -4,9 +4,10 @@
 //! device plane.
 //!
 //! The seed code emulated one GPU's parallelism by spawning a fresh
-//! scoped thread pool inside every kernel launch
-//! (`gpu_sim::launch::launch_functional`): thread creation, stack setup
-//! and teardown were paid on *every microphysics step*. On the reduced
+//! scoped thread pool inside every kernel launch (what
+//! `gpu_sim::launch::launch_functional_static` still does for the
+//! `schedule(static)` arm): thread creation, stack setup and teardown
+//! were paid on *every microphysics step*. On the reduced
 //! CONUS cases a collision launch runs for a few hundred microseconds, so
 //! per-step spawn overhead and the cold stacks were a measurable fraction
 //! of the wall clock — and the per-launch atomic-counter loop offered no

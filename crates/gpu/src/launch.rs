@@ -2,16 +2,16 @@
 //!
 //! An OpenMP `target teams distribute parallel do collapse(n)` construct
 //! becomes a [`KernelSpec`] (geometry + per-thread resource demands) plus a
-//! closure over the collapsed iteration space. [`launch_functional`] runs
-//! the closure with real host parallelism; [`launch_modeled`] prices the
-//! launch on the modeled A100: instruction-issue throughput scaled by a
-//! latency-hiding factor of the achieved occupancy, bounded below by DRAM
-//! bandwidth — the roofline logic behind Tables IV–VI.
+//! closure over the collapsed iteration space. The `launch_functional_*`
+//! family runs the closure with real host parallelism (static partition,
+//! or the persistent work-stealing executor); [`launch_modeled`] prices
+//! the launch on the modeled A100: instruction-issue throughput scaled by
+//! a latency-hiding factor of the achieved occupancy, bounded below by
+//! DRAM bandwidth — the roofline logic behind Tables IV–VI.
 
 use crate::error::GpuError;
 use crate::machine::{Calibration, GpuParams, CALIBRATION};
 use crate::occupancy::{occupancy_for, OccupancyResult};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Static description of an offloaded kernel.
 #[derive(Debug, Clone, PartialEq)]
@@ -228,54 +228,11 @@ pub fn launch_modeled_with(
     })
 }
 
-/// Executes `body` for every iteration `0..iters` with real host
-/// parallelism over `workers` threads (defaults to the host's available
-/// parallelism when `None`). Iterations are claimed in chunks from an
-/// atomic counter, which load-balances FSBM's spatially imbalanced work.
-/// Returns wall-clock seconds.
-pub fn launch_functional<F>(iters: u64, workers: Option<usize>, body: F) -> f64
-where
-    F: Fn(u64) + Sync,
-{
-    let workers = workers
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4)
-        })
-        .max(1);
-    let start = std::time::Instant::now();
-    if workers == 1 || iters < 256 {
-        for i in 0..iters {
-            body(i);
-        }
-        return start.elapsed().as_secs_f64();
-    }
-    let next = AtomicU64::new(0);
-    let chunk = (iters / (workers as u64 * 8)).clamp(1, 4096);
-    crossbeam::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|_| loop {
-                let lo = next.fetch_add(chunk, Ordering::Relaxed);
-                if lo >= iters {
-                    break;
-                }
-                let hi = (lo + chunk).min(iters);
-                for i in lo..hi {
-                    body(i);
-                }
-            });
-        }
-    })
-    .expect("worker panicked");
-    start.elapsed().as_secs_f64()
-}
-
-/// [`launch_functional`] on a persistent [`wrf_exec::Executor`]: the
-/// device-thread emulation backend without per-launch thread spawns.
-/// Iterations are distributed as chunked ranges to the executor's
-/// work-stealing deques (`chunk = None` → the executor's automatic
-/// size). Returns wall-clock seconds.
+/// Executes `body` for every iteration `0..iters` on a persistent
+/// [`wrf_exec::Executor`]: the device-thread emulation backend without
+/// per-launch thread spawns. Iterations are distributed as chunked
+/// ranges to the executor's work-stealing deques (`chunk = None` → the
+/// executor's automatic size). Returns wall-clock seconds.
 pub fn launch_functional_on<F>(
     exec: &wrf_exec::Executor,
     iters: u64,
@@ -312,8 +269,17 @@ where
 /// Static contiguous partition with per-launch scoped threads: worker
 /// `w` owns iterations `[w·per, (w+1)·per)` and nothing rebalances. This
 /// is the classic `schedule(static)` baseline the executor's
-/// work-stealing arm is benchmarked against. Returns wall-clock seconds.
-pub fn launch_functional_static<F>(iters: u64, workers: Option<usize>, body: F) -> f64
+/// work-stealing arm is benchmarked against. Launches of fewer than
+/// `inline_below` iterations run inline on the caller: thread spawns only
+/// pay off above a few hundred fine-grained iterations (grid points,
+/// columns), or from two coarse ones (whole tiles). Returns wall-clock
+/// seconds.
+pub fn launch_functional_static<F>(
+    iters: u64,
+    workers: Option<usize>,
+    inline_below: u64,
+    body: F,
+) -> f64
 where
     F: Fn(u64) + Sync,
 {
@@ -325,15 +291,17 @@ where
         })
         .max(1);
     let start = std::time::Instant::now();
-    if workers == 1 || iters < 256 {
+    // A single iteration never needs a thread.
+    if workers == 1 || iters < inline_below.max(2) {
         for i in 0..iters {
             body(i);
         }
         return start.elapsed().as_secs_f64();
     }
-    let per = iters.div_ceil(workers as u64);
+    let threads = (workers as u64).min(iters);
+    let per = iters.div_ceil(threads);
     crossbeam::thread::scope(|s| {
-        for w in 0..workers as u64 {
+        for w in 0..threads {
             let body = &body;
             s.spawn(move |_| {
                 let lo = w * per;
@@ -352,6 +320,7 @@ where
 mod tests {
     use super::*;
     use crate::machine::A100;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn work(iters: u64) -> KernelWork {
         KernelWork {
@@ -504,30 +473,6 @@ mod tests {
     }
 
     #[test]
-    fn functional_covers_all_iterations_in_parallel() {
-        use std::sync::atomic::AtomicU64;
-        let hits = (0..10_000).map(|_| AtomicU64::new(0)).collect::<Vec<_>>();
-        launch_functional(10_000, Some(8), |i| {
-            hits[i as usize].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn functional_serial_path() {
-        let sum = AtomicU64::new(0);
-        launch_functional(100, Some(1), |i| {
-            sum.fetch_add(i, Ordering::Relaxed);
-        });
-        assert_eq!(sum.load(Ordering::Relaxed), 99 * 100 / 2);
-    }
-
-    #[test]
-    fn functional_zero_iters_is_noop() {
-        launch_functional(0, Some(4), |_| panic!("must not run"));
-    }
-
-    #[test]
     fn executor_backend_covers_all_iterations() {
         let exec = wrf_exec::Executor::new(4);
         let hits = (0..10_000).map(|_| AtomicU64::new(0)).collect::<Vec<_>>();
@@ -554,15 +499,44 @@ mod tests {
     #[test]
     fn static_partition_covers_all_iterations() {
         let hits = (0..10_000).map(|_| AtomicU64::new(0)).collect::<Vec<_>>();
-        launch_functional_static(10_000, Some(8), |i| {
+        launch_functional_static(10_000, Some(8), 256, |i| {
             hits[i as usize].fetch_add(1, Ordering::Relaxed);
         });
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
         // Serial path too.
         let sum = AtomicU64::new(0);
-        launch_functional_static(100, Some(1), |i| {
+        launch_functional_static(100, Some(1), 256, |i| {
             sum.fetch_add(i, Ordering::Relaxed);
         });
         assert_eq!(sum.load(Ordering::Relaxed), 99 * 100 / 2);
+        // Zero iterations never call the body, inline or threaded.
+        launch_functional_static(0, Some(4), 256, |_| panic!("must not run"));
+        launch_functional_static(0, Some(4), 0, |_| panic!("must not run"));
+    }
+
+    /// A handful of coarse iterations (tiles) must leave the caller
+    /// thread when the inline threshold says so, and stay on it below
+    /// the threshold — each iteration still runs exactly once, with more
+    /// workers than iterations too.
+    #[test]
+    fn static_partition_inline_threshold_is_the_callers() {
+        let caller = std::thread::current().id();
+        let off_caller = AtomicU64::new(0);
+        let hits = (0..4).map(|_| AtomicU64::new(0)).collect::<Vec<_>>();
+        let body = |i: u64| {
+            hits[i as usize].fetch_add(1, Ordering::Relaxed);
+            if std::thread::current().id() != caller {
+                off_caller.fetch_add(1, Ordering::Relaxed);
+            }
+        };
+        launch_functional_static(4, Some(8), 256, body);
+        assert_eq!(off_caller.load(Ordering::Relaxed), 0, "fine grain: inline");
+        launch_functional_static(4, Some(8), 2, body);
+        assert_eq!(
+            off_caller.load(Ordering::Relaxed),
+            4,
+            "coarse grain: threads"
+        );
+        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 2));
     }
 }

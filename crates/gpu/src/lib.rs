@@ -7,11 +7,13 @@
 //! this reproduction, this crate provides the device as a *simulated
 //! substrate* with two coupled planes:
 //!
-//! * **Functional plane** — [`launch::launch_functional`] executes the
-//!   kernel body (a Rust closure over the collapsed iteration space) with
-//!   real host parallelism (crossbeam scoped threads), so offloaded code
-//!   paths produce real numerical results that tests compare against the
-//!   CPU versions.
+//! * **Functional plane** — [`launch::launch_functional_on`] (persistent
+//!   work-stealing executor; [`launch::launch_functional_list`] over a
+//!   compacted active set) and [`launch::launch_functional_static`]
+//!   (per-launch scoped threads, static partition) execute the kernel
+//!   body — a Rust closure over the collapsed iteration space — with real
+//!   host parallelism, so offloaded code paths produce real numerical
+//!   results that tests compare against the CPU versions.
 //! * **Performance plane** — [`launch::launch_modeled`] prices the same
 //!   launch on modeled A100 hardware: an occupancy calculator
 //!   ([`occupancy`]), a latency-hiding throughput model, DRAM bandwidth
@@ -43,9 +45,7 @@ pub use devicepool::{
     RankFootprint, RankShare, RankSubmission, ShareReport,
 };
 pub use error::{DeviceError, GpuError};
-pub use launch::{
-    launch_functional, launch_modeled, launch_modeled_with, KernelSpec, KernelWork, LaunchStats,
-};
+pub use launch::{launch_modeled, launch_modeled_with, KernelSpec, KernelWork, LaunchStats};
 pub use machine::{
     backend_by_name, default_backend, Backend, Calibration, CpuParams, DeviceProfile, GpuParams,
     Interconnect, A100, CALIBRATION, EPYC_7763, SLINGSHOT, ZOO,

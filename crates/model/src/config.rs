@@ -60,9 +60,11 @@ pub struct ModelConfig {
     /// `restart_interval`, here in steps rather than minutes). 0
     /// disables checkpointing.
     pub restart_interval: usize,
-    /// Host memory layout of the microphysics hot path: per-point
-    /// automatic arrays (`PointAos`, the paper's structure) or SoA lane
-    /// panels (`PanelSoa`). Bitwise-identical results.
+    /// Host memory layout of the microphysics hot path: SoA lane panels
+    /// (`PanelSoa`, the production default) or per-point automatic arrays
+    /// (`PointAos`, the paper's structure and the reference the gates
+    /// compare against). Bitwise-identical results; set programmatically,
+    /// there is no namelist key.
     pub layout: Layout,
     /// Ensemble-service request (namelist `&ensemble` block): run this
     /// configuration as the *base* of N perturbed members through

@@ -66,6 +66,21 @@ pub struct RunReport {
     pub share: Option<crate::parallel::ShareStats>,
 }
 
+impl RunReport {
+    /// Folds one step's report into the run totals.
+    pub fn absorb(&mut self, s: StepReport) {
+        self.steps += 1;
+        self.rk3 += s.rk3;
+        self.sbm_work += s.sbm.work;
+        self.precip += s.sbm.precip;
+        self.coal_entries += s.sbm.coal_entries;
+        self.wall.0 += s.wall_dynamics;
+        self.wall.1 += s.wall_sbm;
+        self.coal_wall += s.sbm.coal_wall;
+        self.last_sbm = Some(s.sbm);
+    }
+}
+
 /// How one step advances its scalars: WRF's stock blocking refresh
 /// before every tendency, or the split-phase engine overlapping halo
 /// messages with interior compute. Both drive the identical per-point
@@ -73,13 +88,39 @@ pub struct RunReport {
 /// The blocking variant receives the [`FieldTag`] of the scalar being
 /// refreshed; plain exchanges ignore it, nest boundary closures key the
 /// parent field off it. The overlapped variant's engine learns the tag
-/// through [`HaloEngine::select`].
-enum Advance<'a> {
+/// through [`HaloEngine::select`]. Drivers build the variant they need
+/// (periodic wrap, MPI exchange, nest forcing) and hand it to
+/// [`Model::step_with`].
+pub enum Advance<'a> {
+    /// Refresh the halo, then compute the whole tendency.
     Blocking(&'a mut dyn FnMut(FieldTag, &mut Field3<f32>)),
+    /// Post the halo messages through `engine`, advance the interior on
+    /// `pool` while they fly, and finish the boundary frame after the
+    /// unpack.
     Overlapped {
+        /// The split-phase exchange.
         engine: &'a mut dyn HaloEngine,
+        /// Workers for the interior tendency.
         pool: &'a Executor,
     },
+}
+
+impl Advance<'_> {
+    /// Refreshes `field`'s halo as scalar `tag` with no tendency to hide
+    /// the exchange behind: the overlapped engine runs its rounds
+    /// back-to-back.
+    pub fn refresh(&mut self, tag: FieldTag, field: &mut Field3<f32>) {
+        match self {
+            Advance::Blocking(refresh) => refresh(tag, field),
+            Advance::Overlapped { engine, .. } => {
+                engine.select(tag);
+                for r in 0..engine.rounds() {
+                    engine.post(r, field);
+                    engine.finish(r, field);
+                }
+            }
+        }
+    }
 }
 
 /// Exner-function exponent Rd/cp used to convert between T and θ (also
@@ -185,11 +226,11 @@ impl Model {
     }
 
     /// Advances the model by one step with a doubly-periodic single-patch
-    /// halo refresh.
+    /// halo refresh and this rank's own occupied-bin masks.
     pub fn step(&mut self) -> StepReport {
-        let patch = self.patch;
-        let refresh = periodic_refresh(patch);
-        self.step_with_refresh(&mut { refresh })
+        let mut wrap = periodic_refresh(self.patch);
+        let masks = self.occupied_masks();
+        self.step_with(Advance::Blocking(&mut |_, f| wrap(f)), &masks)
     }
 
     /// The occupied-bin masks of all classes (the scalar set this rank
@@ -199,52 +240,13 @@ impl Model {
         std::array::from_fn(|c| self.occupied_bins(c))
     }
 
-    /// Advances one step with the supplied halo refresh (the multi-rank
-    /// driver passes the MPI exchange here).
-    pub fn step_with_refresh(&mut self, refresh: &mut dyn FnMut(&mut Field3<f32>)) -> StepReport {
-        let masks = self.occupied_masks();
-        self.step_with_refresh_and_masks(refresh, &masks)
-    }
-
-    /// Like [`Self::step_with_refresh`] with externally supplied (e.g.
-    /// globally OR-reduced) occupied-bin masks.
-    pub fn step_with_refresh_and_masks(
-        &mut self,
-        refresh: &mut dyn FnMut(&mut Field3<f32>),
-        masks: &[[bool; NKR]; NTYPES],
-    ) -> StepReport {
-        let mut tagged = |_: FieldTag, f: &mut Field3<f32>| refresh(f);
-        self.step_inner(Advance::Blocking(&mut tagged), masks)
-    }
-
-    /// Like [`Self::step_with_refresh_and_masks`], but the refresh also
-    /// receives the [`FieldTag`] of the scalar it is servicing — the
-    /// blocking-mode hook for nest boundary forcing, where θ, vapor, and
-    /// each bin take different parent-interpolated halo values.
-    pub fn step_with_tagged_refresh(
-        &mut self,
-        refresh: &mut dyn FnMut(FieldTag, &mut Field3<f32>),
-        masks: &[[bool; NKR]; NTYPES],
-    ) -> StepReport {
-        self.step_inner(Advance::Blocking(refresh), masks)
-    }
-
-    /// Advances one step with split-phase halo exchanges: each refresh
-    /// is posted nonblocking through `engine` while the interior
-    /// tendency runs on `pool`, and only the boundary frame waits for
-    /// the messages. Bitwise-identical to
-    /// [`Self::step_with_refresh_and_masks`] with the same exchange
-    /// data.
-    pub fn step_overlapped_with_masks(
-        &mut self,
-        engine: &mut dyn HaloEngine,
-        pool: &Executor,
-        masks: &[[bool; NKR]; NTYPES],
-    ) -> StepReport {
-        self.step_inner(Advance::Overlapped { engine, pool }, masks)
-    }
-
-    fn step_inner(&mut self, mut adv: Advance<'_>, masks: &[[bool; NKR]; NTYPES]) -> StepReport {
+    /// Advances one step: every scalar selected by `masks` (e.g. the
+    /// globally OR-reduced occupied bins) is advected with `adv`'s halo
+    /// strategy — the multi-rank driver passes the MPI exchange, the nest
+    /// driver its parent-interpolated boundary forcing — then the
+    /// microphysics runs. Both [`Advance`] variants are bitwise-identical
+    /// given the same exchange data.
+    pub fn step_with(&mut self, mut adv: Advance<'_>, masks: &[[bool; NKR]; NTYPES]) -> StepReport {
         let sw = Stopwatch::start();
         let sp = self.wind_params();
         let wind_work = storm_wind(
@@ -314,19 +316,8 @@ impl Model {
             &mut self.tendency,
         );
         // Weak second-order horizontal diffusion on the moisture field
-        // (WRF diff_opt=1-style hygiene on the kinematic core). The
-        // refresh before it has no tendency to hide behind, so the
-        // overlapped path runs its rounds back-to-back.
-        match &mut adv {
-            Advance::Blocking(refresh) => refresh(FieldTag::Qv, &mut self.state.qv),
-            Advance::Overlapped { engine, .. } => {
-                engine.select(FieldTag::Qv);
-                for r in 0..engine.rounds() {
-                    engine.post(r, &self.state.qv);
-                    engine.finish(r, &mut self.state.qv);
-                }
-            }
-        }
+        // (WRF diff_opt=1-style hygiene on the kinematic core).
+        adv.refresh(FieldTag::Qv, &mut self.state.qv);
         horizontal_diffusion(
             &mut self.state.qv,
             &self.patch,
@@ -403,48 +394,19 @@ impl Model {
     /// digit agreement of the worst microphysics field (the paper
     /// reports 6-7 digits per step; our simulated device is bit-exact).
     pub fn step_autocompare(&mut self) -> (StepReport, u32) {
-        use fsbm_core::scheme::{FastSbm, SbmConfig, SbmVersion};
-        // Advance dynamics + configured microphysics on the real state,
-        // but snapshot the post-dynamics state for the reference run.
-        let patch = self.patch;
-        let mut refresh = periodic_refresh(patch);
-
-        // Dynamics part of the step, shared by both versions: run the
-        // normal step but capture the state right before microphysics by
-        // replaying on a clone.
-        let pre = {
-            // Clone current state, advance it with a scheme-free step by
-            // running the full step on the clone *with the same version*
-            // and keeping its pre-microphysics snapshot is not separable;
-            // instead run the reference scheme on a snapshot taken now
-            // plus identical dynamics below.
-            self.state.clone()
+        // Reference: the baseline scheme over the same pre-step state,
+        // advanced by the identical dynamics.
+        let ref_cfg = ModelConfig {
+            version: fsbm_core::scheme::SbmVersion::Baseline,
+            ..self.cfg
         };
-        let report = self.step_with_refresh(&mut refresh);
+        let mut reference = Model::for_patch_with_case(ref_cfg, self.patch, self.case.clone());
+        reference.state = self.state.clone();
+        reference.time = self.time;
 
-        // Reference: baseline scheme over the same pre-step state with
-        // identical dynamics (re-run the step on the clone).
-        let mut ref_cfg = SbmConfig::new(SbmVersion::Baseline);
-        ref_cfg.dt = self.cfg.case.dt;
-        ref_cfg.dz = self.cfg.case.dz;
-        let ref_sbm = FastSbm::new(ref_cfg);
-        let mut ref_model = Model {
-            cfg: ModelConfig {
-                version: SbmVersion::Baseline,
-                ..self.cfg
-            },
-            case: ConusCase::new(self.cfg.case),
-            patch,
-            state: pre,
-            wind: Wind::calm(&patch),
-            sbm: ref_sbm,
-            scratch: Field3::for_patch(&patch),
-            scratch2: Field3::for_patch(&patch),
-            tendency: Field3::for_patch(&patch),
-            time: self.time - self.cfg.case.dt,
-        };
-        ref_model.step();
-        let diff = wrf_cases::diffwrf::diffwrf(&self.state, &ref_model.state);
+        let report = self.step();
+        reference.step();
+        let diff = wrf_cases::diffwrf::diffwrf(&self.state, &reference.state);
         (
             report,
             diff.min_microphysics_digits().min(diff.min_state_digits()),
@@ -456,15 +418,7 @@ impl Model {
         let mut rep = RunReport::default();
         for _ in 0..steps {
             let s = self.step();
-            rep.steps += 1;
-            rep.rk3 += s.rk3;
-            rep.sbm_work += s.sbm.work;
-            rep.precip += s.sbm.precip;
-            rep.coal_entries += s.sbm.coal_entries;
-            rep.wall.0 += s.wall_dynamics;
-            rep.wall.1 += s.wall_sbm;
-            rep.coal_wall += s.sbm.coal_wall;
-            rep.last_sbm = Some(s.sbm);
+            rep.absorb(s);
         }
         if let Some(last) = &rep.last_sbm {
             rep.exec = Some(self.sbm.exec_summary(last));

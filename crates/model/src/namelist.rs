@@ -21,7 +21,7 @@
 
 use crate::config::ModelConfig;
 use crate::service::EnsembleSpec;
-use fsbm_core::scheme::{Layout, SbmVersion};
+use fsbm_core::scheme::SbmVersion;
 use std::collections::BTreeMap;
 use wrf_cases::CaseKind;
 use wrf_dycore::nest::NestSpec;
@@ -179,15 +179,6 @@ fn get<T: std::str::FromStr>(
         Some(raw) => raw.parse().map_err(|_| {
             NamelistError::invalid(0, format!("cannot parse &{group} {key} = `{raw}`"))
         }),
-    }
-}
-
-/// The `host_layout` names accepted for the microphysics memory layout.
-pub fn layout_from_name(name: &str) -> Option<Layout> {
-    match name.to_ascii_lowercase().as_str() {
-        "point_aos" | "aos" => Some(Layout::PointAos),
-        "panel_soa" | "soa" => Some(Layout::PanelSoa),
-        _ => None,
     }
 }
 
@@ -377,14 +368,6 @@ pub fn config_from_namelist(text: &str) -> Result<ModelConfig, NamelistError> {
         }
         cfg.version = resolved;
     }
-    if let Some(name) = nl.get("physics").and_then(|g| g.get("host_layout")) {
-        cfg.layout = layout_from_name(name).ok_or_else(|| {
-            NamelistError::invalid(
-                0,
-                format!("unknown host_layout `{name}` (point_aos or panel_soa)"),
-            )
-        })?;
-    }
     if cfg.case.nx < 8 || cfg.case.ny < 8 || cfg.case.nz < 4 {
         return Err(NamelistError::invalid(
             0,
@@ -563,19 +546,6 @@ mod tests {
             config_from_namelist("&parallel\n nproc = 32, gpus = 16, backend = 'a100-40gb'\n/\n")
                 .unwrap();
         assert_eq!((cfg.gpus, cfg.backend.name), (16, "a100-40gb"));
-    }
-
-    #[test]
-    fn host_layout_parsed_from_physics() {
-        // AoS by default.
-        let cfg = config_from_namelist("").unwrap();
-        assert_eq!(cfg.layout, Layout::PointAos);
-        let cfg = config_from_namelist("&physics\n host_layout = 'panel_soa'\n/\n").unwrap();
-        assert_eq!(cfg.layout, Layout::PanelSoa);
-        let cfg = config_from_namelist("&physics\n host_layout = 'aos'\n/\n").unwrap();
-        assert_eq!(cfg.layout, Layout::PointAos);
-        let err = config_from_namelist("&physics\n host_layout = 'csr'\n/\n").unwrap_err();
-        assert!(err.message.contains("unknown host_layout"), "{err}");
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //! the cases gate compares the nested child's interior against.
 
 use crate::config::ModelConfig;
-use crate::model::{Model, KAPPA};
+use crate::model::{Advance, Model, KAPPA};
 use fsbm_core::meter::PointWork;
 use fsbm_core::state::SbmPatchState;
 use fsbm_core::types::{NKR, NTYPES};
@@ -173,7 +173,7 @@ pub fn run_nested(cfg: ModelConfig, steps: usize) -> Result<NestedRun, String> {
                         fill_halo_round(f, &child_patch, 0, &mut sample);
                         fill_halo_round(f, &child_patch, 1, &mut sample);
                     };
-                    child.step_with_tagged_refresh(&mut refresh, &masks);
+                    child.step_with(Advance::Blocking(&mut refresh), &masks);
                 }
                 CommMode::Overlapped => {
                     let mut engine = NestEngine {
@@ -184,7 +184,11 @@ pub fn run_nested(cfg: ModelConfig, steps: usize) -> Result<NestedRun, String> {
                         patch: child_patch,
                         tag: FieldTag::Qv,
                     };
-                    child.step_overlapped_with_masks(&mut engine, &pool, &masks);
+                    let adv = Advance::Overlapped {
+                        engine: &mut engine,
+                        pool: &pool,
+                    };
+                    child.step_with(adv, &masks);
                 }
             }
         }

@@ -19,7 +19,7 @@
 //!   the critical path (tracked per rank in [`CommStats`]).
 
 use crate::config::ModelConfig;
-use crate::model::{Model, RunReport, StepReport};
+use crate::model::{Advance, Model, RunReport, StepReport};
 use crate::perfmodel::{rank_footprint, PerfParams};
 use fsbm_core::meter::PointWork;
 use fsbm_core::state::SbmPatchState;
@@ -32,6 +32,7 @@ use mpi_sim::cost::{CommCost, OverlapStats, Topology};
 use mpi_sim::{FaultPlan, DEFAULT_TIMEOUT};
 use std::sync::Arc;
 use std::time::Duration;
+use wrf_dycore::rk3::FieldTag;
 use wrf_dycore::HaloEngine;
 use wrf_exec::Executor;
 use wrf_grid::{
@@ -334,18 +335,6 @@ fn allreduce_masks(
     Ok(out)
 }
 
-fn accumulate(report: &mut RunReport, s: StepReport) {
-    report.steps += 1;
-    report.rk3 += s.rk3;
-    report.sbm_work += s.sbm.work;
-    report.precip += s.sbm.precip;
-    report.coal_entries += s.sbm.coal_entries;
-    report.wall.0 += s.wall_dynamics;
-    report.wall.1 += s.wall_sbm;
-    report.coal_wall += s.sbm.coal_wall;
-    report.last_sbm = Some(s.sbm);
-}
-
 /// What a rank should write while it runs: restart files under `dir`
 /// every `interval` completed steps.
 pub(crate) struct CheckpointSpec<'a> {
@@ -421,7 +410,7 @@ pub(crate) fn run_attempt(
                         let tag_cell = &mut tag;
                         let cost_cell = &mut cost;
                         let latch = &mut latched;
-                        let mut refresh = |f: &mut Field3<f32>| {
+                        let mut refresh = |_: FieldTag, f: &mut Field3<f32>| {
                             let t = *tag_cell;
                             *tag_cell += 1;
                             if latch.is_some() {
@@ -431,7 +420,7 @@ pub(crate) fn run_attempt(
                                 *latch = Some(e);
                             }
                         };
-                        model.step_with_refresh_and_masks(&mut refresh, &masks)
+                        model.step_with(Advance::Blocking(&mut refresh), &masks)
                     };
                     if let Some(e) = latched {
                         return Err(fail(step, e));
@@ -447,11 +436,11 @@ pub(crate) fn run_attempt(
                         secs_per_flop,
                         &mut tag,
                     );
-                    let s = model.step_overlapped_with_masks(
-                        &mut engine,
-                        pool.as_ref().expect("overlapped pool"),
-                        &masks,
-                    );
+                    let adv = Advance::Overlapped {
+                        engine: &mut engine,
+                        pool: pool.as_ref().expect("overlapped pool"),
+                    };
+                    let s = model.step_with(adv, &masks);
                     if let Some(e) = engine.error.take() {
                         return Err(fail(step, e));
                     }
@@ -463,7 +452,7 @@ pub(crate) fn run_attempt(
                     .device_secs_per_step
                     .push(device_service_secs(&patch, &s, &device, &calib));
             }
-            accumulate(&mut report, s);
+            report.absorb(s);
             let done = step + 1;
             if let Some(spec) = checkpoint {
                 if spec.interval > 0 && done % spec.interval as u64 == 0 && (done as usize) < steps

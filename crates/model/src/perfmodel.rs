@@ -304,32 +304,11 @@ impl RankWork {
         };
 
         // Offload geometry (the fissioned Listing 6 loop).
-        let (coal_iters, spec, warp_eff) = match version {
-            SbmVersion::OffloadCollapse2 => (
-                (patch.jp.len() * patch.kp.len()) as u64,
-                Some(KernelSpec {
-                    name: "coal_bott_new_loop_collapse2".into(),
-                    block_threads: 128,
-                    regs_per_thread: 168,
-                    smem_per_block: 0,
-                    stack_bytes_per_thread: 20 * 1024,
-                    collapse: 2,
-                }),
-                coeffs.warp_eff_c2,
-            ),
-            SbmVersion::OffloadCollapse3 => (
-                patch.compute_points() as u64,
-                Some(KernelSpec {
-                    name: "coal_bott_new_loop_collapse3".into(),
-                    block_threads: 128,
-                    regs_per_thread: 80,
-                    smem_per_block: 0,
-                    stack_bytes_per_thread: 640,
-                    collapse: 3,
-                }),
-                coeffs.warp_eff_c3,
-            ),
-            _ => (0, None, 1.0),
+        let spec = version.kernel_spec();
+        let (coal_iters, warp_eff) = match spec.as_ref().map(|s| s.collapse) {
+            Some(2) => ((patch.jp.len() * patch.kp.len()) as u64, coeffs.warp_eff_c2),
+            Some(_) => (patch.compute_points() as u64, coeffs.warp_eff_c3),
+            None => (0, 1.0),
         };
 
         // Host↔device traffic: slabs + thermo fields + predicate, both
