@@ -1,61 +1,26 @@
-//! `repro` — regenerates every table and figure of the paper.
+//! `repro` — regenerates every table and figure of the paper and runs
+//! the CI gates.
 //!
-//! Usage: `repro [table1|table3|table4|table5|table6|table7|fig3|fig4|verify|listings|bench-exec|bench-host|gate|comm|fault|share|ensemble|zoo|tune|cases|all]`
-//! (default `all`). Building the context runs the functional model for a
-//! few steps to measure work coefficients; use a release build.
-//! `bench-exec` times the collision stage under the three scheduling
-//! modes at 1/2/4/8 workers and writes `BENCH_executor.json`.
-//! `bench-host` measures the real coal-stage host wall of the AoS vs
-//! SoA memory layouts on the gate case at 1/2/4/8 workers;
-//! `bench-host --bless` writes `BENCH_host.json`, `bench-host --check`
-//! enforces the layout speedup floor and digest equality against the
-//! committed baseline (exits nonzero on violation).
-//! `gate` runs the reproduction gate (golden verification + perf
-//! regression, see `wrf-gate`) and exits nonzero on any violation;
-//! `gate --bless` regenerates the golden fixtures under `goldens/`.
-//! `comm` runs the communication gate (Blocking vs Overlapped digest
-//! equivalence for every version, plus the 16-rank overlap bench) and
-//! writes `BENCH_comm.json` with per-rank overlap stats.
-//! `fault` runs the fault gate (kill a rank mid-run, recover from the
-//! newest checkpoint set, require bitwise agreement with an
-//! uninterrupted run for every version x comm mode) and writes
-//! `BENCH_fault.json`.
-//! `share` runs the shared-GPU gate (shared-pool vs exclusive digest
-//! equivalence, memory-capped admission, and the Table VII / Fig. 4
-//! sharing sweep) and writes `BENCH_share.json`.
-//! `ensemble` runs the ensemble-service gate (every served member
-//! bitwise-identical to its solo run for all four versions, the retry
-//! and packing walls, and the full-scale batched-throughput claim) and
-//! writes `BENCH_ensemble.json` with members/hour, admission-wait
-//! percentiles, the per-device occupancy ledger, and cache-share hit
-//! rates.
-//! `zoo` runs the device-zoo gate (every backend of
-//! `gpu_sim::machine::ZOO` priced end to end; the v1→v4 ranking, the
-//! Table VII decay shape, and capacity-tracking ensemble packing must
-//! hold on all of them while absolute times genuinely differ) and
-//! writes `BENCH_zoo.json`.
-//! `tune` runs the schedule-autotuner gate (`codee_sim::tune` searches
-//! the licensed schedule space of the collision nest on every zoo
-//! backend; the paper's hand-derived v2/v3 kernels must fall out as
-//! storage-family winners, `schedule = 'auto'` must be bitwise-identical
-//! to the explicit winner, and the family ranking must be stable across
-//! backends) and writes `BENCH_tune.json`; a committed `BENCH_tune.json`
-//! is replay-gated (winners and rankings must match).
-//! `cases` runs the case-library gate (every idealized case and the
-//! one-way nested configuration bitwise-reproducible across versions x
-//! schedulers x layouts x comm modes against `goldens/case_*.golden`,
-//! activity fractions in their pinned disjoint bands, and the nested
-//! child within its documented interior digit floor of a solo fine-grid
-//! run) and writes `BENCH_cases.json`; `cases --bless` regenerates the
-//! case fixtures, `cases --sweep deep` runs the nightly-depth
-//! activity-fraction sweep.
+//! `repro [TARGET]` prints a paper target ([`TARGETS`]; default `all`).
+//! Building the context runs the functional model for a few steps to
+//! measure work coefficients; use a release build.
+//!
+//! `repro GATE [FLAGS]` runs one gate of the registry ([`GATES`]): it
+//! prints the gate's report, writes it to the gate's report file, and
+//! exits 0 on pass, 1 on any violation, 2 on a usage or I/O error. The
+//! flags ([`FLAGS`]) are the same for every gate; `repro help` prints
+//! both tables.
 
+use std::path::PathBuf;
 use wrf_bench::ablations::{ablation_block_size, ablation_latency_knee, ablation_registers};
+use wrf_bench::execbench::bench_exec;
 use wrf_bench::figures::{fig2, fig3, fig4};
 use wrf_bench::future::project_cond_offload;
+use wrf_bench::hostbench::{bench_host, HostBenchReport};
 use wrf_bench::tables::{table1, table3, table4, table5, table6, table7};
 use wrf_bench::verify::verify_versions;
 use wrf_bench::ReproContext;
+use wrf_gate::{Depth, Report};
 
 fn listings() -> String {
     use codee_sim::{corpus, rewrite_offload, screening};
@@ -95,13 +60,13 @@ fn listings() -> String {
     s
 }
 
-fn bench_exec() -> String {
+fn bench_exec_target() -> String {
     // Reduced-scale sparse CONUS (one storm cluster on a ~68x48 grid
     // keeps the collision-predicate activity fraction under 0.2),
     // comparing the seed execution path (static tiles, on-demand
     // kernels) against the persistent pool and the full v4 path at
     // 1/2/4/8 workers.
-    let rep = wrf_bench::execbench::bench_exec(0.16, 16, 1, 3, &[1, 2, 4, 8]);
+    let rep = bench_exec(0.16, 16, 1, 3, &[1, 2, 4, 8]);
     let json = rep.to_json();
     match std::fs::write("BENCH_executor.json", &json) {
         Ok(()) => eprintln!("[repro] wrote BENCH_executor.json"),
@@ -110,833 +75,307 @@ fn bench_exec() -> String {
     format!("{}\n{}", rep.rendered(), json)
 }
 
-/// Runs `repro bench-host [--bless] [--check] [--repeats N]
-/// [--baseline PATH] [--min-speedup X]` and returns the process exit
-/// code.
-fn bench_host(args: &[String]) -> i32 {
-    let mut bless = false;
-    let mut check = false;
-    let mut repeats = 3usize;
-    let mut baseline = "BENCH_host.json".to_string();
-    let mut min_speedup = wrf_bench::hostbench::MIN_SPEEDUP;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--bless" => bless = true,
-            "--check" => check = true,
-            "--repeats" => match it.next().map(|v| v.parse::<usize>()) {
-                Some(Ok(n)) if n >= 1 => repeats = n,
-                _ => {
-                    eprintln!("repro bench-host: --repeats needs a positive integer");
-                    return 2;
-                }
-            },
-            "--min-speedup" => match it.next().map(|v| v.parse::<f64>()) {
-                Some(Ok(x)) if x > 0.0 => min_speedup = x,
-                _ => {
-                    eprintln!("repro bench-host: --min-speedup needs a positive number");
-                    return 2;
-                }
-            },
-            "--baseline" => match it.next() {
-                Some(p) => baseline = p.clone(),
-                None => {
-                    eprintln!("repro bench-host: --baseline needs a value");
-                    return 2;
-                }
-            },
-            other => {
-                eprintln!(
-                    "repro bench-host: unknown flag {other}; flags: --bless --check \
-                     --repeats N --baseline PATH --min-speedup X"
-                );
-                return 2;
-            }
-        }
-    }
-    eprintln!(
-        "[repro] bench-host: gate case, both layouts at 1/2/4/8 workers, \
-         {repeats} repeats each..."
-    );
-    let rep = wrf_bench::hostbench::bench_host(&[1, 2, 4, 8], repeats);
-    print!("{}", rep.rendered());
-    if bless {
-        let json = rep.to_json();
-        match std::fs::write(&baseline, &json) {
-            Ok(()) => eprintln!("[repro] wrote {baseline}"),
-            Err(e) => {
-                eprintln!("repro bench-host: could not write {baseline}: {e}");
-                return 2;
-            }
-        }
-    }
-    if check {
-        let committed = std::fs::read_to_string(&baseline).ok();
-        if committed.is_none() {
-            eprintln!("[repro] bench-host: no committed {baseline}; checking the fresh run only");
-        }
-        let violations = rep.violations(committed.as_deref(), min_speedup);
-        for v in &violations {
-            eprintln!("repro bench-host: VIOLATION: {v}");
-        }
-        if !violations.is_empty() {
-            return 1;
-        }
-        eprintln!(
-            "[repro] bench-host: PASS (speedup {:.2}x at {} workers, digests bitwise)",
-            rep.speedup(rep.worker_counts().last().copied().unwrap_or(0)),
-            rep.worker_counts().last().copied().unwrap_or(0)
-        );
-    }
-    0
+/// How a paper target produces its text.
+enum Emit {
+    /// From the measured reproduction context.
+    Ctx(fn(&ReproContext) -> String),
+    /// Standalone.
+    Free(fn() -> String),
 }
 
-/// Parses `repro gate` flags into a [`wrf_gate::GateConfig`].
-fn gate_config(args: &[String]) -> Result<wrf_gate::GateConfig, String> {
-    let mut cfg = wrf_gate::GateConfig::default();
-    let mut it = args.iter();
-    let value = |it: &mut std::slice::Iter<'_, String>, flag: &str| -> Result<String, String> {
-        it.next()
-            .cloned()
-            .ok_or_else(|| format!("{flag} needs a value"))
-    };
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--bless" => cfg.bless = true,
-            "--skip-perf" => cfg.skip_perf = true,
-            "--skip-golden" => cfg.skip_golden = true,
-            "--goldens" => cfg.goldens_dir = value(&mut it, arg)?.into(),
-            "--baseline" => cfg.baseline_json = value(&mut it, arg)?.into(),
-            "--report" => cfg.report_path = value(&mut it, arg)?.into(),
-            "--perturb" => {
-                cfg.perturb = Some(
-                    value(&mut it, arg)?
-                        .parse()
-                        .map_err(|e| format!("--perturb: {e}"))?,
-                )
-            }
-            "--min-state-digits" => {
-                cfg.policy.min_state_digits = value(&mut it, arg)?
-                    .parse()
-                    .map_err(|e| format!("--min-state-digits: {e}"))?
-            }
-            "--min-micro-digits" => {
-                cfg.policy.min_micro_digits = value(&mut it, arg)?
-                    .parse()
-                    .map_err(|e| format!("--min-micro-digits: {e}"))?
-            }
-            "--tight-tol" => {
-                cfg.tol.tight_rel = value(&mut it, arg)?
-                    .parse()
-                    .map_err(|e| format!("--tight-tol: {e}"))?
-            }
-            "--loose-tol" => {
-                cfg.tol.loose_rel = value(&mut it, arg)?
-                    .parse()
-                    .map_err(|e| format!("--loose-tol: {e}"))?
-            }
-            "--host-factor" => {
-                cfg.tol.host_factor = value(&mut it, arg)?
-                    .parse()
-                    .map_err(|e| format!("--host-factor: {e}"))?
-            }
-            other => {
-                return Err(format!(
-                    "unknown gate flag {other}; flags: --bless --skip-perf --skip-golden \
-                     --goldens DIR --baseline PATH --report PATH --perturb EPS \
-                     --min-state-digits N --min-micro-digits N --tight-tol X \
-                     --loose-tol X --host-factor X"
-                ))
-            }
-        }
-    }
-    Ok(cfg)
+/// The paper targets: name, whether `all` includes it, and its emitter.
+const TARGETS: &[(&str, bool, Emit)] = &[
+    ("table1", true, Emit::Ctx(|c| table1(c).rendered)),
+    ("timeline", true, Emit::Ctx(timeline)),
+    ("table3", true, Emit::Ctx(|c| table3(c).rendered)),
+    ("table4", true, Emit::Ctx(|c| table4(c).rendered)),
+    ("table5", true, Emit::Ctx(|c| table5(c).rendered)),
+    ("table6", true, Emit::Ctx(|c| table6(c).2.rendered)),
+    ("table7", true, Emit::Ctx(|c| table7(c).1.rendered)),
+    ("fig2", true, Emit::Free(fig2)),
+    ("fig3", true, Emit::Ctx(|c| fig3(c).1)),
+    ("fig4", true, Emit::Ctx(|c| fig4(c).1)),
+    ("ablation", true, Emit::Ctx(ablation)),
+    ("future", true, Emit::Ctx(|c| project_cond_offload(c).1)),
+    (
+        "verify",
+        true,
+        Emit::Free(|| verify_versions(0.06, 12, 6).1),
+    ),
+    ("listings", true, Emit::Free(listings)),
+    ("bench-exec", false, Emit::Free(bench_exec_target)),
+];
+
+fn timeline(ctx: &ReproContext) -> String {
+    let exp = ctx.run(fsbm_core::scheme::SbmVersion::Baseline, 16, 0);
+    format!(
+        "Nsight-Systems-style view of the heavy rank (3 steps):\n{}",
+        miniwrf::hotspots::nsys_timeline(&exp, 100)
+    )
 }
 
-/// Runs the reproduction gate and returns the process exit code.
-fn gate(args: &[String]) -> i32 {
-    let cfg = match gate_config(args) {
-        Ok(cfg) => cfg,
-        Err(e) => {
-            eprintln!("repro gate: {e}");
-            return 2;
-        }
-    };
-    if !cfg.bless && !cfg.skip_golden {
-        eprintln!("[repro] gate: running the golden matrix (4 versions x 2 modes x workers)...");
-    }
-    let outcome = wrf_gate::run(&cfg, |case| {
-        eprintln!(
-            "[repro] gate: re-running bench-exec (scale {} nz {} storms {} steps {})...",
-            case.scale, case.nz, case.n_storms, case.steps
-        );
-        wrf_bench::execbench::bench_exec(
-            case.scale,
-            case.nz,
-            case.n_storms,
-            case.steps,
-            &case.workers,
-        )
-        .to_json()
-    });
-    match outcome {
-        Ok(out) => {
-            print!("{}", out.rendered);
-            if !cfg.bless {
-                eprintln!(
-                    "[repro] gate report written to {}",
-                    cfg.report_path.display()
-                );
-            }
-            out.exit_code
-        }
-        Err(e) => {
-            eprintln!("repro gate: {e}");
-            2
-        }
-    }
+fn ablation(ctx: &ReproContext) -> String {
+    [
+        ablation_registers(ctx).1,
+        ablation_latency_knee(ctx).1,
+        ablation_block_size(ctx).1,
+    ]
+    .join("\n\n")
 }
 
-/// Parses `repro comm` flags into a [`wrf_gate::CommGateConfig`] plus
-/// the report path.
-fn comm_config(args: &[String]) -> Result<(wrf_gate::CommGateConfig, String), String> {
-    let mut cfg = wrf_gate::CommGateConfig::default();
-    let mut report = "BENCH_comm.json".to_string();
-    let mut it = args.iter();
-    let value = |it: &mut std::slice::Iter<'_, String>, flag: &str| -> Result<String, String> {
-        it.next()
-            .cloned()
-            .ok_or_else(|| format!("{flag} needs a value"))
-    };
-    while let Some(arg) = it.next() {
-        let parse_err = |e: String| format!("{arg}: {e}");
-        match arg.as_str() {
-            "--ranks" => {
-                cfg.ranks = value(&mut it, arg)?
-                    .parse()
-                    .map_err(|e: std::num::ParseIntError| parse_err(e.to_string()))?
-            }
-            "--bench-ranks" => {
-                cfg.bench_ranks = value(&mut it, arg)?
-                    .parse()
-                    .map_err(|e: std::num::ParseIntError| parse_err(e.to_string()))?
-            }
-            "--bench-scale" => {
-                cfg.bench_scale = value(&mut it, arg)?
-                    .parse()
-                    .map_err(|e: std::num::ParseFloatError| parse_err(e.to_string()))?
-            }
-            "--bench-steps" => {
-                cfg.bench_steps = value(&mut it, arg)?
-                    .parse()
-                    .map_err(|e: std::num::ParseIntError| parse_err(e.to_string()))?
-            }
-            "--min-hidden" => {
-                cfg.min_hidden_fraction = value(&mut it, arg)?
-                    .parse()
-                    .map_err(|e: std::num::ParseFloatError| parse_err(e.to_string()))?
-            }
-            "--report" => report = value(&mut it, arg)?,
-            other => {
-                return Err(format!(
-                    "unknown comm flag {other}; flags: --ranks N --bench-ranks N \
-                     --bench-scale X --bench-steps N --min-hidden X --report PATH"
-                ))
-            }
-        }
-    }
-    Ok((cfg, report))
-}
-
-/// Runs the communication gate and returns the process exit code.
-fn comm(args: &[String]) -> i32 {
-    let (cfg, report_path) = match comm_config(args) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("repro comm: {e}");
-            return 2;
-        }
-    };
-    eprintln!(
-        "[repro] comm: gate case x {} versions x 2 modes at {} ranks, then overlap bench \
-         (scale {} ranks {})...",
-        fsbm_core::scheme::SbmVersion::ALL.len(),
-        cfg.ranks,
-        cfg.bench_scale,
-        cfg.bench_ranks
-    );
-    let rep = wrf_gate::run_comm_gate(&cfg);
-    print!("{}", rep.rendered());
-    match std::fs::write(&report_path, rep.to_json()) {
-        Ok(()) => eprintln!("[repro] comm report written to {report_path}"),
-        Err(e) => eprintln!("[repro] could not write {report_path}: {e}"),
-    }
-    for v in rep.violations() {
-        eprintln!("repro comm: VIOLATION: {v}");
-    }
-    if rep.pass() {
-        0
-    } else {
-        1
-    }
-}
-
-/// Parses `repro fault` flags into a [`wrf_gate::FaultGateConfig`] plus
-/// the report path.
-fn fault_config(args: &[String]) -> Result<(wrf_gate::FaultGateConfig, String), String> {
-    let mut cfg = wrf_gate::FaultGateConfig::default();
-    let mut report = "BENCH_fault.json".to_string();
-    let mut it = args.iter();
-    let value = |it: &mut std::slice::Iter<'_, String>, flag: &str| -> Result<String, String> {
-        it.next()
-            .cloned()
-            .ok_or_else(|| format!("{flag} needs a value"))
-    };
-    while let Some(arg) = it.next() {
-        let parse_err = |e: String| format!("{arg}: {e}");
-        match arg.as_str() {
-            "--ranks" => {
-                cfg.ranks = value(&mut it, arg)?
-                    .parse()
-                    .map_err(|e: std::num::ParseIntError| parse_err(e.to_string()))?
-            }
-            "--interval" => {
-                cfg.interval = value(&mut it, arg)?
-                    .parse()
-                    .map_err(|e: std::num::ParseIntError| parse_err(e.to_string()))?
-            }
-            "--kill-rank" => {
-                cfg.kill_rank = value(&mut it, arg)?
-                    .parse()
-                    .map_err(|e: std::num::ParseIntError| parse_err(e.to_string()))?
-            }
-            "--kill-step" => {
-                cfg.kill_step = value(&mut it, arg)?
-                    .parse()
-                    .map_err(|e: std::num::ParseIntError| parse_err(e.to_string()))?
-            }
-            "--max-attempts" => {
-                cfg.max_attempts = value(&mut it, arg)?
-                    .parse()
-                    .map_err(|e: std::num::ParseIntError| parse_err(e.to_string()))?
-            }
-            "--timeout-ms" => {
-                cfg.timeout = std::time::Duration::from_millis(
-                    value(&mut it, arg)?
-                        .parse()
-                        .map_err(|e: std::num::ParseIntError| parse_err(e.to_string()))?,
-                )
-            }
-            "--report" => report = value(&mut it, arg)?,
-            other => {
-                return Err(format!(
-                    "unknown fault flag {other}; flags: --ranks N --interval N \
-                     --kill-rank N --kill-step N --max-attempts N --timeout-ms N \
-                     --report PATH"
-                ))
-            }
-        }
-    }
-    Ok((cfg, report))
-}
-
-/// Runs the fault gate and returns the process exit code.
-fn fault(args: &[String]) -> i32 {
-    let (cfg, report_path) = match fault_config(args) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("repro fault: {e}");
-            return 2;
-        }
-    };
-    eprintln!(
-        "[repro] fault: kill rank {} at step {}, recover, for {} versions x 2 comm modes \
-         at {} ranks...",
-        cfg.kill_rank,
-        cfg.kill_step,
-        fsbm_core::scheme::SbmVersion::ALL.len(),
-        cfg.ranks
-    );
-    let rep = wrf_gate::run_fault_gate(&cfg);
-    print!("{}", rep.rendered());
-    match std::fs::write(&report_path, rep.to_json()) {
-        Ok(()) => eprintln!("[repro] fault report written to {report_path}"),
-        Err(e) => eprintln!("[repro] could not write {report_path}: {e}"),
-    }
-    for v in rep.violations() {
-        eprintln!("repro fault: VIOLATION: {v}");
-    }
-    if rep.pass() {
-        0
-    } else {
-        1
-    }
-}
-
-/// Parses `repro share` flags into a [`wrf_gate::ShareGateConfig`] plus
-/// the report path.
-fn share_config(args: &[String]) -> Result<(wrf_gate::ShareGateConfig, String), String> {
-    let mut cfg = wrf_gate::ShareGateConfig::default();
-    let mut report = "BENCH_share.json".to_string();
-    let mut it = args.iter();
-    let value = |it: &mut std::slice::Iter<'_, String>, flag: &str| -> Result<String, String> {
-        it.next()
-            .cloned()
-            .ok_or_else(|| format!("{flag} needs a value"))
-    };
-    while let Some(arg) = it.next() {
-        let parse_err = |e: String| format!("{arg}: {e}");
-        match arg.as_str() {
-            "--ranks" => {
-                cfg.ranks = value(&mut it, arg)?
-                    .parse()
-                    .map_err(|e: std::num::ParseIntError| parse_err(e.to_string()))?
-            }
-            "--devices" => {
-                cfg.devices = value(&mut it, arg)?
-                    .parse()
-                    .map_err(|e: std::num::ParseIntError| parse_err(e.to_string()))?
-            }
-            "--sweep-scale" => {
-                cfg.sweep_scale = value(&mut it, arg)?
-                    .parse()
-                    .map_err(|e: std::num::ParseFloatError| parse_err(e.to_string()))?
-            }
-            "--sweep-nz" => {
-                cfg.sweep_nz = value(&mut it, arg)?
-                    .parse()
-                    .map_err(|e: std::num::ParseIntError| parse_err(e.to_string()))?
-            }
-            "--sweep-steps" => {
-                cfg.sweep_steps = value(&mut it, arg)?
-                    .parse()
-                    .map_err(|e: std::num::ParseIntError| parse_err(e.to_string()))?
-            }
-            "--max-two-node" => {
-                cfg.max_two_node_speedup = value(&mut it, arg)?
-                    .parse()
-                    .map_err(|e: std::num::ParseFloatError| parse_err(e.to_string()))?
-            }
-            "--report" => report = value(&mut it, arg)?,
-            other => {
-                return Err(format!(
-                    "unknown share flag {other}; flags: --ranks N --devices N \
-                     --sweep-scale X --sweep-nz N --sweep-steps N --max-two-node X \
-                     --report PATH"
-                ))
-            }
-        }
-    }
-    Ok((cfg, report))
-}
-
-/// Runs the shared-GPU gate and returns the process exit code.
-fn share(args: &[String]) -> i32 {
-    let (cfg, report_path) = match share_config(args) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("repro share: {e}");
-            return 2;
-        }
-    };
-    eprintln!(
-        "[repro] share: {} versions shared ({} ranks / {} devices) vs exclusive, \
-         admission scenarios, then the Table VII sharing sweep...",
-        fsbm_core::scheme::SbmVersion::ALL.len(),
-        cfg.ranks,
-        cfg.devices
-    );
-    let rep = wrf_gate::run_share_gate(&cfg);
-    print!("{}", rep.rendered());
-    match std::fs::write(&report_path, rep.to_json()) {
-        Ok(()) => eprintln!("[repro] share report written to {report_path}"),
-        Err(e) => eprintln!("[repro] could not write {report_path}: {e}"),
-    }
-    for v in rep.violations() {
-        eprintln!("repro share: VIOLATION: {v}");
-    }
-    if rep.pass() {
-        0
-    } else {
-        1
-    }
-}
-
-/// Parses `repro ensemble` flags into a [`wrf_gate::EnsembleGateConfig`]
-/// plus the report path.
-fn ensemble_config(args: &[String]) -> Result<(wrf_gate::EnsembleGateConfig, String), String> {
-    let mut cfg = wrf_gate::EnsembleGateConfig::default();
-    let mut report = "BENCH_ensemble.json".to_string();
-    let mut it = args.iter();
-    let value = |it: &mut std::slice::Iter<'_, String>, flag: &str| -> Result<String, String> {
-        it.next()
-            .cloned()
-            .ok_or_else(|| format!("{flag} needs a value"))
-    };
-    while let Some(arg) = it.next() {
-        let parse_err = |e: String| format!("{arg}: {e}");
-        match arg.as_str() {
-            "--eq-members" => {
-                cfg.eq_members = value(&mut it, arg)?
-                    .parse()
-                    .map_err(|e: std::num::ParseIntError| parse_err(e.to_string()))?
-            }
-            "--eq-devices" => {
-                cfg.eq_devices = value(&mut it, arg)?
-                    .parse()
-                    .map_err(|e: std::num::ParseIntError| parse_err(e.to_string()))?
-            }
-            "--eq-steps" => {
-                cfg.eq_steps = value(&mut it, arg)?
-                    .parse()
-                    .map_err(|e: std::num::ParseIntError| parse_err(e.to_string()))?
-            }
-            "--members" => {
-                cfg.members = value(&mut it, arg)?
-                    .parse()
-                    .map_err(|e: std::num::ParseIntError| parse_err(e.to_string()))?
-            }
-            "--devices" => {
-                cfg.devices = value(&mut it, arg)?
-                    .parse()
-                    .map_err(|e: std::num::ParseIntError| parse_err(e.to_string()))?
-            }
-            "--minutes" => {
-                cfg.minutes = value(&mut it, arg)?
-                    .parse()
-                    .map_err(|e: std::num::ParseFloatError| parse_err(e.to_string()))?
-            }
-            "--report" => report = value(&mut it, arg)?,
-            other => {
-                return Err(format!(
-                    "unknown ensemble flag {other}; flags: --eq-members N --eq-devices N \
-                     --eq-steps N --members N --devices N --minutes X --report PATH"
-                ))
-            }
-        }
-    }
-    Ok((cfg, report))
-}
-
-/// Runs the ensemble gate and returns the process exit code.
-fn ensemble(args: &[String]) -> i32 {
-    let (cfg, report_path) = match ensemble_config(args) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("repro ensemble: {e}");
-            return 2;
-        }
-    };
-    eprintln!(
-        "[repro] ensemble: {} versions x {}-member served ensembles vs solo runs, retry and \
-         packing walls, then {} full-scale members on {} devices...",
-        fsbm_core::scheme::SbmVersion::ALL.len(),
-        cfg.eq_members,
-        cfg.members,
-        cfg.devices
-    );
-    let rep = wrf_gate::run_ensemble_gate(&cfg);
-    print!("{}", rep.rendered());
-    match std::fs::write(&report_path, rep.to_json()) {
-        Ok(()) => eprintln!("[repro] ensemble report written to {report_path}"),
-        Err(e) => eprintln!("[repro] could not write {report_path}: {e}"),
-    }
-    for v in rep.violations() {
-        eprintln!("repro ensemble: VIOLATION: {v}");
-    }
-    if rep.pass() {
-        0
-    } else {
-        1
-    }
-}
-
-/// Parses `repro tune` flags into a [`wrf_gate::TuneGateConfig`] plus
-/// the report path.
-fn tune_config(args: &[String]) -> Result<(wrf_gate::TuneGateConfig, String), String> {
-    let mut cfg = wrf_gate::TuneGateConfig::default();
-    let mut report = "BENCH_tune.json".to_string();
-    let mut it = args.iter();
-    let value = |it: &mut std::slice::Iter<'_, String>, flag: &str| -> Result<String, String> {
-        it.next()
-            .cloned()
-            .ok_or_else(|| format!("{flag} needs a value"))
-    };
-    while let Some(arg) = it.next() {
-        let parse_err = |e: String| format!("{arg}: {e}");
-        match arg.as_str() {
-            "--coeff-scale" => {
-                cfg.coeff_scale = value(&mut it, arg)?
-                    .parse()
-                    .map_err(|e: std::num::ParseFloatError| parse_err(e.to_string()))?
-            }
-            "--coeff-nz" => {
-                cfg.coeff_nz = value(&mut it, arg)?
-                    .parse()
-                    .map_err(|e: std::num::ParseIntError| parse_err(e.to_string()))?
-            }
-            "--coeff-steps" => {
-                cfg.coeff_steps = value(&mut it, arg)?
-                    .parse()
-                    .map_err(|e: std::num::ParseIntError| parse_err(e.to_string()))?
-            }
-            "--min-backends" => {
-                cfg.min_backends = value(&mut it, arg)?
-                    .parse()
-                    .map_err(|e: std::num::ParseIntError| parse_err(e.to_string()))?
-            }
-            "--check-steps" => {
-                cfg.check_steps = value(&mut it, arg)?
-                    .parse()
-                    .map_err(|e: std::num::ParseIntError| parse_err(e.to_string()))?
-            }
-            "--report" => report = value(&mut it, arg)?,
-            other => {
-                return Err(format!(
-                    "unknown tune flag {other}; flags: --coeff-scale X --coeff-nz N \
-                     --coeff-steps N --min-backends N --check-steps N --report PATH"
-                ))
-            }
-        }
-    }
-    Ok((cfg, report))
-}
-
-/// Runs the schedule-autotuner gate and returns the process exit code.
-fn tune(args: &[String]) -> i32 {
-    let (cfg, report_path) = match tune_config(args) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("repro tune: {e}");
-            return 2;
-        }
-    };
-    eprintln!(
-        "[repro] tune: searching the licensed schedule space of the collision nest on \
-         {} backends (measured coefficients: scale {} nz {} steps {}), then the \
-         schedule='auto' bitwise check...",
-        gpu_sim::machine::ZOO.len(),
-        cfg.coeff_scale,
-        cfg.coeff_nz,
-        cfg.coeff_steps
-    );
-    let committed = std::fs::read_to_string(&report_path).ok();
-    if committed.is_none() {
-        eprintln!("[repro] tune: no committed {report_path}; skipping the replay check");
-    }
-    let rep = wrf_gate::run_tune_gate(&cfg, committed.as_deref());
-    print!("{}", rep.rendered());
-    match std::fs::write(&report_path, rep.to_json()) {
-        Ok(()) => eprintln!("[repro] tune report written to {report_path}"),
-        Err(e) => eprintln!("[repro] could not write {report_path}: {e}"),
-    }
-    for v in rep.violations() {
-        eprintln!("repro tune: VIOLATION: {v}");
-    }
-    if rep.pass() {
-        0
-    } else {
-        1
-    }
-}
-
-/// Parsed `repro cases` invocation: gate config, goldens dir, report
-/// path, and whether to bless instead of gate.
-struct CasesArgs {
-    cfg: wrf_gate::CasesGateConfig,
-    goldens: std::path::PathBuf,
-    report: String,
+/// One gate invocation's settings, parsed once from [`FLAGS`].
+struct Env {
+    /// Where the report is written.
+    report: PathBuf,
+    /// Directory of the committed golden fixtures.
+    goldens: PathBuf,
+    /// The committed baseline the gate compares against.
+    baseline: PathBuf,
+    /// Regenerate the gate's committed fixtures instead of gating.
     bless: bool,
+    /// `bench-host`: gate the measurement instead of only printing it.
+    check: bool,
+    /// Run at the nightly reference depth ([`Depth::NIGHTLY`]).
+    nightly: bool,
 }
 
-/// Parses `repro cases` flags.
-fn cases_config(args: &[String]) -> Result<CasesArgs, String> {
-    let mut out = CasesArgs {
-        cfg: wrf_gate::CasesGateConfig::default(),
-        goldens: std::path::PathBuf::from("goldens"),
-        report: "BENCH_cases.json".to_string(),
+/// The shared flags: spelling, value placeholder, help, and setter.
+type Flag = (
+    &'static str,
+    Option<&'static str>,
+    &'static str,
+    fn(&mut Env, PathBuf),
+);
+const FLAGS: &[Flag] = &[
+    ("--report", Some("PATH"), "write the report here instead of the gate's report file", |e, v| e.report = v),
+    ("--goldens", Some("DIR"), "golden fixture directory (default goldens)", |e, v| e.goldens = v),
+    ("--baseline", Some("PATH"), "committed baseline to compare against instead of the gate's own", |e, v| e.baseline = v),
+    ("--bless", None, "regenerate the gate's committed fixtures or baseline instead of gating", |e, _| e.bless = true),
+    ("--check", None, "bench-host: enforce the speedup floor and digests (without it, only measure)", |e, _| e.check = true),
+    ("--nightly", None, "reference depth: more repeats, tighter wall-clock floors, deeper sweeps (default: PR depth)", |e, _| e.nightly = true),
+];
+
+type Bless = fn(&Env) -> Result<Vec<PathBuf>, String>;
+
+/// One registry entry: everything `repro <name>` needs.
+struct Gate {
+    name: &'static str,
+    /// Default of `--report`.
+    report_file: &'static str,
+    /// Default of `--baseline` (empty: the gate reads none).
+    baseline_file: &'static str,
+    about: &'static str,
+    run: fn(&Env) -> Result<Report, String>,
+    /// Regenerates what the gate has committed; returns the paths written.
+    bless: Option<Bless>,
+}
+
+/// The gate registry. `gate` and `bench-host` depend on host wall-clock,
+/// so their report is the git-ignored `gate_report.json`; the others are
+/// deterministic and their reports are committed.
+const GATES: &[Gate] = &[
+    Gate {
+        name: "gate",
+        report_file: "gate_report.json",
+        baseline_file: "BENCH_executor.json",
+        about: "golden matrix (versions x modes x workers x layouts) vs goldens/, then bench-exec vs the perf baseline",
+        run: |e| {
+            wrf_gate::run_gate(&e.goldens, &e.baseline, &Depth::of(e.nightly).tol, |case| {
+                bench_exec(case.scale, case.nz, case.n_storms, case.steps, &case.workers).to_json()
+            })
+        },
+        bless: Some(|e| wrf_gate::bless(&e.goldens)),
+    },
+    Gate {
+        name: "bench-host",
+        report_file: "gate_report.json",
+        baseline_file: "BENCH_host.json",
+        about: "measured AoS vs SoA coal-stage wall on the gate case at 1/2/4/8 workers",
+        run: host_run,
+        bless: Some(|e| {
+            let json = host_measure(e).to_json();
+            std::fs::write(&e.baseline, json)
+                .map_err(|err| format!("could not write {}: {err}", e.baseline.display()))?;
+            Ok(vec![e.baseline.clone()])
+        }),
+    },
+    Gate {
+        name: "comm",
+        report_file: "BENCH_comm.json",
+        baseline_file: "",
+        about: "Blocking vs Overlapped digest equivalence per version, then the 16-rank overlap bench",
+        run: |_| Ok(wrf_gate::comm::run()),
+        bless: None,
+    },
+    Gate {
+        name: "fault",
+        report_file: "BENCH_fault.json",
+        baseline_file: "",
+        about: "kill a rank mid-run, recover from the newest checkpoint set, bitwise vs uninterrupted, per version x comm mode",
+        run: |_| Ok(wrf_gate::fault::run(wrf_gate::fault::TIMEOUT)),
+        bless: None,
+    },
+    Gate {
+        name: "share",
+        report_file: "BENCH_share.json",
+        baseline_file: "",
+        about: "shared-pool vs exclusive digest equivalence, memory-capped admission, the Table VII sharing sweep",
+        run: |_| Ok(wrf_gate::share::run()),
+        bless: None,
+    },
+    Gate {
+        name: "ensemble",
+        report_file: "BENCH_ensemble.json",
+        baseline_file: "",
+        about: "served members vs solo runs per version, retry and packing walls, full-scale batched throughput",
+        run: |_| Ok(wrf_gate::ensemble::run()),
+        bless: None,
+    },
+    Gate {
+        name: "zoo",
+        report_file: "BENCH_zoo.json",
+        baseline_file: "",
+        about: "every zoo backend priced end to end: version ranking, Table VII decay, capacity-tracking packing",
+        run: |_| Ok(wrf_gate::zoo::run()),
+        bless: None,
+    },
+    Gate {
+        name: "tune",
+        report_file: "BENCH_tune.json",
+        baseline_file: "BENCH_tune.json",
+        about: "schedule search per backend recovers the hand-derived v2/v3 kernels; schedule='auto' bitwise; committed winners replay",
+        run: |e| {
+            let committed = std::fs::read_to_string(&e.baseline).ok();
+            if committed.is_none() {
+                eprintln!("[repro] tune: no committed {}; skipping the replay check", e.baseline.display());
+            }
+            Ok(wrf_gate::tune::run(committed.as_deref(), Depth::of(e.nightly).tune_check_steps))
+        },
+        bless: None,
+    },
+    Gate {
+        name: "cases",
+        report_file: "BENCH_cases.json",
+        baseline_file: "",
+        about: "every library case and the one-way nest vs goldens/case_*.golden, activity bands, nested-vs-solo floors",
+        run: |e| wrf_gate::cases::run(&e.goldens, Depth::of(e.nightly).cases_sweep),
+        bless: Some(|e| wrf_gate::cases::bless_cases(&e.goldens)),
+    },
+];
+
+fn host_measure(env: &Env) -> HostBenchReport {
+    bench_host(&[1, 2, 4, 8], Depth::of(env.nightly).host_repeats)
+}
+
+fn host_run(env: &Env) -> Result<Report, String> {
+    let rep = host_measure(env);
+    if !env.check {
+        return Ok(rep.report(Vec::new()));
+    }
+    let committed = std::fs::read_to_string(&env.baseline).ok();
+    if committed.is_none() {
+        eprintln!(
+            "[repro] bench-host: no committed {}; checking the fresh run only",
+            env.baseline.display()
+        );
+    }
+    let floor = Depth::of(env.nightly).host_min_speedup;
+    Ok(rep.report(rep.checks(committed.as_deref(), floor)))
+}
+
+fn flag_list() -> String {
+    let spell = |(name, value, _, _): &Flag| match value {
+        Some(v) => format!("{name} {v}"),
+        None => name.to_string(),
+    };
+    FLAGS.iter().map(spell).collect::<Vec<_>>().join(" ")
+}
+
+fn usage() -> String {
+    let targets: Vec<&str> = TARGETS.iter().map(|t| t.0).collect();
+    let mut s = format!(
+        "usage: repro [TARGET]        print a paper target (default all)\n       \
+         repro GATE [FLAGS]   run a gate: exit 0 pass, 1 violation, 2 error\n\n\
+         targets: {}|all\n\ngates (report file):\n",
+        targets.join("|")
+    );
+    for g in GATES {
+        s.push_str(&format!(
+            "  {:<11} {:<20} {}\n",
+            g.name, g.report_file, g.about
+        ));
+    }
+    s.push_str("\nflags:\n");
+    for (name, value, about, _) in FLAGS {
+        let spelled = format!("{name} {}", value.unwrap_or(""));
+        s.push_str(&format!("  {spelled:<16} {about}\n"));
+    }
+    s
+}
+
+/// Parses the shared flags over the gate's defaults.
+fn parse_env(gate: &Gate, args: &[String]) -> Result<Env, String> {
+    let mut env = Env {
+        report: gate.report_file.into(),
+        goldens: "goldens".into(),
+        baseline: gate.baseline_file.into(),
         bless: false,
+        check: false,
+        nightly: false,
     };
     let mut it = args.iter();
-    let value = |it: &mut std::slice::Iter<'_, String>, flag: &str| -> Result<String, String> {
-        it.next()
-            .cloned()
-            .ok_or_else(|| format!("{flag} needs a value"))
-    };
     while let Some(arg) = it.next() {
-        let parse_err = |e: String| format!("{arg}: {e}");
-        match arg.as_str() {
-            "--bless" => out.bless = true,
-            "--sweep" => {
-                out.cfg.sweep_scales = match value(&mut it, arg)?.as_str() {
-                    "shallow" => vec![miniwrf::ModelConfig::GATE_SCALE],
-                    "deep" => wrf_gate::cases::DEEP_SWEEP.to_vec(),
-                    other => {
-                        return Err(format!("--sweep takes shallow|deep, got {other:?}"));
-                    }
-                }
-            }
-            "--ranks" => {
-                out.cfg.ranks = value(&mut it, arg)?
-                    .parse()
-                    .map_err(|e: std::num::ParseIntError| parse_err(e.to_string()))?
-            }
-            "--workers" => {
-                out.cfg.workers = value(&mut it, arg)?
-                    .parse()
-                    .map_err(|e: std::num::ParseIntError| parse_err(e.to_string()))?
-            }
-            "--margin" => {
-                out.cfg.nest_margin = value(&mut it, arg)?
-                    .parse()
-                    .map_err(|e: std::num::ParseIntError| parse_err(e.to_string()))?
-            }
-            "--goldens" => out.goldens = std::path::PathBuf::from(value(&mut it, arg)?),
-            "--report" => out.report = value(&mut it, arg)?,
-            other => {
-                return Err(format!(
-                    "unknown cases flag {other}; flags: --bless --sweep shallow|deep \
-                     --ranks N --workers N --margin N --goldens DIR --report PATH"
-                ))
-            }
-        }
+        let Some((_, value, _, set)) = FLAGS.iter().find(|f| f.0 == arg) else {
+            return Err(format!("unknown flag {arg}; flags: {}", flag_list()));
+        };
+        let value = match value {
+            Some(_) => it.next().ok_or(format!("{arg} needs a value"))?.into(),
+            None => PathBuf::new(),
+        };
+        set(&mut env, value);
     }
-    Ok(out)
+    Ok(env)
 }
 
-/// Runs the case-library gate and returns the process exit code.
-fn cases(args: &[String]) -> i32 {
-    let parsed = match cases_config(args) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("repro cases: {e}");
-            return 2;
-        }
+/// Runs (or blesses) one gate and returns the process exit code.
+fn run_gate(gate: &Gate, args: &[String]) -> i32 {
+    let fail = |e: String| {
+        eprintln!("repro {}: {e}", gate.name);
+        2
     };
-    if parsed.bless {
-        return match wrf_gate::bless_cases(&parsed.goldens) {
+    let env = match parse_env(gate, args) {
+        Ok(env) => env,
+        Err(e) => return fail(e),
+    };
+    if env.bless {
+        let Some(bless) = gate.bless else {
+            return fail("--bless: this gate has nothing committed to regenerate".into());
+        };
+        return match bless(&env) {
             Ok(written) => {
-                for p in written {
-                    eprintln!("blessed {}", p.display());
-                }
+                written
+                    .iter()
+                    .for_each(|p| println!("blessed {}", p.display()));
                 0
             }
-            Err(e) => {
-                eprintln!("repro cases: {e}");
-                2
-            }
+            Err(e) => fail(e),
         };
     }
+    eprintln!("[repro] {}: {}...", gate.name, gate.about);
+    let report = match (gate.run)(&env) {
+        Ok(report) => report,
+        Err(e) => return fail(e),
+    };
+    print!("{}", report.rendered());
+    if let Err(e) = std::fs::write(&env.report, report.to_json()) {
+        return fail(format!("could not write {}: {e}", env.report.display()));
+    }
     eprintln!(
-        "[repro] cases: gating {} cases x versions x schedulers x layouts, the nested \
-         configuration, and the activity sweep over scales {:?}...",
-        wrf_cases::CaseKind::ALL.len(),
-        parsed.cfg.sweep_scales
+        "[repro] {} report written to {}",
+        gate.name,
+        env.report.display()
     );
-    let rep = match wrf_gate::run_cases_gate(&parsed.cfg, &parsed.goldens) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("repro cases: {e}");
-            return 2;
-        }
-    };
-    print!("{}", rep.rendered());
-    match std::fs::write(&parsed.report, rep.to_json()) {
-        Ok(()) => eprintln!("[repro] cases report written to {}", parsed.report),
-        Err(e) => eprintln!("[repro] could not write {}: {e}", parsed.report),
-    }
-    for v in rep.violations() {
-        eprintln!("repro cases: VIOLATION: {v}");
-    }
-    if rep.pass() {
-        0
-    } else {
-        1
-    }
-}
-
-/// Parses `repro zoo` flags into a [`wrf_gate::ZooGateConfig`] plus the
-/// report path.
-fn zoo_config(args: &[String]) -> Result<(wrf_gate::ZooGateConfig, String), String> {
-    let mut cfg = wrf_gate::ZooGateConfig::default();
-    let mut report = "BENCH_zoo.json".to_string();
-    let mut it = args.iter();
-    let value = |it: &mut std::slice::Iter<'_, String>, flag: &str| -> Result<String, String> {
-        it.next()
-            .cloned()
-            .ok_or_else(|| format!("{flag} needs a value"))
-    };
-    while let Some(arg) = it.next() {
-        let parse_err = |e: String| format!("{arg}: {e}");
-        match arg.as_str() {
-            "--ranks" => {
-                cfg.ranks = value(&mut it, arg)?
-                    .parse()
-                    .map_err(|e: std::num::ParseIntError| parse_err(e.to_string()))?
-            }
-            "--gpus" => {
-                cfg.gpus = value(&mut it, arg)?
-                    .parse()
-                    .map_err(|e: std::num::ParseIntError| parse_err(e.to_string()))?
-            }
-            "--minutes" => {
-                cfg.minutes = value(&mut it, arg)?
-                    .parse()
-                    .map_err(|e: std::num::ParseFloatError| parse_err(e.to_string()))?
-            }
-            "--members" => {
-                cfg.members = value(&mut it, arg)?
-                    .parse()
-                    .map_err(|e: std::num::ParseIntError| parse_err(e.to_string()))?
-            }
-            "--devices" => {
-                cfg.devices = value(&mut it, arg)?
-                    .parse()
-                    .map_err(|e: std::num::ParseIntError| parse_err(e.to_string()))?
-            }
-            "--min-backends" => {
-                cfg.min_backends = value(&mut it, arg)?
-                    .parse()
-                    .map_err(|e: std::num::ParseIntError| parse_err(e.to_string()))?
-            }
-            "--report" => report = value(&mut it, arg)?,
-            other => {
-                return Err(format!(
-                    "unknown zoo flag {other}; flags: --ranks N --gpus N --minutes X                      --members N --devices N --min-backends N --report PATH"
-                ))
-            }
-        }
-    }
-    Ok((cfg, report))
-}
-
-/// Runs the device-zoo gate and returns the process exit code.
-fn zoo(args: &[String]) -> i32 {
-    let (cfg, report_path) = match zoo_config(args) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("repro zoo: {e}");
-            return 2;
-        }
-    };
-    eprintln!(
-        "[repro] zoo: pricing {} versions x {} backends ({} ranks / {} gpus), the sharing          sweep, and {} ensemble members per backend...",
-        fsbm_core::scheme::SbmVersion::ALL.len(),
-        gpu_sim::machine::ZOO.len(),
-        cfg.ranks,
-        cfg.gpus,
-        cfg.members
-    );
-    let rep = wrf_gate::run_zoo_gate(&cfg);
-    print!("{}", rep.rendered());
-    match std::fs::write(&report_path, rep.to_json()) {
-        Ok(()) => eprintln!("[repro] zoo report written to {report_path}"),
-        Err(e) => eprintln!("[repro] could not write {report_path}: {e}"),
-    }
-    for v in rep.violations() {
-        eprintln!("repro zoo: VIOLATION: {v}");
-    }
-    if rep.pass() {
+    if report.pass() {
         0
     } else {
         1
@@ -944,127 +383,36 @@ fn zoo(args: &[String]) -> i32 {
 }
 
 fn main() {
-    let what = std::env::args().nth(1).unwrap_or_else(|| "all".into());
-    if what == "gate" {
-        let args: Vec<String> = std::env::args().skip(2).collect();
-        std::process::exit(gate(&args));
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let what = args.first().map_or("all", String::as_str);
+    if let Some(gate) = GATES.iter().find(|g| g.name == what) {
+        std::process::exit(run_gate(gate, &args[1..]));
     }
-    if what == "bench-host" {
-        let args: Vec<String> = std::env::args().skip(2).collect();
-        std::process::exit(bench_host(&args));
-    }
-    if what == "comm" {
-        let args: Vec<String> = std::env::args().skip(2).collect();
-        std::process::exit(comm(&args));
-    }
-    if what == "fault" {
-        let args: Vec<String> = std::env::args().skip(2).collect();
-        std::process::exit(fault(&args));
-    }
-    if what == "share" {
-        let args: Vec<String> = std::env::args().skip(2).collect();
-        std::process::exit(share(&args));
-    }
-    if what == "ensemble" {
-        let args: Vec<String> = std::env::args().skip(2).collect();
-        std::process::exit(ensemble(&args));
-    }
-    if what == "zoo" {
-        let args: Vec<String> = std::env::args().skip(2).collect();
-        std::process::exit(zoo(&args));
-    }
-    if what == "tune" {
-        let args: Vec<String> = std::env::args().skip(2).collect();
-        std::process::exit(tune(&args));
-    }
-    if what == "cases" {
-        let args: Vec<String> = std::env::args().skip(2).collect();
-        std::process::exit(cases(&args));
-    }
-    let need_ctx = what != "verify" && what != "listings" && what != "bench-exec";
-    let ctx = if need_ctx {
-        eprintln!("[repro] measuring work coefficients (functional model)...");
-        let ctx = ReproContext::new();
-        // One-line scheduling report of the measurement run (prof-sim
-        // format): mode, steals, active fraction, kernel-cache hit rate.
-        eprintln!("[repro] {}", ctx.coeffs.exec.one_line());
-        Some(ctx)
-    } else {
-        None
-    };
-    let ctx = ctx.as_ref();
-
-    let mut emitted = false;
-    let mut emit = |name: &str, text: String| {
-        println!("{text}");
-        println!();
-        let _ = name;
-        emitted = true;
-    };
-
-    if matches!(what.as_str(), "table1" | "all") {
-        emit("table1", table1(ctx.unwrap()).rendered);
-    }
-    if matches!(what.as_str(), "timeline" | "all") {
-        let exp = ctx
-            .unwrap()
-            .run(fsbm_core::scheme::SbmVersion::Baseline, 16, 0);
-        emit(
-            "timeline",
-            format!(
-                "Nsight-Systems-style view of the heavy rank (3 steps):\n{}",
-                miniwrf::hotspots::nsys_timeline(&exp, 100)
-            ),
-        );
-    }
-    if matches!(what.as_str(), "table3" | "all") {
-        emit("table3", table3(ctx.unwrap()).rendered);
-    }
-    if matches!(what.as_str(), "table4" | "all") {
-        emit("table4", table4(ctx.unwrap()).rendered);
-    }
-    if matches!(what.as_str(), "table5" | "all") {
-        emit("table5", table5(ctx.unwrap()).rendered);
-    }
-    if matches!(what.as_str(), "table6" | "all") {
-        emit("table6", table6(ctx.unwrap()).2.rendered);
-    }
-    if matches!(what.as_str(), "table7" | "all") {
-        emit("table7", table7(ctx.unwrap()).1.rendered);
-    }
-    if matches!(what.as_str(), "fig2" | "all") {
-        emit("fig2", fig2());
-    }
-    if matches!(what.as_str(), "fig3" | "all") {
-        emit("fig3", fig3(ctx.unwrap()).1);
-    }
-    if matches!(what.as_str(), "fig4" | "all") {
-        emit("fig4", fig4(ctx.unwrap()).1);
-    }
-    if matches!(what.as_str(), "ablation" | "all") {
-        let ctx = ctx.unwrap();
-        emit("ablation", ablation_registers(ctx).1);
-        emit("ablation", ablation_latency_knee(ctx).1);
-        emit("ablation", ablation_block_size(ctx).1);
-    }
-    if matches!(what.as_str(), "future" | "all") {
-        emit("future", project_cond_offload(ctx.unwrap()).1);
-    }
-    if matches!(what.as_str(), "verify" | "all") {
-        emit("verify", verify_versions(0.06, 12, 6).1);
-    }
-    if matches!(what.as_str(), "listings" | "all") {
-        emit("listings", listings());
-    }
-    if what == "bench-exec" {
-        emit("bench-exec", bench_exec());
-    }
-    if !emitted {
-        eprintln!(
-            "unknown target `{what}`; use table1|table3|table4|table5|table6|table7|\
-             timeline|fig2|fig3|fig4|ablation|future|verify|listings|bench-exec|bench-host|\
-             gate|comm|fault|share|ensemble|zoo|tune|all"
-        );
+    let selected: Vec<_> = TARGETS
+        .iter()
+        .filter(|(name, in_all, _)| *name == what || (what == "all" && *in_all))
+        .collect();
+    if selected.is_empty() {
+        if what == "help" || what == "--help" {
+            print!("{}", usage());
+            return;
+        }
+        eprint!("unknown target `{what}`\n{}", usage());
         std::process::exit(2);
+    }
+    let mut ctx = None;
+    for (_, _, emit) in selected {
+        let text = match emit {
+            Emit::Free(f) => f(),
+            Emit::Ctx(f) => f(ctx.get_or_insert_with(|| {
+                eprintln!("[repro] measuring work coefficients (functional model)...");
+                let ctx = ReproContext::new();
+                // One-line scheduling report of the measurement run (prof-sim
+                // format): mode, steals, active fraction, kernel-cache hit rate.
+                eprintln!("[repro] {}", ctx.coeffs.exec.one_line());
+                ctx
+            })),
+        };
+        println!("{text}\n");
     }
 }

@@ -17,17 +17,16 @@
 //!
 //! The committed `BENCH_host.json` is the performance baseline:
 //! `repro bench-host --check` re-runs the benchmark and enforces the
-//! layout speedup floor and digest equality (see [`check`]).
+//! layout speedup floor and digest equality (see
+//! [`HostBenchReport::checks`]).
 
 use fsbm_core::exec::ExecMode;
 use fsbm_core::scheme::{Layout, SbmVersion};
 use miniwrf::config::ModelConfig;
 use miniwrf::model::Model;
+use wrf_gate::golden::combined_checksum;
 use wrf_gate::json::Json;
-
-/// Minimum `PanelSoa` speedup over `PointAos` on the gate case at the
-/// largest measured worker count (the PR 7 acceptance bar).
-pub const MIN_SPEEDUP: f64 = 3.0;
+use wrf_gate::{Cell, Check, Report, Table};
 
 /// One (layout, workers) measurement.
 #[derive(Debug, Clone)]
@@ -59,15 +58,6 @@ pub struct HostBenchReport {
     pub rows: Vec<HostBenchRow>,
 }
 
-/// Folds a state digest's per-field checksums into one hex token.
-fn fold_digest(d: &fsbm_core::digest::StateDigest) -> String {
-    let mut h = 0xcbf29ce484222325u64;
-    for f in &d.fields {
-        h = (h ^ f.checksum).wrapping_mul(0x100000001b3);
-    }
-    format!("{h:016x}")
-}
-
 /// Runs one (layout, workers) arm: `repeats` cold-start gate runs, the
 /// minimum summed coal wall, and the (repeat-invariant) end digest.
 fn measure(layout: Layout, workers: usize, repeats: usize) -> HostBenchRow {
@@ -88,7 +78,7 @@ fn measure(layout: Layout, workers: usize, repeats: usize) -> HostBenchRow {
         if wall < best {
             best = wall;
         }
-        digest = fold_digest(&m.state.digest());
+        digest = format!("{:016x}", combined_checksum(&m.state.digest()));
     }
     HostBenchRow {
         layout: layout.label(),
@@ -170,86 +160,97 @@ impl HostBenchReport {
         s
     }
 
-    /// Renders the human-readable table printed by `repro bench-host`.
-    pub fn rendered(&self) -> String {
-        let mut s = format!(
-            "=== bench-host: measured coal-stage wall on the gate case \
-             (scale {} nz {} x {} steps, min of {} repeats) ===\n",
-            self.scale, self.nz, self.steps, self.repeats
+    /// The gated assertions of `bench-host --check`: the layouts must be
+    /// bitwise (digest-equal) at every worker count, and `PanelSoa` must
+    /// beat `PointAos` by `min_speedup` at the largest one (the PR 7
+    /// acceptance bar is 3x on the reference host; `wrf_gate::Depth`
+    /// holds the PR and nightly floors). When the committed baseline
+    /// text is supplied, every row's digest must also match the
+    /// committed digest — wall times drift with host load, the physics
+    /// may not.
+    pub fn checks(&self, committed: Option<&str>, min_speedup: f64) -> Vec<Check> {
+        let workers = self.worker_counts();
+        let mut checks: Vec<Check> = workers
+            .iter()
+            .map(|&w| {
+                let label = format!("layouts bitwise @ {w} workers");
+                match (self.row(Layout::PointAos, w), self.row(Layout::PanelSoa, w)) {
+                    (Some(aos), Some(soa)) => Check::new(
+                        label,
+                        aos.digest == soa.digest,
+                        format!("point-aos {} vs panel-soa {}", aos.digest, soa.digest),
+                    ),
+                    _ => Check::new(label, false, "missing layout row"),
+                }
+            })
+            .collect();
+        let max_w = workers.last().copied().unwrap_or(0);
+        let speedup = self.speedup(max_w);
+        let detail = format!(
+            "panel-soa speedup {speedup:.2}x at {max_w} workers is below the {min_speedup:.1}x floor"
         );
-        s.push_str(&format!(
-            "{:<12} {:>7} {:>14} {:>10}  {}\n",
-            "layout", "workers", "host_wall_s", "steps/s", "digest"
-        ));
-        for r in &self.rows {
-            s.push_str(&format!(
-                "{:<12} {:>7} {:>14.6} {:>10.2}  {}\n",
-                r.layout, r.workers, r.host_wall_s, r.steps_per_s, r.digest
-            ));
+        checks.push(
+            Check::new("speedup floor", speedup >= min_speedup, detail)
+                .bounded(speedup, min_speedup),
+        );
+        match committed.map(parse_digests) {
+            None => {}
+            Some(Err(e)) => checks.push(Check::new(
+                "committed digests",
+                false,
+                format!("BENCH_host.json unreadable: {e}"),
+            )),
+            Some(Ok(base)) => checks.extend(self.rows.iter().map(|r| {
+                let found = base
+                    .iter()
+                    .find(|(l, w, _)| *l == r.layout && *w == r.workers);
+                let was = found.map_or("(row missing)", |(_, _, d)| d.as_str());
+                Check::new(
+                    format!("committed digest [{} w={}]", r.layout, r.workers),
+                    was == r.digest,
+                    format!("digest {} drifted from committed {was}", r.digest),
+                )
+            })),
         }
-        for &w in &self.worker_counts() {
-            s.push_str(&format!(
-                "speedup panel-soa vs point-aos @ {w} workers: {:.2}x\n",
-                self.speedup(w)
-            ));
-        }
-        s
+        checks
     }
 
-    /// Gate violations of a fresh report: the layouts must be bitwise
-    /// (digest-equal) at every worker count, and `PanelSoa` must beat
-    /// `PointAos` by `min_speedup` at the largest one ([`MIN_SPEEDUP`]
-    /// on the reference host; CI may loosen it the way the repro gate
-    /// loosens host wall tolerances). When the committed baseline text
-    /// is supplied, every row's digest must also match the committed
-    /// digest — wall times drift with host load, the physics may not.
-    pub fn violations(&self, committed: Option<&str>, min_speedup: f64) -> Vec<String> {
-        let mut v = Vec::new();
-        for &w in &self.worker_counts() {
-            match (self.row(Layout::PointAos, w), self.row(Layout::PanelSoa, w)) {
-                (Some(aos), Some(soa)) => {
-                    if aos.digest != soa.digest {
-                        v.push(format!(
-                            "host: digest mismatch at {w} workers: point-aos {} vs panel-soa {}",
-                            aos.digest, soa.digest
-                        ));
-                    }
-                }
-                _ => v.push(format!("host: missing layout row at {w} workers")),
-            }
+    /// The `bench-host` report: the measured rows and speedups, gated
+    /// by `checks` (empty without `--check`).
+    pub fn report(&self, checks: Vec<Check>) -> Report {
+        let rows = Table::new(
+            "rows",
+            "measured coal-stage wall on the gate case, minimum over cold-start repeats",
+            &["layout", "workers", "host_wall_s", "steps_per_s", "digest"],
+            self.rows.iter().map(|r| {
+                vec![
+                    r.layout.into(),
+                    r.workers.into(),
+                    Cell::num(r.host_wall_s, 6),
+                    Cell::num(r.steps_per_s, 2),
+                    r.digest.as_str().into(),
+                ]
+            }),
+        );
+        let workers = self.worker_counts();
+        let speedups = Table::new(
+            "speedup",
+            "speedup panel-soa vs point-aos",
+            &["workers", "speedup"],
+            (workers.iter()).map(|&w| vec![w.into(), Cell::num(self.speedup(w), 3)]),
+        );
+        Report {
+            gate: "bench-host",
+            case: vec![
+                ("scale", self.scale.into()),
+                ("nz", self.nz.into()),
+                ("steps", self.steps.into()),
+                ("repeats", self.repeats.into()),
+            ],
+            checks,
+            tables: vec![rows, speedups],
+            lines: Vec::new(),
         }
-        let max_w = self.worker_counts().last().copied().unwrap_or(0);
-        let speedup = self.speedup(max_w);
-        if speedup < min_speedup {
-            v.push(format!(
-                "host: panel-soa speedup {speedup:.2}x at {max_w} workers is below the \
-                 {min_speedup:.1}x floor"
-            ));
-        }
-        if let Some(text) = committed {
-            match parse_digests(text) {
-                Ok(base) => {
-                    for r in &self.rows {
-                        match base
-                            .iter()
-                            .find(|(l, w, _)| *l == r.layout && *w == r.workers)
-                        {
-                            Some((_, _, d)) if *d == r.digest => {}
-                            Some((_, _, d)) => v.push(format!(
-                                "host: [{} w={}] digest {} drifted from committed {}",
-                                r.layout, r.workers, r.digest, d
-                            )),
-                            None => v.push(format!(
-                                "host: [{} w={}] missing from committed BENCH_host.json",
-                                r.layout, r.workers
-                            )),
-                        }
-                    }
-                }
-                Err(e) => v.push(format!("host: committed BENCH_host.json unreadable: {e}")),
-            }
-        }
-        v
     }
 }
 
@@ -257,27 +258,19 @@ impl HostBenchReport {
 /// `BENCH_host.json` document.
 fn parse_digests(text: &str) -> Result<Vec<(String, usize, String)>, String> {
     let doc = Json::parse(text)?;
-    let rows = doc
-        .get("rows")
-        .and_then(|r| r.as_arr())
-        .ok_or("no rows array")?;
-    let mut out = Vec::new();
-    for r in rows {
-        let layout = r
-            .get("layout")
-            .and_then(|x| x.as_str())
-            .ok_or("row without layout")?;
-        let workers = r
-            .get("workers")
-            .and_then(|x| x.as_f64())
-            .ok_or("row without workers")? as usize;
-        let digest = r
-            .get("digest")
-            .and_then(|x| x.as_str())
-            .ok_or("row without digest")?;
-        out.push((layout.to_string(), workers, digest.to_string()));
-    }
-    Ok(out)
+    let rows = doc.get("rows").and_then(Json::as_arr);
+    rows.ok_or("no rows array")?
+        .iter()
+        .map(|r| {
+            let text = |key: &str| -> Result<String, String> {
+                let s = r.get(key).and_then(Json::as_str);
+                Ok(s.ok_or(format!("row without {key}"))?.to_string())
+            };
+            let workers = r.get("workers").and_then(Json::as_f64);
+            let workers = workers.ok_or("row without workers")? as usize;
+            Ok((text("layout")?, workers, text("digest")?))
+        })
+        .collect()
 }
 
 /// Runs the full sweep: both layouts at every worker count on the gate
@@ -316,7 +309,8 @@ mod tests {
         let triples = parse_digests(&json).expect("self-rendered json parses");
         assert_eq!(triples.len(), 2);
         assert_eq!(triples[0].2, rep.rows[0].digest);
-        assert!(rep.rendered().contains("speedup panel-soa vs point-aos"));
+        let text = rep.report(Vec::new()).rendered();
+        assert!(text.contains("speedup panel-soa vs point-aos"), "{text}");
     }
 
     #[test]
@@ -324,7 +318,8 @@ mod tests {
         let rep = bench_host(&[1], 1);
         let mut doctored = rep.clone();
         doctored.rows[1].digest = "deadbeefdeadbeef".into();
-        let v = rep.violations(Some(&doctored.to_json()), MIN_SPEEDUP);
+        let checks = rep.checks(Some(&doctored.to_json()), 3.0);
+        let v = rep.report(checks).violations();
         assert!(
             v.iter().any(|m| m.contains("drifted from committed")),
             "expected a drift violation, got {v:?}"

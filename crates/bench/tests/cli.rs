@@ -1,0 +1,155 @@
+//! The `repro` command line and the three lists that must agree with
+//! its gate registry: the usage text it generates, the `GATES` rows of
+//! `ci.sh`, and the gate matrix of `.github/workflows/ci.yml`. Adding a
+//! gate is one line in each; this test fails when one is forgotten.
+
+use std::path::Path;
+use std::process::{Command, Output};
+
+fn repro(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(args)
+        .output()
+        .expect("repro runs")
+}
+
+fn repo_file(name: &str) -> String {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .join(name);
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
+/// `(name, report file)` of every registry entry, parsed from the
+/// generated usage text (`  name  report_file  about`).
+fn registry(usage: &str) -> Vec<(String, String)> {
+    usage
+        .lines()
+        .skip_while(|l| !l.starts_with("gates"))
+        .skip(1)
+        .take_while(|l| !l.trim().is_empty())
+        .map(|l| {
+            let mut words = l.split_whitespace();
+            let mut word = || words.next().expect("name and report file").to_string();
+            (word(), word())
+        })
+        .collect()
+}
+
+#[test]
+fn unknown_target_prints_the_generated_usage_and_exits_2() {
+    let out = repro(&["nonsense"]);
+    assert_eq!(out.status.code(), Some(2));
+    let usage = String::from_utf8(out.stderr).unwrap();
+    assert!(usage.contains("unknown target `nonsense`"), "{usage}");
+    // The gate list comes from the registry (the hand-written message
+    // had lost `cases`).
+    let names: Vec<String> = registry(&usage).into_iter().map(|g| g.0).collect();
+    assert!(names.len() >= 9, "{names:?}");
+    assert!(names.iter().any(|n| n == "cases"), "{names:?}");
+    // The paper targets the old hand-written message forgot.
+    for target in [
+        "timeline",
+        "fig2",
+        "ablation",
+        "future",
+        "bench-exec",
+        "all",
+    ] {
+        assert!(usage.contains(target), "usage omits {target}: {usage}");
+    }
+    assert!(
+        !usage.contains("   -") && !usage.contains("\t"),
+        "no broken continuations"
+    );
+}
+
+#[test]
+fn unknown_flag_names_the_shared_flags_and_exits_2() {
+    let out = repro(&["comm", "--bogus"]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(err.contains("repro comm: unknown flag --bogus"), "{err}");
+    for flag in [
+        "--report PATH",
+        "--goldens DIR",
+        "--baseline PATH",
+        "--bless",
+        "--check",
+        "--nightly",
+    ] {
+        assert!(err.contains(flag), "{flag} missing from: {err}");
+    }
+    // The per-gate flags are gone, not merely undocumented.
+    for gone in [
+        ["comm", "--ranks"],
+        ["gate", "--loose-tol"],
+        ["tune", "--check-steps"],
+    ] {
+        let out = repro(&[gone[0], gone[1], "1"]);
+        assert_eq!(out.status.code(), Some(2), "{gone:?}");
+    }
+    // A flag missing its value, and --bless on a gate with nothing to
+    // bless, are usage errors too.
+    assert_eq!(repro(&["cases", "--goldens"]).status.code(), Some(2));
+    assert_eq!(repro(&["comm", "--bless"]).status.code(), Some(2));
+}
+
+#[test]
+fn report_write_failure_is_exit_2() {
+    // zoo is the cheapest gate (modeled accounting only, ~6 s).
+    let out = repro(&["zoo", "--report", "/nonexistent-dir/BENCH_zoo.json"]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(err.contains("could not write"), "{err}");
+}
+
+#[test]
+fn ci_lists_match_the_registry() {
+    let usage = String::from_utf8(repro(&["help"]).stdout).unwrap();
+    let registry = registry(&usage);
+    assert_eq!(registry.len(), 9, "{usage}");
+
+    // ci.sh: `"step;repro arguments;report file;title;pattern"` rows.
+    let ci_sh = repo_file("ci.sh");
+    let rows: Vec<Vec<&str>> = ci_sh
+        .lines()
+        .skip_while(|l| *l != "GATES=(")
+        .skip(1)
+        .take_while(|l| *l != ")")
+        .map(|l| l.trim().trim_matches('"').split(';').collect())
+        .collect();
+    assert_eq!(
+        rows.len(),
+        registry.len(),
+        "one ci.sh row per registry entry"
+    );
+    for (row, (name, report_file)) in rows.iter().zip(&registry) {
+        assert_eq!(row.len(), 5, "{row:?}");
+        let invoked = row[1].split_whitespace().next().unwrap();
+        assert_eq!(
+            invoked, name,
+            "ci.sh row {row:?} must invoke its registry entry"
+        );
+        assert_eq!(
+            row[2], report_file,
+            "ci.sh row {row:?} must name the gate's report file"
+        );
+    }
+    assert_eq!(rows[1][0], "host");
+    assert_eq!(rows[1][1], "bench-host --check");
+
+    // ci.yml: the `gate:` block list of the matrix.
+    let ci_yml = repo_file(".github/workflows/ci.yml");
+    let matrix: Vec<&str> = ci_yml
+        .lines()
+        .skip_while(|l| l.trim() != "gate:")
+        .skip(1)
+        .map_while(|l| l.trim().strip_prefix("- "))
+        .collect();
+    let steps: Vec<&str> = rows.iter().map(|r| r[0]).collect();
+    assert_eq!(
+        matrix, steps,
+        "ci.yml matrix must equal the ci.sh gate list"
+    );
+}

@@ -9,14 +9,13 @@
 //!   all four scheme versions × both schedulers × both memory layouts,
 //!   and the canonical run matches its committed
 //!   `goldens/case_<slug>.golden` fixture under the golden policy.
-//! * **Comm equivalence** — each case decomposed over
-//!   [`CasesGateConfig::ranks`] ranks digests identically under
-//!   blocking and overlapped halo exchange.
+//! * **Comm equivalence** — each case decomposed over two ranks
+//!   digests identically under blocking and overlapped halo exchange.
 //! * **Activity bands** — each case's column-activity fraction lands in
 //!   its pinned band ([`CaseKind::activity_band`]), the library bands
 //!   are disjoint, and the fractions stay in-band across the sweep
 //!   scales (the standing `BENCH_cases.json` axis; PRs run the shallow
-//!   sweep, the nightly arm the deep one via `CI_CASES_SWEEP`).
+//!   sweep, the nightly arm the deep one — [`crate::Depth`]).
 //! * **Nesting** — the pinned nested configuration
 //!   ([`ModelConfig::GATE_NEST`] over the squall-line case) digests
 //!   identically across versions × layouts × comm modes, its child
@@ -25,12 +24,12 @@
 //!   every case's nested child agrees with a solo fine-grid run of the
 //!   child region to the case's documented interior digit floor.
 //!
-//! The outcome is `BENCH_cases.json` next to `gate_report.json`; any
-//! violation makes `repro cases` exit nonzero.
+//! The report is written to `BENCH_cases.json`; any violation makes
+//! `repro cases` exit nonzero.
 
 use crate::fixture::GoldenFixture;
-use crate::golden::{compare_digests, GoldenPolicy};
-use crate::json::escape;
+use crate::golden::{compare_digests, compare_states, StateAgreement, MIN_STATE_DIGITS};
+use crate::report::{Cell, Check, Report, Table};
 use fsbm_core::digest::StateDigest;
 use fsbm_core::exec::ExecMode;
 use fsbm_core::scheme::{Layout, SbmVersion};
@@ -39,42 +38,17 @@ use miniwrf::model::Model;
 use miniwrf::nest::{interior_max_rel, run_nested, run_solo_fine};
 use miniwrf::parallel::run_parallel;
 use mpi_sim::CommMode;
-use prof_sim::{case_line, nest_line, TextTable};
-use std::fmt::Write as _;
-use std::path::Path;
+use prof_sim::{case_line, nest_line};
+use std::path::{Path, PathBuf};
 use wrf_cases::{CaseKind, ConusCase};
 
-/// Configuration of one cases-gate invocation.
-#[derive(Debug, Clone)]
-pub struct CasesGateConfig {
-    /// Ranks of the per-case comm-equivalence runs.
-    pub ranks: usize,
-    /// Worker count of the work-stealing matrix arm.
-    pub workers: usize,
-    /// Horizontal scales of the activity-fraction sweep (the gate scale
-    /// alone on PRs; the nightly arm adds larger scales).
-    pub sweep_scales: Vec<f64>,
-    /// Interior margin (child cells shaved off each lateral side) of
-    /// the nested-vs-solo comparison.
-    pub nest_margin: i32,
-    /// Golden thresholds for fixture comparisons.
-    pub policy: GoldenPolicy,
-}
-
-impl Default for CasesGateConfig {
-    fn default() -> Self {
-        CasesGateConfig {
-            ranks: 2,
-            workers: 3,
-            sweep_scales: vec![ModelConfig::GATE_SCALE],
-            nest_margin: 5,
-            policy: GoldenPolicy::default(),
-        }
-    }
-}
-
-/// The sweep scales of the nightly deep arm.
-pub const DEEP_SWEEP: &[f64] = &[0.05, 0.1, 0.2];
+/// Ranks of the per-case comm-equivalence runs.
+const RANKS: usize = 2;
+/// Worker count of the work-stealing matrix arm.
+const WORKERS: usize = 3;
+/// Interior margin (child cells shaved off each lateral side) of the
+/// nested-vs-solo comparison.
+const NEST_MARGIN: i32 = 5;
 
 /// Documented interior digit floor of the nested-vs-solo comparison at
 /// margin 5, per case. Measured agreement at the gate configuration is
@@ -101,12 +75,8 @@ pub struct CaseCheck {
     pub matrix_runs: usize,
     /// True when every matrix run digested identically.
     pub bitwise: bool,
-    /// True when the canonical run matched the fixture bit for bit.
-    pub golden_bitwise: bool,
-    /// Minimum agreed digits of canonical vs fixture.
-    pub min_digits: u32,
-    /// Worst-agreeing field of that comparison (empty when bitwise).
-    pub worst_field: String,
+    /// How the canonical run agreed with the committed fixture.
+    pub golden: StateAgreement,
     /// True when the multi-rank blocking and overlapped runs agreed.
     pub comm_bitwise: bool,
     /// Column-activity fraction at gate scale.
@@ -115,8 +85,6 @@ pub struct CaseCheck {
     pub band: (f64, f64),
     /// Canonical digest checksum of the `T` field (table/summary key).
     pub checksum: u64,
-    /// True when the check passed.
-    pub pass: bool,
     /// Failure details (empty when passing).
     pub violations: Vec<String>,
 }
@@ -147,250 +115,186 @@ pub struct SweepPoint {
     pub in_band: bool,
 }
 
-/// The cases gate's full outcome.
+/// How the pinned nested configuration reproduced.
 #[derive(Debug, Clone)]
-pub struct CasesGateReport {
-    /// Configuration the gate ran with.
-    pub cfg: CasesGateConfig,
-    /// Per-case reproducibility + activity checks.
-    pub checks: Vec<CaseCheck>,
-    /// True when the library activity bands are pairwise disjoint.
-    pub bands_disjoint: bool,
+pub struct NestPins {
     /// True when the nested matrix (versions × layouts × comm modes)
     /// digested identically (parent and child).
-    pub nest_matrix_bitwise: bool,
-    /// True when the canonical nested child matched its fixture.
-    pub nest_golden_bitwise: bool,
-    /// Minimum digits of the nested child vs its fixture.
-    pub nest_min_digits: u32,
+    pub matrix_bitwise: bool,
+    /// How the canonical nested child agreed with its fixture.
+    pub golden: StateAgreement,
     /// True when the nested parent matched the squall-line case fixture
     /// (one-way nesting leaves the parent untouched).
-    pub nest_parent_matches_case: bool,
-    /// Per-case nested-vs-solo agreement.
-    pub nest: Vec<NestCheck>,
-    /// Activity-fraction sweep samples.
-    pub sweep: Vec<SweepPoint>,
+    pub parent_matches_case: bool,
 }
 
-impl CasesGateReport {
-    /// True when every check passed.
-    pub fn pass(&self) -> bool {
-        self.checks.iter().all(|c| c.pass)
-            && self.bands_disjoint
-            && self.nest_matrix_bitwise
-            && self.nest_golden_bitwise
-            && self.nest_parent_matches_case
-            && self.nest.iter().all(|n| n.pass)
-            && self.sweep.iter().all(|s| s.in_band)
-    }
-
-    /// All violation strings.
-    pub fn violations(&self) -> Vec<String> {
-        let mut v: Vec<String> = self
-            .checks
-            .iter()
-            .flat_map(|c| {
-                c.violations
-                    .iter()
-                    .map(move |x| format!("cases: {}: {x}", c.case))
-            })
-            .collect();
-        if !self.bands_disjoint {
-            v.push("cases: library activity bands overlap".into());
-        }
-        if !self.nest_matrix_bitwise {
-            v.push("cases: nested matrix diverged across versions/layouts/comm modes".into());
-        }
-        if !self.nest_golden_bitwise {
-            v.push(format!(
-                "cases: nested child drifted from goldens/case_nested.golden (min digits {})",
-                self.nest_min_digits
-            ));
-        }
-        if !self.nest_parent_matches_case {
-            v.push("cases: nested parent diverged from the un-nested squall-line run".into());
-        }
-        for n in &self.nest {
-            if !n.pass {
-                v.push(format!(
-                    "cases: nest {}: interior digits {:.2} < floor {:.2}",
-                    n.case, n.interior_digits, n.floor
-                ));
-            }
-        }
-        for s in &self.sweep {
-            if !s.in_band {
-                v.push(format!(
-                    "cases: sweep {} at scale {}: activity {:.4} outside band",
-                    s.case, s.scale, s.activity
-                ));
-            }
-        }
-        v
-    }
-
-    /// Human-readable rendering: the per-case digest table, canonical
-    /// case/nest lines, and the sweep.
-    pub fn rendered(&self) -> String {
-        let mut s = String::new();
-        s.push_str("=== repro cases: per-case digest table ===\n");
-        let mut t = TextTable::new(&[
-            "case", "runs", "bitwise", "golden", "digits", "comm", "activity", "band", "result",
-        ]);
-        for c in &self.checks {
-            t.push_row(vec![
-                c.case.to_string(),
-                c.matrix_runs.to_string(),
-                if c.bitwise { "yes" } else { "no" }.to_string(),
-                if c.golden_bitwise { "yes" } else { "no" }.to_string(),
-                c.min_digits.to_string(),
-                if c.comm_bitwise { "yes" } else { "no" }.to_string(),
-                format!("{:.4}", c.activity),
-                format!("[{:.3},{:.3}]", c.band.0, c.band.1),
-                if c.pass { "pass" } else { "FAIL" }.to_string(),
-            ]);
-        }
-        s.push_str(&t.rendered());
-        s.push('\n');
-        for c in &self.checks {
-            let _ = writeln!(
-                s,
-                "{}",
-                case_line(c.case, c.activity, c.band.0, c.band.1, c.checksum, c.bitwise)
-            );
-        }
-        let _ = writeln!(
-            s,
-            "\n=== repro cases: one-way nest (ratio {} over {}x{} parent cells, margin {}) ===",
-            ModelConfig::GATE_NEST.ratio,
-            ModelConfig::GATE_NEST.w,
-            ModelConfig::GATE_NEST.h,
-            self.cfg.nest_margin
+/// Assembles the cases report from its axes.
+pub fn report(
+    checks: &[CaseCheck],
+    pins: &NestPins,
+    nest: &[NestCheck],
+    sweep: &[SweepPoint],
+    sweep_scales: &[f64],
+) -> Report {
+    // No colon after `case`: CI greps `^case: ` for the summary lines.
+    let mut out: Vec<Check> = checks
+        .iter()
+        .map(|c| Check::all_of(format!("case {}", c.case), &c.violations))
+        .collect();
+    let disjoint = bands_disjoint();
+    out.push(Check::new(
+        "library activity bands disjoint",
+        disjoint,
+        "library activity bands overlap",
+    ));
+    out.push(Check::new(
+        "nest matrix bitwise",
+        pins.matrix_bitwise,
+        "nested matrix diverged across versions/layouts/comm modes",
+    ));
+    out.push(Check::new(
+        "nest child vs golden",
+        pins.golden.bitwise,
+        format!(
+            "nested child drifted from goldens/case_nested.golden (min digits {})",
+            pins.golden.min_digits
+        ),
+    ));
+    out.push(Check::new(
+        "nest parent vs case golden",
+        pins.parent_matches_case,
+        "nested parent diverged from the un-nested squall-line run",
+    ));
+    out.extend(nest.iter().map(|n| {
+        let detail = format!(
+            "interior digits {:.2} < floor {:.2}",
+            n.interior_digits, n.floor
         );
-        let _ =
-            writeln!(
-            s,
-            "nest matrix bitwise: {}; child vs golden: {} ({} digits); parent vs case golden: {}",
-            if self.nest_matrix_bitwise { "yes" } else { "NO" },
-            if self.nest_golden_bitwise { "yes" } else { "NO" },
-            self.nest_min_digits,
-            if self.nest_parent_matches_case { "yes" } else { "NO" },
-        );
-        for n in &self.nest {
-            let _ = writeln!(
-                s,
-                "{}",
-                nest_line(
-                    n.case,
-                    ModelConfig::GATE_NEST.ratio,
-                    n.interior_digits,
-                    n.floor,
-                    n.pass
-                )
-            );
-        }
-        let _ = writeln!(
-            s,
-            "\n=== repro cases: activity sweep (scales {:?}) ===",
-            self.cfg.sweep_scales
-        );
-        for p in &self.sweep {
-            let _ = writeln!(
-                s,
-                "sweep: {} scale={} activity={:.4} {}",
-                p.case,
-                p.scale,
-                p.activity,
-                if p.in_band { "in-band" } else { "OUT-OF-BAND" }
-            );
-        }
-        let _ = writeln!(
-            s,
-            "\ncases gate: {}",
-            if self.pass() { "pass" } else { "FAIL" }
-        );
-        s
-    }
-
-    /// Renders the machine-readable `BENCH_cases.json`.
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n  \"bench\": \"cases\",\n  \"format\": 1,\n");
-        let _ = writeln!(s, "  \"pass\": {},", self.pass());
-        let _ = writeln!(
-            s,
-            "  \"case\": {{\"ranks\": {}, \"workers\": {}, \"nest_margin\": {}, \
-             \"sweep_scales\": [{}]}},",
-            self.cfg.ranks,
-            self.cfg.workers,
-            self.cfg.nest_margin,
-            self.cfg
-                .sweep_scales
-                .iter()
-                .map(|x| x.to_string())
-                .collect::<Vec<_>>()
-                .join(", ")
-        );
-        s.push_str("  \"cases\": [\n");
-        for (n, c) in self.checks.iter().enumerate() {
-            let _ = writeln!(
-                s,
-                "    {{\"case\": \"{}\", \"matrix_runs\": {}, \"bitwise\": {}, \
-                 \"golden_bitwise\": {}, \"min_digits\": {}, \"worst_field\": \"{}\", \
-                 \"comm_bitwise\": {}, \"activity\": {:.6}, \"band\": [{}, {}], \
-                 \"checksum\": \"{:016x}\", \"pass\": {}}}{}",
-                escape(c.case),
-                c.matrix_runs,
-                c.bitwise,
-                c.golden_bitwise,
-                c.min_digits,
-                escape(&c.worst_field),
-                c.comm_bitwise,
-                c.activity,
-                c.band.0,
-                c.band.1,
-                c.checksum,
-                c.pass,
-                if n + 1 < self.checks.len() { "," } else { "" }
-            );
-        }
-        s.push_str("  ],\n");
-        let _ = writeln!(s, "  \"bands_disjoint\": {},", self.bands_disjoint);
-        let _ = writeln!(
-            s,
-            "  \"nest\": {{\"matrix_bitwise\": {}, \"golden_bitwise\": {}, \"min_digits\": {}, \
-             \"parent_matches_case\": {}, \"cases\": [",
-            self.nest_matrix_bitwise,
-            self.nest_golden_bitwise,
-            self.nest_min_digits,
-            self.nest_parent_matches_case
-        );
-        for (n, c) in self.nest.iter().enumerate() {
-            let _ = writeln!(
-                s,
-                "    {{\"case\": \"{}\", \"interior_digits\": {:.3}, \"floor\": {}, \"pass\": {}}}{}",
-                escape(c.case),
-                c.interior_digits,
-                c.floor,
-                c.pass,
-                if n + 1 < self.nest.len() { "," } else { "" }
-            );
-        }
-        s.push_str("  ]},\n");
-        s.push_str("  \"sweep\": [\n");
-        for (n, p) in self.sweep.iter().enumerate() {
-            let _ = writeln!(
-                s,
-                "    {{\"case\": \"{}\", \"scale\": {}, \"activity\": {:.6}, \"in_band\": {}}}{}",
-                escape(p.case),
-                p.scale,
-                p.activity,
-                p.in_band,
-                if n + 1 < self.sweep.len() { "," } else { "" }
-            );
-        }
-        s.push_str("  ]\n}\n");
-        s
+        Check::new(format!("nest floor: {}", n.case), n.pass, detail)
+            .bounded(n.interior_digits, n.floor)
+    }));
+    out.extend(sweep.iter().map(|p| {
+        Check::new(
+            format!("sweep in band: {} @ {}", p.case, p.scale),
+            p.in_band,
+            format!("activity {:.4} outside band", p.activity),
+        )
+    }));
+    let cases = Table::new(
+        "cases",
+        "per-case digest table",
+        &[
+            "case",
+            "matrix_runs",
+            "bitwise",
+            "golden_bitwise",
+            "min_digits",
+            "worst_field",
+            "comm_bitwise",
+            "activity",
+            "band",
+            "checksum",
+            "pass",
+        ],
+        checks.iter().map(|c| {
+            vec![
+                c.case.into(),
+                c.matrix_runs.into(),
+                c.bitwise.into(),
+                c.golden.bitwise.into(),
+                c.golden.min_digits.into(),
+                c.golden.worst_field.as_str().into(),
+                c.comm_bitwise.into(),
+                Cell::num(c.activity, 6),
+                Cell::List(vec![c.band.0.into(), c.band.1.into()]),
+                format!("{:016x}", c.checksum).into(),
+                c.violations.is_empty().into(),
+            ]
+        }),
+    );
+    let gn = ModelConfig::GATE_NEST;
+    let pins_table = Table::new(
+        "pins",
+        format!(
+            "library bands; one-way nest (ratio {} over {}x{} parent cells, margin {NEST_MARGIN})",
+            gn.ratio, gn.w, gn.h
+        ),
+        &[
+            "bands_disjoint",
+            "matrix_bitwise",
+            "golden_bitwise",
+            "min_digits",
+            "parent_matches_case",
+        ],
+        [vec![
+            disjoint.into(),
+            pins.matrix_bitwise.into(),
+            pins.golden.bitwise.into(),
+            pins.golden.min_digits.into(),
+            pins.parent_matches_case.into(),
+        ]],
+    );
+    let nest_table = Table::new(
+        "nest",
+        "nested child vs solo fine-grid run, interior digits",
+        &["case", "interior_digits", "floor", "pass"],
+        nest.iter().map(|n| {
+            vec![
+                n.case.into(),
+                Cell::num(n.interior_digits, 3),
+                n.floor.into(),
+                n.pass.into(),
+            ]
+        }),
+    );
+    let sweep_table = Table::new(
+        "sweep",
+        "activity sweep",
+        &["case", "scale", "activity", "in_band"],
+        sweep.iter().map(|p| {
+            vec![
+                p.case.into(),
+                p.scale.into(),
+                Cell::num(p.activity, 6),
+                p.in_band.into(),
+            ]
+        }),
+    );
+    let mut lines: Vec<String> = checks
+        .iter()
+        .map(|c| {
+            case_line(
+                c.case, c.activity, c.band.0, c.band.1, c.checksum, c.bitwise,
+            )
+        })
+        .collect();
+    lines.extend(
+        nest.iter()
+            .map(|n| nest_line(n.case, gn.ratio, n.interior_digits, n.floor, n.pass)),
+    );
+    lines.extend(sweep.iter().map(|p| {
+        format!(
+            "sweep: {} scale={} activity={:.4} {}",
+            p.case,
+            p.scale,
+            p.activity,
+            if p.in_band { "in-band" } else { "OUT-OF-BAND" }
+        )
+    }));
+    Report {
+        gate: "cases",
+        case: vec![
+            ("ranks", RANKS.into()),
+            ("workers", WORKERS.into()),
+            ("nest_margin", NEST_MARGIN.into()),
+            (
+                "sweep_scales",
+                Cell::List(sweep_scales.iter().map(|&x| x.into()).collect()),
+            ),
+        ],
+        checks: out,
+        tables: vec![cases, pins_table, nest_table, sweep_table],
+        lines,
     }
 }
 
@@ -482,34 +386,19 @@ pub fn bless_nested_fixture() -> Result<GoldenFixture, String> {
 
 /// Writes the five case fixtures plus the nested-child fixture into
 /// `dir` (the `repro cases --bless` path).
-pub fn bless_cases(dir: &Path) -> Result<Vec<std::path::PathBuf>, String> {
-    std::fs::create_dir_all(dir).map_err(|e| format!("mkdir {}: {e}", dir.display()))?;
+pub fn bless_cases(dir: &Path) -> Result<Vec<PathBuf>, String> {
     let mut written = Vec::new();
     for kind in CaseKind::ALL {
-        let fixture = bless_case_fixture(kind);
-        let path = dir.join(format!("{}.golden", case_fixture_name(kind)));
-        std::fs::write(&path, fixture.rendered())
-            .map_err(|e| format!("write {}: {e}", path.display()))?;
-        written.push(path);
+        written.push(bless_case_fixture(kind).write_to(dir, &case_fixture_name(kind))?);
     }
-    let fixture = bless_nested_fixture()?;
-    let path = dir.join("case_nested.golden");
-    std::fs::write(&path, fixture.rendered())
-        .map_err(|e| format!("write {}: {e}", path.display()))?;
-    written.push(path);
+    written.push(bless_nested_fixture()?.write_to(dir, "case_nested")?);
     Ok(written)
 }
 
 /// Loads one named fixture from `dir`.
 fn load_fixture(dir: &Path, stem: &str) -> Result<GoldenFixture, String> {
-    let path = dir.join(format!("{stem}.golden"));
-    let text = std::fs::read_to_string(&path).map_err(|e| {
-        format!(
-            "cannot read {} — run `repro cases --bless` ({e})",
-            path.display()
-        )
-    })?;
-    GoldenFixture::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
+    GoldenFixture::read_from(&dir.join(format!("{stem}.golden")))
+        .map_err(|e| format!("{e} — run `repro cases --bless`"))
 }
 
 /// Column-activity fraction of `kind` at `scale` (analytic, no model
@@ -531,167 +420,148 @@ fn bands_disjoint() -> bool {
     bands.windows(2).all(|w| w[0].1 < w[1].0)
 }
 
-/// Runs the cases gate against the fixtures in `goldens_dir`.
-pub fn run_cases_gate(
-    gcfg: &CasesGateConfig,
-    goldens_dir: &Path,
-) -> Result<CasesGateReport, String> {
-    let mut checks = Vec::new();
-    for kind in CaseKind::ALL {
-        let fixture = load_fixture(goldens_dir, &case_fixture_name(kind))?;
-        let mut violations = Vec::new();
+/// Gates one case: the reproducibility matrix, the committed fixture,
+/// comm equivalence, and the activity band.
+pub fn case_check(kind: CaseKind, goldens_dir: &Path) -> Result<CaseCheck, String> {
+    let fixture = load_fixture(goldens_dir, &case_fixture_name(kind))?;
+    let mut violations = Vec::new();
 
-        // Reproducibility matrix: versions × schedulers × layouts, all
-        // single-rank, all required bitwise-identical.
-        let canonical = case_digest(
-            kind,
-            SbmVersion::Baseline,
-            ExecMode::StaticTiles,
-            1,
-            Layout::PointAos,
-        );
-        let mut matrix_runs = 0usize;
-        let mut bitwise = true;
-        for version in SbmVersion::ALL {
-            for (mode, workers) in [
-                (ExecMode::StaticTiles, 1),
-                (ExecMode::work_steal(), gcfg.workers),
-            ] {
-                for layout in Layout::ALL {
-                    matrix_runs += 1;
-                    let d = case_digest(kind, version, mode, workers, layout);
-                    if !compare_digests(&canonical, &d).bitwise() {
-                        bitwise = false;
-                        violations.push(format!(
-                            "{} {:?} w{} {:?} diverged from the canonical run",
-                            version.label(),
-                            mode,
-                            workers,
-                            layout
-                        ));
-                    }
+    // Reproducibility matrix: versions × schedulers × layouts, all
+    // single-rank, all required bitwise-identical.
+    let canonical = case_digest(
+        kind,
+        SbmVersion::Baseline,
+        ExecMode::StaticTiles,
+        1,
+        Layout::PointAos,
+    );
+    let mut matrix_runs = 0usize;
+    let mut bitwise = true;
+    for version in SbmVersion::ALL {
+        for (mode, workers) in [
+            (ExecMode::StaticTiles, 1),
+            (ExecMode::work_steal(), WORKERS),
+        ] {
+            for layout in Layout::ALL {
+                matrix_runs += 1;
+                let d = case_digest(kind, version, mode, workers, layout);
+                if !compare_digests(&canonical, &d).bitwise() {
+                    bitwise = false;
+                    violations.push(format!(
+                        "{} {:?} w{} {:?} diverged from the canonical run",
+                        version.label(),
+                        mode,
+                        workers,
+                        layout
+                    ));
                 }
             }
         }
-
-        // Canonical vs the committed fixture, under the golden policy.
-        let cmp = compare_digests(&fixture.digest, &canonical);
-        let golden_bitwise = cmp.bitwise();
-        let min_digits = cmp.min_digits();
-        let worst_field = cmp.worst().map(|f| f.name.clone()).unwrap_or_default();
-        if min_digits < gcfg.policy.min_state_digits && !golden_bitwise {
-            violations.push(format!(
-                "canonical run drifted from goldens/{}.golden: {min_digits} digits (worst {worst_field})",
-                case_fixture_name(kind)
-            ));
-        }
-
-        // Comm equivalence on a small decomposition.
-        let mut comm_cfg = ModelConfig::case_gate(
-            kind,
-            SbmVersion::Lookup,
-            ExecMode::work_steal(),
-            gcfg.workers,
-        );
-        comm_cfg.ranks = gcfg.ranks;
-        comm_cfg.comm = CommMode::Blocking;
-        let blocking = run_parallel(comm_cfg, ModelConfig::GATE_STEPS);
-        comm_cfg.comm = CommMode::Overlapped;
-        let overlapped = run_parallel(comm_cfg, ModelConfig::GATE_STEPS);
-        let comm_bitwise = blocking
-            .states
-            .iter()
-            .zip(overlapped.states.iter())
-            .all(|(b, o)| compare_digests(&b.digest(), &o.digest()).bitwise());
-        if !comm_bitwise {
-            violations.push(format!(
-                "blocking vs overlapped digests differ at {} ranks",
-                gcfg.ranks
-            ));
-        }
-
-        // Activity band at gate scale.
-        let activity = activity_fraction(kind, ModelConfig::GATE_SCALE);
-        let band = kind.activity_band();
-        if activity < band.0 || activity > band.1 {
-            violations.push(format!(
-                "activity {activity:.4} outside band [{:.3}, {:.3}]",
-                band.0, band.1
-            ));
-        }
-
-        let checksum = canonical.field("T").map(|f| f.checksum).unwrap_or(0);
-        checks.push(CaseCheck {
-            case: kind.slug(),
-            matrix_runs,
-            bitwise,
-            golden_bitwise,
-            min_digits,
-            worst_field,
-            comm_bitwise,
-            activity,
-            band,
-            checksum,
-            pass: violations.is_empty(),
-            violations,
-        });
     }
 
-    // Nested matrix: versions × layouts under blocking, plus the
-    // overlapped arm — parent and child must digest identically
-    // everywhere.
+    // Canonical vs the committed fixture, under the golden policy.
+    let golden = StateAgreement::of(&compare_digests(&fixture.digest, &canonical));
+    if golden.min_digits < MIN_STATE_DIGITS && !golden.bitwise {
+        violations.push(format!(
+            "canonical run drifted from goldens/{}.golden: {} digits (worst {})",
+            case_fixture_name(kind),
+            golden.min_digits,
+            golden.worst_field
+        ));
+    }
+
+    // Comm equivalence on a small decomposition.
+    let mut comm_cfg =
+        ModelConfig::case_gate(kind, SbmVersion::Lookup, ExecMode::work_steal(), WORKERS);
+    comm_cfg.ranks = RANKS;
+    comm_cfg.comm = CommMode::Blocking;
+    let blocking = run_parallel(comm_cfg, ModelConfig::GATE_STEPS);
+    comm_cfg.comm = CommMode::Overlapped;
+    let overlapped = run_parallel(comm_cfg, ModelConfig::GATE_STEPS);
+    let comm_bitwise = compare_states(&blocking.states, &overlapped.states).bitwise;
+    if !comm_bitwise {
+        violations.push(format!(
+            "blocking vs overlapped digests differ at {RANKS} ranks"
+        ));
+    }
+
+    // Activity band at gate scale.
+    let activity = activity_fraction(kind, ModelConfig::GATE_SCALE);
+    let band = kind.activity_band();
+    if activity < band.0 || activity > band.1 {
+        violations.push(format!(
+            "activity {activity:.4} outside band [{:.3}, {:.3}]",
+            band.0, band.1
+        ));
+    }
+
+    Ok(CaseCheck {
+        case: kind.slug(),
+        matrix_runs,
+        bitwise,
+        golden,
+        comm_bitwise,
+        activity,
+        band,
+        checksum: canonical.field("T").map(|f| f.checksum).unwrap_or(0),
+        violations,
+    })
+}
+
+/// Runs the pinned nested configuration across versions × layouts ×
+/// comm modes — parent and child must digest identically everywhere —
+/// and compares the canonical run against the fixtures.
+fn nest_pins(goldens_dir: &Path) -> Result<NestPins, String> {
     let nested_fixture = load_fixture(goldens_dir, "case_nested")?;
     let case_fixture = load_fixture(goldens_dir, &case_fixture_name(NEST_CASE))?;
-    let canonical_nested = run_nested(
+    let canonical = run_nested(
         nested_cfg(SbmVersion::Baseline, Layout::PointAos, CommMode::Blocking),
         ModelConfig::GATE_STEPS,
     )?;
-    let canonical_parent = canonical_nested.parent.digest();
-    let canonical_child = canonical_nested.child.digest();
-    let mut nest_matrix_bitwise = true;
+    let (parent, child) = (canonical.parent.digest(), canonical.child.digest());
+    let mut matrix_bitwise = true;
     for version in SbmVersion::ALL {
         for layout in Layout::ALL {
             for comm in [CommMode::Blocking, CommMode::Overlapped] {
                 let run = run_nested(nested_cfg(version, layout, comm), ModelConfig::GATE_STEPS)?;
-                if !compare_digests(&canonical_parent, &run.parent.digest()).bitwise()
-                    || !compare_digests(&canonical_child, &run.child.digest()).bitwise()
-                {
-                    nest_matrix_bitwise = false;
-                }
+                matrix_bitwise &= compare_digests(&parent, &run.parent.digest()).bitwise()
+                    && compare_digests(&child, &run.child.digest()).bitwise();
             }
         }
     }
-    let nest_cmp = compare_digests(&nested_fixture.digest, &canonical_child);
-    let nest_golden_bitwise = nest_cmp.bitwise();
-    let nest_min_digits = nest_cmp.min_digits();
-    let nest_parent_matches_case =
-        compare_digests(&case_fixture.digest, &canonical_parent).bitwise();
+    Ok(NestPins {
+        matrix_bitwise,
+        golden: StateAgreement::of(&compare_digests(&nested_fixture.digest, &child)),
+        parent_matches_case: compare_digests(&case_fixture.digest, &parent).bitwise(),
+    })
+}
 
-    // Nested-vs-solo interior agreement, per case.
-    let mut nest = Vec::new();
-    for kind in CaseKind::ALL {
-        let mut cfg = ModelConfig::case_gate(kind, SbmVersion::Lookup, ExecMode::StaticTiles, 1);
-        cfg.nest = Some(ModelConfig::GATE_NEST);
-        let nested = run_nested(cfg, ModelConfig::GATE_STEPS)?;
-        let solo = run_solo_fine(cfg, ModelConfig::GATE_STEPS)?;
-        let rel = interior_max_rel(&nested.child, &solo, gcfg.nest_margin);
-        let interior_digits = if rel <= 0.0 {
-            15.0
-        } else {
-            (-rel.log10()).clamp(0.0, 15.0)
-        };
-        let floor = nest_digit_floor(kind);
-        nest.push(NestCheck {
-            case: kind.slug(),
-            interior_digits,
-            floor,
-            pass: interior_digits >= floor,
-        });
-    }
+/// Nested-vs-solo interior agreement of one case.
+pub fn nest_check(kind: CaseKind) -> Result<NestCheck, String> {
+    let mut cfg = ModelConfig::case_gate(kind, SbmVersion::Lookup, ExecMode::StaticTiles, 1);
+    cfg.nest = Some(ModelConfig::GATE_NEST);
+    let nested = run_nested(cfg, ModelConfig::GATE_STEPS)?;
+    let solo = run_solo_fine(cfg, ModelConfig::GATE_STEPS)?;
+    let rel = interior_max_rel(&nested.child, &solo, NEST_MARGIN);
+    let interior_digits = if rel <= 0.0 {
+        15.0
+    } else {
+        (-rel.log10()).clamp(0.0, 15.0)
+    };
+    let floor = nest_digit_floor(kind);
+    Ok(NestCheck {
+        case: kind.slug(),
+        interior_digits,
+        floor,
+        pass: interior_digits >= floor,
+    })
+}
 
-    // Activity sweep (the standing BENCH_cases.json axis).
+/// The activity sweep over `scales` (the standing `BENCH_cases.json`
+/// axis).
+pub fn activity_sweep(scales: &[f64]) -> Vec<SweepPoint> {
     let mut sweep = Vec::new();
-    for &scale in &gcfg.sweep_scales {
+    for &scale in scales {
         for kind in CaseKind::LIBRARY {
             let activity = activity_fraction(kind, scale);
             let band = kind.activity_band();
@@ -703,18 +573,23 @@ pub fn run_cases_gate(
             });
         }
     }
+    sweep
+}
 
-    Ok(CasesGateReport {
-        cfg: gcfg.clone(),
-        checks,
-        bands_disjoint: bands_disjoint(),
-        nest_matrix_bitwise,
-        nest_golden_bitwise,
-        nest_min_digits,
-        nest_parent_matches_case,
-        nest,
-        sweep,
-    })
+/// Runs the cases gate against the fixtures in `goldens_dir`, sweeping
+/// the activity fractions over `sweep_scales`.
+pub fn run(goldens_dir: &Path, sweep_scales: &[f64]) -> Result<Report, String> {
+    let checks = CaseKind::ALL
+        .into_iter()
+        .map(|kind| case_check(kind, goldens_dir))
+        .collect::<Result<Vec<_>, _>>()?;
+    let pins = nest_pins(goldens_dir)?;
+    let nest = CaseKind::ALL
+        .into_iter()
+        .map(nest_check)
+        .collect::<Result<Vec<_>, _>>()?;
+    let sweep = activity_sweep(sweep_scales);
+    Ok(report(&checks, &pins, &nest, &sweep, sweep_scales))
 }
 
 #[cfg(test)]
@@ -726,14 +601,16 @@ mod tests {
             case: "squall_line",
             matrix_runs: 16,
             bitwise: pass,
-            golden_bitwise: pass,
-            min_digits: if pass { 15 } else { 3 },
-            worst_field: if pass { String::new() } else { "T".into() },
+            golden: StateAgreement {
+                bitwise: pass,
+                min_digits: if pass { 15 } else { 3 },
+                worst_field: if pass { String::new() } else { "T".into() },
+                worst_ulp: 0,
+            },
             comm_bitwise: true,
             activity: 0.2794,
             band: (0.25, 0.45),
             checksum: 0xdead_beef,
-            pass,
             violations: if pass {
                 Vec::new()
             } else {
@@ -742,45 +619,59 @@ mod tests {
         }
     }
 
-    fn report(pass: bool) -> CasesGateReport {
-        CasesGateReport {
-            cfg: CasesGateConfig::default(),
-            checks: vec![check(pass)],
-            bands_disjoint: true,
-            nest_matrix_bitwise: true,
-            nest_golden_bitwise: true,
-            nest_min_digits: 15,
-            nest_parent_matches_case: true,
-            nest: vec![NestCheck {
-                case: "squall_line",
-                interior_digits: 3.6,
-                floor: 3.0,
-                pass: true,
-            }],
-            sweep: vec![SweepPoint {
-                case: "squall_line",
-                scale: 0.05,
-                activity: 0.2794,
-                in_band: pass,
-            }],
+    fn pins() -> NestPins {
+        NestPins {
+            matrix_bitwise: true,
+            golden: StateAgreement::full(),
+            parent_matches_case: true,
         }
+    }
+
+    fn nest(interior_digits: f64) -> NestCheck {
+        NestCheck {
+            case: "squall_line",
+            interior_digits,
+            floor: 3.0,
+            pass: interior_digits >= 3.0,
+        }
+    }
+
+    fn report_of(pass: bool, nest_digits: f64) -> Report {
+        let sweep = SweepPoint {
+            case: "squall_line",
+            scale: 0.05,
+            activity: 0.2794,
+            in_band: pass,
+        };
+        report(
+            &[check(pass)],
+            &pins(),
+            &[nest(nest_digits)],
+            &[sweep],
+            &[0.05],
+        )
     }
 
     #[test]
     fn verdict_aggregates_every_axis() {
-        assert!(report(true).pass());
-        let bad = report(false);
+        assert!(report_of(true, 3.6).pass());
+        let bad = report_of(false, 3.6);
         assert!(!bad.pass());
         let v = bad.violations();
         assert!(v.iter().any(|x| x.contains("matrix diverged")), "{v:?}");
         assert!(v.iter().any(|x| x.contains("sweep")), "{v:?}");
+        // Each nest pin gates on its own.
+        let mut broken = pins();
+        broken.matrix_bitwise = false;
+        broken.golden.bitwise = false;
+        broken.parent_matches_case = false;
+        let v = report(&[], &broken, &[], &[], &[]).violations();
+        assert_eq!(v.len(), 3, "{v:?}");
     }
 
     #[test]
     fn nest_floor_gates() {
-        let mut rep = report(true);
-        rep.nest[0].interior_digits = 1.2;
-        rep.nest[0].pass = false;
+        let rep = report_of(true, 1.2);
         assert!(!rep.pass());
         assert!(rep
             .violations()
@@ -788,21 +679,28 @@ mod tests {
             .any(|v| v.contains("interior digits 1.20")));
     }
 
+    /// The parent format's keys and printed digits survive the envelope,
+    /// and the summary lines CI greps are verbatim.
     #[test]
     fn rendering_and_json_carry_the_table() {
-        let rep = report(true);
+        let rep = report_of(true, 3.6);
         let text = rep.rendered();
         assert!(text.contains("per-case digest table"), "{text}");
         assert!(text.contains("case: squall_line activity=0.2794"), "{text}");
         assert!(text.contains("nest: squall_line ratio=2"), "{text}");
-        assert!(text.contains("cases gate: pass"), "{text}");
+        assert!(
+            text.contains("sweep: squall_line scale=0.05 activity=0.2794 in-band"),
+            "{text}"
+        );
+        assert!(text.contains("cases gate: PASS"), "{text}");
         let json = rep.to_json();
-        assert!(json.contains("\"bench\": \"cases\""), "{json}");
+        assert!(json.contains("\"gate\": \"cases\""), "{json}");
         assert!(
             json.contains("\"checksum\": \"00000000deadbeef\""),
             "{json}"
         );
-        assert!(json.contains("\"interior_digits\": 3.600"), "{json}");
+        assert!(json.contains("\"band\": [0.25, 0.45]"), "{json}");
+        assert!(json.contains("\"interior_digits\": 3.6"), "{json}");
         assert!(json.contains("\"pass\": true"), "{json}");
     }
 
@@ -819,5 +717,35 @@ mod tests {
     #[test]
     fn bands_are_disjoint() {
         assert!(bands_disjoint());
+    }
+
+    /// The assertion inventory of the real gate at its cheapest: one
+    /// case through every axis against the committed fixtures (the
+    /// nested version × layout × comm matrix is `repro cases`' to run).
+    #[test]
+    fn gate_arms_make_exactly_these_assertions() {
+        let goldens = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../goldens");
+        let kind = CaseKind::ShallowConvection;
+        let rep = report(
+            &[case_check(kind, &goldens).expect("committed fixture")],
+            &pins(),
+            &[nest_check(kind).expect("nest runs")],
+            &activity_sweep(&[ModelConfig::GATE_SCALE])[..1],
+            &[ModelConfig::GATE_SCALE],
+        );
+        assert!(rep.pass(), "{:?}", rep.violations());
+        let labels: Vec<&str> = rep.checks.iter().map(|c| c.label.as_str()).collect();
+        assert_eq!(
+            labels,
+            [
+                "case shallow_convection",
+                "library activity bands disjoint",
+                "nest matrix bitwise",
+                "nest child vs golden",
+                "nest parent vs case golden",
+                "nest floor: shallow_convection",
+                "sweep in band: shallow_convection @ 0.05",
+            ]
+        );
     }
 }

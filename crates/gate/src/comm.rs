@@ -10,288 +10,160 @@
 //!   bit of the weather (the §VII-B `diffwrf` bar, applied to comm).
 //! * **Overlap** — on a 16-rank case sized so every patch has an
 //!   interior core, the replayed α–β cost model must hide at least
-//!   [`CommGateConfig::min_hidden_fraction`] of the posted halo time
-//!   behind interior tendencies (3 of the 4 refreshes per scalar have
-//!   compute to hide behind, so ~75% is the ceiling).
+//!   [`MIN_HIDDEN_FRACTION`] of the posted halo time behind interior
+//!   tendencies (3 of the 4 refreshes per scalar have compute to hide
+//!   behind, so ~75% is the ceiling).
 //!
-//! The outcome is `BENCH_comm.json` with per-rank overlap stats, next
-//! to `gate_report.json`; any violation makes `repro comm` exit
-//! nonzero.
+//! The report is written to `BENCH_comm.json` with per-rank overlap
+//! stats; any violation makes `repro comm` exit nonzero.
 
-use crate::golden::compare_digests;
-use crate::json::escape;
+use crate::golden::{compare_states, equivalence, EquivRow, StateAgreement};
+use crate::report::{Cell, Check, Report, Table};
 use fsbm_core::exec::ExecMode;
 use fsbm_core::scheme::SbmVersion;
 use miniwrf::config::ModelConfig;
 use miniwrf::parallel::{run_parallel, CommStats};
+use miniwrf::RunReport;
 use mpi_sim::CommMode;
-use prof_sim::{comm_line, TextTable};
-use std::fmt::Write as _;
 
-/// Configuration of one comm-gate invocation.
-#[derive(Debug, Clone, Copy)]
-pub struct CommGateConfig {
-    /// Ranks of the equivalence runs (the gate case decomposed).
-    pub ranks: usize,
-    /// Horizontal scale of the overlap bench (large enough that every
-    /// patch keeps an interior core at `bench_ranks`).
-    pub bench_scale: f64,
-    /// Vertical levels of the overlap bench.
-    pub bench_nz: i32,
-    /// Ranks of the overlap bench (the paper's headline rank count).
-    pub bench_ranks: usize,
-    /// Steps of the overlap bench.
-    pub bench_steps: usize,
-    /// Required fraction of posted halo seconds hidden behind interior
-    /// compute in the overlap bench.
-    pub min_hidden_fraction: f64,
-}
+/// Ranks of the equivalence runs (the gate case decomposed).
+const RANKS: usize = 4;
+/// Horizontal scale of the overlap bench (large enough that every patch
+/// keeps an interior core at [`BENCH_RANKS`]).
+const BENCH_SCALE: f64 = 0.3;
+/// Vertical levels of the overlap bench.
+const BENCH_NZ: i32 = 8;
+/// Ranks of the overlap bench (the paper's headline rank count).
+const BENCH_RANKS: usize = 16;
+/// Steps of the overlap bench.
+const BENCH_STEPS: usize = 2;
+/// Required fraction of posted halo seconds hidden behind interior
+/// compute in the overlap bench.
+pub const MIN_HIDDEN_FRACTION: f64 = 0.5;
 
-impl Default for CommGateConfig {
-    fn default() -> Self {
-        CommGateConfig {
-            ranks: 4,
-            bench_scale: 0.3,
-            bench_nz: 8,
-            bench_ranks: 16,
-            bench_steps: 2,
-            min_hidden_fraction: 0.5,
-        }
-    }
-}
-
-/// One equivalence comparison: Blocking vs Overlapped digests of every
-/// rank's end state for one scheme version.
+/// The overlap bench's outcome: both arms' summed comm seconds and the
+/// Overlapped arm's per-rank stats.
 #[derive(Debug, Clone)]
-pub struct CommCheck {
-    /// Scheme version under test.
-    pub version: &'static str,
-    /// Rank count of the runs.
-    pub ranks: usize,
-    /// True when every rank's digest matched bit for bit.
+pub struct OverlapBench {
+    /// Whether the two arms agreed bitwise.
     pub bitwise: bool,
-    /// Minimum agreed digits across ranks and fields.
-    pub min_digits: u32,
-    /// Worst-agreeing field (empty when bitwise).
-    pub worst_field: String,
-    /// True when the check passed (bitwise equality required).
-    pub pass: bool,
-    /// Failure details (empty when passing).
-    pub violations: Vec<String>,
-}
-
-/// Per-rank modeled comm stats of the overlap bench's Overlapped arm.
-#[derive(Debug, Clone, Copy)]
-pub struct RankOverlap {
-    /// Rank index.
-    pub rank: usize,
-    /// The rank's accumulated comm stats.
-    pub stats: CommStats,
-}
-
-/// The comm gate's full outcome.
-#[derive(Debug, Clone)]
-pub struct CommGateReport {
-    /// Configuration the gate ran with.
-    pub cfg: CommGateConfig,
-    /// Per-version equivalence checks.
-    pub checks: Vec<CommCheck>,
-    /// Whether the overlap bench's two arms agreed bitwise.
-    pub bench_bitwise: bool,
-    /// Per-rank overlap stats of the bench's Overlapped arm.
-    pub bench: Vec<RankOverlap>,
     /// Summed modeled comm seconds of the Blocking arm.
     pub blocking_secs: f64,
     /// Summed exposed comm seconds of the Overlapped arm.
     pub overlapped_secs: f64,
+    /// `(rank, comm stats)` of the Overlapped arm.
+    pub ranks: Vec<(usize, CommStats)>,
+}
+
+impl OverlapBench {
     /// Aggregate hidden fraction across ranks.
-    pub hidden_fraction: f64,
-}
-
-impl CommGateReport {
-    /// True when every check and the overlap requirement passed.
-    pub fn pass(&self) -> bool {
-        self.checks.iter().all(|c| c.pass)
-            && self.bench_bitwise
-            && self.hidden_fraction >= self.cfg.min_hidden_fraction
-    }
-
-    /// All violation strings.
-    pub fn violations(&self) -> Vec<String> {
-        let mut v: Vec<String> = self
-            .checks
+    pub fn hidden_fraction(&self) -> f64 {
+        let mut merged = mpi_sim::OverlapStats::default();
+        self.ranks
             .iter()
-            .flat_map(|c| {
-                c.violations
-                    .iter()
-                    .map(move |x| format!("comm: {} [{} ranks]: {x}", c.version, c.ranks))
-            })
-            .collect();
-        if !self.bench_bitwise {
-            v.push("comm: overlap bench arms diverged bitwise".into());
-        }
-        if self.hidden_fraction < self.cfg.min_hidden_fraction {
-            v.push(format!(
-                "comm: hidden fraction {:.3} < required {:.3} at {} ranks",
-                self.hidden_fraction, self.cfg.min_hidden_fraction, self.cfg.bench_ranks
-            ));
-        }
-        v
-    }
-
-    /// Human-readable rendering: equivalence table plus per-rank
-    /// comm lines.
-    pub fn rendered(&self) -> String {
-        let mut s = String::new();
-        s.push_str("=== repro comm: Blocking vs Overlapped digest equivalence ===\n");
-        let mut t = TextTable::new(&[
-            "version",
-            "ranks",
-            "bitwise",
-            "min digits",
-            "worst field",
-            "result",
-        ]);
-        for c in &self.checks {
-            t.push_row(vec![
-                c.version.to_string(),
-                c.ranks.to_string(),
-                if c.bitwise { "yes" } else { "no" }.to_string(),
-                c.min_digits.to_string(),
-                c.worst_field.clone(),
-                if c.pass { "pass" } else { "FAIL" }.to_string(),
-            ]);
-        }
-        s.push_str(&t.rendered());
-        let _ = writeln!(
-            s,
-            "\n=== repro comm: overlap bench (scale {} nz {} ranks {} steps {}) ===",
-            self.cfg.bench_scale, self.cfg.bench_nz, self.cfg.bench_ranks, self.cfg.bench_steps
-        );
-        for r in &self.bench {
-            let o = r.stats.overlap;
-            let _ = writeln!(
-                s,
-                "{}",
-                comm_line(
-                    r.stats.mode.name(),
-                    r.rank,
-                    r.stats.msgs,
-                    r.stats.bytes,
-                    o.posted_secs * 1e6,
-                    o.hidden_secs * 1e6,
-                    o.exposed_secs * 1e6,
-                    o.hidden_fraction(),
-                )
-            );
-        }
-        let _ = writeln!(
-            s,
-            "blocking comm {:.1}us -> overlapped exposed {:.1}us; hidden {:.1}% (require >= {:.0}%): {}",
-            self.blocking_secs * 1e6,
-            self.overlapped_secs * 1e6,
-            self.hidden_fraction * 100.0,
-            self.cfg.min_hidden_fraction * 100.0,
-            if self.pass() { "pass" } else { "FAIL" }
-        );
-        s
-    }
-
-    /// Renders the machine-readable `BENCH_comm.json`.
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n  \"bench\": \"comm\",\n  \"format\": 1,\n");
-        let _ = writeln!(s, "  \"pass\": {},", self.pass());
-        let _ = writeln!(
-            s,
-            "  \"case\": {{\"ranks\": {}, \"bench_scale\": {}, \"bench_nz\": {}, \
-             \"bench_ranks\": {}, \"bench_steps\": {}, \"min_hidden_fraction\": {}}},",
-            self.cfg.ranks,
-            self.cfg.bench_scale,
-            self.cfg.bench_nz,
-            self.cfg.bench_ranks,
-            self.cfg.bench_steps,
-            self.cfg.min_hidden_fraction
-        );
-        s.push_str("  \"equivalence\": [\n");
-        for (n, c) in self.checks.iter().enumerate() {
-            let _ = writeln!(
-                s,
-                "    {{\"version\": \"{}\", \"ranks\": {}, \"bitwise\": {}, \
-                 \"min_digits\": {}, \"worst_field\": \"{}\", \"pass\": {}}}{}",
-                escape(c.version),
-                c.ranks,
-                c.bitwise,
-                c.min_digits,
-                escape(&c.worst_field),
-                c.pass,
-                if n + 1 < self.checks.len() { "," } else { "" }
-            );
-        }
-        s.push_str("  ],\n");
-        let _ = writeln!(s, "  \"bench_bitwise\": {},", self.bench_bitwise);
-        let _ = writeln!(s, "  \"blocking_secs\": {:.9},", self.blocking_secs);
-        let _ = writeln!(s, "  \"overlapped_secs\": {:.9},", self.overlapped_secs);
-        let _ = writeln!(s, "  \"hidden_fraction\": {:.6},", self.hidden_fraction);
-        s.push_str("  \"ranks\": [\n");
-        for (n, r) in self.bench.iter().enumerate() {
-            let o = r.stats.overlap;
-            let _ = writeln!(
-                s,
-                "    {{\"rank\": {}, \"mode\": \"{}\", \"msgs\": {}, \"bytes\": {}, \
-                 \"posted\": {}, \"completed\": {}, \"posted_secs\": {:.9}, \
-                 \"hidden_secs\": {:.9}, \"exposed_secs\": {:.9}, \"hidden_fraction\": {:.6}}}{}",
-                r.rank,
-                r.stats.mode.name(),
-                r.stats.msgs,
-                r.stats.bytes,
-                o.posted,
-                o.completed,
-                o.posted_secs,
-                o.hidden_secs,
-                o.exposed_secs,
-                o.hidden_fraction(),
-                if n + 1 < self.bench.len() { "," } else { "" }
-            );
-        }
-        s.push_str("  ]\n}\n");
-        s
+            .for_each(|(_, r)| merged.merge(&r.overlap));
+        merged.hidden_fraction()
     }
 }
 
-/// Runs one case in both comm modes and compares every rank's digest.
-/// Returns the comparison fields plus the two runs' reports.
+/// Assembles the comm report from the equivalence rows and the bench.
+pub fn report(equiv: &[EquivRow], bench: &OverlapBench) -> Report {
+    let (table, mut checks) = equivalence(
+        "equivalence",
+        "Blocking vs Overlapped digest equivalence",
+        equiv,
+    );
+    let hidden = bench.hidden_fraction();
+    checks.push(Check::new(
+        "overlap bench arms bitwise",
+        bench.bitwise,
+        "overlap bench arms diverged bitwise",
+    ));
+    checks.push(
+        Check::new(
+            "hidden fraction",
+            hidden >= MIN_HIDDEN_FRACTION,
+            format!(
+                "hidden fraction {hidden:.3} < required {MIN_HIDDEN_FRACTION:.3} at {BENCH_RANKS} ranks"
+            ),
+        )
+        .bounded(hidden, MIN_HIDDEN_FRACTION),
+    );
+    let overlap = Table::new(
+        "overlap",
+        "overlap bench: blocking comm vs overlapped exposed comm",
+        &[
+            "bench_bitwise",
+            "blocking_secs",
+            "overlapped_secs",
+            "hidden_fraction",
+        ],
+        [vec![
+            bench.bitwise.into(),
+            Cell::num(bench.blocking_secs, 9),
+            Cell::num(bench.overlapped_secs, 9),
+            Cell::num(hidden, 6),
+        ]],
+    );
+    let ranks = Table::new(
+        "ranks",
+        "overlap bench: per-rank stats of the Overlapped arm",
+        &[
+            "rank",
+            "mode",
+            "msgs",
+            "bytes",
+            "posted",
+            "completed",
+            "posted_secs",
+            "hidden_secs",
+            "exposed_secs",
+            "hidden_fraction",
+        ],
+        bench.ranks.iter().map(|(rank, r)| {
+            let o = r.overlap;
+            vec![
+                (*rank).into(),
+                r.mode.name().into(),
+                r.msgs.into(),
+                r.bytes.into(),
+                o.posted.into(),
+                o.completed.into(),
+                Cell::num(o.posted_secs, 9),
+                Cell::num(o.hidden_secs, 9),
+                Cell::num(o.exposed_secs, 9),
+                Cell::num(o.hidden_fraction(), 6),
+            ]
+        }),
+    );
+    Report {
+        gate: "comm",
+        case: vec![
+            ("ranks", RANKS.into()),
+            ("bench_scale", BENCH_SCALE.into()),
+            ("bench_nz", BENCH_NZ.into()),
+            ("bench_ranks", BENCH_RANKS.into()),
+            ("bench_steps", BENCH_STEPS.into()),
+            ("min_hidden_fraction", MIN_HIDDEN_FRACTION.into()),
+        ],
+        checks,
+        tables: vec![table, overlap, ranks],
+        lines: Vec::new(),
+    }
+}
+
+/// Runs one case in both comm modes: how every rank's end state agreed,
+/// plus the two runs' reports.
 fn diff_modes(
     mut cfg: ModelConfig,
     steps: usize,
-) -> (
-    bool,
-    u32,
-    String,
-    Vec<miniwrf::RunReport>,
-    Vec<miniwrf::RunReport>,
-) {
+) -> (StateAgreement, Vec<RunReport>, Vec<RunReport>) {
     cfg.comm = CommMode::Blocking;
     let blocking = run_parallel(cfg, steps);
     cfg.comm = CommMode::Overlapped;
     let overlapped = run_parallel(cfg, steps);
-    let mut bitwise = true;
-    let mut min_digits = 15u32;
-    let mut worst_field = String::new();
-    for (b, o) in blocking.states.iter().zip(overlapped.states.iter()) {
-        let cmp = compare_digests(&b.digest(), &o.digest());
-        if !cmp.bitwise() {
-            bitwise = false;
-        }
-        if cmp.min_digits() < min_digits {
-            min_digits = cmp.min_digits();
-            worst_field = cmp.worst().map(|f| f.name.clone()).unwrap_or_default();
-        }
-    }
     (
-        bitwise,
-        min_digits,
-        worst_field,
+        compare_states(&blocking.states, &overlapped.states),
         blocking.reports,
         overlapped.reports,
     )
@@ -299,62 +171,38 @@ fn diff_modes(
 
 /// Runs the comm gate: per-version equivalence on the gate case, then
 /// the overlap bench.
-pub fn run_comm_gate(gcfg: &CommGateConfig) -> CommGateReport {
-    let mut checks = Vec::new();
+pub fn run() -> Report {
+    let mut equiv = Vec::new();
     for version in SbmVersion::ALL {
         let mut cfg = ModelConfig::gate(version, ExecMode::work_steal(), 3);
-        cfg.ranks = gcfg.ranks;
-        let (bitwise, min_digits, worst_field, _, _) = diff_modes(cfg, ModelConfig::GATE_STEPS);
-        let violations = if bitwise {
-            Vec::new()
-        } else {
-            vec![format!(
-                "Blocking vs Overlapped digests differ (min digits {min_digits}, worst {worst_field})"
-            )]
-        };
-        checks.push(CommCheck {
-            version: version.label(),
-            ranks: gcfg.ranks,
-            bitwise,
-            min_digits,
-            worst_field,
-            pass: violations.is_empty(),
-            violations,
+        cfg.ranks = RANKS;
+        let (agreement, _, _) = diff_modes(cfg, ModelConfig::GATE_STEPS);
+        equiv.push(EquivRow {
+            arm: version.label().to_string(),
+            cells: vec![("version", version.label().into()), ("ranks", RANKS.into())],
+            violations: agreement
+                .violation("Blocking vs Overlapped")
+                .into_iter()
+                .collect(),
+            agreement,
         });
     }
 
-    // Overlap bench: a case big enough that every patch keeps an
-    // interior core at `bench_ranks`.
-    let mut cfg = ModelConfig::functional(SbmVersion::Lookup, gcfg.bench_scale, gcfg.bench_nz);
-    cfg.ranks = gcfg.bench_ranks;
-    let (bench_bitwise, _, _, blocking_reports, overlapped_reports) =
-        diff_modes(cfg, gcfg.bench_steps);
-    let blocking_secs: f64 = blocking_reports
-        .iter()
-        .filter_map(|r| r.comm.map(|c| c.secs))
-        .sum();
-    let overlapped_secs: f64 = overlapped_reports
-        .iter()
-        .filter_map(|r| r.comm.map(|c| c.secs))
-        .sum();
-    let mut merged = mpi_sim::OverlapStats::default();
-    let bench: Vec<RankOverlap> = overlapped_reports
-        .iter()
-        .enumerate()
-        .filter_map(|(rank, r)| r.comm.map(|stats| RankOverlap { rank, stats }))
-        .collect();
-    for r in &bench {
-        merged.merge(&r.stats.overlap);
-    }
-    CommGateReport {
-        cfg: *gcfg,
-        checks,
-        bench_bitwise,
-        bench,
-        blocking_secs,
-        overlapped_secs,
-        hidden_fraction: merged.hidden_fraction(),
-    }
+    let mut cfg = ModelConfig::functional(SbmVersion::Lookup, BENCH_SCALE, BENCH_NZ);
+    cfg.ranks = BENCH_RANKS;
+    let (agreement, blocking, overlapped) = diff_modes(cfg, BENCH_STEPS);
+    let secs = |reports: &[RunReport]| -> f64 {
+        reports.iter().filter_map(|r| r.comm.map(|c| c.secs)).sum()
+    };
+    let bench = OverlapBench {
+        bitwise: agreement.bitwise,
+        blocking_secs: secs(&blocking),
+        overlapped_secs: secs(&overlapped),
+        ranks: (overlapped.iter().enumerate())
+            .filter_map(|(rank, r)| Some((rank, r.comm?)))
+            .collect(),
+    };
+    report(&equiv, &bench)
 }
 
 #[cfg(test)]
@@ -362,43 +210,47 @@ mod tests {
     use super::*;
     use mpi_sim::OverlapStats;
 
-    fn report_with(hidden: f64, posted: f64, bitwise: bool) -> CommGateReport {
-        CommGateReport {
-            cfg: CommGateConfig::default(),
-            checks: vec![CommCheck {
-                version: "baseline",
-                ranks: 4,
-                bitwise,
-                min_digits: if bitwise { 15 } else { 3 },
-                worst_field: if bitwise { String::new() } else { "T".into() },
-                pass: bitwise,
-                violations: if bitwise {
-                    Vec::new()
-                } else {
-                    vec!["digests differ".into()]
-                },
-            }],
-            bench_bitwise: true,
-            bench: vec![RankOverlap {
-                rank: 0,
-                stats: CommStats {
-                    mode: CommMode::Overlapped,
-                    msgs: 8,
-                    bytes: 4096,
-                    secs: posted - hidden,
-                    overlap: OverlapStats {
-                        posted: 8,
-                        completed: 8,
-                        posted_secs: posted,
-                        hidden_secs: hidden,
-                        exposed_secs: posted - hidden,
-                    },
-                },
-            }],
+    fn parts(hidden: f64, posted: f64, bitwise: bool) -> (Vec<EquivRow>, OverlapBench) {
+        let agreement = StateAgreement {
+            bitwise,
+            min_digits: if bitwise { 15 } else { 3 },
+            worst_field: if bitwise { String::new() } else { "T".into() },
+            worst_ulp: 0,
+        };
+        let equiv = vec![EquivRow {
+            arm: "baseline".into(),
+            cells: vec![("version", "baseline".into()), ("ranks", 4usize.into())],
+            violations: agreement
+                .violation("Blocking vs Overlapped")
+                .into_iter()
+                .collect(),
+            agreement,
+        }];
+        let stats = CommStats {
+            mode: CommMode::Overlapped,
+            msgs: 8,
+            bytes: 4096,
+            secs: posted - hidden,
+            overlap: OverlapStats {
+                posted: 8,
+                completed: 8,
+                posted_secs: posted,
+                hidden_secs: hidden,
+                exposed_secs: posted - hidden,
+            },
+        };
+        let bench = OverlapBench {
+            bitwise: true,
             blocking_secs: posted,
             overlapped_secs: posted - hidden,
-            hidden_fraction: if posted > 0.0 { hidden / posted } else { 0.0 },
-        }
+            ranks: vec![(0, stats)],
+        };
+        (equiv, bench)
+    }
+
+    fn report_with(hidden: f64, posted: f64, bitwise: bool) -> Report {
+        let (equiv, bench) = parts(hidden, posted, bitwise);
+        report(&equiv, &bench)
     }
 
     #[test]
@@ -414,17 +266,38 @@ mod tests {
         let bad = report_with(0.8e-3, 1.0e-3, false);
         assert!(!bad.pass());
         assert!(bad.violations().iter().any(|v| v.contains("digests")));
+        let (equiv, mut bench) = parts(0.8e-3, 1.0e-3, true);
+        bench.bitwise = false;
+        let v = report(&equiv, &bench).violations();
+        assert!(v.iter().any(|x| x.contains("bench arms")), "{v:?}");
     }
 
+    /// The parent format's keys and printed digits survive the envelope.
     #[test]
     fn json_and_rendering_carry_the_verdict() {
         let rep = report_with(0.8e-3, 1.0e-3, true);
         let json = rep.to_json();
         assert!(json.contains("\"pass\": true"));
-        assert!(json.contains("\"hidden_fraction\": 0.800000"));
+        assert!(json.contains("\"hidden_fraction\": 0.8"), "{json}");
         assert!(json.contains("\"rank\": 0"));
-        let text = rep.rendered();
-        assert!(text.contains("comm: overlapped rank=0"));
-        assert!(text.contains("hidden-frac=80.0%"));
+        assert!(json.contains("\"min_hidden_fraction\": 0.5"));
+        assert!(rep.rendered().contains("0.800000"));
+    }
+
+    /// The assertion inventory of the real gate, exactly.
+    #[test]
+    fn gate_run_makes_exactly_these_assertions() {
+        let rep = run();
+        assert!(rep.pass(), "{:?}", rep.violations());
+        let labels: Vec<&str> = rep.checks.iter().map(|c| c.label.as_str()).collect();
+        let mut want: Vec<String> = SbmVersion::ALL
+            .iter()
+            .map(|v| format!("equivalence: {}", v.label()))
+            .collect();
+        want.extend([
+            "overlap bench arms bitwise".into(),
+            "hidden fraction".into(),
+        ]);
+        assert_eq!(labels, want);
     }
 }

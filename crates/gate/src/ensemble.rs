@@ -21,138 +21,53 @@
 //!   the unbatched replay on modeled members/hour, with a nonzero
 //!   amortized-slice ledger and one shared lookup copy per device.
 //!
-//! The outcome is `BENCH_ensemble.json` next to `BENCH_share.json`:
-//! members/hour at fixed hardware, admission-queue latency percentiles,
-//! the per-device occupancy ledger, and cache-share hit rates. Any
-//! violation makes `repro ensemble` exit nonzero.
+//! The report is written to `BENCH_ensemble.json`: members/hour at
+//! fixed hardware, admission-queue latency percentiles, the per-device
+//! occupancy ledger, and cache-share hit rates. Any violation makes
+//! `repro ensemble` exit nonzero.
 
-use crate::golden::compare_digests;
-use crate::json::escape;
+use crate::golden::{compare_digests, equivalence, EquivRow, StateAgreement};
+use crate::report::{Cell, Check, Report, Table};
 use fsbm_core::exec::ExecMode;
 use fsbm_core::scheme::SbmVersion;
-use gpu_sim::devicepool::DevicePool;
-use gpu_sim::machine::A100;
+use gpu_sim::devicepool::{DevicePool, RankFootprint};
+use gpu_sim::machine::{default_backend, Backend, A100};
 use miniwrf::config::ModelConfig;
 use miniwrf::parallel::run_parallel;
-use miniwrf::perfmodel::{
-    gpu_rank_step_time, measure_coeffs, MeasuredCoeffs, PerfParams, RankWork, TrafficModel,
-};
+use miniwrf::perfmodel::{gpu_rank_step_time, MeasuredCoeffs, PerfParams, RankWork, TrafficModel};
 use miniwrf::service::{
     latency_percentiles, member_config, member_footprint, pressure_key, run_ensemble_with,
-    schedule_ensemble, DeviceLedger, EnsembleSpec, MemberTimings, Schedule, ServiceError,
-    ServiceOptions,
+    schedule_ensemble, DeviceLedger, EnsembleSpec, MemberOutcome, MemberTimings, Schedule,
+    ServiceError, ServiceOptions,
 };
 use mpi_sim::FaultPlan;
-use prof_sim::{ensemble_line, EnsembleSummary, TextTable};
-use std::fmt::Write as _;
+use prof_sim::{ensemble_line, EnsembleSummary};
 use std::sync::Arc;
 use std::time::Duration;
 use wrf_cases::{ConusCase, ConusParams};
 use wrf_grid::two_d_decomposition;
 
-/// Configuration of one ensemble-gate invocation.
-#[derive(Debug, Clone, Copy)]
-pub struct EnsembleGateConfig {
-    /// Members of the equivalence (functional, gate-scale) ensembles.
-    pub eq_members: usize,
-    /// Devices of the equivalence ensembles' pool.
-    pub eq_devices: usize,
-    /// Steps each equivalence member integrates.
-    pub eq_steps: usize,
-    /// Members of the full-scale throughput arm.
-    pub members: usize,
-    /// Devices of the full-scale throughput arm (fixed hardware).
-    pub devices: usize,
-    /// Simulated minutes each full-scale member runs.
-    pub minutes: f64,
-    /// Horizontal scale the work coefficients are measured at.
-    pub coeff_scale: f64,
-    /// Vertical levels of the coefficient measurement.
-    pub coeff_nz: i32,
-    /// Steps of the coefficient measurement.
-    pub coeff_steps: usize,
-    /// Member the retry arm kills.
-    pub fault_member: usize,
-    /// Step the fault fires at.
-    pub fault_step: u64,
-    /// Launch attempts the retry arm allows.
-    pub max_attempts: usize,
-}
-
-impl Default for EnsembleGateConfig {
-    fn default() -> Self {
-        EnsembleGateConfig {
-            eq_members: 3,
-            eq_devices: 2,
-            eq_steps: 3,
-            members: 8,
-            devices: 2,
-            minutes: 10.0,
-            coeff_scale: 0.05,
-            coeff_nz: 24,
-            coeff_steps: 2,
-            fault_member: 1,
-            fault_step: 2,
-            max_attempts: 3,
-        }
-    }
-}
-
-/// One equivalence comparison: every member of a gate-scale ensemble
-/// against its solo run, for one scheme version.
-#[derive(Debug, Clone)]
-pub struct EnsembleCheck {
-    /// Scheme version under test.
-    pub version: &'static str,
-    /// Ensemble size.
-    pub members: usize,
-    /// Pool devices.
-    pub devices: usize,
-    /// True when every member matched its solo digest bit for bit.
-    pub bitwise: bool,
-    /// Minimum agreed digits across members and fields.
-    pub min_digits: u32,
-    /// Worst-agreeing field (empty when bitwise).
-    pub worst_field: String,
-    /// True when the check passed.
-    pub pass: bool,
-    /// Failure details (empty when passing).
-    pub violations: Vec<String>,
-}
-
-/// The retry arm's outcome: a supervised member killed mid-run must
-/// relaunch and still match its solo digest.
-#[derive(Debug, Clone)]
-pub struct RetryCheck {
-    /// Scheme version of the retry ensemble.
-    pub version: &'static str,
-    /// Member the fault plan killed.
-    pub member: usize,
-    /// Launch attempts the killed member took.
-    pub attempts: usize,
-    /// Checkpoint steps its relaunches resumed from.
-    pub resumed_from: Vec<u64>,
-    /// True when every member (killed one included) matched solo.
-    pub bitwise: bool,
-    /// True when the check passed.
-    pub pass: bool,
-    /// Failure details.
-    pub violations: Vec<String>,
-}
-
-/// One admission scenario against the full-scale footprint.
-#[derive(Debug, Clone)]
-pub struct PackCheck {
-    /// What the scenario exercises.
-    pub label: &'static str,
-    /// Outcome description (the typed error's message on failures).
-    pub detail: String,
-    /// True when the outcome matched the expected wall.
-    pub pass: bool,
-}
+/// Members of the equivalence (functional, gate-scale) ensembles.
+const EQ_MEMBERS: usize = 3;
+/// Devices of the equivalence ensembles' pool.
+const EQ_DEVICES: usize = 2;
+/// Steps each equivalence member integrates.
+const EQ_STEPS: usize = 3;
+/// Members of the full-scale throughput arm.
+pub(crate) const MEMBERS: usize = 8;
+/// Devices of the full-scale throughput arm (fixed hardware).
+pub(crate) const DEVICES: usize = 2;
+/// Simulated minutes each full-scale member runs.
+pub(crate) const MINUTES: f64 = 10.0;
+/// Member the retry arm kills.
+const FAULT_MEMBER: usize = 1;
+/// Step the fault fires at.
+const FAULT_STEP: u64 = 2;
+/// Launch attempts the retry arm allows.
+const MAX_ATTEMPTS: usize = 3;
 
 /// One full-scale throughput row (one offloaded version).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ThroughputRow {
     /// Scheme version.
     pub version: &'static str,
@@ -180,321 +95,200 @@ pub struct ThroughputRow {
     pub cache_hit_rate: f64,
     /// p50/p90/p99 admission-queue wait, seconds.
     pub wait_percentiles: [f64; 3],
-    /// True when the row passed.
-    pub pass: bool,
-    /// Failure details.
+    /// Failure details (empty when passing).
     pub violations: Vec<String>,
 }
 
-/// The ensemble gate's full outcome.
-#[derive(Debug, Clone)]
-pub struct EnsembleGateReport {
-    /// Configuration the gate ran with.
-    pub cfg: EnsembleGateConfig,
-    /// Per-version equivalence checks.
-    pub checks: Vec<EnsembleCheck>,
-    /// The retry arm.
-    pub retry: Option<RetryCheck>,
-    /// Admission scenarios.
-    pub admission: Vec<PackCheck>,
-    /// Full-scale throughput rows (offloaded versions).
-    pub throughput: Vec<ThroughputRow>,
-    /// Per-device occupancy ledger of the headline throughput row.
-    pub devices: Vec<DeviceLedger>,
-}
-
-impl EnsembleGateReport {
-    /// True when every check passed.
-    pub fn pass(&self) -> bool {
-        self.checks.iter().all(|c| c.pass)
-            && self.retry.as_ref().is_none_or(|r| r.pass)
-            && self.admission.iter().all(|a| a.pass)
-            && self.throughput.iter().all(|t| t.pass)
-    }
-
-    /// All violation strings.
-    pub fn violations(&self) -> Vec<String> {
-        let mut v: Vec<String> = self
-            .checks
+/// Assembles the ensemble report from its arms: the equivalence rows,
+/// the retry arm, the packing scenarios, the throughput rows, and the
+/// headline row's per-device ledger.
+pub fn report(
+    equiv: &[EquivRow],
+    retry: &EquivRow,
+    packing: &[PackCheck],
+    throughput: &[ThroughputRow],
+    devices: &[DeviceLedger],
+) -> Report {
+    let (equiv_table, mut checks) =
+        equivalence("equivalence", "member vs solo digest equivalence", equiv);
+    let (retry_table, retry_checks) = equivalence(
+        "retry",
+        "a member killed mid-run relaunches from its checkpoint",
+        std::slice::from_ref(retry),
+    );
+    checks.extend(retry_checks);
+    checks.extend(
+        packing
             .iter()
-            .flat_map(|c| {
-                c.violations
-                    .iter()
-                    .map(move |x| format!("ensemble: {}: {x}", c.version))
-            })
-            .collect();
-        if let Some(r) = &self.retry {
-            v.extend(
-                r.violations
-                    .iter()
-                    .map(|x| format!("ensemble: retry [{}]: {x}", r.version)),
-            );
-        }
-        v.extend(
-            self.admission
-                .iter()
-                .filter(|a| !a.pass)
-                .map(|a| format!("ensemble: admission {}: {}", a.label, a.detail)),
-        );
-        v.extend(self.throughput.iter().flat_map(|t| {
-            t.violations
-                .iter()
-                .map(move |x| format!("ensemble: throughput {}: {x}", t.version))
-        }));
-        v
-    }
-
-    /// Human-readable rendering: equivalence table, retry line,
-    /// admission lines, throughput table, per-device ledger lines.
-    pub fn rendered(&self) -> String {
-        let mut s = String::new();
-        s.push_str("=== repro ensemble: member vs solo digest equivalence ===\n");
-        let mut t = TextTable::new(&[
-            "version",
-            "members",
-            "devices",
-            "bitwise",
-            "min digits",
-            "result",
-        ]);
-        for c in &self.checks {
-            t.push_row(vec![
-                c.version.to_string(),
-                c.members.to_string(),
-                c.devices.to_string(),
-                if c.bitwise { "yes" } else { "no" }.to_string(),
-                c.min_digits.to_string(),
-                if c.pass { "pass" } else { "FAIL" }.to_string(),
-            ]);
-        }
-        s.push_str(&t.rendered());
-        if let Some(r) = &self.retry {
-            let _ = writeln!(
-                s,
-                "\nretry [{}]: member {} took {} attempts, resumed from steps {:?}, \
-                 bitwise={} [{}]",
-                r.version,
-                r.member,
-                r.attempts,
-                r.resumed_from,
-                r.bitwise,
-                if r.pass { "pass" } else { "FAIL" }
-            );
-        }
-        s.push_str("\n=== repro ensemble: memory-capped packing ===\n");
-        for a in &self.admission {
-            let _ = writeln!(
-                s,
-                "{}: {} [{}]",
-                a.label,
-                a.detail,
-                if a.pass { "pass" } else { "FAIL" }
-            );
-        }
-        s.push_str("\n=== repro ensemble: full-scale batched throughput ===\n");
-        let mut t = TextTable::new(&[
+            .map(|(label, pass, detail)| Check::new(format!("admission: {label}"), *pass, detail)),
+    );
+    checks.extend(
+        throughput
+            .iter()
+            .map(|t| Check::all_of(format!("throughput: {}", t.version), &t.violations)),
+    );
+    let packing = Table::new(
+        "admission",
+        "memory-capped packing",
+        &["label", "detail", "pass"],
+        packing.iter().map(|(label, pass, detail)| {
+            vec![(*label).into(), detail.as_str().into(), (*pass).into()]
+        }),
+    );
+    let rows = Table::new(
+        "throughput",
+        "full-scale batched throughput",
+        &[
             "version",
             "members",
             "devices",
             "waves",
-            "svc/step",
-            "batched m/h",
-            "unbatched m/h",
-            "sequential m/h",
-            "slice saved",
-            "cache",
-            "result",
-        ]);
-        for r in &self.throughput {
-            t.push_row(vec![
-                r.version.to_string(),
-                r.members.to_string(),
-                r.devices.to_string(),
-                r.waves.to_string(),
-                format!("{:.3}s", r.service_secs),
-                format!("{:.2}", r.batched_mph),
-                format!("{:.2}", r.unbatched_mph),
-                format!("{:.2}", r.sequential_mph),
-                format!("{:.1}s", r.slice_secs_saved),
-                format!("{}/{}", r.cache_hits, r.cache_hits + r.cache_misses),
-                if r.pass { "pass" } else { "FAIL" }.to_string(),
-            ]);
-        }
-        s.push_str(&t.rendered());
-        s.push('\n');
-        for r in &self.throughput {
-            let _ = writeln!(
-                s,
-                "{}",
-                ensemble_line(&EnsembleSummary {
-                    members: r.members,
-                    devices: r.devices,
-                    waves: r.waves,
-                    members_per_hour: r.batched_mph,
-                    wait_p50_secs: r.wait_percentiles[0],
-                    wait_p99_secs: r.wait_percentiles[2],
-                    cache_hit_rate: r.cache_hit_rate,
-                    slice_saved_secs: r.slice_secs_saved,
-                })
-            );
-        }
-        for d in &self.devices {
-            let _ = writeln!(
-                s,
-                "ensemble: device={} peak_residents={} peak_mem={:.1}/{:.1}GiB \
-                 busy={:.1}s slices={:.1}s saved={:.1}s batches={}",
-                d.device,
-                d.peak_residents,
-                d.peak_used_bytes as f64 / (1u64 << 30) as f64,
-                d.capacity_bytes as f64 / (1u64 << 30) as f64,
-                d.busy_secs,
-                d.slice_secs,
-                d.slice_secs_saved,
-                d.batches,
-            );
-        }
-        let _ = writeln!(
-            s,
-            "ensemble gate: {}",
-            if self.pass() { "pass" } else { "FAIL" }
-        );
-        s
-    }
-
-    /// Renders the machine-readable `BENCH_ensemble.json`.
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n  \"bench\": \"ensemble\",\n  \"format\": 1,\n");
-        let _ = writeln!(s, "  \"pass\": {},", self.pass());
-        let _ = writeln!(
-            s,
-            "  \"case\": {{\"eq_members\": {}, \"eq_devices\": {}, \"eq_steps\": {}, \
-             \"members\": {}, \"devices\": {}, \"minutes\": {}}},",
-            self.cfg.eq_members,
-            self.cfg.eq_devices,
-            self.cfg.eq_steps,
-            self.cfg.members,
-            self.cfg.devices,
-            self.cfg.minutes
-        );
-        s.push_str("  \"equivalence\": [\n");
-        for (n, c) in self.checks.iter().enumerate() {
-            let _ = writeln!(
-                s,
-                "    {{\"version\": \"{}\", \"members\": {}, \"devices\": {}, \
-                 \"bitwise\": {}, \"min_digits\": {}, \"worst_field\": \"{}\", \
-                 \"pass\": {}}}{}",
-                escape(c.version),
-                c.members,
-                c.devices,
-                c.bitwise,
-                c.min_digits,
-                escape(&c.worst_field),
-                c.pass,
-                if n + 1 < self.checks.len() { "," } else { "" }
-            );
-        }
-        s.push_str("  ],\n");
-        if let Some(r) = &self.retry {
-            let steps: Vec<String> = r.resumed_from.iter().map(|x| x.to_string()).collect();
-            let _ = writeln!(
-                s,
-                "  \"retry\": {{\"version\": \"{}\", \"member\": {}, \"attempts\": {}, \
-                 \"resumed_from\": [{}], \"bitwise\": {}, \"pass\": {}}},",
-                escape(r.version),
-                r.member,
-                r.attempts,
-                steps.join(", "),
-                r.bitwise,
-                r.pass
-            );
-        }
-        s.push_str("  \"admission\": [\n");
-        for (n, a) in self.admission.iter().enumerate() {
-            let _ = writeln!(
-                s,
-                "    {{\"label\": \"{}\", \"detail\": \"{}\", \"pass\": {}}}{}",
-                escape(a.label),
-                escape(&a.detail),
-                a.pass,
-                if n + 1 < self.admission.len() {
-                    ","
-                } else {
-                    ""
-                }
-            );
-        }
-        s.push_str("  ],\n  \"throughput\": [\n");
-        for (n, r) in self.throughput.iter().enumerate() {
-            let _ = writeln!(
-                s,
-                "    {{\"version\": \"{}\", \"members\": {}, \"devices\": {}, \"waves\": {}, \
-                 \"service_secs\": {:.6}, \"batched_members_per_hour\": {:.4}, \
-                 \"unbatched_members_per_hour\": {:.4}, \
-                 \"sequential_members_per_hour\": {:.4}, \"slice_secs_saved\": {:.3}, \
-                 \"cache_hits\": {}, \"cache_misses\": {}, \"cache_hit_rate\": {:.4}, \
-                 \"wait_p50\": {:.4}, \"wait_p90\": {:.4}, \"wait_p99\": {:.4}, \
-                 \"pass\": {}}}{}",
-                escape(r.version),
-                r.members,
-                r.devices,
-                r.waves,
-                r.service_secs,
-                r.batched_mph,
-                r.unbatched_mph,
-                r.sequential_mph,
-                r.slice_secs_saved,
-                r.cache_hits,
-                r.cache_misses,
-                r.cache_hit_rate,
-                r.wait_percentiles[0],
-                r.wait_percentiles[1],
-                r.wait_percentiles[2],
-                r.pass,
-                if n + 1 < self.throughput.len() {
-                    ","
-                } else {
-                    ""
-                }
-            );
-        }
-        s.push_str("  ],\n  \"devices\": [\n");
-        for (n, d) in self.devices.iter().enumerate() {
-            let _ = writeln!(
-                s,
-                "    {{\"device\": {}, \"peak_residents\": {}, \"peak_used_bytes\": {}, \
-                 \"capacity_bytes\": {}, \"busy_secs\": {:.3}, \"slice_secs\": {:.3}, \
-                 \"slice_secs_saved\": {:.3}, \"queue_secs\": {:.3}, \"batches\": {}}}{}",
-                d.device,
-                d.peak_residents,
-                d.peak_used_bytes,
-                d.capacity_bytes,
-                d.busy_secs,
-                d.slice_secs,
-                d.slice_secs_saved,
-                d.queue_secs,
-                d.batches,
-                if n + 1 < self.devices.len() { "," } else { "" }
-            );
-        }
-        s.push_str("  ]\n}\n");
-        s
+            "service_secs",
+            "batched_members_per_hour",
+            "unbatched_members_per_hour",
+            "sequential_members_per_hour",
+            "slice_secs_saved",
+            "cache_hits",
+            "cache_misses",
+            "cache_hit_rate",
+            "wait_p50",
+            "wait_p90",
+            "wait_p99",
+            "pass",
+        ],
+        throughput.iter().map(|r| {
+            vec![
+                r.version.into(),
+                r.members.into(),
+                r.devices.into(),
+                r.waves.into(),
+                Cell::num(r.service_secs, 6),
+                Cell::num(r.batched_mph, 4),
+                Cell::num(r.unbatched_mph, 4),
+                Cell::num(r.sequential_mph, 4),
+                Cell::num(r.slice_secs_saved, 3),
+                r.cache_hits.into(),
+                r.cache_misses.into(),
+                Cell::num(r.cache_hit_rate, 4),
+                Cell::num(r.wait_percentiles[0], 4),
+                Cell::num(r.wait_percentiles[1], 4),
+                Cell::num(r.wait_percentiles[2], 4),
+                r.violations.is_empty().into(),
+            ]
+        }),
+    );
+    let ledger = Table::new(
+        "devices",
+        "per-device occupancy ledger of the headline row",
+        &[
+            "device",
+            "peak_residents",
+            "peak_used_bytes",
+            "capacity_bytes",
+            "busy_secs",
+            "slice_secs",
+            "slice_secs_saved",
+            "queue_secs",
+            "batches",
+        ],
+        devices.iter().map(|d| {
+            vec![
+                d.device.into(),
+                d.peak_residents.into(),
+                d.peak_used_bytes.into(),
+                d.capacity_bytes.into(),
+                Cell::num(d.busy_secs, 3),
+                Cell::num(d.slice_secs, 3),
+                Cell::num(d.slice_secs_saved, 3),
+                Cell::num(d.queue_secs, 3),
+                d.batches.into(),
+            ]
+        }),
+    );
+    let lines = throughput.iter().map(|r| {
+        ensemble_line(&EnsembleSummary {
+            members: r.members,
+            devices: r.devices,
+            waves: r.waves,
+            members_per_hour: r.batched_mph,
+            wait_p50_secs: r.wait_percentiles[0],
+            wait_p99_secs: r.wait_percentiles[2],
+            cache_hit_rate: r.cache_hit_rate,
+            slice_saved_secs: r.slice_secs_saved,
+        })
+    });
+    Report {
+        gate: "ensemble",
+        case: vec![
+            ("eq_members", EQ_MEMBERS.into()),
+            ("eq_devices", EQ_DEVICES.into()),
+            ("eq_steps", EQ_STEPS.into()),
+            ("members", MEMBERS.into()),
+            ("devices", DEVICES.into()),
+            ("minutes", MINUTES.into()),
+        ],
+        checks,
+        tables: vec![equiv_table, retry_table, packing, rows, ledger],
+        lines: lines.collect(),
     }
 }
 
 /// The full-scale member footprint (1-rank CONUS-12km context at the
-/// paper's stack setting).
-fn full_scale_footprint() -> gpu_sim::devicepool::RankFootprint {
+/// paper's stack setting) — backend-independent bytes; what varies per
+/// backend is the capacity they are packed against.
+pub(crate) fn full_scale_footprint() -> RankFootprint {
     member_footprint(
         &ModelConfig::paper_default(SbmVersion::OffloadCollapse3),
         None,
     )
 }
 
+/// Prices [`MEMBERS`] full-scale members of `version` (CONUS-12km,
+/// [`MINUTES`] simulated each) on `backend`'s perf plane, then packs and
+/// batch-replays them on [`DEVICES`] of its devices. Returns the device
+/// service seconds of one member step — kernels + staged transfers;
+/// host work and halos never occupy the device — and the schedule.
+pub(crate) fn full_scale_schedule(
+    backend: &'static Backend,
+    version: SbmVersion,
+    coeffs: &MeasuredCoeffs,
+    (pp, traffic): (&PerfParams, &TrafficModel),
+) -> (f64, Result<Schedule, ServiceError>) {
+    let full = ConusParams::full();
+    let case = ConusCase::new(full);
+    let dd = two_d_decomposition(full.domain(), 1, 3);
+    let work = RankWork::extrapolate(&case, &dd.patches[0], coeffs, version, pp);
+    let t = gpu_rank_step_time(&work, pp, traffic);
+    let service = t.coal_loop + t.transfer;
+    let spec = EnsembleSpec {
+        members: MEMBERS,
+        devices: DEVICES,
+        backend,
+        ..EnsembleSpec::default()
+    };
+    let timings: Vec<MemberTimings> = (0..MEMBERS)
+        .map(|m| MemberTimings {
+            member: m,
+            service_per_step: vec![service; case.steps_for_minutes(MINUTES)],
+        })
+        .collect();
+    let key = Some(pressure_key(&full));
+    let schedule = schedule_ensemble(&timings, &spec, &full_scale_footprint(), key);
+    (service, schedule)
+}
+
+/// Modeled members/hour of [`MEMBERS`] members finishing in `secs`.
+pub(crate) fn members_per_hour(secs: f64) -> f64 {
+    if secs > 0.0 {
+        MEMBERS as f64 * 3600.0 / secs
+    } else {
+        0.0
+    }
+}
+
 /// Checks a full-scale throughput schedule against the gate's claims.
 fn throughput_violations(
     s: &Schedule,
-    spec: &EnsembleSpec,
     batched_mph: f64,
     unbatched_mph: f64,
     sequential_mph: f64,
@@ -503,7 +297,7 @@ fn throughput_violations(
     if batched_mph <= sequential_mph {
         v.push(format!(
             "batched service must beat {} sequential solo runs: {:.2} <= {:.2} members/hour",
-            spec.members, batched_mph, sequential_mph
+            MEMBERS, batched_mph, sequential_mph
         ));
     }
     if batched_mph <= unbatched_mph {
@@ -531,11 +325,11 @@ fn throughput_violations(
             s.cache.misses, occupied
         ));
     }
-    if s.cache.hits + s.cache.misses < spec.members {
+    if s.cache.hits + s.cache.misses < MEMBERS {
         v.push(format!(
             "cache ledger covers {} admissions, expected at least {}",
             s.cache.hits + s.cache.misses,
-            spec.members
+            MEMBERS
         ));
     }
     let [p50, p90, p99] = latency_percentiles(&s.admission_waits());
@@ -547,8 +341,13 @@ fn throughput_violations(
     v
 }
 
+/// One packing scenario: what it exercises, whether the outcome matched
+/// the expected wall, and the outcome (the typed error's message on
+/// failures).
+pub type PackCheck = (&'static str, bool, String);
+
 /// Runs the admission scenarios against the full-scale footprint.
-fn run_pack_checks(timings_steps: usize) -> Vec<PackCheck> {
+fn run_pack_checks() -> Vec<PackCheck> {
     let fp = full_scale_footprint();
     let mut out = Vec::new();
 
@@ -562,17 +361,17 @@ fn run_pack_checks(timings_steps: usize) -> Vec<PackCheck> {
             Err(e) => break e,
         }
     };
-    out.push(PackCheck {
-        label: "per-device member cap",
-        detail: format!("{cap} full-scale members fit one A100, next rejected: {cap_err}"),
-        pass: cap == 4,
-    });
+    out.push((
+        "per-device member cap",
+        cap == 4,
+        format!("{cap} full-scale members fit one A100, next rejected: {cap_err}"),
+    ));
 
     // Overflow members queue for a second wave instead of failing.
     let flat: Vec<MemberTimings> = (0..2 * cap)
         .map(|m| MemberTimings {
             member: m,
-            service_per_step: vec![1.0; timings_steps],
+            service_per_step: vec![1.0; 2],
         })
         .collect();
     let spec = EnsembleSpec {
@@ -581,14 +380,14 @@ fn run_pack_checks(timings_steps: usize) -> Vec<PackCheck> {
         ..EnsembleSpec::default()
     };
     let waves = schedule_ensemble(&flat, &spec, &fp, Some(key)).map(|s| s.waves);
-    out.push(PackCheck {
-        label: "overflow members queue",
-        detail: match &waves {
+    out.push((
+        "overflow members queue",
+        waves == Ok(2),
+        match &waves {
             Ok(w) => format!("{} members on 1 device drained in {w} waves", 2 * cap),
             Err(e) => format!("unexpected failure: {e}"),
         },
-        pass: waves == Ok(2),
-    });
+    ));
 
     // An oversized stack fits nowhere: a typed error naming the bytes.
     let big = member_footprint(
@@ -596,19 +395,19 @@ fn run_pack_checks(timings_steps: usize) -> Vec<PackCheck> {
         Some(512 * 1024),
     );
     let err = schedule_ensemble(&flat[..2], &spec, &big, Some(key));
-    out.push(PackCheck {
-        label: "oversized stack",
-        detail: match &err {
-            Err(ServiceError::Admission(e)) => e.to_string(),
-            Err(other) => format!("wrong error kind: {other}"),
-            Ok(_) => "unexpectedly admitted".into(),
-        },
-        pass: matches!(
+    out.push((
+        "oversized stack",
+        matches!(
             &err,
             Err(ServiceError::Admission(e))
                 if e.residents == 0 && e.requested_bytes > e.capacity_bytes
         ),
-    });
+        match &err {
+            Err(ServiceError::Admission(e)) => e.to_string(),
+            Err(other) => format!("wrong error kind: {other}"),
+            Ok(_) => "unexpectedly admitted".into(),
+        },
+    ));
     out
 }
 
@@ -616,108 +415,76 @@ fn run_pack_checks(timings_steps: usize) -> Vec<PackCheck> {
 /// extrapolated by the perf plane, then packed and batch-replayed by
 /// the scheduling core.
 fn run_throughput_row(
-    gcfg: &EnsembleGateConfig,
     version: SbmVersion,
     coeffs: &MeasuredCoeffs,
     traffic: &TrafficModel,
 ) -> (ThroughputRow, Vec<DeviceLedger>) {
-    let full = ConusParams::full();
-    let case = ConusCase::new(full);
-    let pp = PerfParams::default();
-    let dd = two_d_decomposition(full.domain(), 1, 3);
-    let work = RankWork::extrapolate(&case, &dd.patches[0], coeffs, version, &pp);
-    let t = gpu_rank_step_time(&work, &pp, traffic);
-    // The device-service share of a member step: kernels + staged
-    // transfers (host work and halos never occupy the device).
-    let service = t.coal_loop + t.transfer;
-    let steps = case.steps_for_minutes(gcfg.minutes);
-
-    let spec = EnsembleSpec {
-        members: gcfg.members,
-        devices: gcfg.devices,
-        ..EnsembleSpec::default()
+    let plane = (&PerfParams::default(), traffic);
+    let (service, schedule) = full_scale_schedule(default_backend(), version, coeffs, plane);
+    let mut row = ThroughputRow {
+        version: version.label(),
+        members: MEMBERS,
+        devices: DEVICES,
+        waves: 0,
+        service_secs: service,
+        ..ThroughputRow::default()
     };
-    let timings: Vec<MemberTimings> = (0..spec.members)
-        .map(|m| MemberTimings {
-            member: m,
-            service_per_step: vec![service; steps],
-        })
-        .collect();
-    let fp = full_scale_footprint();
-    match schedule_ensemble(&timings, &spec, &fp, Some(pressure_key(&full))) {
+    match schedule {
         Ok(s) => {
-            let mph = |secs: f64| {
-                if secs > 0.0 {
-                    spec.members as f64 * 3600.0 / secs
-                } else {
-                    0.0
-                }
-            };
-            let (batched, unbatched, sequential) = (
-                mph(s.makespan_secs),
-                mph(s.unbatched_makespan_secs),
-                mph(s.sequential_secs),
-            );
-            let violations = throughput_violations(&s, &spec, batched, unbatched, sequential);
-            let row = ThroughputRow {
-                version: version.label(),
-                members: spec.members,
-                devices: spec.devices,
-                waves: s.waves,
-                service_secs: service,
-                batched_mph: batched,
-                unbatched_mph: unbatched,
-                sequential_mph: sequential,
-                slice_secs_saved: s.devices.iter().map(|d| d.slice_secs_saved).sum(),
-                cache_hits: s.cache.hits,
-                cache_misses: s.cache.misses,
-                cache_hit_rate: s.cache.hit_rate(),
-                wait_percentiles: latency_percentiles(&s.admission_waits()),
-                pass: violations.is_empty(),
-                violations,
-            };
-            let ledgers = s.devices.clone();
-            (row, ledgers)
+            row.waves = s.waves;
+            row.batched_mph = members_per_hour(s.makespan_secs);
+            row.unbatched_mph = members_per_hour(s.unbatched_makespan_secs);
+            row.sequential_mph = members_per_hour(s.sequential_secs);
+            row.slice_secs_saved = s.devices.iter().map(|d| d.slice_secs_saved).sum();
+            row.cache_hits = s.cache.hits;
+            row.cache_misses = s.cache.misses;
+            row.cache_hit_rate = s.cache.hit_rate();
+            row.wait_percentiles = latency_percentiles(&s.admission_waits());
+            row.violations =
+                throughput_violations(&s, row.batched_mph, row.unbatched_mph, row.sequential_mph);
+            (row, s.devices)
         }
-        Err(e) => (
-            ThroughputRow {
-                version: version.label(),
-                members: spec.members,
-                devices: spec.devices,
-                waves: 0,
-                service_secs: service,
-                batched_mph: 0.0,
-                unbatched_mph: 0.0,
-                sequential_mph: 0.0,
-                slice_secs_saved: 0.0,
-                cache_hits: 0,
-                cache_misses: 0,
-                cache_hit_rate: 0.0,
-                wait_percentiles: [0.0; 3],
-                pass: false,
-                violations: vec![format!("full-scale schedule failed: {e}")],
-            },
-            Vec::new(),
-        ),
+        Err(e) => {
+            row.violations = vec![format!("full-scale schedule failed: {e}")];
+            (row, Vec::new())
+        }
     }
+}
+
+/// Every served member against the same member run solo: how the end
+/// states agreed.
+fn members_vs_solo(
+    base: &ModelConfig,
+    spec: &EnsembleSpec,
+    members: &[MemberOutcome],
+) -> StateAgreement {
+    let mut agreement = StateAgreement::full();
+    for m in members {
+        let solo = run_parallel(member_config(base, spec, m.member), EQ_STEPS);
+        agreement.fold(&compare_digests(
+            &m.state.digest(),
+            &solo.states[0].digest(),
+        ));
+    }
+    agreement
 }
 
 /// Runs the retry arm: one supervised gate-scale ensemble with a
 /// scripted kill, every member still bitwise against solo.
-fn run_retry_check(gcfg: &EnsembleGateConfig) -> RetryCheck {
+fn run_retry_row() -> EquivRow {
     let version = SbmVersion::OffloadCollapse2;
     let base = ModelConfig::gate(version, ExecMode::work_steal(), 2);
     let spec = EnsembleSpec {
-        members: gcfg.eq_members.max(gcfg.fault_member + 1),
+        members: EQ_MEMBERS.max(FAULT_MEMBER + 1),
         devices: 1,
-        max_attempts: gcfg.max_attempts,
+        max_attempts: MAX_ATTEMPTS,
         checkpoint_interval: 1,
         ..EnsembleSpec::default()
     };
     let dir = std::env::temp_dir().join(format!("miniwrf_ensemble_gate_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let mut violations = Vec::new();
-    let (mut attempts, mut resumed, mut bitwise) = (0usize, Vec::new(), true);
+    let (mut attempts, mut resumed, mut agreement) = (0usize, Vec::new(), StateAgreement::full());
     if let Err(e) = std::fs::create_dir_all(&dir) {
         violations.push(format!("cannot create checkpoint root: {e}"));
     } else {
@@ -727,138 +494,106 @@ fn run_retry_check(gcfg: &EnsembleGateConfig) -> RetryCheck {
             ..ServiceOptions::default()
         };
         opts.faults.insert(
-            gcfg.fault_member,
-            Arc::new(FaultPlan::new().kill_rank_at(0, gcfg.fault_step)),
+            FAULT_MEMBER,
+            Arc::new(FaultPlan::new().kill_rank_at(0, FAULT_STEP)),
         );
-        match run_ensemble_with(&base, &spec, gcfg.eq_steps, &opts) {
+        match run_ensemble_with(&base, &spec, EQ_STEPS, &opts) {
             Err(e) => violations.push(format!("supervised ensemble failed: {e}")),
             Ok(rep) => {
-                let killed = &rep.members[gcfg.fault_member];
+                let killed = &rep.members[FAULT_MEMBER];
                 attempts = killed.attempts;
                 resumed = killed.resumed_from.clone();
                 if attempts < 2 {
                     violations.push(format!(
-                        "the scripted fault never fired: member {} took {attempts} attempt(s)",
-                        gcfg.fault_member
+                        "the scripted fault never fired: member {FAULT_MEMBER} took {attempts} attempt(s)"
                     ));
                 }
                 if resumed.is_empty() {
                     violations.push("the relaunch resumed from nothing".into());
                 }
-                for m in &rep.members {
-                    let solo = run_parallel(member_config(&base, &spec, m.member), gcfg.eq_steps);
-                    if !compare_digests(&m.state.digest(), &solo.states[0].digest()).bitwise() {
-                        bitwise = false;
-                        violations.push(format!(
-                            "member {} diverged from its solo run after recovery",
-                            m.member
-                        ));
-                    }
-                }
+                agreement = members_vs_solo(&base, &spec, &rep.members);
+                violations.extend(agreement.violation("recovered members vs solo runs"));
             }
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
-    RetryCheck {
-        version: version.label(),
-        member: gcfg.fault_member,
-        attempts,
-        resumed_from: resumed,
-        bitwise,
-        pass: violations.is_empty(),
+    EquivRow {
+        arm: version.label().to_string(),
+        cells: vec![
+            ("version", version.label().into()),
+            ("member", FAULT_MEMBER.into()),
+            ("attempts", attempts.into()),
+            (
+                "resumed_from",
+                Cell::List(resumed.into_iter().map(Cell::from).collect()),
+            ),
+        ],
+        agreement,
+        violations,
+    }
+}
+
+/// One equivalence arm: every member of a served ensemble against its
+/// solo run. Perturbed seeds must also genuinely perturb.
+fn equivalence_row(version: SbmVersion) -> EquivRow {
+    let base = ModelConfig::gate(version, ExecMode::work_steal(), 2);
+    let spec = EnsembleSpec {
+        members: EQ_MEMBERS,
+        devices: EQ_DEVICES,
+        ..EnsembleSpec::default()
+    };
+    let mut violations = Vec::new();
+    let mut agreement = StateAgreement::full();
+    match run_ensemble_with(&base, &spec, EQ_STEPS, &ServiceOptions::default()) {
+        Err(e) => violations.push(format!("service rejected the ensemble: {e}")),
+        Ok(rep) => {
+            for m in &rep.members {
+                if version.offloaded() != m.device.is_some() {
+                    violations.push(format!(
+                        "member {} device residency disagrees with the version's offload class",
+                        m.member
+                    ));
+                }
+            }
+            agreement = members_vs_solo(&base, &spec, &rep.members);
+            violations.extend(agreement.violation("served members vs solo runs"));
+            if let [m0, m1, ..] = &rep.members[..] {
+                if m0.state.digest() == m1.state.digest() {
+                    violations.push("seed perturbation produced identical members 0 and 1".into());
+                }
+            }
+        }
+    }
+    EquivRow {
+        arm: version.label().to_string(),
+        cells: vec![
+            ("version", version.label().into()),
+            ("members", EQ_MEMBERS.into()),
+            ("devices", EQ_DEVICES.into()),
+        ],
+        agreement,
         violations,
     }
 }
 
 /// Runs the ensemble gate: per-version equivalence, the retry arm, the
-/// admission scenarios, then the full-scale throughput rows.
-pub fn run_ensemble_gate(gcfg: &EnsembleGateConfig) -> EnsembleGateReport {
-    // Equivalence: every member of a served ensemble against its solo
-    // run, all four scheme versions.
-    let mut checks = Vec::new();
-    for version in SbmVersion::ALL {
-        let base = ModelConfig::gate(version, ExecMode::work_steal(), 2);
-        let spec = EnsembleSpec {
-            members: gcfg.eq_members,
-            devices: gcfg.eq_devices,
-            ..EnsembleSpec::default()
-        };
-        let mut violations = Vec::new();
-        let (mut bitwise, mut min_digits, mut worst_field) = (true, 15u32, String::new());
-        match run_ensemble_with(&base, &spec, gcfg.eq_steps, &ServiceOptions::default()) {
-            Err(e) => violations.push(format!("service rejected the ensemble: {e}")),
-            Ok(rep) => {
-                let mut digests = Vec::new();
-                for m in &rep.members {
-                    let solo = run_parallel(member_config(&base, &spec, m.member), gcfg.eq_steps);
-                    let cmp = compare_digests(&m.state.digest(), &solo.states[0].digest());
-                    if !cmp.bitwise() {
-                        bitwise = false;
-                    }
-                    if cmp.min_digits() < min_digits {
-                        min_digits = cmp.min_digits();
-                        worst_field = cmp.worst().map(|f| f.name.clone()).unwrap_or_default();
-                    }
-                    if version.offloaded() != m.device.is_some() {
-                        violations.push(format!(
-                            "member {} device residency disagrees with the version's \
-                             offload class",
-                            m.member
-                        ));
-                    }
-                    digests.push(m.state.digest());
-                }
-                if !bitwise {
-                    violations.push(format!(
-                        "served members diverged from their solo runs (min digits \
-                         {min_digits}, worst {worst_field})"
-                    ));
-                }
-                if digests.len() >= 2 && digests[0] == digests[1] {
-                    violations.push("seed perturbation produced identical members 0 and 1".into());
-                }
-            }
-        }
-        checks.push(EnsembleCheck {
-            version: version.label(),
-            members: gcfg.eq_members,
-            devices: gcfg.eq_devices,
-            bitwise,
-            min_digits,
-            worst_field,
-            pass: violations.is_empty(),
-            violations,
-        });
-    }
-
-    let retry = run_retry_check(gcfg);
-    let admission = run_pack_checks(2);
-
-    // Throughput: full-scale modeled members for both offloaded
-    // versions; the headline (last) row's device ledger is kept.
-    let coeffs = measure_coeffs(gcfg.coeff_scale, gcfg.coeff_nz, gcfg.coeff_steps);
-    let traffic = TrafficModel::measure();
+/// admission scenarios, then the full-scale throughput rows (both
+/// offloaded versions; the headline — last — row's device ledger is
+/// kept).
+pub fn run() -> Report {
+    let equiv: Vec<EquivRow> = SbmVersion::ALL.into_iter().map(equivalence_row).collect();
+    let retry = run_retry_row();
+    let (coeffs, traffic) = (crate::measure_gate_coeffs(), TrafficModel::measure());
     let mut throughput = Vec::new();
     let mut devices = Vec::new();
-    for version in SbmVersion::ALL {
-        if !version.offloaded() {
-            continue;
-        }
-        let (row, ledgers) = run_throughput_row(gcfg, version, &coeffs, &traffic);
+    for version in SbmVersion::ALL.into_iter().filter(|v| v.offloaded()) {
+        let (row, ledgers) = run_throughput_row(version, &coeffs, &traffic);
         throughput.push(row);
         if !ledgers.is_empty() {
             devices = ledgers;
         }
     }
-
-    EnsembleGateReport {
-        cfg: *gcfg,
-        checks,
-        retry: Some(retry),
-        admission,
-        throughput,
-        devices,
-    }
+    report(&equiv, &retry, &run_pack_checks(), &throughput, &devices)
 }
 
 #[cfg(test)]
@@ -880,74 +615,71 @@ mod tests {
             cache_misses: 2,
             cache_hit_rate: 0.75,
             wait_percentiles: [0.0, 0.2, 0.35],
-            pass: true,
             violations: Vec::new(),
         }
     }
 
-    fn passing_report() -> EnsembleGateReport {
-        EnsembleGateReport {
-            cfg: EnsembleGateConfig::default(),
-            checks: vec![EnsembleCheck {
-                version: "offload_collapse3",
-                members: 3,
-                devices: 2,
-                bitwise: true,
-                min_digits: 15,
-                worst_field: String::new(),
-                pass: true,
-                violations: Vec::new(),
-            }],
-            retry: Some(RetryCheck {
-                version: "offload_collapse2",
-                member: 1,
-                attempts: 2,
-                resumed_from: vec![2],
-                bitwise: true,
-                pass: true,
-                violations: Vec::new(),
-            }),
-            admission: vec![PackCheck {
-                label: "per-device member cap",
-                detail: "4 full-scale members fit one A100".into(),
-                pass: true,
-            }],
-            throughput: vec![passing_row()],
-            devices: vec![DeviceLedger {
-                device: 0,
-                peak_residents: 4,
-                peak_used_bytes: 76 << 30,
-                capacity_bytes: 80 << 30,
-                busy_secs: 2400.0,
-                slice_secs: 36.0,
-                slice_secs_saved: 108.0,
-                queue_secs: 7200.0,
-                batches: 120,
-            }],
+    fn equiv(version: &'static str, cells: Vec<(&'static str, Cell)>) -> EquivRow {
+        let mut all = vec![("version", version.into())];
+        all.extend(cells);
+        EquivRow {
+            arm: version.into(),
+            cells: all,
+            agreement: StateAgreement::full(),
+            violations: Vec::new(),
         }
+    }
+
+    fn passing_report(retry: EquivRow, row: ThroughputRow) -> Report {
+        let members = vec![("members", 3usize.into()), ("devices", 2usize.into())];
+        let packing = (
+            "per-device member cap",
+            true,
+            "4 full-scale members fit one A100".to_string(),
+        );
+        let ledger = DeviceLedger {
+            device: 0,
+            peak_residents: 4,
+            peak_used_bytes: 76 << 30,
+            capacity_bytes: 80 << 30,
+            busy_secs: 2400.0,
+            slice_secs: 36.0,
+            slice_secs_saved: 108.0,
+            queue_secs: 7200.0,
+            batches: 120,
+        };
+        report(
+            &[equiv("offload_collapse3", members)],
+            &retry,
+            &[packing],
+            &[row],
+            &[ledger],
+        )
+    }
+
+    fn retry_row() -> EquivRow {
+        let resumed = Cell::List(vec![2u64.into()]);
+        equiv(
+            "offload_collapse2",
+            vec![
+                ("member", 1usize.into()),
+                ("attempts", 2usize.into()),
+                ("resumed_from", resumed),
+            ],
+        )
     }
 
     #[test]
     fn full_scale_cap_is_four_members_per_device() {
-        let checks = run_pack_checks(2);
-        assert!(
-            checks.iter().all(|c| c.pass),
-            "{:?}",
-            checks
-                .iter()
-                .filter(|c| !c.pass)
-                .map(|c| format!("{}: {}", c.label, c.detail))
-                .collect::<Vec<_>>()
-        );
+        let failed: Vec<PackCheck> = run_pack_checks().into_iter().filter(|c| !c.1).collect();
+        assert!(failed.is_empty(), "{failed:?}");
     }
 
     #[test]
     fn full_scale_throughput_beats_sequential_and_unbatched() {
-        let gcfg = EnsembleGateConfig::default();
         let (coeffs, traffic) = miniwrf::perfmodel::test_fixture();
-        let (row, ledgers) =
-            run_throughput_row(&gcfg, SbmVersion::OffloadCollapse3, coeffs, traffic);
-        assert!(row.pass, "{:?}", row.violations);
+        let (row, ledgers) = run_throughput_row(SbmVersion::OffloadCollapse3, coeffs, traffic);
+        assert!(row.violations.is_empty(), "{:?}", row.violations);
         assert_eq!(row.waves, 1);
         assert!(row.batched_mph > row.sequential_mph);
         assert!(row.batched_mph > row.unbatched_mph);
@@ -962,64 +694,80 @@ mod tests {
 
     #[test]
     fn throughput_regressions_are_caught() {
-        let gcfg = EnsembleGateConfig::default();
         let (coeffs, traffic) = miniwrf::perfmodel::test_fixture();
-        let (row, _) = run_throughput_row(&gcfg, SbmVersion::OffloadCollapse3, coeffs, traffic);
-        // Rebuild the schedule and feed the checker inverted numbers.
-        let spec = EnsembleSpec {
-            members: gcfg.members,
-            devices: gcfg.devices,
-            ..EnsembleSpec::default()
-        };
-        let timings: Vec<MemberTimings> = (0..spec.members)
-            .map(|m| MemberTimings {
-                member: m,
-                service_per_step: vec![row.service_secs; 4],
-            })
-            .collect();
-        let s = schedule_ensemble(
-            &timings,
-            &spec,
-            &full_scale_footprint(),
-            Some(pressure_key(&ConusParams::full())),
-        )
-        .unwrap();
-        let v = throughput_violations(&s, &spec, 1.0, 8.0, 4.0);
+        let plane = (&PerfParams::default(), traffic);
+        let (_, schedule) = full_scale_schedule(
+            default_backend(),
+            SbmVersion::OffloadCollapse3,
+            coeffs,
+            plane,
+        );
+        // Feed the checker inverted numbers.
+        let v = throughput_violations(&schedule.unwrap(), 1.0, 8.0, 4.0);
         assert!(v.iter().any(|x| x.contains("sequential")), "{v:?}");
         assert!(v.iter().any(|x| x.contains("unbatched")), "{v:?}");
     }
 
+    /// The parent format's keys and printed digits survive the envelope.
     #[test]
     fn report_verdict_flows_to_json_and_text() {
-        let rep = passing_report();
+        let rep = passing_report(retry_row(), passing_row());
         assert!(rep.pass());
         assert!(rep.violations().is_empty());
         let json = rep.to_json();
-        assert!(json.contains("\"bench\": \"ensemble\""));
+        assert!(json.contains("\"gate\": \"ensemble\""));
         assert!(json.contains("\"pass\": true"));
-        assert!(json.contains("\"batched_members_per_hour\": 9.2000"));
+        assert!(json.contains("\"batched_members_per_hour\": 9.2"));
         assert!(json.contains("\"resumed_from\": [2]"));
-        assert!(json.contains("\"cache_hit_rate\": 0.7500"));
+        assert!(json.contains("\"cache_hit_rate\": 0.75"));
         let text = rep.rendered();
-        assert!(text.contains("ensemble gate: pass"));
+        assert!(text.contains("ensemble gate: PASS"));
         assert!(text.contains("ensemble: members=8 devices=2 waves=1"));
-        assert!(text.contains("device=0 peak_residents=4"));
     }
 
     #[test]
     fn any_failing_arm_fails_the_report() {
-        let mut rep = passing_report();
-        rep.retry.as_mut().unwrap().pass = false;
-        rep.retry.as_mut().unwrap().violations = vec!["resumed from nothing".into()];
+        let mut retry = retry_row();
+        retry.violations = vec!["resumed from nothing".into()];
+        let rep = passing_report(retry, passing_row());
         assert!(!rep.pass());
         assert!(rep.violations().iter().any(|v| v.contains("retry")));
-        let mut rep = passing_report();
-        rep.throughput[0].pass = false;
-        rep.throughput[0].violations = vec!["batched lost".into()];
+        let mut row = passing_row();
+        row.violations = vec!["batched lost".into()];
+        let rep = passing_report(retry_row(), row);
         assert!(!rep.pass());
         assert!(rep
             .violations()
             .iter()
-            .any(|v| v.contains("throughput offload_collapse3")));
+            .any(|v| v.contains("throughput: offload_collapse3")));
+    }
+
+    /// The assertion inventory of the real gate at its cheapest: one
+    /// served ensemble, the retry arm, the packing scenarios, and one
+    /// throughput row priced from the shared test coefficients.
+    #[test]
+    fn gate_arms_make_exactly_these_assertions() {
+        let (coeffs, traffic) = miniwrf::perfmodel::test_fixture();
+        let (row, ledgers) = run_throughput_row(SbmVersion::OffloadCollapse3, coeffs, traffic);
+        let rep = report(
+            &[equivalence_row(SbmVersion::Lookup)],
+            &run_retry_row(),
+            &run_pack_checks(),
+            &[row],
+            &ledgers,
+        );
+        assert!(rep.pass(), "{:?}", rep.violations());
+        let labels: Vec<&str> = rep.checks.iter().map(|c| c.label.as_str()).collect();
+        assert_eq!(
+            labels,
+            [
+                "equivalence: lookup",
+                "retry: offload collapse(2)",
+                "admission: per-device member cap",
+                "admission: overflow members queue",
+                "admission: oversized stack",
+                "throughput: offload collapse(3) w/ pointers",
+            ]
+        );
     }
 }

@@ -11,6 +11,7 @@
 
 use fsbm_core::digest::{FieldDigest, MomentDigest, StateDigest};
 use std::fmt::Write as _;
+use std::path::{Path, PathBuf};
 
 /// Magic first line of every fixture.
 pub const MAGIC: &str = "wrf-gate golden v1";
@@ -54,6 +55,22 @@ impl GoldenFixture {
         }
         s.push_str("end\n");
         s
+    }
+
+    /// Writes the fixture to `dir/<stem>.golden`, creating `dir`.
+    pub fn write_to(&self, dir: &Path, stem: &str) -> Result<PathBuf, String> {
+        std::fs::create_dir_all(dir).map_err(|e| format!("mkdir {}: {e}", dir.display()))?;
+        let path = dir.join(format!("{stem}.golden"));
+        std::fs::write(&path, self.rendered())
+            .map_err(|e| format!("write {}: {e}", path.display()))?;
+        Ok(path)
+    }
+
+    /// Reads and parses the fixture file at `path`.
+    pub fn read_from(path: &Path) -> Result<GoldenFixture, String> {
+        let text = std::fs::read_to_string(path)
+            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+        GoldenFixture::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
     }
 
     /// Parses a fixture file.
@@ -170,6 +187,7 @@ fn parse_kv(rest: &str) -> Result<Vec<(&str, &str)>, String> {
 mod tests {
     use super::*;
     use fsbm_core::digest::FieldDigest;
+    use proptest::prelude::*;
 
     fn fixture() -> GoldenFixture {
         let values: Vec<f32> = (0..300).map(|i| (i as f32).sin() * 1.0e-4).collect();
@@ -225,5 +243,73 @@ mod tests {
         let w = back.digest.field("W").unwrap();
         assert_eq!(w.samples, f.digest.field("W").unwrap().samples);
         assert_eq!(w.min.to_bits(), (-0.0f32).to_bits());
+    }
+
+    proptest! {
+        /// `parse(rendered(x)) == x` over arbitrary bit patterns: every
+        /// statistic survives the text format, NaN and infinities
+        /// included (those compare through the re-rendered text, since
+        /// NaN is not equal to itself).
+        #[test]
+        fn arbitrary_fixtures_round_trip(
+            fields in proptest::collection::vec(proptest::collection::vec(any::<u32>(), 0..40), 0..4),
+            moments in proptest::collection::vec(any::<u64>(), 0..3),
+        ) {
+            let x = GoldenFixture {
+                version: "case:arbitrary".into(),
+                case: "scale=0.05 nz=8".into(),
+                digest: StateDigest {
+                    fields: fields
+                        .iter()
+                        .enumerate()
+                        .map(|(n, bits)| {
+                            let values: Vec<f32> = bits.iter().map(|&b| f32::from_bits(b)).collect();
+                            FieldDigest::of(&format!("FF{n}"), &values)
+                        })
+                        .collect(),
+                    moments: moments
+                        .iter()
+                        .enumerate()
+                        .map(|(n, &b)| MomentDigest { name: format!("M0_FF{n}"), value: f64::from_bits(b) })
+                        .collect(),
+                },
+            };
+            let text = x.rendered();
+            let back = GoldenFixture::parse(&text).expect("own rendering parses");
+            prop_assert_eq!(back.rendered(), text);
+            #[allow(clippy::eq_op)]
+            if x == x {
+                prop_assert_eq!(back, x);
+            }
+        }
+
+        /// Arbitrary bytes after the magic line — raw, and folded onto
+        /// the format's own tokens — are `Ok` or `Err`, never a panic.
+        #[test]
+        fn arbitrary_bytes_never_panic(bytes in proptest::collection::vec(0u8..=255, 0..300)) {
+            let _ = GoldenFixture::parse(&String::from_utf8_lossy(&bytes));
+            const TOKENS: &[&str] = &[
+                "\n", " ", "=", ",", "field", "samples", "moment", "end", "version", "case",
+                "name", "len", "checksum", "sum", "l2", "min", "max", "stride", "value", "0",
+                "ff", "1e9", "-", "NaN", "é",
+            ];
+            let body: String = bytes.iter().map(|b| TOKENS[*b as usize % TOKENS.len()]).collect();
+            let _ = GoldenFixture::parse(&format!("{MAGIC}\n{body}"));
+        }
+    }
+
+    /// Every truncated prefix of a real fixture is an `Err` (the `end`
+    /// terminator exists to make truncation detectable).
+    #[test]
+    fn truncated_fixtures_are_errors() {
+        let text = fixture().rendered();
+        let body = text.trim_end();
+        for end in 0..body.len() {
+            assert!(
+                GoldenFixture::parse(&body[..end]).is_err(),
+                "prefix of {end} bytes parsed"
+            );
+        }
+        assert!(GoldenFixture::parse(body).is_ok());
     }
 }

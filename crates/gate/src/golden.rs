@@ -11,9 +11,11 @@
 //! ULP distance) in the report.
 
 use crate::fixture::GoldenFixture;
+use crate::report::{Cell, Check, Table};
 use fsbm_core::digest::{ulp_distance, StateDigest};
 use fsbm_core::exec::ExecMode;
 use fsbm_core::scheme::{Layout, SbmVersion};
+use fsbm_core::state::SbmPatchState;
 use miniwrf::config::ModelConfig;
 use miniwrf::model::Model;
 
@@ -197,36 +199,148 @@ pub fn compare_digests(golden: &StateDigest, candidate: &StateDigest) -> DigestC
     DigestComparison { fields, structural }
 }
 
-/// Pass/fail thresholds for the golden gate.
-#[derive(Debug, Clone, Copy)]
-pub struct GoldenPolicy {
-    /// Minimum digits on state variables (`T`, `QVAPOR`, `RAINNC`,
-    /// `PRECIP_ACC`). The four versions share every arithmetic path, so
-    /// they agree bitwise today; 6 digits is the widest drift a libm or
-    /// toolchain change could plausibly introduce without a physics bug.
-    pub min_state_digits: u32,
-    /// Minimum digits on microphysics variables (`FF*`, `M0_*`, `M1_*`).
-    pub min_micro_digits: u32,
+/// Combined bitwise checksum of a digest: FNV-style fold of every field
+/// checksum, order-sensitive (the one-token state identity of the tune
+/// and `bench-host` reports).
+pub fn combined_checksum(digest: &StateDigest) -> u64 {
+    digest.fields.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, f| {
+        (h ^ f.checksum).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
-impl Default for GoldenPolicy {
-    fn default() -> Self {
-        GoldenPolicy {
-            min_state_digits: 6,
-            min_micro_digits: 5,
-        }
+/// Minimum digits on state variables (`T`, `QVAPOR`, `RAINNC`,
+/// `PRECIP_ACC`). The four versions share every arithmetic path, so
+/// they agree bitwise today; 6 digits is the widest drift a libm or
+/// toolchain change could plausibly introduce without a physics bug.
+pub const MIN_STATE_DIGITS: u32 = 6;
+/// Minimum digits on microphysics variables (`FF*`, `M0_*`, `M1_*`).
+pub const MIN_MICRO_DIGITS: u32 = 5;
+
+/// The digit floor for the field or moment `name`.
+pub fn digit_floor(name: &str) -> u32 {
+    if name.starts_with("FF") || name.starts_with("M0_") || name.starts_with("M1_") {
+        MIN_MICRO_DIGITS
+    } else {
+        MIN_STATE_DIGITS
     }
 }
 
-impl GoldenPolicy {
-    /// The digit floor for `name`.
-    pub fn floor_for(&self, name: &str) -> u32 {
-        if name.starts_with("FF") || name.starts_with("M0_") || name.starts_with("M1_") {
-            self.min_micro_digits
-        } else {
-            self.min_state_digits
+/// How well two sets of end states agree: the fold of
+/// [`compare_digests`] every equivalence gate reports.
+#[derive(Debug, Clone, PartialEq)]
+pub struct StateAgreement {
+    /// True when every compared value is bit-identical.
+    pub bitwise: bool,
+    /// Minimum agreed digits across states and fields.
+    pub min_digits: u32,
+    /// Worst-agreeing field of the worst comparison (empty while a fold
+    /// has seen nothing short of full agreement).
+    pub worst_field: String,
+    /// Max ULP distance of that field.
+    pub worst_ulp: u32,
+}
+
+impl StateAgreement {
+    /// The agreement of one digest comparison.
+    pub fn of(cmp: &DigestComparison) -> StateAgreement {
+        let worst = cmp.worst();
+        StateAgreement {
+            bitwise: cmp.bitwise(),
+            min_digits: cmp.min_digits(),
+            worst_field: worst.map(|f| f.name.clone()).unwrap_or_default(),
+            worst_ulp: worst.map_or(0, |f| f.max_ulp),
         }
     }
+
+    /// Nothing compared yet: full agreement.
+    pub fn full() -> StateAgreement {
+        StateAgreement {
+            bitwise: true,
+            min_digits: 15,
+            worst_field: String::new(),
+            worst_ulp: 0,
+        }
+    }
+
+    /// Folds one more digest comparison in: the worst one so far names
+    /// the worst field.
+    pub fn fold(&mut self, cmp: &DigestComparison) {
+        let bitwise = self.bitwise && cmp.bitwise();
+        if cmp.min_digits() < self.min_digits {
+            *self = StateAgreement::of(cmp);
+        }
+        self.bitwise = bitwise;
+    }
+
+    /// The violation text when the sides differ (`what` names them).
+    pub fn violation(&self, what: &str) -> Option<String> {
+        (!self.bitwise).then(|| {
+            format!(
+                "{what} digests differ (min digits {}, worst {})",
+                self.min_digits, self.worst_field
+            )
+        })
+    }
+}
+
+/// Compares two runs state by state (rank by rank, member by member). A
+/// length mismatch is total disagreement.
+pub fn compare_states(a: &[SbmPatchState], b: &[SbmPatchState]) -> StateAgreement {
+    let mut agreement = StateAgreement::full();
+    if a.len() != b.len() {
+        agreement.bitwise = false;
+        agreement.min_digits = 0;
+    }
+    for (x, y) in a.iter().zip(b) {
+        agreement.fold(&compare_digests(&x.digest(), &y.digest()));
+    }
+    agreement
+}
+
+/// One arm of a digest-equivalence matrix — the row every equivalence
+/// gate (golden, comm, fault, share, ensemble) reports.
+#[derive(Debug, Clone)]
+pub struct EquivRow {
+    /// What was compared (`baseline`, `lookup blocking`, …): the check
+    /// label's suffix.
+    pub arm: String,
+    /// The arm's identifying and measured columns, keyed as they appear
+    /// in the table (`version`, `ranks`, `queue_secs`, …).
+    pub cells: Vec<(&'static str, Cell)>,
+    /// How the two sides agreed.
+    pub agreement: StateAgreement,
+    /// Everything the gate holds against this arm (empty when passing).
+    pub violations: Vec<String>,
+}
+
+/// The table and the per-arm checks of an equivalence matrix.
+pub fn equivalence(key: &'static str, title: &str, rows: &[EquivRow]) -> (Table, Vec<Check>) {
+    let mut columns: Vec<&'static str> = rows
+        .first()
+        .map(|r| r.cells.iter().map(|(k, _)| *k).collect())
+        .unwrap_or_default();
+    columns.extend(["bitwise", "min_digits", "worst_field", "worst_ulp", "pass"]);
+    let table = Table::new(
+        key,
+        title,
+        &columns,
+        rows.iter().map(|r| {
+            let mut row: Vec<Cell> = r.cells.iter().map(|(_, c)| c.clone()).collect();
+            row.extend([
+                r.agreement.bitwise.into(),
+                r.agreement.min_digits.into(),
+                r.agreement.worst_field.as_str().into(),
+                r.agreement.worst_ulp.into(),
+                r.violations.is_empty().into(),
+            ]);
+            row
+        }),
+    );
+    let checks = rows
+        .iter()
+        .map(|r| Check::all_of(format!("{key}: {}", r.arm), &r.violations))
+        .collect();
+    (table, checks)
 }
 
 /// One run of the golden matrix.
@@ -285,8 +399,8 @@ pub fn case_description() -> String {
 
 /// Runs one matrix entry and digests the end state. `perturb`, when
 /// set, scales the liquid-water distribution by `1 + perturb` after the
-/// run — the hook the gate's self-test and the CLI `--perturb` flag use
-/// to prove a divergence actually trips the gate.
+/// run — the hook the gate's self-test uses to prove a divergence
+/// actually trips the gate.
 pub fn run_digest(spec: &GoldenRunSpec, perturb: Option<f32>) -> StateDigest {
     let mut cfg = ModelConfig::gate(spec.version, spec.mode, spec.workers);
     cfg.layout = spec.layout;
@@ -318,76 +432,17 @@ pub fn bless_fixture(version: SbmVersion) -> GoldenFixture {
     }
 }
 
-/// One comparison of the golden gate (a matrix run vs one fixture).
-#[derive(Debug, Clone)]
-pub struct GoldenCheck {
-    /// Version label of the candidate run.
-    pub version: &'static str,
-    /// Scheduling-mode label.
-    pub mode: &'static str,
-    /// Worker count.
-    pub workers: usize,
-    /// Memory-layout label of the candidate run.
-    pub layout: &'static str,
-    /// Which golden this was compared against (`self` or `baseline`).
-    pub vs: &'static str,
-    /// Whether every compared value was bit-identical.
-    pub bitwise: bool,
-    /// Minimum agreed digits.
-    pub min_digits: u32,
-    /// Name of the worst-agreeing field.
-    pub worst_field: String,
-    /// Digits of the worst-agreeing field.
-    pub worst_digits: u32,
-    /// Max ULP distance of the worst field.
-    pub worst_ulp: u32,
-    /// True when the check passed the policy.
-    pub pass: bool,
-    /// Failure details (empty when passing).
-    pub violations: Vec<String>,
-}
-
-/// The golden half of the gate report.
-#[derive(Debug, Clone, Default)]
-pub struct GoldenGateReport {
-    /// Every (run, fixture) comparison.
-    pub checks: Vec<GoldenCheck>,
-}
-
-impl GoldenGateReport {
-    /// True when every check passed.
-    pub fn pass(&self) -> bool {
-        self.checks.iter().all(|c| c.pass)
-    }
-
-    /// All violation strings, prefixed with the offending run.
-    pub fn violations(&self) -> Vec<String> {
-        self.checks
-            .iter()
-            .flat_map(|c| {
-                c.violations.iter().map(move |v| {
-                    format!(
-                        "golden: {} [{} w={} {}] vs {}: {v}",
-                        c.version, c.mode, c.workers, c.layout, c.vs
-                    )
-                })
-            })
-            .collect()
-    }
-}
-
-/// Applies `policy` to one digest comparison, producing a check row.
+/// Compares one matrix run against one fixture under the digit floors.
 pub fn check_against(
     spec: &GoldenRunSpec,
     vs: &'static str,
     golden: &StateDigest,
     candidate: &StateDigest,
-    policy: &GoldenPolicy,
-) -> GoldenCheck {
+) -> EquivRow {
     let cmp = compare_digests(golden, candidate);
     let mut violations: Vec<String> = cmp.structural.clone();
     for f in &cmp.fields {
-        let floor = policy.floor_for(&f.name);
+        let floor = digit_floor(&f.name);
         if f.digits < floor {
             violations.push(format!(
                 "{}: {} digits < required {floor} (max_rel {:.3e}, max_abs {:.3e}, rmse {:.3e}, ulp {})",
@@ -395,54 +450,52 @@ pub fn check_against(
             ));
         }
     }
-    let worst = cmp.worst();
-    GoldenCheck {
-        version: spec.version.label(),
-        mode: spec.mode.label(),
-        workers: spec.workers,
-        layout: spec.layout.label(),
-        vs,
-        bitwise: cmp.bitwise(),
-        min_digits: cmp.min_digits(),
-        worst_field: worst.map(|f| f.name.clone()).unwrap_or_default(),
-        worst_digits: worst.map(|f| f.digits).unwrap_or(0),
-        worst_ulp: worst.map(|f| f.max_ulp).unwrap_or(0),
-        pass: violations.is_empty(),
+    let agreement = StateAgreement::of(&cmp);
+    let (version, mode, layout) = (spec.version.label(), spec.mode.label(), spec.layout.label());
+    EquivRow {
+        arm: format!("{version} [{mode} w={} {layout}] vs {vs}", spec.workers),
+        cells: vec![
+            ("version", version.into()),
+            ("mode", mode.into()),
+            ("workers", spec.workers.into()),
+            ("layout", layout.into()),
+            ("vs", vs.into()),
+        ],
+        agreement,
         violations,
     }
 }
 
 /// Runs the golden gate: every spec in `specs` is digested once and
 /// compared against its own version's fixture and the baseline fixture.
-/// Fixtures are looked up by version label in `fixtures`.
+/// Fixtures are looked up by version label in `fixtures`. `perturb` is
+/// the self-test hook of [`run_digest`].
 pub fn run_golden_gate(
     specs: &[GoldenRunSpec],
     fixtures: &[GoldenFixture],
-    policy: &GoldenPolicy,
     perturb: Option<f32>,
-) -> Result<GoldenGateReport, String> {
+) -> Result<Vec<EquivRow>, String> {
     let fixture_for = |label: &str| -> Result<&GoldenFixture, String> {
         fixtures.iter().find(|f| f.version == label).ok_or_else(|| {
             format!("no golden fixture for version {label:?} — run `repro gate --bless`")
         })
     };
     let baseline = fixture_for(SbmVersion::Baseline.label())?;
-    let mut checks = Vec::new();
+    let mut rows = Vec::new();
     for spec in specs {
         let own = fixture_for(spec.version.label())?;
         let candidate = run_digest(spec, perturb);
-        checks.push(check_against(spec, "self", &own.digest, &candidate, policy));
+        rows.push(check_against(spec, "self", &own.digest, &candidate));
         if spec.version != SbmVersion::Baseline {
-            checks.push(check_against(
+            rows.push(check_against(
                 spec,
                 "baseline",
                 &baseline.digest,
                 &candidate,
-                policy,
             ));
         }
     }
-    Ok(GoldenGateReport { checks })
+    Ok(rows)
 }
 
 #[cfg(test)]
@@ -481,15 +534,13 @@ mod tests {
         // The relative error is 1e-3 → 2 digits of agreement.
         assert!(worst.digits <= 3, "digits {}", worst.digits);
         assert!(worst.max_ulp > 0 || worst.name == "M1_FF1");
-        let policy = GoldenPolicy::default();
         let spec = GoldenRunSpec {
             version: SbmVersion::Baseline,
             mode: ExecMode::StaticTiles,
             workers: 1,
             layout: Layout::PointAos,
         };
-        let check = check_against(&spec, "self", &a, &b, &policy);
-        assert!(!check.pass);
+        let check = check_against(&spec, "self", &a, &b);
         assert!(
             check.violations.iter().any(|v| v.contains("T:")),
             "violations: {:?}",

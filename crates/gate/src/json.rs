@@ -1,9 +1,18 @@
-//! Minimal JSON reader for the benchmark baselines.
+//! Minimal JSON value, reader and writer for the gate artifacts.
 //!
-//! The workspace is offline (no serde); the only JSON the gate consumes
-//! is produced by this repository itself (`BENCH_executor.json`,
-//! candidate re-runs of the same generator), so a small recursive-descent
-//! parser over the full JSON grammar is all that is needed.
+//! The workspace is offline (no serde). The reader is a small
+//! recursive-descent parser over the full JSON grammar; the committed
+//! `BENCH_*.json` files it reads are external bytes, so nesting is
+//! bounded ([`MAX_DEPTH`]) and every malformed input is an `Err`, never a
+//! panic. The writer ([`Json::write`]) is the only place report JSON is
+//! spelled: commas, escapes and layout live here and nowhere else.
+
+use std::fmt::Write as _;
+
+/// Deepest container nesting [`Json::parse`] accepts. The gate's own
+/// documents nest four deep; the bound keeps hostile input (a megabyte
+/// of `[`) from overflowing the stack.
+pub const MAX_DEPTH: usize = 64;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -26,8 +35,10 @@ impl Json {
     /// Parses a complete JSON document.
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -88,8 +99,10 @@ impl Json {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -125,11 +138,25 @@ impl Parser<'_> {
         }
     }
 
+    /// Parses one container body with the nesting depth charged.
+    fn nested(&mut self, body: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at offset {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = body(self);
+        self.depth -= 1;
+        v
+    }
+
     fn value(&mut self) -> Result<Json, String> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -228,10 +255,13 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                    let c = s.chars().next().ok_or("unterminated string")?;
+                    // Consume one UTF-8 character (`pos` only ever
+                    // advances by whole characters, so it is a boundary).
+                    let rest = self
+                        .text
+                        .get(self.pos..)
+                        .ok_or("offset inside a character")?;
+                    let c = rest.chars().next().ok_or("unterminated string")?;
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -255,9 +285,83 @@ impl Parser<'_> {
     }
 }
 
-/// Escapes `s` for embedding in a JSON string literal.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+impl Json {
+    /// Builds an object from `(key, value)` pairs, in order.
+    pub fn obj<K: Into<String>>(members: impl IntoIterator<Item = (K, Json)>) -> Json {
+        Json::Obj(members.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+
+    /// Builds an array of strings.
+    pub fn strs<S: AsRef<str>>(items: impl IntoIterator<Item = S>) -> Json {
+        Json::Arr(
+            items
+                .into_iter()
+                .map(|s| Json::Str(s.as_ref().to_string()))
+                .collect(),
+        )
+    }
+
+    /// Serializes the value. Numbers print in their shortest
+    /// round-trip form (non-finite ones as `null`). Layout keeps diffs
+    /// reviewable: a container whose members are scalars — or, for an
+    /// object, flat arrays — stays on one line (a table row, a check),
+    /// everything above it gets one member per line, and the top-level
+    /// arrays always do.
+    pub fn write(&self) -> String {
+        let mut out = String::new();
+        self.write_into(&mut out, 0);
+        out.push('\n');
+        out
+    }
+
+    fn height(&self) -> usize {
+        match self {
+            Json::Arr(items) => 1 + items.iter().map(Json::height).max().unwrap_or(0),
+            Json::Obj(members) => 1 + members.iter().map(|(_, v)| v.height()).max().unwrap_or(0),
+            _ => 0,
+        }
+    }
+
+    fn write_into(&self, out: &mut String, depth: usize) {
+        let members: Vec<(Option<&str>, &Json)> = match self {
+            Json::Null => return out.push_str("null"),
+            Json::Bool(b) => return out.push_str(if *b { "true" } else { "false" }),
+            Json::Num(x) if x.is_finite() => return out.push_str(&x.to_string()),
+            Json::Num(_) => return out.push_str("null"),
+            Json::Str(s) => return write_str(out, s),
+            Json::Arr(items) => items.iter().map(|v| (None, v)).collect(),
+            Json::Obj(members) => members.iter().map(|(k, v)| (Some(k.as_str()), v)).collect(),
+        };
+        let is_obj = matches!(self, Json::Obj(_));
+        let inline = self.height() <= 1 + is_obj as usize && (is_obj || depth != 1);
+        let newline = |out: &mut String, depth: usize| {
+            if !inline {
+                out.push('\n');
+                out.push_str(&"  ".repeat(depth));
+            }
+        };
+        out.push(if is_obj { '{' } else { '[' });
+        for (n, (key, v)) in members.iter().enumerate() {
+            if n > 0 {
+                out.push_str(if inline { ", " } else { "," });
+            }
+            newline(out, depth + 1);
+            if let Some(k) = key {
+                write_str(out, k);
+                out.push_str(": ");
+            }
+            v.write_into(out, depth + 1);
+        }
+        if !members.is_empty() {
+            newline(out, depth);
+        }
+        out.push(if is_obj { '}' } else { ']' });
+    }
+}
+
+/// Writes `s` as a JSON string literal.
+fn write_str(out: &mut String, s: &str) {
+    out.push('"');
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -265,16 +369,19 @@ pub fn escape(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
-    out
+    out.push('"');
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn parses_the_bench_document_shape() {
@@ -317,12 +424,165 @@ mod tests {
         assert!(Json::parse("{\"a\": }").is_err());
         assert!(Json::parse("[1, 2").is_err());
         assert!(Json::parse("12 34").is_err());
-        assert_eq!(escape("a\"\\\n"), "a\\\"\\\\\\n");
+        assert_eq!(Json::Str("a\"\\\n".into()).write(), "\"a\\\"\\\\\\n\"\n");
     }
 
     #[test]
     fn empty_containers() {
         assert_eq!(Json::parse("{}").unwrap(), Json::Obj(vec![]));
         assert_eq!(Json::parse("[ ]").unwrap(), Json::Arr(vec![]));
+    }
+
+    #[test]
+    fn nesting_is_bounded_not_a_stack_overflow() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper"), "{err}");
+        // The hostile shape: 200 000 unclosed brackets used to abort the
+        // process; objects recurse through the same bound.
+        assert!(Json::parse(&"[".repeat(200_000)).is_err());
+        assert!(Json::parse(&"{\"a\":".repeat(200_000)).is_err());
+    }
+
+    #[test]
+    fn writer_layout_is_one_row_per_line() {
+        let doc = Json::obj([
+            ("gate", Json::Str("x".into())),
+            ("case", Json::obj([("ranks", Json::Num(4.0))])),
+            (
+                "tables",
+                Json::obj([(
+                    "rows",
+                    Json::Arr(vec![
+                        Json::obj([("a", Json::Num(1.5)), ("r", Json::strs(["p", "q"]))]),
+                        Json::obj([("a", Json::Num(f64::NAN)), ("r", Json::Arr(vec![]))]),
+                    ]),
+                )]),
+            ),
+            ("violations", Json::strs(["v1", "v2"])),
+            ("empty", Json::Arr(vec![])),
+        ]);
+        let want = r#"{
+  "gate": "x",
+  "case": {"ranks": 4},
+  "tables": {
+    "rows": [
+      {"a": 1.5, "r": ["p", "q"]},
+      {"a": null, "r": []}
+    ]
+  },
+  "violations": [
+    "v1",
+    "v2"
+  ],
+  "empty": []
+}
+"#;
+        assert_eq!(doc.write(), want);
+    }
+
+    type Bytes<'a> = std::slice::Iter<'a, u8>;
+
+    fn take(bytes: &mut Bytes<'_>) -> u8 {
+        bytes.next().copied().unwrap_or(0)
+    }
+
+    /// A short string over control characters, quotes, backslashes,
+    /// non-ASCII and plain ASCII.
+    fn arbitrary_string(bytes: &mut Bytes<'_>) -> String {
+        (0..take(bytes) % 6)
+            .map(|_| match take(bytes) % 8 {
+                0 => '"',
+                1 => '\\',
+                2 => char::from(take(bytes) % 0x20),
+                3 => char::from_u32(0x80 + take(bytes) as u32 * 97).unwrap_or('\u{fffd}'),
+                _ => char::from(b' ' + take(bytes) % 95),
+            })
+            .collect()
+    }
+
+    /// Builds an arbitrary value from a byte stream: every scalar kind,
+    /// numbers over arbitrary bit patterns (non-finite ones included),
+    /// containers nested a few levels.
+    fn arbitrary(bytes: &mut Bytes<'_>, depth: usize) -> Json {
+        match take(bytes) % if depth < 3 { 7 } else { 5 } {
+            0 => Json::Null,
+            1 => Json::Bool(take(bytes) & 1 == 0),
+            2 => Json::Num(f64::from_bits(u64::from_le_bytes(
+                [(); 8].map(|_| take(bytes)),
+            ))),
+            3 => Json::Num((take(bytes) as f64 - 128.0) / 8.0),
+            4 => Json::Str(arbitrary_string(bytes)),
+            5 => Json::Arr(
+                (0..take(bytes) % 4)
+                    .map(|_| arbitrary(bytes, depth + 1))
+                    .collect(),
+            ),
+            _ => Json::Obj(
+                (0..take(bytes) % 4)
+                    .map(|_| (arbitrary_string(bytes), arbitrary(bytes, depth + 1)))
+                    .collect(),
+            ),
+        }
+    }
+
+    /// What the writer promises to preserve: everything, except that
+    /// non-finite numbers are written as `null`.
+    fn as_written(j: &Json) -> Json {
+        match j {
+            Json::Num(x) if !x.is_finite() => Json::Null,
+            Json::Arr(items) => Json::Arr(items.iter().map(as_written).collect()),
+            Json::Obj(m) => Json::Obj(m.iter().map(|(k, v)| (k.clone(), as_written(v))).collect()),
+            other => other.clone(),
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn writer_parser_round_trip(bytes in proptest::collection::vec(0u8..=255, 0..400)) {
+            let value = arbitrary(&mut bytes.iter(), 0);
+            let text = value.write();
+            let back = Json::parse(&text);
+            prop_assert_eq!(back, Ok(as_written(&value)), "{}", text);
+        }
+
+        /// Arbitrary bytes — raw, and folded onto JSON's own alphabet so
+        /// the parser gets past the first token — are `Ok` or `Err`,
+        /// never a panic.
+        #[test]
+        fn arbitrary_bytes_never_panic(bytes in proptest::collection::vec(0u8..=255, 0..300)) {
+            let _ = Json::parse(&String::from_utf8_lossy(&bytes));
+            const ALPHABET: &[u8] = b"[]{}\",:\\u0 19.eE-+tfn\xc3\xa9";
+            let folded: Vec<u8> = bytes.iter().map(|b| ALPHABET[*b as usize % ALPHABET.len()]).collect();
+            let _ = Json::parse(&String::from_utf8_lossy(&folded));
+        }
+    }
+
+    /// Every truncated prefix of a real report is an `Err` (and only the
+    /// whole document parses).
+    #[test]
+    fn truncated_reports_are_errors() {
+        let report = crate::Report {
+            gate: "sample",
+            case: vec![("scale", 0.3.into())],
+            checks: vec![crate::Check::new("a \"check\"", false, "det\\ail\n").bounded(1.0, 2.0)],
+            tables: vec![crate::Table::new(
+                "rows",
+                "t",
+                &["name", "order"],
+                [vec!["é".into(), crate::Cell::strs(["x", "y"])]],
+            )],
+            lines: vec!["sample: line".into()],
+        };
+        let text = report.to_json();
+        assert!(Json::parse(&text).is_ok());
+        let body = text.trim_end();
+        for end in (0..body.len()).filter(|&n| body.is_char_boundary(n)) {
+            assert!(
+                Json::parse(&body[..end]).is_err(),
+                "prefix of {end} bytes parsed"
+            );
+        }
     }
 }

@@ -20,9 +20,13 @@
 //!   one-sided bounds, nondeterministic scheduler internals are
 //!   report-only.
 //!
-//! The outcome is a machine-readable `gate_report.json` plus a human
-//! table ([`report`]); any violation makes `repro gate` exit nonzero.
-//! `repro gate --bless` regenerates the golden fixtures.
+//! Seven more gates ([`comm`], [`fault`], [`share`], [`ensemble`],
+//! [`zoo`], [`tune`], [`cases`]) enforce the claims of the layers built
+//! on top. Every gate produces the same [`Report`] — labelled checks,
+//! tables, summary lines — whose verdict, text and JSON envelope are
+//! written once in [`report`]; `repro <gate>` writes it to the gate's
+//! report file and exits nonzero on any violation. `repro gate --bless`
+//! regenerates the golden fixtures.
 
 pub mod cases;
 pub mod comm;
@@ -37,72 +41,84 @@ pub mod share;
 pub mod tune;
 pub mod zoo;
 
-pub use cases::{bless_cases, run_cases_gate, CasesGateConfig, CasesGateReport};
-pub use comm::{run_comm_gate, CommGateConfig, CommGateReport};
-pub use ensemble::{run_ensemble_gate, EnsembleGateConfig, EnsembleGateReport};
-pub use fault::{run_fault_gate, FaultGateConfig, FaultGateReport};
 pub use fixture::GoldenFixture;
-pub use golden::{GoldenPolicy, GoldenRunSpec};
+pub use golden::GoldenRunSpec;
 pub use perf::{BenchCase, Tolerances};
-pub use report::GateReport;
-pub use share::{run_share_gate, ShareGateConfig, ShareGateReport};
-pub use tune::{run_tune_gate, run_tune_gate_with, TuneGateConfig, TuneGateReport};
-pub use zoo::{run_zoo_gate, run_zoo_gate_with, ZooGateConfig, ZooGateReport};
+pub use report::{Cell, Check, Report, Table};
 
+use miniwrf::config::ModelConfig;
+use miniwrf::perfmodel::{measure_coeffs, MeasuredCoeffs};
 use std::path::{Path, PathBuf};
 
-/// Configuration of one gate invocation.
-#[derive(Debug, Clone)]
-pub struct GateConfig {
-    /// Directory holding the committed golden fixtures.
-    pub goldens_dir: PathBuf,
-    /// Path of the committed benchmark baseline.
-    pub baseline_json: PathBuf,
-    /// Where to write the machine-readable report.
-    pub report_path: PathBuf,
-    /// Regenerate the golden fixtures instead of gating.
-    pub bless: bool,
-    /// Skip the golden half.
-    pub skip_golden: bool,
-    /// Skip the perf half.
-    pub skip_perf: bool,
-    /// Self-test hook: perturb every candidate state by this relative
-    /// amount so the gate demonstrably fails.
-    pub perturb: Option<f32>,
-    /// Golden thresholds.
-    pub policy: GoldenPolicy,
-    /// Perf tolerances.
+/// How hard the gates push: the values that differ between a PR run
+/// and the nightly reference run. These two sets are the only
+/// configurations that exist; `repro <gate> --nightly` (CI:
+/// `CI_NIGHTLY`) selects the second.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Depth {
+    /// Perf-gate tolerances (`repro gate`).
     pub tol: Tolerances,
-    /// Worker counts of the golden matrix.
-    pub worker_counts: Vec<usize>,
+    /// Cold-start repeats per `bench-host` row.
+    pub host_repeats: usize,
+    /// `PanelSoa` over `PointAos` speedup floor (`bench-host --check`).
+    pub host_min_speedup: f64,
+    /// Steps of the tune gate's auto-vs-explicit bitwise arm.
+    pub tune_check_steps: usize,
+    /// Horizontal scales of the cases gate's activity sweep.
+    pub cases_sweep: &'static [f64],
 }
 
-impl Default for GateConfig {
-    fn default() -> Self {
-        GateConfig {
-            goldens_dir: PathBuf::from("goldens"),
-            baseline_json: PathBuf::from("BENCH_executor.json"),
-            report_path: PathBuf::from("gate_report.json"),
-            bless: false,
-            skip_golden: false,
-            skip_perf: false,
-            perturb: None,
-            policy: GoldenPolicy::default(),
-            tol: Tolerances::default(),
-            worker_counts: vec![1, 3],
+impl Depth {
+    /// What PR CI enforces: CI runners are noisy and differ in vector
+    /// ISA and core count, so the wall-clock bounds are loose and the
+    /// deterministic arms shallow.
+    pub const PR: Depth = Depth {
+        tol: Tolerances {
+            tight_rel: 0.05,
+            loose_rel: 0.8,
+            host_factor: 10.0,
+        },
+        host_repeats: 5,
+        host_min_speedup: 2.0,
+        tune_check_steps: 4,
+        cases_sweep: &[ModelConfig::GATE_SCALE],
+    };
+
+    /// The reference floors, enforced nightly.
+    pub const NIGHTLY: Depth = Depth {
+        tol: Tolerances {
+            tight_rel: 0.05,
+            loose_rel: 0.50,
+            host_factor: 3.0,
+        },
+        host_repeats: 10,
+        host_min_speedup: 3.0,
+        tune_check_steps: 8,
+        cases_sweep: &[0.05, 0.1, 0.2],
+    };
+
+    /// The set `--nightly` selects.
+    pub fn of(nightly: bool) -> Depth {
+        if nightly {
+            Depth::NIGHTLY
+        } else {
+            Depth::PR
         }
     }
 }
 
-/// The outcome handed back to the CLI.
-#[derive(Debug)]
-pub struct GateOutcome {
-    /// The merged report (already written to `report_path`).
-    pub report: GateReport,
-    /// The human-readable rendering.
-    pub rendered: String,
-    /// Process exit code: 0 on pass, 1 on violation.
-    pub exit_code: i32,
+/// Horizontal scale the modeled gates (share, ensemble, zoo, tune)
+/// measure their work coefficients at.
+pub(crate) const COEFF_SCALE: f64 = 0.05;
+/// Vertical levels of that measurement.
+pub(crate) const COEFF_NZ: i32 = 24;
+/// Steps of that measurement.
+pub(crate) const COEFF_STEPS: usize = 2;
+
+/// Measures the work coefficients once on the functional plane
+/// (backend-independent); the modeled gates extrapolate from them.
+pub(crate) fn measure_gate_coeffs() -> MeasuredCoeffs {
+    measure_coeffs(COEFF_SCALE, COEFF_NZ, COEFF_STEPS)
 }
 
 /// Loads every committed fixture from `dir`.
@@ -116,9 +132,7 @@ pub fn load_fixtures(dir: &Path) -> Result<Vec<GoldenFixture>, String> {
         .collect();
     paths.sort();
     for p in paths {
-        let text =
-            std::fs::read_to_string(&p).map_err(|e| format!("cannot read {}: {e}", p.display()))?;
-        fixtures.push(GoldenFixture::parse(&text).map_err(|e| format!("{}: {e}", p.display()))?);
+        fixtures.push(GoldenFixture::read_from(&p)?);
     }
     if fixtures.is_empty() {
         return Err(format!(
@@ -131,73 +145,85 @@ pub fn load_fixtures(dir: &Path) -> Result<Vec<GoldenFixture>, String> {
 
 /// Writes the four golden fixtures into `dir`.
 pub fn bless(dir: &Path) -> Result<Vec<PathBuf>, String> {
-    std::fs::create_dir_all(dir).map_err(|e| format!("mkdir {}: {e}", dir.display()))?;
-    let mut written = Vec::new();
-    for version in fsbm_core::scheme::SbmVersion::ALL {
-        let fixture = golden::bless_fixture(version);
-        let path = dir.join(format!("{}.golden", golden::version_slug(version)));
-        std::fs::write(&path, fixture.rendered())
-            .map_err(|e| format!("write {}: {e}", path.display()))?;
-        written.push(path);
-    }
-    Ok(written)
+    fsbm_core::scheme::SbmVersion::ALL
+        .into_iter()
+        .map(|v| golden::bless_fixture(v).write_to(dir, golden::version_slug(v)))
+        .collect()
 }
 
-/// Runs the configured gate. `bench` produces a candidate benchmark
-/// JSON document for the given case (normally by re-running
-/// `wrf_bench::execbench::bench_exec`); it is only invoked when the perf
-/// half is enabled, and is injected as a closure so this crate stays
-/// independent of the bench harness.
-pub fn run(
-    cfg: &GateConfig,
+/// Worker counts of the golden matrix.
+const GOLDEN_WORKERS: [usize; 2] = [1, 3];
+
+/// Assembles the `gate` report from its two halves.
+pub fn gate_report(
+    golden: &[golden::EquivRow],
+    perf: &[perf::PerfCheck],
+    structural: &[String],
+) -> Report {
+    let (golden_table, mut checks) = golden::equivalence(
+        "golden",
+        "golden verification (diffwrf digits vs committed fixtures)",
+        golden,
+    );
+    let (perf_table, perf_checks) = perf::report_parts(perf, structural);
+    checks.extend(perf_checks);
+    Report {
+        gate: "gate",
+        case: vec![("golden", golden::case_description().into())],
+        checks,
+        tables: vec![golden_table, perf_table],
+        lines: Vec::new(),
+    }
+}
+
+/// Runs the reproduction gate: the golden matrix against the fixtures
+/// in `goldens_dir`, then the perf comparison against the baseline at
+/// `baseline_json`. `bench` produces a candidate benchmark JSON document
+/// for the baseline's case (normally by re-running
+/// `wrf_bench::execbench::bench_exec`); it is injected as a closure so
+/// this crate stays independent of the bench harness.
+pub fn run_gate(
+    goldens_dir: &Path,
+    baseline_json: &Path,
+    tol: &Tolerances,
     bench: impl FnOnce(&BenchCase) -> String,
-) -> Result<GateOutcome, String> {
-    if cfg.bless {
-        let written = bless(&cfg.goldens_dir)?;
-        let rendered = written
-            .iter()
-            .map(|p| format!("blessed {}", p.display()))
-            .collect::<Vec<_>>()
-            .join("\n")
-            + "\n";
-        return Ok(GateOutcome {
-            report: GateReport::default(),
-            rendered,
-            exit_code: 0,
-        });
-    }
+) -> Result<Report, String> {
+    let fixtures = load_fixtures(goldens_dir)?;
+    let golden = golden::run_golden_gate(&golden::gate_matrix(&GOLDEN_WORKERS), &fixtures, None)?;
+    let baseline = std::fs::read_to_string(baseline_json)
+        .map_err(|e| format!("cannot read perf baseline {}: {e}", baseline_json.display()))?;
+    let candidate = bench(&perf::parse_case(&baseline)?);
+    let (perf, structural) = perf::compare_benchmarks(&baseline, &candidate, tol);
+    Ok(gate_report(&golden, &perf, &structural))
+}
 
-    let mut report = GateReport::default();
-    if !cfg.skip_golden {
-        let fixtures = load_fixtures(&cfg.goldens_dir)?;
-        let specs = golden::gate_matrix(&cfg.worker_counts);
-        report.golden = Some(golden::run_golden_gate(
-            &specs,
-            &fixtures,
-            &cfg.policy,
-            cfg.perturb,
-        )?);
-    }
-    if !cfg.skip_perf {
-        let baseline = std::fs::read_to_string(&cfg.baseline_json).map_err(|e| {
-            format!(
-                "cannot read perf baseline {}: {e}",
-                cfg.baseline_json.display()
-            )
-        })?;
-        let case = perf::parse_case(&baseline)?;
-        let candidate = bench(&case);
-        report.perf = Some(perf::compare_benchmarks(&baseline, &candidate, &cfg.tol));
-    }
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-    let json = report.to_json();
-    std::fs::write(&cfg.report_path, &json)
-        .map_err(|e| format!("write {}: {e}", cfg.report_path.display()))?;
-    let rendered = report.rendered();
-    let exit_code = if report.pass() { 0 } else { 1 };
-    Ok(GateOutcome {
-        report,
-        rendered,
-        exit_code,
-    })
+    /// PR-event and nightly-event CI resolve to exactly these values.
+    #[test]
+    fn the_two_depths_are_what_ci_enforces() {
+        let (pr, nightly) = (Depth::of(false), Depth::of(true));
+        assert_eq!(
+            (pr.host_repeats, pr.host_min_speedup, pr.tune_check_steps),
+            (5, 2.0, 4)
+        );
+        assert_eq!((pr.tol.loose_rel, pr.tol.host_factor), (0.8, 10.0));
+        assert_eq!(pr.cases_sweep, [0.05]);
+        assert_eq!(
+            (
+                nightly.host_repeats,
+                nightly.host_min_speedup,
+                nightly.tune_check_steps
+            ),
+            (10, 3.0, 8)
+        );
+        assert_eq!(
+            (nightly.tol.loose_rel, nightly.tol.host_factor),
+            (0.50, 3.0)
+        );
+        assert_eq!(nightly.cases_sweep, [0.05, 0.1, 0.2]);
+        assert_eq!(pr.tol.tight_rel, nightly.tol.tight_rel);
+    }
 }

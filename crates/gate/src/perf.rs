@@ -16,9 +16,11 @@
 //!   counts). Reported, never gated.
 
 use crate::json::Json;
+use crate::report::{Cell, Check, Table};
 
-/// Tolerance configuration of the perf gate.
-#[derive(Debug, Clone, Copy)]
+/// Tolerance configuration of the perf gate (the PR and nightly values
+/// are [`crate::Depth::PR`] and [`crate::Depth::NIGHTLY`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Tolerances {
     /// Relative tolerance for deterministic (tight) metrics, two-sided.
     pub tight_rel: f64,
@@ -28,20 +30,10 @@ pub struct Tolerances {
     /// Slow-down factor allowed on raw host wall time (one-sided:
     /// candidate ≤ golden·host_factor).
     pub host_factor: f64,
-    /// Absolute tolerance on the activity fraction.
-    pub active_abs: f64,
 }
 
-impl Default for Tolerances {
-    fn default() -> Self {
-        Tolerances {
-            tight_rel: 0.05,
-            loose_rel: 0.50,
-            host_factor: 3.0,
-            active_abs: 0.02,
-        }
-    }
-}
+/// Absolute tolerance on the activity fraction.
+const ACTIVE_ABS: f64 = 0.02;
 
 /// One gated (or reported) metric comparison.
 #[derive(Debug, Clone)]
@@ -62,41 +54,48 @@ pub struct PerfCheck {
     pub pass: bool,
 }
 
-impl PerfCheck {
-    fn violation(&self) -> Option<String> {
-        if self.pass {
-            return None;
-        }
-        Some(format!(
-            "perf: {} {} ({}) golden {:.4} candidate {:.4} exceeds tolerance {:.4}",
-            self.row, self.metric, self.class, self.golden, self.candidate, self.limit
-        ))
-    }
-}
-
-/// The perf half of the gate report.
-#[derive(Debug, Clone, Default)]
-pub struct PerfGateReport {
-    /// Every comparison, row-major.
-    pub checks: Vec<PerfCheck>,
-    /// Structural problems (missing rows, malformed documents).
-    pub structural: Vec<String>,
-}
-
-impl PerfGateReport {
-    /// True when every gated check passed and the documents lined up.
-    pub fn pass(&self) -> bool {
-        self.structural.is_empty() && self.checks.iter().all(|c| c.pass)
-    }
-
-    /// All violation strings.
-    pub fn violations(&self) -> Vec<String> {
-        self.structural
-            .iter()
-            .map(|s| format!("perf: {s}"))
-            .chain(self.checks.iter().filter_map(|c| c.violation()))
-            .collect()
-    }
+/// The perf half's table and checks: one [`Check`] per gated metric
+/// (`info` rows are table-only), plus one for the documents lining up
+/// (`structural`: missing rows, malformed documents).
+pub fn report_parts(checks: &[PerfCheck], structural: &[String]) -> (Table, Vec<Check>) {
+    let table = Table::new(
+        "perf",
+        "perf regression vs BENCH_executor.json",
+        &[
+            "row",
+            "metric",
+            "class",
+            "golden",
+            "candidate",
+            "limit",
+            "pass",
+        ],
+        checks.iter().map(|c| {
+            vec![
+                c.row.as_str().into(),
+                c.metric.into(),
+                c.class.into(),
+                Cell::num(c.golden, 6),
+                Cell::num(c.candidate, 6),
+                Cell::num(c.limit, 6),
+                c.pass.into(),
+            ]
+        }),
+    );
+    let mut out = vec![Check::all_of("perf: documents line up", structural)];
+    out.extend(checks.iter().filter(|c| c.class != "info").map(|c| {
+        let detail = format!(
+            "golden {:.4} candidate {:.4} exceeds tolerance {:.4}",
+            c.golden, c.candidate, c.limit
+        );
+        Check::new(
+            format!("perf: {} {} ({})", c.row, c.metric, c.class),
+            c.pass,
+            if c.pass { String::new() } else { detail },
+        )
+        .bounded(c.candidate, c.limit)
+    }));
+    (table, out)
 }
 
 /// The benchmark case parameters embedded in a `BENCH_executor.json`,
@@ -218,48 +217,73 @@ fn rel_err(golden: f64, candidate: f64) -> f64 {
     }
 }
 
+/// How one metric is held against its baseline value.
+#[derive(Clone, Copy)]
+enum Rule {
+    /// Tight, two-sided: relative error within the limit.
+    Rel(f64),
+    /// Tight, two-sided: absolute difference within the limit.
+    Abs(f64),
+    /// Loose, one-sided: candidate ≥ golden·(1 − limit).
+    AtLeast(f64),
+    /// Loose, one-sided: candidate ≤ golden·limit.
+    AtMost(f64),
+    /// Reported, never gated.
+    Info,
+}
+
+/// Evaluates one metric under its rule.
+fn held(row: &str, metric: &'static str, golden: f64, candidate: f64, rule: Rule) -> PerfCheck {
+    let (class, limit, pass) = match rule {
+        Rule::Rel(l) => ("tight", l, rel_err(golden, candidate) <= l),
+        Rule::Abs(l) => ("tight", l, (golden - candidate).abs() <= l),
+        Rule::AtLeast(l) => ("loose", l, candidate >= golden * (1.0 - l)),
+        Rule::AtMost(l) => ("loose", l, candidate <= golden * l),
+        Rule::Info => ("info", f64::INFINITY, true),
+    };
+    PerfCheck {
+        row: row.to_string(),
+        metric,
+        class,
+        golden,
+        candidate,
+        limit,
+        pass,
+    }
+}
+
 /// Compares a candidate benchmark document against the committed
-/// baseline under `tol`, producing every check the gate evaluates.
+/// baseline under `tol`, producing every check the gate evaluates plus
+/// the structural problems (missing rows, malformed documents).
 pub fn compare_benchmarks(
     baseline_json: &str,
     candidate_json: &str,
     tol: &Tolerances,
-) -> PerfGateReport {
-    let mut report = PerfGateReport::default();
-    let golden = match parse_bench(baseline_json) {
-        Ok(b) => b,
-        Err(e) => {
-            report.structural.push(format!("baseline: {e}"));
-            return report;
-        }
-    };
-    let cand = match parse_bench(candidate_json) {
-        Ok(b) => b,
-        Err(e) => {
-            report.structural.push(format!("candidate: {e}"));
-            return report;
-        }
+) -> (Vec<PerfCheck>, Vec<String>) {
+    let (mut checks, mut structural) = (Vec::new(), Vec::new());
+    let (golden, cand) = match (parse_bench(baseline_json), parse_bench(candidate_json)) {
+        (Ok(g), Ok(c)) => (g, c),
+        (Err(e), _) => return (checks, vec![format!("baseline: {e}")]),
+        (_, Err(e)) => return (checks, vec![format!("candidate: {e}")]),
     };
 
     // Case-level deterministic metrics.
-    report.checks.push(PerfCheck {
-        row: "case".into(),
-        metric: "active_fraction",
-        class: "tight",
-        golden: golden.case_active_fraction,
-        candidate: cand.case_active_fraction,
-        limit: tol.active_abs,
-        pass: (golden.case_active_fraction - cand.case_active_fraction).abs() <= tol.active_abs,
-    });
-    report.checks.push(PerfCheck {
-        row: "case".into(),
-        metric: "coal_flops",
-        class: "tight",
-        golden: golden.coal_flops,
-        candidate: cand.coal_flops,
-        limit: tol.tight_rel,
-        pass: rel_err(golden.coal_flops, cand.coal_flops) <= tol.tight_rel,
-    });
+    let (g_active, c_active) = (golden.case_active_fraction, cand.case_active_fraction);
+    checks.push(held(
+        "case",
+        "active_fraction",
+        g_active,
+        c_active,
+        Rule::Abs(ACTIVE_ABS),
+    ));
+    let tight = Rule::Rel(tol.tight_rel);
+    checks.push(held(
+        "case",
+        "coal_flops",
+        golden.coal_flops,
+        cand.coal_flops,
+        tight,
+    ));
 
     // The serial reference rate normalizes host-speed out of the
     // deterministic scaling comparison.
@@ -278,9 +302,7 @@ pub fn compare_benchmarks(
             .iter()
             .find(|r| r.mode == g.mode && r.workers == g.workers)
         else {
-            report
-                .structural
-                .push(format!("row {key} missing from candidate"));
+            structural.push(format!("row {key} missing from candidate"));
             continue;
         };
         // Deterministic scaling: steps_per_s normalized by the serial
@@ -288,85 +310,48 @@ pub fn compare_benchmarks(
         if let (Some(gs), Some(cs)) = (g_serial, c_serial) {
             if gs > 0.0 && cs > 0.0 {
                 let (gr, cr) = (g.steps_per_s / gs, c.steps_per_s / cs);
-                report.checks.push(PerfCheck {
-                    row: key.clone(),
-                    metric: "scaling_vs_serial",
-                    class: "tight",
-                    golden: gr,
-                    candidate: cr,
-                    limit: tol.tight_rel,
-                    pass: rel_err(gr, cr) <= tol.tight_rel,
-                });
+                checks.push(held(&key, "scaling_vs_serial", gr, cr, tight));
             }
         }
-        report.checks.push(PerfCheck {
-            row: key.clone(),
-            metric: "steps_per_s",
-            class: "loose",
-            golden: g.steps_per_s,
-            candidate: c.steps_per_s,
-            limit: tol.loose_rel,
-            pass: c.steps_per_s >= g.steps_per_s * (1.0 - tol.loose_rel),
+        let at_least = Rule::AtLeast(tol.loose_rel);
+        checks.push(held(
+            &key,
+            "steps_per_s",
+            g.steps_per_s,
+            c.steps_per_s,
+            at_least,
+        ));
+        let at_most = Rule::AtMost(tol.host_factor);
+        checks.push(held(&key, "host_wall_s", g.host_wall, c.host_wall, at_most));
+        // Chunk counts are deterministic but quantized; allow a wide
+        // tight band (and floor both sides at one chunk) so a ±1-chunk
+        // rounding shift cannot trip it.
+        let limit = (tol.tight_rel * 6.0).min(0.5);
+        checks.push(PerfCheck {
+            pass: rel_err(g.chunks.max(1.0), c.chunks.max(1.0)) <= limit,
+            ..held(&key, "chunks", g.chunks, c.chunks, Rule::Rel(limit))
         });
-        report.checks.push(PerfCheck {
-            row: key.clone(),
-            metric: "host_wall_s",
-            class: "loose",
-            golden: g.host_wall,
-            candidate: c.host_wall,
-            limit: tol.host_factor,
-            pass: c.host_wall <= g.host_wall * tol.host_factor,
-        });
-        report.checks.push(PerfCheck {
-            row: key.clone(),
-            metric: "chunks",
-            class: "tight",
-            golden: g.chunks,
-            candidate: c.chunks,
-            // Chunk counts are deterministic but quantized; allow a wide
-            // tight band so a ±1-chunk rounding shift cannot trip it.
-            limit: (tol.tight_rel * 6.0).min(0.5),
-            pass: rel_err(g.chunks.max(1.0), c.chunks.max(1.0)) <= (tol.tight_rel * 6.0).min(0.5),
-        });
-        report.checks.push(PerfCheck {
-            row: key.clone(),
-            metric: "cache_hit_rate",
-            class: "tight",
-            golden: g.cache_hit_rate,
-            candidate: c.cache_hit_rate,
-            limit: 0.02,
-            pass: (g.cache_hit_rate - c.cache_hit_rate).abs() <= 0.02,
-        });
-        report.checks.push(PerfCheck {
-            row: key,
-            metric: "steals",
-            class: "info",
-            golden: g.steals,
-            candidate: c.steals,
-            limit: f64::INFINITY,
-            pass: true,
-        });
+        let hit_rate = Rule::Abs(0.02);
+        checks.push(held(
+            &key,
+            "cache_hit_rate",
+            g.cache_hit_rate,
+            c.cache_hit_rate,
+            hit_rate,
+        ));
+        checks.push(held(&key, "steals", g.steals, c.steals, Rule::Info));
     }
 
     for (w, gs) in &golden.speedups {
         let Some((_, cs)) = cand.speedups.iter().find(|(cw, _)| cw == w) else {
-            report
-                .structural
-                .push(format!("speedup@{w} missing from candidate"));
+            structural.push(format!("speedup@{w} missing from candidate"));
             continue;
         };
-        report.checks.push(PerfCheck {
-            row: format!("speedup@{w}"),
-            metric: "ws_compaction_vs_static",
-            class: "tight",
-            golden: *gs,
-            candidate: *cs,
-            limit: tol.tight_rel,
-            pass: rel_err(*gs, *cs) <= tol.tight_rel,
-        });
+        let row = format!("speedup@{w}");
+        checks.push(held(&row, "ws_compaction_vs_static", *gs, *cs, tight));
     }
 
-    report
+    (checks, structural)
 }
 
 #[cfg(test)]
@@ -408,22 +393,33 @@ mod tests {
         );
     }
 
+    /// The reference tolerances.
+    const TOL: Tolerances = crate::Depth::NIGHTLY.tol;
+
+    /// The comparison as the gate reports it.
+    fn compared(base: &str, cand: &str, tol: &Tolerances) -> crate::Report {
+        let (checks, structural) = compare_benchmarks(base, cand, tol);
+        crate::gate_report(&[], &checks, &structural)
+    }
+
     #[test]
     fn identical_documents_pass() {
         let base = doc(15.79, 100, 0.76);
-        let rep = compare_benchmarks(&base, &base, &Tolerances::default());
+        let rep = compared(&base, &base, &TOL);
         assert!(rep.pass(), "violations: {:?}", rep.violations());
         // Info metrics are present but never gate.
-        assert!(rep.checks.iter().any(|c| c.class == "info"));
+        let (checks, _) = compare_benchmarks(&base, &base, &TOL);
+        assert!(checks.iter().any(|c| c.class == "info"));
+        assert!(!rep.checks.iter().any(|c| c.label.contains("(info)")));
     }
 
     #[test]
     fn degraded_throughput_fails_and_names_the_row() {
         let base = doc(15.79, 100, 0.76);
-        // 60% throughput loss: outside the default 50% loose band, and
+        // 60% throughput loss: outside the reference 50% loose band, and
         // the scaling ratio also collapses (tight).
         let cand = doc(15.79 * 0.4, 100, 0.76);
-        let rep = compare_benchmarks(&base, &cand, &Tolerances::default());
+        let rep = compared(&base, &cand, &TOL);
         assert!(!rep.pass());
         let v = rep.violations().join("\n");
         assert!(
@@ -442,9 +438,9 @@ mod tests {
             // The synthetic candidate drifts its scaling ratio ~8% too;
             // widen the tight band to model calibration noise.
             tight_rel: 0.10,
-            ..Tolerances::default()
+            ..TOL
         };
-        let rep = compare_benchmarks(&base, &cand, &tol);
+        let rep = compared(&base, &cand, &tol);
         assert!(rep.pass(), "violations: {:?}", rep.violations());
     }
 
@@ -452,8 +448,7 @@ mod tests {
     fn host_wall_blowup_fails_loosely() {
         let base = doc(15.79, 100, 0.76);
         let cand = doc(15.79, 100, 0.76 * 4.0);
-        let rep = compare_benchmarks(&base, &cand, &Tolerances::default());
-        let v = rep.violations().join("\n");
+        let v = compared(&base, &cand, &TOL).violations().join("\n");
         assert!(v.contains("host_wall_s"), "{v}");
     }
 
@@ -461,7 +456,7 @@ mod tests {
     fn missing_row_is_structural() {
         let base = doc(15.79, 100, 0.76);
         let cand = base.replace("work-stealing+compaction", "renamed-mode");
-        let rep = compare_benchmarks(&base, &cand, &Tolerances::default());
+        let rep = compared(&base, &cand, &TOL);
         assert!(!rep.pass());
         assert!(rep
             .violations()
@@ -472,7 +467,7 @@ mod tests {
     #[test]
     fn malformed_candidate_is_structural() {
         let base = doc(15.79, 100, 0.76);
-        let rep = compare_benchmarks(&base, "{not json", &Tolerances::default());
+        let rep = compared(&base, "{not json", &TOL);
         assert!(!rep.pass());
         assert!(rep.violations()[0].contains("candidate"));
     }

@@ -1,266 +1,410 @@
-//! The merged gate report: `gate_report.json` plus the human table.
+//! The one gate report: every gate produces a [`Report`], and its
+//! verdict, violation list, text rendering and JSON envelope are written
+//! here once.
+//!
+//! A report is three things. **Checks** are the gated assertions — one
+//! [`Check`] per condition that can fail the gate, labelled, so the set
+//! of labels *is* the gate's assertion inventory. **Tables** carry the
+//! measurements: each gate lists a row's cells once and gets the text
+//! table and the JSON rows from the same list. **Lines** are the
+//! `prof_sim::*_line` one-liners CI greps into job summaries.
 
-use crate::golden::GoldenGateReport;
-use crate::json::escape;
-use crate::perf::PerfGateReport;
+use crate::json::Json;
 use prof_sim::TextTable;
 use std::fmt::Write as _;
 
-/// The complete outcome of a `repro gate` run.
-#[derive(Debug, Clone, Default)]
-pub struct GateReport {
-    /// Golden-verification half (absent when skipped).
-    pub golden: Option<GoldenGateReport>,
-    /// Perf-regression half (absent when skipped).
-    pub perf: Option<PerfGateReport>,
+/// Version of the JSON envelope (`gate/format/pass/case/checks/tables/
+/// lines/violations`) shared by `gate_report.json` and the gate-written
+/// `BENCH_*.json` files.
+pub const FORMAT: u32 = 2;
+
+/// One gated assertion.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Check {
+    /// What is asserted; stable across runs (the inventory key).
+    pub label: String,
+    /// Whether it held.
+    pub pass: bool,
+    /// The violation text (empty when the check held).
+    pub detail: String,
+    /// The measured quantity, for numeric assertions.
+    pub measured: Option<f64>,
+    /// The bound it was held against.
+    pub bound: Option<f64>,
 }
 
-impl GateReport {
-    /// True when every enabled half passed.
+impl Check {
+    /// A pass/fail assertion; `violation` is what to say when it fails.
+    pub fn new(label: impl Into<String>, pass: bool, violation: impl Into<String>) -> Check {
+        Check {
+            label: label.into(),
+            pass,
+            detail: if pass {
+                String::new()
+            } else {
+                violation.into()
+            },
+            measured: None,
+            bound: None,
+        }
+    }
+
+    /// An assertion that holds iff `violations` is empty (the shape the
+    /// gates' pure `*_violations` functions return).
+    pub fn all_of(label: impl Into<String>, violations: &[String]) -> Check {
+        Check::new(label, violations.is_empty(), violations.join("; "))
+    }
+
+    /// Attaches the measured value and its bound.
+    pub fn bounded(mut self, measured: f64, bound: f64) -> Check {
+        self.measured = Some(measured);
+        self.bound = Some(bound);
+        self
+    }
+}
+
+/// One table cell. The text table and the JSON row are both derived
+/// from it, so a number is printed with the same digits in both.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Cell {
+    /// Text.
+    Str(String),
+    /// An integer (counts, byte sizes).
+    Int(i64),
+    /// A real number *as printed* — see [`Cell::num`], [`Cell::sci`] and
+    /// `From<f64>`. JSON carries the value of exactly these digits.
+    Num(String),
+    /// A flag (`yes`/`no` in text).
+    Bool(bool),
+    /// A short list (a ranking, a band).
+    List(Vec<Cell>),
+    /// Absent (`-` in text, `null` in JSON).
+    Null,
+}
+
+impl Cell {
+    /// `value` with a fixed number of decimals.
+    pub fn num(value: f64, decimals: usize) -> Cell {
+        Cell::Num(format!("{value:.decimals$}"))
+    }
+
+    /// `value` in scientific notation with `decimals` mantissa decimals.
+    pub fn sci(value: f64, decimals: usize) -> Cell {
+        Cell::Num(format!("{value:.decimals$e}"))
+    }
+
+    /// A list of strings.
+    pub fn strs<S: AsRef<str>>(items: impl IntoIterator<Item = S>) -> Cell {
+        Cell::List(items.into_iter().map(|s| s.as_ref().into()).collect())
+    }
+
+    fn text(&self) -> String {
+        match self {
+            Cell::Str(s) | Cell::Num(s) => s.clone(),
+            Cell::Int(i) => i.to_string(),
+            Cell::Bool(b) => if *b { "yes" } else { "no" }.to_string(),
+            Cell::List(items) => items.iter().map(Cell::text).collect::<Vec<_>>().join(", "),
+            Cell::Null => "-".to_string(),
+        }
+    }
+
+    fn json(&self) -> Json {
+        match self {
+            Cell::Str(s) => Json::Str(s.clone()),
+            Cell::Int(i) => Json::Num(*i as f64),
+            Cell::Num(s) => Json::Num(s.parse().unwrap_or(f64::NAN)),
+            Cell::Bool(b) => Json::Bool(*b),
+            Cell::List(items) => Json::Arr(items.iter().map(Cell::json).collect()),
+            Cell::Null => Json::Null,
+        }
+    }
+}
+
+impl From<&str> for Cell {
+    fn from(s: &str) -> Cell {
+        Cell::Str(s.to_string())
+    }
+}
+
+impl From<String> for Cell {
+    fn from(s: String) -> Cell {
+        Cell::Str(s)
+    }
+}
+
+impl From<bool> for Cell {
+    fn from(b: bool) -> Cell {
+        Cell::Bool(b)
+    }
+}
+
+/// The shortest digits that round-trip (`0.3`, `10`).
+impl From<f64> for Cell {
+    fn from(x: f64) -> Cell {
+        Cell::Num(x.to_string())
+    }
+}
+
+macro_rules! cell_from_int {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Cell {
+            fn from(i: $t) -> Cell {
+                i64::try_from(i).map_or(Cell::Null, Cell::Int)
+            }
+        }
+    )*};
+}
+cell_from_int!(i32, u32, u64, usize);
+
+impl<T: Into<Cell>> From<Option<T>> for Cell {
+    fn from(x: Option<T>) -> Cell {
+        x.map_or(Cell::Null, Into::into)
+    }
+}
+
+/// One table of measurements: text through [`TextTable`], JSON as an
+/// array of objects keyed by column.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Table {
+    /// Key of the table in the JSON `tables` object.
+    pub key: &'static str,
+    /// Heading of the text rendering.
+    pub title: String,
+    /// Column names (text headers and JSON keys).
+    pub columns: Vec<&'static str>,
+    /// The rows, one cell per column.
+    pub rows: Vec<Vec<Cell>>,
+}
+
+impl Table {
+    /// Builds a table from its rows.
+    pub fn new(
+        key: &'static str,
+        title: impl Into<String>,
+        columns: &[&'static str],
+        rows: impl IntoIterator<Item = Vec<Cell>>,
+    ) -> Table {
+        Table {
+            key,
+            title: title.into(),
+            columns: columns.to_vec(),
+            rows: rows.into_iter().collect(),
+        }
+    }
+
+    fn json(&self) -> Json {
+        Json::Arr(
+            self.rows
+                .iter()
+                .map(|row| Json::obj(self.columns.iter().zip(row).map(|(c, x)| (*c, x.json()))))
+                .collect(),
+        )
+    }
+}
+
+/// The complete outcome of one gate run.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Report {
+    /// Registry name of the gate (`gate`, `comm`, …).
+    pub gate: &'static str,
+    /// The pinned parameters the gate ran with.
+    pub case: Vec<(&'static str, Cell)>,
+    /// Every gated assertion.
+    pub checks: Vec<Check>,
+    /// The measurements behind them.
+    pub tables: Vec<Table>,
+    /// One-line summaries CI greps into the job summary.
+    pub lines: Vec<String>,
+}
+
+impl Report {
+    /// True when every check held.
     pub fn pass(&self) -> bool {
-        self.golden.as_ref().is_none_or(|g| g.pass()) && self.perf.as_ref().is_none_or(|p| p.pass())
+        self.checks.iter().all(|c| c.pass)
     }
 
-    /// Every violation across both halves.
+    /// One `gate: label: detail` string per failed check.
     pub fn violations(&self) -> Vec<String> {
-        let mut v = Vec::new();
-        if let Some(g) = &self.golden {
-            v.extend(g.violations());
-        }
-        if let Some(p) = &self.perf {
-            v.extend(p.violations());
-        }
-        v
+        self.checks
+            .iter()
+            .filter(|c| !c.pass)
+            .map(|c| format!("{}: {}: {}", self.gate, c.label, c.detail))
+            .collect()
     }
 
-    /// Renders the machine-readable `gate_report.json`.
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"gate\": \"wrf-gate\",\n  \"format\": 1,\n");
-        let _ = writeln!(s, "  \"pass\": {},", self.pass());
-        if let Some(g) = &self.golden {
-            let _ = writeln!(s, "  \"golden\": {{\n    \"pass\": {},", g.pass());
-            s.push_str("    \"checks\": [\n");
-            for (n, c) in g.checks.iter().enumerate() {
-                let _ = writeln!(
-                    s,
-                    "      {{\"version\": \"{}\", \"mode\": \"{}\", \"workers\": {}, \
-                     \"layout\": \"{}\", \"vs\": \"{}\", \"bitwise\": {}, \"min_digits\": {}, \
-                     \"worst_field\": \"{}\", \"worst_digits\": {}, \"worst_ulp\": {}, \
-                     \"pass\": {}}}{}",
-                    escape(c.version),
-                    escape(c.mode),
-                    c.workers,
-                    escape(c.layout),
-                    c.vs,
-                    c.bitwise,
-                    c.min_digits,
-                    escape(&c.worst_field),
-                    c.worst_digits,
-                    c.worst_ulp,
-                    c.pass,
-                    if n + 1 < g.checks.len() { "," } else { "" }
-                );
-            }
-            s.push_str("    ]\n  },\n");
-        }
-        if let Some(p) = &self.perf {
-            let _ = writeln!(s, "  \"perf\": {{\n    \"pass\": {},", p.pass());
-            s.push_str("    \"checks\": [\n");
-            for (n, c) in p.checks.iter().enumerate() {
-                let _ = writeln!(
-                    s,
-                    "      {{\"row\": \"{}\", \"metric\": \"{}\", \"class\": \"{}\", \
-                     \"golden\": {:.6}, \"candidate\": {:.6}, \"limit\": {}, \"pass\": {}}}{}",
-                    escape(&c.row),
-                    c.metric,
-                    c.class,
-                    c.golden,
-                    c.candidate,
-                    if c.limit.is_finite() {
-                        format!("{:.6}", c.limit)
-                    } else {
-                        "null".to_string()
-                    },
-                    c.pass,
-                    if n + 1 < p.checks.len() { "," } else { "" }
-                );
-            }
-            s.push_str("    ],\n");
-            s.push_str("    \"structural\": [");
-            for (n, v) in p.structural.iter().enumerate() {
-                let _ = write!(
-                    s,
-                    "\"{}\"{}",
-                    escape(v),
-                    if n + 1 < p.structural.len() { ", " } else { "" }
-                );
-            }
-            s.push_str("]\n  },\n");
-        }
-        s.push_str("  \"violations\": [\n");
-        let violations = self.violations();
-        for (n, v) in violations.iter().enumerate() {
-            let _ = writeln!(
-                s,
-                "    \"{}\"{}",
-                escape(v),
-                if n + 1 < violations.len() { "," } else { "" }
-            );
-        }
-        s.push_str("  ]\n}\n");
-        s
-    }
-
-    /// Renders the human-readable report.
+    /// The human-readable rendering: every table under its heading, the
+    /// summary lines, the check inventory, then the verdict.
     pub fn rendered(&self) -> String {
         let mut s = String::new();
-        if let Some(g) = &self.golden {
-            s.push_str(
-                "=== repro gate: golden verification (diffwrf digits vs committed fixtures) ===\n",
-            );
-            let mut t = TextTable::new(&[
-                "version",
-                "mode",
-                "workers",
-                "layout",
-                "vs",
-                "bitwise",
-                "min digits",
-                "worst field",
-                "ulp",
-                "result",
-            ]);
-            for c in &g.checks {
-                t.push_row(vec![
-                    c.version.to_string(),
-                    c.mode.to_string(),
-                    c.workers.to_string(),
-                    c.layout.to_string(),
-                    c.vs.to_string(),
-                    if c.bitwise { "yes" } else { "no" }.to_string(),
-                    c.min_digits.to_string(),
-                    c.worst_field.clone(),
-                    c.worst_ulp.to_string(),
-                    if c.pass { "pass" } else { "FAIL" }.to_string(),
-                ]);
-            }
-            s.push_str(&t.rendered());
-            s.push('\n');
+        let mut section = |title: &str, columns: &[&str], rows: Vec<Vec<String>>| {
+            let _ = writeln!(s, "=== repro {}: {title} ===", self.gate);
+            let mut t = TextTable::new(columns);
+            rows.into_iter().for_each(|r| t.push_row(r));
+            let _ = writeln!(s, "{}", t.rendered());
+        };
+        for t in &self.tables {
+            let rows = t.rows.iter().map(|r| r.iter().map(Cell::text).collect());
+            section(&t.title, &t.columns, rows.collect());
         }
-        if let Some(p) = &self.perf {
-            s.push_str("=== repro gate: perf regression vs BENCH_executor.json ===\n");
-            let mut t =
-                TextTable::new(&["row", "metric", "class", "golden", "candidate", "result"]);
-            for c in &p.checks {
-                t.push_row(vec![
-                    c.row.clone(),
-                    c.metric.to_string(),
-                    c.class.to_string(),
-                    format!("{:.4}", c.golden),
-                    format!("{:.4}", c.candidate),
-                    if c.pass { "pass" } else { "FAIL" }.to_string(),
-                ]);
-            }
-            s.push_str(&t.rendered());
-            s.push('\n');
+        let bound = |x: Option<f64>| x.map_or("-".to_string(), |x| format!("{x:.4}"));
+        let checks = self.checks.iter().map(|c| {
+            let result = if c.pass { "pass" } else { "FAIL" };
+            vec![
+                c.label.clone(),
+                bound(c.measured),
+                bound(c.bound),
+                result.to_string(),
+            ]
+        });
+        section(
+            "checks",
+            &["check", "measured", "bound", "result"],
+            checks.collect(),
+        );
+        for line in &self.lines {
+            let _ = writeln!(s, "{line}");
         }
         let violations = self.violations();
         if violations.is_empty() {
-            s.push_str("gate: PASS\n");
+            let _ = writeln!(s, "{} gate: PASS", self.gate);
         } else {
-            let _ = writeln!(s, "gate: FAIL ({} violations)", violations.len());
+            let _ = writeln!(
+                s,
+                "{} gate: FAIL ({} violations)",
+                self.gate,
+                violations.len()
+            );
             for v in &violations {
                 let _ = writeln!(s, "  - {v}");
             }
         }
         s
     }
+
+    /// The machine-readable envelope written to the gate's report file.
+    pub fn to_json(&self) -> String {
+        let num = |x: Option<f64>| x.map_or(Json::Null, Json::Num);
+        let checks = self.checks.iter().map(|c| {
+            Json::obj([
+                ("label", Json::Str(c.label.clone())),
+                ("pass", Json::Bool(c.pass)),
+                ("detail", Json::Str(c.detail.clone())),
+                ("measured", num(c.measured)),
+                ("bound", num(c.bound)),
+            ])
+        });
+        Json::obj([
+            ("gate", Json::Str(self.gate.to_string())),
+            ("format", Json::Num(FORMAT.into())),
+            ("pass", Json::Bool(self.pass())),
+            (
+                "case",
+                Json::obj(self.case.iter().map(|(k, v)| (*k, v.json()))),
+            ),
+            ("checks", Json::Arr(checks.collect())),
+            (
+                "tables",
+                Json::obj(self.tables.iter().map(|t| (t.key, t.json()))),
+            ),
+            ("lines", Json::strs(&self.lines)),
+            ("violations", Json::strs(self.violations())),
+        ])
+        .write()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::golden::GoldenCheck;
-    use crate::perf::PerfCheck;
 
-    fn sample_report(pass: bool) -> GateReport {
-        GateReport {
-            golden: Some(GoldenGateReport {
-                checks: vec![GoldenCheck {
-                    version: "baseline",
-                    mode: "static-tiles",
-                    workers: 1,
-                    layout: "point-aos",
-                    vs: "self",
-                    bitwise: pass,
-                    min_digits: if pass { 15 } else { 2 },
-                    worst_field: "FF1".into(),
-                    worst_digits: if pass { 15 } else { 2 },
-                    worst_ulp: 0,
-                    pass,
-                    violations: if pass {
-                        vec![]
-                    } else {
-                        vec!["FF1: 2 digits < required 5".into()]
-                    },
-                }],
-            }),
-            perf: Some(PerfGateReport {
-                checks: vec![PerfCheck {
-                    row: "static-tiles@1".into(),
-                    metric: "steps_per_s",
-                    class: "loose",
-                    golden: 4.09,
-                    candidate: 4.11,
-                    limit: 0.5,
-                    pass: true,
-                }],
-                structural: vec![],
-            }),
+    fn sample(pass: bool) -> Report {
+        Report {
+            gate: "sample",
+            case: vec![("ranks", 4usize.into()), ("scale", 0.3.into())],
+            checks: vec![
+                Check::new("always", true, ""),
+                Check::new("digits: FF1", pass, "FF1: 2 digits < required 5").bounded(2.0, 5.0),
+            ],
+            tables: vec![Table::new(
+                "rows",
+                "the rows",
+                &["name", "secs", "sci", "ok", "order", "from"],
+                [vec![
+                    "a \"quoted\" name".into(),
+                    Cell::num(1.0, 4),
+                    Cell::sci(14.33531, 6),
+                    pass.into(),
+                    Cell::strs(["x", "y"]),
+                    None::<u64>.into(),
+                ]],
+            )],
+            lines: vec!["sample: backend=a pass".into()],
         }
     }
 
     #[test]
     fn passing_report_renders_and_serializes() {
-        let r = sample_report(true);
-        assert!(r.pass());
-        let json = r.to_json();
-        assert!(json.contains("\"pass\": true"));
-        assert!(json.contains("\"worst_field\": \"FF1\""));
-        // The JSON is parseable by our own reader.
-        let parsed = crate::json::Json::parse(&json).expect("valid JSON");
-        assert_eq!(parsed.get("gate").unwrap().as_str(), Some("wrf-gate"));
-        let text = r.rendered();
-        assert!(text.contains("gate: PASS"));
-        assert!(text.contains("min digits"));
+        let good = sample(true);
+        assert!(good.pass());
+        assert!(good.violations().is_empty());
+        let text = good.rendered();
+        assert!(text.contains("=== repro sample: the rows ==="), "{text}");
+        assert!(
+            text.contains("1.0000") && text.contains("1.433531e1"),
+            "{text}"
+        );
+        assert!(text.contains("sample: backend=a pass"), "{text}");
+        assert!(text.contains("sample gate: PASS"), "{text}");
+        let doc = Json::parse(&good.to_json()).expect("own JSON parses");
+        assert_eq!(doc.get("pass").unwrap().as_bool(), Some(true));
+        assert!(doc.get("violations").unwrap().as_arr().unwrap().is_empty());
     }
 
+    /// The shared emitter: a failing check flips the verdict, is listed
+    /// as a violation, shows as FAIL in the text, and the JSON survives
+    /// our own parser with every part in its envelope slot.
     #[test]
     fn failing_report_lists_violations() {
-        let r = sample_report(false);
-        assert!(!r.pass());
-        let text = r.rendered();
-        assert!(text.contains("gate: FAIL"));
-        assert!(text.contains("FF1"));
-        let json = r.to_json();
-        assert!(json.contains("\"pass\": false"));
-        let parsed = crate::json::Json::parse(&json).unwrap();
-        assert!(!parsed
-            .get("violations")
+        let bad = sample(false);
+        assert!(!bad.pass());
+        assert_eq!(
+            bad.violations(),
+            vec!["sample: digits: FF1: FF1: 2 digits < required 5"]
+        );
+        let text = bad.rendered();
+        assert!(text.contains("FAIL"), "{text}");
+        assert!(text.contains("sample gate: FAIL (1 violations)"), "{text}");
+
+        let doc = Json::parse(&bad.to_json()).expect("own JSON parses");
+        assert_eq!(doc.get("gate").unwrap().as_str(), Some("sample"));
+        assert_eq!(doc.get("format").unwrap().as_f64(), Some(2.0));
+        assert_eq!(doc.get("pass").unwrap().as_bool(), Some(false));
+        assert_eq!(
+            doc.get("case").unwrap().get("scale").unwrap().as_f64(),
+            Some(0.3)
+        );
+        let check = &doc.get("checks").unwrap().as_arr().unwrap()[1];
+        assert_eq!(check.get("pass").unwrap().as_bool(), Some(false));
+        assert_eq!(check.get("bound").unwrap().as_f64(), Some(5.0));
+        let row = &doc
+            .get("tables")
+            .unwrap()
+            .get("rows")
             .unwrap()
             .as_arr()
-            .unwrap()
-            .is_empty());
+            .unwrap()[0];
+        assert_eq!(row.get("name").unwrap().as_str(), Some("a \"quoted\" name"));
+        assert_eq!(row.get("sci").unwrap().as_f64(), Some(14.33531));
+        assert_eq!(row.get("order").unwrap().as_arr().unwrap().len(), 2);
+        assert_eq!(row.get("from"), Some(&Json::Null));
+        assert_eq!(doc.get("violations").unwrap().as_arr().unwrap().len(), 1);
     }
 
     #[test]
-    fn skipped_halves_are_absent() {
-        let r = GateReport::default();
-        assert!(r.pass());
-        let json = r.to_json();
-        assert!(!json.contains("golden"));
-        assert!(!json.contains("perf"));
+    fn all_of_joins_violation_texts() {
+        assert!(Check::all_of("shape", &[]).pass);
+        let c = Check::all_of("shape", &["a".into(), "b".into()]);
+        assert!(!c.pass);
+        assert_eq!(c.detail, "a; b");
     }
 }

@@ -20,82 +20,34 @@
 //!   decays (2.08 → 1.82 → 1.56) because sharing queues kernels, and
 //!   the equal-resource 2-node comparison crosses over (0.956×).
 //!
-//! The outcome is `BENCH_share.json` next to `BENCH_comm.json`; any
-//! violation makes `repro share` exit nonzero.
+//! The report is written to `BENCH_share.json`; any violation makes
+//! `repro share` exit nonzero.
 
-use crate::golden::compare_digests;
-use crate::json::escape;
+use crate::golden::{compare_states, equivalence, EquivRow, StateAgreement};
+use crate::report::{Cell, Check, Report, Table};
 use fsbm_core::exec::ExecMode;
 use fsbm_core::scheme::SbmVersion;
 use fsbm_core::types::NKR;
 use gpu_sim::devicepool::{DevicePool, DeviceShare};
 use gpu_sim::machine::A100;
+use gpu_sim::DeviceError;
 use miniwrf::config::ModelConfig;
 use miniwrf::parallel::{run_parallel, run_parallel_checked};
 use miniwrf::perfmodel::{
-    measure_coeffs, rank_footprint, try_experiment, ExperimentConfig, PerfParams, TrafficModel,
+    rank_footprint, try_experiment, ExperimentConfig, ExperimentResult, MeasuredCoeffs, PerfParams,
+    TrafficModel,
 };
-use prof_sim::{device_line, TextTable};
-use std::fmt::Write as _;
 use wrf_cases::ConusParams;
 
-/// Configuration of one share-gate invocation.
-#[derive(Debug, Clone, Copy)]
-pub struct ShareGateConfig {
-    /// Ranks of the equivalence runs (the gate case decomposed).
-    pub ranks: usize,
-    /// Devices of the equivalence runs' shared pool (< `ranks`, so the
-    /// pool genuinely time-shares).
-    pub devices: usize,
-    /// Horizontal scale the sweep's coefficients are measured at.
-    pub sweep_scale: f64,
-    /// Vertical levels of the coefficient measurement.
-    pub sweep_nz: i32,
-    /// Steps of the coefficient measurement.
-    pub sweep_steps: usize,
-    /// Ceiling on the equal-resource 2-node GPU/CPU speedup (the paper
-    /// measures 0.956× — the GPUs lose once the CPU side has 256
-    /// cores against 8 heavily-shared devices).
-    pub max_two_node_speedup: f64,
-}
-
-impl Default for ShareGateConfig {
-    fn default() -> Self {
-        ShareGateConfig {
-            ranks: 4,
-            devices: 2,
-            sweep_scale: 0.05,
-            sweep_nz: 24,
-            sweep_steps: 2,
-            max_two_node_speedup: 1.05,
-        }
-    }
-}
-
-/// One equivalence comparison: exclusive vs shared-pool digests of
-/// every rank's end state for one scheme version.
-#[derive(Debug, Clone)]
-pub struct ShareCheck {
-    /// Scheme version under test.
-    pub version: &'static str,
-    /// Rank count of the runs.
-    pub ranks: usize,
-    /// Devices of the shared arm's pool.
-    pub devices: usize,
-    /// True when every rank's digest matched bit for bit.
-    pub bitwise: bool,
-    /// Minimum agreed digits across ranks and fields.
-    pub min_digits: u32,
-    /// Worst-agreeing field (empty when bitwise).
-    pub worst_field: String,
-    /// Largest per-rank exposed queue of the shared arm, seconds
-    /// (zero for CPU versions, which carry no sharing ledger).
-    pub queue_secs: f64,
-    /// True when the check passed.
-    pub pass: bool,
-    /// Failure details (empty when passing).
-    pub violations: Vec<String>,
-}
+/// Ranks of the equivalence runs (the gate case decomposed).
+const RANKS: usize = 4;
+/// Devices of the equivalence runs' shared pool (< [`RANKS`], so the
+/// pool genuinely time-shares).
+const DEVICES: usize = 2;
+/// Ceiling on the equal-resource 2-node GPU/CPU speedup (the paper
+/// measures 0.956× — the GPUs lose once the CPU side has 256 cores
+/// against 8 heavily-shared devices).
+pub const MAX_TWO_NODE_SPEEDUP: f64 = 1.05;
 
 /// One admission scenario against the full-scale device pool.
 #[derive(Debug, Clone)]
@@ -134,23 +86,16 @@ pub struct SweepRow {
     pub queue_secs: f64,
 }
 
-/// The share gate's full outcome.
-#[derive(Debug, Clone)]
-pub struct ShareGateReport {
-    /// Configuration the gate ran with.
-    pub cfg: ShareGateConfig,
-    /// Per-version equivalence checks.
-    pub checks: Vec<ShareCheck>,
-    /// Admission scenarios.
-    pub admission: Vec<AdmissionCheck>,
-    /// The Table VII sweep rows (16/32/64 ranks, then 2 nodes).
-    pub sweep: Vec<SweepRow>,
-    /// Per-device ledger of the most-shared sweep arm (64 ranks on 16
-    /// GPUs), per step.
+/// The Table VII sweep's outcome.
+#[derive(Debug, Clone, Default)]
+pub struct Sweep {
+    /// The rows that ran (16/32/64 ranks, then 2 nodes).
+    pub rows: Vec<SweepRow>,
+    /// Arms the pool refused (none are expected to be).
+    pub rejected: Vec<String>,
+    /// Per-device ledger of the most-shared arm (64 ranks on 16 GPUs),
+    /// per step.
     pub devices: Vec<DeviceShare>,
-    /// Ordering violations of the sweep (empty when the paper's shape
-    /// is reproduced).
-    pub sweep_violations: Vec<String>,
 }
 
 /// Checks the paper's Table VII shape over the sweep rows (the first
@@ -207,212 +152,100 @@ pub fn sweep_shape_violations(rows: &[SweepRow], max_two_node_speedup: f64) -> V
     v
 }
 
-impl ShareGateReport {
-    /// True when every equivalence, admission, and sweep check passed.
-    pub fn pass(&self) -> bool {
-        self.checks.iter().all(|c| c.pass)
-            && self.admission.iter().all(|a| a.pass)
-            && self.sweep_violations.is_empty()
-    }
-
-    /// All violation strings.
-    pub fn violations(&self) -> Vec<String> {
-        let mut v: Vec<String> = self
-            .checks
+/// Assembles the share report from its three arms.
+pub fn report(equiv: &[EquivRow], admission: &[AdmissionCheck], sweep: &Sweep) -> Report {
+    let (equiv_table, mut checks) = equivalence(
+        "equivalence",
+        "exclusive vs shared-pool digest equivalence",
+        equiv,
+    );
+    checks.extend(
+        admission
             .iter()
-            .flat_map(|c| {
-                c.violations.iter().map(move |x| {
-                    format!(
-                        "share: {} [{} ranks / {} devices]: {x}",
-                        c.version, c.ranks, c.devices
-                    )
-                })
-            })
-            .collect();
-        v.extend(
-            self.admission
-                .iter()
-                .filter(|a| !a.pass)
-                .map(|a| format!("share: admission {}: {}", a.label, a.detail)),
-        );
-        v.extend(self.sweep_violations.iter().map(|x| format!("share: {x}")));
-        v
-    }
-
-    /// Human-readable rendering: equivalence table, admission lines,
-    /// sweep table, per-device lines.
-    pub fn rendered(&self) -> String {
-        let mut s = String::new();
-        s.push_str("=== repro share: exclusive vs shared-pool digest equivalence ===\n");
-        let mut t = TextTable::new(&[
-            "version",
-            "ranks",
-            "devices",
-            "bitwise",
-            "min digits",
-            "queue/step",
-            "result",
-        ]);
-        for c in &self.checks {
-            t.push_row(vec![
-                c.version.to_string(),
-                c.ranks.to_string(),
-                c.devices.to_string(),
-                if c.bitwise { "yes" } else { "no" }.to_string(),
-                c.min_digits.to_string(),
-                format!("{:.4}s", c.queue_secs),
-                if c.pass { "pass" } else { "FAIL" }.to_string(),
-            ]);
-        }
-        s.push_str(&t.rendered());
-        s.push_str("\n=== repro share: memory-capped admission (\u{a7}VII-A) ===\n");
-        for a in &self.admission {
-            let _ = writeln!(
-                s,
-                "{}: {} ranks / {} devices: {} [{}]",
-                a.label,
-                a.ranks,
-                a.devices,
-                a.detail,
-                if a.pass { "pass" } else { "FAIL" }
-            );
-        }
-        s.push_str("\n=== repro share: Table VII sweep (16 GPUs; equal-resource 2 nodes) ===\n");
-        let mut t = TextTable::new(&[
-            "config",
-            "cpu ranks",
-            "gpu ranks",
+            .map(|a| Check::new(format!("admission: {}", a.label), a.pass, a.detail.as_str())),
+    );
+    checks.push(Check::all_of("sweep arms admitted", &sweep.rejected));
+    checks.push(Check::all_of(
+        "sweep shape (Table VII)",
+        &sweep_shape_violations(&sweep.rows, MAX_TWO_NODE_SPEEDUP),
+    ));
+    let admission = Table::new(
+        "admission",
+        "memory-capped admission (\u{a7}VII-A)",
+        &["label", "ranks", "devices", "detail", "pass"],
+        admission.iter().map(|a| {
+            vec![
+                a.label.into(),
+                a.ranks.into(),
+                a.devices.into(),
+                a.detail.as_str().into(),
+                a.pass.into(),
+            ]
+        }),
+    );
+    let rows = Table::new(
+        "sweep",
+        "Table VII sweep (16 GPUs; equal-resource 2 nodes)",
+        &[
+            "label",
+            "cpu_ranks",
+            "gpu_ranks",
             "gpus",
-            "cpu s",
-            "gpu s",
+            "cpu_secs",
+            "gpu_secs",
             "speedup",
-            "queue/step",
-        ]);
-        for r in &self.sweep {
-            t.push_row(vec![
-                r.label.clone(),
-                r.cpu_ranks.to_string(),
-                r.gpu_ranks.to_string(),
-                r.gpus.to_string(),
-                format!("{:.1}", r.cpu_secs),
-                format!("{:.1}", r.gpu_secs),
-                format!("{:.2}", r.speedup),
-                format!("{:.3}s", r.queue_secs),
-            ]);
-        }
-        s.push_str(&t.rendered());
-        s.push('\n');
-        for d in &self.devices {
-            let _ = writeln!(
-                s,
-                "{}",
-                device_line(
-                    d.device,
-                    d.residents,
-                    d.used_bytes,
-                    d.capacity_bytes,
-                    d.busy_secs,
-                    d.queue_secs,
-                )
-            );
-        }
-        let _ = writeln!(
-            s,
-            "share gate: {}",
-            if self.pass() { "pass" } else { "FAIL" }
-        );
-        s
-    }
-
-    /// Renders the machine-readable `BENCH_share.json`.
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n  \"bench\": \"share\",\n  \"format\": 1,\n");
-        let _ = writeln!(s, "  \"pass\": {},", self.pass());
-        let _ = writeln!(
-            s,
-            "  \"case\": {{\"ranks\": {}, \"devices\": {}, \"sweep_scale\": {}, \
-             \"sweep_nz\": {}, \"sweep_steps\": {}, \"max_two_node_speedup\": {}}},",
-            self.cfg.ranks,
-            self.cfg.devices,
-            self.cfg.sweep_scale,
-            self.cfg.sweep_nz,
-            self.cfg.sweep_steps,
-            self.cfg.max_two_node_speedup
-        );
-        s.push_str("  \"equivalence\": [\n");
-        for (n, c) in self.checks.iter().enumerate() {
-            let _ = writeln!(
-                s,
-                "    {{\"version\": \"{}\", \"ranks\": {}, \"devices\": {}, \"bitwise\": {}, \
-                 \"min_digits\": {}, \"worst_field\": \"{}\", \"queue_secs\": {:.9}, \
-                 \"pass\": {}}}{}",
-                escape(c.version),
-                c.ranks,
-                c.devices,
-                c.bitwise,
-                c.min_digits,
-                escape(&c.worst_field),
-                c.queue_secs,
-                c.pass,
-                if n + 1 < self.checks.len() { "," } else { "" }
-            );
-        }
-        s.push_str("  ],\n  \"admission\": [\n");
-        for (n, a) in self.admission.iter().enumerate() {
-            let _ = writeln!(
-                s,
-                "    {{\"label\": \"{}\", \"ranks\": {}, \"devices\": {}, \
-                 \"detail\": \"{}\", \"pass\": {}}}{}",
-                escape(a.label),
-                a.ranks,
-                a.devices,
-                escape(&a.detail),
-                a.pass,
-                if n + 1 < self.admission.len() {
-                    ","
-                } else {
-                    ""
-                }
-            );
-        }
-        s.push_str("  ],\n  \"sweep\": [\n");
-        for (n, r) in self.sweep.iter().enumerate() {
-            let _ = writeln!(
-                s,
-                "    {{\"label\": \"{}\", \"cpu_ranks\": {}, \"gpu_ranks\": {}, \"gpus\": {}, \
-                 \"cpu_secs\": {:.3}, \"gpu_secs\": {:.3}, \"speedup\": {:.4}, \
-                 \"queue_secs\": {:.6}}}{}",
-                escape(&r.label),
-                r.cpu_ranks,
-                r.gpu_ranks,
-                r.gpus,
-                r.cpu_secs,
-                r.gpu_secs,
-                r.speedup,
-                r.queue_secs,
-                if n + 1 < self.sweep.len() { "," } else { "" }
-            );
-        }
-        s.push_str("  ],\n  \"devices\": [\n");
-        for (n, d) in self.devices.iter().enumerate() {
-            let _ = writeln!(
-                s,
-                "    {{\"device\": {}, \"residents\": {}, \"used_bytes\": {}, \
-                 \"capacity_bytes\": {}, \"busy_secs\": {:.9}, \"slice_secs\": {:.9}, \
-                 \"queue_secs\": {:.9}}}{}",
-                d.device,
-                d.residents,
-                d.used_bytes,
-                d.capacity_bytes,
-                d.busy_secs,
-                d.slice_secs,
-                d.queue_secs,
-                if n + 1 < self.devices.len() { "," } else { "" }
-            );
-        }
-        s.push_str("  ]\n}\n");
-        s
+            "queue_secs",
+        ],
+        sweep.rows.iter().map(|r| {
+            vec![
+                r.label.as_str().into(),
+                r.cpu_ranks.into(),
+                r.gpu_ranks.into(),
+                r.gpus.into(),
+                Cell::num(r.cpu_secs, 3),
+                Cell::num(r.gpu_secs, 3),
+                Cell::num(r.speedup, 4),
+                Cell::num(r.queue_secs, 6),
+            ]
+        }),
+    );
+    let devices = Table::new(
+        "devices",
+        "per-device ledger of the 64-rank arm, per step",
+        &[
+            "device",
+            "residents",
+            "used_bytes",
+            "capacity_bytes",
+            "busy_secs",
+            "slice_secs",
+            "queue_secs",
+        ],
+        sweep.devices.iter().map(|d| {
+            vec![
+                d.device.into(),
+                d.residents.into(),
+                d.used_bytes.into(),
+                d.capacity_bytes.into(),
+                Cell::num(d.busy_secs, 9),
+                Cell::num(d.slice_secs, 9),
+                Cell::num(d.queue_secs, 9),
+            ]
+        }),
+    );
+    Report {
+        gate: "share",
+        case: vec![
+            ("ranks", RANKS.into()),
+            ("devices", DEVICES.into()),
+            ("sweep_scale", crate::COEFF_SCALE.into()),
+            ("sweep_nz", crate::COEFF_NZ.into()),
+            ("sweep_steps", crate::COEFF_STEPS.into()),
+            ("max_two_node_speedup", MAX_TWO_NODE_SPEEDUP.into()),
+        ],
+        checks,
+        tables: vec![equiv_table, admission, rows, devices],
+        lines: Vec::new(),
     }
 }
 
@@ -422,6 +255,26 @@ pub(crate) fn full_scale_slab_bytes(ranks: usize) -> u64 {
     let full = ConusParams::full();
     let points = (full.nx as u64 * full.ny as u64 * full.nz as u64).div_ceil(ranks as u64);
     7 * NKR as u64 * points * 4 + 4 * points * 4 + points
+}
+
+/// Prices `version` on the full CONUS-12km domain over `ranks` ranks
+/// sharing `gpus` devices (0: CPU arm) on the perf plane `(pp, traffic)`,
+/// [`crate::ensemble::MINUTES`] simulated minutes.
+pub(crate) fn full_scale_experiment(
+    version: SbmVersion,
+    ranks: usize,
+    gpus: usize,
+    coeffs: &MeasuredCoeffs,
+    (pp, traffic): (&PerfParams, &TrafficModel),
+) -> Result<ExperimentResult, DeviceError> {
+    let cfg = ExperimentConfig {
+        case: ConusParams::full(),
+        version,
+        ranks,
+        gpus,
+        minutes: crate::ensemble::MINUTES,
+    };
+    try_experiment(&cfg, coeffs, pp, traffic)
 }
 
 /// Runs the admission scenarios against the full-scale pool.
@@ -479,97 +332,63 @@ fn run_admission_checks() -> Vec<AdmissionCheck> {
     out
 }
 
-/// Runs the share gate: per-version equivalence on the gate case, the
-/// admission scenarios, then the Table VII sweep.
-pub fn run_share_gate(gcfg: &ShareGateConfig) -> ShareGateReport {
-    // Equivalence: exclusive devices vs a genuinely-shared pool.
-    let mut checks = Vec::new();
-    for version in SbmVersion::ALL {
-        let mut cfg = ModelConfig::gate(version, ExecMode::work_steal(), 3);
-        cfg.ranks = gcfg.ranks;
-        cfg.gpus = 0;
-        let exclusive = run_parallel(cfg, ModelConfig::GATE_STEPS);
-        cfg.gpus = gcfg.devices;
-        let mut violations = Vec::new();
-        let (mut bitwise, mut min_digits, mut worst_field) = (true, 15u32, String::new());
-        let mut queue_secs = 0.0f64;
-        match run_parallel_checked(cfg, ModelConfig::GATE_STEPS) {
-            Err(e) => violations.push(format!("gate pool rejected the run: {e}")),
-            Ok(shared) => {
-                for (b, o) in exclusive.states.iter().zip(shared.states.iter()) {
-                    let cmp = compare_digests(&b.digest(), &o.digest());
-                    if !cmp.bitwise() {
-                        bitwise = false;
-                    }
-                    if cmp.min_digits() < min_digits {
-                        min_digits = cmp.min_digits();
-                        worst_field = cmp.worst().map(|f| f.name.clone()).unwrap_or_default();
-                    }
-                }
-                if !bitwise {
-                    violations.push(format!(
-                        "exclusive vs shared digests differ (min digits {min_digits}, \
-                         worst {worst_field})"
-                    ));
-                }
-                queue_secs = shared
-                    .reports
-                    .iter()
-                    .filter_map(|r| r.share.map(|s| s.queue_secs))
-                    .fold(0.0, f64::max);
-                if version.offloaded() && queue_secs == 0.0 {
-                    violations
-                        .push("shared pool priced zero queueing for an offloaded version".into());
-                }
+/// One equivalence arm: exclusive devices vs a genuinely-shared pool.
+pub fn equivalence_row(version: SbmVersion) -> EquivRow {
+    let mut cfg = ModelConfig::gate(version, ExecMode::work_steal(), 3);
+    cfg.ranks = RANKS;
+    cfg.gpus = 0;
+    let exclusive = run_parallel(cfg, ModelConfig::GATE_STEPS);
+    cfg.gpus = DEVICES;
+    let mut violations = Vec::new();
+    let (mut agreement, mut queue_secs) = (StateAgreement::full(), 0.0f64);
+    match run_parallel_checked(cfg, ModelConfig::GATE_STEPS) {
+        Err(e) => violations.push(format!("gate pool rejected the run: {e}")),
+        Ok(shared) => {
+            agreement = compare_states(&exclusive.states, &shared.states);
+            violations.extend(agreement.violation("exclusive vs shared"));
+            queue_secs = (shared.reports.iter())
+                .filter_map(|r| r.share.map(|s| s.queue_secs))
+                .fold(0.0, f64::max);
+            if version.offloaded() && queue_secs == 0.0 {
+                violations.push("shared pool priced zero queueing for an offloaded version".into());
             }
         }
-        checks.push(ShareCheck {
-            version: version.label(),
-            ranks: gcfg.ranks,
-            devices: gcfg.devices,
-            bitwise,
-            min_digits,
-            worst_field,
-            queue_secs,
-            pass: violations.is_empty(),
-            violations,
-        });
     }
+    EquivRow {
+        arm: version.label().to_string(),
+        cells: vec![
+            ("version", version.label().into()),
+            ("ranks", RANKS.into()),
+            ("devices", DEVICES.into()),
+            ("queue_secs", Cell::num(queue_secs, 9)),
+        ],
+        agreement,
+        violations,
+    }
+}
 
-    let admission = run_admission_checks();
-
-    // The Table VII sweep on the modeled full-scale machine.
-    let coeffs = measure_coeffs(gcfg.sweep_scale, gcfg.sweep_nz, gcfg.sweep_steps);
-    let traffic = TrafficModel::measure();
+/// Runs the Table VII sweep on the modeled full-scale machine.
+pub fn run_sweep(coeffs: &MeasuredCoeffs, traffic: &TrafficModel) -> Sweep {
     let pp = PerfParams::default();
-    let run = |version, ranks, gpus| {
-        try_experiment(
-            &ExperimentConfig {
-                case: ConusParams::full(),
-                version,
-                ranks,
-                gpus,
-                minutes: 10.0,
-            },
-            &coeffs,
-            &pp,
-            &traffic,
-        )
-    };
-    let mut sweep = Vec::new();
-    let mut devices = Vec::new();
-    let mut sweep_violations = Vec::new();
-    let mut row = |label: &str, cpu_ranks: usize, gpu_ranks: usize, gpus: usize| {
+    let run =
+        |version, ranks, gpus| full_scale_experiment(version, ranks, gpus, coeffs, (&pp, traffic));
+    let mut sweep = Sweep::default();
+    for (label, cpu_ranks, gpu_ranks, gpus) in [
+        ("16 ranks", 16, 16, 16),
+        ("32 ranks", 32, 32, 16),
+        ("64 ranks", 64, 64, 16),
+        ("2 nodes", 256, 40, 8),
+    ] {
         let cpu = run(SbmVersion::Baseline, cpu_ranks, 0);
         let gpu = run(SbmVersion::OffloadCollapse3, gpu_ranks, gpus);
         match (cpu, gpu) {
             (Ok(cpu), Ok(gpu)) => {
                 if gpu_ranks == 64 {
                     if let Some(share) = &gpu.share {
-                        devices = share.devices.clone();
+                        sweep.devices = share.devices.clone();
                     }
                 }
-                sweep.push(SweepRow {
+                sweep.rows.push(SweepRow {
                     label: label.to_string(),
                     cpu_ranks,
                     gpu_ranks,
@@ -580,25 +399,20 @@ pub fn run_share_gate(gcfg: &ShareGateConfig) -> ShareGateReport {
                     queue_secs: gpu.critical().queue,
                 });
             }
-            (Err(e), _) | (_, Err(e)) => {
-                sweep_violations.push(format!("sweep arm {label} failed admission: {e}"));
-            }
+            (Err(e), _) | (_, Err(e)) => sweep
+                .rejected
+                .push(format!("sweep arm {label} failed admission: {e}")),
         }
-    };
-    row("16 ranks", 16, 16, 16);
-    row("32 ranks", 32, 32, 16);
-    row("64 ranks", 64, 64, 16);
-    row("2 nodes", 256, 40, 8);
-    sweep_violations.extend(sweep_shape_violations(&sweep, gcfg.max_two_node_speedup));
-
-    ShareGateReport {
-        cfg: *gcfg,
-        checks,
-        admission,
-        sweep,
-        devices,
-        sweep_violations,
     }
+    sweep
+}
+
+/// Runs the share gate: per-version equivalence on the gate case, the
+/// admission scenarios, then the Table VII sweep.
+pub fn run() -> Report {
+    let equiv: Vec<EquivRow> = SbmVersion::ALL.into_iter().map(equivalence_row).collect();
+    let sweep = run_sweep(&crate::measure_gate_coeffs(), &TrafficModel::measure());
+    report(&equiv, &run_admission_checks(), &sweep)
 }
 
 #[cfg(test)]
@@ -659,29 +473,34 @@ mod tests {
         assert!(v.iter().any(|x| x.contains("2-node")), "{v:?}");
     }
 
-    #[test]
-    fn report_verdict_flows_to_json_and_text() {
-        let rep = ShareGateReport {
-            cfg: ShareGateConfig::default(),
-            checks: vec![ShareCheck {
-                version: "offload_collapse3",
-                ranks: 4,
-                devices: 2,
-                bitwise: true,
-                min_digits: 15,
-                worst_field: String::new(),
-                queue_secs: 0.61,
-                pass: true,
-                violations: Vec::new(),
-            }],
-            admission: vec![AdmissionCheck {
-                label: "per-device cap",
-                ranks: 5,
-                devices: 1,
-                detail: "5 contexts fit".into(),
-                pass: true,
-            }],
-            sweep: rows([0.0, 0.6, 1.8], [581.2, 360.1, 303.03], 0.956),
+    fn equiv_row(queue_secs: f64) -> EquivRow {
+        EquivRow {
+            arm: "offload_collapse3".into(),
+            cells: vec![
+                ("version", "offload_collapse3".into()),
+                ("ranks", 4usize.into()),
+                ("devices", 2usize.into()),
+                ("queue_secs", Cell::num(queue_secs, 9)),
+            ],
+            agreement: StateAgreement::full(),
+            violations: Vec::new(),
+        }
+    }
+
+    fn admission(pass: bool) -> AdmissionCheck {
+        AdmissionCheck {
+            label: "48 ranks / 8 GPUs",
+            ranks: 48,
+            devices: 8,
+            detail: "unexpectedly admitted".into(),
+            pass,
+        }
+    }
+
+    fn paper_sweep() -> Sweep {
+        Sweep {
+            rows: rows([0.0, 0.6, 1.8], [581.2, 360.1, 303.03], 0.956),
+            rejected: Vec::new(),
             devices: vec![DeviceShare {
                 device: 0,
                 residents: 4,
@@ -691,40 +510,66 @@ mod tests {
                 slice_secs: 1.2,
                 queue_secs: 2.5,
             }],
-            sweep_violations: Vec::new(),
-        };
-        assert!(rep.pass());
+        }
+    }
+
+    /// The parent format's keys and printed digits survive the envelope.
+    #[test]
+    fn report_verdict_flows_to_json_and_text() {
+        let rep = report(&[equiv_row(0.61)], &[admission(true)], &paper_sweep());
+        assert!(rep.pass(), "{:?}", rep.violations());
         let json = rep.to_json();
         assert!(json.contains("\"pass\": true"));
         assert!(json.contains("\"label\": \"2 nodes\""));
         assert!(json.contains("\"device\": 0"));
-        let text = rep.rendered();
-        assert!(text.contains("share: device=0 residents=4"));
-        assert!(text.contains("share gate: pass"));
+        assert!(json.contains("\"queue_secs\": 0.61"));
+        assert!(json.contains("\"max_two_node_speedup\": 1.05"));
+        assert!(rep.rendered().contains("share gate: PASS"));
     }
 
     #[test]
     fn failed_admission_fails_the_report() {
-        let mut rep = ShareGateReport {
-            cfg: ShareGateConfig::default(),
-            checks: Vec::new(),
-            admission: vec![AdmissionCheck {
-                label: "48 ranks / 8 GPUs",
-                ranks: 48,
-                devices: 8,
-                detail: "unexpectedly admitted".into(),
-                pass: false,
-            }],
-            sweep: rows([0.0, 0.6, 1.8], [581.2, 360.1, 303.03], 0.956),
-            devices: Vec::new(),
-            sweep_violations: Vec::new(),
-        };
+        let rep = report(&[], &[admission(false)], &paper_sweep());
         assert!(!rep.pass());
         assert!(rep
             .violations()
             .iter()
             .any(|v| v.contains("unexpectedly admitted")));
-        rep.admission[0].pass = true;
-        assert!(rep.pass());
+        assert!(report(&[], &[admission(true)], &paper_sweep()).pass());
+        // A refused sweep arm and a broken shape are violations too.
+        let mut sweep = paper_sweep();
+        sweep
+            .rejected
+            .push("sweep arm 64 ranks failed admission".into());
+        sweep.rows.pop();
+        let v = report(&[], &[], &sweep).violations();
+        assert!(v.iter().any(|x| x.contains("sweep arms admitted")), "{v:?}");
+        assert!(v.iter().any(|x| x.contains("sweep shape")), "{v:?}");
+    }
+
+    /// The assertion inventory of the real gate at its cheapest: one
+    /// equivalence arm, the admission scenarios, and the sweep priced
+    /// from the shared test coefficients.
+    #[test]
+    fn gate_arms_make_exactly_these_assertions() {
+        let (coeffs, traffic) = miniwrf::perfmodel::test_fixture();
+        let rep = report(
+            &[equivalence_row(SbmVersion::OffloadCollapse2)],
+            &run_admission_checks(),
+            &run_sweep(coeffs, traffic),
+        );
+        assert!(rep.pass(), "{:?}", rep.violations());
+        let labels: Vec<&str> = rep.checks.iter().map(|c| c.label.as_str()).collect();
+        assert_eq!(
+            labels,
+            [
+                "equivalence: offload collapse(2)",
+                "admission: per-device cap",
+                "admission: 40 ranks / 8 GPUs",
+                "admission: 48 ranks / 8 GPUs",
+                "sweep arms admitted",
+                "sweep shape (Table VII)",
+            ]
+        );
     }
 }

@@ -26,20 +26,19 @@
 //!   `'auto'` is bitwise-identical to the same run under the explicit
 //!   version name.
 //!
-//! The outcome is `BENCH_tune.json` next to the other `BENCH_*.json`
-//! artifacts, replay-gated: when a committed copy exists, the fresh
-//! search must reproduce its winners. Any violation makes `repro tune`
-//! exit nonzero.
+//! The report is written to `BENCH_tune.json`, replay-gated: when a
+//! committed copy exists, the fresh search must reproduce its winners.
+//! Any violation makes `repro tune` exit nonzero.
 
-use crate::json::{escape, Json};
+use crate::golden::combined_checksum;
+use crate::json::Json;
+use crate::report::{Cell, Check, Report, Table};
 use codee_sim::tune::{PricedVariant, TuneReport};
 use fsbm_core::scheme::SbmVersion;
 use gpu_sim::machine::ZOO;
 use miniwrf::model::Model;
-use miniwrf::perfmodel::{measure_coeffs, MeasuredCoeffs};
+use miniwrf::perfmodel::MeasuredCoeffs;
 use miniwrf::schedule::{coal_nest_work_from, tune_backend_with, version_for};
-use prof_sim::TextTable;
-use std::fmt::Write as _;
 
 /// The three storage families, canonical order. Family rankings break
 /// price ties in this order, so backends that price two families equal
@@ -47,32 +46,8 @@ use std::fmt::Write as _;
 /// therefore comparable, ordering.
 pub const FAMILIES: [&str; 3] = ["stack", "slab[pt,bin]", "slab[bin,pt]"];
 
-/// Configuration of one tune-gate invocation.
-#[derive(Debug, Clone, Copy)]
-pub struct TuneGateConfig {
-    /// Horizontal scale the work coefficients are measured at.
-    pub coeff_scale: f64,
-    /// Vertical levels of the coefficient measurement.
-    pub coeff_nz: i32,
-    /// Steps of the coefficient measurement.
-    pub coeff_steps: usize,
-    /// Minimum number of backends the gate must search.
-    pub min_backends: usize,
-    /// Steps of the functional auto-vs-explicit bitwise arm.
-    pub check_steps: usize,
-}
-
-impl Default for TuneGateConfig {
-    fn default() -> Self {
-        TuneGateConfig {
-            coeff_scale: 0.05,
-            coeff_nz: 24,
-            coeff_steps: 2,
-            min_backends: 5,
-            check_steps: 4,
-        }
-    }
-}
+/// Minimum number of backends the gate must search.
+pub const MIN_BACKENDS: usize = 5;
 
 /// The best schedule of one storage family on one backend.
 #[derive(Debug, Clone)]
@@ -125,6 +100,8 @@ pub struct TuneBackendRow {
 /// Outcome of the functional auto-vs-explicit arm.
 #[derive(Debug, Clone)]
 pub struct AutoBitwise {
+    /// Steps both runs integrated.
+    pub check_steps: usize,
     /// Explicit schedule name the winner maps to (`'v4'`…).
     pub explicit: String,
     /// Combined state checksum of the `schedule = 'auto'` run.
@@ -133,20 +110,6 @@ pub struct AutoBitwise {
     pub explicit_checksum: u64,
     /// Violations (version mismatch, digest divergence, parse failure).
     pub violations: Vec<String>,
-}
-
-/// The tune gate's full outcome.
-#[derive(Debug, Clone)]
-pub struct TuneGateReport {
-    /// Configuration the gate ran with.
-    pub cfg: TuneGateConfig,
-    /// One row per zoo backend, [`ZOO`] order.
-    pub rows: Vec<TuneBackendRow>,
-    /// The functional bitwise arm.
-    pub bitwise: AutoBitwise,
-    /// Cross-backend violations (ranking instability, missing
-    /// backends, replay drift).
-    pub cross: Vec<String>,
 }
 
 /// The fastest variant of `family` in `rep`, and the fastest
@@ -301,18 +264,6 @@ pub fn cross_backend_violations(rows: &[TuneBackendRow], min_backends: usize) ->
     v
 }
 
-/// Combined bitwise checksum of an end-of-run state: FNV-style fold of
-/// every field checksum, order-sensitive.
-fn combined_checksum(state: &fsbm_core::state::SbmPatchState) -> u64 {
-    state
-        .digest()
-        .fields
-        .iter()
-        .fold(0xcbf2_9ce4_8422_2325u64, |h, f| {
-            (h ^ f.checksum).wrapping_mul(0x0000_0100_0000_01b3)
-        })
-}
-
 /// The functional auto-vs-explicit arm: builds one config through
 /// `&parallel schedule = 'auto'` and one through the explicit name of
 /// the resolved version, runs both for `check_steps`, and compares the
@@ -334,7 +285,7 @@ pub fn auto_bitwise_check(auto: SbmVersion, check_steps: usize) -> AutoBitwise {
         cfg.device_workers = Some(2);
         let mut m = Model::single_rank(cfg);
         m.run(check_steps.max(1));
-        Ok((cfg.version, combined_checksum(&m.state)))
+        Ok((cfg.version, combined_checksum(&m.state.digest())))
     };
     let (mut auto_checksum, mut explicit_checksum) = (0, 0);
     match (run("auto"), run(&explicit)) {
@@ -359,6 +310,7 @@ pub fn auto_bitwise_check(auto: SbmVersion, check_steps: usize) -> AutoBitwise {
         (Err(e), _) | (_, Err(e)) => violations.push(format!("bitwise arm failed: {e}")),
     }
     AutoBitwise {
+        check_steps,
         explicit,
         auto_checksum,
         explicit_checksum,
@@ -366,17 +318,18 @@ pub fn auto_bitwise_check(auto: SbmVersion, check_steps: usize) -> AutoBitwise {
     }
 }
 
-/// Compares a fresh report against the committed `BENCH_tune.json`:
+/// Compares the fresh rows against the committed `BENCH_tune.json`:
 /// per-backend winners, family rankings, and the auto resolution must
 /// replay exactly (modeled times may drift with calibration, labels may
 /// not).
-pub fn replay_violations(committed: &str, report: &TuneGateReport) -> Vec<String> {
+pub fn replay_violations(committed: &str, rows: &[TuneBackendRow]) -> Vec<String> {
     let doc = match Json::parse(committed) {
         Ok(d) => d,
         Err(e) => return vec![format!("committed BENCH_tune.json unparsable: {e}")],
     };
-    let Some(backends) = doc.get("backends").and_then(Json::as_arr) else {
-        return vec!["committed BENCH_tune.json has no backends array".to_string()];
+    let backends = doc.get("tables").and_then(|t| t.get("backends"));
+    let Some(backends) = backends.and_then(Json::as_arr) else {
+        return vec!["committed BENCH_tune.json has no backends table".to_string()];
     };
     let mut v = Vec::new();
     for b in backends {
@@ -384,7 +337,7 @@ pub fn replay_violations(committed: &str, report: &TuneGateReport) -> Vec<String
             v.push("committed backend row without a name".to_string());
             continue;
         };
-        let Some(row) = report.rows.iter().find(|r| r.backend == name) else {
+        let Some(row) = rows.iter().find(|r| r.backend == name) else {
             v.push(format!(
                 "committed backend {name} missing from the fresh search"
             ));
@@ -421,185 +374,118 @@ pub fn replay_violations(committed: &str, report: &TuneGateReport) -> Vec<String
     v
 }
 
-impl TuneGateReport {
-    /// True when every claim held.
-    pub fn pass(&self) -> bool {
-        self.rows.iter().all(|r| r.violations.is_empty())
-            && self.bitwise.violations.is_empty()
-            && self.cross.is_empty()
-    }
-
-    /// All violation strings.
-    pub fn violations(&self) -> Vec<String> {
-        let mut v: Vec<String> = self
-            .rows
-            .iter()
-            .flat_map(|r| {
-                r.violations
-                    .iter()
-                    .map(move |x| format!("tune: {}: {x}", r.backend))
-            })
-            .collect();
-        v.extend(self.bitwise.violations.iter().map(|x| format!("tune: {x}")));
-        v.extend(self.cross.iter().map(|x| format!("tune: {x}")));
-        v
-    }
-
-    /// Human-readable rendering: the per-backend winner table, family
-    /// prices, and the bitwise verdict.
-    pub fn rendered(&self) -> String {
-        let mut s = String::new();
-        s.push_str("=== repro tune: searched-best schedule per backend ===\n");
-        let mut t = TextTable::new(&["backend", "class", "searched", "winner", "best", "auto"]);
-        for r in &self.rows {
-            t.push_row(vec![
-                r.backend.to_string(),
-                if r.is_cpu { "cpu" } else { "gpu" }.to_string(),
-                format!("{} (-{})", r.searched, r.unschedulable),
-                r.winner.clone(),
-                format!("{:.2e}s", r.winner_secs),
-                r.auto_version.to_string(),
-            ]);
-        }
-        s.push_str(&t.rendered());
-        s.push_str("\n=== repro tune: storage-family winners per backend ===\n");
-        let mut t = TextTable::new(&[
+/// Assembles the tune report. `committed` is the text of the checked-in
+/// `BENCH_tune.json`, when one exists, for replay gating; `min_backends`
+/// is the floor of [`cross_backend_violations`].
+pub fn report(
+    rows: &[TuneBackendRow],
+    bitwise: &AutoBitwise,
+    committed: Option<&str>,
+    min_backends: usize,
+) -> Report {
+    let class = |r: &TuneBackendRow| if r.is_cpu { "cpu" } else { "gpu" };
+    let mut checks: Vec<Check> = rows
+        .iter()
+        .map(|r| Check::all_of(format!("backend: {}", r.backend), &r.violations))
+        .collect();
+    checks.push(Check::all_of(
+        "auto bitwise vs explicit",
+        &bitwise.violations,
+    ));
+    checks.push(Check::all_of(
+        "cross-backend",
+        &cross_backend_violations(rows, min_backends),
+    ));
+    let replay = committed.map_or(Vec::new(), |text| replay_violations(text, rows));
+    checks.push(Check::all_of("replay of committed winners", &replay));
+    let backends = Table::new(
+        "backends",
+        "searched-best schedule per backend",
+        &[
             "backend",
-            "stack",
-            "slab[pt,bin]",
-            "slab[bin,pt]",
+            "class",
+            "searched",
+            "unschedulable",
+            "winner",
+            "winner_secs",
+            "auto",
             "ranking",
-        ]);
-        for r in &self.rows {
-            let mut row = vec![r.backend.to_string()];
-            for fam in FAMILIES {
-                row.push(
-                    r.families
-                        .iter()
-                        .find(|f| f.family == fam)
-                        .map_or("-".to_string(), |f| {
-                            format!("{:.2e}s c{}", f.secs, f.collapse)
-                        }),
-                );
-            }
-            row.push(r.ranking.join(" > "));
-            t.push_row(row);
-        }
-        s.push_str(&t.rendered());
-        for r in &self.rows {
-            let _ = writeln!(
-                s,
-                "{}",
-                prof_sim::tune_line(
-                    r.backend,
-                    r.is_cpu,
-                    &r.winner,
-                    r.winner_secs,
-                    &r.ranking,
-                    r.auto_version,
-                    r.violations.is_empty(),
-                )
-            );
-        }
-        let _ = writeln!(
-            s,
-            "auto-vs-explicit '{}': {:016x} vs {:016x} ({})",
-            self.bitwise.explicit,
-            self.bitwise.auto_checksum,
-            self.bitwise.explicit_checksum,
-            if self.bitwise.violations.is_empty() {
-                "bitwise identical"
-            } else {
-                "DIVERGED"
-            }
-        );
-        for x in &self.cross {
-            let _ = writeln!(s, "cross-backend: {x}");
-        }
-        let _ = writeln!(
-            s,
-            "tune gate: {}",
-            if self.pass() { "pass" } else { "FAIL" }
-        );
-        s
-    }
-
-    /// Renders the machine-readable `BENCH_tune.json`.
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n  \"bench\": \"tune\",\n  \"format\": 1,\n");
-        let _ = writeln!(s, "  \"pass\": {},", self.pass());
-        let _ = writeln!(
-            s,
-            "  \"case\": {{\"coeff_scale\": {}, \"coeff_nz\": {}, \"coeff_steps\": {}, \
-             \"min_backends\": {}, \"check_steps\": {}}},",
-            self.cfg.coeff_scale,
-            self.cfg.coeff_nz,
-            self.cfg.coeff_steps,
-            self.cfg.min_backends,
-            self.cfg.check_steps
-        );
-        let _ = writeln!(
-            s,
-            "  \"bitwise\": {{\"explicit\": \"{}\", \"auto_checksum\": \"{:016x}\", \
-             \"explicit_checksum\": \"{:016x}\", \"pass\": {}}},",
-            escape(&self.bitwise.explicit),
-            self.bitwise.auto_checksum,
-            self.bitwise.explicit_checksum,
-            self.bitwise.violations.is_empty()
-        );
-        s.push_str("  \"backends\": [\n");
-        for (n, r) in self.rows.iter().enumerate() {
-            let _ = write!(
-                s,
-                "    {{\"backend\": \"{}\", \"class\": \"{}\", \"searched\": {}, \
-                 \"unschedulable\": {}, \"winner\": \"{}\", \"winner_secs\": {:.6e}, \
-                 \"auto\": \"{}\", \"families\": [",
-                escape(r.backend),
-                if r.is_cpu { "cpu" } else { "gpu" },
-                r.searched,
-                r.unschedulable,
-                escape(&r.winner),
-                r.winner_secs,
-                escape(r.auto_version)
-            );
-            for (m, f) in r.families.iter().enumerate() {
-                let _ = write!(
-                    s,
-                    "{}{{\"family\": \"{}\", \"label\": \"{}\", \"secs\": {:.6e}, \
-                     \"collapse\": {}, \"regs\": {}, \"stack_bytes\": {}}}",
-                    if m > 0 { ", " } else { "" },
-                    escape(f.family),
-                    escape(&f.label),
-                    f.secs,
-                    f.collapse,
-                    f.regs,
-                    f.stack_bytes
-                );
-            }
-            let _ = writeln!(
-                s,
-                "], \"ranking\": [{}], \"pass\": {}}}{}",
-                r.ranking
-                    .iter()
-                    .map(|x| format!("\"{}\"", escape(x)))
-                    .collect::<Vec<_>>()
-                    .join(", "),
-                r.violations.is_empty(),
-                if n + 1 < self.rows.len() { "," } else { "" }
-            );
-        }
-        s.push_str("  ],\n  \"cross_violations\": [\n");
-        for (n, x) in self.cross.iter().enumerate() {
-            let _ = writeln!(
-                s,
-                "    \"{}\"{}",
-                escape(x),
-                if n + 1 < self.cross.len() { "," } else { "" }
-            );
-        }
-        s.push_str("  ]\n}\n");
-        s
+            "pass",
+        ],
+        rows.iter().map(|r| {
+            vec![
+                r.backend.into(),
+                class(r).into(),
+                r.searched.into(),
+                r.unschedulable.into(),
+                r.winner.as_str().into(),
+                Cell::sci(r.winner_secs, 6),
+                r.auto_version.into(),
+                Cell::strs(&r.ranking),
+                r.violations.is_empty().into(),
+            ]
+        }),
+    );
+    let families = Table::new(
+        "families",
+        "storage-family winners per backend",
+        &[
+            "backend",
+            "family",
+            "label",
+            "secs",
+            "collapse",
+            "regs",
+            "stack_bytes",
+        ],
+        rows.iter().flat_map(|r| {
+            r.families.iter().map(|f| {
+                vec![
+                    r.backend.into(),
+                    f.family.into(),
+                    f.label.as_str().into(),
+                    Cell::sci(f.secs, 6),
+                    f.collapse.into(),
+                    f.regs.into(),
+                    f.stack_bytes.into(),
+                ]
+            })
+        }),
+    );
+    let auto = Table::new(
+        "bitwise",
+        "schedule = 'auto' vs the explicit winner, end-state checksums",
+        &["explicit", "auto_checksum", "explicit_checksum", "pass"],
+        [vec![
+            bitwise.explicit.as_str().into(),
+            format!("{:016x}", bitwise.auto_checksum).into(),
+            format!("{:016x}", bitwise.explicit_checksum).into(),
+            bitwise.violations.is_empty().into(),
+        ]],
+    );
+    let lines = rows.iter().map(|r| {
+        prof_sim::tune_line(
+            r.backend,
+            r.is_cpu,
+            &r.winner,
+            r.winner_secs,
+            &r.ranking,
+            r.auto_version,
+            r.violations.is_empty(),
+        )
+    });
+    Report {
+        gate: "tune",
+        case: vec![
+            ("coeff_scale", crate::COEFF_SCALE.into()),
+            ("coeff_nz", crate::COEFF_NZ.into()),
+            ("coeff_steps", crate::COEFF_STEPS.into()),
+            ("min_backends", min_backends.into()),
+            ("check_steps", bitwise.check_steps.into()),
+        ],
+        checks,
+        tables: vec![backends, families, auto],
+        lines: lines.collect(),
     }
 }
 
@@ -631,44 +517,29 @@ fn run_backend_row(
     row
 }
 
-/// Runs the tune gate: coefficients measured once on the functional
-/// plane, every [`ZOO`] backend searched, recovery checked on the
-/// paper's machine, stability checked across the zoo, and the
-/// functional `'auto'` arm run bitwise. `committed` is the text of the
-/// checked-in `BENCH_tune.json`, when one exists, for replay gating.
-pub fn run_tune_gate(gcfg: &TuneGateConfig, committed: Option<&str>) -> TuneGateReport {
-    let coeffs = measure_coeffs(gcfg.coeff_scale, gcfg.coeff_nz, gcfg.coeff_steps);
-    run_tune_gate_with(gcfg, &coeffs, committed)
-}
-
-/// [`run_tune_gate`] with externally-measured coefficients (shared with
-/// the bench harness and the test fixture).
-pub fn run_tune_gate_with(
-    gcfg: &TuneGateConfig,
-    coeffs: &MeasuredCoeffs,
-    committed: Option<&str>,
-) -> TuneGateReport {
+/// Searches every [`ZOO`] backend from externally-measured
+/// coefficients (the gate's own, or the test fixture's), with recovery
+/// checked on the paper's machine (the first row).
+pub fn backend_rows(coeffs: &MeasuredCoeffs) -> Vec<TuneBackendRow> {
     let mut rows: Vec<TuneBackendRow> = ZOO.iter().map(|b| run_backend_row(b, coeffs)).collect();
     let recovery = recovery_violations(&rows[0]);
     rows[0].violations.extend(recovery);
+    rows
+}
+
+/// Runs the tune gate: coefficients measured once on the functional
+/// plane, every backend searched, stability checked across the zoo, the
+/// functional `'auto'` arm run bitwise for `check_steps`, and the
+/// committed artifact replayed.
+pub fn run(committed: Option<&str>, check_steps: usize) -> Report {
+    let rows = backend_rows(&crate::measure_gate_coeffs());
     let auto = rows[0].auto_version;
     let auto_version = SbmVersion::ALL
         .into_iter()
         .find(|v| v.label() == auto)
         .unwrap_or(SbmVersion::OffloadCollapse3);
-    let bitwise = auto_bitwise_check(auto_version, gcfg.check_steps);
-    let mut cross = cross_backend_violations(&rows, gcfg.min_backends);
-    let mut report = TuneGateReport {
-        cfg: *gcfg,
-        rows,
-        bitwise,
-        cross: Vec::new(),
-    };
-    if let Some(text) = committed {
-        cross.extend(replay_violations(text, &report));
-    }
-    report.cross = cross;
-    report
+    let bitwise = auto_bitwise_check(auto_version, check_steps);
+    report(&rows, &bitwise, committed, MIN_BACKENDS)
 }
 
 #[cfg(test)]
@@ -772,84 +643,95 @@ mod tests {
         );
     }
 
-    #[test]
-    fn replay_gates_the_committed_winners() {
-        let rep = TuneGateReport {
-            cfg: TuneGateConfig::default(),
-            rows: vec![synth_row("a100-80gb", 1.0)],
-            bitwise: AutoBitwise {
-                explicit: "v4".into(),
-                auto_checksum: 1,
-                explicit_checksum: 1,
-                violations: Vec::new(),
-            },
-            cross: Vec::new(),
-        };
-        // A faithful replay passes; times may drift.
-        let committed = rep.to_json().replace("1.700000e-3", "2.000000e-3");
-        assert!(replay_violations(&committed, &rep).is_empty());
-        // A drifted winner fails.
-        let drifted = rep.to_json().replace(
-            "collapse=3 slab[bin,pt]\", \"winner_secs",
-            "collapse=2 stack\", \"winner_secs",
-        );
-        let v = replay_violations(&drifted, &rep);
-        assert!(v.iter().any(|x| x.contains("winner drifted")), "{v:?}");
-        // Garbage is its own violation.
-        assert!(!replay_violations("{not json", &rep).is_empty());
+    fn auto_bitwise(checksum: u64) -> AutoBitwise {
+        AutoBitwise {
+            check_steps: 4,
+            explicit: "v4".into(),
+            auto_checksum: checksum,
+            explicit_checksum: checksum,
+            violations: Vec::new(),
+        }
     }
 
     #[test]
+    fn replay_gates_the_committed_winners() {
+        let rows = vec![synth_row("a100-80gb", 1.0)];
+        let json = report(&rows, &auto_bitwise(1), None, 1).to_json();
+        // A faithful replay passes; times may drift.
+        let committed = json.replace("0.0017", "0.002");
+        assert_ne!(committed, json);
+        assert!(replay_violations(&committed, &rows).is_empty());
+        // A drifted winner fails — through the report's own check too.
+        let drifted = json.replace(
+            "collapse=3 slab[bin,pt]\", \"winner_secs",
+            "collapse=2 stack\", \"winner_secs",
+        );
+        let v = replay_violations(&drifted, &rows);
+        assert!(v.iter().any(|x| x.contains("winner drifted")), "{v:?}");
+        let rep = report(&rows, &auto_bitwise(1), Some(&drifted), 1);
+        let v = rep.violations();
+        assert!(
+            v.iter().any(|x| x.contains("tune: replay of committed")),
+            "{v:?}"
+        );
+        // Garbage, and the pre-envelope format, are their own violations.
+        assert!(!replay_violations("{not json", &rows).is_empty());
+        assert!(!replay_violations("{\"backends\": []}", &rows).is_empty());
+    }
+
+    /// The parent format's keys and printed digits survive the envelope.
+    #[test]
     fn report_verdict_flows_to_json_and_text() {
-        let rows: Vec<TuneBackendRow> = [("a100-80gb", 1.0), ("v100-32gb", 1.2)]
+        let mut rows: Vec<TuneBackendRow> = [("a100-80gb", 1.0), ("v100-32gb", 1.2)]
             .map(|(n, s)| synth_row(n, s))
             .to_vec();
-        let rep = TuneGateReport {
-            cfg: TuneGateConfig {
-                min_backends: 2,
-                ..TuneGateConfig::default()
-            },
-            cross: cross_backend_violations(&rows, 2),
-            rows,
-            bitwise: AutoBitwise {
-                explicit: "v4".into(),
-                auto_checksum: 0xabc,
-                explicit_checksum: 0xabc,
-                violations: Vec::new(),
-            },
-        };
+        let rep = report(&rows, &auto_bitwise(0xabc), None, 2);
         assert!(rep.pass(), "{:?}", rep.violations());
         let json = rep.to_json();
-        assert!(json.contains("\"bench\": \"tune\""));
+        assert!(json.contains("\"gate\": \"tune\""));
         assert!(json.contains("\"pass\": true"));
         assert!(json.contains("\"winner\": \"order=j,k,i collapse=3 slab[bin,pt]\""));
         assert!(json.contains("\"explicit\": \"v4\""));
+        assert!(json.contains("\"auto_checksum\": \"0000000000000abc\""));
+        assert!(json.contains("\"stack_bytes\": 20480"));
         let text = rep.rendered();
-        assert!(text.contains("tune gate: pass"));
-        assert!(text.contains("bitwise identical"));
+        assert!(text.contains("tune gate: PASS"));
+        assert!(text.contains("tune: backend=a100-80gb"));
 
-        let mut failing = rep.clone();
-        failing.rows[0].violations.push("synthetic".into());
+        rows[0].violations.push("synthetic".into());
+        let failing = report(&rows, &auto_bitwise(0xabc), None, 2);
         assert!(!failing.pass());
         assert!(failing
             .violations()
             .iter()
-            .any(|v| v.contains("a100-80gb: synthetic")));
+            .any(|v| v.contains("backend: a100-80gb: synthetic")));
     }
 
     /// The real gate, end to end: the paper's hand-derived kernels fall
     /// out of the search on the paper's machine, the winner is a slab
     /// schedule everywhere, the family ranking is zoo-stable, and the
     /// functional 'auto' arm is bitwise-identical to the explicit
-    /// winner. This is the empirical pin on the tentpole claim.
+    /// winner. This is the empirical pin on the tentpole claim — and on
+    /// the gate's assertion inventory.
     #[test]
     fn tune_gate_passes_end_to_end() {
         let (coeffs, _) = miniwrf::perfmodel::test_fixture();
-        let rep = run_tune_gate_with(&TuneGateConfig::default(), coeffs, None);
+        let rows = backend_rows(coeffs);
+        let bitwise = auto_bitwise_check(SbmVersion::OffloadCollapse3, 4);
+        let rep = report(&rows, &bitwise, None, MIN_BACKENDS);
         assert!(rep.pass(), "{:#?}", rep.violations());
-        assert!(rep.rows.len() >= 5);
-        let a100 = &rep.rows[0];
+        let labels: Vec<&str> = rep.checks.iter().map(|c| c.label.as_str()).collect();
+        let mut want: Vec<String> = ZOO.iter().map(|b| format!("backend: {}", b.name)).collect();
+        want.extend([
+            "auto bitwise vs explicit".into(),
+            "cross-backend".into(),
+            "replay of committed winners".into(),
+        ]);
+        assert_eq!(labels, want);
+        assert!(rows.len() >= 5);
+        let a100 = &rows[0];
         assert_eq!(a100.backend, "a100-80gb");
+        assert_eq!(a100.auto_version, SbmVersion::OffloadCollapse3.label());
         assert_eq!(
             a100.searched, 96,
             "3! perms × 3 collapses × storages × fission"
@@ -864,11 +746,11 @@ mod tests {
         assert_eq!((slab.collapse, slab.regs, slab.stack_bytes), V3_GEOMETRY);
         assert!(slab.unfissioned_secs < stack.unfissioned_secs);
         // Replay of its own artifact is clean.
-        assert!(replay_violations(&rep.to_json(), &rep).is_empty());
+        assert!(replay_violations(&rep.to_json(), &rows).is_empty());
         // And the bitwise arm really ran.
-        assert_eq!(rep.bitwise.explicit, "v4");
-        assert_eq!(rep.bitwise.auto_checksum, rep.bitwise.explicit_checksum);
-        assert_ne!(rep.bitwise.auto_checksum, 0);
+        assert_eq!(bitwise.explicit, "v4");
+        assert_eq!(bitwise.auto_checksum, bitwise.explicit_checksum);
+        assert_ne!(bitwise.auto_checksum, 0);
     }
 
     proptest! {

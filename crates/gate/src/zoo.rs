@@ -23,64 +23,27 @@
 //!   each backend's memory capacity (the caps genuinely differ), and
 //!   modeled members/hour stays finite and positive on all of them.
 //!
-//! The outcome is `BENCH_zoo.json` next to the other `BENCH_*.json`
-//! artifacts; any violation makes `repro zoo` exit nonzero.
+//! The report is written to `BENCH_zoo.json`; any violation makes
+//! `repro zoo` exit nonzero.
 
-use crate::json::escape;
+use crate::ensemble::{
+    full_scale_footprint, full_scale_schedule, members_per_hour, DEVICES, MEMBERS, MINUTES,
+};
+use crate::report::{Cell, Check, Report, Table};
+use crate::share::{full_scale_experiment, full_scale_slab_bytes};
 use fsbm_core::scheme::SbmVersion;
 use gpu_sim::devicepool::DevicePool;
 use gpu_sim::machine::{Backend, ZOO};
-use miniwrf::config::ModelConfig;
-use miniwrf::perfmodel::{
-    gpu_rank_step_time, measure_coeffs, rank_footprint, try_experiment, ExperimentConfig,
-    MeasuredCoeffs, PerfParams, RankWork, TrafficModel,
-};
-use miniwrf::service::{
-    member_footprint, pressure_key, schedule_ensemble, EnsembleSpec, MemberTimings,
-};
-use prof_sim::TextTable;
-use std::fmt::Write as _;
-use wrf_cases::{ConusCase, ConusParams};
-use wrf_grid::two_d_decomposition;
+use miniwrf::perfmodel::{rank_footprint, MeasuredCoeffs, PerfParams, TrafficModel};
+use miniwrf::service::pressure_key;
+use wrf_cases::ConusParams;
 
-/// Configuration of one zoo-gate invocation.
-#[derive(Debug, Clone, Copy)]
-pub struct ZooGateConfig {
-    /// Ranks of the Table V version sweep.
-    pub ranks: usize,
-    /// Devices of the offloaded arms (and the Table VII sweep pool).
-    pub gpus: usize,
-    /// Simulated minutes each modeled experiment integrates.
-    pub minutes: f64,
-    /// Horizontal scale the work coefficients are measured at.
-    pub coeff_scale: f64,
-    /// Vertical levels of the coefficient measurement.
-    pub coeff_nz: i32,
-    /// Steps of the coefficient measurement.
-    pub coeff_steps: usize,
-    /// Members of the per-backend ensemble throughput arm.
-    pub members: usize,
-    /// Devices of the ensemble throughput arm.
-    pub devices: usize,
-    /// Minimum number of backends the gate must price end to end.
-    pub min_backends: usize,
-}
-
-impl Default for ZooGateConfig {
-    fn default() -> Self {
-        ZooGateConfig {
-            ranks: 16,
-            gpus: 16,
-            minutes: 10.0,
-            coeff_scale: 0.05,
-            coeff_nz: 24,
-            coeff_steps: 2,
-            members: 8,
-            devices: 2,
-            min_backends: 5,
-        }
-    }
-}
+/// Ranks of the Table V version sweep.
+const RANKS: usize = 16;
+/// Devices of the offloaded arms (and the Table VII sweep pool).
+const GPUS: usize = 16;
+/// Minimum number of backends the gate must price end to end.
+pub const MIN_BACKENDS: usize = 5;
 
 /// One scheme version priced on one backend.
 #[derive(Debug, Clone)]
@@ -133,18 +96,6 @@ pub struct BackendRow {
     /// Per-backend shape violations (empty when the paper's conclusions
     /// hold on this backend).
     pub violations: Vec<String>,
-}
-
-/// The zoo gate's full outcome.
-#[derive(Debug, Clone)]
-pub struct ZooGateReport {
-    /// Configuration the gate ran with.
-    pub cfg: ZooGateConfig,
-    /// One row per zoo backend, [`ZOO`] order.
-    pub rows: Vec<BackendRow>,
-    /// Cross-backend violations (ranking flips, time collisions, cap
-    /// degeneracy); empty when the portability claims hold.
-    pub cross: Vec<String>,
 }
 
 /// Orders the version labels of one backend slowest → fastest. Ties
@@ -256,210 +207,104 @@ pub fn cross_backend_violations(rows: &[BackendRow], min_backends: usize) -> Vec
     v
 }
 
-impl ZooGateReport {
-    /// True when every per-backend shape and cross-backend claim held.
-    pub fn pass(&self) -> bool {
-        self.rows.iter().all(|r| r.violations.is_empty()) && self.cross.is_empty()
-    }
-
-    /// All violation strings.
-    pub fn violations(&self) -> Vec<String> {
-        let mut v: Vec<String> = self
-            .rows
-            .iter()
-            .flat_map(|r| {
-                r.violations
-                    .iter()
-                    .map(move |x| format!("zoo: {}: {x}", r.backend))
+/// Assembles the zoo report from the per-backend rows; `min_backends`
+/// is the floor of [`cross_backend_violations`].
+pub fn report(rows: &[BackendRow], min_backends: usize) -> Report {
+    let class = |r: &BackendRow| if r.is_cpu { "cpu" } else { "gpu" };
+    let mut checks: Vec<Check> = rows
+        .iter()
+        .map(|r| Check::all_of(format!("backend: {}", r.backend), &r.violations))
+        .collect();
+    checks.push(Check::all_of(
+        "cross-backend",
+        &cross_backend_violations(rows, min_backends),
+    ));
+    let backends = Table::new(
+        "backends",
+        "ranking, packing and verdict per backend",
+        &[
+            "backend",
+            "class",
+            "ranking",
+            "member_cap",
+            "waves",
+            "members_per_hour",
+            "pass",
+        ],
+        rows.iter().map(|r| {
+            vec![
+                r.backend.into(),
+                class(r).into(),
+                Cell::strs(&r.ranking),
+                r.member_cap.into(),
+                r.waves.into(),
+                Cell::num(r.members_per_hour, 4),
+                r.violations.is_empty().into(),
+            ]
+        }),
+    );
+    let versions = Table::new(
+        "versions",
+        "Table V version times per backend",
+        &["backend", "version", "secs", "speedup"],
+        rows.iter().flat_map(|r| {
+            r.versions.iter().map(|t| {
+                vec![
+                    r.backend.into(),
+                    t.version.into(),
+                    Cell::num(t.secs, 3),
+                    Cell::num(t.speedup, 4),
+                ]
             })
-            .collect();
-        v.extend(self.cross.iter().map(|x| format!("zoo: {x}")));
-        v
+        }),
+    );
+    let sweep = Table::new(
+        "sweep",
+        "Table VII decay shape per backend (arms past the memory wall are absent)",
+        &["backend", "ranks", "cpu_secs", "gpu_secs", "speedup"],
+        rows.iter().flat_map(|r| {
+            r.sweep.iter().map(|sw| {
+                vec![
+                    r.backend.into(),
+                    sw.ranks.into(),
+                    Cell::num(sw.cpu_secs, 3),
+                    Cell::num(sw.gpu_secs, 3),
+                    Cell::num(sw.speedup, 4),
+                ]
+            })
+        }),
+    );
+    let walls = Table::new(
+        "memory_walls",
+        "sweep arms the \u{a7}VII-A memory wall rejected, as the capacity arithmetic predicted",
+        &["backend", "walls"],
+        rows.iter()
+            .flat_map(|r| (r.walls.iter()).map(|w| vec![r.backend.into(), w.as_str().into()])),
+    );
+    let lines = rows.iter().map(|r| {
+        prof_sim::zoo_line(
+            r.backend,
+            r.is_cpu,
+            r.versions.last().map_or(f64::NAN, |t| t.secs),
+            &r.ranking,
+            r.member_cap,
+            r.violations.is_empty(),
+        )
+    });
+    Report {
+        gate: "zoo",
+        case: vec![
+            ("ranks", RANKS.into()),
+            ("gpus", GPUS.into()),
+            ("minutes", MINUTES.into()),
+            ("members", MEMBERS.into()),
+            ("devices", DEVICES.into()),
+            ("min_backends", min_backends.into()),
+        ],
+        checks,
+        tables: vec![backends, versions, sweep, walls],
+        lines: lines.collect(),
     }
-
-    /// Human-readable rendering: cross-backend Table V, Table VII
-    /// decay, and ensemble-packing tables.
-    pub fn rendered(&self) -> String {
-        let mut s = String::new();
-        s.push_str("=== repro zoo: Table V version times per backend ===\n");
-        let mut head: Vec<&str> = vec!["backend", "class"];
-        if let Some(first) = self.rows.first() {
-            for t in &first.versions {
-                head.push(t.version);
-            }
-        }
-        head.push("ranking");
-        let mut t = TextTable::new(&head);
-        for r in &self.rows {
-            let mut row = vec![
-                r.backend.to_string(),
-                if r.is_cpu { "cpu" } else { "gpu" }.to_string(),
-            ];
-            for vt in &r.versions {
-                row.push(format!("{:.1}s", vt.secs));
-            }
-            row.push(r.ranking.join(" > "));
-            t.push_row(row);
-        }
-        s.push_str(&t.rendered());
-        s.push_str("\n=== repro zoo: Table VII decay shape per backend ===\n");
-        let mut t = TextTable::new(&[
-            "backend", "gpu16", "gpu32", "gpu64", "spd16", "spd32", "spd64",
-        ]);
-        for r in &self.rows {
-            let arm = |ranks: usize| r.sweep.iter().find(|sw| sw.ranks == ranks);
-            let mut row = vec![r.backend.to_string()];
-            for ranks in [16, 32, 64] {
-                row.push(
-                    arm(ranks).map_or("wall".to_string(), |sw| format!("{:.1}s", sw.gpu_secs)),
-                );
-            }
-            for ranks in [16, 32, 64] {
-                row.push(arm(ranks).map_or("-".to_string(), |sw| format!("{:.2}", sw.speedup)));
-            }
-            t.push_row(row);
-        }
-        s.push_str(&t.rendered());
-        for r in &self.rows {
-            for w in &r.walls {
-                let _ = writeln!(s, "{}: {w}", r.backend);
-            }
-        }
-        s.push_str("\n=== repro zoo: ensemble packing per backend ===\n");
-        let mut t = TextTable::new(&["backend", "cap/device", "waves", "members/h", "result"]);
-        for r in &self.rows {
-            t.push_row(vec![
-                r.backend.to_string(),
-                r.member_cap.to_string(),
-                r.waves.to_string(),
-                format!("{:.2}", r.members_per_hour),
-                if r.violations.is_empty() {
-                    "pass"
-                } else {
-                    "FAIL"
-                }
-                .to_string(),
-            ]);
-        }
-        s.push_str(&t.rendered());
-        for r in &self.rows {
-            let _ = writeln!(
-                s,
-                "{}",
-                prof_sim::zoo_line(
-                    r.backend,
-                    r.is_cpu,
-                    r.versions.last().map_or(f64::NAN, |t| t.secs),
-                    &r.ranking,
-                    r.member_cap,
-                    r.violations.is_empty(),
-                )
-            );
-        }
-        for x in &self.cross {
-            let _ = writeln!(s, "cross-backend: {x}");
-        }
-        let _ = writeln!(s, "zoo gate: {}", if self.pass() { "pass" } else { "FAIL" });
-        s
-    }
-
-    /// Renders the machine-readable `BENCH_zoo.json`.
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n  \"bench\": \"zoo\",\n  \"format\": 1,\n");
-        let _ = writeln!(s, "  \"pass\": {},", self.pass());
-        let _ = writeln!(
-            s,
-            "  \"case\": {{\"ranks\": {}, \"gpus\": {}, \"minutes\": {}, \"members\": {}, \
-             \"devices\": {}, \"min_backends\": {}}},",
-            self.cfg.ranks,
-            self.cfg.gpus,
-            self.cfg.minutes,
-            self.cfg.members,
-            self.cfg.devices,
-            self.cfg.min_backends
-        );
-        s.push_str("  \"backends\": [\n");
-        for (n, r) in self.rows.iter().enumerate() {
-            let _ = write!(
-                s,
-                "    {{\"backend\": \"{}\", \"class\": \"{}\", \"versions\": [",
-                escape(r.backend),
-                if r.is_cpu { "cpu" } else { "gpu" }
-            );
-            for (m, vt) in r.versions.iter().enumerate() {
-                let _ = write!(
-                    s,
-                    "{}{{\"version\": \"{}\", \"secs\": {:.3}, \"speedup\": {:.4}}}",
-                    if m > 0 { ", " } else { "" },
-                    escape(vt.version),
-                    vt.secs,
-                    vt.speedup
-                );
-            }
-            let _ = write!(
-                s,
-                "], \"ranking\": [{}], \"sweep\": [",
-                r.ranking
-                    .iter()
-                    .map(|x| format!("\"{}\"", escape(x)))
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            );
-            for (m, sw) in r.sweep.iter().enumerate() {
-                let _ = write!(
-                    s,
-                    "{}{{\"ranks\": {}, \"cpu_secs\": {:.3}, \"gpu_secs\": {:.3}, \
-                     \"speedup\": {:.4}}}",
-                    if m > 0 { ", " } else { "" },
-                    sw.ranks,
-                    sw.cpu_secs,
-                    sw.gpu_secs,
-                    sw.speedup
-                );
-            }
-            let _ = write!(
-                s,
-                "], \"walls\": [{}]",
-                r.walls
-                    .iter()
-                    .map(|x| format!("\"{}\"", escape(x)))
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            );
-            let _ = writeln!(
-                s,
-                ", \"member_cap\": {}, \"waves\": {}, \"members_per_hour\": {:.4}, \
-                 \"pass\": {}}}{}",
-                r.member_cap,
-                r.waves,
-                r.members_per_hour,
-                r.violations.is_empty(),
-                if n + 1 < self.rows.len() { "," } else { "" }
-            );
-        }
-        s.push_str("  ],\n  \"cross_violations\": [\n");
-        for (n, x) in self.cross.iter().enumerate() {
-            let _ = writeln!(
-                s,
-                "    \"{}\"{}",
-                escape(x),
-                if n + 1 < self.cross.len() { "," } else { "" }
-            );
-        }
-        s.push_str("  ]\n}\n");
-        s
-    }
-}
-
-/// The full-scale ensemble member footprint (1-rank CONUS-12km context
-/// at the paper's stack setting) — backend-independent bytes; what
-/// varies per backend is the capacity they are packed against.
-fn full_scale_footprint() -> gpu_sim::devicepool::RankFootprint {
-    member_footprint(
-        &ModelConfig::paper_default(SbmVersion::OffloadCollapse3),
-        None,
-    )
 }
 
 /// How many full-scale members one of `backend`'s devices admits.
@@ -478,37 +323,20 @@ fn member_cap(backend: &'static Backend) -> usize {
 }
 
 /// Prices every arm of the gate on one backend.
-fn run_backend_row(
-    backend: &'static Backend,
-    gcfg: &ZooGateConfig,
-    coeffs: &MeasuredCoeffs,
-) -> BackendRow {
+fn run_backend_row(backend: &'static Backend, coeffs: &MeasuredCoeffs) -> BackendRow {
     let pp = PerfParams::for_backend(backend);
     let traffic = TrafficModel::measure_for_backend(backend);
     let mut violations = Vec::new();
-    let full = ConusParams::full();
 
-    let run = |version, ranks, gpus| {
-        try_experiment(
-            &ExperimentConfig {
-                case: full,
-                version,
-                ranks,
-                gpus,
-                minutes: gcfg.minutes,
-            },
-            coeffs,
-            &pp,
-            &traffic,
-        )
-    };
+    let plane = (&pp, &traffic);
+    let run = |version, ranks, gpus| full_scale_experiment(version, ranks, gpus, coeffs, plane);
 
     // Table V: the four scheme versions at the paper's decomposition.
     let mut versions = Vec::new();
     let mut baseline_secs = f64::NAN;
     for version in SbmVersion::ALL {
-        let gpus = if version.offloaded() { gcfg.gpus } else { 0 };
-        match run(version, gcfg.ranks, gpus) {
+        let gpus = if version.offloaded() { GPUS } else { 0 };
+        match run(version, RANKS, gpus) {
             Ok(r) => {
                 if versions.is_empty() {
                     baseline_secs = r.total_secs;
@@ -536,8 +364,8 @@ fn run_backend_row(
     let mut sweep = Vec::new();
     let mut walls = Vec::new();
     for ranks in [16usize, 32, 64] {
-        let per_device = ranks.div_ceil(gcfg.gpus) as u64;
-        let charged = rank_footprint(&pp, crate::share::full_scale_slab_bytes(ranks))
+        let per_device = ranks.div_ceil(GPUS) as u64;
+        let charged = rank_footprint(&pp, full_scale_slab_bytes(ranks))
             .charged_bytes(&pp.gpu)
             .unwrap_or(u64::MAX);
         let fits = charged
@@ -545,7 +373,7 @@ fn run_backend_row(
             .is_some_and(|need| need <= pp.gpu.hbm_bytes);
         match (
             run(SbmVersion::Baseline, ranks, 0),
-            run(SbmVersion::OffloadCollapse3, ranks, gcfg.gpus),
+            run(SbmVersion::OffloadCollapse3, ranks, GPUS),
         ) {
             (Ok(cpu), Ok(gpu)) => {
                 if !fits {
@@ -578,42 +406,11 @@ fn run_backend_row(
 
     // Ensemble packing and throughput on this backend's capacity.
     let cap = member_cap(backend);
-    let case = ConusCase::new(full);
-    let dd = two_d_decomposition(full.domain(), 1, 3);
-    let work = RankWork::extrapolate(
-        &case,
-        &dd.patches[0],
-        coeffs,
-        SbmVersion::OffloadCollapse3,
-        &pp,
-    );
-    let t = gpu_rank_step_time(&work, &pp, &traffic);
-    let service = t.coal_loop + t.transfer;
-    let steps = case.steps_for_minutes(gcfg.minutes);
-    let spec = EnsembleSpec {
-        members: gcfg.members,
-        devices: gcfg.devices,
-        backend,
-        ..EnsembleSpec::default()
-    };
-    let timings: Vec<MemberTimings> = (0..spec.members)
-        .map(|m| MemberTimings {
-            member: m,
-            service_per_step: vec![service; steps],
-        })
-        .collect();
     let (mut waves, mut mph) = (0usize, 0.0f64);
-    match schedule_ensemble(
-        &timings,
-        &spec,
-        &full_scale_footprint(),
-        Some(pressure_key(&full)),
-    ) {
+    match full_scale_schedule(backend, SbmVersion::OffloadCollapse3, coeffs, plane).1 {
         Ok(s) => {
             waves = s.waves;
-            if s.makespan_secs > 0.0 {
-                mph = spec.members as f64 * 3600.0 / s.makespan_secs;
-            }
+            mph = members_per_hour(s.makespan_secs);
             if !(mph.is_finite() && mph > 0.0) {
                 violations.push(format!(
                     "ensemble throughput degenerate: {mph} members/hour"
@@ -651,32 +448,24 @@ fn run_backend_row(
     }
 }
 
-/// Runs the zoo gate: coefficients measured once on the functional
-/// plane (backend-independent), then every [`ZOO`] backend priced end
-/// to end and the cross-backend claims checked.
-pub fn run_zoo_gate(gcfg: &ZooGateConfig) -> ZooGateReport {
-    let coeffs = measure_coeffs(gcfg.coeff_scale, gcfg.coeff_nz, gcfg.coeff_steps);
-    run_zoo_gate_with(gcfg, &coeffs)
+/// Prices every [`ZOO`] backend end to end from externally-measured
+/// coefficients (the gate's own, or the test fixture's).
+pub fn backend_rows(coeffs: &MeasuredCoeffs) -> Vec<BackendRow> {
+    ZOO.iter().map(|b| run_backend_row(b, coeffs)).collect()
 }
 
-/// [`run_zoo_gate`] with externally-measured coefficients (shared with
-/// the bench harness and the test fixture).
-pub fn run_zoo_gate_with(gcfg: &ZooGateConfig, coeffs: &MeasuredCoeffs) -> ZooGateReport {
-    let rows: Vec<BackendRow> = ZOO
-        .iter()
-        .map(|b| run_backend_row(b, gcfg, coeffs))
-        .collect();
-    let cross = cross_backend_violations(&rows, gcfg.min_backends);
-    ZooGateReport {
-        cfg: *gcfg,
-        rows,
-        cross,
-    }
+/// Runs the zoo gate: coefficients measured once on the functional
+/// plane (backend-independent), then every backend priced and the
+/// cross-backend claims checked.
+pub fn run() -> Report {
+    report(&backend_rows(&crate::measure_gate_coeffs()), MIN_BACKENDS)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use miniwrf::perfmodel::{try_experiment, ExperimentConfig};
+    use miniwrf::service::{schedule_ensemble, EnsembleSpec, MemberTimings};
     use proptest::prelude::*;
 
     fn synth_row(backend: &'static str, v4: f64, cap: usize) -> BackendRow {
@@ -803,9 +592,10 @@ mod tests {
         assert!(v.iter().any(|x| x.contains("at least 2")), "{v:?}");
     }
 
+    /// The parent format's keys and printed digits survive the envelope.
     #[test]
     fn report_verdict_flows_to_json_and_text() {
-        let rows: Vec<BackendRow> = [
+        let mut rows: Vec<BackendRow> = [
             ("a100-80gb", 100.0, 4),
             ("v100-32gb", 130.0, 1),
             ("mi", 90.0, 3),
@@ -813,58 +603,64 @@ mod tests {
         .iter()
         .map(|&(n, t, c)| synth_row(n, t, c))
         .collect();
-        let rep = ZooGateReport {
-            cfg: ZooGateConfig {
-                min_backends: 3,
-                ..ZooGateConfig::default()
-            },
-            cross: cross_backend_violations(&rows, 3),
-            rows,
-        };
+        let rep = report(&rows, 3);
         assert!(rep.pass(), "{:?}", rep.violations());
         let json = rep.to_json();
-        assert!(json.contains("\"bench\": \"zoo\""));
+        assert!(json.contains("\"gate\": \"zoo\""));
         assert!(json.contains("\"pass\": true"));
         assert!(json.contains("\"backend\": \"v100-32gb\""));
         assert!(json.contains("\"ranking\": [\"baseline\""));
+        assert!(json.contains("\"members_per_hour\": 0.1"));
         let text = rep.rendered();
-        assert!(text.contains("zoo gate: pass"));
-        assert!(text.contains("v100-32gb"));
+        assert!(text.contains("zoo gate: PASS"));
+        assert!(text.contains("zoo: backend=v100-32gb"));
 
-        let mut failing = rep.clone();
-        failing.rows[0].violations.push("synthetic".into());
+        rows[0].violations.push("synthetic".into());
+        let failing = report(&rows, 3);
         assert!(!failing.pass());
         assert!(failing
             .violations()
             .iter()
-            .any(|v| v.contains("a100-80gb: synthetic")));
+            .any(|v| v.contains("backend: a100-80gb: synthetic")));
+        // Too few backends is the cross-backend check's to catch.
+        let v = report(&rows[1..], 3).violations();
+        assert!(
+            v.iter().any(|x| x.contains("zoo: cross-backend: only 2")),
+            "{v:?}"
+        );
     }
 
     /// The real gate, end to end: five backends priced, ranking stable,
     /// decay shape everywhere, caps tracking capacity. This is the
-    /// empirical pin on the portability claim.
+    /// empirical pin on the portability claim — and on the gate's
+    /// assertion inventory.
     #[test]
     fn zoo_gate_passes_end_to_end() {
         let (coeffs, _) = miniwrf::perfmodel::test_fixture();
-        let rep = run_zoo_gate_with(&ZooGateConfig::default(), coeffs);
+        let rows = backend_rows(coeffs);
+        let rep = report(&rows, MIN_BACKENDS);
         assert!(rep.pass(), "{:#?}", rep.violations());
-        assert!(rep.rows.len() >= 5);
-        let a100 = &rep.rows[0];
+        let labels: Vec<&str> = rep.checks.iter().map(|c| c.label.as_str()).collect();
+        let mut want: Vec<String> = ZOO.iter().map(|b| format!("backend: {}", b.name)).collect();
+        want.push("cross-backend".into());
+        assert_eq!(labels, want);
+        assert!(rows.len() >= 5);
+        let a100 = &rows[0];
         assert_eq!(a100.backend, "a100-80gb");
         assert_eq!(a100.member_cap, 4, "full-scale cap on 80 GB must stay 4");
         assert_eq!(a100.sweep.len(), 3, "80 GB fits the whole sweep");
         assert!(a100.walls.is_empty());
-        let v100 = rep.rows.iter().find(|r| r.backend == "v100-32gb").unwrap();
+        let v100 = rows.iter().find(|r| r.backend == "v100-32gb").unwrap();
         assert!(v100.member_cap < a100.member_cap);
         // The §VII-A memory wall moves with capacity: the 64-rank arm
         // (4 contexts/device) no longer fits 40 or 32 GB.
         for name in ["a100-40gb", "v100-32gb"] {
-            let r = rep.rows.iter().find(|r| r.backend == name).unwrap();
+            let r = rows.iter().find(|r| r.backend == name).unwrap();
             assert_eq!(r.sweep.len(), 2, "{name} loses exactly the 64-rank arm");
             assert_eq!(r.walls.len(), 1, "{name} records the wall");
             assert!(r.walls[0].starts_with("64 ranks"), "{:?}", r.walls);
         }
-        let grace = rep.rows.iter().find(|r| r.is_cpu).unwrap();
+        let grace = rows.iter().find(|r| r.is_cpu).unwrap();
         assert!(grace.member_cap > a100.member_cap);
     }
 
@@ -878,7 +674,6 @@ mod tests {
         #[test]
         fn ranking_is_stable_across_backends(minutes in 2.0f64..40.0) {
             let (coeffs, _) = miniwrf::perfmodel::test_fixture();
-            let gcfg = ZooGateConfig { minutes, ..ZooGateConfig::default() };
             let full = ConusParams::full();
             let mut rankings = Vec::new();
             let mut offload_secs = Vec::new();
@@ -887,14 +682,14 @@ mod tests {
                 let traffic = TrafficModel::measure_for_backend(b);
                 let mut versions = Vec::new();
                 for version in SbmVersion::ALL {
-                    let gpus = if version.offloaded() { gcfg.gpus } else { 0 };
+                    let gpus = if version.offloaded() { GPUS } else { 0 };
                     let r = try_experiment(
                         &ExperimentConfig {
                             case: full,
                             version,
-                            ranks: gcfg.ranks,
+                            ranks: RANKS,
                             gpus,
-                            minutes: gcfg.minutes,
+                            minutes,
                         },
                         coeffs,
                         &pp,

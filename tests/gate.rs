@@ -9,11 +9,13 @@
 use wrf_offload_repro::fsbm_core::exec::ExecMode;
 use wrf_offload_repro::fsbm_core::scheme::{Layout, SbmVersion};
 use wrf_offload_repro::wrf_gate::golden::{
-    bless_fixture, check_against, run_golden_gate, GoldenPolicy, GoldenRunSpec,
+    bless_fixture, check_against, run_golden_gate, GoldenRunSpec,
 };
 use wrf_offload_repro::wrf_gate::perf::{compare_benchmarks, parse_case, Tolerances};
-use wrf_offload_repro::wrf_gate::report::GateReport;
-use wrf_offload_repro::wrf_gate::GoldenFixture;
+use wrf_offload_repro::wrf_gate::{gate_report, Depth, GoldenFixture};
+
+/// The reference perf tolerances.
+const TOL: Tolerances = Depth::NIGHTLY.tol;
 
 /// A reduced golden matrix: two versions, both modes, two worker
 /// counts, both memory layouts.
@@ -47,46 +49,50 @@ fn fixtures() -> Vec<GoldenFixture> {
 
 #[test]
 fn clean_tree_passes_the_golden_gate_bitwise() {
-    let report = run_golden_gate(
-        &reduced_matrix(),
-        &fixtures(),
-        &GoldenPolicy::default(),
-        None,
-    )
-    .expect("gate runs");
+    let rows = run_golden_gate(&reduced_matrix(), &fixtures(), None).expect("gate runs");
+    let report = gate_report(&rows, &[], &[]);
     assert!(report.pass(), "violations: {:?}", report.violations());
     // Every run — any version, any mode, any worker count — reproduces
     // its fixture bit for bit (the §VII-B claim, strengthened).
-    assert!(report
-        .checks
+    assert!(rows
         .iter()
-        .all(|c| c.bitwise && c.min_digits == 15));
+        .all(|r| r.agreement.bitwise && r.agreement.min_digits == 15));
     // Cross-version comparisons are present, not just same-version.
-    assert!(report.checks.iter().any(|c| c.vs == "baseline"));
+    assert!(rows.iter().any(|r| r.arm.ends_with("vs baseline")));
+    // The assertion inventory: one check per (run, fixture) comparison —
+    // baseline runs against themselves, collapse(2) runs against both —
+    // plus the perf half's line-up check.
+    let labels: Vec<&str> = report.checks.iter().map(|c| c.label.as_str()).collect();
+    assert_eq!(labels.len(), 8 + 2 * 8 + 1);
+    assert_eq!(
+        labels[0],
+        "golden: baseline [static-tiles w=1 point-aos] vs self"
+    );
+    assert_eq!(
+        labels.iter().filter(|l| l.ends_with("vs baseline")).count(),
+        8
+    );
+    assert_eq!(labels[24], "perf: documents line up");
 }
 
 #[test]
 fn perturbed_run_fails_and_names_the_worst_field() {
     // Perturb in the 4th significant digit: far below eyeball
     // visibility, far above bitwise.
-    let report = run_golden_gate(
-        &reduced_matrix()[..2],
-        &fixtures(),
-        &GoldenPolicy::default(),
-        Some(5.0e-4),
-    )
-    .expect("gate runs");
+    let rows =
+        run_golden_gate(&reduced_matrix()[..2], &fixtures(), Some(5.0e-4)).expect("gate runs");
+    let report = gate_report(&rows, &[], &[]);
     assert!(!report.pass());
-    let check = &report.checks[0];
+    let agreement = &rows[0].agreement;
     // The perturbation hits the liquid-water distribution; the worst
     // field by digits of agreement must be FF1 or its moments.
     assert!(
-        check.worst_field.contains("FF1"),
+        agreement.worst_field.contains("FF1"),
         "worst field {}",
-        check.worst_field
+        agreement.worst_field
     );
-    assert!(check.worst_digits <= 4, "digits {}", check.worst_digits);
-    assert!(!check.bitwise);
+    assert!(agreement.min_digits <= 4, "digits {}", agreement.min_digits);
+    assert!(!agreement.bitwise);
     let v = report.violations().join("\n");
     assert!(v.contains("FF1"), "violations must name the field: {v}");
 }
@@ -97,13 +103,7 @@ fn golden_gate_requires_a_baseline_fixture() {
         .into_iter()
         .filter(|f| f.version != SbmVersion::Baseline.label())
         .collect();
-    let err = run_golden_gate(
-        &reduced_matrix()[..1],
-        &only_c2,
-        &GoldenPolicy::default(),
-        None,
-    )
-    .unwrap_err();
+    let err = run_golden_gate(&reduced_matrix()[..1], &only_c2, None).unwrap_err();
     assert!(err.contains("--bless"), "{err}");
 }
 
@@ -124,7 +124,6 @@ fn committed_goldens_match_current_physics() {
             .count(),
         6
     );
-    let policy = GoldenPolicy::default();
     for version in SbmVersion::ALL {
         let fixture = fixtures
             .iter()
@@ -137,14 +136,14 @@ fn committed_goldens_match_current_physics() {
             layout: Layout::PointAos,
         };
         let digest = wrf_offload_repro::wrf_gate::golden::run_digest(&spec, None);
-        let check = check_against(&spec, "self", &fixture.digest, &digest, &policy);
+        let check = check_against(&spec, "self", &fixture.digest, &digest);
         assert!(
-            check.pass,
+            check.violations.is_empty(),
             "{}: committed golden diverged: {:?}",
             version.label(),
             check.violations
         );
-        assert!(check.bitwise, "{}: not bitwise", version.label());
+        assert!(check.agreement.bitwise, "{}: not bitwise", version.label());
     }
 }
 
@@ -159,7 +158,8 @@ fn perf_gate_passes_against_the_committed_baseline_shape() {
     let case = parse_case(&baseline).expect("case parses");
     assert_eq!(case.workers, vec![1, 2, 4, 8]);
     assert!(case.steps >= 1);
-    let report = compare_benchmarks(&baseline, &baseline, &Tolerances::default());
+    let (checks, structural) = compare_benchmarks(&baseline, &baseline, &TOL);
+    let report = gate_report(&[], &checks, &structural);
     assert!(report.pass(), "violations: {:?}", report.violations());
 }
 
@@ -176,7 +176,8 @@ fn degraded_steps_per_s_fails_with_the_offending_row_named() {
         degraded, baseline,
         "baseline shape changed; update this test"
     );
-    let report = compare_benchmarks(&baseline, &degraded, &Tolerances::default());
+    let (checks, structural) = compare_benchmarks(&baseline, &degraded, &TOL);
+    let report = gate_report(&[], &checks, &structural);
     assert!(!report.pass());
     let v = report.violations().join("\n");
     assert!(
@@ -188,28 +189,20 @@ fn degraded_steps_per_s_fails_with_the_offending_row_named() {
 
 #[test]
 fn gate_report_merges_and_serializes() {
-    let golden = run_golden_gate(
-        &reduced_matrix()[..1],
-        &fixtures(),
-        &GoldenPolicy::default(),
-        None,
-    )
-    .unwrap();
+    let golden = run_golden_gate(&reduced_matrix()[..1], &fixtures(), None).unwrap();
     let baseline = std::fs::read_to_string(
         std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("BENCH_executor.json"),
     )
     .unwrap();
-    let perf = compare_benchmarks(&baseline, &baseline, &Tolerances::default());
-    let report = GateReport {
-        golden: Some(golden),
-        perf: Some(perf),
-    };
+    let (perf, structural) = compare_benchmarks(&baseline, &baseline, &TOL);
+    let report = gate_report(&golden, &perf, &structural);
     assert!(report.pass());
     let json = report.to_json();
     let parsed = wrf_offload_repro::wrf_gate::json::Json::parse(&json).expect("valid JSON");
     assert_eq!(parsed.get("pass").unwrap().as_bool(), Some(true));
-    assert!(parsed.get("golden").is_some());
-    assert!(parsed.get("perf").is_some());
+    let tables = parsed.get("tables").expect("tables");
+    assert_eq!(tables.get("golden").unwrap().as_arr().unwrap().len(), 1);
+    assert!(!tables.get("perf").unwrap().as_arr().unwrap().is_empty());
     let text = report.rendered();
     assert!(text.contains("gate: PASS"));
 }
