@@ -4,7 +4,7 @@
 # exactly:
 #
 #   ./ci.sh            # every step, in workflow order
-#   ./ci.sh build      # one step (build|test|clippy|docs|fmt|...)
+#   ./ci.sh build      # one step (build|test|ledger|clippy|docs|fmt|...)
 #
 # The workflow fans the gate steps (the GATES list below) out as a
 # parallel matrix job; `all` runs the same steps serially in workflow
@@ -53,6 +53,15 @@ step_test() {
         printf '| test totals | %s passed, %s failed |\n' "$passed" "$failed" >> "$GITHUB_STEP_SUMMARY"
     fi
     return "$rc"
+}
+
+# The benchmark harness is a package of its own (own workspace and
+# lockfile) that path-depends on seven of these crates and calls them by
+# name and signature. Building and testing it here turns a signature
+# change into a red check rather than a broken benchmark run. It builds
+# into benchmark/target (git-ignored) and edits nothing under benchmark/.
+step_ledger() {
+    cargo test --offline --manifest-path benchmark/Cargo.toml
 }
 
 step_clippy() {
@@ -176,7 +185,7 @@ step_golden_drift() {
     return 1
 }
 
-CHECKS=(build test clippy docs fmt shellcheck golden_drift)
+CHECKS=(build test ledger clippy docs fmt shellcheck golden_drift)
 
 # Every step name, in workflow order: the checks, then the gates.
 step_names() {

@@ -18,8 +18,8 @@
 //!   flux-divergence tendencies ([`advect::rk_scalar_tend`]) and the
 //!   RK3 stage update ([`advect::rk_update_scalar`]), with positive-
 //!   definite clipping as WRF applies to moisture scalars.
-//! * [`rk3`] — the three-stage driver with halo refresh callbacks
-//!   between stages.
+//! * [`rk3`] — the three-stage driver and the [`rk3::HaloEngine`]
+//!   trait every halo boundary source (periodic, MPI, nest) implements.
 //! * [`nest`] — one-way grid nesting: the child↔parent index map,
 //!   time interpolation between bracketing parent steps, and the
 //!   halo-strip injection that feeds a refined child patch through the
@@ -38,6 +38,7 @@ pub use advect::{
 pub use diffusion::horizontal_diffusion;
 pub use nest::{fill_halo_round, time_interp, NestMap, NestSpec};
 pub use rk3::{
-    rk3_advect_scalar, rk3_advect_scalar_overlapped, FieldTag, HaloEngine, HaloRefresh, Rk3Work,
+    refresh_now, rk3_advect_scalar, rk3_advect_scalar_overlapped, FieldTag, HaloEngine,
+    HaloRefresh, Rk3Work,
 };
 pub use wind::{storm_wind, Wind};

@@ -48,19 +48,27 @@ impl NestSpec {
                 self.w, self.h
             ));
         }
-        if self.w * self.ratio < 8 || self.h * self.ratio < 8 {
+        // Unchecked input (a namelist) reaches here: size the child in
+        // `i64`, and admit only grids whose indices, halo included, fit
+        // the `i32` index space everything downstream computes in.
+        let (cw, ch) = (
+            i64::from(self.w) * i64::from(self.ratio),
+            i64::from(self.h) * i64::from(self.ratio),
+        );
+        if cw < 8 || ch < 8 {
             return Err(format!(
-                "child grid {}x{} is too small (need >= 8x8 points)",
-                self.w * self.ratio,
-                self.h * self.ratio
+                "child grid {cw}x{ch} is too small (need >= 8x8 points)"
             ));
         }
-        let m = self.map();
-        let lo_i = m.parent_i(1 - halo);
-        let hi_i = m.parent_i(self.w * self.ratio + halo);
-        let lo_j = m.parent_j(1 - halo);
-        let hi_j = m.parent_j(self.h * self.ratio + halo);
-        if lo_i < 1 || lo_j < 1 || hi_i > nx || hi_j > ny {
+        let halo = i64::from(halo);
+        if cw.max(ch) + halo > i64::from(i32::MAX) {
+            return Err(format!("child grid {cw}x{ch} is too large"));
+        }
+        let lo_i = parent_index(self.i0, self.ratio, 1 - halo);
+        let hi_i = parent_index(self.i0, self.ratio, cw + halo);
+        let lo_j = parent_index(self.j0, self.ratio, 1 - halo);
+        let hi_j = parent_index(self.j0, self.ratio, ch + halo);
+        if lo_i < 1 || lo_j < 1 || hi_i > i64::from(nx) || hi_j > i64::from(ny) {
             return Err(format!(
                 "nest (i0={}, j0={}, {}x{} cells, ratio {}) needs parent cells \
                  i in [{lo_i}, {hi_i}], j in [{lo_j}, {hi_j}] for its halo, \
@@ -103,13 +111,21 @@ impl NestMap {
     /// The parent cell containing child cell `ic` (works for halo
     /// indices `<= 0` too — integer arithmetic only, no float rounding).
     pub fn parent_i(&self, ic: i32) -> i32 {
-        self.i0 + (2 * ic - 1).div_euclid(2 * self.ratio)
+        parent_index(self.i0, self.ratio, ic.into()) as i32
     }
 
     /// The parent cell containing child cell `jc`.
     pub fn parent_j(&self, jc: i32) -> i32 {
-        self.j0 + (2 * jc - 1).div_euclid(2 * self.ratio)
+        parent_index(self.j0, self.ratio, jc.into()) as i32
     }
+}
+
+/// The parent index along one axis of child index `c`, for a nest
+/// starting at parent cell `origin`. In `i64` so [`NestSpec::validate`]
+/// can run it on unvalidated geometry without overflow; results of a
+/// validated spec fit `i32`.
+fn parent_index(origin: i32, ratio: i32, c: i64) -> i64 {
+    i64::from(origin) + (2 * c - 1).div_euclid(2 * i64::from(ratio))
 }
 
 /// Linear interpolation between two parent time levels, exact at both

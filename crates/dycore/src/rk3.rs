@@ -2,9 +2,12 @@
 //!
 //! WRF's `solve_em` advances each scalar with the Wicker–Skamarock
 //! three-stage scheme: `φ* = φⁿ + Δt/3·L(φⁿ)`, `φ** = φⁿ + Δt/2·L(φ*)`,
-//! `φⁿ⁺¹ = φⁿ + Δt·L(φ**)`, refreshing halos between stages. The halo
-//! refresh is a callback so tests run single-patch (periodic) while the
-//! model driver plugs in the MPI halo exchange.
+//! `φⁿ⁺¹ = φⁿ + Δt·L(φ**)`, refreshing halos between stages. Both
+//! drivers share one stage body ([`rk3_stages`]) and differ only in what
+//! "refresh the halo and evaluate the tendency" means: refresh fully,
+//! then one whole-patch tendency ([`rk3_advect_scalar`]), or interior
+//! slabs between a [`HaloEngine`]'s `post` and `finish`, then the
+//! boundary frame ([`rk3_advect_scalar_overlapped`]).
 
 use crate::advect::{
     rk_scalar_tend, rk_scalar_tend_region, rk_scalar_tend_region_pool, rk_update_scalar,
@@ -51,9 +54,42 @@ impl std::ops::AddAssign for Rk3Work {
     }
 }
 
-/// Advances one scalar by `dt` with RK3. `scratch` and `tend` are caller
-/// workspaces (avoiding per-call allocation over hundreds of bin
-/// scalars). `positive` enables WRF's positive-definite clipping.
+/// The three Wicker–Skamarock stages over caller workspaces (`scratch`
+/// and `tend` avoid per-call allocation over hundreds of bin scalars).
+/// `refresh_tend(field, tend, work)` must leave `tend = L(field)` with
+/// `field`'s halo refreshed; the post-update refresh of `scalar` is the
+/// caller's.
+fn rk3_stages(
+    scalar: &mut Field3<f32>,
+    patch: &PatchSpec,
+    dt: f32,
+    positive: bool,
+    scratch: &mut Field3<f32>,
+    tend: &mut Field3<f32>,
+    mut refresh_tend: impl FnMut(&mut Field3<f32>, &mut Field3<f32>, &mut PointWork),
+) -> Rk3Work {
+    let mut work = Rk3Work::default();
+    let base = scalar.clone();
+    let up = &mut work.update;
+
+    // Stage 1: φ* = φⁿ + Δt/3 · L(φⁿ)
+    refresh_tend(scalar, tend, &mut work.tend);
+    rk_update_scalar(scratch, &base, tend, dt / 3.0, patch, positive, up);
+
+    // Stage 2: φ** = φⁿ + Δt/2 · L(φ*)
+    refresh_tend(scratch, tend, &mut work.tend);
+    rk_update_scalar(scratch, &base, tend, dt / 2.0, patch, positive, up);
+
+    // Stage 3: φⁿ⁺¹ = φⁿ + Δt · L(φ**)
+    refresh_tend(scratch, tend, &mut work.tend);
+    rk_update_scalar(scalar, &base, tend, dt, patch, positive, up);
+
+    work
+}
+
+/// Advances one scalar by `dt` with RK3: before each stage `refresh`
+/// completes the whole halo, then one whole-patch `rk_scalar_tend` runs.
+/// `positive` enables WRF's positive-definite clipping.
 #[allow(clippy::too_many_arguments)]
 pub fn rk3_advect_scalar(
     scalar: &mut Field3<f32>,
@@ -68,53 +104,24 @@ pub fn rk3_advect_scalar(
     tend: &mut Field3<f32>,
     refresh: &mut HaloRefresh<'_>,
 ) -> Rk3Work {
-    let mut work = Rk3Work::default();
-    let base = scalar.clone();
-
-    // Stage 1: φ* = φⁿ + Δt/3 · L(φⁿ)
+    let work = rk3_stages(scalar, patch, dt, positive, scratch, tend, |f, tend, w| {
+        refresh(f);
+        rk_scalar_tend(f, wind, patch, dx, dy, dz, tend, w);
+    });
     refresh(scalar);
-    rk_scalar_tend(scalar, wind, patch, dx, dy, dz, tend, &mut work.tend);
-    rk_update_scalar(
-        scratch,
-        &base,
-        tend,
-        dt / 3.0,
-        patch,
-        positive,
-        &mut work.update,
-    );
-
-    // Stage 2: φ** = φⁿ + Δt/2 · L(φ*)
-    refresh(scratch);
-    rk_scalar_tend(scratch, wind, patch, dx, dy, dz, tend, &mut work.tend);
-    rk_update_scalar(
-        scratch,
-        &base,
-        tend,
-        dt / 2.0,
-        patch,
-        positive,
-        &mut work.update,
-    );
-
-    // Stage 3: φⁿ⁺¹ = φⁿ + Δt · L(φ**)
-    refresh(scratch);
-    rk_scalar_tend(scratch, wind, patch, dx, dy, dz, tend, &mut work.tend);
-    rk_update_scalar(scalar, &base, tend, dt, patch, positive, &mut work.update);
-    refresh(scalar);
-
     work
 }
 
-/// Split-phase halo exchange driving comm–compute overlap.
+/// Split-phase halo exchange: the one way a halo gets filled.
 ///
 /// A refresh becomes `rounds()` dependent exchange rounds (WRF's
 /// `HALO_EM_*` W/E-then-S/N corner dependency: round 1's south/north
 /// buffers span the full memory `i`-range, including halo columns
-/// received in round 0). Between `post` and `finish` of each round the
-/// caller advances interior tendencies and reports the work via
-/// `absorb`, which the engine's cost model counts as hiding the
-/// in-flight message time.
+/// received in round 0). A caller with nothing to overlap runs the
+/// rounds back-to-back ([`refresh_now`]); the overlapped driver advances
+/// interior tendencies between `post` and `finish` of each round and
+/// reports the work via `absorb`, which the engine's cost model counts
+/// as hiding the in-flight message time.
 pub trait HaloEngine {
     /// Number of dependent exchange rounds per refresh.
     fn rounds(&self) -> usize;
@@ -132,6 +139,15 @@ pub trait HaloEngine {
     /// Reports tendency work computed while round messages were in
     /// flight, available to hide their modeled cost.
     fn absorb(&mut self, work: PointWork);
+}
+
+/// A complete refresh of `field` with no compute to hide it behind:
+/// every round posted and finished back-to-back.
+pub fn refresh_now<E: HaloEngine + ?Sized>(engine: &mut E, field: &mut Field3<f32>) {
+    for r in 0..engine.rounds() {
+        engine.post(r, field);
+        engine.finish(r, field);
+    }
 }
 
 /// One overlapped refresh+tendency pass over `field`: halo rounds are
@@ -153,7 +169,7 @@ fn overlapped_refresh_tend(
     tend: &mut Field3<f32>,
     engine: &mut dyn HaloEngine,
     pool: &Executor,
-    work: &mut Rk3Work,
+    work: &mut PointWork,
 ) {
     let rounds = engine.rounds();
     // One interior j-slab per round, so every round has compute to hide
@@ -171,14 +187,14 @@ fn overlapped_refresh_tend(
             let mut w = PointWork::ZERO;
             rk_scalar_tend_region_pool(field, wind, patch, slab, dx, dy, dz, tend, pool, &mut w);
             engine.absorb(w);
-            work.tend += w;
+            *work += w;
         }
         engine.finish(r, field);
     }
     // Boundary strips read fresh halo cells: evaluated after the last
     // round completes.
     for strip in &split.frame {
-        rk_scalar_tend_region(field, wind, patch, strip, dx, dy, dz, tend, &mut work.tend);
+        rk_scalar_tend_region(field, wind, patch, strip, dx, dy, dz, tend, work);
     }
 }
 
@@ -186,7 +202,8 @@ fn overlapped_refresh_tend(
 /// each of the three pre-tendency halo refreshes is split-phase: halo
 /// messages fly while the interior tendency runs on `pool`, and only
 /// the boundary frame waits. The trailing post-update refresh has no
-/// compute to hide behind and runs both rounds back-to-back.
+/// compute to hide behind (the next consumer of `scalar` is outside
+/// this call) and runs its rounds back-to-back.
 #[allow(clippy::too_many_arguments)]
 pub fn rk3_advect_scalar_overlapped(
     scalar: &mut Field3<f32>,
@@ -203,50 +220,10 @@ pub fn rk3_advect_scalar_overlapped(
     pool: &Executor,
 ) -> Rk3Work {
     let split = interior_split(patch, STENCIL_WIDTH);
-    let mut work = Rk3Work::default();
-    let base = scalar.clone();
-
-    // Stage 1: φ* = φⁿ + Δt/3 · L(φⁿ)
-    overlapped_refresh_tend(
-        scalar, wind, patch, &split, dx, dy, dz, tend, engine, pool, &mut work,
-    );
-    rk_update_scalar(
-        scratch,
-        &base,
-        tend,
-        dt / 3.0,
-        patch,
-        positive,
-        &mut work.update,
-    );
-
-    // Stage 2: φ** = φⁿ + Δt/2 · L(φ*)
-    overlapped_refresh_tend(
-        scratch, wind, patch, &split, dx, dy, dz, tend, engine, pool, &mut work,
-    );
-    rk_update_scalar(
-        scratch,
-        &base,
-        tend,
-        dt / 2.0,
-        patch,
-        positive,
-        &mut work.update,
-    );
-
-    // Stage 3: φⁿ⁺¹ = φⁿ + Δt · L(φ**)
-    overlapped_refresh_tend(
-        scratch, wind, patch, &split, dx, dy, dz, tend, engine, pool, &mut work,
-    );
-    rk_update_scalar(scalar, &base, tend, dt, patch, positive, &mut work.update);
-
-    // Final refresh: the next consumer of `scalar` is outside this
-    // call, so there is nothing local to overlap with.
-    for r in 0..engine.rounds() {
-        engine.post(r, scalar);
-        engine.finish(r, scalar);
-    }
-
+    let work = rk3_stages(scalar, patch, dt, positive, scratch, tend, |f, tend, w| {
+        overlapped_refresh_tend(f, wind, patch, &split, dx, dy, dz, tend, engine, pool, w);
+    });
+    refresh_now(engine, scalar);
     work
 }
 

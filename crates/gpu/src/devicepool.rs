@@ -529,65 +529,12 @@ impl DevicePool {
         Ok(())
     }
 
-    /// Replays one bulk-synchronous round of submissions: each device
-    /// serves its residents' submissions serially in `(submit, rank)`
-    /// order; on devices with two or more submissions this round, every
-    /// service window is preceded by the context-service slice. Panics
-    /// if a submission names a rank that was never admitted. Pure and
-    /// deterministic — no wall clocks, no mutation.
+    /// Replays one bulk-synchronous round of submissions unbatched: a
+    /// negative window puts every submission in its own batch, so on
+    /// devices with two or more submissions this round every service
+    /// window is preceded by the context-service slice.
     pub fn replay(&self, submissions: &[RankSubmission]) -> ShareReport {
-        let mut per_device: Vec<Vec<RankSubmission>> = vec![Vec::new(); self.devices.len()];
-        for sub in submissions {
-            let device = self
-                .device_of(sub.rank)
-                .unwrap_or_else(|| panic!("rank {} submitted without being admitted", sub.rank));
-            per_device[device].push(*sub);
-        }
-
-        let mut ranks: Vec<RankShare> = Vec::with_capacity(submissions.len());
-        let mut devices: Vec<DeviceShare> = Vec::with_capacity(self.devices.len());
-        for (d, subs) in per_device.iter_mut().enumerate() {
-            subs.sort_by(|a, b| {
-                a.submit_secs
-                    .total_cmp(&b.submit_secs)
-                    .then(a.rank.cmp(&b.rank))
-            });
-            let sharers = subs.len();
-            let slice = if sharers > 1 { self.slice_secs } else { 0.0 };
-            let mut clock = 0.0f64;
-            let mut busy = 0.0f64;
-            let mut sliced = 0.0f64;
-            let mut queued = 0.0f64;
-            for sub in subs.iter() {
-                // The device picks the submission up when it is both
-                // submitted and the device is free, then switches into
-                // the context (the slice) before computing.
-                let start = clock.max(sub.submit_secs) + slice;
-                let queue = start - sub.submit_secs;
-                clock = start + sub.service_secs;
-                busy += sub.service_secs;
-                sliced += slice;
-                queued += queue;
-                ranks.push(RankShare {
-                    rank: sub.rank,
-                    device: d,
-                    sharers,
-                    service_secs: sub.service_secs,
-                    queue_secs: queue,
-                });
-            }
-            devices.push(DeviceShare {
-                device: d,
-                residents: self.devices[d].residents.len(),
-                used_bytes: self.devices[d].used_bytes,
-                capacity_bytes: self.params.hbm_bytes,
-                busy_secs: busy,
-                slice_secs: sliced,
-                queue_secs: queued,
-            });
-        }
-        ranks.sort_by_key(|r| r.rank);
-        ShareReport { ranks, devices }
+        self.replay_batched(submissions, -1.0).share
     }
 
     /// Replays one round with windowed launch batching: on each device,
@@ -596,9 +543,9 @@ impl DevicePool {
     /// *opened* the current batch joins that batch, and the whole batch
     /// pays the context-service slice once — the service-window
     /// amortization of `Calibration::service_slice_secs`. Exclusive
-    /// devices still pay no slice. A negative window puts every
-    /// submission in its own batch, reproducing [`DevicePool::replay`]
-    /// bitwise (pinned by a proptest). Pure and deterministic.
+    /// devices still pay no slice. Panics if a submission names a rank
+    /// that was never admitted. Pure and deterministic — no wall clocks,
+    /// no mutation.
     pub fn replay_batched(
         &self,
         submissions: &[RankSubmission],
@@ -990,7 +937,6 @@ mod tests {
         assert!((b.ledgers[0].makespan_secs - 0.7).abs() < 1e-12);
         // A negative window degenerates to the unbatched replay.
         let plain = pool.replay_batched(&subs, -1.0);
-        assert_eq!(plain.share, pool.replay(&subs));
         assert_eq!(plain.ledgers[0].batches, 4);
         assert_eq!(plain.ledgers[0].slice_secs_saved, 0.0);
         assert!(b.ledgers[0].makespan_secs < plain.ledgers[0].makespan_secs);
@@ -1068,34 +1014,6 @@ mod tests {
             let (lo, hi) = (loads.iter().min().unwrap(), loads.iter().max().unwrap());
             prop_assert!(hi - lo <= 1, "unbalanced loads {:?}", loads);
             prop_assert_eq!(loads.iter().sum::<usize>(), ranks);
-        }
-
-        /// A negative batching window reproduces the unbatched replay
-        /// bitwise: every submission is its own batch, so the two
-        /// schedulers walk identical arithmetic.
-        #[test]
-        fn negative_window_replay_is_bitwise_unbatched(
-            ranks in 1usize..16,
-            devices in 1usize..4,
-            service_ms in 1u64..300,
-            spacing_ms in 0u64..500,
-        ) {
-            let fp = RankFootprint { stack_bytes: 1024, temp_slab_bytes: 0, lookup_bytes: 0 };
-            let mut pool = DevicePool::new(A100, devices).with_service_slice(0.3);
-            pool.admit_all(ranks, &fp).unwrap();
-            let subs: Vec<RankSubmission> = (0..ranks)
-                .map(|rank| RankSubmission {
-                    rank,
-                    submit_secs: (rank as u64 * spacing_ms) as f64 * 1e-3,
-                    service_secs: service_ms as f64 * 1e-3,
-                })
-                .collect();
-            let batched = pool.replay_batched(&subs, -1.0);
-            prop_assert_eq!(batched.share, pool.replay(&subs));
-            for l in &batched.ledgers {
-                prop_assert_eq!(l.batches, l.submissions);
-                prop_assert_eq!(l.slice_secs_saved, 0.0);
-            }
         }
 
         /// Widening the batch window never increases the slice seconds

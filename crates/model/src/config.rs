@@ -7,6 +7,7 @@ use gpu_sim::machine::{default_backend, Backend};
 use mpi_sim::CommMode;
 use wrf_cases::{CaseKind, ConusParams};
 use wrf_dycore::nest::NestSpec;
+use wrf_exec::Executor;
 
 /// Configuration of a model run (the subset of WRF's `namelist.input`
 /// the paper's experiments exercise).
@@ -186,6 +187,14 @@ impl ModelConfig {
     /// Number of time steps in the configured run.
     pub fn steps(&self) -> usize {
         ((self.minutes * 60.0) / self.case.dt as f64).round() as usize
+    }
+
+    /// The interior-tendency pool of an overlapped run (`None` when
+    /// blocking): what drivers hand to `Model::step_with` as `overlap`,
+    /// the one place `comm` turns into control flow.
+    pub fn overlap_pool(&self) -> Option<Executor> {
+        matches!(self.comm, CommMode::Overlapped)
+            .then(|| Executor::new(self.device_workers.unwrap_or(1).max(1)))
     }
 }
 

@@ -32,7 +32,7 @@ pub mod schedule;
 pub mod service;
 
 pub use config::ModelConfig;
-pub use model::{Advance, Model, RunReport, StepReport};
+pub use model::{Model, RunReport, StepReport};
 pub use namelist::config_from_namelist;
 pub use nest::{interior_max_rel, run_nested, run_solo_fine, NestedRun};
 pub use parallel::{

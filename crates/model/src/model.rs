@@ -9,7 +9,7 @@ use prof_sim::Stopwatch;
 use wrf_cases::ConusCase;
 use wrf_dycore::diffusion::horizontal_diffusion;
 use wrf_dycore::rk3::{
-    rk3_advect_scalar, rk3_advect_scalar_overlapped, FieldTag, HaloEngine, Rk3Work,
+    refresh_now, rk3_advect_scalar, rk3_advect_scalar_overlapped, FieldTag, HaloEngine, Rk3Work,
 };
 use wrf_dycore::wind::{storm_wind, StormWind, Wind};
 use wrf_exec::Executor;
@@ -78,48 +78,6 @@ impl RunReport {
         self.wall.1 += s.wall_sbm;
         self.coal_wall += s.sbm.coal_wall;
         self.last_sbm = Some(s.sbm);
-    }
-}
-
-/// How one step advances its scalars: WRF's stock blocking refresh
-/// before every tendency, or the split-phase engine overlapping halo
-/// messages with interior compute. Both drive the identical per-point
-/// arithmetic, so results are bitwise-equal.
-/// The blocking variant receives the [`FieldTag`] of the scalar being
-/// refreshed; plain exchanges ignore it, nest boundary closures key the
-/// parent field off it. The overlapped variant's engine learns the tag
-/// through [`HaloEngine::select`]. Drivers build the variant they need
-/// (periodic wrap, MPI exchange, nest forcing) and hand it to
-/// [`Model::step_with`].
-pub enum Advance<'a> {
-    /// Refresh the halo, then compute the whole tendency.
-    Blocking(&'a mut dyn FnMut(FieldTag, &mut Field3<f32>)),
-    /// Post the halo messages through `engine`, advance the interior on
-    /// `pool` while they fly, and finish the boundary frame after the
-    /// unpack.
-    Overlapped {
-        /// The split-phase exchange.
-        engine: &'a mut dyn HaloEngine,
-        /// Workers for the interior tendency.
-        pool: &'a Executor,
-    },
-}
-
-impl Advance<'_> {
-    /// Refreshes `field`'s halo as scalar `tag` with no tendency to hide
-    /// the exchange behind: the overlapped engine runs its rounds
-    /// back-to-back.
-    pub fn refresh(&mut self, tag: FieldTag, field: &mut Field3<f32>) {
-        match self {
-            Advance::Blocking(refresh) => refresh(tag, field),
-            Advance::Overlapped { engine, .. } => {
-                engine.select(tag);
-                for r in 0..engine.rounds() {
-                    engine.post(r, field);
-                    engine.finish(r, field);
-                }
-            }
-        }
     }
 }
 
@@ -228,9 +186,8 @@ impl Model {
     /// Advances the model by one step with a doubly-periodic single-patch
     /// halo refresh and this rank's own occupied-bin masks.
     pub fn step(&mut self) -> StepReport {
-        let mut wrap = periodic_refresh(self.patch);
         let masks = self.occupied_masks();
-        self.step_with(Advance::Blocking(&mut |_, f| wrap(f)), &masks)
+        self.step_with(&mut PeriodicEngine { patch: self.patch }, None, &masks)
     }
 
     /// The occupied-bin masks of all classes (the scalar set this rank
@@ -241,12 +198,19 @@ impl Model {
     }
 
     /// Advances one step: every scalar selected by `masks` (e.g. the
-    /// globally OR-reduced occupied bins) is advected with `adv`'s halo
-    /// strategy — the multi-rank driver passes the MPI exchange, the nest
-    /// driver its parent-interpolated boundary forcing — then the
-    /// microphysics runs. Both [`Advance`] variants are bitwise-identical
-    /// given the same exchange data.
-    pub fn step_with(&mut self, mut adv: Advance<'_>, masks: &[[bool; NKR]; NTYPES]) -> StepReport {
+    /// globally OR-reduced occupied bins) is advected with its halo filled
+    /// by `engine` — the periodic wrap, the multi-rank driver's MPI
+    /// exchange, the nest driver's parent-interpolated forcing — then the
+    /// microphysics runs. `overlap` decides only *when* the interior
+    /// tendency runs: `None` after each complete refresh, `Some(pool)`
+    /// between every round's `post` and `finish`. Both are
+    /// bitwise-identical given the same exchange data.
+    pub fn step_with(
+        &mut self,
+        engine: &mut dyn HaloEngine,
+        overlap: Option<&Executor>,
+        masks: &[[bool; NKR]; NTYPES],
+    ) -> StepReport {
         let sw = Stopwatch::start();
         let sp = self.wind_params();
         let wind_work = storm_wind(
@@ -258,66 +222,42 @@ impl Model {
             self.cfg.case.dz,
         );
 
-        let mut rk3 = Rk3Work::default();
-        let mut advected = 0usize;
         let dt = self.cfg.case.dt;
-        let (dx, dz) = (self.cfg.case.dx, self.cfg.case.dz);
+        let dx = self.cfg.case.dx;
+        let mut wind_extra = PointWork::ZERO;
 
         // Potential temperature: WRF transports θ (conserved under
         // advection), not T. Convert, advect, convert back.
-        let mut wind_extra = PointWork::ZERO;
-        for j in self.patch.jm.iter() {
-            for k in self.patch.km.iter() {
-                for i in self.patch.im.iter() {
-                    let t = self.state.tt.get(i, k, j);
-                    let p = self.state.p.get(i, k, j);
-                    self.scratch2.set(i, k, j, t * (100_000.0 / p).powf(KAPPA));
-                    wind_extra.fm(3, 3);
-                }
-            }
-        }
-        rk3 += advect_one(
-            &mut adv,
+        let mut rk3 = self.transport(
+            engine,
+            overlap,
             FieldTag::Theta,
-            &mut self.scratch2,
-            &self.wind,
-            &self.patch,
-            dx,
-            dz,
-            dt,
-            false,
-            &mut self.scratch,
-            &mut self.tendency,
+            |st, i, k, j| st.tt.get(i, k, j) * (100_000.0 / st.p.get(i, k, j)).powf(KAPPA),
+            |st, i, k, j, th| {
+                let t = th * (st.p.get(i, k, j) / 100_000.0).powf(KAPPA);
+                st.tt.set(i, k, j, t);
+            },
         );
-        for j in self.patch.jm.iter() {
-            for k in self.patch.km.iter() {
-                for i in self.patch.im.iter() {
-                    let th = self.scratch2.get(i, k, j);
-                    let p = self.state.p.get(i, k, j);
-                    self.state.tt.set(i, k, j, th * (p / 100_000.0).powf(KAPPA));
-                    wind_extra.fm(3, 3);
-                }
-            }
-        }
-        advected += 1;
+        // (3 flops, 3 memory ops) per memory point for each conversion.
+        let converted = 2 * 3 * self.patch.memory_points() as u64;
+        wind_extra.fm(converted, converted);
 
-        // Vapor.
+        // Vapor, in place.
         rk3 += advect_one(
-            &mut adv,
+            engine,
+            overlap,
             FieldTag::Qv,
             &mut self.state.qv,
             &self.wind,
             &self.patch,
-            dx,
-            dz,
-            dt,
-            true,
+            &self.cfg,
             &mut self.scratch,
             &mut self.tendency,
         );
         // Weak second-order horizontal diffusion on the moisture field
         // (WRF diff_opt=1-style hygiene on the kinematic core).
-        adv.refresh(FieldTag::Qv, &mut self.state.qv);
+        engine.select(FieldTag::Qv);
+        refresh_now(engine, &mut self.state.qv);
         horizontal_diffusion(
             &mut self.state.qv,
             &self.patch,
@@ -326,43 +266,18 @@ impl Model {
             dt,
             &mut wind_extra,
         );
-        advected += 1;
+        let mut advected = 2usize;
 
         // Every occupied hydrometeor bin is a transported scalar.
-        for (c, mask) in masks.iter().enumerate().take(NTYPES) {
-            for (b, &occ) in mask.iter().enumerate() {
-                if !occ {
-                    continue;
-                }
-                // Gather bin (c,b) into a 3-D scalar field.
-                for j in self.patch.jm.iter() {
-                    for k in self.patch.km.iter() {
-                        for i in self.patch.im.iter() {
-                            self.scratch2
-                                .set(i, k, j, self.state.ff[c].bin_slice(i, k, j)[b]);
-                        }
-                    }
-                }
-                rk3 += advect_one(
-                    &mut adv,
+        for (c, mask) in masks.iter().enumerate() {
+            for (b, _) in mask.iter().enumerate().filter(|(_, &occ)| occ) {
+                rk3 += self.transport(
+                    engine,
+                    overlap,
                     FieldTag::Bin(c, b),
-                    &mut self.scratch2,
-                    &self.wind,
-                    &self.patch,
-                    dx,
-                    dz,
-                    dt,
-                    true,
-                    &mut self.scratch,
-                    &mut self.tendency,
+                    |st, i, k, j| st.ff[c].bin_slice(i, k, j)[b],
+                    |st, i, k, j, v| st.ff[c].bin_slice_mut(i, k, j)[b] = v,
                 );
-                for j in self.patch.jm.iter() {
-                    for k in self.patch.km.iter() {
-                        for i in self.patch.im.iter() {
-                            self.state.ff[c].bin_slice_mut(i, k, j)[b] = self.scratch2.get(i, k, j);
-                        }
-                    }
-                }
                 advected += 1;
             }
         }
@@ -386,6 +301,46 @@ impl Model {
             wall_dynamics,
             wall_sbm,
         }
+    }
+
+    /// Transports one scalar that does not live in a `Field3` of its
+    /// own: `get` gathers it over the memory extent into a 3-D workspace,
+    /// it is advected there, and `set` scatters it back.
+    fn transport(
+        &mut self,
+        engine: &mut dyn HaloEngine,
+        overlap: Option<&Executor>,
+        tag: FieldTag,
+        get: impl Fn(&SbmPatchState, i32, i32, i32) -> f32,
+        set: impl Fn(&mut SbmPatchState, i32, i32, i32, f32),
+    ) -> Rk3Work {
+        let p = self.patch;
+        for j in p.jm.iter() {
+            for k in p.km.iter() {
+                for i in p.im.iter() {
+                    self.scratch2.set(i, k, j, get(&self.state, i, k, j));
+                }
+            }
+        }
+        let work = advect_one(
+            engine,
+            overlap,
+            tag,
+            &mut self.scratch2,
+            &self.wind,
+            &p,
+            &self.cfg,
+            &mut self.scratch,
+            &mut self.tendency,
+        );
+        for j in p.jm.iter() {
+            for k in p.km.iter() {
+                for i in p.im.iter() {
+                    set(&mut self.state, i, k, j, self.scratch2.get(i, k, j));
+                }
+            }
+        }
+        work
     }
 
     /// The `-gpu=autocompare` analogue of §VII-B: advances one step with
@@ -433,75 +388,99 @@ impl Model {
     }
 }
 
-/// Advances one scalar with whichever strategy `adv` carries; `dy`
-/// equals `dx` everywhere in this model. `tag` names the scalar for
-/// boundary engines that care which field they are forcing.
+/// Advances one scalar with its halo filled by `engine`. This is the
+/// model's one comm-mode branch: without a pool the engine's rounds run
+/// back-to-back as the blocking refresh ahead of one whole-patch
+/// tendency; with one, interior slabs run between `post` and `finish`.
+/// `dy` equals `dx` everywhere in this model; positive-definite clipping
+/// applies to every scalar but θ.
 #[allow(clippy::too_many_arguments)]
 fn advect_one(
-    adv: &mut Advance<'_>,
+    engine: &mut dyn HaloEngine,
+    overlap: Option<&Executor>,
     tag: FieldTag,
     scalar: &mut Field3<f32>,
     wind: &Wind,
     patch: &PatchSpec,
-    dx: f32,
-    dz: f32,
-    dt: f32,
-    positive: bool,
+    cfg: &ModelConfig,
     scratch: &mut Field3<f32>,
     tend: &mut Field3<f32>,
 ) -> Rk3Work {
-    match adv {
-        Advance::Blocking(refresh) => {
-            let mut tagged = |f: &mut Field3<f32>| refresh(tag, f);
-            rk3_advect_scalar(
-                scalar,
-                wind,
-                patch,
-                dx,
-                dx,
-                dz,
-                dt,
-                positive,
-                scratch,
-                tend,
-                &mut tagged,
-            )
-        }
-        Advance::Overlapped { engine, pool } => {
-            engine.select(tag);
-            rk3_advect_scalar_overlapped(
-                scalar, wind, patch, dx, dx, dz, dt, positive, scratch, tend, *engine, pool,
-            )
-        }
+    let (dx, dz, dt) = (cfg.case.dx, cfg.case.dz, cfg.case.dt);
+    let positive = tag != FieldTag::Theta;
+    engine.select(tag);
+    match overlap {
+        None => rk3_advect_scalar(
+            scalar,
+            wind,
+            patch,
+            dx,
+            dx,
+            dz,
+            dt,
+            positive,
+            scratch,
+            tend,
+            &mut |f| refresh_now(engine, f),
+        ),
+        Some(pool) => rk3_advect_scalar_overlapped(
+            scalar, wind, patch, dx, dx, dz, dt, positive, scratch, tend, engine, pool,
+        ),
     }
 }
 
-/// Doubly-periodic halo refresh for a single patch.
-pub fn periodic_refresh(p: PatchSpec) -> impl FnMut(&mut Field3<f32>) {
-    move |f: &mut Field3<f32>| {
-        // i-direction wrap.
-        for j in p.jp.iter() {
-            for k in p.kp.iter() {
-                for h in 1..=p.halo {
-                    let from_hi = f.get(p.ip.hi - h + 1, k, j);
-                    f.set(p.ip.lo - h, k, j, from_hi);
-                    let from_lo = f.get(p.ip.lo + h - 1, k, j);
-                    f.set(p.ip.hi + h, k, j, from_lo);
+/// The doubly-periodic single-patch boundary: each round wraps the
+/// field onto itself in place (no pack buffers), deferred to `finish`
+/// so overlapped interior compute sees stale halos exactly as with real
+/// in-flight messages.
+struct PeriodicEngine {
+    patch: PatchSpec,
+}
+
+impl HaloEngine for PeriodicEngine {
+    fn rounds(&self) -> usize {
+        2
+    }
+
+    fn post(&mut self, _round: usize, _field: &Field3<f32>) {}
+
+    fn finish(&mut self, round: usize, f: &mut Field3<f32>) {
+        let p = &self.patch;
+        if round == 0 {
+            // i-direction wrap.
+            for j in p.jp.iter() {
+                for k in p.kp.iter() {
+                    for h in 1..=p.halo {
+                        let from_hi = f.get(p.ip.hi - h + 1, k, j);
+                        f.set(p.ip.lo - h, k, j, from_hi);
+                        let from_lo = f.get(p.ip.lo + h - 1, k, j);
+                        f.set(p.ip.hi + h, k, j, from_lo);
+                    }
                 }
             }
-        }
-        // j-direction wrap over the full memory i-range (corners).
-        for k in p.kp.iter() {
-            for h in 1..=p.halo {
-                for i in p.im.iter() {
-                    let from_hi = f.get(i, k, p.jp.hi - h + 1);
-                    f.set(i, k, p.jp.lo - h, from_hi);
-                    let from_lo = f.get(i, k, p.jp.lo + h - 1);
-                    f.set(i, k, p.jp.hi + h, from_lo);
+        } else {
+            // j-direction wrap over the full memory i-range (corners).
+            for k in p.kp.iter() {
+                for h in 1..=p.halo {
+                    for i in p.im.iter() {
+                        let from_hi = f.get(i, k, p.jp.hi - h + 1);
+                        f.set(i, k, p.jp.lo - h, from_hi);
+                        let from_lo = f.get(i, k, p.jp.lo + h - 1);
+                        f.set(i, k, p.jp.hi + h, from_lo);
+                    }
                 }
             }
         }
     }
+
+    fn absorb(&mut self, _work: PointWork) {}
+}
+
+/// Doubly-periodic halo refresh for a single patch: the periodic
+/// engine's two rounds, back-to-back.
+pub fn periodic_refresh(p: PatchSpec) -> impl FnMut(&mut Field3<f32>) {
+    let mut engine = PeriodicEngine { patch: p };
+    move |f: &mut Field3<f32>| refresh_now(&mut engine, f)
 }
 
 #[cfg(test)]
@@ -564,6 +543,33 @@ mod tests {
                 }
             );
         }
+    }
+
+    /// The periodic source through both modes: interior slabs between
+    /// `post` and `finish` must reproduce `Model::step` bit for bit.
+    #[test]
+    fn periodic_engine_overlapped_matches_step_bitwise() {
+        let mut blocking = tiny(SbmVersion::Lookup);
+        let mut overlapped = tiny(SbmVersion::Lookup);
+        let mut engine = PeriodicEngine {
+            patch: overlapped.patch,
+        };
+        let pool = Executor::new(2);
+        let mut rained = 0u64;
+        for step in 0..4 {
+            let want = blocking.step();
+            let masks = overlapped.occupied_masks();
+            let got = overlapped.step_with(&mut engine, Some(&pool), &masks);
+            assert_eq!(got.rk3, want.rk3, "step {step}");
+            assert_eq!(got.scalars_advected, want.scalars_advected, "step {step}");
+            assert_eq!(
+                overlapped.state.digest(),
+                blocking.state.digest(),
+                "step {step}"
+            );
+            rained += want.sbm.coal_entries;
+        }
+        assert!(rained > 0, "the case must rain for bins to be advected");
     }
 
     #[test]

@@ -754,4 +754,104 @@ mod tests {
         );
         assert_eq!(version_from_name("thompson"), None);
     }
+
+    /// Every group with the keys `config_from_namelist` reads from it.
+    const GROUPS: &[(&str, &[&str])] = &[
+        (
+            "domains",
+            &["e_we", "e_sn", "e_vert", "dx", "dz", "dt", "run_minutes"],
+        ),
+        ("physics", &["mp_physics"]),
+        ("scenario", &["n_storms", "seed"]),
+        ("time_control", &["restart_interval"]),
+        ("parallel", KNOWN_PARALLEL),
+        ("case", KNOWN_CASE),
+        ("ensemble", KNOWN_ENSEMBLE),
+    ];
+
+    /// Values that stress the typed parsers and the geometry checks
+    /// behind them: signs, extremes, non-numbers, a name from each table.
+    const VALUES: &[&str] = &[
+        "0",
+        "1",
+        "2",
+        "3",
+        "12",
+        "40",
+        "-1",
+        "2.5",
+        "1073741823",
+        "2147483647",
+        "-2147483648",
+        "18446744073709551615",
+        "1e308",
+        "nan",
+        "inf",
+        "",
+        "banana",
+        "'fsbm_gpu'",
+        "'v3'",
+        "'v100'",
+        "'squall_line'",
+    ];
+
+    /// A namelist assigning `VALUES[pick]` to each of `keys` in `group`;
+    /// a pick past the table leaves the key out.
+    fn assign(group: &str, keys: &[&str], picks: &mut impl Iterator<Item = usize>) -> String {
+        let mut text = format!("&{group}\n");
+        for (key, pick) in keys.iter().zip(picks) {
+            if let Some(v) = VALUES.get(pick) {
+                text += &format!("  {key} = {v},\n");
+            }
+        }
+        text + "/\n"
+    }
+
+    proptest::proptest! {
+        /// Arbitrary bytes — raw, and folded onto the namelist's own
+        /// alphabet so the line parser gets past its first token — are
+        /// `Ok` or a `NamelistError`, never a panic.
+        #[test]
+        fn arbitrary_bytes_never_panic(bytes in proptest::collection::vec(0u8..=255, 0..300)) {
+            let _ = config_from_namelist(&String::from_utf8_lossy(&bytes));
+            const ALPHABET: &[u8] = b"&/=,!'\" \n\naew_19-.\xc3\xa9";
+            let folded: Vec<u8> = bytes.iter().map(|b| ALPHABET[*b as usize % ALPHABET.len()]).collect();
+            let _ = config_from_namelist(&String::from_utf8_lossy(&folded));
+        }
+
+        /// Every recognized key holding every kind of value (two picks in
+        /// three leave a key at its default, so later keys are reached).
+        #[test]
+        fn arbitrary_values_never_panic(
+            picks in proptest::collection::vec(0usize..3 * VALUES.len(), 30),
+        ) {
+            let mut picks = picks.into_iter();
+            let text: String = GROUPS.iter().map(|(g, keys)| assign(g, keys, &mut picks)).collect();
+            let _ = config_from_namelist(&text);
+        }
+
+        /// Grid and nest geometry over integer extremes: the window
+        /// checks must reject, not overflow (the suite runs unoptimized,
+        /// where overflow panics).
+        #[test]
+        fn extreme_grid_and_nest_integers_never_panic(
+            picks in proptest::collection::vec(0usize..11, 7),
+        ) {
+            let mut picks = picks.into_iter();
+            let text = assign("domains", &["e_we", "e_sn"], &mut picks)
+                + &assign("case", &KNOWN_CASE[1..], &mut picks);
+            let _ = config_from_namelist(&text);
+        }
+    }
+
+    /// Every truncated prefix of the shipped `namelist.input` is `Ok` or
+    /// a typed error, and the whole file parses.
+    #[test]
+    fn truncated_sample_namelist_never_panics() {
+        let text = include_str!("../../../namelist.input");
+        assert!(config_from_namelist(text).is_ok());
+        for end in (0..text.len()).filter(|&n| text.is_char_boundary(n)) {
+            let _ = config_from_namelist(&text[..end]);
+        }
+    }
 }

@@ -17,27 +17,24 @@
 //!   at `τ = (s+1)/ratio` for child substep `s`), per scalar selected
 //!   through [`FieldTag`] (θ from `tt`/`p` via [`crate::model::KAPPA`],
 //!   vapor, every occupied bin).
-//! * The boundary injection rides the existing halo machinery: in
-//!   blocking mode through the tagged refresh callback, in overlapped
-//!   mode through a [`HaloEngine`] whose `finish` writes the same
-//!   strips ([`wrf_dycore::nest::fill_halo_round`]) — so both comm
-//!   modes are bitwise-identical, exactly like the periodic and MPI
-//!   engines.
+//! * The boundary injection rides the existing halo machinery: a
+//!   [`HaloEngine`] whose `finish` writes the halo strips
+//!   ([`wrf_dycore::nest::fill_halo_round`]) in the same two rounds as
+//!   the periodic and MPI engines, so — exactly like them — both comm
+//!   modes are bitwise-identical.
 //!
 //! [`run_solo_fine`] integrates the identical child scenario with
 //! doubly-periodic boundaries for `steps × ratio` steps — the reference
 //! the cases gate compares the nested child's interior against.
 
 use crate::config::ModelConfig;
-use crate::model::{Advance, Model, KAPPA};
+use crate::model::{Model, KAPPA};
 use fsbm_core::meter::PointWork;
 use fsbm_core::state::SbmPatchState;
 use fsbm_core::types::{NKR, NTYPES};
-use mpi_sim::CommMode;
 use wrf_cases::ConusCase;
 use wrf_dycore::nest::{fill_halo_round, time_interp, NestMap, NestSpec};
 use wrf_dycore::rk3::{FieldTag, HaloEngine};
-use wrf_exec::Executor;
 use wrf_grid::{two_d_decomposition, Field3, PatchSpec};
 
 /// End states of a one-way nested integration.
@@ -83,9 +80,9 @@ fn boundary_sample(
     time_interp(a, b, tau)
 }
 
-/// The overlapped-mode boundary engine: `finish` writes the same halo
-/// strips the blocking closure does, in the same two rounds as the
-/// periodic/MPI engines, so blocking ≡ overlapped bitwise.
+/// The nest boundary: `finish` writes the selected scalar's halo strips
+/// from the bracketing parent snapshots, in the same two rounds as the
+/// periodic/MPI engines.
 struct NestEngine<'a> {
     snap0: &'a SbmPatchState,
     snap1: &'a SbmPatchState,
@@ -140,7 +137,7 @@ fn child_model(cfg: &ModelConfig, parent_case: &ConusCase, spec: NestSpec) -> Mo
 /// `steps` parent steps with a one-way nested child riding inside it.
 /// Per parent step the child takes `ratio` substeps, each forced at its
 /// lateral boundary by time-interpolated parent values; `cfg.comm`
-/// selects the blocking or overlapped injection path (bitwise-equal).
+/// selects when the interior tendency runs (bitwise-equal either way).
 pub fn run_nested(cfg: ModelConfig, steps: usize) -> Result<NestedRun, String> {
     let spec = cfg
         .nest
@@ -155,7 +152,7 @@ pub fn run_nested(cfg: ModelConfig, steps: usize) -> Result<NestedRun, String> {
 
     let ratio = spec.ratio.max(1) as usize;
     let map = spec.map();
-    let pool = Executor::new(parent_cfg.device_workers.unwrap_or(1).max(1));
+    let pool = cfg.overlap_pool();
 
     let mut snap0 = parent.state.clone();
     for _ in 0..steps {
@@ -164,33 +161,15 @@ pub fn run_nested(cfg: ModelConfig, steps: usize) -> Result<NestedRun, String> {
         for s in 0..ratio {
             let tau = (s + 1) as f32 / ratio as f32;
             let masks = or_masks(child.occupied_masks(), parent.occupied_masks());
-            match cfg.comm {
-                CommMode::Blocking => {
-                    let mut refresh = |tag: FieldTag, f: &mut Field3<f32>| {
-                        let mut sample = |i: i32, k: i32, j: i32| {
-                            boundary_sample(&snap0, &snap1, tau, &map, tag, (i, k, j))
-                        };
-                        fill_halo_round(f, &child_patch, 0, &mut sample);
-                        fill_halo_round(f, &child_patch, 1, &mut sample);
-                    };
-                    child.step_with(Advance::Blocking(&mut refresh), &masks);
-                }
-                CommMode::Overlapped => {
-                    let mut engine = NestEngine {
-                        snap0: &snap0,
-                        snap1: &snap1,
-                        tau,
-                        map,
-                        patch: child_patch,
-                        tag: FieldTag::Qv,
-                    };
-                    let adv = Advance::Overlapped {
-                        engine: &mut engine,
-                        pool: &pool,
-                    };
-                    child.step_with(adv, &masks);
-                }
-            }
+            let mut engine = NestEngine {
+                snap0: &snap0,
+                snap1: &snap1,
+                tau,
+                map,
+                patch: child_patch,
+                tag: FieldTag::Qv,
+            };
+            child.step_with(&mut engine, pool.as_ref(), &masks);
         }
         snap0 = snap1;
     }
@@ -256,6 +235,7 @@ mod tests {
     use super::*;
     use fsbm_core::exec::ExecMode;
     use fsbm_core::scheme::SbmVersion;
+    use mpi_sim::CommMode;
     use wrf_cases::CaseKind;
 
     fn nested_cfg(comm: CommMode) -> ModelConfig {

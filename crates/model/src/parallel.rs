@@ -7,19 +7,21 @@
 //! all ranks advect an identical scalar sequence (the exchanges must
 //! pair up deterministically).
 //!
-//! Two exchange engines drive the same arithmetic:
-//! * [`CommMode::Blocking`] — pack, send, and block on all four sides
-//!   before any tendency work, as stock WRF does. This is the behaviour
-//!   behind the paper's Table VII observation that at 256 cores the run
-//!   is "dominated by the cost of MPI communication".
-//! * [`CommMode::Overlapped`] — `isend`/`irecv` each round, advance the
-//!   interior core's tendencies on the work-stealing pool while the
-//!   strips are in flight, then unpack and finish the boundary frame.
-//!   Results are bitwise-identical; only the modeled α–β cost moves off
-//!   the critical path (tracked per rank in [`CommStats`]).
+//! One exchange engine ([`MpiHaloEngine`]) moves every halo; `cfg.comm`
+//! decides only when the interior tendency runs relative to it:
+//! * [`CommMode::Blocking`] — every refresh completes (pack, send, wait,
+//!   unpack on all four sides) before any tendency work, as stock WRF
+//!   does. This is the behaviour behind the paper's Table VII
+//!   observation that at 256 cores the run is "dominated by the cost of
+//!   MPI communication".
+//! * [`CommMode::Overlapped`] — the interior core's tendencies advance on
+//!   the work-stealing pool between each round's post and its wait, then
+//!   the boundary frame finishes after the unpack. Results are
+//!   bitwise-identical; only the modeled α–β cost moves off the critical
+//!   path (tracked per rank in [`CommStats`]).
 
 use crate::config::ModelConfig;
-use crate::model::{Advance, Model, RunReport, StepReport};
+use crate::model::{Model, RunReport, StepReport};
 use crate::perfmodel::{rank_footprint, PerfParams};
 use fsbm_core::meter::PointWork;
 use fsbm_core::state::SbmPatchState;
@@ -32,9 +34,7 @@ use mpi_sim::cost::{CommCost, OverlapStats, Topology};
 use mpi_sim::{FaultPlan, DEFAULT_TIMEOUT};
 use std::sync::Arc;
 use std::time::Duration;
-use wrf_dycore::rk3::FieldTag;
 use wrf_dycore::HaloEngine;
-use wrf_exec::Executor;
 use wrf_grid::{
     pack_halo, two_d_decomposition, unpack_halo, DomainDecomp, Field3, HaloSide, PatchSpec,
 };
@@ -151,67 +151,28 @@ fn side_tag(tag_base: u64, phase: usize, s_idx: usize) -> u64 {
     tag_base * TAGS_PER_REFRESH + phase as u64 * 4 + s_idx as u64
 }
 
-/// One blocking halo exchange of `field` with the four periodic
-/// neighbours, priced as four eagerly-sent messages on `cost`. A dead
-/// or unresponsive peer surfaces as `Err` with full context instead of
-/// the blind `expect` this path used to carry.
-fn exchange_halos(
-    field: &mut Field3<f32>,
-    rank: &mut Rank,
-    dd: &DomainDecomp,
-    me: usize,
-    tag_base: u64,
-    cost: &mut CommCost,
-) -> Result<(), CommError> {
-    let patch = dd.patches[me];
-    // Phase 1: west/east; phase 2: south/north (carries corners).
-    for (phase, sides) in [
-        [HaloSide::West, HaloSide::East],
-        [HaloSide::South, HaloSide::North],
-    ]
-    .iter()
-    .enumerate()
-    {
-        let mut buf = Vec::new();
-        for (s_idx, &side) in sides.iter().enumerate() {
-            let (di, dj) = side.offset();
-            let peer = dd.neighbor_periodic(me, di, dj);
-            buf.clear();
-            pack_halo(field, &patch, side, &mut buf);
-            cost.p2p(peer, (buf.len() * 4) as u64);
-            rank.send_f32_checked(peer, side_tag(tag_base, phase, s_idx), &buf)?;
-        }
-        for (s_idx, &side) in sides.iter().enumerate() {
-            let (di, dj) = side.offset();
-            let peer = dd.neighbor_periodic(me, di, dj);
-            // The peer sent toward us with the *opposite* side's index.
-            let tag = side_tag(tag_base, phase, 1 - s_idx);
-            let data = rank.recv_f32_checked(peer, tag)?;
-            unpack_halo(field, &patch, side, &data);
-        }
-    }
-    Ok(())
-}
-
-/// The nonblocking exchange engine: each refresh becomes two dependent
-/// rounds (W/E then S/N, as `HALO_EM_*` orders them so corners ride the
-/// second round). `post` prices and launches both sides of a round and
-/// leaves the receives pending; tendency work reported through `absorb`
-/// hides the in-flight cost; `finish` waits, unpacks into halo cells
-/// only, and settles the round with [`CommCost::complete_all`].
+/// The halo exchange with the four periodic neighbours: each refresh is
+/// two dependent rounds (W/E then S/N, as `HALO_EM_*` orders them so
+/// corners ride the second round). `post` packs, prices and sends both
+/// sides of a round and leaves the receives pending; `finish` waits and
+/// unpacks into halo cells only. `mode` touches nothing but the α–β
+/// ledger: a blocking run prices each message eagerly on the critical
+/// path ([`CommCost::p2p`]); an overlapped run holds it in flight
+/// ([`CommCost::post_p2p`]) so tendency work reported through `absorb`
+/// can hide it before [`CommCost::complete_all`] settles the round.
 struct MpiHaloEngine<'a> {
     rank: &'a mut Rank,
     dd: &'a DomainDecomp,
-    me: usize,
     patch: PatchSpec,
-    cost: &'a mut CommCost,
+    mode: CommMode,
+    /// This rank's modeled communication ledger.
+    cost: CommCost,
     /// Modeled seconds per absorbed tendency flop (the perf model's
     /// sustained advection rate), keeping the hidden/exposed ledger
     /// deterministic — no wall clocks.
     secs_per_flop: f64,
-    /// Refresh counter shared with the step loop; `post(0, ..)` claims
-    /// the next base, mirroring the blocking path's per-refresh advance.
-    next_tag: &'a mut u64,
+    /// Refreshes completed so far: the tag base of the current one,
+    /// advancing identically on every rank.
     tag_base: u64,
     pending: Vec<(HaloSide, RecvRequest)>,
     buf: Vec<f32>,
@@ -223,23 +184,17 @@ struct MpiHaloEngine<'a> {
 }
 
 impl<'a> MpiHaloEngine<'a> {
-    fn new(
-        rank: &'a mut Rank,
-        dd: &'a DomainDecomp,
-        me: usize,
-        cost: &'a mut CommCost,
-        secs_per_flop: f64,
-        next_tag: &'a mut u64,
-    ) -> Self {
-        let patch = dd.patches[me];
+    fn new(rank: &'a mut Rank, dd: &'a DomainDecomp, mode: CommMode) -> Self {
+        let (me, ranks) = (rank.rank(), dd.patches.len());
+        // Block placement, 128-core Perlmutter CPU nodes (§IV).
+        let topo = Topology::new(ranks, ranks.min(128));
         MpiHaloEngine {
             rank,
             dd,
-            me,
-            patch,
-            cost,
-            secs_per_flop,
-            next_tag,
+            patch: dd.patches[me],
+            mode,
+            cost: CommCost::new(SLINGSHOT, topo, me),
+            secs_per_flop: 1.0 / PerfParams::default().adv_flops_per_core,
             tag_base: 0,
             pending: Vec::new(),
             buf: Vec::new(),
@@ -254,10 +209,6 @@ impl HaloEngine for MpiHaloEngine<'_> {
     }
 
     fn post(&mut self, round: usize, field: &Field3<f32>) {
-        if round == 0 {
-            self.tag_base = *self.next_tag;
-            *self.next_tag += 1;
-        }
         if self.error.is_some() {
             return;
         }
@@ -269,10 +220,14 @@ impl HaloEngine for MpiHaloEngine<'_> {
         };
         for (s_idx, &side) in sides.iter().enumerate() {
             let (di, dj) = side.offset();
-            let peer = self.dd.neighbor_periodic(self.me, di, dj);
+            let peer = self.dd.neighbor_periodic(self.rank.rank(), di, dj);
             self.buf.clear();
             pack_halo(field, &self.patch, side, &mut self.buf);
-            self.cost.post_p2p(peer, (self.buf.len() * 4) as u64);
+            let bytes = (self.buf.len() * 4) as u64;
+            match self.mode {
+                CommMode::Blocking => self.cost.p2p(peer, bytes),
+                CommMode::Overlapped => self.cost.post_p2p(peer, bytes),
+            };
             if let Err(e) =
                 self.rank
                     .isend_f32_checked(peer, side_tag(self.tag_base, round, s_idx), &self.buf)
@@ -283,22 +238,21 @@ impl HaloEngine for MpiHaloEngine<'_> {
         }
         for (s_idx, &side) in sides.iter().enumerate() {
             let (di, dj) = side.offset();
-            let peer = self.dd.neighbor_periodic(self.me, di, dj);
+            let peer = self.dd.neighbor_periodic(self.rank.rank(), di, dj);
+            // The peer sent toward us with the *opposite* side's index.
             let tag = side_tag(self.tag_base, round, 1 - s_idx);
             let req = self.rank.irecv_f32(peer, tag);
             self.pending.push((side, req));
         }
     }
 
-    fn finish(&mut self, _round: usize, field: &mut Field3<f32>) {
-        if self.error.is_some() {
-            self.pending.clear();
-            return;
+    fn finish(&mut self, round: usize, field: &mut Field3<f32>) {
+        if round + 1 == self.rounds() {
+            self.tag_base += 1;
         }
-        let mut pending = std::mem::take(&mut self.pending);
-        for (side, req) in pending.drain(..) {
+        for (side, req) in std::mem::take(&mut self.pending) {
             if self.error.is_some() {
-                break;
+                return;
             }
             match self.rank.wait_checked(req) {
                 Ok(data) => unpack_halo(field, &self.patch, side, &data),
@@ -367,9 +321,6 @@ pub(crate) fn run_attempt(
     let dd = two_d_decomposition(cfg.case.domain(), cfg.ranks, cfg.halo);
     let dd_ref = &dd;
     let checkpoint = checkpoint.as_ref();
-    // Block placement, 128-core Perlmutter CPU nodes (§IV).
-    let topo = Topology::new(cfg.ranks, cfg.ranks.min(128));
-    let secs_per_flop = 1.0 / PerfParams::default().adv_flops_per_core;
     run_ranks_with_faults(cfg.ranks, plan, timeout, move |mut rank| {
         let me = rank.rank();
         let patch = dd_ref.patches[me];
@@ -384,69 +335,23 @@ pub(crate) fn run_attempt(
         let mut report = RunReport::default();
         let track_device = cfg.gpus > 0 && cfg.version.offloaded();
         let (device, calib) = (cfg.backend.device_params(), cfg.backend.calib);
-        let mut cost = CommCost::new(SLINGSHOT, topo, me);
-        let mut tag = 0u64;
         let fail = |step: u64, error: CommError| RankFailure {
             rank: me,
             step,
             error,
         };
-        let pool = matches!(cfg.comm, CommMode::Overlapped)
-            .then(|| Executor::new(cfg.device_workers.unwrap_or(1).max(1)));
+        let pool = cfg.overlap_pool();
+        let mut engine = MpiHaloEngine::new(&mut rank, dd_ref, cfg.comm);
         for step in start_step..steps as u64 {
             // The kill hook, and the failure detector: see
             // `allreduce_masks`.
-            rank.begin_step(step).map_err(|e| fail(step, e))?;
+            engine.rank.begin_step(step).map_err(|e| fail(step, e))?;
             let masks =
-                allreduce_masks(&rank, model.occupied_masks()).map_err(|e| fail(step, e))?;
-            let s = match cfg.comm {
-                CommMode::Blocking => {
-                    // The refresh closure returns `()`, so the first
-                    // comm error is latched and all later refreshes
-                    // no-op — one timeout total, not one per scalar.
-                    let mut latched: Option<CommError> = None;
-                    let s = {
-                        let rank_cell = &mut rank;
-                        let tag_cell = &mut tag;
-                        let cost_cell = &mut cost;
-                        let latch = &mut latched;
-                        let mut refresh = |_: FieldTag, f: &mut Field3<f32>| {
-                            let t = *tag_cell;
-                            *tag_cell += 1;
-                            if latch.is_some() {
-                                return;
-                            }
-                            if let Err(e) = exchange_halos(f, rank_cell, dd_ref, me, t, cost_cell) {
-                                *latch = Some(e);
-                            }
-                        };
-                        model.step_with(Advance::Blocking(&mut refresh), &masks)
-                    };
-                    if let Some(e) = latched {
-                        return Err(fail(step, e));
-                    }
-                    s
-                }
-                CommMode::Overlapped => {
-                    let mut engine = MpiHaloEngine::new(
-                        &mut rank,
-                        dd_ref,
-                        me,
-                        &mut cost,
-                        secs_per_flop,
-                        &mut tag,
-                    );
-                    let adv = Advance::Overlapped {
-                        engine: &mut engine,
-                        pool: pool.as_ref().expect("overlapped pool"),
-                    };
-                    let s = model.step_with(adv, &masks);
-                    if let Some(e) = engine.error.take() {
-                        return Err(fail(step, e));
-                    }
-                    s
-                }
-            };
+                allreduce_masks(engine.rank, model.occupied_masks()).map_err(|e| fail(step, e))?;
+            let s = model.step_with(&mut engine, pool.as_ref(), &masks);
+            if let Some(e) = engine.error.take() {
+                return Err(fail(step, e));
+            }
             if track_device {
                 report
                     .device_secs_per_step
@@ -475,6 +380,7 @@ pub(crate) fn run_attempt(
         if let Some(last) = &report.last_sbm {
             report.exec = Some(model.exec_summary(last));
         }
+        let cost = &engine.cost;
         report.comm = Some(CommStats {
             mode: cfg.comm,
             msgs: cost.messages(),
@@ -580,6 +486,7 @@ mod tests {
     use fsbm_core::scheme::SbmVersion;
     use mpi_sim::comm::run_ranks;
     use proptest::prelude::*;
+    use wrf_dycore::refresh_now;
     use wrf_grid::Domain;
 
     #[test]
@@ -626,18 +533,13 @@ mod tests {
                     }
                 }
             }
-            let mut cost = CommCost::new(SLINGSHOT, Topology::new(4, 4), me);
-            for adv in 0..3u64 {
-                exchange_halos(
-                    &mut f,
-                    &mut rank,
-                    dd_ref,
-                    me,
-                    old_overflow_base + adv,
-                    &mut cost,
-                )
-                .unwrap();
+            let mut engine = MpiHaloEngine::new(&mut rank, dd_ref, CommMode::Blocking);
+            engine.tag_base = old_overflow_base;
+            for _ in 0..3 {
+                refresh_now(&mut engine, &mut f);
             }
+            assert_eq!(engine.error, None);
+            assert_eq!(engine.tag_base, old_overflow_base + 3);
             // Every halo strip carries the right neighbour's rank id.
             for (side, h) in [
                 (HaloSide::West, (-1, 0)),

@@ -152,6 +152,14 @@ pub fn run_parallel_restartable(
     if rcfg.interval == 0 {
         return Err("restart supervisor needs interval > 0".into());
     }
+    // Before any rank spawns: a rank that cannot write its checkpoint has
+    // no way to fail but to panic, leaving its peers to time out.
+    std::fs::create_dir_all(&rcfg.dir).map_err(|e| {
+        format!(
+            "restart directory {} cannot be created: {e}",
+            rcfg.dir.display()
+        )
+    })?;
     let mut stats = RecoveryStats::default();
     let writes = std::sync::atomic::AtomicU64::new(0);
     loop {
@@ -318,6 +326,20 @@ mod tests {
         std::fs::write(&victim, bytes).unwrap();
         let set = find_latest_checkpoint(&dir, cfg.ranks).expect("older set");
         assert_eq!(set[0].0, 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn uncreatable_restart_dir_is_an_error_not_a_rank_panic() {
+        let dir = tmpdir("uncreatable");
+        let file = dir.join("not_a_directory");
+        std::fs::write(&file, b"x").unwrap();
+        let rcfg = RestartConfig {
+            timeout: Duration::from_millis(200),
+            ..RestartConfig::new(file.join("restart"), 1)
+        };
+        let err = run_parallel_restartable(small_cfg(), 2, &rcfg, None).unwrap_err();
+        assert!(err.contains("cannot be created"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
