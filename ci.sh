@@ -65,7 +65,8 @@ step_ledger() {
 }
 
 step_clippy() {
-    cargo clippy --all-targets --workspace -- -D warnings
+    cargo clippy --all-targets --workspace -- -D warnings \
+        -D clippy::undocumented_unsafe_blocks
 }
 
 # Documentation coverage is part of the public-API contract for the

@@ -1,10 +1,9 @@
 //! `bench-exec`: executor-scaling benchmark over the functional plane.
 //!
-//! Compares the three scheduling arms of the v4 executor work —
-//! the seed execution path (static tiles, on-demand kernels), the
-//! persistent work-stealing pool, and the full v4 path (pool +
-//! activity compaction + kernel cache) — on a reduced-scale
-//! sparse-convection CONUS case at several worker counts.
+//! Compares the two scheduling arms — the seed execution path (static
+//! tiles, on-demand kernels) and the production path (persistent
+//! work-stealing pool + activity compaction + kernel cache) — on a
+//! reduced-scale sparse-convection CONUS case at several worker counts.
 //!
 //! The host container may have fewer cores than the worker counts under
 //! test, so the headline throughput is computed by **schedule replay**:
@@ -76,31 +75,11 @@ pub struct ExecBenchReport {
     pub rows: Vec<ExecBenchRow>,
 }
 
-/// The three arms: the seed execution path (static tiles, on-demand
-/// kernel entries), the pool alone, and the full v4 path (persistent
-/// pool + activity compaction + per-k-level kernel cache).
-const ARMS: [(ExecMode, bool); 3] = [
-    (ExecMode::StaticTiles, false),
-    (
-        ExecMode::WorkSteal {
-            chunk: None,
-            compact: false,
-        },
-        false,
-    ),
-    (
-        ExecMode::WorkSteal {
-            chunk: None,
-            compact: true,
-        },
-        true,
-    ),
-];
-
-/// The executor's automatic chunk size (`wrf_exec::Executor::run_ranges`).
-fn auto_chunk(total: u64, workers: usize) -> u64 {
-    (total / (workers as u64 * 8)).clamp(1, 4096)
-}
+/// The two arms: the seed execution path (static tiles, on-demand
+/// kernel entries) and the production path (persistent pool + activity
+/// compaction + per-k-level kernel cache — the cache rides with the
+/// pool, as in `ModelConfig::gate`).
+const ARMS: [ExecMode; 2] = [ExecMode::StaticTiles, ExecMode::WorkSteal];
 
 /// Sums `profile` into contiguous chunks of `chunk` units.
 fn chunk_works(profile: &[u64], chunk: u64) -> Vec<u64> {
@@ -138,14 +117,10 @@ fn replay(profile: &[u64], mode: ExecMode, workers: usize) -> u64 {
                 .max()
                 .unwrap_or(0)
         }
-        ExecMode::WorkSteal { chunk, compact } => {
-            let units: Vec<u64> = if compact {
-                // Only predicate-fired units enter the queue.
-                profile.iter().copied().filter(|&w| w > 0).collect()
-            } else {
-                profile.to_vec()
-            };
-            let chunk = chunk.unwrap_or_else(|| auto_chunk(units.len() as u64, workers));
+        ExecMode::WorkSteal => {
+            // Only predicate-fired units enter the queue.
+            let units: Vec<u64> = profile.iter().copied().filter(|&w| w > 0).collect();
+            let chunk = wrf_exec::auto_chunk(units.len() as u64, workers);
             greedy_makespan(&chunk_works(&units, chunk), workers)
         }
     }
@@ -190,10 +165,8 @@ fn reference(scale: f64, nz: i32, n_storms: usize, steps: usize) -> Reference {
     }
 }
 
-#[allow(clippy::too_many_arguments)] // private helper mirroring the bench case knobs
 fn measure(
     mode: ExecMode,
-    cached: bool,
     workers: usize,
     scale: f64,
     nz: i32,
@@ -205,6 +178,7 @@ fn measure(
     cfg.case.n_storms = n_storms;
     cfg.device_workers = Some(workers);
     cfg.sched = mode;
+    let cached = mode.uses_executor();
     cfg.cached_kernels = cached;
     let mut model = Model::single_rank(cfg);
     let mut host_wall = 0.0;
@@ -356,11 +330,9 @@ pub fn bench_exec(
 ) -> ExecBenchReport {
     let reference = reference(scale, nz, n_storms, steps);
     let mut rows = Vec::new();
-    for (mode, cached) in ARMS {
+    for mode in ARMS {
         for &w in worker_counts {
-            rows.push(measure(
-                mode, cached, w, scale, nz, n_storms, steps, &reference,
-            ));
+            rows.push(measure(mode, w, scale, nz, n_storms, steps, &reference));
         }
     }
     ExecBenchReport {
@@ -431,7 +403,7 @@ mod tests {
     fn quick_sweep_produces_rows_and_json() {
         // Tiny case: correctness of the report plumbing, not timing.
         let rep = bench_exec(0.04, 8, 3, 1, &[1, 2]);
-        assert_eq!(rep.rows.len(), 6);
+        assert_eq!(rep.rows.len(), 4);
         assert!(rep.serial_flops > 0);
         assert!(rep.rows.iter().all(|r| r.modeled_wall > 0.0));
         assert!(rep.active_fraction > 0.0 && rep.active_fraction < 1.0);

@@ -1,19 +1,19 @@
 //! Execution strategy for the functional FSBM plane: how the emulated
 //! device threads are scheduled over the collision iteration space.
 //!
-//! Three strategies are modeled, matching the `bench-exec` arms:
+//! Two strategies exist, the two `bench-exec` arms:
 //!
-//! * **Static tiles** — the classic `schedule(static)` baseline: the
+//! * **Static tiles** — the classic `schedule(static)` reference: the
 //!   iteration space is split into one contiguous block per worker and
 //!   nothing rebalances. Storm clustering leaves most workers idle.
-//! * **Work-stealing** — a persistent [`wrf_exec::Executor`] (created
-//!   once per run, not per step) distributes chunked ranges over
-//!   per-worker deques; idle workers steal.
-//! * **Work-stealing + compaction** — the predicate mask produced by the
-//!   fissioned pre-sweep is scanned into a compact active-index list
-//!   first, so the work queue only ever contains points (or columns)
-//!   whose collision predicate fired. On CONUS-like sparsity (≤ 20%
-//!   active) this shrinks the queue ~5× before any scheduling happens.
+//! * **Work-stealing + compaction** — the production point. A persistent
+//!   [`wrf_exec::Executor`] (created once per run, not per step)
+//!   distributes automatically sized chunks over per-worker deques and
+//!   idle workers steal; the predicate mask produced by the fissioned
+//!   pre-sweep is scanned into a compact active-index list first, so the
+//!   work queue only ever contains points (or columns) whose collision
+//!   predicate fired. On CONUS-like sparsity (≤ 20% active) this shrinks
+//!   the queue ~5× before any scheduling happens.
 
 use wrf_exec::ExecStats;
 
@@ -24,42 +24,27 @@ pub enum ExecMode {
     /// Contiguous static partition, fresh threads per launch (the seed
     /// behavior's `schedule(static)` analogue).
     StaticTiles,
-    /// Persistent work-stealing executor.
-    WorkSteal {
-        /// Chunk size in iterations (`None` = automatic).
-        chunk: Option<u64>,
-        /// Pre-compact the iteration space to the active set before
-        /// enqueueing.
-        compact: bool,
-    },
+    /// Persistent work-stealing executor over the activity-compacted
+    /// iteration space, automatic chunk size.
+    WorkSteal,
 }
 
 impl ExecMode {
-    /// The default production mode: work-stealing with automatic chunk
-    /// size and activity compaction.
+    /// The default production mode.
     pub const fn work_steal() -> Self {
-        ExecMode::WorkSteal {
-            chunk: None,
-            compact: true,
-        }
+        ExecMode::WorkSteal
     }
 
-    /// True for the two executor-backed variants.
+    /// True for the executor-backed variant.
     pub fn uses_executor(self) -> bool {
-        matches!(self, ExecMode::WorkSteal { .. })
-    }
-
-    /// True when the launch queue is pre-compacted to the active set.
-    pub fn compacts(self) -> bool {
-        matches!(self, ExecMode::WorkSteal { compact: true, .. })
+        self == ExecMode::WorkSteal
     }
 
     /// Short label for reports.
     pub fn label(self) -> &'static str {
         match self {
             ExecMode::StaticTiles => "static-tiles",
-            ExecMode::WorkSteal { compact: false, .. } => "work-stealing",
-            ExecMode::WorkSteal { compact: true, .. } => "work-stealing+compaction",
+            ExecMode::WorkSteal => "work-stealing+compaction",
         }
     }
 }
@@ -97,7 +82,7 @@ pub fn compact_active_columns(predicate: &[bool], ilen: usize) -> Vec<u32> {
 /// sparse the activity was, and whether the kernel cache earned its keep.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ExecSummary {
-    /// Scheduling mode label (`static-tiles`, `work-stealing`, ...).
+    /// Scheduling mode label ([`ExecMode::label`]).
     pub mode: &'static str,
     /// Pool width (0 when no executor was created).
     pub workers: usize,
@@ -182,18 +167,8 @@ mod tests {
     fn mode_labels_and_default() {
         assert_eq!(ExecMode::default(), ExecMode::work_steal());
         assert!(ExecMode::default().uses_executor());
-        assert!(ExecMode::default().compacts());
         assert!(!ExecMode::StaticTiles.uses_executor());
-        assert!(!ExecMode::StaticTiles.compacts());
         assert_eq!(ExecMode::StaticTiles.label(), "static-tiles");
-        assert_eq!(
-            ExecMode::WorkSteal {
-                chunk: Some(8),
-                compact: false
-            }
-            .label(),
-            "work-stealing"
-        );
         assert_eq!(ExecMode::default().label(), "work-stealing+compaction");
     }
 
@@ -201,9 +176,9 @@ mod tests {
     fn summary_line_is_compact() {
         let ex = wrf_exec::Executor::new(2);
         ex.run_indexed(10_000, Some(16), |_| {});
-        let s = ExecSummary::from_stats("work-stealing", &ex.stats(), 0.125, 1.0);
+        let s = ExecSummary::from_stats(ExecMode::WorkSteal.label(), &ex.stats(), 0.125, 1.0);
         let line = s.one_line();
-        assert!(line.contains("work-stealing"));
+        assert!(line.contains("work-stealing+compaction"));
         assert!(line.contains("workers=2"));
         assert!(line.contains("active=12.5%"));
         assert!(line.contains("cache-hit=100.0%"));

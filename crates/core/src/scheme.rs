@@ -42,9 +42,7 @@ use crate::processes::sedimentation::sedimentation_column;
 use crate::state::SbmPatchState;
 use crate::types::{NKR, NTYPES};
 use crate::workload::warp_efficiency;
-use gpu_sim::launch::{
-    launch_functional_list, launch_functional_on, launch_functional_static, KernelSpec,
-};
+use gpu_sim::launch::{launch_functional_static, KernelSpec};
 use gpu_sim::syncslice::SyncWriteSlice;
 use std::sync::Mutex;
 use wrf_exec::Executor;
@@ -200,7 +198,7 @@ pub struct SbmConfig {
     pub tiles: usize,
     /// How iterations are scheduled onto the emulated device threads
     /// (and the tiled CPU path): static partition or the persistent
-    /// work-stealing executor, with or without activity compaction.
+    /// work-stealing executor over the activity-compacted queue.
     pub sched: ExecMode,
     /// Memoize the 20 interpolated pair tables per k-level
     /// ([`KernelMode::Cached`]); bitwise-identical to on-demand, cheaper
@@ -565,7 +563,7 @@ fn unfissioned_tiles(
         &split
     };
     let total = Mutex::new(Tally::default());
-    launcher.run(tiles.len() as u64, None, Grain::Coarse, |t| {
+    launcher.run(tiles.len() as u64, Grain::Coarse, |t| {
         let tile = &tiles[t as usize];
         let mut tally = Tally::default();
         let mut dense = dense_tables.then(CollisionTables::new);
@@ -631,7 +629,6 @@ fn coal_launch(
     let ilen = p.ip.len();
     let rows = p.jp.len() * p.kp.len();
     let predicate: &[bool] = &scratch.predicate;
-    let compact = cfg.sched.compacts();
 
     let iters = match collapse {
         Collapse::Two => {
@@ -658,8 +655,8 @@ fn coal_launch(
 
     stats.coal_wall = match (collapse, cfg.layout) {
         (Collapse::Two, layout) => {
-            let active = compact.then(|| compact_active_columns(predicate, ilen));
-            launcher.run(rows as u64, active.as_deref(), Grain::Fine, |jk| {
+            let active = || compact_active_columns(predicate, ilen);
+            launcher.run_active(rows as u64, active, |jk| {
                 let jk = jk as usize;
                 let (j, k) = v.row(jk);
                 let pred = &predicate[jk * ilen..(jk + 1) * ilen];
@@ -668,8 +665,8 @@ fn coal_launch(
             })
         }
         (Collapse::Three, Layout::PointAos) => {
-            let active = compact.then(|| compact_active_points(predicate));
-            launcher.run(iters as u64, active.as_deref(), Grain::Fine, |idx| {
+            let active = || compact_active_points(predicate);
+            launcher.run_active(iters as u64, active, |idx| {
                 let idx = idx as usize;
                 if predicate[idx] {
                     let (j, k) = v.row(idx / ilen);
@@ -683,8 +680,8 @@ fn coal_launch(
             build_batch_list(v, predicate, &mut scratch.batches);
             let batches: &[PanelBatch] = &scratch.batches;
             // The list holds only active batches: it is its own
-            // compaction, under every scheduler.
-            launcher.run(batches.len() as u64, None, Grain::Fine, |bi| {
+            // compaction, under either scheduler.
+            launcher.run(batches.len() as u64, Grain::Fine, |bi| {
                 let b = &batches[bi as usize];
                 let (lanes, (j, k)) = (&b.ixs[..b.len as usize], v.row(b.row as usize));
                 let per_lane = coal_batch(v, v.idx3(p.ip.lo, k, j), k, lanes, None);
@@ -734,34 +731,50 @@ struct Launcher<'a> {
 }
 
 impl Launcher<'_> {
-    /// Runs `body(u)` for every launch unit `u` in `0..total` — or only
-    /// for the units listed in `active`, when the scheduler compacts —
-    /// and returns the wall seconds. Static dispatch: `body` is inlined
-    /// into each scheduler's loop.
-    fn run<F>(&self, total: u64, active: Option<&[u32]>, grain: Grain, body: F) -> f64
+    /// Runs `body(u)` for every launch unit `u` in `0..total` and returns
+    /// the wall seconds. Static dispatch: `body` is inlined into each
+    /// scheduler's loop.
+    fn run<F>(&self, total: u64, grain: Grain, body: F) -> f64
     where
         F: Fn(u64) + Sync,
     {
         // A fine-grained static launch under 256 units is not worth its
-        // thread spawns, and a work-stealing chunk is the configured
-        // size; tiles are each worth a thread and a chunk of their own.
-        let (inline_below, coarse_chunk) = match grain {
+        // thread spawns, and its work-stealing chunk is the executor's
+        // automatic size; tiles are each worth a thread and a chunk of
+        // their own.
+        let (inline_below, chunk) = match grain {
             Grain::Fine => (256, None),
             Grain::Coarse => (2, Some(1)),
         };
         match (self.sched, self.exec) {
-            (ExecMode::WorkSteal { chunk, .. }, Some(exec)) => {
-                let chunk = coarse_chunk.or(chunk);
-                match active {
-                    Some(list) => launch_functional_list(exec, list, chunk, body),
-                    None => launch_functional_on(exec, total, chunk, body),
-                }
-            }
+            (ExecMode::WorkSteal, Some(exec)) => exec.run_indexed(total, chunk, body),
             // No pool, no parallelism: the static launcher's inline path.
-            (ExecMode::WorkSteal { .. }, None) => launch_functional_static(total, Some(1), 0, body),
+            (ExecMode::WorkSteal, None) => launch_functional_static(total, Some(1), 0, body),
             (ExecMode::StaticTiles, _) => {
                 launch_functional_static(total, self.workers, inline_below, body)
             }
+        }
+    }
+
+    /// [`Launcher::run`] for fine-grained units of which only some are
+    /// active. Work-stealing queues just `active()`'s list, so no device
+    /// thread is ever parked on an empty (cloud-free) unit — the
+    /// work-queue analogue of warp compaction; the static partition
+    /// covers all of `0..total` and `body` skips the idle units itself.
+    fn run_active<F>(&self, total: u64, active: impl FnOnce() -> Vec<u32>, body: F) -> f64
+    where
+        F: Fn(u64) + Sync,
+    {
+        match (self.sched, self.exec) {
+            (ExecMode::WorkSteal, Some(exec)) => {
+                let list = active();
+                exec.run_ranges(list.len() as u64, None, |lo, hi| {
+                    for x in lo..hi {
+                        body(u64::from(list[x as usize]));
+                    }
+                })
+            }
+            _ => self.run(total, Grain::Fine, body),
         }
     }
 }
@@ -1451,34 +1464,8 @@ mod tests {
             }
 
             let variants = [
-                (
-                    ExecMode::WorkSteal {
-                        chunk: None,
-                        compact: false,
-                    },
-                    false,
-                ),
-                (
-                    ExecMode::WorkSteal {
-                        chunk: None,
-                        compact: true,
-                    },
-                    false,
-                ),
-                (
-                    ExecMode::WorkSteal {
-                        chunk: Some(1),
-                        compact: true,
-                    },
-                    false,
-                ),
-                (
-                    ExecMode::WorkSteal {
-                        chunk: None,
-                        compact: true,
-                    },
-                    true,
-                ),
+                (ExecMode::WorkSteal, false),
+                (ExecMode::WorkSteal, true),
                 (ExecMode::StaticTiles, true),
             ];
             for (sched, cached) in variants {
@@ -1651,6 +1638,35 @@ mod tile_tests {
                         );
                     }
                 }
+            }
+        }
+    }
+
+    /// `Launcher::run_active` under both schedulers: work stealing calls
+    /// the body for exactly the listed units, once each; the static
+    /// partition builds no list and covers the whole range.
+    #[test]
+    fn run_active_queues_the_list_only_under_work_stealing() {
+        use std::sync::atomic::{AtomicU32, Ordering};
+        let exec = Executor::new(3);
+        let active = || (0..1000u32).filter(|i| i % 7 == 0).collect::<Vec<_>>();
+        for sched in [ExecMode::WorkSteal, ExecMode::StaticTiles] {
+            let launcher = Launcher {
+                sched,
+                workers: Some(3),
+                exec: Some(&exec),
+            };
+            let hits: Vec<AtomicU32> = (0..1000).map(|_| AtomicU32::new(0)).collect();
+            launcher.run_active(1000, active, |u| {
+                hits[u as usize].fetch_add(1, Ordering::Relaxed);
+            });
+            for (i, h) in hits.iter().enumerate() {
+                let listed = i % 7 == 0 || sched == ExecMode::StaticTiles;
+                assert_eq!(
+                    h.load(Ordering::Relaxed),
+                    u32::from(listed),
+                    "{sched:?} {i}"
+                );
             }
         }
     }

@@ -32,6 +32,10 @@ fn count_one() {
     }
 }
 
+// SAFETY: every method forwards its arguments unchanged to `System`, so
+// `GlobalAlloc`'s contract (layout fidelity, no unwinding) is the system
+// allocator's; `count_one` only touches `const`, destructor-free
+// thread-locals and so neither allocates nor panics.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count_one();

@@ -175,7 +175,7 @@ proptest! {
         act10 in 0usize..11, seed in 1u64..1_000_000,
     ) {
         let activity = act10 as f32 / 10.0;
-        let sched = ExecMode::WorkSteal { chunk: None, compact: true };
+        let sched = ExecMode::work_steal();
         for version in ALL_VERSIONS {
             let st = build_state(ni, nk, nj, activity, seed);
             let (a, sa) = run(version, sched, 4, Layout::PointAos, st.clone(), 2);
@@ -185,12 +185,12 @@ proptest! {
     }
 
     /// The all-clear and all-cloudy extremes stay bitwise across layouts
-    /// even with single-point batches (chunk = 1).
+    /// on patches small enough that the automatic chunk is one column.
     #[test]
     fn panels_match_aos_extremes_chunked(
         ni in 3i32..14, seed in 1u64..1_000_000,
     ) {
-        let sched = ExecMode::WorkSteal { chunk: Some(1), compact: true };
+        let sched = ExecMode::work_steal();
         for activity in [0.0f32, 1.0] {
             for version in [SbmVersion::OffloadCollapse2, SbmVersion::OffloadCollapse3] {
                 let st = build_state(ni, 3, 3, activity, seed);

@@ -264,6 +264,13 @@ impl ExecStats {
     }
 }
 
+/// The automatic chunk size of a `total`-index job on a `workers`-wide
+/// pool: eight chunks per worker, so a straggler leaves something to
+/// steal, clamped to `[1, 4096]` indices.
+pub fn auto_chunk(total: u64, workers: usize) -> u64 {
+    (total / (workers as u64 * 8)).clamp(1, 4096)
+}
+
 /// A persistent pool of `workers` threads (the caller counts as worker
 /// 0, so `workers - 1` OS threads are spawned). Jobs are submitted with
 /// [`Executor::run_ranges`] / [`Executor::run_indexed`]; between jobs the
@@ -321,10 +328,10 @@ impl Executor {
     }
 
     /// Runs `body(lo, hi)` over a partition of `0..total` into chunks of
-    /// `chunk` indices (`None` = automatic: `total / (workers * 8)`
-    /// clamped to `[1, 4096]`). Chunks are pre-distributed to the worker
-    /// deques in contiguous blocks; idle workers steal. Blocks until all
-    /// chunks complete; returns wall seconds.
+    /// `chunk` indices (`None` = [`auto_chunk`]). Chunks are
+    /// pre-distributed to the worker deques in contiguous blocks; idle
+    /// workers steal. Blocks until all chunks complete; returns wall
+    /// seconds.
     pub fn run_ranges<F>(&self, total: u64, chunk: Option<u64>, body: F) -> f64
     where
         F: Fn(u64, u64) + Sync,
@@ -335,7 +342,7 @@ impl Executor {
         }
         let w = self.workers as u64;
         let chunk = chunk
-            .unwrap_or_else(|| (total / (w * 8)).clamp(1, 4096))
+            .unwrap_or_else(|| auto_chunk(total, self.workers))
             .max(1);
 
         // Serial fast path: one worker, or a job too small to split.

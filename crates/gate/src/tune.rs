@@ -38,7 +38,7 @@ use fsbm_core::scheme::SbmVersion;
 use gpu_sim::machine::ZOO;
 use miniwrf::model::Model;
 use miniwrf::perfmodel::MeasuredCoeffs;
-use miniwrf::schedule::{coal_nest_work_from, tune_backend_with, version_for};
+use miniwrf::schedule::{coal_nest_work_from, kernel_geometry, tune_backend_with, version_for};
 
 /// The three storage families, canonical order. Family rankings break
 /// price ties in this order, so backends that price two families equal
@@ -149,13 +149,6 @@ pub fn family_ranking(families: &[FamilyBest]) -> Vec<&'static str> {
     idx.into_iter().map(|i| families[i].family).collect()
 }
 
-/// The paper's hand-derived kernel geometries, as the search must
-/// reproduce them on `a100-80gb` (matching
-/// `RankWork::extrapolate`'s measured NVHPC specs).
-pub const V2_GEOMETRY: (usize, u32, u64) = (2, 168, 20 * 1024);
-/// v3: full collapse, thin threads, slab residue.
-pub const V3_GEOMETRY: (usize, u32, u64) = (3, 80, 640);
-
 /// Checks one backend's searched table for the per-backend claims.
 fn backend_violations(row: &TuneBackendRow, winner: &PricedVariant) -> Vec<String> {
     let mut v = Vec::new();
@@ -200,10 +193,11 @@ pub fn recovery_violations(row: &TuneBackendRow) -> Vec<String> {
     let fam = |name: &str| row.families.iter().find(|f| f.family == name);
     if let Some(stack) = fam("stack") {
         let got = (stack.collapse, stack.regs, stack.stack_bytes);
-        if got != V2_GEOMETRY {
+        let want = kernel_geometry(SbmVersion::OffloadCollapse2);
+        if got != want {
             v.push(format!(
                 "stack-family best is not the hand-derived v2 kernel: \
-                 (collapse, regs, stack) = {got:?}, want {V2_GEOMETRY:?}"
+                 (collapse, regs, stack) = {got:?}, want {want:?}"
             ));
         }
     } else {
@@ -211,10 +205,11 @@ pub fn recovery_violations(row: &TuneBackendRow) -> Vec<String> {
     }
     if let Some(slab) = fam("slab[pt,bin]") {
         let got = (slab.collapse, slab.regs, slab.stack_bytes);
-        if got != V3_GEOMETRY {
+        let want = kernel_geometry(SbmVersion::OffloadCollapse3);
+        if got != want {
             v.push(format!(
                 "slab-family best is not the hand-derived v3 kernel: \
-                 (collapse, regs, stack) = {got:?}, want {V3_GEOMETRY:?}"
+                 (collapse, regs, stack) = {got:?}, want {want:?}"
             ));
         }
         if let Some(tr) = fam("slab[bin,pt]") {
@@ -560,10 +555,12 @@ mod tests {
     }
 
     fn synth_row(backend: &'static str, scale: f64) -> TuneBackendRow {
+        let v2 = kernel_geometry(SbmVersion::OffloadCollapse2);
+        let v3 = kernel_geometry(SbmVersion::OffloadCollapse3);
         let families = vec![
-            synth_family("stack", 15.0e-3 * scale, V2_GEOMETRY),
-            synth_family("slab[pt,bin]", 5.5e-3 * scale, V3_GEOMETRY),
-            synth_family("slab[bin,pt]", 1.7e-3 * scale, (3, 80, 640)),
+            synth_family("stack", 15.0e-3 * scale, v2),
+            synth_family("slab[pt,bin]", 5.5e-3 * scale, v3),
+            synth_family("slab[bin,pt]", 1.7e-3 * scale, v3),
         ];
         TuneBackendRow {
             backend,
@@ -737,13 +734,19 @@ mod tests {
             "3! perms × 3 collapses × storages × fission"
         );
         let stack = a100.families.iter().find(|f| f.family == "stack").unwrap();
-        assert_eq!((stack.collapse, stack.regs, stack.stack_bytes), V2_GEOMETRY);
+        assert_eq!(
+            (stack.collapse, stack.regs, stack.stack_bytes),
+            kernel_geometry(SbmVersion::OffloadCollapse2)
+        );
         let slab = a100
             .families
             .iter()
             .find(|f| f.family == "slab[pt,bin]")
             .unwrap();
-        assert_eq!((slab.collapse, slab.regs, slab.stack_bytes), V3_GEOMETRY);
+        assert_eq!(
+            (slab.collapse, slab.regs, slab.stack_bytes),
+            kernel_geometry(SbmVersion::OffloadCollapse3)
+        );
         assert!(slab.unfissioned_secs < stack.unfissioned_secs);
         // Replay of its own artifact is clean.
         assert!(replay_violations(&rep.to_json(), &rows).is_empty());

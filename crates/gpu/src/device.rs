@@ -1,5 +1,4 @@
-//! Device state: memory accounting, contexts, stack configuration, and the
-//! shared-GPU submission timeline.
+//! Device state: memory accounting, contexts, and stack configuration.
 
 use crate::error::GpuError;
 use crate::machine::GpuParams;
@@ -7,14 +6,13 @@ use std::collections::HashMap;
 
 /// One modeled GPU.
 ///
-/// A device tracks (a) HBM usage: per-context stack pools (the CUDA
-/// runtime reserves `stack_size × max resident threads` when a context
+/// A device tracks HBM usage: per-context stack pools (the CUDA runtime
+/// reserves `stack_size × max resident threads` when a context
 /// configures `NV_ACC_CUDA_STACKSIZE`) plus named data-environment
 /// allocations, failing with [`GpuError::OutOfMemory`] when exhausted —
-/// the mechanism that caps the paper at 5 MPI ranks/GPU (§VII-A); and
-/// (b) a modeled busy timeline so that kernels submitted by multiple ranks
-/// sharing the GPU serialize, which is why doubling ranks per GPU does not
-/// double GPU throughput in Table VII.
+/// the mechanism that caps the paper at 5 MPI ranks/GPU (§VII-A). How
+/// ranks sharing a GPU queue behind each other is
+/// [`DevicePool::replay`](crate::devicepool::DevicePool::replay)'s job.
 #[derive(Debug)]
 pub struct Device {
     params: GpuParams,
@@ -23,10 +21,6 @@ pub struct Device {
     /// Named allocations: (context, name) → bytes.
     allocs: HashMap<(usize, String), u64>,
     used: u64,
-    /// Modeled time at which the device becomes idle.
-    busy_until: f64,
-    /// Total modeled busy seconds accumulated.
-    busy_total: f64,
 }
 
 impl Device {
@@ -37,8 +31,6 @@ impl Device {
             contexts: HashMap::new(),
             allocs: HashMap::new(),
             used: 0,
-            busy_until: 0.0,
-            busy_total: 0.0,
         }
     }
 
@@ -137,35 +129,6 @@ impl Device {
             Ok(())
         }
     }
-
-    /// Submits `duration` seconds of device work at modeled time
-    /// `submit_time`; the device serializes submissions (streams from
-    /// different ranks share the SMs — we model full serialization, the
-    /// worst case NVHPC default without MPS). Returns `(start, end)`.
-    pub fn submit(&mut self, submit_time: f64, duration: f64) -> (f64, f64) {
-        assert!(duration >= 0.0);
-        let start = submit_time.max(self.busy_until);
-        let end = start + duration;
-        self.busy_until = end;
-        self.busy_total += duration;
-        (start, end)
-    }
-
-    /// Modeled time at which the device next becomes idle.
-    pub fn busy_until(&self) -> f64 {
-        self.busy_until
-    }
-
-    /// Total busy seconds accumulated over the run (utilization numerator).
-    pub fn busy_total(&self) -> f64 {
-        self.busy_total
-    }
-
-    /// Resets the timeline (new experiment) without touching memory state.
-    pub fn reset_timeline(&mut self) {
-        self.busy_until = 0.0;
-        self.busy_total = 0.0;
-    }
 }
 
 #[cfg(test)]
@@ -248,20 +211,6 @@ mod tests {
         assert!(used > 0);
         d.destroy_context(0);
         assert_eq!(d.used_bytes(), 0);
-    }
-
-    #[test]
-    fn submissions_serialize() {
-        let mut d = Device::new(A100);
-        let (s1, e1) = d.submit(0.0, 2.0);
-        assert_eq!((s1, e1), (0.0, 2.0));
-        // Second rank submits at t=1 while busy: starts at 2.
-        let (s2, e2) = d.submit(1.0, 3.0);
-        assert_eq!((s2, e2), (2.0, 5.0));
-        // Idle gap honored.
-        let (s3, _) = d.submit(10.0, 1.0);
-        assert_eq!(s3, 10.0);
-        assert_eq!(d.busy_total(), 6.0);
     }
 
     #[test]

@@ -2,12 +2,13 @@
 //!
 //! An OpenMP `target teams distribute parallel do collapse(n)` construct
 //! becomes a [`KernelSpec`] (geometry + per-thread resource demands) plus a
-//! closure over the collapsed iteration space. The `launch_functional_*`
-//! family runs the closure with real host parallelism (static partition,
-//! or the persistent work-stealing executor); [`launch_modeled`] prices
-//! the launch on the modeled A100: instruction-issue throughput scaled by
-//! a latency-hiding factor of the achieved occupancy, bounded below by
-//! DRAM bandwidth — the roofline logic behind Tables IV–VI.
+//! closure over the collapsed iteration space. [`launch_functional_static`]
+//! runs the closure on a static partition of per-launch threads (the
+//! work-stealing alternative is [`wrf_exec::Executor`], called directly);
+//! [`launch_modeled`] prices the launch on the modeled A100:
+//! instruction-issue throughput scaled by a latency-hiding factor of the
+//! achieved occupancy, bounded below by DRAM bandwidth — the roofline
+//! logic behind Tables IV–VI.
 
 use crate::error::GpuError;
 use crate::machine::{Calibration, GpuParams, CALIBRATION};
@@ -228,48 +229,10 @@ pub fn launch_modeled_with(
     })
 }
 
-/// Executes `body` for every iteration `0..iters` on a persistent
-/// [`wrf_exec::Executor`]: the device-thread emulation backend without
-/// per-launch thread spawns. Iterations are distributed as chunked
-/// ranges to the executor's work-stealing deques (`chunk = None` → the
-/// executor's automatic size). Returns wall-clock seconds.
-pub fn launch_functional_on<F>(
-    exec: &wrf_exec::Executor,
-    iters: u64,
-    chunk: Option<u64>,
-    body: F,
-) -> f64
-where
-    F: Fn(u64) + Sync,
-{
-    exec.run_indexed(iters, chunk, body)
-}
-
-/// Compacted launch: executes `body(active[x])` for every entry of a
-/// pre-scanned active-index list on the persistent executor. The
-/// iteration space shrinks from the full grid to the active set, so no
-/// device thread is ever parked on an empty (cloud-free) point — the
-/// work-queue analogue of warp-compaction. Returns wall-clock seconds.
-pub fn launch_functional_list<F>(
-    exec: &wrf_exec::Executor,
-    active: &[u32],
-    chunk: Option<u64>,
-    body: F,
-) -> f64
-where
-    F: Fn(u64) + Sync,
-{
-    exec.run_ranges(active.len() as u64, chunk, |lo, hi| {
-        for x in lo..hi {
-            body(active[x as usize] as u64);
-        }
-    })
-}
-
 /// Static contiguous partition with per-launch scoped threads: worker
 /// `w` owns iterations `[w·per, (w+1)·per)` and nothing rebalances. This
-/// is the classic `schedule(static)` baseline the executor's
-/// work-stealing arm is benchmarked against. Launches of fewer than
+/// is the classic `schedule(static)` baseline [`wrf_exec::Executor`]'s
+/// work-stealing is benchmarked against. Launches of fewer than
 /// `inline_below` iterations run inline on the caller: thread spawns only
 /// pay off above a few hundred fine-grained iterations (grid points,
 /// columns), or from two coarse ones (whole tiles). Returns wall-clock
@@ -470,30 +433,6 @@ mod tests {
         // The default backend is priced exactly like the bare A100 path.
         let a100 = launch_modeled(&A100, &spec, &w).unwrap();
         assert_eq!(times[0], a100.time_secs);
-    }
-
-    #[test]
-    fn executor_backend_covers_all_iterations() {
-        let exec = wrf_exec::Executor::new(4);
-        let hits = (0..10_000).map(|_| AtomicU64::new(0)).collect::<Vec<_>>();
-        launch_functional_on(&exec, 10_000, None, |i| {
-            hits[i as usize].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn compacted_launch_hits_only_the_active_set() {
-        let exec = wrf_exec::Executor::new(4);
-        let hits = (0..1000).map(|_| AtomicU64::new(0)).collect::<Vec<_>>();
-        let active: Vec<u32> = (0..1000).filter(|i| i % 7 == 0).collect();
-        launch_functional_list(&exec, &active, Some(8), |i| {
-            hits[i as usize].fetch_add(1, Ordering::Relaxed);
-        });
-        for (i, h) in hits.iter().enumerate() {
-            let expected = u64::from(i % 7 == 0);
-            assert_eq!(h.load(Ordering::Relaxed), expected, "index {i}");
-        }
     }
 
     #[test]

@@ -7,13 +7,13 @@
 //! this reproduction, this crate provides the device as a *simulated
 //! substrate* with two coupled planes:
 //!
-//! * **Functional plane** — [`launch::launch_functional_on`] (persistent
-//!   work-stealing executor; [`launch::launch_functional_list`] over a
-//!   compacted active set) and [`launch::launch_functional_static`]
-//!   (per-launch scoped threads, static partition) execute the kernel
-//!   body — a Rust closure over the collapsed iteration space — with real
-//!   host parallelism, so offloaded code paths produce real numerical
-//!   results that tests compare against the CPU versions.
+//! * **Functional plane** — [`wrf_exec::Executor`] (persistent
+//!   work-stealing pool, over the whole iteration space or a compacted
+//!   active set) and [`launch::launch_functional_static`] (per-launch
+//!   scoped threads, static partition) execute the kernel body — a Rust
+//!   closure over the collapsed iteration space — with real host
+//!   parallelism, so offloaded code paths produce real numerical results
+//!   that tests compare against the CPU versions.
 //! * **Performance plane** — [`launch::launch_modeled`] prices the same
 //!   launch on modeled A100 hardware: an occupancy calculator
 //!   ([`occupancy`]), a latency-hiding throughput model, DRAM bandwidth
@@ -27,7 +27,6 @@
 //! calibration constants are documented there and in `EXPERIMENTS.md`.
 
 pub mod cachesim;
-pub mod dataenv;
 pub mod device;
 pub mod devicepool;
 pub mod error;
@@ -38,7 +37,6 @@ pub mod occupancy;
 pub mod roofline;
 pub mod syncslice;
 
-pub use dataenv::{DataEnv, MapDir};
 pub use device::Device;
 pub use devicepool::{
     BatchLedger, BatchedReplay, CacheShareStats, DevicePool, DeviceShare, PackedAdmit,

@@ -26,7 +26,16 @@ pub struct SyncWriteSlice<'a, T> {
     _life: PhantomData<&'a UnsafeCell<[T]>>,
 }
 
+// SAFETY: the wrapper is a `&'a mut [T]` split into pointer and length
+// (`_life` is a zero-sized marker). Moving it to another thread moves
+// that exclusive borrow, and the thread may then write or drop elements
+// in place: sound for `T: Send`.
 unsafe impl<T: Send + Sync> Send for SyncWriteSlice<'_, T> {}
+// SAFETY: threads sharing `&SyncWriteSlice` write elements (`T: Send`)
+// and read them (`T: Sync`) through the raw pointer without
+// synchronization. `new`'s contract makes every such access race-free:
+// each element has at most one writer and is never read while another
+// thread writes it. `len` is never modified after construction.
 unsafe impl<T: Send + Sync> Sync for SyncWriteSlice<'_, T> {}
 
 impl<'a, T> SyncWriteSlice<'a, T> {
@@ -102,6 +111,8 @@ mod tests {
     fn parallel_disjoint_writes() {
         let mut data = vec![0u64; 4096];
         {
+            // SAFETY: thread `t` writes only indices ≡ t (mod 8); nothing
+            // is read until the scope has joined every thread.
             let view = unsafe { SyncWriteSlice::new(&mut data) };
             std::thread::scope(|s| {
                 for t in 0..8usize {
@@ -123,6 +134,7 @@ mod tests {
     fn subslices_partition() {
         let mut data = vec![0u32; 100];
         {
+            // SAFETY: thread `t` owns the disjoint block `[25t, 25t + 25)`.
             let view = unsafe { SyncWriteSlice::new(&mut data) };
             std::thread::scope(|s| {
                 for t in 0..4usize {
@@ -143,6 +155,7 @@ mod tests {
     #[should_panic(expected = "out of bounds")]
     fn set_oob_panics() {
         let mut data = vec![0u8; 4];
+        // SAFETY: used by this thread alone.
         let view = unsafe { SyncWriteSlice::new(&mut data) };
         view.set(4, 1);
     }
@@ -151,6 +164,7 @@ mod tests {
     #[should_panic(expected = "out of bounds")]
     fn subslice_oob_panics() {
         let mut data = vec![0u8; 4];
+        // SAFETY: used by this thread alone.
         let view = unsafe { SyncWriteSlice::new(&mut data) };
         let _ = view.subslice_mut(2, 3);
     }
@@ -158,6 +172,7 @@ mod tests {
     #[test]
     fn get_reads_back() {
         let mut data = vec![1.5f32; 8];
+        // SAFETY: used by this thread alone.
         let view = unsafe { SyncWriteSlice::new(&mut data) };
         view.set(3, 7.5);
         assert_eq!(view.get(3), 7.5);

@@ -6,7 +6,7 @@
 //! *core* is the compute rectangle shrunk by the stencil width on every
 //! horizontal side, so a stencil evaluated inside it never reads a halo
 //! cell; the *frame* is the remaining ring of boundary strips, disjoint
-//! and covering, evaluated after `wait_all`.
+//! and covering, evaluated once every halo receive has completed.
 
 use crate::index::{PatchSpec, Span};
 

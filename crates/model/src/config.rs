@@ -144,9 +144,9 @@ impl ModelConfig {
         cfg.sched = sched;
         cfg.device_workers = Some(workers.max(1));
         // The kernel cache is bitwise-identical to the on-demand path
-        // (PR 1 invariant); keep it on only for the work-stealing arms so
+        // (PR 1 invariant); keep it on only for the work-stealing arm so
         // the gate exercises both kernel paths.
-        cfg.cached_kernels = matches!(sched, ExecMode::WorkSteal { .. });
+        cfg.cached_kernels = sched.uses_executor();
         cfg
     }
 

@@ -230,7 +230,7 @@ impl HaloEngine for MpiHaloEngine<'_> {
             };
             if let Err(e) =
                 self.rank
-                    .isend_f32_checked(peer, side_tag(self.tag_base, round, s_idx), &self.buf)
+                    .send_f32_checked(peer, side_tag(self.tag_base, round, s_idx), &self.buf)
             {
                 self.error = Some(e);
                 return;

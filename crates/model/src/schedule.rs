@@ -33,20 +33,34 @@ pub fn tune_rates(backend: &Backend) -> TrafficRates {
     }
 }
 
+/// `(collapse depth, registers/thread, stack bytes/thread)` of the
+/// hand-derived collision kernel `version` launches — the geometry the
+/// search must recover, read from the one place the scheme states it.
+pub fn kernel_geometry(version: SbmVersion) -> (usize, u32, u64) {
+    let spec = version.kernel_spec().expect("an offloaded version");
+    (
+        spec.collapse as usize,
+        spec.regs_per_thread,
+        spec.stack_bytes_per_thread,
+    )
+}
+
 /// Nominal work density of the collision nest, with the measured NVHPC
-/// geometry of the two hand-derived kernels: ~20 KiB of automatic
-/// arrays (640 B after the slab refactor), 168 registers for the fat
-/// serial-remainder thread, 80 for the thin per-point thread.
+/// geometry of the two hand-derived kernels: the automatic arrays and
+/// registers of the fat serial-remainder `collapse(2)` thread, the slab
+/// residue and registers of the thin per-point `collapse(3)` thread.
 pub fn coal_nest_work() -> NestWork {
+    let (_, regs_serial, automatic_bytes) = kernel_geometry(SbmVersion::OffloadCollapse2);
+    let (_, regs_point, slab_bytes) = kernel_geometry(SbmVersion::OffloadCollapse3);
     NestWork {
         flops_per_point: 2.0e4,
         mem_ops_per_point: 1.5e3,
-        automatic_bytes: 20 * 1024,
-        slab_bytes: 640,
+        automatic_bytes,
+        slab_bytes,
         warp_eff_full: 0.6,
         warp_eff_outer: 0.9,
-        regs_serial: 168,
-        regs_point: 80,
+        regs_serial,
+        regs_point,
     }
 }
 
@@ -140,7 +154,7 @@ mod tests {
                 v2.spec.regs_per_thread,
                 v2.spec.stack_bytes_per_thread
             ),
-            (2, 168, 20 * 1024)
+            kernel_geometry(SbmVersion::OffloadCollapse2)
         );
         let v3 = rep.family_winner("slab[pt,bin]").unwrap();
         assert_eq!(
@@ -149,7 +163,7 @@ mod tests {
                 v3.spec.regs_per_thread,
                 v3.spec.stack_bytes_per_thread
             ),
-            (3, 80, 640)
+            kernel_geometry(SbmVersion::OffloadCollapse3)
         );
         assert!(v3.secs < v2.secs);
     }

@@ -1,15 +1,14 @@
 //! Rank runtime: threads + channels with MPI-flavoured semantics.
 //!
-//! Every operation exists in two forms: the legacy infallible form
-//! (`send_f32`, `recv_f32`, ...) that panics with full (rank, peer,
-//! tag, step) context on a dead communicator, and a checked form
-//! (`send_f32_checked`, `recv_f32_checked`, `wait_checked`,
-//! `allreduce_sum_checked`, ...) returning [`CommError`] so a dead or
-//! silent peer is a *detectable* condition a supervisor can recover
-//! from. Checked receives and collectives are bounded by the rank's
-//! [`Rank::timeout`]; fault injection ([`crate::fault::FaultPlan`])
-//! hooks into [`Rank::begin_step`] (kills) and the send path
-//! (drop/delay).
+//! Every operation has one implementation, the `*_checked` form
+//! returning [`CommError`], so a dead or silent peer is a *detectable*
+//! condition a supervisor can recover from: receives and collectives
+//! are bounded by the rank's [`Rank::timeout`]. The unsuffixed spellings
+//! (`send_f32`, `recv_f32`, `wait`, `allreduce_max`, ...) are that call
+//! plus a panic carrying the error's (rank, peer, tag, step) context,
+//! for callers with no supervisor to report to. Fault injection
+//! ([`crate::fault::FaultPlan`]) hooks into [`Rank::begin_step`] (kills)
+//! and the send path (drop/delay).
 
 use crate::fault::{FaultAction, FaultPlan};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
@@ -17,7 +16,7 @@ use parking_lot::{Condvar, Mutex};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Default bound on checked receives and collectives: generous enough
+/// Default bound on receives and collectives: generous enough
 /// that a healthy run never trips it, short enough that a test suite
 /// noticing a dead peer does not hang.
 pub const DEFAULT_TIMEOUT: Duration = Duration::from_secs(30);
@@ -26,7 +25,7 @@ pub const DEFAULT_TIMEOUT: Duration = Duration::from_secs(30);
 /// failing edge: who was waiting, on whom, for what, and when.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CommError {
-    /// A checked receive saw nothing from `peer` within the timeout.
+    /// A receive saw nothing from `peer` within the timeout.
     RecvTimeout {
         /// The waiting rank.
         rank: usize,
@@ -236,20 +235,11 @@ impl Collective {
         }
     }
 
-    /// All-reduce contributing `x`; returns `(sum, max)` over ranks.
-    fn allreduce(&self, x: f64) -> (f64, f64) {
-        self.allreduce_timeout(x, None)
-            .expect("unbounded allreduce cannot time out")
-    }
-
-    /// All-reduce bounded by `timeout` (`None` waits forever). On
-    /// timeout the partial arrival count is reported; the communicator
-    /// is then poisoned for further collectives and must be torn down.
-    fn allreduce_timeout(
-        &self,
-        x: f64,
-        timeout: Option<Duration>,
-    ) -> Result<(f64, f64), (usize, Duration)> {
+    /// All-reduce contributing `x`, bounded by `timeout`; returns
+    /// `(sum, max)` over ranks. On timeout the partial arrival count is
+    /// reported; the communicator is then poisoned for further
+    /// collectives and must be torn down.
+    fn allreduce(&self, x: f64, timeout: Duration) -> Result<(f64, f64), (usize, Duration)> {
         let mut st = self.lock.lock();
         let my_gen = st.generation;
         st.arrived += 1;
@@ -262,23 +252,17 @@ impl Collective {
             st.acc_max = f64::NEG_INFINITY;
             st.generation += 1;
             self.cv.notify_all();
-            Ok(st.result)
-        } else {
-            let start = Instant::now();
-            while st.generation == my_gen {
-                match timeout {
-                    None => self.cv.wait(&mut st),
-                    Some(limit) => {
-                        let elapsed = start.elapsed();
-                        if elapsed >= limit {
-                            return Err((st.arrived, elapsed));
-                        }
-                        let _ = self.cv.wait_for(&mut st, limit - elapsed);
-                    }
-                }
-            }
-            Ok(st.result)
+            return Ok(st.result);
         }
+        let start = Instant::now();
+        while st.generation == my_gen {
+            let elapsed = start.elapsed();
+            if elapsed >= timeout {
+                return Err((st.arrived, elapsed));
+            }
+            let _ = self.cv.wait_for(&mut st, timeout - elapsed);
+        }
+        Ok(st.result)
     }
 }
 
@@ -299,7 +283,7 @@ pub struct Rank {
     /// Out-of-order messages awaiting a matching `recv`.
     pending: Vec<Envelope>,
     collective: Arc<Collective>,
-    /// Bound on checked receives and collectives.
+    /// Bound on receives and collectives.
     timeout: Duration,
     /// Current model step (set by [`Rank::begin_step`]; carried in
     /// every [`CommError`] for context).
@@ -322,12 +306,12 @@ impl Rank {
         self.size
     }
 
-    /// Sets the bound on checked receives and collectives.
+    /// Sets the bound on receives and collectives.
     pub fn set_timeout(&mut self, timeout: Duration) {
         self.timeout = timeout;
     }
 
-    /// The current bound on checked receives and collectives.
+    /// The current bound on receives and collectives.
     pub fn timeout(&self) -> Duration {
         self.timeout
     }
@@ -428,40 +412,11 @@ impl Rank {
             .unwrap_or_else(|e| panic!("mpi_sim send failed: {e}"));
     }
 
-    /// Blocking receive of the message from `from` with `tag`; other
-    /// messages arriving meanwhile are queued (MPI matching semantics).
-    /// Waits forever; panics with full context if every sender is gone.
-    /// Use [`Rank::recv_f32_checked`] where death must be recoverable.
-    pub fn recv_f32(&mut self, from: usize, tag: Tag) -> Vec<f32> {
-        if let Some(pos) = self
-            .pending
-            .iter()
-            .position(|e| e.from == from && e.tag == tag)
-        {
-            return self.pending.swap_remove(pos).payload;
-        }
-        loop {
-            let env = self.inbox.recv().unwrap_or_else(|_| {
-                panic!(
-                    "mpi_sim recv failed: {}",
-                    CommError::PeerHungUp {
-                        rank: self.rank,
-                        peer: from,
-                        tag: Some(tag),
-                        step: self.step,
-                    }
-                )
-            });
-            if env.from == from && env.tag == tag {
-                return env.payload;
-            }
-            self.pending.push(env);
-        }
-    }
-
     /// Receive of the message from `from` with `tag`, bounded by the
-    /// rank's timeout: a silent peer becomes [`CommError::RecvTimeout`],
-    /// a dead communicator [`CommError::PeerHungUp`].
+    /// rank's timeout; other messages arriving meanwhile are queued (MPI
+    /// matching semantics). A silent peer becomes
+    /// [`CommError::RecvTimeout`], a dead communicator
+    /// [`CommError::PeerHungUp`].
     pub fn recv_f32_checked(&mut self, from: usize, tag: Tag) -> Result<Vec<f32>, CommError> {
         if let Some(pos) = self
             .pending
@@ -472,24 +427,13 @@ impl Rank {
         }
         let start = Instant::now();
         loop {
-            let elapsed = start.elapsed();
-            if elapsed >= self.timeout {
-                return Err(CommError::RecvTimeout {
-                    rank: self.rank,
-                    peer: from,
-                    tag,
-                    step: self.step,
-                    waited: elapsed,
-                });
-            }
-            match self.inbox.recv_timeout(self.timeout - elapsed) {
-                Ok(env) => {
-                    if env.from == from && env.tag == tag {
-                        return Ok(env.payload);
-                    }
-                    self.pending.push(env);
-                }
-                Err(RecvTimeoutError::Timeout) => {
+            // `None` once the bound has elapsed, however many unrelated
+            // messages kept the inbox busy meanwhile.
+            let left = self.timeout.checked_sub(start.elapsed());
+            match left.map(|left| self.inbox.recv_timeout(left)) {
+                Some(Ok(env)) if env.from == from && env.tag == tag => return Ok(env.payload),
+                Some(Ok(env)) => self.pending.push(env),
+                None | Some(Err(RecvTimeoutError::Timeout)) => {
                     return Err(CommError::RecvTimeout {
                         rank: self.rank,
                         peer: from,
@@ -498,7 +442,7 @@ impl Rank {
                         waited: start.elapsed(),
                     });
                 }
-                Err(RecvTimeoutError::Disconnected) => {
+                Some(Err(RecvTimeoutError::Disconnected)) => {
                     return Err(CommError::PeerHungUp {
                         rank: self.rank,
                         peer: from,
@@ -510,22 +454,11 @@ impl Rank {
         }
     }
 
-    /// Non-blocking probe for a matching message.
-    pub fn try_recv_f32(&mut self, from: usize, tag: Tag) -> Option<Vec<f32>> {
-        if let Some(pos) = self
-            .pending
-            .iter()
-            .position(|e| e.from == from && e.tag == tag)
-        {
-            return Some(self.pending.swap_remove(pos).payload);
-        }
-        while let Ok(env) = self.inbox.try_recv() {
-            if env.from == from && env.tag == tag {
-                return Some(env.payload);
-            }
-            self.pending.push(env);
-        }
-        None
+    /// [`Rank::recv_f32_checked`], panicking with full context when the
+    /// peer stays silent past the timeout.
+    pub fn recv_f32(&mut self, from: usize, tag: Tag) -> Vec<f32> {
+        self.recv_f32_checked(from, tag)
+            .unwrap_or_else(|e| panic!("mpi_sim recv failed: {e}"))
     }
 
     /// Nonblocking send: identical transport to [`Rank::send_f32`]
@@ -536,81 +469,31 @@ impl Rank {
         self.send_f32(to, tag, data);
     }
 
-    /// Checked nonblocking send (see [`Rank::send_f32_checked`]).
-    pub fn isend_f32_checked(&self, to: usize, tag: Tag, data: &[f32]) -> Result<(), CommError> {
-        self.send_f32_checked(to, tag, data)
-    }
-
     /// Posts a nonblocking receive for (`from`, `tag`). The returned
-    /// request completes on [`Rank::wait`] / [`Rank::test`] /
-    /// [`Rank::wait_all`]; a message that already arrived is captured
-    /// immediately.
+    /// request is matched against the inbox when it is completed, by
+    /// [`Rank::wait_checked`] or [`Rank::wait`].
     pub fn irecv_f32(&mut self, from: usize, tag: Tag) -> RecvRequest {
         assert!(from < self.size, "irecv from rank {from} of {}", self.size);
-        let data = self.match_pending(from, tag);
-        RecvRequest { from, tag, data }
-    }
-
-    fn match_pending(&mut self, from: usize, tag: Tag) -> Option<Vec<f32>> {
-        if let Some(pos) = self
-            .pending
-            .iter()
-            .position(|e| e.from == from && e.tag == tag)
-        {
-            return Some(self.pending.swap_remove(pos).payload);
-        }
-        while let Ok(env) = self.inbox.try_recv() {
-            if env.from == from && env.tag == tag {
-                return Some(env.payload);
-            }
-            self.pending.push(env);
-        }
-        None
-    }
-
-    /// Nonblocking completion check; fills the request's payload when
-    /// the matching message has arrived.
-    pub fn test(&mut self, req: &mut RecvRequest) -> bool {
-        if req.data.is_none() {
-            req.data = self.match_pending(req.from, req.tag);
-        }
-        req.data.is_some()
-    }
-
-    /// Blocks until `req` completes and returns its payload.
-    pub fn wait(&mut self, mut req: RecvRequest) -> Vec<f32> {
-        if let Some(data) = req.data.take() {
-            return data;
-        }
-        self.recv_f32(req.from, req.tag)
+        RecvRequest { from, tag }
     }
 
     /// Timeout-bounded completion of `req` (see
     /// [`Rank::recv_f32_checked`]).
-    pub fn wait_checked(&mut self, mut req: RecvRequest) -> Result<Vec<f32>, CommError> {
-        if let Some(data) = req.data.take() {
-            return Ok(data);
-        }
+    pub fn wait_checked(&mut self, req: RecvRequest) -> Result<Vec<f32>, CommError> {
         self.recv_f32_checked(req.from, req.tag)
     }
 
-    /// Waits for every request, returning payloads in request order.
-    pub fn wait_all(&mut self, reqs: Vec<RecvRequest>) -> Vec<Vec<f32>> {
-        reqs.into_iter().map(|r| self.wait(r)).collect()
+    /// [`Rank::wait_checked`], panicking with full context on failure.
+    pub fn wait(&mut self, req: RecvRequest) -> Vec<f32> {
+        self.recv_f32(req.from, req.tag)
     }
 
-    /// Timeout-bounded [`Rank::wait_all`]: fails on the first request
-    /// whose peer is dead or silent.
-    pub fn wait_all_checked(&mut self, reqs: Vec<RecvRequest>) -> Result<Vec<Vec<f32>>, CommError> {
-        reqs.into_iter().map(|r| self.wait_checked(r)).collect()
-    }
-
-    /// One timeout-bounded all-reduce round, mapping a stalled
-    /// collective (a dead rank never arrives) to
+    /// One timeout-bounded all-reduce round returning `(sum, max)`; a
+    /// stalled collective (a dead rank never arrives) is a
     /// [`CommError::CollectiveTimeout`].
     fn allreduce_checked(&self, x: f64) -> Result<(f64, f64), CommError> {
         self.collective
-            .allreduce_timeout(x, Some(self.timeout))
+            .allreduce(x, self.timeout)
             .map_err(|(arrived, waited)| CommError::CollectiveTimeout {
                 rank: self.rank,
                 step: self.step,
@@ -620,34 +503,31 @@ impl Rank {
             })
     }
 
-    /// Sum all-reduce over `f64`.
-    pub fn allreduce_sum(&self, x: f64) -> f64 {
-        self.collective.allreduce(x).0
+    /// [`Rank::allreduce_checked`], panicking with full context when a
+    /// rank never arrives.
+    fn allreduce(&self, x: f64) -> (f64, f64) {
+        self.allreduce_checked(x)
+            .unwrap_or_else(|e| panic!("mpi_sim collective failed: {e}"))
     }
 
-    /// Max all-reduce over `f64`.
-    pub fn allreduce_max(&self, x: f64) -> f64 {
-        self.collective.allreduce(x).1
-    }
-
-    /// Timeout-bounded sum all-reduce.
-    pub fn allreduce_sum_checked(&self, x: f64) -> Result<f64, CommError> {
-        Ok(self.allreduce_checked(x)?.0)
-    }
-
-    /// Timeout-bounded max all-reduce.
+    /// Timeout-bounded max all-reduce over `f64`.
     pub fn allreduce_max_checked(&self, x: f64) -> Result<f64, CommError> {
         Ok(self.allreduce_checked(x)?.1)
     }
 
-    /// Barrier across all ranks.
-    pub fn barrier(&self) {
-        let _ = self.collective.allreduce(0.0);
+    /// Sum all-reduce over `f64`; panics if a rank never arrives.
+    pub fn allreduce_sum(&self, x: f64) -> f64 {
+        self.allreduce(x).0
     }
 
-    /// Timeout-bounded barrier.
-    pub fn barrier_checked(&self) -> Result<(), CommError> {
-        self.allreduce_checked(0.0).map(|_| ())
+    /// Max all-reduce over `f64`; panics if a rank never arrives.
+    pub fn allreduce_max(&self, x: f64) -> f64 {
+        self.allreduce(x).1
+    }
+
+    /// Barrier across all ranks; panics if a rank never arrives.
+    pub fn barrier(&self) {
+        self.allreduce(0.0);
     }
 }
 
@@ -657,7 +537,6 @@ impl Rank {
 pub struct RecvRequest {
     from: usize,
     tag: Tag,
-    data: Option<Vec<f32>>,
 }
 
 impl RecvRequest {
@@ -669,11 +548,6 @@ impl RecvRequest {
     /// Tag this request matches.
     pub fn tag(&self) -> Tag {
         self.tag
-    }
-
-    /// True once the matching message has been captured.
-    pub fn is_complete(&self) -> bool {
-        self.data.is_some()
     }
 }
 
@@ -688,10 +562,10 @@ where
     run_ranks_with_faults(n, None, DEFAULT_TIMEOUT, body)
 }
 
-/// [`run_ranks`] with a shared fault plan and a bound for checked
-/// receives/collectives. A `None` plan injects nothing; the body is
-/// expected to use the checked operations and return a `Result` so an
-/// injected death surfaces as data, not a panic.
+/// [`run_ranks`] with a shared fault plan and a bound for receives and
+/// collectives. A `None` plan injects nothing; the body is expected to
+/// use the checked operations and return a `Result` so an injected
+/// death surfaces as data, not a panic.
 pub fn run_ranks_with_faults<T, F>(
     n: usize,
     plan: Option<Arc<FaultPlan>>,
@@ -831,22 +705,6 @@ mod tests {
     }
 
     #[test]
-    fn try_recv_returns_none_when_empty() {
-        run_ranks(2, |mut r| {
-            if r.rank() == 1 {
-                assert!(r.try_recv_f32(0, 9).is_none());
-            }
-            r.barrier();
-            if r.rank() == 0 {
-                r.send_f32(1, 9, &[5.0]);
-            } else {
-                // Blocking receive still works after a failed probe.
-                assert_eq!(r.recv_f32(0, 9), vec![5.0]);
-            }
-        });
-    }
-
-    #[test]
     fn single_rank_communicator() {
         let out = run_ranks(1, |r| {
             r.barrier();
@@ -883,43 +741,6 @@ mod tests {
                 r.isend_f32(1, 5, &[7.0]);
             }
         });
-    }
-
-    #[test]
-    fn test_polls_without_blocking() {
-        run_ranks(2, |mut r| {
-            if r.rank() == 1 {
-                let mut req = r.irecv_f32(0, 4);
-                assert!(!r.test(&mut req));
-                r.barrier();
-                // Sender has now pushed; poll until delivery.
-                while !r.test(&mut req) {
-                    std::thread::yield_now();
-                }
-                assert!(req.is_complete());
-                assert_eq!(r.wait(req), vec![9.0]);
-            } else {
-                r.barrier();
-                r.isend_f32(1, 4, &[9.0]);
-            }
-        });
-    }
-
-    #[test]
-    fn wait_all_preserves_request_order() {
-        let out = run_ranks(2, |mut r| {
-            if r.rank() == 0 {
-                // Deliver out of order relative to the posted requests.
-                r.isend_f32(1, 11, &[2.0]);
-                r.isend_f32(1, 10, &[1.0]);
-                0.0
-            } else {
-                let reqs = vec![r.irecv_f32(0, 10), r.irecv_f32(0, 11)];
-                let got = r.wait_all(reqs);
-                got[0][0] * 10.0 + got[1][0]
-            }
-        });
-        assert_eq!(out[1], 12.0);
     }
 
     #[test]
@@ -1006,7 +827,7 @@ mod tests {
                     r.begin_step(step)?;
                     // A collective every step, as the model's mask
                     // OR-reduce does.
-                    r.allreduce_sum_checked(1.0)?;
+                    r.allreduce_max_checked(1.0)?;
                 }
                 Ok(r.step())
             },
@@ -1034,7 +855,7 @@ mod tests {
             |mut r| -> Result<u64, CommError> {
                 for step in 0..4u64 {
                     r.begin_step(step)?;
-                    r.allreduce_sum_checked(1.0)?;
+                    r.allreduce_max_checked(1.0)?;
                 }
                 Ok(4)
             },
@@ -1116,14 +937,12 @@ mod tests {
     #[test]
     fn checked_collectives_match_unchecked() {
         let out = run_ranks(4, |r| {
-            let s = r.allreduce_sum_checked(r.rank() as f64).unwrap();
-            let m = r.allreduce_max_checked(r.rank() as f64).unwrap();
-            r.barrier_checked().unwrap();
-            (s, m)
+            let checked = r.allreduce_max_checked(r.rank() as f64).unwrap();
+            (checked, r.allreduce_max(r.rank() as f64))
         });
-        for (s, m) in out {
-            assert_eq!(s, 6.0);
-            assert_eq!(m, 3.0);
+        for (checked, unchecked) in out {
+            assert_eq!(checked, 3.0);
+            assert_eq!(unchecked, 3.0);
         }
     }
 
@@ -1131,7 +950,7 @@ mod tests {
     fn wait_checked_roundtrip() {
         let out = run_ranks(2, |mut r| {
             if r.rank() == 0 {
-                r.isend_f32_checked(1, 3, &[4.0, 2.0]).unwrap();
+                r.send_f32_checked(1, 3, &[4.0, 2.0]).unwrap();
                 0.0
             } else {
                 let req = r.irecv_f32(0, 3);
@@ -1140,6 +959,38 @@ mod tests {
             }
         });
         assert_eq!(out[1], 42.0);
+    }
+
+    /// Every `Rank` keeps a sender to its own inbox, so a peer that has
+    /// gone can never show up as a disconnected channel: only the
+    /// timeout bounds an unchecked receive.
+    #[test]
+    #[should_panic(
+        expected = "rank 1 panicked: mpi_sim recv failed: rank 1 timed out after 0.0s waiting for rank 0 tag 99 at step 7"
+    )]
+    fn unchecked_recv_from_a_finished_rank_panics_with_context() {
+        run_ranks(2, |mut r| {
+            if r.rank() == 1 {
+                r.set_timeout(Duration::from_millis(40));
+                r.begin_step(7).unwrap();
+                // Rank 0 returns without ever sending tag 99.
+                r.recv_f32(0, 99);
+            }
+        });
+    }
+
+    /// A rank blocked in an unchecked collective must not keep
+    /// `run_ranks` from joining — and reporting — the rank that died.
+    #[test]
+    #[should_panic(expected = "rank 0 panicked: boom")]
+    fn panicking_rank_fails_run_ranks_despite_a_peer_in_allreduce() {
+        run_ranks(2, |mut r| {
+            if r.rank() == 0 {
+                panic!("boom");
+            }
+            r.set_timeout(Duration::from_millis(40));
+            r.allreduce_max(1.0);
+        });
     }
 
     #[test]

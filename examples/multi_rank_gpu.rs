@@ -13,46 +13,51 @@ fn main() {
     // ~13.5 GiB of HBM; with ~1.5 GB of temp_arrays slabs per rank, five
     // ranks fit on an 80 GB A100 and the sixth OOMs — the paper's limit.
     println!("--- how many ranks fit one A100-80GB? ---");
-    let slab_bytes: u64 = 1_500_000_000;
-    let max =
-        GpuPool::max_ranks_per_gpu(&A100, 65536, slab_bytes).expect("nonzero per-rank footprint");
-    println!("model says: {max} ranks/GPU (paper observed 5)");
-
-    let pool = GpuPool::new(A100, 1, 8);
-    for rank in 0..8usize {
-        let result = pool.with_device(rank, |d| {
-            d.create_context(rank, 65536)
-                .and_then(|()| d.alloc(rank, "temp_arrays", slab_bytes))
-        });
-        match result {
-            Ok(()) => println!("rank {rank}: context + slabs allocated"),
-            Err(e) => {
-                println!("rank {rank}: {e}");
-                break;
-            }
-        }
+    let per_rank = RankFootprint {
+        stack_bytes: 65536,
+        temp_slab_bytes: 1_500_000_000,
+        lookup_bytes: 0,
+    };
+    let mut pool = DevicePool::new(A100, 1);
+    match pool.admit_all(8, &per_rank) {
+        Ok(()) => println!("all 8 ranks admitted"),
+        Err(e) => println!("{e}"),
     }
+    println!(
+        "model says: {} ranks/GPU (paper observed 5)",
+        pool.residents(0).len()
+    );
 
     // --- Round-robin sharing and serialization ---------------------------
     println!("\n--- 64 ranks on 16 GPUs: round-robin placement ---");
-    let pool = GpuPool::new(A100, 16, 64);
+    let mut pool = DevicePool::new(A100, 16);
+    pool.admit_all(64, &per_rank).expect("4 ranks/GPU fit");
     for rank in [0usize, 15, 16, 17, 63] {
-        let a = pool.assignment(rank);
+        let device = pool.device_for(rank);
         println!(
-            "rank {rank:>2} -> GPU {:>2} (shared by {} ranks)",
-            a.device, a.sharers
+            "rank {rank:>2} -> GPU {device:>2} (shared by {} ranks)",
+            pool.residents(device).len()
         );
     }
 
-    // Kernels from co-located ranks serialize on the device timeline.
-    println!("\n--- device timeline with 4 ranks submitting 10 ms kernels ---");
-    let pool = GpuPool::new(A100, 1, 4);
-    for rank in 0..4usize {
-        let (start, end) = pool.with_device(rank, |d| d.submit(0.0, 0.010));
+    // Kernels from co-located ranks serialize on the device: each waits
+    // for its peers' kernels plus a context-service slice per switch.
+    println!("\n--- one device, 4 ranks submitting 10 ms kernels at t=0 ---");
+    let mut pool = DevicePool::new(A100, 1);
+    pool.admit_all(4, &per_rank).expect("4 ranks fit");
+    let submissions: Vec<RankSubmission> = (0..4)
+        .map(|rank| RankSubmission {
+            rank,
+            submit_secs: 0.0,
+            service_secs: 0.010,
+        })
+        .collect();
+    for r in pool.replay(&submissions).ranks {
         println!(
-            "rank {rank}: kernel runs {:.1} - {:.1} ms",
-            start * 1e3,
-            end * 1e3
+            "rank {}: kernel runs {:.1} - {:.1} ms",
+            r.rank,
+            r.queue_secs * 1e3,
+            (r.queue_secs + r.service_secs) * 1e3
         );
     }
 

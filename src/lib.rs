@@ -17,8 +17,8 @@
 //! | [`fsbm_core`] | the FSBM scheme (the paper's optimization target), four versions |
 //! | [`wrf_grid`]  | domain → patch → tile decomposition, fields, halos |
 //! | [`wrf_dycore`] | RK3 scalar transport (`rk_scalar_tend` / `rk_update_scalar`) |
-//! | [`gpu_sim`]   | modeled A100: occupancy, launches, caches, data environment |
-//! | [`mpi_sim`]   | rank runtime + α–β cost model + GPU placement |
+//! | [`gpu_sim`]   | modeled A100: occupancy, launches, caches, the shared-device pool |
+//! | [`mpi_sim`]   | rank runtime + α–β cost model |
 //! | [`prof_sim`]  | gprof-style and NVTX/Nsight-style profilers |
 //! | [`codee_sim`] | dependence analysis, Open-Catalog checks, directive rewriting |
 //! | [`wrf_cases`] | synthetic CONUS-12km scenario + `diffwrf` |
@@ -61,6 +61,7 @@ pub mod prelude {
     pub use fsbm_core::state::SbmPatchState;
     pub use fsbm_core::types::{HydroClass, NKR, NTYPES};
     pub use gpu_sim::device::Device;
+    pub use gpu_sim::devicepool::{DevicePool, RankFootprint, RankSubmission};
     pub use gpu_sim::error::GpuError;
     pub use gpu_sim::machine::{A100, EPYC_7763, SLINGSHOT};
     pub use miniwrf::config::ModelConfig;
@@ -70,7 +71,6 @@ pub mod prelude {
         experiment, measure_coeffs, ExperimentConfig, PerfParams, TrafficModel,
     };
     pub use mpi_sim::comm::run_ranks;
-    pub use mpi_sim::placement::GpuPool;
     pub use wrf_cases::conus::{ConusCase, ConusParams};
     pub use wrf_cases::diffwrf::diffwrf;
     pub use wrf_grid::{two_d_decomposition, Domain, Field3, Field4};

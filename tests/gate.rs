@@ -161,6 +161,20 @@ fn perf_gate_passes_against_the_committed_baseline_shape() {
     let (checks, structural) = compare_benchmarks(&baseline, &baseline, &TOL);
     let report = gate_report(&[], &checks, &structural);
     assert!(report.pass(), "violations: {:?}", report.violations());
+    // The perf half's assertion inventory: the documents lining up, the
+    // two case metrics, five gated metrics for each row — the two
+    // scheduling arms at four worker counts — and the four headline
+    // speedups.
+    let labels: Vec<&str> = report.checks.iter().map(|c| c.label.as_str()).collect();
+    assert_eq!(labels.len(), 1 + 2 + 2 * 4 * 5 + 4, "{labels:?}");
+    for mode in ["static-tiles", "work-stealing+compaction"] {
+        for w in case.workers.iter() {
+            let row = format!("perf: {mode}@{w} ");
+            assert_eq!(labels.iter().filter(|l| l.starts_with(&row)).count(), 5);
+        }
+    }
+    assert!(labels.contains(&"perf: work-stealing+compaction@8 steps_per_s (loose)"));
+    assert!(labels.contains(&"perf: speedup@8 ws_compaction_vs_static (tight)"));
 }
 
 #[test]

@@ -96,17 +96,10 @@ fn executor_is_bitwise_equal_to_serial_across_workers_and_chunks() {
     let ser = single(ser_cfg, 3);
 
     for workers in [2usize, 5] {
-        for (chunk, compact) in [(None, true), (Some(1), true), (Some(3), false)] {
-            let mut cfg = ser_cfg;
-            cfg.device_workers = Some(workers);
-            cfg.sched = ExecMode::WorkSteal { chunk, compact };
-            let st = single(cfg, 3);
-            assert_states_equal(
-                &st,
-                &ser,
-                &format!("workers={workers} chunk={chunk:?} compact={compact}"),
-            );
-        }
+        let mut cfg = ser_cfg;
+        cfg.device_workers = Some(workers);
+        cfg.sched = ExecMode::work_steal();
+        assert_states_equal(&single(cfg, 3), &ser, &format!("workers={workers}"));
     }
 
     // The collapse(3) kernel goes through the point-compacted queue.

@@ -40,21 +40,17 @@ fn stack_overflow_then_stacksize_then_oom() {
     dev.create_context(0, 65536).unwrap();
     assert!(dev.check_stack(0, 20 * 1024).is_ok());
 
-    // ...but the big stack pools cap GPU sharing at 5 ranks (§VII-A).
-    let pool = GpuPool::new(A100, 1, 8);
-    let mut fitted = 0;
-    for rank in 0..8usize {
-        let ok = pool.with_device(rank, |d| {
-            d.create_context(rank, 65536)
-                .and_then(|()| d.alloc(rank, "temp_arrays", 1_500_000_000))
-        });
-        if ok.is_ok() {
-            fitted += 1;
-        } else {
-            break;
-        }
-    }
-    assert_eq!(fitted, 5, "the paper's 5-ranks-per-GPU limit");
+    // ...but the big stack pools cap GPU sharing at 5 ranks (§VII-A):
+    // admitting eight onto one A100 stops at the sixth.
+    let mut pool = DevicePool::new(A100, 1);
+    let per_rank = RankFootprint {
+        stack_bytes: 65536,
+        temp_slab_bytes: 1_500_000_000,
+        lookup_bytes: 0,
+    };
+    let err = pool.admit_all(8, &per_rank).unwrap_err();
+    assert_eq!(err.rank, 5, "the paper's 5-ranks-per-GPU limit");
+    assert_eq!(pool.residents(0).len(), 5);
 }
 
 #[test]
