@@ -21,7 +21,7 @@
 #                  of PR depth (5, 2.0x, 0.8, 10, 4, shallow). The two
 #                  sets live in one place, `wrf_gate::Depth`; ci.yml sets
 #                  this on the nightly schedule event only.
-#   CI_DRIFT_BASE  golden-drift diff base ref (default origin/$GITHUB_BASE_REF)
+#   CI_DRIFT_BASE  diff base ref of the drift guards (default origin/$GITHUB_BASE_REF)
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -149,44 +149,65 @@ run_gate() {
     return "$rc"
 }
 
-# The golden-drift guard: a change under goldens/ is only legitimate
-# when it was produced by a deliberate re-bless, and the committed
-# convention is that such commits say so (`--bless` in the message
-# body). Diffs the current HEAD against the PR base (or CI_DRIFT_BASE
-# locally) and fails when goldens/ changed without any commit in the
-# range mentioning --bless. Skips quietly when no base ref is available
-# (pushes to main, shallow local clones).
-step_golden_drift() {
+# The drift guards: some paths change only in a commit that says so.
+#   drift_guard <name> <marker> <log format> <hint> <path>...
+# Diffs the current HEAD against the PR base (or CI_DRIFT_BASE locally)
+# and fails when any <path> changed without a commit in the range whose
+# <log format> text (%B body, %s subject) carries <marker>. Skips
+# quietly when no base ref is available (pushes to main, shallow local
+# clones).
+drift_guard() {
+    local name="$1" marker="$2" format="$3" hint="$4"
+    shift 4
     local base="${CI_DRIFT_BASE:-}"
     if [ -z "$base" ] && [ -n "${GITHUB_BASE_REF:-}" ]; then
         base="origin/${GITHUB_BASE_REF}"
     fi
     if [ -z "$base" ]; then
-        echo "==> ci.sh: golden-drift: no base ref (set CI_DRIFT_BASE); skipping"
+        echo "==> ci.sh: $name: no base ref (set CI_DRIFT_BASE); skipping"
         return 0
     fi
     if ! git rev-parse --verify --quiet "$base" >/dev/null; then
-        echo "==> ci.sh: golden-drift: base ref $base not found; skipping"
+        echo "==> ci.sh: $name: base ref $base not found; skipping"
         return 0
     fi
     local changed
-    changed=$(git diff --name-only "$base"...HEAD -- goldens/) || return 1
+    changed=$(git diff --name-only "$base"...HEAD -- "$@") || return 1
     if [ -z "$changed" ]; then
-        echo "==> ci.sh: golden-drift: goldens/ untouched vs $base"
+        echo "==> ci.sh: $name: $* untouched vs $base"
         return 0
     fi
-    if git log --format=%B "$base"..HEAD | grep -q -- '--bless'; then
-        echo "==> ci.sh: golden-drift: goldens/ changed with a --bless commit recorded:"
+    if git log --format="$format" "$base"..HEAD | grep -qF -- "$marker"; then
+        echo "==> ci.sh: $name: $* changed with a '$marker' commit recorded:"
         printf '%s\n' "$changed"
         return 0
     fi
-    echo "==> ci.sh: golden-drift: goldens/ changed without any '--bless' commit in range $base..HEAD:" >&2
+    echo "==> ci.sh: $name: $* changed without any '$marker' commit in range $base..HEAD:" >&2
     printf '%s\n' "$changed" >&2
-    echo "==> re-bless deliberately (repro gate --bless / repro cases --bless) and say so in the commit body" >&2
+    echo "==> $hint" >&2
     return 1
 }
 
-CHECKS=(build test ledger clippy docs fmt shellcheck golden_drift)
+# A change under goldens/ is only legitimate when it was produced by a
+# deliberate re-bless, and the committed convention is that such commits
+# say so (`--bless` in the message body).
+step_golden_drift() {
+    drift_guard golden-drift --bless %B \
+        "re-bless deliberately (repro gate --bless / repro cases --bless) and say so in the commit body" \
+        goldens/
+}
+
+# The benchmark is the instrument every performance claim is read from:
+# benchmark/** and BENCHMARK.json change only in a benchmark-owning PR,
+# whose commit subject carries `[benchmark]` — a change that claims a
+# gain must not also move the ruler.
+step_benchmark_drift() {
+    drift_guard benchmark-drift '[benchmark]' %s \
+        "benchmark/ and BENCHMARK.json change only in a benchmark-owning PR: put [benchmark] in that commit's subject" \
+        benchmark/ BENCHMARK.json
+}
+
+CHECKS=(build test ledger clippy docs fmt shellcheck golden_drift benchmark_drift)
 
 # Every step name, in workflow order: the checks, then the gates.
 step_names() {

@@ -2,12 +2,19 @@
 //! RK3 stage updates, following WRF's `module_advect_em` structure
 //! (third-order upwind-biased horizontal fluxes, second-order vertical,
 //! positive-definite clipping on the final update).
+//!
+//! Every driver here is one row kernel: for each `i`-run of a `(k, j)`
+//! row the six face velocities are computed once (`FaceRows`) and
+//! applied through equal-length slices to each scalar of a panel. The
+//! goldens pin f32 bit patterns, so the kernel moves loads and loops but
+//! keeps every operation of the per-point body it replaced (kept, for
+//! tests, in `crate::reference`).
 
 use crate::wind::Wind;
 use fsbm_core::meter::PointWork;
 use gpu_sim::syncslice::SyncWriteSlice;
 use wrf_exec::Executor;
-use wrf_grid::{Field3, PatchSpec, Region};
+use wrf_grid::{Field3, PatchSpec, Region, Span};
 
 /// Horizontal half-width of the tendency stencil: `flux3` reads `±2`
 /// cells in `i` and `j`, which is also the halo depth a refresh must
@@ -29,7 +36,7 @@ pub const UPDATE_MEMOPS_PER_POINT: u64 = 3;
 /// Third-order upwind-biased interface value from the four surrounding
 /// cells (WRF's `flux3`): for wind ≥ 0 the stencil is biased upstream.
 #[inline]
-fn flux3(qm2: f32, qm1: f32, q0: f32, qp1: f32, vel: f32) -> f32 {
+pub(crate) fn flux3(qm2: f32, qm1: f32, q0: f32, qp1: f32, vel: f32) -> f32 {
     // Fourth-order symmetric part plus a dissipative third-order upwind
     // correction carrying the sign of the wind (WRF's `flux3`).
     // For vel > 0 the third-order upwind value is (−q₋₂ + 5q₋₁ + 2q₀)/6
@@ -40,76 +47,156 @@ fn flux3(qm2: f32, qm1: f32, q0: f32, qp1: f32, vel: f32) -> f32 {
     vel * (sym + sign * diss)
 }
 
-/// The per-point flux-divergence tendency at `(i, k, j)` — the body
-/// shared by the serial, region, and pool-parallel tendency drivers, so
-/// every execution strategy produces bitwise-identical values.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn tend_point(
-    scalar: &Field3<f32>,
-    wind: &Wind,
-    i: i32,
+/// Longest `i`-run one [`FaceRows`] holds; a longer row goes in pieces.
+const ROW_BLOCK: usize = 64;
+
+/// The pieces of `i`, each at most [`ROW_BLOCK`] long.
+fn row_blocks(i: Span) -> impl Iterator<Item = Span> {
+    (i.lo..=i.hi).step_by(ROW_BLOCK).map(move |lo| Span {
+        lo,
+        hi: (lo + ROW_BLOCK as i32 - 1).min(i.hi),
+    })
+}
+
+/// What every scalar's tendency over one `i`-run of a `(k, j)` row
+/// shares: the six face velocities (whose signs are the upwind
+/// selection) and the vertical neighbours clamped into the column.
+/// Filled once per run and applied to each lane of a panel, so the wind
+/// is read once however many scalars ride it.
+struct FaceRows {
+    run: Span,
     k: i32,
     j: i32,
-    kl: i32,
-    kh: i32,
-    dx: f32,
-    dy: f32,
-    dz: f32,
-) -> f32 {
-    let q = |ii: i32, kk: i32, jj: i32| scalar.get(ii, kk.clamp(kl, kh), jj);
+    /// `k − 1` and `k + 1` clamped into the column: equal to `k` at a
+    /// column end, where no flux crosses the face.
+    k_below: i32,
+    k_above: i32,
+    u_m: [f32; ROW_BLOCK],
+    u_p: [f32; ROW_BLOCK],
+    v_m: [f32; ROW_BLOCK],
+    v_p: [f32; ROW_BLOCK],
+    w_m: [f32; ROW_BLOCK],
+    w_p: [f32; ROW_BLOCK],
+}
 
-    // x-direction interfaces at i−1/2 and i+1/2.
-    let u_m = 0.5 * (wind.u.get(i - 1, k, j) + wind.u.get(i, k, j));
-    let u_p = 0.5 * (wind.u.get(i, k, j) + wind.u.get(i + 1, k, j));
-    let fx_m = flux3(
-        q(i - 2, k, j),
-        q(i - 1, k, j),
-        q(i, k, j),
-        q(i + 1, k, j),
-        u_m,
-    );
-    let fx_p = flux3(
-        q(i - 1, k, j),
-        q(i, k, j),
-        q(i + 1, k, j),
-        q(i + 2, k, j),
-        u_p,
-    );
+impl FaceRows {
+    fn new() -> Self {
+        let (run, zero) = (Span { lo: 0, hi: -1 }, [0.0; ROW_BLOCK]);
+        FaceRows {
+            run,
+            k: 0,
+            j: 0,
+            k_below: 0,
+            k_above: 0,
+            u_m: zero,
+            u_p: zero,
+            v_m: zero,
+            v_p: zero,
+            w_m: zero,
+            w_p: zero,
+        }
+    }
 
-    // y-direction.
-    let v_m = 0.5 * (wind.v.get(i, k, j - 1) + wind.v.get(i, k, j));
-    let v_p = 0.5 * (wind.v.get(i, k, j) + wind.v.get(i, k, j + 1));
-    let fy_m = flux3(
-        q(i, k, j - 2),
-        q(i, k, j - 1),
-        q(i, k, j),
-        q(i, k, j + 1),
-        v_m,
-    );
-    let fy_p = flux3(
-        q(i, k, j - 1),
-        q(i, k, j),
-        q(i, k, j + 1),
-        q(i, k, j + 2),
-        v_p,
-    );
+    /// Interface velocities at `i ∓ 1/2`, `j ∓ 1/2`, `k ∓ 1/2` for the
+    /// run `run` (at most [`ROW_BLOCK`] long) of row `(k, j)`.
+    fn fill(&mut self, wind: &Wind, run: Span, k: i32, j: i32, kp: Span) {
+        let n = run.len();
+        let (k_below, k_above) = ((k - 1).max(kp.lo), (k + 1).min(kp.hi));
+        let u = Stencil::new(&wind.u, run, k, j);
+        let (west, here, east) = (u.at(-1, 0, 0), u.at(0, 0, 0), u.at(1, 0, 0));
+        for x in 0..n {
+            self.u_m[x] = 0.5 * (west[x] + here[x]);
+            self.u_p[x] = 0.5 * (here[x] + east[x]);
+        }
+        let v = Stencil::new(&wind.v, run, k, j);
+        let (south, here, north) = (v.at(0, 0, -1), v.at(0, 0, 0), v.at(0, 0, 1));
+        for x in 0..n {
+            self.v_m[x] = 0.5 * (south[x] + here[x]);
+            self.v_p[x] = 0.5 * (here[x] + north[x]);
+        }
+        let w = Stencil::new(&wind.w, run, k, j);
+        let (below, here, above) = (
+            w.at(0, k_below - k, 0),
+            w.at(0, 0, 0),
+            w.at(0, k_above - k, 0),
+        );
+        for x in 0..n {
+            self.w_m[x] = 0.5 * (below[x] + here[x]);
+            self.w_p[x] = 0.5 * (here[x] + above[x]);
+        }
+        (self.run, self.k, self.j) = (run, k, j);
+        (self.k_below, self.k_above) = (k_below, k_above);
+    }
 
-    // z-direction: second-order centered with clamped ends.
-    let w_m = 0.5 * (wind.w.get(i, (k - 1).max(kl), j) + wind.w.get(i, k, j));
-    let w_p = 0.5 * (wind.w.get(i, k, j) + wind.w.get(i, (k + 1).min(kh), j));
-    let fz_m = if k == kl {
-        0.0
-    } else {
-        w_m * 0.5 * (q(i, k - 1, j) + q(i, k, j))
-    };
-    let fz_p = if k == kh {
-        0.0
-    } else {
-        w_p * 0.5 * (q(i, k, j) + q(i, k + 1, j))
-    };
+    /// The flux-divergence tendency of `q` over the filled run, written
+    /// to `out` — the one arithmetic body behind every tendency driver,
+    /// so every execution strategy produces bitwise-identical values.
+    fn tend(&self, q: &Field3<f32>, dx: f32, dy: f32, dz: f32, out: &mut [f32]) {
+        let (k, n) = (self.k, self.run.len());
+        // Every operand as a slice of exactly the run's length, so the
+        // loop carries no index arithmetic or bounds checks and
+        // vectorizes.
+        let q = Stencil::new(q, self.run, k, self.j);
+        let (im2, im1, ip1, ip2) = (q.at(-2, 0, 0), q.at(-1, 0, 0), q.at(1, 0, 0), q.at(2, 0, 0));
+        let (jm2, jm1, jp1, jp2) = (q.at(0, 0, -2), q.at(0, 0, -1), q.at(0, 0, 1), q.at(0, 0, 2));
+        let (below, above) = (q.at(0, self.k_below - k, 0), q.at(0, self.k_above - k, 0));
+        let (bottom, top) = (self.k_below == k, self.k_above == k);
+        let q0 = q.at(0, 0, 0);
+        let (u_m, u_p) = (&self.u_m[..n], &self.u_p[..n]);
+        let (v_m, v_p) = (&self.v_m[..n], &self.v_p[..n]);
+        let (w_m, w_p) = (&self.w_m[..n], &self.w_p[..n]);
+        let out = &mut out[..n];
+        for x in 0..n {
+            let q0 = q0[x];
+            // x-direction interfaces at i−1/2 and i+1/2.
+            let fx_m = flux3(im2[x], im1[x], q0, ip1[x], u_m[x]);
+            let fx_p = flux3(im1[x], q0, ip1[x], ip2[x], u_p[x]);
+            // y-direction.
+            let fy_m = flux3(jm2[x], jm1[x], q0, jp1[x], v_m[x]);
+            let fy_p = flux3(jm1[x], q0, jp1[x], jp2[x], v_p[x]);
+            // z-direction: second-order centered; no flux crosses a
+            // column end (selected after the fact to keep the loop
+            // branch-free — the clamped neighbour is always readable).
+            let fz_m = w_m[x] * 0.5 * (below[x] + q0);
+            let fz_p = w_p[x] * 0.5 * (q0 + above[x]);
+            let fz_m = if bottom { 0.0 } else { fz_m };
+            let fz_p = if top { 0.0 } else { fz_p };
+            out[x] = -((fx_p - fx_m) / dx + (fy_p - fy_m) / dy + (fz_p - fz_m) / dz);
+        }
+    }
+}
 
-    -((fx_p - fx_m) / dx + (fy_p - fy_m) / dy + (fz_p - fz_m) / dz)
+/// The runs of a field displaced by whole cells from one `i`-run of a
+/// `(k, j)` row, all reached from a single index computation.
+struct Stencil<'a> {
+    data: &'a [f32],
+    at: isize,
+    k_stride: isize,
+    j_stride: isize,
+    n: usize,
+}
+
+impl<'a> Stencil<'a> {
+    fn new(f: &'a Field3<f32>, run: Span, k: i32, j: i32) -> Self {
+        let (k_stride, j_stride) = f.strides();
+        Stencil {
+            data: f.as_slice(),
+            at: f.flat_index(run.lo, k, j) as isize,
+            k_stride: k_stride as isize,
+            j_stride: j_stride as isize,
+            n: run.len(),
+        }
+    }
+
+    /// The run displaced by `(di, dk, dj)` cells. Bounds-checked against
+    /// the allocation; staying inside the row's halo is the caller's
+    /// (`patch.halo >= 2`).
+    #[inline]
+    fn at(&self, di: i32, dk: i32, dj: i32) -> &'a [f32] {
+        let start =
+            self.at + di as isize + dk as isize * self.k_stride + dj as isize * self.j_stride;
+        &self.data[start as usize..][..self.n]
+    }
 }
 
 /// Computes the advective tendency `−∇·(v q)` of `scalar` into `tend`
@@ -151,25 +238,60 @@ pub fn rk_scalar_tend_region(
     tend: &mut Field3<f32>,
     work: &mut PointWork,
 ) {
+    tend_panel_region(
+        std::slice::from_ref(scalar),
+        wind,
+        patch,
+        region,
+        dx,
+        dy,
+        dz,
+        std::slice::from_mut(tend),
+        work,
+    );
+}
+
+/// [`rk_scalar_tend_region`] for a panel: `tend[l] = L(scalars[l])` over
+/// `region`, with each row's face velocities computed once and applied
+/// to every lane. Work is metered per row and lane.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn tend_panel_region(
+    scalars: &[Field3<f32>],
+    wind: &Wind,
+    patch: &PatchSpec,
+    region: &Region,
+    dx: f32,
+    dy: f32,
+    dz: f32,
+    tend: &mut [Field3<f32>],
+    work: &mut PointWork,
+) {
     assert!(patch.halo >= 2, "third-order stencils need 2 halo cells");
-    let (kl, kh) = (patch.kp.lo, patch.kp.hi);
+    assert_eq!(scalars.len(), tend.len(), "one tendency per lane");
+    let mut faces = FaceRows::new();
     for j in region.j.iter() {
         for k in patch.kp.iter() {
-            for i in region.i.iter() {
-                let v = tend_point(scalar, wind, i, k, j, kl, kh, dx, dy, dz);
-                tend.set(i, k, j, v);
-                work.fm(TEND_FLOPS_PER_POINT, TEND_MEMOPS_PER_POINT);
+            for run in row_blocks(region.i) {
+                faces.fill(wind, run, k, j, patch.kp);
+                for (q, t) in scalars.iter().zip(tend.iter_mut()) {
+                    faces.tend(q, dx, dy, dz, t.run_mut(run, k, j));
+                }
             }
+            let points = (region.i.len() * scalars.len()) as u64;
+            work.fm(
+                points * TEND_FLOPS_PER_POINT,
+                points * TEND_MEMOPS_PER_POINT,
+            );
         }
     }
 }
 
 /// [`rk_scalar_tend_region`] parallelized over `j`-planes on the
 /// persistent work-stealing pool. Each index owns one `j`-plane, every
-/// `tend` cell is written by exactly one plane, and the per-point
-/// arithmetic is shared with the serial path — so results are bitwise
-/// identical under every worker count, and the metered work (a fixed
-/// per-point count) is accumulated once for the whole region.
+/// `tend` cell is written by exactly one plane, and the row arithmetic
+/// is shared with the serial path — so results are bitwise identical
+/// under every worker count, and the metered work (a fixed per-point
+/// count) is accumulated once for the whole region.
 #[allow(clippy::too_many_arguments)]
 pub fn rk_scalar_tend_region_pool(
     scalar: &Field3<f32>,
@@ -187,7 +309,6 @@ pub fn rk_scalar_tend_region_pool(
     if region.is_empty() {
         return;
     }
-    let (kl, kh) = (patch.kp.lo, patch.kp.hi);
     let (ti, tk, tj) = (tend.ispan(), tend.kspan(), tend.jspan());
     let flat = move |i: i32, k: i32, j: i32| -> usize {
         (i - ti.lo) as usize + ti.len() * ((k - tk.lo) as usize + tk.len() * (j - tj.lo) as usize)
@@ -199,10 +320,12 @@ pub fn rk_scalar_tend_region_pool(
     let j_lo = region.j.lo;
     pool.run_indexed(region.j.len() as u64, Some(1), |jj| {
         let j = j_lo + jj as i32;
+        let mut faces = FaceRows::new();
         for k in patch.kp.iter() {
-            for i in region.i.iter() {
-                let v = tend_point(scalar, wind, i, k, j, kl, kh, dx, dy, dz);
-                view.set(flat(i, k, j), v);
+            for run in row_blocks(region.i) {
+                faces.fill(wind, run, k, j, patch.kp);
+                let out = view.subslice_mut(flat(run.lo, k, j), run.len());
+                faces.tend(scalar, dx, dy, dz, out);
             }
         }
     });
@@ -211,6 +334,18 @@ pub fn rk_scalar_tend_region_pool(
         points * TEND_FLOPS_PER_POINT,
         points * TEND_MEMOPS_PER_POINT,
     );
+}
+
+/// One RK3 stage value: `base + dt_stage · tend`, clipped at zero when
+/// `positive`.
+#[inline]
+fn stage_value(base: f32, tend: f32, dt_stage: f32, positive: bool) -> f32 {
+    let v = base + dt_stage * tend;
+    if positive && v < 0.0 {
+        0.0
+    } else {
+        v
+    }
 }
 
 /// RK3 stage update: `out = base + dt_stage · tend`, with WRF-style
@@ -224,16 +359,43 @@ pub fn rk_update_scalar(
     positive: bool,
     work: &mut PointWork,
 ) {
+    update_rows(out, Some(base), tend, dt_stage, patch, positive, work);
+}
+
+/// [`rk_update_scalar`] by rows; `base: None` updates `out` in place
+/// (`out` is its own base — the final RK3 stage, which needs no copy of
+/// φⁿ because nothing overwrites it earlier).
+pub(crate) fn update_rows(
+    out: &mut Field3<f32>,
+    base: Option<&Field3<f32>>,
+    tend: &Field3<f32>,
+    dt_stage: f32,
+    patch: &PatchSpec,
+    positive: bool,
+    work: &mut PointWork,
+) {
+    let points = patch.ip.len() as u64;
     for j in patch.jp.iter() {
         for k in patch.kp.iter() {
-            for i in patch.ip.iter() {
-                let mut v = base.get(i, k, j) + dt_stage * tend.get(i, k, j);
-                if positive && v < 0.0 {
-                    v = 0.0;
+            let out = out.run_mut(patch.ip, k, j);
+            let tend = tend.run(patch.ip, k, j);
+            match base {
+                Some(base) => {
+                    let base = base.run(patch.ip, k, j);
+                    for ((o, &b), &t) in out.iter_mut().zip(base).zip(tend) {
+                        *o = stage_value(b, t, dt_stage, positive);
+                    }
                 }
-                out.set(i, k, j, v);
-                work.fm(UPDATE_FLOPS_PER_POINT, UPDATE_MEMOPS_PER_POINT);
+                None => {
+                    for (o, &t) in out.iter_mut().zip(tend) {
+                        *o = stage_value(*o, t, dt_stage, positive);
+                    }
+                }
             }
+            work.fm(
+                points * UPDATE_FLOPS_PER_POINT,
+                points * UPDATE_MEMOPS_PER_POINT,
+            );
         }
     }
 }
@@ -399,6 +561,74 @@ mod tests {
         }
         assert!(peak <= 1.05, "scheme must not amplify: peak {peak}");
         assert!(peak > 0.05, "blob still exists");
+    }
+
+    /// Rows longer than `ROW_BLOCK` go through the kernel in pieces,
+    /// serially and one `j`-plane per task on a three-worker pool: both
+    /// must still be the per-point reference, bit for bit.
+    #[test]
+    fn long_rows_and_pool_tasks_match_the_reference() {
+        use crate::reference;
+        let p = two_d_decomposition(Domain::new(150, 6, 24), 1, 2).patches[0];
+        let mut wind = Wind::calm(&p);
+        let mut scalar = Field3::for_patch(&p);
+        let fields = [&mut wind.u, &mut wind.v, &mut wind.w, &mut scalar];
+        for (f, scale) in fields.into_iter().zip([9.0, -6.0, 2.0, 1.0]) {
+            for (n, v) in f.as_mut_slice().iter_mut().enumerate() {
+                *v = scale * (((n * 37) % 23) as f32 - 11.0) / 11.0;
+            }
+        }
+        let (dx, dy, dz) = (500.0, 450.0, 400.0);
+        let bits =
+            |f: &Field3<f32>| -> Vec<u32> { f.as_slice().iter().map(|v| v.to_bits()).collect() };
+
+        let whole = Region { i: p.ip, j: p.jp };
+        let (mut want, mut got) = (Field3::for_patch(&p), Field3::for_patch(&p));
+        let (mut want_work, mut got_work) = (PointWork::ZERO, PointWork::ZERO);
+        reference::tend_region(
+            &scalar,
+            &wind,
+            &p,
+            &whole,
+            dx,
+            dy,
+            dz,
+            &mut want,
+            &mut want_work,
+        );
+        rk_scalar_tend(&scalar, &wind, &p, dx, dy, dz, &mut got, &mut got_work);
+        assert_eq!(bits(&got), bits(&want));
+        assert_eq!(got_work, want_work);
+
+        let core = wrf_grid::interior_split(&p, STENCIL_WIDTH).core;
+        let (mut want, mut got) = (Field3::for_patch(&p), Field3::for_patch(&p));
+        let (mut want_work, mut got_work) = (PointWork::ZERO, PointWork::ZERO);
+        reference::tend_region(
+            &scalar,
+            &wind,
+            &p,
+            &core,
+            dx,
+            dy,
+            dz,
+            &mut want,
+            &mut want_work,
+        );
+        let pool = Executor::new(3);
+        rk_scalar_tend_region_pool(
+            &scalar,
+            &wind,
+            &p,
+            &core,
+            dx,
+            dy,
+            dz,
+            &mut got,
+            &pool,
+            &mut got_work,
+        );
+        assert_eq!(bits(&got), bits(&want));
+        assert_eq!(got_work, want_work);
     }
 
     #[test]

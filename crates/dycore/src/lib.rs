@@ -18,8 +18,11 @@
 //!   flux-divergence tendencies ([`advect::rk_scalar_tend`]) and the
 //!   RK3 stage update ([`advect::rk_update_scalar`]), with positive-
 //!   definite clipping as WRF applies to moisture scalars.
-//! * [`rk3`] — the three-stage driver and the [`rk3::HaloEngine`]
-//!   trait every halo boundary source (periodic, MPI, nest) implements.
+//! * [`rk3`] — the three-stage driver, which advances a *panel* of
+//!   scalars that share the wind ([`rk3::rk3_advect_panel`]; the
+//!   single-scalar drivers are its one-lane case), and the
+//!   [`rk3::HaloEngine`] trait every halo boundary source (periodic,
+//!   MPI, nest) implements.
 //! * [`nest`] — one-way grid nesting: the child↔parent index map,
 //!   time interpolation between bracketing parent steps, and the
 //!   halo-strip injection that feeds a refined child patch through the
@@ -28,6 +31,8 @@
 pub mod advect;
 pub mod diffusion;
 pub mod nest;
+#[cfg(test)]
+mod reference;
 pub mod rk3;
 pub mod wind;
 
@@ -38,7 +43,7 @@ pub use advect::{
 pub use diffusion::horizontal_diffusion;
 pub use nest::{fill_halo_round, time_interp, NestMap, NestSpec};
 pub use rk3::{
-    refresh_now, rk3_advect_scalar, rk3_advect_scalar_overlapped, FieldTag, HaloEngine,
-    HaloRefresh, Rk3Work,
+    refresh_now, rk3_advect_panel, rk3_advect_scalar, rk3_advect_scalar_overlapped, FieldTag,
+    HaloEngine, HaloRefresh, Rk3Work,
 };
 pub use wind::{storm_wind, Wind};

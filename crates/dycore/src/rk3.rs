@@ -2,21 +2,22 @@
 //!
 //! WRF's `solve_em` advances each scalar with the Wicker–Skamarock
 //! three-stage scheme: `φ* = φⁿ + Δt/3·L(φⁿ)`, `φ** = φⁿ + Δt/2·L(φ*)`,
-//! `φⁿ⁺¹ = φⁿ + Δt·L(φ**)`, refreshing halos between stages. Both
-//! drivers share one stage body ([`rk3_stages`]) and differ only in what
-//! "refresh the halo and evaluate the tendency" means: refresh fully,
-//! then one whole-patch tendency ([`rk3_advect_scalar`]), or interior
-//! slabs between a [`HaloEngine`]'s `post` and `finish`, then the
-//! boundary frame ([`rk3_advect_scalar_overlapped`]).
+//! `φⁿ⁺¹ = φⁿ + Δt·L(φ**)`, refreshing halos between stages. Every
+//! scalar sees the same wind, so the one driver ([`rk3_advect_panel`])
+//! advances a *panel* of scalars stage by stage: each lane's halo is
+//! filled by the [`HaloEngine`] exactly as if it were advanced alone,
+//! and the tendency of all lanes is one sweep that computes each row's
+//! face velocities once. [`rk3_advect_scalar`] and
+//! [`rk3_advect_scalar_overlapped`] are its one-lane case. The comm mode
+//! decides only what "refresh the halo and evaluate the tendency" means:
+//! refresh fully, then one whole-patch tendency, or interior slabs
+//! between the engine's `post` and `finish`, then the boundary frame.
 
-use crate::advect::{
-    rk_scalar_tend, rk_scalar_tend_region, rk_scalar_tend_region_pool, rk_update_scalar,
-    STENCIL_WIDTH,
-};
+use crate::advect::{rk_scalar_tend_region_pool, tend_panel_region, update_rows, STENCIL_WIDTH};
 use crate::wind::Wind;
 use fsbm_core::meter::PointWork;
 use wrf_exec::Executor;
-use wrf_grid::{interior_split, Field3, InteriorSplit, PatchSpec, Region};
+use wrf_grid::{interior_split, Field3, PatchSpec, Region};
 
 /// Halo refresh callback invoked on the provisional field before each
 /// tendency evaluation.
@@ -54,42 +55,173 @@ impl std::ops::AddAssign for Rk3Work {
     }
 }
 
-/// The three Wicker–Skamarock stages over caller workspaces (`scratch`
-/// and `tend` avoid per-call allocation over hundreds of bin scalars).
-/// `refresh_tend(field, tend, work)` must leave `tend = L(field)` with
-/// `field`'s halo refreshed; the post-update refresh of `scalar` is the
-/// caller's.
+/// The three Wicker–Skamarock stages of a panel over caller workspaces
+/// (`scratch` and `tend`, at least one field per lane, reused across
+/// hundreds of bin scalars; the only allocation is the overlapped mode's
+/// `InteriorSplit`). φⁿ is never copied: stages 1–2 read it from
+/// `lanes`, which nothing overwrites until stage 3 updates it in place.
+/// `tags`, when given, names each lane to the engine before that lane's
+/// rounds; the one-lane wrappers leave the selection to their caller.
+#[allow(clippy::too_many_arguments)]
 fn rk3_stages(
-    scalar: &mut Field3<f32>,
+    lanes: &mut [Field3<f32>],
+    tags: Option<&[FieldTag]>,
+    wind: &Wind,
     patch: &PatchSpec,
+    (dx, dy, dz): (f32, f32, f32),
     dt: f32,
     positive: bool,
-    scratch: &mut Field3<f32>,
-    tend: &mut Field3<f32>,
-    mut refresh_tend: impl FnMut(&mut Field3<f32>, &mut Field3<f32>, &mut PointWork),
+    scratch: &mut [Field3<f32>],
+    tend: &mut [Field3<f32>],
+    engine: &mut dyn HaloEngine,
+    overlap: Option<&Executor>,
 ) -> Rk3Work {
+    let n = lanes.len();
+    let (scratch, tend) = (&mut scratch[..n], &mut tend[..n]);
+    let whole = Region {
+        i: patch.ip,
+        j: patch.jp,
+    };
+    let split = overlap.map(|pool| (pool, interior_split(patch, STENCIL_WIDTH)));
+    // What must wait for complete halos: the whole patch, or with a pool
+    // to overlap on, only the boundary frame around the interior core.
+    let after_refresh = match &split {
+        None => std::slice::from_ref(&whole),
+        Some((_, split)) => &split.frame[..],
+    };
+    let select = |engine: &mut dyn HaloEngine, lane: usize| {
+        if let Some(tags) = tags {
+            engine.select(tags[lane]);
+        }
+    };
+    // Leaves `tend[l] = L(fields[l])` with every field's halo refreshed.
+    // The engine is driven one lane at a time, each refresh the same
+    // post/finish sequence as a scalar advanced alone; what reads halo
+    // cells is then one sweep over all lanes.
+    let refresh_tend = |fields: &mut [Field3<f32>],
+                        tend: &mut [Field3<f32>],
+                        engine: &mut dyn HaloEngine,
+                        work: &mut PointWork| {
+        for (lane, (field, tend)) in fields.iter_mut().zip(tend.iter_mut()).enumerate() {
+            select(engine, lane);
+            match &split {
+                None => refresh_now(engine, field),
+                Some((pool, split)) => overlapped_refresh(
+                    field,
+                    wind,
+                    patch,
+                    &split.core,
+                    dx,
+                    dy,
+                    dz,
+                    tend,
+                    engine,
+                    pool,
+                    work,
+                ),
+            }
+        }
+        for region in after_refresh {
+            tend_panel_region(fields, wind, patch, region, dx, dy, dz, tend, work);
+        }
+    };
     let mut work = Rk3Work::default();
-    let base = scalar.clone();
-    let up = &mut work.update;
+    let update = |out: &mut [Field3<f32>],
+                  base: Option<&[Field3<f32>]>,
+                  tend: &[Field3<f32>],
+                  dt_stage: f32,
+                  work: &mut PointWork| {
+        for (lane, (out, tend)) in out.iter_mut().zip(tend).enumerate() {
+            let base = base.map(|b| &b[lane]);
+            update_rows(out, base, tend, dt_stage, patch, positive, work);
+        }
+    };
 
     // Stage 1: φ* = φⁿ + Δt/3 · L(φⁿ)
-    refresh_tend(scalar, tend, &mut work.tend);
-    rk_update_scalar(scratch, &base, tend, dt / 3.0, patch, positive, up);
+    refresh_tend(lanes, tend, engine, &mut work.tend);
+    update(scratch, Some(lanes), tend, dt / 3.0, &mut work.update);
 
     // Stage 2: φ** = φⁿ + Δt/2 · L(φ*)
-    refresh_tend(scratch, tend, &mut work.tend);
-    rk_update_scalar(scratch, &base, tend, dt / 2.0, patch, positive, up);
+    refresh_tend(scratch, tend, engine, &mut work.tend);
+    update(scratch, Some(lanes), tend, dt / 2.0, &mut work.update);
 
     // Stage 3: φⁿ⁺¹ = φⁿ + Δt · L(φ**)
-    refresh_tend(scratch, tend, &mut work.tend);
-    rk_update_scalar(scalar, &base, tend, dt, patch, positive, up);
+    refresh_tend(scratch, tend, engine, &mut work.tend);
+    update(lanes, None, tend, dt, &mut work.update);
 
+    // The post-update refresh has no compute to hide behind (the next
+    // consumer of the lanes is outside this call): rounds back-to-back.
+    for (lane, field) in lanes.iter_mut().enumerate() {
+        select(engine, lane);
+        refresh_now(engine, field);
+    }
     work
+}
+
+/// Advances a panel of scalars by `dt` with RK3, stage by stage, over
+/// the workspaces `scratch` and `tend` (at least `lanes.len()` fields
+/// each, shaped like the lanes). `engine` fills each lane's halo —
+/// `select(tags[l])`, then the rounds — before every stage's tendency
+/// and once more after the final update, exactly as for a scalar
+/// advanced alone, so message counts, tags and modeled costs do not
+/// depend on the panel width. `overlap` decides when the tendency runs:
+/// `None` after all lanes are refreshed, as one sweep sharing each row's
+/// face velocities across the lanes; `Some(pool)` per lane, interior
+/// slabs on `pool` between each round's `post` and `finish`, then the
+/// boundary frame. Both are bitwise-identical, per lane, to advancing
+/// that scalar on its own. `positive` enables WRF's positive-definite
+/// clipping.
+#[allow(clippy::too_many_arguments)]
+pub fn rk3_advect_panel(
+    lanes: &mut [Field3<f32>],
+    tags: &[FieldTag],
+    wind: &Wind,
+    patch: &PatchSpec,
+    dx: f32,
+    dy: f32,
+    dz: f32,
+    dt: f32,
+    positive: bool,
+    scratch: &mut [Field3<f32>],
+    tend: &mut [Field3<f32>],
+    engine: &mut dyn HaloEngine,
+    overlap: Option<&Executor>,
+) -> Rk3Work {
+    assert_eq!(tags.len(), lanes.len(), "one tag per lane");
+    rk3_stages(
+        lanes,
+        Some(tags),
+        wind,
+        patch,
+        (dx, dy, dz),
+        dt,
+        positive,
+        scratch,
+        tend,
+        engine,
+        overlap,
+    )
+}
+
+/// A whole-refresh callback as a one-round engine (completed in
+/// `finish`), so the callback driver is the panel driver too.
+struct CallbackEngine<'a, 'b>(&'a mut HaloRefresh<'b>);
+
+impl HaloEngine for CallbackEngine<'_, '_> {
+    fn rounds(&self) -> usize {
+        1
+    }
+    fn post(&mut self, _round: usize, _field: &Field3<f32>) {}
+    fn finish(&mut self, _round: usize, field: &mut Field3<f32>) {
+        (self.0)(field);
+    }
+    fn absorb(&mut self, _work: PointWork) {}
 }
 
 /// Advances one scalar by `dt` with RK3: before each stage `refresh`
 /// completes the whole halo, then one whole-patch `rk_scalar_tend` runs.
-/// `positive` enables WRF's positive-definite clipping.
+/// `positive` enables WRF's positive-definite clipping. The one-lane
+/// case of [`rk3_advect_panel`].
 #[allow(clippy::too_many_arguments)]
 pub fn rk3_advect_scalar(
     scalar: &mut Field3<f32>,
@@ -104,12 +236,19 @@ pub fn rk3_advect_scalar(
     tend: &mut Field3<f32>,
     refresh: &mut HaloRefresh<'_>,
 ) -> Rk3Work {
-    let work = rk3_stages(scalar, patch, dt, positive, scratch, tend, |f, tend, w| {
-        refresh(f);
-        rk_scalar_tend(f, wind, patch, dx, dy, dz, tend, w);
-    });
-    refresh(scalar);
-    work
+    rk3_stages(
+        std::slice::from_mut(scalar),
+        None,
+        wind,
+        patch,
+        (dx, dy, dz),
+        dt,
+        positive,
+        std::slice::from_mut(scratch),
+        std::slice::from_mut(tend),
+        &mut CallbackEngine(refresh),
+        None,
+    )
 }
 
 /// Split-phase halo exchange: the one way a halo gets filled.
@@ -150,19 +289,19 @@ pub fn refresh_now<E: HaloEngine + ?Sized>(engine: &mut E, field: &mut Field3<f3
     }
 }
 
-/// One overlapped refresh+tendency pass over `field`: halo rounds are
-/// posted nonblocking while the interior core's tendency advances on
-/// the pool, then the boundary frame is finished serially once every
-/// halo strip has arrived. Bitwise-identical to `refresh(field)`
-/// followed by a full `rk_scalar_tend` because the per-point arithmetic
-/// is shared, interior stencils never read halo cells, and unpack
-/// writes only halo cells.
+/// One overlapped refresh of `field`: halo rounds are posted
+/// nonblocking while the interior core's tendency advances on the pool.
+/// The boundary frame is the caller's, once every halo strip has
+/// arrived; together they are bitwise-identical to `refresh(field)`
+/// followed by a full `rk_scalar_tend` because the row arithmetic is
+/// shared, interior stencils never read halo cells, and unpack writes
+/// only halo cells.
 #[allow(clippy::too_many_arguments)]
-fn overlapped_refresh_tend(
+fn overlapped_refresh(
     field: &mut Field3<f32>,
     wind: &Wind,
     patch: &PatchSpec,
-    split: &InteriorSplit,
+    core: &Region,
     dx: f32,
     dy: f32,
     dz: f32,
@@ -172,38 +311,29 @@ fn overlapped_refresh_tend(
     work: &mut PointWork,
 ) {
     let rounds = engine.rounds();
-    // One interior j-slab per round, so every round has compute to hide
-    // behind (empty slabs for thin cores are skipped).
-    let slabs: Vec<Region> = split
-        .core
-        .j
-        .split(rounds)
-        .into_iter()
-        .map(|j| Region { i: split.core.i, j })
-        .collect();
-    for (r, slab) in slabs.iter().enumerate() {
+    for r in 0..rounds {
         engine.post(r, field);
-        if !split.core.is_empty() && !slab.is_empty() {
+        // One interior j-slab per round, so every round has compute to
+        // hide behind (empty slabs for thin cores are skipped).
+        let slab = Region {
+            i: core.i,
+            j: core.j.part(rounds, r),
+        };
+        if !slab.is_empty() {
             let mut w = PointWork::ZERO;
-            rk_scalar_tend_region_pool(field, wind, patch, slab, dx, dy, dz, tend, pool, &mut w);
+            rk_scalar_tend_region_pool(field, wind, patch, &slab, dx, dy, dz, tend, pool, &mut w);
             engine.absorb(w);
             *work += w;
         }
         engine.finish(r, field);
-    }
-    // Boundary strips read fresh halo cells: evaluated after the last
-    // round completes.
-    for strip in &split.frame {
-        rk_scalar_tend_region(field, wind, patch, strip, dx, dy, dz, tend, work);
     }
 }
 
 /// Advances one scalar by `dt` with RK3 like [`rk3_advect_scalar`], but
 /// each of the three pre-tendency halo refreshes is split-phase: halo
 /// messages fly while the interior tendency runs on `pool`, and only
-/// the boundary frame waits. The trailing post-update refresh has no
-/// compute to hide behind (the next consumer of `scalar` is outside
-/// this call) and runs its rounds back-to-back.
+/// the boundary frame waits. The one-lane case of [`rk3_advect_panel`]
+/// with `overlap = Some(pool)`; the caller has `select`ed the scalar.
 #[allow(clippy::too_many_arguments)]
 pub fn rk3_advect_scalar_overlapped(
     scalar: &mut Field3<f32>,
@@ -219,17 +349,25 @@ pub fn rk3_advect_scalar_overlapped(
     engine: &mut dyn HaloEngine,
     pool: &Executor,
 ) -> Rk3Work {
-    let split = interior_split(patch, STENCIL_WIDTH);
-    let work = rk3_stages(scalar, patch, dt, positive, scratch, tend, |f, tend, w| {
-        overlapped_refresh_tend(f, wind, patch, &split, dx, dy, dz, tend, engine, pool, w);
-    });
-    refresh_now(engine, scalar);
-    work
+    rk3_stages(
+        std::slice::from_mut(scalar),
+        None,
+        wind,
+        patch,
+        (dx, dy, dz),
+        dt,
+        positive,
+        std::slice::from_mut(scratch),
+        std::slice::from_mut(tend),
+        engine,
+        Some(pool),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::PeriodicEngine;
     use wrf_grid::{two_d_decomposition, Domain};
 
     fn periodic_i(p: PatchSpec) -> impl FnMut(&mut Field3<f32>) {
@@ -293,61 +431,6 @@ mod tests {
         assert!(work.tend.flops > 5 * work.update.flops);
     }
 
-    /// Doubly-periodic refresh in two rounds mirroring the W/E-then-S/N
-    /// exchange: round 0 wraps `i` over compute `j`, round 1 wraps `j`
-    /// over the full memory `i` range (corners ride along, as in
-    /// `HALO_EM_*`).
-    fn wrap_we(f: &mut Field3<f32>, p: &PatchSpec) {
-        for j in p.jp.iter() {
-            for k in p.kp.iter() {
-                for h in 1..=p.halo {
-                    let west = f.get(p.ip.hi - h + 1, k, j);
-                    f.set(p.ip.lo - h, k, j, west);
-                    let east = f.get(p.ip.lo + h - 1, k, j);
-                    f.set(p.ip.hi + h, k, j, east);
-                }
-            }
-        }
-    }
-
-    fn wrap_sn(f: &mut Field3<f32>, p: &PatchSpec) {
-        for i in p.im.iter() {
-            for k in p.kp.iter() {
-                for h in 1..=p.halo {
-                    let south = f.get(i, k, p.jp.hi - h + 1);
-                    f.set(i, k, p.jp.lo - h, south);
-                    let north = f.get(i, k, p.jp.lo + h - 1);
-                    f.set(i, k, p.jp.hi + h, north);
-                }
-            }
-        }
-    }
-
-    /// A fully local engine: each round's "exchange" is the periodic
-    /// wrap, deferred from `post` to `finish` so interior compute runs
-    /// on stale halos exactly as with real in-flight messages.
-    struct PeriodicEngine {
-        patch: PatchSpec,
-        absorbed: PointWork,
-    }
-
-    impl HaloEngine for PeriodicEngine {
-        fn rounds(&self) -> usize {
-            2
-        }
-        fn post(&mut self, _round: usize, _field: &Field3<f32>) {}
-        fn finish(&mut self, round: usize, field: &mut Field3<f32>) {
-            if round == 0 {
-                wrap_we(field, &self.patch);
-            } else {
-                wrap_sn(field, &self.patch);
-            }
-        }
-        fn absorb(&mut self, work: PointWork) {
-            self.absorbed += work;
-        }
-    }
-
     #[test]
     fn overlapped_rk3_is_bitwise_equal_to_blocking() {
         let p = two_d_decomposition(Domain::new(40, 6, 28), 1, 2).patches[0];
@@ -371,10 +454,8 @@ mod tests {
         let mut blocking = init.clone();
         let mut scratch = Field3::for_patch(&p);
         let mut tend = Field3::for_patch(&p);
-        let mut refresh = |f: &mut Field3<f32>| {
-            wrap_we(f, &p);
-            wrap_sn(f, &p);
-        };
+        let mut periodic = PeriodicEngine::new(p);
+        let mut refresh = |f: &mut Field3<f32>| refresh_now(&mut periodic, f);
         let mut want = Rk3Work::default();
         for _ in 0..3 {
             want += rk3_advect_scalar(
@@ -397,10 +478,7 @@ mod tests {
             let mut over = init.clone();
             let mut scratch2 = Field3::for_patch(&p);
             let mut tend2 = Field3::for_patch(&p);
-            let mut engine = PeriodicEngine {
-                patch: p,
-                absorbed: PointWork::ZERO,
-            };
+            let mut engine = PeriodicEngine::new(p);
             let mut got = Rk3Work::default();
             for _ in 0..3 {
                 got += rk3_advect_scalar_overlapped(
@@ -449,10 +527,8 @@ mod tests {
         let mut blocking = init.clone();
         let mut scratch = Field3::for_patch(&p);
         let mut tend = Field3::for_patch(&p);
-        let mut refresh = |f: &mut Field3<f32>| {
-            wrap_we(f, &p);
-            wrap_sn(f, &p);
-        };
+        let mut periodic = PeriodicEngine::new(p);
+        let mut refresh = |f: &mut Field3<f32>| refresh_now(&mut periodic, f);
         let want = rk3_advect_scalar(
             &mut blocking,
             &wind,
@@ -469,10 +545,7 @@ mod tests {
 
         let pool = Executor::new(2);
         let mut over = init.clone();
-        let mut engine = PeriodicEngine {
-            patch: p,
-            absorbed: PointWork::ZERO,
-        };
+        let mut engine = PeriodicEngine::new(p);
         let got = rk3_advect_scalar_overlapped(
             &mut over,
             &wind,

@@ -114,6 +114,14 @@ impl<T> Field3<T> {
         &mut self.data
     }
 
+    /// Flat-index distance of one step in `k` and of one step in `j`
+    /// (a step in `i` is 1): with [`Self::flat_index`], what a stencil
+    /// needs to reach its neighbour rows from one index computation.
+    #[inline]
+    pub fn strides(&self) -> (usize, usize) {
+        (self.i.len(), self.i.len() * self.k.len())
+    }
+
     /// The contiguous `i`-row at fixed `(k, j)`.
     pub fn row(&self, k: i32, j: i32) -> &[T] {
         let start = self.offset(self.i.lo, k, j);
@@ -125,6 +133,20 @@ impl<T> Field3<T> {
         let start = self.offset(self.i.lo, k, j);
         let n = self.i.len();
         &mut self.data[start..start + n]
+    }
+
+    /// The contiguous run `i.lo..=i.hi` of the row at `(k, j)`.
+    #[inline]
+    pub fn run(&self, i: Span, k: i32, j: i32) -> &[T] {
+        let start = (i.lo - self.i.lo) as usize;
+        &self.row(k, j)[start..][..i.len()]
+    }
+
+    /// Mutable contiguous run `i.lo..=i.hi` of the row at `(k, j)`.
+    #[inline]
+    pub fn run_mut(&mut self, i: Span, k: i32, j: i32) -> &mut [T] {
+        let start = (i.lo - self.i.lo) as usize;
+        &mut self.row_mut(k, j)[start..][..i.len()]
     }
 }
 
@@ -158,9 +180,7 @@ impl Field3<f32> {
         let mut s = 0.0f64;
         for j in p.jp.iter() {
             for k in p.kp.iter() {
-                for &v in &self.row(k, j)
-                    [(p.ip.lo - self.i.lo) as usize..(p.ip.hi - self.i.lo + 1) as usize]
-                {
+                for &v in self.run(p.ip, k, j) {
                     s += v as f64;
                 }
             }

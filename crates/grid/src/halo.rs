@@ -77,17 +77,16 @@ fn recv_strip(p: &PatchSpec, side: HaloSide) -> (Span, Span) {
     }
 }
 
-/// Packs the strip of `field` facing `side` into a buffer (k-major, then j,
-/// then i fastest). Returns the number of `f32` elements packed.
+/// Packs the strip of `field` facing `side` into a buffer (`j`-major, then
+/// `k`, then `i` fastest), one contiguous `i`-run at a time. Returns the
+/// number of `f32` elements packed.
 pub fn pack_halo(field: &Field3<f32>, p: &PatchSpec, side: HaloSide, buf: &mut Vec<f32>) -> usize {
     let (is, js) = send_strip(p, side);
     let start = buf.len();
     buf.reserve(is.len() * p.kp.len() * js.len());
     for j in js.iter() {
         for k in p.kp.iter() {
-            for i in is.iter() {
-                buf.push(field.get(i, k, j));
-            }
+            buf.extend_from_slice(field.run(is, k, j));
         }
     }
     buf.len() - start
@@ -102,13 +101,13 @@ pub fn unpack_halo(field: &mut Field3<f32>, p: &PatchSpec, side: HaloSide, buf: 
         is.len() * p.kp.len() * js.len(),
         "halo buffer size mismatch on {side:?}"
     );
-    let mut n = 0;
+    let mut at = 0;
     for j in js.iter() {
         for k in p.kp.iter() {
-            for i in is.iter() {
-                field.set(i, k, j, buf[n]);
-                n += 1;
-            }
+            field
+                .run_mut(is, k, j)
+                .copy_from_slice(&buf[at..at + is.len()]);
+            at += is.len();
         }
     }
 }
@@ -172,6 +171,60 @@ mod tests {
             for k in p0.kp.iter() {
                 for i in (p0.ip.hi + 1)..=(p0.ip.hi + p0.halo) {
                     assert_eq!(f0.get(i, k, j), f(i, k, j));
+                }
+            }
+        }
+    }
+
+    /// Row-wise copies must keep the `(j, k, i-fastest)` wire order of a
+    /// per-element loop on every side, and unpack must touch halo cells
+    /// only — on a non-square patch so a transposed strip cannot pass.
+    #[test]
+    fn row_copies_match_per_element_loops() {
+        let d = Domain::new(11, 3, 7);
+        let p = &two_d_decomposition(d, 1, 2).patches[0];
+        let mut f = Field3::<f32>::for_patch(p);
+        for (n, v) in f.as_mut_slice().iter_mut().enumerate() {
+            *v = n as f32;
+        }
+        for side in HaloSide::ALL {
+            let (is, js) = send_strip(p, side);
+            let mut want = Vec::new();
+            for j in js.iter() {
+                for k in p.kp.iter() {
+                    for i in is.iter() {
+                        want.push(f.get(i, k, j));
+                    }
+                }
+            }
+            let mut got = vec![-1.0];
+            assert_eq!(pack_halo(&f, p, side, &mut got), want.len(), "{side:?}");
+            assert_eq!(got[0], -1.0, "pack appends");
+            assert_eq!(&got[1..], &want[..], "{side:?}");
+
+            // Unpack a recognisable buffer: exactly the receive strip
+            // changes, in the same element order.
+            let marks: Vec<f32> = (0..want.len()).map(|n| -(n as f32) - 1.0).collect();
+            let mut g = f.clone();
+            unpack_halo(&mut g, p, side, &marks);
+            let (ir, jr) = recv_strip(p, side);
+            let mut next = marks.iter();
+            for j in p.jm.iter() {
+                for k in p.km.iter() {
+                    for i in p.im.iter() {
+                        if ir.contains(i) && jr.contains(j) && p.kp.contains(k) {
+                            assert!(!(p.ip.contains(i) && p.jp.contains(j)), "{side:?}");
+                        } else {
+                            assert_eq!(g.get(i, k, j), f.get(i, k, j), "{side:?} ({i},{k},{j})");
+                        }
+                    }
+                }
+            }
+            for j in jr.iter() {
+                for k in p.kp.iter() {
+                    for i in ir.iter() {
+                        assert_eq!(g.get(i, k, j), *next.next().unwrap(), "{side:?}");
+                    }
                 }
             }
         }

@@ -20,6 +20,7 @@ impl Span {
     }
 
     /// Number of indices covered.
+    #[inline]
     pub fn len(&self) -> usize {
         (self.hi - self.lo + 1).max(0) as usize
     }
@@ -61,18 +62,18 @@ impl Span {
     /// an empty share are empty spans positioned after the previous chunk.
     pub fn split(&self, parts: usize) -> Vec<Span> {
         assert!(parts > 0, "cannot split into zero parts");
-        let n = self.len();
-        let base = n / parts;
-        let extra = n % parts;
-        let mut out = Vec::with_capacity(parts);
-        let mut lo = self.lo;
-        for p in 0..parts {
-            let mine = base + usize::from(p < extra);
-            let hi = lo + mine as i32 - 1;
-            out.push(Span { lo, hi });
-            lo = hi + 1;
+        (0..parts).map(|p| self.part(parts, p)).collect()
+    }
+
+    /// Chunk `p` of [`Span::split`]`(parts)`, without building the list.
+    pub fn part(&self, parts: usize, p: usize) -> Span {
+        let (base, extra) = (self.len() / parts, self.len() % parts);
+        let lo = self.lo + (p * base + p.min(extra)) as i32;
+        let mine = base + usize::from(p < extra);
+        Span {
+            lo,
+            hi: lo + mine as i32 - 1,
         }
-        out
     }
 }
 

@@ -2,15 +2,14 @@
 
 use crate::config::ModelConfig;
 use fsbm_core::meter::PointWork;
+use fsbm_core::panels::LANES;
 use fsbm_core::scheme::{FastSbm, SbmConfig, SbmStepStats};
 use fsbm_core::state::SbmPatchState;
 use fsbm_core::types::{NKR, NTYPES};
 use prof_sim::Stopwatch;
 use wrf_cases::ConusCase;
 use wrf_dycore::diffusion::horizontal_diffusion;
-use wrf_dycore::rk3::{
-    refresh_now, rk3_advect_scalar, rk3_advect_scalar_overlapped, FieldTag, HaloEngine, Rk3Work,
-};
+use wrf_dycore::rk3::{refresh_now, rk3_advect_panel, FieldTag, HaloEngine, Rk3Work};
 use wrf_dycore::wind::{storm_wind, StormWind, Wind};
 use wrf_exec::Executor;
 use wrf_grid::{two_d_decomposition, Field3, PatchSpec};
@@ -99,9 +98,7 @@ pub struct Model {
     /// Wind fields.
     pub wind: Wind,
     sbm: FastSbm,
-    scratch: Field3<f32>,
-    scratch2: Field3<f32>,
-    tendency: Field3<f32>,
+    transport: Transport,
     /// Model time, s.
     pub time: f32,
 }
@@ -141,9 +138,7 @@ impl Model {
             state,
             wind: Wind::calm(&patch),
             sbm: FastSbm::new(sbm_cfg),
-            scratch: Field3::for_patch(&patch),
-            scratch2: Field3::for_patch(&patch),
-            tendency: Field3::for_patch(&patch),
+            transport: Transport::new(&patch),
             time: 0.0,
         }
     }
@@ -212,135 +207,125 @@ impl Model {
         masks: &[[bool; NKR]; NTYPES],
     ) -> StepReport {
         let sw = Stopwatch::start();
-        let sp = self.wind_params();
-        let wind_work = storm_wind(
-            &mut self.wind,
-            &self.patch,
-            &sp,
-            self.time,
-            self.cfg.case.dx,
-            self.cfg.case.dz,
-        );
-
-        let dt = self.cfg.case.dt;
-        let dx = self.cfg.case.dx;
-        let mut wind_extra = PointWork::ZERO;
-
-        // Potential temperature: WRF transports θ (conserved under
-        // advection), not T. Convert, advect, convert back.
-        let mut rk3 = self.transport(
-            engine,
-            overlap,
-            FieldTag::Theta,
-            |st, i, k, j| st.tt.get(i, k, j) * (100_000.0 / st.p.get(i, k, j)).powf(KAPPA),
-            |st, i, k, j, th| {
-                let t = th * (st.p.get(i, k, j) / 100_000.0).powf(KAPPA);
-                st.tt.set(i, k, j, t);
-            },
-        );
-        // (3 flops, 3 memory ops) per memory point for each conversion.
-        let converted = 2 * 3 * self.patch.memory_points() as u64;
-        wind_extra.fm(converted, converted);
-
-        // Vapor, in place.
-        rk3 += advect_one(
-            engine,
-            overlap,
-            FieldTag::Qv,
-            &mut self.state.qv,
-            &self.wind,
-            &self.patch,
-            &self.cfg,
-            &mut self.scratch,
-            &mut self.tendency,
-        );
-        // Weak second-order horizontal diffusion on the moisture field
-        // (WRF diff_opt=1-style hygiene on the kinematic core).
-        engine.select(FieldTag::Qv);
-        refresh_now(engine, &mut self.state.qv);
-        horizontal_diffusion(
-            &mut self.state.qv,
-            &self.patch,
-            1.0e4,
-            dx,
-            dt,
-            &mut wind_extra,
-        );
-        let mut advected = 2usize;
-
-        // Every occupied hydrometeor bin is a transported scalar.
-        for (c, mask) in masks.iter().enumerate() {
-            for (b, _) in mask.iter().enumerate().filter(|(_, &occ)| occ) {
-                rk3 += self.transport(
-                    engine,
-                    overlap,
-                    FieldTag::Bin(c, b),
-                    |st, i, k, j| st.ff[c].bin_slice(i, k, j)[b],
-                    |st, i, k, j, v| st.ff[c].bin_slice_mut(i, k, j)[b] = v,
-                );
-                advected += 1;
-            }
-        }
+        let (rk3, wind_work, scalars_advected) = self.dynamics(engine, overlap, masks);
         let wall_dynamics = sw.elapsed_secs();
 
-        // Microphysics.
         let sw = Stopwatch::start();
         let sbm = self.sbm.step(&mut self.state);
         let wall_sbm = sw.elapsed_secs();
 
-        self.time += dt;
+        self.time += self.cfg.case.dt;
         StepReport {
             rk3,
-            wind_work: {
-                let mut w = wind_work;
-                w += wind_extra;
-                w
-            },
-            scalars_advected: advected,
+            wind_work,
+            scalars_advected,
             sbm,
             wall_dynamics,
             wall_sbm,
         }
     }
 
-    /// Transports one scalar that does not live in a `Field3` of its
-    /// own: `get` gathers it over the memory extent into a 3-D workspace,
-    /// it is advected there, and `set` scatters it back.
-    fn transport(
+    /// The dynamics phase of a step: the wind at the current time, then
+    /// θ, vapor (with its diffusion) and every bin `masks` selects through
+    /// RK3 transport. Returns the advection work, the residual dynamics
+    /// work (wind fill, θ conversion, diffusion) and the number of
+    /// scalars advected.
+    fn dynamics(
         &mut self,
         engine: &mut dyn HaloEngine,
         overlap: Option<&Executor>,
-        tag: FieldTag,
-        get: impl Fn(&SbmPatchState, i32, i32, i32) -> f32,
-        set: impl Fn(&mut SbmPatchState, i32, i32, i32, f32),
-    ) -> Rk3Work {
-        let p = self.patch;
-        for j in p.jm.iter() {
-            for k in p.km.iter() {
-                for i in p.im.iter() {
-                    self.scratch2.set(i, k, j, get(&self.state, i, k, j));
-                }
-            }
-        }
-        let work = advect_one(
-            engine,
-            overlap,
-            tag,
-            &mut self.scratch2,
-            &self.wind,
-            &p,
-            &self.cfg,
-            &mut self.scratch,
-            &mut self.tendency,
+        masks: &[[bool; NKR]; NTYPES],
+    ) -> (Rk3Work, PointWork, usize) {
+        let sp = self.wind_params();
+        let (dx, dz, dt) = (self.cfg.case.dx, self.cfg.case.dz, self.cfg.case.dt);
+        let mut residual = storm_wind(&mut self.wind, &self.patch, &sp, self.time, dx, dz);
+
+        let (st, wind, patch) = (&mut self.state, &self.wind, &self.patch);
+        let Transport {
+            lanes,
+            scratch,
+            tend,
+        } = &mut self.transport;
+        // The passes below walk raw buffers side by side: every one must
+        // have the `Field3::for_patch` layout of the workspace lanes.
+        let cells = lanes[0].as_slice().len();
+        assert!(
+            st.tt.as_slice().len() == cells
+                && st.p.as_slice().len() == cells
+                && st.qv.as_slice().len() == cells
+                && st.ff.iter().all(|f| f.as_slice().len() == NKR * cells),
+            "state fields must cover the patch's memory extent"
         );
-        for j in p.jm.iter() {
-            for k in p.km.iter() {
-                for i in p.im.iter() {
-                    set(&mut self.state, i, k, j, self.scratch2.get(i, k, j));
+        // `dy` equals `dx` everywhere in this model.
+        let mut advect = |engine: &mut dyn HaloEngine,
+                          lanes: &mut [Field3<f32>],
+                          tags: &[FieldTag],
+                          positive: bool| {
+            rk3_advect_panel(
+                lanes, tags, wind, patch, dx, dx, dz, dt, positive, scratch, tend, engine, overlap,
+            )
+        };
+
+        // Potential temperature: WRF transports θ (conserved under
+        // advection), not T. Convert, advect, convert back — over the
+        // whole memory extent, so T's halo follows θ's.
+        let theta = &mut lanes[..1];
+        let (tt, p) = (st.tt.as_mut_slice(), st.p.as_slice());
+        for ((th, &t), &p) in theta[0].as_mut_slice().iter_mut().zip(&*tt).zip(p) {
+            *th = t * (100_000.0 / p).powf(KAPPA);
+        }
+        // θ is the one scalar without positive-definite clipping.
+        let mut rk3 = advect(engine, theta, &[FieldTag::Theta], false);
+        for ((t, &th), &p) in tt.iter_mut().zip(theta[0].as_slice()).zip(p) {
+            *t = th * (p / 100_000.0).powf(KAPPA);
+        }
+        // (3 flops, 3 memory ops) per memory point for each conversion.
+        let converted = 2 * 3 * patch.memory_points() as u64;
+        residual.fm(converted, converted);
+
+        // Vapor, in place.
+        let qv = std::slice::from_mut(&mut st.qv);
+        rk3 += advect(engine, qv, &[FieldTag::Qv], true);
+        // Weak second-order horizontal diffusion on the moisture field
+        // (WRF diff_opt=1-style hygiene on the kinematic core).
+        engine.select(FieldTag::Qv);
+        refresh_now(engine, &mut st.qv);
+        horizontal_diffusion(&mut st.qv, patch, 1.0e4, dx, dt, &mut residual);
+        let mut advected = 2usize;
+
+        // Every occupied hydrometeor bin is a transported scalar. A
+        // class's occupied bins ride panels of up to LANES lanes, each
+        // panel gathered from and scattered to the class slab in one pass
+        // over it — the whole memory extent, so the slab's halo follows
+        // the lanes'. Bins the mask leaves out are never touched.
+        for (c, mask) in masks.iter().enumerate() {
+            let (mut occupied, mut count) = ([0usize; NKR], 0);
+            for b in (0..NKR).filter(|&b| mask[b]) {
+                occupied[count] = b;
+                count += 1;
+            }
+            for bins in occupied[..count].chunks(LANES) {
+                let lanes = &mut lanes[..bins.len()];
+                let mut tags = [FieldTag::Bin(c, 0); LANES];
+                for (tag, &b) in tags.iter_mut().zip(bins) {
+                    *tag = FieldTag::Bin(c, b);
                 }
+                let tags = &tags[..bins.len()];
+                for (point, all) in st.ff[c].as_slice().chunks_exact(NKR).enumerate() {
+                    for (lane, &b) in lanes.iter_mut().zip(bins) {
+                        lane.as_mut_slice()[point] = all[b];
+                    }
+                }
+                rk3 += advect(engine, lanes, tags, true);
+                for (point, all) in st.ff[c].as_mut_slice().chunks_exact_mut(NKR).enumerate() {
+                    for (lane, &b) in lanes.iter().zip(bins) {
+                        all[b] = lane.as_slice()[point];
+                    }
+                }
+                advected += bins.len();
             }
         }
-        work
+        (rk3, residual, advected)
     }
 
     /// The `-gpu=autocompare` analogue of §VII-B: advances one step with
@@ -388,44 +373,23 @@ impl Model {
     }
 }
 
-/// Advances one scalar with its halo filled by `engine`. This is the
-/// model's one comm-mode branch: without a pool the engine's rounds run
-/// back-to-back as the blocking refresh ahead of one whole-patch
-/// tendency; with one, interior slabs run between `post` and `finish`.
-/// `dy` equals `dx` everywhere in this model; positive-definite clipping
-/// applies to every scalar but θ.
-#[allow(clippy::too_many_arguments)]
-fn advect_one(
-    engine: &mut dyn HaloEngine,
-    overlap: Option<&Executor>,
-    tag: FieldTag,
-    scalar: &mut Field3<f32>,
-    wind: &Wind,
-    patch: &PatchSpec,
-    cfg: &ModelConfig,
-    scratch: &mut Field3<f32>,
-    tend: &mut Field3<f32>,
-) -> Rk3Work {
-    let (dx, dz, dt) = (cfg.case.dx, cfg.case.dz, cfg.case.dt);
-    let positive = tag != FieldTag::Theta;
-    engine.select(tag);
-    match overlap {
-        None => rk3_advect_scalar(
-            scalar,
-            wind,
-            patch,
-            dx,
-            dx,
-            dz,
-            dt,
-            positive,
-            scratch,
-            tend,
-            &mut |f| refresh_now(engine, f),
-        ),
-        Some(pool) => rk3_advect_scalar_overlapped(
-            scalar, wind, patch, dx, dx, dz, dt, positive, scratch, tend, engine, pool,
-        ),
+/// The transport workspace: up to `LANES` panel lanes, each with a
+/// provisional field and a tendency — every `Field3` scalar transport
+/// needs besides the state, allocated once per model.
+struct Transport {
+    lanes: Vec<Field3<f32>>,
+    scratch: Vec<Field3<f32>>,
+    tend: Vec<Field3<f32>>,
+}
+
+impl Transport {
+    fn new(patch: &PatchSpec) -> Self {
+        let fields = || (0..LANES).map(|_| Field3::for_patch(patch)).collect();
+        Transport {
+            lanes: fields(),
+            scratch: fields(),
+            tend: fields(),
+        }
     }
 }
 
@@ -446,27 +410,31 @@ impl HaloEngine for PeriodicEngine {
 
     fn finish(&mut self, round: usize, f: &mut Field3<f32>) {
         let p = &self.patch;
+        let halo = p.halo as usize;
         if round == 0 {
-            // i-direction wrap.
+            // i-direction wrap: within each row, the `halo` cells inside
+            // one compute edge onto the halo run beyond the other.
+            let lo = (p.ip.lo - f.ispan().lo) as usize;
+            let end = lo + p.ip.len();
             for j in p.jp.iter() {
                 for k in p.kp.iter() {
-                    for h in 1..=p.halo {
-                        let from_hi = f.get(p.ip.hi - h + 1, k, j);
-                        f.set(p.ip.lo - h, k, j, from_hi);
-                        let from_lo = f.get(p.ip.lo + h - 1, k, j);
-                        f.set(p.ip.hi + h, k, j, from_lo);
-                    }
+                    let row = f.row_mut(k, j);
+                    row.copy_within(end - halo..end, lo - halo);
+                    row.copy_within(lo..lo + halo, end);
                 }
             }
         } else {
-            // j-direction wrap over the full memory i-range (corners).
+            // j-direction wrap of whole rows: the full memory i-range, so
+            // corners ride along.
+            let (i_lo, ni) = (f.ispan().lo, f.ispan().len());
             for k in p.kp.iter() {
                 for h in 1..=p.halo {
-                    for i in p.im.iter() {
-                        let from_hi = f.get(i, k, p.jp.hi - h + 1);
-                        f.set(i, k, p.jp.lo - h, from_hi);
-                        let from_lo = f.get(i, k, p.jp.lo + h - 1);
-                        f.set(i, k, p.jp.hi + h, from_lo);
+                    for (to, from) in [
+                        (p.jp.lo - h, p.jp.hi - h + 1),
+                        (p.jp.hi + h, p.jp.lo + h - 1),
+                    ] {
+                        let (to, from) = (f.flat_index(i_lo, k, to), f.flat_index(i_lo, k, from));
+                        f.as_mut_slice().copy_within(from..from + ni, to);
                     }
                 }
             }
@@ -570,6 +538,147 @@ mod tests {
             rained += want.sbm.coal_entries;
         }
         assert!(rained > 0, "the case must rain for bins to be advected");
+    }
+
+    /// A mask with holes. Only the selected bins move: every other bin
+    /// keeps its bits over the whole memory extent (halo cells, `-0.0`s
+    /// and all), and the panel the four selected bins ride reproduces
+    /// transport one scalar at a time through the single-scalar driver,
+    /// in both comm modes.
+    #[test]
+    fn masked_out_bins_keep_their_bits_and_panels_match_single_scalars() {
+        use wrf_dycore::rk3_advect_scalar;
+
+        let mut m = tiny(SbmVersion::Lookup);
+        let p = m.patch;
+        let occupied = [3usize, 4, 9, 31];
+        let mut masks = [[false; NKR]; NTYPES];
+        for b in occupied {
+            masks[2][b] = true;
+        }
+        // Something to move in the selected bins, something that must
+        // stay put in their neighbours and in an unselected class.
+        let mut n = 0u32;
+        for (c, bins) in [(2, &[3usize, 4, 5, 9, 31][..]), (5, &[0, 7][..])] {
+            for all in m.state.ff[c].as_mut_slice().chunks_exact_mut(NKR) {
+                for &b in bins {
+                    n = n.wrapping_mul(1664525).wrapping_add(1013904223);
+                    all[b] = (n >> 20) as f32 * 1.0e3;
+                }
+                all[10] = -0.0;
+            }
+        }
+        let corner = m.state.ff[2].bin_slice_mut(p.im.lo, p.kp.lo, p.jm.lo);
+        (corner[5], corner[6]) = (-0.0, 123.5);
+        let before = m.state.clone();
+
+        // One scalar at a time: per-element gather, the one-lane
+        // driver, per-element scatter.
+        let mut r = tiny(SbmVersion::Lookup);
+        r.state = before.clone();
+        let (dx, dz, dt) = (r.cfg.case.dx, r.cfg.case.dz, r.cfg.case.dt);
+        let sp = r.wind_params();
+        storm_wind(&mut r.wind, &p, &sp, r.time, dx, dz);
+        let (mut scalar, mut scratch, mut tend) = (
+            Field3::for_patch(&p),
+            Field3::for_patch(&p),
+            Field3::for_patch(&p),
+        );
+        let mut refresh = periodic_refresh(p);
+        let mut want = Rk3Work::default();
+        let mut one_at_a_time =
+            |st: &mut SbmPatchState,
+             positive: bool,
+             get: &dyn Fn(&SbmPatchState, i32, i32, i32) -> f32,
+             set: &dyn Fn(&mut SbmPatchState, i32, i32, i32, f32)| {
+                for j in p.jm.iter() {
+                    for k in p.km.iter() {
+                        for i in p.im.iter() {
+                            scalar.set(i, k, j, get(st, i, k, j));
+                        }
+                    }
+                }
+                want += rk3_advect_scalar(
+                    &mut scalar,
+                    &r.wind,
+                    &p,
+                    dx,
+                    dx,
+                    dz,
+                    dt,
+                    positive,
+                    &mut scratch,
+                    &mut tend,
+                    &mut refresh,
+                );
+                for j in p.jm.iter() {
+                    for k in p.km.iter() {
+                        for i in p.im.iter() {
+                            set(st, i, k, j, scalar.get(i, k, j));
+                        }
+                    }
+                }
+            };
+        one_at_a_time(
+            &mut r.state,
+            false,
+            &|st, i, k, j| st.tt.get(i, k, j) * (100_000.0 / st.p.get(i, k, j)).powf(KAPPA),
+            &|st, i, k, j, th| {
+                let t = th * (st.p.get(i, k, j) / 100_000.0).powf(KAPPA);
+                st.tt.set(i, k, j, t);
+            },
+        );
+        one_at_a_time(
+            &mut r.state,
+            true,
+            &|st, i, k, j| st.qv.get(i, k, j),
+            &|st, i, k, j, v| st.qv.set(i, k, j, v),
+        );
+        periodic_refresh(p)(&mut r.state.qv);
+        let mut unmetered = PointWork::ZERO;
+        horizontal_diffusion(&mut r.state.qv, &p, 1.0e4, dx, dt, &mut unmetered);
+        for b in occupied {
+            one_at_a_time(
+                &mut r.state,
+                true,
+                &|st, i, k, j| st.ff[2].bin_slice(i, k, j)[b],
+                &|st, i, k, j, v| st.ff[2].bin_slice_mut(i, k, j)[b] = v,
+            );
+        }
+
+        let pool = Executor::new(2);
+        for overlap in [None, Some(&pool)] {
+            let mut m = tiny(SbmVersion::Lookup);
+            m.state = before.clone();
+            let (rk3, _, advected) = m.dynamics(&mut PeriodicEngine { patch: p }, overlap, &masks);
+            assert_eq!(advected, 2 + occupied.len());
+            assert_eq!(rk3, want);
+            for (c, mask) in masks.iter().enumerate() {
+                let (now, was) = (m.state.ff[c].as_slice(), before.ff[c].as_slice());
+                for (point, (now, was)) in now.chunks(NKR).zip(was.chunks(NKR)).enumerate() {
+                    for b in (0..NKR).filter(|&b| !mask[b]) {
+                        assert_eq!(
+                            now[b].to_bits(),
+                            was[b].to_bits(),
+                            "class {c} bin {b} point {point}"
+                        );
+                    }
+                }
+            }
+            assert_ne!(m.state.ff[2], before.ff[2], "the selected bins moved");
+            assert_eq!(m.state.digest(), r.state.digest());
+        }
+    }
+
+    /// `state` is a public field: one built for another grid is refused
+    /// up front, not truncated by the slice-wise passes.
+    #[test]
+    #[should_panic(expected = "memory extent")]
+    fn state_of_another_shape_is_rejected() {
+        let mut m = tiny(SbmVersion::Lookup);
+        let taller = ModelConfig::functional(SbmVersion::Lookup, 0.05, 12);
+        m.state = Model::single_rank(taller).state;
+        m.step();
     }
 
     #[test]
