@@ -15,12 +15,11 @@
 #
 # Two knobs, both environment variables:
 #   CI_NIGHTLY     non-empty: every gate runs with `--nightly` — the
-#                  reference depth (bench-host 10 repeats and the 3.0x
-#                  floor, gate loose tolerance 0.50 and host factor 3.0,
-#                  tune 8 bitwise-check steps, cases deep sweep) instead
-#                  of PR depth (5, 2.0x, 0.8, 10, 4, shallow). The two
-#                  sets live in one place, `wrf_gate::Depth`; ci.yml sets
-#                  this on the nightly schedule event only.
+#                  reference depth (tune 8 bitwise-check steps, cases
+#                  sweep at scales 0.05/0.1/0.2) instead of PR depth
+#                  (4 steps, scale 0.05 only). The two sets live in one
+#                  place, `wrf_gate::Depth`; ci.yml sets this on the
+#                  nightly schedule event only.
 #   CI_DRIFT_BASE  diff base ref of the drift guards (default origin/$GITHUB_BASE_REF)
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -96,18 +95,17 @@ step_shellcheck() {
     shellcheck ci.sh
 }
 
-# The nine repro gates, one row each:
+# The eight repro gates, one row each:
 #   ci step ; repro arguments ; report file ; summary section ; summary lines
 # `repro help` describes what each gate enforces. Every gate prints its
 # report, writes it to the report file (the same JSON envelope for all
-# nine), and exits nonzero on a violation. The last two fields pick what
+# eight), and exits nonzero on a violation. The last two fields pick what
 # lands in the job summary: the report section with that title, and the
 # one-liners matching that pattern. Adding a gate is one row here, one
 # row in the registry of crates/bench/src/bin/repro.rs, and one line in
 # the ci.yml matrix — crates/bench/tests/cli.rs holds the three equal.
 GATES=(
     "gate;gate;gate_report.json;;"
-    "host;bench-host --check;gate_report.json;speedup panel-soa vs point-aos;"
     "comm;comm;BENCH_comm.json;;"
     "fault;fault;BENCH_fault.json;;"
     "share;share;BENCH_share.json;;"
@@ -207,7 +205,19 @@ step_benchmark_drift() {
         benchmark/ BENCHMARK.json
 }
 
-CHECKS=(build test ledger clippy docs fmt shellcheck golden_drift benchmark_drift)
+# Gates do not read clocks; the ledger does. What `repro <gate>` emits or
+# enforces is a function of the source tree, so neither the gate crate
+# nor the bench harness may name a clock type or one of the program's
+# wall-clock fields (the ledger under benchmark/ reads those).
+step_clock_free() {
+    if grep -rnE 'Instant|SystemTime|Stopwatch|coal_wall|wall_dynamics|wall_sbm|recovery_wall_secs' \
+        crates/gate/src crates/bench/src; then
+        echo "==> ci.sh: clock_free: a gate reads a wall clock (lines above); measure it in benchmark/ instead" >&2
+        return 1
+    fi
+}
+
+CHECKS=(build test ledger clippy docs fmt shellcheck clock_free golden_drift benchmark_drift)
 
 # Every step name, in workflow order: the checks, then the gates.
 step_names() {

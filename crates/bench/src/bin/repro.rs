@@ -16,7 +16,6 @@ use wrf_bench::ablations::{ablation_block_size, ablation_latency_knee, ablation_
 use wrf_bench::execbench::bench_exec;
 use wrf_bench::figures::{fig2, fig3, fig4};
 use wrf_bench::future::project_cond_offload;
-use wrf_bench::hostbench::{bench_host, HostBenchReport};
 use wrf_bench::tables::{table1, table3, table4, table5, table6, table7};
 use wrf_bench::verify::verify_versions;
 use wrf_bench::ReproContext;
@@ -66,13 +65,12 @@ fn bench_exec_target() -> String {
     // comparing the seed execution path (static tiles, on-demand
     // kernels) against the persistent pool and the full v4 path at
     // 1/2/4/8 workers.
-    let rep = bench_exec(0.16, 16, 1, 3, &[1, 2, 4, 8]);
-    let json = rep.to_json();
-    match std::fs::write("BENCH_executor.json", &json) {
+    let report = bench_exec(0.16, 16, 1, 3, &[1, 2, 4, 8]).report();
+    match std::fs::write("BENCH_executor.json", report.to_json()) {
         Ok(()) => eprintln!("[repro] wrote BENCH_executor.json"),
         Err(e) => eprintln!("[repro] could not write BENCH_executor.json: {e}"),
     }
-    format!("{}\n{}", rep.rendered(), json)
+    report.rendered()
 }
 
 /// How a paper target produces its text.
@@ -133,8 +131,6 @@ struct Env {
     baseline: PathBuf,
     /// Regenerate the gate's committed fixtures instead of gating.
     bless: bool,
-    /// `bench-host`: gate the measurement instead of only printing it.
-    check: bool,
     /// Run at the nightly reference depth ([`Depth::NIGHTLY`]).
     nightly: bool,
 }
@@ -150,9 +146,8 @@ const FLAGS: &[Flag] = &[
     ("--report", Some("PATH"), "write the report here instead of the gate's report file", |e, v| e.report = v),
     ("--goldens", Some("DIR"), "golden fixture directory (default goldens)", |e, v| e.goldens = v),
     ("--baseline", Some("PATH"), "committed baseline to compare against instead of the gate's own", |e, v| e.baseline = v),
-    ("--bless", None, "regenerate the gate's committed fixtures or baseline instead of gating", |e, _| e.bless = true),
-    ("--check", None, "bench-host: enforce the speedup floor and digests (without it, only measure)", |e, _| e.check = true),
-    ("--nightly", None, "reference depth: more repeats, tighter wall-clock floors, deeper sweeps (default: PR depth)", |e, _| e.nightly = true),
+    ("--bless", None, "regenerate the gate's committed fixtures instead of gating", |e, _| e.bless = true),
+    ("--nightly", None, "reference depth: the longer tune bitwise check and the deep cases sweep (default: PR depth)", |e, _| e.nightly = true),
 ];
 
 type Bless = fn(&Env) -> Result<Vec<PathBuf>, String>;
@@ -170,9 +165,10 @@ struct Gate {
     bless: Option<Bless>,
 }
 
-/// The gate registry. `gate` and `bench-host` depend on host wall-clock,
-/// so their report is the git-ignored `gate_report.json`; the others are
-/// deterministic and their reports are committed.
+/// The gate registry. Every report is a deterministic function of the
+/// source tree. `gate`'s is the git-ignored `gate_report.json` only
+/// because it restates `goldens/` and `BENCH_executor.json`; the others
+/// are committed.
 const GATES: &[Gate] = &[
     Gate {
         name: "gate",
@@ -180,24 +176,13 @@ const GATES: &[Gate] = &[
         baseline_file: "BENCH_executor.json",
         about: "golden matrix (versions x modes x workers x layouts) vs goldens/, then bench-exec vs the perf baseline",
         run: |e| {
-            wrf_gate::run_gate(&e.goldens, &e.baseline, &Depth::of(e.nightly).tol, |case| {
-                bench_exec(case.scale, case.nz, case.n_storms, case.steps, &case.workers).to_json()
+            wrf_gate::run_gate(&e.goldens, &e.baseline, |case| {
+                bench_exec(case.scale, case.nz, case.n_storms, case.steps, &case.workers)
+                    .report()
+                    .to_json()
             })
         },
         bless: Some(|e| wrf_gate::bless(&e.goldens)),
-    },
-    Gate {
-        name: "bench-host",
-        report_file: "gate_report.json",
-        baseline_file: "BENCH_host.json",
-        about: "measured AoS vs SoA coal-stage wall on the gate case at 1/2/4/8 workers",
-        run: host_run,
-        bless: Some(|e| {
-            let json = host_measure(e).to_json();
-            std::fs::write(&e.baseline, json)
-                .map_err(|err| format!("could not write {}: {err}", e.baseline.display()))?;
-            Ok(vec![e.baseline.clone()])
-        }),
     },
     Gate {
         name: "comm",
@@ -263,26 +248,6 @@ const GATES: &[Gate] = &[
     },
 ];
 
-fn host_measure(env: &Env) -> HostBenchReport {
-    bench_host(&[1, 2, 4, 8], Depth::of(env.nightly).host_repeats)
-}
-
-fn host_run(env: &Env) -> Result<Report, String> {
-    let rep = host_measure(env);
-    if !env.check {
-        return Ok(rep.report(Vec::new()));
-    }
-    let committed = std::fs::read_to_string(&env.baseline).ok();
-    if committed.is_none() {
-        eprintln!(
-            "[repro] bench-host: no committed {}; checking the fresh run only",
-            env.baseline.display()
-        );
-    }
-    let floor = Depth::of(env.nightly).host_min_speedup;
-    Ok(rep.report(rep.checks(committed.as_deref(), floor)))
-}
-
 fn flag_list() -> String {
     let spell = |(name, value, _, _): &Flag| match value {
         Some(v) => format!("{name} {v}"),
@@ -320,7 +285,6 @@ fn parse_env(gate: &Gate, args: &[String]) -> Result<Env, String> {
         goldens: "goldens".into(),
         baseline: gate.baseline_file.into(),
         bless: false,
-        check: false,
         nightly: false,
     };
     let mut it = args.iter();

@@ -5,50 +5,47 @@
 //! work-stealing pool + activity compaction + kernel cache) — on a
 //! reduced-scale sparse-convection CONUS case at several worker counts.
 //!
-//! The host container may have fewer cores than the worker counts under
-//! test, so the headline throughput is computed by **schedule replay**:
-//! one serial reference run records the metered collision flops of every
-//! launch unit (`SbmStepStats::coal_profile`; physics is bitwise
-//! identical across arms, so one profile serves all), each scheduling
-//! policy is replayed over that profile to get the per-step makespan a
-//! `W`-worker device would see, and flops convert to seconds at the
-//! measured serial rate. This is the same measured-work-on-modeled-
-//! hardware methodology the rest of the reproduction uses (DESIGN §4).
-//! Each arm is additionally run for real to report executor statistics
-//! (steals, chunks, cache hits) and the raw host wall time.
+//! The headline is computed by **schedule replay**: one serial reference
+//! run records the metered collision flops of every launch unit
+//! (`SbmStepStats::coal_profile`; physics is bitwise identical across
+//! arms, so one profile serves all), and each scheduling policy is
+//! replayed over that profile to get the per-step makespan, in flops, a
+//! `W`-worker device would see. Scaling is serial flops over makespan.
+//! Nothing here is a second: turning flops into time is the perf
+//! plane's job (on a named device) or the ledger's (`benchmark/`, on a
+//! recorded host). Each arm is additionally run for real, which is where
+//! the executor's own chunk count and kernel-cache hit rate come from.
 //!
-//! The output is machine-readable JSON (`BENCH_executor.json`) so the
-//! bench trajectory can be tracked across commits. The committed copy is
-//! the *perf baseline* enforced by `repro gate` (`wrf-gate`): the gate
+//! The report is the shared gate envelope (`wrf_gate::Report`), written
+//! to `BENCH_executor.json`, and a deterministic function of the source
+//! tree: two runs give a byte-identical file. The committed copy is the
+//! *perf baseline* enforced by `repro gate` (`wrf-gate`): the gate
 //! re-runs this benchmark with the case parameters embedded in the
-//! committed document and compares row by row — deterministic replay
-//! metrics under tight tolerances, host wall-clock under loose ones.
-//! Regenerate the baseline with `repro bench-exec` when an intentional
-//! performance change lands.
+//! committed document and compares row by row. Regenerate the baseline
+//! with `repro bench-exec` when an intentional change to the work or
+//! the schedule lands.
 
-use fsbm_core::exec::{ExecMode, ExecSummary};
+use fsbm_core::exec::ExecMode;
 use fsbm_core::scheme::SbmVersion;
 use miniwrf::config::ModelConfig;
 use miniwrf::model::Model;
+use wrf_gate::{Cell, Report, Table};
 
-/// One (mode, workers) measurement.
+/// One (mode, workers) replay, next to the real run of the same arm.
 #[derive(Debug, Clone)]
 pub struct ExecBenchRow {
-    /// Scheduling mode label.
-    pub mode: &'static str,
-    /// Whether the per-k-level kernel cache was enabled for this arm.
-    pub cached: bool,
+    /// Scheduling mode. The per-k-level kernel cache rides with the
+    /// pool: it is on exactly when the mode uses the executor.
+    pub mode: ExecMode,
     /// Device-worker count.
     pub workers: usize,
-    /// Modeled coal-stage seconds over the measured steps: per-step
-    /// makespan of this arm's schedule on `workers` device workers.
-    pub modeled_wall: f64,
-    /// Modeled steps per second (the headline metric).
-    pub steps_per_s: f64,
-    /// Measured coal-stage wall on the (possibly oversubscribed) host.
-    pub host_wall: f64,
-    /// Executor summary of the final step (zeros for static tiles).
-    pub exec: ExecSummary,
+    /// Summed per-step makespan of this arm's schedule on `workers`
+    /// device workers, in metered collision flops.
+    pub makespan_flops: u64,
+    /// Chunks the real executor ran (zero for static tiles).
+    pub chunks: u64,
+    /// Kernel-cache hit rate of the real run's final step.
+    pub cache_hit_rate: f64,
 }
 
 /// Full benchmark result.
@@ -60,18 +57,16 @@ pub struct ExecBenchReport {
     pub nz: i32,
     /// Storm count (sparsity knob).
     pub n_storms: usize,
-    /// Measured steps per configuration (from a cold start — the early
-    /// steps are where convection is sparse).
+    /// Steps per configuration (from a cold start — the early steps are
+    /// where convection is sparse).
     pub steps: usize,
-    /// Mean collision-predicate activity fraction over the measured
-    /// steps (from the serial reference run).
+    /// Mean collision-predicate activity fraction over those steps
+    /// (from the serial reference run).
     pub active_fraction: f64,
-    /// Serial coal-stage seconds of the reference run (calibrates
-    /// flops → seconds for the replay).
-    pub serial_wall: f64,
-    /// Total metered collision flops of the reference run.
+    /// Total metered collision flops of the reference run: the
+    /// one-worker makespan every row's scaling is taken against.
     pub serial_flops: u64,
-    /// All measurements, arm-major.
+    /// All rows, arm-major.
     pub rows: Vec<ExecBenchRow>,
 }
 
@@ -128,16 +123,13 @@ fn replay(profile: &[u64], mode: ExecMode, workers: usize) -> u64 {
 
 struct Reference {
     profiles: Vec<Vec<u64>>,
-    serial_wall: f64,
     serial_flops: u64,
     active_fraction: f64,
 }
 
-/// Serial reference run: records per-step profiles and the flops →
-/// seconds calibration.
-fn reference(scale: f64, nz: i32, n_storms: usize, steps: usize) -> Reference {
-    let mut cfg = ModelConfig::functional(SbmVersion::OffloadCollapse2, scale, nz);
-    cfg.case.n_storms = n_storms;
+/// Serial reference run of `case`: records the per-step work profiles.
+fn reference(case: ModelConfig, steps: usize) -> Reference {
+    let mut cfg = case;
     cfg.device_workers = Some(1);
     cfg.sched = ExecMode::StaticTiles;
     cfg.cached_kernels = false;
@@ -145,176 +137,113 @@ fn reference(scale: f64, nz: i32, n_storms: usize, steps: usize) -> Reference {
     let mut model = Model::single_rank(cfg);
     // No warm-up: the early steps are the sparse-convection regime (the
     // predicate spreads with the developing clouds), and the reference
-    // must profile exactly the steps the arms measure.
+    // must profile exactly the steps the arms run.
     let mut profiles = Vec::new();
-    let mut serial_wall = 0.0;
     let mut serial_flops = 0u64;
     let mut active = 0.0;
     for _ in 0..steps {
         let s = model.step().sbm;
-        serial_wall += s.coal_wall;
         serial_flops += s.work.coal.flops;
         active += s.coal_points as f64 / s.points.max(1) as f64;
         profiles.push(s.coal_profile.expect("profiling enabled"));
     }
     Reference {
         profiles,
-        serial_wall,
         serial_flops,
         active_fraction: active / steps as f64,
     }
 }
 
+/// One arm: the replay of `mode` on `workers` workers over the
+/// reference profiles, and a real run of `case` under the same setting.
 fn measure(
+    case: ModelConfig,
     mode: ExecMode,
     workers: usize,
-    scale: f64,
-    nz: i32,
-    n_storms: usize,
     steps: usize,
     reference: &Reference,
 ) -> ExecBenchRow {
-    let mut cfg = ModelConfig::functional(SbmVersion::OffloadCollapse2, scale, nz);
-    cfg.case.n_storms = n_storms;
+    let mut cfg = case;
     cfg.device_workers = Some(workers);
     cfg.sched = mode;
-    let cached = mode.uses_executor();
-    cfg.cached_kernels = cached;
+    cfg.cached_kernels = mode.uses_executor();
     let mut model = Model::single_rank(cfg);
-    let mut host_wall = 0.0;
     let mut last = None;
     for _ in 0..steps {
-        let s = model.step().sbm;
-        host_wall += s.coal_wall;
-        last = Some(s);
+        last = Some(model.step().sbm);
     }
-    let last = last.expect("steps >= 1");
-    let secs_per_flop = reference.serial_wall / reference.serial_flops.max(1) as f64;
-    let makespan: u64 = reference
-        .profiles
-        .iter()
-        .map(|p| replay(p, mode, workers))
-        .sum();
-    let modeled_wall = makespan as f64 * secs_per_flop;
+    let exec = model.exec_summary(&last.expect("steps >= 1"));
     ExecBenchRow {
-        mode: mode.label(),
-        cached,
+        mode,
         workers,
-        modeled_wall,
-        steps_per_s: steps as f64 / modeled_wall.max(1e-12),
-        host_wall,
-        exec: model.exec_summary(&last),
+        makespan_flops: (reference.profiles.iter())
+            .map(|p| replay(p, mode, workers))
+            .sum(),
+        chunks: exec.chunks,
+        cache_hit_rate: exec.cache_hit_rate,
     }
 }
 
 impl ExecBenchReport {
-    /// The ratio `steps_per_s(work-stealing+compaction) /
-    /// steps_per_s(static-tiles)` at `workers` (0.0 when missing).
-    pub fn speedup_vs_static(&self, workers: usize) -> f64 {
-        let rate = |mode: &str| {
-            self.rows
-                .iter()
-                .find(|r| r.mode == mode && r.workers == workers)
-                .map(|r| r.steps_per_s)
-        };
-        match (rate("work-stealing+compaction"), rate("static-tiles")) {
-            (Some(ws), Some(st)) if st > 0.0 => ws / st,
-            _ => 0.0,
-        }
+    /// The rows of one arm, in worker-count order.
+    fn arm(&self, mode: ExecMode) -> impl Iterator<Item = &ExecBenchRow> {
+        self.rows.iter().filter(move |r| r.mode == mode)
     }
 
-    fn worker_counts(&self) -> Vec<usize> {
-        let mut w: Vec<usize> = self.rows.iter().map(|r| r.workers).collect();
-        w.sort_unstable();
-        w.dedup();
-        w
-    }
-
-    /// Renders the JSON document committed as `BENCH_executor.json`.
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"bench\": \"executor_scaling\",\n");
-        s.push_str(
-            "  \"metric\": \"modeled coal-stage steps per second on W device workers \
-             (per-step schedule-replay makespan of the metered collision-work profile, \
-             converted to seconds at the measured serial rate; higher is better)\",\n",
+    /// The `bench-exec` report: the document committed as
+    /// `BENCH_executor.json` and the text `repro bench-exec` prints. It
+    /// gates nothing itself — `repro gate` holds a fresh one against the
+    /// committed one.
+    pub fn report(&self) -> Report {
+        let rows = Table::new(
+            "rows",
+            "schedule replay of the metered collision-work profile on W device workers",
+            &[
+                "mode",
+                "cached_kernels",
+                "workers",
+                "makespan_flops",
+                "scaling_vs_serial",
+                "chunks",
+                "cache_hit_rate",
+            ],
+            self.rows.iter().map(|r| {
+                vec![
+                    r.mode.label().into(),
+                    r.mode.uses_executor().into(),
+                    r.workers.into(),
+                    r.makespan_flops.into(),
+                    Cell::num(self.serial_flops as f64 / r.makespan_flops as f64, 3),
+                    r.chunks.into(),
+                    Cell::num(r.cache_hit_rate, 4),
+                ]
+            }),
         );
-        s.push_str(&format!(
-            "  \"case\": {{\"scale\": {}, \"nz\": {}, \"n_storms\": {}, \"steps\": {}, \
-             \"active_fraction\": {:.4}}},\n",
-            self.scale, self.nz, self.n_storms, self.steps, self.active_fraction
-        ));
-        s.push_str(&format!(
-            "  \"calibration\": {{\"serial_coal_wall_s\": {:.6}, \"coal_flops\": {}}},\n",
-            self.serial_wall, self.serial_flops
-        ));
-        s.push_str("  \"rows\": [\n");
-        for (n, r) in self.rows.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"mode\": \"{}\", \"cached_kernels\": {}, \"workers\": {}, \
-                 \"modeled_wall_s\": {:.6}, \"steps_per_s\": {:.2}, \"host_wall_s\": {:.6}, \
-                 \"steals\": {}, \"chunks\": {}, \"cache_hit_rate\": {:.4}}}{}\n",
-                r.mode,
-                r.cached,
-                r.workers,
-                r.modeled_wall,
-                r.steps_per_s,
-                r.host_wall,
-                r.exec.steals,
-                r.exec.chunks,
-                r.exec.cache_hit_rate,
-                if n + 1 < self.rows.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("  ],\n");
-        s.push_str("  \"speedup_ws_compaction_vs_static\": {");
-        let workers = self.worker_counts();
-        for (n, &w) in workers.iter().enumerate() {
-            s.push_str(&format!(
-                "\"{}\": {:.3}{}",
-                w,
-                self.speedup_vs_static(w),
-                if n + 1 < workers.len() { ", " } else { "" }
-            ));
-        }
-        s.push_str("}\n}\n");
-        s
-    }
-
-    /// Renders the human-readable table printed by `repro bench-exec`.
-    pub fn rendered(&self) -> String {
-        let mut s = format!(
-            "=== bench-exec: modeled coal-stage throughput, scale {} nz {} ({} storms, {} steps, activity {:.1}%) ===\n",
-            self.scale,
-            self.nz,
-            self.n_storms,
-            self.steps,
-            self.active_fraction * 100.0
+        // Both arms ran the same worker counts in the same order.
+        let arms = (self.arm(ExecMode::StaticTiles)).zip(self.arm(ExecMode::WorkSteal));
+        let speedups = Table::new(
+            "speedup_ws_compaction_vs_static",
+            "speedup work-stealing+compaction vs static tiles",
+            &["workers", "speedup"],
+            arms.map(|(st, ws)| {
+                let speedup = st.makespan_flops as f64 / ws.makespan_flops as f64;
+                vec![st.workers.into(), Cell::num(speedup, 3)]
+            }),
         );
-        s.push_str(&format!(
-            "{:<26} {:>6} {:>7} {:>12} {:>10} {:>8} {:>8}\n",
-            "mode", "cache", "workers", "modeled s", "steps/s", "steals", "chunks"
-        ));
-        for r in &self.rows {
-            s.push_str(&format!(
-                "{:<26} {:>6} {:>7} {:>12.6} {:>10.2} {:>8} {:>8}\n",
-                r.mode,
-                if r.cached { "on" } else { "off" },
-                r.workers,
-                r.modeled_wall,
-                r.steps_per_s,
-                r.exec.steals,
-                r.exec.chunks
-            ));
+        Report {
+            gate: "bench-exec",
+            case: vec![
+                ("scale", self.scale.into()),
+                ("nz", self.nz.into()),
+                ("n_storms", self.n_storms.into()),
+                ("steps", self.steps.into()),
+                ("active_fraction", Cell::num(self.active_fraction, 4)),
+                ("coal_flops", self.serial_flops.into()),
+            ],
+            checks: Vec::new(),
+            tables: vec![rows, speedups],
+            lines: Vec::new(),
         }
-        for &w in &self.worker_counts() {
-            s.push_str(&format!(
-                "speedup ws+compaction vs static @ {w} workers: {:.2}x\n",
-                self.speedup_vs_static(w)
-            ));
-        }
-        s
     }
 }
 
@@ -328,11 +257,13 @@ pub fn bench_exec(
     steps: usize,
     worker_counts: &[usize],
 ) -> ExecBenchReport {
-    let reference = reference(scale, nz, n_storms, steps);
+    let mut case = ModelConfig::functional(SbmVersion::OffloadCollapse2, scale, nz);
+    case.case.n_storms = n_storms;
+    let reference = reference(case, steps);
     let mut rows = Vec::new();
     for mode in ARMS {
         for &w in worker_counts {
-            rows.push(measure(mode, w, scale, nz, n_storms, steps, &reference));
+            rows.push(measure(case, mode, w, steps, &reference));
         }
     }
     ExecBenchReport {
@@ -341,7 +272,6 @@ pub fn bench_exec(
         n_storms,
         steps,
         active_fraction: reference.active_fraction,
-        serial_wall: reference.serial_wall,
         serial_flops: reference.serial_flops,
         rows,
     }
@@ -350,27 +280,6 @@ pub fn bench_exec(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    #[ignore = "manual probe for sizing the bench case"]
-    fn probe_step_costs() {
-        for (scale, nz, storms) in [(0.2, 16, 2), (0.25, 16, 2)] {
-            let mut cfg = ModelConfig::functional(SbmVersion::OffloadCollapse2, scale, nz);
-            cfg.case.n_storms = storms;
-            cfg.device_workers = Some(1);
-            let mut model = Model::single_rank(cfg);
-            for step in 0..6 {
-                let s = model.step().sbm;
-                println!(
-                    "scale {scale} nz {nz} storms {storms} step {step}: coal_wall {:.6}s coal_points {} points {} activity {:.3}",
-                    s.coal_wall,
-                    s.coal_points,
-                    s.points,
-                    s.coal_points as f64 / s.points as f64
-                );
-            }
-        }
-    }
 
     #[test]
     fn replay_policies_are_sane() {
@@ -401,16 +310,23 @@ mod tests {
 
     #[test]
     fn quick_sweep_produces_rows_and_json() {
-        // Tiny case: correctness of the report plumbing, not timing.
+        // Tiny case: correctness of the report plumbing.
         let rep = bench_exec(0.04, 8, 3, 1, &[1, 2]);
         assert_eq!(rep.rows.len(), 4);
         assert!(rep.serial_flops > 0);
-        assert!(rep.rows.iter().all(|r| r.modeled_wall > 0.0));
+        assert_eq!(rep.rows[0].makespan_flops, rep.serial_flops);
+        assert!(rep.rows.iter().all(|r| r.makespan_flops > 0));
         assert!(rep.active_fraction > 0.0 && rep.active_fraction < 1.0);
-        let json = rep.to_json();
-        assert!(json.contains("\"bench\": \"executor_scaling\""));
+        let report = rep.report();
+        assert!(report.pass() && report.checks.is_empty());
+        let json = report.to_json();
+        assert!(json.contains("\"gate\": \"bench-exec\""));
         assert!(json.contains("work-stealing+compaction"));
         assert!(json.contains("speedup_ws_compaction_vs_static"));
-        assert!(rep.rendered().contains("steps/s"));
+        assert!(report.rendered().contains("scaling_vs_serial"));
+        // The invariant the perf gate rests on: the document is a
+        // function of the source tree, not of the host or the run.
+        let again = bench_exec(0.04, 8, 3, 1, &[1, 2]).report().to_json();
+        assert_eq!(json, again);
     }
 }

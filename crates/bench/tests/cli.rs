@@ -45,7 +45,7 @@ fn unknown_target_prints_the_generated_usage_and_exits_2() {
     // The gate list comes from the registry (the hand-written message
     // had lost `cases`).
     let names: Vec<String> = registry(&usage).into_iter().map(|g| g.0).collect();
-    assert!(names.len() >= 9, "{names:?}");
+    assert!(names.len() >= 8, "{names:?}");
     assert!(names.iter().any(|n| n == "cases"), "{names:?}");
     // The paper targets the old hand-written message forgot.
     for target in [
@@ -75,11 +75,14 @@ fn unknown_flag_names_the_shared_flags_and_exits_2() {
         "--goldens DIR",
         "--baseline PATH",
         "--bless",
-        "--check",
         "--nightly",
     ] {
         assert!(err.contains(flag), "{flag} missing from: {err}");
     }
+    // The wall-clock gate and its flag are gone with the per-gate ones.
+    assert!(!err.contains("--check"), "{err}");
+    assert_eq!(repro(&["bench-host"]).status.code(), Some(2));
+    assert_eq!(repro(&["gate", "--check"]).status.code(), Some(2));
     // The per-gate flags are gone, not merely undocumented.
     for gone in [
         ["comm", "--ranks"],
@@ -108,7 +111,8 @@ fn report_write_failure_is_exit_2() {
 fn ci_lists_match_the_registry() {
     let usage = String::from_utf8(repro(&["help"]).stdout).unwrap();
     let registry = registry(&usage);
-    assert_eq!(registry.len(), 9, "{usage}");
+    assert_eq!(registry.len(), 8, "{usage}");
+    assert!(!usage.contains("bench-host") && !usage.contains("--check"));
 
     // ci.sh: `"step;repro arguments;report file;title;pattern"` rows.
     let ci_sh = repo_file("ci.sh");
@@ -136,8 +140,7 @@ fn ci_lists_match_the_registry() {
             "ci.sh row {row:?} must name the gate's report file"
         );
     }
-    assert_eq!(rows[1][0], "host");
-    assert_eq!(rows[1][1], "bench-host --check");
+    assert!(rows.iter().all(|r| r[0] != "host"), "{rows:?}");
 
     // ci.yml: the `gate:` block list of the matrix.
     let ci_yml = repo_file(".github/workflows/ci.yml");

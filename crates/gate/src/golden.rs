@@ -201,7 +201,7 @@ pub fn compare_digests(golden: &StateDigest, candidate: &StateDigest) -> DigestC
 
 /// Combined bitwise checksum of a digest: FNV-style fold of every field
 /// checksum, order-sensitive (the one-token state identity of the tune
-/// and `bench-host` reports).
+/// report).
 pub fn combined_checksum(digest: &StateDigest) -> u64 {
     digest.fields.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, f| {
         (h ^ f.checksum).wrapping_mul(0x0000_0100_0000_01b3)

@@ -88,14 +88,6 @@ impl Json {
             _ => None,
         }
     }
-
-    /// Object members, if this is an object.
-    pub fn as_obj(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Obj(m) => Some(m),
-            _ => None,
-        }
-    }
 }
 
 struct Parser<'a> {

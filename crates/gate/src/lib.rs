@@ -15,10 +15,12 @@
 //!   RMSE, ULP distance.
 //! * **Perf regression** ([`perf`]) — the `bench-exec` schedule replay
 //!   is re-run and compared row by row against the committed
-//!   `BENCH_executor.json` under a tolerance policy: deterministic
-//!   modeled metrics get tight bounds, host wall-clock gets loose
-//!   one-sided bounds, nondeterministic scheduler internals are
-//!   report-only.
+//!   `BENCH_executor.json`: every metric is a deterministic function
+//!   of the work and the schedule, held under one tight tolerance.
+//!
+//! No gate reads a clock: what a gate emits or enforces is a function of
+//! the source tree (`./ci.sh clock_free`). Measured seconds are the
+//! ledger's (`benchmark/`), on a recorded host.
 //!
 //! Seven more gates ([`comm`], [`fault`], [`share`], [`ensemble`],
 //! [`zoo`], [`tune`], [`cases`]) enforce the claims of the layers built
@@ -43,7 +45,7 @@ pub mod zoo;
 
 pub use fixture::GoldenFixture;
 pub use golden::GoldenRunSpec;
-pub use perf::{BenchCase, Tolerances};
+pub use perf::BenchCase;
 pub use report::{Cell, Check, Report, Table};
 
 use miniwrf::config::ModelConfig;
@@ -56,12 +58,6 @@ use std::path::{Path, PathBuf};
 /// `CI_NIGHTLY`) selects the second.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Depth {
-    /// Perf-gate tolerances (`repro gate`).
-    pub tol: Tolerances,
-    /// Cold-start repeats per `bench-host` row.
-    pub host_repeats: usize,
-    /// `PanelSoa` over `PointAos` speedup floor (`bench-host --check`).
-    pub host_min_speedup: f64,
     /// Steps of the tune gate's auto-vs-explicit bitwise arm.
     pub tune_check_steps: usize,
     /// Horizontal scales of the cases gate's activity sweep.
@@ -69,30 +65,14 @@ pub struct Depth {
 }
 
 impl Depth {
-    /// What PR CI enforces: CI runners are noisy and differ in vector
-    /// ISA and core count, so the wall-clock bounds are loose and the
-    /// deterministic arms shallow.
+    /// What PR CI enforces: the deterministic arms run shallow.
     pub const PR: Depth = Depth {
-        tol: Tolerances {
-            tight_rel: 0.05,
-            loose_rel: 0.8,
-            host_factor: 10.0,
-        },
-        host_repeats: 5,
-        host_min_speedup: 2.0,
         tune_check_steps: 4,
         cases_sweep: &[ModelConfig::GATE_SCALE],
     };
 
-    /// The reference floors, enforced nightly.
+    /// The reference depth, enforced nightly.
     pub const NIGHTLY: Depth = Depth {
-        tol: Tolerances {
-            tight_rel: 0.05,
-            loose_rel: 0.50,
-            host_factor: 3.0,
-        },
-        host_repeats: 10,
-        host_min_speedup: 3.0,
         tune_check_steps: 8,
         cases_sweep: &[0.05, 0.1, 0.2],
     };
@@ -185,15 +165,18 @@ pub fn gate_report(
 pub fn run_gate(
     goldens_dir: &Path,
     baseline_json: &Path,
-    tol: &Tolerances,
     bench: impl FnOnce(&BenchCase) -> String,
 ) -> Result<Report, String> {
     let fixtures = load_fixtures(goldens_dir)?;
-    let golden = golden::run_golden_gate(&golden::gate_matrix(&GOLDEN_WORKERS), &fixtures, None)?;
+    // Both inputs are read before the minutes-long matrix runs.
     let baseline = std::fs::read_to_string(baseline_json)
         .map_err(|e| format!("cannot read perf baseline {}: {e}", baseline_json.display()))?;
-    let candidate = bench(&perf::parse_case(&baseline)?);
-    let (perf, structural) = perf::compare_benchmarks(&baseline, &candidate, tol);
+    let case = perf::parse_case(&baseline).map_err(|e| {
+        let path = baseline_json.display();
+        format!("perf: documents line up: baseline {path}: {e}")
+    })?;
+    let golden = golden::run_golden_gate(&golden::gate_matrix(&GOLDEN_WORKERS), &fixtures, None)?;
+    let (perf, structural) = perf::compare_benchmarks(&baseline, &bench(&case));
     Ok(gate_report(&golden, &perf, &structural))
 }
 
@@ -205,25 +188,10 @@ mod tests {
     #[test]
     fn the_two_depths_are_what_ci_enforces() {
         let (pr, nightly) = (Depth::of(false), Depth::of(true));
+        assert_eq!((pr.tune_check_steps, pr.cases_sweep), (4, &[0.05][..]));
         assert_eq!(
-            (pr.host_repeats, pr.host_min_speedup, pr.tune_check_steps),
-            (5, 2.0, 4)
+            (nightly.tune_check_steps, nightly.cases_sweep),
+            (8, &[0.05, 0.1, 0.2][..])
         );
-        assert_eq!((pr.tol.loose_rel, pr.tol.host_factor), (0.8, 10.0));
-        assert_eq!(pr.cases_sweep, [0.05]);
-        assert_eq!(
-            (
-                nightly.host_repeats,
-                nightly.host_min_speedup,
-                nightly.tune_check_steps
-            ),
-            (10, 3.0, 8)
-        );
-        assert_eq!(
-            (nightly.tol.loose_rel, nightly.tol.host_factor),
-            (0.50, 3.0)
-        );
-        assert_eq!(nightly.cases_sweep, [0.05, 0.1, 0.2]);
-        assert_eq!(pr.tol.tight_rel, nightly.tol.tight_rel);
     }
 }

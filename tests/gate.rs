@@ -3,19 +3,16 @@
 //! These exercise the same paths the CI gate runs, on reduced matrices:
 //! golden fixtures round-trip through the committed text format, a clean
 //! tree passes bitwise, a perturbed run fails naming the worst field by
-//! digits of agreement, and the perf gate trips on a degraded
-//! `steps_per_s` while tolerating host-timing noise.
+//! digits of agreement, and the perf gate trips on a degraded replay
+//! makespan, naming the row.
 
 use wrf_offload_repro::fsbm_core::exec::ExecMode;
 use wrf_offload_repro::fsbm_core::scheme::{Layout, SbmVersion};
 use wrf_offload_repro::wrf_gate::golden::{
     bless_fixture, check_against, run_golden_gate, GoldenRunSpec,
 };
-use wrf_offload_repro::wrf_gate::perf::{compare_benchmarks, parse_case, Tolerances};
-use wrf_offload_repro::wrf_gate::{gate_report, Depth, GoldenFixture};
-
-/// The reference perf tolerances.
-const TOL: Tolerances = Depth::NIGHTLY.tol;
+use wrf_offload_repro::wrf_gate::perf::{compare_benchmarks, parse_case};
+use wrf_offload_repro::wrf_gate::{gate_report, GoldenFixture};
 
 /// A reduced golden matrix: two versions, both modes, two worker
 /// counts, both memory layouts.
@@ -158,23 +155,31 @@ fn perf_gate_passes_against_the_committed_baseline_shape() {
     let case = parse_case(&baseline).expect("case parses");
     assert_eq!(case.workers, vec![1, 2, 4, 8]);
     assert!(case.steps >= 1);
-    let (checks, structural) = compare_benchmarks(&baseline, &baseline, &TOL);
+    let (checks, structural) = compare_benchmarks(&baseline, &baseline);
     let report = gate_report(&[], &checks, &structural);
     assert!(report.pass(), "violations: {:?}", report.violations());
-    // The perf half's assertion inventory: the documents lining up, the
-    // two case metrics, five gated metrics for each row — the two
-    // scheduling arms at four worker counts — and the four headline
-    // speedups.
-    let labels: Vec<&str> = report.checks.iter().map(|c| c.label.as_str()).collect();
-    assert_eq!(labels.len(), 1 + 2 + 2 * 4 * 5 + 4, "{labels:?}");
+    // The perf half's assertion inventory, 31 labels, every one tight:
+    // the documents lining up, the two case metrics, three metrics for
+    // each row — the two scheduling arms at four worker counts — and
+    // the four headline speedups.
+    let mut expected = vec![
+        "perf: documents line up".to_string(),
+        "perf: case active_fraction (tight)".to_string(),
+        "perf: case coal_flops (tight)".to_string(),
+    ];
     for mode in ["static-tiles", "work-stealing+compaction"] {
-        for w in case.workers.iter() {
-            let row = format!("perf: {mode}@{w} ");
-            assert_eq!(labels.iter().filter(|l| l.starts_with(&row)).count(), 5);
+        for w in [1, 2, 4, 8] {
+            for metric in ["scaling_vs_serial", "chunks", "cache_hit_rate"] {
+                expected.push(format!("perf: {mode}@{w} {metric} (tight)"));
+            }
         }
     }
-    assert!(labels.contains(&"perf: work-stealing+compaction@8 steps_per_s (loose)"));
-    assert!(labels.contains(&"perf: speedup@8 ws_compaction_vs_static (tight)"));
+    for w in [1, 2, 4, 8] {
+        expected.push(format!("perf: speedup@{w} ws_compaction_vs_static (tight)"));
+    }
+    assert_eq!(expected.len(), 31);
+    let labels: Vec<&str> = report.checks.iter().map(|c| c.label.as_str()).collect();
+    assert_eq!(labels, expected);
 }
 
 #[test]
@@ -183,22 +188,24 @@ fn degraded_steps_per_s_fails_with_the_offending_row_named() {
         std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("BENCH_executor.json"),
     )
     .expect("committed baseline");
-    // Halve the 8-worker compacted-stealing throughput: a real executor
+    // Double the 8-worker compacted-stealing makespan: a real executor
     // regression. (String surgery keeps every other row identical.)
-    let degraded = baseline.replace("\"steps_per_s\": 31.06", "\"steps_per_s\": 9.10");
+    let degraded = baseline.replace(
+        "\"workers\": 8, \"makespan_flops\": 83605996",
+        "\"workers\": 8, \"makespan_flops\": 167211992",
+    );
     assert_ne!(
         degraded, baseline,
         "baseline shape changed; update this test"
     );
-    let (checks, structural) = compare_benchmarks(&baseline, &degraded, &TOL);
+    let (checks, structural) = compare_benchmarks(&baseline, &degraded);
     let report = gate_report(&[], &checks, &structural);
-    assert!(!report.pass());
-    let v = report.violations().join("\n");
+    let v = report.violations();
+    assert_eq!(v.len(), 1, "{v:?}");
     assert!(
-        v.contains("work-stealing+compaction@8"),
-        "must name the offending row: {v}"
+        v[0].contains("perf: work-stealing+compaction@8 scaling_vs_serial (tight)"),
+        "must name the offending row: {v:?}"
     );
-    assert!(v.contains("steps_per_s"), "{v}");
 }
 
 #[test]
@@ -208,7 +215,7 @@ fn gate_report_merges_and_serializes() {
         std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("BENCH_executor.json"),
     )
     .unwrap();
-    let (perf, structural) = compare_benchmarks(&baseline, &baseline, &TOL);
+    let (perf, structural) = compare_benchmarks(&baseline, &baseline);
     let report = gate_report(&golden, &perf, &structural);
     assert!(report.pass());
     let json = report.to_json();
