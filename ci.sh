@@ -4,7 +4,7 @@
 # exactly:
 #
 #   ./ci.sh            # every step, in workflow order
-#   ./ci.sh build      # one step (build|test|ledger|clippy|docs|fmt|...)
+#   ./ci.sh build      # one step (build|test|pool_stress|ledger|clippy|docs|fmt|...)
 #
 # The workflow fans the gate steps (the GATES list below) out as a
 # parallel matrix job; `all` runs the same steps serially in workflow
@@ -19,7 +19,8 @@
 #                  sweep at scales 0.05/0.1/0.2) instead of PR depth
 #                  (4 steps, scale 0.05 only). The two sets live in one
 #                  place, `wrf_gate::Depth`; ci.yml sets this on the
-#                  nightly schedule event only.
+#                  nightly schedule event only. The pool stress test
+#                  reads it too (300 scheme steps instead of 24).
 #   CI_DRIFT_BASE  diff base ref of the drift guards (default origin/$GITHUB_BASE_REF)
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -52,6 +53,18 @@ step_test() {
         printf '| test totals | %s passed, %s failed |\n' "$passed" "$failed" >> "$GITHUB_STEP_SUMMARY"
     fi
     return "$rc"
+}
+
+# Four launches a step on one persistent pool, back to back: 24 scheme
+# steps (300 under CI_NIGHTLY) at 2 and 3 workers, every step's digest
+# compared with the one-worker run. Release build, where a worker that
+# wakes late for an epoch has the narrowest window to cross into the
+# next one. The grep keeps a rename from turning the filter into a
+# green no-op (it reads to the end: `grep -q` would close the pipe on
+# cargo).
+step_pool_stress() {
+    cargo test --release -p fsbm-core --lib pool_stress_every_step_matches_one_worker 2>&1 |
+        tee /dev/stderr | grep '^test result: ok. 1 passed' >/dev/null
 }
 
 # The benchmark harness is a package of its own (own workspace and
@@ -217,7 +230,7 @@ step_clock_free() {
     fi
 }
 
-CHECKS=(build test ledger clippy docs fmt shellcheck clock_free golden_drift benchmark_drift)
+CHECKS=(build test pool_stress ledger clippy docs fmt shellcheck clock_free golden_drift benchmark_drift)
 
 # Every step name, in workflow order: the checks, then the gates.
 step_names() {

@@ -3,7 +3,9 @@
 //! These are the inputs the analyses run on in the examples, tests, and
 //! the `repro` harness: Listing 1 (the baseline grid loop whose global
 //! collision arrays block parallelization), Listing 3 (`kernals_ks`),
-//! and Listing 6 (the fissioned collision loop that offloads cleanly).
+//! Listing 6 (the fissioned collision loop that offloads cleanly), and
+//! the two loops §VIII names as next: the nucleation/condensation sweep
+//! and sedimentation.
 
 use crate::ir::{Affine, ArrayDecl, ArrayRef, LoopNest, LoopVar, Scope, Stmt, Subprogram};
 
@@ -233,6 +235,101 @@ pub fn coal_fission_loop() -> LoopNest {
     }
 }
 
+/// Reads and writes of all seven bin-resolved distributions (`ff1` …
+/// `ff5`) at `(i, k + dk, j)`. `kr`, the bin index, is no loop of these
+/// nests: it stands for the point's whole `1:nkr` section, which is how
+/// the per-point routines see it.
+fn distribution_accesses(dk: i64, write: bool) -> Vec<ArrayRef> {
+    ["ff1", "ff2c", "ff2p", "ff2d", "ff3", "ff4", "ff5"]
+        .iter()
+        .flat_map(|ff| {
+            let at = || {
+                vec![
+                    Affine::var("i"),
+                    Affine::linear("k", 1, dk),
+                    Affine::var("j"),
+                    Affine::var("kr"),
+                ]
+            };
+            let read = ArrayRef::read(ff, at()).guarded();
+            let write = write.then(|| ArrayRef::write(ff, at()).guarded());
+            std::iter::once(read).chain(write)
+        })
+        .collect()
+}
+
+/// §VIII's first loop, the sweep Listing 6 fissioned the collision call
+/// out of: per grid point, nucleation (`jernucl01_ks`) and the two
+/// condensation branches (`onecond1`, `onecond2`) update `t`, `qv` and
+/// the point's own bins from supersaturations computed per point, then
+/// the predicate `call_coal_bott_new(i,k,j)` is stored for the collision
+/// kernel. Nothing is read from another point: the privatization
+/// argument of Listing 4 → 6 applies unchanged.
+pub fn condensation_sweep_loop() -> LoopNest {
+    let ikj = || vec![Affine::var("i"), Affine::var("k"), Affine::var("j")];
+    let mut point = per_point_state_accesses(true);
+    point.extend(distribution_accesses(0, true));
+    let call = |callee: &str| Stmt::Call {
+        callee: callee.into(),
+        accesses: point.clone(),
+    };
+    let supersaturation = |name: &str| Stmt::ScalarWrite {
+        name: name.into(),
+        reads: vec![],
+    };
+    LoopNest {
+        id: "module_mp_fast_sbm.f90:cond_sweep".into(),
+        vars: vec![
+            LoopVar::new("j", 1, 75),
+            LoopVar::new("k", 1, 50),
+            LoopVar::new("i", 1, 106),
+        ],
+        body: vec![
+            Stmt::Access(ArrayRef::read("t_old", ikj())),
+            supersaturation("del1n"),
+            supersaturation("del2n"),
+            call("jernucl01_ks"),
+            call("onecond1"),
+            call("onecond2"),
+            Stmt::Access(ArrayRef::write("call_coal_bott_new", ikj())),
+        ],
+        decls: vec![ArrayDecl::new(
+            "call_coal_bott_new",
+            &[(1, 106), (1, 50), (1, 75)],
+            Scope::Local,
+        )],
+    }
+}
+
+/// §VIII's other loop: sedimentation. Level `k` gains what falls out of
+/// level `k + 1` and the lowest level drains into `rainnc(i,j)`, so the
+/// fall carries a dependence from level to level — and on nothing else.
+pub fn sedimentation_loop() -> LoopNest {
+    let mut body = vec![Stmt::Access(ArrayRef::read(
+        "rho",
+        vec![Affine::var("i"), Affine::var("k"), Affine::var("j")],
+    ))];
+    body.extend(
+        distribution_accesses(1, false)
+            .into_iter()
+            .map(Stmt::Access),
+    );
+    body.extend(distribution_accesses(0, true).into_iter().map(Stmt::Access));
+    let ij = || vec![Affine::var("i"), Affine::var("j")];
+    body.push(Stmt::Access(ArrayRef::read("rainnc", ij())));
+    body.push(Stmt::Access(ArrayRef::write("rainnc", ij())));
+    LoopNest {
+        id: "module_mp_fast_sbm.f90:falfluxhucm".into(),
+        vars: vec![
+            LoopVar::new("j", 1, 75),
+            LoopVar::new("i", 1, 106),
+            LoopVar::new("k", 1, 50),
+        ],
+        body,
+        decls: vec![ArrayDecl::new("rainnc", &[(1, 106), (1, 75)], Scope::Dummy)],
+    }
+}
+
 /// The FSBM subprogram inventory with its legacy constructs, in the two
 /// stages of the port: `slab_refactor = false` is the original code
 /// (automatic arrays inside `coal_bott_new`); `true` is the Listing 8
@@ -420,6 +517,41 @@ mod tests {
         assert_eq!(a.collapsible, 3);
         let out = rewrite_offload(&coal_fission_loop()).unwrap();
         assert!(out.contains("collapse(2)"));
+    }
+
+    /// §VIII, first loop: the condensation sweep is as parallel as the
+    /// collision loop it was fissioned from — every grid variable, with
+    /// the per-point supersaturations privatized and the predicate a pure
+    /// output. One launch unit can be any slice of the grid (a row, in
+    /// `fsbm-core`).
+    #[test]
+    fn condensation_sweep_is_parallel_in_every_grid_variable() {
+        let a = analyze(&condensation_sweep_loop());
+        assert!(a.fully_parallel(), "{:?}", a.dependences);
+        assert_eq!(a.parallelizable_vars, ["j", "k", "i"]);
+        assert_eq!(a.collapsible, 3);
+        assert_eq!(a.private_scalars, ["del1n", "del2n"]);
+        assert_eq!(a.dead_on_entry, ["call_coal_bott_new"]);
+        assert!(a.map_tofrom.contains(&"ff1".to_string()));
+        assert!(rewrite_offload(&condensation_sweep_loop()).is_ok());
+    }
+
+    /// §VIII, second loop: sedimentation carries its dependence on `k`
+    /// alone (the level-to-level fall, and the `rainnc` accumulation), so
+    /// columns are independent and the `k` recurrence stays inside a
+    /// launch unit.
+    #[test]
+    fn sedimentation_carries_a_dependence_on_k_only() {
+        let a = analyze(&sedimentation_loop());
+        assert_eq!(a.parallelizable_vars, ["j", "i"]);
+        assert_eq!(a.collapsible, 2);
+        assert!(a.carried_by("i").is_empty() && a.carried_by("j").is_empty());
+        let on_k: Vec<&str> = a.carried_by("k").iter().map(|d| d.array.as_str()).collect();
+        assert!(
+            on_k.contains(&"ff1") && on_k.contains(&"rainnc"),
+            "{on_k:?}"
+        );
+        assert_eq!(a.map_to, ["rho"]);
     }
 
     #[test]

@@ -564,7 +564,10 @@ pub fn tune(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::corpus::{coal_fission_loop, grid_loop_baseline, kernals_ks_nest};
+    use crate::corpus::{
+        coal_fission_loop, condensation_sweep_loop, grid_loop_baseline, kernals_ks_nest,
+        sedimentation_loop,
+    };
     use gpu_sim::machine::{backend_by_name, default_backend, ZOO};
     use proptest::prelude::*;
 
@@ -666,6 +669,32 @@ mod tests {
         let id = gpu.family_winner("slab[pt,bin]").unwrap();
         let tr = gpu.family_winner("slab[bin,pt]").unwrap();
         assert!(tr.secs < id.secs);
+    }
+
+    /// §VIII's two loops price on a CPU-class backend: the condensation
+    /// sweep has schedules at every collapse depth, and no sedimentation
+    /// schedule ever brings the level loop into the thread space.
+    #[test]
+    fn section_viii_nests_rank_on_a_cpu_backend() {
+        let grace = backend_by_name("grace-cpu").unwrap();
+        let target = TuneTarget::new(grace, TrafficRates::flat(2.0, 1.0));
+        // Twelve condensation substeps over seven 33-bin classes.
+        let cond = tune(
+            &condensation_sweep_loop(),
+            &NestWork::uniform(3.0e4, 6.0e3),
+            &target,
+        )
+        .unwrap();
+        assert!(!cond.ranked.is_empty());
+        assert!(cond.ranked.iter().any(|p| p.variant.collapse == 3));
+
+        let sed = sedimentation_loop();
+        let rep = tune(&sed, &NestWork::uniform(3.0e3, 1.0e3), &target).unwrap();
+        assert!(!rep.ranked.is_empty());
+        for p in &rep.ranked {
+            assert!(p.variant.collapse <= 2, "{}", p.label);
+            assert_eq!(sed.vars[p.variant.order[2]].name, "k", "{}", p.label);
+        }
     }
 
     #[test]

@@ -1,11 +1,15 @@
 //! Execution strategy for the functional FSBM plane: how the emulated
-//! device threads are scheduled over the collision iteration space.
+//! device threads are scheduled over the collision iteration space, and
+//! who runs the sweeps around it.
 //!
 //! Two strategies exist, the two `bench-exec` arms:
 //!
 //! * **Static tiles** — the classic `schedule(static)` reference: the
 //!   iteration space is split into one contiguous block per worker and
-//!   nothing rebalances. Storm clustering leaves most workers idle.
+//!   nothing rebalances. Storm clustering leaves most workers idle. The
+//!   nucleation/condensation, freeze/melt/breakup and sedimentation
+//!   sweeps stay serial loops on the calling thread — the paper's
+//!   program, where only the collision loop is offloaded.
 //! * **Work-stealing + compaction** — the production point. A persistent
 //!   [`wrf_exec::Executor`] (created once per run, not per step)
 //!   distributes automatically sized chunks over per-worker deques and
@@ -13,12 +17,16 @@
 //!   pre-sweep is scanned into a compact active-index list first, so the
 //!   work queue only ever contains points (or columns) whose collision
 //!   predicate fired. On CONUS-like sparsity (≤ 20% active) this shrinks
-//!   the queue ~5× before any scheduling happens.
+//!   the queue ~5× before any scheduling happens. The three sweeps run
+//!   on the same pool, one unit per `(j,k)` row or `(i,j)` column (the
+//!   paper's §VIII: "the loops calling condensation routines are
+//!   currently being offloaded").
 
 use wrf_exec::ExecStats;
 
 /// How the offloaded collision loop (and the tiled CPU path) schedules
-/// its iterations across the emulated device threads.
+/// its iterations across the emulated device threads, and whether the
+/// sweeps around it share those threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
     /// Contiguous static partition, fresh threads per launch (the seed

@@ -893,8 +893,12 @@ pub struct SedScratch {
 
 impl SedScratch {
     /// An empty scratch; buffers grow on first use and are then reused.
-    pub fn new() -> Self {
-        Self::default()
+    pub const fn new() -> Self {
+        SedScratch {
+            bins: Vec::new(),
+            vt: Vec::new(),
+            flux: Vec::new(),
+        }
     }
 
     /// Sizes the buffers for an `nz`-level column.

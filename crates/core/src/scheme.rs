@@ -21,6 +21,15 @@
 //!   replaced by per-grid-point slices of the `temp_arrays` slabs
 //!   (`Field4` storage, Listing 8), enabling a full `collapse(3)`.
 //!
+//! Around the collision launch the fissioned versions sweep the patch
+//! twice (nucleation + condensation before it, freezing/melting + breakup
+//! after) and every version sediments its columns. Under
+//! [`ExecMode::WorkSteal`] those three sweeps are launches on the same
+//! pool, one unit per `(j,k)` row or `(i,j)` column — the paper's §VIII,
+//! "the loops calling condensation routines are currently being
+//! offloaded"; under [`ExecMode::StaticTiles`] they are the serial loops
+//! of the program the paper measured.
+//!
 //! All versions run identical physics in identical per-point order, so
 //! their outputs agree to f32 round-off — the property §VII-B verifies
 //! with `diffwrf`. [`Layout`] is orthogonal: the per-point AoS stages are
@@ -197,8 +206,10 @@ pub struct SbmConfig {
     /// shared collision tables become per-tile (`THREADPRIVATE`) copies.
     pub tiles: usize,
     /// How iterations are scheduled onto the emulated device threads
-    /// (and the tiled CPU path): static partition or the persistent
-    /// work-stealing executor over the activity-compacted queue.
+    /// (and the tiled CPU path): static partition, with serial sweeps
+    /// around the collision launch, or the persistent work-stealing
+    /// executor over the activity-compacted queue, which runs the sweeps
+    /// too.
     pub sched: ExecMode,
     /// Memoize the 20 interpolated pair tables per k-level
     /// ([`KernelMode::Cached`]); bitwise-identical to on-demand, cheaper
@@ -399,8 +410,9 @@ impl FastSbm {
 
     /// Advances the microphysics on `state` by one step: snapshot `T_OLD`,
     /// make sure the kernel cache and worker pool the configuration asks
-    /// for exist, run the grid loop the version's plan describes, then
-    /// sediment.
+    /// for exist, run the grid loop the version's plan describes, sediment
+    /// every column, then fold the columns' precipitation in `(j, i)`
+    /// order.
     pub fn step(&mut self, state: &mut SbmPatchState) -> SbmStepStats {
         state.snapshot_t_old();
         let plan = self.cfg.version.plan();
@@ -410,7 +422,17 @@ impl FastSbm {
         if self.cfg.sched.uses_executor() && (plan.fission.is_some() || self.cfg.tiles > 1) {
             self.ensure_exec();
         }
-        let mut stats = empty_stats(state.patch.compute_points());
+        let p = state.patch;
+        let mut stats = empty_stats(p.compute_points());
+        let StepScratch { sweep, coal } = &mut self.scratch;
+        // Only the fissioned sweeps keep per-point slots for the whole
+        // patch; the unfissioned tile body keeps one row's per thread.
+        let slots = plan.fission.map_or(0, |_| p.compute_points());
+        sweep.predicate.resize(slots, false);
+        sweep.outcomes.resize(slots, PointOutcome::default());
+        sweep
+            .fall
+            .resize(p.compute_columns(), ColumnFall::default());
         let tally = {
             let v = PatchViews::new(
                 &self.grids,
@@ -419,117 +441,50 @@ impl FastSbm {
                 &self.splits,
                 self.cfg.dt,
                 state,
+                sweep,
             );
             let launcher = Launcher {
                 sched: self.cfg.sched,
                 workers: self.cfg.workers,
                 exec: self.exec.as_ref(),
             };
-            match plan.fission {
+            let tally = match plan.fission {
                 None => unfissioned_tiles(&v, &launcher, &self.cfg, plan.dense_tables),
                 Some(collapse) => {
-                    let scratch = &mut self.scratch;
-                    pre_sweep(&v, self.cfg.layout, scratch);
+                    pre_sweep(&v, &launcher, self.cfg.layout);
                     let mut tally =
-                        coal_launch(&v, &launcher, &self.cfg, collapse, scratch, &mut stats);
-                    tally += post_sweep(&v, scratch);
+                        coal_launch(&v, &launcher, &self.cfg, collapse, coal, &mut stats);
+                    tally += post_sweep(&v, &launcher);
                     tally
                 }
-            }
+            };
+            sedimentation_sweep(&v, &launcher, self.cfg.layout, self.cfg.dz);
+            tally
         };
         stats.active_points = tally.active;
         stats.coal_points = tally.coal_points;
         stats.coal_entries = tally.coal_entries;
         stats.work = tally.work;
-        self.sedimentation_pass(state, &mut stats);
-        stats
-    }
-
-    /// Column sedimentation (all versions; serial host pass, as in the
-    /// paper where only the collision loop is offloaded). The layouts
-    /// differ only in how a column is held while it falls: `[level][bin]`
-    /// rows, or bin-major transposed so each bin's k-sweep is a
-    /// contiguous, cache-blocked pass.
-    fn sedimentation_pass(&mut self, state: &mut SbmPatchState, stats: &mut SbmStepStats) {
-        let p = state.patch;
-        let nz = p.kp.len();
-        let (dz, dt, layout) = (self.cfg.dz, self.cfg.dt, self.cfg.layout);
-        let mut w = PointWork::ZERO;
-        let scratch = &mut self.scratch;
-        scratch.rho.resize(nz, 0.0);
-        match layout {
-            Layout::PointAos => scratch.col.resize(nz, [0.0f32; NKR]),
-            Layout::PanelSoa => scratch.sed.ensure(nz),
-        }
-        for j in p.jp.iter() {
-            for i in p.ip.iter() {
-                for (kx, k) in p.kp.iter().enumerate() {
-                    scratch.rho[kx] = state.rho.get(i, k, j);
-                }
-                let mut col_precip = 0.0f32;
-                for (c, slab) in state.ff.iter_mut().enumerate() {
-                    let grid = self.grids.by_index(c);
-                    let mut any = false;
-                    let precip = match layout {
-                        Layout::PointAos => {
-                            for (kx, k) in p.kp.iter().enumerate() {
-                                scratch.col[kx].copy_from_slice(slab.bin_slice(i, k, j));
-                                any |= scratch.col[kx].iter().any(|&v| v > 0.0);
-                            }
-                            if !any {
-                                continue;
-                            }
-                            let precip = sedimentation_column(
-                                &mut scratch.col,
-                                grid,
-                                &scratch.rho,
-                                dz,
-                                dt,
-                                &mut w,
-                            );
-                            for (kx, k) in p.kp.iter().enumerate() {
-                                slab.bin_slice_mut(i, k, j)
-                                    .copy_from_slice(&scratch.col[kx]);
-                            }
-                            precip
-                        }
-                        Layout::PanelSoa => {
-                            for (kx, k) in p.kp.iter().enumerate() {
-                                for (kb, &v) in slab.bin_slice(i, k, j).iter().enumerate() {
-                                    scratch.sed.bins[kb * nz + kx] = v;
-                                    any |= v > 0.0;
-                                }
-                            }
-                            if !any {
-                                continue;
-                            }
-                            let precip = sedimentation_column_soa(
-                                &mut scratch.sed,
-                                grid,
-                                &scratch.rho,
-                                dz,
-                                dt,
-                                &mut w,
-                            );
-                            for (kx, k) in p.kp.iter().enumerate() {
-                                for (kb, d) in slab.bin_slice_mut(i, k, j).iter_mut().enumerate() {
-                                    *d = scratch.sed.bins[kb * nz + kx];
-                                }
-                            }
-                            precip
-                        }
-                    };
-                    col_precip += precip;
-                    stats.precip += precip as f64;
-                }
-                if col_precip > 0.0 {
-                    let idx = state.column_index(i, j);
-                    state.rainnc[idx] += col_precip;
-                }
+        // The step's one floating-point reduction, folded serially in the
+        // order the serial pass always used — columns `j` outer, `i`
+        // inner, classes within a column — so no schedule can move a bit
+        // of it. A class the column skipped reads `+0.0`, which leaves a
+        // sum that started at `+0.0` unchanged.
+        let mut sed = PointWork::ZERO;
+        for (fall, rain) in sweep.fall.iter().zip(&mut state.rainnc) {
+            let mut col_precip = 0.0f32;
+            for &precip in &fall.precip {
+                col_precip += precip;
+                stats.precip += precip as f64;
             }
+            if col_precip > 0.0 {
+                *rain += col_precip;
+            }
+            sed += fall.work;
         }
-        stats.work.sed = w;
+        stats.work.sed = sed;
         state.precip_acc += stats.precip;
+        stats
     }
 }
 
@@ -584,26 +539,19 @@ fn unfissioned_tiles(
     total.into_inner().expect("a tile body panicked")
 }
 
-/// Fissioned sweep 1 (host): nucleation + condensation over every row,
-/// filling the predicate array `call_coal_bott_new` and the per-point
-/// outcomes.
-fn pre_sweep(v: &PatchViews<'_>, layout: Layout, scratch: &mut StepScratch) {
-    let ilen = v.patch.ip.len();
-    let points = v.patch.compute_points();
-    scratch.predicate.resize(points, false);
-    scratch.outcomes.resize(points, PointOutcome::default());
-    for (row, (j, k)) in v.rows().enumerate() {
-        let r = row * ilen..(row + 1) * ilen;
-        pre_row(
-            v,
-            layout,
-            j,
-            k,
-            v.patch.ip,
-            &mut scratch.predicate[r.clone()],
-            &mut scratch.outcomes[r],
-        );
-    }
+/// Fissioned sweep 1: nucleation + condensation, one launch unit per
+/// `(j,k)` row, filling the predicate array `call_coal_bott_new` and the
+/// per-point outcomes (the loop the paper's §VIII says is offloaded next;
+/// no point reads another's state, so rows are independent).
+fn pre_sweep(v: &PatchViews<'_>, launcher: &Launcher<'_>, layout: Layout) {
+    let ip = v.patch.ip;
+    launcher.sweep(v.row_count() as u64, |row| {
+        let row = row as usize;
+        let (j, k) = v.row(row);
+        let pred = v.predicate.subslice_mut(row * ip.len(), ip.len());
+        let outs = v.outcomes.subslice_mut(row * ip.len(), ip.len());
+        pre_row(v, layout, j, k, ip, pred, outs);
+    });
 }
 
 /// Fissioned sweep 2 (device): the isolated collision loop of Listing 6,
@@ -622,21 +570,23 @@ fn coal_launch(
     launcher: &Launcher<'_>,
     cfg: &SbmConfig,
     collapse: Collapse,
-    scratch: &mut StepScratch,
+    lists: &mut CoalLists,
     stats: &mut SbmStepStats,
 ) -> Tally {
     let p = v.patch;
     let ilen = p.ip.len();
-    let rows = p.jp.len() * p.kp.len();
-    let predicate: &[bool] = &scratch.predicate;
+    let rows = v.row_count();
+    // The pre-sweep has finished and nothing writes the predicate again
+    // this step: the collision units only read it.
+    let predicate: &[bool] = v.predicate.subslice_mut(0, rows * ilen);
 
     let iters = match collapse {
         Collapse::Two => {
-            scratch.lane_active.clear();
-            scratch
+            lists.lane_active.clear();
+            lists
                 .lane_active
                 .extend(predicate.chunks_exact(ilen).map(|row| row.contains(&true)));
-            stats.warp_efficiency = warp_efficiency(&scratch.lane_active, 32);
+            stats.warp_efficiency = warp_efficiency(&lists.lane_active, 32);
             rows
         }
         Collapse::Three => {
@@ -677,8 +627,8 @@ fn coal_launch(
             })
         }
         (Collapse::Three, Layout::PanelSoa) => {
-            build_batch_list(v, predicate, &mut scratch.batches);
-            let batches: &[PanelBatch] = &scratch.batches;
+            build_batch_list(v, predicate, &mut lists.batches);
+            let batches: &[PanelBatch] = &lists.batches;
             // The list holds only active batches: it is its own
             // compaction, under either scheduler.
             launcher.run(batches.len() as u64, Grain::Fine, |bi| {
@@ -697,16 +647,34 @@ fn coal_launch(
     tally
 }
 
-/// Fissioned sweep 3 (host): freezing/melting + breakup, and the tally of
-/// everything the two host sweeps metered.
-fn post_sweep(v: &PatchViews<'_>, scratch: &mut StepScratch) -> Tally {
-    let ilen = v.patch.ip.len();
-    let mut tally = Tally::default();
-    for (row, (j, k)) in v.rows().enumerate() {
-        let outs = &mut scratch.outcomes[row * ilen..(row + 1) * ilen];
-        tally += post_row(v, j, k, v.patch.ip, outs);
-    }
-    tally
+/// Fissioned sweep 3: freezing/melting + breakup, one launch unit per
+/// `(j,k)` row, and the tally of everything sweeps 1 and 3 metered.
+fn post_sweep(v: &PatchViews<'_>, launcher: &Launcher<'_>) -> Tally {
+    let ip = v.patch.ip;
+    let total = Mutex::new(Tally::default());
+    launcher.sweep(v.row_count() as u64, |row| {
+        let row = row as usize;
+        let (j, k) = v.row(row);
+        let outs = v.outcomes.subslice_mut(row * ip.len(), ip.len());
+        let tally = post_row(v, j, k, ip, outs);
+        *total.lock().expect("a row unit panicked") += tally;
+    });
+    total.into_inner().expect("a row unit panicked")
+}
+
+/// Column sedimentation (all versions), one launch unit per `(i,j)`
+/// column: the fall carries a dependence from level to level, so the `k`
+/// recurrence stays serial inside the unit. Each unit leaves its column's
+/// precipitation and metered work in its own [`ColumnFall`] slot; the
+/// driver folds them afterwards.
+fn sedimentation_sweep(v: &PatchViews<'_>, launcher: &Launcher<'_>, layout: Layout, dz: f32) {
+    launcher.sweep(v.patch.compute_columns() as u64, |col| {
+        let col = col as usize;
+        let (i, j) = v.column(col);
+        let fall = COLUMN_SCRATCH
+            .with(|cell| sediment_column(v, layout, dz, i, j, &mut cell.borrow_mut()));
+        v.fall.set(col, fall);
+    });
 }
 
 // ---- Launching ----------------------------------------------------------
@@ -777,22 +745,69 @@ impl Launcher<'_> {
             _ => self.run(total, Grain::Fine, body),
         }
     }
+
+    /// Runs `body(u)` for every unit in `0..total` of a sweep around the
+    /// collision launch — `(j,k)` rows, `(i,j)` columns. Work stealing
+    /// spreads them over the persistent pool; the static arm is the
+    /// paper's program, where only the collision loop is offloaded, and
+    /// loops on the calling thread.
+    fn sweep<F>(&self, total: u64, body: F)
+    where
+        F: Fn(u64) + Sync,
+    {
+        match (self.sched, self.exec) {
+            (ExecMode::WorkSteal, Some(exec)) => {
+                exec.run_indexed(total, None, body);
+            }
+            _ => (0..total).for_each(body),
+        }
+    }
 }
 
-/// Reusable per-step buffers. The fissioned sweeps' predicate/outcome
-/// arrays, the SoA collision batch list, and the sedimentation column
-/// scratch all live here: they grow to the patch size on the first step
-/// and are reused afterwards, so steady-state steps perform no heap
+/// Reusable per-step buffers: they grow to the patch size on the first
+/// step and are reused afterwards, so steady-state steps perform no heap
 /// allocation (asserted by the counting-allocator test).
 #[derive(Default)]
 struct StepScratch {
+    sweep: SweepArrays,
+    coal: CoalLists,
+}
+
+/// The patch-sized arrays launch units write through [`PatchViews`].
+#[derive(Default)]
+struct SweepArrays {
+    /// `call_coal_bott_new`, `[row][i]` over the compute points.
     predicate: Vec<bool>,
+    /// Per-point outcomes, same order.
     outcomes: Vec<PointOutcome>,
+    /// Per-column sedimentation results, `[j][i]` ([`SbmPatchState::rainnc`]
+    /// order).
+    fall: Vec<ColumnFall>,
+}
+
+/// What the collision launch derives from the predicate.
+#[derive(Default)]
+struct CoalLists {
     /// Per-column "any point active" flags of the `collapse(2)` launch.
     lane_active: Vec<bool>,
     batches: Vec<PanelBatch>,
-    col: Vec<[f32; NKR]>,
+}
+
+/// What sedimentation leaves behind for one column: surface precipitation
+/// per class, kg/m² (`+0.0` for a class with nothing to fall), and the
+/// metered work.
+#[derive(Clone, Copy, Default)]
+struct ColumnFall {
+    precip: [f32; NTYPES],
+    work: PointWork,
+}
+
+/// One thread's sedimentation column: the densities, and the column of one
+/// class while it falls — `[level][bin]` rows, or bin-major transposed so
+/// each bin's k-sweep is a contiguous, cache-blocked pass.
+struct ColumnScratch {
     rho: Vec<f32>,
+    col: Vec<[f32; NKR]>,
     sed: SedScratch,
 }
 
@@ -815,6 +830,15 @@ struct PanelBatch {
 thread_local! {
     static ROW_SCRATCH: std::cell::RefCell<(Vec<bool>, Vec<PointOutcome>)> =
         const { std::cell::RefCell::new((Vec::new(), Vec::new())) };
+    // Per-thread for the same two reasons: column units of one sweep run
+    // on every pool thread at once.
+    static COLUMN_SCRATCH: std::cell::RefCell<ColumnScratch> = const {
+        std::cell::RefCell::new(ColumnScratch {
+            rho: Vec::new(),
+            col: Vec::new(),
+            sed: SedScratch::new(),
+        })
+    };
 }
 
 /// Everything a stage function needs, borrowed once per step: the static
@@ -835,6 +859,11 @@ struct PatchViews<'a> {
     tt: SyncWriteSlice<'a, f32>,
     qv: SyncWriteSlice<'a, f32>,
     ff: [SyncWriteSlice<'a, f32>; NTYPES],
+    /// The [`SweepArrays`]: a row unit owns its row's predicate and
+    /// outcome slots, a column unit its column's slot.
+    predicate: SyncWriteSlice<'a, bool>,
+    outcomes: SyncWriteSlice<'a, PointOutcome>,
+    fall: SyncWriteSlice<'a, ColumnFall>,
 }
 
 impl<'a> PatchViews<'a> {
@@ -845,27 +874,41 @@ impl<'a> PatchViews<'a> {
         splits: &'a DepositSplits,
         dt: f32,
         state: &'a mut SbmPatchState,
+        sweep: &'a mut SweepArrays,
     ) -> Self {
         let mut slabs = state.ff.iter_mut();
         // SAFETY: the views are written only by the stage functions below,
         // and every stage function touches nothing but the `tt`/`qv`
-        // elements and bin slices of the grid points of the launch unit it
-        // was called for — a tile, a `(j,k)` row of one, a column, a lane
-        // batch of distinct points, or a single point. Concurrent launch
-        // units partition the compute points (tiles partition the patch;
-        // compacted lists and batch lists name each unit, and each point,
-        // at most once — `many_tiles_cover_exactly` and
-        // `batch_list_covers_active_points_exactly_once` test both),
-        // so no element is written by two threads, or read by one while
-        // another writes it (the Codee-proven independence of the grid
-        // loop). `t_old`, `p` and `rho` are never written during a step.
-        let (tt, qv, ff) = unsafe {
+        // elements, bin slices and sweep-array slots of the grid points of
+        // the launch unit it was called for — a tile, a `(j,k)` row of one
+        // (a `collapse(2)` "column"), a lane batch of distinct points, a
+        // single point, a `(j,k)` row of the pre- or post-sweep (with that
+        // row's `predicate`/`outcomes` slots), or an `(i,j)` column of the
+        // sedimentation sweep (every level of that column, and its `fall`
+        // slot). The units of one launch partition the compute points:
+        // tiles partition the patch; compacted lists and batch lists name
+        // each unit, and each point, at most once; the sweeps index
+        // `0..rows` and `0..columns`, which `row`/`idx3` map one-to-one
+        // onto the compute points (`many_tiles_cover_exactly`,
+        // `batch_list_covers_active_points_exactly_once` and
+        // `sweep_units_cover_rows_and_columns_exactly_once` test the
+        // three). Launches never overlap — every `Launcher` entry returns
+        // only once all its units have — so within a launch no element is
+        // written by two threads, or read by one while another writes it
+        // (the Codee-proven independence of the grid loop; the collision
+        // launch reads the whole `predicate`, which only the finished
+        // pre-sweep wrote). `t_old`, `p` and `rho` are never written
+        // during a step.
+        let (tt, qv, ff, predicate, outcomes, fall) = unsafe {
             (
                 SyncWriteSlice::new(state.tt.as_mut_slice()),
                 SyncWriteSlice::new(state.qv.as_mut_slice()),
                 std::array::from_fn(|_| {
                     SyncWriteSlice::new(slabs.next().expect("NTYPES slabs").as_mut_slice())
                 }),
+                SyncWriteSlice::new(sweep.predicate.as_mut_slice()),
+                SyncWriteSlice::new(sweep.outcomes.as_mut_slice()),
+                SyncWriteSlice::new(sweep.fall.as_mut_slice()),
             )
         };
         PatchViews {
@@ -881,6 +924,9 @@ impl<'a> PatchViews<'a> {
             tt,
             qv,
             ff,
+            predicate,
+            outcomes,
+            fall,
         }
     }
 
@@ -898,11 +944,24 @@ impl<'a> PatchViews<'a> {
         (self.patch.jp.iter()).flat_map(move |j| kp.iter().map(move |k| (j, k)))
     }
 
+    /// Number of compute rows.
+    fn row_count(&self) -> usize {
+        self.patch.jp.len() * self.patch.kp.len()
+    }
+
     /// `(j, k)` of the `row`-th compute row in sweep order.
     #[inline]
     fn row(&self, row: usize) -> (i32, i32) {
         let (p, klen) = (&self.patch, self.patch.kp.len());
         (p.jp.lo + (row / klen) as i32, p.kp.lo + (row % klen) as i32)
+    }
+
+    /// `(i, j)` of the `col`-th compute column ([`SbmPatchState::rainnc`]
+    /// order: `j` outer, `i` inner).
+    #[inline]
+    fn column(&self, col: usize) -> (i32, i32) {
+        let (p, ilen) = (&self.patch, self.patch.ip.len());
+        (p.ip.lo + (col % ilen) as i32, p.jp.lo + (col / ilen) as i32)
     }
 
     #[inline]
@@ -1005,8 +1064,9 @@ impl<'a> PatchViews<'a> {
 // A row is the `i`-span `it` at one `(j, k)`; `pred` and `outs` are its
 // predicate and outcome slots. The unfissioned tile body runs the three
 // stages back to back per row, the fissioned driver runs each as a sweep
-// (the middle one as a launch). Only the stages whose arithmetic differs
-// between the layouts have two forms.
+// (the middle one always a launch, the outer two under work stealing).
+// Only the stages whose arithmetic differs between the layouts have two
+// forms.
 
 /// Nucleation + condensation + the collision predicate of Listing 6.
 fn pre_row(
@@ -1175,7 +1235,7 @@ fn coal_batch(
 
 /// Freezing/melting + breakup over the row's active points, scalar and in
 /// place in both layouts; returns the tally of the row's outcomes (all
-/// the host stages metered, and the point counts).
+/// that `pre_row` and this stage metered, and the point counts).
 fn post_row(v: &PatchViews<'_>, j: i32, k: i32, it: Span, outs: &mut [PointOutcome]) -> Tally {
     let mut tally = Tally::default();
     for (i, out) in it.iter().zip(outs) {
@@ -1188,6 +1248,68 @@ fn post_row(v: &PatchViews<'_>, j: i32, k: i32, it: Span, outs: &mut [PointOutco
         tally.add_point(out);
     }
     tally
+}
+
+/// Sedimentation of the column at `(i, j)`, class by class. The layouts
+/// differ only in how a class's column is held while it falls.
+fn sediment_column(
+    v: &PatchViews<'_>,
+    layout: Layout,
+    dz: f32,
+    i: i32,
+    j: i32,
+    scratch: &mut ColumnScratch,
+) -> ColumnFall {
+    let kp = v.patch.kp;
+    let nz = kp.len();
+    let ColumnScratch { rho, col, sed } = scratch;
+    rho.clear();
+    rho.extend(kp.iter().map(|k| v.rho[v.idx3(i, k, j)]));
+    match layout {
+        Layout::PointAos => col.resize(nz, [0.0f32; NKR]),
+        Layout::PanelSoa => sed.ensure(nz),
+    }
+    let mut fall = ColumnFall::default();
+    for (c, slab) in v.ff.iter().enumerate() {
+        let grid = v.grids.by_index(c);
+        let level = |kx: usize| slab.subslice_mut(v.idx3(i, kp.lo + kx as i32, j) * NKR, NKR);
+        let mut any = false;
+        fall.precip[c] = match layout {
+            Layout::PointAos => {
+                for (kx, lvl) in col.iter_mut().enumerate() {
+                    lvl.copy_from_slice(level(kx));
+                    any |= lvl.iter().any(|&x| x > 0.0);
+                }
+                if !any {
+                    continue;
+                }
+                let precip = sedimentation_column(col, grid, rho, dz, v.dt, &mut fall.work);
+                for (kx, lvl) in col.iter().enumerate() {
+                    level(kx).copy_from_slice(lvl);
+                }
+                precip
+            }
+            Layout::PanelSoa => {
+                for kx in 0..nz {
+                    for (kb, &x) in level(kx).iter().enumerate() {
+                        sed.bins[kb * nz + kx] = x;
+                        any |= x > 0.0;
+                    }
+                }
+                if !any {
+                    continue;
+                }
+                let precip = sedimentation_column_soa(sed, grid, rho, dz, v.dt, &mut fall.work);
+                for kx in 0..nz {
+                    for (kb, d) in level(kx).iter_mut().enumerate() {
+                        *d = sed.bins[kb * nz + kx];
+                    }
+                }
+                precip
+            }
+        };
+    }
+    fall
 }
 
 /// The next collision lane batch of a row: starting at `*ix`, up to
@@ -1253,8 +1375,8 @@ impl Tally {
         }
     }
 
-    /// The host stages' share of one point (its collision share arrives
-    /// through [`Tally::coal`]).
+    /// The pre and post stages' share of one point (its collision share
+    /// arrives through [`Tally::coal`]).
     fn add_point(&mut self, out: &PointOutcome) {
         self.active += usize::from(out.active);
         self.coal_points += usize::from(out.coal_called);
@@ -1306,6 +1428,7 @@ fn empty_stats(points: usize) -> SbmStepStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::digest::StateDigest;
     use crate::thermo::qsat_liquid;
     use wrf_grid::{two_d_decomposition, Domain};
 
@@ -1449,59 +1572,136 @@ mod tests {
         assert!(s3.warp_efficiency > 0.0 && s3.warp_efficiency <= 1.0);
     }
 
+    /// [`test_state`] with drizzle already in the lowest two levels of
+    /// the cloud, so the first steps deliver surface precipitation and the
+    /// sedimentation fold has something to get wrong.
+    fn rainy_state() -> SbmPatchState {
+        let mut st = test_state();
+        let mut bins = PointBins::empty();
+        for j in 2..=5 {
+            for k in 1..=2 {
+                for i in 3..=7 {
+                    st.load_bins(i, k, j, &mut bins);
+                    for b in 20..=26 {
+                        bins.n[0][b] = 5.0e2;
+                    }
+                    st.store_bins(i, k, j, &bins);
+                }
+            }
+        }
+        st
+    }
+
+    /// Three steps from [`rainy_state`]; the wall clock is zeroed so the
+    /// step statistics compare whole.
+    fn run_rainy(cfg: SbmConfig) -> (SbmPatchState, Vec<SbmStepStats>, FastSbm) {
+        let mut st = rainy_state();
+        let mut scheme = FastSbm::new(cfg);
+        let stats = (0..3)
+            .map(|_| SbmStepStats {
+                coal_wall: 0.0,
+                ..scheme.step(&mut st)
+            })
+            .collect();
+        (st, stats, scheme)
+    }
+
+    /// Neither the scheduler, the pool width nor the kernel cache can move
+    /// a bit: every work-stealing run — its three sweeps and the collision
+    /// launch on 1, 2, 3 or 8 pool threads — reproduces the static
+    /// partition's serial sweeps in state, precipitation and statistics.
     #[test]
     fn exec_modes_and_kernel_cache_are_bitwise_identical() {
         for version in [SbmVersion::OffloadCollapse2, SbmVersion::OffloadCollapse3] {
-            // Reference: the static partition with no cache.
-            let mut ref_state = test_state();
-            let mut cfg = SbmConfig::new(version);
-            cfg.workers = Some(4);
-            cfg.sched = ExecMode::StaticTiles;
-            let mut reference = FastSbm::new(cfg);
-            let mut ref_stats = Vec::new();
-            for _ in 0..3 {
-                ref_stats.push(reference.step(&mut ref_state));
-            }
-
-            let variants = [
-                (ExecMode::WorkSteal, false),
-                (ExecMode::WorkSteal, true),
-                (ExecMode::StaticTiles, true),
-            ];
-            for (sched, cached) in variants {
-                let mut st = test_state();
+            for layout in Layout::ALL {
+                // Reference: the static partition with no cache.
                 let mut cfg = SbmConfig::new(version);
+                cfg.layout = layout;
                 cfg.workers = Some(4);
-                cfg.sched = sched;
-                cfg.cached_kernels = cached;
-                let mut scheme = FastSbm::new(cfg);
-                for (step, want) in ref_stats.iter().enumerate() {
-                    let got = scheme.step(&mut st);
+                cfg.sched = ExecMode::StaticTiles;
+                let (ref_state, ref_stats, _) = run_rainy(cfg);
+                assert!(ref_stats[2].precip > 0.0, "the fold must be exercised");
+                assert!(ref_stats[2].work.sed.flops > 0 && ref_stats[2].work.cond.flops > 0);
+
+                let variants = [
+                    (ExecMode::WorkSteal, false, 1),
+                    (ExecMode::WorkSteal, false, 2),
+                    (ExecMode::WorkSteal, false, 3),
+                    (ExecMode::WorkSteal, false, 8),
+                    (ExecMode::WorkSteal, true, 4),
+                    (ExecMode::StaticTiles, true, 4),
+                ];
+                for (sched, cached, workers) in variants {
+                    let what =
+                        format!("{version:?} {layout:?} {sched:?} cached={cached} x{workers}");
+                    cfg.sched = sched;
+                    cfg.cached_kernels = cached;
+                    cfg.workers = Some(workers);
+                    let (st, stats, scheme) = run_rainy(cfg);
+                    for (step, (got, want)) in stats.iter().zip(&ref_stats).enumerate() {
+                        // Whole statistics (`work.sed`, `work.cond`, the
+                        // counts, the launch geometry), and the f64 fold
+                        // to the bit.
+                        assert_eq!(got, want, "{what} step {step}");
+                        assert_eq!(got.precip.to_bits(), want.precip.to_bits(), "{what} {step}");
+                    }
+                    assert_eq!(st.tt.as_slice(), ref_state.tt.as_slice(), "{what}: T");
+                    assert_eq!(st.qv.as_slice(), ref_state.qv.as_slice(), "{what}: qv");
+                    for c in 0..NTYPES {
+                        assert_eq!(
+                            st.ff[c].as_slice(),
+                            ref_state.ff[c].as_slice(),
+                            "{what}: class {c} bins"
+                        );
+                    }
+                    let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&st.rainnc), bits(&ref_state.rainnc), "{what}: rainnc");
                     assert_eq!(
-                        got.coal_entries, want.coal_entries,
-                        "{version:?} {sched:?} cached={cached} step {step}"
+                        st.precip_acc.to_bits(),
+                        ref_state.precip_acc.to_bits(),
+                        "{what}: precip_acc"
                     );
-                    assert_eq!(got.work.total(), want.work.total());
-                    assert_eq!(got.coal_iters, want.coal_iters);
-                    assert_eq!(got.warp_efficiency, want.warp_efficiency);
+                    if cached && sched.uses_executor() {
+                        let summary = scheme.exec_summary(&ref_stats[2]);
+                        assert_eq!(summary.cache_hit_rate, 1.0, "pressure is k-only here");
+                        assert_eq!(summary.workers, workers);
+                    }
                 }
-                assert_eq!(
-                    st.tt.as_slice(),
-                    ref_state.tt.as_slice(),
-                    "{version:?} {sched:?} cached={cached}: temperatures"
-                );
-                for c in 0..NTYPES {
-                    assert_eq!(
-                        st.ff[c].as_slice(),
-                        ref_state.ff[c].as_slice(),
-                        "{version:?} {sched:?} cached={cached}: class {c} bins"
-                    );
-                }
-                if cached && sched.uses_executor() {
-                    let summary = scheme.exec_summary(&ref_stats[2]);
-                    assert_eq!(summary.cache_hit_rate, 1.0, "pressure is k-only here");
-                    assert!(summary.workers >= 1);
-                }
+            }
+        }
+    }
+
+    /// Four launches a step on one persistent pool, back to back for
+    /// hundreds of steps: the executor's epoch handover (a late worker
+    /// must never carry one launch's body into the next) under the
+    /// scheme's real traffic. Every step's digest at 2 and 3 workers must
+    /// equal the one-worker run's. 300 steps under `CI_NIGHTLY`
+    /// (`./ci.sh pool_stress`), 24 otherwise.
+    #[test]
+    fn pool_stress_every_step_matches_one_worker() {
+        let nightly = std::env::var_os("CI_NIGHTLY").is_some_and(|v| !v.is_empty());
+        let steps = if nightly { 300 } else { 24 };
+        let digests = |workers: usize| {
+            let mut st = test_state();
+            let mut cfg = SbmConfig::new(SbmVersion::OffloadCollapse3);
+            cfg.workers = Some(workers);
+            cfg.cached_kernels = true;
+            let mut scheme = FastSbm::new(cfg);
+            let per_step: Vec<StateDigest> = (0..steps)
+                .map(|_| {
+                    scheme.step(&mut st);
+                    st.digest()
+                })
+                .collect();
+            let epochs = scheme.exec.as_ref().expect("work stealing").stats().epochs;
+            assert_eq!(epochs, 4 * steps as u64, "four launches a step");
+            per_step
+        };
+        let want = digests(1);
+        assert_ne!(want[0], want[steps - 1], "the state must evolve");
+        for workers in [2, 3] {
+            for (step, (got, want)) in digests(workers).iter().zip(&want).enumerate() {
+                assert_eq!(got, want, "{workers} workers, step {step}");
             }
         }
     }
@@ -1671,6 +1871,96 @@ mod tile_tests {
         }
     }
 
+    /// `Launcher::sweep` under both schedulers: without work stealing —
+    /// or without a pool — it is a plain loop, every unit in order on the
+    /// calling thread; work stealing runs every unit exactly once.
+    #[test]
+    fn sweep_is_a_plain_loop_except_under_work_stealing() {
+        let exec = Executor::new(3);
+        let me = std::thread::current().id();
+        let arms = [
+            (ExecMode::StaticTiles, Some(&exec), true),
+            (ExecMode::WorkSteal, None, true),
+            (ExecMode::WorkSteal, Some(&exec), false),
+        ];
+        for (sched, exec, inline) in arms {
+            let launcher = Launcher {
+                sched,
+                workers: Some(3),
+                exec,
+            };
+            let seen = Mutex::new(Vec::new());
+            launcher.sweep(1000, |u| {
+                let here = std::thread::current().id();
+                seen.lock().unwrap().push((u, here));
+            });
+            let mut seen = seen.into_inner().unwrap();
+            if inline {
+                assert!(seen.iter().all(|&(_, t)| t == me), "{sched:?}: off-thread");
+            } else {
+                seen.sort_unstable_by_key(|&(u, _)| u);
+            }
+            let units: Vec<u64> = seen.iter().map(|&(u, _)| u).collect();
+            assert_eq!(units, (0..1000).collect::<Vec<_>>(), "{sched:?}");
+        }
+        assert_eq!(exec.stats().epochs, 1, "only work stealing used the pool");
+    }
+
+    /// The sweeps' launch units, as the disjoint-write views rely on
+    /// them: row units `0..row_count` and column units `0..columns` each
+    /// map onto every compute point exactly once and onto no halo point,
+    /// and onto their own predicate/outcome rows and `rainnc`-order column
+    /// slots — on a one-point patch, a one-row and a one-column one, and a
+    /// ragged patch with halos. (That the launcher runs every unit once
+    /// is the test above.)
+    #[test]
+    fn sweep_units_cover_rows_and_columns_exactly_once() {
+        let sbm = FastSbm::new(SbmConfig::new(SbmVersion::OffloadCollapse3));
+        for (ni, nk, nj, halo) in [(1, 1, 1, 0), (9, 1, 1, 1), (1, 5, 1, 0), (7, 3, 5, 2)] {
+            let what = format!("{ni}x{nk}x{nj} halo {halo}");
+            let d = wrf_grid::Domain::new(ni, nk, nj);
+            let patch = wrf_grid::two_d_decomposition(d, 1, halo).patches[0];
+            // `probe` answers `column_index` while `state` is lent out.
+            let (probe, mut state) = (SbmPatchState::new(patch), SbmPatchState::new(patch));
+            let mut sweep = SweepArrays::default();
+            let (grids, tables, splits) = (&sbm.grids, &sbm.tables, &sbm.splits);
+            let v = PatchViews::new(grids, tables, None, splits, 5.0, &mut state, &mut sweep);
+            // Hits per memory point: once in the compute region, never
+            // in the halo.
+            let covered = |hits: &[u8]| {
+                let compute: Vec<usize> = v
+                    .rows()
+                    .flat_map(|(j, k)| patch.ip.iter().map(move |i| (i, k, j)))
+                    .map(|(i, k, j)| v.idx3(i, k, j))
+                    .collect();
+                compute.iter().all(|&at| hits[at] == 1)
+                    && hits.iter().map(|&h| h as usize).sum::<usize>() == compute.len()
+            };
+
+            let mut hits = vec![0u8; v.tt.len()];
+            for row in 0..v.row_count() {
+                let (j, k) = v.row(row);
+                assert_eq!(v.rows().nth(row), Some((j, k)), "{what}: sweep order");
+                for i in patch.ip.iter() {
+                    hits[v.idx3(i, k, j)] += 1;
+                }
+            }
+            assert!(covered(&hits), "{what}: row units");
+            assert_eq!(v.row_count() * patch.ip.len(), patch.compute_points());
+
+            let mut hits = vec![0u8; v.tt.len()];
+            for col in 0..patch.compute_columns() {
+                let (i, j) = v.column(col);
+                assert!(patch.ip.contains(i) && patch.jp.contains(j), "{what}");
+                assert_eq!(probe.column_index(i, j), col, "{what}: rainnc order");
+                for k in patch.kp.iter() {
+                    hits[v.idx3(i, k, j)] += 1;
+                }
+            }
+            assert!(covered(&hits), "{what}: column units");
+        }
+    }
+
     /// The launch units the disjoint-write views rely on: any tile count
     /// (more tiles than j-rows included) covers every compute point
     /// exactly once, and the compacted lists name each active unit once.
@@ -1741,7 +2031,10 @@ mod tile_tests {
                 (0..patch.compute_points()).map(|_| draw(10) < act10).collect();
 
             let sbm = FastSbm::new(SbmConfig::new(SbmVersion::OffloadCollapse3));
-            let v = PatchViews::new(&sbm.grids, &sbm.tables, None, &sbm.splits, 5.0, &mut state);
+            let mut sweep = SweepArrays::default();
+            let v = PatchViews::new(
+                &sbm.grids, &sbm.tables, None, &sbm.splits, 5.0, &mut state, &mut sweep,
+            );
             let mut batches = Vec::new();
             build_batch_list(&v, &predicate, &mut batches);
 

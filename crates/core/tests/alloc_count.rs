@@ -7,7 +7,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use fsbm_core::exec::ExecMode;
-use fsbm_core::scheme::{FastSbm, SbmConfig, SbmVersion};
+use fsbm_core::scheme::{FastSbm, SbmConfig, SbmStepStats, SbmVersion};
 use fsbm_core::thermo::qsat_liquid;
 use fsbm_core::{PointBins, SbmPatchState};
 use wrf_grid::{two_d_decomposition, Domain};
@@ -143,6 +143,30 @@ fn steady_state_panel_step_allocates_nothing() {
     );
 }
 
+/// A warmed-up fissioned `PanelSoa` step of `version` under `sched`, one
+/// worker (so every launch runs on this, the counted, thread), on an
+/// `ni × 6 × nj` patch: its statistics and allocation count.
+fn steady_fissioned_step(
+    version: SbmVersion,
+    sched: ExecMode,
+    cached_kernels: bool,
+    (ni, nj): (i32, i32),
+) -> (SbmStepStats, u64) {
+    let mut st = cloudy_state_on(ni, nj);
+    let mut cfg = SbmConfig::new(version);
+    cfg.layout = fsbm_core::Layout::PanelSoa;
+    cfg.workers = Some(1);
+    cfg.sched = sched;
+    cfg.cached_kernels = cached_kernels;
+    let mut scheme = FastSbm::new(cfg);
+    let warm = scheme.step(&mut st);
+    assert!(
+        warm.coal_points > 0,
+        "warm-up must reach the collision path"
+    );
+    counting(|| scheme.step(&mut st))
+}
+
 /// The fissioned panel path reuses its sweep arrays, batch list and
 /// per-column activity flags the same way. One allocation per step is
 /// inherent in the statistics it returns (`SbmStepStats::kernel_spec`
@@ -151,19 +175,8 @@ fn steady_state_panel_step_allocates_nothing() {
 #[test]
 fn steady_state_collapse2_step_allocations_do_not_scale_with_the_patch() {
     let counts = [(12, 8), (36, 24)].map(|(ni, nj)| {
-        let mut st = cloudy_state_on(ni, nj);
-        let mut cfg = SbmConfig::new(SbmVersion::OffloadCollapse2);
-        cfg.layout = fsbm_core::Layout::PanelSoa;
-        cfg.workers = Some(1);
-        cfg.sched = ExecMode::StaticTiles;
-        let mut scheme = FastSbm::new(cfg);
-        let warm = scheme.step(&mut st);
-        assert!(
-            warm.coal_points > 0,
-            "warm-up must reach the collision path"
-        );
-
-        let (stats, n) = counting(|| scheme.step(&mut st));
+        let (version, sched) = (SbmVersion::OffloadCollapse2, ExecMode::StaticTiles);
+        let (stats, n) = steady_fissioned_step(version, sched, false, (ni, nj));
         assert_eq!(stats.coal_iters as usize, 6 * nj as usize);
         n
     });
@@ -172,6 +185,23 @@ fn steady_state_collapse2_step_allocations_do_not_scale_with_the_patch() {
         counts[0] <= 2,
         "steady collapse(2) step allocated {counts:?}"
     );
+}
+
+/// The production path — `collapse(3)`, work stealing, cached kernels —
+/// with its three sweeps and the collision launch going through the pool
+/// entry points: the per-column sedimentation results and the per-thread
+/// column scratch are reused, not rebuilt per step, so the kernel's name
+/// in the returned statistics is the step's only allocation on either
+/// patch.
+#[test]
+fn steady_state_production_step_allocates_only_its_statistics() {
+    let counts = [(12, 8), (36, 24)].map(|size| {
+        let (version, sched) = (SbmVersion::OffloadCollapse3, ExecMode::WorkSteal);
+        let (stats, n) = steady_fissioned_step(version, sched, true, size);
+        assert!(stats.coal_points > 0 && stats.work.sed.flops > 0);
+        n
+    });
+    assert_eq!(counts, [1, 1], "steady production step allocations");
 }
 
 /// The AoS baseline layout is *expected* to allocate (per-point bin

@@ -494,6 +494,9 @@ pub fn schedule_ensemble(
     }
 
     Ok(Schedule {
+        // Cannot fire: a member leaves `pending` only by being admitted
+        // to a wave, every admitted member is scheduled before its wave
+        // closes, and the loop above ends only once `pending` is empty.
         members: scheduled
             .into_iter()
             .map(|m| m.expect("all waves drained"))
@@ -658,7 +661,7 @@ pub fn run_ensemble_with(
     for m in 0..spec.members {
         let cfg = member_config(base, spec, m);
         let plan = opts.faults.get(&m).cloned();
-        if let Some(root) = &opts.restart_root {
+        let (run, tries, restarts_from) = if let Some(root) = &opts.restart_root {
             let rcfg = RestartConfig {
                 dir: root.join(format!("member{m:03}")),
                 interval: spec.checkpoint_interval.max(1),
@@ -667,13 +670,7 @@ pub fn run_ensemble_with(
             };
             let (run, stats) = run_parallel_restartable(cfg, steps, &rcfg, plan)
                 .map_err(|detail| ServiceError::Member { member: m, detail })?;
-            timings.push(MemberTimings {
-                member: m,
-                service_per_step: run.reports[0].device_secs_per_step.clone(),
-            });
-            states.push(run.states.into_iter().next().expect("one rank"));
-            attempts.push(stats.attempts);
-            resumed.push(stats.restarts_from);
+            (run, stats.attempts, stats.restarts_from)
         } else {
             if plan.is_some() {
                 return Err(ServiceError::Config(
@@ -681,14 +678,17 @@ pub fn run_ensemble_with(
                 ));
             }
             let run = run_parallel_checked(cfg, steps).map_err(ServiceError::Admission)?;
-            timings.push(MemberTimings {
-                member: m,
-                service_per_step: run.reports[0].device_secs_per_step.clone(),
-            });
-            states.push(run.states.into_iter().next().expect("one rank"));
-            attempts.push(1);
-            resumed.push(Vec::new());
-        }
+            (run, 1, Vec::new())
+        };
+        // Cannot fire: `member_config` makes every member a one-rank run,
+        // and a finished run holds one report and one state per rank.
+        timings.push(MemberTimings {
+            member: m,
+            service_per_step: run.reports[0].device_secs_per_step.clone(),
+        });
+        states.push(run.states.into_iter().next().expect("one rank"));
+        attempts.push(tries);
+        resumed.push(restarts_from);
     }
 
     // Modeled plane: pack and replay. CPU versions never touch the
