@@ -4,7 +4,7 @@
 # exactly:
 #
 #   ./ci.sh            # every step, in workflow order
-#   ./ci.sh build      # one step (build|test|pool_stress|ledger|clippy|docs|fmt|...)
+#   ./ci.sh build      # one step (build|test|pool_stress|bracket_exhaustive|ledger|clippy|...)
 #
 # The workflow fans the gate steps (the GATES list below) out as a
 # parallel matrix job; `all` runs the same steps serially in workflow
@@ -20,7 +20,8 @@
 #                  (4 steps, scale 0.05 only). The two sets live in one
 #                  place, `wrf_gate::Depth`; ci.yml sets this on the
 #                  nightly schedule event only. The pool stress test
-#                  reads it too (300 scheme steps instead of 24).
+#                  reads it too (300 scheme steps instead of 24), and the
+#                  exhaustive bracket sweep runs only under it.
 #   CI_DRIFT_BASE  diff base ref of the drift guards (default origin/$GITHUB_BASE_REF)
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -64,6 +65,20 @@ step_test() {
 # cargo).
 step_pool_stress() {
     cargo test --release -p fsbm-core --lib pool_stress_every_step_matches_one_worker 2>&1 |
+        tee /dev/stderr | grep '^test result: ok. 1 passed' >/dev/null
+}
+
+# The panel deposit reads its bin bracket from the float's exponent; the
+# scalar searches for it with log2. Nightly only (seconds in release, a
+# skip otherwise): every f32 between the grid's ends — 2^23 values an
+# octave, 32 octaves — must give the same split both ways. Same grep
+# guard as the pool stress test.
+step_bracket_exhaustive() {
+    if [ -z "${CI_NIGHTLY:-}" ]; then
+        echo "==> ci.sh: bracket_exhaustive: nightly only (set CI_NIGHTLY); skipping"
+        return 0
+    fi
+    cargo test --release -p fsbm-core --lib -- --ignored bracket_exhaustive 2>&1 |
         tee /dev/stderr | grep '^test result: ok. 1 passed' >/dev/null
 }
 
@@ -230,7 +245,7 @@ step_clock_free() {
     fi
 }
 
-CHECKS=(build test pool_stress ledger clippy docs fmt shellcheck clock_free golden_drift benchmark_drift)
+CHECKS=(build test pool_stress bracket_exhaustive ledger clippy docs fmt shellcheck clock_free golden_drift benchmark_drift)
 
 # Every step name, in workflow order: the checks, then the gates.
 step_names() {

@@ -51,9 +51,12 @@ const ICE_RELAX_ORDER: [HydroClass; 6] = [
 /// Bin number densities are stored bin-major and lane-fastest
 /// (`n[class][bin][lane]`) so the per-(class, bin) inner loops of the
 /// collision and condensation kernels touch contiguous lanes. Thermo state
-/// is one f32 per lane. Lanes `>= len` hold stale data and are never read:
-/// all panel ops iterate `0..len` (ragged last batches are handled by the
-/// mask, not by zero padding).
+/// is one f32 per lane. Lanes `>= len` hold stale data and are never
+/// observed: the collision cell sweep and the class scrub do load all
+/// [`LANES`] slots so their loops vectorise, but under select masks that
+/// store a dead lane's own bits back and count nothing for it; every
+/// other panel op iterates `0..len`. Ragged last batches are handled by
+/// the mask, not by zero padding.
 pub struct SoaPanel {
     /// Bin number densities, `n[class][bin][lane]`.
     pub n: [[[f32; LANES]; NKR]; NTYPES],
@@ -181,20 +184,16 @@ impl SoaPanel {
         tot
     }
 
-    /// Per-lane mirror of `BinsView::scrub_negatives` for lanes where
-    /// `mask` holds: clamps tiny negative round-off to zero.
-    fn scrub_lanes(&mut self, mask: &[bool; LANES]) {
-        for c in 0..NTYPES {
-            for k in 0..NKR {
-                for (l, &on) in mask.iter().enumerate().take(self.len) {
-                    if !on {
-                        continue;
-                    }
-                    let v = &mut self.n[c][k][l];
-                    if *v < 0.0 {
-                        debug_assert!(*v > -1.0e-2, "large negative bin value {v}");
-                        *v = 0.0;
-                    }
+    /// Per-lane mirror of `BinsView::scrub_negatives` over `classes` for
+    /// the lanes where `mask` holds (never one `>= len`): clamps tiny
+    /// negative round-off to zero. A select over all [`LANES`] slots —
+    /// every other slot, `-0.0` included, keeps its bits.
+    fn scrub_lanes(&mut self, classes: std::ops::Range<usize>, mask: &[bool; LANES]) {
+        for bins in &mut self.n[classes] {
+            for slots in bins.iter_mut() {
+                for (v, &on) in slots.iter_mut().zip(mask) {
+                    debug_assert!(!(on && *v <= -1.0e-2), "large negative bin value {v}");
+                    *v = if on && *v < 0.0 { 0.0 } else { *v };
                 }
             }
         }
@@ -236,9 +235,16 @@ pub enum Split {
 }
 
 impl Split {
-    /// Computes the stencil for depositing mass `m` on `grid`, replicating
-    /// the bracket logic of `crate::point::deposit_mass` exactly.
+    /// Computes the stencil for depositing mass `m` on `grid`: the split
+    /// `crate::point::deposit_mass` makes, with the bracket read from the
+    /// bits ([`bracket_from_bits`]) instead of searched for.
     pub fn for_mass(grid: &BinGrid, m: f32) -> Split {
+        Split::with_bracket(grid, m, bracket_from_bits)
+    }
+
+    /// The split around `bracket(grid, m)`, which is asked only for masses
+    /// strictly inside the grid.
+    fn with_bracket(grid: &BinGrid, m: f32, bracket: impl Fn(&BinGrid, f32) -> usize) -> Split {
         let m0 = grid.mass[0];
         if m <= m0 {
             return Split::Bottom { m, m0 };
@@ -250,14 +256,7 @@ impl Split {
                 mtop: grid.mass[top],
             };
         }
-        let pos = (m / m0).log2();
-        let mut k = (pos.floor() as usize).min(top - 1);
-        if k > 0 && m < grid.mass[k] {
-            k -= 1;
-        }
-        if k + 1 < top && m > grid.mass[k + 1] {
-            k += 1;
-        }
+        let k = bracket(grid, m);
         let (m_lo, m_hi) = (grid.mass[k], grid.mass[k + 1]);
         let frac = ((m - m_lo) / (m_hi - m_lo)).clamp(0.0, 1.0);
         Split::Mid { k: k as u16, frac }
@@ -287,6 +286,41 @@ impl Split {
             }
         }
     }
+}
+
+/// The bin `k` with `mass[k] <= m < mass[k + 1]`, for `mass[0] < m <
+/// mass[NKR - 1]`, as an exponent difference.
+///
+/// [`BinGrid::new`] builds `mass[k] = m0 * 2^k` exactly, so every bin mass
+/// carries `m0`'s mantissa under the exponent `exp(m0) + k`
+/// (`bin_masses_share_the_mantissa_of_m0`). Positive normal floats order
+/// as their `(exponent, mantissa)` pairs, hence `k = exp(m) - exp(m0) -
+/// (mant(m) < mant(m0))`. The scalar `deposit_mass` keeps its `log2` +
+/// `floor` + two nudges, which land on the same bin (the `bracket_*`
+/// tests; the exhaustive one walks every f32 of the grid) — so wherever
+/// the layouts are compared, every deposit the program makes
+/// cross-checks the two.
+fn bracket_from_bits(grid: &BinGrid, m: f32) -> usize {
+    const MANT: u32 = (1 << 23) - 1;
+    let (b, b0) = (m.to_bits(), grid.mass[0].to_bits());
+    let below = usize::from((b & MANT) < (b0 & MANT));
+    (((b >> 23) - (b0 >> 23)) as usize - below).min(NKR - 2)
+}
+
+/// The bracket as `crate::point::deposit_mass` searches for it: the
+/// reference [`bracket_from_bits`] is proven against.
+#[cfg(test)]
+fn bracket_log2(grid: &BinGrid, m: f32) -> usize {
+    let top = NKR - 1;
+    let pos = (m / grid.mass[0]).log2();
+    let mut k = (pos.floor() as usize).min(top - 1);
+    if k > 0 && m < grid.mass[k] {
+        k -= 1;
+    }
+    if k + 1 < top && m > grid.mass[k + 1] {
+        k += 1;
+    }
+    k
 }
 
 /// Deposition stencils for every `(pair, i, j)` collision outcome,
@@ -398,10 +432,7 @@ fn coal_substep_panel(
     let tsnap = panel.t;
     let (kc_f, kc_m) = kernels.access_cost();
     let mut all = [false; LANES];
-    for (l, slot) in all.iter_mut().enumerate().take(len) {
-        let _ = l;
-        *slot = true;
-    }
+    all[..len].fill(true);
 
     for (pidx, pair) in COLLISION_PAIRS.iter().enumerate() {
         let involves_ice = pair.a.is_ice() || pair.b.is_ice();
@@ -652,7 +683,7 @@ fn coal_substep_panel(
             *misses += (acc_nent[l] - acc_hit[l]) as u64;
         }
     }
-    panel.scrub_lanes(&all);
+    panel.scrub_lanes(0..NTYPES, &all);
 }
 
 /// Batched mirror of `condensation::condensation_branch` over a panel.
@@ -700,6 +731,9 @@ pub fn panel_condensation(
 
     let dts = dt / NCOND as f32;
     let mut qs = [0.0f32; LANES];
+    // Lanes whose first relax of this call has fired (see the scrub rule
+    // in `panel_relax_class`).
+    let mut scrubbed = [false; LANES];
     for _ in 0..NCOND {
         // Liquid leg: onecond1 and onecond2 both open each substep with
         // the liquid saturation and a water relax.
@@ -722,6 +756,7 @@ pub fn panel_condensation(
                 &qs,
                 false,
                 dts,
+                &mut scrubbed,
                 works,
             );
         }
@@ -739,13 +774,25 @@ pub fn panel_condensation(
                 }
             }
             if iany {
-                panel_relax_class(panel, class, grids, &imask, &qs, true, dts, works);
+                panel_relax_class(
+                    panel,
+                    class,
+                    grids,
+                    &imask,
+                    &qs,
+                    true,
+                    dts,
+                    &mut scrubbed,
+                    works,
+                );
             }
         }
     }
 }
 
-/// Lane-masked mirror of `condensation::relax_class`.
+/// Lane-masked mirror of `condensation::relax_class`. `scrubbed` marks
+/// the lanes a relax of the running `panel_condensation` call has already
+/// scrubbed whole.
 #[allow(clippy::too_many_arguments)]
 fn panel_relax_class(
     panel: &mut SoaPanel,
@@ -755,6 +802,7 @@ fn panel_relax_class(
     qs: &[f32; LANES],
     over_ice: bool,
     dt: f32,
+    scrubbed: &mut [bool; LANES],
     works: &mut [PointWork; LANES],
 ) {
     let len = panel.len;
@@ -850,7 +898,30 @@ fn panel_relax_class(
             }
         }
     }
-    panel.scrub_lanes(&mask);
+    // The scalar ends every relax that moved mass with `scrub_negatives`
+    // over all seven classes. That pass can find something outside
+    // `class` only the first time it runs on a point within one
+    // condensation call: negatives arrive from other stages, the first
+    // scrub clears every class, and from then on the only writes to the
+    // lane until the call returns are the relaxes' own, each inside the
+    // class it was called for and each followed by that class's scrub. So
+    // a lane is scrubbed whole on its first relax and class-only after —
+    // the slots skipped are non-negative (or `-0.0`, or NaN), which the
+    // scalar's scrub leaves bit for bit. (The class scrub itself finds
+    // nothing on a lane scrubbed before: a moved bin is left at `n - n`,
+    // `+0.0`, and a deposit adds `number * frac` and `number - number *
+    // frac`, both `>= 0` for `frac` in `[0, 1]`, or `number * m / m_edge`.
+    // It stays because it costs one class and keeps the rule independent
+    // of the deposit arithmetic.)
+    let mut first = [false; LANES];
+    for l in 0..len {
+        first[l] = mask[l] && !scrubbed[l];
+        scrubbed[l] |= mask[l];
+    }
+    if first.contains(&true) {
+        panel.scrub_lanes(0..NTYPES, &first);
+    }
+    panel.scrub_lanes(ci..ci + 1, &mask);
     for l in 0..len {
         if !mask[l] {
             continue;
@@ -1072,6 +1143,101 @@ mod tests {
                 assert_eq!(a[k].to_bits(), b[k][3].to_bits(), "bin {k} for m={m}");
             }
             assert_eq!(wa, wb);
+        }
+    }
+
+    /// A split as comparable bits: variant, then its fields.
+    fn split_bits(s: Split) -> (u8, u32, u32) {
+        match s {
+            Split::Bottom { m, m0 } => (0, m.to_bits(), m0.to_bits()),
+            Split::Top { m, mtop } => (1, m.to_bits(), mtop.to_bits()),
+            Split::Mid { k, frac } => (2, u32::from(k), frac.to_bits()),
+        }
+    }
+
+    fn assert_same_split(g: &BinGrid, m: f32) {
+        assert_eq!(
+            split_bits(Split::for_mass(g, m)),
+            split_bits(Split::with_bracket(g, m, bracket_log2)),
+            "{:?} m = {m:e} ({:#x})",
+            g.class,
+            m.to_bits()
+        );
+    }
+
+    /// What [`bracket_from_bits`] rests on: whoever changes the grid away
+    /// from exact doubling breaks this test, not the bracket.
+    #[test]
+    fn bin_masses_share_the_mantissa_of_m0() {
+        let grids = Grids::new();
+        for c in HydroClass::ALL {
+            let g = grids.of(c);
+            let b0 = g.mass[0].to_bits();
+            assert!(g.mass[0].is_normal() && g.mass[0] > 0.0, "{c:?}");
+            for (k, m) in g.mass.iter().enumerate() {
+                let b = m.to_bits();
+                assert_eq!(b & 0x007f_ffff, b0 & 0x007f_ffff, "{c:?} bin {k}: mantissa");
+                assert_eq!((b >> 23) - (b0 >> 23), k as u32, "{c:?} bin {k}: exponent");
+            }
+        }
+    }
+
+    /// Both brackets agree where `log2` is weakest: within two ulps of
+    /// every bin edge of every grid, the grid's two ends included.
+    #[test]
+    fn bracket_agrees_with_log2_around_every_bin_edge() {
+        let grids = Grids::new();
+        for c in HydroClass::ALL {
+            let g = grids.of(c);
+            for edge in g.mass {
+                for ulps in -2i32..=2 {
+                    let m = f32::from_bits(edge.to_bits().wrapping_add_signed(ulps));
+                    assert_same_split(g, m);
+                }
+            }
+        }
+    }
+
+    /// Every f32 of the grid, `[m0, mass[top]]` — about 2.7e8 values,
+    /// seconds in release (`CI_NIGHTLY=1 ./ci.sh bracket_exhaustive`).
+    /// The seven grids share one mass axis, so one is all of them.
+    #[test]
+    #[ignore = "exhaustive: run in release through ./ci.sh bracket_exhaustive"]
+    fn bracket_exhaustive() {
+        let grids = Grids::new();
+        let g = grids.of(HydroClass::Water);
+        for c in HydroClass::ALL {
+            assert_eq!(grids.of(c).mass, g.mass, "{c:?}: shared mass axis");
+        }
+        for bits in g.mass[0].to_bits()..=g.mass[NKR - 1].to_bits() {
+            assert_same_split(g, f32::from_bits(bits));
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(2048))]
+
+        /// The two deposits, not just the two brackets: anywhere from two
+        /// octaves below the grid to two above it, the lane form and the
+        /// scalar leave the same column and the same meter.
+        #[test]
+        fn deposit_lane_matches_scalar_deposit(
+            class in 0usize..NTYPES, pos in proptest::any::<u32>(), number in 0.0f32..4.0e7,
+        ) {
+            let grids = Grids::new();
+            let g = grids.by_index(class);
+            let (lo, hi) = ((g.mass[0] / 4.0).to_bits(), (4.0 * g.mass[NKR - 1]).to_bits());
+            let m = f32::from_bits(lo + pos % (hi - lo + 1));
+            let mut a = [1.0f32; NKR];
+            let mut wa = PointWork::ZERO;
+            crate::point::deposit_mass(&mut a, g, m, number, &mut wa);
+            let mut b = [[1.0f32; LANES]; NKR];
+            let mut wb = PointWork::ZERO;
+            deposit_mass_lane(&mut b, 5, g, m, number, &mut wb);
+            for k in 0..NKR {
+                proptest::prop_assert_eq!(a[k].to_bits(), b[k][5].to_bits(), "bin {} for m = {:e}", k, m);
+            }
+            proptest::prop_assert_eq!(wa, wb);
         }
     }
 

@@ -43,12 +43,13 @@ use crate::panels::{
     panel_coal, panel_coal_predicate, panel_condensation, sedimentation_column_soa, DepositSplits,
     SedScratch, SoaPanel, LANES,
 };
-use crate::point::{BinsView, Grids, PointBins, PointThermo};
+use crate::point::{BinsView, Grids, PointBins, PointThermo, Q_EPS};
 use crate::processes::driver::{
     fast_sbm_coal, fast_sbm_nucleate, fast_sbm_post, fast_sbm_pre, PointOutcome,
 };
 use crate::processes::sedimentation::sedimentation_column;
 use crate::state::SbmPatchState;
+use crate::thermo::supersat_liquid;
 use crate::types::{NKR, NTYPES};
 use crate::workload::warp_efficiency;
 use gpu_sim::launch::{launch_functional_static, KernelSpec};
@@ -1099,24 +1100,36 @@ fn pre_row(
 
 /// The panel form of [`pre_row`]: scalar guard + nucleation per point in
 /// place, then condensation and the predicate in lane batches over the
-/// row's active points (condensation batches may mix pressures).
+/// points of the row that have condensate or are supersaturated over
+/// liquid once nucleation is done (batches may mix pressures). An active
+/// point with neither is where `condensation_branch` returns at its guard
+/// and the predicate reads false: it is metered as both would have
+/// metered it, in place, and never enters a panel.
 fn pre_row_panels(v: &PatchViews<'_>, j: i32, k: i32, it: Span, outs: &mut [PointOutcome]) {
-    for (ix, i) in it.iter().enumerate() {
-        let at = v.idx3(i, k, j);
-        let mut th = v.thermo(at);
-        let out = fast_sbm_nucleate(&mut v.bins(at), &mut th, v.grids, v.dt, v.t_old[at]);
-        if out.is_some() {
-            v.store_thermo(at, &th);
-        }
-        outs[ix] = out.unwrap_or_default();
-    }
     let mut panel = SoaPanel::new();
     let mut lane_ix = [0usize; LANES];
     for ix in 0..=it.len() {
         let row_done = ix == it.len();
-        if !row_done && outs[ix].active {
-            lane_ix[panel.len] = ix;
-            v.gather(v.idx3(it.lo + ix as i32, k, j), &mut panel);
+        if !row_done {
+            let at = v.idx3(it.lo + ix as i32, k, j);
+            let mut th = v.thermo(at);
+            let out = fast_sbm_nucleate(&mut v.bins(at), &mut th, v.grids, v.dt, v.t_old[at]);
+            outs[ix] = out.unwrap_or_default();
+            if out.is_some() {
+                v.store_thermo(at, &th);
+                // `condensation_branch`'s guard on the slab slices, with
+                // the sum it makes (and the predicate makes again).
+                let mut sum = PointWork::ZERO;
+                let condensate = v.bins(at).total_condensate(v.grids, &mut sum);
+                if condensate <= Q_EPS && supersat_liquid(th.t, th.p, th.qv) <= 0.0 {
+                    let cond = &mut outs[ix].work.cond;
+                    *cond = sum + sum;
+                    cond.f(25);
+                } else {
+                    lane_ix[panel.len] = ix;
+                    v.gather(at, &mut panel);
+                }
+            }
         }
         if panel.is_full() || (row_done && panel.len > 0) {
             let mut works = [PointWork::ZERO; LANES];
@@ -1290,14 +1303,14 @@ fn sediment_column(
                 precip
             }
             Layout::PanelSoa => {
+                // Look before transposing: most columns hold one class.
+                if !(0..nz).any(|kx| level(kx).iter().any(|&x| x > 0.0)) {
+                    continue;
+                }
                 for kx in 0..nz {
                     for (kb, &x) in level(kx).iter().enumerate() {
                         sed.bins[kb * nz + kx] = x;
-                        any |= x > 0.0;
                     }
-                }
-                if !any {
-                    continue;
                 }
                 let precip = sedimentation_column_soa(sed, grid, rho, dz, v.dt, &mut fall.work);
                 for kx in 0..nz {
@@ -1704,6 +1717,164 @@ mod tests {
                 assert_eq!(got, want, "{workers} workers, step {step}");
             }
         }
+    }
+
+    /// A one-row patch of `points` — `(t, qv / qsat_liquid, bins)` each —
+    /// at 70 kPa, `T_OLD` taken.
+    fn row_state(points: &[(f32, f32, PointBins)]) -> SbmPatchState {
+        let d = Domain::new(points.len() as i32, 1, 1);
+        let patch = two_d_decomposition(d, 1, 0).patches[0];
+        let mut st = SbmPatchState::new(patch);
+        let (j, k, p) = (patch.jp.lo, patch.kp.lo, 70_000.0);
+        for (i, (t, sat, bins)) in patch.ip.iter().zip(points) {
+            st.p.set(i, k, j, p);
+            st.tt.set(i, k, j, *t);
+            st.rho.set(i, k, j, crate::thermo::air_density(*t, p));
+            st.qv.set(i, k, j, qsat_liquid(*t, p) * sat);
+            st.store_bins(i, k, j, bins);
+        }
+        st.snapshot_t_old();
+        st
+    }
+
+    /// [`pre_row`] in `layout` over the row of a [`row_state`]: the state
+    /// after it, the predicate and the outcomes.
+    fn pre_row_on(
+        mut st: SbmPatchState,
+        layout: Layout,
+    ) -> (SbmPatchState, Vec<bool>, Vec<PointOutcome>) {
+        let patch = st.patch;
+        let sbm = FastSbm::new(SbmConfig::new(SbmVersion::OffloadCollapse3));
+        let mut sweep = SweepArrays::default();
+        let mut pred = vec![false; patch.ip.len()];
+        let mut outs = vec![PointOutcome::default(); patch.ip.len()];
+        let (grids, tables, splits) = (&sbm.grids, &sbm.tables, &sbm.splits);
+        let v = PatchViews::new(grids, tables, None, splits, 5.0, &mut st, &mut sweep);
+        pre_row(
+            &v,
+            layout,
+            patch.jp.lo,
+            patch.kp.lo,
+            patch.ip,
+            &mut pred,
+            &mut outs,
+        );
+        (st, pred, outs)
+    }
+
+    fn state_bits(st: &SbmPatchState) -> Vec<u32> {
+        let fields = [st.tt.as_slice(), st.qv.as_slice()];
+        let slabs = st.ff.iter().map(|f| f.as_slice());
+        (fields.into_iter().chain(slabs))
+            .flat_map(|f| f.iter().map(|x| x.to_bits()))
+            .collect()
+    }
+
+    /// The two forms of [`pre_row`] on a row holding every kind of point
+    /// the panel form tells apart, eleven of them panel-bound (one full
+    /// panel and a ragged one): identical state bits, predicate and whole
+    /// outcomes, and each kind where it belongs.
+    #[test]
+    fn pre_row_forms_agree_case_by_case() {
+        let mut warm = PointBins::empty();
+        (7..=12).for_each(|b| warm.n[0][b] = 2.0e7);
+        let mut ice = PointBins::empty();
+        ice.n[2][6] = 4.0e4;
+        ice.n[4][10] = 8.0e4;
+        let mut mixed = ice.clone();
+        mixed.n[0] = warm.n[0];
+        // Tiny negatives in classes the lane's first relax (water) does
+        // not move: one where no later relax visits them, one where the
+        // ice relaxes follow.
+        let mut warm_neg = warm.clone();
+        warm_neg.n[4][3] = -1.0e-7;
+        warm_neg.n[6][30] = -3.0e-6;
+        let mut mixed_neg = mixed.clone();
+        mixed_neg.n[5][20] = -2.0e-7;
+        mixed_neg.n[6][0] = -1.0e-6;
+
+        let clear = (285.0, 0.5, PointBins::empty());
+        let supersaturated = (285.0, 1.02, PointBins::empty());
+        let evaporating = (288.0, 0.97, warm.clone());
+        let mixed_phase = (263.0, 1.0, mixed.clone());
+        let glaciated = (250.0, 0.8, ice.clone());
+        let frigid = (190.0, 0.5, warm.clone());
+        let points = [
+            clear.clone(),
+            supersaturated.clone(),
+            evaporating.clone(),
+            mixed_phase.clone(),
+            glaciated.clone(),
+            frigid,
+            (286.0, 1.01, warm_neg),
+            (262.0, 1.01, mixed_neg),
+            evaporating,
+            clear,
+            mixed_phase,
+            supersaturated,
+            glaciated,
+            (287.0, 0.99, warm),
+        ];
+        let (aos, aos_pred, aos_outs) = pre_row_on(row_state(&points), Layout::PointAos);
+        let (soa, soa_pred, soa_outs) = pre_row_on(row_state(&points), Layout::PanelSoa);
+        assert_eq!(state_bits(&soa), state_bits(&aos));
+        assert_eq!(soa_pred, aos_pred);
+        assert_eq!(soa_outs, aos_outs);
+
+        let want_pred = [0, 1, 1, 1, 1, 0, 1, 1, 1, 0, 1, 1, 1, 1].map(|x| x == 1);
+        assert_eq!(soa_pred, want_pred);
+        let ip = soa.patch.ip;
+        let bins_at = |st: &SbmPatchState, ix: usize| {
+            let mut bins = PointBins::empty();
+            st.load_bins(ip.lo + ix as i32, st.patch.kp.lo, st.patch.jp.lo, &mut bins);
+            bins
+        };
+        for (ix, (_, _, before)) in points.iter().enumerate() {
+            let (out, after) = (&soa_outs[ix], bins_at(&soa, ix));
+            assert_eq!(out.active, ix != 5, "point {ix}");
+            match ix {
+                // Clear and frigid points keep their bins; the clear one
+                // is still metered: `condensation_branch`'s sum and
+                // guard, then the predicate's sum.
+                0 | 9 => {
+                    assert_eq!(after, *before, "point {ix}");
+                    let sum = 7 * NKR as u64;
+                    assert_eq!(out.work.cond.flops, 2 * 2 * sum + 25, "point {ix}");
+                    assert_eq!(out.work.cond.mem_ops, 2 * sum, "point {ix}");
+                }
+                5 => assert_eq!(after, *before, "point {ix}"),
+                // A clear supersaturated point nucleates, then condenses.
+                1 | 11 => assert!(after.n[0].iter().sum::<f32>() > 0.0, "point {ix}"),
+                // The negatives are gone after the pre-sweep alone.
+                6 | 7 => assert!(after.n.iter().flatten().all(|&x| x >= 0.0), "point {ix}"),
+                // The glaciated point stays liquid-free; the others moved.
+                4 | 12 => assert_eq!(after.n[0], [0.0; NKR], "point {ix}"),
+                _ => assert_ne!(after, *before, "point {ix}"),
+            }
+        }
+    }
+
+    /// A row that is clear and subsaturated over liquid and over ice —
+    /// warm, cold, and colder than the collision floor — nucleates
+    /// nothing, so neither form may move a state bit.
+    #[test]
+    fn pre_row_leaves_a_clear_dry_row_untouched() {
+        let temps = [
+            291.0, 280.0, 271.0, 262.0, 250.0, 240.0, 230.0, 220.0, 205.0, 196.0,
+        ];
+        let before = row_state(&temps.map(|t| (t, 0.4, PointBins::empty())));
+        let mut outcomes = Vec::new();
+        for layout in Layout::ALL {
+            let (after, pred, outs) = pre_row_on(before.clone(), layout);
+            assert_eq!(state_bits(&after), state_bits(&before), "{layout:?}");
+            assert!(
+                outs.iter().all(|o| o.active && !o.coal_called),
+                "{layout:?}"
+            );
+            assert!(!pred.contains(&true), "{layout:?}");
+            outcomes.push(outs);
+        }
+        assert_eq!(outcomes[0], outcomes[1]);
     }
 
     #[test]

@@ -151,6 +151,113 @@ mod tests {
         }
     }
 
+    /// Test-only ledger over a view: every `subslice_mut` names the launch
+    /// unit it is for, and a range overlapping one handed to a *different*
+    /// unit panics — the disjointness `SyncWriteSlice::new`'s callers
+    /// promise, checked instead of assumed. (Not a debug check inside the
+    /// type: a unit may take its own range again, and the next launch
+    /// hands the same ranges out anew; only a launch knows its units.)
+    struct Claims<'a, T> {
+        view: SyncWriteSlice<'a, T>,
+        handed: std::sync::Mutex<Vec<(usize, std::ops::Range<usize>)>>,
+    }
+
+    impl<'a, T> Claims<'a, T> {
+        fn new(view: SyncWriteSlice<'a, T>) -> Self {
+            Claims {
+                view,
+                handed: std::sync::Mutex::new(Vec::new()),
+            }
+        }
+
+        fn subslice_mut(&self, unit: usize, start: usize, len: usize) -> &mut [T] {
+            let mut handed = self.handed.lock().unwrap();
+            for (other, r) in handed.iter() {
+                assert!(
+                    *other == unit || start >= r.end || start + len <= r.start,
+                    "unit {unit} is handed {start}+{len}, aliasing {r:?} of unit {other}"
+                );
+            }
+            handed.push((unit, start..start + len));
+            self.view.subslice_mut(start, len)
+        }
+    }
+
+    /// Cuts `0..n` at `cuts` (taken mod `n`) and deals the pieces out to
+    /// `units` owners by `deal`: a random partition into units, each of
+    /// several ranges.
+    fn partition(n: usize, cuts: &[u32], deal: &[u32], units: usize) -> Vec<Vec<(usize, usize)>> {
+        let mut edges: Vec<usize> = cuts.iter().map(|&c| c as usize % n).collect();
+        edges.extend([0, n]);
+        edges.sort_unstable();
+        edges.dedup();
+        let mut owned = vec![Vec::new(); units];
+        for (piece, w) in edges.windows(2).enumerate() {
+            let unit = deal[piece % deal.len()] as usize % units;
+            owned[unit].push((w[0], w[1] - w[0]));
+        }
+        owned
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        /// The invariant `PatchViews::new` leans on for every launch of a
+        /// scheme step: units that partition the index space, each
+        /// writing its own subslices from its own thread, reproduce the
+        /// serial fill — and the ledger sees no unit handed another's
+        /// element.
+        #[test]
+        fn disjoint_units_reproduce_the_serial_fill(
+            n in 1usize..3000, units in 1usize..5,
+            cuts in proptest::collection::vec(proptest::any::<u32>(), 0usize..40),
+            deal in proptest::collection::vec(proptest::any::<u32>(), 1usize..8),
+        ) {
+            let value = |i: usize| (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            let serial: Vec<u64> = (0..n).map(value).collect();
+            let owned = partition(n, &cuts, &deal, units);
+            proptest::prop_assert_eq!(
+                owned.iter().flatten().map(|&(_, len)| len).sum::<usize>(), n
+            );
+            let mut data = vec![0u64; n];
+            {
+                // SAFETY: `partition` deals every index of `0..n` to
+                // exactly one unit (checked again by `Claims`), unit `u`
+                // runs on one thread, and nothing reads `data` before the
+                // scope has joined them all.
+                let claims = Claims::new(unsafe { SyncWriteSlice::new(&mut data) });
+                std::thread::scope(|s| {
+                    for (unit, ranges) in owned.iter().enumerate() {
+                        let claims = &claims;
+                        s.spawn(move || {
+                            for &(start, len) in ranges {
+                                let sub = claims.subslice_mut(unit, start, len);
+                                for (off, slot) in sub.iter_mut().enumerate() {
+                                    *slot = value(start + off);
+                                }
+                            }
+                        });
+                    }
+                });
+            }
+            proptest::prop_assert_eq!(data, serial);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "aliasing 0..10 of unit 0")]
+    fn aliasing_units_are_caught() {
+        let mut data = vec![0u8; 16];
+        // SAFETY: used by this thread alone; the second subslice is never
+        // created — the ledger panics first.
+        let claims = Claims::new(unsafe { SyncWriteSlice::new(&mut data) });
+        claims.subslice_mut(0, 0, 10).fill(1);
+        // A unit may come back for its own range...
+        claims.subslice_mut(0, 4, 6).fill(2);
+        // ...but not for one element of another's.
+        claims.subslice_mut(1, 9, 3).fill(3);
+    }
+
     #[test]
     #[should_panic(expected = "out of bounds")]
     fn set_oob_panics() {
