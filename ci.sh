@@ -124,23 +124,24 @@ step_shellcheck() {
 }
 
 # The eight repro gates, one row each:
-#   ci step ; repro arguments ; report file ; summary section ; summary lines
+#   ci step ; repro arguments ; report file ; summary section
 # `repro help` describes what each gate enforces. Every gate prints its
 # report, writes it to the report file (the same JSON envelope for all
-# eight), and exits nonzero on a violation. The last two fields pick what
-# lands in the job summary: the report section with that title, and the
-# one-liners matching that pattern. Adding a gate is one row here, one
-# row in the registry of crates/bench/src/bin/repro.rs, and one line in
-# the ci.yml matrix — crates/bench/tests/cli.rs holds the three equal.
+# eight), and exits nonzero on a violation. The last field names the
+# gate's headline table — the report section with that title lands in
+# the job summary, so a green job explains itself as a red one does
+# (summary_violations). Adding a gate is one row here, one row in the
+# registry of crates/gate/src/bin/repro.rs, and one line in the ci.yml
+# matrix — crates/gate/tests/cli.rs holds the three equal.
 GATES=(
-    "gate;gate;gate_report.json;;"
-    "comm;comm;BENCH_comm.json;;"
-    "fault;fault;BENCH_fault.json;;"
-    "share;share;BENCH_share.json;;"
-    "ensemble;ensemble;BENCH_ensemble.json;;^ensemble: "
-    "zoo;zoo;BENCH_zoo.json;Table V version times per backend;^zoo: backend="
-    "tune;tune;BENCH_tune.json;storage-family winners per backend;^tune: backend="
-    "cases;cases;BENCH_cases.json;per-case digest table;^(case|nest|sweep): "
+    "gate;gate;gate_report.json;"
+    "comm;comm;BENCH_comm.json;overlap bench: blocking comm vs overlapped exposed comm"
+    "fault;fault;BENCH_fault.json;kill a rank mid-run, recover from the newest checkpoint set"
+    "share;share;BENCH_share.json;Table VII sweep"
+    "ensemble;ensemble;BENCH_ensemble.json;full-scale batched throughput"
+    "zoo;zoo;BENCH_zoo.json;Table V version times per backend"
+    "tune;tune;BENCH_tune.json;storage-family winners per backend"
+    "cases;cases;BENCH_cases.json;per-case digest table"
 )
 
 # Prints the GATES row of ci step $1 (nonzero when there is none).
@@ -157,17 +158,16 @@ gate_row() {
 
 # Runs the gate of GATES row $1 and appends its summary material.
 run_gate() {
-    local name args title pattern out rc=0
-    IFS=';' read -r name args _ title pattern <<<"$1"
+    local name args title out rc=0
+    IFS=';' read -r name args _ title <<<"$1"
     out=$(mktemp)
     # shellcheck disable=SC2086 # the arguments are a word list on purpose
-    cargo run --release -q -p wrf-bench --bin repro -- $args ${CI_NIGHTLY:+--nightly} |
+    cargo run --release -q -p wrf-gate --bin repro -- $args ${CI_NIGHTLY:+--nightly} |
         tee "$out" || rc=$?
-    if [ -n "${GITHUB_STEP_SUMMARY:-}" ] && [ -n "$title$pattern" ]; then
+    if [ -n "${GITHUB_STEP_SUMMARY:-}" ] && [ -n "$title" ]; then
         {
             printf '\n### %s gate\n\n```\n' "$name"
-            [ -z "$title" ] || sed -n "/^=== repro [a-z-]*: $title/,/^\$/p" "$out"
-            [ -z "$pattern" ] || grep -E "$pattern" "$out" || true
+            sed -n "/^=== repro [a-z-]*: $title/,/^\$/p" "$out"
             printf '```\n'
         } >>"$GITHUB_STEP_SUMMARY"
     fi
@@ -233,13 +233,13 @@ step_benchmark_drift() {
         benchmark/ BENCHMARK.json
 }
 
-# Gates do not read clocks; the ledger does. What `repro <gate>` emits or
-# enforces is a function of the source tree, so neither the gate crate
-# nor the bench harness may name a clock type or one of the program's
-# wall-clock fields (the ledger under benchmark/ reads those).
+# Gates do not read clocks; the ledger does. What `repro` emits or
+# enforces is a function of the source tree, so the harness crate may not
+# name a clock type or one of the program's wall-clock fields (the ledger
+# under benchmark/ reads those).
 step_clock_free() {
     if grep -rnE 'Instant|SystemTime|Stopwatch|coal_wall|wall_dynamics|wall_sbm|recovery_wall_secs' \
-        crates/gate/src crates/bench/src; then
+        crates/gate/src; then
         echo "==> ci.sh: clock_free: a gate reads a wall clock (lines above); measure it in benchmark/ instead" >&2
         return 1
     fi

@@ -631,6 +631,90 @@ mod tests {
         assert_eq!(got_work, want_work);
     }
 
+    /// The invariant behind the one `unsafe` site here
+    /// (`rk_scalar_tend_region_pool`'s `SyncWriteSlice`): plane unit `jj`
+    /// writes only cells whose `j` coordinate is its own, so no two
+    /// units ever hold the same cell. A claims ledger records which unit
+    /// is handed which flat range — the ranges the launch body takes,
+    /// rebuilt here from the same `row_blocks` and field spans — and
+    /// fails on a double claim; then the real launch, at 2 and 3
+    /// workers, must have written exactly the claimed cells and left
+    /// every other one (halo, frame, other planes' cells of a narrower
+    /// region) as it found it.
+    #[test]
+    fn pool_planes_claim_disjoint_cells_of_their_own_j() {
+        let p = two_d_decomposition(Domain::new(150, 6, 24), 1, 2).patches[0];
+        let mut wind = Wind::calm(&p);
+        let mut scalar = Field3::for_patch(&p);
+        for (f, scale) in [&mut wind.u, &mut wind.v, &mut wind.w, &mut scalar]
+            .into_iter()
+            .zip([9.0, -6.0, 2.0, 1.0])
+        {
+            for (n, v) in f.as_mut_slice().iter_mut().enumerate() {
+                *v = scale * (((n * 37) % 23) as f32 - 11.0) / 11.0;
+            }
+        }
+        let tend: Field3<f32> = Field3::for_patch(&p);
+        let (ti, tk, tj) = (tend.ispan(), tend.kspan(), tend.jspan());
+        let cells = tend.as_slice().len();
+        let whole = Region { i: p.ip, j: p.jp };
+        let core = wrf_grid::interior_split(&p, STENCIL_WIDTH).core;
+        assert!(!core.is_empty() && core != whole);
+        for region in [whole, core] {
+            // The ledger: owner[cell] = the plane unit handed that cell.
+            let mut owner: Vec<Option<usize>> = vec![None; cells];
+            for unit in 0..region.j.len() {
+                let j = region.j.lo + unit as i32;
+                for k in p.kp.iter() {
+                    for run in row_blocks(region.i) {
+                        let start = (run.lo - ti.lo) as usize
+                            + ti.len() * ((k - tk.lo) as usize + tk.len() * (j - tj.lo) as usize);
+                        let claim = owner.iter_mut().enumerate().skip(start).take(run.len());
+                        for (cell, slot) in claim {
+                            let (ci, ck, cj) = (
+                                ti.lo + (cell % ti.len()) as i32,
+                                tk.lo + (cell / ti.len() % tk.len()) as i32,
+                                tj.lo + (cell / (ti.len() * tk.len())) as i32,
+                            );
+                            assert_eq!(cj, j, "unit {unit} is handed a cell of plane {cj}");
+                            assert!(region.i.contains(ci) && p.kp.contains(ck));
+                            let before = slot.replace(unit);
+                            assert_eq!(
+                                before, None,
+                                "cell {cell} claimed by {before:?} and {unit}"
+                            );
+                        }
+                    }
+                }
+            }
+            let claimed = owner.iter().flatten().count();
+            assert_eq!(claimed, region.columns() * p.kp.len());
+
+            // The launch writes the claimed cells and nothing else.
+            const UNTOUCHED: u32 = 0x7fc0_dead;
+            for workers in [2usize, 3] {
+                let pool = Executor::new(workers);
+                for _ in 0..20 {
+                    let mut tend: Field3<f32> = Field3::for_patch(&p);
+                    tend.as_mut_slice().fill(f32::from_bits(UNTOUCHED));
+                    let mut work = PointWork::ZERO;
+                    rk_scalar_tend_region_pool(
+                        &scalar, &wind, &p, &region, 500.0, 450.0, 400.0, &mut tend, &pool,
+                        &mut work,
+                    );
+                    for (cell, v) in tend.as_slice().iter().enumerate() {
+                        let written = v.to_bits() != UNTOUCHED;
+                        assert_eq!(
+                            written,
+                            owner[cell].is_some(),
+                            "cell {cell}, {workers} workers"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     #[should_panic(expected = "halo")]
     fn thin_halo_rejected() {

@@ -651,6 +651,135 @@ mod tests {
         assert_eq!(p2.downcast_ref::<&str>(), Some(&"second failure"));
     }
 
+    /// Test-only claims ledger over one epoch: every `body(lo, hi)` call
+    /// names the thread it ran on, and a range overlapping one already
+    /// claimed — by any thread, itself included: a chunk runs once —
+    /// panics. The three `unsafe` sites (the `Send` impl that lets the
+    /// body pointer cross threads, the lifetime-erasing transmute, the
+    /// dereference in `worker_loop`) are sound only if each chunk of the
+    /// published epoch is run exactly once, by whichever thread claims
+    /// it, while the body is alive; this checks the first half and
+    /// `borrowed_body_is_never_entered_after_run_ranges_returns` the
+    /// second.
+    #[derive(Default)]
+    struct Claims {
+        taken: Mutex<Vec<(std::thread::ThreadId, Chunk)>>,
+    }
+
+    impl Claims {
+        fn claim(&self, lo: u64, hi: u64) {
+            let me = std::thread::current().id();
+            let mut taken = lock_clean(&self.taken);
+            for (owner, (l, h)) in taken.iter() {
+                assert!(
+                    lo >= *h || hi <= *l,
+                    "{me:?} claims {lo}..{hi}, already claimed as {l}..{h} by {owner:?}"
+                );
+            }
+            taken.push((me, (lo, hi)));
+        }
+
+        /// Indices claimed, and how many distinct threads claimed them.
+        fn totals(&self) -> (u64, usize) {
+            let taken = lock_clean(&self.taken);
+            let mut owners: Vec<_> = taken.iter().map(|(t, _)| *t).collect();
+            owners.sort_by_key(|t| format!("{t:?}"));
+            owners.dedup();
+            (taken.iter().map(|(_, (l, h))| h - l).sum(), owners.len())
+        }
+    }
+
+    #[test]
+    fn every_index_is_claimed_once_by_one_thread() {
+        for workers in [2usize, 3] {
+            let ex = Executor::new(workers);
+            let mut helped = 0usize;
+            for epoch in 0..300u64 {
+                let total = 1 + (epoch * 37) % 400;
+                let chunk = [None, Some(1), Some(3), Some(64)][epoch as usize % 4];
+                let claims = Claims::default();
+                ex.run_ranges(total, chunk, |lo, hi| {
+                    assert!(lo < hi && hi <= total, "{lo}..{hi} of {total}");
+                    claims.claim(lo, hi);
+                    if lo % 5 == 0 {
+                        // Uneven chunk cost, so claims really interleave.
+                        std::hint::black_box((0..500).map(|x| x as f64).sum::<f64>());
+                    }
+                });
+                // No overlap (checked at claim time) and full length:
+                // the claims partition `0..total`.
+                let (covered, owners) = claims.totals();
+                assert_eq!(covered, total, "workers={workers} epoch={epoch}");
+                assert!(owners <= workers);
+                helped += usize::from(owners > 1);
+            }
+            // The ledger saw the body pointer cross threads, or it
+            // proved nothing about the `Send` impl.
+            assert!(
+                helped > 0,
+                "no helper ever ran a chunk at {workers} workers"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "claims 4..8, already claimed as 0..5")]
+    fn a_double_claim_is_caught() {
+        let claims = Claims::default();
+        claims.claim(0, 5);
+        claims.claim(5, 9);
+        claims.claim(4, 8);
+    }
+
+    /// The body lives in the caller's frame and borrows the caller's
+    /// state; `run_ranges` erases that lifetime. So no call of the body
+    /// may begin once `run_ranges` has returned — checked with a flag the
+    /// borrowed state raises when it is dropped right after the return
+    /// (the flag itself is shared, so reading it late is not the bug
+    /// under test). Many short epochs back to back, where a worker that
+    /// wakes late has the best chance of crossing into the next one.
+    #[test]
+    fn borrowed_body_is_never_entered_after_run_ranges_returns() {
+        struct Borrowed {
+            epoch: u64,
+            hits: AtomicU64,
+            dropped: Arc<AtomicBool>,
+        }
+        impl Drop for Borrowed {
+            fn drop(&mut self) {
+                self.dropped.store(true, Ordering::SeqCst);
+            }
+        }
+        for workers in [2usize, 3] {
+            let ex = Executor::new(workers);
+            let entered_late = AtomicU64::new(0);
+            let wrong_epoch = AtomicU64::new(0);
+            for epoch in 0..3000u64 {
+                let total = 8 + epoch % 24;
+                let state = Borrowed {
+                    epoch,
+                    hits: AtomicU64::new(0),
+                    dropped: Arc::new(AtomicBool::new(false)),
+                };
+                ex.run_indexed(total, Some(1), |_| {
+                    if state.dropped.load(Ordering::SeqCst) {
+                        entered_late.fetch_add(1, Ordering::Relaxed);
+                    }
+                    if state.epoch != epoch {
+                        wrong_epoch.fetch_add(1, Ordering::Relaxed);
+                    }
+                    state.hits.fetch_add(1, Ordering::Relaxed);
+                });
+                // Every call of this epoch's body happened before the
+                // return, on this epoch's state.
+                assert_eq!(state.hits.load(Ordering::Relaxed), total);
+                drop(state);
+            }
+            assert_eq!(entered_late.load(Ordering::Relaxed), 0, "{workers} workers");
+            assert_eq!(wrong_epoch.load(Ordering::Relaxed), 0, "{workers} workers");
+        }
+    }
+
     #[test]
     fn stats_reset() {
         let ex = Executor::new(2);

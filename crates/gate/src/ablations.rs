@@ -12,6 +12,7 @@
 //! * **Block size**: the OpenMP `teams` default of 128 vs alternatives.
 
 use crate::context::ReproContext;
+use crate::tables::RANKS;
 use fsbm_core::scheme::SbmVersion;
 use gpu_sim::launch::{launch_modeled_with, KernelSpec, KernelWork};
 use gpu_sim::machine::Calibration;
@@ -32,31 +33,29 @@ pub struct SweepRow {
     pub occupancy_pct: f64,
 }
 
-/// The collapse(3) kernel work of the critical 16-rank patch.
-fn critical_c3_work(ctx: &ReproContext) -> (KernelSpec, KernelWork) {
+/// The headline setup's critical patch (most collision points) as
+/// `version` would run it.
+pub(crate) fn critical_work(ctx: &ReproContext, version: SbmVersion) -> RankWork {
     let case = ConusCase::new(ctx.case);
-    let dd = two_d_decomposition(ctx.case.domain(), 16, 3);
-    let mut best: Option<(u64, RankWork)> = None;
-    for p in &dd.patches {
-        let w = RankWork::extrapolate(&case, p, &ctx.coeffs, SbmVersion::OffloadCollapse3, &ctx.pp);
-        if best
-            .as_ref()
-            .map(|(c, _)| w.coal_points > *c)
-            .unwrap_or(true)
-        {
-            best = Some((w.coal_points, w));
-        }
-    }
-    let work = best.expect("16 patches").1;
+    let dd = two_d_decomposition(ctx.case.domain(), RANKS, 3);
+    (dd.patches.iter())
+        .map(|p| RankWork::extrapolate(&case, p, &ctx.coeffs, version, &ctx.pp))
+        .max_by_key(|w| w.coal_points)
+        .expect("patches")
+}
+
+/// That patch's collision launch for an offloaded `version`.
+fn critical_kernel(ctx: &ReproContext, version: SbmVersion) -> (KernelSpec, KernelWork) {
+    let work = critical_work(ctx, version);
     let spec = work.spec.clone().expect("offloaded");
-    let (r, wr) = ctx.traffic.dram_bytes(3, work.sbm.coal.mem_ops as f64);
+    let (r, wr) = (ctx.traffic).dram_bytes(spec.collapse, work.sbm.coal.mem_ops as f64);
     let kw = fsbm_core::workload::kernel_work(work.coal_iters, work.sbm.coal, r, wr, work.warp_eff);
     (spec, kw)
 }
 
 /// §VIII register sweep: occupancy and time vs `-maxregcount`.
 pub fn ablation_registers(ctx: &ReproContext) -> (Vec<SweepRow>, String) {
-    let (base_spec, kw) = critical_c3_work(ctx);
+    let (base_spec, kw) = critical_kernel(ctx, SbmVersion::OffloadCollapse3);
     let mut rows = Vec::new();
     let mut s =
         String::from("Ablation: register limiting of the collapse(3) kernel (-maxregcount)\n");
@@ -94,21 +93,9 @@ pub fn ablation_registers(ctx: &ReproContext) -> (Vec<SweepRow>, String) {
 /// Sensitivity of the collapse(2)/collapse(3) ratio to the
 /// latency-hiding knee (the model's one sensitive constant).
 pub fn ablation_latency_knee(ctx: &ReproContext) -> (Vec<(f64, f64)>, String) {
-    let (spec3, kw3) = critical_c3_work(ctx);
+    let (spec3, kw3) = critical_kernel(ctx, SbmVersion::OffloadCollapse3);
     // A collapse(2)-shaped launch with identical total work.
-    let case = ConusCase::new(ctx.case);
-    let dd = two_d_decomposition(ctx.case.domain(), 16, 3);
-    let w2 = dd
-        .patches
-        .iter()
-        .map(|p| {
-            RankWork::extrapolate(&case, p, &ctx.coeffs, SbmVersion::OffloadCollapse2, &ctx.pp)
-        })
-        .max_by_key(|w| w.coal_points)
-        .expect("patches");
-    let spec2 = w2.spec.clone().expect("offloaded");
-    let (r2, wr2) = ctx.traffic.dram_bytes(2, w2.sbm.coal.mem_ops as f64);
-    let kw2 = fsbm_core::workload::kernel_work(w2.coal_iters, w2.sbm.coal, r2, wr2, w2.warp_eff);
+    let (spec2, kw2) = critical_kernel(ctx, SbmVersion::OffloadCollapse2);
 
     let mut out = Vec::new();
     let mut s =
@@ -141,7 +128,7 @@ pub fn ablation_latency_knee(ctx: &ReproContext) -> (Vec<(f64, f64)>, String) {
 
 /// Block-size sweep for the collapse(3) launch (NVHPC defaults to 128).
 pub fn ablation_block_size(ctx: &ReproContext) -> (Vec<SweepRow>, String) {
-    let (base_spec, kw) = critical_c3_work(ctx);
+    let (base_spec, kw) = critical_kernel(ctx, SbmVersion::OffloadCollapse3);
     let mut rows = Vec::new();
     let mut s = String::from("Ablation: threads per block for the collapse(3) kernel\n");
     let _ = writeln!(s, "{:>8} {:>10} {:>12}", "block", "time ms", "occupancy %");

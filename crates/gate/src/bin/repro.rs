@@ -11,15 +11,15 @@
 //! flags ([`FLAGS`]) are the same for every gate; `repro help` prints
 //! both tables.
 
+use gpu_sim::DeviceError;
 use std::path::PathBuf;
-use wrf_bench::ablations::{ablation_block_size, ablation_latency_knee, ablation_registers};
-use wrf_bench::execbench::bench_exec;
-use wrf_bench::figures::{fig2, fig3, fig4};
-use wrf_bench::future::project_cond_offload;
-use wrf_bench::tables::{table1, table3, table4, table5, table6, table7};
-use wrf_bench::verify::verify_versions;
-use wrf_bench::ReproContext;
-use wrf_gate::{Depth, Report};
+use wrf_gate::ablations::{ablation_block_size, ablation_latency_knee, ablation_registers};
+use wrf_gate::execbench::bench_exec;
+use wrf_gate::figures::{fig2, fig3, fig4};
+use wrf_gate::future::project_cond_offload;
+use wrf_gate::tables::{headline, table1, table3, table4, table5, table6, table7};
+use wrf_gate::verify::verify_versions;
+use wrf_gate::{Depth, Report, ReproContext};
 
 fn listings() -> String {
     use codee_sim::{corpus, rewrite_offload, screening};
@@ -35,26 +35,25 @@ fn listings() -> String {
         corpus::coal_fission_loop(),
     ];
     s.push_str(&screening(&subs, &nests).to_string());
-    s.push('\n');
-
-    s.push_str("$ codee rewrite --offload omp --in-place module_mp_fast_sbm.f90:6293:4\n");
-    match rewrite_offload(&corpus::kernals_ks_nest()) {
-        Ok(code) => s.push_str(&code),
-        Err(e) => s.push_str(&format!("BLOCKED: {e}\n")),
-    }
-    s.push('\n');
-
-    s.push_str("$ codee rewrite --offload omp module_mp_fast_sbm.f90:2486 (baseline grid loop)\n");
-    match rewrite_offload(&corpus::grid_loop_baseline()) {
-        Ok(code) => s.push_str(&code),
-        Err(e) => s.push_str(&format!("BLOCKED: {e}\n")),
-    }
-    s.push('\n');
-
-    s.push_str("$ codee rewrite --offload omp (fissioned collision loop, Listing 6)\n");
-    match rewrite_offload(&corpus::coal_fission_loop()) {
-        Ok(code) => s.push_str(&code),
-        Err(e) => s.push_str(&format!("BLOCKED: {e}\n")),
+    for (command, nest) in [
+        (
+            "--in-place module_mp_fast_sbm.f90:6293:4",
+            corpus::kernals_ks_nest(),
+        ),
+        (
+            "module_mp_fast_sbm.f90:2486 (baseline grid loop)",
+            corpus::grid_loop_baseline(),
+        ),
+        (
+            "(fissioned collision loop, Listing 6)",
+            corpus::coal_fission_loop(),
+        ),
+    ] {
+        s.push_str(&format!("\n$ codee rewrite --offload omp {command}\n"));
+        match rewrite_offload(&nest) {
+            Ok(code) => s.push_str(&code),
+            Err(e) => s.push_str(&format!("BLOCKED: {e}\n")),
+        }
     }
     s
 }
@@ -75,26 +74,31 @@ fn bench_exec_target() -> String {
 
 /// How a paper target produces its text.
 enum Emit {
-    /// From the measured reproduction context.
-    Ctx(fn(&ReproContext) -> String),
+    /// From the measured reproduction context (a configuration the
+    /// context's device cannot admit is the typed error).
+    Ctx(fn(&ReproContext) -> Result<String, DeviceError>),
     /// Standalone.
     Free(fn() -> String),
 }
 
 /// The paper targets: name, whether `all` includes it, and its emitter.
 const TARGETS: &[(&str, bool, Emit)] = &[
-    ("table1", true, Emit::Ctx(|c| table1(c).rendered)),
+    ("table1", true, Emit::Ctx(table1)),
     ("timeline", true, Emit::Ctx(timeline)),
-    ("table3", true, Emit::Ctx(|c| table3(c).rendered)),
-    ("table4", true, Emit::Ctx(|c| table4(c).rendered)),
-    ("table5", true, Emit::Ctx(|c| table5(c).rendered)),
-    ("table6", true, Emit::Ctx(|c| table6(c).2.rendered)),
-    ("table7", true, Emit::Ctx(|c| table7(c).1.rendered)),
+    ("table3", true, Emit::Ctx(|c| Ok(table3(c)?.rendered))),
+    ("table4", true, Emit::Ctx(|c| Ok(table4(c)?.rendered))),
+    ("table5", true, Emit::Ctx(|c| Ok(table5(c)?.rendered))),
+    ("table6", true, Emit::Ctx(|c| Ok(table6(c)?.2))),
+    ("table7", true, Emit::Ctx(|c| Ok(table7(c)?.1))),
     ("fig2", true, Emit::Free(fig2)),
-    ("fig3", true, Emit::Ctx(|c| fig3(c).1)),
-    ("fig4", true, Emit::Ctx(|c| fig4(c).1)),
+    ("fig3", true, Emit::Ctx(|c| Ok(fig3(c)?.1))),
+    ("fig4", true, Emit::Ctx(|c| Ok(fig4(c)?.1))),
     ("ablation", true, Emit::Ctx(ablation)),
-    ("future", true, Emit::Ctx(|c| project_cond_offload(c).1)),
+    (
+        "future",
+        true,
+        Emit::Ctx(|c| Ok(project_cond_offload(c)?.1)),
+    ),
     (
         "verify",
         true,
@@ -104,21 +108,21 @@ const TARGETS: &[(&str, bool, Emit)] = &[
     ("bench-exec", false, Emit::Free(bench_exec_target)),
 ];
 
-fn timeline(ctx: &ReproContext) -> String {
-    let exp = ctx.run(fsbm_core::scheme::SbmVersion::Baseline, 16, 0);
-    format!(
+fn timeline(ctx: &ReproContext) -> Result<String, DeviceError> {
+    let exp = headline(ctx, fsbm_core::scheme::SbmVersion::Baseline)?;
+    Ok(format!(
         "Nsight-Systems-style view of the heavy rank (3 steps):\n{}",
         miniwrf::hotspots::nsys_timeline(&exp, 100)
-    )
+    ))
 }
 
-fn ablation(ctx: &ReproContext) -> String {
-    [
+fn ablation(ctx: &ReproContext) -> Result<String, DeviceError> {
+    Ok([
         ablation_registers(ctx).1,
         ablation_latency_knee(ctx).1,
         ablation_block_size(ctx).1,
     ]
-    .join("\n\n")
+    .join("\n\n"))
 }
 
 /// One gate invocation's settings, parsed once from [`FLAGS`].
@@ -174,14 +178,8 @@ const GATES: &[Gate] = &[
         name: "gate",
         report_file: "gate_report.json",
         baseline_file: "BENCH_executor.json",
-        about: "golden matrix (versions x modes x workers x layouts) vs goldens/, then bench-exec vs the perf baseline",
-        run: |e| {
-            wrf_gate::run_gate(&e.goldens, &e.baseline, |case| {
-                bench_exec(case.scale, case.nz, case.n_storms, case.steps, &case.workers)
-                    .report()
-                    .to_json()
-            })
-        },
+        about: "golden matrix (versions x modes x workers, production layout, plus each fixture's blessing arm) vs goldens/, then bench-exec vs the perf baseline",
+        run: |e| wrf_gate::run_gate(&e.goldens, &e.baseline),
         bless: Some(|e| wrf_gate::bless(&e.goldens)),
     },
     Gate {
@@ -230,11 +228,11 @@ const GATES: &[Gate] = &[
         baseline_file: "BENCH_tune.json",
         about: "schedule search per backend recovers the hand-derived v2/v3 kernels; schedule='auto' bitwise; committed winners replay",
         run: |e| {
-            let committed = std::fs::read_to_string(&e.baseline).ok();
-            if committed.is_none() {
-                eprintln!("[repro] tune: no committed {}; skipping the replay check", e.baseline.display());
-            }
-            Ok(wrf_gate::tune::run(committed.as_deref(), Depth::of(e.nightly).tune_check_steps))
+            // Read before the search runs: nothing to replay against is
+            // an error, not a vacuous pass.
+            let committed = std::fs::read_to_string(&e.baseline)
+                .map_err(|err| format!("cannot read baseline {}: {err}", e.baseline.display()))?;
+            Ok(wrf_gate::tune::run(&committed, Depth::of(e.nightly).tune_check_steps))
         },
         bless: None,
     },
@@ -248,12 +246,9 @@ const GATES: &[Gate] = &[
     },
 ];
 
-fn flag_list() -> String {
-    let spell = |(name, value, _, _): &Flag| match value {
-        Some(v) => format!("{name} {v}"),
-        None => name.to_string(),
-    };
-    FLAGS.iter().map(spell).collect::<Vec<_>>().join(" ")
+/// A flag as typed: `--report PATH`, `--bless`.
+fn spelled((name, value, _, _): &Flag) -> String {
+    value.map_or(name.to_string(), |v| format!("{name} {v}"))
 }
 
 fn usage() -> String {
@@ -271,9 +266,8 @@ fn usage() -> String {
         ));
     }
     s.push_str("\nflags:\n");
-    for (name, value, about, _) in FLAGS {
-        let spelled = format!("{name} {}", value.unwrap_or(""));
-        s.push_str(&format!("  {spelled:<16} {about}\n"));
+    for flag in FLAGS {
+        s.push_str(&format!("  {:<16} {}\n", spelled(flag), flag.2));
     }
     s
 }
@@ -290,7 +284,8 @@ fn parse_env(gate: &Gate, args: &[String]) -> Result<Env, String> {
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         let Some((_, value, _, set)) = FLAGS.iter().find(|f| f.0 == arg) else {
-            return Err(format!("unknown flag {arg}; flags: {}", flag_list()));
+            let flags: Vec<String> = FLAGS.iter().map(spelled).collect();
+            return Err(format!("unknown flag {arg}; flags: {}", flags.join(" ")));
         };
         let value = match value {
             Some(_) => it.next().ok_or(format!("{arg} needs a value"))?.into(),
@@ -365,18 +360,24 @@ fn main() {
         std::process::exit(2);
     }
     let mut ctx = None;
-    for (_, _, emit) in selected {
+    for (name, _, emit) in selected {
         let text = match emit {
-            Emit::Free(f) => f(),
+            Emit::Free(f) => Ok(f()),
             Emit::Ctx(f) => f(ctx.get_or_insert_with(|| {
                 eprintln!("[repro] measuring work coefficients (functional model)...");
-                let ctx = ReproContext::new();
+                let ctx = ReproContext::full();
                 // One-line scheduling report of the measurement run (prof-sim
                 // format): mode, steals, active fraction, kernel-cache hit rate.
                 eprintln!("[repro] {}", ctx.coeffs.exec.one_line());
                 ctx
             })),
         };
-        println!("{text}\n");
+        match text {
+            Ok(text) => println!("{text}\n"),
+            Err(e) => {
+                eprintln!("repro {name}: {e}");
+                std::process::exit(2);
+            }
+        }
     }
 }

@@ -17,13 +17,12 @@
 //! The report is written to `BENCH_comm.json` with per-rank overlap
 //! stats; any violation makes `repro comm` exit nonzero.
 
-use crate::golden::{compare_states, equivalence, EquivRow, StateAgreement};
+use crate::golden::{compare_states, equivalence, equivalence_matrix, Arm, Bar, EquivRow, Sides};
 use crate::report::{Cell, Check, Report, Table};
 use fsbm_core::exec::ExecMode;
 use fsbm_core::scheme::SbmVersion;
 use miniwrf::config::ModelConfig;
-use miniwrf::parallel::{run_parallel, CommStats};
-use miniwrf::RunReport;
+use miniwrf::parallel::{run_parallel, CommStats, ParallelRun};
 use mpi_sim::CommMode;
 
 /// Ranks of the equivalence runs (the gate case decomposed).
@@ -92,47 +91,29 @@ pub fn report(equiv: &[EquivRow], bench: &OverlapBench) -> Report {
     let overlap = Table::new(
         "overlap",
         "overlap bench: blocking comm vs overlapped exposed comm",
-        &[
-            "bench_bitwise",
-            "blocking_secs",
-            "overlapped_secs",
-            "hidden_fraction",
-        ],
         [vec![
-            bench.bitwise.into(),
-            Cell::num(bench.blocking_secs, 9),
-            Cell::num(bench.overlapped_secs, 9),
-            Cell::num(hidden, 6),
+            ("bench_bitwise", bench.bitwise.into()),
+            ("blocking_secs", Cell::num(bench.blocking_secs, 9)),
+            ("overlapped_secs", Cell::num(bench.overlapped_secs, 9)),
+            ("hidden_fraction", Cell::num(hidden, 6)),
         ]],
     );
     let ranks = Table::new(
         "ranks",
         "overlap bench: per-rank stats of the Overlapped arm",
-        &[
-            "rank",
-            "mode",
-            "msgs",
-            "bytes",
-            "posted",
-            "completed",
-            "posted_secs",
-            "hidden_secs",
-            "exposed_secs",
-            "hidden_fraction",
-        ],
         bench.ranks.iter().map(|(rank, r)| {
             let o = r.overlap;
             vec![
-                (*rank).into(),
-                r.mode.name().into(),
-                r.msgs.into(),
-                r.bytes.into(),
-                o.posted.into(),
-                o.completed.into(),
-                Cell::num(o.posted_secs, 9),
-                Cell::num(o.hidden_secs, 9),
-                Cell::num(o.exposed_secs, 9),
-                Cell::num(o.hidden_fraction(), 6),
+                ("rank", (*rank).into()),
+                ("mode", r.mode.name().into()),
+                ("msgs", r.msgs.into()),
+                ("bytes", r.bytes.into()),
+                ("posted", o.posted.into()),
+                ("completed", o.completed.into()),
+                ("posted_secs", Cell::num(o.posted_secs, 9)),
+                ("hidden_secs", Cell::num(o.hidden_secs, 9)),
+                ("exposed_secs", Cell::num(o.exposed_secs, 9)),
+                ("hidden_fraction", Cell::num(o.hidden_fraction(), 6)),
             ]
         }),
     );
@@ -148,57 +129,44 @@ pub fn report(equiv: &[EquivRow], bench: &OverlapBench) -> Report {
         ],
         checks,
         tables: vec![table, overlap, ranks],
-        lines: Vec::new(),
     }
 }
 
-/// Runs one case in both comm modes: how every rank's end state agreed,
-/// plus the two runs' reports.
-fn diff_modes(
-    mut cfg: ModelConfig,
-    steps: usize,
-) -> (StateAgreement, Vec<RunReport>, Vec<RunReport>) {
+/// The two sides of every comparison here.
+const BAR: Bar = Bar::Bitwise("Blocking vs Overlapped");
+
+/// Runs one case in both comm modes: `(blocking, overlapped)`.
+pub(crate) fn both_modes(mut cfg: ModelConfig, steps: usize) -> (ParallelRun, ParallelRun) {
     cfg.comm = CommMode::Blocking;
     let blocking = run_parallel(cfg, steps);
     cfg.comm = CommMode::Overlapped;
-    let overlapped = run_parallel(cfg, steps);
-    (
-        compare_states(&blocking.states, &overlapped.states),
-        blocking.reports,
-        overlapped.reports,
-    )
+    (blocking, run_parallel(cfg, steps))
 }
 
 /// Runs the comm gate: per-version equivalence on the gate case, then
 /// the overlap bench.
 pub fn run() -> Report {
-    let mut equiv = Vec::new();
-    for version in SbmVersion::ALL {
+    let arms = SbmVersion::ALL.map(|v| Arm::version(v, vec![("ranks", RANKS.into())]));
+    let equiv = equivalence_matrix(BAR, arms, |&version| {
         let mut cfg = ModelConfig::gate(version, ExecMode::work_steal(), 3);
         cfg.ranks = RANKS;
-        let (agreement, _, _) = diff_modes(cfg, ModelConfig::GATE_STEPS);
-        equiv.push(EquivRow {
-            arm: version.label().to_string(),
-            cells: vec![("version", version.label().into()), ("ranks", RANKS.into())],
-            violations: agreement
-                .violation("Blocking vs Overlapped")
-                .into_iter()
-                .collect(),
-            agreement,
-        });
-    }
+        let (blocking, overlapped) = both_modes(cfg, ModelConfig::GATE_STEPS);
+        Sides::of_states(&blocking.states, &overlapped.states)
+    });
 
     let mut cfg = ModelConfig::functional(SbmVersion::Lookup, BENCH_SCALE, BENCH_NZ);
     cfg.ranks = BENCH_RANKS;
-    let (agreement, blocking, overlapped) = diff_modes(cfg, BENCH_STEPS);
-    let secs = |reports: &[RunReport]| -> f64 {
-        reports.iter().filter_map(|r| r.comm.map(|c| c.secs)).sum()
+    let (blocking, overlapped) = both_modes(cfg, BENCH_STEPS);
+    let secs = |run: &ParallelRun| -> f64 {
+        (run.reports.iter())
+            .filter_map(|r| r.comm.map(|c| c.secs))
+            .sum()
     };
     let bench = OverlapBench {
-        bitwise: agreement.bitwise,
+        bitwise: compare_states(&blocking.states, &overlapped.states).bitwise,
         blocking_secs: secs(&blocking),
         overlapped_secs: secs(&overlapped),
-        ranks: (overlapped.iter().enumerate())
+        ranks: (overlapped.reports.iter().enumerate())
             .filter_map(|(rank, r)| Some((rank, r.comm?)))
             .collect(),
     };
@@ -208,6 +176,7 @@ pub fn run() -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::golden::StateAgreement;
     use mpi_sim::OverlapStats;
 
     fn parts(hidden: f64, posted: f64, bitwise: bool) -> (Vec<EquivRow>, OverlapBench) {

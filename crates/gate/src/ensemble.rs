@@ -26,22 +26,24 @@
 //! occupancy ledger, and cache-share hit rates. Any violation makes
 //! `repro ensemble` exit nonzero.
 
-use crate::golden::{compare_digests, equivalence, EquivRow, StateAgreement};
+use crate::context::{ReproContext, MINUTES};
+use crate::golden::{equivalence, equivalence_matrix, Arm, Bar, EquivRow, Sides};
 use crate::report::{Cell, Check, Report, Table};
+use crate::share::{admission_parts, admit_until_refused, AdmissionCheck};
 use fsbm_core::exec::ExecMode;
 use fsbm_core::scheme::SbmVersion;
 use gpu_sim::devicepool::{DevicePool, RankFootprint};
-use gpu_sim::machine::{default_backend, Backend, A100};
+use gpu_sim::machine::{default_backend, Backend};
+use gpu_sim::DeviceError;
 use miniwrf::config::ModelConfig;
 use miniwrf::parallel::run_parallel;
-use miniwrf::perfmodel::{gpu_rank_step_time, MeasuredCoeffs, PerfParams, RankWork, TrafficModel};
+use miniwrf::perfmodel::{gpu_rank_step_time, RankWork};
 use miniwrf::service::{
     latency_percentiles, member_config, member_footprint, pressure_key, run_ensemble_with,
     schedule_ensemble, DeviceLedger, EnsembleSpec, MemberOutcome, MemberTimings, Schedule,
     ServiceError, ServiceOptions,
 };
 use mpi_sim::FaultPlan;
-use prof_sim::{ensemble_line, EnsembleSummary};
 use std::sync::Arc;
 use std::time::Duration;
 use wrf_cases::{ConusCase, ConusParams};
@@ -57,8 +59,6 @@ const EQ_STEPS: usize = 3;
 pub(crate) const MEMBERS: usize = 8;
 /// Devices of the full-scale throughput arm (fixed hardware).
 pub(crate) const DEVICES: usize = 2;
-/// Simulated minutes each full-scale member runs.
-pub(crate) const MINUTES: f64 = 10.0;
 /// Member the retry arm kills.
 const FAULT_MEMBER: usize = 1;
 /// Step the fault fires at.
@@ -71,10 +71,6 @@ const MAX_ATTEMPTS: usize = 3;
 pub struct ThroughputRow {
     /// Scheme version.
     pub version: &'static str,
-    /// Ensemble size.
-    pub members: usize,
-    /// Pool devices.
-    pub devices: usize,
     /// Admission waves the schedule took.
     pub waves: usize,
     /// Modeled device service per member step, seconds.
@@ -105,7 +101,7 @@ pub struct ThroughputRow {
 pub fn report(
     equiv: &[EquivRow],
     retry: &EquivRow,
-    packing: &[PackCheck],
+    packing: &[AdmissionCheck],
     throughput: &[ThroughputRow],
     devices: &[DeviceLedger],
 ) -> Report {
@@ -117,106 +113,57 @@ pub fn report(
         std::slice::from_ref(retry),
     );
     checks.extend(retry_checks);
-    checks.extend(
-        packing
-            .iter()
-            .map(|(label, pass, detail)| Check::new(format!("admission: {label}"), *pass, detail)),
-    );
+    let (packing, packing_checks) = admission_parts("memory-capped packing", packing);
+    checks.extend(packing_checks);
     checks.extend(
         throughput
             .iter()
             .map(|t| Check::all_of(format!("throughput: {}", t.version), &t.violations)),
     );
-    let packing = Table::new(
-        "admission",
-        "memory-capped packing",
-        &["label", "detail", "pass"],
-        packing.iter().map(|(label, pass, detail)| {
-            vec![(*label).into(), detail.as_str().into(), (*pass).into()]
-        }),
-    );
     let rows = Table::new(
         "throughput",
         "full-scale batched throughput",
-        &[
-            "version",
-            "members",
-            "devices",
-            "waves",
-            "service_secs",
-            "batched_members_per_hour",
-            "unbatched_members_per_hour",
-            "sequential_members_per_hour",
-            "slice_secs_saved",
-            "cache_hits",
-            "cache_misses",
-            "cache_hit_rate",
-            "wait_p50",
-            "wait_p90",
-            "wait_p99",
-            "pass",
-        ],
         throughput.iter().map(|r| {
             vec![
-                r.version.into(),
-                r.members.into(),
-                r.devices.into(),
-                r.waves.into(),
-                Cell::num(r.service_secs, 6),
-                Cell::num(r.batched_mph, 4),
-                Cell::num(r.unbatched_mph, 4),
-                Cell::num(r.sequential_mph, 4),
-                Cell::num(r.slice_secs_saved, 3),
-                r.cache_hits.into(),
-                r.cache_misses.into(),
-                Cell::num(r.cache_hit_rate, 4),
-                Cell::num(r.wait_percentiles[0], 4),
-                Cell::num(r.wait_percentiles[1], 4),
-                Cell::num(r.wait_percentiles[2], 4),
-                r.violations.is_empty().into(),
+                ("version", r.version.into()),
+                ("members", MEMBERS.into()),
+                ("devices", DEVICES.into()),
+                ("waves", r.waves.into()),
+                ("service_secs", Cell::num(r.service_secs, 6)),
+                ("batched_members_per_hour", Cell::num(r.batched_mph, 4)),
+                ("unbatched_members_per_hour", Cell::num(r.unbatched_mph, 4)),
+                (
+                    "sequential_members_per_hour",
+                    Cell::num(r.sequential_mph, 4),
+                ),
+                ("slice_secs_saved", Cell::num(r.slice_secs_saved, 3)),
+                ("cache_hits", r.cache_hits.into()),
+                ("cache_misses", r.cache_misses.into()),
+                ("cache_hit_rate", Cell::num(r.cache_hit_rate, 4)),
+                ("wait_p50", Cell::num(r.wait_percentiles[0], 4)),
+                ("wait_p90", Cell::num(r.wait_percentiles[1], 4)),
+                ("wait_p99", Cell::num(r.wait_percentiles[2], 4)),
+                ("pass", r.violations.is_empty().into()),
             ]
         }),
     );
     let ledger = Table::new(
         "devices",
         "per-device occupancy ledger of the headline row",
-        &[
-            "device",
-            "peak_residents",
-            "peak_used_bytes",
-            "capacity_bytes",
-            "busy_secs",
-            "slice_secs",
-            "slice_secs_saved",
-            "queue_secs",
-            "batches",
-        ],
         devices.iter().map(|d| {
             vec![
-                d.device.into(),
-                d.peak_residents.into(),
-                d.peak_used_bytes.into(),
-                d.capacity_bytes.into(),
-                Cell::num(d.busy_secs, 3),
-                Cell::num(d.slice_secs, 3),
-                Cell::num(d.slice_secs_saved, 3),
-                Cell::num(d.queue_secs, 3),
-                d.batches.into(),
+                ("device", d.device.into()),
+                ("peak_residents", d.peak_residents.into()),
+                ("peak_used_bytes", d.peak_used_bytes.into()),
+                ("capacity_bytes", d.capacity_bytes.into()),
+                ("busy_secs", Cell::num(d.busy_secs, 3)),
+                ("slice_secs", Cell::num(d.slice_secs, 3)),
+                ("slice_secs_saved", Cell::num(d.slice_secs_saved, 3)),
+                ("queue_secs", Cell::num(d.queue_secs, 3)),
+                ("batches", d.batches.into()),
             ]
         }),
     );
-    let lines = throughput.iter().map(|r| {
-        ensemble_line(&EnsembleSummary {
-            members: r.members,
-            devices: r.devices,
-            waves: r.waves,
-            members_per_hour: r.batched_mph,
-            wait_p50_secs: r.wait_percentiles[0],
-            wait_p99_secs: r.wait_percentiles[2],
-            cache_hit_rate: r.cache_hit_rate,
-            slice_saved_secs: r.slice_secs_saved,
-        })
-    });
     Report {
         gate: "ensemble",
         case: vec![
@@ -229,7 +176,6 @@ pub fn report(
         ],
         checks,
         tables: vec![equiv_table, retry_table, packing, rows, ledger],
-        lines: lines.collect(),
     }
 }
 
@@ -243,22 +189,29 @@ pub(crate) fn full_scale_footprint() -> RankFootprint {
     )
 }
 
+/// How many full-scale members one of `backend`'s devices admits, and
+/// the typed refusal of the one after.
+pub(crate) fn member_cap(backend: &'static Backend) -> (usize, DeviceError) {
+    let (fp, key) = (full_scale_footprint(), pressure_key(&ConusParams::full()));
+    let mut pool = DevicePool::for_backend(backend, 1);
+    admit_until_refused(|member| pool.admit_packed(member, &fp, Some(key)))
+}
+
 /// Prices [`MEMBERS`] full-scale members of `version` (CONUS-12km,
-/// [`MINUTES`] simulated each) on `backend`'s perf plane, then packs and
-/// batch-replays them on [`DEVICES`] of its devices. Returns the device
-/// service seconds of one member step — kernels + staged transfers;
-/// host work and halos never occupy the device — and the schedule.
+/// [`MINUTES`] simulated each) on `ctx` — the plane of `backend` — then
+/// packs and batch-replays them on [`DEVICES`] of its devices. Returns
+/// the device service seconds of one member step — kernels + staged
+/// transfers; host work and halos never occupy the device — and the
+/// schedule.
 pub(crate) fn full_scale_schedule(
+    ctx: &ReproContext,
     backend: &'static Backend,
     version: SbmVersion,
-    coeffs: &MeasuredCoeffs,
-    (pp, traffic): (&PerfParams, &TrafficModel),
 ) -> (f64, Result<Schedule, ServiceError>) {
-    let full = ConusParams::full();
-    let case = ConusCase::new(full);
-    let dd = two_d_decomposition(full.domain(), 1, 3);
-    let work = RankWork::extrapolate(&case, &dd.patches[0], coeffs, version, pp);
-    let t = gpu_rank_step_time(&work, pp, traffic);
+    let case = ConusCase::new(ctx.case);
+    let dd = two_d_decomposition(ctx.case.domain(), 1, 3);
+    let work = RankWork::extrapolate(&case, &dd.patches[0], &ctx.coeffs, version, &ctx.pp);
+    let t = gpu_rank_step_time(&work, &ctx.pp, &ctx.traffic);
     let service = t.coal_loop + t.transfer;
     let spec = EnsembleSpec {
         members: MEMBERS,
@@ -272,7 +225,7 @@ pub(crate) fn full_scale_schedule(
             service_per_step: vec![service; case.steps_for_minutes(MINUTES)],
         })
         .collect();
-    let key = Some(pressure_key(&full));
+    let key = Some(pressure_key(&ctx.case));
     let schedule = schedule_ensemble(&timings, &spec, &full_scale_footprint(), key);
     (service, schedule)
 }
@@ -284,6 +237,17 @@ pub(crate) fn members_per_hour(secs: f64) -> f64 {
     } else {
         0.0
     }
+}
+
+/// Devices whose ledger peaks past their memory capacity.
+pub(crate) fn over_capacity(devices: &[DeviceLedger]) -> impl Iterator<Item = String> + '_ {
+    let over = |d: &&DeviceLedger| d.peak_used_bytes > d.capacity_bytes;
+    devices.iter().filter(over).map(|d| {
+        format!(
+            "device {} over its memory cap: {} > {} bytes",
+            d.device, d.peak_used_bytes, d.capacity_bytes
+        )
+    })
 }
 
 /// Checks a full-scale throughput schedule against the gate's claims.
@@ -310,14 +274,7 @@ fn throughput_violations(
     if saved <= 0.0 {
         v.push("batching amortized no context slices".into());
     }
-    for d in &s.devices {
-        if d.peak_used_bytes > d.capacity_bytes {
-            v.push(format!(
-                "device {} over its memory cap: {} > {} bytes",
-                d.device, d.peak_used_bytes, d.capacity_bytes
-            ));
-        }
-    }
+    v.extend(over_capacity(&s.devices));
     let occupied = s.devices.iter().filter(|d| d.peak_residents > 0).count();
     if s.cache.misses != occupied {
         v.push(format!(
@@ -341,31 +298,21 @@ fn throughput_violations(
     v
 }
 
-/// One packing scenario: what it exercises, whether the outcome matched
-/// the expected wall, and the outcome (the typed error's message on
-/// failures).
-pub type PackCheck = (&'static str, bool, String);
-
 /// Runs the admission scenarios against the full-scale footprint.
-fn run_pack_checks() -> Vec<PackCheck> {
+fn run_pack_checks() -> Vec<AdmissionCheck> {
     let fp = full_scale_footprint();
-    let mut out = Vec::new();
+    let scenario = |label, pass, detail| AdmissionCheck {
+        label,
+        sized: Vec::new(),
+        detail,
+        pass,
+    };
 
     // Exact per-device member cap at full scale.
-    let mut pool = DevicePool::new(A100, 1);
     let key = pressure_key(&ConusParams::full());
-    let mut cap = 0usize;
-    let cap_err = loop {
-        match pool.admit_packed(cap, &fp, Some(key)) {
-            Ok(_) => cap += 1,
-            Err(e) => break e,
-        }
-    };
-    out.push((
-        "per-device member cap",
-        cap == 4,
-        format!("{cap} full-scale members fit one A100, next rejected: {cap_err}"),
-    ));
+    let (cap, cap_err) = member_cap(default_backend());
+    let detail = format!("{cap} full-scale members fit one A100, next rejected: {cap_err}");
+    let per_device = scenario("per-device member cap", cap == 4, detail);
 
     // Overflow members queue for a second wave instead of failing.
     let flat: Vec<MemberTimings> = (0..2 * cap)
@@ -380,14 +327,11 @@ fn run_pack_checks() -> Vec<PackCheck> {
         ..EnsembleSpec::default()
     };
     let waves = schedule_ensemble(&flat, &spec, &fp, Some(key)).map(|s| s.waves);
-    out.push((
-        "overflow members queue",
-        waves == Ok(2),
-        match &waves {
-            Ok(w) => format!("{} members on 1 device drained in {w} waves", 2 * cap),
-            Err(e) => format!("unexpected failure: {e}"),
-        },
-    ));
+    let detail = match &waves {
+        Ok(w) => format!("{} members on 1 device drained in {w} waves", 2 * cap),
+        Err(e) => format!("unexpected failure: {e}"),
+    };
+    let overflow = scenario("overflow members queue", waves == Ok(2), detail);
 
     // An oversized stack fits nowhere: a typed error naming the bytes.
     let big = member_footprint(
@@ -395,37 +339,33 @@ fn run_pack_checks() -> Vec<PackCheck> {
         Some(512 * 1024),
     );
     let err = schedule_ensemble(&flat[..2], &spec, &big, Some(key));
-    out.push((
-        "oversized stack",
-        matches!(
-            &err,
-            Err(ServiceError::Admission(e))
-                if e.residents == 0 && e.requested_bytes > e.capacity_bytes
-        ),
-        match &err {
-            Err(ServiceError::Admission(e)) => e.to_string(),
-            Err(other) => format!("wrong error kind: {other}"),
-            Ok(_) => "unexpectedly admitted".into(),
-        },
-    ));
-    out
+    let pass = matches!(
+        &err,
+        Err(ServiceError::Admission(e))
+            if e.residents == 0 && e.requested_bytes > e.capacity_bytes
+    );
+    let detail = match &err {
+        Err(ServiceError::Admission(e)) => e.to_string(),
+        Err(other) => format!("wrong error kind: {other}"),
+        Ok(_) => "unexpectedly admitted".into(),
+    };
+    vec![
+        per_device,
+        overflow,
+        scenario("oversized stack", pass, detail),
+    ]
 }
 
 /// Runs one full-scale throughput row: members' per-step services are
 /// extrapolated by the perf plane, then packed and batch-replayed by
 /// the scheduling core.
 fn run_throughput_row(
+    ctx: &ReproContext,
     version: SbmVersion,
-    coeffs: &MeasuredCoeffs,
-    traffic: &TrafficModel,
 ) -> (ThroughputRow, Vec<DeviceLedger>) {
-    let plane = (&PerfParams::default(), traffic);
-    let (service, schedule) = full_scale_schedule(default_backend(), version, coeffs, plane);
+    let (service, schedule) = full_scale_schedule(ctx, default_backend(), version);
     let mut row = ThroughputRow {
         version: version.label(),
-        members: MEMBERS,
-        devices: DEVICES,
-        waves: 0,
         service_secs: service,
         ..ThroughputRow::default()
     };
@@ -451,129 +391,119 @@ fn run_throughput_row(
     }
 }
 
-/// Every served member against the same member run solo: how the end
-/// states agreed.
-fn members_vs_solo(
-    base: &ModelConfig,
-    spec: &EnsembleSpec,
-    members: &[MemberOutcome],
-) -> StateAgreement {
-    let mut agreement = StateAgreement::full();
-    for m in members {
-        let solo = run_parallel(member_config(base, spec, m.member), EQ_STEPS);
-        agreement.fold(&compare_digests(
-            &m.state.digest(),
-            &solo.states[0].digest(),
-        ));
+/// Every served member against the same member run solo.
+fn members_vs_solo(base: &ModelConfig, spec: &EnsembleSpec, members: &[MemberOutcome]) -> Sides {
+    let solo = |m: &MemberOutcome| {
+        let run = run_parallel(member_config(base, spec, m.member), EQ_STEPS);
+        run.states[0].digest()
+    };
+    Sides {
+        reference: members.iter().map(solo).collect(),
+        candidate: members.iter().map(|m| m.state.digest()).collect(),
+        ..Sides::default()
     }
-    agreement
 }
 
 /// Runs the retry arm: one supervised gate-scale ensemble with a
 /// scripted kill, every member still bitwise against solo.
 fn run_retry_row() -> EquivRow {
-    let version = SbmVersion::OffloadCollapse2;
-    let base = ModelConfig::gate(version, ExecMode::work_steal(), 2);
-    let spec = EnsembleSpec {
-        members: EQ_MEMBERS.max(FAULT_MEMBER + 1),
-        devices: 1,
-        max_attempts: MAX_ATTEMPTS,
-        checkpoint_interval: 1,
-        ..EnsembleSpec::default()
-    };
-    let dir = std::env::temp_dir().join(format!("miniwrf_ensemble_gate_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let mut violations = Vec::new();
-    let (mut attempts, mut resumed, mut agreement) = (0usize, Vec::new(), StateAgreement::full());
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        violations.push(format!("cannot create checkpoint root: {e}"));
-    } else {
-        let mut opts = ServiceOptions {
-            restart_root: Some(dir.clone()),
-            timeout: Duration::from_millis(300),
-            ..ServiceOptions::default()
+    let arm = Arm::version(
+        SbmVersion::OffloadCollapse2,
+        vec![("member", FAULT_MEMBER.into())],
+    );
+    let bar = Bar::Bitwise("recovered members vs solo runs");
+    let mut rows = equivalence_matrix(bar, [arm], |&version| {
+        let base = ModelConfig::gate(version, ExecMode::work_steal(), 2);
+        let spec = EnsembleSpec {
+            members: EQ_MEMBERS.max(FAULT_MEMBER + 1),
+            devices: 1,
+            max_attempts: MAX_ATTEMPTS,
+            checkpoint_interval: 1,
+            ..EnsembleSpec::default()
         };
-        opts.faults.insert(
-            FAULT_MEMBER,
-            Arc::new(FaultPlan::new().kill_rank_at(0, FAULT_STEP)),
-        );
-        match run_ensemble_with(&base, &spec, EQ_STEPS, &opts) {
-            Err(e) => violations.push(format!("supervised ensemble failed: {e}")),
-            Ok(rep) => {
-                let killed = &rep.members[FAULT_MEMBER];
-                attempts = killed.attempts;
-                resumed = killed.resumed_from.clone();
-                if attempts < 2 {
-                    violations.push(format!(
-                        "the scripted fault never fired: member {FAULT_MEMBER} took {attempts} attempt(s)"
-                    ));
+        let dir =
+            std::env::temp_dir().join(format!("miniwrf_ensemble_gate_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (mut attempts, mut resumed) = (0usize, Vec::new());
+        let mut sides = if let Err(e) = std::fs::create_dir_all(&dir) {
+            Sides::failed(format!("cannot create checkpoint root: {e}"))
+        } else {
+            let mut opts = ServiceOptions {
+                restart_root: Some(dir.clone()),
+                timeout: Duration::from_millis(300),
+                ..ServiceOptions::default()
+            };
+            opts.faults.insert(
+                FAULT_MEMBER,
+                Arc::new(FaultPlan::new().kill_rank_at(0, FAULT_STEP)),
+            );
+            match run_ensemble_with(&base, &spec, EQ_STEPS, &opts) {
+                Err(e) => Sides::failed(format!("supervised ensemble failed: {e}")),
+                Ok(rep) => {
+                    let killed = &rep.members[FAULT_MEMBER];
+                    attempts = killed.attempts;
+                    resumed = killed.resumed_from.clone();
+                    let mut sides = members_vs_solo(&base, &spec, &rep.members);
+                    if attempts < 2 {
+                        sides.violations.push(format!(
+                            "the scripted fault never fired: member {FAULT_MEMBER} took {attempts} attempt(s)"
+                        ));
+                    }
+                    if resumed.is_empty() {
+                        (sides.violations).push("the relaunch resumed from nothing".into());
+                    }
+                    sides
                 }
-                if resumed.is_empty() {
-                    violations.push("the relaunch resumed from nothing".into());
-                }
-                agreement = members_vs_solo(&base, &spec, &rep.members);
-                violations.extend(agreement.violation("recovered members vs solo runs"));
             }
-        }
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-    EquivRow {
-        arm: version.label().to_string(),
-        cells: vec![
-            ("version", version.label().into()),
-            ("member", FAULT_MEMBER.into()),
-            ("attempts", attempts.into()),
-            (
-                "resumed_from",
-                Cell::List(resumed.into_iter().map(Cell::from).collect()),
-            ),
-        ],
-        agreement,
-        violations,
-    }
+        };
+        let _ = std::fs::remove_dir_all(&dir);
+        let resumed = Cell::List(resumed.into_iter().map(Cell::from).collect());
+        (sides.cells).extend([("attempts", attempts.into()), ("resumed_from", resumed)]);
+        sides
+    });
+    rows.remove(0)
 }
 
-/// One equivalence arm: every member of a served ensemble against its
-/// solo run. Perturbed seeds must also genuinely perturb.
-fn equivalence_row(version: SbmVersion) -> EquivRow {
-    let base = ModelConfig::gate(version, ExecMode::work_steal(), 2);
-    let spec = EnsembleSpec {
-        members: EQ_MEMBERS,
-        devices: EQ_DEVICES,
-        ..EnsembleSpec::default()
-    };
-    let mut violations = Vec::new();
-    let mut agreement = StateAgreement::full();
-    match run_ensemble_with(&base, &spec, EQ_STEPS, &ServiceOptions::default()) {
-        Err(e) => violations.push(format!("service rejected the ensemble: {e}")),
-        Ok(rep) => {
-            for m in &rep.members {
-                if version.offloaded() != m.device.is_some() {
-                    violations.push(format!(
-                        "member {} device residency disagrees with the version's offload class",
-                        m.member
-                    ));
-                }
-            }
-            agreement = members_vs_solo(&base, &spec, &rep.members);
-            violations.extend(agreement.violation("served members vs solo runs"));
-            if let [m0, m1, ..] = &rep.members[..] {
-                if m0.state.digest() == m1.state.digest() {
-                    violations.push("seed perturbation produced identical members 0 and 1".into());
-                }
-            }
-        }
-    }
-    EquivRow {
-        arm: version.label().to_string(),
-        cells: vec![
-            ("version", version.label().into()),
+/// The equivalence arms of `versions`: every member of a served
+/// ensemble against its solo run. Perturbed seeds must also genuinely
+/// perturb.
+fn equivalence_rows(versions: impl IntoIterator<Item = SbmVersion>) -> Vec<EquivRow> {
+    let arms = (versions.into_iter()).map(|v| {
+        let cells = vec![
             ("members", EQ_MEMBERS.into()),
             ("devices", EQ_DEVICES.into()),
-        ],
-        agreement,
-        violations,
-    }
+        ];
+        Arm::version(v, cells)
+    });
+    let bar = Bar::Bitwise("served members vs solo runs");
+    equivalence_matrix(bar, arms, |&version| {
+        let base = ModelConfig::gate(version, ExecMode::work_steal(), 2);
+        let spec = EnsembleSpec {
+            members: EQ_MEMBERS,
+            devices: EQ_DEVICES,
+            ..EnsembleSpec::default()
+        };
+        let rep = match run_ensemble_with(&base, &spec, EQ_STEPS, &ServiceOptions::default()) {
+            Err(e) => return Sides::failed(format!("service rejected the ensemble: {e}")),
+            Ok(rep) => rep,
+        };
+        let mut sides = members_vs_solo(&base, &spec, &rep.members);
+        for m in &rep.members {
+            if version.offloaded() != m.device.is_some() {
+                sides.violations.push(format!(
+                    "member {} device residency disagrees with the version's offload class",
+                    m.member
+                ));
+            }
+        }
+        if let [m0, m1, ..] = &sides.candidate[..] {
+            if m0 == m1 {
+                let text = "seed perturbation produced identical members 0 and 1";
+                sides.violations.push(text.into());
+            }
+        }
+        sides
+    })
 }
 
 /// Runs the ensemble gate: per-version equivalence, the retry arm, the
@@ -581,13 +511,13 @@ fn equivalence_row(version: SbmVersion) -> EquivRow {
 /// offloaded versions; the headline — last — row's device ledger is
 /// kept).
 pub fn run() -> Report {
-    let equiv: Vec<EquivRow> = SbmVersion::ALL.into_iter().map(equivalence_row).collect();
+    let equiv = equivalence_rows(SbmVersion::ALL);
     let retry = run_retry_row();
-    let (coeffs, traffic) = (crate::measure_gate_coeffs(), TrafficModel::measure());
+    let ctx = ReproContext::quick();
     let mut throughput = Vec::new();
     let mut devices = Vec::new();
     for version in SbmVersion::ALL.into_iter().filter(|v| v.offloaded()) {
-        let (row, ledgers) = run_throughput_row(version, &coeffs, &traffic);
+        let (row, ledgers) = run_throughput_row(&ctx, version);
         throughput.push(row);
         if !ledgers.is_empty() {
             devices = ledgers;
@@ -599,12 +529,11 @@ pub fn run() -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::golden::StateAgreement;
 
     fn passing_row() -> ThroughputRow {
         ThroughputRow {
             version: "offload_collapse3",
-            members: 8,
-            devices: 2,
             waves: 1,
             service_secs: 2.5,
             batched_mph: 9.2,
@@ -632,11 +561,12 @@ mod tests {
 
     fn passing_report(retry: EquivRow, row: ThroughputRow) -> Report {
         let members = vec![("members", 3usize.into()), ("devices", 2usize.into())];
-        let packing = (
-            "per-device member cap",
-            true,
-            "4 full-scale members fit one A100".to_string(),
-        );
+        let packing = AdmissionCheck {
+            label: "per-device member cap",
+            sized: Vec::new(),
+            detail: "4 full-scale members fit one A100".to_string(),
+            pass: true,
+        };
         let ledger = DeviceLedger {
             device: 0,
             peak_residents: 4,
@@ -671,14 +601,15 @@ mod tests {
 
     #[test]
     fn full_scale_cap_is_four_members_per_device() {
-        let failed: Vec<PackCheck> = run_pack_checks().into_iter().filter(|c| !c.1).collect();
+        let failed: Vec<AdmissionCheck> =
+            run_pack_checks().into_iter().filter(|c| !c.pass).collect();
         assert!(failed.is_empty(), "{failed:?}");
     }
 
     #[test]
     fn full_scale_throughput_beats_sequential_and_unbatched() {
-        let (coeffs, traffic) = miniwrf::perfmodel::test_fixture();
-        let (row, ledgers) = run_throughput_row(SbmVersion::OffloadCollapse3, coeffs, traffic);
+        let ctx = ReproContext::quick_shared();
+        let (row, ledgers) = run_throughput_row(ctx, SbmVersion::OffloadCollapse3);
         assert!(row.violations.is_empty(), "{:?}", row.violations);
         assert_eq!(row.waves, 1);
         assert!(row.batched_mph > row.sequential_mph);
@@ -694,14 +625,9 @@ mod tests {
 
     #[test]
     fn throughput_regressions_are_caught() {
-        let (coeffs, traffic) = miniwrf::perfmodel::test_fixture();
-        let plane = (&PerfParams::default(), traffic);
-        let (_, schedule) = full_scale_schedule(
-            default_backend(),
-            SbmVersion::OffloadCollapse3,
-            coeffs,
-            plane,
-        );
+        let ctx = ReproContext::quick_shared();
+        let (_, schedule) =
+            full_scale_schedule(ctx, default_backend(), SbmVersion::OffloadCollapse3);
         // Feed the checker inverted numbers.
         let v = throughput_violations(&schedule.unwrap(), 1.0, 8.0, 4.0);
         assert!(v.iter().any(|x| x.contains("sequential")), "{v:?}");
@@ -722,7 +648,7 @@ mod tests {
         assert!(json.contains("\"cache_hit_rate\": 0.75"));
         let text = rep.rendered();
         assert!(text.contains("ensemble gate: PASS"));
-        assert!(text.contains("ensemble: members=8 devices=2 waves=1"));
+        assert!(text.contains("=== repro ensemble: full-scale batched throughput ==="));
     }
 
     #[test]
@@ -744,13 +670,13 @@ mod tests {
 
     /// The assertion inventory of the real gate at its cheapest: one
     /// served ensemble, the retry arm, the packing scenarios, and one
-    /// throughput row priced from the shared test coefficients.
+    /// throughput row priced on the shared quick context.
     #[test]
     fn gate_arms_make_exactly_these_assertions() {
-        let (coeffs, traffic) = miniwrf::perfmodel::test_fixture();
-        let (row, ledgers) = run_throughput_row(SbmVersion::OffloadCollapse3, coeffs, traffic);
+        let ctx = ReproContext::quick_shared();
+        let (row, ledgers) = run_throughput_row(ctx, SbmVersion::OffloadCollapse3);
         let rep = report(
-            &[equivalence_row(SbmVersion::Lookup)],
+            &equivalence_rows([SbmVersion::Lookup]),
             &run_retry_row(),
             &run_pack_checks(),
             &[row],

@@ -16,20 +16,20 @@
 //! recorded host). Each arm is additionally run for real, which is where
 //! the executor's own chunk count and kernel-cache hit rate come from.
 //!
-//! The report is the shared gate envelope (`wrf_gate::Report`), written
-//! to `BENCH_executor.json`, and a deterministic function of the source
+//! The report is the shared gate envelope ([`Report`]), written to
+//! `BENCH_executor.json`, and a deterministic function of the source
 //! tree: two runs give a byte-identical file. The committed copy is the
-//! *perf baseline* enforced by `repro gate` (`wrf-gate`): the gate
-//! re-runs this benchmark with the case parameters embedded in the
+//! *perf baseline* enforced by `repro gate` ([`crate::run_gate`]): the
+//! gate re-runs this benchmark with the case parameters embedded in the
 //! committed document and compares row by row. Regenerate the baseline
 //! with `repro bench-exec` when an intentional change to the work or
 //! the schedule lands.
 
+use crate::report::{Cell, Report, Table};
 use fsbm_core::exec::ExecMode;
 use fsbm_core::scheme::SbmVersion;
 use miniwrf::config::ModelConfig;
 use miniwrf::model::Model;
-use wrf_gate::{Cell, Report, Table};
 
 /// One (mode, workers) replay, next to the real run of the same arm.
 #[derive(Debug, Clone)]
@@ -190,6 +190,18 @@ impl ExecBenchReport {
         self.rows.iter().filter(move |r| r.mode == mode)
     }
 
+    /// The headline: per worker count, the static-tiles makespan over
+    /// the work-stealing one (both arms ran the same worker counts in
+    /// the same order).
+    pub fn speedups(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
+        (self.arm(ExecMode::StaticTiles))
+            .zip(self.arm(ExecMode::WorkSteal))
+            .map(|(st, ws)| {
+                let speedup = st.makespan_flops as f64 / ws.makespan_flops as f64;
+                (st.workers, speedup)
+            })
+    }
+
     /// The `bench-exec` report: the document committed as
     /// `BENCH_executor.json` and the text `repro bench-exec` prints. It
     /// gates nothing itself — `repro gate` holds a fresh one against the
@@ -198,36 +210,27 @@ impl ExecBenchReport {
         let rows = Table::new(
             "rows",
             "schedule replay of the metered collision-work profile on W device workers",
-            &[
-                "mode",
-                "cached_kernels",
-                "workers",
-                "makespan_flops",
-                "scaling_vs_serial",
-                "chunks",
-                "cache_hit_rate",
-            ],
             self.rows.iter().map(|r| {
+                let scaling = self.serial_flops as f64 / r.makespan_flops as f64;
                 vec![
-                    r.mode.label().into(),
-                    r.mode.uses_executor().into(),
-                    r.workers.into(),
-                    r.makespan_flops.into(),
-                    Cell::num(self.serial_flops as f64 / r.makespan_flops as f64, 3),
-                    r.chunks.into(),
-                    Cell::num(r.cache_hit_rate, 4),
+                    ("mode", r.mode.label().into()),
+                    ("cached_kernels", r.mode.uses_executor().into()),
+                    ("workers", r.workers.into()),
+                    ("makespan_flops", r.makespan_flops.into()),
+                    ("scaling_vs_serial", Cell::num(scaling, 3)),
+                    ("chunks", r.chunks.into()),
+                    ("cache_hit_rate", Cell::num(r.cache_hit_rate, 4)),
                 ]
             }),
         );
-        // Both arms ran the same worker counts in the same order.
-        let arms = (self.arm(ExecMode::StaticTiles)).zip(self.arm(ExecMode::WorkSteal));
         let speedups = Table::new(
             "speedup_ws_compaction_vs_static",
             "speedup work-stealing+compaction vs static tiles",
-            &["workers", "speedup"],
-            arms.map(|(st, ws)| {
-                let speedup = st.makespan_flops as f64 / ws.makespan_flops as f64;
-                vec![st.workers.into(), Cell::num(speedup, 3)]
+            (self.speedups()).map(|(workers, speedup)| {
+                vec![
+                    ("workers", workers.into()),
+                    ("speedup", Cell::num(speedup, 3)),
+                ]
             }),
         );
         Report {
@@ -242,7 +245,6 @@ impl ExecBenchReport {
             ],
             checks: Vec::new(),
             tables: vec![rows, speedups],
-            lines: Vec::new(),
         }
     }
 }
@@ -323,7 +325,11 @@ mod tests {
         assert!(json.contains("\"gate\": \"bench-exec\""));
         assert!(json.contains("work-stealing+compaction"));
         assert!(json.contains("speedup_ws_compaction_vs_static"));
-        assert!(report.rendered().contains("scaling_vs_serial"));
+        // It gates nothing, so it prints no verdict and no empty table.
+        let text = report.rendered();
+        assert!(text.contains("scaling_vs_serial"), "{text}");
+        assert!(!text.contains("gate: PASS"), "{text}");
+        assert!(!text.contains("=== repro bench-exec: checks ==="), "{text}");
         // The invariant the perf gate rests on: the document is a
         // function of the source tree, not of the host or the run.
         let again = bench_exec(0.04, 8, 3, 1, &[1, 2]).report().to_json();

@@ -17,8 +17,8 @@
 //! report is written to `BENCH_fault.json`; any violation makes
 //! `repro fault` exit nonzero.
 
-use crate::golden::{compare_states, equivalence, EquivRow, StateAgreement};
-use crate::report::Report;
+use crate::golden::{equivalence, equivalence_matrix, Arm, Bar, EquivRow, Sides};
+use crate::report::{Cell, Report};
 use fsbm_core::exec::ExecMode;
 use fsbm_core::scheme::SbmVersion;
 use miniwrf::config::ModelConfig;
@@ -66,100 +66,100 @@ pub fn report(rows: &[EquivRow], timeout: Duration) -> Report {
         ],
         checks,
         tables: vec![table],
-        lines: Vec::new(),
     }
 }
 
-/// One recovery row: the supervised run's stats next to how its end
-/// states agreed with the uninterrupted golden run.
-pub fn recovery_row(
-    version: SbmVersion,
-    mode: CommMode,
-    stats: &RecoveryStats,
-    agreement: StateAgreement,
-    mut violations: Vec<String>,
-) -> EquivRow {
-    violations.extend(agreement.violation("recovered vs uninterrupted golden"));
-    EquivRow {
-        arm: format!("{} {}", version.label(), mode.name()),
+/// The two sides of every arm.
+const BAR: Bar = Bar::Bitwise("recovered vs uninterrupted golden");
+
+/// One version × comm-mode arm of the recovery matrix.
+fn arm(version: SbmVersion, mode: CommMode) -> Arm<(SbmVersion, CommMode)> {
+    Arm {
+        spec: (version, mode),
+        label: format!("{} {}", version.label(), mode.name()),
         cells: vec![
             ("version", version.label().into()),
             ("mode", mode.name().into()),
-            ("attempts", stats.attempts.into()),
-            ("restarted_from", stats.restarts_from.last().copied().into()),
-            ("steps_replayed", stats.steps_replayed.into()),
-            ("checkpoint_writes", stats.checkpoint_writes.into()),
         ],
-        agreement,
-        violations,
     }
 }
 
-/// Runs one version × comm-mode arm: one golden run and one supervised
-/// run with the scripted kill, compared digest-for-digest.
-pub fn run_arm(version: SbmVersion, mode: CommMode, timeout: Duration) -> EquivRow {
-    let mut cfg = ModelConfig::gate(version, ExecMode::work_steal(), 3);
-    cfg.ranks = RANKS;
-    cfg.comm = mode;
-    let golden = run_parallel(cfg, STEPS);
-    let dir = std::env::temp_dir().join(format!(
-        "wrf_fault_gate_{}_{}_{}",
-        version.label(),
-        mode.name(),
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    let rcfg = RestartConfig {
-        dir: dir.clone(),
-        interval: INTERVAL,
-        max_attempts: MAX_ATTEMPTS,
-        timeout,
-    };
-    let plan = Arc::new(FaultPlan::new().kill_rank_at(KILL_RANK, KILL_STEP));
-    let outcome = run_parallel_restartable(cfg, STEPS, &rcfg, Some(plan));
-    let _ = std::fs::remove_dir_all(&dir);
-    match outcome {
-        Ok((run, stats)) => {
-            let fired = (stats.attempts < 2)
-                .then(|| format!("fault never fired: {} attempt(s)", stats.attempts));
-            let agreement = compare_states(&golden.states, &run.states);
-            recovery_row(
-                version,
-                mode,
-                &stats,
-                agreement,
-                fired.into_iter().collect(),
-            )
+/// The supervised run's columns of a recovery row.
+fn stats_cells(stats: &RecoveryStats) -> Vec<(&'static str, Cell)> {
+    vec![
+        ("attempts", stats.attempts.into()),
+        ("restarted_from", stats.restarts_from.last().copied().into()),
+        ("steps_replayed", stats.steps_replayed.into()),
+        ("checkpoint_writes", stats.checkpoint_writes.into()),
+    ]
+}
+
+/// Runs the given version × comm-mode arms: each is one golden run and
+/// one supervised run with the scripted kill, compared digest for
+/// digest.
+pub fn recovery_rows(
+    arms: impl IntoIterator<Item = (SbmVersion, CommMode)>,
+    timeout: Duration,
+) -> Vec<EquivRow> {
+    let arms = arms.into_iter().map(|(version, mode)| arm(version, mode));
+    equivalence_matrix(BAR, arms, |&(version, mode)| {
+        let mut cfg = ModelConfig::gate(version, ExecMode::work_steal(), 3);
+        cfg.ranks = RANKS;
+        cfg.comm = mode;
+        let golden = run_parallel(cfg, STEPS);
+        let dir = std::env::temp_dir().join(format!(
+            "wrf_fault_gate_{}_{}_{}",
+            version.label(),
+            mode.name(),
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let rcfg = RestartConfig {
+            dir: dir.clone(),
+            interval: INTERVAL,
+            max_attempts: MAX_ATTEMPTS,
+            timeout,
+        };
+        let plan = Arc::new(FaultPlan::new().kill_rank_at(KILL_RANK, KILL_STEP));
+        let outcome = run_parallel_restartable(cfg, STEPS, &rcfg, Some(plan));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (stats, recovered, violations) = match outcome {
+            Ok((run, stats)) => {
+                let fired = (stats.attempts < 2)
+                    .then(|| format!("fault never fired: {} attempt(s)", stats.attempts));
+                (stats, run.states, fired.into_iter().collect())
+            }
+            Err(e) => (
+                RecoveryStats {
+                    attempts: MAX_ATTEMPTS,
+                    ..RecoveryStats::default()
+                },
+                Vec::new(),
+                vec![format!("supervisor failed to recover: {e}")],
+            ),
+        };
+        Sides {
+            cells: stats_cells(&stats),
+            violations,
+            ..Sides::of_states(&golden.states, &recovered)
         }
-        Err(e) => recovery_row(
-            version,
-            mode,
-            &RecoveryStats {
-                attempts: MAX_ATTEMPTS,
-                ..RecoveryStats::default()
-            },
-            compare_states(&golden.states, &[]),
-            vec![format!("supervisor failed to recover: {e}")],
-        ),
-    }
+    })
 }
 
 /// Runs the fault gate: every scheme version × comm mode.
 pub fn run(timeout: Duration) -> Report {
-    let mut rows = Vec::new();
-    for version in SbmVersion::ALL {
-        for mode in [CommMode::Blocking, CommMode::Overlapped] {
-            rows.push(run_arm(version, mode, timeout));
-        }
-    }
-    report(&rows, timeout)
+    let arms = (SbmVersion::ALL.into_iter())
+        .flat_map(|v| [CommMode::Blocking, CommMode::Overlapped].map(|mode| (v, mode)));
+    report(&recovery_rows(arms, timeout), timeout)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::Cell;
+    use fsbm_core::digest::{FieldDigest, StateDigest};
 
+    /// A synthetic recovery row whose recovered side did or did not
+    /// land on the golden one.
     fn row(bitwise: bool) -> EquivRow {
         let stats = RecoveryStats {
             attempts: 2,
@@ -168,19 +168,18 @@ mod tests {
             checkpoint_writes: 4,
             ..RecoveryStats::default()
         };
-        let agreement = StateAgreement {
-            bitwise,
-            min_digits: if bitwise { 15 } else { 3 },
-            worst_field: if bitwise { String::new() } else { "T".into() },
-            worst_ulp: 0,
+        let digest = |t: f32| StateDigest {
+            fields: vec![FieldDigest::of("T", &[t, 281.5, 290.25])],
+            moments: Vec::new(),
         };
-        recovery_row(
-            SbmVersion::Baseline,
-            CommMode::Blocking,
-            &stats,
-            agreement,
-            Vec::new(),
-        )
+        let arms = [arm(SbmVersion::Baseline, CommMode::Blocking)];
+        equivalence_matrix(BAR, arms, |_| Sides {
+            reference: vec![digest(280.0)],
+            candidate: vec![digest(if bitwise { 280.0 } else { 280.5 })],
+            cells: stats_cells(&stats),
+            violations: Vec::new(),
+        })
+        .remove(0)
     }
 
     #[test]
@@ -218,16 +217,13 @@ mod tests {
     /// that step is skipped — and pins the arm's assertion label.
     #[test]
     fn single_arm_recovers_bitwise() {
-        let arm = run_arm(
-            SbmVersion::Lookup,
-            CommMode::Blocking,
-            Duration::from_millis(400),
-        );
+        let timeout = Duration::from_millis(400);
+        let arm = recovery_rows([(SbmVersion::Lookup, CommMode::Blocking)], timeout).remove(0);
         assert!(arm.violations.is_empty(), "{:?}", arm.violations);
         assert!(arm.agreement.bitwise);
         assert!(arm.cells.contains(&("attempts", Cell::Int(2))));
         assert!(arm.cells.contains(&("restarted_from", Cell::Int(2))));
-        let rep = report(&[arm], Duration::from_millis(400));
+        let rep = report(&[arm], timeout);
         let labels: Vec<&str> = rep.checks.iter().map(|c| c.label.as_str()).collect();
         assert_eq!(labels, ["recovery: lookup blocking"]);
     }

@@ -1,7 +1,7 @@
 //! Figures 3 and 4 of the paper.
 
 use crate::context::ReproContext;
-use crate::tables::{table7, Table7Row};
+use crate::tables::{headline, table7, Table7Row};
 use fsbm_core::bulk::{kessler_step, BulkState, KesslerParams};
 use fsbm_core::kernels::{KernelMode, KernelTables};
 use fsbm_core::meter::PointWork;
@@ -12,6 +12,7 @@ use fsbm_core::thermo::qsat_liquid;
 use fsbm_core::types::HydroClass;
 use gpu_sim::launch::{launch_modeled, KernelWork};
 use gpu_sim::roofline::{Roofline, RooflinePoint};
+use gpu_sim::DeviceError;
 use std::fmt::Write as _;
 
 /// Figure 2 (executable form): bulk vs bin microphysics on the same
@@ -102,13 +103,13 @@ pub fn fig2() -> String {
 /// Figure 3: roofline points of the collision kernel — collapse(2) and
 /// collapse(3), each in single and double precision, against the A100
 /// ceilings.
-pub fn fig3(ctx: &ReproContext) -> (Vec<RooflinePoint>, String) {
+pub fn fig3(ctx: &ReproContext) -> Result<(Vec<RooflinePoint>, String), DeviceError> {
     let mut points = Vec::new();
     for (version, label) in [
         (SbmVersion::OffloadCollapse2, "collapse(2)"),
         (SbmVersion::OffloadCollapse3, "collapse(3)"),
     ] {
-        let exp = ctx.run(version, 16, 16);
+        let exp = headline(ctx, version)?;
         let launch = exp.critical().launch.clone().expect("offloaded");
         points.push(RooflinePoint::from_launch(&format!("{label} f32"), &launch));
         // Double-precision variant: same kernel with its FLOPs priced at
@@ -125,11 +126,8 @@ pub fn fig3(ctx: &ReproContext) -> (Vec<RooflinePoint>, String) {
         };
         let kspec = gpu_sim::launch::KernelSpec {
             name: format!("{label} f64"),
-            block_threads: 128,
-            regs_per_thread: if label.contains('2') { 168 } else { 80 },
-            smem_per_block: 0,
             stack_bytes_per_thread: 0,
-            collapse: if label.contains('2') { 2 } else { 3 },
+            ..version.kernel_spec().expect("offloaded")
         };
         if let Ok(l64) = launch_modeled(&ctx.pp.gpu, &kspec, &work64) {
             points.push(RooflinePoint::from_launch(&format!("{label} f64"), &l64));
@@ -143,25 +141,25 @@ pub fn fig3(ctx: &ReproContext) -> (Vec<RooflinePoint>, String) {
          collapse raises GFLOP/s sharply while *lowering* arithmetic \
          intensity (uncoalesced slab traffic)\n",
     );
-    (points, s)
+    Ok((points, s))
 }
 
 /// Figure 4: elapsed-time bar groups (same data as Table VII plus the
 /// lookup CPU bars).
-pub fn fig4(ctx: &ReproContext) -> (Vec<Table7Row>, String) {
-    let (rows, _) = table7(ctx);
+pub fn fig4(ctx: &ReproContext) -> Result<(Vec<Table7Row>, String), DeviceError> {
+    let (rows, _) = table7(ctx)?;
     let mut s =
         String::from("Figure 4: total elapsed time by configuration (baseline / lookup / GPU)\n");
     let max = rows
         .iter()
-        .map(|r| r.baseline.max(r.lookup).max(r.gpu))
+        .map(|(_, t)| t.baseline.max(t.lookup).max(t.gpu))
         .fold(0.0f64, f64::max);
-    for r in &rows {
-        let _ = writeln!(s, "{}:", r.label);
+    for (arm, t) in &rows {
+        let _ = writeln!(s, "{}:", arm.label);
         for (name, v) in [
-            ("baseline", r.baseline),
-            ("lookup", r.lookup),
-            ("gpu", r.gpu),
+            ("baseline", t.baseline),
+            ("lookup", t.lookup),
+            ("gpu", t.gpu),
         ] {
             let bar = "#".repeat(((v / max) * 50.0).round() as usize);
             let _ = writeln!(s, "  {name:<9} {v:>8.1}s {bar}");
@@ -171,7 +169,7 @@ pub fn fig4(ctx: &ReproContext) -> (Vec<Table7Row>, String) {
         "paper bars (baseline/GPU): 16r 1211/581 | 32r 655/360 | 64r 472/303 | \
          2 nodes 380/397\n",
     );
-    (rows, s)
+    Ok((rows, s))
 }
 
 #[cfg(test)]
@@ -181,7 +179,7 @@ mod tests {
     #[test]
     fn fig3_points_are_memory_bound_with_c3_faster() {
         let ctx = ReproContext::quick_shared();
-        let (points, s) = fig3(ctx);
+        let (points, s) = fig3(ctx).unwrap();
         assert_eq!(points.len(), 4);
         let roof = Roofline::of(&ctx.pp.gpu);
         let c2 = points
@@ -221,7 +219,7 @@ mod tests {
     #[test]
     fn fig4_renders_bars() {
         let ctx = ReproContext::quick_shared();
-        let (rows, s) = fig4(ctx);
+        let (rows, s) = fig4(ctx).unwrap();
         assert_eq!(rows.len(), 4);
         assert!(s.contains("2 nodes"));
         assert!(s.contains('#'));

@@ -8,13 +8,13 @@
 //! dead-on-entry/privatization argument applies), and the whole-program
 //! model is re-evaluated.
 
+use crate::ablations::critical_work;
 use crate::context::ReproContext;
+use crate::tables::headline;
 use fsbm_core::scheme::SbmVersion;
 use gpu_sim::launch::{launch_modeled, KernelSpec};
-use miniwrf::perfmodel::RankWork;
+use gpu_sim::DeviceError;
 use std::fmt::Write as _;
-use wrf_cases::ConusCase;
-use wrf_grid::two_d_decomposition;
 
 /// Projection of the condensation offload.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -31,21 +31,14 @@ pub struct CondOffloadProjection {
 }
 
 /// Projects the condensation offload on the 16-rank / 16-GPU setup.
-pub fn project_cond_offload(ctx: &ReproContext) -> (CondOffloadProjection, String) {
-    let today = ctx.run(SbmVersion::OffloadCollapse3, 16, 16);
+pub fn project_cond_offload(
+    ctx: &ReproContext,
+) -> Result<(CondOffloadProjection, String), DeviceError> {
+    let today = headline(ctx, SbmVersion::OffloadCollapse3)?;
     let crit = today.critical();
 
     // The critical rank's cloudy condensation work as a kernel.
-    let case = ConusCase::new(ctx.case);
-    let dd = two_d_decomposition(ctx.case.domain(), 16, 3);
-    let work = dd
-        .patches
-        .iter()
-        .map(|p| {
-            RankWork::extrapolate(&case, p, &ctx.coeffs, SbmVersion::OffloadCollapse3, &ctx.pp)
-        })
-        .max_by_key(|w| w.coal_points)
-        .expect("patches");
+    let work = critical_work(ctx, SbmVersion::OffloadCollapse3);
 
     // Cloudy condensation share of the host pre-sweep.
     let cloudy_cond = fsbm_core::meter::PointWork {
@@ -102,7 +95,7 @@ pub fn project_cond_offload(ctx: &ReproContext) -> (CondOffloadProjection, Strin
         "  whole program: {:.1} s -> {:.1} s ({:.2}x additional)",
         proj.coal_only_secs, proj.with_cond_secs, proj.additional_speedup
     );
-    (proj, s)
+    Ok((proj, s))
 }
 
 #[cfg(test)]
@@ -112,7 +105,7 @@ mod tests {
     #[test]
     fn cond_offload_projects_a_further_win() {
         let ctx = ReproContext::quick_shared();
-        let (p, s) = project_cond_offload(ctx);
+        let (p, s) = project_cond_offload(ctx).unwrap();
         assert!(
             p.additional_speedup > 1.02,
             "offloading condensation should help: {p:?}"

@@ -9,9 +9,22 @@
 //! and cross-version agreement are both enforced, with diffwrf-style
 //! per-field statistics (digits of agreement, max abs/rel error, RMSE,
 //! ULP distance) in the report.
+//!
+//! Every matrix arm runs the production layout ([`Layout::PanelSoa`]);
+//! the reference layout appears once per fixture, as the arm that
+//! blesses it ([`GoldenRunSpec::canonical`]) — so a fixture is written
+//! from `PointAos` and checked against `PanelSoa`. That the two layouts
+//! agree point by point, statistic by statistic, is proven where they
+//! differ: `fsbm-core`'s `tests/layout_equivalence.rs`
+//! (`panels_match_aos_static`, `panels_match_aos_worksteal`, the planted
+//! cases bucket by bucket) and the ledger's `PointAos` oracle on every
+//! benchmark run.
+//!
+//! [`equivalence_matrix`] is the one loop behind every digest-equivalence
+//! table of the eight gates: arms in, [`EquivRow`]s out.
 
 use crate::fixture::GoldenFixture;
-use crate::report::{Cell, Check, Table};
+use crate::report::{Check, Row, Table};
 use fsbm_core::digest::{ulp_distance, StateDigest};
 use fsbm_core::exec::ExecMode;
 use fsbm_core::scheme::{Layout, SbmVersion};
@@ -66,7 +79,9 @@ fn denom_floor(name: &str) -> f64 {
     }
 }
 
-fn rel(a: f64, b: f64, floor: f64) -> f64 {
+/// Relative difference of `a` and `b` over the larger magnitude, the
+/// denominator floored at `floor`.
+pub(crate) fn rel(a: f64, b: f64, floor: f64) -> f64 {
     if a.to_bits() == b.to_bits() {
         // Bit-identical, including matching NaN payloads and equal
         // infinities: `(a - b)` would yield NaN for those and the
@@ -283,22 +298,59 @@ impl StateAgreement {
     }
 }
 
-/// Compares two runs state by state (rank by rank, member by member). A
-/// length mismatch is total disagreement.
-pub fn compare_states(a: &[SbmPatchState], b: &[SbmPatchState]) -> StateAgreement {
+/// The agreement an equivalence matrix demands of its two sides.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Bar {
+    /// Bit-identical digests (the §VII-B bar applied to a layer that may
+    /// move time, never arithmetic). The text names the two sides in the
+    /// violation (`Blocking vs Overlapped`).
+    Bitwise(&'static str),
+    /// The golden policy: every field and moment at or above its
+    /// [`digit_floor`].
+    DigitFloors,
+}
+
+/// How `candidate` agrees with `reference`, state by state (rank by
+/// rank, member by member), and what `bar` holds against it. A length
+/// mismatch is total disagreement.
+pub fn judge(
+    bar: Bar,
+    reference: &[StateDigest],
+    candidate: &[StateDigest],
+) -> (StateAgreement, Vec<String>) {
     let mut agreement = StateAgreement::full();
-    if a.len() != b.len() {
+    let mut violations = Vec::new();
+    if reference.len() != candidate.len() {
         agreement.bitwise = false;
         agreement.min_digits = 0;
     }
-    for (x, y) in a.iter().zip(b) {
-        agreement.fold(&compare_digests(&x.digest(), &y.digest()));
+    for (g, c) in reference.iter().zip(candidate) {
+        let cmp = compare_digests(g, c);
+        agreement.fold(&cmp);
+        if bar == Bar::DigitFloors {
+            violations.extend(floor_violations(&cmp));
+        }
     }
-    agreement
+    match bar {
+        Bar::Bitwise(what) => violations.extend(agreement.violation(what)),
+        Bar::DigitFloors if reference.len() != candidate.len() => violations.push(format!(
+            "{} states compared against {}",
+            candidate.len(),
+            reference.len()
+        )),
+        Bar::DigitFloors => {}
+    }
+    (agreement, violations)
+}
+
+/// Compares two runs' end states bitwise.
+pub fn compare_states(a: &[SbmPatchState], b: &[SbmPatchState]) -> StateAgreement {
+    let sides = Sides::of_states(a, b);
+    judge(Bar::Bitwise(""), &sides.reference, &sides.candidate).0
 }
 
 /// One arm of a digest-equivalence matrix — the row every equivalence
-/// gate (golden, comm, fault, share, ensemble) reports.
+/// gate (golden, comm, fault, share, ensemble, cases) reports.
 #[derive(Debug, Clone)]
 pub struct EquivRow {
     /// What was compared (`baseline`, `lookup blocking`, …): the check
@@ -306,41 +358,112 @@ pub struct EquivRow {
     pub arm: String,
     /// The arm's identifying and measured columns, keyed as they appear
     /// in the table (`version`, `ranks`, `queue_secs`, …).
-    pub cells: Vec<(&'static str, Cell)>,
+    pub cells: Row,
     /// How the two sides agreed.
     pub agreement: StateAgreement,
     /// Everything the gate holds against this arm (empty when passing).
     pub violations: Vec<String>,
 }
 
+/// One arm of an equivalence matrix before it runs.
+#[derive(Debug, Clone)]
+pub struct Arm<S> {
+    /// What the matrix's closure needs to run the arm.
+    pub spec: S,
+    /// The check label's suffix.
+    pub label: String,
+    /// The arm's identifying columns.
+    pub cells: Row,
+}
+
+impl Arm<SbmVersion> {
+    /// The arm of a per-version matrix: labelled by the version, whose
+    /// `version` column leads `cells`.
+    pub fn version(version: SbmVersion, cells: Row) -> Self {
+        let mut all = vec![("version", version.label().into())];
+        all.extend(cells);
+        Arm {
+            spec: version,
+            label: version.label().to_string(),
+            cells: all,
+        }
+    }
+}
+
+/// What running one arm yields: the two sides' end-state digests,
+/// paired in order, plus whatever else the arm measured or found.
+#[derive(Debug, Clone, Default)]
+pub struct Sides {
+    /// The side the arm trusts (fixture, uninterrupted run, solo run).
+    pub reference: Vec<StateDigest>,
+    /// The side under test.
+    pub candidate: Vec<StateDigest>,
+    /// Measured columns, after the arm's identifying ones.
+    pub cells: Row,
+    /// What the run holds against the arm besides disagreement.
+    pub violations: Vec<String>,
+}
+
+impl Sides {
+    /// The two sides of a pair of runs.
+    pub fn of_states(reference: &[SbmPatchState], candidate: &[SbmPatchState]) -> Sides {
+        Sides {
+            reference: reference.iter().map(SbmPatchState::digest).collect(),
+            candidate: candidate.iter().map(SbmPatchState::digest).collect(),
+            ..Sides::default()
+        }
+    }
+
+    /// An arm whose candidate side never ran.
+    pub fn failed(violation: String) -> Sides {
+        Sides {
+            violations: vec![violation],
+            ..Sides::default()
+        }
+    }
+}
+
+/// Runs a digest-equivalence matrix: every arm through `run`, its two
+/// sides held to `bar`.
+pub fn equivalence_matrix<S>(
+    bar: Bar,
+    arms: impl IntoIterator<Item = Arm<S>>,
+    mut run: impl FnMut(&S) -> Sides,
+) -> Vec<EquivRow> {
+    let row = |arm: Arm<S>| {
+        let sides = run(&arm.spec);
+        let (agreement, disagreement) = judge(bar, &sides.reference, &sides.candidate);
+        let (mut cells, mut violations) = (arm.cells, sides.violations);
+        cells.extend(sides.cells);
+        violations.extend(disagreement);
+        EquivRow {
+            arm: arm.label,
+            cells,
+            agreement,
+            violations,
+        }
+    };
+    arms.into_iter().map(row).collect()
+}
+
 /// The table and the per-arm checks of an equivalence matrix.
 pub fn equivalence(key: &'static str, title: &str, rows: &[EquivRow]) -> (Table, Vec<Check>) {
-    let mut columns: Vec<&'static str> = rows
-        .first()
-        .map(|r| r.cells.iter().map(|(k, _)| *k).collect())
-        .unwrap_or_default();
-    columns.extend(["bitwise", "min_digits", "worst_field", "worst_ulp", "pass"]);
-    let table = Table::new(
-        key,
-        title,
-        &columns,
-        rows.iter().map(|r| {
-            let mut row: Vec<Cell> = r.cells.iter().map(|(_, c)| c.clone()).collect();
-            row.extend([
-                r.agreement.bitwise.into(),
-                r.agreement.min_digits.into(),
-                r.agreement.worst_field.as_str().into(),
-                r.agreement.worst_ulp.into(),
-                r.violations.is_empty().into(),
-            ]);
-            row
-        }),
-    );
+    let keyed = |r: &EquivRow| {
+        let mut row = r.cells.clone();
+        row.extend([
+            ("bitwise", r.agreement.bitwise.into()),
+            ("min_digits", r.agreement.min_digits.into()),
+            ("worst_field", r.agreement.worst_field.as_str().into()),
+            ("worst_ulp", r.agreement.worst_ulp.into()),
+            ("pass", r.violations.is_empty().into()),
+        ]);
+        row
+    };
     let checks = rows
         .iter()
         .map(|r| Check::all_of(format!("{key}: {}", r.arm), &r.violations))
         .collect();
-    (table, checks)
+    (Table::new(key, title, rows.iter().map(keyed)), checks)
 }
 
 /// One run of the golden matrix.
@@ -356,21 +479,34 @@ pub struct GoldenRunSpec {
     pub layout: Layout,
 }
 
-/// The full gate matrix: every version × {static tiles, work stealing}
-/// × `worker_counts` × both memory layouts.
+impl GoldenRunSpec {
+    /// The run that blesses `version`'s fixture: the reference layout,
+    /// serial static tiles.
+    pub fn canonical(version: SbmVersion) -> Self {
+        GoldenRunSpec {
+            version,
+            mode: ExecMode::StaticTiles,
+            workers: 1,
+            layout: Layout::PointAos,
+        }
+    }
+}
+
+/// The full gate matrix: per version, the arm that blessed its fixture,
+/// then {static tiles, work stealing} × `worker_counts` on the
+/// production layout.
 pub fn gate_matrix(worker_counts: &[usize]) -> Vec<GoldenRunSpec> {
     let mut specs = Vec::new();
     for version in SbmVersion::ALL {
+        specs.push(GoldenRunSpec::canonical(version));
         for mode in [ExecMode::StaticTiles, ExecMode::work_steal()] {
             for &workers in worker_counts {
-                for layout in Layout::ALL {
-                    specs.push(GoldenRunSpec {
-                        version,
-                        mode,
-                        workers,
-                        layout,
-                    });
-                }
+                specs.push(GoldenRunSpec {
+                    version,
+                    mode,
+                    workers,
+                    layout: Layout::PanelSoa,
+                });
             }
         }
     }
@@ -416,31 +552,17 @@ pub fn run_digest(spec: &GoldenRunSpec, perturb: Option<f32>) -> StateDigest {
 
 /// Builds the canonical (serial, static-tiles) fixture for `version`.
 pub fn bless_fixture(version: SbmVersion) -> GoldenFixture {
-    let digest = run_digest(
-        &GoldenRunSpec {
-            version,
-            mode: ExecMode::StaticTiles,
-            workers: 1,
-            layout: Layout::PointAos,
-        },
-        None,
-    );
     GoldenFixture {
         version: version.label().to_string(),
         case: case_description(),
-        digest,
+        digest: run_digest(&GoldenRunSpec::canonical(version), None),
     }
 }
 
-/// Compares one matrix run against one fixture under the digit floors.
-pub fn check_against(
-    spec: &GoldenRunSpec,
-    vs: &'static str,
-    golden: &StateDigest,
-    candidate: &StateDigest,
-) -> EquivRow {
-    let cmp = compare_digests(golden, candidate);
-    let mut violations: Vec<String> = cmp.structural.clone();
+/// What the golden policy holds against one digest comparison: every
+/// structural mismatch, and every field below its digit floor.
+fn floor_violations(cmp: &DigestComparison) -> Vec<String> {
+    let mut violations = cmp.structural.clone();
     for f in &cmp.fields {
         let floor = digit_floor(&f.name);
         if f.digits < floor {
@@ -450,20 +572,7 @@ pub fn check_against(
             ));
         }
     }
-    let agreement = StateAgreement::of(&cmp);
-    let (version, mode, layout) = (spec.version.label(), spec.mode.label(), spec.layout.label());
-    EquivRow {
-        arm: format!("{version} [{mode} w={} {layout}] vs {vs}", spec.workers),
-        cells: vec![
-            ("version", version.into()),
-            ("mode", mode.into()),
-            ("workers", spec.workers.into()),
-            ("layout", layout.into()),
-            ("vs", vs.into()),
-        ],
-        agreement,
-        violations,
-    }
+    violations
 }
 
 /// Runs the golden gate: every spec in `specs` is digested once and
@@ -480,27 +589,55 @@ pub fn run_golden_gate(
             format!("no golden fixture for version {label:?} — run `repro gate --bless`")
         })
     };
-    let baseline = fixture_for(SbmVersion::Baseline.label())?;
-    let mut rows = Vec::new();
-    for spec in specs {
-        let own = fixture_for(spec.version.label())?;
-        let candidate = run_digest(spec, perturb);
-        rows.push(check_against(spec, "self", &own.digest, &candidate));
-        if spec.version != SbmVersion::Baseline {
-            rows.push(check_against(
-                spec,
-                "baseline",
-                &baseline.digest,
-                &candidate,
-            ));
+    fn arm<'a>(
+        spec: &GoldenRunSpec,
+        vs: &'static str,
+        golden: &'a GoldenFixture,
+    ) -> Arm<(GoldenRunSpec, &'a StateDigest)> {
+        let (version, mode, layout) =
+            (spec.version.label(), spec.mode.label(), spec.layout.label());
+        Arm {
+            spec: (*spec, &golden.digest),
+            label: format!("{version} [{mode} w={} {layout}] vs {vs}", spec.workers),
+            cells: vec![
+                ("version", version.into()),
+                ("mode", mode.into()),
+                ("workers", spec.workers.into()),
+                ("layout", layout.into()),
+                ("vs", vs.into()),
+            ],
         }
     }
-    Ok(rows)
+    let baseline = fixture_for(SbmVersion::Baseline.label())?;
+    let mut arms = Vec::new();
+    for spec in specs {
+        arms.push(arm(spec, "self", fixture_for(spec.version.label())?));
+        if spec.version != SbmVersion::Baseline {
+            arms.push(arm(spec, "baseline", baseline));
+        }
+    }
+    // A spec's two arms are adjacent: one integration serves both.
+    let mut last: Option<(GoldenRunSpec, StateDigest)> = None;
+    Ok(equivalence_matrix(
+        Bar::DigitFloors,
+        arms,
+        |(spec, golden)| {
+            if last.as_ref().map(|(ran, _)| ran) != Some(spec) {
+                last = Some((*spec, run_digest(spec, perturb)));
+            }
+            Sides {
+                reference: vec![(*golden).clone()],
+                candidate: last.iter().map(|(_, d)| d.clone()).collect(),
+                ..Sides::default()
+            }
+        },
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::Cell;
     use fsbm_core::digest::FieldDigest;
 
     fn digest_of(values: &[f32]) -> StateDigest {
@@ -534,18 +671,49 @@ mod tests {
         // The relative error is 1e-3 → 2 digits of agreement.
         assert!(worst.digits <= 3, "digits {}", worst.digits);
         assert!(worst.max_ulp > 0 || worst.name == "M1_FF1");
-        let spec = GoldenRunSpec {
-            version: SbmVersion::Baseline,
-            mode: ExecMode::StaticTiles,
-            workers: 1,
-            layout: Layout::PointAos,
-        };
-        let check = check_against(&spec, "self", &a, &b);
+        // Under the golden policy the arm fails naming the field; the
+        // same pair under the bitwise bar names the two sides instead.
+        let (a, b) = ([a], [b]);
+        let (agreement, violations) = judge(Bar::DigitFloors, &a, &b);
+        assert!(!agreement.bitwise && agreement.min_digits <= 3);
         assert!(
-            check.violations.iter().any(|v| v.contains("T:")),
-            "violations: {:?}",
-            check.violations
+            violations.iter().any(|v| v.contains("T:")),
+            "violations: {violations:?}"
         );
+        let (_, violations) = judge(Bar::Bitwise("left vs right"), &a, &b);
+        assert_eq!(violations.len(), 1);
+        assert!(violations[0].starts_with("left vs right digests differ"));
+    }
+
+    /// The one loop behind every equivalence table: cells are the arm's
+    /// then the run's, violations the run's then the bar's, and an arm
+    /// whose sides differ in length is total disagreement under either
+    /// bar.
+    #[test]
+    fn matrix_rows_carry_arm_then_run() {
+        let a = digest_of(&[1.0, 2.0, 3.0]);
+        let arms = [SbmVersion::Baseline, SbmVersion::Lookup]
+            .map(|v| Arm::version(v, vec![("ranks", 4usize.into())]));
+        let rows = equivalence_matrix(Bar::Bitwise("x vs y"), arms, |&version| Sides {
+            reference: vec![a.clone()],
+            candidate: if version == SbmVersion::Lookup {
+                Vec::new()
+            } else {
+                vec![a.clone()]
+            },
+            cells: vec![("queue_secs", Cell::num(0.5, 3))],
+            violations: vec!["found by the run".into()],
+        });
+        assert_eq!(rows[0].arm, "baseline");
+        let keys: Vec<&str> = rows[0].cells.iter().map(|(k, _)| *k).collect();
+        assert_eq!(keys, ["version", "ranks", "queue_secs"]);
+        assert!(rows[0].agreement.bitwise);
+        assert_eq!(rows[0].violations, ["found by the run"]);
+        assert_eq!(rows[1].agreement.min_digits, 0);
+        assert_eq!(rows[1].violations.len(), 2, "{:?}", rows[1].violations);
+        let (_, v) = judge(Bar::DigitFloors, &[a], &[]);
+        assert_eq!(v, ["0 states compared against 1"]);
+        assert!(Sides::failed("never ran".into()).candidate.is_empty());
     }
 
     #[test]
@@ -560,13 +728,55 @@ mod tests {
     #[test]
     fn matrix_covers_versions_and_modes() {
         let specs = gate_matrix(&[1, 3]);
-        assert_eq!(specs.len(), 4 * 2 * 2 * 2);
+        assert_eq!(specs.len(), 4 * (1 + 2 * 2));
         assert!(specs
             .iter()
             .any(|s| s.version == SbmVersion::OffloadCollapse3
                 && s.mode == ExecMode::work_steal()
                 && s.workers == 3
                 && s.layout == Layout::PanelSoa));
+    }
+
+    /// The matrix, by name: `SbmVersion::ALL` × {static-tiles,
+    /// work-stealing+compaction} × {1, 3} on `panel-soa`, plus per
+    /// version the one `point-aos` arm — which is the spec that blesses
+    /// the fixture, so each fixture is written from the reference layout
+    /// and checked against the production one.
+    #[test]
+    fn matrix_is_production_layout_plus_the_blessing_arm() {
+        let name = |s: &GoldenRunSpec| {
+            let (mode, layout) = (s.mode.label(), s.layout.label());
+            format!("{} [{mode} w={} {layout}]", s.version.label(), s.workers)
+        };
+        let got: Vec<String> = gate_matrix(&[1, 3]).iter().map(name).collect();
+        let mut want = Vec::new();
+        for version in SbmVersion::ALL.map(SbmVersion::label) {
+            want.push(format!("{version} [static-tiles w=1 point-aos]"));
+            for mode in ["static-tiles", "work-stealing+compaction"] {
+                for workers in [1, 3] {
+                    want.push(format!("{version} [{mode} w={workers} panel-soa]"));
+                }
+            }
+        }
+        assert_eq!(got, want);
+        for version in SbmVersion::ALL {
+            let blessing = GoldenRunSpec::canonical(version);
+            assert_eq!(name(&blessing), want[5 * version as usize]);
+            assert_eq!(
+                gate_matrix(&[1, 3])
+                    .iter()
+                    .filter(|s| s.layout == Layout::PointAos && s.version == version)
+                    .collect::<Vec<_>>(),
+                [&blessing]
+            );
+        }
+        // `bless_fixture` runs exactly that spec (one version here;
+        // `tests/gate.rs` holds all four against the committed files).
+        let blessing = GoldenRunSpec::canonical(SbmVersion::Lookup);
+        assert_eq!(
+            bless_fixture(SbmVersion::Lookup).digest,
+            run_digest(&blessing, None)
+        );
     }
 
     #[test]

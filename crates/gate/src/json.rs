@@ -562,10 +562,11 @@ mod tests {
             tables: vec![crate::Table::new(
                 "rows",
                 "t",
-                &["name", "order"],
-                [vec!["é".into(), crate::Cell::strs(["x", "y"])]],
+                [vec![
+                    ("name", "é".into()),
+                    ("order", crate::Cell::strs(["x", "y"])),
+                ]],
             )],
-            lines: vec!["sample: line".into()],
         };
         let text = report.to_json();
         assert!(Json::parse(&text).is_ok());

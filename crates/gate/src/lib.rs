@@ -1,12 +1,17 @@
 #![warn(missing_docs)]
 
-//! `wrf-gate` — the reproduction gate (`repro gate`).
+//! `wrf-gate` — the reproduction harness (`repro`).
 //!
 //! The paper defends its port on two fronts: `diffwrf` digit agreement
 //! between CPU and GPU outputs (§VII-B) and measured performance tables
-//! (Tables III–VII). This crate turns both defenses into an *enforced*
-//! gate over the repository:
+//! (Tables III–VII). This crate holds both, once:
 //!
+//! * **The paper's numbers** — one function per table and figure
+//!   ([`tables`], [`figures`], [`ablations`], [`future`], [`verify`]),
+//!   all priced from one measured plane, [`ReproContext`]. Each returns
+//!   structured data and rendered text, so the `repro` binary, the gates
+//!   and the tests share one implementation (mapping: DESIGN.md §4;
+//!   paper-vs-model numbers: EXPERIMENTS.md).
 //! * **Golden verification** ([`golden`]) — the deterministic gate case
 //!   is run across every scheme version × scheduling mode × worker
 //!   count, end states are digested ([`fsbm_core::digest`]) and compared
@@ -14,42 +19,51 @@
 //!   diffwrf-style statistics: digits of agreement, max abs/rel error,
 //!   RMSE, ULP distance.
 //! * **Perf regression** ([`perf`]) — the `bench-exec` schedule replay
-//!   is re-run and compared row by row against the committed
-//!   `BENCH_executor.json`: every metric is a deterministic function
-//!   of the work and the schedule, held under one tight tolerance.
+//!   ([`execbench`]) is re-run and compared row by row against the
+//!   committed `BENCH_executor.json`: every metric is a deterministic
+//!   function of the work and the schedule, held under one tight
+//!   tolerance.
 //!
-//! No gate reads a clock: what a gate emits or enforces is a function of
-//! the source tree (`./ci.sh clock_free`). Measured seconds are the
-//! ledger's (`benchmark/`), on a recorded host.
+//! Nothing here reads a clock: what a gate emits or enforces is a
+//! function of the source tree (`./ci.sh clock_free`). Measured seconds
+//! are the ledger's (`benchmark/`), on a recorded host.
 //!
 //! Seven more gates ([`comm`], [`fault`], [`share`], [`ensemble`],
 //! [`zoo`], [`tune`], [`cases`]) enforce the claims of the layers built
-//! on top. Every gate produces the same [`Report`] — labelled checks,
-//! tables, summary lines — whose verdict, text and JSON envelope are
-//! written once in [`report`]; `repro <gate>` writes it to the gate's
-//! report file and exits nonzero on any violation. `repro gate --bless`
-//! regenerates the golden fixtures.
+//! on top. Every gate produces the same [`Report`] — labelled checks and
+//! tables — whose verdict, text and JSON envelope are written once in
+//! [`report`]; every digest-equivalence table comes from one loop,
+//! [`golden::equivalence_matrix`]. `repro <gate>` writes the report to
+//! the gate's report file and exits nonzero on any violation;
+//! `repro gate --bless` regenerates the golden fixtures.
 
+pub mod ablations;
 pub mod cases;
 pub mod comm;
+pub mod context;
 pub mod ensemble;
+pub mod execbench;
 pub mod fault;
+pub mod figures;
 pub mod fixture;
+pub mod future;
 pub mod golden;
 pub mod json;
 pub mod perf;
 pub mod report;
 pub mod share;
+pub mod tables;
 pub mod tune;
+pub mod verify;
 pub mod zoo;
 
+pub use context::ReproContext;
 pub use fixture::GoldenFixture;
 pub use golden::GoldenRunSpec;
 pub use perf::BenchCase;
 pub use report::{Cell, Check, Report, Table};
 
 use miniwrf::config::ModelConfig;
-use miniwrf::perfmodel::{measure_coeffs, MeasuredCoeffs};
 use std::path::{Path, PathBuf};
 
 /// How hard the gates push: the values that differ between a PR run
@@ -85,20 +99,6 @@ impl Depth {
             Depth::PR
         }
     }
-}
-
-/// Horizontal scale the modeled gates (share, ensemble, zoo, tune)
-/// measure their work coefficients at.
-pub(crate) const COEFF_SCALE: f64 = 0.05;
-/// Vertical levels of that measurement.
-pub(crate) const COEFF_NZ: i32 = 24;
-/// Steps of that measurement.
-pub(crate) const COEFF_STEPS: usize = 2;
-
-/// Measures the work coefficients once on the functional plane
-/// (backend-independent); the modeled gates extrapolate from them.
-pub(crate) fn measure_gate_coeffs() -> MeasuredCoeffs {
-    measure_coeffs(COEFF_SCALE, COEFF_NZ, COEFF_STEPS)
 }
 
 /// Loads every committed fixture from `dir`.
@@ -152,21 +152,13 @@ pub fn gate_report(
         case: vec![("golden", golden::case_description().into())],
         checks,
         tables: vec![golden_table, perf_table],
-        lines: Vec::new(),
     }
 }
 
 /// Runs the reproduction gate: the golden matrix against the fixtures
-/// in `goldens_dir`, then the perf comparison against the baseline at
-/// `baseline_json`. `bench` produces a candidate benchmark JSON document
-/// for the baseline's case (normally by re-running
-/// `wrf_bench::execbench::bench_exec`); it is injected as a closure so
-/// this crate stays independent of the bench harness.
-pub fn run_gate(
-    goldens_dir: &Path,
-    baseline_json: &Path,
-    bench: impl FnOnce(&BenchCase) -> String,
-) -> Result<Report, String> {
+/// in `goldens_dir`, then a fresh `bench-exec` replay of the baseline's
+/// own case against the baseline at `baseline_json`.
+pub fn run_gate(goldens_dir: &Path, baseline_json: &Path) -> Result<Report, String> {
     let fixtures = load_fixtures(goldens_dir)?;
     // Both inputs are read before the minutes-long matrix runs.
     let baseline = std::fs::read_to_string(baseline_json)
@@ -176,7 +168,14 @@ pub fn run_gate(
         format!("perf: documents line up: baseline {path}: {e}")
     })?;
     let golden = golden::run_golden_gate(&golden::gate_matrix(&GOLDEN_WORKERS), &fixtures, None)?;
-    let (perf, structural) = perf::compare_benchmarks(&baseline, &bench(&case));
+    let candidate = execbench::bench_exec(
+        case.scale,
+        case.nz,
+        case.n_storms,
+        case.steps,
+        &case.workers,
+    );
+    let (perf, structural) = perf::compare_benchmarks(&baseline, &perf::Bench::of(&candidate));
     Ok(gate_report(&golden, &perf, &structural))
 }
 

@@ -10,63 +10,30 @@
 //! scales with host speed — measured seconds are the ledger's
 //! (`benchmark/`), on a recorded host.
 
+use crate::execbench::ExecBenchReport;
 use crate::json::Json;
-use crate::report::{Cell, Check, Table};
+use crate::report::{Cell, Check, Row, Table};
 
 /// Relative tolerance on the deterministic metrics, two-sided.
 const TIGHT_REL: f64 = 0.05;
 /// Absolute tolerance on the activity fraction.
 const ACTIVE_ABS: f64 = 0.02;
 
-/// One gated metric comparison.
-#[derive(Debug, Clone)]
-pub struct PerfCheck {
-    /// Row identity, `mode@workers` (or `case` / `speedup@N`).
-    pub row: String,
-    /// Metric name.
-    pub metric: &'static str,
-    /// Baseline value.
-    pub golden: f64,
-    /// Candidate value.
-    pub candidate: f64,
-    /// The allowed limit this check was evaluated against.
-    pub limit: f64,
-    /// True when within tolerance.
-    pub pass: bool,
-}
+/// One gated metric comparison: its row of the `perf` table and its
+/// check.
+pub type PerfCheck = (Row, Check);
 
-/// The perf half's table and checks: one [`Check`] per metric, plus one
+/// The perf half's table and checks: one [`Check`] per metric, after one
 /// for the documents lining up (`structural`: missing rows, malformed
 /// documents).
 pub fn report_parts(checks: &[PerfCheck], structural: &[String]) -> (Table, Vec<Check>) {
     let table = Table::new(
         "perf",
         "perf regression vs BENCH_executor.json",
-        &["row", "metric", "golden", "candidate", "limit", "pass"],
-        checks.iter().map(|c| {
-            vec![
-                c.row.as_str().into(),
-                c.metric.into(),
-                Cell::num(c.golden, 6),
-                Cell::num(c.candidate, 6),
-                Cell::num(c.limit, 6),
-                c.pass.into(),
-            ]
-        }),
+        checks.iter().map(|(row, _)| row.clone()),
     );
     let mut out = vec![Check::all_of("perf: documents line up", structural)];
-    out.extend(checks.iter().map(|c| {
-        let detail = format!(
-            "golden {:.4} candidate {:.4} exceeds tolerance {:.4}",
-            c.golden, c.candidate, c.limit
-        );
-        Check::new(
-            format!("perf: {} {} (tight)", c.row, c.metric),
-            c.pass,
-            detail,
-        )
-        .bounded(c.candidate, c.limit)
-    }));
+    out.extend(checks.iter().map(|(_, check)| check.clone()));
     (table, out)
 }
 
@@ -88,7 +55,7 @@ pub struct BenchCase {
 
 /// One parsed benchmark row.
 #[derive(Debug, Clone)]
-struct Row {
+struct BenchRow {
     /// Row identity, `mode@workers`.
     key: String,
     makespan_flops: f64,
@@ -96,11 +63,66 @@ struct Row {
     cache_hit_rate: f64,
 }
 
-struct Bench {
+/// What the gate compares of one `bench-exec` result: parsed from the
+/// committed document ([`Bench::parse`]) or read off a fresh replay
+/// ([`Bench::of`]).
+#[derive(Debug, Clone)]
+pub struct Bench {
     active_fraction: f64,
     coal_flops: f64,
-    rows: Vec<Row>,
+    rows: Vec<BenchRow>,
     speedups: Vec<(usize, f64)>,
+}
+
+impl Bench {
+    /// The comparable content of a fresh replay, with no detour through
+    /// its JSON text.
+    pub fn of(report: &ExecBenchReport) -> Bench {
+        Bench {
+            active_fraction: report.active_fraction,
+            coal_flops: report.serial_flops as f64,
+            rows: (report.rows.iter())
+                .map(|r| BenchRow {
+                    key: format!("{}@{}", r.mode.label(), r.workers),
+                    makespan_flops: r.makespan_flops as f64,
+                    chunks: r.chunks as f64,
+                    cache_hit_rate: r.cache_hit_rate,
+                })
+                .collect(),
+            speedups: report.speedups().collect(),
+        }
+    }
+
+    /// The comparable content of a `BENCH_executor.json` document.
+    pub fn parse(text: &str) -> Result<Bench, String> {
+        let j = Json::parse(text)?;
+        let rows = table(&j, "rows")?
+            .iter()
+            .map(|r| {
+                let mode = r.get("mode").and_then(Json::as_str);
+                Ok(BenchRow {
+                    key: format!(
+                        "{}@{}",
+                        mode.ok_or("row missing mode")?,
+                        num(r, &["workers"])?
+                    ),
+                    makespan_flops: num(r, &["makespan_flops"])?,
+                    chunks: num(r, &["chunks"])?,
+                    cache_hit_rate: num(r, &["cache_hit_rate"])?,
+                })
+            })
+            .collect::<Result<Vec<BenchRow>, String>>()?;
+        let speedups = table(&j, "speedup_ws_compaction_vs_static")?
+            .iter()
+            .map(|s| Ok((num(s, &["workers"])? as usize, num(s, &["speedup"])?)))
+            .collect::<Result<Vec<(usize, f64)>, String>>()?;
+        Ok(Bench {
+            active_fraction: num(&j, &["case", "active_fraction"])?,
+            coal_flops: num(&j, &["case", "coal_flops"])?,
+            rows,
+            speedups,
+        })
+    }
 }
 
 fn num(j: &Json, path: &[&str]) -> Result<f64, String> {
@@ -159,43 +181,9 @@ pub fn parse_case(baseline_json: &str) -> Result<BenchCase, String> {
     })
 }
 
-fn parse_bench(text: &str) -> Result<Bench, String> {
-    let j = Json::parse(text)?;
-    let rows = table(&j, "rows")?
-        .iter()
-        .map(|r| {
-            let mode = r.get("mode").and_then(Json::as_str);
-            Ok(Row {
-                key: format!(
-                    "{}@{}",
-                    mode.ok_or("row missing mode")?,
-                    num(r, &["workers"])?
-                ),
-                makespan_flops: num(r, &["makespan_flops"])?,
-                chunks: num(r, &["chunks"])?,
-                cache_hit_rate: num(r, &["cache_hit_rate"])?,
-            })
-        })
-        .collect::<Result<Vec<Row>, String>>()?;
-    let speedups = table(&j, "speedup_ws_compaction_vs_static")?
-        .iter()
-        .map(|s| Ok((num(s, &["workers"])? as usize, num(s, &["speedup"])?)))
-        .collect::<Result<Vec<(usize, f64)>, String>>()?;
-    Ok(Bench {
-        active_fraction: num(&j, &["case", "active_fraction"])?,
-        coal_flops: num(&j, &["case", "coal_flops"])?,
-        rows,
-        speedups,
-    })
-}
-
+/// Relative distance of two metric values.
 fn rel_err(golden: f64, candidate: f64) -> f64 {
-    let d = (golden - candidate).abs();
-    if d == 0.0 {
-        0.0
-    } else {
-        d / golden.abs().max(candidate.abs()).max(1.0e-12)
-    }
+    crate::golden::rel(golden, candidate, 1.0e-12)
 }
 
 /// One metric held two-sided against its baseline value: `err`, the
@@ -208,28 +196,32 @@ fn held(
     err: f64,
     limit: f64,
 ) -> PerfCheck {
-    PerfCheck {
-        row: row.to_string(),
-        metric,
-        golden,
-        candidate,
-        limit,
-        pass: err <= limit,
-    }
+    let pass = err <= limit;
+    let cells = vec![
+        ("row", row.into()),
+        ("metric", metric.into()),
+        ("golden", Cell::num(golden, 6)),
+        ("candidate", Cell::num(candidate, 6)),
+        ("limit", Cell::num(limit, 6)),
+        ("pass", pass.into()),
+    ];
+    let detail =
+        format!("golden {golden:.4} candidate {candidate:.4} exceeds tolerance {limit:.4}");
+    let label = format!("perf: {row} {metric} (tight)");
+    (
+        cells,
+        Check::new(label, pass, detail).bounded(candidate, limit),
+    )
 }
 
-/// Compares a candidate benchmark document against the committed
-/// baseline, producing every check the gate evaluates plus the
-/// structural problems (missing rows, malformed documents).
-pub fn compare_benchmarks(
-    baseline_json: &str,
-    candidate_json: &str,
-) -> (Vec<PerfCheck>, Vec<String>) {
+/// Compares a candidate replay against the committed baseline document,
+/// producing every check the gate evaluates plus the structural problems
+/// (missing rows, a malformed baseline).
+pub fn compare_benchmarks(baseline_json: &str, cand: &Bench) -> (Vec<PerfCheck>, Vec<String>) {
     let (mut checks, mut structural) = (Vec::new(), Vec::new());
-    let (golden, cand) = match (parse_bench(baseline_json), parse_bench(candidate_json)) {
-        (Ok(g), Ok(c)) => (g, c),
-        (Err(e), _) => return (checks, vec![format!("baseline: {e}")]),
-        (_, Err(e)) => return (checks, vec![format!("candidate: {e}")]),
+    let golden = match Bench::parse(baseline_json) {
+        Ok(golden) => golden,
+        Err(e) => return (checks, vec![format!("baseline: {e}")]),
     };
     let rel = |row: &str, metric, g: f64, c: f64| held(row, metric, g, c, rel_err(g, c), TIGHT_REL);
     let abs =
@@ -256,12 +248,12 @@ pub fn compare_benchmarks(
             continue;
         };
         // Each document's own serial flops over the row's makespan.
-        let scaling = |b: &Bench, r: &Row| b.coal_flops / r.makespan_flops.max(1.0);
+        let scaling = |b: &Bench, r: &BenchRow| b.coal_flops / r.makespan_flops.max(1.0);
         checks.push(rel(
             key,
             "scaling_vs_serial",
             scaling(&golden, g),
-            scaling(&cand, c),
+            scaling(cand, c),
         ));
         // Chunk counts are quantized; a wider band, with both sides
         // floored at one chunk, keeps a ±1-chunk rounding shift from
@@ -363,9 +355,11 @@ mod tests {
         }
     }
 
-    /// The comparison as the gate reports it.
+    /// The comparison as the gate reports it (the candidate written as
+    /// a document, for the string surgery below).
     fn compared(base: &str, cand: &str) -> crate::Report {
-        let (checks, structural) = compare_benchmarks(base, cand);
+        let cand = Bench::parse(cand).expect("candidate document");
+        let (checks, structural) = compare_benchmarks(base, &cand);
         crate::gate_report(&[], &checks, &structural)
     }
 
@@ -413,11 +407,32 @@ mod tests {
             .any(|v| v.contains("missing from candidate")));
     }
 
+    /// The candidate is a replay, not a document, so only the baseline
+    /// can be malformed — past what `parse_case` reads, too.
     #[test]
-    fn malformed_candidate_is_structural() {
-        let base = doc(WS_FLOPS, 100);
-        let rep = compared(&base, "{not json");
-        assert!(!rep.pass());
-        assert!(rep.violations()[0].contains("candidate"));
+    fn malformed_baseline_is_structural() {
+        let cand = doc(WS_FLOPS, 100);
+        for bad in [
+            "{not json".to_string(),
+            cand.replace("speedup_ws_compaction_vs_static", "renamed"),
+        ] {
+            let rep = compared(&bad, &cand);
+            assert!(!rep.pass());
+            let v = rep.violations();
+            assert!(v[0].contains("documents line up: baseline:"), "{v:?}");
+        }
+    }
+
+    /// A fresh replay read directly compares clean against its own
+    /// document: the two constructors agree on every gated metric.
+    #[test]
+    fn a_replay_matches_its_own_document() {
+        let replay = crate::execbench::bench_exec(0.04, 8, 3, 1, &[1, 2]);
+        let (checks, structural) =
+            compare_benchmarks(&replay.report().to_json(), &Bench::of(&replay));
+        assert!(structural.is_empty(), "{structural:?}");
+        assert_eq!(checks.len(), 2 + 4 * 3 + 2);
+        let failed: Vec<_> = checks.iter().filter(|c| !c.1.pass).collect();
+        assert!(failed.is_empty(), "{failed:?}");
     }
 }

@@ -2,20 +2,24 @@
 //! verdict, violation list, text rendering and JSON envelope are written
 //! here once.
 //!
-//! A report is three things. **Checks** are the gated assertions — one
+//! A report is two things. **Checks** are the gated assertions — one
 //! [`Check`] per condition that can fail the gate, labelled, so the set
 //! of labels *is* the gate's assertion inventory. **Tables** carry the
 //! measurements: each gate lists a row's cells once and gets the text
-//! table and the JSON rows from the same list. **Lines** are the
-//! `prof_sim::*_line` one-liners CI greps into job summaries.
+//! table and the JSON rows from the same list — the one rendering of
+//! each fact (CI lifts a gate's headline table into the job summary by
+//! its title).
 
 use crate::json::Json;
 use prof_sim::TextTable;
 use std::fmt::Write as _;
 
 /// Version of the JSON envelope (`gate/format/pass/case/checks/tables/
-/// lines/violations`) shared by `gate_report.json` and the gate-written
-/// `BENCH_*.json` files.
+/// violations`) shared by `gate_report.json` and the gate-written
+/// `BENCH_*.json` files. Still 2 after the `lines` member was dropped:
+/// no reader of the envelope (`perf::parse_case`, the tune replay,
+/// `ci.sh`'s violations table) ever looked at it, so every format-2
+/// document, with or without the member, reads the same.
 pub const FORMAT: u32 = 2;
 
 /// One gated assertion.
@@ -162,6 +166,11 @@ impl<T: Into<Cell>> From<Option<T>> for Cell {
     }
 }
 
+/// One row of a table: every cell under its column name. Naming the
+/// column next to the cell is what keeps the text header, the JSON key
+/// and the value from drifting apart.
+pub type Row = Vec<(&'static str, Cell)>;
+
 /// One table of measurements: text through [`TextTable`], JSON as an
 /// array of objects keyed by column.
 #[derive(Debug, Clone, PartialEq)]
@@ -177,18 +186,26 @@ pub struct Table {
 }
 
 impl Table {
-    /// Builds a table from its rows.
+    /// Builds a table from its rows. The columns are the first row's
+    /// names; every row lists the same names in the same order.
     pub fn new(
         key: &'static str,
         title: impl Into<String>,
-        columns: &[&'static str],
-        rows: impl IntoIterator<Item = Vec<Cell>>,
+        rows: impl IntoIterator<Item = Row>,
     ) -> Table {
+        let mut columns = Vec::new();
+        let cells_of = |row: Row| {
+            let (names, cells): (Vec<&'static str>, Vec<Cell>) = row.into_iter().unzip();
+            debug_assert!(columns.is_empty() || columns == names, "ragged table {key}");
+            columns = names;
+            cells
+        };
+        let rows = rows.into_iter().map(cells_of).collect();
         Table {
             key,
             title: title.into(),
-            columns: columns.to_vec(),
-            rows: rows.into_iter().collect(),
+            columns,
+            rows,
         }
     }
 
@@ -213,8 +230,6 @@ pub struct Report {
     pub checks: Vec<Check>,
     /// The measurements behind them.
     pub tables: Vec<Table>,
-    /// One-line summaries CI greps into the job summary.
-    pub lines: Vec<String>,
 }
 
 impl Report {
@@ -232,8 +247,9 @@ impl Report {
             .collect()
     }
 
-    /// The human-readable rendering: every table under its heading, the
-    /// summary lines, the check inventory, then the verdict.
+    /// The human-readable rendering: every table under its heading,
+    /// then — for a report that gates something — the check inventory
+    /// and the verdict. A report with no checks has no verdict to print.
     pub fn rendered(&self) -> String {
         let mut s = String::new();
         let mut section = |title: &str, columns: &[&str], rows: Vec<Vec<String>>| {
@@ -245,6 +261,9 @@ impl Report {
         for t in &self.tables {
             let rows = t.rows.iter().map(|r| r.iter().map(Cell::text).collect());
             section(&t.title, &t.columns, rows.collect());
+        }
+        if self.checks.is_empty() {
+            return s;
         }
         let bound = |x: Option<f64>| x.map_or("-".to_string(), |x| format!("{x:.4}"));
         let checks = self.checks.iter().map(|c| {
@@ -261,9 +280,6 @@ impl Report {
             &["check", "measured", "bound", "result"],
             checks.collect(),
         );
-        for line in &self.lines {
-            let _ = writeln!(s, "{line}");
-        }
         let violations = self.violations();
         if violations.is_empty() {
             let _ = writeln!(s, "{} gate: PASS", self.gate);
@@ -306,7 +322,6 @@ impl Report {
                 "tables",
                 Json::obj(self.tables.iter().map(|t| (t.key, t.json()))),
             ),
-            ("lines", Json::strs(&self.lines)),
             ("violations", Json::strs(self.violations())),
         ])
         .write()
@@ -328,17 +343,15 @@ mod tests {
             tables: vec![Table::new(
                 "rows",
                 "the rows",
-                &["name", "secs", "sci", "ok", "order", "from"],
                 [vec![
-                    "a \"quoted\" name".into(),
-                    Cell::num(1.0, 4),
-                    Cell::sci(14.33531, 6),
-                    pass.into(),
-                    Cell::strs(["x", "y"]),
-                    None::<u64>.into(),
+                    ("name", "a \"quoted\" name".into()),
+                    ("secs", Cell::num(1.0, 4)),
+                    ("sci", Cell::sci(14.33531, 6)),
+                    ("ok", pass.into()),
+                    ("order", Cell::strs(["x", "y"])),
+                    ("from", None::<u64>.into()),
                 ]],
             )],
-            lines: vec!["sample: backend=a pass".into()],
         }
     }
 
@@ -353,11 +366,29 @@ mod tests {
             text.contains("1.0000") && text.contains("1.433531e1"),
             "{text}"
         );
-        assert!(text.contains("sample: backend=a pass"), "{text}");
+        assert!(text.contains("=== repro sample: checks ==="), "{text}");
         assert!(text.contains("sample gate: PASS"), "{text}");
         let doc = Json::parse(&good.to_json()).expect("own JSON parses");
         assert_eq!(doc.get("pass").unwrap().as_bool(), Some(true));
         assert!(doc.get("violations").unwrap().as_arr().unwrap().is_empty());
+        assert_eq!(doc.get("lines"), None, "each fact is rendered once");
+    }
+
+    /// A report that asserts nothing (`bench-exec`) prints its tables
+    /// and stops: no empty checks table, no verdict it did not earn.
+    /// The envelope is unchanged — `pass` stays the vacuous truth a
+    /// reader of the JSON already had.
+    #[test]
+    fn report_without_checks_has_no_verdict() {
+        let mut rep = sample(true);
+        rep.checks.clear();
+        let text = rep.rendered();
+        assert!(text.contains("=== repro sample: the rows ==="), "{text}");
+        assert!(!text.contains("checks"), "{text}");
+        assert!(!text.contains("PASS") && !text.contains("FAIL"), "{text}");
+        let doc = Json::parse(&rep.to_json()).expect("own JSON parses");
+        assert_eq!(doc.get("pass").unwrap().as_bool(), Some(true));
+        assert!(doc.get("checks").unwrap().as_arr().unwrap().is_empty());
     }
 
     /// The shared emitter: a failing check flips the verdict, is listed

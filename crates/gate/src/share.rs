@@ -23,20 +23,18 @@
 //! The report is written to `BENCH_share.json`; any violation makes
 //! `repro share` exit nonzero.
 
-use crate::golden::{compare_states, equivalence, EquivRow, StateAgreement};
-use crate::report::{Cell, Check, Report, Table};
+use crate::context::ReproContext;
+use crate::golden::{equivalence, equivalence_matrix, Arm, Bar, EquivRow, Sides};
+use crate::report::{Cell, Check, Report, Row, Table};
+use crate::tables::{table7_arms, Table7Outcome, Table7Row};
 use fsbm_core::exec::ExecMode;
 use fsbm_core::scheme::SbmVersion;
 use fsbm_core::types::NKR;
-use gpu_sim::devicepool::{DevicePool, DeviceShare};
-use gpu_sim::machine::A100;
+use gpu_sim::devicepool::DevicePool;
 use gpu_sim::DeviceError;
 use miniwrf::config::ModelConfig;
 use miniwrf::parallel::{run_parallel, run_parallel_checked};
-use miniwrf::perfmodel::{
-    rank_footprint, try_experiment, ExperimentConfig, ExperimentResult, MeasuredCoeffs, PerfParams,
-    TrafficModel,
-};
+use miniwrf::perfmodel::rank_footprint;
 use wrf_cases::ConusParams;
 
 /// Ranks of the equivalence runs (the gate case decomposed).
@@ -49,86 +47,103 @@ const DEVICES: usize = 2;
 /// against 8 heavily-shared devices).
 pub const MAX_TWO_NODE_SPEEDUP: f64 = 1.05;
 
-/// One admission scenario against the full-scale device pool.
+/// One admission scenario against a full-scale device pool (here ranks,
+/// in the ensemble gate members).
 #[derive(Debug, Clone)]
 pub struct AdmissionCheck {
     /// What the scenario exercises.
     pub label: &'static str,
-    /// Ranks admitted (or attempted).
-    pub ranks: usize,
-    /// Devices in the pool.
-    pub devices: usize,
+    /// How the scenario is sized (`ranks`, `devices`; may be empty).
+    pub sized: Row,
     /// Outcome description (the typed error's message on failures).
     pub detail: String,
-    /// True when the outcome matched the paper's wall.
+    /// True when the outcome matched the expected wall.
     pub pass: bool,
 }
 
-/// One row of the Table VII sweep: a CPU arm and a GPU arm at matched
-/// decomposition.
-#[derive(Debug, Clone)]
-pub struct SweepRow {
-    /// Row label ("16 ranks", ..., "2 nodes").
-    pub label: String,
-    /// Ranks of the CPU arm.
-    pub cpu_ranks: usize,
-    /// Ranks of the GPU arm.
-    pub gpu_ranks: usize,
-    /// Devices the GPU arm's ranks share.
-    pub gpus: usize,
-    /// CPU-arm total seconds.
-    pub cpu_secs: f64,
-    /// GPU-arm total seconds.
-    pub gpu_secs: f64,
-    /// CPU/GPU speedup.
-    pub speedup: f64,
-    /// Critical rank's exposed device queue per step, seconds.
-    pub queue_secs: f64,
+/// The `admission` table and the per-scenario checks.
+pub fn admission_parts(title: &str, scenarios: &[AdmissionCheck]) -> (Table, Vec<Check>) {
+    let row = |a: &AdmissionCheck| {
+        let mut row = vec![("label", a.label.into())];
+        row.extend(a.sized.iter().cloned());
+        row.extend([
+            ("detail", a.detail.as_str().into()),
+            ("pass", a.pass.into()),
+        ]);
+        row
+    };
+    let check = |a: &AdmissionCheck| {
+        Check::new(format!("admission: {}", a.label), a.pass, a.detail.as_str())
+    };
+    (
+        Table::new("admission", title, scenarios.iter().map(row)),
+        scenarios.iter().map(check).collect(),
+    )
 }
 
-/// The Table VII sweep's outcome.
-#[derive(Debug, Clone, Default)]
-pub struct Sweep {
-    /// The rows that ran (16/32/64 ranks, then 2 nodes).
-    pub rows: Vec<SweepRow>,
-    /// Arms the pool refused (none are expected to be).
-    pub rejected: Vec<String>,
-    /// Per-device ledger of the most-shared arm (64 ranks on 16 GPUs),
-    /// per step.
-    pub devices: Vec<DeviceShare>,
+/// Admits contexts `0, 1, …` through `admit` until one is refused: how
+/// many fit, and the typed refusal of the next.
+pub(crate) fn admit_until_refused<T>(
+    mut admit: impl FnMut(usize) -> Result<T, DeviceError>,
+) -> (usize, DeviceError) {
+    let mut cap = 0usize;
+    loop {
+        match admit(cap) {
+            Ok(_) => cap += 1,
+            Err(e) => return (cap, e),
+        }
+    }
+}
+
+/// The decay half of Table VII's shape over consecutive arms of the
+/// sharing sweep: absolute GPU time keeps improving with rank count
+/// while the speedup over the matched CPU base decays. At least two arms
+/// must have cleared the memory wall for the shape to be observable.
+pub fn decay_violations(rows: &[Table7Row]) -> Vec<String> {
+    let mut v = Vec::new();
+    if rows.len() < 2 {
+        v.push(format!(
+            "only {} feasible sweep rows, the decay shape needs at least 2",
+            rows.len()
+        ));
+    }
+    for w in rows.windows(2) {
+        let ((a, ta), (b, tb)) = (&w[0], &w[1]);
+        if tb.gpu >= ta.gpu {
+            v.push(format!(
+                "GPU absolute time must keep improving {} → {} ranks, got {:.1} → {:.1} s",
+                a.gpu_ranks, b.gpu_ranks, ta.gpu, tb.gpu
+            ));
+        }
+        if tb.speedup() >= ta.speedup() {
+            v.push(format!(
+                "shared-GPU speedup must decay {} → {} ranks, got {:.2} → {:.2}",
+                a.gpu_ranks,
+                b.gpu_ranks,
+                ta.speedup(),
+                tb.speedup()
+            ));
+        }
+    }
+    v
 }
 
 /// Checks the paper's Table VII shape over the sweep rows (the first
 /// three are the 16-GPU sweep in rank order, the last the 2-node
-/// comparison): absolute GPU time improves while speedup decays with a
-/// degrading scaling increment, queueing grows with sharing depth, and
-/// the equal-resource comparison crosses over.
-pub fn sweep_shape_violations(rows: &[SweepRow], max_two_node_speedup: f64) -> Vec<String> {
-    let mut v = Vec::new();
-    if rows.len() != 4 {
-        v.push(format!("sweep produced {} rows, expected 4", rows.len()));
-        return v;
-    }
-    let (r16, r32, r64, nodes) = (&rows[0], &rows[1], &rows[2], &rows[3]);
-    if !(r32.gpu_secs < r16.gpu_secs && r64.gpu_secs < r32.gpu_secs) {
-        v.push(format!(
-            "GPU absolute time must keep improving 16→32→64 ranks (paper: 581→360→303 s), got \
-             {:.1} → {:.1} → {:.1} s",
-            r16.gpu_secs, r32.gpu_secs, r64.gpu_secs
-        ));
-    }
-    if !(r32.speedup < r16.speedup && r64.speedup < r32.speedup) {
-        v.push(format!(
-            "GPU speedup must decay 16→32→64 ranks (paper: 2.08→1.82→1.56), got \
-             {:.2} → {:.2} → {:.2}",
-            r16.speedup, r32.speedup, r64.speedup
-        ));
-    }
-    if r16.gpu_secs / r32.gpu_secs <= r32.gpu_secs / r64.gpu_secs {
+/// comparison): absolute GPU time improves (paper: 581 → 360 → 303 s)
+/// while speedup decays (2.08 → 1.82 → 1.56) with a degrading scaling
+/// increment, queueing grows with sharing depth, and the equal-resource
+/// comparison crosses over.
+pub fn sweep_shape_violations(rows: &[Table7Row], max_two_node_speedup: f64) -> Vec<String> {
+    let [(_, r16), (_, r32), (_, r64), (_, nodes)] = rows else {
+        return vec![format!("sweep produced {} rows, expected 4", rows.len())];
+    };
+    let mut v = decay_violations(&rows[..3]);
+    if r16.gpu / r32.gpu <= r32.gpu / r64.gpu {
         v.push(format!(
             "scaling increment must degrade: 16→32 gain {:.3} should exceed 32→64 gain {:.3}",
-            r16.gpu_secs / r32.gpu_secs,
-            r32.gpu_secs / r64.gpu_secs
+            r16.gpu / r32.gpu,
+            r32.gpu / r64.gpu
         ));
     }
     if r16.queue_secs != 0.0 {
@@ -143,109 +158,88 @@ pub fn sweep_shape_violations(rows: &[SweepRow], max_two_node_speedup: f64) -> V
             r32.queue_secs, r64.queue_secs
         ));
     }
-    if nodes.speedup >= max_two_node_speedup {
+    if nodes.speedup() >= max_two_node_speedup {
         v.push(format!(
             "equal-resource 2-node speedup {:.3} must stay below {:.3} (paper: 0.956)",
-            nodes.speedup, max_two_node_speedup
+            nodes.speedup(),
+            max_two_node_speedup
         ));
     }
     v
 }
 
 /// Assembles the share report from its three arms.
-pub fn report(equiv: &[EquivRow], admission: &[AdmissionCheck], sweep: &Sweep) -> Report {
+pub fn report(equiv: &[EquivRow], admission: &[AdmissionCheck], sweep: &[Table7Outcome]) -> Report {
     let (equiv_table, mut checks) = equivalence(
         "equivalence",
         "exclusive vs shared-pool digest equivalence",
         equiv,
     );
-    checks.extend(
-        admission
-            .iter()
-            .map(|a| Check::new(format!("admission: {}", a.label), a.pass, a.detail.as_str())),
-    );
-    checks.push(Check::all_of("sweep arms admitted", &sweep.rejected));
+    let (admission, admission_checks) =
+        admission_parts("memory-capped admission (\u{a7}VII-A)", admission);
+    checks.extend(admission_checks);
+    // The arms that ran (16/32/64 ranks, then 2 nodes) and the ones the
+    // pool refused (none are expected to be).
+    let mut ran: Vec<Table7Row> = Vec::new();
+    let mut rejected = Vec::new();
+    for (arm, times) in sweep {
+        match times {
+            Ok(times) => ran.push((*arm, times.clone())),
+            Err(e) => rejected.push(format!("sweep arm {} failed admission: {e}", arm.label)),
+        }
+    }
+    checks.push(Check::all_of("sweep arms admitted", &rejected));
     checks.push(Check::all_of(
         "sweep shape (Table VII)",
-        &sweep_shape_violations(&sweep.rows, MAX_TWO_NODE_SPEEDUP),
+        &sweep_shape_violations(&ran, MAX_TWO_NODE_SPEEDUP),
     ));
-    let admission = Table::new(
-        "admission",
-        "memory-capped admission (\u{a7}VII-A)",
-        &["label", "ranks", "devices", "detail", "pass"],
-        admission.iter().map(|a| {
-            vec![
-                a.label.into(),
-                a.ranks.into(),
-                a.devices.into(),
-                a.detail.as_str().into(),
-                a.pass.into(),
-            ]
-        }),
-    );
     let rows = Table::new(
         "sweep",
         "Table VII sweep (16 GPUs; equal-resource 2 nodes)",
-        &[
-            "label",
-            "cpu_ranks",
-            "gpu_ranks",
-            "gpus",
-            "cpu_secs",
-            "gpu_secs",
-            "speedup",
-            "queue_secs",
-        ],
-        sweep.rows.iter().map(|r| {
+        ran.iter().map(|(arm, t)| {
             vec![
-                r.label.as_str().into(),
-                r.cpu_ranks.into(),
-                r.gpu_ranks.into(),
-                r.gpus.into(),
-                Cell::num(r.cpu_secs, 3),
-                Cell::num(r.gpu_secs, 3),
-                Cell::num(r.speedup, 4),
-                Cell::num(r.queue_secs, 6),
+                ("label", arm.label.into()),
+                ("cpu_ranks", arm.cpu_ranks.into()),
+                ("gpu_ranks", arm.gpu_ranks.into()),
+                ("gpus", arm.gpus.into()),
+                ("cpu_secs", Cell::num(t.baseline, 3)),
+                ("gpu_secs", Cell::num(t.gpu, 3)),
+                ("speedup", Cell::num(t.speedup(), 4)),
+                ("queue_secs", Cell::num(t.queue_secs, 6)),
             ]
         }),
     );
+    // The deepest arm of the sharing sweep: the last one at matched
+    // decomposition.
+    let deepest = ran.iter().rfind(|(arm, _)| arm.in_sweep());
     let devices = Table::new(
         "devices",
         "per-device ledger of the 64-rank arm, per step",
-        &[
-            "device",
-            "residents",
-            "used_bytes",
-            "capacity_bytes",
-            "busy_secs",
-            "slice_secs",
-            "queue_secs",
-        ],
-        sweep.devices.iter().map(|d| {
+        deepest.iter().flat_map(|(_, t)| &t.devices).map(|d| {
             vec![
-                d.device.into(),
-                d.residents.into(),
-                d.used_bytes.into(),
-                d.capacity_bytes.into(),
-                Cell::num(d.busy_secs, 9),
-                Cell::num(d.slice_secs, 9),
-                Cell::num(d.queue_secs, 9),
+                ("device", d.device.into()),
+                ("residents", d.residents.into()),
+                ("used_bytes", d.used_bytes.into()),
+                ("capacity_bytes", d.capacity_bytes.into()),
+                ("busy_secs", Cell::num(d.busy_secs, 9)),
+                ("slice_secs", Cell::num(d.slice_secs, 9)),
+                ("queue_secs", Cell::num(d.queue_secs, 9)),
             ]
         }),
     );
+    let (scale, nz, steps) = ReproContext::QUICK;
     Report {
         gate: "share",
         case: vec![
             ("ranks", RANKS.into()),
             ("devices", DEVICES.into()),
-            ("sweep_scale", crate::COEFF_SCALE.into()),
-            ("sweep_nz", crate::COEFF_NZ.into()),
-            ("sweep_steps", crate::COEFF_STEPS.into()),
+            ("sweep_scale", scale.into()),
+            ("sweep_nz", nz.into()),
+            ("sweep_steps", steps.into()),
             ("max_two_node_speedup", MAX_TWO_NODE_SPEEDUP.into()),
         ],
         checks,
         tables: vec![equiv_table, admission, rows, devices],
-        lines: Vec::new(),
     }
 }
 
@@ -257,193 +251,123 @@ pub(crate) fn full_scale_slab_bytes(ranks: usize) -> u64 {
     7 * NKR as u64 * points * 4 + 4 * points * 4 + points
 }
 
-/// Prices `version` on the full CONUS-12km domain over `ranks` ranks
-/// sharing `gpus` devices (0: CPU arm) on the perf plane `(pp, traffic)`,
-/// [`crate::ensemble::MINUTES`] simulated minutes.
-pub(crate) fn full_scale_experiment(
-    version: SbmVersion,
-    ranks: usize,
-    gpus: usize,
-    coeffs: &MeasuredCoeffs,
-    (pp, traffic): (&PerfParams, &TrafficModel),
-) -> Result<ExperimentResult, DeviceError> {
-    let cfg = ExperimentConfig {
-        case: ConusParams::full(),
-        version,
-        ranks,
-        gpus,
-        minutes: crate::ensemble::MINUTES,
-    };
-    try_experiment(&cfg, coeffs, pp, traffic)
-}
-
 /// Runs the admission scenarios against the full-scale pool.
-fn run_admission_checks() -> Vec<AdmissionCheck> {
-    let pp = PerfParams::default();
-    let mut out = Vec::new();
+fn run_admission_checks(ctx: &ReproContext) -> Vec<AdmissionCheck> {
+    let pp = &ctx.pp;
+    let footprint = |ranks| rank_footprint(pp, full_scale_slab_bytes(ranks));
+    let scenario = |label, ranks: usize, devices: usize, detail, pass| AdmissionCheck {
+        label,
+        sized: vec![("ranks", ranks.into()), ("devices", devices.into())],
+        detail,
+        pass,
+    };
 
     // How many contexts fit one 80 GB A100 at the paper's 64 KiB stack.
-    let fp16 = rank_footprint(&pp, full_scale_slab_bytes(16));
-    let mut pool = DevicePool::new(A100, 1);
-    let mut cap = 0usize;
-    let cap_err = loop {
-        match pool.admit(cap, &fp16) {
-            Ok(_) => cap += 1,
-            Err(e) => break e,
-        }
-    };
-    out.push(AdmissionCheck {
-        label: "per-device cap",
-        ranks: cap,
-        devices: 1,
-        detail: format!("{cap} contexts fit, 6th rejected: {cap_err}"),
-        pass: cap == 5,
-    });
+    let mut pool = DevicePool::new(pp.gpu, 1);
+    let (cap, cap_err) = admit_until_refused(|rank| pool.admit(rank, &footprint(16)));
+    let detail = format!("{cap} contexts fit, 6th rejected: {cap_err}");
+    let per_device = scenario("per-device cap", cap, 1, detail, cap == 5);
 
     // The equal-resource 2-node setup: 40 ranks on 8 GPUs (5/device).
-    let fp40 = rank_footprint(&pp, full_scale_slab_bytes(40));
-    let mut pool = DevicePool::new(A100, 8);
-    let ok = pool.admit_all(40, &fp40);
-    out.push(AdmissionCheck {
-        label: "40 ranks / 8 GPUs",
-        ranks: 40,
-        devices: 8,
-        detail: match &ok {
-            Ok(()) => "all admitted (5 per device)".into(),
-            Err(e) => format!("unexpected rejection: {e}"),
-        },
-        pass: ok.is_ok() && (0..8).all(|d| pool.residents(d).len() == 5),
-    });
+    let mut pool = DevicePool::new(pp.gpu, 8);
+    let ok = pool.admit_all(40, &footprint(40));
+    let detail = match &ok {
+        Ok(()) => "all admitted (5 per device)".into(),
+        Err(e) => format!("unexpected rejection: {e}"),
+    };
+    let pass = ok.is_ok() && (0..8).all(|d| pool.residents(d).len() == 5);
+    let two_nodes = scenario("40 ranks / 8 GPUs", 40, 8, detail, pass);
 
     // One step beyond the wall: 48 ranks on 8 GPUs needs a 6th context
     // on device 0; rank 40 must be the one that fails.
-    let fp48 = rank_footprint(&pp, full_scale_slab_bytes(48));
-    let err = DevicePool::new(A100, 8).admit_all(48, &fp48);
-    out.push(AdmissionCheck {
-        label: "48 ranks / 8 GPUs",
-        ranks: 48,
-        devices: 8,
-        detail: match &err {
-            Ok(()) => "unexpectedly admitted".into(),
-            Err(e) => e.to_string(),
-        },
-        pass: matches!(&err, Err(e) if e.rank == 40 && e.device == 0 && e.residents == 5),
+    let err = DevicePool::new(pp.gpu, 8).admit_all(48, &footprint(48));
+    let detail = match &err {
+        Ok(()) => "unexpectedly admitted".into(),
+        Err(e) => e.to_string(),
+    };
+    let pass = matches!(&err, Err(e) if e.rank == 40 && e.device == 0 && e.residents == 5);
+    vec![
+        per_device,
+        two_nodes,
+        scenario("48 ranks / 8 GPUs", 48, 8, detail, pass),
+    ]
+}
+
+/// The equivalence arms of `versions`: exclusive devices vs a
+/// genuinely-shared pool.
+pub fn equivalence_rows(versions: impl IntoIterator<Item = SbmVersion>) -> Vec<EquivRow> {
+    let arms = (versions.into_iter()).map(|v| {
+        Arm::version(
+            v,
+            vec![("ranks", RANKS.into()), ("devices", DEVICES.into())],
+        )
     });
-    out
-}
-
-/// One equivalence arm: exclusive devices vs a genuinely-shared pool.
-pub fn equivalence_row(version: SbmVersion) -> EquivRow {
-    let mut cfg = ModelConfig::gate(version, ExecMode::work_steal(), 3);
-    cfg.ranks = RANKS;
-    cfg.gpus = 0;
-    let exclusive = run_parallel(cfg, ModelConfig::GATE_STEPS);
-    cfg.gpus = DEVICES;
-    let mut violations = Vec::new();
-    let (mut agreement, mut queue_secs) = (StateAgreement::full(), 0.0f64);
-    match run_parallel_checked(cfg, ModelConfig::GATE_STEPS) {
-        Err(e) => violations.push(format!("gate pool rejected the run: {e}")),
-        Ok(shared) => {
-            agreement = compare_states(&exclusive.states, &shared.states);
-            violations.extend(agreement.violation("exclusive vs shared"));
-            queue_secs = (shared.reports.iter())
-                .filter_map(|r| r.share.map(|s| s.queue_secs))
-                .fold(0.0, f64::max);
-            if version.offloaded() && queue_secs == 0.0 {
-                violations.push("shared pool priced zero queueing for an offloaded version".into());
-            }
-        }
-    }
-    EquivRow {
-        arm: version.label().to_string(),
-        cells: vec![
-            ("version", version.label().into()),
-            ("ranks", RANKS.into()),
-            ("devices", DEVICES.into()),
-            ("queue_secs", Cell::num(queue_secs, 9)),
-        ],
-        agreement,
-        violations,
-    }
-}
-
-/// Runs the Table VII sweep on the modeled full-scale machine.
-pub fn run_sweep(coeffs: &MeasuredCoeffs, traffic: &TrafficModel) -> Sweep {
-    let pp = PerfParams::default();
-    let run =
-        |version, ranks, gpus| full_scale_experiment(version, ranks, gpus, coeffs, (&pp, traffic));
-    let mut sweep = Sweep::default();
-    for (label, cpu_ranks, gpu_ranks, gpus) in [
-        ("16 ranks", 16, 16, 16),
-        ("32 ranks", 32, 32, 16),
-        ("64 ranks", 64, 64, 16),
-        ("2 nodes", 256, 40, 8),
-    ] {
-        let cpu = run(SbmVersion::Baseline, cpu_ranks, 0);
-        let gpu = run(SbmVersion::OffloadCollapse3, gpu_ranks, gpus);
-        match (cpu, gpu) {
-            (Ok(cpu), Ok(gpu)) => {
-                if gpu_ranks == 64 {
-                    if let Some(share) = &gpu.share {
-                        sweep.devices = share.devices.clone();
-                    }
+    equivalence_matrix(Bar::Bitwise("exclusive vs shared"), arms, |&version| {
+        let mut cfg = ModelConfig::gate(version, ExecMode::work_steal(), 3);
+        cfg.ranks = RANKS;
+        cfg.gpus = 0;
+        let exclusive = run_parallel(cfg, ModelConfig::GATE_STEPS);
+        cfg.gpus = DEVICES;
+        let mut queue_secs = 0.0f64;
+        let mut sides = match run_parallel_checked(cfg, ModelConfig::GATE_STEPS) {
+            Err(e) => Sides::failed(format!("gate pool rejected the run: {e}")),
+            Ok(shared) => {
+                queue_secs = (shared.reports.iter())
+                    .filter_map(|r| r.share.map(|s| s.queue_secs))
+                    .fold(0.0, f64::max);
+                let mut sides = Sides::of_states(&exclusive.states, &shared.states);
+                if version.offloaded() && queue_secs == 0.0 {
+                    let text = "shared pool priced zero queueing for an offloaded version";
+                    sides.violations.push(text.into());
                 }
-                sweep.rows.push(SweepRow {
-                    label: label.to_string(),
-                    cpu_ranks,
-                    gpu_ranks,
-                    gpus,
-                    cpu_secs: cpu.total_secs,
-                    gpu_secs: gpu.total_secs,
-                    speedup: cpu.total_secs / gpu.total_secs,
-                    queue_secs: gpu.critical().queue,
-                });
+                sides
             }
-            (Err(e), _) | (_, Err(e)) => sweep
-                .rejected
-                .push(format!("sweep arm {label} failed admission: {e}")),
-        }
-    }
-    sweep
+        };
+        sides.cells.push(("queue_secs", Cell::num(queue_secs, 9)));
+        sides
+    })
 }
 
 /// Runs the share gate: per-version equivalence on the gate case, the
 /// admission scenarios, then the Table VII sweep.
 pub fn run() -> Report {
-    let equiv: Vec<EquivRow> = SbmVersion::ALL.into_iter().map(equivalence_row).collect();
-    let sweep = run_sweep(&crate::measure_gate_coeffs(), &TrafficModel::measure());
-    report(&equiv, &run_admission_checks(), &sweep)
+    let equiv = equivalence_rows(SbmVersion::ALL);
+    let ctx = ReproContext::quick();
+    report(&equiv, &run_admission_checks(&ctx), &table7_arms(&ctx))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::golden::StateAgreement;
+    use crate::tables::{Table7Arm, Table7Times};
+    use gpu_sim::devicepool::DeviceShare;
 
-    fn rows(q: [f64; 3], gpu: [f64; 3], two_node_speedup: f64) -> Vec<SweepRow> {
-        let cpu = [1211.45, 655.1, 471.7];
-        let mut rows: Vec<SweepRow> = (0..3)
-            .map(|i| SweepRow {
-                label: format!("{} ranks", 16 << i),
-                cpu_ranks: 16 << i,
-                gpu_ranks: 16 << i,
-                gpus: 16,
-                cpu_secs: cpu[i],
-                gpu_secs: gpu[i],
-                speedup: cpu[i] / gpu[i],
-                queue_secs: q[i],
-            })
-            .collect();
-        rows.push(SweepRow {
-            label: "2 nodes".into(),
-            cpu_ranks: 256,
-            gpu_ranks: 40,
-            gpus: 8,
-            cpu_secs: 379.8,
-            gpu_secs: 379.8 / two_node_speedup,
-            speedup: two_node_speedup,
-            queue_secs: 1.5,
-        });
-        rows
+    /// Table VII rows with the paper's CPU seconds and the given GPU
+    /// side.
+    fn rows(q: [f64; 3], gpu: [f64; 3], two_node_speedup: f64) -> Vec<Table7Row> {
+        let row = |label, cpu_ranks, gpu_ranks, gpus, baseline: f64, gpu, queue_secs| {
+            let arm = Table7Arm {
+                label,
+                cpu_ranks,
+                gpu_ranks,
+                gpus,
+            };
+            let times = Table7Times {
+                baseline,
+                lookup: baseline / 1.4,
+                gpu,
+                queue_secs,
+                devices: Vec::new(),
+            };
+            (arm, times)
+        };
+        vec![
+            row("16 ranks", 16, 16, 16, 1211.45, gpu[0], q[0]),
+            row("32 ranks", 32, 32, 16, 655.1, gpu[1], q[1]),
+            row("64 ranks", 64, 64, 16, 471.7, gpu[2], q[2]),
+            row("2 nodes", 256, 40, 8, 379.8, 379.8 / two_node_speedup, 1.5),
+        ]
     }
 
     #[test]
@@ -490,27 +414,26 @@ mod tests {
     fn admission(pass: bool) -> AdmissionCheck {
         AdmissionCheck {
             label: "48 ranks / 8 GPUs",
-            ranks: 48,
-            devices: 8,
+            sized: vec![("ranks", 48usize.into()), ("devices", 8usize.into())],
             detail: "unexpectedly admitted".into(),
             pass,
         }
     }
 
-    fn paper_sweep() -> Sweep {
-        Sweep {
-            rows: rows([0.0, 0.6, 1.8], [581.2, 360.1, 303.03], 0.956),
-            rejected: Vec::new(),
-            devices: vec![DeviceShare {
-                device: 0,
-                residents: 4,
-                used_bytes: 60 << 30,
-                capacity_bytes: 80 << 30,
-                busy_secs: 1.0,
-                slice_secs: 1.2,
-                queue_secs: 2.5,
-            }],
-        }
+    /// The paper's Table VII as the gate's sweep input, the deepest
+    /// sweep arm carrying a device ledger.
+    fn paper_sweep() -> Vec<Table7Outcome> {
+        let mut rows = rows([0.0, 0.6, 1.8], [581.2, 360.1, 303.03], 0.956);
+        rows[2].1.devices = vec![DeviceShare {
+            device: 0,
+            residents: 4,
+            used_bytes: 60 << 30,
+            capacity_bytes: 80 << 30,
+            busy_secs: 1.0,
+            slice_secs: 1.2,
+            queue_secs: 2.5,
+        }];
+        rows.into_iter().map(|(arm, t)| (arm, Ok(t))).collect()
     }
 
     /// The parent format's keys and printed digits survive the envelope.
@@ -538,10 +461,14 @@ mod tests {
         assert!(report(&[], &[admission(true)], &paper_sweep()).pass());
         // A refused sweep arm and a broken shape are violations too.
         let mut sweep = paper_sweep();
-        sweep
-            .rejected
-            .push("sweep arm 64 ranks failed admission".into());
-        sweep.rows.pop();
+        sweep[2].1 = Err(gpu_sim::DeviceError {
+            rank: 20,
+            device: 4,
+            requested_bytes: 30 << 30,
+            used_bytes: 60 << 30,
+            capacity_bytes: 80 << 30,
+            residents: 3,
+        });
         let v = report(&[], &[], &sweep).violations();
         assert!(v.iter().any(|x| x.contains("sweep arms admitted")), "{v:?}");
         assert!(v.iter().any(|x| x.contains("sweep shape")), "{v:?}");
@@ -549,14 +476,14 @@ mod tests {
 
     /// The assertion inventory of the real gate at its cheapest: one
     /// equivalence arm, the admission scenarios, and the sweep priced
-    /// from the shared test coefficients.
+    /// on the shared quick context.
     #[test]
     fn gate_arms_make_exactly_these_assertions() {
-        let (coeffs, traffic) = miniwrf::perfmodel::test_fixture();
+        let ctx = ReproContext::quick_shared();
         let rep = report(
-            &[equivalence_row(SbmVersion::OffloadCollapse2)],
-            &run_admission_checks(),
-            &run_sweep(coeffs, traffic),
+            &equivalence_rows([SbmVersion::OffloadCollapse2]),
+            &run_admission_checks(ctx),
+            &table7_arms(ctx),
         );
         assert!(rep.pass(), "{:?}", rep.violations());
         let labels: Vec<&str> = rep.checks.iter().map(|c| c.label.as_str()).collect();

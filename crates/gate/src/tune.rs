@@ -26,18 +26,20 @@
 //!   `'auto'` is bitwise-identical to the same run under the explicit
 //!   version name.
 //!
-//! The report is written to `BENCH_tune.json`, replay-gated: when a
-//! committed copy exists, the fresh search must reproduce its winners.
-//! Any violation makes `repro tune` exit nonzero.
+//! The report is written to `BENCH_tune.json`, replay-gated: the fresh
+//! search must reproduce the winners of the committed copy (a baseline
+//! that cannot be read is an error before the search runs, not a skipped
+//! check). Any violation makes `repro tune` exit nonzero.
 
+use crate::context::ReproContext;
 use crate::golden::combined_checksum;
 use crate::json::Json;
 use crate::report::{Cell, Check, Report, Table};
+use crate::zoo::{ranking_violations, slowest_first};
 use codee_sim::tune::{PricedVariant, TuneReport};
 use fsbm_core::scheme::SbmVersion;
 use gpu_sim::machine::ZOO;
 use miniwrf::model::Model;
-use miniwrf::perfmodel::MeasuredCoeffs;
 use miniwrf::schedule::{coal_nest_work_from, kernel_geometry, tune_backend_with, version_for};
 
 /// The three storage families, canonical order. Family rankings break
@@ -91,8 +93,8 @@ pub struct TuneBackendRow {
     /// Families ordered slowest → fastest (ties keep [`FAMILIES`]
     /// order) — the cross-backend stability witness.
     pub ranking: Vec<&'static str>,
-    /// Version label `schedule = 'auto'` resolves to on this backend.
-    pub auto_version: &'static str,
+    /// Version `schedule = 'auto'` resolves to on this backend.
+    pub auto_version: SbmVersion,
     /// Per-backend violations.
     pub violations: Vec<String>,
 }
@@ -139,14 +141,7 @@ fn family_best(rep: &TuneReport, family: &'static str) -> Option<FamilyBest> {
 /// reports the same ordering as a GPU where the transposition wins by a
 /// margin smaller than the stack deficit.
 pub fn family_ranking(families: &[FamilyBest]) -> Vec<&'static str> {
-    let mut idx: Vec<usize> = (0..families.len()).collect();
-    idx.sort_by(|&a, &b| {
-        families[b]
-            .secs
-            .total_cmp(&families[a].secs)
-            .then(a.cmp(&b))
-    });
-    idx.into_iter().map(|i| families[i].family).collect()
+    slowest_first(families.iter().map(|f| (f.family, f.secs)))
 }
 
 /// Checks one backend's searched table for the per-backend claims.
@@ -191,68 +186,46 @@ fn backend_violations(row: &TuneBackendRow, winner: &PricedVariant) -> Vec<Strin
 pub fn recovery_violations(row: &TuneBackendRow) -> Vec<String> {
     let mut v = Vec::new();
     let fam = |name: &str| row.families.iter().find(|f| f.family == name);
-    if let Some(stack) = fam("stack") {
-        let got = (stack.collapse, stack.regs, stack.stack_bytes);
-        let want = kernel_geometry(SbmVersion::OffloadCollapse2);
+    for (family, short, version, kernel) in [
+        ("stack", "stack", SbmVersion::OffloadCollapse2, "v2"),
+        ("slab[pt,bin]", "slab", SbmVersion::OffloadCollapse3, "v3"),
+    ] {
+        let Some(best) = fam(family) else {
+            v.push(format!("{short} family unschedulable on a100-80gb"));
+            continue;
+        };
+        let got = (best.collapse, best.regs, best.stack_bytes);
+        let want = kernel_geometry(version);
         if got != want {
             v.push(format!(
-                "stack-family best is not the hand-derived v2 kernel: \
+                "{short}-family best is not the hand-derived {kernel} kernel: \
                  (collapse, regs, stack) = {got:?}, want {want:?}"
             ));
         }
-    } else {
-        v.push("stack family unschedulable on a100-80gb".to_string());
     }
-    if let Some(slab) = fam("slab[pt,bin]") {
-        let got = (slab.collapse, slab.regs, slab.stack_bytes);
-        let want = kernel_geometry(SbmVersion::OffloadCollapse3);
-        if got != want {
+    if let (Some(slab), Some(tr)) = (fam("slab[pt,bin]"), fam("slab[bin,pt]")) {
+        if tr.secs > slab.secs {
             v.push(format!(
-                "slab-family best is not the hand-derived v3 kernel: \
-                 (collapse, regs, stack) = {got:?}, want {want:?}"
+                "transposed slab must match or beat v3 (the space contains it): \
+                 {:.3e} > {:.3e}",
+                tr.secs, slab.secs
             ));
         }
-        if let Some(tr) = fam("slab[bin,pt]") {
-            if tr.secs > slab.secs {
-                v.push(format!(
-                    "transposed slab must match or beat v3 (the space contains it): \
-                     {:.3e} > {:.3e}",
-                    tr.secs, slab.secs
-                ));
-            }
-        }
-    } else {
-        v.push("slab family unschedulable on a100-80gb".to_string());
     }
     v
 }
 
 /// Checks the cross-backend stability claim over the finished rows.
 pub fn cross_backend_violations(rows: &[TuneBackendRow], min_backends: usize) -> Vec<String> {
-    let mut v = Vec::new();
-    if rows.len() < min_backends {
-        v.push(format!(
-            "only {} backends searched, gate requires {min_backends}",
-            rows.len()
-        ));
-        return v;
-    }
-    let reference = &rows[0];
-    for row in &rows[1..] {
-        if row.ranking != reference.ranking {
-            v.push(format!(
-                "family ranking flips on {}: {} orders [{}], {} orders [{}]",
-                row.backend,
-                reference.backend,
-                reference.ranking.join(" > "),
-                row.backend,
-                row.ranking.join(" > ")
-            ));
-        }
-        if row.auto_version != reference.auto_version {
+    let ranked = rows.iter().map(|r| (r.backend, &r.ranking[..]));
+    let mut v = ranking_violations("family", ranked, min_backends);
+    for row in rows.iter().skip(1) {
+        if row.auto_version != rows[0].auto_version {
             v.push(format!(
                 "'auto' resolves differently on {}: {} vs {}",
-                row.backend, reference.auto_version, row.auto_version
+                row.backend,
+                rows[0].auto_version.label(),
+                row.auto_version.label()
             ));
         }
     }
@@ -338,30 +311,17 @@ pub fn replay_violations(committed: &str, rows: &[TuneBackendRow]) -> Vec<String
             ));
             continue;
         };
-        if let Some(winner) = b.get("winner").and_then(Json::as_str) {
-            if winner != row.winner {
+        let fresh = [
+            ("winner", Json::Str(row.winner.clone())),
+            ("auto", Json::Str(row.auto_version.label().to_string())),
+            ("ranking", Json::strs(&row.ranking)),
+        ];
+        for (key, fresh) in fresh {
+            if b.get(key) != Some(&fresh) {
                 v.push(format!(
-                    "{name}: winner drifted from committed baseline: \
-                     fresh [{}] vs committed [{winner}]",
-                    row.winner
-                ));
-            }
-        }
-        if let Some(auto) = b.get("auto").and_then(Json::as_str) {
-            if auto != row.auto_version {
-                v.push(format!(
-                    "{name}: 'auto' resolution drifted: fresh {} vs committed {auto}",
-                    row.auto_version
-                ));
-            }
-        }
-        if let Some(ranking) = b.get("ranking").and_then(Json::as_arr) {
-            let committed_rank: Vec<&str> = ranking.iter().filter_map(Json::as_str).collect();
-            if committed_rank != row.ranking {
-                v.push(format!(
-                    "{name}: family ranking drifted: fresh [{}] vs committed [{}]",
-                    row.ranking.join(" > "),
-                    committed_rank.join(" > ")
+                    "{name}: {key} drifted from the committed baseline: \
+                     fresh {fresh:?} vs committed {:?}",
+                    b.get(key)
                 ));
             }
         }
@@ -369,13 +329,13 @@ pub fn replay_violations(committed: &str, rows: &[TuneBackendRow]) -> Vec<String
     v
 }
 
-/// Assembles the tune report. `committed` is the text of the checked-in
-/// `BENCH_tune.json`, when one exists, for replay gating; `min_backends`
-/// is the floor of [`cross_backend_violations`].
+/// Assembles the tune report. `replay` is what [`replay_violations`]
+/// holds against the fresh rows; `min_backends` is the floor of
+/// [`cross_backend_violations`].
 pub fn report(
     rows: &[TuneBackendRow],
     bitwise: &AutoBitwise,
-    committed: Option<&str>,
+    replay: &[String],
     min_backends: usize,
 ) -> Report {
     let class = |r: &TuneBackendRow| if r.is_cpu { "cpu" } else { "gpu" };
@@ -391,105 +351,73 @@ pub fn report(
         "cross-backend",
         &cross_backend_violations(rows, min_backends),
     ));
-    let replay = committed.map_or(Vec::new(), |text| replay_violations(text, rows));
-    checks.push(Check::all_of("replay of committed winners", &replay));
+    checks.push(Check::all_of("replay of committed winners", replay));
     let backends = Table::new(
         "backends",
         "searched-best schedule per backend",
-        &[
-            "backend",
-            "class",
-            "searched",
-            "unschedulable",
-            "winner",
-            "winner_secs",
-            "auto",
-            "ranking",
-            "pass",
-        ],
         rows.iter().map(|r| {
             vec![
-                r.backend.into(),
-                class(r).into(),
-                r.searched.into(),
-                r.unschedulable.into(),
-                r.winner.as_str().into(),
-                Cell::sci(r.winner_secs, 6),
-                r.auto_version.into(),
-                Cell::strs(&r.ranking),
-                r.violations.is_empty().into(),
+                ("backend", r.backend.into()),
+                ("class", class(r).into()),
+                ("searched", r.searched.into()),
+                ("unschedulable", r.unschedulable.into()),
+                ("winner", r.winner.as_str().into()),
+                ("winner_secs", Cell::sci(r.winner_secs, 6)),
+                ("auto", r.auto_version.label().into()),
+                ("ranking", Cell::strs(&r.ranking)),
+                ("pass", r.violations.is_empty().into()),
             ]
         }),
     );
     let families = Table::new(
         "families",
         "storage-family winners per backend",
-        &[
-            "backend",
-            "family",
-            "label",
-            "secs",
-            "collapse",
-            "regs",
-            "stack_bytes",
-        ],
         rows.iter().flat_map(|r| {
             r.families.iter().map(|f| {
                 vec![
-                    r.backend.into(),
-                    f.family.into(),
-                    f.label.as_str().into(),
-                    Cell::sci(f.secs, 6),
-                    f.collapse.into(),
-                    f.regs.into(),
-                    f.stack_bytes.into(),
+                    ("backend", r.backend.into()),
+                    ("family", f.family.into()),
+                    ("label", f.label.as_str().into()),
+                    ("secs", Cell::sci(f.secs, 6)),
+                    ("collapse", f.collapse.into()),
+                    ("regs", f.regs.into()),
+                    ("stack_bytes", f.stack_bytes.into()),
                 ]
             })
         }),
     );
+    let checksum = |x: u64| Cell::from(format!("{x:016x}"));
     let auto = Table::new(
         "bitwise",
         "schedule = 'auto' vs the explicit winner, end-state checksums",
-        &["explicit", "auto_checksum", "explicit_checksum", "pass"],
         [vec![
-            bitwise.explicit.as_str().into(),
-            format!("{:016x}", bitwise.auto_checksum).into(),
-            format!("{:016x}", bitwise.explicit_checksum).into(),
-            bitwise.violations.is_empty().into(),
+            ("explicit", bitwise.explicit.as_str().into()),
+            ("auto_checksum", checksum(bitwise.auto_checksum)),
+            ("explicit_checksum", checksum(bitwise.explicit_checksum)),
+            ("pass", bitwise.violations.is_empty().into()),
         ]],
     );
-    let lines = rows.iter().map(|r| {
-        prof_sim::tune_line(
-            r.backend,
-            r.is_cpu,
-            &r.winner,
-            r.winner_secs,
-            &r.ranking,
-            r.auto_version,
-            r.violations.is_empty(),
-        )
-    });
+    let (scale, nz, steps) = ReproContext::QUICK;
     Report {
         gate: "tune",
         case: vec![
-            ("coeff_scale", crate::COEFF_SCALE.into()),
-            ("coeff_nz", crate::COEFF_NZ.into()),
-            ("coeff_steps", crate::COEFF_STEPS.into()),
+            ("coeff_scale", scale.into()),
+            ("coeff_nz", nz.into()),
+            ("coeff_steps", steps.into()),
             ("min_backends", min_backends.into()),
             ("check_steps", bitwise.check_steps.into()),
         ],
         checks,
         tables: vec![backends, families, auto],
-        lines: lines.collect(),
     }
 }
 
 /// Searches one backend and assembles its row.
 fn run_backend_row(
     backend: &'static gpu_sim::machine::Backend,
-    coeffs: &MeasuredCoeffs,
+    ctx: &ReproContext,
 ) -> TuneBackendRow {
-    let work = coal_nest_work_from(coeffs);
+    let work = coal_nest_work_from(&ctx.coeffs);
     let rep = tune_backend_with(backend, &work);
     let families: Vec<FamilyBest> = FAMILIES
         .iter()
@@ -505,18 +433,17 @@ fn run_backend_row(
         winner_secs: winner.secs,
         ranking: family_ranking(&families),
         families,
-        auto_version: version_for(&rep).label(),
+        auto_version: version_for(&rep),
         violations: Vec::new(),
     };
     row.violations = backend_violations(&row, &winner);
     row
 }
 
-/// Searches every [`ZOO`] backend from externally-measured
-/// coefficients (the gate's own, or the test fixture's), with recovery
-/// checked on the paper's machine (the first row).
-pub fn backend_rows(coeffs: &MeasuredCoeffs) -> Vec<TuneBackendRow> {
-    let mut rows: Vec<TuneBackendRow> = ZOO.iter().map(|b| run_backend_row(b, coeffs)).collect();
+/// Searches every [`ZOO`] backend from `ctx`'s measured coefficients,
+/// with recovery checked on the paper's machine (the first row).
+pub fn backend_rows(ctx: &ReproContext) -> Vec<TuneBackendRow> {
+    let mut rows: Vec<TuneBackendRow> = ZOO.iter().map(|b| run_backend_row(b, ctx)).collect();
     let recovery = recovery_violations(&rows[0]);
     rows[0].violations.extend(recovery);
     rows
@@ -525,16 +452,13 @@ pub fn backend_rows(coeffs: &MeasuredCoeffs) -> Vec<TuneBackendRow> {
 /// Runs the tune gate: coefficients measured once on the functional
 /// plane, every backend searched, stability checked across the zoo, the
 /// functional `'auto'` arm run bitwise for `check_steps`, and the
-/// committed artifact replayed.
-pub fn run(committed: Option<&str>, check_steps: usize) -> Report {
-    let rows = backend_rows(&crate::measure_gate_coeffs());
-    let auto = rows[0].auto_version;
-    let auto_version = SbmVersion::ALL
-        .into_iter()
-        .find(|v| v.label() == auto)
-        .unwrap_or(SbmVersion::OffloadCollapse3);
-    let bitwise = auto_bitwise_check(auto_version, check_steps);
-    report(&rows, &bitwise, committed, MIN_BACKENDS)
+/// committed artifact (`committed`: the text of the checked-in
+/// `BENCH_tune.json`) replayed.
+pub fn run(committed: &str, check_steps: usize) -> Report {
+    let rows = backend_rows(&ReproContext::quick());
+    let bitwise = auto_bitwise_check(rows[0].auto_version, check_steps);
+    let replay = replay_violations(committed, &rows);
+    report(&rows, &bitwise, &replay, MIN_BACKENDS)
 }
 
 #[cfg(test)]
@@ -571,7 +495,7 @@ mod tests {
             winner_secs: 1.7e-3 * scale,
             ranking: family_ranking(&families),
             families,
-            auto_version: SbmVersion::OffloadCollapse3.label(),
+            auto_version: SbmVersion::OffloadCollapse3,
             violations: Vec::new(),
         }
     }
@@ -632,7 +556,7 @@ mod tests {
         assert!(v.iter().any(|x| x.contains("ranking flips on b")), "{v:?}");
         // A diverging auto resolution.
         let mut diverged = rows;
-        diverged[2].auto_version = SbmVersion::OffloadCollapse2.label();
+        diverged[2].auto_version = SbmVersion::OffloadCollapse2;
         let v = cross_backend_violations(&diverged, 3);
         assert!(
             v.iter().any(|x| x.contains("'auto' resolves differently")),
@@ -653,7 +577,7 @@ mod tests {
     #[test]
     fn replay_gates_the_committed_winners() {
         let rows = vec![synth_row("a100-80gb", 1.0)];
-        let json = report(&rows, &auto_bitwise(1), None, 1).to_json();
+        let json = report(&rows, &auto_bitwise(1), &[], 1).to_json();
         // A faithful replay passes; times may drift.
         let committed = json.replace("0.0017", "0.002");
         assert_ne!(committed, json);
@@ -665,7 +589,7 @@ mod tests {
         );
         let v = replay_violations(&drifted, &rows);
         assert!(v.iter().any(|x| x.contains("winner drifted")), "{v:?}");
-        let rep = report(&rows, &auto_bitwise(1), Some(&drifted), 1);
+        let rep = report(&rows, &auto_bitwise(1), &v, 1);
         let v = rep.violations();
         assert!(
             v.iter().any(|x| x.contains("tune: replay of committed")),
@@ -682,7 +606,7 @@ mod tests {
         let mut rows: Vec<TuneBackendRow> = [("a100-80gb", 1.0), ("v100-32gb", 1.2)]
             .map(|(n, s)| synth_row(n, s))
             .to_vec();
-        let rep = report(&rows, &auto_bitwise(0xabc), None, 2);
+        let rep = report(&rows, &auto_bitwise(0xabc), &[], 2);
         assert!(rep.pass(), "{:?}", rep.violations());
         let json = rep.to_json();
         assert!(json.contains("\"gate\": \"tune\""));
@@ -693,10 +617,10 @@ mod tests {
         assert!(json.contains("\"stack_bytes\": 20480"));
         let text = rep.rendered();
         assert!(text.contains("tune gate: PASS"));
-        assert!(text.contains("tune: backend=a100-80gb"));
+        assert!(text.contains("=== repro tune: storage-family winners per backend ==="));
 
         rows[0].violations.push("synthetic".into());
-        let failing = report(&rows, &auto_bitwise(0xabc), None, 2);
+        let failing = report(&rows, &auto_bitwise(0xabc), &[], 2);
         assert!(!failing.pass());
         assert!(failing
             .violations()
@@ -712,10 +636,9 @@ mod tests {
     /// the gate's assertion inventory.
     #[test]
     fn tune_gate_passes_end_to_end() {
-        let (coeffs, _) = miniwrf::perfmodel::test_fixture();
-        let rows = backend_rows(coeffs);
+        let rows = backend_rows(ReproContext::quick_shared());
         let bitwise = auto_bitwise_check(SbmVersion::OffloadCollapse3, 4);
-        let rep = report(&rows, &bitwise, None, MIN_BACKENDS);
+        let rep = report(&rows, &bitwise, &[], MIN_BACKENDS);
         assert!(rep.pass(), "{:#?}", rep.violations());
         let labels: Vec<&str> = rep.checks.iter().map(|c| c.label.as_str()).collect();
         let mut want: Vec<String> = ZOO.iter().map(|b| format!("backend: {}", b.name)).collect();
@@ -728,7 +651,7 @@ mod tests {
         assert!(rows.len() >= 5);
         let a100 = &rows[0];
         assert_eq!(a100.backend, "a100-80gb");
-        assert_eq!(a100.auto_version, SbmVersion::OffloadCollapse3.label());
+        assert_eq!(a100.auto_version, SbmVersion::OffloadCollapse3);
         assert_eq!(
             a100.searched, 96,
             "3! perms × 3 collapses × storages × fission"
@@ -764,7 +687,7 @@ mod tests {
         /// never flips a conclusion on any backend.
         #[test]
         fn conclusions_stable_under_work_scaling(scale in 0.25f64..4.0) {
-            let (coeffs, _) = miniwrf::perfmodel::test_fixture();
+            let coeffs = &ReproContext::quick_shared().coeffs;
             let mut work = miniwrf::schedule::coal_nest_work_from(coeffs);
             work.flops_per_point *= scale;
             work.mem_ops_per_point *= scale;

@@ -7,9 +7,9 @@
 //! compilers, but the *relative* conclusions — which refactor wins,
 //! how sharing decays — are stable. This gate enforces that claim over
 //! the backend zoo ([`gpu_sim::machine::ZOO`]): every backend prices
-//! the same functional workload through its own
-//! [`PerfParams::for_backend`] / [`TrafficModel::measure_for`] plane,
-//! and the gate checks
+//! the same functional workload on its own plane
+//! ([`ReproContext::on_backend`]) — the same Table V and Table VII code
+//! `repro table5` / `table7` print, re-priced — and the gate checks
 //!
 //! * **Divergence** — the offloaded gate workload lands at a genuinely
 //!   different absolute time on every backend (no accidental A100
@@ -26,22 +26,17 @@
 //! The report is written to `BENCH_zoo.json`; any violation makes
 //! `repro zoo` exit nonzero.
 
+use crate::context::{ReproContext, MINUTES};
 use crate::ensemble::{
-    full_scale_footprint, full_scale_schedule, members_per_hour, DEVICES, MEMBERS, MINUTES,
+    full_scale_schedule, member_cap, members_per_hour, over_capacity, DEVICES, MEMBERS,
 };
 use crate::report::{Cell, Check, Report, Table};
-use crate::share::{full_scale_experiment, full_scale_slab_bytes};
+use crate::share::{decay_violations, full_scale_slab_bytes};
+use crate::tables::{table7_arms, version_times, Table7Row, GPUS, RANKS};
 use fsbm_core::scheme::SbmVersion;
-use gpu_sim::devicepool::DevicePool;
 use gpu_sim::machine::{Backend, ZOO};
-use miniwrf::perfmodel::{rank_footprint, MeasuredCoeffs, PerfParams, TrafficModel};
-use miniwrf::service::pressure_key;
-use wrf_cases::ConusParams;
+use miniwrf::perfmodel::rank_footprint;
 
-/// Ranks of the Table V version sweep.
-const RANKS: usize = 16;
-/// Devices of the offloaded arms (and the Table VII sweep pool).
-const GPUS: usize = 16;
 /// Minimum number of backends the gate must price end to end.
 pub const MIN_BACKENDS: usize = 5;
 
@@ -53,19 +48,6 @@ pub struct VersionTime {
     /// Modeled end-to-end seconds.
     pub secs: f64,
     /// Speedup over the same backend's v1 baseline.
-    pub speedup: f64,
-}
-
-/// One Table VII sweep row priced on one backend.
-#[derive(Debug, Clone)]
-pub struct ZooSweepRow {
-    /// Ranks of both arms (the GPU arm shares `gpus` devices).
-    pub ranks: usize,
-    /// CPU-arm seconds on this backend's host.
-    pub cpu_secs: f64,
-    /// GPU-arm seconds on this backend's device.
-    pub gpu_secs: f64,
-    /// CPU/GPU speedup.
     pub speedup: f64,
 }
 
@@ -83,7 +65,7 @@ pub struct BackendRow {
     /// Table VII sweep rows (the feasible 16/32/64-rank arms on the
     /// shared pool; small-capacity backends lose the deepest arms to
     /// the memory wall).
-    pub sweep: Vec<ZooSweepRow>,
+    pub sweep: Vec<Table7Row>,
     /// Sweep arms the §VII-A memory wall rejected, exactly as the
     /// capacity arithmetic predicted (informational, not violations).
     pub walls: Vec<String>,
@@ -98,48 +80,49 @@ pub struct BackendRow {
     pub violations: Vec<String>,
 }
 
-/// Orders the version labels of one backend slowest → fastest. Ties
-/// order by [`SbmVersion::ALL`] position, so a tie can never mask a
-/// ranking flip as agreement without also failing the divergence check.
-pub fn ranking_of(versions: &[VersionTime]) -> Vec<&'static str> {
-    let mut idx: Vec<usize> = (0..versions.len()).collect();
-    idx.sort_by(|&a, &b| {
-        versions[b]
-            .secs
-            .total_cmp(&versions[a].secs)
-            .then(a.cmp(&b))
-    });
-    idx.into_iter().map(|i| versions[i].version).collect()
+/// Orders labelled times slowest → fastest. Ties keep the given order,
+/// so a tie can never mask a ranking flip as agreement without also
+/// failing the divergence check (and backends that price two entries
+/// equal still report a deterministic, comparable ordering).
+pub fn slowest_first(timed: impl IntoIterator<Item = (&'static str, f64)>) -> Vec<&'static str> {
+    let mut timed: Vec<(&'static str, f64)> = timed.into_iter().collect();
+    timed.sort_by(|a, b| b.1.total_cmp(&a.1));
+    timed.into_iter().map(|(label, _)| label).collect()
 }
 
-/// Checks one backend's Table VII sweep for the paper's decay shape
-/// over its feasible arms: absolute GPU time keeps improving with rank
-/// count while the speedup over the CPU base decays. At least two arms
-/// must clear the memory wall for the shape to be observable.
-pub fn sweep_shape_violations(sweep: &[ZooSweepRow]) -> Vec<String> {
-    let mut v = Vec::new();
-    if sweep.len() < 2 {
-        v.push(format!(
-            "only {} feasible sweep rows, the decay shape needs at least 2",
-            sweep.len()
-        ));
-        return v;
+/// Orders the version labels of one backend slowest → fastest.
+pub fn ranking_of(versions: &[VersionTime]) -> Vec<&'static str> {
+    slowest_first(versions.iter().map(|t| (t.version, t.secs)))
+}
+
+/// What both per-backend gates hold across their rows: at least
+/// `min_backends` of them (`rows`: backend name and its slowest → fastest
+/// ranking of `what`), all ranking like the first.
+pub fn ranking_violations<'a>(
+    what: &str,
+    rows: impl IntoIterator<Item = (&'a str, &'a [&'static str])>,
+    min_backends: usize,
+) -> Vec<String> {
+    let rows: Vec<_> = rows.into_iter().collect();
+    if rows.len() < min_backends {
+        return vec![format!(
+            "only {} backends ranked, gate requires {min_backends}",
+            rows.len()
+        )];
     }
-    for w in sweep.windows(2) {
-        if w[1].gpu_secs >= w[0].gpu_secs {
-            v.push(format!(
-                "GPU absolute time must keep improving {} → {} ranks, got {:.1} → {:.1} s",
-                w[0].ranks, w[1].ranks, w[0].gpu_secs, w[1].gpu_secs
-            ));
-        }
-        if w[1].speedup >= w[0].speedup {
-            v.push(format!(
-                "shared-GPU speedup must decay {} → {} ranks, got {:.2} → {:.2}",
-                w[0].ranks, w[1].ranks, w[0].speedup, w[1].speedup
-            ));
-        }
-    }
-    v
+    let Some((&(reference, order), rest)) = rows.split_first() else {
+        return Vec::new();
+    };
+    let flip = |&(backend, ranking): &(&str, &[&str])| {
+        (ranking != order).then(|| {
+            format!(
+                "{what} ranking flips on {backend}: {reference} orders [{}], {backend} orders [{}]",
+                order.join(" > "),
+                ranking.join(" > ")
+            )
+        })
+    };
+    rest.iter().filter_map(flip).collect()
 }
 
 /// Checks the cross-backend claims over the finished rows: enough
@@ -147,27 +130,11 @@ pub fn sweep_shape_violations(sweep: &[ZooSweepRow]) -> Vec<String> {
 /// distinct absolute times on the most-offloaded version, and
 /// genuinely distinct per-device member caps.
 pub fn cross_backend_violations(rows: &[BackendRow], min_backends: usize) -> Vec<String> {
-    let mut v = Vec::new();
-    if rows.len() < min_backends {
-        v.push(format!(
-            "only {} backends priced end to end, gate requires {min_backends}",
-            rows.len()
-        ));
+    let ranked = rows.iter().map(|r| (r.backend, &r.ranking[..]));
+    let mut v = ranking_violations("version", ranked, min_backends);
+    let Some(reference) = rows.first().filter(|_| rows.len() >= min_backends) else {
         return v;
-    }
-    let reference = &rows[0];
-    for row in &rows[1..] {
-        if row.ranking != reference.ranking {
-            v.push(format!(
-                "version ranking flips on {}: {} orders [{}], {} orders [{}]",
-                row.backend,
-                reference.backend,
-                reference.ranking.join(" > "),
-                row.backend,
-                row.ranking.join(" > ")
-            ));
-        }
-    }
+    };
     // Divergence on the most-offloaded version: CPU-only versions may
     // legitimately tie between backends sharing a host (the two A100s),
     // but the offloaded arm touches the device on every backend.
@@ -222,38 +189,28 @@ pub fn report(rows: &[BackendRow], min_backends: usize) -> Report {
     let backends = Table::new(
         "backends",
         "ranking, packing and verdict per backend",
-        &[
-            "backend",
-            "class",
-            "ranking",
-            "member_cap",
-            "waves",
-            "members_per_hour",
-            "pass",
-        ],
         rows.iter().map(|r| {
             vec![
-                r.backend.into(),
-                class(r).into(),
-                Cell::strs(&r.ranking),
-                r.member_cap.into(),
-                r.waves.into(),
-                Cell::num(r.members_per_hour, 4),
-                r.violations.is_empty().into(),
+                ("backend", r.backend.into()),
+                ("class", class(r).into()),
+                ("ranking", Cell::strs(&r.ranking)),
+                ("member_cap", r.member_cap.into()),
+                ("waves", r.waves.into()),
+                ("members_per_hour", Cell::num(r.members_per_hour, 4)),
+                ("pass", r.violations.is_empty().into()),
             ]
         }),
     );
     let versions = Table::new(
         "versions",
         "Table V version times per backend",
-        &["backend", "version", "secs", "speedup"],
         rows.iter().flat_map(|r| {
             r.versions.iter().map(|t| {
                 vec![
-                    r.backend.into(),
-                    t.version.into(),
-                    Cell::num(t.secs, 3),
-                    Cell::num(t.speedup, 4),
+                    ("backend", r.backend.into()),
+                    ("version", t.version.into()),
+                    ("secs", Cell::num(t.secs, 3)),
+                    ("speedup", Cell::num(t.speedup, 4)),
                 ]
             })
         }),
@@ -261,15 +218,14 @@ pub fn report(rows: &[BackendRow], min_backends: usize) -> Report {
     let sweep = Table::new(
         "sweep",
         "Table VII decay shape per backend (arms past the memory wall are absent)",
-        &["backend", "ranks", "cpu_secs", "gpu_secs", "speedup"],
         rows.iter().flat_map(|r| {
-            r.sweep.iter().map(|sw| {
+            r.sweep.iter().map(|(arm, t)| {
                 vec![
-                    r.backend.into(),
-                    sw.ranks.into(),
-                    Cell::num(sw.cpu_secs, 3),
-                    Cell::num(sw.gpu_secs, 3),
-                    Cell::num(sw.speedup, 4),
+                    ("backend", r.backend.into()),
+                    ("ranks", arm.gpu_ranks.into()),
+                    ("cpu_secs", Cell::num(t.baseline, 3)),
+                    ("gpu_secs", Cell::num(t.gpu, 3)),
+                    ("speedup", Cell::num(t.speedup(), 4)),
                 ]
             })
         }),
@@ -277,20 +233,12 @@ pub fn report(rows: &[BackendRow], min_backends: usize) -> Report {
     let walls = Table::new(
         "memory_walls",
         "sweep arms the \u{a7}VII-A memory wall rejected, as the capacity arithmetic predicted",
-        &["backend", "walls"],
-        rows.iter()
-            .flat_map(|r| (r.walls.iter()).map(|w| vec![r.backend.into(), w.as_str().into()])),
+        rows.iter().flat_map(|r| {
+            let wall =
+                |w: &String| vec![("backend", r.backend.into()), ("walls", w.as_str().into())];
+            r.walls.iter().map(wall)
+        }),
     );
-    let lines = rows.iter().map(|r| {
-        prof_sim::zoo_line(
-            r.backend,
-            r.is_cpu,
-            r.versions.last().map_or(f64::NAN, |t| t.secs),
-            &r.ranking,
-            r.member_cap,
-            r.violations.is_empty(),
-        )
-    });
     Report {
         gate: "zoo",
         case: vec![
@@ -303,79 +251,51 @@ pub fn report(rows: &[BackendRow], min_backends: usize) -> Report {
         ],
         checks,
         tables: vec![backends, versions, sweep, walls],
-        lines: lines.collect(),
     }
 }
 
-/// How many full-scale members one of `backend`'s devices admits.
-fn member_cap(backend: &'static Backend) -> usize {
-    let fp = full_scale_footprint();
-    let key = pressure_key(&ConusParams::full());
-    let mut pool = DevicePool::for_backend(backend, 1);
-    let mut cap = 0usize;
-    while pool.admit_packed(cap, &fp, Some(key)).is_ok() {
-        cap += 1;
-        if cap > 4096 {
-            break;
-        }
-    }
-    cap
-}
-
-/// Prices every arm of the gate on one backend.
-fn run_backend_row(backend: &'static Backend, coeffs: &MeasuredCoeffs) -> BackendRow {
-    let pp = PerfParams::for_backend(backend);
-    let traffic = TrafficModel::measure_for_backend(backend);
+/// Prices every arm of the gate on one backend: `base` re-priced on
+/// `backend`'s plane.
+fn run_backend_row(backend: &'static Backend, base: &ReproContext) -> BackendRow {
+    let ctx = base.on_backend(backend);
     let mut violations = Vec::new();
 
-    let plane = (&pp, &traffic);
-    let run = |version, ranks, gpus| full_scale_experiment(version, ranks, gpus, coeffs, plane);
-
     // Table V: the four scheme versions at the paper's decomposition.
-    let mut versions = Vec::new();
-    let mut baseline_secs = f64::NAN;
-    for version in SbmVersion::ALL {
-        let gpus = if version.offloaded() { GPUS } else { 0 };
-        match run(version, RANKS, gpus) {
-            Ok(r) => {
-                if versions.is_empty() {
-                    baseline_secs = r.total_secs;
-                }
-                versions.push(VersionTime {
-                    version: version.label(),
-                    secs: r.total_secs,
-                    speedup: baseline_secs / r.total_secs,
-                });
-            }
-            Err(e) => violations.push(format!(
-                "version arm {} failed admission: {e}",
-                version.label()
-            )),
+    let versions: Vec<VersionTime> = match version_times(&ctx) {
+        Ok(v) => (SbmVersion::ALL.iter().zip(&v))
+            .map(|(version, t)| VersionTime {
+                version: version.label(),
+                secs: t.overall,
+                speedup: v[0].overall / t.overall,
+            })
+            .collect(),
+        Err(e) => {
+            violations.push(format!("a Table V arm failed admission: {e}"));
+            Vec::new()
         }
-    }
+    };
     let ranking = ranking_of(&versions);
 
     // Table VII: the shared-pool sweep against a matched CPU base.
     // Deep sharing hits the paper's §VII-A memory wall on small-capacity
     // devices — that is part of the portability claim, so the wall is
     // *asserted*: an arm must fail admission exactly when the capacity
-    // arithmetic over [`RankFootprint::charged_bytes`] says its
-    // contexts cannot fit, and run when it says they can.
+    // arithmetic over `RankFootprint::charged_bytes` says its contexts
+    // cannot fit, and run when it says they can.
     let mut sweep = Vec::new();
     let mut walls = Vec::new();
-    for ranks in [16usize, 32, 64] {
-        let per_device = ranks.div_ceil(GPUS) as u64;
-        let charged = rank_footprint(&pp, full_scale_slab_bytes(ranks))
+    let pp = &ctx.pp;
+    for (arm, times) in table7_arms(&ctx).into_iter().filter(|(a, _)| a.in_sweep()) {
+        let ranks = arm.gpu_ranks;
+        let per_device = ranks.div_ceil(arm.gpus) as u64;
+        let charged = rank_footprint(pp, full_scale_slab_bytes(ranks))
             .charged_bytes(&pp.gpu)
             .unwrap_or(u64::MAX);
         let fits = charged
             .checked_mul(per_device)
             .is_some_and(|need| need <= pp.gpu.hbm_bytes);
-        match (
-            run(SbmVersion::Baseline, ranks, 0),
-            run(SbmVersion::OffloadCollapse3, ranks, GPUS),
-        ) {
-            (Ok(cpu), Ok(gpu)) => {
+        match times {
+            Ok(times) => {
                 if !fits {
                     violations.push(format!(
                         "{ranks}-rank arm was admitted but the capacity arithmetic says \
@@ -383,31 +303,23 @@ fn run_backend_row(backend: &'static Backend, coeffs: &MeasuredCoeffs) -> Backen
                         pp.gpu.hbm_bytes
                     ));
                 }
-                sweep.push(ZooSweepRow {
-                    ranks,
-                    cpu_secs: cpu.total_secs,
-                    gpu_secs: gpu.total_secs,
-                    speedup: cpu.total_secs / gpu.total_secs,
-                });
+                sweep.push((arm, times));
             }
-            (Err(e), _) | (_, Err(e)) => {
-                if fits {
-                    violations.push(format!("sweep arm {ranks} ranks failed admission: {e}"));
-                } else {
-                    walls.push(format!(
-                        "{ranks} ranks: memory wall ({per_device} × {charged} B > {} B): {e}",
-                        pp.gpu.hbm_bytes
-                    ));
-                }
+            Err(e) if fits => {
+                violations.push(format!("sweep arm {ranks} ranks failed admission: {e}"));
             }
+            Err(e) => walls.push(format!(
+                "{ranks} ranks: memory wall ({per_device} × {charged} B > {} B): {e}",
+                pp.gpu.hbm_bytes
+            )),
         }
     }
-    violations.extend(sweep_shape_violations(&sweep));
+    violations.extend(decay_violations(&sweep));
 
     // Ensemble packing and throughput on this backend's capacity.
-    let cap = member_cap(backend);
+    let (cap, _) = member_cap(backend);
     let (mut waves, mut mph) = (0usize, 0.0f64);
-    match full_scale_schedule(backend, SbmVersion::OffloadCollapse3, coeffs, plane).1 {
+    match full_scale_schedule(&ctx, backend, SbmVersion::OffloadCollapse3).1 {
         Ok(s) => {
             waves = s.waves;
             mph = members_per_hour(s.makespan_secs);
@@ -416,13 +328,8 @@ fn run_backend_row(backend: &'static Backend, coeffs: &MeasuredCoeffs) -> Backen
                     "ensemble throughput degenerate: {mph} members/hour"
                 ));
             }
+            violations.extend(over_capacity(&s.devices));
             for d in &s.devices {
-                if d.peak_used_bytes > d.capacity_bytes {
-                    violations.push(format!(
-                        "device {} ledger overflows capacity: {} > {} bytes",
-                        d.device, d.peak_used_bytes, d.capacity_bytes
-                    ));
-                }
                 if d.peak_residents > cap {
                     violations.push(format!(
                         "device {} packed {} members, cap is {cap}",
@@ -448,25 +355,47 @@ fn run_backend_row(backend: &'static Backend, coeffs: &MeasuredCoeffs) -> Backen
     }
 }
 
-/// Prices every [`ZOO`] backend end to end from externally-measured
-/// coefficients (the gate's own, or the test fixture's).
-pub fn backend_rows(coeffs: &MeasuredCoeffs) -> Vec<BackendRow> {
-    ZOO.iter().map(|b| run_backend_row(b, coeffs)).collect()
+/// Prices every [`ZOO`] backend end to end from one measured context
+/// (the coefficients are backend-independent; each backend swaps in its
+/// own perf plane).
+pub fn backend_rows(base: &ReproContext) -> Vec<BackendRow> {
+    ZOO.iter().map(|b| run_backend_row(b, base)).collect()
 }
 
 /// Runs the zoo gate: coefficients measured once on the functional
-/// plane (backend-independent), then every backend priced and the
-/// cross-backend claims checked.
+/// plane, then every backend priced and the cross-backend claims
+/// checked.
 pub fn run() -> Report {
-    report(&backend_rows(&crate::measure_gate_coeffs()), MIN_BACKENDS)
+    report(&backend_rows(&ReproContext::quick()), MIN_BACKENDS)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ensemble::full_scale_footprint;
+    use crate::tables::{Table7Arm, Table7Times};
     use miniwrf::perfmodel::{try_experiment, ExperimentConfig};
-    use miniwrf::service::{schedule_ensemble, EnsembleSpec, MemberTimings};
+    use miniwrf::service::{pressure_key, schedule_ensemble, EnsembleSpec, MemberTimings};
     use proptest::prelude::*;
+    use wrf_cases::ConusParams;
+
+    /// One sweep row at matched decomposition on the 16-GPU pool.
+    fn sweep_row(ranks: usize, cpu_secs: f64, gpu_secs: f64) -> Table7Row {
+        let arm = Table7Arm {
+            label: "synthetic",
+            cpu_ranks: ranks,
+            gpu_ranks: ranks,
+            gpus: GPUS,
+        };
+        let times = Table7Times {
+            baseline: cpu_secs,
+            lookup: cpu_secs,
+            gpu: gpu_secs,
+            queue_secs: 0.0,
+            devices: Vec::new(),
+        };
+        (arm, times)
+    }
 
     fn synth_row(backend: &'static str, v4: f64, cap: usize) -> BackendRow {
         let versions = vec![
@@ -498,24 +427,9 @@ mod tests {
             versions,
             ranking,
             sweep: vec![
-                ZooSweepRow {
-                    ranks: 16,
-                    cpu_secs: 8.0 * v4,
-                    gpu_secs: 4.0 * v4,
-                    speedup: 2.0,
-                },
-                ZooSweepRow {
-                    ranks: 32,
-                    cpu_secs: 4.5 * v4,
-                    gpu_secs: 2.5 * v4,
-                    speedup: 1.8,
-                },
-                ZooSweepRow {
-                    ranks: 64,
-                    cpu_secs: 3.0 * v4,
-                    gpu_secs: 2.0 * v4,
-                    speedup: 1.5,
-                },
+                sweep_row(16, 8.0 * v4, 4.0 * v4),
+                sweep_row(32, 4.5 * v4, 2.5 * v4),
+                sweep_row(64, 3.0 * v4, 2.0 * v4),
             ],
             walls: Vec::new(),
             member_cap: cap,
@@ -573,22 +487,22 @@ mod tests {
     #[test]
     fn sweep_shape_catches_broken_decay() {
         let good = synth_row("a", 100.0, 4);
-        assert!(sweep_shape_violations(&good.sweep).is_empty());
+        assert!(decay_violations(&good.sweep).is_empty());
         let mut bad = good.clone();
-        bad.sweep[2].gpu_secs = bad.sweep[1].gpu_secs * 1.5;
-        let v = sweep_shape_violations(&bad.sweep);
+        bad.sweep[2].1.gpu = bad.sweep[1].1.gpu * 1.5;
+        let v = decay_violations(&bad.sweep);
         assert!(v.iter().any(|x| x.contains("keep improving")), "{v:?}");
         let mut bad = good.clone();
-        bad.sweep[1].speedup = 2.5;
-        let v = sweep_shape_violations(&bad.sweep);
+        bad.sweep[1].1.baseline = 2.5 * bad.sweep[1].1.gpu;
+        let v = decay_violations(&bad.sweep);
         assert!(v.iter().any(|x| x.contains("decay")), "{v:?}");
         // A two-row feasible prefix (post-memory-wall) is still checkable…
         let mut walled = good.clone();
         walled.sweep.truncate(2);
-        assert!(sweep_shape_violations(&walled.sweep).is_empty());
+        assert!(decay_violations(&walled.sweep).is_empty());
         // …but a single surviving arm has no observable shape.
         walled.sweep.truncate(1);
-        let v = sweep_shape_violations(&walled.sweep);
+        let v = decay_violations(&walled.sweep);
         assert!(v.iter().any(|x| x.contains("at least 2")), "{v:?}");
     }
 
@@ -613,7 +527,7 @@ mod tests {
         assert!(json.contains("\"members_per_hour\": 0.1"));
         let text = rep.rendered();
         assert!(text.contains("zoo gate: PASS"));
-        assert!(text.contains("zoo: backend=v100-32gb"));
+        assert!(text.contains("=== repro zoo: Table V version times per backend ==="));
 
         rows[0].violations.push("synthetic".into());
         let failing = report(&rows, 3);
@@ -636,8 +550,7 @@ mod tests {
     /// assertion inventory.
     #[test]
     fn zoo_gate_passes_end_to_end() {
-        let (coeffs, _) = miniwrf::perfmodel::test_fixture();
-        let rows = backend_rows(coeffs);
+        let rows = backend_rows(ReproContext::quick_shared());
         let rep = report(&rows, MIN_BACKENDS);
         assert!(rep.pass(), "{:#?}", rep.violations());
         let labels: Vec<&str> = rep.checks.iter().map(|c| c.label.as_str()).collect();
@@ -673,27 +586,24 @@ mod tests {
         /// must never flip a conclusion on any backend.
         #[test]
         fn ranking_is_stable_across_backends(minutes in 2.0f64..40.0) {
-            let (coeffs, _) = miniwrf::perfmodel::test_fixture();
-            let full = ConusParams::full();
             let mut rankings = Vec::new();
             let mut offload_secs = Vec::new();
             for b in ZOO.iter() {
-                let pp = PerfParams::for_backend(b);
-                let traffic = TrafficModel::measure_for_backend(b);
+                let ctx = ReproContext::quick_shared().on_backend(b);
                 let mut versions = Vec::new();
                 for version in SbmVersion::ALL {
                     let gpus = if version.offloaded() { GPUS } else { 0 };
                     let r = try_experiment(
                         &ExperimentConfig {
-                            case: full,
+                            case: ctx.case,
                             version,
                             ranks: RANKS,
                             gpus,
                             minutes,
                         },
-                        coeffs,
-                        &pp,
-                        &traffic,
+                        &ctx.coeffs,
+                        &ctx.pp,
+                        &ctx.traffic,
                     ).unwrap();
                     versions.push(VersionTime {
                         version: version.label(),

@@ -98,6 +98,32 @@ fn unknown_flag_names_the_shared_flags_and_exits_2() {
     assert_eq!(repro(&["comm", "--bless"]).status.code(), Some(2));
 }
 
+/// A baseline that cannot be read is an error before anything runs —
+/// never a replay check that passes having compared nothing.
+#[test]
+fn missing_tune_baseline_is_exit_2_naming_the_path() {
+    let out = repro(&["tune", "--baseline", "/nonexistent/BENCH_tune.json"]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(
+        err.contains("repro tune: cannot read baseline /nonexistent/BENCH_tune.json"),
+        "{err}"
+    );
+    assert!(out.stdout.is_empty(), "no report was rendered");
+    // `gate` treats its own baseline the same way.
+    let goldens = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../goldens");
+    let out = repro(&[
+        "gate",
+        "--goldens",
+        goldens.to_str().expect("utf-8 path"),
+        "--baseline",
+        "/nonexistent/BENCH_executor.json",
+    ]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(err.contains("/nonexistent/BENCH_executor.json"), "{err}");
+}
+
 #[test]
 fn report_write_failure_is_exit_2() {
     // zoo is the cheapest gate (modeled accounting only, ~6 s).
@@ -114,7 +140,7 @@ fn ci_lists_match_the_registry() {
     assert_eq!(registry.len(), 8, "{usage}");
     assert!(!usage.contains("bench-host") && !usage.contains("--check"));
 
-    // ci.sh: `"step;repro arguments;report file;title;pattern"` rows.
+    // ci.sh: `"step;repro arguments;report file;summary section"` rows.
     let ci_sh = repo_file("ci.sh");
     let rows: Vec<Vec<&str>> = ci_sh
         .lines()
@@ -129,7 +155,7 @@ fn ci_lists_match_the_registry() {
         "one ci.sh row per registry entry"
     );
     for (row, (name, report_file)) in rows.iter().zip(&registry) {
-        assert_eq!(row.len(), 5, "{row:?}");
+        assert_eq!(row.len(), 4, "{row:?}");
         let invoked = row[1].split_whitespace().next().unwrap();
         assert_eq!(
             invoked, name,
@@ -141,6 +167,9 @@ fn ci_lists_match_the_registry() {
         );
     }
     assert!(rows.iter().all(|r| r[0] != "host"), "{rows:?}");
+    // ci.sh runs the one harness crate.
+    assert!(ci_sh.contains("-p wrf-gate --bin repro"), "{ci_sh}");
+    assert!(!ci_sh.contains("wrf-bench") && !ci_sh.contains("crates/bench"));
 
     // ci.yml: the `gate:` block list of the matrix.
     let ci_yml = repo_file(".github/workflows/ci.yml");

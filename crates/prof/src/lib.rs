@@ -15,25 +15,19 @@
 //! [`Stopwatch`]) or the modeled times produced by `gpu-sim`/`mpi-sim`,
 //! so the same reports work for functional runs and performance-model runs.
 
-pub mod cases;
 pub mod ensemble;
 pub mod exec;
 pub mod fault;
 pub mod flat;
 pub mod ranges;
 pub mod table;
-pub mod tune;
-pub mod zoo;
 
-pub use cases::{case_line, nest_line};
 pub use ensemble::{ensemble_line, EnsembleSummary};
 pub use exec::exec_line;
 pub use fault::recovery_line;
 pub use flat::{FlatProfiler, FlatReport, FlatRow};
 pub use ranges::{RangeProfiler, RangeReport, RangeRow};
 pub use table::TextTable;
-pub use tune::tune_line;
-pub use zoo::zoo_line;
 
 use std::time::Instant;
 

@@ -79,14 +79,13 @@ fn main() {
 
     // And the correctness check the paper runs (§VII-B).
     println!("\n--- diffwrf: collapse(3) vs CPU baseline (6 steps, reduced scale) ---");
-    let (_, report) = wrf_bench_verify();
+    let (_, report) = diffwrf_c3_vs_baseline();
     println!("{report}");
 }
 
-fn wrf_bench_verify() -> (Vec<(String, wrf_cases::diffwrf::DiffReport)>, String) {
-    // Reuse the harness' verification path without depending on wrf-bench
-    // (examples live in the facade crate): run baseline and collapse(3)
-    // directly.
+fn diffwrf_c3_vs_baseline() -> (Vec<(String, wrf_cases::diffwrf::DiffReport)>, String) {
+    // The harness' verification path (`wrf_gate::verify`) on two of the
+    // four versions: run baseline and collapse(3) directly.
     let run = |version: SbmVersion| {
         let mut m = Model::single_rank(ModelConfig::functional(version, 0.06, 12));
         m.run(6);

@@ -56,5 +56,7 @@ fn main() {
         "accumulated surface precipitation: {:.4} kg/m² (column-summed)",
         model.state.precip_acc
     );
-    println!("\nNext: `cargo run --release -p wrf-bench --bin repro all` regenerates the paper's tables.");
+    println!(
+        "\nNext: `cargo run --release -p wrf-gate --bin repro all` regenerates the paper's tables."
+    );
 }

@@ -23,7 +23,7 @@
 //! | [`codee_sim`] | dependence analysis, Open-Catalog checks, directive rewriting |
 //! | [`wrf_cases`] | synthetic CONUS-12km scenario + `diffwrf` |
 //! | [`miniwrf`]   | integrated model driver + the full-scale performance model |
-//! | [`wrf_gate`]  | reproduction gate: golden verification + perf regression (`repro gate`) |
+//! | [`wrf_gate`]  | the reproduction harness: the paper's tables and figures, golden verification, the eight gates (`repro`) |
 //!
 //! ## Quick start
 //!
@@ -38,7 +38,7 @@
 //! assert!(report.coal_entries > 0, "storms collide");
 //! ```
 //!
-//! The `repro` binary (in `crates/bench`) regenerates every table and
+//! The `repro` binary (in `crates/gate`) regenerates every table and
 //! figure of the paper; see EXPERIMENTS.md for paper-vs-model numbers.
 
 pub use codee_sim;

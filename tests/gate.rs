@@ -8,31 +8,39 @@
 
 use wrf_offload_repro::fsbm_core::exec::ExecMode;
 use wrf_offload_repro::fsbm_core::scheme::{Layout, SbmVersion};
-use wrf_offload_repro::wrf_gate::golden::{
-    bless_fixture, check_against, run_golden_gate, GoldenRunSpec,
-};
-use wrf_offload_repro::wrf_gate::perf::{compare_benchmarks, parse_case};
+use wrf_offload_repro::wrf_gate::golden::{bless_fixture, run_golden_gate, GoldenRunSpec};
+use wrf_offload_repro::wrf_gate::perf::{compare_benchmarks, parse_case, Bench};
 use wrf_offload_repro::wrf_gate::{gate_report, GoldenFixture};
 
-/// A reduced golden matrix: two versions, both modes, two worker
-/// counts, both memory layouts.
+/// A reduced golden matrix under the rule of the full one
+/// (`golden::gate_matrix`): two versions, each the arm that blesses its
+/// fixture (reference layout), then both modes × two worker counts on
+/// the production layout.
 fn reduced_matrix() -> Vec<GoldenRunSpec> {
     let mut specs = Vec::new();
     for version in [SbmVersion::Baseline, SbmVersion::OffloadCollapse2] {
+        specs.push(GoldenRunSpec::canonical(version));
         for mode in [ExecMode::StaticTiles, ExecMode::work_steal()] {
             for workers in [1usize, 2] {
-                for layout in Layout::ALL {
-                    specs.push(GoldenRunSpec {
-                        version,
-                        mode,
-                        workers,
-                        layout,
-                    });
-                }
+                specs.push(GoldenRunSpec {
+                    version,
+                    mode,
+                    workers,
+                    layout: Layout::PanelSoa,
+                });
             }
         }
     }
     specs
+}
+
+/// The committed perf baseline, as text and as the comparable content a
+/// candidate replay would have.
+fn committed_baseline() -> (String, Bench) {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("BENCH_executor.json");
+    let text = std::fs::read_to_string(path).expect("committed baseline");
+    let bench = Bench::parse(&text).expect("committed baseline parses");
+    (text, bench)
 }
 
 fn fixtures() -> Vec<GoldenFixture> {
@@ -57,19 +65,33 @@ fn clean_tree_passes_the_golden_gate_bitwise() {
     // Cross-version comparisons are present, not just same-version.
     assert!(rows.iter().any(|r| r.arm.ends_with("vs baseline")));
     // The assertion inventory: one check per (run, fixture) comparison —
-    // baseline runs against themselves, collapse(2) runs against both —
-    // plus the perf half's line-up check.
+    // the five baseline runs against themselves, the five collapse(2)
+    // runs against both — plus the perf half's line-up check. The one
+    // point-aos label per version is the blessing arm's.
     let labels: Vec<&str> = report.checks.iter().map(|c| c.label.as_str()).collect();
-    assert_eq!(labels.len(), 8 + 2 * 8 + 1);
+    assert_eq!(labels.len(), 5 + 2 * 5 + 1);
     assert_eq!(
         labels[0],
         "golden: baseline [static-tiles w=1 point-aos] vs self"
     );
     assert_eq!(
-        labels.iter().filter(|l| l.ends_with("vs baseline")).count(),
-        8
+        labels[1],
+        "golden: baseline [static-tiles w=1 panel-soa] vs self"
     );
-    assert_eq!(labels[24], "perf: documents line up");
+    let aos: Vec<&&str> = labels.iter().filter(|l| l.contains("point-aos")).collect();
+    assert_eq!(
+        aos,
+        [
+            &"golden: baseline [static-tiles w=1 point-aos] vs self",
+            &"golden: offload collapse(2) [static-tiles w=1 point-aos] vs self",
+            &"golden: offload collapse(2) [static-tiles w=1 point-aos] vs baseline",
+        ]
+    );
+    assert_eq!(
+        labels.iter().filter(|l| l.ends_with("vs baseline")).count(),
+        5
+    );
+    assert_eq!(labels[15], "perf: documents line up");
 }
 
 #[test]
@@ -122,18 +144,10 @@ fn committed_goldens_match_current_physics() {
         6
     );
     for version in SbmVersion::ALL {
-        let fixture = fixtures
-            .iter()
-            .find(|f| f.version == version.label())
-            .expect("fixture per version");
-        let spec = GoldenRunSpec {
-            version,
-            mode: ExecMode::StaticTiles,
-            workers: 1,
-            layout: Layout::PointAos,
-        };
-        let digest = wrf_offload_repro::wrf_gate::golden::run_digest(&spec, None);
-        let check = check_against(&spec, "self", &fixture.digest, &digest);
+        let spec = GoldenRunSpec::canonical(version);
+        let rows = run_golden_gate(&[spec], &fixtures, None).expect("fixture per version");
+        let check = &rows[0];
+        assert!(check.arm.ends_with("point-aos] vs self"), "{}", check.arm);
         assert!(
             check.violations.is_empty(),
             "{}: committed golden diverged: {:?}",
@@ -146,16 +160,13 @@ fn committed_goldens_match_current_physics() {
 
 #[test]
 fn perf_gate_passes_against_the_committed_baseline_shape() {
-    let baseline = std::fs::read_to_string(
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("BENCH_executor.json"),
-    )
-    .expect("committed baseline");
+    let (baseline, same) = committed_baseline();
     // The committed document parses, exposes its case, and self-compares
     // clean (the degenerate candidate = baseline case).
     let case = parse_case(&baseline).expect("case parses");
     assert_eq!(case.workers, vec![1, 2, 4, 8]);
     assert!(case.steps >= 1);
-    let (checks, structural) = compare_benchmarks(&baseline, &baseline);
+    let (checks, structural) = compare_benchmarks(&baseline, &same);
     let report = gate_report(&[], &checks, &structural);
     assert!(report.pass(), "violations: {:?}", report.violations());
     // The perf half's assertion inventory, 31 labels, every one tight:
@@ -184,10 +195,7 @@ fn perf_gate_passes_against_the_committed_baseline_shape() {
 
 #[test]
 fn degraded_steps_per_s_fails_with_the_offending_row_named() {
-    let baseline = std::fs::read_to_string(
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("BENCH_executor.json"),
-    )
-    .expect("committed baseline");
+    let (baseline, _) = committed_baseline();
     // Double the 8-worker compacted-stealing makespan: a real executor
     // regression. (String surgery keeps every other row identical.)
     let degraded = baseline.replace(
@@ -198,6 +206,7 @@ fn degraded_steps_per_s_fails_with_the_offending_row_named() {
         degraded, baseline,
         "baseline shape changed; update this test"
     );
+    let degraded = Bench::parse(&degraded).expect("degraded document parses");
     let (checks, structural) = compare_benchmarks(&baseline, &degraded);
     let report = gate_report(&[], &checks, &structural);
     let v = report.violations();
@@ -211,11 +220,8 @@ fn degraded_steps_per_s_fails_with_the_offending_row_named() {
 #[test]
 fn gate_report_merges_and_serializes() {
     let golden = run_golden_gate(&reduced_matrix()[..1], &fixtures(), None).unwrap();
-    let baseline = std::fs::read_to_string(
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("BENCH_executor.json"),
-    )
-    .unwrap();
-    let (perf, structural) = compare_benchmarks(&baseline, &baseline);
+    let (baseline, same) = committed_baseline();
+    let (perf, structural) = compare_benchmarks(&baseline, &same);
     let report = gate_report(&golden, &perf, &structural);
     assert!(report.pass());
     let json = report.to_json();
