@@ -12,6 +12,7 @@
 
 use crate::wind::Wind;
 use fsbm_core::meter::PointWork;
+use fsbm_core::panels::LANES;
 use gpu_sim::syncslice::SyncWriteSlice;
 use wrf_exec::Executor;
 use wrf_grid::{Field3, PatchSpec, Region, Span};
@@ -251,9 +252,39 @@ pub fn rk_scalar_tend_region(
     );
 }
 
+/// Row by row through plane `j` over the `i`-span `i`: fills the face
+/// rows of each run of at most [`ROW_BLOCK`] cells and hands them to
+/// `apply` with the run and its `k` — the one row loop behind the serial
+/// sweep and the pool's plane units.
+fn plane_rows(
+    wind: &Wind,
+    patch: &PatchSpec,
+    i: Span,
+    j: i32,
+    mut apply: impl FnMut(&FaceRows, Span, i32),
+) {
+    let mut faces = FaceRows::new();
+    for k in patch.kp.iter() {
+        for run in row_blocks(i) {
+            faces.fill(wind, run, k, j, patch.kp);
+            apply(&faces, run, k);
+        }
+    }
+}
+
+/// Meters one tendency evaluation of `lanes` scalars over `region` (a
+/// fixed count per point, so it is the same however the sweep is cut).
+fn meter_tend(region: &Region, patch: &PatchSpec, lanes: usize, work: &mut PointWork) {
+    let points = (region.columns() * patch.kp.len() * lanes) as u64;
+    work.fm(
+        points * TEND_FLOPS_PER_POINT,
+        points * TEND_MEMOPS_PER_POINT,
+    );
+}
+
 /// [`rk_scalar_tend_region`] for a panel: `tend[l] = L(scalars[l])` over
 /// `region`, with each row's face velocities computed once and applied
-/// to every lane. Work is metered per row and lane.
+/// to every lane.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn tend_panel_region(
     scalars: &[Field3<f32>],
@@ -268,22 +299,17 @@ pub(crate) fn tend_panel_region(
 ) {
     assert!(patch.halo >= 2, "third-order stencils need 2 halo cells");
     assert_eq!(scalars.len(), tend.len(), "one tendency per lane");
-    let mut faces = FaceRows::new();
-    for j in region.j.iter() {
-        for k in patch.kp.iter() {
-            for run in row_blocks(region.i) {
-                faces.fill(wind, run, k, j, patch.kp);
-                for (q, t) in scalars.iter().zip(tend.iter_mut()) {
-                    faces.tend(q, dx, dy, dz, t.run_mut(run, k, j));
-                }
-            }
-            let points = (region.i.len() * scalars.len()) as u64;
-            work.fm(
-                points * TEND_FLOPS_PER_POINT,
-                points * TEND_MEMOPS_PER_POINT,
-            );
-        }
+    if region.is_empty() {
+        return;
     }
+    for j in region.j.iter() {
+        plane_rows(wind, patch, region.i, j, |faces, run, k| {
+            for (q, t) in scalars.iter().zip(tend.iter_mut()) {
+                faces.tend(q, dx, dy, dz, t.run_mut(run, k, j));
+            }
+        });
+    }
+    meter_tend(region, patch, scalars.len(), work);
 }
 
 /// [`rk_scalar_tend_region`] parallelized over `j`-planes on the
@@ -291,7 +317,8 @@ pub(crate) fn tend_panel_region(
 /// `tend` cell is written by exactly one plane, and the row arithmetic
 /// is shared with the serial path — so results are bitwise identical
 /// under every worker count, and the metered work (a fixed per-point
-/// count) is accumulated once for the whole region.
+/// count) is accumulated once for the whole region. The one-lane case
+/// of the panel sweep.
 #[allow(clippy::too_many_arguments)]
 pub fn rk_scalar_tend_region_pool(
     scalar: &Field3<f32>,
@@ -305,35 +332,72 @@ pub fn rk_scalar_tend_region_pool(
     pool: &Executor,
     work: &mut PointWork,
 ) {
+    tend_panel_region_pool(
+        std::slice::from_ref(scalar),
+        wind,
+        patch,
+        region,
+        dx,
+        dy,
+        dz,
+        std::slice::from_mut(tend),
+        pool,
+        work,
+    );
+}
+
+/// [`tend_panel_region`] on the pool: one unit per `j`-plane of the
+/// whole panel (at most [`LANES`] lanes, all shaped alike), so a plane's
+/// face velocities are still computed once for every lane. A one-worker
+/// pool runs the units in order on the caller.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn tend_panel_region_pool(
+    scalars: &[Field3<f32>],
+    wind: &Wind,
+    patch: &PatchSpec,
+    region: &Region,
+    dx: f32,
+    dy: f32,
+    dz: f32,
+    tend: &mut [Field3<f32>],
+    pool: &Executor,
+    work: &mut PointWork,
+) {
     assert!(patch.halo >= 2, "third-order stencils need 2 halo cells");
-    if region.is_empty() {
+    assert_eq!(scalars.len(), tend.len(), "one tendency per lane");
+    assert!(tend.len() <= LANES, "a panel has at most {LANES} lanes");
+    if region.is_empty() || tend.is_empty() {
         return;
     }
-    let (ti, tk, tj) = (tend.ispan(), tend.kspan(), tend.jspan());
+    let shape = |t: &Field3<f32>| (t.ispan(), t.kspan(), t.jspan());
+    let (ti, tk, tj) = shape(&tend[0]);
+    assert!(
+        tend.iter().all(|t| shape(t) == (ti, tk, tj)),
+        "the tendency lanes share one shape"
+    );
     let flat = move |i: i32, k: i32, j: i32| -> usize {
         (i - ti.lo) as usize + ti.len() * ((k - tk.lo) as usize + tk.len() * (j - tj.lo) as usize)
     };
-    // SAFETY: plane `j` writes only indices with that `j` coordinate;
-    // planes are disjoint and `run_indexed` hands each index to exactly
-    // one worker.
-    let view = unsafe { SyncWriteSlice::new(tend.as_mut_slice()) };
+    let mut lanes = tend.iter_mut();
+    let views: [Option<SyncWriteSlice<'_, f32>>; LANES] = std::array::from_fn(|_| {
+        let lane = lanes.next()?;
+        // SAFETY: plane `j` writes only indices with that `j` coordinate,
+        // of every lane (each lane is a slice of its own, so lanes never
+        // alias); planes are disjoint and `run_indexed` hands each index
+        // to exactly one worker.
+        Some(unsafe { SyncWriteSlice::new(lane.as_mut_slice()) })
+    });
     let j_lo = region.j.lo;
     pool.run_indexed(region.j.len() as u64, Some(1), |jj| {
         let j = j_lo + jj as i32;
-        let mut faces = FaceRows::new();
-        for k in patch.kp.iter() {
-            for run in row_blocks(region.i) {
-                faces.fill(wind, run, k, j, patch.kp);
-                let out = view.subslice_mut(flat(run.lo, k, j), run.len());
-                faces.tend(scalar, dx, dy, dz, out);
+        plane_rows(wind, patch, region.i, j, |faces, run, k| {
+            let at = flat(run.lo, k, j);
+            for (q, view) in scalars.iter().zip(views.iter().flatten()) {
+                faces.tend(q, dx, dy, dz, view.subslice_mut(at, run.len()));
             }
-        }
+        });
     });
-    let points = (region.columns() * patch.kp.len()) as u64;
-    work.fm(
-        points * TEND_FLOPS_PER_POINT,
-        points * TEND_MEMOPS_PER_POINT,
-    );
+    meter_tend(region, patch, scalars.len(), work);
 }
 
 /// One RK3 stage value: `base + dt_stage · tend`, clipped at zero when
@@ -632,15 +696,15 @@ mod tests {
     }
 
     /// The invariant behind the one `unsafe` site here
-    /// (`rk_scalar_tend_region_pool`'s `SyncWriteSlice`): plane unit `jj`
-    /// writes only cells whose `j` coordinate is its own, so no two
-    /// units ever hold the same cell. A claims ledger records which unit
+    /// (`tend_panel_region_pool`'s `SyncWriteSlice`s): plane unit `jj`
+    /// writes only cells whose `j` coordinate is its own, in every lane,
+    /// so no two units ever hold the same cell. A claims ledger records which unit
     /// is handed which flat range — the ranges the launch body takes,
     /// rebuilt here from the same `row_blocks` and field spans — and
-    /// fails on a double claim; then the real launch, at 2 and 3
-    /// workers, must have written exactly the claimed cells and left
-    /// every other one (halo, frame, other planes' cells of a narrower
-    /// region) as it found it.
+    /// fails on a double claim; then the real launch of a three-lane
+    /// panel, at 2 and 3 workers, must have written exactly the claimed
+    /// cells of every lane and left every other one (halo, frame, other
+    /// planes' cells of a narrower region) as it found it.
     #[test]
     fn pool_planes_claim_disjoint_cells_of_their_own_j() {
         let p = two_d_decomposition(Domain::new(150, 6, 24), 1, 2).patches[0];
@@ -694,21 +758,25 @@ mod tests {
             const UNTOUCHED: u32 = 0x7fc0_dead;
             for workers in [2usize, 3] {
                 let pool = Executor::new(workers);
+                let panel = vec![scalar.clone(); 3];
                 for _ in 0..20 {
-                    let mut tend: Field3<f32> = Field3::for_patch(&p);
-                    tend.as_mut_slice().fill(f32::from_bits(UNTOUCHED));
+                    let mut untouched: Field3<f32> = Field3::for_patch(&p);
+                    untouched.as_mut_slice().fill(f32::from_bits(UNTOUCHED));
+                    let mut tend = vec![untouched; panel.len()];
                     let mut work = PointWork::ZERO;
-                    rk_scalar_tend_region_pool(
-                        &scalar, &wind, &p, &region, 500.0, 450.0, 400.0, &mut tend, &pool,
+                    tend_panel_region_pool(
+                        &panel, &wind, &p, &region, 500.0, 450.0, 400.0, &mut tend, &pool,
                         &mut work,
                     );
-                    for (cell, v) in tend.as_slice().iter().enumerate() {
-                        let written = v.to_bits() != UNTOUCHED;
-                        assert_eq!(
-                            written,
-                            owner[cell].is_some(),
-                            "cell {cell}, {workers} workers"
-                        );
+                    for (lane, tend) in tend.iter().enumerate() {
+                        for (cell, v) in tend.as_slice().iter().enumerate() {
+                            let written = v.to_bits() != UNTOUCHED;
+                            assert_eq!(
+                                written,
+                                owner[cell].is_some(),
+                                "lane {lane} cell {cell}, {workers} workers"
+                            );
+                        }
                     }
                 }
             }

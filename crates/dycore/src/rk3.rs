@@ -4,16 +4,18 @@
 //! three-stage scheme: `φ* = φⁿ + Δt/3·L(φⁿ)`, `φ** = φⁿ + Δt/2·L(φ*)`,
 //! `φⁿ⁺¹ = φⁿ + Δt·L(φ**)`, refreshing halos between stages. Every
 //! scalar sees the same wind, so the one driver ([`rk3_advect_panel`])
-//! advances a *panel* of scalars stage by stage: each lane's halo is
-//! filled by the [`HaloEngine`] exactly as if it were advanced alone,
-//! and the tendency of all lanes is one sweep that computes each row's
-//! face velocities once. [`rk3_advect_scalar`] and
+//! advances a *panel* of scalars stage by stage: a refresh is a panel
+//! operation ([`HaloEngine::post_panel`] / [`HaloEngine::finish_panel`],
+//! which fill every lane's halo with the values it would get advanced
+//! alone), and the tendency of all lanes is one sweep that computes each
+//! row's face velocities once. [`rk3_advect_scalar`] and
 //! [`rk3_advect_scalar_overlapped`] are its one-lane case. The comm mode
 //! decides only what "refresh the halo and evaluate the tendency" means:
-//! refresh fully, then one whole-patch tendency, or interior slabs
-//! between the engine's `post` and `finish`, then the boundary frame.
+//! refresh fully, then one whole-patch tendency, or an interior slab of
+//! the whole panel between each round's post and finish, then the
+//! boundary frame.
 
-use crate::advect::{rk_scalar_tend_region_pool, tend_panel_region, update_rows, STENCIL_WIDTH};
+use crate::advect::{tend_panel_region, tend_panel_region_pool, update_rows, STENCIL_WIDTH};
 use crate::wind::Wind;
 use fsbm_core::meter::PointWork;
 use wrf_exec::Executor;
@@ -60,8 +62,8 @@ impl std::ops::AddAssign for Rk3Work {
 /// hundreds of bin scalars; the only allocation is the overlapped mode's
 /// `InteriorSplit`). φⁿ is never copied: stages 1–2 read it from
 /// `lanes`, which nothing overwrites until stage 3 updates it in place.
-/// `tags`, when given, names each lane to the engine before that lane's
-/// rounds; the one-lane wrappers leave the selection to their caller.
+/// `tags`, when given, names the lanes to the engine's panel hooks; the
+/// one-lane wrappers leave the selection to their caller.
 #[allow(clippy::too_many_arguments)]
 fn rk3_stages(
     lanes: &mut [Field3<f32>],
@@ -89,37 +91,35 @@ fn rk3_stages(
         None => std::slice::from_ref(&whole),
         Some((_, split)) => &split.frame[..],
     };
-    let select = |engine: &mut dyn HaloEngine, lane: usize| {
-        if let Some(tags) = tags {
-            engine.select(tags[lane]);
-        }
-    };
-    // Leaves `tend[l] = L(fields[l])` with every field's halo refreshed.
-    // The engine is driven one lane at a time, each refresh the same
-    // post/finish sequence as a scalar advanced alone; what reads halo
-    // cells is then one sweep over all lanes.
+    let rounds = engine.rounds();
+    // Leaves `tend[l] = L(fields[l])` with every field's halo refreshed:
+    // round by round for the whole panel, and with a pool one interior
+    // `j`-slab of all lanes per round while that round is in flight
+    // (interior stencils never read halo cells and `finish_panel` writes
+    // only halo cells), then one sweep over what reads halo cells.
     let refresh_tend = |fields: &mut [Field3<f32>],
                         tend: &mut [Field3<f32>],
                         engine: &mut dyn HaloEngine,
                         work: &mut PointWork| {
-        for (lane, (field, tend)) in fields.iter_mut().zip(tend.iter_mut()).enumerate() {
-            select(engine, lane);
-            match &split {
-                None => refresh_now(engine, field),
-                Some((pool, split)) => overlapped_refresh(
-                    field,
-                    wind,
-                    patch,
-                    &split.core,
-                    dx,
-                    dy,
-                    dz,
-                    tend,
-                    engine,
-                    pool,
-                    work,
-                ),
+        for r in 0..rounds {
+            engine.post_panel(r, fields, tags);
+            if let Some((pool, split)) = &split {
+                // Every round has compute to hide behind (empty slabs of
+                // thin cores are skipped).
+                let slab = Region {
+                    i: split.core.i,
+                    j: split.core.j.part(rounds, r),
+                };
+                if !slab.is_empty() {
+                    let mut w = PointWork::ZERO;
+                    tend_panel_region_pool(
+                        fields, wind, patch, &slab, dx, dy, dz, tend, pool, &mut w,
+                    );
+                    engine.absorb(w);
+                    *work += w;
+                }
             }
+            engine.finish_panel(r, fields, tags);
         }
         for region in after_refresh {
             tend_panel_region(fields, wind, patch, region, dx, dy, dz, tend, work);
@@ -151,26 +151,32 @@ fn rk3_stages(
 
     // The post-update refresh has no compute to hide behind (the next
     // consumer of the lanes is outside this call): rounds back-to-back.
-    for (lane, field) in lanes.iter_mut().enumerate() {
-        select(engine, lane);
-        refresh_now(engine, field);
+    for r in 0..rounds {
+        engine.post_panel(r, lanes, tags);
+        engine.finish_panel(r, lanes, tags);
     }
     work
 }
 
 /// Advances a panel of scalars by `dt` with RK3, stage by stage, over
 /// the workspaces `scratch` and `tend` (at least `lanes.len()` fields
-/// each, shaped like the lanes). `engine` fills each lane's halo —
-/// `select(tags[l])`, then the rounds — before every stage's tendency
-/// and once more after the final update, exactly as for a scalar
-/// advanced alone, so message counts, tags and modeled costs do not
-/// depend on the panel width. `overlap` decides when the tendency runs:
-/// `None` after all lanes are refreshed, as one sweep sharing each row's
-/// face velocities across the lanes; `Some(pool)` per lane, interior
-/// slabs on `pool` between each round's `post` and `finish`, then the
-/// boundary frame. Both are bitwise-identical, per lane, to advancing
-/// that scalar on its own. `positive` enables WRF's positive-definite
-/// clipping.
+/// each, shaped like the lanes). `engine` refreshes the panel — round
+/// by round through [`HaloEngine::post_panel`] and
+/// [`HaloEngine::finish_panel`], which get `tags` to name the lanes —
+/// before every stage's tendency and once more after the final update:
+/// four refreshes a call whatever the panel width, each lane's halo
+/// ending up with the values it would get advanced alone. What a refresh
+/// costs is the engine's: one that batches (the MPI exchange) sends one
+/// message per neighbour per round carrying every lane's strip, so its
+/// message count and tags follow the number of panels while its bytes
+/// follow the number of scalars; one on the default hooks services the
+/// lanes one after another. `overlap` decides when the tendency runs:
+/// `None` after the panel is refreshed, as one sweep sharing each row's
+/// face velocities across the lanes; `Some(pool)` as one interior
+/// `j`-slab of the whole panel on `pool` between each round's post and
+/// finish, then the boundary frame. Both are bitwise-identical, per
+/// lane, to advancing that scalar on its own. `positive` enables WRF's
+/// positive-definite clipping.
 #[allow(clippy::too_many_arguments)]
 pub fn rk3_advect_panel(
     lanes: &mut [Field3<f32>],
@@ -258,9 +264,16 @@ pub fn rk3_advect_scalar(
 /// buffers span the full memory `i`-range, including halo columns
 /// received in round 0). A caller with nothing to overlap runs the
 /// rounds back-to-back ([`refresh_now`]); the overlapped driver advances
-/// interior tendencies between `post` and `finish` of each round and
+/// interior tendencies between the post and the finish of each round and
 /// reports the work via `absorb`, which the engine's cost model counts
 /// as hiding the in-flight message time.
+///
+/// The RK3 driver refreshes a whole panel per round through
+/// [`HaloEngine::post_panel`] and [`HaloEngine::finish_panel`]. An
+/// engine that holds one lane's pending state implements the four
+/// required methods and inherits those; one that can carry every lane in
+/// a single exchange (the MPI engine: one message per neighbour per
+/// round) overrides both.
 pub trait HaloEngine {
     /// Number of dependent exchange rounds per refresh.
     fn rounds(&self) -> usize;
@@ -278,6 +291,31 @@ pub trait HaloEngine {
     /// Reports tendency work computed while round messages were in
     /// flight, available to hide their modeled cost.
     fn absorb(&mut self, work: PointWork);
+    /// Posts round `round` for every lane of a panel at once; `tags`,
+    /// when given, names the lanes. The default posts nothing and leaves
+    /// the round to [`HaloEngine::finish_panel`].
+    fn post_panel(&mut self, _round: usize, _fields: &[Field3<f32>], _tags: Option<&[FieldTag]>) {}
+    /// Completes round `round` for every lane of the panel. The default
+    /// serves an engine that holds one lane's pending state: per lane,
+    /// `select`, `post` and `finish` back-to-back. Posting this late is
+    /// legal because what the driver computes between the two panel hooks
+    /// never reads a halo cell and writes no field (only tendencies), so
+    /// `post` packs the cells it would have packed earlier, and round
+    /// `r + 1` of a lane still packs after its round `r` has unpacked.
+    fn finish_panel(
+        &mut self,
+        round: usize,
+        fields: &mut [Field3<f32>],
+        tags: Option<&[FieldTag]>,
+    ) {
+        for (lane, field) in fields.iter_mut().enumerate() {
+            if let Some(tags) = tags {
+                self.select(tags[lane]);
+            }
+            self.post(round, field);
+            self.finish(round, field);
+        }
+    }
 }
 
 /// A complete refresh of `field` with no compute to hide it behind:
@@ -285,46 +323,6 @@ pub trait HaloEngine {
 pub fn refresh_now<E: HaloEngine + ?Sized>(engine: &mut E, field: &mut Field3<f32>) {
     for r in 0..engine.rounds() {
         engine.post(r, field);
-        engine.finish(r, field);
-    }
-}
-
-/// One overlapped refresh of `field`: halo rounds are posted
-/// nonblocking while the interior core's tendency advances on the pool.
-/// The boundary frame is the caller's, once every halo strip has
-/// arrived; together they are bitwise-identical to `refresh(field)`
-/// followed by a full `rk_scalar_tend` because the row arithmetic is
-/// shared, interior stencils never read halo cells, and unpack writes
-/// only halo cells.
-#[allow(clippy::too_many_arguments)]
-fn overlapped_refresh(
-    field: &mut Field3<f32>,
-    wind: &Wind,
-    patch: &PatchSpec,
-    core: &Region,
-    dx: f32,
-    dy: f32,
-    dz: f32,
-    tend: &mut Field3<f32>,
-    engine: &mut dyn HaloEngine,
-    pool: &Executor,
-    work: &mut PointWork,
-) {
-    let rounds = engine.rounds();
-    for r in 0..rounds {
-        engine.post(r, field);
-        // One interior j-slab per round, so every round has compute to
-        // hide behind (empty slabs for thin cores are skipped).
-        let slab = Region {
-            i: core.i,
-            j: core.j.part(rounds, r),
-        };
-        if !slab.is_empty() {
-            let mut w = PointWork::ZERO;
-            rk_scalar_tend_region_pool(field, wind, patch, &slab, dx, dy, dz, tend, pool, &mut w);
-            engine.absorb(w);
-            *work += w;
-        }
         engine.finish(r, field);
     }
 }

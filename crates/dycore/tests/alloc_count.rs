@@ -1,8 +1,12 @@
-//! Counting-allocator test: after one warm-up call, advancing a full
+//! Counting-allocator tests: after one warm-up call, advancing a full
 //! panel and a one-lane panel through the blocking RK3 driver performs
 //! **zero** heap allocations — φⁿ is read in place instead of cloned
-//! per scalar, and the row kernel's buffers live on the stack. (The
-//! per-thread counter pattern of `crates/core/tests/alloc_count.rs`.)
+//! per scalar, and the row kernel's buffers live on the stack — and so
+//! does a panel refreshed through an engine that batches every lane
+//! into one reused buffer per side. (The per-thread counter pattern of
+//! `crates/core/tests/alloc_count.rs`.)
+
+mod common;
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -100,8 +104,8 @@ impl HaloEngine for Periodic {
     fn absorb(&mut self, _work: PointWork) {}
 }
 
-#[test]
-fn steady_state_transport_allocates_nothing() {
+/// The patch, a sheared wind and a full panel of distinct scalars.
+fn scenario() -> (PatchSpec, Wind, Vec<Field3<f32>>) {
     let patch = two_d_decomposition(Domain::new(21, 8, 15), 1, 2).patches[0];
     let mut wind = Wind::calm(&patch);
     for (n, v) in wind.u.as_mut_slice().iter_mut().enumerate() {
@@ -110,7 +114,7 @@ fn steady_state_transport_allocates_nothing() {
     for (n, v) in wind.w.as_mut_slice().iter_mut().enumerate() {
         *v = (n % 3) as f32 - 1.0;
     }
-    let mut lanes: Vec<Field3<f32>> = (0..LANES)
+    let lanes = (0..LANES)
         .map(|l| {
             let mut f = Field3::for_patch(&patch);
             for (n, v) in f.as_mut_slice().iter_mut().enumerate() {
@@ -119,6 +123,12 @@ fn steady_state_transport_allocates_nothing() {
             f
         })
         .collect();
+    (patch, wind, lanes)
+}
+
+#[test]
+fn steady_state_transport_allocates_nothing() {
+    let (patch, wind, mut lanes) = scenario();
     let mut scratch = vec![Field3::for_patch(&patch); LANES];
     let mut tend = vec![Field3::for_patch(&patch); LANES];
     let tags: Vec<FieldTag> = (0..LANES).map(|b| FieldTag::Bin(0, b)).collect();
@@ -167,5 +177,62 @@ fn steady_state_transport_allocates_nothing() {
     assert_eq!(
         allocations, 0,
         "steady-state scalar transport must not touch the heap"
+    );
+}
+
+/// A panel refreshed through a batching engine — every lane's strip in
+/// one reused buffer per side — allocates nothing on the dycore side
+/// once the engine's buffers have grown to a full panel. Overlapped on a
+/// one-worker pool (the two-rank production shape: the interior slab
+/// runs on the calling thread) the one allocation is the call's
+/// `InteriorSplit` frame list, as the driver documents.
+#[test]
+fn steady_state_batched_refresh_allocates_nothing() {
+    let (patch, wind, mut lanes) = scenario();
+    let mut scratch = vec![Field3::for_patch(&patch); LANES];
+    let mut tend = vec![Field3::for_patch(&patch); LANES];
+    let tags: Vec<FieldTag> = (0..LANES).map(|b| FieldTag::Bin(0, b)).collect();
+    let mut engine = common::Batching::new(patch);
+    let pool = wrf_exec::Executor::new(1);
+    let (dx, dz, dt) = (500.0, 400.0, 5.0);
+
+    for (overlap, budget) in [(None, 0), (Some(&pool), 1)] {
+        let mut advance = |lanes: &mut [Field3<f32>], engine: &mut common::Batching| {
+            rk3_advect_panel(
+                lanes,
+                &tags,
+                &wind,
+                &patch,
+                dx,
+                dx,
+                dz,
+                dt,
+                true,
+                &mut scratch,
+                &mut tend,
+                engine,
+                overlap,
+            )
+        };
+        let warm = advance(&mut lanes, &mut engine);
+        let sent = engine.messages;
+        let (steady, allocations) = counting(|| advance(&mut lanes, &mut engine));
+
+        assert_eq!(steady, warm, "both passes meter the same work");
+        assert_eq!(
+            engine.messages - sent,
+            4 * 2 * 2,
+            "four refreshes, two rounds, two sides — whatever the panel width"
+        );
+        assert_eq!(
+            allocations,
+            budget,
+            "a steady batched panel refresh must not touch the heap (overlapped: {})",
+            overlap.is_some()
+        );
+    }
+    assert!(
+        engine.absorbed.flops > 0,
+        "the overlapped call had a slab to hide behind"
     );
 }

@@ -11,8 +11,14 @@
 //! * **Overlap** — on a 16-rank case sized so every patch has an
 //!   interior core, the replayed α–β cost model must hide at least
 //!   [`MIN_HIDDEN_FRACTION`] of the posted halo time behind interior
-//!   tendencies (3 of the 4 refreshes per scalar have compute to hide
+//!   tendencies (3 of the 4 refreshes per panel have compute to hide
 //!   behind, so ~75% is the ceiling).
+//! * **One message per neighbour per round per panel** — every rank of
+//!   the bench sent exactly `4 × panel refreshes` halo messages, the
+//!   refreshes counted from the occupied-bin masks each step started
+//!   from ([`panel_refreshes`]), not read back from the engine. A slide
+//!   back to one message per scalar, or a panel that silently splits,
+//!   is red.
 //!
 //! The report is written to `BENCH_comm.json` with per-rank overlap
 //! stats; any violation makes `repro comm` exit nonzero.
@@ -20,8 +26,12 @@
 use crate::golden::{compare_states, equivalence, equivalence_matrix, Arm, Bar, EquivRow, Sides};
 use crate::report::{Cell, Check, Report, Table};
 use fsbm_core::exec::ExecMode;
+use fsbm_core::panels::LANES;
 use fsbm_core::scheme::SbmVersion;
+use fsbm_core::state::SbmPatchState;
+use fsbm_core::types::{NKR, NTYPES};
 use miniwrf::config::ModelConfig;
+use miniwrf::model::occupied_masks;
 use miniwrf::parallel::{run_parallel, CommStats, ParallelRun};
 use mpi_sim::CommMode;
 
@@ -52,6 +62,9 @@ pub struct OverlapBench {
     pub overlapped_secs: f64,
     /// `(rank, comm stats)` of the Overlapped arm.
     pub ranks: Vec<(usize, CommStats)>,
+    /// Panel refreshes the bench's steps call for ([`panel_refreshes`]
+    /// summed over them): a quarter of the messages every rank sends.
+    pub panel_refreshes: u64,
 }
 
 impl OverlapBench {
@@ -63,6 +76,23 @@ impl OverlapBench {
             .for_each(|(_, r)| merged.merge(&r.overlap));
         merged.hidden_fraction()
     }
+}
+
+/// Halo refreshes of one step whose ranks start from `states`: the
+/// occupied-bin masks OR-ed over the ranks, then four refreshes (three
+/// stages and the post-update one) for each advected panel — θ, vapor,
+/// and per class its occupied bins in panels of [`LANES`] — plus the one
+/// ahead of vapor's diffusion. Each refresh is two rounds of two sides.
+pub fn panel_refreshes(states: &[SbmPatchState]) -> u64 {
+    let mut occupied = [[false; NKR]; NTYPES];
+    for mask in states.iter().map(occupied_masks) {
+        for (all, rank) in occupied.iter_mut().flatten().zip(mask.as_flattened()) {
+            *all |= rank;
+        }
+    }
+    let class_panels = |row: &[bool; NKR]| row.iter().filter(|&&b| b).count().div_ceil(LANES);
+    let panels = 2 + occupied.iter().map(class_panels).sum::<usize>();
+    4 * panels as u64 + 1
 }
 
 /// Assembles the comm report from the equivalence rows and the bench.
@@ -88,6 +118,20 @@ pub fn report(equiv: &[EquivRow], bench: &OverlapBench) -> Report {
         )
         .bounded(hidden, MIN_HIDDEN_FRACTION),
     );
+    let want_msgs = 4 * bench.panel_refreshes;
+    let strays: Vec<String> = (bench.ranks.iter())
+        .filter(|(_, r)| r.msgs != want_msgs)
+        .map(|(rank, r)| format!("rank {rank} sent {}", r.msgs))
+        .collect();
+    checks.push(Check::new(
+        "messages per rank = 4 × panel refreshes",
+        strays.is_empty(),
+        format!(
+            "{} panel refreshes call for {want_msgs} messages a rank, but {}",
+            bench.panel_refreshes,
+            strays.join(", ")
+        ),
+    ));
     let overlap = Table::new(
         "overlap",
         "overlap bench: blocking comm vs overlapped exposed comm",
@@ -162,7 +206,12 @@ pub fn run() -> Report {
             .filter_map(|r| r.comm.map(|c| c.secs))
             .sum()
     };
+    // The state step `s` starts from is where a run of `s` steps ends.
+    let panel_refreshes = (0..BENCH_STEPS)
+        .map(|s| panel_refreshes(&run_parallel(cfg, s).states))
+        .sum();
     let bench = OverlapBench {
+        panel_refreshes,
         bitwise: compare_states(&blocking.states, &overlapped.states).bitwise,
         blocking_secs: secs(&blocking),
         overlapped_secs: secs(&overlapped),
@@ -213,6 +262,7 @@ mod tests {
             blocking_secs: posted,
             overlapped_secs: posted - hidden,
             ranks: vec![(0, stats)],
+            panel_refreshes: 2,
         };
         (equiv, bench)
     }
@@ -241,6 +291,20 @@ mod tests {
         assert!(v.iter().any(|x| x.contains("bench arms")), "{v:?}");
     }
 
+    #[test]
+    fn a_rank_off_the_panel_count_gates() {
+        let (equiv, mut bench) = parts(0.8e-3, 1.0e-3, true);
+        assert!(report(&equiv, &bench).pass());
+        // One message per scalar again: eight lanes' worth.
+        bench.ranks[0].1.msgs = 64;
+        let v = report(&equiv, &bench).violations();
+        assert!(
+            v.iter()
+                .any(|x| x.contains("rank 0 sent 64") && x.contains("8 messages")),
+            "{v:?}"
+        );
+    }
+
     /// The parent format's keys and printed digits survive the envelope.
     #[test]
     fn json_and_rendering_carry_the_verdict() {
@@ -266,6 +330,7 @@ mod tests {
         want.extend([
             "overlap bench arms bitwise".into(),
             "hidden fraction".into(),
+            "messages per rank = 4 × panel refreshes".into(),
         ]);
         assert_eq!(labels, want);
     }

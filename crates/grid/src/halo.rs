@@ -31,6 +31,14 @@ impl HaloSide {
         HaloSide::North,
     ];
 
+    /// The two dependent rounds of an exchange and the sides each moves:
+    /// W/E first, then S/N over the full memory `i`-range, so corners
+    /// ride the second round.
+    pub const ROUNDS: [[HaloSide; 2]; 2] = [
+        [HaloSide::West, HaloSide::East],
+        [HaloSide::South, HaloSide::North],
+    ];
+
     /// The offset `(di, dj)` of the neighbour this side faces.
     pub fn offset(self) -> (i32, i32) {
         match self {

@@ -80,6 +80,25 @@ impl RunReport {
     }
 }
 
+/// The occupied-bin masks of `state`, per class: a bin is occupied when
+/// any point of the slab (halo included) holds particles in it, so
+/// cloud-free bins skip transport. WRF advects all bins unconditionally;
+/// the analytic performance model accounts for the full 231+1 scalar
+/// cost — the masks only accelerate the functional plane.
+pub fn occupied_masks(state: &SbmPatchState) -> [[bool; NKR]; NTYPES] {
+    std::array::from_fn(|c| {
+        let mut mask = [false; NKR];
+        for chunk in state.ff[c].as_slice().chunks_exact(NKR) {
+            for (b, &v) in chunk.iter().enumerate() {
+                if v > 0.0 {
+                    mask[b] = true;
+                }
+            }
+        }
+        mask
+    })
+}
+
 /// Exner-function exponent Rd/cp used to convert between T and θ (also
 /// needed by the nest driver to build θ boundary values from parent
 /// snapshots).
@@ -161,23 +180,6 @@ impl Model {
         }
     }
 
-    /// Occupied-bin mask for one class (any point holds particles in
-    /// that bin), so cloud-free bins skip transport. WRF advects all
-    /// bins unconditionally; the analytic performance model accounts for
-    /// the full 231+1 scalar cost — this mask only accelerates the
-    /// functional plane.
-    fn occupied_bins(&self, class: usize) -> [bool; NKR] {
-        let mut mask = [false; NKR];
-        for chunk in self.state.ff[class].as_slice().chunks_exact(NKR) {
-            for (b, &v) in chunk.iter().enumerate() {
-                if v > 0.0 {
-                    mask[b] = true;
-                }
-            }
-        }
-        mask
-    }
-
     /// Advances the model by one step with a doubly-periodic single-patch
     /// halo refresh and this rank's own occupied-bin masks.
     pub fn step(&mut self) -> StepReport {
@@ -189,7 +191,7 @@ impl Model {
     /// would advect). Multi-rank drivers OR these across ranks before
     /// stepping so every rank advects the same sequence.
     pub fn occupied_masks(&self) -> [[bool; NKR]; NTYPES] {
-        std::array::from_fn(|c| self.occupied_bins(c))
+        occupied_masks(&self.state)
     }
 
     /// Advances one step: every scalar selected by `masks` (e.g. the

@@ -2,10 +2,11 @@
 //!
 //! Each MPI rank (an `mpi-sim` thread) owns one patch, advances the same
 //! time loop, and exchanges halos with its doubly-periodic neighbours
-//! before every advection stage — WRF's `HALO_EM_SCALAR` pattern. The
-//! occupied-bin masks are OR-reduced across ranks before each step so
-//! all ranks advect an identical scalar sequence (the exchanges must
-//! pair up deterministically).
+//! before every advection stage — WRF's `HALO_EM_SCALAR` pattern, one
+//! message per neighbour carrying every scalar of the panel. The
+//! occupied-bin masks are OR-reduced across ranks before each step (one
+//! packed collective) so all ranks advect an identical panel sequence
+//! (the exchanges must pair up deterministically).
 //!
 //! One exchange engine ([`MpiHaloEngine`]) moves every halo; `cfg.comm`
 //! decides only when the interior tendency runs relative to it:
@@ -14,9 +15,10 @@
 //!   does. This is the behaviour behind the paper's Table VII
 //!   observation that at 256 cores the run is "dominated by the cost of
 //!   MPI communication".
-//! * [`CommMode::Overlapped`] — the interior core's tendencies advance on
-//!   the work-stealing pool between each round's post and its wait, then
-//!   the boundary frame finishes after the unpack. Results are
+//! * [`CommMode::Overlapped`] — the interior core's tendencies, all
+//!   lanes of the panel in one sweep, advance on the work-stealing pool
+//!   between each round's post and its wait, then the boundary frame
+//!   finishes after the unpack. Results are
 //!   bitwise-identical; only the modeled α–β cost moves off the critical
 //!   path (tracked per rank in [`CommStats`]).
 
@@ -31,10 +33,11 @@ use gpu_sim::error::DeviceError;
 use gpu_sim::machine::{Calibration, GpuParams, SLINGSHOT};
 use mpi_sim::comm::{run_ranks_with_faults, CommError, CommMode, Rank, RecvRequest};
 use mpi_sim::cost::{CommCost, OverlapStats, Topology};
-use mpi_sim::{FaultPlan, DEFAULT_TIMEOUT};
+use mpi_sim::{FaultPlan, DEFAULT_TIMEOUT, OR_WORDS};
 use std::sync::Arc;
 use std::time::Duration;
-use wrf_dycore::HaloEngine;
+use wrf_dycore::{FieldTag, HaloEngine};
+use wrf_grid::halo::halo_message_len;
 use wrf_grid::{
     pack_halo, two_d_decomposition, unpack_halo, DomainDecomp, Field3, HaloSide, PatchSpec,
 };
@@ -84,7 +87,8 @@ pub(crate) type StartPoint = (u64, f32, SbmPatchState);
 pub struct CommStats {
     /// Exchange engine the run used.
     pub mode: CommMode,
-    /// Halo messages this rank sent.
+    /// Halo messages this rank sent: one per neighbour per round per
+    /// panel refresh, however many scalars ride the panel.
     pub msgs: u64,
     /// Halo bytes this rank sent.
     pub bytes: u64,
@@ -144,22 +148,26 @@ fn device_service_secs(
 const TAGS_PER_REFRESH: u64 = 16;
 
 /// Direction-coded tag so a two-patch dimension (both neighbours are
-/// the same rank) stays unambiguous. `tag_base` advances once per
+/// the same rank) stays unambiguous. `tag_base` advances once per panel
 /// refresh, identically on every rank; 64-bit so long runs never wrap
 /// (the old `u32` space aliased after ~2²⁸ refreshes).
-fn side_tag(tag_base: u64, phase: usize, s_idx: usize) -> u64 {
+pub(crate) fn side_tag(tag_base: u64, phase: usize, s_idx: usize) -> u64 {
     tag_base * TAGS_PER_REFRESH + phase as u64 * 4 + s_idx as u64
 }
 
 /// The halo exchange with the four periodic neighbours: each refresh is
 /// two dependent rounds (W/E then S/N, as `HALO_EM_*` orders them so
-/// corners ride the second round). `post` packs, prices and sends both
-/// sides of a round and leaves the receives pending; `finish` waits and
-/// unpacks into halo cells only. `mode` touches nothing but the α–β
-/// ledger: a blocking run prices each message eagerly on the critical
-/// path ([`CommCost::p2p`]); an overlapped run holds it in flight
-/// ([`CommCost::post_p2p`]) so tendency work reported through `absorb`
-/// can hide it before [`CommCost::complete_all`] settles the round.
+/// corners ride the second round), and a refresh serves a whole panel —
+/// like the `HALO_EM_*` macros, one message per neighbour carries every
+/// lane's strip (lane-major; inside a lane the `pack_halo` order).
+/// `post_panel` packs, prices and sends both sides of a round and leaves
+/// the receives pending; `finish_panel` waits and unpacks into halo
+/// cells only; `post`/`finish` are their one-lane case. `mode` touches
+/// nothing but the α–β ledger: a blocking run prices each message eagerly
+/// on the critical path ([`CommCost::p2p`]); an overlapped run holds it
+/// in flight ([`CommCost::post_p2p`]) so tendency work reported through
+/// `absorb` can hide it before [`CommCost::complete_all`] settles the
+/// round.
 struct MpiHaloEngine<'a> {
     rank: &'a mut Rank,
     dd: &'a DomainDecomp,
@@ -171,15 +179,17 @@ struct MpiHaloEngine<'a> {
     /// sustained advection rate), keeping the hidden/exposed ledger
     /// deterministic — no wall clocks.
     secs_per_flop: f64,
-    /// Refreshes completed so far: the tag base of the current one,
-    /// advancing identically on every rank.
+    /// Panel refreshes completed so far: the tag base of the current
+    /// one, advancing identically on every rank.
     tag_base: u64,
+    /// The open round's receives; the list and the pack buffer are
+    /// reused across refreshes.
     pending: Vec<(HaloSide, RecvRequest)>,
     buf: Vec<f32>,
     /// First communication error of the step. The `HaloEngine` trait's
     /// hooks return `()`, so the error is latched here and every later
     /// hook short-circuits — without the latch, a dead peer would cost
-    /// one full timeout per remaining scalar rather than one total.
+    /// one full timeout per remaining panel rather than one total.
     error: Option<CommError>,
 }
 
@@ -209,20 +219,31 @@ impl HaloEngine for MpiHaloEngine<'_> {
     }
 
     fn post(&mut self, round: usize, field: &Field3<f32>) {
+        self.post_panel(round, std::slice::from_ref(field), None);
+    }
+
+    fn finish(&mut self, round: usize, field: &mut Field3<f32>) {
+        self.finish_panel(round, std::slice::from_mut(field), None);
+    }
+
+    fn absorb(&mut self, work: PointWork) {
+        self.cost
+            .absorb_compute(work.flops as f64 * self.secs_per_flop);
+    }
+
+    fn post_panel(&mut self, round: usize, fields: &[Field3<f32>], _tags: Option<&[FieldTag]>) {
         if self.error.is_some() {
             return;
         }
         assert!(self.pending.is_empty(), "round {round} posted over pending");
-        let sides = if round == 0 {
-            [HaloSide::West, HaloSide::East]
-        } else {
-            [HaloSide::South, HaloSide::North]
-        };
+        let sides = HaloSide::ROUNDS[round];
         for (s_idx, &side) in sides.iter().enumerate() {
             let (di, dj) = side.offset();
             let peer = self.dd.neighbor_periodic(self.rank.rank(), di, dj);
             self.buf.clear();
-            pack_halo(field, &self.patch, side, &mut self.buf);
+            for field in fields {
+                pack_halo(field, &self.patch, side, &mut self.buf);
+            }
             let bytes = (self.buf.len() * 4) as u64;
             match self.mode {
                 CommMode::Blocking => self.cost.p2p(peer, bytes),
@@ -246,36 +267,86 @@ impl HaloEngine for MpiHaloEngine<'_> {
         }
     }
 
-    fn finish(&mut self, round: usize, field: &mut Field3<f32>) {
+    fn finish_panel(
+        &mut self,
+        round: usize,
+        fields: &mut [Field3<f32>],
+        _tags: Option<&[FieldTag]>,
+    ) {
         if round + 1 == self.rounds() {
             self.tag_base += 1;
         }
-        for (side, req) in std::mem::take(&mut self.pending) {
+        let mut pending = std::mem::take(&mut self.pending);
+        for (side, req) in pending.drain(..) {
             if self.error.is_some() {
-                return;
+                break;
             }
+            let (peer, tag) = (req.from(), req.tag());
             match self.rank.wait_checked(req) {
-                Ok(data) => unpack_halo(field, &self.patch, side, &data),
+                Ok(data) => {
+                    // A peer that packed another number of lanes must not
+                    // be unpacked into the wrong ones.
+                    let lane = halo_message_len(&self.patch, side);
+                    if data.len() != fields.len() * lane {
+                        self.error = Some(CommError::MalformedPayload {
+                            rank: self.rank.rank(),
+                            peer,
+                            tag,
+                            step: self.rank.step(),
+                            expected: fields.len() * lane,
+                            received: data.len(),
+                        });
+                        break;
+                    }
+                    for (field, strip) in fields.iter_mut().zip(data.chunks_exact(lane)) {
+                        unpack_halo(field, &self.patch, side, strip);
+                    }
+                }
                 Err(e) => self.error = Some(e),
             }
         }
+        // Drained whole, early exit or not; the capacity goes back.
+        self.pending = pending;
         self.cost.complete_all();
-    }
-
-    fn absorb(&mut self, work: PointWork) {
-        self.cost
-            .absorb_compute(work.flops as f64 * self.secs_per_flop);
     }
 }
 
-/// OR-reduces the occupied-bin masks across all ranks: one 0/1 max
-/// all-reduce per (class, bin). 231 tiny collectives per step is cheap in
-/// the shared-memory runtime; the priced communication cost of the real
-/// run uses a single packed reduction (see `perfmodel`). Because this
-/// runs at the top of every step on every rank, it doubles as the
-/// failure detector: a dead rank stalls the reduction and every
-/// survivor sees `CollectiveTimeout` within one timeout period.
+/// Words of the packed occupied-bin masks: bit `class · NKR + bin`.
+fn pack_masks(masks: &[[bool; NKR]; NTYPES]) -> [u64; OR_WORDS] {
+    let mut words = [0u64; OR_WORDS];
+    for (c, row) in masks.iter().enumerate() {
+        for (b, _) in row.iter().enumerate().filter(|(_, &set)| set) {
+            let bit = c * NKR + b;
+            words[bit / 64] |= 1 << (bit % 64);
+        }
+    }
+    words
+}
+
+/// OR-reduces the occupied-bin masks across all ranks: the 231 flags
+/// packed into one bitwise-OR all-reduce, the single packed reduction
+/// `perfmodel` prices for the real run. Because this runs at the top of
+/// every step on every rank, it doubles as the failure detector: a dead
+/// rank stalls the reduction and every survivor sees `CollectiveTimeout`
+/// within one timeout period.
 fn allreduce_masks(
+    rank: &Rank,
+    local: [[bool; NKR]; NTYPES],
+) -> Result<[[bool; NKR]; NTYPES], CommError> {
+    const { assert!(NTYPES * NKR <= 64 * OR_WORDS) };
+    let words = rank.allreduce_or_checked(pack_masks(&local))?;
+    Ok(std::array::from_fn(|c| {
+        std::array::from_fn(|b| {
+            let bit = c * NKR + b;
+            words[bit / 64] >> (bit % 64) & 1 == 1
+        })
+    }))
+}
+
+/// The reduction [`allreduce_masks`] replaced, kept as its reference:
+/// one 0/1 max all-reduce per (class, bin).
+#[cfg(test)]
+fn allreduce_masks_per_flag(
     rank: &Rank,
     local: [[bool; NKR]; NTYPES],
 ) -> Result<[[bool; NKR]; NTYPES], CommError> {
@@ -660,6 +731,261 @@ mod tests {
         }
     }
 
+    /// A peer whose panel has another number of lanes: the payload is
+    /// refused whole, with context, on both ranks — never unpacked into
+    /// the wrong lanes, never a panic.
+    #[test]
+    fn panel_of_another_width_is_an_error_on_both_ranks() {
+        let dd = two_d_decomposition(Domain::new(16, 4, 12), 2, 2);
+        let dd_ref = &dd;
+        let errors = run_ranks(2, move |mut rank| {
+            let me = rank.rank();
+            let p = dd_ref.patches[me];
+            rank.begin_step(5).unwrap();
+            // Rank 1 packs 7 lanes where rank 0 packs (and expects) 8.
+            let mut panel = vec![Field3::filled(p.im, p.km, p.jm, me as f32); 8 - me];
+            let mut engine = MpiHaloEngine::new(&mut rank, dd_ref, CommMode::Overlapped);
+            for round in 0..engine.rounds() {
+                engine.post_panel(round, &panel, None);
+                engine.finish_panel(round, &mut panel, None);
+            }
+            // Nothing was unpacked: every halo cell keeps its fill.
+            assert!(panel
+                .iter()
+                .all(|f| f.as_slice().iter().all(|&v| v == me as f32)));
+            assert_eq!(engine.tag_base, 1, "the refresh still counts once");
+            engine.error
+        });
+        let west = halo_message_len(&dd.patches[0], HaloSide::West);
+        for (me, error) in errors.into_iter().enumerate() {
+            let (mine, theirs) = (8 - me, 7 + me);
+            assert_eq!(
+                error,
+                Some(CommError::MalformedPayload {
+                    rank: me,
+                    peer: 1 - me,
+                    // Round 0: my West receive matches the peer's East
+                    // send (side index 1).
+                    tag: side_tag(0, 0, 1),
+                    step: 5,
+                    expected: mine * west,
+                    received: theirs * west,
+                })
+            );
+        }
+    }
+
+    #[test]
+    fn packed_mask_reduce_equals_the_per_flag_reference() {
+        let out = run_ranks(3, |rank| {
+            let mut rng = 0x9e37_79b9_7f4a_7c15u64 ^ rank.rank() as u64;
+            for round in 0..6 {
+                let local: [[bool; NKR]; NTYPES] = std::array::from_fn(|_| {
+                    std::array::from_fn(|_| {
+                        rng = rng
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(1442695040888963407);
+                        // Sparse, dense and in-between rounds.
+                        (rng >> 33) % 6 < round
+                    })
+                });
+                let packed = allreduce_masks(&rank, local).unwrap();
+                let reference = allreduce_masks_per_flag(&rank, local).unwrap();
+                assert_eq!(packed, reference, "round {round}");
+                // The reduction never drops a flag this rank raised.
+                for (c, row) in local.iter().enumerate() {
+                    for (b, &set) in row.iter().enumerate() {
+                        assert!(!set || packed[c][b]);
+                    }
+                }
+            }
+            true
+        });
+        assert_eq!(out, vec![true; 3]);
+    }
+
+    /// A global function of (i, k, j, bin): what one rank plants in a
+    /// cell is what any other rank, or the single-rank run, plants there.
+    fn planted(i: i32, k: i32, j: i32, b: usize) -> f32 {
+        let h = (i as u32).wrapping_mul(73_856_093)
+            ^ (k as u32).wrapping_mul(19_349_663)
+            ^ (j as u32).wrapping_mul(83_492_791)
+            ^ (b as u32).wrapping_mul(2_654_435_761);
+        (h.wrapping_mul(1_664_525).wrapping_add(1_013_904_223) >> 22) as f32 * 10.0
+    }
+
+    /// The mask-with-holes fixture of `model.rs`, over the whole memory
+    /// extent: class 2 holds bins 3, 4, 9 and 31 only (bin 10 a `-0.0`
+    /// that no mask selects), class 5 bins 0 and 7 only.
+    fn plant_holes(state: &mut SbmPatchState) {
+        let p = state.patch;
+        for (c, bins) in [(2usize, &[3usize, 4, 9, 31][..]), (5, &[0, 7][..])] {
+            for j in p.jm.iter() {
+                for k in p.km.iter() {
+                    for i in p.im.iter() {
+                        let all = state.ff[c].bin_slice_mut(i, k, j);
+                        all.fill(0.0);
+                        for &b in bins {
+                            all[b] = planted(i, k, j, b);
+                        }
+                        all[10] = -0.0;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Panels of a class with holes in its mask (a full panel is never
+    /// contiguous bins) over 2 ranks and over 2×2 — where S/N neighbours
+    /// are other ranks than W/E ones and a corner cell crosses two
+    /// messages — reproduce the single-rank run bit for bit in both comm
+    /// modes: every rank's compute cells laid over the single-rank state
+    /// give the single-rank digest.
+    #[test]
+    fn panel_exchange_matches_single_rank_with_holes_in_the_mask() {
+        let cfg = ModelConfig::functional(SbmVersion::Lookup, 0.06, 8);
+        let steps = 2;
+        let mut single = Model::single_rank(cfg);
+        plant_holes(&mut single.state);
+        let masks = single.occupied_masks();
+        assert!(masks[2][4] && !masks[2][5] && masks[2][9] && !masks[2][10] && masks[2][31]);
+        single.run(steps);
+        let want = single.state.digest();
+
+        for (ranks, shape) in [(2usize, (2, 1)), (4, (2, 2))] {
+            let dd = two_d_decomposition(cfg.case.domain(), ranks, cfg.halo);
+            assert_eq!(dd.shape, shape);
+            for comm in [CommMode::Blocking, CommMode::Overlapped] {
+                let cfg = ModelConfig { ranks, comm, ..cfg };
+                let start: Vec<StartPoint> = (dd.patches.iter())
+                    .map(|&patch| {
+                        let mut state = Model::for_patch(cfg, patch).state;
+                        plant_holes(&mut state);
+                        (0, 0.0, state)
+                    })
+                    .collect();
+                let run = run_attempt(cfg, steps, Some(&start), None, None, DEFAULT_TIMEOUT);
+                let mut gathered = single.state.clone();
+                for result in run {
+                    let (state, report) = result.expect("fault-free run");
+                    // One message per neighbour per round per panel
+                    // refresh, far fewer than one per scalar.
+                    let comm_stats = report.comm.expect("comm stats");
+                    assert_eq!(comm_stats.msgs % 4, 0);
+                    let p = state.patch;
+                    for j in p.jp.iter() {
+                        for k in p.kp.iter() {
+                            for i in p.ip.iter() {
+                                gathered.tt.set(i, k, j, state.tt.get(i, k, j));
+                                gathered.qv.set(i, k, j, state.qv.get(i, k, j));
+                                for c in 0..NTYPES {
+                                    gathered.ff[c]
+                                        .bin_slice_mut(i, k, j)
+                                        .copy_from_slice(state.ff[c].bin_slice(i, k, j));
+                                }
+                            }
+                        }
+                    }
+                }
+                assert_eq!(gathered.digest(), want, "{ranks} ranks, {comm}");
+            }
+        }
+    }
+
+    /// A fault on a *batched* message costs one timeout, not one per
+    /// panel still to refresh: the latch makes every later hook of the
+    /// step return at once. Dropped: rank 0's very first panel message
+    /// (θ, round 0, towards the west) never arrives, rank 1 times out on
+    /// it, rank 0 on the next refresh's message that rank 1 then never
+    /// sends — with some fifty panel refreshes still ahead of both.
+    #[test]
+    fn a_faulted_panel_message_costs_one_timeout() {
+        let mut cfg = ModelConfig::functional(SbmVersion::Lookup, 0.05, 6);
+        cfg.ranks = 2;
+        for comm in [CommMode::Blocking, CommMode::Overlapped] {
+            cfg.comm = comm;
+            let timeout = Duration::from_millis(1500);
+            let plan = FaultPlan::new().on_message(
+                Some(0),
+                Some(1),
+                Some(side_tag(0, 0, 0)),
+                mpi_sim::FaultAction::Drop,
+                1,
+            );
+            let began = std::time::Instant::now();
+            let out = run_attempt(cfg, 1, None, None, Some(Arc::new(plan)), timeout);
+            let wall = began.elapsed();
+            for (rank, result) in out.into_iter().enumerate() {
+                let failure = result.expect_err("both ranks must fail the step");
+                assert_eq!((failure.rank, failure.step), (rank, 0));
+                assert!(
+                    matches!(failure.error, CommError::RecvTimeout { peer, .. } if peer == 1 - rank),
+                    "{failure}"
+                );
+            }
+            assert!(wall >= timeout, "{comm}: the receive waited {wall:?}");
+            assert!(
+                wall < 2 * timeout,
+                "{comm}: later panels must not wait again, yet the step took {wall:?}"
+            );
+        }
+    }
+
+    /// The killed-peer case at the engine: the peer exits after the
+    /// first panel refresh. The survivor's next refresh fails — at once
+    /// if the peer's channel is already closed when it sends, after one
+    /// timeout if its sends still landed — and the ten refreshes after
+    /// it return at once.
+    #[test]
+    fn a_dead_peer_costs_the_survivor_at_most_one_timeout() {
+        let dd = two_d_decomposition(Domain::new(16, 4, 12), 2, 2);
+        let dd_ref = &dd;
+        let timeout = Duration::from_millis(200);
+        let out = mpi_sim::run_ranks_with_faults(2, None, timeout, move |mut rank| {
+            let me = rank.rank();
+            let p = dd_ref.patches[me];
+            let mut panel = vec![Field3::filled(p.im, p.km, p.jm, me as f32); 8];
+            let mut engine = MpiHaloEngine::new(&mut rank, dd_ref, CommMode::Overlapped);
+            let began = std::time::Instant::now();
+            for refresh in 0..12 {
+                if me == 1 && refresh == 1 {
+                    return None; // dies between two panels
+                }
+                for round in 0..engine.rounds() {
+                    engine.post_panel(round, &panel, None);
+                    engine.finish_panel(round, &mut panel, None);
+                }
+            }
+            Some((engine.error, engine.tag_base, began.elapsed()))
+        });
+        assert_eq!(out[1], None);
+        let (error, tag_base, wall) = out[0].clone().expect("rank 0 survives");
+        // Refresh 1, round 0: the send towards the peer, or the receive
+        // of what the peer never sent.
+        match error {
+            Some(CommError::PeerHungUp {
+                rank: 0,
+                peer: 1,
+                tag,
+                ..
+            }) => {
+                assert_eq!(tag, Some(side_tag(1, 0, 0)))
+            }
+            Some(CommError::RecvTimeout {
+                rank: 0,
+                peer: 1,
+                tag,
+                ..
+            }) => {
+                assert_eq!(tag, side_tag(1, 0, 1));
+                assert!(wall >= timeout, "{wall:?}");
+            }
+            other => panic!("survivor saw {other:?}"),
+        }
+        assert_eq!(tag_base, 12, "tags advance on the failed path too");
+        assert!(wall < 2 * timeout, "{wall:?}");
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(3))]
 
@@ -712,10 +1038,7 @@ mod tests {
             let dd = two_d_decomposition(Domain::new(nx, 4, ny), ranks, 2);
             let dd_ref = &dd;
             let base0 = u64::from(u32::MAX) / TAGS_PER_REFRESH + 7;
-            let sides = [
-                [HaloSide::West, HaloSide::East],
-                [HaloSide::South, HaloSide::North],
-            ];
+            let sides = HaloSide::ROUNDS;
             run_ranks(ranks, move |mut rank| {
                 let me = rank.rank();
                 for t in 0..refreshes {

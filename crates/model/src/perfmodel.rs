@@ -319,7 +319,10 @@ impl RankWork {
             0
         };
 
-        // Halo traffic (4 refreshes per scalar per step, 4 sides).
+        // Halo traffic (4 refreshes per scalar per step, 4 sides): one
+        // message per scalar, as the paper's WRF build exchanged them —
+        // the functional runs batch a panel per message and their own
+        // ledger (`CommStats`) counts what they actually send.
         let we = patch.halo as u64 * patch.jp.len() as u64 * patch.kp.len() as u64 * 4;
         let sn = patch.halo as u64 * patch.im.len() as u64 * patch.kp.len() as u64 * 4;
         let per_refresh_bytes = 2 * (we + sn);

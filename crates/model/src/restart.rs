@@ -290,6 +290,64 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Faults scripted against a *batched* panel message of step 2 — a
+    /// drop, a short delay the exchange absorbs by tag matching, and the
+    /// sender's death at that step — in both comm modes: whatever it
+    /// takes, the run ends on the fault-free bits.
+    #[test]
+    fn supervisor_recovers_from_faults_on_a_panel_message_bitwise() {
+        use mpi_sim::{CommMode, FaultAction};
+        for comm in [CommMode::Blocking, CommMode::Overlapped] {
+            let cfg = ModelConfig {
+                comm,
+                ..small_cfg()
+            };
+            let golden = run_parallel(cfg, 4);
+            // Four messages a panel refresh: the refreshes of steps 0–1
+            // are the tag base step 2 starts from.
+            let base = run_parallel(cfg, 2).reports[0].comm.unwrap().msgs / 4;
+            // The eastward message of a panel refresh well inside step 2
+            // (the two ranks sit side by side, so S/N messages never
+            // leave a rank).
+            let tag = crate::parallel::side_tag(base + 5, 0, 1);
+            let on_tag =
+                |action| FaultPlan::new().on_message(Some(0), Some(1), Some(tag), action, 1);
+            for (what, plan, attempts) in [
+                ("drop", on_tag(FaultAction::Drop), 2),
+                ("delay", on_tag(FaultAction::Delay(2)), 1),
+                ("kill", FaultPlan::new().kill_rank_at(0, 2), 2),
+            ] {
+                let dir = tmpdir(&format!("panel_{what}_{comm}"));
+                let rcfg = RestartConfig {
+                    dir: dir.clone(),
+                    interval: 2,
+                    max_attempts: 3,
+                    timeout: Duration::from_millis(300),
+                };
+                let plan = Arc::new(plan);
+                let (run, stats) =
+                    run_parallel_restartable(cfg, 4, &rcfg, Some(Arc::clone(&plan))).unwrap();
+                assert_eq!(
+                    stats.attempts, attempts,
+                    "{what}, {comm}: {:?}",
+                    stats.failures
+                );
+                if what != "kill" {
+                    assert_eq!(
+                        plan.message_hits(),
+                        1,
+                        "{what}, {comm}: the fault must fire"
+                    );
+                }
+                if attempts == 2 {
+                    assert_eq!(stats.restarts_from, vec![2], "{what}, {comm}");
+                }
+                assert_bitwise(&run.states, &golden.states);
+                let _ = std::fs::remove_dir_all(&dir);
+            }
+        }
+    }
+
     #[test]
     fn kill_before_first_checkpoint_restarts_cold() {
         let cfg = small_cfg();

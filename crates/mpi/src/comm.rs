@@ -65,6 +65,23 @@ pub enum CommError {
         /// How long the collective waited.
         waited: Duration,
     },
+    /// A message arrived whose length is not what its receiver must
+    /// unpack — a batched halo panel from a peer that packed another
+    /// number of lanes. Raised by the receiver before it unpacks anything.
+    MalformedPayload {
+        /// The receiving rank.
+        rank: usize,
+        /// The rank that sent the message.
+        peer: usize,
+        /// The tag the message was matched on.
+        tag: Tag,
+        /// The receiving rank's current model step.
+        step: u64,
+        /// Elements the receiver had to unpack.
+        expected: usize,
+        /// Elements the message carried.
+        received: usize,
+    },
     /// This rank was killed by the fault plan (reported by
     /// [`Rank::begin_step`] so the run loop can unwind cleanly).
     Killed {
@@ -82,6 +99,7 @@ impl CommError {
             CommError::RecvTimeout { rank, .. }
             | CommError::PeerHungUp { rank, .. }
             | CommError::CollectiveTimeout { rank, .. }
+            | CommError::MalformedPayload { rank, .. }
             | CommError::Killed { rank, .. } => rank,
         }
     }
@@ -92,6 +110,7 @@ impl CommError {
             CommError::RecvTimeout { step, .. }
             | CommError::PeerHungUp { step, .. }
             | CommError::CollectiveTimeout { step, .. }
+            | CommError::MalformedPayload { step, .. }
             | CommError::Killed { step, .. } => step,
         }
     }
@@ -139,6 +158,17 @@ impl std::fmt::Display for CommError {
                 f,
                 "rank {rank}: collective at step {step} timed out after {:.1}s ({arrived}/{size} ranks arrived)",
                 waited.as_secs_f64()
+            ),
+            CommError::MalformedPayload {
+                rank,
+                peer,
+                tag,
+                step,
+                expected,
+                received,
+            } => write!(
+                f,
+                "rank {rank}: message from rank {peer} tag {tag} at step {step} carries {received} elements where {expected} must be unpacked"
             ),
             CommError::Killed { rank, step } => {
                 write!(f, "rank {rank} killed by fault plan at step {step}")
@@ -214,10 +244,51 @@ struct Collective {
 struct CollectiveState {
     generation: u64,
     arrived: usize,
-    acc_sum: f64,
-    acc_max: f64,
+    /// The running reduction of the open generation.
+    acc: Reduced,
     /// Result of the completed generation.
-    result: (f64, f64),
+    result: Reduced,
+}
+
+/// Words of the bitwise-OR all-reduce: a fixed small array, wide enough
+/// for the model's 231 occupied-bin flags.
+pub const OR_WORDS: usize = 4;
+
+/// What one collective round reduces, every kind at once: a rank
+/// contributes to the kinds its call is about and the identity to the
+/// others (all ranks of a round make the same call, as in MPI), so one
+/// generation/arrival/timeout machine serves every all-reduce.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Reduced {
+    sum: f64,
+    max: f64,
+    or: [u64; OR_WORDS],
+}
+
+impl Reduced {
+    /// The identity of all three reductions.
+    const IDENTITY: Reduced = Reduced {
+        sum: 0.0,
+        max: f64::NEG_INFINITY,
+        or: [0; OR_WORDS],
+    };
+
+    /// The contribution of an `f64` sum/max all-reduce.
+    fn of_f64(x: f64) -> Self {
+        Reduced {
+            sum: x,
+            max: x,
+            ..Reduced::IDENTITY
+        }
+    }
+
+    fn fold(&mut self, x: &Reduced) {
+        self.sum += x.sum;
+        self.max = self.max.max(x.max);
+        for (acc, word) in self.or.iter_mut().zip(x.or) {
+            *acc |= word;
+        }
+    }
 }
 
 impl Collective {
@@ -226,30 +297,28 @@ impl Collective {
             lock: Mutex::new(CollectiveState {
                 generation: 0,
                 arrived: 0,
-                acc_sum: 0.0,
-                acc_max: f64::NEG_INFINITY,
-                result: (0.0, 0.0),
+                acc: Reduced::IDENTITY,
+                result: Reduced::IDENTITY,
             }),
             cv: Condvar::new(),
             size,
         }
     }
 
-    /// All-reduce contributing `x`, bounded by `timeout`; returns
-    /// `(sum, max)` over ranks. On timeout the partial arrival count is
-    /// reported; the communicator is then poisoned for further
-    /// collectives and must be torn down.
-    fn allreduce(&self, x: f64, timeout: Duration) -> Result<(f64, f64), (usize, Duration)> {
+    /// All-reduce contributing `x`, bounded by `timeout`; returns the
+    /// reduction over ranks. The accumulator is reset as a generation
+    /// completes, so nothing carries from one call to the next whatever
+    /// their kinds. On timeout the partial arrival count is reported; the
+    /// communicator is then poisoned for further collectives and must be
+    /// torn down.
+    fn allreduce(&self, x: Reduced, timeout: Duration) -> Result<Reduced, (usize, Duration)> {
         let mut st = self.lock.lock();
         let my_gen = st.generation;
         st.arrived += 1;
-        st.acc_sum += x;
-        st.acc_max = st.acc_max.max(x);
+        st.acc.fold(&x);
         if st.arrived == self.size {
-            st.result = (st.acc_sum, st.acc_max);
+            st.result = std::mem::replace(&mut st.acc, Reduced::IDENTITY);
             st.arrived = 0;
-            st.acc_sum = 0.0;
-            st.acc_max = f64::NEG_INFINITY;
             st.generation += 1;
             self.cv.notify_all();
             return Ok(st.result);
@@ -488,10 +557,9 @@ impl Rank {
         self.recv_f32(req.from, req.tag)
     }
 
-    /// One timeout-bounded all-reduce round returning `(sum, max)`; a
-    /// stalled collective (a dead rank never arrives) is a
-    /// [`CommError::CollectiveTimeout`].
-    fn allreduce_checked(&self, x: f64) -> Result<(f64, f64), CommError> {
+    /// One timeout-bounded all-reduce round; a stalled collective (a
+    /// dead rank never arrives) is a [`CommError::CollectiveTimeout`].
+    fn allreduce_checked(&self, x: Reduced) -> Result<Reduced, CommError> {
         self.collective
             .allreduce(x, self.timeout)
             .map_err(|(arrived, waited)| CommError::CollectiveTimeout {
@@ -503,26 +571,39 @@ impl Rank {
             })
     }
 
-    /// [`Rank::allreduce_checked`], panicking with full context when a
-    /// rank never arrives.
-    fn allreduce(&self, x: f64) -> (f64, f64) {
-        self.allreduce_checked(x)
+    /// [`Rank::allreduce_checked`] of an `f64`, panicking with full
+    /// context when a rank never arrives.
+    fn allreduce(&self, x: f64) -> Reduced {
+        self.allreduce_checked(Reduced::of_f64(x))
             .unwrap_or_else(|e| panic!("mpi_sim collective failed: {e}"))
     }
 
     /// Timeout-bounded max all-reduce over `f64`.
     pub fn allreduce_max_checked(&self, x: f64) -> Result<f64, CommError> {
-        Ok(self.allreduce_checked(x)?.1)
+        Ok(self.allreduce_checked(Reduced::of_f64(x))?.max)
+    }
+
+    /// Timeout-bounded bitwise-OR all-reduce over [`OR_WORDS`] words:
+    /// bit `b` of the result is set when any rank set it.
+    pub fn allreduce_or_checked(
+        &self,
+        bits: [u64; OR_WORDS],
+    ) -> Result<[u64; OR_WORDS], CommError> {
+        let x = Reduced {
+            or: bits,
+            ..Reduced::IDENTITY
+        };
+        Ok(self.allreduce_checked(x)?.or)
     }
 
     /// Sum all-reduce over `f64`; panics if a rank never arrives.
     pub fn allreduce_sum(&self, x: f64) -> f64 {
-        self.allreduce(x).0
+        self.allreduce(x).sum
     }
 
     /// Max all-reduce over `f64`; panics if a rank never arrives.
     pub fn allreduce_max(&self, x: f64) -> f64 {
-        self.allreduce(x).1
+        self.allreduce(x).max
     }
 
     /// Barrier across all ranks; panics if a rank never arrives.
@@ -943,6 +1024,84 @@ mod tests {
         for (checked, unchecked) in out {
             assert_eq!(checked, 3.0);
             assert_eq!(unchecked, 3.0);
+        }
+    }
+
+    /// Rank `r`'s contribution to the OR tests: one bit of its own in
+    /// every word, plus a bit all ranks share.
+    fn or_bits(r: usize) -> [u64; OR_WORDS] {
+        std::array::from_fn(|w| 1u64 << (r + w) | 1 << 63)
+    }
+
+    #[test]
+    fn allreduce_or_over_one_two_and_five_ranks() {
+        for n in [1usize, 2, 5] {
+            let want = (0..n).fold([0u64; OR_WORDS], |mut acc, r| {
+                acc.iter_mut().zip(or_bits(r)).for_each(|(a, b)| *a |= b);
+                acc
+            });
+            let out = run_ranks(n, |r| r.allreduce_or_checked(or_bits(r.rank())).unwrap());
+            assert_eq!(out, vec![want; n], "{n} ranks");
+        }
+        // A single-rank communicator returns its own bits.
+        let own = [0xdead_beef, 0, u64::MAX, 1];
+        assert_eq!(
+            run_ranks(1, |r| r.allreduce_or_checked(own).unwrap()),
+            [own]
+        );
+    }
+
+    /// One state machine serves every kind: an OR round between sum and
+    /// max rounds must see none of their accumulators, and they none of
+    /// its bits, generation after generation.
+    #[test]
+    fn or_and_f64_rounds_interleave_without_leaking() {
+        let out = run_ranks(3, |r| {
+            let me = r.rank();
+            for round in 0..10u64 {
+                let sum = r.allreduce_sum((me as u64 + round) as f64);
+                assert_eq!(sum, (3 + 3 * round) as f64, "round {round}");
+                // A different word and bit every round, so bits left
+                // over from an earlier round would show.
+                let mut bits = [0u64; OR_WORDS];
+                bits[round as usize % OR_WORDS] = 1 << (3 * round + me as u64);
+                let or = r.allreduce_or_checked(bits).unwrap();
+                let mut want = [0u64; OR_WORDS];
+                want[round as usize % OR_WORDS] = 0b111 << (3 * round);
+                assert_eq!(or, want, "round {round}");
+                let max = r.allreduce_max(-(me as f64) - round as f64);
+                assert_eq!(max, -(round as f64), "round {round}");
+            }
+            true
+        });
+        assert_eq!(out, vec![true; 3]);
+    }
+
+    #[test]
+    fn or_with_a_dead_rank_times_out_with_the_arrival_count() {
+        let out = run_ranks_with_faults(3, None, Duration::from_millis(60), |mut r| {
+            if r.rank() == 2 {
+                return None; // never arrives
+            }
+            r.begin_step(4).unwrap();
+            Some(r.allreduce_or_checked(or_bits(r.rank())))
+        });
+        for (rank, res) in out.into_iter().enumerate().take(2) {
+            match res {
+                Some(Err(CommError::CollectiveTimeout {
+                    rank: r,
+                    step: 4,
+                    arrived,
+                    size: 3,
+                    ..
+                })) => {
+                    assert_eq!(r, rank);
+                    // This rank itself, and the other survivor unless it
+                    // has yet to arrive.
+                    assert!((1..=2).contains(&arrived), "{arrived} arrived");
+                }
+                other => panic!("survivor {rank} saw {other:?}"),
+            }
         }
     }
 

@@ -22,6 +22,7 @@ pub mod fault;
 
 pub use comm::{
     run_ranks, run_ranks_with_faults, CommError, CommMode, Rank, RecvRequest, Tag, DEFAULT_TIMEOUT,
+    OR_WORDS,
 };
 pub use cost::{CommCost, OverlapStats, Topology};
 pub use fault::{FaultAction, FaultPlan};
