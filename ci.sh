@@ -20,8 +20,9 @@
 #                  (4 steps, scale 0.05 only). The two sets live in one
 #                  place, `wrf_gate::Depth`; ci.yml sets this on the
 #                  nightly schedule event only. The pool stress test
-#                  reads it too (300 scheme steps instead of 24), and the
-#                  exhaustive bracket sweep runs only under it.
+#                  reads it too (300 scheme steps instead of 24, plus the
+#                  lane-batch shuffle fuzz), and the exhaustive bracket
+#                  sweep runs only under it.
 #   CI_DRIFT_BASE  diff base ref of the drift guards (default origin/$GITHUB_BASE_REF)
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -60,12 +61,20 @@ step_test() {
 # steps (300 under CI_NIGHTLY) at 2 and 3 workers, every step's digest
 # compared with the one-worker run. Release build, where a worker that
 # wakes late for an epoch has the narrowest window to cross into the
-# next one. The grep keeps a rename from turning the filter into a
-# green no-op (it reads to the end: `grep -q` would close the pipe on
-# cargo).
+# next one. Under CI_NIGHTLY the same run also takes the ignored
+# `batch_shuffle_fuzz` (200 random lane-batch memberships, three steps
+# each, against the coherent batches: bits and statistics). The grep
+# keeps a rename from turning a filter into a green no-op (it reads to
+# the end: `grep -q` would close the pipe on cargo).
 step_pool_stress() {
-    cargo test --release -p fsbm-core --lib pool_stress_every_step_matches_one_worker 2>&1 |
-        tee /dev/stderr | grep '^test result: ok. 1 passed' >/dev/null
+    local filters="pool_stress_every_step_matches_one_worker" passed=1
+    if [ -n "${CI_NIGHTLY:-}" ]; then
+        filters+=" batch_shuffle_fuzz --include-ignored"
+        passed=2
+    fi
+    # shellcheck disable=SC2086 # the filters are a word list on purpose
+    cargo test --release -p fsbm-core --lib -- $filters 2>&1 |
+        tee /dev/stderr | grep "^test result: ok. $passed passed" >/dev/null
 }
 
 # The panel deposit reads its bin bracket from the float's exponent; the

@@ -108,6 +108,9 @@ pub struct ExecSummary {
     pub active_fraction: f64,
     /// Kernel-cache hit rate (1.0 when the cache is disabled or idle).
     pub cache_hit_rate: f64,
+    /// Share of the collision sweep's lane slots that did a point's own
+    /// work (`SbmStepStats::lane_efficiency`; 1.0 when no panel swept).
+    pub lane_efficiency: f64,
 }
 
 impl ExecSummary {
@@ -118,6 +121,7 @@ impl ExecSummary {
         stats: &ExecStats,
         active_fraction: f64,
         cache_hit_rate: f64,
+        lane_efficiency: f64,
     ) -> Self {
         ExecSummary {
             mode,
@@ -129,12 +133,13 @@ impl ExecSummary {
             balance: stats.balance(),
             active_fraction,
             cache_hit_rate,
+            lane_efficiency,
         }
     }
 
     /// The one-line run report (rendered by `prof-sim` so every consumer
     /// prints the same format):
-    /// `exec: work-stealing+compaction workers=4 steals=37 active=12.5% cache-hit=100.0%`.
+    /// `exec: work-stealing+compaction workers=4 steals=37 active=12.5% cache-hit=100.0% lanes=63.0%`.
     pub fn one_line(&self) -> String {
         prof_sim::exec_line(
             self.mode,
@@ -146,6 +151,7 @@ impl ExecSummary {
             self.balance,
             self.active_fraction,
             self.cache_hit_rate,
+            self.lane_efficiency,
         )
     }
 }
@@ -184,11 +190,12 @@ mod tests {
     fn summary_line_is_compact() {
         let ex = wrf_exec::Executor::new(2);
         ex.run_indexed(10_000, Some(16), |_| {});
-        let s = ExecSummary::from_stats(ExecMode::WorkSteal.label(), &ex.stats(), 0.125, 1.0);
+        let s = ExecSummary::from_stats(ExecMode::WorkSteal.label(), &ex.stats(), 0.125, 1.0, 0.63);
         let line = s.one_line();
         assert!(line.contains("work-stealing+compaction"));
         assert!(line.contains("workers=2"));
         assert!(line.contains("active=12.5%"));
         assert!(line.contains("cache-hit=100.0%"));
+        assert!(line.contains("lanes=63.0%"));
     }
 }

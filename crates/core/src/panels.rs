@@ -32,9 +32,35 @@ use crate::processes::condensation::NCOND;
 use crate::thermo::{growth_coefficient, latent_heating, qsat_ice, qsat_liquid, supersat_liquid};
 use crate::types::{HydroClass, NKR, NTYPES};
 
-/// Points per panel. Eight f32 lanes fill one 256-bit vector register and
-/// keep the whole panel (7×33 bins × 8 lanes ≈ 7.4 KB) inside L1.
+/// Points per panel. The whole panel (7×33 bins × 8 lanes ≈ 7.4 KB) stays
+/// inside L1. The width is not a register width — the default x86-64
+/// build issues two 128-bit ops per lane vector — and the cell sweep's
+/// cost follows the lane slots it sweeps ([`LaneFill`]), so a width is
+/// only as good as its batches are full: with row-order batches 4 beat 8
+/// and 8 beat 16, with coherent ones 8 beats 4 (EXPERIMENTS, "Coherent
+/// lanes, measured").
 pub const LANES: usize = 8;
+
+/// How full the collision cell sweep's lane vectors ran: the host twin
+/// of the device launch's warp efficiency. Both counts are integers, so
+/// no schedule can move them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LaneFill {
+    /// Lane slots swept: [`LANES`] per `(pair, i, j)` cell of every swept
+    /// row window (the union of the batch's windows) — dead and ragged
+    /// lanes included, because the vector loop runs them.
+    pub slots: u64,
+    /// Of those, the slots inside their own lane's `(i, j)` window: the
+    /// cells the scalar visits for that point.
+    pub cells: u64,
+}
+
+impl std::ops::AddAssign for LaneFill {
+    fn add_assign(&mut self, rhs: LaneFill) {
+        self.slots += rhs.slots;
+        self.cells += rhs.cells;
+    }
+}
 
 /// Ice classes in the order `onecond2`/`onecond3` relax them.
 const ICE_RELAX_ORDER: [HydroClass; 6] = [
@@ -383,7 +409,8 @@ fn deposit_mass_lane(
 /// identical across lanes and is resolved once via [`KernelMode::peek`]).
 /// Per-lane entry counts accumulate into `entries` and per-lane metering
 /// into `works`; cached-kernel hit/miss counters are flushed in bulk once
-/// at the end instead of one atomic RMW per entry.
+/// at the end instead of one atomic RMW per entry. Returns how full the
+/// batch's lane slots ran.
 pub fn panel_coal(
     panel: &mut SoaPanel,
     grids: &Grids,
@@ -392,10 +419,11 @@ pub fn panel_coal(
     dt: f32,
     works: &mut [PointWork; LANES],
     entries: &mut [u64; LANES],
-) {
+) -> LaneFill {
     let dts = dt / NCOLL as f32;
     let mut hits = 0u64;
     let mut misses = 0u64;
+    let mut fill = LaneFill::default();
     for _ in 0..NCOLL {
         coal_substep_panel(
             panel,
@@ -407,9 +435,11 @@ pub fn panel_coal(
             entries,
             &mut hits,
             &mut misses,
+            &mut fill,
         );
     }
     kernels.add_cached_counts(hits, misses);
+    fill
 }
 
 /// One collision substep over the panel: the lane-masked mirror of
@@ -425,6 +455,7 @@ fn coal_substep_panel(
     entries: &mut [u64; LANES],
     hits: &mut u64,
     misses: &mut u64,
+    fill: &mut LaneFill,
 ) {
     let len = panel.len;
     // Phase gate uses the temperature at substep start, as the scalar
@@ -513,16 +544,18 @@ fn coal_substep_panel(
             // test is j-independent, so the flag is row-uniform); only
             // the cold/on-demand fallback materializes a local row, and
             // its per-entry resolution reports misses uniformly too.
-            let mut kvbuf = [0.0f32; NKR];
+            let mut kvbuf: [f32; NKR];
             let (kv, row_hit): (&[f32], bool) = match kernels.peek_row(pidx, i) {
                 Some((row, hit)) => (row, hit),
                 None => {
+                    kvbuf = [0.0; NKR];
                     for (j, slot) in kvbuf.iter_mut().enumerate().take(jhi_row + 1).skip(jlo_row) {
                         *slot = kernels.peek(pidx, i, j).0;
                     }
                     (&kvbuf[..], false)
                 }
             };
+            fill.slots += ((jhi_row - jlo_row + 1) * LANES) as u64;
             let sp = splits.row(pidx, i);
             // Vector cell sweep: every phase below is a straight-line
             // loop over the 8 contiguous lane slots — no data-dependent
@@ -679,6 +712,7 @@ fn coal_substep_panel(
                 works[l].f(4 * ncommit);
             }
             entries[l] += nent;
+            fill.cells += acc_cj[l] as u64;
             *hits += acc_hit[l] as u64;
             *misses += (acc_nent[l] - acc_hit[l]) as u64;
         }
@@ -1311,6 +1345,47 @@ mod tests {
                 "{name}: cache counters"
             );
         }
+    }
+
+    /// [`LaneFill`] at its two fixed points: a point alone in a panel
+    /// sweeps [`LANES`] slots for every cell of its own, eight copies of
+    /// it fill every slot they sweep, and a mixed batch keeps the cells of
+    /// its points, summed, inside more slots.
+    #[test]
+    fn lane_fill_counts_own_cells_against_swept_slots() {
+        let grids = Grids::new();
+        let tables = KernelTables::new();
+        let splits = DepositSplits::new(&grids);
+        let mode = KernelMode::OnDemand {
+            tables: &tables,
+            p: 80_000.0,
+        };
+        let fill_of = |points: &[(PointBins, PointThermo)]| {
+            let (mut w, mut e) = ([PointWork::ZERO; LANES], [0u64; LANES]);
+            panel_coal(
+                &mut gather(points),
+                &grids,
+                mode,
+                &splits,
+                5.0,
+                &mut w,
+                &mut e,
+            )
+        };
+        let points = synth_points(4);
+        let mut alone = 0;
+        for point in &points[..3] {
+            let one = fill_of(std::slice::from_ref(point));
+            assert!(one.cells > 0);
+            assert_eq!(one.slots, LANES as u64 * one.cells);
+            let twins = fill_of(&vec![point.clone(); LANES]);
+            assert_eq!(twins.slots, twins.cells);
+            assert_eq!(twins.cells, LANES as u64 * one.cells);
+            alone += one.cells;
+        }
+        let mixed = fill_of(&points[..3]);
+        assert_eq!(mixed.cells, alone);
+        assert!(mixed.cells < mixed.slots);
     }
 
     #[test]

@@ -41,9 +41,9 @@ use crate::kernels::{kernals_ks, CollisionTables, KernelCache, KernelMode, Kerne
 use crate::meter::{PointWork, WorkBreakdown};
 use crate::panels::{
     panel_coal, panel_coal_predicate, panel_condensation, sedimentation_column_soa, DepositSplits,
-    SedScratch, SoaPanel, LANES,
+    LaneFill, SedScratch, SoaPanel, LANES,
 };
-use crate::point::{BinsView, Grids, PointBins, PointThermo, Q_EPS};
+use crate::point::{BinsView, Grids, PointBins, PointThermo, N_EPS, Q_EPS};
 use crate::processes::driver::{
     fast_sbm_coal, fast_sbm_nucleate, fast_sbm_post, fast_sbm_pre, PointOutcome,
 };
@@ -260,6 +260,13 @@ pub struct SbmStepStats {
     pub coal_iters: u64,
     /// Warp efficiency of the offloaded kernel (1.0 for CPU versions).
     pub warp_efficiency: f64,
+    /// Lane slots the panel collision sweeps ran, over the whole step
+    /// ([`LaneFill::slots`]; 0 in the `PointAos` layout).
+    pub lane_slots: u64,
+    /// Of those, the slots inside their own lane's window
+    /// ([`LaneFill::cells`]): a property of the points, the same under
+    /// any grouping.
+    pub lane_cells: u64,
     /// Launch descriptor of the offloaded kernel, if any.
     pub kernel_spec: Option<KernelSpec>,
     /// Surface precipitation this step, kg/m² summed over columns.
@@ -273,6 +280,21 @@ pub struct SbmStepStats {
     /// profile through each scheduling policy to compute the makespan a
     /// multi-worker device would see, independent of host core count.
     pub coal_profile: Option<Vec<u64>>,
+}
+
+impl SbmStepStats {
+    /// `lane_cells / lane_slots`: the share of the host's swept lane
+    /// slots that did a point's own work — what
+    /// [`SbmStepStats::warp_efficiency`] is to the modeled device launch,
+    /// measured on the lane vectors that actually ran (1.0 when no panel
+    /// swept a cell).
+    pub fn lane_efficiency(&self) -> f64 {
+        if self.lane_slots == 0 {
+            1.0
+        } else {
+            self.lane_cells as f64 / self.lane_slots as f64
+        }
+    }
 }
 
 /// The scheme driver holding the static tables, the worker pool and the
@@ -343,8 +365,8 @@ impl FastSbm {
     }
 
     /// Executor + cache summary for reporting: scheduling mode, pool
-    /// statistics, the step's active-point fraction, and the kernel-cache
-    /// hit rate.
+    /// statistics, the step's active-point fraction, the kernel-cache hit
+    /// rate and the step's lane efficiency.
     pub fn exec_summary(&self, stats: &SbmStepStats) -> ExecSummary {
         let active_fraction = if stats.points > 0 {
             stats.coal_points as f64 / stats.points as f64
@@ -358,6 +380,7 @@ impl FastSbm {
                 &ex.stats(),
                 active_fraction,
                 cache_hit_rate,
+                stats.lane_efficiency(),
             ),
             None => ExecSummary {
                 mode: self.cfg.sched.label(),
@@ -365,6 +388,7 @@ impl FastSbm {
                 balance: 1.0,
                 active_fraction,
                 cache_hit_rate,
+                lane_efficiency: stats.lane_efficiency(),
                 ..Default::default()
             },
         }
@@ -465,6 +489,8 @@ impl FastSbm {
         stats.active_points = tally.active;
         stats.coal_points = tally.coal_points;
         stats.coal_entries = tally.coal_entries;
+        stats.lane_slots = tally.lanes.slots;
+        stats.lane_cells = tally.lanes.cells;
         stats.work = tally.work;
         // The step's one floating-point reduction, folded serially in the
         // order the serial pass always used — columns `j` outer, `i`
@@ -559,8 +585,11 @@ fn pre_sweep(v: &PatchViews<'_>, launcher: &Launcher<'_>, layout: Layout) {
 /// executed with real host parallelism. `collapse(2)` launches one unit
 /// per `(j,k)` column with a serial `i` loop and per-thread automatic
 /// arrays; `collapse(3)` launches one unit per point operating in place
-/// on the slabs — or, in the panel layout, per pressure-uniform lane
-/// batch, so activity compaction happens at batch granularity.
+/// on the slabs — or, in the panel layout, per coherent lane batch
+/// ([`build_batch_list`]): a level's predicate-true points, whatever row
+/// they sit in, grouped by pressure and by how alike their spectra are,
+/// so compaction is level-wide and a batch's lanes sweep nearly the same
+/// cells.
 ///
 /// Launch geometry (`coal_iters`, warp efficiency) is always reported
 /// from the *full* iteration space: compaction and the panel layout
@@ -628,17 +657,20 @@ fn coal_launch(
             })
         }
         (Collapse::Three, Layout::PanelSoa) => {
-            build_batch_list(v, predicate, &mut lists.batches);
+            build_batch_list(v, predicate, lists);
             let batches: &[PanelBatch] = &lists.batches;
             // The list holds only active batches: it is its own
             // compaction, under either scheduler.
             launcher.run(batches.len() as u64, Grain::Fine, |bi| {
                 let b = &batches[bi as usize];
-                let (lanes, (j, k)) = (&b.ixs[..b.len as usize], v.row(b.row as usize));
-                let per_lane = coal_batch(v, v.idx3(p.ip.lo, k, j), k, lanes, None);
+                let points = &b.points[..b.len as usize];
+                let (_, k) = v.row(points[0] as usize / ilen);
+                let ats = b.points.map(|pt| v.at_point(pt as usize));
+                let (per_lane, fill) = coal_batch(v, k, &ats[..points.len()], None);
                 let mut sink = sink_lock();
-                for (&ix, tally) in lanes.iter().zip(per_lane) {
-                    sink.add(b.row as usize * ilen + ix as usize, tally);
+                sink.tally.lanes += fill;
+                for (&pt, tally) in points.iter().zip(per_lane) {
+                    sink.add(pt as usize, tally);
                 }
             })
         }
@@ -791,8 +823,21 @@ struct SweepArrays {
 struct CoalLists {
     /// Per-column "any point active" flags of the `collapse(2)` launch.
     lane_active: Vec<bool>,
+    /// The panel `collapse(3)` launch units, level by level.
     batches: Vec<PanelBatch>,
+    /// The level [`build_batch_list`] is cutting: its predicate-true
+    /// points, keyed for the sort. Reused from level to level and step to
+    /// step.
+    level: Vec<LanePoint>,
+    /// Test-only: how a level's points are grouped.
+    #[cfg(test)]
+    order: BatchOrder,
 }
+
+/// One predicate-true point of a level as [`build_batch_list`] sorts it:
+/// pressure bits, [`coherence_key`], flat index into the predicate. The
+/// index makes every key distinct, so an unstable sort is deterministic.
+type LanePoint = (u32, u64, u32);
 
 /// What sedimentation leaves behind for one column: surface precipitation
 /// per class, kg/m² (`+0.0` for a class with nothing to fall), and the
@@ -813,14 +858,13 @@ struct ColumnScratch {
 }
 
 /// One SoA collision batch: up to [`LANES`] predicate-true points of one
-/// compute row sharing pressure bits (so the kernel value per `(i, j)`
-/// is resolved once for the whole batch).
-#[derive(Debug, Clone, Copy)]
+/// level sharing pressure bits (so the kernel value per `(i, j)` is
+/// resolved once for the whole batch), from any rows of that level.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct PanelBatch {
-    /// Index of the batch's `(j, k)` row in sweep order.
-    row: u32,
-    /// Offsets of the batch's points from the row's first `i`.
-    ixs: [u32; LANES],
+    /// The batch's points: flat indices into the predicate (`[row][i]`
+    /// over the compute points).
+    points: [u32; LANES],
     len: u8,
 }
 
@@ -898,8 +942,9 @@ impl<'a> PatchViews<'a> {
         // written by two threads, or read by one while another writes it
         // (the Codee-proven independence of the grid loop; the collision
         // launch reads the whole `predicate`, which only the finished
-        // pre-sweep wrote). `t_old`, `p` and `rho` are never written
-        // during a step.
+        // pre-sweep wrote, and its batch list is built from bins read on
+        // the calling thread between the two launches). `t_old`, `p` and
+        // `rho` are never written during a step.
         let (tt, qv, ff, predicate, outcomes, fall) = unsafe {
             (
                 SyncWriteSlice::new(state.tt.as_mut_slice()),
@@ -939,7 +984,9 @@ impl<'a> PatchViews<'a> {
         ii as usize + p.im.len() * (kk as usize + p.km.len() * jj as usize)
     }
 
-    /// The compute rows in sweep order (`j` outer, `k` inner) as `(j, k)`.
+    /// The compute rows in sweep order (`j` outer, `k` inner) as `(j, k)`:
+    /// what [`PatchViews::row`] is tested against.
+    #[cfg(test)]
     fn rows(&self) -> impl Iterator<Item = (i32, i32)> {
         let kp = self.patch.kp;
         (self.patch.jp.iter()).flat_map(move |j| kp.iter().map(move |k| (j, k)))
@@ -955,6 +1002,15 @@ impl<'a> PatchViews<'a> {
     fn row(&self, row: usize) -> (i32, i32) {
         let (p, klen) = (&self.patch, self.patch.kp.len());
         (p.jp.lo + (row / klen) as i32, p.kp.lo + (row % klen) as i32)
+    }
+
+    /// Flat field index of the `idx`-th compute point in predicate order
+    /// (`[row][i]`).
+    #[inline]
+    fn at_point(&self, idx: usize) -> usize {
+        let ilen = self.patch.ip.len();
+        let (j, k) = self.row(idx / ilen);
+        self.idx3(self.patch.ip.lo + (idx % ilen) as i32, k, j)
     }
 
     /// `(i, j)` of the `col`-th compute column ([`SbmPatchState::rainnc`]
@@ -1172,9 +1228,10 @@ fn coal_row(
         Layout::PanelSoa => {
             let mut ix = 0;
             while let Some((ixs, len)) = next_batch(pred, &v.p[at0..at0 + it.len()], &mut ix) {
-                for lane in coal_batch(v, at0, k, &ixs[..len], dense.as_deref_mut()) {
-                    tally += lane;
-                }
+                let ats = ixs.map(|ix| at0 + ix as usize);
+                let (per_lane, fill) = coal_batch(v, k, &ats[..len], dense.as_deref_mut());
+                tally.lanes += fill;
+                per_lane.for_each(|lane| tally += lane);
             }
         }
     }
@@ -1211,26 +1268,25 @@ fn coal_point_aos(
 }
 
 /// Gather → `panel_coal` → scatter for one pressure-uniform lane batch at
-/// level `k` (`lanes` are `i` offsets from the point at flat index `at0`);
-/// yields the per-lane tallies. With dense tables the batch shares one
-/// fill (identical pressure), metered per point as the scalar baseline
-/// does.
+/// level `k` (`ats` are the flat field indices of its points); yields the
+/// per-lane tallies and how full the batch's lane slots ran. With dense
+/// tables the batch shares one fill (identical pressure), metered per
+/// point as the scalar baseline does.
 fn coal_batch(
     v: &PatchViews<'_>,
-    at0: usize,
     k: i32,
-    lanes: &[u32],
+    ats: &[usize],
     dense: Option<&mut CollisionTables>,
-) -> impl Iterator<Item = Tally> {
+) -> (impl Iterator<Item = Tally>, LaneFill) {
     let mut panel = SoaPanel::new();
-    for &ix in lanes {
-        v.gather(at0 + ix as usize, &mut panel);
+    for &at in ats {
+        v.gather(at, &mut panel);
     }
     let mut kernals = PointWork::ZERO;
     let km = v.collision_kernels(k, panel.p[0], dense, &mut kernals);
     let mut works = [PointWork::ZERO; LANES];
     let mut entries = [0u64; LANES];
-    panel_coal(
+    let fill = panel_coal(
         &mut panel,
         v.grids,
         km,
@@ -1239,11 +1295,12 @@ fn coal_batch(
         &mut works,
         &mut entries,
     );
-    for (l, &ix) in lanes.iter().enumerate() {
-        v.scatter(at0 + ix as usize, &panel, l);
+    for (l, &at) in ats.iter().enumerate() {
+        v.scatter(at, &panel, l);
     }
-    let n = lanes.len();
-    (0..n).map(move |l| Tally::coal(entries[l], works[l], kernals))
+    let n = ats.len();
+    let per_lane = (0..n).map(move |l| Tally::coal(entries[l], works[l], kernals));
+    (per_lane, fill)
 }
 
 /// Freezing/melting + breakup over the row's active points, scalar and in
@@ -1345,18 +1402,121 @@ fn next_batch(pred: &[bool], p: &[f32], ix: &mut usize) -> Option<([u32; LANES],
     (len > 0).then_some((ixs, len))
 }
 
-/// Pre-builds the launch units of the panel `collapse(3)` kernel: every
-/// row's collision batches, in sweep order. `predicate` is laid out
-/// `[row][i]` over the patch's compute points.
-fn build_batch_list(v: &PatchViews<'_>, predicate: &[bool], out: &mut Vec<PanelBatch>) {
-    let ip = v.patch.ip;
+/// What decides which cells a point's collision sweep visits, as one
+/// sortable word: which classes hold a bin above [`N_EPS`] (one bit a
+/// class, water first — the pairs a lane enters at all), then the top
+/// occupied bin of each class, plus one (six bits a class, 0 for an empty
+/// one — where its `(i, j)` windows end). Points whose keys are close
+/// sweep nearly the same windows, so a batch of them wastes few slots on
+/// the union.
+fn coherence_key(bins: &BinsView<'_>) -> u64 {
+    let (mut present, mut tops) = (0u64, 0u64);
+    for n in &bins.n {
+        let top = n.iter().rposition(|&x| x > N_EPS);
+        present = present << 1 | u64::from(top.is_some());
+        tops = tops << 6 | top.map_or(0, |t| t as u64 + 1);
+    }
+    present << (6 * NTYPES) | tops
+}
+
+/// Pre-builds the launch units of the panel `collapse(3)` kernel, level
+/// by level: a level's predicate-true points across all its rows, sorted
+/// by pressure bits and then by [`coherence_key`], cut into runs of one
+/// pressure and those into batches of at most [`LANES`]. `predicate` is
+/// laid out `[row][i]` over the patch's compute points.
+///
+/// Which points share a batch is invisible to every one of them: a lane
+/// replays its own scalar `(i, j)` sequence under its own window
+/// (`panel_coal`), the kernel values it reads depend on the pressure bits
+/// alone, and what it reports is integer counts filed per point. So any
+/// grouping of same-pressure points gives the same bits, and the sort is
+/// free to chase the slots (`batch_membership_is_invisible_to_every_point`
+/// steps row-order, sorted and shuffled membership side by side).
+fn build_batch_list(v: &PatchViews<'_>, predicate: &[bool], lists: &mut CoalLists) {
+    #[cfg(test)]
+    let order = lists.order;
+    #[cfg(test)]
+    if order == BatchOrder::Rows {
+        return build_row_batches(v, predicate, &mut lists.batches);
+    }
+    let CoalLists { batches, level, .. } = lists;
+    let (ilen, klen) = (v.patch.ip.len(), v.patch.kp.len());
+    batches.clear();
+    for kx in 0..klen {
+        level.clear();
+        for row in (kx..v.row_count()).step_by(klen) {
+            let at0 = v.at_point(row * ilen);
+            for idx in (row * ilen..(row + 1) * ilen).filter(|&idx| predicate[idx]) {
+                let at = at0 + idx % ilen;
+                let key = coherence_key(&v.bins(at));
+                #[cfg(test)]
+                let key = order.rekey(key, idx);
+                level.push((v.p[at].to_bits(), key, idx as u32));
+            }
+        }
+        level.sort_unstable();
+        for run in level.chunk_by(|a, b| a.0 == b.0) {
+            for lanes in run.chunks(LANES) {
+                let mut points = [0u32; LANES];
+                for (slot, &(_, _, idx)) in points.iter_mut().zip(lanes) {
+                    *slot = idx;
+                }
+                let len = lanes.len() as u8;
+                batches.push(PanelBatch { points, len });
+            }
+        }
+    }
+}
+
+/// How [`build_batch_list`] groups a level's points — a test hook, not an
+/// option: production is `Sorted` and nothing outside `cfg(test)` can say
+/// otherwise.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+enum BatchOrder {
+    /// Pressure bits, then [`coherence_key`].
+    #[default]
+    Sorted,
+    /// [`next_batch`] row by row: the builder `coal_row` uses, and the
+    /// panel launch used before batches were level-wide.
+    Rows,
+    /// Pressure bits, then a hash of the seed and the point: level-wide
+    /// membership drawn at random.
+    Shuffled(u64),
+}
+
+#[cfg(test)]
+impl BatchOrder {
+    fn rekey(self, key: u64, point: usize) -> u64 {
+        match self {
+            BatchOrder::Shuffled(seed) => splitmix64(seed ^ point as u64),
+            _ => key,
+        }
+    }
+}
+
+/// The splitmix64 finalizer: the tests' stateless hash.
+#[cfg(test)]
+fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// [`BatchOrder::Rows`]: every row's [`next_batch`] batches, in sweep
+/// order.
+#[cfg(test)]
+fn build_row_batches(v: &PatchViews<'_>, predicate: &[bool], out: &mut Vec<PanelBatch>) {
+    let ilen = v.patch.ip.len();
     out.clear();
-    for (row, ((j, k), pred)) in (0..).zip(v.rows().zip(predicate.chunks_exact(ip.len()))) {
-        let at0 = v.idx3(ip.lo, k, j);
+    for (row, pred) in predicate.chunks_exact(ilen).enumerate() {
+        let at0 = v.at_point(row * ilen);
         let mut ix = 0;
-        while let Some((ixs, len)) = next_batch(pred, &v.p[at0..at0 + ip.len()], &mut ix) {
+        while let Some((ixs, len)) = next_batch(pred, &v.p[at0..at0 + ilen], &mut ix) {
+            let points = ixs.map(|ix| (row * ilen) as u32 + ix);
             let len = len as u8;
-            out.push(PanelBatch { row, ixs, len });
+            out.push(PanelBatch { points, len });
         }
     }
 }
@@ -1371,6 +1531,9 @@ struct Tally {
     active: usize,
     coal_points: usize,
     coal_entries: u64,
+    /// How full the panel collision batches ran (per batch, not per
+    /// point).
+    lanes: LaneFill,
     work: WorkBreakdown,
 }
 
@@ -1402,6 +1565,7 @@ impl std::ops::AddAssign for Tally {
         self.active += rhs.active;
         self.coal_points += rhs.coal_points;
         self.coal_entries += rhs.coal_entries;
+        self.lanes += rhs.lanes;
         self.work += rhs.work;
     }
 }
@@ -1431,6 +1595,8 @@ fn empty_stats(points: usize) -> SbmStepStats {
         work: WorkBreakdown::default(),
         coal_iters: 0,
         warp_efficiency: 1.0,
+        lane_slots: 0,
+        lane_cells: 0,
         kernel_spec: None,
         precip: 0.0,
         coal_wall: 0.0,
@@ -1716,6 +1882,200 @@ mod tests {
             for (step, (got, want)) in digests(workers).iter().zip(&want).enumerate() {
                 assert_eq!(got, want, "{workers} workers, step {step}");
             }
+        }
+    }
+
+    /// A supercell-like storm on a 20 × 12 × 12 patch, spun up for three
+    /// production steps (microphysics only — the case library and the
+    /// dycore sit above this crate): a saturated updraft core carrying
+    /// supercooled droplets into graupel and hail, a rain shaft under its
+    /// east flank, an ice-and-snow anvil spreading aloft, dry air around.
+    /// Spectra reach further the nearer a parcel is to the storm's axis,
+    /// so a row — which crosses the storm — mixes wide windows with
+    /// narrow ones, while a level holds rings of look-alikes in different
+    /// rows. Row-order batches run 0.39 full here and coherent ones 0.78
+    /// (the ledger's `sbm_dense` snapshot: 0.26 and 0.63).
+    fn storm_spinup_state() -> SbmPatchState {
+        let d = Domain::new(20, 12, 12);
+        let patch = two_d_decomposition(d, 1, 0).patches[0];
+        let mut st = SbmPatchState::new(patch);
+        let noise =
+            |i: i32, k: i32, j: i32| splitmix64((i as u64) << 40 | (k as u64) << 20 | j as u64);
+        for j in patch.jm.iter() {
+            for k in patch.km.iter() {
+                for i in patch.im.iter() {
+                    let p = 95_000.0 - 6_000.0 * (k - 1) as f32;
+                    let t = 298.0 - 7.0 * (k - 1) as f32;
+                    let r = ((i as f32 - 10.5).powi(2) + (j as f32 - 6.5).powi(2)).sqrt();
+                    let (core, shaft) = (r < 3.5, r < 6.0 && i > 10 && k <= 4);
+                    let anvil = r < 9.0 && k >= 9;
+                    let mut bins = PointBins::empty();
+                    // A parcel's age: every spectrum it holds reaches up
+                    // to eight bins further, furthest at the storm's axis.
+                    let age = ((9.0 - r).max(0.0) * 0.8) as usize + (noise(i, k, j) % 2) as usize;
+                    let mut seed = |class: usize, lo: usize, hi: usize, n: f32| {
+                        (lo + age..=hi + age).for_each(|b| bins.n[class][b] = n);
+                    };
+                    if core && k <= 9 {
+                        seed(0, 5, 10, 2.0e7);
+                    }
+                    if shaft || (r < 2.5 && k <= 5) {
+                        seed(0, 18, 22, 4.0e2);
+                    }
+                    if r < 2.5 && (4..=10).contains(&k) {
+                        seed(5, 12, 16, 2.0e2);
+                    }
+                    if r < 1.5 && (6..=10).contains(&k) {
+                        seed(6, 18, 20, 5.0);
+                    }
+                    if (core && k >= 7) || anvil {
+                        seed(1 + (k % 3) as usize, 4, 8, 4.0e4);
+                        if r < 6.0 {
+                            seed(4, 8, 13, 8.0e3);
+                        }
+                    }
+                    let sat = if core {
+                        1.02
+                    } else if shaft || anvil {
+                        0.97
+                    } else {
+                        0.5
+                    };
+                    st.p.set(i, k, j, p);
+                    st.tt.set(i, k, j, t);
+                    st.rho.set(i, k, j, crate::thermo::air_density(t, p));
+                    st.qv.set(i, k, j, qsat_liquid(t, p) * sat);
+                    st.store_bins(i, k, j, &bins);
+                }
+            }
+        }
+        let mut cfg = SbmConfig::new(SbmVersion::OffloadCollapse3);
+        cfg.workers = Some(2);
+        cfg.cached_kernels = true;
+        let mut scheme = FastSbm::new(cfg);
+        for _ in 0..3 {
+            scheme.step(&mut st);
+        }
+        st
+    }
+
+    /// `steps` production steps (profiled, cached kernels) from `start`
+    /// with the panel launch batching in `order` on `workers` pool
+    /// threads: the state bits after them and each step's statistics,
+    /// wall clock zeroed.
+    fn run_ordered(
+        start: &SbmPatchState,
+        order: BatchOrder,
+        workers: usize,
+        steps: usize,
+    ) -> (Vec<u32>, Vec<SbmStepStats>) {
+        let mut st = start.clone();
+        let mut cfg = SbmConfig::new(SbmVersion::OffloadCollapse3);
+        cfg.workers = Some(workers);
+        cfg.cached_kernels = true;
+        cfg.profile_coal = true;
+        let mut scheme = FastSbm::new(cfg);
+        scheme.scratch.coal.order = order;
+        let stats = (0..steps)
+            .map(|_| SbmStepStats {
+                coal_wall: 0.0,
+                ..scheme.step(&mut st)
+            })
+            .collect();
+        (state_bits(&st), stats)
+    }
+
+    /// `stats` without the one count that depends on who shares a batch.
+    fn membership_free(stats: &[SbmStepStats]) -> Vec<SbmStepStats> {
+        let strip = |s: &SbmStepStats| SbmStepStats {
+            lane_slots: 0,
+            ..s.clone()
+        };
+        stats.iter().map(strip).collect()
+    }
+
+    /// Who shares a lane batch with whom is schedule, not physics: the
+    /// spun-up storm stepped twice with row-order batches, coherent
+    /// batches and two random level-wide memberships, on 1, 2 and 3 pool
+    /// threads, ends in the same state bits with the same statistics —
+    /// every `Tally` count, `coal_entries`, the per-point `coal_profile`,
+    /// `lane_cells` — and only `lane_slots` tells the groupings apart.
+    #[test]
+    fn batch_membership_is_invisible_to_every_point() {
+        let start = storm_spinup_state();
+        let (want_bits, want) = run_ordered(&start, BatchOrder::Rows, 1, 2);
+        assert!(want[1].coal_points > 200 && want[1].lane_cells > 0);
+        assert!(want[1]
+            .coal_profile
+            .as_ref()
+            .is_some_and(|p| p.iter().any(|&f| f > 0)));
+        let mut slots = std::collections::BTreeSet::new();
+        for order in [
+            BatchOrder::Rows,
+            BatchOrder::Sorted,
+            BatchOrder::Shuffled(1),
+            BatchOrder::Shuffled(0xfeed),
+        ] {
+            for workers in [1, 2, 3] {
+                let (bits, stats) = run_ordered(&start, order, workers, 2);
+                assert!(bits == want_bits, "{order:?} x{workers}: state bits");
+                assert_eq!(
+                    membership_free(&stats),
+                    membership_free(&want),
+                    "{order:?} x{workers}"
+                );
+                slots.insert((stats[1].lane_slots, format!("{order:?}")));
+            }
+        }
+        assert_eq!(
+            slots.len(),
+            4,
+            "one slot count an order, whatever the pool: {slots:?}"
+        );
+    }
+
+    /// The point of the sort, in the counts it is meant to move: on the
+    /// spun-up storm the coherent batches sweep at most 0.55 of the lane
+    /// slots row order sweeps, for the same cells, and at least half of
+    /// what they sweep is some point's own work.
+    #[test]
+    fn sorted_batches_sweep_fewer_slots_than_row_order() {
+        let start = storm_spinup_state();
+        let (_, rows) = run_ordered(&start, BatchOrder::Rows, 2, 1);
+        let (_, sorted) = run_ordered(&start, BatchOrder::Sorted, 2, 1);
+        let (rows, sorted) = (&rows[0], &sorted[0]);
+        assert_eq!(sorted.lane_cells, rows.lane_cells);
+        assert!(
+            sorted.lane_efficiency() >= 0.5,
+            "sorted lanes ran {:.3} full (row order {:.3})",
+            sorted.lane_efficiency(),
+            rows.lane_efficiency()
+        );
+        assert!(
+            sorted.lane_slots as f64 <= 0.55 * rows.lane_slots as f64,
+            "sorted {} slots, row order {}",
+            sorted.lane_slots,
+            rows.lane_slots
+        );
+    }
+
+    /// Nightly (`CI_NIGHTLY=1 ./ci.sh pool_stress`, release): 200 seeded
+    /// level-wide membership shuffles, three steps each on two pool
+    /// threads, against the coherent run — state bits and every statistic
+    /// but `lane_slots`.
+    #[test]
+    #[ignore = "nightly: run in release through CI_NIGHTLY=1 ./ci.sh pool_stress"]
+    fn batch_shuffle_fuzz() {
+        let start = storm_spinup_state();
+        let (want_bits, want) = run_ordered(&start, BatchOrder::Sorted, 2, 3);
+        for seed in 0..200 {
+            let (bits, stats) = run_ordered(&start, BatchOrder::Shuffled(seed), 2, 3);
+            assert!(bits == want_bits, "shuffle {seed}: state bits");
+            assert_eq!(
+                membership_free(&stats),
+                membership_free(&want),
+                "shuffle {seed}"
+            );
         }
     }
 
@@ -2177,15 +2537,20 @@ mod tile_tests {
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(64))]
 
-        /// The panel `collapse(3)` launch units: over random predicates
-        /// and pressure fields, the batch list covers every
+        /// The panel `collapse(3)` launch units: over random predicates,
+        /// pressure fields and spectra, the batch list covers every
         /// predicate-true point exactly once and never a predicate-false
-        /// one; each batch holds at most `LANES` points of one row, in
-        /// ascending order, with identical pressure bits.
+        /// one; each batch holds at most `LANES` points of one level with
+        /// identical pressure bits, from any of its rows; the points of a
+        /// level that share pressure bits fill `ceil(n / LANES)` batches
+        /// (so a level whose pressure differs from point to point ships
+        /// single-lane batches, as row order did); building twice gives
+        /// the same list. When the patch has two levels the first is
+        /// emptied and the second cut down to one point.
         #[test]
         fn batch_list_covers_active_points_exactly_once(
             ni in 1i32..40, nk in 1i32..4, nj in 1i32..4, halo in 0i32..3,
-            act10 in 0u64..11, levels in 1u64..4, seed in 1u64..1_000_000,
+            act10 in 0u64..11, levels in 1u64..5, seed in 1u64..1_000_000,
         ) {
             let d = wrf_grid::Domain::new(ni, nk, nj);
             let patch = wrf_grid::two_d_decomposition(d, 1, halo).patches[0];
@@ -2195,36 +2560,75 @@ mod tile_tests {
                 rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
                 (rng >> 33) % n
             };
-            for v in state.p.as_mut_slice() {
-                *v = 90_000.0 - 1_000.0 * draw(levels) as f32;
+            // `levels == 4`: no two points share pressure bits.
+            for (at, v) in state.p.as_mut_slice().iter_mut().enumerate() {
+                *v = if levels == 4 {
+                    90_000.0 - at as f32
+                } else {
+                    90_000.0 - 1_000.0 * draw(levels) as f32
+                };
             }
-            let predicate: Vec<bool> =
+            // A few occupied bins a point, so the keys differ.
+            for slab in state.ff.iter_mut() {
+                for bins in slab.as_mut_slice().chunks_exact_mut(NKR) {
+                    if draw(3) == 0 {
+                        bins[draw(NKR as u64) as usize] = 1.0;
+                    }
+                }
+            }
+            let ilen = patch.ip.len();
+            let mut predicate: Vec<bool> =
                 (0..patch.compute_points()).map(|_| draw(10) < act10).collect();
+            let level_of = |idx: usize| (idx / ilen) % patch.kp.len();
+            if nk >= 2 {
+                let mut kept = false;
+                for (idx, on) in predicate.iter_mut().enumerate() {
+                    *on &= level_of(idx) >= 2 || (level_of(idx) == 1 && !kept);
+                    kept |= *on && level_of(idx) == 1;
+                }
+            }
 
             let sbm = FastSbm::new(SbmConfig::new(SbmVersion::OffloadCollapse3));
             let mut sweep = SweepArrays::default();
             let v = PatchViews::new(
                 &sbm.grids, &sbm.tables, None, &sbm.splits, 5.0, &mut state, &mut sweep,
             );
-            let mut batches = Vec::new();
-            build_batch_list(&v, &predicate, &mut batches);
+            let mut lists = CoalLists::default();
+            build_batch_list(&v, &predicate, &mut lists);
+            let first = lists.batches.clone();
+            build_batch_list(&v, &predicate, &mut lists);
+            proptest::prop_assert_eq!(&first, &lists.batches, "rebuilding moved the list");
 
-            let ilen = patch.ip.len();
             let mut hits = vec![0u8; predicate.len()];
-            for b in &batches {
-                let lanes = &b.ixs[..b.len as usize];
-                proptest::prop_assert!(!lanes.is_empty() && lanes.len() <= LANES);
-                proptest::prop_assert!(lanes.windows(2).all(|w| w[0] < w[1]));
-                let (j, k) = v.row(b.row as usize);
-                let bits = |ix: u32| v.p[v.idx3(patch.ip.lo + ix as i32, k, j)].to_bits();
-                for &ix in lanes {
-                    proptest::prop_assert!((ix as usize) < ilen, "offset {} leaves the row", ix);
-                    proptest::prop_assert_eq!(bits(ix), bits(lanes[0]));
-                    hits[b.row as usize * ilen + ix as usize] += 1;
+            // (level, pressure bits) → (points, batches).
+            let mut groups = std::collections::BTreeMap::<(usize, u32), (usize, usize)>::new();
+            for b in &lists.batches {
+                let points = &b.points[..b.len as usize];
+                proptest::prop_assert!(!points.is_empty() && points.len() <= LANES);
+                let group = (level_of(points[0] as usize), v.p[v.at_point(points[0] as usize)].to_bits());
+                for &pt in points {
+                    let pt = pt as usize;
+                    proptest::prop_assert!(pt < predicate.len(), "point {} leaves the patch", pt);
+                    proptest::prop_assert_eq!((level_of(pt), v.p[v.at_point(pt)].to_bits()), group);
+                    hits[pt] += 1;
                 }
+                let g = groups.entry(group).or_default();
+                *g = (g.0 + points.len(), g.1 + 1);
             }
             for (idx, (&h, &on)) in hits.iter().zip(&predicate).enumerate() {
                 proptest::prop_assert_eq!(h, u8::from(on), "point {}", idx);
+            }
+            for (group, (points, batches)) in groups {
+                proptest::prop_assert_eq!(batches, points.div_ceil(LANES), "{:?}", group);
+                proptest::prop_assert!(levels != 4 || points == 1, "{:?}", group);
+            }
+            if nk >= 2 {
+                let lens_on = |l: usize| -> Vec<u8> {
+                    let on = lists.batches.iter().filter(|b| level_of(b.points[0] as usize) == l);
+                    on.map(|b| b.len).collect()
+                };
+                proptest::prop_assert!(lens_on(0).is_empty(), "the emptied level");
+                proptest::prop_assert!(matches!(lens_on(1)[..], [] | [1]), "the one-point level");
             }
         }
     }

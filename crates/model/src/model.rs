@@ -515,6 +515,35 @@ mod tests {
         }
     }
 
+    /// The ledger's `sbm_dense` snapshot — the supercell gate case after
+    /// eight steps — as the collision launch sees it: at least half of
+    /// the lane slots swept are some point's own cells (row-order batches
+    /// ran 0.26 full on this state, coherent ones 0.63), and the executor
+    /// summary carries the same figure.
+    #[test]
+    fn supercell_spinup_runs_its_lanes_coherently() {
+        let (version, sched) = (
+            SbmVersion::OffloadCollapse3,
+            fsbm_core::ExecMode::work_steal(),
+        );
+        let cfg = ModelConfig::case_gate(wrf_cases::CaseKind::Supercell, version, sched, 2);
+        let mut m = Model::single_rank(cfg);
+        let rep = m.run(8);
+        let sbm = rep.last_sbm.expect("eight steps");
+        assert!(sbm.coal_points > 1000 && sbm.lane_cells > 0);
+        assert!(
+            sbm.lane_efficiency() >= 0.5,
+            "lanes ran {:.3} full ({} of {} slots)",
+            sbm.lane_efficiency(),
+            sbm.lane_cells,
+            sbm.lane_slots
+        );
+        assert_eq!(
+            rep.exec.expect("summary").lane_efficiency,
+            sbm.lane_efficiency()
+        );
+    }
+
     /// The periodic source through both modes: interior slabs between
     /// `post` and `finish` must reproduce `Model::step` bit for bit.
     #[test]
