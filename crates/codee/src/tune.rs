@@ -136,8 +136,8 @@ pub struct TuneTarget<'a> {
     pub backend: &'a Backend,
     /// DRAM rates per lane behaviour on this backend.
     pub rates: TrafficRates,
-    /// Per-thread device stack limit, bytes. Stack-placed schedules
-    /// whose automatic arrays exceed it are unschedulable.
+    /// Per-thread device stack limit, bytes. A schedule whose kernel
+    /// needs more ([`KernelSpec::check_stack`]) is unschedulable.
     pub stack_limit: u64,
 }
 
@@ -432,9 +432,6 @@ pub fn price_variant(
         Storage::Stack => work.automatic_bytes,
         Storage::Slab(_) => work.slab_bytes,
     };
-    if v.storage == Storage::Stack && stack_bytes > target.stack_limit {
-        return None;
-    }
     let base_regs = if thin {
         work.regs_point
     } else {
@@ -494,6 +491,7 @@ pub fn price_variant(
             dram_write_bytes: work.mem_ops_per_point * total * frac * w_rate + spill * total * 4.0,
             warp_efficiency: warp_eff,
         };
+        spec.check_stack(target.stack_limit).ok()?;
         let stats = launch_modeled_with(&dev, &spec, &kw, &target.backend.calib).ok()?;
         secs += stats.time_secs;
         if worst.is_none_or(|(t, _, _)| stats.time_secs > t) {

@@ -461,10 +461,33 @@ mod tests {
         assert!(table7(&ctx().on_backend(v100)).is_err());
     }
 
+    /// Table I and the three-step timeline, byte for byte, on the quick
+    /// context: two views of the same per-routine seconds (Σ over ranks,
+    /// the critical rank alone).
     #[test]
     fn table1_shape() {
-        let t = table1(ctx()).unwrap();
-        assert!(t.contains("fast_sbm"));
-        assert!(t.contains("rk_scalar_tend"));
+        assert_eq!(
+            table1(ctx()).unwrap(),
+            "\
+Table I: time contribution (%) of the top hotspots
+Routine               gprof     nsys  paper-gprof   paper-nsys
+fast_sbm              42.95    59.53        51.39        77.07
+rk_scalar_tend        31.21    22.13        28.07        10.15
+rk_update_scalar       4.26     3.02         6.36         1.50
+"
+        );
+        let exp = headline(ctx(), SbmVersion::Baseline).unwrap();
+        assert_eq!(
+            hotspots::nsys_timeline(&exp, 100),
+            "\
+timeline: 23.0989 s capture, 18 events
+solve_em           |####################################################################################################|
+  rk_scalar_tend     |########.........................########.........................#########.........................|
+  rk_update_scalar   |.......##...............................##................................##........................|
+  solve_em_other     |........######...........................######............................######...................|
+  fast_sbm           |.............#####################............#####################.............####################|
+  mpi_halo           |.................................#................................#................................#|
+"
+        );
     }
 }

@@ -44,6 +44,19 @@ impl KernelSpec {
             collapse: 1,
         }
     }
+
+    /// The §VI-B wall: the kernel's per-thread stack demand against a
+    /// context's `NV_ACC_CUDA_STACKSIZE` (`limit`, bytes).
+    pub fn check_stack(&self, limit: u64) -> Result<(), GpuError> {
+        if self.stack_bytes_per_thread > limit {
+            Err(GpuError::StackOverflow {
+                required: self.stack_bytes_per_thread,
+                limit,
+            })
+        } else {
+            Ok(())
+        }
+    }
 }
 
 /// Total dynamic work of one kernel invocation, measured by the physics
@@ -390,6 +403,27 @@ mod tests {
         let mut s3 = KernelSpec::new("k");
         s3.block_threads = 2000;
         assert!(launch_modeled(&A100, &s3, &work(10)).is_err());
+    }
+
+    /// Automatic arrays (~20 KiB a thread) overflow CUDA's 1 KiB default
+    /// and fit once `NV_ACC_CUDA_STACKSIZE` is 64 KiB; the slab kernel's
+    /// 640 B fits either.
+    #[test]
+    fn check_stack_is_the_section_vi_b_wall() {
+        let mut automatic = KernelSpec::new("coal_bott_new_loop_collapse2");
+        automatic.stack_bytes_per_thread = 20 * 1024;
+        assert_eq!(
+            automatic.check_stack(A100.default_stack_bytes),
+            Err(GpuError::StackOverflow {
+                required: 20 * 1024,
+                limit: 1024
+            })
+        );
+        assert_eq!(automatic.check_stack(64 * 1024), Ok(()));
+        let mut slabs = KernelSpec::new("coal_bott_new_loop_collapse3");
+        slabs.stack_bytes_per_thread = 640;
+        assert_eq!(slabs.check_stack(A100.default_stack_bytes), Ok(()));
+        assert_eq!(slabs.check_stack(64 * 1024), Ok(()));
     }
 
     #[test]
