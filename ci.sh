@@ -34,12 +34,26 @@ step_build() {
     cargo build --release --workspace
 }
 
+# `*.rs` lines per crate under crates/ and their total, on one line —
+# reported, never gated: "least code" should be as visible per PR as the
+# test count.
+code_size() {
+    local dir n total=0 out=""
+    for dir in crates/*/; do
+        n=$(find "$dir" -name '*.rs' -exec cat {} + | wc -l)
+        total=$((total + n))
+        out+="$(basename "$dir") $n, "
+    done
+    printf '%stotal %s\n' "$out" "$total"
+}
+
 # `cargo test -q` at the root runs the whole workspace (the root
 # manifest's default-members). The summed pass/fail counts land in the
 # job summary, so a shrink of coverage back to the root package's 34
-# tests is visible next to the timing table.
+# tests is visible next to the timing table; the code-size row follows
+# them.
 step_test() {
-    local log rc=0 passed failed
+    local log rc=0 passed failed size
     log=$(mktemp)
     cargo test -q 2>&1 | tee "$log" || rc=$?
     read -r passed failed < <(awk '/test result:/ {
@@ -49,10 +63,13 @@ step_test() {
             }
         } END { printf "%d %d\n", p, f }' "$log")
     rm -f "$log"
+    size=$(code_size)
     echo "==> ci.sh: test totals: $passed passed, $failed failed"
+    echo "==> ci.sh: code size (*.rs lines): $size"
     if [ -n "${GITHUB_STEP_SUMMARY:-}" ]; then
         summary_header
         printf '| test totals | %s passed, %s failed |\n' "$passed" "$failed" >> "$GITHUB_STEP_SUMMARY"
+        printf '| code size (*.rs lines) | %s |\n' "$size" >> "$GITHUB_STEP_SUMMARY"
     fi
     return "$rc"
 }
@@ -106,8 +123,8 @@ step_clippy() {
 }
 
 # Documentation coverage is part of the public-API contract for the
-# scheme, executor, and profiler crates: warn-by-default in the source,
-# promoted to deny here.
+# scheme, executor, and wall-clock (prof-sim) crates: warn-by-default in
+# the source, promoted to deny here.
 step_docs() {
     cargo clippy -q -p fsbm-core -p wrf-exec -p prof-sim -- \
         -D warnings -D missing-docs

@@ -32,11 +32,11 @@ pub struct FieldDiff {
     pub digits: u32,
 }
 
-fn digits_of(max_rel: f64) -> u32 {
+/// Digit count from a maximum relative error. A non-finite `max_rel`
+/// (NaN or infinity, from a non-finite disagreement) is 0 digits —
+/// `<= 0.0` would read NaN as full agreement, the dangerous direction.
+pub fn digits_of(max_rel: f64) -> u32 {
     if !max_rel.is_finite() {
-        // NaN or infinite max_rel means a non-finite disagreement;
-        // `<= 0.0` would read NaN as "15 digits", the worst direction
-        // to be wrong in.
         0
     } else if max_rel <= 0.0 {
         15

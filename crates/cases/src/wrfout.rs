@@ -17,6 +17,7 @@
 //! the patch header *before* any allocation, so a truncated or
 //! bit-flipped file cannot demand a multi-GB `vec![0.0; n]`.
 
+use fsbm_core::digest::{fnv1a, FNV1A_OFFSET};
 use fsbm_core::state::SbmPatchState;
 use fsbm_core::types::{NKR, NTYPES};
 use std::io::{self, Read, Write};
@@ -231,17 +232,6 @@ pub fn load_state(path: &std::path::Path) -> io::Result<SbmPatchState> {
     read_state(&mut f)
 }
 
-/// FNV-1a over `bytes` — cheap, dependency-free, and sensitive to every
-/// bit, which is all a restart-file integrity check needs.
-fn fnv1a_bytes(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Writes a WRF-style restart record: the global step count, the model
 /// clock (exact f32 bits — the clock is accumulated, not derived, so it
 /// must survive bitwise), and the full patch state, framed by a magic,
@@ -259,7 +249,7 @@ pub fn write_restart<W: Write>(
     w.write_all(RESTART_MAGIC)?;
     write_u32(w, RESTART_VERSION)?;
     w.write_all(&payload)?;
-    w.write_all(&fnv1a_bytes(&payload).to_le_bytes())
+    w.write_all(&fnv1a(FNV1A_OFFSET, &payload).to_le_bytes())
 }
 
 /// Reads a record written by [`write_restart`], verifying magic,
@@ -284,7 +274,7 @@ pub fn read_restart<R: Read>(r: &mut R) -> io::Result<(u64, f32, SbmPatchState)>
     }
     let (payload, sum_bytes) = rest.split_at(rest.len() - 8);
     let stored = u64::from_le_bytes(sum_bytes.try_into().unwrap());
-    if fnv1a_bytes(payload) != stored {
+    if fnv1a(FNV1A_OFFSET, payload) != stored {
         return Err(bad_data("restart checksum mismatch"));
     }
     let step = u64::from_le_bytes(payload[..8].try_into().unwrap());

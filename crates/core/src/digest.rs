@@ -20,21 +20,29 @@ use crate::types::{HydroClass, NKR};
 /// Number of strided raw samples retained per field.
 pub const DIGEST_SAMPLES: usize = 64;
 
+/// FNV-1a 64-bit offset basis: where every fold starts.
+pub const FNV1A_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// One FNV-1a step, `(h ^ v) · prime`: `v` is a byte, or a whole hash
+/// when hashes are combined order-sensitively.
+pub fn fnv1a_step(h: u64, v: u64) -> u64 {
+    (h ^ v).wrapping_mul(0x0000_0100_0000_01b3)
+}
+
+/// FNV-1a 64-bit over `bytes`, continuing from `h` ([`FNV1A_OFFSET`] to
+/// start) — cheap, dependency-free and sensitive to every bit: the
+/// field checksums here, the restart-file integrity check, the
+/// shared-lookup key.
+pub fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| fnv1a_step(h, u64::from(b)))
+}
+
 /// FNV-1a 64-bit hash over the little-endian bytes of `f32` values.
 ///
 /// Bit-exact: two fields hash equal iff every value is bitwise
 /// identical (including NaN payloads and signed zeros).
 pub fn checksum_f32(values: &[f32]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for v in values {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(PRIME);
-        }
-    }
-    h
+    (values.iter()).fold(FNV1A_OFFSET, |h, v| fnv1a(h, &v.to_le_bytes()))
 }
 
 /// Distance between two `f32`s in units of representable values.

@@ -85,14 +85,15 @@ pub fn compact_active_columns(predicate: &[bool], ilen: usize) -> Vec<u32> {
         .collect()
 }
 
-/// One-run executor summary surfaced through `prof-sim` and the repro
-/// driver: the numbers that tell whether the queue was balanced, how
+/// One-run executor summary for the repro driver and the ledger: the
+/// numbers that tell whether the queue was balanced, how
 /// sparse the activity was, and whether the kernel cache earned its keep.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ExecSummary {
     /// Scheduling mode label ([`ExecMode::label`]).
     pub mode: &'static str,
-    /// Pool width (0 when no executor was created).
+    /// Pool width (1 when no executor was created: the caller thread
+    /// ran everything).
     pub workers: usize,
     /// Jobs dispatched to the pool.
     pub epochs: u64,
@@ -137,11 +138,12 @@ impl ExecSummary {
         }
     }
 
-    /// The one-line run report (rendered by `prof-sim` so every consumer
-    /// prints the same format):
-    /// `exec: work-stealing+compaction workers=4 steals=37 active=12.5% cache-hit=100.0% lanes=63.0%`.
+    /// The one-line run report:
+    /// `exec: work-stealing+compaction workers=4 … steals=37 … active=12.5% cache-hit=100.0% lanes=63.0%`.
     pub fn one_line(&self) -> String {
-        prof_sim::exec_line(
+        format!(
+            "exec: {} workers={} epochs={} chunks={} steals={} maxq={} balance={:.2} \
+             active={:.1}% cache-hit={:.1}% lanes={:.1}%",
             self.mode,
             self.workers,
             self.epochs,
@@ -149,9 +151,9 @@ impl ExecSummary {
             self.steals,
             self.max_queue,
             self.balance,
-            self.active_fraction,
-            self.cache_hit_rate,
-            self.lane_efficiency,
+            self.active_fraction * 100.0,
+            self.cache_hit_rate * 100.0,
+            self.lane_efficiency * 100.0,
         )
     }
 }
@@ -184,6 +186,86 @@ mod tests {
         assert!(!ExecMode::StaticTiles.uses_executor());
         assert_eq!(ExecMode::StaticTiles.label(), "static-tiles");
         assert_eq!(ExecMode::default().label(), "work-stealing+compaction");
+    }
+
+    #[test]
+    fn line_contains_every_field() {
+        let line = ExecSummary {
+            mode: "work-stealing+compaction",
+            workers: 4,
+            epochs: 12,
+            chunks: 96,
+            steals: 7,
+            max_queue: 9,
+            balance: 0.83,
+            active_fraction: 0.125,
+            cache_hit_rate: 0.999,
+            lane_efficiency: 0.63,
+        }
+        .one_line();
+        assert!(line.starts_with("exec: work-stealing+compaction"));
+        for needle in [
+            "workers=4",
+            "epochs=12",
+            "chunks=96",
+            "steals=7",
+            "maxq=9",
+            "balance=0.83",
+            "active=12.5%",
+            "cache-hit=99.9%",
+            "lanes=63.0%",
+        ] {
+            assert!(line.contains(needle), "missing {needle} in {line}");
+        }
+    }
+
+    #[test]
+    fn percentages_round_half_up_to_one_decimal() {
+        // 0.12345 → 12.345 % → rendered "12.3%"; 0.9999 → "100.0%" — the
+        // gate's rendered tables rely on this exact formatting.
+        let line = ExecSummary {
+            mode: "static-tiles",
+            workers: 1,
+            balance: 1.0,
+            active_fraction: 0.12345,
+            cache_hit_rate: 0.9999,
+            lane_efficiency: 1.0,
+            ..ExecSummary::default()
+        }
+        .one_line();
+        assert!(line.contains("active=12.3%"), "{line}");
+        assert!(line.contains("cache-hit=100.0%"), "{line}");
+        assert!(line.contains("balance=1.00"), "{line}");
+    }
+
+    #[test]
+    fn serial_degenerate_line_is_well_formed() {
+        // A serial run with no stealing and a cold cache still renders
+        // every field (no division-by-zero or NaN leakage upstream).
+        let line = ExecSummary {
+            mode: "static-tiles",
+            workers: 1,
+            ..ExecSummary::default()
+        }
+        .one_line();
+        assert_eq!(
+            line,
+            "exec: static-tiles workers=1 epochs=0 chunks=0 steals=0 \
+             maxq=0 balance=0.00 active=0.0% cache-hit=0.0% lanes=0.0%"
+        );
+    }
+
+    /// A scheme that never needed a pool reports the caller thread as its
+    /// one worker.
+    #[test]
+    fn no_pool_is_one_worker() {
+        use crate::scheme::{FastSbm, SbmConfig, SbmVersion};
+        let patch = wrf_grid::two_d_decomposition(wrf_grid::Domain::new(4, 2, 3), 1, 0).patches[0];
+        let mut serial = FastSbm::new(SbmConfig::new(SbmVersion::Baseline));
+        let stats = serial.step(&mut crate::state::SbmPatchState::new(patch));
+        let summary = serial.exec_summary(&stats);
+        assert_eq!((summary.workers, summary.epochs), (1, 0));
+        assert_eq!(summary.balance, 1.0);
     }
 
     #[test]

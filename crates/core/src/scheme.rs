@@ -405,34 +405,6 @@ impl FastSbm {
         &self.grids
     }
 
-    /// The device resources an offloaded version needs for `state`:
-    /// the collision kernel's spec plus the bytes its context must hold —
-    /// what a rank's context must satisfy before its first launch. Only
-    /// the state slabs move: `collapse(2)` keeps its bins in automatic
-    /// arrays, `collapse(3)` points into the slabs. CPU versions need
-    /// nothing and return `None`.
-    pub fn device_requirements(&self, state: &SbmPatchState) -> Option<(KernelSpec, u64)> {
-        let spec = self.cfg.version.kernel_spec()?;
-        Some((spec, state.slab_bytes()))
-    }
-
-    /// Validates the offloaded launch against a device context (the
-    /// §VI-B/§VII-A failure modes): per-thread stack within
-    /// `NV_ACC_CUDA_STACKSIZE`, and the slab allocation fitting HBM.
-    pub fn validate_on_device(
-        &self,
-        state: &SbmPatchState,
-        device: &mut gpu_sim::device::Device,
-        rank: usize,
-    ) -> Result<(), gpu_sim::error::GpuError> {
-        let Some((spec, slab_bytes)) = self.device_requirements(state) else {
-            return Ok(());
-        };
-        device.check_stack(rank, spec.stack_bytes_per_thread)?;
-        device.alloc(rank, &spec.name, slab_bytes)?;
-        Ok(())
-    }
-
     /// Advances the microphysics on `state` by one step: snapshot `T_OLD`,
     /// make sure the kernel cache and worker pool the configuration asks
     /// for exist, run the grid loop the version's plan describes, sediment
@@ -2631,47 +2603,5 @@ mod tile_tests {
                 proptest::prop_assert!(matches!(lens_on(1)[..], [] | [1]), "the one-point level");
             }
         }
-    }
-}
-
-#[cfg(test)]
-mod device_tests {
-    use super::*;
-    use gpu_sim::device::Device;
-    use gpu_sim::error::GpuError;
-    use gpu_sim::machine::A100;
-
-    /// The §VI narrative through the scheme's own API: collapse(2) with
-    /// automatic arrays overflows the default stack; collapse(3) with
-    /// slabs fits; the slab allocation lands in HBM.
-    #[test]
-    fn validate_on_device_reproduces_the_narrative() {
-        let state = SbmPatchState::new(
-            wrf_grid::two_d_decomposition(wrf_grid::Domain::new(32, 10, 24), 1, 3).patches[0],
-        );
-        let mut dev = Device::new(A100);
-        dev.create_context(0, A100.default_stack_bytes).unwrap();
-
-        let c2 = FastSbm::new(SbmConfig::new(SbmVersion::OffloadCollapse2));
-        assert!(matches!(
-            c2.validate_on_device(&state, &mut dev, 0),
-            Err(GpuError::StackOverflow { .. })
-        ));
-
-        // Raise NV_ACC_CUDA_STACKSIZE: now it validates.
-        dev.destroy_context(0);
-        dev.create_context(0, 65536).unwrap();
-        assert!(c2.validate_on_device(&state, &mut dev, 0).is_ok());
-
-        // collapse(3) slabs fit even the default stack.
-        let mut dev2 = Device::new(A100);
-        dev2.create_context(1, A100.default_stack_bytes).unwrap();
-        let c3 = FastSbm::new(SbmConfig::new(SbmVersion::OffloadCollapse3));
-        assert!(c3.validate_on_device(&state, &mut dev2, 1).is_ok());
-        assert!(dev2.used_bytes() > state.slab_bytes());
-
-        // CPU versions need nothing.
-        let base = FastSbm::new(SbmConfig::new(SbmVersion::Baseline));
-        assert!(base.device_requirements(&state).is_none());
     }
 }

@@ -476,7 +476,6 @@ mod tests {
     }
 
     fn fill_halo_periodic_i(f: &mut Field3<f32>, p: &PatchSpec) {
-        let n = p.ip.len() as i32;
         for j in p.jm.iter() {
             for k in p.kp.iter() {
                 for h in 1..=p.halo {
@@ -487,7 +486,6 @@ mod tests {
                 }
             }
         }
-        let _ = n;
     }
 
     #[test]

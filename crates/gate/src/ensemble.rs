@@ -394,7 +394,7 @@ fn run_throughput_row(
 /// Every served member against the same member run solo.
 fn members_vs_solo(base: &ModelConfig, spec: &EnsembleSpec, members: &[MemberOutcome]) -> Sides {
     let solo = |m: &MemberOutcome| {
-        let run = run_parallel(member_config(base, spec, m.member), EQ_STEPS);
+        let run = run_parallel(member_config(base, spec, m.scheduled.member), EQ_STEPS);
         run.states[0].digest()
     };
     Sides {
@@ -489,10 +489,10 @@ fn equivalence_rows(versions: impl IntoIterator<Item = SbmVersion>) -> Vec<Equiv
         };
         let mut sides = members_vs_solo(&base, &spec, &rep.members);
         for m in &rep.members {
-            if version.offloaded() != m.device.is_some() {
+            if version.offloaded() != m.scheduled.device.is_some() {
                 sides.violations.push(format!(
                     "member {} device residency disagrees with the version's offload class",
-                    m.member
+                    m.scheduled.member
                 ));
             }
         }

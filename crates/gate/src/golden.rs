@@ -25,12 +25,13 @@
 
 use crate::fixture::GoldenFixture;
 use crate::report::{Check, Row, Table};
-use fsbm_core::digest::{ulp_distance, StateDigest};
+use fsbm_core::digest::{fnv1a_step, ulp_distance, StateDigest, FNV1A_OFFSET};
 use fsbm_core::exec::ExecMode;
 use fsbm_core::scheme::{Layout, SbmVersion};
 use fsbm_core::state::SbmPatchState;
 use miniwrf::config::ModelConfig;
 use miniwrf::model::Model;
+use wrf_cases::diffwrf::digits_of;
 
 /// Per-field comparison statistics (the `diffwrf` columns plus ULP).
 #[derive(Debug, Clone, PartialEq)]
@@ -49,19 +50,6 @@ pub struct FieldComparison {
     pub max_ulp: u32,
     /// Agreed significant digits: `floor(−log₁₀ max_rel)`, 15 when exact.
     pub digits: u32,
-}
-
-/// Digit count from a maximum relative error. A non-finite `max_rel`
-/// (NaN or infinity, from a non-finite disagreement) is 0 digits —
-/// `<= 0.0` would read NaN as full agreement, the dangerous direction.
-pub fn digits_of(max_rel: f64) -> u32 {
-    if !max_rel.is_finite() {
-        0
-    } else if max_rel <= 0.0 {
-        15
-    } else {
-        (-max_rel.log10()).floor().clamp(0.0, 15.0) as u32
-    }
 }
 
 /// Relative-difference denominator floor per variable, mirroring the
@@ -218,9 +206,7 @@ pub fn compare_digests(golden: &StateDigest, candidate: &StateDigest) -> DigestC
 /// checksum, order-sensitive (the one-token state identity of the tune
 /// report).
 pub fn combined_checksum(digest: &StateDigest) -> u64 {
-    digest.fields.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, f| {
-        (h ^ f.checksum).wrapping_mul(0x0000_0100_0000_01b3)
-    })
+    (digest.fields.iter()).fold(FNV1A_OFFSET, |h, f| fnv1a_step(h, f.checksum))
 }
 
 /// Minimum digits on state variables (`T`, `QVAPOR`, `RAINNC`,

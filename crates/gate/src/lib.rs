@@ -52,6 +52,7 @@ pub mod json;
 pub mod perf;
 pub mod report;
 pub mod share;
+mod table;
 pub mod tables;
 pub mod tune;
 pub mod verify;

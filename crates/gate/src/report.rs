@@ -11,7 +11,7 @@
 //! its title).
 
 use crate::json::Json;
-use prof_sim::TextTable;
+use crate::table::TextTable;
 use std::fmt::Write as _;
 
 /// Version of the JSON envelope (`gate/format/pass/case/checks/tables/
@@ -171,7 +171,7 @@ impl<T: Into<Cell>> From<Option<T>> for Cell {
 /// and the value from drifting apart.
 pub type Row = Vec<(&'static str, Cell)>;
 
-/// One table of measurements: text through [`TextTable`], JSON as an
+/// One table of measurements: text through `TextTable`, JSON as an
 /// array of objects keyed by column.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Table {

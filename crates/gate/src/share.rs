@@ -29,12 +29,11 @@ use crate::report::{Cell, Check, Report, Row, Table};
 use crate::tables::{table7_arms, Table7Outcome, Table7Row};
 use fsbm_core::exec::ExecMode;
 use fsbm_core::scheme::SbmVersion;
-use fsbm_core::types::NKR;
 use gpu_sim::devicepool::DevicePool;
 use gpu_sim::DeviceError;
 use miniwrf::config::ModelConfig;
 use miniwrf::parallel::{run_parallel, run_parallel_checked};
-use miniwrf::perfmodel::rank_footprint;
+use miniwrf::perfmodel::{rank_footprint, staged_bytes};
 use wrf_cases::ConusParams;
 
 /// Ranks of the equivalence runs (the gate case decomposed).
@@ -248,7 +247,7 @@ pub fn report(equiv: &[EquivRow], admission: &[AdmissionCheck], sweep: &[Table7O
 pub(crate) fn full_scale_slab_bytes(ranks: usize) -> u64 {
     let full = ConusParams::full();
     let points = (full.nx as u64 * full.ny as u64 * full.nz as u64).div_ceil(ranks as u64);
-    7 * NKR as u64 * points * 4 + 4 * points * 4 + points
+    staged_bytes(points)
 }
 
 /// Runs the admission scenarios against the full-scale pool.

@@ -1,20 +1,17 @@
-//! Plain-text table rendering shared by the reporting surfaces.
-//!
-//! The repro tables, the executor one-liner, and the `wrf-gate` reports
-//! all print fixed-width text tables; this module owns the column-width
-//! arithmetic so every consumer aligns the same way: first column
+//! Plain-text table rendering for [`crate::report`]: the column-width
+//! arithmetic of every gate's fixed-width tables — first column
 //! left-aligned (row labels), all others right-aligned (numbers).
 
 /// A fixed-schema text table: a header row plus data rows.
 #[derive(Debug, Clone)]
-pub struct TextTable {
+pub(crate) struct TextTable {
     headers: Vec<String>,
     rows: Vec<Vec<String>>,
 }
 
 impl TextTable {
     /// Starts a table with the given column headers.
-    pub fn new(headers: &[&str]) -> Self {
+    pub(crate) fn new(headers: &[&str]) -> Self {
         TextTable {
             headers: headers.iter().map(|h| h.to_string()).collect(),
             rows: Vec::new(),
@@ -23,26 +20,14 @@ impl TextTable {
 
     /// Appends one data row. Shorter rows are padded with empty cells;
     /// longer rows are truncated to the header width.
-    pub fn push_row(&mut self, cells: Vec<String>) {
-        let mut cells = cells;
+    pub(crate) fn push_row(&mut self, mut cells: Vec<String>) {
         cells.resize(self.headers.len(), String::new());
-        cells.truncate(self.headers.len());
         self.rows.push(cells);
-    }
-
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True when no data rows have been added.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
     }
 
     /// Renders the table: header, separator, rows; first column
     /// left-aligned, the rest right-aligned, two spaces between columns.
-    pub fn rendered(&self) -> String {
+    pub(crate) fn rendered(&self) -> String {
         let ncols = self.headers.len();
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
         for row in &self.rows {
@@ -107,9 +92,8 @@ mod tests {
         let mut t = TextTable::new(&["a", "b"]);
         t.push_row(vec!["1".into()]);
         t.push_row(vec!["1".into(), "2".into(), "3".into()]);
-        assert_eq!(t.len(), 2);
-        assert!(!t.is_empty());
         let s = t.rendered();
+        assert_eq!(s.lines().count(), 4);
         assert!(!s.contains('3'));
     }
 }

@@ -2,18 +2,11 @@
 
 use std::fmt;
 
-/// Errors a launch or allocation can produce, mirroring the failures the
-/// paper ran into (Sections VI-B, VI-C, VII-A).
+/// Errors a launch can produce, mirroring the failures the paper ran
+/// into (Sections VI-B, VI-C). The device-memory wall of Section VII-A is
+/// [`DeviceError`], raised at admission.
 #[derive(Debug, Clone, PartialEq)]
 pub enum GpuError {
-    /// Device memory exhausted — `cudaErrorMemoryAllocation`. The paper
-    /// hits this beyond 5 MPI ranks per GPU (Section VII-A).
-    OutOfMemory {
-        /// Bytes the failing allocation requested.
-        requested: u64,
-        /// Bytes still available on the device.
-        available: u64,
-    },
     /// Kernel needs more per-thread stack than the configured limit —
     /// the "CUDA memory error due to stack overflow" of Section VI-B,
     /// caused by automatic arrays in `coal_bott_new` and cured by
@@ -27,30 +20,17 @@ pub enum GpuError {
     /// Launch geometry invalid (zero iterations, zero block size, more
     /// registers per thread than addressable, ...).
     InvalidLaunch(String),
-    /// An array was used in a kernel without being present in the device
-    /// data environment (no `map` clause and not `declare target`).
-    NotPresent(String),
 }
 
 impl fmt::Display for GpuError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            GpuError::OutOfMemory {
-                requested,
-                available,
-            } => write!(
-                f,
-                "CUDA out of memory: requested {requested} B, {available} B free"
-            ),
             GpuError::StackOverflow { required, limit } => write!(
                 f,
                 "CUDA stack overflow: kernel needs {required} B/thread, limit {limit} B \
                  (raise NV_ACC_CUDA_STACKSIZE or remove automatic arrays)"
             ),
             GpuError::InvalidLaunch(msg) => write!(f, "invalid launch: {msg}"),
-            GpuError::NotPresent(name) => {
-                write!(f, "array `{name}` not present in device data environment")
-            }
         }
     }
 }
@@ -102,18 +82,13 @@ mod tests {
 
     #[test]
     fn display_messages() {
-        let e = GpuError::OutOfMemory {
-            requested: 100,
-            available: 10,
-        };
-        assert!(e.to_string().contains("out of memory"));
         let e = GpuError::StackOverflow {
             required: 20480,
             limit: 1024,
         };
         assert!(e.to_string().contains("NV_ACC_CUDA_STACKSIZE"));
-        assert!(GpuError::NotPresent("cwlg".into())
+        assert!(GpuError::InvalidLaunch("zero iterations".into())
             .to_string()
-            .contains("cwlg"));
+            .contains("zero iterations"));
     }
 }

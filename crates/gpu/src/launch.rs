@@ -131,9 +131,9 @@ impl LaunchStats {
     }
 }
 
-/// Prices a kernel launch on the modeled GPU. The caller is responsible
-/// for the device-level checks (stack limit, data presence) via
-/// [`crate::device::Device`].
+/// Prices a kernel launch on the modeled GPU. The stack limit is the
+/// caller's to check ([`KernelSpec::check_stack`]): it belongs to the
+/// context, not to the device.
 pub fn launch_modeled(
     gpu: &GpuParams,
     spec: &KernelSpec,

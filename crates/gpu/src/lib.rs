@@ -17,17 +17,17 @@
 //! * **Performance plane** — [`launch::launch_modeled`] prices the same
 //!   launch on modeled A100 hardware: an occupancy calculator
 //!   ([`occupancy`]), a latency-hiding throughput model, DRAM bandwidth
-//!   bounds, per-thread stack accounting (`NV_ACC_CUDA_STACKSIZE`
-//!   semantics), device-memory capacity with out-of-memory errors, and a
-//!   trace-driven L1/L2 cache simulator ([`cachesim`]) that yields
-//!   Nsight-Compute-style metrics ([`ncu`]) and roofline points
-//!   ([`roofline`]).
+//!   bounds, the per-thread stack wall ([`KernelSpec::check_stack`],
+//!   `NV_ACC_CUDA_STACKSIZE` semantics), device-memory capacity with
+//!   typed admission errors ([`DevicePool`], the one device-memory
+//!   model), and a trace-driven L1/L2 cache simulator ([`cachesim`])
+//!   that yields Nsight-Compute-style metrics ([`ncu`]) and roofline
+//!   points ([`roofline`]).
 //!
 //! Machine parameters are centralized in [`machine`] with their sources;
 //! calibration constants are documented there and in `EXPERIMENTS.md`.
 
 pub mod cachesim;
-pub mod device;
 pub mod devicepool;
 pub mod error;
 pub mod launch;
@@ -37,7 +37,6 @@ pub mod occupancy;
 pub mod roofline;
 pub mod syncslice;
 
-pub use device::Device;
 pub use devicepool::{
     BatchLedger, BatchedReplay, CacheShareStats, DevicePool, DeviceShare, PackedAdmit,
     RankFootprint, RankShare, RankSubmission, ShareReport,

@@ -15,7 +15,6 @@ use miniwrf::nest::run_nested;
 use miniwrf::parallel::{run_parallel, run_parallel_checked};
 use miniwrf::restart::{run_parallel_restartable, RestartConfig};
 use miniwrf::service::run_ensemble;
-use prof_sim::EnsembleSummary;
 use wrf_cases::wrfout::save_state;
 
 fn main() {
@@ -64,33 +63,21 @@ fn main() {
             }
         };
         for m in &report.members {
+            let s = &m.scheduled;
             println!(
                 "  member {:>3}: seed {:>4}  wave {}  device {}  attempts {}  \
                  wait {:.3}s  service {:.3}s{}",
-                m.member,
+                s.member,
                 m.seed,
-                m.wave,
-                m.device.map_or("-".to_string(), |d| d.to_string()),
+                s.wave,
+                s.device.map_or("-".to_string(), |d| d.to_string()),
                 m.attempts,
-                m.admit_secs - m.submit_secs,
-                m.service_secs,
-                if m.cache_hit { "  cache-hit" } else { "" },
+                s.admit_secs - s.submit_secs,
+                s.service_secs,
+                if s.cache_hit { "  cache-hit" } else { "" },
             );
         }
-        let waits = report.admission_wait_percentiles();
-        println!(
-            "{}",
-            prof_sim::ensemble_line(&EnsembleSummary {
-                members: report.members.len(),
-                devices: report.devices.len(),
-                waves: report.waves,
-                members_per_hour: report.members_per_hour(),
-                wait_p50_secs: waits[0],
-                wait_p99_secs: waits[2],
-                cache_hit_rate: report.cache.hit_rate(),
-                slice_saved_secs: report.slice_secs_saved(),
-            })
-        );
+        println!("{}", report.one_line());
         return;
     }
 
@@ -151,16 +138,7 @@ fn main() {
             let rcfg = RestartConfig::new("restart", cfg.restart_interval);
             match run_parallel_restartable(cfg, steps, &rcfg, None) {
                 Ok((out, stats)) => {
-                    println!(
-                        "{}",
-                        prof_sim::recovery_line(
-                            stats.attempts,
-                            stats.restarts_from.last().copied(),
-                            stats.steps_replayed,
-                            stats.checkpoint_writes,
-                            stats.recovery_wall_secs,
-                        )
-                    );
+                    println!("{}", stats.one_line());
                     out
                 }
                 Err(e) => {

@@ -4,18 +4,19 @@
 //! profiles the single rank the authors selected (a heavily loaded one).
 //! Because FSBM work is spatially clustered, the two views disagree —
 //! `fast_sbm` is ~51 % in the aggregate but ~77 % on the storm-heavy
-//! rank. Both views are produced here from the same per-rank modeled
-//! times.
+//! rank. Both views are the same share, taken over different ranks of
+//! the same per-rank modeled times.
 
 use crate::perfmodel::{ExperimentResult, RankStepTime};
-use prof_sim::{FlatProfiler, FlatReport, RangeProfiler, RangeReport};
+use std::fmt::Write as _;
 
-/// The routine names of Table I plus the residual categories.
+/// The routines of one step, in the order the step runs them: the Table I
+/// names plus the residual categories.
 pub const ROUTINES: [&str; 5] = [
-    "fast_sbm",
     "rk_scalar_tend",
     "rk_update_scalar",
     "solve_em_other",
+    "fast_sbm",
     "mpi_halo",
 ];
 
@@ -30,61 +31,53 @@ fn routine_secs(t: &RankStepTime, name: &str) -> f64 {
     }
 }
 
-/// Builds the gprof-style aggregate flat profile over all ranks.
-pub fn gprof_view(exp: &ExperimentResult) -> FlatReport {
-    let prof = FlatProfiler::new();
-    for rank in &exp.per_rank {
-        for name in ROUTINES {
-            prof.record_calls(
-                name,
-                routine_secs(rank, name) * exp.steps as f64,
-                exp.steps as u64,
-            );
-        }
-    }
-    prof.report()
+/// `routine`'s share (%) of the seconds `ranks` spend in [`ROUTINES`].
+fn share(ranks: &[RankStepTime], routine: &str) -> f64 {
+    let secs = |name: &str| ranks.iter().map(|t| routine_secs(t, name)).sum::<f64>();
+    100.0 * secs(routine) / ROUTINES.iter().map(|r| secs(r)).sum::<f64>()
 }
 
-/// Builds the Nsight-Systems-style range profile of the heaviest rank.
-pub fn nsys_view(exp: &ExperimentResult) -> RangeReport {
-    let rank = exp.critical();
-    let mut prof = RangeProfiler::new();
-    for _ in 0..exp.steps {
-        prof.push("solve_em");
-        for name in ["rk_scalar_tend", "rk_update_scalar", "solve_em_other"] {
-            prof.scoped(name, routine_secs(rank, name));
-        }
-        prof.scoped("fast_sbm", rank.fast_sbm);
-        prof.scoped("mpi_halo", rank.comm);
-        prof.pop();
-    }
-    prof.report()
-}
-
-/// Renders the heavy rank's modeled step as an Nsight-Systems-style
-/// text timeline (three steps shown for context).
+/// Renders three steps of the heavy rank as an Nsight-Systems-style text
+/// timeline: a `solve_em` lane over each whole step, one indented lane
+/// per routine, `width` characters across the capture.
 pub fn nsys_timeline(exp: &ExperimentResult, width: usize) -> String {
     let rank = exp.critical();
-    let mut prof = RangeProfiler::new();
+    // (lane, start, end) on one running clock: a range opens where the
+    // last one closed.
+    let mut ranges = Vec::new();
+    let mut clock = 0.0f64;
     for _ in 0..3 {
-        prof.push("solve_em");
-        for name in ["rk_scalar_tend", "rk_update_scalar", "solve_em_other"] {
-            prof.scoped(name, routine_secs(rank, name));
+        let step_start = clock;
+        for name in ROUTINES {
+            let start = clock;
+            clock += routine_secs(rank, name);
+            ranges.push((name, start, clock));
         }
-        prof.scoped("fast_sbm", rank.fast_sbm);
-        prof.scoped("mpi_halo", rank.comm);
-        prof.pop();
+        ranges.push(("solve_em", step_start, clock));
     }
-    prof.render_timeline(width)
+    let span = clock.max(1e-12);
+    let mut out = format!("timeline: {span:.4} s capture, {} events\n", ranges.len());
+    let lanes = std::iter::once(("solve_em", 0)).chain(ROUTINES.map(|r| (r, 2)));
+    for (lane, indent) in lanes {
+        let mut row = vec![b'.'; width];
+        for &(_, start, end) in ranges.iter().filter(|r| r.0 == lane) {
+            let a = (start / span * width as f64).floor() as usize;
+            let b = (end / span * width as f64).ceil() as usize;
+            row[a.min(width)..b.min(width)].fill(b'#');
+        }
+        let row = String::from_utf8(row).expect("ascii");
+        let _ = writeln!(out, "{:indent$}{lane:<18} |{row}|", "");
+    }
+    out
 }
 
-/// The Table I rows: `(routine, gprof %, nsys %)`.
+/// The Table I rows: `(routine, gprof %, nsys %)` — the share over all
+/// ranks, and on the heaviest rank alone.
 pub fn table1(exp: &ExperimentResult) -> Vec<(String, f64, f64)> {
-    let g = gprof_view(exp);
-    let n = nsys_view(exp);
+    let heavy = std::slice::from_ref(exp.critical());
     ["fast_sbm", "rk_scalar_tend", "rk_update_scalar"]
         .iter()
-        .map(|r| (r.to_string(), g.percent_of(r), n.percent_of(r)))
+        .map(|r| (r.to_string(), share(&exp.per_rank, r), share(heavy, r)))
         .collect()
 }
 
@@ -111,17 +104,20 @@ mod tests {
             &pp,
             &traffic,
         );
-        let g = gprof_view(&exp);
-        let total_pct: f64 = ROUTINES.iter().map(|r| g.percent_of(r)).sum();
-        assert!((total_pct - 100.0).abs() < 1e-6, "gprof covers everything");
-        let n = nsys_view(&exp);
-        // solve_em wraps the whole step on the heavy rank.
-        assert!((n.percent_of("solve_em") - 100.0).abs() < 1e-6);
-        // The timeline renders every lane.
+        let heavy = std::slice::from_ref(exp.critical());
+        for ranks in [&exp.per_rank[..], heavy] {
+            let total_pct: f64 = ROUTINES.iter().map(|r| share(ranks, r)).sum();
+            assert!(
+                (total_pct - 100.0).abs() < 1e-6,
+                "the view covers everything"
+            );
+        }
+        // The timeline renders every lane; solve_em wraps every step.
         let t = nsys_timeline(&exp, 60);
         for r in ROUTINES {
             assert!(t.contains(r), "timeline lane {r} missing:\n{t}");
         }
+        assert!(t.contains(&format!("solve_em           |{}|", "#".repeat(60))));
     }
 
     #[test]

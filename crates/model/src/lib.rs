@@ -40,8 +40,8 @@ pub use parallel::{
 };
 pub use perfmodel::{
     cpu_rank_step_time, experiment, gpu_rank_step_time, measure_coeffs, rank_footprint,
-    try_experiment, ExperimentConfig, ExperimentResult, MeasuredCoeffs, PerfParams, RankStepTime,
-    RankWork, TrafficModel,
+    staged_bytes, try_experiment, ExperimentConfig, ExperimentResult, MeasuredCoeffs, PerfParams,
+    RankStepTime, RankWork, TrafficModel,
 };
 pub use restart::{find_latest_checkpoint, run_parallel_restartable, RecoveryStats, RestartConfig};
 pub use schedule::{auto_version, tune_backend, tune_backend_with, tune_rates, version_for};

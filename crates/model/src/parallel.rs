@@ -24,7 +24,7 @@
 
 use crate::config::ModelConfig;
 use crate::model::{Model, RunReport, StepReport};
-use crate::perfmodel::{rank_footprint, PerfParams};
+use crate::perfmodel::{rank_footprint, staged_bytes, PerfParams};
 use fsbm_core::meter::PointWork;
 use fsbm_core::state::SbmPatchState;
 use fsbm_core::types::{NKR, NTYPES};
@@ -116,13 +116,6 @@ pub struct ShareStats {
     /// Summed exposed queue seconds over the run (peer services +
     /// context slices; zero on exclusive devices).
     pub queue_secs: f64,
-}
-
-/// Staged host↔device bytes per step for a patch of `points` compute
-/// points: the seven per-bin slabs, four thermo fields, and the
-/// activity predicate (same shape as the full-scale perf model).
-pub(crate) fn staged_bytes(points: u64) -> u64 {
-    7 * NKR as u64 * points * 4 + 4 * points * 4 + points
 }
 
 /// Modeled device occupancy of one functional step: the offloaded

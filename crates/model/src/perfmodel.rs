@@ -311,13 +311,9 @@ impl RankWork {
             None => (0, 1.0),
         };
 
-        // Host↔device traffic: slabs + thermo fields + predicate, both
-        // directions around the offloaded region every step.
-        let hd_bytes = if spec.is_some() {
-            7 * NKR as u64 * points * 4 + 4 * points * 4 + points
-        } else {
-            0
-        };
+        // Host↔device traffic, both directions around the offloaded
+        // region every step.
+        let hd_bytes = spec.as_ref().map_or(0, |_| staged_bytes(points));
 
         // Halo traffic (4 refreshes per scalar per step, 4 sides): one
         // message per scalar, as the paper's WRF build exchanged them —
@@ -478,87 +474,29 @@ fn cpu_routine_secs(w: PointWork, flops_rate: f64, membw: f64, dram_fraction: f6
     tf.max(tm)
 }
 
-/// Prices one CPU rank-step (Baseline / Lookup versions).
-pub fn cpu_rank_step_time(work: &RankWork, pp: &PerfParams) -> RankStepTime {
-    let sbm_rate = pp.sbm_flops_per_core;
-    // Microphysics is cache-resident: flop-bound.
-    let kernals = work.sbm.kernals.flops as f64 / sbm_rate;
-    let coal = work.sbm.coal.flops as f64 / sbm_rate;
-    let rest = (work.sbm.cond.flops + work.sbm.freeze.flops + work.sbm.sed.flops) as f64 / sbm_rate;
-    let coal_loop = kernals + coal;
-    let fast_sbm = coal_loop + rest;
-
-    let rk_scalar_tend = cpu_routine_secs(
-        work.dyn_tend,
-        pp.adv_flops_per_core,
-        pp.adv_membw_per_core,
-        pp.adv_dram_fraction,
-    );
-    let rk_update_scalar = cpu_routine_secs(
-        work.dyn_update,
-        pp.adv_flops_per_core,
-        pp.adv_membw_per_core,
-        pp.adv_dram_fraction,
-    );
-    let other_dyn = pp.other_dyn_factor * (rk_scalar_tend + rk_update_scalar);
-    let comm = work.halo_msgs as f64 * pp.net.alpha + work.halo_bytes as f64 / pp.net.beta;
-
-    let total = fast_sbm + rk_scalar_tend + rk_update_scalar + other_dyn + comm;
-    RankStepTime {
-        fast_sbm,
-        coal_loop,
-        rk_scalar_tend,
-        rk_update_scalar,
-        other_dyn,
-        comm,
-        transfer: 0.0,
-        queue: 0.0,
-        total,
-        launch: None,
-    }
-}
-
-/// Prices one GPU rank-step (offloaded versions) on an *exclusive*
-/// device: the rank's own kernels and staged transfers only. Device
-/// sharing is not priced here — [`try_experiment`] replays the
-/// per-device submission schedule through [`DevicePool`] afterwards and
-/// adds each rank's exposed queueing via [`add_queue`].
-pub fn gpu_rank_step_time(
+/// A rank-step around its collision loop: the host runs the rest of
+/// `fast_sbm` (pre/post/sed, cache-resident so flop-bound), the dynamics
+/// and the halo exchange in every version; `coal_loop`, `transfer` and
+/// `launch` say where the collision loop ran.
+fn rank_step_time(
     work: &RankWork,
     pp: &PerfParams,
-    traffic: &TrafficModel,
+    coal_loop: f64,
+    transfer: f64,
+    launch: Option<LaunchStats>,
 ) -> RankStepTime {
-    let spec = work.spec.as_ref().expect("offloaded version");
-    // Host still runs pre/post/sed + dynamics.
-    let sbm_rate = pp.sbm_flops_per_core;
-    let host_rest =
-        (work.sbm.cond.flops + work.sbm.freeze.flops + work.sbm.sed.flops) as f64 / sbm_rate;
-
-    let (dram_r, dram_w) = traffic.dram_bytes(spec.collapse, work.sbm.coal.mem_ops as f64);
-    let kw = kernel_work(
-        work.coal_iters.max(1),
-        work.sbm.coal,
-        dram_r,
-        dram_w,
-        work.warp_eff,
-    );
-    let launch = launch_modeled_with(&pp.gpu, spec, &kw, &pp.calib).expect("valid launch");
-    let coal_loop = launch.time_secs;
-
-    let transfer = 2.0 * (pp.gpu.pcie_latency + work.hd_bytes as f64 / pp.gpu.pcie_bw);
-
-    let rk_scalar_tend = cpu_routine_secs(
-        work.dyn_tend,
-        pp.adv_flops_per_core,
-        pp.adv_membw_per_core,
-        pp.adv_dram_fraction,
-    );
-    let rk_update_scalar = cpu_routine_secs(
-        work.dyn_update,
-        pp.adv_flops_per_core,
-        pp.adv_membw_per_core,
-        pp.adv_dram_fraction,
-    );
+    let host_rest = (work.sbm.cond.flops + work.sbm.freeze.flops + work.sbm.sed.flops) as f64
+        / pp.sbm_flops_per_core;
+    let dyn_secs = |w| {
+        cpu_routine_secs(
+            w,
+            pp.adv_flops_per_core,
+            pp.adv_membw_per_core,
+            pp.adv_dram_fraction,
+        )
+    };
+    let rk_scalar_tend = dyn_secs(work.dyn_tend);
+    let rk_update_scalar = dyn_secs(work.dyn_update);
     let other_dyn = pp.other_dyn_factor * (rk_scalar_tend + rk_update_scalar);
     let comm = work.halo_msgs as f64 * pp.net.alpha + work.halo_bytes as f64 / pp.net.beta;
 
@@ -574,8 +512,40 @@ pub fn gpu_rank_step_time(
         transfer,
         queue: 0.0,
         total,
-        launch: Some(launch),
+        launch,
     }
+}
+
+/// Prices one CPU rank-step (Baseline / Lookup versions): the collision
+/// loop, `kernals_ks` included, on the host at the microphysics rate.
+pub fn cpu_rank_step_time(work: &RankWork, pp: &PerfParams) -> RankStepTime {
+    let secs = |w: PointWork| w.flops as f64 / pp.sbm_flops_per_core;
+    let coal_loop = secs(work.sbm.kernals) + secs(work.sbm.coal);
+    rank_step_time(work, pp, coal_loop, 0.0, None)
+}
+
+/// Prices one GPU rank-step (offloaded versions) on an *exclusive*
+/// device: the rank's own kernels and staged transfers only. Device
+/// sharing is not priced here — [`try_experiment`] replays the
+/// per-device submission schedule through [`DevicePool`] afterwards and
+/// adds each rank's exposed queueing via [`add_queue`].
+pub fn gpu_rank_step_time(
+    work: &RankWork,
+    pp: &PerfParams,
+    traffic: &TrafficModel,
+) -> RankStepTime {
+    let spec = work.spec.as_ref().expect("offloaded version");
+    let (dram_r, dram_w) = traffic.dram_bytes(spec.collapse, work.sbm.coal.mem_ops as f64);
+    let kw = kernel_work(
+        work.coal_iters.max(1),
+        work.sbm.coal,
+        dram_r,
+        dram_w,
+        work.warp_eff,
+    );
+    let launch = launch_modeled_with(&pp.gpu, spec, &kw, &pp.calib).expect("valid launch");
+    let transfer = 2.0 * (pp.gpu.pcie_latency + work.hd_bytes as f64 / pp.gpu.pcie_bw);
+    rank_step_time(work, pp, launch.time_secs, transfer, Some(launch))
 }
 
 /// Folds a replayed per-step queue into a rank's step time: the exposed
@@ -584,6 +554,14 @@ pub fn add_queue(t: &mut RankStepTime, queue_secs: f64) {
     t.queue += queue_secs;
     t.fast_sbm += queue_secs;
     t.total += queue_secs;
+}
+
+/// Staged host↔device bytes per step, each direction, for a patch of
+/// `points` compute points: the seven per-bin slabs, four thermo fields,
+/// and the activity predicate. The functional runs, the full-scale
+/// extrapolation and the admission footprints all charge this.
+pub fn staged_bytes(points: u64) -> u64 {
+    7 * NKR as u64 * points * 4 + 4 * points * 4 + points
 }
 
 /// Collision lookup-table working set resident per context (the
@@ -644,12 +622,6 @@ impl ExperimentResult {
     /// The slowest rank's step breakdown.
     pub fn critical(&self) -> &RankStepTime {
         &self.per_rank[self.critical_rank]
-    }
-
-    /// Aggregate seconds of a routine across ranks over the whole run
-    /// (the gprof view).
-    pub fn aggregate_routine_secs(&self, f: impl Fn(&RankStepTime) -> f64) -> f64 {
-        self.per_rank.iter().map(f).sum::<f64>() * self.steps as f64
     }
 }
 

@@ -79,6 +79,26 @@ pub struct RecoveryStats {
     pub recovery_wall_secs: f64,
 }
 
+impl RecoveryStats {
+    /// The one-line supervisor summary `miniwrf` prints: launches made
+    /// (1 = no failure), the checkpoint the last relaunch resumed from
+    /// (`-` when the run never failed), steps integrated twice, restart
+    /// files written, and the wall time the failed attempts burned.
+    pub fn one_line(&self) -> String {
+        let from = match self.restarts_from.last() {
+            Some(step) => format!("from=step{step}"),
+            None => "from=-".to_string(),
+        };
+        format!(
+            "recovery: attempts={} {from} replayed={} checkpoints={} overhead={:.1}ms",
+            self.attempts,
+            self.steps_replayed,
+            self.checkpoint_writes,
+            self.recovery_wall_secs * 1.0e3,
+        )
+    }
+}
+
 /// The per-rank restart file path for a checkpoint taken after `done`
 /// completed steps.
 pub fn checkpoint_path(dir: &Path, rank: usize, done: u64) -> PathBuf {
@@ -238,6 +258,42 @@ mod tests {
         cfg.ranks = 2;
         cfg.device_workers = Some(2);
         cfg
+    }
+
+    #[test]
+    fn line_contains_every_field() {
+        let line = RecoveryStats {
+            attempts: 2,
+            failures: vec!["rank 1 killed".into()],
+            restarts_from: vec![6],
+            steps_replayed: 3,
+            checkpoint_writes: 9,
+            recovery_wall_secs: 0.4567,
+        }
+        .one_line();
+        for needle in [
+            "recovery: attempts=2",
+            "from=step6",
+            "replayed=3",
+            "checkpoints=9",
+            "overhead=456.7ms",
+        ] {
+            assert!(line.contains(needle), "missing {needle} in {line}");
+        }
+    }
+
+    #[test]
+    fn clean_run_renders_dash() {
+        let line = RecoveryStats {
+            attempts: 1,
+            checkpoint_writes: 4,
+            ..RecoveryStats::default()
+        }
+        .one_line();
+        assert_eq!(
+            line,
+            "recovery: attempts=1 from=- replayed=0 checkpoints=4 overhead=0.0ms"
+        );
     }
 
     fn assert_bitwise(a: &[SbmPatchState], b: &[SbmPatchState]) {

@@ -39,8 +39,9 @@
 
 use crate::config::ModelConfig;
 use crate::parallel::run_parallel_checked;
-use crate::perfmodel::{rank_footprint, PerfParams};
+use crate::perfmodel::{rank_footprint, staged_bytes, PerfParams};
 use crate::restart::{run_parallel_restartable, RestartConfig};
+use fsbm_core::digest::{fnv1a, FNV1A_OFFSET};
 use fsbm_core::state::SbmPatchState;
 use gpu_sim::devicepool::{CacheShareStats, DevicePool, RankFootprint, RankSubmission};
 use gpu_sim::error::DeviceError;
@@ -185,18 +186,10 @@ pub fn member_config(base: &ModelConfig, spec: &EnsembleSpec, member: usize) -> 
 /// per device.
 pub fn pressure_key(params: &ConusParams) -> u64 {
     let case = ConusCase::new(*params);
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    eat(params.nz as u64);
-    for k in 1..=params.nz {
-        eat(case.pressure(k).to_bits() as u64);
-    }
-    h
+    let eat = |h, v: u64| fnv1a(h, &v.to_le_bytes());
+    (1..=params.nz).fold(eat(FNV1A_OFFSET, params.nz as u64), |h, k| {
+        eat(h, case.pressure(k).to_bits() as u64)
+    })
 }
 
 /// The device-memory footprint one member's context charges (1-rank
@@ -208,10 +201,7 @@ pub fn member_footprint(base: &ModelConfig, stack_bytes: Option<u64>) -> RankFoo
     if let Some(sb) = stack_bytes {
         pp.stack_bytes = sb;
     }
-    rank_footprint(
-        &pp,
-        crate::parallel::staged_bytes(dd.patches[0].compute_points() as u64),
-    )
+    rank_footprint(&pp, staged_bytes(dd.patches[0].compute_points() as u64))
 }
 
 /// One member's per-step device occupancy, the scheduling core's whole
@@ -231,8 +221,9 @@ pub struct MemberTimings {
 pub struct ScheduledMember {
     /// Member id.
     pub member: usize,
-    /// Device the member was packed onto.
-    pub device: usize,
+    /// Device the member was packed onto (`None` for CPU versions,
+    /// which never touch the pool).
+    pub device: Option<usize>,
     /// Wave (admission round) the member ran in.
     pub wave: usize,
     /// Whether the member's lookup tables were already resident on its
@@ -478,7 +469,7 @@ pub fn schedule_ensemble(
             sequential += service_secs;
             scheduled[*m] = Some(ScheduledMember {
                 member: *m,
-                device: a.device,
+                device: Some(a.device),
                 wave,
                 cache_hit: a.cache_hit,
                 submit_secs: submit[*m],
@@ -514,31 +505,15 @@ pub fn schedule_ensemble(
 /// functional run's final state and recovery history.
 #[derive(Debug, Clone)]
 pub struct MemberOutcome {
-    /// Member id.
-    pub member: usize,
+    /// The member's row of the schedule: id, device, wave, modeled
+    /// arrival / admission / completion and device seconds.
+    pub scheduled: ScheduledMember,
     /// The member's perturbed scenario seed.
     pub seed: u64,
-    /// Device the member was packed onto (`None` for CPU versions,
-    /// which never touch the pool).
-    pub device: Option<usize>,
-    /// Wave the member ran in.
-    pub wave: usize,
-    /// Whether the member shared resident lookup tables.
-    pub cache_hit: bool,
     /// Launch attempts (1 = no failure).
     pub attempts: usize,
     /// Checkpoint steps each relaunch resumed from.
     pub resumed_from: Vec<u64>,
-    /// Modeled arrival time.
-    pub submit_secs: f64,
-    /// Modeled admission time.
-    pub admit_secs: f64,
-    /// Modeled completion time.
-    pub done_secs: f64,
-    /// Summed device service seconds.
-    pub service_secs: f64,
-    /// Summed exposed queue seconds.
-    pub queue_secs: f64,
     /// Final state — bitwise-identical to the member's solo run.
     pub state: SbmPatchState,
 }
@@ -550,18 +525,10 @@ pub struct EnsembleReport {
     pub spec: EnsembleSpec,
     /// Per-member outcomes, member order.
     pub members: Vec<MemberOutcome>,
-    /// Per-device occupancy ledgers.
-    pub devices: Vec<DeviceLedger>,
-    /// Admission rounds.
-    pub waves: usize,
-    /// Modeled end-to-end time, batched.
-    pub makespan_secs: f64,
-    /// Modeled end-to-end time without launch batching.
-    pub unbatched_makespan_secs: f64,
-    /// Σ member device-service seconds (N sequential solo runs).
-    pub sequential_secs: f64,
-    /// Shared-lookup ledger.
-    pub cache: CacheShareStats,
+    /// The modeled plane: waves, makespans, per-device ledgers and the
+    /// shared-lookup ledger (a trivial one-wave timeline with no devices
+    /// for CPU versions).
+    pub schedule: Schedule,
 }
 
 fn per_hour(members: usize, secs: f64) -> f64 {
@@ -576,37 +543,49 @@ impl EnsembleReport {
     /// Modeled throughput of the batched service (0 when the modeled
     /// timeline is empty, e.g. CPU versions).
     pub fn members_per_hour(&self) -> f64 {
-        per_hour(self.members.len(), self.makespan_secs)
+        per_hour(self.members.len(), self.schedule.makespan_secs)
     }
 
     /// Throughput without launch batching.
     pub fn unbatched_members_per_hour(&self) -> f64 {
-        per_hour(self.members.len(), self.unbatched_makespan_secs)
+        per_hour(self.members.len(), self.schedule.unbatched_makespan_secs)
     }
 
     /// Throughput of N sequential solo runs on one exclusive device.
     pub fn sequential_members_per_hour(&self) -> f64 {
-        per_hour(self.members.len(), self.sequential_secs)
+        per_hour(self.members.len(), self.schedule.sequential_secs)
     }
 
     /// p50/p90/p99 admission-queue wait.
     pub fn admission_wait_percentiles(&self) -> [f64; 3] {
-        let waits: Vec<f64> = self
-            .members
-            .iter()
-            .map(|m| m.admit_secs - m.submit_secs)
-            .collect();
-        latency_percentiles(&waits)
+        latency_percentiles(&self.schedule.admission_waits())
     }
 
     /// Total slice seconds amortized away by batching. Folded from
     /// +0.0 because an empty `sum()` over f64 yields -0.0, which would
     /// render as `-0.0s` for CPU versions that never touch the pool.
     pub fn slice_secs_saved(&self) -> f64 {
-        self.devices
-            .iter()
+        (self.schedule.devices.iter())
             .map(|d| d.slice_secs_saved)
             .fold(0.0, |a, b| a + b)
+    }
+
+    /// The one-line service summary `miniwrf` prints: modeled batched
+    /// throughput at this hardware, median and tail admission-queue
+    /// wait, the shared-lookup hit rate, and the context-slice seconds
+    /// amortized away by launch batching.
+    pub fn one_line(&self) -> String {
+        let [wait_p50, _, wait_p99] = self.admission_wait_percentiles();
+        format!(
+            "ensemble: members={} devices={} waves={} rate={:.2}/h wait_p50={wait_p50:.3}s \
+             wait_p99={wait_p99:.3}s cache={:.0}% slice_saved={:.1}s",
+            self.members.len(),
+            self.schedule.devices.len(),
+            self.schedule.waves,
+            self.members_per_hour(),
+            self.schedule.cache.hit_rate() * 100.0,
+            self.slice_secs_saved(),
+        )
     }
 }
 
@@ -694,55 +673,40 @@ pub fn run_ensemble_with(
     // Modeled plane: pack and replay. CPU versions never touch the
     // pool — a trivial timeline keeps the digest arms uniform across
     // all four scheme versions.
-    let (schedule, pooled) = if offloaded {
-        (
-            schedule_ensemble(&timings, spec, &footprint, Some(key))?,
-            true,
-        )
+    let schedule = if offloaded {
+        schedule_ensemble(&timings, spec, &footprint, Some(key))?
     } else {
-        (
-            Schedule {
-                members: (0..spec.members)
-                    .map(|m| ScheduledMember {
-                        member: m,
-                        device: 0,
-                        wave: 0,
-                        cache_hit: false,
-                        submit_secs: m as f64 * spec.spacing_secs,
-                        admit_secs: m as f64 * spec.spacing_secs,
-                        done_secs: 0.0,
-                        service_secs: 0.0,
-                        queue_secs: 0.0,
-                    })
-                    .collect(),
-                devices: Vec::new(),
-                waves: 1,
-                makespan_secs: 0.0,
-                unbatched_makespan_secs: 0.0,
-                sequential_secs: 0.0,
-                cache: CacheShareStats::default(),
-            },
-            false,
-        )
+        Schedule {
+            members: (0..spec.members)
+                .map(|m| ScheduledMember {
+                    member: m,
+                    device: None,
+                    wave: 0,
+                    cache_hit: false,
+                    submit_secs: m as f64 * spec.spacing_secs,
+                    admit_secs: m as f64 * spec.spacing_secs,
+                    done_secs: 0.0,
+                    service_secs: 0.0,
+                    queue_secs: 0.0,
+                })
+                .collect(),
+            devices: Vec::new(),
+            waves: 1,
+            makespan_secs: 0.0,
+            unbatched_makespan_secs: 0.0,
+            sequential_secs: 0.0,
+            cache: CacheShareStats::default(),
+        }
     };
 
-    let members = schedule
-        .members
-        .into_iter()
+    let members = (schedule.members.iter())
         .zip(states)
-        .map(|(s, state)| MemberOutcome {
-            member: s.member,
+        .zip(attempts.into_iter().zip(resumed))
+        .map(|((s, state), (attempts, resumed_from))| MemberOutcome {
+            scheduled: s.clone(),
             seed: member_config(base, spec, s.member).case.seed,
-            device: pooled.then_some(s.device),
-            wave: s.wave,
-            cache_hit: s.cache_hit,
-            attempts: attempts[s.member],
-            resumed_from: resumed[s.member].clone(),
-            submit_secs: s.submit_secs,
-            admit_secs: s.admit_secs,
-            done_secs: s.done_secs,
-            service_secs: s.service_secs,
-            queue_secs: s.queue_secs,
+            attempts,
+            resumed_from,
             state,
         })
         .collect();
@@ -750,12 +714,7 @@ pub fn run_ensemble_with(
     Ok(EnsembleReport {
         spec: *spec,
         members,
-        devices: schedule.devices,
-        waves: schedule.waves,
-        makespan_secs: schedule.makespan_secs,
-        unbatched_makespan_secs: schedule.unbatched_makespan_secs,
-        sequential_secs: schedule.sequential_secs,
-        cache: schedule.cache,
+        schedule,
     })
 }
 
@@ -935,12 +894,12 @@ mod tests {
         let rep = run_ensemble_with(&b, &spec, 2, &ServiceOptions::default()).unwrap();
         assert_eq!(rep.members.len(), 3);
         for m in &rep.members {
-            let solo = run_parallel(member_config(&b, &spec, m.member), 2);
+            let solo = run_parallel(member_config(&b, &spec, m.scheduled.member), 2);
             assert_eq!(
                 m.state.digest(),
                 solo.states[0].digest(),
                 "member {} diverged from its solo run",
-                m.member
+                m.scheduled.member
             );
         }
         // Distinct seeds produce distinct members.
@@ -955,9 +914,73 @@ mod tests {
             ..EnsembleSpec::default()
         };
         let rep = run_ensemble_with(&b, &spec, 2, &ServiceOptions::default()).unwrap();
-        assert!(rep.members.iter().all(|m| m.device.is_none()));
-        assert_eq!(rep.makespan_secs, 0.0);
+        assert!(rep.members.iter().all(|m| m.scheduled.device.is_none()));
+        assert_eq!(rep.schedule.makespan_secs, 0.0);
         assert_eq!(rep.members_per_hour(), 0.0);
+        // An empty modeled timeline still renders every field.
+        assert_eq!(
+            rep.one_line(),
+            "ensemble: members=2 devices=0 waves=1 rate=0.00/h wait_p50=0.000s \
+             wait_p99=0.000s cache=0% slice_saved=0.0s"
+        );
+    }
+
+    #[test]
+    fn line_contains_every_field() {
+        let tiny = two_d_decomposition(wrf_grid::Domain::new(2, 2, 2), 1, 0).patches[0];
+        let scheduled = |m: usize| ScheduledMember {
+            member: m,
+            device: Some(m % 2),
+            wave: 0,
+            cache_hit: m >= 2,
+            submit_secs: 0.0,
+            admit_secs: if m == 7 { 1.2345 } else { 0.0 },
+            done_secs: 0.0,
+            service_secs: 0.0,
+            queue_secs: 0.0,
+        };
+        let mut saving = DeviceLedger::empty(0, 1);
+        saving.slice_secs_saved = 214.18;
+        let schedule = Schedule {
+            members: (0..8).map(scheduled).collect(),
+            devices: vec![saving, DeviceLedger::empty(1, 1)],
+            waves: 1,
+            makespan_secs: 8.0 * 3600.0 / 9.237,
+            unbatched_makespan_secs: 0.0,
+            sequential_secs: 0.0,
+            cache: CacheShareStats {
+                hits: 6,
+                misses: 2,
+                bytes_saved: 0,
+            },
+        };
+        let members = (schedule.members.iter())
+            .map(|s| MemberOutcome {
+                scheduled: s.clone(),
+                seed: 0,
+                attempts: 1,
+                resumed_from: Vec::new(),
+                state: SbmPatchState::new(tiny),
+            })
+            .collect();
+        let line = EnsembleReport {
+            spec: EnsembleSpec::default(),
+            members,
+            schedule,
+        }
+        .one_line();
+        assert!(line.starts_with("ensemble: members=8"));
+        for needle in [
+            "devices=2",
+            "waves=1",
+            "rate=9.24/h",
+            "wait_p50=0.000s",
+            "wait_p99=1.234s",
+            "cache=75%",
+            "slice_saved=214.2s",
+        ] {
+            assert!(line.contains(needle), "missing {needle} in {line}");
+        }
     }
 
     proptest! {
@@ -1042,7 +1065,7 @@ mod tests {
         assert!(rep.members[1].attempts >= 2, "the fault must have fired");
         assert!(!rep.members[1].resumed_from.is_empty());
         for m in &rep.members {
-            let solo = run_parallel(member_config(&b, &spec, m.member), 3);
+            let solo = run_parallel(member_config(&b, &spec, m.scheduled.member), 3);
             assert_eq!(m.state.digest(), solo.states[0].digest());
         }
         let _ = std::fs::remove_dir_all(&dir);

@@ -1,33 +1,14 @@
 #![warn(missing_docs)]
 
-//! Profiling substrates mirroring the tools used in the paper.
+//! The program's wall clock.
 //!
-//! The paper locates hotspots with two complementary tools (Table I):
-//!
-//! * **gprof** — a flat profile *aggregated over all MPI ranks*; because
-//!   FSBM work is spatially imbalanced, the aggregate understates how
-//!   dominant `fast_sbm` is on storm-heavy ranks.
-//! * **NVTX + Nsight Systems** — range markers on a *single selected rank*,
-//!   giving that rank's true time breakdown.
-//!
-//! [`FlatProfiler`] reproduces the former, [`RangeProfiler`] the latter.
-//! Both accept *seconds* from any source: wall-clock measurements (see
-//! [`Stopwatch`]) or the modeled times produced by `gpu-sim`/`mpi-sim`,
-//! so the same reports work for functional runs and performance-model runs.
-
-pub mod ensemble;
-pub mod exec;
-pub mod fault;
-pub mod flat;
-pub mod ranges;
-pub mod table;
-
-pub use ensemble::{ensemble_line, EnsembleSummary};
-pub use exec::exec_line;
-pub use fault::recovery_line;
-pub use flat::{FlatProfiler, FlatReport, FlatRow};
-pub use ranges::{RangeProfiler, RangeReport, RangeRow};
-pub use table::TextTable;
+//! [`Stopwatch`] is what a functional step times its two phases with
+//! (`wall_dynamics` / `wall_sbm`). The simulated gprof and Nsight
+//! recorders that used to live here are gone: Table I is arithmetic
+//! over the perf plane's per-rank seconds (`miniwrf::hotspots`), and
+//! each summary line is printed by the type that owns its numbers. The
+//! span/counter stream of ROADMAP item 1 (`prof_sim::trace`) lands in
+//! this crate.
 
 use std::time::Instant;
 

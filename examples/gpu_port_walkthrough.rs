@@ -13,23 +13,21 @@
 use wrf_offload_repro::prelude::*;
 
 fn main() {
-    let mut device = Device::new(A100);
-    // The default context: CUDA's 1 KiB per-thread stack.
-    device.create_context(0, A100.default_stack_bytes).unwrap();
-
     // The collision kernel with automatic arrays needs ~20 KiB of stack
-    // per thread (40 bin arrays of 33 reals plus scratch).
-    let automatic_array_bytes = 20 * 1024;
+    // per thread (40 bin arrays of 33 reals plus scratch); a default
+    // context gives it CUDA's 1 KiB.
+    let mut automatic = SbmVersion::OffloadCollapse3
+        .kernel_spec()
+        .expect("offloaded");
+    automatic.stack_bytes_per_thread = 20 * 1024;
     println!("--- attempt 1: collapse(3), automatic arrays, default stack ---");
-    match device.check_stack(0, automatic_array_bytes) {
+    match automatic.check_stack(A100.default_stack_bytes) {
         Ok(()) => println!("launched (unexpected!)"),
         Err(e) => println!("LAUNCH FAILED: {e}"),
     }
 
     println!("\n--- attempt 2: export NV_ACC_CUDA_STACKSIZE=65536 ---");
-    device.destroy_context(0);
-    device.create_context(0, 65536).unwrap();
-    device.check_stack(0, automatic_array_bytes).unwrap();
+    automatic.check_stack(65536).unwrap();
     println!(
         "stack OK; context now reserves {:.1} GiB of HBM for the stack pool",
         A100.stack_pool_bytes(65536) as f64 / (1u64 << 30) as f64

@@ -7,8 +7,8 @@
 //! Fast Spectral Bin Microphysics scheme in the paper's four optimization
 //! stages, a miniature WRF driver, and simulated substrates for
 //! everything the paper's evaluation needed — an A100 GPU model, an
-//! MPI-like rank runtime, gprof/Nsight-style profilers, and a Codee-like
-//! static loop analyzer.
+//! MPI-like rank runtime, the gprof/Nsight views of Table I, and a
+//! Codee-like static loop analyzer.
 //!
 //! ## Crate map
 //!
@@ -17,9 +17,9 @@
 //! | [`fsbm_core`] | the FSBM scheme (the paper's optimization target), four versions |
 //! | [`wrf_grid`]  | domain → patch → tile decomposition, fields, halos |
 //! | [`wrf_dycore`] | RK3 scalar transport (`rk_scalar_tend` / `rk_update_scalar`) |
-//! | [`gpu_sim`]   | modeled A100: occupancy, launches, caches, the shared-device pool |
+//! | [`gpu_sim`]   | modeled A100: occupancy, launches, caches, the shared-device pool (the one device-memory model) |
 //! | [`mpi_sim`]   | rank runtime + α–β cost model |
-//! | [`prof_sim`]  | gprof-style and NVTX/Nsight-style profilers |
+//! | [`prof_sim`]  | the program's wall clock (`Stopwatch`); home of the span stream to come |
 //! | [`codee_sim`] | dependence analysis, Open-Catalog checks, directive rewriting |
 //! | [`wrf_cases`] | synthetic CONUS-12km scenario + `diffwrf` |
 //! | [`miniwrf`]   | integrated model driver + the full-scale performance model |
@@ -60,7 +60,6 @@ pub mod prelude {
     pub use fsbm_core::scheme::{FastSbm, SbmConfig, SbmStepStats, SbmVersion};
     pub use fsbm_core::state::SbmPatchState;
     pub use fsbm_core::types::{HydroClass, NKR, NTYPES};
-    pub use gpu_sim::device::Device;
     pub use gpu_sim::devicepool::{DevicePool, RankFootprint, RankSubmission};
     pub use gpu_sim::error::GpuError;
     pub use gpu_sim::machine::{A100, EPYC_7763, SLINGSHOT};
