@@ -19,9 +19,10 @@
 #                  sweep at scales 0.05/0.1/0.2) instead of PR depth
 #                  (4 steps, scale 0.05 only). The two sets live in one
 #                  place, `wrf_gate::Depth`; ci.yml sets this on the
-#                  nightly schedule event only. The pool stress test
-#                  reads it too (300 scheme steps instead of 24, plus the
-#                  lane-batch shuffle fuzz), and the exhaustive bracket
+#                  nightly schedule event only. The pool stress tests
+#                  read it too (300 scheme steps instead of 24, plus the
+#                  lane-batch shuffle fuzz; 48 model steps instead of 8),
+#                  and the exhaustive bracket
 #                  sweep runs only under it.
 #   CI_DRIFT_BASE  diff base ref of the drift guards (default origin/$GITHUB_BASE_REF)
 set -euo pipefail
@@ -80,9 +81,12 @@ step_test() {
 # wakes late for an epoch has the narrowest window to cross into the
 # next one. Under CI_NIGHTLY the same run also takes the ignored
 # `batch_shuffle_fuzz` (200 random lane-batch memberships, three steps
-# each, against the coherent batches: bits and statistics). The grep
-# keeps a rename from turning a filter into a green no-op (it reads to
-# the end: `grep -q` would close the pipe on cargo).
+# each, against the coherent batches: bits and statistics). Then two job
+# shapes on one pool every step — the model's dynamics dispatch, then
+# the scheme's four launches — for 8 model steps (48 under CI_NIGHTLY)
+# at 2 and 3 workers against one. The grep keeps a rename from turning a
+# filter into a green no-op (it reads to the end: `grep -q` would close
+# the pipe on cargo).
 step_pool_stress() {
     local filters="pool_stress_every_step_matches_one_worker" passed=1
     if [ -n "${CI_NIGHTLY:-}" ]; then
@@ -91,7 +95,9 @@ step_pool_stress() {
     fi
     # shellcheck disable=SC2086 # the filters are a word list on purpose
     cargo test --release -p fsbm-core --lib -- $filters 2>&1 |
-        tee /dev/stderr | grep "^test result: ok. $passed passed" >/dev/null
+        tee /dev/stderr | grep "^test result: ok. $passed passed" >/dev/null &&
+        cargo test --release -p miniwrf --lib -- pooled_dynamics_every_step_matches_one_worker 2>&1 |
+        tee /dev/stderr | grep "^test result: ok. 1 passed" >/dev/null
 }
 
 # The panel deposit reads its bin bracket from the float's exponent; the

@@ -335,12 +335,21 @@ impl FastSbm {
         }
     }
 
-    /// Creates the persistent executor if this configuration needs one.
-    fn ensure_exec(&mut self) {
-        self.exec.get_or_insert_with(|| match self.cfg.workers {
+    /// The persistent worker pool, created on first use if this
+    /// configuration's steps launch on one — work stealing with a
+    /// fissioned plan or more than one tile — so a caller that shares it
+    /// between the scheme's launches adds no thread; `None` when the steps
+    /// do not (static tiles, or an unfissioned single-tile plan).
+    pub fn pool(&mut self) -> Option<&Executor> {
+        let launches = self.cfg.sched.uses_executor()
+            && (self.cfg.version.plan().fission.is_some() || self.cfg.tiles > 1);
+        if !launches {
+            return None;
+        }
+        Some(self.exec.get_or_insert_with(|| match self.cfg.workers {
             Some(w) => Executor::new(w),
             None => Executor::with_available_parallelism(),
-        });
+        }))
     }
 
     /// Fills (or refreshes) the per-level kernel cache from the patch's
@@ -416,9 +425,7 @@ impl FastSbm {
         if self.cfg.cached_kernels {
             self.ensure_kcache(state);
         }
-        if self.cfg.sched.uses_executor() && (plan.fission.is_some() || self.cfg.tiles > 1) {
-            self.ensure_exec();
-        }
+        self.pool();
         let p = state.patch;
         let mut stats = empty_stats(p.compute_points());
         let StepScratch { sweep, coal } = &mut self.scratch;

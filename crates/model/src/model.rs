@@ -7,12 +7,14 @@ use fsbm_core::scheme::{FastSbm, SbmConfig, SbmStepStats};
 use fsbm_core::state::SbmPatchState;
 use fsbm_core::types::{NKR, NTYPES};
 use prof_sim::Stopwatch;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use wrf_cases::ConusCase;
 use wrf_dycore::diffusion::horizontal_diffusion;
 use wrf_dycore::rk3::{refresh_now, rk3_advect_panel, FieldTag, HaloEngine, Rk3Work};
 use wrf_dycore::wind::{storm_wind, StormWind, Wind};
 use wrf_exec::Executor;
-use wrf_grid::{two_d_decomposition, Field3, PatchSpec};
+use wrf_grid::{two_d_decomposition, Field3, Field4, PatchSpec};
 
 /// Per-step report of the functional model.
 #[derive(Debug, Clone, PartialEq)]
@@ -21,7 +23,8 @@ pub struct StepReport {
     pub rk3: Rk3Work,
     /// Wind-fill work (part of the residual dynamics).
     pub wind_work: PointWork,
-    /// Number of 3-D scalars advected this step (vapor + occupied bins).
+    /// Number of 3-D scalars advected this step (θ, vapor, and every
+    /// occupied bin: 2 + bins).
     pub scalars_advected: usize,
     /// Microphysics statistics.
     pub sbm: SbmStepStats,
@@ -117,7 +120,13 @@ pub struct Model {
     /// Wind fields.
     pub wind: Wind,
     sbm: FastSbm,
+    /// The calling thread's transport workspace.
     transport: Transport,
+    /// One more workspace per further worker of the scheme's pool, grown
+    /// on the first pooled step (empty until then).
+    helpers: Vec<Mutex<Transport>>,
+    /// The step's transport jobs, refilled every step.
+    jobs: JobList,
     /// Model time, s.
     pub time: f32,
 }
@@ -158,6 +167,8 @@ impl Model {
             wind: Wind::calm(&patch),
             sbm: FastSbm::new(sbm_cfg),
             transport: Transport::new(&patch),
+            helpers: Vec::new(),
+            jobs: JobList::default(),
             time: 0.0,
         }
     }
@@ -181,10 +192,14 @@ impl Model {
     }
 
     /// Advances the model by one step with a doubly-periodic single-patch
-    /// halo refresh and this rank's own occupied-bin masks.
+    /// halo refresh and this rank's own occupied-bin masks. The step's
+    /// transport jobs run on the scheme's pool when it has one wider than
+    /// the calling thread (each worker with its own workspace and periodic
+    /// engine), else one after another on the calling thread; the bits
+    /// are the same either way.
     pub fn step(&mut self) -> StepReport {
         let masks = self.occupied_masks();
-        self.step_with(&mut PeriodicEngine { patch: self.patch }, None, &masks)
+        self.advance(Dispatch::Periodic, &masks)
     }
 
     /// The occupied-bin masks of all classes (the scalar set this rank
@@ -198,7 +213,11 @@ impl Model {
     /// globally OR-reduced occupied bins) is advected with its halo filled
     /// by `engine` — the periodic wrap, the multi-rank driver's MPI
     /// exchange, the nest driver's parent-interpolated forcing — then the
-    /// microphysics runs. `overlap` decides only *when* the interior
+    /// microphysics runs. The plain loop drives the transport: one job
+    /// after another on the calling thread, in job-list order, so an
+    /// engine that exchanges messages sees the same sequence on every
+    /// rank (only [`Model::step`], the periodic wrap, hands the jobs to
+    /// the scheme's pool). `overlap` decides only *when* the interior
     /// tendency runs: `None` after each complete refresh, `Some(pool)`
     /// between every round's `post` and `finish`. Both are
     /// bitwise-identical given the same exchange data.
@@ -208,8 +227,14 @@ impl Model {
         overlap: Option<&Executor>,
         masks: &[[bool; NKR]; NTYPES],
     ) -> StepReport {
+        self.advance(Dispatch::Engine(engine, overlap), masks)
+    }
+
+    /// One step: the dynamics as `dispatch` runs them, then the
+    /// microphysics.
+    fn advance(&mut self, dispatch: Dispatch<'_>, masks: &[[bool; NKR]; NTYPES]) -> StepReport {
         let sw = Stopwatch::start();
-        let (rk3, wind_work, scalars_advected) = self.dynamics(engine, overlap, masks);
+        let (rk3, wind_work, scalars_advected) = self.dynamics(dispatch, masks);
         let wall_dynamics = sw.elapsed_secs();
 
         let sw = Stopwatch::start();
@@ -228,29 +253,33 @@ impl Model {
     }
 
     /// The dynamics phase of a step: the wind at the current time, then
-    /// θ, vapor (with its diffusion) and every bin `masks` selects through
-    /// RK3 transport. Returns the advection work, the residual dynamics
-    /// work (wind fill, θ conversion, diffusion) and the number of
-    /// scalars advected.
+    /// the step's job list — θ, vapor (with its diffusion) and every bin
+    /// `masks` selects, in panels — through RK3 transport, run as
+    /// `dispatch` says. Returns the advection work, the residual dynamics work
+    /// (wind fill, θ conversion, diffusion) and the number of scalars
+    /// advected.
     fn dynamics(
         &mut self,
-        engine: &mut dyn HaloEngine,
-        overlap: Option<&Executor>,
+        dispatch: Dispatch<'_>,
         masks: &[[bool; NKR]; NTYPES],
     ) -> (Rk3Work, PointWork, usize) {
         let sp = self.wind_params();
         let (dx, dz, dt) = (self.cfg.case.dx, self.cfg.case.dz, self.cfg.case.dt);
-        let mut residual = storm_wind(&mut self.wind, &self.patch, &sp, self.time, dx, dz);
+        let residual = storm_wind(&mut self.wind, &self.patch, &sp, self.time, dx, dz);
 
-        let (st, wind, patch) = (&mut self.state, &self.wind, &self.patch);
-        let Transport {
-            lanes,
-            scratch,
-            tend,
-        } = &mut self.transport;
-        // The passes below walk raw buffers side by side: every one must
+        let Model {
+            ref patch,
+            ref wind,
+            state: ref mut st,
+            ref mut sbm,
+            ref mut transport,
+            ref mut helpers,
+            ref mut jobs,
+            ..
+        } = *self;
+        // The jobs walk raw buffers side by side: every state field must
         // have the `Field3::for_patch` layout of the workspace lanes.
-        let cells = lanes[0].as_slice().len();
+        let cells = transport.lanes[0].as_slice().len();
         assert!(
             st.tt.as_slice().len() == cells
                 && st.p.as_slice().len() == cells
@@ -258,76 +287,58 @@ impl Model {
                 && st.ff.iter().all(|f| f.as_slice().len() == NKR * cells),
             "state fields must cover the patch's memory extent"
         );
-        // `dy` equals `dx` everywhere in this model.
-        let mut advect = |engine: &mut dyn HaloEngine,
-                          lanes: &mut [Field3<f32>],
-                          tags: &[FieldTag],
-                          positive: bool| {
-            rk3_advect_panel(
-                lanes, tags, wind, patch, dx, dx, dz, dt, positive, scratch, tend, engine, overlap,
-            )
+        let advected = jobs.fill(masks);
+        let jobs = jobs.as_slice();
+        let mut slabs = st.ff.iter_mut().map(Mutex::new);
+        let fields = StepFields {
+            tt: Mutex::new(&mut st.tt),
+            qv: Mutex::new(&mut st.qv),
+            ff: std::array::from_fn(|_| slabs.next().expect("one slab per class")),
+            p: &st.p,
+            wind,
+            patch,
+            dx,
+            dz,
+            dt,
         };
 
-        // Potential temperature: WRF transports θ (conserved under
-        // advection), not T. Convert, advect, convert back — over the
-        // whole memory extent, so T's halo follows θ's.
-        let theta = &mut lanes[..1];
-        let (tt, p) = (st.tt.as_mut_slice(), st.p.as_slice());
-        for ((th, &t), &p) in theta[0].as_mut_slice().iter_mut().zip(&*tt).zip(p) {
-            *th = t * (100_000.0 / p).powf(KAPPA);
-        }
-        // θ is the one scalar without positive-definite clipping.
-        let mut rk3 = advect(engine, theta, &[FieldTag::Theta], false);
-        for ((t, &th), &p) in tt.iter_mut().zip(theta[0].as_slice()).zip(p) {
-            *t = th * (p / 100_000.0).powf(KAPPA);
-        }
-        // (3 flops, 3 memory ops) per memory point for each conversion.
-        let converted = 2 * 3 * patch.memory_points() as u64;
-        residual.fm(converted, converted);
-
-        // Vapor, in place.
-        let qv = std::slice::from_mut(&mut st.qv);
-        rk3 += advect(engine, qv, &[FieldTag::Qv], true);
-        // Weak second-order horizontal diffusion on the moisture field
-        // (WRF diff_opt=1-style hygiene on the kinematic core).
-        engine.select(FieldTag::Qv);
-        refresh_now(engine, &mut st.qv);
-        horizontal_diffusion(&mut st.qv, patch, 1.0e4, dx, dt, &mut residual);
-        let mut advected = 2usize;
-
-        // Every occupied hydrometeor bin is a transported scalar. A
-        // class's occupied bins ride panels of up to LANES lanes, each
-        // panel gathered from and scattered to the class slab in one pass
-        // over it — the whole memory extent, so the slab's halo follows
-        // the lanes'. Bins the mask leaves out are never touched.
-        for (c, mask) in masks.iter().enumerate() {
-            let (mut occupied, mut count) = ([0usize; NKR], 0);
-            for b in (0..NKR).filter(|&b| mask[b]) {
-                occupied[count] = b;
-                count += 1;
+        let mut work = (Rk3Work::default(), residual);
+        let mut plain = |engine: &mut dyn HaloEngine, overlap: Option<&Executor>| {
+            for &job in jobs {
+                run_job(job, transport, engine, overlap, &fields, &mut work);
             }
-            for bins in occupied[..count].chunks(LANES) {
-                let lanes = &mut lanes[..bins.len()];
-                let mut tags = [FieldTag::Bin(c, 0); LANES];
-                for (tag, &b) in tags.iter_mut().zip(bins) {
-                    *tag = FieldTag::Bin(c, b);
+        };
+        match dispatch {
+            Dispatch::Engine(engine, overlap) => plain(engine, overlap),
+            Dispatch::Periodic => match sbm.pool().filter(|pool| pool.workers() > 1) {
+                None => plain(&mut PeriodicEngine { patch: *patch }, None),
+                // One dispatch: each index is a worker's slot — its own
+                // workspace and engine — claiming jobs in list order
+                // until none is left. The cursor publishes nothing (the
+                // list is read-only, the state sits behind its locks).
+                Some(pool) => {
+                    let workers = pool.workers();
+                    helpers.resize_with(workers - 1, || Mutex::new(Transport::new(patch)));
+                    let (cursor, total) = (AtomicUsize::new(0), Mutex::new(&mut work));
+                    let claim = |ws: &mut Transport| {
+                        let mut engine = PeriodicEngine { patch: *patch };
+                        let mut mine = (Rk3Work::default(), PointWork::ZERO);
+                        while let Some(&job) = jobs.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+                            run_job(job, ws, &mut engine, None, &fields, &mut mine);
+                        }
+                        let mut total = lock(&total);
+                        total.0 += mine.0;
+                        total.1 += mine.1;
+                    };
+                    let first = Mutex::new(transport);
+                    pool.run_indexed(workers as u64, Some(1), |slot| match slot as usize {
+                        0 => claim(&mut lock(&first)),
+                        helper => claim(&mut lock(&helpers[helper - 1])),
+                    });
                 }
-                let tags = &tags[..bins.len()];
-                for (point, all) in st.ff[c].as_slice().chunks_exact(NKR).enumerate() {
-                    for (lane, &b) in lanes.iter_mut().zip(bins) {
-                        lane.as_mut_slice()[point] = all[b];
-                    }
-                }
-                rk3 += advect(engine, lanes, tags, true);
-                for (point, all) in st.ff[c].as_mut_slice().chunks_exact_mut(NKR).enumerate() {
-                    for (lane, &b) in lanes.iter().zip(bins) {
-                        all[b] = lane.as_slice()[point];
-                    }
-                }
-                advected += bins.len();
-            }
+            },
         }
-        (rk3, residual, advected)
+        (work.0, work.1, advected)
     }
 
     /// The `-gpu=autocompare` analogue of §VII-B: advances one step with
@@ -375,9 +386,201 @@ impl Model {
     }
 }
 
+/// Who runs a step's transport jobs.
+enum Dispatch<'a> {
+    /// The periodic wrap: the scheme's pool when it is wider than the
+    /// calling thread, else the plain loop.
+    Periodic,
+    /// The plain loop with a caller's engine and interior-tendency pool.
+    Engine(&'a mut dyn HaloEngine, Option<&'a Executor>),
+}
+
+/// One unit of a step's transport. Jobs write disjoint scalars and read
+/// only the wind and pressure besides, so any worker may run any job, in
+/// any order, with the same bits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Job {
+    /// θ: convert from T, advect, convert back.
+    Theta,
+    /// Vapor, in place, then its diffusion.
+    Vapor,
+    /// The first `len` of `bins`, occupied bins of `class`, as one panel.
+    Bins {
+        class: usize,
+        bins: [usize; LANES],
+        len: usize,
+    },
+}
+
+/// The most jobs a step can hold: θ, vapor and every bin in full panels.
+const MAX_JOBS: usize = 2 + NTYPES * NKR.div_ceil(LANES);
+
+/// A step's transport jobs, inline, so refilling the list never
+/// allocates.
+struct JobList {
+    jobs: [Job; MAX_JOBS],
+    len: usize,
+}
+
+impl Default for JobList {
+    fn default() -> Self {
+        JobList {
+            jobs: [Job::Theta; MAX_JOBS],
+            len: 0,
+        }
+    }
+}
+
+impl JobList {
+    /// Refills the list with a step's transport in the plain loop's
+    /// order — θ, vapor, then class by class the bins `masks` selects,
+    /// ascending, in panels of up to `LANES` — and returns the number of
+    /// scalars it advects.
+    fn fill(&mut self, masks: &[[bool; NKR]; NTYPES]) -> usize {
+        self.len = 0;
+        self.push(Job::Theta);
+        self.push(Job::Vapor);
+        let mut scalars = 2;
+        for (class, mask) in masks.iter().enumerate() {
+            let (mut occupied, mut count) = ([0usize; NKR], 0);
+            for b in (0..NKR).filter(|&b| mask[b]) {
+                occupied[count] = b;
+                count += 1;
+            }
+            for panel in occupied[..count].chunks(LANES) {
+                let mut bins = [0; LANES];
+                bins[..panel.len()].copy_from_slice(panel);
+                let len = panel.len();
+                self.push(Job::Bins { class, bins, len });
+            }
+            scalars += count;
+        }
+        scalars
+    }
+
+    fn push(&mut self, job: Job) {
+        self.jobs[self.len] = job;
+        self.len += 1;
+    }
+
+    fn as_slice(&self) -> &[Job] {
+        &self.jobs[..self.len]
+    }
+}
+
+/// The state a step's jobs share. Each field a job writes sits behind
+/// its own lock, held for a gather, a scatter or a conversion — and by
+/// the vapor job, which advances vapor in place, for the whole job. Jobs
+/// write disjoint scalars, so the locks order access, never arithmetic.
+struct StepFields<'a> {
+    tt: Mutex<&'a mut Field3<f32>>,
+    qv: Mutex<&'a mut Field3<f32>>,
+    ff: [Mutex<&'a mut Field4<f32>>; NTYPES],
+    p: &'a Field3<f32>,
+    wind: &'a Wind,
+    patch: &'a PatchSpec,
+    dx: f32,
+    dz: f32,
+    dt: f32,
+}
+
+/// Runs one job in the workspace `ws`, its halos refreshed by `engine`,
+/// and adds its advection and residual work to `rk3` and `residual`.
+fn run_job(
+    job: Job,
+    ws: &mut Transport,
+    engine: &mut dyn HaloEngine,
+    overlap: Option<&Executor>,
+    f: &StepFields<'_>,
+    (rk3, residual): &mut (Rk3Work, PointWork),
+) {
+    let Transport {
+        lanes,
+        scratch,
+        tend,
+    } = ws;
+    // `dy` equals `dx` everywhere in this model.
+    let mut advect = |engine: &mut dyn HaloEngine,
+                      lanes: &mut [Field3<f32>],
+                      tags: &[FieldTag],
+                      positive: bool| {
+        rk3_advect_panel(
+            lanes, tags, f.wind, f.patch, f.dx, f.dx, f.dz, f.dt, positive, scratch, tend, engine,
+            overlap,
+        )
+    };
+    match job {
+        // Potential temperature: WRF transports θ (conserved under
+        // advection), not T. Convert, advect, convert back — over the
+        // whole memory extent, so T's halo follows θ's.
+        Job::Theta => {
+            let theta = &mut lanes[..1];
+            let p = f.p.as_slice();
+            for ((th, &t), &p) in (theta[0].as_mut_slice().iter_mut())
+                .zip(lock(&f.tt).as_slice())
+                .zip(p)
+            {
+                *th = t * (100_000.0 / p).powf(KAPPA);
+            }
+            // θ is the one scalar without positive-definite clipping.
+            *rk3 += advect(engine, theta, &[FieldTag::Theta], false);
+            for ((t, &th), &p) in (lock(&f.tt).as_mut_slice().iter_mut())
+                .zip(theta[0].as_slice())
+                .zip(p)
+            {
+                *t = th * (p / 100_000.0).powf(KAPPA);
+            }
+            // (3 flops, 3 memory ops) per memory point for each conversion.
+            let converted = 2 * 3 * f.patch.memory_points() as u64;
+            residual.fm(converted, converted);
+        }
+        Job::Vapor => {
+            let qv: &mut Field3<f32> = &mut lock(&f.qv);
+            *rk3 += advect(engine, std::slice::from_mut(qv), &[FieldTag::Qv], true);
+            // Weak second-order horizontal diffusion on the moisture field
+            // (WRF diff_opt=1-style hygiene on the kinematic core).
+            engine.select(FieldTag::Qv);
+            refresh_now(engine, qv);
+            horizontal_diffusion(qv, f.patch, 1.0e4, f.dx, f.dt, residual);
+        }
+        // Every occupied hydrometeor bin is a transported scalar: a panel
+        // is gathered from and scattered to the class slab in one pass
+        // over it — the whole memory extent, so the slab's halo follows
+        // the lanes'. Bins no job names are never touched.
+        Job::Bins { class, bins, len } => {
+            let (bins, lanes) = (&bins[..len], &mut lanes[..len]);
+            let mut tags = [FieldTag::Bin(class, 0); LANES];
+            for (tag, &b) in tags.iter_mut().zip(bins) {
+                *tag = FieldTag::Bin(class, b);
+            }
+            for (point, all) in lock(&f.ff[class]).as_slice().chunks_exact(NKR).enumerate() {
+                for (lane, &b) in lanes.iter_mut().zip(bins) {
+                    lane.as_mut_slice()[point] = all[b];
+                }
+            }
+            *rk3 += advect(engine, lanes, &tags[..len], true);
+            for (point, all) in (lock(&f.ff[class]).as_mut_slice())
+                .chunks_exact_mut(NKR)
+                .enumerate()
+            {
+                for (lane, &b) in lanes.iter().zip(bins) {
+                    all[b] = lane.as_slice()[point];
+                }
+            }
+        }
+    }
+}
+
+/// Locks `m`, ignoring poison: a job that panics propagates out of its
+/// step, the state locks live for that step only, and a workspace is
+/// scratch that every job writes before it reads.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// The transport workspace: up to `LANES` panel lanes, each with a
 /// provisional field and a tendency — every `Field3` scalar transport
-/// needs besides the state, allocated once per model.
+/// needs besides the state, allocated once per worker.
 struct Transport {
     lanes: Vec<Field3<f32>>,
     scratch: Vec<Field3<f32>>,
@@ -457,9 +660,43 @@ pub fn periodic_refresh(p: PatchSpec) -> impl FnMut(&mut Field3<f32>) {
 mod tests {
     use super::*;
     use fsbm_core::scheme::SbmVersion;
+    use fsbm_core::ExecMode;
+    use wrf_cases::CaseKind;
 
     fn tiny(version: SbmVersion) -> Model {
         Model::single_rank(ModelConfig::functional(version, 0.05, 10))
+    }
+
+    /// The tiny case with the production scheme on a `workers`-wide pool,
+    /// which `Model::step` shares for its transport jobs.
+    fn pooled(workers: usize) -> Model {
+        let mut cfg = ModelConfig::functional(SbmVersion::OffloadCollapse3, 0.05, 10);
+        cfg.device_workers = Some(workers);
+        Model::single_rank(cfg)
+    }
+
+    /// What one step leaves, bit for bit: every digested field's checksum
+    /// and the accumulated precipitation's bits (a long run can reach
+    /// NaN, which the digest's float summaries never equal), then the
+    /// dynamics' metering (advection, residual, scalars advected).
+    type StepBits = (Vec<u64>, u64, Rk3Work, PointWork, usize);
+
+    /// The supercell gate case under the production scheme, `sched` on
+    /// `workers` workers, stepped `steps` times from a cold start: every
+    /// step's bits, and the epochs its pool ran (0 without one).
+    fn supercell_steps(sched: ExecMode, workers: usize, steps: usize) -> (Vec<StepBits>, u64) {
+        let version = SbmVersion::OffloadCollapse3;
+        let cfg = ModelConfig::case_gate(CaseKind::Supercell, version, sched, workers);
+        let mut m = Model::single_rank(cfg);
+        let bits = (0..steps)
+            .map(|_| {
+                let s = m.step();
+                let fields = m.state.digest().fields.iter().map(|f| f.checksum).collect();
+                let precip = m.state.precip_acc.to_bits();
+                (fields, precip, s.rk3, s.wind_work, s.scalars_advected)
+            })
+            .collect();
+        (bits, m.sbm.pool().map_or(0, |pool| pool.stats().epochs))
     }
 
     #[test]
@@ -477,7 +714,7 @@ mod tests {
     fn only_occupied_bins_are_advected() {
         let mut m = tiny(SbmVersion::Lookup);
         let s = m.step();
-        // 1 (qv) + occupied bins; far fewer than the full 232.
+        // 2 (θ and qv) + occupied bins; far fewer than the full 233.
         assert!(s.scalars_advected > 5);
         assert!(s.scalars_advected < 120, "advected {}", s.scalars_advected);
     }
@@ -575,7 +812,7 @@ mod tests {
     /// keeps its bits over the whole memory extent (halo cells, `-0.0`s
     /// and all), and the panel the four selected bins ride reproduces
     /// transport one scalar at a time through the single-scalar driver,
-    /// in both comm modes.
+    /// in both comm modes of the plain loop and on the scheme's pool.
     #[test]
     fn masked_out_bins_keep_their_bits_and_panels_match_single_scalars() {
         use wrf_dycore::rk3_advect_scalar;
@@ -678,12 +915,22 @@ mod tests {
         }
 
         let pool = Executor::new(2);
-        for overlap in [None, Some(&pool)] {
-            let mut m = tiny(SbmVersion::Lookup);
+        for mode in ["blocking", "overlapped", "pooled"] {
+            let mut m = match mode {
+                "pooled" => pooled(2),
+                _ => tiny(SbmVersion::Lookup),
+            };
             m.state = before.clone();
-            let (rk3, _, advected) = m.dynamics(&mut PeriodicEngine { patch: p }, overlap, &masks);
-            assert_eq!(advected, 2 + occupied.len());
-            assert_eq!(rk3, want);
+            let mut engine = PeriodicEngine { patch: p };
+            let (rk3, _, advected) = match mode {
+                "blocking" => m.dynamics(Dispatch::Engine(&mut engine, None), &masks),
+                "overlapped" => m.dynamics(Dispatch::Engine(&mut engine, Some(&pool)), &masks),
+                _ => m.dynamics(Dispatch::Periodic, &masks),
+            };
+            let epochs = m.sbm.pool().map(|pool| pool.stats().epochs);
+            assert_eq!(epochs, (mode == "pooled").then_some(1), "{mode}");
+            assert_eq!(advected, 2 + occupied.len(), "{mode}");
+            assert_eq!(rk3, want, "{mode}");
             for (c, mask) in masks.iter().enumerate() {
                 let (now, was) = (m.state.ff[c].as_slice(), before.ff[c].as_slice());
                 for (point, (now, was)) in now.chunks(NKR).zip(was.chunks(NKR)).enumerate() {
@@ -697,19 +944,123 @@ mod tests {
                 }
             }
             assert_ne!(m.state.ff[2], before.ff[2], "the selected bins moved");
-            assert_eq!(m.state.digest(), r.state.digest());
+            assert_eq!(m.state.digest(), r.state.digest(), "{mode}");
         }
     }
 
     /// `state` is a public field: one built for another grid is refused
-    /// up front, not truncated by the slice-wise passes.
+    /// up front, not truncated by the slice-wise passes — ahead of the
+    /// pooled dispatch (checked here) and of the plain loop (the panic the
+    /// test expects).
     #[test]
     #[should_panic(expected = "memory extent")]
     fn state_of_another_shape_is_rejected() {
-        let mut m = tiny(SbmVersion::Lookup);
         let taller = ModelConfig::functional(SbmVersion::Lookup, 0.05, 12);
+        let mut m = pooled(2);
+        m.state = Model::single_rank(taller).state;
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| m.step()));
+        let payload = refused.expect_err("the pooled dispatch must refuse it");
+        let text = payload.downcast_ref::<&str>().copied().unwrap_or_default();
+        assert!(text.contains("memory extent"), "pooled: {text:?}");
+        let mut m = tiny(SbmVersion::Lookup);
         m.state = Model::single_rank(taller).state;
         m.step();
+    }
+
+    /// The job list of random masks: θ then vapor, then every selected
+    /// (class, bin) exactly once, class by class and ascending — the
+    /// plain loop's order — in one-class panels of up to `LANES`, full
+    /// but for each class's last.
+    #[test]
+    fn job_list_covers_each_selected_bin_once() {
+        let mut list = JobList::default();
+        let mut n = 7u64;
+        for round in 0..200 {
+            let mut masks = [[false; NKR]; NTYPES];
+            for mask in masks.iter_mut() {
+                for bin in mask.iter_mut() {
+                    n = n
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    // Empty, full and everything between.
+                    *bin = match round % 4 {
+                        0 => false,
+                        1 => true,
+                        _ => (n >> 33).is_multiple_of(3),
+                    };
+                }
+            }
+            let scalars = list.fill(&masks);
+            let jobs = list.as_slice();
+            assert_eq!(jobs[..2], [Job::Theta, Job::Vapor]);
+            let mut listed = Vec::new();
+            for (at, job) in jobs[2..].iter().enumerate() {
+                let Job::Bins { class, bins, len } = *job else {
+                    panic!("θ and vapor appear once each: {job:?}");
+                };
+                assert!((1..=LANES).contains(&len), "{job:?}");
+                let last_of_class = match jobs.get(at + 3) {
+                    Some(Job::Bins { class: next, .. }) => *next != class,
+                    _ => true,
+                };
+                assert!(len == LANES || last_of_class, "{job:?}");
+                listed.extend(bins[..len].iter().map(|&b| (class, b)));
+            }
+            let selected: Vec<_> = (0..NTYPES)
+                .flat_map(|c| (0..NKR).map(move |b| (c, b)))
+                .filter(|&(c, b)| masks[c][b])
+                .collect();
+            assert_eq!(listed, selected, "round {round}");
+            assert_eq!(scalars, 2 + selected.len());
+        }
+    }
+
+    /// The supercell gate case for eight steps with the pool running the
+    /// dynamics (work stealing at 2 and 3 workers) and without (static
+    /// tiles — the ledger's oracle — and one worker): every step's field
+    /// checksums, advection work, wind work and scalar count are the
+    /// same.
+    #[test]
+    fn pooled_dynamics_matches_the_plain_loop_bitwise() {
+        let steps = 8;
+        let (want, epochs) = supercell_steps(ExecMode::StaticTiles, 1, steps);
+        assert_eq!(epochs, 0, "static tiles have no pool");
+        assert!(want[steps - 1].4 > want[0].4, "the storm must grow bins");
+        let mut scheme_epochs = 0;
+        for workers in [1, 2, 3] {
+            let (got, epochs) = supercell_steps(ExecMode::work_steal(), workers, steps);
+            // One worker: the scheme's launches alone (one that finds no
+            // work dispatches nothing). With a helper to share them, one
+            // dynamics dispatch a step more.
+            if workers == 1 {
+                scheme_epochs = epochs;
+            } else {
+                assert_eq!(epochs, scheme_epochs + steps as u64, "{workers} workers");
+            }
+            for (step, (got, want)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(got, want, "{workers} workers, step {step}");
+            }
+        }
+    }
+
+    /// Two job shapes on one pool every step — the dynamics dispatch, then
+    /// the scheme's four launches — back to back: every step's bits at 2
+    /// and 3 workers equal the one-worker run's. 48 steps under
+    /// `CI_NIGHTLY` (`./ci.sh pool_stress`), 8 otherwise.
+    #[test]
+    fn pooled_dynamics_every_step_matches_one_worker() {
+        let nightly = std::env::var_os("CI_NIGHTLY").is_some_and(|v| !v.is_empty());
+        let steps = if nightly { 48 } else { 8 };
+        let (want, scheme_epochs) = supercell_steps(ExecMode::work_steal(), 1, steps);
+        assert_ne!(want[0].0, want[steps - 1].0, "the state must evolve");
+        for workers in [2, 3] {
+            let (got, epochs) = supercell_steps(ExecMode::work_steal(), workers, steps);
+            let dispatches = steps as u64;
+            assert_eq!(epochs, scheme_epochs + dispatches, "{workers} workers");
+            for (step, (got, want)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(got, want, "{workers} workers, step {step}");
+            }
+        }
     }
 
     #[test]
