@@ -17,7 +17,8 @@
 #   CI_NIGHTLY     non-empty: every gate runs with `--nightly` — the
 #                  reference depth (tune 8 bitwise-check steps, cases
 #                  sweep at scales 0.05/0.1/0.2) instead of PR depth
-#                  (4 steps, scale 0.05 only). The two sets live in one
+#                  (4 steps, scale 0.05 only) — and the committed-report
+#                  byte check is skipped. The two sets live in one
 #                  place, `wrf_gate::Depth`; ci.yml sets this on the
 #                  nightly schedule event only. The pool stress tests
 #                  read it too (300 scheme steps instead of 24, plus the
@@ -155,18 +156,20 @@ step_shellcheck() {
     shellcheck ci.sh
 }
 
-# The eight repro gates, one row each:
+# The nine repro gates, one row each:
 #   ci step ; repro arguments ; report file ; summary section
 # `repro help` describes what each gate enforces. Every gate prints its
 # report, writes it to the report file (the same JSON envelope for all
-# eight), and exits nonzero on a violation. The last field names the
-# gate's headline table — the report section with that title lands in
-# the job summary, so a green job explains itself as a red one does
-# (summary_violations). Adding a gate is one row here, one row in the
-# registry of crates/gate/src/bin/repro.rs, and one line in the ci.yml
-# matrix — crates/gate/tests/cli.rs holds the three equal.
+# nine), and exits nonzero on a violation. A committed report must come
+# out byte-identical (report_drift), the way goldens/ must. The last
+# field names the gate's headline table — the report section with that
+# title lands in the job summary, so a green job explains itself as a
+# red one does (summary_violations). Adding a gate is one row here, one
+# row in the registry of crates/gate/src/bin/repro.rs, and one line in
+# the ci.yml matrix — crates/gate/tests/cli.rs holds the three equal.
 GATES=(
     "gate;gate;gate_report.json;"
+    "bench-exec;bench-exec;BENCH_executor.json;speedup work-stealing+compaction vs static tiles"
     "comm;comm;BENCH_comm.json;overlap bench: blocking comm vs overlapped exposed comm"
     "fault;fault;BENCH_fault.json;kill a rank mid-run, recover from the newest checkpoint set"
     "share;share;BENCH_share.json;Table VII sweep"
@@ -188,10 +191,35 @@ gate_row() {
     return 1
 }
 
-# Runs the gate of GATES row $1 and appends its summary material.
+# Fails when report file $1 is modified or newly created: every gate is
+# a function of the tree, so a committed report that a run changed means
+# the tree changed what it records — regenerate it and commit the diff.
+# An ignored report (gate_report.json) never shows. The diff goes to the
+# log and, with its stat, to the job summary.
+report_drift() {
+    local status
+    status=$(git status --porcelain -- "$1")
+    [ -n "$status" ] || return 0
+    echo "==> ci.sh: $1 differs from the committed copy ($status):" >&2
+    git --no-pager diff -- "$1" >&2
+    if [ -n "${GITHUB_STEP_SUMMARY:-}" ]; then
+        {
+            printf '\n### %s drifted\n\n```\n%s\n' "$1" "$status"
+            git diff --stat -- "$1"
+            git diff -- "$1" | sed -n '1,40p'
+            printf '```\n'
+        } >>"$GITHUB_STEP_SUMMARY"
+    fi
+    return 1
+}
+
+# Runs the gate of GATES row $1 and appends its summary material. At PR
+# depth the gate must also leave its report file as committed; under
+# CI_NIGHTLY the deeper arms write a report that is not the committed
+# one, so the byte check is skipped.
 run_gate() {
-    local name args title out rc=0
-    IFS=';' read -r name args _ title <<<"$1"
+    local name args file title out rc=0
+    IFS=';' read -r name args file title <<<"$1"
     out=$(mktemp)
     # shellcheck disable=SC2086 # the arguments are a word list on purpose
     cargo run --release -q -p wrf-gate --bin repro -- $args ${CI_NIGHTLY:+--nightly} |
@@ -204,6 +232,9 @@ run_gate() {
         } >>"$GITHUB_STEP_SUMMARY"
     fi
     rm -f "$out"
+    if [ -z "${CI_NIGHTLY:-}" ] && ! report_drift "$file" && [ "$rc" -eq 0 ]; then
+        rc=1
+    fi
     return "$rc"
 }
 

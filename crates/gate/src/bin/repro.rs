@@ -14,7 +14,6 @@
 use gpu_sim::DeviceError;
 use std::path::PathBuf;
 use wrf_gate::ablations::{ablation_block_size, ablation_latency_knee, ablation_registers};
-use wrf_gate::execbench::bench_exec;
 use wrf_gate::figures::{fig2, fig3, fig4};
 use wrf_gate::future::project_cond_offload;
 use wrf_gate::tables::{headline, table1, table3, table4, table5, table6, table7};
@@ -58,20 +57,6 @@ fn listings() -> String {
     s
 }
 
-fn bench_exec_target() -> String {
-    // Reduced-scale sparse CONUS (one storm cluster on a ~68x48 grid
-    // keeps the collision-predicate activity fraction under 0.2),
-    // comparing the seed execution path (static tiles, on-demand
-    // kernels) against the persistent pool and the full v4 path at
-    // 1/2/4/8 workers.
-    let report = bench_exec(0.16, 16, 1, 3, &[1, 2, 4, 8]).report();
-    match std::fs::write("BENCH_executor.json", report.to_json()) {
-        Ok(()) => eprintln!("[repro] wrote BENCH_executor.json"),
-        Err(e) => eprintln!("[repro] could not write BENCH_executor.json: {e}"),
-    }
-    report.rendered()
-}
-
 /// How a paper target produces its text.
 enum Emit {
     /// From the measured reproduction context (a configuration the
@@ -81,31 +66,22 @@ enum Emit {
     Free(fn() -> String),
 }
 
-/// The paper targets: name, whether `all` includes it, and its emitter.
-const TARGETS: &[(&str, bool, Emit)] = &[
-    ("table1", true, Emit::Ctx(table1)),
-    ("timeline", true, Emit::Ctx(timeline)),
-    ("table3", true, Emit::Ctx(|c| Ok(table3(c)?.rendered))),
-    ("table4", true, Emit::Ctx(|c| Ok(table4(c)?.rendered))),
-    ("table5", true, Emit::Ctx(|c| Ok(table5(c)?.rendered))),
-    ("table6", true, Emit::Ctx(|c| Ok(table6(c)?.2))),
-    ("table7", true, Emit::Ctx(|c| Ok(table7(c)?.1))),
-    ("fig2", true, Emit::Free(fig2)),
-    ("fig3", true, Emit::Ctx(|c| Ok(fig3(c)?.1))),
-    ("fig4", true, Emit::Ctx(|c| Ok(fig4(c)?.1))),
-    ("ablation", true, Emit::Ctx(ablation)),
-    (
-        "future",
-        true,
-        Emit::Ctx(|c| Ok(project_cond_offload(c)?.1)),
-    ),
-    (
-        "verify",
-        true,
-        Emit::Free(|| verify_versions(0.06, 12, 6).1),
-    ),
-    ("listings", true, Emit::Free(listings)),
-    ("bench-exec", false, Emit::Free(bench_exec_target)),
+/// The paper targets, in the order `all` prints them.
+const TARGETS: &[(&str, Emit)] = &[
+    ("table1", Emit::Ctx(table1)),
+    ("timeline", Emit::Ctx(timeline)),
+    ("table3", Emit::Ctx(|c| Ok(table3(c)?.rendered))),
+    ("table4", Emit::Ctx(|c| Ok(table4(c)?.rendered))),
+    ("table5", Emit::Ctx(|c| Ok(table5(c)?.rendered))),
+    ("table6", Emit::Ctx(|c| Ok(table6(c)?.2))),
+    ("table7", Emit::Ctx(|c| Ok(table7(c)?.1))),
+    ("fig2", Emit::Free(fig2)),
+    ("fig3", Emit::Ctx(|c| Ok(fig3(c)?.1))),
+    ("fig4", Emit::Ctx(|c| Ok(fig4(c)?.1))),
+    ("ablation", Emit::Ctx(ablation)),
+    ("future", Emit::Ctx(|c| Ok(project_cond_offload(c)?.1))),
+    ("verify", Emit::Free(|| verify_versions(0.06, 12, 6).1)),
+    ("listings", Emit::Free(listings)),
 ];
 
 fn timeline(ctx: &ReproContext) -> Result<String, DeviceError> {
@@ -131,8 +107,6 @@ struct Env {
     report: PathBuf,
     /// Directory of the committed golden fixtures.
     goldens: PathBuf,
-    /// The committed baseline the gate compares against.
-    baseline: PathBuf,
     /// Regenerate the gate's committed fixtures instead of gating.
     bless: bool,
     /// Run at the nightly reference depth ([`Depth::NIGHTLY`]).
@@ -149,7 +123,6 @@ type Flag = (
 const FLAGS: &[Flag] = &[
     ("--report", Some("PATH"), "write the report here instead of the gate's report file", |e, v| e.report = v),
     ("--goldens", Some("DIR"), "golden fixture directory (default goldens)", |e, v| e.goldens = v),
-    ("--baseline", Some("PATH"), "committed baseline to compare against instead of the gate's own", |e, v| e.baseline = v),
     ("--bless", None, "regenerate the gate's committed fixtures instead of gating", |e, _| e.bless = true),
     ("--nightly", None, "reference depth: the longer tune bitwise check and the deep cases sweep (default: PR depth)", |e, _| e.nightly = true),
 ];
@@ -161,8 +134,6 @@ struct Gate {
     name: &'static str,
     /// Default of `--report`.
     report_file: &'static str,
-    /// Default of `--baseline` (empty: the gate reads none).
-    baseline_file: &'static str,
     about: &'static str,
     run: fn(&Env) -> Result<Report, String>,
     /// Regenerates what the gate has committed; returns the paths written.
@@ -171,21 +142,26 @@ struct Gate {
 
 /// The gate registry. Every report is a deterministic function of the
 /// source tree. `gate`'s is the git-ignored `gate_report.json` only
-/// because it restates `goldens/` and `BENCH_executor.json`; the others
-/// are committed.
+/// because it restates `goldens/`; the others are committed, and a run
+/// that changes one shows in `git diff` (`ci.sh` fails on it).
 const GATES: &[Gate] = &[
     Gate {
         name: "gate",
         report_file: "gate_report.json",
-        baseline_file: "BENCH_executor.json",
-        about: "golden matrix (versions x modes x workers, production layout, plus each fixture's blessing arm) vs goldens/, then bench-exec vs the perf baseline",
-        run: |e| wrf_gate::run_gate(&e.goldens, &e.baseline),
+        about: "golden matrix (versions x modes x workers, production layout, plus each fixture's blessing arm) vs goldens/",
+        run: |e| wrf_gate::run_gate(&e.goldens),
         bless: Some(|e| wrf_gate::bless(&e.goldens)),
+    },
+    Gate {
+        name: "bench-exec",
+        report_file: "BENCH_executor.json",
+        about: "executor scaling: static tiles vs work stealing + compaction, schedule replay of the metered collision work",
+        run: |_| Ok(wrf_gate::execbench::run()),
+        bless: None,
     },
     Gate {
         name: "comm",
         report_file: "BENCH_comm.json",
-        baseline_file: "",
         about: "Blocking vs Overlapped digest equivalence per version, then the 16-rank overlap bench",
         run: |_| Ok(wrf_gate::comm::run()),
         bless: None,
@@ -193,7 +169,6 @@ const GATES: &[Gate] = &[
     Gate {
         name: "fault",
         report_file: "BENCH_fault.json",
-        baseline_file: "",
         about: "kill a rank mid-run, recover from the newest checkpoint set, bitwise vs uninterrupted, per version x comm mode",
         run: |_| Ok(wrf_gate::fault::run(wrf_gate::fault::TIMEOUT)),
         bless: None,
@@ -201,7 +176,6 @@ const GATES: &[Gate] = &[
     Gate {
         name: "share",
         report_file: "BENCH_share.json",
-        baseline_file: "",
         about: "shared-pool vs exclusive digest equivalence, memory-capped admission, the Table VII sharing sweep",
         run: |_| Ok(wrf_gate::share::run()),
         bless: None,
@@ -209,7 +183,6 @@ const GATES: &[Gate] = &[
     Gate {
         name: "ensemble",
         report_file: "BENCH_ensemble.json",
-        baseline_file: "",
         about: "served members vs solo runs per version, retry and packing walls, full-scale batched throughput",
         run: |_| Ok(wrf_gate::ensemble::run()),
         bless: None,
@@ -217,7 +190,6 @@ const GATES: &[Gate] = &[
     Gate {
         name: "zoo",
         report_file: "BENCH_zoo.json",
-        baseline_file: "",
         about: "every zoo backend priced end to end: version ranking, Table VII decay, capacity-tracking packing",
         run: |_| Ok(wrf_gate::zoo::run()),
         bless: None,
@@ -225,21 +197,13 @@ const GATES: &[Gate] = &[
     Gate {
         name: "tune",
         report_file: "BENCH_tune.json",
-        baseline_file: "BENCH_tune.json",
-        about: "schedule search per backend recovers the hand-derived v2/v3 kernels; schedule='auto' bitwise; committed winners replay",
-        run: |e| {
-            // Read before the search runs: nothing to replay against is
-            // an error, not a vacuous pass.
-            let committed = std::fs::read_to_string(&e.baseline)
-                .map_err(|err| format!("cannot read baseline {}: {err}", e.baseline.display()))?;
-            Ok(wrf_gate::tune::run(&committed, Depth::of(e.nightly).tune_check_steps))
-        },
+        about: "schedule search per backend recovers the hand-derived v2/v3 kernels; schedule='auto' bitwise",
+        run: |e| Ok(wrf_gate::tune::run(Depth::of(e.nightly).tune_check_steps)),
         bless: None,
     },
     Gate {
         name: "cases",
         report_file: "BENCH_cases.json",
-        baseline_file: "",
         about: "every library case and the one-way nest vs goldens/case_*.golden, activity bands, nested-vs-solo floors",
         run: |e| wrf_gate::cases::run(&e.goldens, Depth::of(e.nightly).cases_sweep),
         bless: Some(|e| wrf_gate::cases::bless_cases(&e.goldens)),
@@ -277,7 +241,6 @@ fn parse_env(gate: &Gate, args: &[String]) -> Result<Env, String> {
     let mut env = Env {
         report: gate.report_file.into(),
         goldens: "goldens".into(),
-        baseline: gate.baseline_file.into(),
         bless: false,
         nightly: false,
     };
@@ -349,7 +312,7 @@ fn main() {
     }
     let selected: Vec<_> = TARGETS
         .iter()
-        .filter(|(name, in_all, _)| *name == what || (what == "all" && *in_all))
+        .filter(|(name, _)| *name == what || what == "all")
         .collect();
     if selected.is_empty() {
         if what == "help" || what == "--help" {
@@ -360,7 +323,7 @@ fn main() {
         std::process::exit(2);
     }
     let mut ctx = None;
-    for (name, _, emit) in selected {
+    for (name, emit) in selected {
         let text = match emit {
             Emit::Free(f) => Ok(f()),
             Emit::Ctx(f) => f(ctx.get_or_insert_with(|| {

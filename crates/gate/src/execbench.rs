@@ -16,14 +16,13 @@
 //! recorded host). Each arm is additionally run for real, which is where
 //! the executor's own chunk count and kernel-cache hit rate come from.
 //!
-//! The report is the shared gate envelope ([`Report`]), written to
+//! `repro bench-exec` is a gate of the registry like the others: its
+//! report is the shared envelope ([`Report`]), written to the committed
 //! `BENCH_executor.json`, and a deterministic function of the source
-//! tree: two runs give a byte-identical file. The committed copy is the
-//! *perf baseline* enforced by `repro gate` ([`crate::run_gate`]): the
-//! gate re-runs this benchmark with the case parameters embedded in the
-//! committed document and compares row by row. Regenerate the baseline
-//! with `repro bench-exec` when an intentional change to the work or
-//! the schedule lands.
+//! tree — two runs give a byte-identical file. It asserts nothing
+//! itself; `ci.sh` regenerates the file and fails when the bytes moved,
+//! so an intentional change to the work or the schedule lands with its
+//! regenerated copy, and the diff is what review reads.
 
 use crate::report::{Cell, Report, Table};
 use fsbm_core::exec::ExecMode;
@@ -204,8 +203,8 @@ impl ExecBenchReport {
 
     /// The `bench-exec` report: the document committed as
     /// `BENCH_executor.json` and the text `repro bench-exec` prints. It
-    /// gates nothing itself — `repro gate` holds a fresh one against the
-    /// committed one.
+    /// has no checks: the committed bytes are what a fresh one is held
+    /// to.
     pub fn report(&self) -> Report {
         let rows = Table::new(
             "rows",
@@ -279,6 +278,13 @@ pub fn bench_exec(
     }
 }
 
+/// `repro bench-exec`: the committed case. Reduced-scale sparse CONUS
+/// (one storm cluster on a ~68x48 grid keeps the collision-predicate
+/// activity fraction under 0.2), both arms at 1/2/4/8 workers.
+pub fn run() -> Report {
+    bench_exec(0.16, 16, 1, 3, &[1, 2, 4, 8]).report()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -330,7 +336,7 @@ mod tests {
         assert!(text.contains("scaling_vs_serial"), "{text}");
         assert!(!text.contains("gate: PASS"), "{text}");
         assert!(!text.contains("=== repro bench-exec: checks ==="), "{text}");
-        // The invariant the perf gate rests on: the document is a
+        // The invariant the byte check rests on: the document is a
         // function of the source tree, not of the host or the run.
         let again = bench_exec(0.04, 8, 3, 1, &[1, 2]).report().to_json();
         assert_eq!(json, again);

@@ -69,7 +69,7 @@ fn denom_floor(name: &str) -> f64 {
 
 /// Relative difference of `a` and `b` over the larger magnitude, the
 /// denominator floored at `floor`.
-pub(crate) fn rel(a: f64, b: f64, floor: f64) -> f64 {
+fn rel(a: f64, b: f64, floor: f64) -> f64 {
     if a.to_bits() == b.to_bits() {
         // Bit-identical, including matching NaN payloads and equal
         // infinities: `(a - b)` would yield NaN for those and the

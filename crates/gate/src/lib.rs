@@ -18,24 +18,23 @@
 //!   against committed fixtures (`goldens/*.golden`, [`fixture`]) with
 //!   diffwrf-style statistics: digits of agreement, max abs/rel error,
 //!   RMSE, ULP distance.
-//! * **Perf regression** ([`perf`]) — the `bench-exec` schedule replay
-//!   ([`execbench`]) is re-run and compared row by row against the
-//!   committed `BENCH_executor.json`: every metric is a deterministic
-//!   function of the work and the schedule, held under one tight
-//!   tolerance.
 //!
 //! Nothing here reads a clock: what a gate emits or enforces is a
 //! function of the source tree (`./ci.sh clock_free`). Measured seconds
 //! are the ledger's (`benchmark/`), on a recorded host.
 //!
-//! Seven more gates ([`comm`], [`fault`], [`share`], [`ensemble`],
-//! [`zoo`], [`tune`], [`cases`]) enforce the claims of the layers built
-//! on top. Every gate produces the same [`Report`] — labelled checks and
-//! tables — whose verdict, text and JSON envelope are written once in
-//! [`report`]; every digest-equivalence table comes from one loop,
-//! [`golden::equivalence_matrix`]. `repro <gate>` writes the report to
-//! the gate's report file and exits nonzero on any violation;
-//! `repro gate --bless` regenerates the golden fixtures.
+//! Eight more gates ([`execbench`], [`comm`], [`fault`], [`share`],
+//! [`ensemble`], [`zoo`], [`tune`], [`cases`]) enforce the claims of the
+//! layers built on top. Every gate produces the same [`Report`] —
+//! labelled checks and tables — whose verdict, text and JSON envelope
+//! are written once in [`report`]; every digest-equivalence table comes
+//! from one loop, [`golden::equivalence_matrix`]. `repro <gate>` writes
+//! the report to the gate's report file and exits nonzero on any
+//! violation; `repro gate --bless` regenerates the golden fixtures.
+//!
+//! A committed report is checked the way the fixtures are: by
+//! regenerating it. Nothing here reads one back — `ci.sh` fails a gate
+//! whose run left its committed report file changed and prints the diff.
 
 pub mod ablations;
 pub mod cases;
@@ -49,7 +48,6 @@ pub mod fixture;
 pub mod future;
 pub mod golden;
 pub mod json;
-pub mod perf;
 pub mod report;
 pub mod share;
 mod table;
@@ -61,7 +59,6 @@ pub mod zoo;
 pub use context::ReproContext;
 pub use fixture::GoldenFixture;
 pub use golden::GoldenRunSpec;
-pub use perf::BenchCase;
 pub use report::{Cell, Check, Report, Table};
 
 use miniwrf::config::ModelConfig;
@@ -135,49 +132,27 @@ pub fn bless(dir: &Path) -> Result<Vec<PathBuf>, String> {
 /// Worker counts of the golden matrix.
 const GOLDEN_WORKERS: [usize; 2] = [1, 3];
 
-/// Assembles the `gate` report from its two halves.
-pub fn gate_report(
-    golden: &[golden::EquivRow],
-    perf: &[perf::PerfCheck],
-    structural: &[String],
-) -> Report {
-    let (golden_table, mut checks) = golden::equivalence(
+/// The `gate` report of the golden matrix's rows.
+pub fn gate_report(golden: &[golden::EquivRow]) -> Report {
+    let (table, checks) = golden::equivalence(
         "golden",
         "golden verification (diffwrf digits vs committed fixtures)",
         golden,
     );
-    let (perf_table, perf_checks) = perf::report_parts(perf, structural);
-    checks.extend(perf_checks);
     Report {
         gate: "gate",
         case: vec![("golden", golden::case_description().into())],
         checks,
-        tables: vec![golden_table, perf_table],
+        tables: vec![table],
     }
 }
 
 /// Runs the reproduction gate: the golden matrix against the fixtures
-/// in `goldens_dir`, then a fresh `bench-exec` replay of the baseline's
-/// own case against the baseline at `baseline_json`.
-pub fn run_gate(goldens_dir: &Path, baseline_json: &Path) -> Result<Report, String> {
+/// in `goldens_dir`.
+pub fn run_gate(goldens_dir: &Path) -> Result<Report, String> {
     let fixtures = load_fixtures(goldens_dir)?;
-    // Both inputs are read before the minutes-long matrix runs.
-    let baseline = std::fs::read_to_string(baseline_json)
-        .map_err(|e| format!("cannot read perf baseline {}: {e}", baseline_json.display()))?;
-    let case = perf::parse_case(&baseline).map_err(|e| {
-        let path = baseline_json.display();
-        format!("perf: documents line up: baseline {path}: {e}")
-    })?;
     let golden = golden::run_golden_gate(&golden::gate_matrix(&GOLDEN_WORKERS), &fixtures, None)?;
-    let candidate = execbench::bench_exec(
-        case.scale,
-        case.nz,
-        case.n_storms,
-        case.steps,
-        &case.workers,
-    );
-    let (perf, structural) = perf::compare_benchmarks(&baseline, &perf::Bench::of(&candidate));
-    Ok(gate_report(&golden, &perf, &structural))
+    Ok(gate_report(&golden))
 }
 
 #[cfg(test)]

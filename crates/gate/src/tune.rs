@@ -26,14 +26,13 @@
 //!   `'auto'` is bitwise-identical to the same run under the explicit
 //!   version name.
 //!
-//! The report is written to `BENCH_tune.json`, replay-gated: the fresh
-//! search must reproduce the winners of the committed copy (a baseline
-//! that cannot be read is an error before the search runs, not a skipped
-//! check). Any violation makes `repro tune` exit nonzero.
+//! The report is written to the committed `BENCH_tune.json`, which
+//! `ci.sh` regenerates and diffs: a winner, ranking or `'auto'`
+//! resolution that drifted is a changed line there. Any violation makes
+//! `repro tune` exit nonzero.
 
 use crate::context::ReproContext;
 use crate::golden::combined_checksum;
-use crate::json::Json;
 use crate::report::{Cell, Check, Report, Table};
 use crate::zoo::{ranking_violations, slowest_first};
 use codee_sim::tune::{PricedVariant, TuneReport};
@@ -286,58 +285,9 @@ pub fn auto_bitwise_check(auto: SbmVersion, check_steps: usize) -> AutoBitwise {
     }
 }
 
-/// Compares the fresh rows against the committed `BENCH_tune.json`:
-/// per-backend winners, family rankings, and the auto resolution must
-/// replay exactly (modeled times may drift with calibration, labels may
-/// not).
-pub fn replay_violations(committed: &str, rows: &[TuneBackendRow]) -> Vec<String> {
-    let doc = match Json::parse(committed) {
-        Ok(d) => d,
-        Err(e) => return vec![format!("committed BENCH_tune.json unparsable: {e}")],
-    };
-    let backends = doc.get("tables").and_then(|t| t.get("backends"));
-    let Some(backends) = backends.and_then(Json::as_arr) else {
-        return vec!["committed BENCH_tune.json has no backends table".to_string()];
-    };
-    let mut v = Vec::new();
-    for b in backends {
-        let Some(name) = b.get("backend").and_then(Json::as_str) else {
-            v.push("committed backend row without a name".to_string());
-            continue;
-        };
-        let Some(row) = rows.iter().find(|r| r.backend == name) else {
-            v.push(format!(
-                "committed backend {name} missing from the fresh search"
-            ));
-            continue;
-        };
-        let fresh = [
-            ("winner", Json::Str(row.winner.clone())),
-            ("auto", Json::Str(row.auto_version.label().to_string())),
-            ("ranking", Json::strs(&row.ranking)),
-        ];
-        for (key, fresh) in fresh {
-            if b.get(key) != Some(&fresh) {
-                v.push(format!(
-                    "{name}: {key} drifted from the committed baseline: \
-                     fresh {fresh:?} vs committed {:?}",
-                    b.get(key)
-                ));
-            }
-        }
-    }
-    v
-}
-
-/// Assembles the tune report. `replay` is what [`replay_violations`]
-/// holds against the fresh rows; `min_backends` is the floor of
+/// Assembles the tune report; `min_backends` is the floor of
 /// [`cross_backend_violations`].
-pub fn report(
-    rows: &[TuneBackendRow],
-    bitwise: &AutoBitwise,
-    replay: &[String],
-    min_backends: usize,
-) -> Report {
+pub fn report(rows: &[TuneBackendRow], bitwise: &AutoBitwise, min_backends: usize) -> Report {
     let class = |r: &TuneBackendRow| if r.is_cpu { "cpu" } else { "gpu" };
     let mut checks: Vec<Check> = rows
         .iter()
@@ -351,7 +301,6 @@ pub fn report(
         "cross-backend",
         &cross_backend_violations(rows, min_backends),
     ));
-    checks.push(Check::all_of("replay of committed winners", replay));
     let backends = Table::new(
         "backends",
         "searched-best schedule per backend",
@@ -450,15 +399,12 @@ pub fn backend_rows(ctx: &ReproContext) -> Vec<TuneBackendRow> {
 }
 
 /// Runs the tune gate: coefficients measured once on the functional
-/// plane, every backend searched, stability checked across the zoo, the
-/// functional `'auto'` arm run bitwise for `check_steps`, and the
-/// committed artifact (`committed`: the text of the checked-in
-/// `BENCH_tune.json`) replayed.
-pub fn run(committed: &str, check_steps: usize) -> Report {
+/// plane, every backend searched, stability checked across the zoo, and
+/// the functional `'auto'` arm run bitwise for `check_steps`.
+pub fn run(check_steps: usize) -> Report {
     let rows = backend_rows(&ReproContext::quick());
     let bitwise = auto_bitwise_check(rows[0].auto_version, check_steps);
-    let replay = replay_violations(committed, &rows);
-    report(&rows, &bitwise, &replay, MIN_BACKENDS)
+    report(&rows, &bitwise, MIN_BACKENDS)
 }
 
 #[cfg(test)]
@@ -574,39 +520,13 @@ mod tests {
         }
     }
 
-    #[test]
-    fn replay_gates_the_committed_winners() {
-        let rows = vec![synth_row("a100-80gb", 1.0)];
-        let json = report(&rows, &auto_bitwise(1), &[], 1).to_json();
-        // A faithful replay passes; times may drift.
-        let committed = json.replace("0.0017", "0.002");
-        assert_ne!(committed, json);
-        assert!(replay_violations(&committed, &rows).is_empty());
-        // A drifted winner fails — through the report's own check too.
-        let drifted = json.replace(
-            "collapse=3 slab[bin,pt]\", \"winner_secs",
-            "collapse=2 stack\", \"winner_secs",
-        );
-        let v = replay_violations(&drifted, &rows);
-        assert!(v.iter().any(|x| x.contains("winner drifted")), "{v:?}");
-        let rep = report(&rows, &auto_bitwise(1), &v, 1);
-        let v = rep.violations();
-        assert!(
-            v.iter().any(|x| x.contains("tune: replay of committed")),
-            "{v:?}"
-        );
-        // Garbage, and the pre-envelope format, are their own violations.
-        assert!(!replay_violations("{not json", &rows).is_empty());
-        assert!(!replay_violations("{\"backends\": []}", &rows).is_empty());
-    }
-
     /// The parent format's keys and printed digits survive the envelope.
     #[test]
     fn report_verdict_flows_to_json_and_text() {
         let mut rows: Vec<TuneBackendRow> = [("a100-80gb", 1.0), ("v100-32gb", 1.2)]
             .map(|(n, s)| synth_row(n, s))
             .to_vec();
-        let rep = report(&rows, &auto_bitwise(0xabc), &[], 2);
+        let rep = report(&rows, &auto_bitwise(0xabc), 2);
         assert!(rep.pass(), "{:?}", rep.violations());
         let json = rep.to_json();
         assert!(json.contains("\"gate\": \"tune\""));
@@ -620,7 +540,7 @@ mod tests {
         assert!(text.contains("=== repro tune: storage-family winners per backend ==="));
 
         rows[0].violations.push("synthetic".into());
-        let failing = report(&rows, &auto_bitwise(0xabc), &[], 2);
+        let failing = report(&rows, &auto_bitwise(0xabc), 2);
         assert!(!failing.pass());
         assert!(failing
             .violations()
@@ -638,15 +558,11 @@ mod tests {
     fn tune_gate_passes_end_to_end() {
         let rows = backend_rows(ReproContext::quick_shared());
         let bitwise = auto_bitwise_check(SbmVersion::OffloadCollapse3, 4);
-        let rep = report(&rows, &bitwise, &[], MIN_BACKENDS);
+        let rep = report(&rows, &bitwise, MIN_BACKENDS);
         assert!(rep.pass(), "{:#?}", rep.violations());
         let labels: Vec<&str> = rep.checks.iter().map(|c| c.label.as_str()).collect();
         let mut want: Vec<String> = ZOO.iter().map(|b| format!("backend: {}", b.name)).collect();
-        want.extend([
-            "auto bitwise vs explicit".into(),
-            "cross-backend".into(),
-            "replay of committed winners".into(),
-        ]);
+        want.extend(["auto bitwise vs explicit".into(), "cross-backend".into()]);
         assert_eq!(labels, want);
         assert!(rows.len() >= 5);
         let a100 = &rows[0];
@@ -671,8 +587,6 @@ mod tests {
             kernel_geometry(SbmVersion::OffloadCollapse3)
         );
         assert!(slab.unfissioned_secs < stack.unfissioned_secs);
-        // Replay of its own artifact is clean.
-        assert!(replay_violations(&rep.to_json(), &rows).is_empty());
         // And the bitwise arm really ran.
         assert_eq!(bitwise.explicit, "v4");
         assert_eq!(bitwise.auto_checksum, bitwise.explicit_checksum);

@@ -1,9 +1,11 @@
 //! The `repro` command line and the three lists that must agree with
 //! its gate registry: the usage text it generates, the `GATES` rows of
 //! `ci.sh`, and the gate matrix of `.github/workflows/ci.yml`. Adding a
-//! gate is one line in each; this test fails when one is forgotten.
+//! gate is one line in each; this test fails when one is forgotten, or
+//! when its report file is neither committed nor git-ignored. Two
+//! committed reports are regenerated here and compared byte for byte.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 fn repro(args: &[&str]) -> Output {
@@ -13,10 +15,12 @@ fn repro(args: &[&str]) -> Output {
         .expect("repro runs")
 }
 
+fn repo_root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+}
+
 fn repo_file(name: &str) -> String {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join(name);
+    let path = repo_root().join(name);
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
 }
 
@@ -70,15 +74,10 @@ fn unknown_flag_names_the_shared_flags_and_exits_2() {
     assert_eq!(out.status.code(), Some(2));
     let err = String::from_utf8(out.stderr).unwrap();
     assert!(err.contains("repro comm: unknown flag --bogus"), "{err}");
-    for flag in [
-        "--report PATH",
-        "--goldens DIR",
-        "--baseline PATH",
-        "--bless",
-        "--nightly",
-    ] {
-        assert!(err.contains(flag), "{flag} missing from: {err}");
-    }
+    assert!(
+        err.contains("; flags: --report PATH --goldens DIR --bless --nightly\n"),
+        "{err}"
+    );
     // The wall-clock gate and its flag are gone with the per-gate ones.
     assert!(!err.contains("--check"), "{err}");
     assert_eq!(repro(&["bench-host"]).status.code(), Some(2));
@@ -98,30 +97,32 @@ fn unknown_flag_names_the_shared_flags_and_exits_2() {
     assert_eq!(repro(&["comm", "--bless"]).status.code(), Some(2));
 }
 
-/// A baseline that cannot be read is an error before anything runs —
-/// never a replay check that passes having compared nothing.
-#[test]
-fn missing_tune_baseline_is_exit_2_naming_the_path() {
-    let out = repro(&["tune", "--baseline", "/nonexistent/BENCH_tune.json"]);
-    assert_eq!(out.status.code(), Some(2));
-    let err = String::from_utf8(out.stderr).unwrap();
+/// Runs `repro <gate> --report <tmp>` and holds the written report to
+/// the committed file byte for byte — the rule `ci.sh` applies to every
+/// committed report, here on two of them at PR depth.
+fn regenerates_the_committed_bytes(gate: &str, report_file: &str) {
+    let written = Path::new(env!("CARGO_TARGET_TMPDIR")).join(report_file);
+    let out = repro(&[gate, "--report", written.to_str().expect("utf-8 path")]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let fresh = std::fs::read_to_string(&written).expect("report written");
+    let committed = repo_file(report_file);
+    let first = fresh.lines().zip(committed.lines()).find(|(f, c)| f != c);
     assert!(
-        err.contains("repro tune: cannot read baseline /nonexistent/BENCH_tune.json"),
-        "{err}"
+        fresh == committed,
+        "repro {gate} no longer writes the committed {report_file} \
+         (first differing line, fresh vs committed: {first:?}); \
+         regenerate it and review the diff"
     );
-    assert!(out.stdout.is_empty(), "no report was rendered");
-    // `gate` treats its own baseline the same way.
-    let goldens = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../goldens");
-    let out = repro(&[
-        "gate",
-        "--goldens",
-        goldens.to_str().expect("utf-8 path"),
-        "--baseline",
-        "/nonexistent/BENCH_executor.json",
-    ]);
-    assert_eq!(out.status.code(), Some(2));
-    let err = String::from_utf8(out.stderr).unwrap();
-    assert!(err.contains("/nonexistent/BENCH_executor.json"), "{err}");
+}
+
+#[test]
+fn bench_exec_regenerates_the_committed_bytes() {
+    regenerates_the_committed_bytes("bench-exec", "BENCH_executor.json");
+}
+
+#[test]
+fn tune_regenerates_the_committed_bytes() {
+    regenerates_the_committed_bytes("tune", "BENCH_tune.json");
 }
 
 #[test]
@@ -137,7 +138,7 @@ fn report_write_failure_is_exit_2() {
 fn ci_lists_match_the_registry() {
     let usage = String::from_utf8(repro(&["help"]).stdout).unwrap();
     let registry = registry(&usage);
-    assert_eq!(registry.len(), 8, "{usage}");
+    assert_eq!(registry.len(), 9, "{usage}");
     assert!(!usage.contains("bench-host") && !usage.contains("--check"));
 
     // ci.sh: `"step;repro arguments;report file;summary section"` rows.
@@ -167,6 +168,23 @@ fn ci_lists_match_the_registry() {
         );
     }
     assert!(rows.iter().all(|r| r[0] != "host"), "{rows:?}");
+    // ci.sh's byte check sees a report that is tracked; the one that is
+    // not committed must be ignored, not merely untracked.
+    for (_, report_file) in &registry {
+        let git = |args: &[&str]| {
+            let out = Command::new("git")
+                .current_dir(repo_root())
+                .args(args)
+                .arg(report_file)
+                .output()
+                .expect("git runs");
+            out.status.success()
+        };
+        assert!(
+            git(&["ls-files", "--error-unmatch", "--"]) || git(&["check-ignore", "-q", "--"]),
+            "{report_file} is neither tracked nor git-ignored"
+        );
+    }
     // ci.sh runs the one harness crate.
     assert!(ci_sh.contains("-p wrf-gate --bin repro"), "{ci_sh}");
     assert!(!ci_sh.contains("wrf-bench") && !ci_sh.contains("crates/bench"));

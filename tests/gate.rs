@@ -3,13 +3,11 @@
 //! These exercise the same paths the CI gate runs, on reduced matrices:
 //! golden fixtures round-trip through the committed text format, a clean
 //! tree passes bitwise, a perturbed run fails naming the worst field by
-//! digits of agreement, and the perf gate trips on a degraded replay
-//! makespan, naming the row.
+//! digits of agreement.
 
 use wrf_offload_repro::fsbm_core::exec::ExecMode;
 use wrf_offload_repro::fsbm_core::scheme::{Layout, SbmVersion};
 use wrf_offload_repro::wrf_gate::golden::{bless_fixture, run_golden_gate, GoldenRunSpec};
-use wrf_offload_repro::wrf_gate::perf::{compare_benchmarks, parse_case, Bench};
 use wrf_offload_repro::wrf_gate::{gate_report, GoldenFixture};
 
 /// A reduced golden matrix under the rule of the full one
@@ -34,15 +32,6 @@ fn reduced_matrix() -> Vec<GoldenRunSpec> {
     specs
 }
 
-/// The committed perf baseline, as text and as the comparable content a
-/// candidate replay would have.
-fn committed_baseline() -> (String, Bench) {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("BENCH_executor.json");
-    let text = std::fs::read_to_string(path).expect("committed baseline");
-    let bench = Bench::parse(&text).expect("committed baseline parses");
-    (text, bench)
-}
-
 fn fixtures() -> Vec<GoldenFixture> {
     // Round-trip through the committed text format so the fixtures the
     // comparisons see are exactly what a checkout would parse.
@@ -55,7 +44,7 @@ fn fixtures() -> Vec<GoldenFixture> {
 #[test]
 fn clean_tree_passes_the_golden_gate_bitwise() {
     let rows = run_golden_gate(&reduced_matrix(), &fixtures(), None).expect("gate runs");
-    let report = gate_report(&rows, &[], &[]);
+    let report = gate_report(&rows);
     assert!(report.pass(), "violations: {:?}", report.violations());
     // Every run — any version, any mode, any worker count — reproduces
     // its fixture bit for bit (the §VII-B claim, strengthened).
@@ -66,10 +55,10 @@ fn clean_tree_passes_the_golden_gate_bitwise() {
     assert!(rows.iter().any(|r| r.arm.ends_with("vs baseline")));
     // The assertion inventory: one check per (run, fixture) comparison —
     // the five baseline runs against themselves, the five collapse(2)
-    // runs against both — plus the perf half's line-up check. The one
-    // point-aos label per version is the blessing arm's.
+    // runs against both. The one point-aos label per version is the
+    // blessing arm's.
     let labels: Vec<&str> = report.checks.iter().map(|c| c.label.as_str()).collect();
-    assert_eq!(labels.len(), 5 + 2 * 5 + 1);
+    assert_eq!(labels.len(), 5 + 2 * 5);
     assert_eq!(
         labels[0],
         "golden: baseline [static-tiles w=1 point-aos] vs self"
@@ -91,7 +80,6 @@ fn clean_tree_passes_the_golden_gate_bitwise() {
         labels.iter().filter(|l| l.ends_with("vs baseline")).count(),
         5
     );
-    assert_eq!(labels[15], "perf: documents line up");
 }
 
 #[test]
@@ -100,7 +88,7 @@ fn perturbed_run_fails_and_names_the_worst_field() {
     // visibility, far above bitwise.
     let rows =
         run_golden_gate(&reduced_matrix()[..2], &fixtures(), Some(5.0e-4)).expect("gate runs");
-    let report = gate_report(&rows, &[], &[]);
+    let report = gate_report(&rows);
     assert!(!report.pass());
     let agreement = &rows[0].agreement;
     // The perturbation hits the liquid-water distribution; the worst
@@ -159,77 +147,18 @@ fn committed_goldens_match_current_physics() {
 }
 
 #[test]
-fn perf_gate_passes_against_the_committed_baseline_shape() {
-    let (baseline, same) = committed_baseline();
-    // The committed document parses, exposes its case, and self-compares
-    // clean (the degenerate candidate = baseline case).
-    let case = parse_case(&baseline).expect("case parses");
-    assert_eq!(case.workers, vec![1, 2, 4, 8]);
-    assert!(case.steps >= 1);
-    let (checks, structural) = compare_benchmarks(&baseline, &same);
-    let report = gate_report(&[], &checks, &structural);
-    assert!(report.pass(), "violations: {:?}", report.violations());
-    // The perf half's assertion inventory, 31 labels, every one tight:
-    // the documents lining up, the two case metrics, three metrics for
-    // each row — the two scheduling arms at four worker counts — and
-    // the four headline speedups.
-    let mut expected = vec![
-        "perf: documents line up".to_string(),
-        "perf: case active_fraction (tight)".to_string(),
-        "perf: case coal_flops (tight)".to_string(),
-    ];
-    for mode in ["static-tiles", "work-stealing+compaction"] {
-        for w in [1, 2, 4, 8] {
-            for metric in ["scaling_vs_serial", "chunks", "cache_hit_rate"] {
-                expected.push(format!("perf: {mode}@{w} {metric} (tight)"));
-            }
-        }
-    }
-    for w in [1, 2, 4, 8] {
-        expected.push(format!("perf: speedup@{w} ws_compaction_vs_static (tight)"));
-    }
-    assert_eq!(expected.len(), 31);
-    let labels: Vec<&str> = report.checks.iter().map(|c| c.label.as_str()).collect();
-    assert_eq!(labels, expected);
-}
-
-#[test]
-fn degraded_steps_per_s_fails_with_the_offending_row_named() {
-    let (baseline, _) = committed_baseline();
-    // Double the 8-worker compacted-stealing makespan: a real executor
-    // regression. (String surgery keeps every other row identical.)
-    let degraded = baseline.replace(
-        "\"workers\": 8, \"makespan_flops\": 83605996",
-        "\"workers\": 8, \"makespan_flops\": 167211992",
-    );
-    assert_ne!(
-        degraded, baseline,
-        "baseline shape changed; update this test"
-    );
-    let degraded = Bench::parse(&degraded).expect("degraded document parses");
-    let (checks, structural) = compare_benchmarks(&baseline, &degraded);
-    let report = gate_report(&[], &checks, &structural);
-    let v = report.violations();
-    assert_eq!(v.len(), 1, "{v:?}");
-    assert!(
-        v[0].contains("perf: work-stealing+compaction@8 scaling_vs_serial (tight)"),
-        "must name the offending row: {v:?}"
-    );
-}
-
-#[test]
 fn gate_report_merges_and_serializes() {
     let golden = run_golden_gate(&reduced_matrix()[..1], &fixtures(), None).unwrap();
-    let (baseline, same) = committed_baseline();
-    let (perf, structural) = compare_benchmarks(&baseline, &same);
-    let report = gate_report(&golden, &perf, &structural);
+    let report = gate_report(&golden);
     assert!(report.pass());
+    // One golden row, one line of the table (the writer's layout).
     let json = report.to_json();
-    let parsed = wrf_offload_repro::wrf_gate::json::Json::parse(&json).expect("valid JSON");
-    assert_eq!(parsed.get("pass").unwrap().as_bool(), Some(true));
-    let tables = parsed.get("tables").expect("tables");
-    assert_eq!(tables.get("golden").unwrap().as_arr().unwrap().len(), 1);
-    assert!(!tables.get("perf").unwrap().as_arr().unwrap().is_empty());
+    assert!(json.contains("\n  \"pass\": true,\n"), "{json}");
+    let (_, table) = json
+        .split_once("    \"golden\": [\n")
+        .expect("golden table");
+    let (rows, _) = table.split_once("\n    ]").expect("table closes");
+    assert_eq!(rows.lines().count(), 1, "{json}");
     let text = report.rendered();
     assert!(text.contains("gate: PASS"));
 }
