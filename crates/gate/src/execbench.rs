@@ -192,7 +192,7 @@ impl ExecBenchReport {
     /// The headline: per worker count, the static-tiles makespan over
     /// the work-stealing one (both arms ran the same worker counts in
     /// the same order).
-    pub fn speedups(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
+    fn speedups(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
         (self.arm(ExecMode::StaticTiles))
             .zip(self.arm(ExecMode::WorkSteal))
             .map(|(st, ws)| {

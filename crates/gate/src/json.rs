@@ -158,4 +158,10 @@ mod tests {
 "#;
         assert_eq!(doc.write(), want);
     }
+
+    #[test]
+    fn empty_containers() {
+        assert_eq!(Json::Obj(vec![]).write(), "{}\n");
+        assert_eq!(Json::Arr(vec![]).write(), "[]\n");
+    }
 }
