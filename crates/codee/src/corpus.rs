@@ -8,6 +8,7 @@
 //! and sedimentation.
 
 use crate::ir::{Affine, ArrayDecl, ArrayRef, LoopNest, LoopVar, Scope, Stmt, Subprogram};
+use gpu_sim::schedule::Storage;
 
 /// Number of mass bins (`nkr` in FSBM).
 pub const NKR: i64 = 33;
@@ -354,9 +355,14 @@ pub fn fsbm_subprograms(slab_refactor: bool) -> Vec<Subprogram> {
             loc: 1400,
             implicit_none: true,
             args: vec![("g1".into(), true, false), ("g2".into(), true, false)],
-            // ~40 automatic bin arrays of 33 reals (f32) plus 2-D scratch:
-            // the ~20 KiB/thread that overflowed the default device stack.
-            automatic_bytes: if slab_refactor { 640 } else { 20 * 1024 },
+            // The automatic arrays that overflowed the default device
+            // stack (§VI-B), or what is left of them after Listing 8.
+            automatic_bytes: if slab_refactor {
+                Storage::SlabPointMajor
+            } else {
+                Storage::Stack
+            }
+            .stack_bytes_per_thread(),
             writes_module_vars: false,
             pure_decl: false,
             declare_target: true,

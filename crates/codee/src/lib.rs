@@ -39,6 +39,4 @@ pub use ir::{Affine, ArrayDecl, ArrayRef, LoopNest, LoopVar, Scope, Stmt, Subpro
 pub use modernize::{modernize, Modernized};
 pub use rewrite::rewrite_offload;
 pub use screening::{screening, ScreeningReport};
-pub use tune::{
-    tune, NestWork, PricedVariant, ScheduleVariant, Storage, TrafficRates, TuneReport, TuneTarget,
-};
+pub use tune::{tune, NestWork, PricedVariant, ScheduleVariant, TuneReport, TuneTarget};

@@ -18,66 +18,22 @@
 //! fission points × storage placements), so results are reproducible
 //! bit-for-bit: ties are broken by enumeration order, and enumeration
 //! order is documented below.
+//!
+//! The storage axis, its DRAM rates and the collision kernel's geometry
+//! are `gpu_sim::schedule`'s — the values the scheme runs — so a winner's
+//! placement names the version that runs it (`miniwrf::schedule`).
 
 use crate::depend::{analyze, LoopAnalysis};
 use crate::ir::{LoopNest, Stmt};
 use crate::rewrite::RewriteBlocked;
 use gpu_sim::launch::{launch_modeled_with, Bound, KernelSpec, KernelWork};
 use gpu_sim::machine::Backend;
-
-/// NVHPC's default `parallel do` team size, used for every candidate.
-pub const BLOCK_THREADS: u32 = 128;
+use gpu_sim::schedule::{Collapse, Storage, TrafficRates, BLOCK_THREADS};
 
 /// At most this many licensed fission points are priced per schedule
 /// (first, middle, last of the licensed set): bodies like `kernals_ks`
 /// have dozens of splittable boundaries that all price alike.
 pub const FISSION_CAP: usize = 3;
-
-/// DRAM bytes per counted 4-byte memory operand, by lane behaviour —
-/// the cache-simulated rates of the perf plane
-/// (`TrafficModel::measure_for_backend`) funnel in through this type so
-/// `codee-sim` needs no dependency on the model crate. CPU-class
-/// backends pass equal coalesced/scattered rates: consecutive "lanes"
-/// there are sequential loop iterations on one core, so there is no
-/// warp-scatter penalty to price.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TrafficRates {
-    /// Read bytes per op when consecutive lanes touch contiguous storage.
-    pub coalesced_read: f64,
-    /// Write bytes per op, coalesced.
-    pub coalesced_write: f64,
-    /// Read bytes per op when the collapsed thread index strides across
-    /// the storage's fastest-varying dimension (the Table VI penalty).
-    pub scattered_read: f64,
-    /// Write bytes per op, scattered.
-    pub scattered_write: f64,
-}
-
-impl TrafficRates {
-    /// Equal rates for every lane behaviour (CPU-class backends, or
-    /// synthetic workloads that should not price layout).
-    pub fn flat(read: f64, write: f64) -> TrafficRates {
-        TrafficRates {
-            coalesced_read: read,
-            coalesced_write: write,
-            scattered_read: read,
-            scattered_write: write,
-        }
-    }
-
-    /// Analytic stand-in for the cache-simulated rates when no traffic
-    /// model is at hand (unit tests, quick CLI runs): a 128-byte line
-    /// serves ~a couple of coalesced operands' worth of misses, while
-    /// scattered lanes waste most of each line.
-    pub fn analytic() -> TrafficRates {
-        TrafficRates {
-            coalesced_read: 2.0,
-            coalesced_write: 1.0,
-            scattered_read: 12.0,
-            scattered_write: 6.0,
-        }
-    }
-}
 
 /// Work density of the nest being tuned, per iteration point of the
 /// *full* trip space, plus the per-thread storage demands the schedule
@@ -90,9 +46,10 @@ pub struct NestWork {
     /// Counted 4-byte memory operands per point (loads + stores).
     pub mem_ops_per_point: f64,
     /// Per-thread automatic-array footprint with stack placement
-    /// (`coal_bott_new`: ~20 KiB, the §VI-B stack-size story).
+    /// (`coal_bott_new`: [`Storage::stack_bytes_per_thread`] of
+    /// [`Storage::Stack`], the §VI-B stack-size story).
     pub automatic_bytes: u64,
-    /// Per-thread residue after the Listing 8 slab refactor (640 B).
+    /// Per-thread residue after the Listing 8 slab refactor.
     pub slab_bytes: u64,
     /// Warp-lane efficiency when the sparse point dimension is inside
     /// the collapse (full collapse: the cloud-sparsity predicate
@@ -101,11 +58,11 @@ pub struct NestWork {
     /// Lane efficiency when the innermost loop stays serial per thread.
     pub warp_eff_outer: f64,
     /// Registers per thread the compiler assigns to fat threads that
-    /// carry a serial remainder loop (measured NVHPC allocation for the
-    /// collapse(2) collision kernel: 168).
+    /// carry a serial remainder loop (the measured NVHPC allocation of the
+    /// `collapse(2)` collision kernel).
     pub regs_serial: u32,
-    /// Registers per thread for thin one-point threads (collapse(3)
-    /// collision kernel: 80).
+    /// Registers per thread for thin one-point threads (the
+    /// `collapse(3)` collision kernel).
     pub regs_point: u32,
 }
 
@@ -120,16 +77,16 @@ impl NestWork {
             slab_bytes: 0,
             warp_eff_full: 1.0,
             warp_eff_outer: 1.0,
-            regs_serial: 168,
-            regs_point: 80,
+            regs_serial: Collapse::Two.regs_per_thread(),
+            regs_point: Collapse::Three.regs_per_thread(),
         }
     }
 }
 
 /// The machine a search prices against: a zoo backend plus the traffic
-/// rates measured for it and the per-thread stack limit the runtime is
-/// configured with (`NV_ACC_CUDA_STACKSIZE`; the paper raises it to
-/// 64 KiB).
+/// rates measured for it (`miniwrf::perfmodel::traffic_rates`) and the
+/// per-thread stack limit the runtime is configured with
+/// (`NV_ACC_CUDA_STACKSIZE`; the paper raises it to 64 KiB).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TuneTarget<'a> {
     /// Hardware bundle to price on.
@@ -148,40 +105,6 @@ impl<'a> TuneTarget<'a> {
             backend,
             rates,
             stack_limit: 64 * 1024,
-        }
-    }
-}
-
-/// Where a schedule places the nest's automatic arrays.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Storage {
-    /// Procedure-local automatic arrays on the per-thread device stack
-    /// (the original code; §VI-B).
-    Stack,
-    /// Automatic arrays hoisted into a preallocated device slab indexed
-    /// by the permutation of `(point, bin)`: `[0, 1]` is the as-written
-    /// Listing 8 point-major layout, `[1, 0]` the bin-major
-    /// transposition that restores lane coalescing.
-    Slab(Vec<usize>),
-}
-
-impl Storage {
-    /// True for slab placements.
-    pub fn is_slab(&self) -> bool {
-        matches!(self, Storage::Slab(_))
-    }
-
-    /// True for the bin-major (transposed) slab layout.
-    pub fn is_transposed(&self) -> bool {
-        matches!(self, Storage::Slab(p) if p == &[1, 0])
-    }
-
-    /// Short label used in reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Storage::Stack => "stack",
-            Storage::Slab(p) if p == &[1, 0] => "slab[bin,pt]",
-            Storage::Slab(_) => "slab[pt,bin]",
         }
     }
 }
@@ -269,12 +192,10 @@ impl TuneReport {
         &self.ranked[0]
     }
 
-    /// The best schedule within one storage family (`stack`,
-    /// `slab[pt,bin]`, `slab[bin,pt]`), if any is schedulable.
-    pub fn family_winner(&self, family: &str) -> Option<&PricedVariant> {
-        self.ranked
-            .iter()
-            .find(|p| p.variant.storage.label() == family)
+    /// The best schedule within one storage family, if any is
+    /// schedulable.
+    pub fn family_winner(&self, storage: Storage) -> Option<&PricedVariant> {
+        self.ranked.iter().find(|p| p.variant.storage == storage)
     }
 }
 
@@ -380,19 +301,19 @@ pub fn enumerate_variants(
         return Vec::new();
     }
     let suffix: Vec<usize> = (prefix..n).collect();
-    let mut storages = vec![Storage::Stack];
-    if work.automatic_bytes > 0 {
-        storages.push(Storage::Slab(vec![0, 1]));
-        storages.push(Storage::Slab(vec![1, 0]));
-    }
+    let storages: &[Storage] = if work.automatic_bytes > 0 {
+        &Storage::ALL
+    } else {
+        &[Storage::Stack]
+    };
     let fission = licensed_fission_points(nest, a);
     let mut out = Vec::new();
     for perm in permutations(prefix) {
         let mut order = perm.clone();
         order.extend(suffix.iter().copied());
         for collapse in 1..=prefix {
-            for storage in &storages {
-                if *storage == Storage::Stack && work.automatic_bytes > 0 && collapse == n {
+            for &storage in storages {
+                if storage == Storage::Stack && work.automatic_bytes > 0 && collapse == n {
                     continue;
                 }
                 for f in std::iter::once(None).chain(fission.iter().map(|&s| Some(s))) {
@@ -400,7 +321,7 @@ pub fn enumerate_variants(
                         order: order.clone(),
                         collapse,
                         fission_at: f,
-                        storage: storage.clone(),
+                        storage,
                     });
                 }
             }
@@ -428,9 +349,10 @@ pub fn price_variant(
     let total = (launch_iters * serial) as f64;
     let thin = serial == 1;
 
-    let stack_bytes = match &v.storage {
-        Storage::Stack => work.automatic_bytes,
-        Storage::Slab(_) => work.slab_bytes,
+    let stack_bytes = if v.storage.is_slab() {
+        work.slab_bytes
+    } else {
+        work.automatic_bytes
     };
     let base_regs = if thin {
         work.regs_point
@@ -444,15 +366,8 @@ pub fn price_variant(
         base_regs
     };
     // The point-major slab strides the collapsed thread index across
-    // bins (scattered lanes, the Table VI penalty); stack/local storage
-    // is hardware-interleaved per thread and the bin-major transposition
-    // restores unit stride.
-    let scattered = v.storage.is_slab() && !v.storage.is_transposed();
-    let (r_rate, w_rate) = if scattered {
-        (target.rates.scattered_read, target.rates.scattered_write)
-    } else {
-        (target.rates.coalesced_read, target.rates.coalesced_write)
-    };
+    // bins (scattered lanes, the Table VI penalty).
+    let (r_rate, w_rate) = target.rates.for_storage(v.storage);
     let warp_eff = if v.collapse == nest.vars.len() {
         work.warp_eff_full
     } else {
@@ -573,19 +488,38 @@ mod tests {
     /// coefficients; orderings are insensitive across this range).
     fn coal_work() -> NestWork {
         NestWork {
-            flops_per_point: 2.0e4,
-            mem_ops_per_point: 1.5e3,
-            automatic_bytes: 20 * 1024,
-            slab_bytes: 640,
+            automatic_bytes: Storage::Stack.stack_bytes_per_thread(),
+            slab_bytes: Storage::SlabPointMajor.stack_bytes_per_thread(),
             warp_eff_full: 0.6,
             warp_eff_outer: 0.9,
-            regs_serial: 168,
-            regs_point: 80,
+            ..NestWork::uniform(2.0e4, 1.5e3)
+        }
+    }
+
+    /// Equal rates for every lane behaviour (a CPU-class backend).
+    fn flat_rates(read: f64, write: f64) -> TrafficRates {
+        TrafficRates {
+            coalesced_read: read,
+            coalesced_write: write,
+            scattered_read: read,
+            scattered_write: write,
+        }
+    }
+
+    /// Analytic stand-in for the measured rates: a 128-byte line serves
+    /// a couple of coalesced operands' misses, while scattered lanes
+    /// waste most of each line.
+    fn analytic_rates() -> TrafficRates {
+        TrafficRates {
+            coalesced_read: 2.0,
+            coalesced_write: 1.0,
+            scattered_read: 12.0,
+            scattered_write: 6.0,
         }
     }
 
     fn a100_target() -> TuneTarget<'static> {
-        TuneTarget::new(default_backend(), TrafficRates::analytic())
+        TuneTarget::new(default_backend(), analytic_rates())
     }
 
     #[test]
@@ -600,11 +534,13 @@ mod tests {
     #[test]
     fn coal_search_recovers_v2_and_v3() {
         let rep = tune(&coal_fission_loop(), &coal_work(), &a100_target()).unwrap();
-        let v2 = rep.family_winner("stack").expect("stack schedulable");
+        let v2 = rep
+            .family_winner(Storage::Stack)
+            .expect("stack schedulable");
         assert_eq!(v2.variant.collapse, 2, "{}", v2.label);
         assert_eq!(v2.spec.regs_per_thread, 168);
         assert_eq!(v2.spec.stack_bytes_per_thread, 20 * 1024);
-        let v3 = rep.family_winner("slab[pt,bin]").expect("slab schedulable");
+        let v3 = rep.family_winner(Storage::SlabPointMajor).expect("slab");
         assert_eq!(v3.variant.collapse, 3, "{}", v3.label);
         assert_eq!(v3.spec.regs_per_thread, 80);
         assert_eq!(v3.spec.stack_bytes_per_thread, 640);
@@ -652,11 +588,11 @@ mod tests {
         let rep = tune(
             &coal_fission_loop(),
             &coal_work(),
-            &TuneTarget::new(grace, TrafficRates::flat(2.0, 1.0)),
+            &TuneTarget::new(grace, flat_rates(2.0, 1.0)),
         )
         .unwrap();
-        let id = rep.family_winner("slab[pt,bin]").unwrap();
-        let tr = rep.family_winner("slab[bin,pt]").unwrap();
+        let id = rep.family_winner(Storage::SlabPointMajor).unwrap();
+        let tr = rep.family_winner(Storage::SlabBinMajor).unwrap();
         assert!(
             (id.secs - tr.secs).abs() < 1e-15,
             "{} vs {}",
@@ -664,8 +600,8 @@ mod tests {
             tr.secs
         );
         let gpu = tune(&coal_fission_loop(), &coal_work(), &a100_target()).unwrap();
-        let id = gpu.family_winner("slab[pt,bin]").unwrap();
-        let tr = gpu.family_winner("slab[bin,pt]").unwrap();
+        let id = gpu.family_winner(Storage::SlabPointMajor).unwrap();
+        let tr = gpu.family_winner(Storage::SlabBinMajor).unwrap();
         assert!(tr.secs < id.secs);
     }
 
@@ -675,7 +611,7 @@ mod tests {
     #[test]
     fn section_viii_nests_rank_on_a_cpu_backend() {
         let grace = backend_by_name("grace-cpu").unwrap();
-        let target = TuneTarget::new(grace, TrafficRates::flat(2.0, 1.0));
+        let target = TuneTarget::new(grace, flat_rates(2.0, 1.0));
         // Twelve condensation substeps over seven 33-bin classes.
         let cond = tune(
             &condensation_sweep_loop(),
@@ -700,7 +636,7 @@ mod tests {
         let mut target = a100_target();
         target.stack_limit = 1024; // the CUDA default that overflowed
         let rep = tune(&coal_fission_loop(), &coal_work(), &target).unwrap();
-        assert!(rep.family_winner("stack").is_none());
+        assert!(rep.family_winner(Storage::Stack).is_none());
         assert!(rep.unschedulable > 0);
         assert!(rep.winner().variant.storage.is_slab());
     }
@@ -739,7 +675,7 @@ mod tests {
             backend_ix in 0usize..ZOO.len(),
         ) {
             let work = NestWork { automatic_bytes: 20 * 1024, slab_bytes: 640, ..NestWork::uniform(flops, mem) };
-            let target = TuneTarget::new(&ZOO[backend_ix], TrafficRates::analytic());
+            let target = TuneTarget::new(&ZOO[backend_ix], analytic_rates());
             let a = tune(&coal_fission_loop(), &work, &target).unwrap();
             let b = tune(&coal_fission_loop(), &work, &target).unwrap();
             prop_assert_eq!(a, b);

@@ -1,8 +1,9 @@
 //! The four versions of `fast_sbm` over a patch — one hot path.
 //!
 //! The paper walks a single loop nest through four versions by changing
-//! three decisions; here each [`SbmVersion`] resolves to a plain-data
-//! plan (dense tables or lookup, fissioned or not, collapse depth) and
+//! three decisions; here each [`SbmVersion`] names one [`CollisionPlan`]
+//! of `gpu-sim`'s plain-data schedule (dense tables or lookup; offloaded
+//! or not, at which collapse depth, with which storage) and
 //! [`FastSbm::step`] is a short driver over row-level stage functions.
 //!
 //! * [`SbmVersion::Baseline`] — Listing 1: the unfissioned grid loop;
@@ -53,6 +54,7 @@ use crate::thermo::supersat_liquid;
 use crate::types::{NKR, NTYPES};
 use crate::workload::warp_efficiency;
 use gpu_sim::launch::{launch_functional_static, KernelSpec};
+use gpu_sim::schedule::{Collapse, CollisionPlan, Offload, Storage};
 use gpu_sim::syncslice::SyncWriteSlice;
 use std::sync::Mutex;
 use wrf_exec::Executor;
@@ -71,30 +73,6 @@ pub enum SbmVersion {
     OffloadCollapse3,
 }
 
-/// Collapse depth of the fissioned collision launch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Collapse {
-    /// `collapse(2)`: one device thread per `(j,k)` column with a serial
-    /// `i` loop; per-point bins in automatic (stack) arrays (Listing 7).
-    Two,
-    /// `collapse(3)`: one device thread per grid point, operating in place
-    /// on slices of the `temp_arrays` slabs (Listing 8).
-    Three,
-}
-
-/// The decisions that tell the four versions apart, as data. The dense
-/// tables are per-tile (`THREADPRIVATE`) state, so only unfissioned plans
-/// carry them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct VersionPlan {
-    /// Refill the dense `kernals_ks` tables per collision call instead of
-    /// looking entries up.
-    dense_tables: bool,
-    /// Fission the grid loop around an offloaded collision launch of this
-    /// collapse depth; `None` keeps Listing 1's single loop, run per tile.
-    fission: Option<Collapse>,
-}
-
 impl SbmVersion {
     /// All versions in paper order.
     pub const ALL: [SbmVersion; 4] = [
@@ -104,29 +82,34 @@ impl SbmVersion {
         SbmVersion::OffloadCollapse3,
     ];
 
-    /// The version's plan: the only place the four are told apart.
-    fn plan(self) -> VersionPlan {
-        let (dense_tables, fission) = match self {
+    /// The version's collision plan: the paper's four stages as four
+    /// values of `gpu-sim`'s plain-data schedule, and the only place they
+    /// are told apart.
+    pub fn plan(self) -> CollisionPlan {
+        let fissioned = |collapse, storage| Some(Offload { collapse, storage });
+        let (dense_tables, offload) = match self {
             SbmVersion::Baseline => (true, None),
             SbmVersion::Lookup => (false, None),
-            SbmVersion::OffloadCollapse2 => (false, Some(Collapse::Two)),
-            SbmVersion::OffloadCollapse3 => (false, Some(Collapse::Three)),
+            SbmVersion::OffloadCollapse2 => (false, fissioned(Collapse::Two, Storage::Stack)),
+            SbmVersion::OffloadCollapse3 => {
+                (false, fissioned(Collapse::Three, Storage::SlabPointMajor))
+            }
         };
-        VersionPlan {
+        CollisionPlan {
             dense_tables,
-            fission,
+            offload,
         }
     }
 
     /// True for the two offloaded versions.
     pub fn offloaded(self) -> bool {
-        self.plan().fission.is_some()
+        self.plan().offload.is_some()
     }
 
     /// Launch descriptor of the version's offloaded collision kernel
     /// (`None` for the CPU versions).
     pub fn kernel_spec(self) -> Option<KernelSpec> {
-        self.plan().fission.map(coal_kernel_spec)
+        self.plan().kernel_spec()
     }
 
     /// Human-readable label used in reports.
@@ -137,25 +120,6 @@ impl SbmVersion {
             SbmVersion::OffloadCollapse2 => "offload collapse(2)",
             SbmVersion::OffloadCollapse3 => "offload collapse(3) w/ pointers",
         }
-    }
-}
-
-/// The collision kernel's launch descriptor at `collapse` depth: NVHPC's
-/// 128-thread teams; ~40 automatic bin arrays on the stack and 168
-/// registers at `collapse(2)` (Listing 7), pointers into the `temp_arrays`
-/// slabs and 80 registers at `collapse(3)` (Listing 8).
-fn coal_kernel_spec(collapse: Collapse) -> KernelSpec {
-    let (name, regs_per_thread, stack_bytes_per_thread, depth) = match collapse {
-        Collapse::Two => ("coal_bott_new_loop_collapse2", 168, 20 * 1024, 2),
-        Collapse::Three => ("coal_bott_new_loop_collapse3", 80, 640, 3),
-    };
-    KernelSpec {
-        name: name.into(),
-        block_threads: 128,
-        regs_per_thread,
-        smem_per_block: 0,
-        stack_bytes_per_thread,
-        collapse: depth,
     }
 }
 
@@ -341,8 +305,8 @@ impl FastSbm {
     /// between the scheme's launches adds no thread; `None` when the steps
     /// do not (static tiles, or an unfissioned single-tile plan).
     pub fn pool(&mut self) -> Option<&Executor> {
-        let launches = self.cfg.sched.uses_executor()
-            && (self.cfg.version.plan().fission.is_some() || self.cfg.tiles > 1);
+        let launches =
+            self.cfg.sched.uses_executor() && (self.cfg.version.offloaded() || self.cfg.tiles > 1);
         if !launches {
             return None;
         }
@@ -431,7 +395,7 @@ impl FastSbm {
         let StepScratch { sweep, coal } = &mut self.scratch;
         // Only the fissioned sweeps keep per-point slots for the whole
         // patch; the unfissioned tile body keeps one row's per thread.
-        let slots = plan.fission.map_or(0, |_| p.compute_points());
+        let slots = plan.offload.map_or(0, |_| p.compute_points());
         sweep.predicate.resize(slots, false);
         sweep.outcomes.resize(slots, PointOutcome::default());
         sweep
@@ -452,9 +416,9 @@ impl FastSbm {
                 workers: self.cfg.workers,
                 exec: self.exec.as_ref(),
             };
-            let tally = match plan.fission {
+            let tally = match plan.offload {
                 None => unfissioned_tiles(&v, &launcher, &self.cfg, plan.dense_tables),
-                Some(collapse) => {
+                Some(Offload { collapse, .. }) => {
                     pre_sweep(&v, &launcher, self.cfg.layout);
                     let mut tally =
                         coal_launch(&v, &launcher, &self.cfg, collapse, coal, &mut stats);
@@ -604,7 +568,7 @@ fn coal_launch(
         }
     };
     stats.coal_iters = iters as u64;
-    stats.kernel_spec = Some(coal_kernel_spec(collapse));
+    stats.kernel_spec = cfg.version.kernel_spec();
 
     let sink = Mutex::new(CoalSink {
         tally: Tally::default(),
@@ -1690,27 +1654,38 @@ mod tests {
         assert!(sl.work.coal_loop().flops < sb.work.coal_loop().flops / 2);
     }
 
-    /// The four versions are four constants of the plan: dense tables
-    /// only in the baseline, fission only in the offloaded pair, and the
-    /// public views of the plan agree with it.
+    /// The four versions are four values of the plan: dense tables only
+    /// in the baseline, an offload only in the offloaded pair — stack
+    /// arrays at `collapse(2)`, point-major slabs at `collapse(3)` — and
+    /// the public views of the plan agree with it, down to the §VI
+    /// kernels' geometry (fat threads with 20 KiB of automatics, thin
+    /// threads on 640 B of slab views).
     #[test]
     fn version_plans_are_the_papers_ladder() {
-        use Collapse::{Three, Two};
+        use gpu_sim::schedule::{Collapse::*, Storage::*};
         let ladder = [
-            (true, None),
-            (false, None),
-            (false, Some(Two)),
-            (false, Some(Three)),
+            (true, None, None),
+            (false, None, None),
+            (false, Some((Two, Stack)), Some((2, 168, 20 * 1024))),
+            (false, Some((Three, SlabPointMajor)), Some((3, 80, 640))),
         ];
-        for (version, (dense_tables, fission)) in SbmVersion::ALL.into_iter().zip(ladder) {
-            let plan = VersionPlan {
+        for (version, (dense_tables, offload, geometry)) in SbmVersion::ALL.into_iter().zip(ladder)
+        {
+            let plan = CollisionPlan {
                 dense_tables,
-                fission,
+                offload: offload.map(|(collapse, storage)| Offload { collapse, storage }),
             };
             assert_eq!(version.plan(), plan, "{version:?}");
-            assert_eq!(version.offloaded(), fission.is_some(), "{version:?}");
-            let depth = version.kernel_spec().map(|s| s.collapse);
-            assert_eq!(depth, fission.map(|c| if c == Two { 2 } else { 3 }));
+            assert_eq!(version.offloaded(), offload.is_some(), "{version:?}");
+            let spec = version.kernel_spec();
+            let got = spec
+                .as_ref()
+                .map(|s| (s.collapse, s.regs_per_thread, s.stack_bytes_per_thread));
+            assert_eq!(got, geometry, "{version:?}");
+            if let Some(s) = spec {
+                assert_eq!(s.name, format!("coal_bott_new_loop_collapse{}", s.collapse));
+                assert_eq!(s.block_threads, 128);
+            }
         }
     }
 

@@ -17,6 +17,7 @@ use crate::meter::PointWork;
 use crate::types::NKR;
 use gpu_sim::cachesim::MemAccess;
 use gpu_sim::launch::KernelWork;
+use gpu_sim::schedule::Collapse;
 
 /// Average fraction of active lanes over warps that have at least one
 /// active lane. Warps with no active lane retire immediately and are
@@ -39,18 +40,6 @@ pub fn warp_efficiency(lane_active: &[bool], warp: usize) -> f64 {
     } else {
         busy_lanes as f64 / (busy_warps * warp as u64) as f64
     }
-}
-
-/// Loop layout of the offloaded collision kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CoalLayout {
-    /// `collapse(2)`: one thread per `(j,k)`, serial `i` loop, automatic
-    /// arrays in per-thread local memory (word-interleaved across the
-    /// block, as CUDA local memory is).
-    Collapse2,
-    /// `collapse(3)`: one thread per point, bins in global slab arrays
-    /// strided by `NKR` between neighbouring threads.
-    Collapse3,
 }
 
 /// Parameters of a representative trace.
@@ -98,16 +87,20 @@ fn deterministic_active(t: usize, frac: f64) -> bool {
 }
 
 /// Generates one thread block's memory access stream `(sm, access)` for
-/// the collision kernel under `layout`. The stream is warp-interleaved:
-/// for each logical instruction, all active lanes of a warp issue their
-/// addresses consecutively — how the hardware sees it.
-pub fn coal_memory_trace(layout: CoalLayout, tp: &TraceParams) -> Vec<MemAccess> {
+/// the collision kernel at `collapse` depth, in the storage the scheme's
+/// plan pairs with it: `collapse(2)` threads own a `(j,k)` column, loop
+/// `i` serially and keep their automatic arrays in per-thread local
+/// memory (word-interleaved across the block, as CUDA local memory is);
+/// `collapse(3)` threads own a point and read its bins from global slab
+/// arrays strided by `NKR` between neighbouring threads. The stream is
+/// warp-interleaved: for each logical instruction, all active lanes of a
+/// warp issue their addresses consecutively — how the hardware sees it.
+pub fn coal_memory_trace(collapse: Collapse, tp: &TraceParams) -> Vec<MemAccess> {
     let mut out = Vec::new();
     let warp = 32;
     let (blo, bhi) = tp.bins;
-    let bins_used = bhi - blo + 1;
-    match layout {
-        CoalLayout::Collapse2 => {
+    match collapse {
+        Collapse::Two => {
             // Per-thread automatic arrays in local memory: CUDA
             // interleaves 4-byte words across the block's threads, so
             // lane t word w lives at base + (w*block + t)*4. Every i
@@ -157,7 +150,7 @@ pub fn coal_memory_trace(layout: CoalLayout, tp: &TraceParams) -> Vec<MemAccess>
                 }
             }
         }
-        CoalLayout::Collapse3 => {
+        Collapse::Three => {
             // Slab arrays: thread t (grid point t) owns slice
             // [t*NKR, (t+1)*NKR) of each of the ~40 slabs — neighbouring
             // lanes are strided by NKR*4 = 132 B (the paper's "strided by
@@ -201,7 +194,6 @@ pub fn coal_memory_trace(layout: CoalLayout, tp: &TraceParams) -> Vec<MemAccess>
                     }
                 }
             }
-            let _ = bins_used;
         }
     }
     out
@@ -261,9 +253,9 @@ mod tests {
 
     #[test]
     fn traces_are_nonempty_and_mixed() {
-        for layout in [CoalLayout::Collapse2, CoalLayout::Collapse3] {
-            let t = coal_memory_trace(layout, &TraceParams::default());
-            assert!(t.len() > 1000, "{layout:?}: {}", t.len());
+        for collapse in [Collapse::Two, Collapse::Three] {
+            let t = coal_memory_trace(collapse, &TraceParams::default());
+            assert!(t.len() > 1000, "{collapse:?}: {}", t.len());
             assert!(t.iter().any(|a| a.write));
             assert!(t.iter().any(|a| !a.write));
         }
@@ -279,16 +271,16 @@ mod tests {
             ilen: 32,
             ..TraceParams::default()
         };
-        let run = |layout| {
-            let trace = coal_memory_trace(layout, &tp);
+        let run = |collapse| {
+            let trace = coal_memory_trace(collapse, &tp);
             let mut sim = CacheSim::new(1, A100_L1, scaled_l2(0.01));
             for a in &trace {
                 sim.access(0, *a);
             }
             sim.finish()
         };
-        let c2 = run(CoalLayout::Collapse2);
-        let c3 = run(CoalLayout::Collapse3);
+        let c2 = run(Collapse::Two);
+        let c3 = run(Collapse::Three);
         assert!(
             c2.l1_hit_pct() > c3.l1_hit_pct() + 5.0,
             "L1: collapse2 {:.1}% vs collapse3 {:.1}%",

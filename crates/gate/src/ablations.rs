@@ -46,11 +46,7 @@ pub(crate) fn critical_work(ctx: &ReproContext, version: SbmVersion) -> RankWork
 
 /// That patch's collision launch for an offloaded `version`.
 fn critical_kernel(ctx: &ReproContext, version: SbmVersion) -> (KernelSpec, KernelWork) {
-    let work = critical_work(ctx, version);
-    let spec = work.spec.clone().expect("offloaded");
-    let (r, wr) = (ctx.traffic).dram_bytes(spec.collapse, work.sbm.coal.mem_ops as f64);
-    let kw = fsbm_core::workload::kernel_work(work.coal_iters, work.sbm.coal, r, wr, work.warp_eff);
-    (spec, kw)
+    critical_work(ctx, version).coal_kernel(&ctx.traffic)
 }
 
 /// §VIII register sweep: occupancy and time vs `-maxregcount`.

@@ -2,11 +2,12 @@
 //! every paper table and every modeled gate prices from.
 
 use fsbm_core::scheme::SbmVersion;
-use gpu_sim::machine::Backend;
+use gpu_sim::machine::{default_backend, Backend};
+use gpu_sim::schedule::TrafficRates;
 use gpu_sim::DeviceError;
 use miniwrf::perfmodel::{
-    measure_coeffs, try_experiment, ExperimentConfig, ExperimentResult, MeasuredCoeffs, PerfParams,
-    TrafficModel,
+    measure_coeffs, traffic_rates, try_experiment, ExperimentConfig, ExperimentResult,
+    MeasuredCoeffs, PerfParams,
 };
 use wrf_cases::ConusParams;
 
@@ -16,7 +17,7 @@ pub const MINUTES: f64 = 10.0;
 
 /// Everything the table/figure generators and the modeled gates need:
 /// measured work coefficients, machine parameters, and the
-/// cache-simulated traffic model. Building one runs the functional model
+/// cache-simulated DRAM rates. Building one runs the functional model
 /// briefly (seconds in release builds).
 pub struct ReproContext {
     /// Work coefficients measured from the functional model
@@ -25,7 +26,7 @@ pub struct ReproContext {
     /// Machine + calibration parameters.
     pub pp: PerfParams,
     /// Cache-simulated DRAM traffic per memory operand.
-    pub traffic: TrafficModel,
+    pub traffic: TrafficRates,
     /// Scenario used by the modeled experiments.
     pub case: ConusParams,
 }
@@ -62,7 +63,7 @@ impl ReproContext {
         ReproContext {
             coeffs: measure_coeffs(scale, nz, steps),
             pp: PerfParams::default(),
-            traffic: TrafficModel::measure(),
+            traffic: traffic_rates(default_backend()),
             case: ConusParams::full(),
         }
     }
@@ -74,7 +75,7 @@ impl ReproContext {
         ReproContext {
             coeffs: self.coeffs,
             pp: PerfParams::for_backend(backend),
-            traffic: TrafficModel::measure_for_backend(backend),
+            traffic: traffic_rates(backend),
             case: self.case,
         }
     }

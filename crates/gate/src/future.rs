@@ -13,6 +13,7 @@ use crate::context::ReproContext;
 use crate::tables::headline;
 use fsbm_core::scheme::SbmVersion;
 use gpu_sim::launch::{launch_modeled, KernelSpec};
+use gpu_sim::schedule::{Storage, BLOCK_THREADS};
 use gpu_sim::DeviceError;
 use std::fmt::Write as _;
 
@@ -49,21 +50,23 @@ pub fn project_cond_offload(
 
     // onecond as a collapse(3)-style kernel: simpler per-point state than
     // the collision routine (one class's bins at a time), so fewer
-    // registers; slab-resident like Listing 8.
+    // registers; slab-resident like Listing 8, so its lanes pay that
+    // placement's DRAM rate.
     let spec = KernelSpec {
         name: "onecond_loop_collapse3".into(),
-        block_threads: 128,
+        block_threads: BLOCK_THREADS,
         regs_per_thread: 96,
         smem_per_block: 0,
         stack_bytes_per_thread: 512,
         collapse: 3,
     };
-    let (dram_r, dram_w) = ctx.traffic.dram_bytes(3, cloudy_cond.mem_ops as f64);
+    let (read, write) = ctx.traffic.for_storage(Storage::SlabPointMajor);
+    let mem_ops = cloudy_cond.mem_ops as f64;
     let kw = fsbm_core::workload::kernel_work(
         work.coal_iters.max(1),
         cloudy_cond,
-        dram_r,
-        dram_w,
+        mem_ops * read,
+        mem_ops * write,
         work.warp_eff,
     );
     let launch = launch_modeled(&ctx.pp.gpu, &spec, &kw).expect("valid launch");

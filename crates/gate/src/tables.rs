@@ -5,7 +5,7 @@
 
 use crate::context::ReproContext;
 use fsbm_core::scheme::SbmVersion;
-use fsbm_core::workload::{coal_memory_trace, CoalLayout, TraceParams};
+use fsbm_core::workload::{coal_memory_trace, TraceParams};
 use gpu_sim::cachesim::{scaled_l2, CacheSim, MemStats, A100_L1};
 use gpu_sim::devicepool::DeviceShare;
 use gpu_sim::ncu::{comparison_table, KernelProfile};
@@ -200,15 +200,16 @@ pub fn table5(ctx: &ReproContext) -> Result<TableData, DeviceError> {
     ))
 }
 
-/// Full-kernel cache statistics for one collapse layout, extrapolated
-/// from a representative block trace to the experiment's total memory
-/// operands.
-pub fn kernel_mem_stats(layout: CoalLayout, total_mem_ops: f64) -> MemStats {
+/// Full-kernel cache statistics of `version`'s collision launch,
+/// extrapolated from a representative block trace at the plan's collapse
+/// depth to the experiment's total memory operands.
+pub fn kernel_mem_stats(version: SbmVersion, total_mem_ops: f64) -> MemStats {
     let tp = TraceParams {
         ilen: 32,
         ..TraceParams::default()
     };
-    let trace = coal_memory_trace(layout, &tp);
+    let offload = version.plan().offload.expect("offloaded");
+    let trace = coal_memory_trace(offload.collapse, &tp);
     let mut sim = CacheSim::new(1, A100_L1, scaled_l2(1.0 / 108.0));
     for a in &trace {
         sim.access(0, *a);
@@ -219,22 +220,14 @@ pub fn kernel_mem_stats(layout: CoalLayout, total_mem_ops: f64) -> MemStats {
 /// Table VI: Nsight-Compute metrics of the two offloaded kernels, and
 /// the rendered comparison.
 pub fn table6(ctx: &ReproContext) -> Result<(KernelProfile, KernelProfile, String), DeviceError> {
-    let profile = |version, label, layout| -> Result<KernelProfile, DeviceError> {
+    let profile = |version, label| -> Result<KernelProfile, DeviceError> {
         let exp = headline(ctx, version)?;
         let launch = exp.critical().launch.clone().expect("offloaded");
-        let mem = kernel_mem_stats(layout, launch.dram_bytes / 4.0);
+        let mem = kernel_mem_stats(version, launch.dram_bytes / 4.0);
         Ok(KernelProfile::from_model(label, &launch, &mem))
     };
-    let p2 = profile(
-        SbmVersion::OffloadCollapse2,
-        "collapse(2)",
-        CoalLayout::Collapse2,
-    )?;
-    let p3 = profile(
-        SbmVersion::OffloadCollapse3,
-        "collapse(3) w/ pointers",
-        CoalLayout::Collapse3,
-    )?;
+    let p2 = profile(SbmVersion::OffloadCollapse2, "collapse(2)")?;
+    let p3 = profile(SbmVersion::OffloadCollapse3, "collapse(3) w/ pointers")?;
     let mut s = String::from("Table VI: Nsight Compute metrics of the collision kernel\n");
     s.push_str(&comparison_table(&p2, &p3));
     s.push_str(

@@ -11,9 +11,9 @@
 //! experiments with — and checks
 //!
 //! * **Recovery** — on `a100-80gb`, the best unfissioned schedule of
-//!   the stack family has exactly v2's geometry (collapse 2, 168
-//!   registers, 20 KiB stack) and the best unfissioned point-major slab
-//!   schedule exactly v3's (collapse 3, 80 registers, 640 B), with v3
+//!   each offloaded version's storage family has exactly that version's
+//!   `kernel_spec()` geometry (collapse depth, registers, stack bytes:
+//!   the stack family v2's, the point-major slab family v3's), with v3
 //!   priced faster than v2 — Table IV's ordering;
 //! * **Discovery** — the overall winner on every backend is a slab
 //!   schedule at full collapse, at least as fast as v3 (the searched
@@ -38,14 +38,10 @@ use crate::zoo::{ranking_violations, slowest_first};
 use codee_sim::tune::{PricedVariant, TuneReport};
 use fsbm_core::scheme::SbmVersion;
 use gpu_sim::machine::ZOO;
+use gpu_sim::schedule::Storage;
 use miniwrf::model::Model;
-use miniwrf::schedule::{coal_nest_work_from, kernel_geometry, tune_backend_with, version_for};
-
-/// The three storage families, canonical order. Family rankings break
-/// price ties in this order, so backends that price two families equal
-/// (CPU class: no scatter penalty) still report a deterministic, and
-/// therefore comparable, ordering.
-pub const FAMILIES: [&str; 3] = ["stack", "slab[pt,bin]", "slab[bin,pt]"];
+use miniwrf::namelist::schedule_name;
+use miniwrf::schedule::{coal_nest_work_from, tune_backend_with, version_for};
 
 /// Minimum number of backends the gate must search.
 pub const MIN_BACKENDS: usize = 5;
@@ -53,7 +49,7 @@ pub const MIN_BACKENDS: usize = 5;
 /// The best schedule of one storage family on one backend.
 #[derive(Debug, Clone)]
 pub struct FamilyBest {
-    /// Family label ([`FAMILIES`] entry).
+    /// Family label ([`Storage::label`]).
     pub family: &'static str,
     /// Schedule label of the family's fastest variant.
     pub label: String,
@@ -86,10 +82,10 @@ pub struct TuneBackendRow {
     pub winner: String,
     /// Its modeled seconds.
     pub winner_secs: f64,
-    /// Family winners, [`FAMILIES`] order (a family missing from the
-    /// schedulable set is absent).
+    /// Family winners, [`Storage::ALL`] order (a family missing from
+    /// the schedulable set is absent).
     pub families: Vec<FamilyBest>,
-    /// Families ordered slowest → fastest (ties keep [`FAMILIES`]
+    /// Families ordered slowest → fastest (ties keep [`Storage::ALL`]
     /// order) — the cross-backend stability witness.
     pub ranking: Vec<&'static str>,
     /// Version `schedule = 'auto'` resolves to on this backend.
@@ -113,19 +109,16 @@ pub struct AutoBitwise {
     pub violations: Vec<String>,
 }
 
-/// The fastest variant of `family` in `rep`, and the fastest
+/// The fastest variant of the `storage` family in `rep`, and the fastest
 /// unfissioned one (`None` when the family is entirely unschedulable).
-fn family_best(rep: &TuneReport, family: &'static str) -> Option<FamilyBest> {
-    let best = rep
-        .ranked
-        .iter()
-        .find(|p| p.variant.storage.label() == family)?;
+fn family_best(rep: &TuneReport, storage: Storage) -> Option<FamilyBest> {
+    let best = rep.family_winner(storage)?;
     let un = rep
         .ranked
         .iter()
-        .find(|p| p.variant.storage.label() == family && p.variant.fission_at.is_none())?;
+        .find(|p| p.variant.storage == storage && p.variant.fission_at.is_none())?;
     Some(FamilyBest {
-        family,
+        family: storage.label(),
         label: best.label.clone(),
         secs: best.secs,
         collapse: un.variant.collapse,
@@ -136,7 +129,7 @@ fn family_best(rep: &TuneReport, family: &'static str) -> Option<FamilyBest> {
 }
 
 /// Orders the present families slowest → fastest; equal prices keep
-/// [`FAMILIES`] order, so a CPU-class tie between the two slab layouts
+/// [`Storage::ALL`] order, so a CPU-class tie between the two slab layouts
 /// reports the same ordering as a GPU where the transposition wins by a
 /// margin smaller than the stack deficit.
 pub fn family_ranking(families: &[FamilyBest]) -> Vec<&'static str> {
@@ -181,20 +174,27 @@ fn backend_violations(row: &TuneBackendRow, winner: &PricedVariant) -> Vec<Strin
 }
 
 /// Checks the `a100-80gb` row for exact recovery of the hand-derived
-/// kernels.
+/// kernels: the best unfissioned schedule of each offloaded version's
+/// storage family has that version's `kernel_spec()` geometry.
 pub fn recovery_violations(row: &TuneBackendRow) -> Vec<String> {
     let mut v = Vec::new();
     let fam = |name: &str| row.families.iter().find(|f| f.family == name);
-    for (family, short, version, kernel) in [
-        ("stack", "stack", SbmVersion::OffloadCollapse2, "v2"),
-        ("slab[pt,bin]", "slab", SbmVersion::OffloadCollapse3, "v3"),
+    for (version, short, kernel) in [
+        (SbmVersion::OffloadCollapse2, "stack", "v2"),
+        (SbmVersion::OffloadCollapse3, "slab", "v3"),
     ] {
-        let Some(best) = fam(family) else {
+        let offload = version.plan().offload.expect("an offloaded version");
+        let Some(best) = fam(offload.storage.label()) else {
             v.push(format!("{short} family unschedulable on a100-80gb"));
             continue;
         };
-        let got = (best.collapse, best.regs, best.stack_bytes);
-        let want = kernel_geometry(version);
+        let spec = version.kernel_spec().expect("an offloaded version");
+        let got = (best.collapse as u32, best.regs, best.stack_bytes);
+        let want = (
+            spec.collapse,
+            spec.regs_per_thread,
+            spec.stack_bytes_per_thread,
+        );
         if got != want {
             v.push(format!(
                 "{short}-family best is not the hand-derived {kernel} kernel: \
@@ -236,14 +236,7 @@ pub fn cross_backend_violations(rows: &[TuneBackendRow], min_backends: usize) ->
 /// the resolved version, runs both for `check_steps`, and compares the
 /// end states bitwise.
 pub fn auto_bitwise_check(auto: SbmVersion, check_steps: usize) -> AutoBitwise {
-    let explicit = format!(
-        "v{}",
-        SbmVersion::ALL
-            .iter()
-            .position(|&v| v == auto)
-            .expect("ALL is total")
-            + 1
-    );
+    let explicit = schedule_name(auto).to_string();
     let mut violations = Vec::new();
     let domains = "&domains\n e_we = 24, e_sn = 18, e_vert = 8, dt = 5.0\n/\n";
     let run = |schedule: &str| -> Result<(SbmVersion, u64), String> {
@@ -368,9 +361,9 @@ fn run_backend_row(
 ) -> TuneBackendRow {
     let work = coal_nest_work_from(&ctx.coeffs);
     let rep = tune_backend_with(backend, &work);
-    let families: Vec<FamilyBest> = FAMILIES
-        .iter()
-        .filter_map(|f| family_best(&rep, f))
+    let families: Vec<FamilyBest> = Storage::ALL
+        .into_iter()
+        .filter_map(|s| family_best(&rep, s))
         .collect();
     let winner = rep.winner().clone();
     let mut row = TuneBackendRow {
@@ -424,9 +417,19 @@ mod tests {
         }
     }
 
+    /// `(collapse, regs, stack bytes)` of `version`'s kernel.
+    fn geometry(version: SbmVersion) -> (usize, u32, u64) {
+        let s = version.kernel_spec().unwrap();
+        (
+            s.collapse as usize,
+            s.regs_per_thread,
+            s.stack_bytes_per_thread,
+        )
+    }
+
     fn synth_row(backend: &'static str, scale: f64) -> TuneBackendRow {
-        let v2 = kernel_geometry(SbmVersion::OffloadCollapse2);
-        let v3 = kernel_geometry(SbmVersion::OffloadCollapse3);
+        let v2 = geometry(SbmVersion::OffloadCollapse2);
+        let v3 = geometry(SbmVersion::OffloadCollapse3);
         let families = vec![
             synth_family("stack", 15.0e-3 * scale, v2),
             synth_family("slab[pt,bin]", 5.5e-3 * scale, v3),
@@ -575,7 +578,7 @@ mod tests {
         let stack = a100.families.iter().find(|f| f.family == "stack").unwrap();
         assert_eq!(
             (stack.collapse, stack.regs, stack.stack_bytes),
-            kernel_geometry(SbmVersion::OffloadCollapse2)
+            geometry(SbmVersion::OffloadCollapse2)
         );
         let slab = a100
             .families
@@ -584,7 +587,7 @@ mod tests {
             .unwrap();
         assert_eq!(
             (slab.collapse, slab.regs, slab.stack_bytes),
-            kernel_geometry(SbmVersion::OffloadCollapse3)
+            geometry(SbmVersion::OffloadCollapse3)
         );
         assert!(slab.unfissioned_secs < stack.unfissioned_secs);
         // And the bitwise arm really ran.
@@ -610,7 +613,7 @@ mod tests {
                 let rep = tune_backend_with(b, &work);
                 prop_assert!(rep.winner().variant.storage.is_slab(), "{}", b.name);
                 let families: Vec<FamilyBest> =
-                    FAMILIES.iter().filter_map(|f| family_best(&rep, f)).collect();
+                    Storage::ALL.into_iter().filter_map(|s| family_best(&rep, s)).collect();
                 rankings.push(family_ranking(&families));
             }
             for (n, r) in rankings.iter().enumerate().skip(1) {

@@ -23,11 +23,7 @@ pub fn verify_versions(scale: f64, nz: i32, steps: usize) -> (Vec<(String, DiffR
     let baseline = run(SbmVersion::Baseline);
     let mut out = Vec::new();
     let mut s = format!("diffwrf verification after {steps} steps (vs baseline):\n");
-    for v in [
-        SbmVersion::Lookup,
-        SbmVersion::OffloadCollapse2,
-        SbmVersion::OffloadCollapse3,
-    ] {
+    for v in SbmVersion::ALL.into_iter().skip(1) {
         let st = run(v);
         let report = diffwrf(&baseline, &st);
         let _ = writeln!(

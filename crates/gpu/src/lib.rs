@@ -24,6 +24,9 @@
 //!   that yields Nsight-Compute-style metrics ([`ncu`]) and roofline
 //!   points ([`roofline`]).
 //!
+//! The collision schedule the paper's versions differ by is plain data
+//! in [`schedule`], below every crate that runs, searches or prices it.
+//!
 //! Machine parameters are centralized in [`machine`] with their sources;
 //! calibration constants are documented there and in `EXPERIMENTS.md`.
 
@@ -35,6 +38,7 @@ pub mod machine;
 pub mod ncu;
 pub mod occupancy;
 pub mod roofline;
+pub mod schedule;
 pub mod syncslice;
 
 pub use devicepool::{

@@ -1,14 +1,15 @@
 //! Diagnostic dump of the performance model (calibration aid).
 
 use fsbm_core::scheme::SbmVersion;
-use miniwrf::perfmodel::{experiment, measure_coeffs, ExperimentConfig, PerfParams, TrafficModel};
+use gpu_sim::machine::default_backend;
+use miniwrf::perfmodel::{experiment, measure_coeffs, traffic_rates, ExperimentConfig, PerfParams};
 use wrf_cases::ConusParams;
 
 fn main() {
     let coeffs = measure_coeffs(0.08, 20, 3);
     println!("coeffs: {coeffs:#?}");
     let pp = PerfParams::default();
-    let traffic = TrafficModel::measure();
+    let traffic = traffic_rates(default_backend());
     println!("traffic: {traffic:?}");
 
     for (version, ranks, gpus) in [

@@ -2,7 +2,7 @@
 
 use crate::service::EnsembleSpec;
 use fsbm_core::exec::ExecMode;
-use fsbm_core::scheme::{Layout, SbmVersion};
+use fsbm_core::scheme::{Layout, SbmConfig, SbmVersion};
 use gpu_sim::machine::{default_backend, Backend};
 use mpi_sim::CommMode;
 use wrf_cases::{CaseKind, ConusParams};
@@ -183,6 +183,22 @@ impl ModelConfig {
     pub const GATE_NZ: i32 = 8;
     /// Steps the gate case is integrated for before digesting.
     pub const GATE_STEPS: usize = 4;
+
+    /// The scheme configuration a model of this run builds (the one
+    /// `ModelConfig` → `SbmConfig` mapping).
+    pub fn scheme_config(&self) -> SbmConfig {
+        SbmConfig {
+            dt: self.case.dt,
+            dz: self.case.dz,
+            workers: self.device_workers,
+            tiles: self.tiles.max(1),
+            sched: self.sched,
+            cached_kernels: self.cached_kernels,
+            profile_coal: self.profile_coal,
+            layout: self.layout,
+            ..SbmConfig::new(self.version)
+        }
+    }
 
     /// Number of time steps in the configured run.
     pub fn steps(&self) -> usize {

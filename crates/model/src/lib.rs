@@ -40,11 +40,11 @@ pub use parallel::{
 };
 pub use perfmodel::{
     cpu_rank_step_time, experiment, gpu_rank_step_time, measure_coeffs, rank_footprint,
-    staged_bytes, try_experiment, ExperimentConfig, ExperimentResult, MeasuredCoeffs, PerfParams,
-    RankStepTime, RankWork, TrafficModel,
+    staged_bytes, traffic_rates, try_experiment, ExperimentConfig, ExperimentResult,
+    MeasuredCoeffs, PerfParams, RankStepTime, RankWork,
 };
 pub use restart::{find_latest_checkpoint, run_parallel_restartable, RecoveryStats, RestartConfig};
-pub use schedule::{auto_version, tune_backend, tune_backend_with, tune_rates, version_for};
+pub use schedule::{auto_version, tune_backend, tune_backend_with, version_for};
 pub use service::{
     latency_percentiles, member_config, member_footprint, pressure_key, run_ensemble,
     run_ensemble_with, schedule_ensemble, DeviceLedger, EnsembleReport, EnsembleSpec,

@@ -3,7 +3,7 @@
 use crate::config::ModelConfig;
 use fsbm_core::meter::PointWork;
 use fsbm_core::panels::LANES;
-use fsbm_core::scheme::{FastSbm, SbmConfig, SbmStepStats};
+use fsbm_core::scheme::{FastSbm, SbmStepStats};
 use fsbm_core::state::SbmPatchState;
 use fsbm_core::types::{NKR, NTYPES};
 use prof_sim::Stopwatch;
@@ -150,22 +150,13 @@ impl Model {
     /// `cfg.case` must still describe `case.params`' grid.
     pub fn for_patch_with_case(cfg: ModelConfig, patch: PatchSpec, case: ConusCase) -> Self {
         let state = case.init_state(&patch);
-        let mut sbm_cfg = SbmConfig::new(cfg.version);
-        sbm_cfg.dt = cfg.case.dt;
-        sbm_cfg.dz = cfg.case.dz;
-        sbm_cfg.workers = cfg.device_workers;
-        sbm_cfg.tiles = cfg.tiles.max(1);
-        sbm_cfg.sched = cfg.sched;
-        sbm_cfg.cached_kernels = cfg.cached_kernels;
-        sbm_cfg.profile_coal = cfg.profile_coal;
-        sbm_cfg.layout = cfg.layout;
         Model {
             cfg,
             case,
             patch,
             state,
             wind: Wind::calm(&patch),
-            sbm: FastSbm::new(sbm_cfg),
+            sbm: FastSbm::new(cfg.scheme_config()),
             transport: Transport::new(&patch),
             helpers: Vec::new(),
             jobs: JobList::default(),

@@ -195,19 +195,32 @@ pub fn version_from_name(name: &str) -> Option<SbmVersion> {
 
 /// The explicit `&parallel schedule` names: `'v1'..'v4'` index the
 /// version ladder directly (`'auto'` is resolved by the caller through
-/// the autotuner and is not an explicit name).
+/// the autotuner and is not an explicit name). The one table both
+/// directions read.
+pub const SCHEDULE_NAMES: [(&str, SbmVersion); 4] = [
+    ("v1", SbmVersion::Baseline),
+    ("v2", SbmVersion::Lookup),
+    ("v3", SbmVersion::OffloadCollapse2),
+    ("v4", SbmVersion::OffloadCollapse3),
+];
+
+/// The version an explicit `&parallel schedule` name selects
+/// (case-insensitive).
 pub fn schedule_from_name(name: &str) -> Option<SbmVersion> {
-    match name.to_ascii_lowercase().as_str() {
-        "v1" => Some(SbmVersion::Baseline),
-        "v2" => Some(SbmVersion::Lookup),
-        "v3" => Some(SbmVersion::OffloadCollapse2),
-        "v4" => Some(SbmVersion::OffloadCollapse3),
-        _ => None,
-    }
+    let name = name.to_ascii_lowercase();
+    SCHEDULE_NAMES
+        .into_iter()
+        .find_map(|(n, v)| (n == name).then_some(v))
 }
 
-/// Builds a [`ModelConfig`] from namelist text, starting from the paper's
-/// defaults.
+/// The explicit `&parallel schedule` name of `version`.
+pub fn schedule_name(version: SbmVersion) -> &'static str {
+    SCHEDULE_NAMES
+        .into_iter()
+        .find_map(|(n, v)| (v == version).then_some(n))
+        .expect("every version has a schedule name")
+}
+
 /// Keys accepted in `&parallel`.
 const KNOWN_PARALLEL: &[&str] = &[
     "nproc",
@@ -348,9 +361,13 @@ pub fn config_from_namelist(text: &str) -> Result<ModelConfig, NamelistError> {
             crate::schedule::auto_version(cfg.backend)
         } else {
             schedule_from_name(name).ok_or_else(|| {
+                let known: Vec<&str> = SCHEDULE_NAMES.iter().map(|&(n, _)| n).collect();
                 NamelistError::invalid(
                     0,
-                    format!("unknown &parallel schedule `{name}` (auto, v1, v2, v3, v4)"),
+                    format!(
+                        "unknown &parallel schedule `{name}` (auto, {})",
+                        known.join(", ")
+                    ),
                 )
             })?
         };
@@ -622,6 +639,12 @@ mod tests {
         assert_eq!(cfg.version, SbmVersion::OffloadCollapse2);
         let cfg = config_from_namelist("&parallel\n schedule = 'V4'\n/\n").unwrap();
         assert_eq!(cfg.version, SbmVersion::OffloadCollapse3);
+        // One name per version, in ladder order, read both ways.
+        for ((name, version), want) in SCHEDULE_NAMES.into_iter().zip(SbmVersion::ALL) {
+            assert_eq!(version, want);
+            assert_eq!(schedule_from_name(name), Some(version));
+            assert_eq!(schedule_name(version), name);
+        }
         // 'auto' resolves through the autotuner: the slab collapse(3)
         // schedule wins on the default backend.
         let cfg = config_from_namelist("&parallel\n schedule = 'auto'\n/\n").unwrap();
@@ -630,7 +653,7 @@ mod tests {
         // Unknown names are rejected with the accepted list.
         let err = config_from_namelist("&parallel\n schedule = 'v9'\n/\n").unwrap_err();
         assert!(err.message.contains("unknown &parallel schedule"), "{err}");
-        assert!(err.message.contains("auto"), "{err}");
+        assert!(err.message.contains("(auto, v1, v2, v3, v4)"), "{err}");
     }
 
     #[test]

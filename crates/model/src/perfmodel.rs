@@ -23,15 +23,16 @@ use crate::model::Model;
 use fsbm_core::meter::{PointWork, WorkBreakdown};
 use fsbm_core::scheme::SbmVersion;
 use fsbm_core::types::NKR;
-use fsbm_core::workload::{coal_memory_trace, kernel_work, CoalLayout, TraceParams};
-use gpu_sim::cachesim::{CacheConfig, CacheSim, MemStats, A100_L1, A100_L2};
+use fsbm_core::workload::{coal_memory_trace, kernel_work, TraceParams};
+use gpu_sim::cachesim::{CacheConfig, CacheSim, A100_L1, A100_L2};
 use gpu_sim::devicepool::{DevicePool, RankFootprint, RankSubmission, ShareReport};
 use gpu_sim::error::DeviceError;
-use gpu_sim::launch::{launch_modeled_with, KernelSpec, LaunchStats};
+use gpu_sim::launch::{launch_modeled_with, KernelSpec, KernelWork, LaunchStats};
 use gpu_sim::machine::{
-    Backend, Calibration, CpuParams, GpuParams, Interconnect, A100, CALIBRATION, EPYC_7763,
-    SLINGSHOT,
+    default_backend, Backend, Calibration, CpuParams, GpuParams, Interconnect, A100, CALIBRATION,
+    EPYC_7763, SLINGSHOT,
 };
+use gpu_sim::schedule::{Collapse, CollisionPlan, TrafficRates};
 use wrf_cases::{ConusCase, ConusParams};
 use wrf_dycore::advect::{
     TEND_FLOPS_PER_POINT, TEND_MEMOPS_PER_POINT, UPDATE_FLOPS_PER_POINT, UPDATE_MEMOPS_PER_POINT,
@@ -246,8 +247,8 @@ pub struct RankWork {
     pub coal_points: u64,
     /// Collapsed iteration count of the offloaded collision kernel.
     pub coal_iters: u64,
-    /// Kernel geometry (offloaded versions).
-    pub spec: Option<KernelSpec>,
+    /// The version's collision plan.
+    pub plan: CollisionPlan,
     /// Warp efficiency of the launch.
     pub warp_eff: f64,
     /// Host↔device bytes per step, each direction.
@@ -278,9 +279,10 @@ impl RankWork {
             mem_ops: w.mem_ops * n,
         };
 
+        let plan = version.plan();
         let sbm = WorkBreakdown {
             coal: mul(coeffs.coal_per_coal_point, coal_points),
-            kernals: if version == SbmVersion::Baseline {
+            kernals: if plan.dense_tables {
                 mul(coeffs.kernals_per_coal_point, coal_points)
             } else {
                 PointWork::ZERO
@@ -304,16 +306,15 @@ impl RankWork {
         };
 
         // Offload geometry (the fissioned Listing 6 loop).
-        let spec = version.kernel_spec();
-        let (coal_iters, warp_eff) = match spec.as_ref().map(|s| s.collapse) {
-            Some(2) => ((patch.jp.len() * patch.kp.len()) as u64, coeffs.warp_eff_c2),
-            Some(_) => (patch.compute_points() as u64, coeffs.warp_eff_c3),
+        let (coal_iters, warp_eff) = match plan.offload.map(|o| o.collapse) {
+            Some(Collapse::Two) => ((patch.jp.len() * patch.kp.len()) as u64, coeffs.warp_eff_c2),
+            Some(Collapse::Three) => (patch.compute_points() as u64, coeffs.warp_eff_c3),
             None => (0, 1.0),
         };
 
         // Host↔device traffic, both directions around the offloaded
         // region every step.
-        let hd_bytes = spec.as_ref().map_or(0, |_| staged_bytes(points));
+        let hd_bytes = plan.offload.map_or(0, |_| staged_bytes(points));
 
         // Halo traffic (4 refreshes per scalar per step, 4 sides): one
         // message per scalar, as the paper's WRF build exchanged them —
@@ -333,109 +334,84 @@ impl RankWork {
             dyn_update,
             coal_points,
             coal_iters,
-            spec,
+            plan,
             warp_eff,
             hd_bytes,
             halo_msgs,
             halo_bytes,
         }
     }
+
+    /// The rank's offloaded collision launch: the plan's kernel, and the
+    /// step's collision work at the DRAM rate the plan's storage pays.
+    pub fn coal_kernel(&self, traffic: &TrafficRates) -> (KernelSpec, KernelWork) {
+        let offload = self.plan.offload.expect("offloaded version");
+        let (read, write) = traffic.for_storage(offload.storage);
+        let mem_ops = self.sbm.coal.mem_ops as f64;
+        let kw = kernel_work(
+            self.coal_iters.max(1),
+            self.sbm.coal,
+            mem_ops * read,
+            mem_ops * write,
+            self.warp_eff,
+        );
+        (self.plan.kernel_spec().expect("offloaded version"), kw)
+    }
 }
 
-/// DRAM traffic of the collision kernel per counted memory operand, from
-/// the trace-driven cache simulator — the collapse(3) slab layout misses
-/// far more than the collapse(2) local-memory layout (Table VI).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TrafficModel {
-    /// DRAM read bytes per counted memory op, collapse(2).
-    pub c2_read: f64,
-    /// DRAM write bytes per counted memory op, collapse(2).
-    pub c2_write: f64,
-    /// DRAM read bytes per counted memory op, collapse(3).
-    pub c3_read: f64,
-    /// DRAM write bytes per counted memory op, collapse(3).
-    pub c3_write: f64,
-}
-
-impl TrafficModel {
-    /// Runs representative block traces through the A100 cache hierarchy.
-    pub fn measure() -> TrafficModel {
-        Self::measure_for(&A100)
-    }
-
-    /// [`TrafficModel::measure_for`] resolved through a [`Backend`]:
-    /// discrete GPUs measure their own cache hierarchy; self-hosted CPU
-    /// targets drop the warp-lane scatter — consecutive "lanes" there
-    /// are sequential loop iterations on one core, so the collapse(3)
-    /// layout streams at unit stride and its DRAM rates collapse onto
-    /// the collapse(2) rates.
-    pub fn measure_for_backend(backend: &Backend) -> TrafficModel {
-        let m = Self::measure_for(&backend.device_params());
-        if backend.is_cpu() {
-            TrafficModel {
-                c3_read: m.c2_read,
-                c3_write: m.c2_write,
-                ..m
-            }
-        } else {
-            m
+/// DRAM bytes per counted memory operand of the collision kernel on
+/// `backend`, from one SM's usable L1 slice in front of a 1/SMs share of
+/// the device L2: the `collapse(2)` trace (interleaved local memory) is
+/// coalesced, the `collapse(3)` trace (point-major slab slices) scattered
+/// and far costlier (Table VI). Self-hosted CPU targets have no warp-lane
+/// scatter — their "lanes" are sequential iterations on one core — so
+/// their scattered rates are the coalesced ones.
+pub fn traffic_rates(backend: &Backend) -> TrafficRates {
+    let gpu = backend.device_params();
+    // Usable L1 after the default shared-memory carve-out: unified
+    // L1/smem devices (A100's 192 KiB array) run with 64 KiB carved
+    // out under NVHPC defaults; small dedicated L1s keep the full
+    // cache.
+    let usable_l1 = if gpu.l1_bytes > 96 * 1024 {
+        gpu.l1_bytes - 64 * 1024
+    } else {
+        gpu.l1_bytes
+    };
+    let l1 = CacheConfig {
+        bytes: usable_l1 as u64,
+        ..A100_L1
+    };
+    let l2_bytes = ((gpu.l2_bytes as f64 * (1.0 / gpu.sms as f64)) as u64)
+        .max(A100_L2.ways as u64 * A100_L2.line as u64 * 16);
+    let l2 = CacheConfig {
+        bytes: l2_bytes,
+        ..A100_L2
+    };
+    let run = |collapse: Collapse| -> (f64, f64) {
+        let tp = TraceParams {
+            ilen: 32,
+            ..TraceParams::default()
+        };
+        let trace = coal_memory_trace(collapse, &tp);
+        let n = trace.len() as f64;
+        let mut sim = CacheSim::new(1, l1, l2);
+        for a in &trace {
+            sim.access(0, *a);
         }
-    }
-
-    /// Runs representative block traces through `gpu`'s cache hierarchy:
-    /// one SM's usable L1 slice in front of a 1/SMs share of the device L2
-    /// (the same single-SM sampling `measure` has always applied to the
-    /// A100, so the default backend's traffic is bitwise unchanged).
-    pub fn measure_for(gpu: &GpuParams) -> TrafficModel {
-        // Usable L1 after the default shared-memory carve-out: unified
-        // L1/smem devices (A100's 192 KiB array) run with 64 KiB carved
-        // out under NVHPC defaults; small dedicated L1s keep the full
-        // cache.
-        let usable_l1 = if gpu.l1_bytes > 96 * 1024 {
-            gpu.l1_bytes - 64 * 1024
-        } else {
-            gpu.l1_bytes
-        };
-        let l1 = CacheConfig {
-            bytes: usable_l1 as u64,
-            ..A100_L1
-        };
-        let l2_bytes = ((gpu.l2_bytes as f64 * (1.0 / gpu.sms as f64)) as u64)
-            .max(A100_L2.ways as u64 * A100_L2.line as u64 * 16);
-        let l2 = CacheConfig {
-            bytes: l2_bytes,
-            ..A100_L2
-        };
-        let run = |layout: CoalLayout| -> (MemStats, usize) {
-            let tp = TraceParams {
-                ilen: 32,
-                ..TraceParams::default()
-            };
-            let trace = coal_memory_trace(layout, &tp);
-            let n = trace.len();
-            let mut sim = CacheSim::new(1, l1, l2);
-            for a in &trace {
-                sim.access(0, *a);
-            }
-            (sim.finish(), n)
-        };
-        let (c2, n2) = run(CoalLayout::Collapse2);
-        let (c3, n3) = run(CoalLayout::Collapse3);
-        TrafficModel {
-            c2_read: c2.dram_read_bytes as f64 / n2 as f64,
-            c2_write: c2.dram_write_bytes as f64 / n2 as f64,
-            c3_read: c3.dram_read_bytes as f64 / n3 as f64,
-            c3_write: c3.dram_write_bytes as f64 / n3 as f64,
-        }
-    }
-
-    /// Per-direction DRAM bytes for a kernel with `mem_ops` counted
-    /// operands under `collapse`.
-    pub fn dram_bytes(&self, collapse: u32, mem_ops: f64) -> (f64, f64) {
-        match collapse {
-            2 => (mem_ops * self.c2_read, mem_ops * self.c2_write),
-            _ => (mem_ops * self.c3_read, mem_ops * self.c3_write),
-        }
+        let m = sim.finish();
+        (m.dram_read_bytes as f64 / n, m.dram_write_bytes as f64 / n)
+    };
+    let (coalesced_read, coalesced_write) = run(Collapse::Two);
+    let (scattered_read, scattered_write) = if backend.is_cpu() {
+        (coalesced_read, coalesced_write)
+    } else {
+        run(Collapse::Three)
+    };
+    TrafficRates {
+        coalesced_read,
+        coalesced_write,
+        scattered_read,
+        scattered_write,
     }
 }
 
@@ -532,18 +508,10 @@ pub fn cpu_rank_step_time(work: &RankWork, pp: &PerfParams) -> RankStepTime {
 pub fn gpu_rank_step_time(
     work: &RankWork,
     pp: &PerfParams,
-    traffic: &TrafficModel,
+    traffic: &TrafficRates,
 ) -> RankStepTime {
-    let spec = work.spec.as_ref().expect("offloaded version");
-    let (dram_r, dram_w) = traffic.dram_bytes(spec.collapse, work.sbm.coal.mem_ops as f64);
-    let kw = kernel_work(
-        work.coal_iters.max(1),
-        work.sbm.coal,
-        dram_r,
-        dram_w,
-        work.warp_eff,
-    );
-    let launch = launch_modeled_with(&pp.gpu, spec, &kw, &pp.calib).expect("valid launch");
+    let (spec, kw) = work.coal_kernel(traffic);
+    let launch = launch_modeled_with(&pp.gpu, &spec, &kw, &pp.calib).expect("valid launch");
     let transfer = 2.0 * (pp.gpu.pcie_latency + work.hd_bytes as f64 / pp.gpu.pcie_bw);
     rank_step_time(work, pp, launch.time_secs, transfer, Some(launch))
 }
@@ -639,7 +607,7 @@ pub fn try_experiment(
     cfg: &ExperimentConfig,
     coeffs: &MeasuredCoeffs,
     pp: &PerfParams,
-    traffic: &TrafficModel,
+    traffic: &TrafficRates,
 ) -> Result<ExperimentResult, DeviceError> {
     let case = ConusCase::new(cfg.case);
     let dd = two_d_decomposition(cfg.case.domain(), cfg.ranks, 3);
@@ -711,7 +679,7 @@ pub fn experiment(
     cfg: &ExperimentConfig,
     coeffs: &MeasuredCoeffs,
     pp: &PerfParams,
-    traffic: &TrafficModel,
+    traffic: &TrafficRates,
 ) -> ExperimentResult {
     try_experiment(cfg, coeffs, pp, traffic).unwrap_or_else(|e| panic!("{e}"))
 }
@@ -719,9 +687,14 @@ pub fn experiment(
 /// Process-wide quick coefficients + traffic for tests (nz = 24 keeps
 /// the full cloud depth; see `measure_coeffs`).
 #[doc(hidden)]
-pub fn test_fixture() -> &'static (MeasuredCoeffs, TrafficModel) {
-    static FIX: std::sync::OnceLock<(MeasuredCoeffs, TrafficModel)> = std::sync::OnceLock::new();
-    FIX.get_or_init(|| (measure_coeffs(0.05, 24, 2), TrafficModel::measure()))
+pub fn test_fixture() -> &'static (MeasuredCoeffs, TrafficRates) {
+    static FIX: std::sync::OnceLock<(MeasuredCoeffs, TrafficRates)> = std::sync::OnceLock::new();
+    FIX.get_or_init(|| {
+        (
+            measure_coeffs(0.05, 24, 2),
+            traffic_rates(default_backend()),
+        )
+    })
 }
 
 #[cfg(test)]
@@ -753,9 +726,11 @@ mod tests {
 
     #[test]
     fn traffic_model_c3_misses_more() {
-        let t = TrafficModel::measure();
-        assert!(t.c3_read > t.c2_read, "{t:?}");
-        assert!(t.c3_read + t.c3_write > (t.c2_read + t.c2_write) * 1.5);
+        let t = traffic_rates(default_backend());
+        assert!(t.scattered_read > t.coalesced_read, "{t:?}");
+        assert!(
+            t.scattered_read + t.scattered_write > (t.coalesced_read + t.coalesced_write) * 1.5
+        );
     }
 
     #[test]
@@ -947,9 +922,6 @@ mod tests {
         let a = PerfParams::default();
         let b = PerfParams::for_backend(gpu_sim::machine::default_backend());
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
-        let ta = TrafficModel::measure();
-        let tb = TrafficModel::measure_for(&b.gpu);
-        assert_eq!(ta, tb);
     }
 
     #[test]
@@ -965,7 +937,7 @@ mod tests {
         let run = |name: &str| {
             let backend = gpu_sim::machine::backend_by_name(name).unwrap();
             let pp = PerfParams::for_backend(backend);
-            let traffic = TrafficModel::measure_for(&pp.gpu);
+            let traffic = traffic_rates(backend);
             experiment(&mk(SbmVersion::OffloadCollapse3), &coeffs, &pp, &traffic)
         };
         let a100 = run("a100-80gb");

@@ -2,65 +2,31 @@
 //! (`&parallel schedule = 'auto'`).
 //!
 //! The paper picked its offload schedule by hand; here the model plane
-//! can ask [`codee_sim::tune`] instead. The collision nest the search
-//! runs over is the corpus encoding of the fissioned Listing 6 loop,
-//! its DRAM rates come from the same cache simulation the performance
-//! plane prices with ([`TrafficModel::measure_for_backend`], so
-//! CPU-class backends drop the warp-scatter penalty), and the winning
-//! schedule is mapped back onto the [`SbmVersion`] that implements its
-//! geometry: slab storage at full collapse is the Listing 8 pointer
-//! refactor (`OffloadCollapse3`), stack storage at outer collapse the
-//! §VI-B automatic-array kernel (`OffloadCollapse2`).
+//! can ask [`codee_sim::tune`] instead. The search runs over the corpus
+//! encoding of the fissioned Listing 6 loop with the performance plane's
+//! DRAM rates ([`traffic_rates`]) and `gpu_sim::schedule`'s kernel
+//! geometry. Search and scheme share that storage axis, so the winner
+//! maps back to the version whose [`SbmVersion::plan`] offloads with its
+//! storage family: slab → `OffloadCollapse3`, stack → `OffloadCollapse2`.
 
-use crate::perfmodel::{MeasuredCoeffs, TrafficModel};
+use crate::perfmodel::{traffic_rates, MeasuredCoeffs};
 use codee_sim::corpus::coal_fission_loop;
-use codee_sim::tune::{tune, NestWork, TrafficRates, TuneReport, TuneTarget};
+use codee_sim::tune::{tune, NestWork, TuneReport, TuneTarget};
 use fsbm_core::scheme::SbmVersion;
 use gpu_sim::machine::Backend;
+use gpu_sim::schedule::{Offload, Storage};
 
-/// DRAM rates for the autotuner on `backend`, from the performance
-/// plane's cache simulation: the collapse(2) trace is the coalesced
-/// lane behaviour, the collapse(3) trace the scattered one (Table VI).
-/// `measure_for_backend` already flattens the scattered rates onto the
-/// coalesced ones for CPU-class backends.
-pub fn tune_rates(backend: &Backend) -> TrafficRates {
-    let t = TrafficModel::measure_for_backend(backend);
-    TrafficRates {
-        coalesced_read: t.c2_read,
-        coalesced_write: t.c2_write,
-        scattered_read: t.c3_read,
-        scattered_write: t.c3_write,
-    }
-}
-
-/// `(collapse depth, registers/thread, stack bytes/thread)` of the
-/// hand-derived collision kernel `version` launches — the geometry the
-/// search must recover, read from the one place the scheme states it.
-pub fn kernel_geometry(version: SbmVersion) -> (usize, u32, u64) {
-    let spec = version.kernel_spec().expect("an offloaded version");
-    (
-        spec.collapse as usize,
-        spec.regs_per_thread,
-        spec.stack_bytes_per_thread,
-    )
-}
-
-/// Nominal work density of the collision nest, with the measured NVHPC
-/// geometry of the two hand-derived kernels: the automatic arrays and
-/// registers of the fat serial-remainder `collapse(2)` thread, the slab
-/// residue and registers of the thin per-point `collapse(3)` thread.
+/// Nominal work density of the collision nest, with the NVHPC geometry
+/// of the two hand-derived kernels: the automatic arrays of the stack
+/// placement, the slab residue of the Listing 8 placement, and
+/// [`NestWork::uniform`]'s registers of the fat and thin threads.
 pub fn coal_nest_work() -> NestWork {
-    let (_, regs_serial, automatic_bytes) = kernel_geometry(SbmVersion::OffloadCollapse2);
-    let (_, regs_point, slab_bytes) = kernel_geometry(SbmVersion::OffloadCollapse3);
     NestWork {
-        flops_per_point: 2.0e4,
-        mem_ops_per_point: 1.5e3,
-        automatic_bytes,
-        slab_bytes,
+        automatic_bytes: Storage::Stack.stack_bytes_per_thread(),
+        slab_bytes: Storage::SlabPointMajor.stack_bytes_per_thread(),
         warp_eff_full: 0.6,
         warp_eff_outer: 0.9,
-        regs_serial,
-        regs_point,
+        ..NestWork::uniform(2.0e4, 1.5e3)
     }
 }
 
@@ -91,19 +57,21 @@ pub fn tune_backend_with(backend: &Backend, work: &NestWork) -> TuneReport {
     tune(
         &coal_fission_loop(),
         work,
-        &TuneTarget::new(backend, tune_rates(backend)),
+        &TuneTarget::new(backend, traffic_rates(backend)),
     )
     .expect("the corpus collision nest is offloadable")
 }
 
-/// Maps a searched-best schedule onto the version that implements its
-/// geometry.
+/// The version that runs a searched-best schedule: the
+/// [`SbmVersion::ALL`] entry whose plan offloads with the winner's
+/// storage family (stack or slab).
 pub fn version_for(report: &TuneReport) -> SbmVersion {
-    if report.winner().variant.storage.is_slab() {
-        SbmVersion::OffloadCollapse3
-    } else {
-        SbmVersion::OffloadCollapse2
-    }
+    let slab = report.winner().variant.storage.is_slab();
+    let family = |o: Offload| o.storage.is_slab() == slab;
+    SbmVersion::ALL
+        .into_iter()
+        .find(|v| v.plan().offload.is_some_and(family))
+        .expect("an offloaded version of each storage family")
 }
 
 /// The version `&parallel schedule = 'auto'` resolves to on `backend`:
@@ -120,10 +88,10 @@ mod tests {
     #[test]
     fn rates_follow_the_traffic_model() {
         let a100 = default_backend();
-        let r = tune_rates(a100);
+        let r = traffic_rates(a100);
         assert!(r.scattered_read > r.coalesced_read, "{r:?}");
         let grace = backend_by_name("grace-cpu").unwrap();
-        let r = tune_rates(grace);
+        let r = traffic_rates(grace);
         assert_eq!(r.scattered_read, r.coalesced_read, "{r:?}");
         assert_eq!(r.scattered_write, r.coalesced_write, "{r:?}");
     }
@@ -142,29 +110,45 @@ mod tests {
         }
     }
 
+    /// The other half of `'auto'`: for each offloaded version, a search
+    /// whose winner has that version's plan — its storage, at its
+    /// collapse depth — maps back to that version.
+    #[test]
+    fn each_offloaded_plan_maps_back_to_its_version() {
+        let full = tune_backend(default_backend());
+        for version in SbmVersion::ALL.into_iter().filter(|v| v.offloaded()) {
+            let offload = version.plan().offload.unwrap();
+            let mut rep = full.clone();
+            rep.ranked.retain(|p| {
+                p.variant.storage == offload.storage
+                    && p.variant.collapse as u32 == offload.collapse.depth()
+            });
+            assert!(!rep.ranked.is_empty(), "{version:?} has no schedule");
+            assert_eq!(version_for(&rep), version, "{}", rep.winner().label);
+        }
+    }
+
     /// The hand-derived kernels fall out as family winners with the
     /// perf-plane rates too, not just the analytic unit-test rates.
     #[test]
     fn family_winners_match_hand_derived_kernels() {
         let rep = tune_backend(default_backend());
-        let v2 = rep.family_winner("stack").unwrap();
-        assert_eq!(
-            (
-                v2.variant.collapse,
-                v2.spec.regs_per_thread,
-                v2.spec.stack_bytes_per_thread
-            ),
-            kernel_geometry(SbmVersion::OffloadCollapse2)
-        );
-        let v3 = rep.family_winner("slab[pt,bin]").unwrap();
-        assert_eq!(
-            (
-                v3.variant.collapse,
-                v3.spec.regs_per_thread,
-                v3.spec.stack_bytes_per_thread
-            ),
-            kernel_geometry(SbmVersion::OffloadCollapse3)
-        );
-        assert!(v3.secs < v2.secs);
+        let mut secs = Vec::new();
+        for version in [SbmVersion::OffloadCollapse2, SbmVersion::OffloadCollapse3] {
+            let want = version.kernel_spec().unwrap();
+            let storage = version.plan().offload.unwrap().storage;
+            let got = rep.family_winner(storage).unwrap();
+            assert_eq!(got.variant.collapse as u32, want.collapse, "{version:?}");
+            assert_eq!(
+                got.spec.regs_per_thread, want.regs_per_thread,
+                "{version:?}"
+            );
+            assert_eq!(
+                got.spec.stack_bytes_per_thread, want.stack_bytes_per_thread,
+                "{version:?}"
+            );
+            secs.push(got.secs);
+        }
+        assert!(secs[1] < secs[0], "v3 {} !< v2 {}", secs[1], secs[0]);
     }
 }

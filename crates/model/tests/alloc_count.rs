@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use fsbm_core::exec::ExecMode;
 use fsbm_core::meter::PointWork;
-use fsbm_core::scheme::{FastSbm, SbmConfig, SbmVersion};
+use fsbm_core::scheme::{FastSbm, SbmVersion};
 use miniwrf::config::ModelConfig;
 use miniwrf::model::Model;
 use wrf_cases::CaseKind;
@@ -89,19 +89,6 @@ fn production(sched: ExecMode, workers: usize) -> ModelConfig {
     cfg
 }
 
-/// The scheme configuration `Model` builds from `cfg`.
-fn scheme_config(cfg: &ModelConfig) -> SbmConfig {
-    let mut s = SbmConfig::new(cfg.version);
-    s.dt = cfg.case.dt;
-    s.dz = cfg.case.dz;
-    s.workers = cfg.device_workers;
-    s.tiles = cfg.tiles.max(1);
-    s.sched = cfg.sched;
-    s.cached_kernels = cfg.cached_kernels;
-    s.layout = cfg.layout;
-    s
-}
-
 #[test]
 fn steady_state_model_step_allocates_only_what_its_parts_do() {
     for (sched, workers) in [
@@ -126,7 +113,7 @@ fn steady_state_model_step_allocates_only_what_its_parts_do() {
 
         // The parts on their own, from the same input: the scheme step
         // and the vapor diffusion.
-        let mut scheme = FastSbm::new(scheme_config(&cfg));
+        let mut scheme = FastSbm::new(cfg.scheme_config());
         scheme.step(&mut input.clone());
         let sbm = steady(|| {
             let mut st = input.clone();

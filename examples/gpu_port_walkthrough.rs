@@ -19,7 +19,7 @@ fn main() {
     let mut automatic = SbmVersion::OffloadCollapse3
         .kernel_spec()
         .expect("offloaded");
-    automatic.stack_bytes_per_thread = 20 * 1024;
+    automatic.stack_bytes_per_thread = Storage::Stack.stack_bytes_per_thread();
     println!("--- attempt 1: collapse(3), automatic arrays, default stack ---");
     match automatic.check_stack(A100.default_stack_bytes) {
         Ok(()) => println!("launched (unexpected!)"),
@@ -36,7 +36,7 @@ fn main() {
     // Run both offloaded versions functionally and compare their modeled
     // launches.
     let coeffs = measure_coeffs(0.08, 24, 3);
-    let traffic = TrafficModel::measure();
+    let traffic = traffic_rates(default_backend());
     let pp = PerfParams::default();
     for (version, label) in [
         (

@@ -64,7 +64,7 @@ fn main() {
     // --- The Table VII sweep ---------------------------------------------
     println!("\n--- modeled 10-minute runs (Table VII) ---");
     let coeffs = measure_coeffs(0.08, 24, 3);
-    let traffic = TrafficModel::measure();
+    let traffic = traffic_rates(default_backend());
     let pp = PerfParams::default();
     let run = |version, ranks, gpus| {
         experiment(

@@ -17,13 +17,13 @@
 //! | [`fsbm_core`] | the FSBM scheme (the paper's optimization target), four versions |
 //! | [`wrf_grid`]  | domain → patch → tile decomposition, fields, halos |
 //! | [`wrf_dycore`] | RK3 scalar transport (`rk_scalar_tend` / `rk_update_scalar`) |
-//! | [`gpu_sim`]   | modeled A100: occupancy, launches, caches, the shared-device pool (the one device-memory model) |
+//! | [`gpu_sim`]   | modeled A100: occupancy, launches, caches, the shared-device pool (the one device-memory model); the collision schedule as plain data |
 //! | [`mpi_sim`]   | rank runtime + α–β cost model |
 //! | [`prof_sim`]  | the program's wall clock (`Stopwatch`); home of the span stream to come |
 //! | [`codee_sim`] | dependence analysis, Open-Catalog checks, directive rewriting |
 //! | [`wrf_cases`] | synthetic CONUS-12km scenario + `diffwrf` |
 //! | [`miniwrf`]   | integrated model driver + the full-scale performance model |
-//! | [`wrf_gate`]  | the reproduction harness: the paper's tables and figures, golden verification, the eight gates (`repro`) |
+//! | [`wrf_gate`]  | the reproduction harness: the paper's tables and figures, golden verification, the nine gates (`repro`) |
 //!
 //! ## Quick start
 //!
@@ -62,12 +62,13 @@ pub mod prelude {
     pub use fsbm_core::types::{HydroClass, NKR, NTYPES};
     pub use gpu_sim::devicepool::{DevicePool, RankFootprint, RankSubmission};
     pub use gpu_sim::error::GpuError;
-    pub use gpu_sim::machine::{A100, EPYC_7763, SLINGSHOT};
+    pub use gpu_sim::machine::{default_backend, A100, EPYC_7763, SLINGSHOT};
+    pub use gpu_sim::schedule::Storage;
     pub use miniwrf::config::ModelConfig;
     pub use miniwrf::model::{Model, RunReport};
     pub use miniwrf::parallel::run_parallel;
     pub use miniwrf::perfmodel::{
-        experiment, measure_coeffs, ExperimentConfig, PerfParams, TrafficModel,
+        experiment, measure_coeffs, traffic_rates, ExperimentConfig, PerfParams,
     };
     pub use mpi_sim::comm::run_ranks;
     pub use wrf_cases::conus::{ConusCase, ConusParams};
