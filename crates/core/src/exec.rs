@@ -112,6 +112,10 @@ pub struct ExecSummary {
     /// Share of the collision sweep's lane slots that did a point's own
     /// work (`SbmStepStats::lane_efficiency`; 1.0 when no panel swept).
     pub lane_efficiency: f64,
+    /// Share of the condensation relaxes' lane slots that relaxed a point
+    /// the relax was called for (`SbmStepStats::cond_lane_efficiency`;
+    /// 1.0 when no panel relaxed).
+    pub cond_efficiency: f64,
 }
 
 impl ExecSummary {
@@ -123,6 +127,7 @@ impl ExecSummary {
         active_fraction: f64,
         cache_hit_rate: f64,
         lane_efficiency: f64,
+        cond_efficiency: f64,
     ) -> Self {
         ExecSummary {
             mode,
@@ -135,15 +140,16 @@ impl ExecSummary {
             active_fraction,
             cache_hit_rate,
             lane_efficiency,
+            cond_efficiency,
         }
     }
 
     /// The one-line run report:
-    /// `exec: work-stealing+compaction workers=4 … steals=37 … active=12.5% cache-hit=100.0% lanes=63.0%`.
+    /// `exec: work-stealing+compaction workers=4 … steals=37 … active=12.5% cache-hit=100.0% lanes=63.0% cond=99.0%`.
     pub fn one_line(&self) -> String {
         format!(
             "exec: {} workers={} epochs={} chunks={} steals={} maxq={} balance={:.2} \
-             active={:.1}% cache-hit={:.1}% lanes={:.1}%",
+             active={:.1}% cache-hit={:.1}% lanes={:.1}% cond={:.1}%",
             self.mode,
             self.workers,
             self.epochs,
@@ -154,6 +160,7 @@ impl ExecSummary {
             self.active_fraction * 100.0,
             self.cache_hit_rate * 100.0,
             self.lane_efficiency * 100.0,
+            self.cond_efficiency * 100.0,
         )
     }
 }
@@ -201,6 +208,7 @@ mod tests {
             active_fraction: 0.125,
             cache_hit_rate: 0.999,
             lane_efficiency: 0.63,
+            cond_efficiency: 0.99,
         }
         .one_line();
         assert!(line.starts_with("exec: work-stealing+compaction"));
@@ -214,6 +222,7 @@ mod tests {
             "active=12.5%",
             "cache-hit=99.9%",
             "lanes=63.0%",
+            "cond=99.0%",
         ] {
             assert!(line.contains(needle), "missing {needle} in {line}");
         }
@@ -251,7 +260,7 @@ mod tests {
         assert_eq!(
             line,
             "exec: static-tiles workers=1 epochs=0 chunks=0 steals=0 \
-             maxq=0 balance=0.00 active=0.0% cache-hit=0.0% lanes=0.0%"
+             maxq=0 balance=0.00 active=0.0% cache-hit=0.0% lanes=0.0% cond=0.0%"
         );
     }
 
@@ -272,12 +281,13 @@ mod tests {
     fn summary_line_is_compact() {
         let ex = wrf_exec::Executor::new(2);
         ex.run_indexed(10_000, Some(16), |_| {});
-        let s = ExecSummary::from_stats(ExecMode::WorkSteal.label(), &ex.stats(), 0.125, 1.0, 0.63);
+        let s = ExecSummary::from_stats(ExecMode::WorkSteal.label(), &ex.stats(), 0.125, 1.0, 0.63, 0.99);
         let line = s.one_line();
         assert!(line.contains("work-stealing+compaction"));
         assert!(line.contains("workers=2"));
         assert!(line.contains("active=12.5%"));
         assert!(line.contains("cache-hit=100.0%"));
         assert!(line.contains("lanes=63.0%"));
+        assert!(line.contains("cond=99.0%"));
     }
 }

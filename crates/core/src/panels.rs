@@ -41,17 +41,23 @@ use crate::types::{HydroClass, NKR, NTYPES};
 /// lanes, measured").
 pub const LANES: usize = 8;
 
-/// How full the collision cell sweep's lane vectors ran: the host twin
-/// of the device launch's warp efficiency. Both counts are integers, so
-/// no schedule can move them.
+/// How full a panel kernel's lane vectors ran: the host twin of the
+/// device launch's warp efficiency. Both counts are integers, so no
+/// schedule can move them.
+///
+/// For the collision cell sweep ([`panel_coal`]) a slot is one lane of
+/// one swept `(pair, i, j)` cell; for condensation
+/// ([`panel_condensation`]) it is one lane of one relax call.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LaneFill {
     /// Lane slots swept: [`LANES`] per `(pair, i, j)` cell of every swept
-    /// row window (the union of the batch's windows) — dead and ragged
-    /// lanes included, because the vector loop runs them.
+    /// row window (the union of the batch's windows), or per relax call —
+    /// dead and ragged lanes included, because the vector loop runs them.
     pub slots: u64,
-    /// Of those, the slots inside their own lane's `(i, j)` window: the
-    /// cells the scalar visits for that point.
+    /// Of those, the slots that did their own lane's work: inside the
+    /// lane's `(i, j)` window (the cells the scalar visits for that
+    /// point), or inside the relax call's lane mask (the relaxes the
+    /// scalar runs for that point).
     pub cells: u64,
 }
 
@@ -62,14 +68,17 @@ impl std::ops::AddAssign for LaneFill {
     }
 }
 
-/// Ice classes in the order `onecond2`/`onecond3` relax them.
-const ICE_RELAX_ORDER: [HydroClass; 6] = [
-    HydroClass::IceColumns,
-    HydroClass::IcePlates,
-    HydroClass::IceDendrites,
-    HydroClass::Snow,
-    HydroClass::Graupel,
-    HydroClass::Hail,
+/// The relaxes of one condensation substep in the order `onecond1/2/3`
+/// run them, each with whether it relaxes toward ice saturation: water,
+/// then the six ice classes.
+const RELAX_ORDER: [(HydroClass, bool); 7] = [
+    (HydroClass::Water, false),
+    (HydroClass::IceColumns, true),
+    (HydroClass::IcePlates, true),
+    (HydroClass::IceDendrites, true),
+    (HydroClass::Snow, true),
+    (HydroClass::Graupel, true),
+    (HydroClass::Hail, true),
 ];
 
 /// A batch of up to [`LANES`] grid points in SoA layout.
@@ -727,12 +736,13 @@ fn coal_substep_panel(
 /// per-branch lane masks: the water relax covers branches 1–2, the six ice
 /// relaxes cover branches 2–3, reproducing `onecond1/2/3` per lane.
 /// Metering accumulates into `works` (the caller's condensation bucket).
+/// Returns how full the relax calls' lane vectors ran.
 pub fn panel_condensation(
     panel: &mut SoaPanel,
     grids: &Grids,
     dt: f32,
     works: &mut [PointWork; LANES],
-) {
+) -> LaneFill {
     let len = panel.len;
     let mut branch = [0u8; LANES];
     let mut any = false;
@@ -759,69 +769,51 @@ pub fn panel_condensation(
         };
         any = true;
     }
+    let mut fill = LaneFill::default();
     if !any {
-        return;
+        return fill;
     }
 
+    // The liquid leg (onecond1 and onecond2 open each substep with a
+    // water relax) and the ice leg (onecond2 and onecond3 relax the six
+    // ice classes).
+    let water: [bool; LANES] = std::array::from_fn(|l| branch[l] == 1 || branch[l] == 2);
+    let ice: [bool; LANES] = std::array::from_fn(|l| branch[l] >= 2);
     let dts = dt / NCOND as f32;
     let mut qs = [0.0f32; LANES];
     // Lanes whose first relax of this call has fired (see the scrub rule
     // in `panel_relax_class`).
     let mut scrubbed = [false; LANES];
     for _ in 0..NCOND {
-        // Liquid leg: onecond1 and onecond2 both open each substep with
-        // the liquid saturation and a water relax.
-        let mut wmask = [false; LANES];
-        let mut wany = false;
-        for l in 0..len {
-            if branch[l] == 1 || branch[l] == 2 {
-                qs[l] = qsat_liquid(panel.t[l], panel.p[l]);
-                works[l].f(20);
-                wmask[l] = true;
-                wany = true;
+        for (class, over_ice) in RELAX_ORDER {
+            let mask = if over_ice { &ice } else { &water };
+            let lanes = mask.iter().filter(|&&on| on).count();
+            if lanes == 0 {
+                continue;
             }
-        }
-        if wany {
+            // Each relax with a fresh saturation: temperature moves
+            // between relaxes.
+            for l in (0..len).filter(|&l| mask[l]) {
+                let (t, p) = (panel.t[l], panel.p[l]);
+                qs[l] = if over_ice { qsat_ice(t, p) } else { qsat_liquid(t, p) };
+                works[l].f(20);
+            }
+            fill.slots += LANES as u64;
+            fill.cells += lanes as u64;
             panel_relax_class(
                 panel,
-                HydroClass::Water,
+                class,
                 grids,
-                &wmask,
+                mask,
                 &qs,
-                false,
+                over_ice,
                 dts,
                 &mut scrubbed,
                 works,
             );
         }
-        // Ice leg: onecond2 and onecond3 relax the six ice classes, each
-        // with a fresh ice saturation (temperature moves between relaxes).
-        for &class in ICE_RELAX_ORDER.iter() {
-            let mut imask = [false; LANES];
-            let mut iany = false;
-            for l in 0..len {
-                if branch[l] >= 2 {
-                    qs[l] = qsat_ice(panel.t[l], panel.p[l]);
-                    works[l].f(20);
-                    imask[l] = true;
-                    iany = true;
-                }
-            }
-            if iany {
-                panel_relax_class(
-                    panel,
-                    class,
-                    grids,
-                    &imask,
-                    &qs,
-                    true,
-                    dts,
-                    &mut scrubbed,
-                    works,
-                );
-            }
-        }
     }
+    fill
 }
 
 /// Lane-masked mirror of `condensation::relax_class`. `scrubbed` marks

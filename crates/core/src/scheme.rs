@@ -231,6 +231,13 @@ pub struct SbmStepStats {
     /// ([`LaneFill::cells`]): a property of the points, the same under
     /// any grouping.
     pub lane_cells: u64,
+    /// Lane slots the panel condensation relaxes ran: [`LANES`] per relax
+    /// call, over the whole step ([`LaneFill::slots`] of
+    /// [`panel_condensation`]; 0 in the `PointAos` layout).
+    pub cond_slots: u64,
+    /// Of those, the slots of lanes inside the relax call's mask: the
+    /// relaxes the scalar runs, the same under any grouping.
+    pub cond_cells: u64,
     /// Launch descriptor of the offloaded kernel, if any.
     pub kernel_spec: Option<KernelSpec>,
     /// Surface precipitation this step, kg/m² summed over columns.
@@ -257,6 +264,18 @@ impl SbmStepStats {
             1.0
         } else {
             self.lane_cells as f64 / self.lane_slots as f64
+        }
+    }
+
+    /// `cond_cells / cond_slots`: [`SbmStepStats::lane_efficiency`] for
+    /// the condensation relaxes — the share of their lane slots that
+    /// relaxed a point the relax was called for (1.0 when no panel
+    /// relaxed).
+    pub fn cond_lane_efficiency(&self) -> f64 {
+        if self.cond_slots == 0 {
+            1.0
+        } else {
+            self.cond_cells as f64 / self.cond_slots as f64
         }
     }
 }
@@ -354,6 +373,7 @@ impl FastSbm {
                 active_fraction,
                 cache_hit_rate,
                 stats.lane_efficiency(),
+                stats.cond_lane_efficiency(),
             ),
             None => ExecSummary {
                 mode: self.cfg.sched.label(),
@@ -362,6 +382,7 @@ impl FastSbm {
                 active_fraction,
                 cache_hit_rate,
                 lane_efficiency: stats.lane_efficiency(),
+                cond_efficiency: stats.cond_lane_efficiency(),
                 ..Default::default()
             },
         }
@@ -419,9 +440,8 @@ impl FastSbm {
             let tally = match plan.offload {
                 None => unfissioned_tiles(&v, &launcher, &self.cfg, plan.dense_tables),
                 Some(Offload { collapse, .. }) => {
-                    pre_sweep(&v, &launcher, self.cfg.layout);
-                    let mut tally =
-                        coal_launch(&v, &launcher, &self.cfg, collapse, coal, &mut stats);
+                    let mut tally = pre_sweep(&v, &launcher, self.cfg.layout);
+                    tally += coal_launch(&v, &launcher, &self.cfg, collapse, coal, &mut stats);
                     tally += post_sweep(&v, &launcher);
                     tally
                 }
@@ -434,6 +454,8 @@ impl FastSbm {
         stats.coal_entries = tally.coal_entries;
         stats.lane_slots = tally.lanes.slots;
         stats.lane_cells = tally.lanes.cells;
+        stats.cond_slots = tally.cond_lanes.slots;
+        stats.cond_cells = tally.cond_lanes.cells;
         stats.work = tally.work;
         // The step's one floating-point reduction, folded serially in the
         // order the serial pass always used — columns `j` outer, `i`
@@ -498,7 +520,7 @@ fn unfissioned_tiles(
             outs.resize(tile.it.len(), PointOutcome::default());
             for j in tile.jt.iter() {
                 for k in tile.kt.iter() {
-                    pre_row(v, cfg.layout, j, k, tile.it, pred, outs);
+                    tally.cond_lanes += pre_row(v, cfg.layout, j, k, tile.it, pred, outs);
                     tally += coal_row(v, cfg.layout, j, k, tile.it, pred, dense.as_mut());
                     tally += post_row(v, j, k, tile.it, outs);
                 }
@@ -512,16 +534,20 @@ fn unfissioned_tiles(
 /// Fissioned sweep 1: nucleation + condensation, one launch unit per
 /// `(j,k)` row, filling the predicate array `call_coal_bott_new` and the
 /// per-point outcomes (the loop the paper's §VIII says is offloaded next;
-/// no point reads another's state, so rows are independent).
-fn pre_sweep(v: &PatchViews<'_>, launcher: &Launcher<'_>, layout: Layout) {
+/// no point reads another's state, so rows are independent). Returns
+/// how full the condensation panels ran.
+fn pre_sweep(v: &PatchViews<'_>, launcher: &Launcher<'_>, layout: Layout) -> Tally {
     let ip = v.patch.ip;
+    let total = Mutex::new(Tally::default());
     launcher.sweep(v.row_count() as u64, |row| {
         let row = row as usize;
         let (j, k) = v.row(row);
         let pred = v.predicate.subslice_mut(row * ip.len(), ip.len());
         let outs = v.outcomes.subslice_mut(row * ip.len(), ip.len());
-        pre_row(v, layout, j, k, ip, pred, outs);
+        let fill = pre_row(v, layout, j, k, ip, pred, outs);
+        total.lock().expect("a row unit panicked").cond_lanes += fill;
     });
+    total.into_inner().expect("a row unit panicked")
 }
 
 /// Fissioned sweep 2 (device): the isolated collision loop of Listing 6,
@@ -1068,7 +1094,8 @@ impl<'a> PatchViews<'a> {
 // Only the stages whose arithmetic differs between the layouts have two
 // forms.
 
-/// Nucleation + condensation + the collision predicate of Listing 6.
+/// Nucleation + condensation + the collision predicate of Listing 6;
+/// returns how full the condensation panels ran (nothing in `PointAos`).
 fn pre_row(
     v: &PatchViews<'_>,
     layout: Layout,
@@ -1077,8 +1104,8 @@ fn pre_row(
     it: Span,
     pred: &mut [bool],
     outs: &mut [PointOutcome],
-) {
-    match layout {
+) -> LaneFill {
+    let fill = match layout {
         Layout::PointAos => {
             let mut bins = PointBins::empty();
             for (ix, i) in it.iter().enumerate() {
@@ -1089,12 +1116,14 @@ fn pre_row(
                 v.store_bins(at, &bins);
                 v.store_thermo(at, &th);
             }
+            LaneFill::default()
         }
         Layout::PanelSoa => pre_row_panels(v, j, k, it, outs),
-    }
+    };
     for (p, out) in pred.iter_mut().zip(outs.iter()) {
         *p = out.coal_called;
     }
+    fill
 }
 
 /// The panel form of [`pre_row`]: scalar guard + nucleation per point in
@@ -1104,9 +1133,16 @@ fn pre_row(
 /// point with neither is where `condensation_branch` returns at its guard
 /// and the predicate reads false: it is metered as both would have
 /// metered it, in place, and never enters a panel.
-fn pre_row_panels(v: &PatchViews<'_>, j: i32, k: i32, it: Span, outs: &mut [PointOutcome]) {
+fn pre_row_panels(
+    v: &PatchViews<'_>,
+    j: i32,
+    k: i32,
+    it: Span,
+    outs: &mut [PointOutcome],
+) -> LaneFill {
     let mut panel = SoaPanel::new();
     let mut lane_ix = [0usize; LANES];
+    let mut fill = LaneFill::default();
     for ix in 0..=it.len() {
         let row_done = ix == it.len();
         if !row_done {
@@ -1132,7 +1168,7 @@ fn pre_row_panels(v: &PatchViews<'_>, j: i32, k: i32, it: Span, outs: &mut [Poin
         }
         if panel.is_full() || (row_done && panel.len > 0) {
             let mut works = [PointWork::ZERO; LANES];
-            panel_condensation(&mut panel, v.grids, v.dt, &mut works);
+            fill += panel_condensation(&mut panel, v.grids, v.dt, &mut works);
             let preds = panel_coal_predicate(&panel, v.grids, &mut works);
             for (l, &lx) in lane_ix.iter().enumerate().take(panel.len) {
                 let at = v.idx3(it.lo + lx as i32, k, j);
@@ -1144,6 +1180,7 @@ fn pre_row_panels(v: &PatchViews<'_>, j: i32, k: i32, it: Span, outs: &mut [Poin
             panel.clear();
         }
     }
+    fill
 }
 
 /// The collision stage over the predicate-true points of one row: the
@@ -1477,6 +1514,8 @@ struct Tally {
     /// How full the panel collision batches ran (per batch, not per
     /// point).
     lanes: LaneFill,
+    /// How full the panel condensation relaxes ran (per panel).
+    cond_lanes: LaneFill,
     work: WorkBreakdown,
 }
 
@@ -1509,6 +1548,7 @@ impl std::ops::AddAssign for Tally {
         self.coal_points += rhs.coal_points;
         self.coal_entries += rhs.coal_entries;
         self.lanes += rhs.lanes;
+        self.cond_lanes += rhs.cond_lanes;
         self.work += rhs.work;
     }
 }
@@ -1540,6 +1580,8 @@ fn empty_stats(points: usize) -> SbmStepStats {
         warp_efficiency: 1.0,
         lane_slots: 0,
         lane_cells: 0,
+        cond_slots: 0,
+        cond_cells: 0,
         kernel_spec: None,
         precip: 0.0,
         coal_wall: 0.0,
