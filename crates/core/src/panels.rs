@@ -28,7 +28,7 @@ use crate::kernels::{KernelMode, COLLISION_PAIRS};
 use crate::meter::PointWork;
 use crate::point::{Grids, N_EPS, Q_EPS};
 use crate::processes::collision::{MAX_DEPLETION, NCOLL};
-use crate::processes::condensation::NCOND;
+use crate::processes::condensation::{self, NCOND};
 use crate::thermo::{growth_coefficient, latent_heating, qsat_ice, qsat_liquid, supersat_liquid};
 use crate::types::{HydroClass, NKR, NTYPES};
 
@@ -754,19 +754,9 @@ pub fn panel_condensation(
         if condensate <= Q_EPS && s <= 0.0 {
             continue;
         }
-        let has_ice = HydroClass::ALL
-            .iter()
-            .filter(|c| c.is_ice())
-            .any(|&c| panel.number_of_lane(c, l) > N_EPS);
-        let has_liquid = panel.number_of_lane(HydroClass::Water, l) > N_EPS || s > 0.0;
+        let numbers = HydroClass::ALL.map(|c| panel.number_of_lane(c, l));
         w.m(7 * NKR as u64);
-        branch[l] = if panel.t[l] >= T_0 || !has_ice {
-            1
-        } else if has_liquid {
-            2
-        } else {
-            3
-        };
+        branch[l] = condensation::branch(panel.t[l], s, &numbers);
         any = true;
     }
     let mut fill = LaneFill::default();

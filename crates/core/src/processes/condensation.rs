@@ -17,7 +17,7 @@ use crate::constants::T_0;
 use crate::meter::PointWork;
 use crate::point::{deposit_mass, BinsView, Grids, PointThermo, N_EPS, Q_EPS};
 use crate::thermo::{growth_coefficient, latent_heating, qsat_ice, qsat_liquid, supersat_liquid};
-use crate::types::{HydroClass, NKR};
+use crate::types::{HydroClass, NKR, NTYPES};
 
 /// Internal condensation substeps per model step. Bin-resolved
 /// diffusional growth must track the supersaturation transient as the
@@ -194,9 +194,27 @@ pub fn onecond3(
     total
 }
 
-/// Selects the condensation branch the way Listing 1 does: `onecond1`
-/// when the point is warm or ice-free, `onecond2` in mixed phase,
-/// `onecond3` when fully glaciated.
+/// Listing 1's branch rule, stated once for every caller: `onecond1` (1)
+/// when the point is warm or holds no ice, `onecond2` (2) when it also
+/// holds liquid — droplets, or supersaturation over water — and
+/// `onecond3` (3) when it is glaciated. `numbers` are the point's class
+/// number totals in [`HydroClass::ALL`] order and `s` its supersaturation
+/// over liquid.
+pub fn branch(t: f32, s: f32, numbers: &[f32; NTYPES]) -> u8 {
+    let has_ice = (HydroClass::ALL.iter().zip(numbers)).any(|(c, &n)| c.is_ice() && n > N_EPS);
+    let has_liquid = numbers[HydroClass::Water.index()] > N_EPS || s > 0.0;
+    if t >= T_0 || !has_ice {
+        1
+    } else if has_liquid {
+        2
+    } else {
+        3
+    }
+}
+
+/// Selects the condensation branch the way Listing 1 does ([`branch`]):
+/// `onecond1` when the point is warm or ice-free, `onecond2` in mixed
+/// phase, `onecond3` when fully glaciated.
 pub fn condensation_branch(
     bins: &mut BinsView<'_>,
     th: &mut PointThermo,
@@ -212,18 +230,12 @@ pub fn condensation_branch(
     if condensate <= Q_EPS && s <= 0.0 {
         return 0.0;
     }
-    let has_ice = HydroClass::ALL
-        .iter()
-        .filter(|c| c.is_ice())
-        .any(|&c| bins.number_of(c) > N_EPS);
-    let has_liquid = bins.number_of(HydroClass::Water) > N_EPS || s > 0.0;
+    let numbers = HydroClass::ALL.map(|c| bins.number_of(c));
     w.m(7 * NKR as u64);
-    if th.t >= T_0 || !has_ice {
-        onecond1(bins, th, grids, dt, w)
-    } else if has_liquid {
-        onecond2(bins, th, grids, dt, w)
-    } else {
-        onecond3(bins, th, grids, dt, w)
+    match branch(th.t, s, &numbers) {
+        1 => onecond1(bins, th, grids, dt, w),
+        2 => onecond2(bins, th, grids, dt, w),
+        _ => onecond3(bins, th, grids, dt, w),
     }
 }
 
