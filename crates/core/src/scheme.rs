@@ -45,13 +45,14 @@ use crate::panels::{
     LaneFill, SedScratch, SoaPanel, LANES,
 };
 use crate::point::{BinsView, Grids, PointBins, PointThermo, N_EPS, Q_EPS};
+use crate::processes::condensation;
 use crate::processes::driver::{
     fast_sbm_coal, fast_sbm_nucleate, fast_sbm_post, fast_sbm_pre, PointOutcome,
 };
 use crate::processes::sedimentation::sedimentation_column;
 use crate::state::SbmPatchState;
 use crate::thermo::supersat_liquid;
-use crate::types::{NKR, NTYPES};
+use crate::types::{HydroClass, NKR, NTYPES};
 use crate::workload::warp_efficiency;
 use gpu_sim::launch::{launch_functional_static, KernelSpec};
 use gpu_sim::schedule::{Collapse, CollisionPlan, Offload, Storage};
@@ -419,6 +420,7 @@ impl FastSbm {
         let slots = plan.offload.map_or(0, |_| p.compute_points());
         sweep.predicate.resize(slots, false);
         sweep.outcomes.resize(slots, PointOutcome::default());
+        sweep.cond_key.resize(slots, NO_CONDENSATION);
         sweep
             .fall
             .resize(p.compute_columns(), ColumnFall::default());
@@ -440,7 +442,7 @@ impl FastSbm {
             let tally = match plan.offload {
                 None => unfissioned_tiles(&v, &launcher, &self.cfg, plan.dense_tables),
                 Some(Offload { collapse, .. }) => {
-                    let mut tally = pre_sweep(&v, &launcher, self.cfg.layout);
+                    let mut tally = pre_sweep(&v, &launcher, self.cfg.layout, coal);
                     tally += coal_launch(&v, &launcher, &self.cfg, collapse, coal, &mut stats);
                     tally += post_sweep(&v, &launcher);
                     tally
@@ -531,23 +533,50 @@ fn unfissioned_tiles(
     total.into_inner().expect("a tile body panicked")
 }
 
-/// Fissioned sweep 1: nucleation + condensation, one launch unit per
-/// `(j,k)` row, filling the predicate array `call_coal_bott_new` and the
-/// per-point outcomes (the loop the paper's §VIII says is offloaded next;
-/// no point reads another's state, so rows are independent). Returns
-/// how full the condensation panels ran.
-fn pre_sweep(v: &PatchViews<'_>, launcher: &Launcher<'_>, layout: Layout) -> Tally {
+/// Fissioned sweep 1: nucleation + condensation, filling the predicate
+/// array `call_coal_bott_new` and the per-point outcomes (the loop the
+/// paper's §VIII says is offloaded next; no point reads another's state).
+/// `PointAos` runs [`pre_row`] as one launch of `(j,k)` rows. `PanelSoa`
+/// runs two launches: the rows again, for nucleation and the in-place
+/// guard, each point that needs condensation leaving its
+/// [`condensation_key`] in its key slot; then condensation and the
+/// predicate over the coherent lane batches [`build_cond_batch_list`]
+/// cuts from those keys. Returns how full the condensation panels ran.
+fn pre_sweep(
+    v: &PatchViews<'_>,
+    launcher: &Launcher<'_>,
+    layout: Layout,
+    lists: &mut CoalLists,
+) -> Tally {
     let ip = v.patch.ip;
-    let total = Mutex::new(Tally::default());
     launcher.sweep(v.row_count() as u64, |row| {
         let row = row as usize;
         let (j, k) = v.row(row);
         let pred = v.predicate.subslice_mut(row * ip.len(), ip.len());
         let outs = v.outcomes.subslice_mut(row * ip.len(), ip.len());
-        let fill = pre_row(v, layout, j, k, ip, pred, outs);
-        total.lock().expect("a row unit panicked").cond_lanes += fill;
+        match layout {
+            Layout::PointAos => {
+                pre_row(v, layout, j, k, ip, pred, outs);
+            }
+            Layout::PanelSoa => {
+                let keys = v.cond_key.subslice_mut(row * ip.len(), ip.len());
+                nucleate_row(v, v.idx3(ip.lo, k, j), pred, outs, keys);
+            }
+        }
     });
-    total.into_inner().expect("a row unit panicked")
+    let mut tally = Tally::default();
+    if layout == Layout::PanelSoa {
+        build_cond_batch_list(v, lists);
+        let batches: &[PanelBatch] = &lists.batches;
+        let total = Mutex::new(LaneFill::default());
+        launcher.sweep(batches.len() as u64, |bi| {
+            let b = &batches[bi as usize];
+            let fill = cond_batch(v, &b.points[..b.len as usize]);
+            *total.lock().expect("a condensation unit panicked") += fill;
+        });
+        tally.cond_lanes = total.into_inner().expect("a condensation unit panicked");
+    }
+    tally
 }
 
 /// Fissioned sweep 2 (device): the isolated collision loop of Listing 6,
@@ -782,31 +811,48 @@ struct SweepArrays {
     predicate: Vec<bool>,
     /// Per-point outcomes, same order.
     outcomes: Vec<PointOutcome>,
+    /// Per-point [`condensation_key`] the panel pre-sweep's row launch
+    /// leaves for its condensation launch, same order
+    /// ([`NO_CONDENSATION`] where a point needs none).
+    cond_key: Vec<u16>,
     /// Per-column sedimentation results, `[j][i]` ([`SbmPatchState::rainnc`]
     /// order).
     fall: Vec<ColumnFall>,
 }
 
-/// What the collision launch derives from the predicate.
+/// What the panel launches derive from the sweep arrays: the lane
+/// batches of the condensation launch (from the key slots), then those of
+/// the collision launch (from the predicate), in the same reused buffers.
 #[derive(Default)]
 struct CoalLists {
     /// Per-column "any point active" flags of the `collapse(2)` launch.
     lane_active: Vec<bool>,
-    /// The panel `collapse(3)` launch units, level by level.
+    /// The launch units of the panel condensation launch, then of the
+    /// panel `collapse(3)` launch, level by level.
     batches: Vec<PanelBatch>,
-    /// The level [`build_batch_list`] is cutting: its predicate-true
-    /// points, keyed for the sort. Reused from level to level and step to
+    /// The points [`build_cond_batch_list`] or [`build_batch_list`] is
+    /// cutting (the patch's pending points, or one level's predicate-true
+    /// points), keyed for the sort. Reused from level to level and step to
     /// step.
     level: Vec<LanePoint>,
-    /// Test-only: how a level's points are grouped.
+    /// Test-only: how a level's collision points are grouped.
     #[cfg(test)]
     order: BatchOrder,
+    /// Test-only: how the patch's condensation points are grouped.
+    #[cfg(test)]
+    cond_order: BatchOrder,
 }
 
-/// One predicate-true point of a level as [`build_batch_list`] sorts it:
-/// pressure bits, [`coherence_key`], flat index into the predicate. The
-/// index makes every key distinct, so an unstable sort is deterministic.
+/// One point as a batch builder sorts it: the group no batch crosses
+/// (pressure bits for the collision list, 0 for the condensation list,
+/// whose lanes may mix pressures), the key that groups look-alikes
+/// ([`coherence_key`], [`condensation_key`]), the flat index into the
+/// sweep arrays. The index makes every entry distinct, so an unstable
+/// sort is deterministic.
 type LanePoint = (u32, u64, u32);
+
+/// The key slot of a point the condensation launch has nothing to do for.
+const NO_CONDENSATION: u16 = u16::MAX;
 
 /// What sedimentation leaves behind for one column: surface precipitation
 /// per class, kg/m² (`+0.0` for a class with nothing to fall), and the
@@ -826,12 +872,14 @@ struct ColumnScratch {
     sed: SedScratch,
 }
 
-/// One SoA collision batch: up to [`LANES`] predicate-true points of one
-/// level sharing pressure bits (so the kernel value per `(i, j)` is
-/// resolved once for the whole batch), from any rows of that level.
+/// One SoA lane batch of a panel launch: up to [`LANES`] points that
+/// need condensation, from anywhere in the patch, or up to [`LANES`]
+/// predicate-true points of one level sharing pressure bits (so the
+/// collision kernel value per `(i, j)` is resolved once for the whole
+/// batch), from any rows of that level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct PanelBatch {
-    /// The batch's points: flat indices into the predicate (`[row][i]`
+    /// The batch's points: flat indices into the sweep arrays (`[row][i]`
     /// over the compute points).
     points: [u32; LANES],
     len: u8,
@@ -873,10 +921,12 @@ struct PatchViews<'a> {
     tt: SyncWriteSlice<'a, f32>,
     qv: SyncWriteSlice<'a, f32>,
     ff: [SyncWriteSlice<'a, f32>; NTYPES],
-    /// The [`SweepArrays`]: a row unit owns its row's predicate and
-    /// outcome slots, a column unit its column's slot.
+    /// The [`SweepArrays`]: a row unit owns its row's predicate, outcome
+    /// and key slots, a lane batch its points' predicate and outcome
+    /// slots, a column unit its column's slot.
     predicate: SyncWriteSlice<'a, bool>,
     outcomes: SyncWriteSlice<'a, PointOutcome>,
+    cond_key: SyncWriteSlice<'a, u16>,
     fall: SyncWriteSlice<'a, ColumnFall>,
 }
 
@@ -895,26 +945,31 @@ impl<'a> PatchViews<'a> {
         // and every stage function touches nothing but the `tt`/`qv`
         // elements, bin slices and sweep-array slots of the grid points of
         // the launch unit it was called for — a tile, a `(j,k)` row of one
-        // (a `collapse(2)` "column"), a lane batch of distinct points, a
-        // single point, a `(j,k)` row of the pre- or post-sweep (with that
-        // row's `predicate`/`outcomes` slots), or an `(i,j)` column of the
+        // (a `collapse(2)` "column"), a collision lane batch of distinct
+        // points, a single point, a `(j,k)` row of the pre- or post-sweep
+        // (with that row's `predicate`/`outcomes`/`cond_key` slots), a
+        // condensation lane batch of distinct points (with those points'
+        // `predicate`/`outcomes` slots), or an `(i,j)` column of the
         // sedimentation sweep (every level of that column, and its `fall`
         // slot). The units of one launch partition the compute points:
         // tiles partition the patch; compacted lists and batch lists name
         // each unit, and each point, at most once; the sweeps index
         // `0..rows` and `0..columns`, which `row`/`idx3` map one-to-one
         // onto the compute points (`many_tiles_cover_exactly`,
-        // `batch_list_covers_active_points_exactly_once` and
+        // `batch_list_covers_active_points_exactly_once`,
+        // `cond_batch_list_covers_pending_points_exactly_once` and
         // `sweep_units_cover_rows_and_columns_exactly_once` test the
-        // three). Launches never overlap — every `Launcher` entry returns
+        // four). Launches never overlap — every `Launcher` entry returns
         // only once all its units have — so within a launch no element is
         // written by two threads, or read by one while another writes it
-        // (the Codee-proven independence of the grid loop; the collision
-        // launch reads the whole `predicate`, which only the finished
-        // pre-sweep wrote, and its batch list is built from bins read on
-        // the calling thread between the two launches). `t_old`, `p` and
-        // `rho` are never written during a step.
-        let (tt, qv, ff, predicate, outcomes, fall) = unsafe {
+        // (the Codee-proven independence of the grid loop; a batch list is
+        // built on the calling thread between two launches — the
+        // condensation list from the `cond_key` slots the finished row
+        // launch wrote, the collision list from the bins and the whole
+        // `predicate` the finished pre-sweep wrote, which the collision
+        // launch only reads). `t_old`, `p` and `rho` are never written
+        // during a step.
+        let (tt, qv, ff, predicate, outcomes, cond_key, fall) = unsafe {
             (
                 SyncWriteSlice::new(state.tt.as_mut_slice()),
                 SyncWriteSlice::new(state.qv.as_mut_slice()),
@@ -923,6 +978,7 @@ impl<'a> PatchViews<'a> {
                 }),
                 SyncWriteSlice::new(sweep.predicate.as_mut_slice()),
                 SyncWriteSlice::new(sweep.outcomes.as_mut_slice()),
+                SyncWriteSlice::new(sweep.cond_key.as_mut_slice()),
                 SyncWriteSlice::new(sweep.fall.as_mut_slice()),
             )
         };
@@ -941,6 +997,7 @@ impl<'a> PatchViews<'a> {
             ff,
             predicate,
             outcomes,
+            cond_key,
             fall,
         }
     }
@@ -1126,13 +1183,10 @@ fn pre_row(
     fill
 }
 
-/// The panel form of [`pre_row`]: scalar guard + nucleation per point in
-/// place, then condensation and the predicate in lane batches over the
-/// points of the row that have condensate or are supersaturated over
-/// liquid once nucleation is done (batches may mix pressures). An active
-/// point with neither is where `condensation_branch` returns at its guard
-/// and the predicate reads false: it is metered as both would have
-/// metered it, in place, and never enters a panel.
+/// The panel form of [`pre_row`] for the unfissioned tile body:
+/// [`nucleate_point`] per point in place, then condensation and the
+/// predicate in lane batches over the points of the row that need them,
+/// in row order (batches may mix pressures).
 fn pre_row_panels(
     v: &PatchViews<'_>,
     j: i32,
@@ -1143,42 +1197,109 @@ fn pre_row_panels(
     let mut panel = SoaPanel::new();
     let mut lane_ix = [0usize; LANES];
     let mut fill = LaneFill::default();
+    let at0 = v.idx3(it.lo, k, j);
     for ix in 0..=it.len() {
         let row_done = ix == it.len();
-        if !row_done {
-            let at = v.idx3(it.lo + ix as i32, k, j);
-            let mut th = v.thermo(at);
-            let out = fast_sbm_nucleate(&mut v.bins(at), &mut th, v.grids, v.dt, v.t_old[at]);
-            outs[ix] = out.unwrap_or_default();
-            if out.is_some() {
-                v.store_thermo(at, &th);
-                // `condensation_branch`'s guard on the slab slices, with
-                // the sum it makes (and the predicate makes again).
-                let mut sum = PointWork::ZERO;
-                let condensate = v.bins(at).total_condensate(v.grids, &mut sum);
-                if condensate <= Q_EPS && supersat_liquid(th.t, th.p, th.qv) <= 0.0 {
-                    let cond = &mut outs[ix].work.cond;
-                    *cond = sum + sum;
-                    cond.f(25);
-                } else {
-                    lane_ix[panel.len] = ix;
-                    v.gather(at, &mut panel);
-                }
-            }
+        if !row_done && nucleate_point(v, at0 + ix, &mut outs[ix]).is_some() {
+            lane_ix[panel.len] = ix;
+            v.gather(at0 + ix, &mut panel);
         }
         if panel.is_full() || (row_done && panel.len > 0) {
-            let mut works = [PointWork::ZERO; LANES];
-            fill += panel_condensation(&mut panel, v.grids, v.dt, &mut works);
-            let preds = panel_coal_predicate(&panel, v.grids, &mut works);
-            for (l, &lx) in lane_ix.iter().enumerate().take(panel.len) {
-                let at = v.idx3(it.lo + lx as i32, k, j);
-                v.scatter(at, &panel, l);
-                v.qv.set(at, panel.qv[l]);
-                outs[lx].work.cond = works[l];
-                outs[lx].coal_called = preds[l];
-            }
+            let (ats, len) = (lane_ix.map(|ix| at0 + ix), panel.len);
+            fill += condense_panel(v, &mut panel, &ats[..len], |l, work, pred| {
+                let out = &mut outs[lane_ix[l]];
+                out.work.cond = work;
+                out.coal_called = pred;
+            });
             panel.clear();
         }
+    }
+    fill
+}
+
+/// The scalar head of the panel pre-stage at the point `at`, in place:
+/// the `T_OLD` guard and nucleation, leaving the point's outcome in
+/// `out`, then `condensation_branch`'s guard on the slab slices, with the
+/// sum it makes (and the predicate makes again). Returns the point's
+/// thermo after nucleation when it has condensate or is supersaturated
+/// over liquid — it needs a panel. An active point with neither is where
+/// `condensation_branch` returns at its guard and the predicate reads
+/// false: it is metered as both would have metered it and finished here,
+/// like an inactive one.
+fn nucleate_point(v: &PatchViews<'_>, at: usize, out: &mut PointOutcome) -> Option<PointThermo> {
+    let mut th = v.thermo(at);
+    let nucleated = fast_sbm_nucleate(&mut v.bins(at), &mut th, v.grids, v.dt, v.t_old[at]);
+    *out = nucleated.unwrap_or_default();
+    nucleated?;
+    v.store_thermo(at, &th);
+    let mut sum = PointWork::ZERO;
+    let condensate = v.bins(at).total_condensate(v.grids, &mut sum);
+    if condensate <= Q_EPS && supersat_liquid(th.t, th.p, th.qv) <= 0.0 {
+        let cond = &mut out.work.cond;
+        *cond = sum + sum;
+        cond.f(25);
+        return None;
+    }
+    Some(th)
+}
+
+/// The `PanelSoa` pre-sweep's row unit: [`nucleate_point`] over the row
+/// whose first point is at `at0`. A point that needs condensation leaves
+/// its [`condensation_key`] in its `keys` slot and every other point
+/// [`NO_CONDENSATION`]; the predicate reads false until the condensation
+/// launch sets it for the points it condenses.
+fn nucleate_row(
+    v: &PatchViews<'_>,
+    at0: usize,
+    pred: &mut [bool],
+    outs: &mut [PointOutcome],
+    keys: &mut [u16],
+) {
+    for (ix, ((p, out), key)) in pred.iter_mut().zip(outs).zip(keys).enumerate() {
+        let at = at0 + ix;
+        *key = nucleate_point(v, at, out)
+            .map_or(NO_CONDENSATION, |th| condensation_key(&v.bins(at), &th));
+        *p = false;
+    }
+}
+
+/// Gather → condensation and the predicate → scatter for one lane batch
+/// of the condensation launch (`points` are flat indices into the sweep
+/// arrays), filing each point's metered work and predicate in its
+/// outcome and predicate slots; returns how full its relaxes ran.
+fn cond_batch(v: &PatchViews<'_>, points: &[u32]) -> LaneFill {
+    let mut panel = SoaPanel::new();
+    let mut ats = [0usize; LANES];
+    for (at, &pt) in ats.iter_mut().zip(points) {
+        *at = v.at_point(pt as usize);
+        v.gather(*at, &mut panel);
+    }
+    condense_panel(v, &mut panel, &ats[..points.len()], |l, work, pred| {
+        let pt = points[l] as usize;
+        let out = &mut v.outcomes.subslice_mut(pt, 1)[0];
+        out.work.cond = work;
+        out.coal_called = pred;
+        v.predicate.set(pt, pred);
+    })
+}
+
+/// Condensation and the collision predicate over a gathered panel, then
+/// the scatter: lane `l`'s bins, temperature and vapor go back to the
+/// point at `ats[l]`, and `finish(l, work, predicate)` files its metered
+/// work and predicate. Returns how full the relaxes ran.
+fn condense_panel(
+    v: &PatchViews<'_>,
+    panel: &mut SoaPanel,
+    ats: &[usize],
+    mut finish: impl FnMut(usize, PointWork, bool),
+) -> LaneFill {
+    let mut works = [PointWork::ZERO; LANES];
+    let fill = panel_condensation(panel, v.grids, v.dt, &mut works);
+    let preds = panel_coal_predicate(panel, v.grids, &mut works);
+    for (l, &at) in ats.iter().enumerate() {
+        v.scatter(at, panel, l);
+        v.qv.set(at, panel.qv[l]);
+        finish(l, works[l], preds[l]);
     }
     fill
 }
@@ -1399,6 +1520,72 @@ fn coherence_key(bins: &BinsView<'_>) -> u64 {
     present << (6 * NTYPES) | tops
 }
 
+/// What decides which relaxes a point's condensation runs, as one
+/// sortable word: its [`condensation::branch`] (the liquid leg, the ice
+/// leg or both), then which classes hold more than [`N_EPS`] in number
+/// (one bit a class, water first — a relax all of whose lanes hold
+/// nothing of its class returns after the capacity sum). `th` is the
+/// point's thermo after nucleation. Points with one key run the same
+/// relax calls, so a batch of them leaves no lane slot idle.
+fn condensation_key(bins: &BinsView<'_>, th: &PointThermo) -> u16 {
+    let numbers = HydroClass::ALL.map(|c| bins.number_of(c));
+    let s = supersat_liquid(th.t, th.p, th.qv);
+    let present = (numbers.iter()).fold(0, |bits, &n| bits << 1 | u16::from(n > N_EPS));
+    u16::from(condensation::branch(th.t, s, &numbers)) << NTYPES | present
+}
+
+/// Pre-builds the launch units of the panel condensation launch from the
+/// key slots the row launch left: every point of the patch that needs
+/// condensation, sorted by [`condensation_key`] and then by index, cut
+/// into runs of [`LANES`]. A condensation lane takes nothing from its
+/// batch — no kernel row, no pressure — so one patch-wide sort serves:
+/// only the last batch can be ragged, and only a batch that straddles a
+/// change of key mixes relax sequences.
+///
+/// Which points share a batch is invisible to every one of them: a lane
+/// picks its own branch and replays its own scalar relax sequence under
+/// its own mask (`panel_condensation`), and what it reports — its metered
+/// work, its predicate — is filed per point. So any grouping gives the
+/// same bits (`cond_batch_membership_is_invisible_to_every_point` steps
+/// row-order, sorted and shuffled membership side by side).
+fn build_cond_batch_list(v: &PatchViews<'_>, lists: &mut CoalLists) {
+    #[cfg(test)]
+    let order = lists.cond_order;
+    let CoalLists { batches, level, .. } = lists;
+    let ilen = v.patch.ip.len();
+    // The row launch has finished, and nothing writes a key slot again
+    // this step.
+    let keys: &[u16] = v.cond_key.subslice_mut(0, v.row_count() * ilen);
+    level.clear();
+    for (idx, &key) in keys.iter().enumerate() {
+        if key == NO_CONDENSATION {
+            continue;
+        }
+        let point = (0, u64::from(key), idx as u32);
+        #[cfg(test)]
+        let point = order.cond_rekey(point, ilen);
+        level.push(point);
+    }
+    level.sort_unstable();
+    batches.clear();
+    cut_batches(level, batches);
+}
+
+/// Appends sorted points to `batches`, cut where the group changes and
+/// into runs of at most [`LANES`] within a group.
+fn cut_batches(sorted: &[LanePoint], batches: &mut Vec<PanelBatch>) {
+    for run in sorted.chunk_by(|a, b| a.0 == b.0) {
+        for lanes in run.chunks(LANES) {
+            let mut points = [0u32; LANES];
+            for (slot, &(_, _, idx)) in points.iter_mut().zip(lanes) {
+                *slot = idx;
+            }
+            let len = lanes.len() as u8;
+            batches.push(PanelBatch { points, len });
+        }
+    }
+}
+
 /// Pre-builds the launch units of the panel `collapse(3)` kernel, level
 /// by level: a level's predicate-true points across all its rows, sorted
 /// by pressure bits and then by [`coherence_key`], cut into runs of one
@@ -1435,33 +1622,28 @@ fn build_batch_list(v: &PatchViews<'_>, predicate: &[bool], lists: &mut CoalList
             }
         }
         level.sort_unstable();
-        for run in level.chunk_by(|a, b| a.0 == b.0) {
-            for lanes in run.chunks(LANES) {
-                let mut points = [0u32; LANES];
-                for (slot, &(_, _, idx)) in points.iter_mut().zip(lanes) {
-                    *slot = idx;
-                }
-                let len = lanes.len() as u8;
-                batches.push(PanelBatch { points, len });
-            }
-        }
+        cut_batches(level, batches);
     }
 }
 
-/// How [`build_batch_list`] groups a level's points — a test hook, not an
-/// option: production is `Sorted` and nothing outside `cfg(test)` can say
+/// How [`build_batch_list`] groups a level's points, and
+/// [`build_cond_batch_list`] the patch's — a test hook, not an option:
+/// production is `Sorted` and nothing outside `cfg(test)` can say
 /// otherwise.
 #[cfg(test)]
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 enum BatchOrder {
-    /// Pressure bits, then [`coherence_key`].
+    /// Pressure bits, then [`coherence_key`]; [`condensation_key`]
+    /// patch-wide.
     #[default]
     Sorted,
-    /// [`next_batch`] row by row: the builder `coal_row` uses, and the
-    /// panel launch used before batches were level-wide.
+    /// Row by row: [`next_batch`], the builder `coal_row` uses and the
+    /// panel launch used before batches were level-wide; each row's
+    /// pending points in order, as `pre_row_panels` batches them and the
+    /// pre-sweep did before it had a condensation launch.
     Rows,
     /// Pressure bits, then a hash of the seed and the point: level-wide
-    /// membership drawn at random.
+    /// (patch-wide for condensation) membership drawn at random.
     Shuffled(u64),
 }
 
@@ -1471,6 +1653,15 @@ impl BatchOrder {
         match self {
             BatchOrder::Shuffled(seed) => splitmix64(seed ^ point as u64),
             _ => key,
+        }
+    }
+
+    /// A pending point of the condensation list, regrouped: `Rows` makes
+    /// each compute row (`ilen` points) a group of its own, in index order.
+    fn cond_rekey(self, (group, key, idx): LanePoint, ilen: usize) -> LanePoint {
+        match self {
+            BatchOrder::Rows => (idx / ilen as u32, 0, idx),
+            _ => (group, self.rekey(key, idx as usize), idx),
         }
     }
 }
@@ -1869,7 +2060,7 @@ mod tests {
                 })
                 .collect();
             let epochs = scheme.exec.as_ref().expect("work stealing").stats().epochs;
-            assert_eq!(epochs, 4 * steps as u64, "four launches a step");
+            assert_eq!(epochs, 5 * steps as u64, "five launches a step");
             per_step
         };
         let want = digests(1);
@@ -1956,12 +2147,14 @@ mod tests {
     }
 
     /// `steps` production steps (profiled, cached kernels) from `start`
-    /// with the panel launch batching in `order` on `workers` pool
-    /// threads: the state bits after them and each step's statistics,
-    /// wall clock zeroed.
+    /// with the panel collision launch batching in `order` and the
+    /// condensation launch in `cond_order`, on `workers` pool threads:
+    /// the state bits after them and each step's statistics, wall clock
+    /// zeroed.
     fn run_ordered(
         start: &SbmPatchState,
         order: BatchOrder,
+        cond_order: BatchOrder,
         workers: usize,
         steps: usize,
     ) -> (Vec<u32>, Vec<SbmStepStats>) {
@@ -1972,6 +2165,7 @@ mod tests {
         cfg.profile_coal = true;
         let mut scheme = FastSbm::new(cfg);
         scheme.scratch.coal.order = order;
+        scheme.scratch.coal.cond_order = cond_order;
         let stats = (0..steps)
             .map(|_| SbmStepStats {
                 coal_wall: 0.0,
@@ -1981,14 +2175,25 @@ mod tests {
         (state_bits(&st), stats)
     }
 
-    /// `stats` without the one count that depends on who shares a batch.
-    fn membership_free(stats: &[SbmStepStats]) -> Vec<SbmStepStats> {
+    /// `stats` without the counts that depend on who shares a batch: the
+    /// collision list's `lane_slots` when `coal` varies, the condensation
+    /// list's `cond_slots` when `cond` does.
+    fn membership_free(stats: &[SbmStepStats], coal: bool, cond: bool) -> Vec<SbmStepStats> {
         let strip = |s: &SbmStepStats| SbmStepStats {
-            lane_slots: 0,
+            lane_slots: if coal { 0 } else { s.lane_slots },
+            cond_slots: if cond { 0 } else { s.cond_slots },
             ..s.clone()
         };
         stats.iter().map(strip).collect()
     }
+
+    /// The four memberships the invisibility tests step side by side.
+    const ORDERS: [BatchOrder; 4] = [
+        BatchOrder::Rows,
+        BatchOrder::Sorted,
+        BatchOrder::Shuffled(1),
+        BatchOrder::Shuffled(0xfeed),
+    ];
 
     /// Who shares a lane batch with whom is schedule, not physics: the
     /// spun-up storm stepped twice with row-order batches, coherent
@@ -1999,25 +2204,21 @@ mod tests {
     #[test]
     fn batch_membership_is_invisible_to_every_point() {
         let start = storm_spinup_state();
-        let (want_bits, want) = run_ordered(&start, BatchOrder::Rows, 1, 2);
+        let run = |order, workers| run_ordered(&start, order, BatchOrder::Sorted, workers, 2);
+        let (want_bits, want) = run(BatchOrder::Rows, 1);
         assert!(want[1].coal_points > 200 && want[1].lane_cells > 0);
         assert!(want[1]
             .coal_profile
             .as_ref()
             .is_some_and(|p| p.iter().any(|&f| f > 0)));
         let mut slots = std::collections::BTreeSet::new();
-        for order in [
-            BatchOrder::Rows,
-            BatchOrder::Sorted,
-            BatchOrder::Shuffled(1),
-            BatchOrder::Shuffled(0xfeed),
-        ] {
+        for order in ORDERS {
             for workers in [1, 2, 3] {
-                let (bits, stats) = run_ordered(&start, order, workers, 2);
+                let (bits, stats) = run(order, workers);
                 assert!(bits == want_bits, "{order:?} x{workers}: state bits");
                 assert_eq!(
-                    membership_free(&stats),
-                    membership_free(&want),
+                    membership_free(&stats, true, false),
+                    membership_free(&want, true, false),
                     "{order:?} x{workers}"
                 );
                 slots.insert((stats[1].lane_slots, format!("{order:?}")));
@@ -2037,8 +2238,8 @@ mod tests {
     #[test]
     fn sorted_batches_sweep_fewer_slots_than_row_order() {
         let start = storm_spinup_state();
-        let (_, rows) = run_ordered(&start, BatchOrder::Rows, 2, 1);
-        let (_, sorted) = run_ordered(&start, BatchOrder::Sorted, 2, 1);
+        let (_, rows) = run_ordered(&start, BatchOrder::Rows, BatchOrder::Sorted, 2, 1);
+        let (_, sorted) = run_ordered(&start, BatchOrder::Sorted, BatchOrder::Sorted, 2, 1);
         let (rows, sorted) = (&rows[0], &sorted[0]);
         assert_eq!(sorted.lane_cells, rows.lane_cells);
         assert!(
@@ -2055,21 +2256,81 @@ mod tests {
         );
     }
 
+    /// Who shares a condensation lane batch is schedule too: the spun-up
+    /// storm stepped twice with row-order condensation batches (the
+    /// pre-sweep's units before it had a condensation launch), coherent
+    /// ones and two random patch-wide memberships, on 1, 2 and 3 pool
+    /// threads, ends in the same state bits with the same statistics —
+    /// `work.cond`, the predicate's counts, every collision count,
+    /// `cond_cells` — and only `cond_slots` tells the groupings apart.
+    #[test]
+    fn cond_batch_membership_is_invisible_to_every_point() {
+        let start = storm_spinup_state();
+        let run = |order, workers| run_ordered(&start, BatchOrder::Sorted, order, workers, 2);
+        let (want_bits, want) = run(BatchOrder::Rows, 1);
+        assert!(want[1].cond_cells > 0 && want[1].work.cond.flops > 0);
+        let mut slots = std::collections::BTreeSet::new();
+        for order in ORDERS {
+            for workers in [1, 2, 3] {
+                let (bits, stats) = run(order, workers);
+                assert!(bits == want_bits, "{order:?} x{workers}: state bits");
+                assert_eq!(
+                    membership_free(&stats, false, true),
+                    membership_free(&want, false, true),
+                    "{order:?} x{workers}"
+                );
+                slots.insert((stats[1].cond_slots, format!("{order:?}")));
+            }
+        }
+        assert_eq!(
+            slots.len(),
+            4,
+            "one slot count an order, whatever the pool: {slots:?}"
+        );
+    }
+
+    /// The point of the condensation list, in the counts it moves: on the
+    /// spun-up storm the coherent batches run at least 0.95 of their relax
+    /// slots on lanes the relax was called for — the same relaxes as row
+    /// order, in fewer calls.
+    #[test]
+    fn cond_batches_run_their_relaxes_full() {
+        let start = storm_spinup_state();
+        let (_, rows) = run_ordered(&start, BatchOrder::Sorted, BatchOrder::Rows, 2, 1);
+        let (_, sorted) = run_ordered(&start, BatchOrder::Sorted, BatchOrder::Sorted, 2, 1);
+        let (rows, sorted) = (&rows[0], &sorted[0]);
+        assert_eq!(sorted.cond_cells, rows.cond_cells);
+        assert!(
+            sorted.cond_lane_efficiency() >= 0.95,
+            "sorted relaxes ran {:.3} full (row order {:.3})",
+            sorted.cond_lane_efficiency(),
+            rows.cond_lane_efficiency()
+        );
+        assert!(
+            sorted.cond_slots < rows.cond_slots,
+            "sorted {} slots, row order {}",
+            sorted.cond_slots,
+            rows.cond_slots
+        );
+    }
+
     /// Nightly (`CI_NIGHTLY=1 ./ci.sh pool_stress`, release): 200 seeded
-    /// level-wide membership shuffles, three steps each on two pool
-    /// threads, against the coherent run — state bits and every statistic
-    /// but `lane_slots`.
+    /// shuffles of both lists — level-wide collision and patch-wide
+    /// condensation membership — three steps each on two pool threads,
+    /// against the coherent run: state bits and every statistic but
+    /// `lane_slots` and `cond_slots`.
     #[test]
     #[ignore = "nightly: run in release through CI_NIGHTLY=1 ./ci.sh pool_stress"]
     fn batch_shuffle_fuzz() {
         let start = storm_spinup_state();
-        let (want_bits, want) = run_ordered(&start, BatchOrder::Sorted, 2, 3);
+        let (want_bits, want) = run_ordered(&start, BatchOrder::Sorted, BatchOrder::Sorted, 2, 3);
         for seed in 0..200 {
-            let (bits, stats) = run_ordered(&start, BatchOrder::Shuffled(seed), 2, 3);
+            let order = BatchOrder::Shuffled(seed);
+            let (bits, stats) = run_ordered(&start, order, order, 2, 3);
             assert!(bits == want_bits, "shuffle {seed}: state bits");
             assert_eq!(
-                membership_free(&stats),
-                membership_free(&want),
+                membership_free(&stats, true, true),
+                membership_free(&want, true, true),
                 "shuffle {seed}"
             );
         }
@@ -2625,6 +2886,62 @@ mod tile_tests {
                 };
                 proptest::prop_assert!(lens_on(0).is_empty(), "the emptied level");
                 proptest::prop_assert!(matches!(lens_on(1)[..], [] | [1]), "the one-point level");
+            }
+        }
+
+        /// The panel condensation launch units: over random key slots on
+        /// random patches, the list names every point that left a key
+        /// exactly once and no other, in (key, index) order, in
+        /// `ceil(n / LANES)` batches of which only the last may be short;
+        /// building twice gives the same list. The row-order hook cuts
+        /// each row's keyed points, in order, into batches of their own.
+        #[test]
+        fn cond_batch_list_covers_pending_points_exactly_once(
+            ni in 1i32..40, nk in 1i32..4, nj in 1i32..4, halo in 0i32..3,
+            pend10 in 0u64..11, seed in 1u64..1_000_000,
+        ) {
+            let d = wrf_grid::Domain::new(ni, nk, nj);
+            let patch = wrf_grid::two_d_decomposition(d, 1, halo).patches[0];
+            let mut rng = seed;
+            let mut draw = |n: u64| {
+                rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                (rng >> 33) % n
+            };
+            let keys: Vec<u16> = (0..patch.compute_points())
+                .map(|_| if draw(10) < pend10 { draw(512) as u16 } else { NO_CONDENSATION })
+                .collect();
+            let mut state = SbmPatchState::new(patch);
+            let sbm = FastSbm::new(SbmConfig::new(SbmVersion::OffloadCollapse3));
+            let mut sweep = SweepArrays { cond_key: keys.clone(), ..Default::default() };
+            let v = PatchViews::new(
+                &sbm.grids, &sbm.tables, None, &sbm.splits, 5.0, &mut state, &mut sweep,
+            );
+            let mut lists = CoalLists::default();
+            build_cond_batch_list(&v, &mut lists);
+            let first = lists.batches.clone();
+            build_cond_batch_list(&v, &mut lists);
+            proptest::prop_assert_eq!(&first, &lists.batches, "rebuilding moved the list");
+
+            let listed = |batches: &[PanelBatch]| -> Vec<u32> {
+                batches.iter().flat_map(|b| b.points[..b.len as usize].to_vec()).collect()
+            };
+            let mut want: Vec<u32> = (0..keys.len() as u32)
+                .filter(|&pt| keys[pt as usize] != NO_CONDENSATION)
+                .collect();
+            let in_rows = want.clone();
+            want.sort_by_key(|&pt| (keys[pt as usize], pt));
+            proptest::prop_assert_eq!(listed(&lists.batches), want.clone());
+            proptest::prop_assert_eq!(lists.batches.len(), want.len().div_ceil(LANES));
+            let short = lists.batches.iter().filter(|b| usize::from(b.len) < LANES).count();
+            proptest::prop_assert!(short <= 1, "{} short batches", short);
+
+            let ilen = patch.ip.len() as u32;
+            lists.cond_order = BatchOrder::Rows;
+            build_cond_batch_list(&v, &mut lists);
+            proptest::prop_assert_eq!(listed(&lists.batches), in_rows);
+            for b in &lists.batches {
+                let points = &b.points[..b.len as usize];
+                proptest::prop_assert!(points.iter().all(|&pt| pt / ilen == points[0] / ilen));
             }
         }
     }
