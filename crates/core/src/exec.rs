@@ -281,7 +281,14 @@ mod tests {
     fn summary_line_is_compact() {
         let ex = wrf_exec::Executor::new(2);
         ex.run_indexed(10_000, Some(16), |_| {});
-        let s = ExecSummary::from_stats(ExecMode::WorkSteal.label(), &ex.stats(), 0.125, 1.0, 0.63, 0.99);
+        let s = ExecSummary::from_stats(
+            ExecMode::WorkSteal.label(),
+            &ex.stats(),
+            0.125,
+            1.0,
+            0.63,
+            0.99,
+        );
         let line = s.one_line();
         assert!(line.contains("work-stealing+compaction"));
         assert!(line.contains("workers=2"));

@@ -785,7 +785,11 @@ pub fn panel_condensation(
             // between relaxes.
             for l in (0..len).filter(|&l| mask[l]) {
                 let (t, p) = (panel.t[l], panel.p[l]);
-                qs[l] = if over_ice { qsat_ice(t, p) } else { qsat_liquid(t, p) };
+                qs[l] = if over_ice {
+                    qsat_ice(t, p)
+                } else {
+                    qsat_liquid(t, p)
+                };
                 works[l].f(20);
             }
             fill.slots += LANES as u64;
@@ -825,19 +829,23 @@ fn panel_relax_class(
     let g = grids.of(class);
     let ci = class.index();
 
+    // The two per-bin passes are straight-line loops over all LANES
+    // slots, selects rather than branches, so they vectorise as the
+    // collision cell sweep does. A lane outside the mask — a dead lane
+    // holding anything at all included — computes and throws away: every
+    // store selects the old value, never adds `+0.0`. A lane inside it
+    // runs the scalar's operations on its own values in the scalar's
+    // order.
     let mut cap = [0.0f32; LANES];
     let mut n_tot = [0.0f32; LANES];
     for k in 0..NKR {
         let r = g.radius[k];
-        for l in 0..len {
-            if !mask_in[l] {
-                continue;
-            }
-            let n = panel.n[ci][k][l];
-            if n > 0.0 {
-                cap[l] += n * r;
-                n_tot[l] += n;
-            }
+        let n = &panel.n[ci][k];
+        for l in 0..LANES {
+            let on = mask_in[l] & (n[l] > 0.0);
+            let (c, t) = (cap[l] + n[l] * r, n_tot[l] + n[l]);
+            cap[l] = if on { c } else { cap[l] };
+            n_tot[l] = if on { t } else { n_tot[l] };
         }
     }
 
@@ -874,33 +882,35 @@ fn panel_relax_class(
         return;
     }
 
+    // The share / `m_new` pass. The scalar skips a bin at `n <= 0.0`, so
+    // the guard is its negation: a NaN bin takes the scalar's path.
     let mut moved = [[0.0f32; LANES]; NKR];
     let mut newm = [[0.0f32; LANES]; NKR];
+    let mut bins = [0u64; LANES];
     for k in 0..NKR {
         let r = g.radius[k];
         let mk = g.mass[k];
-        for l in 0..len {
-            if !mask[l] {
-                continue;
-            }
-            let n = panel.n[ci][k][l];
-            if n <= 0.0 {
-                continue;
-            }
-            let share = (n * r) / cap[l];
+        let n = &panel.n[ci][k];
+        for l in 0..LANES {
+            #[allow(clippy::neg_cmp_op_on_partial_ord)]
+            let on = mask[l] & !(n[l] <= 0.0);
+            let share = (n[l] * r) / cap[l];
             let dm_total = dq[l] * share;
-            let dm_per = dm_total / n;
+            let dm_per = dm_total / n[l];
             let m_new = mk + dm_per;
-            works[l].fm(6, 1);
-            moved[k][l] = n;
-            newm[k][l] = if m_new <= 0.0 { 0.0 } else { m_new };
+            let m_new = if m_new <= 0.0 { 0.0 } else { m_new };
+            moved[k][l] = if on { n[l] } else { moved[k][l] };
+            newm[k][l] = if on { m_new } else { newm[k][l] };
+            bins[l] += u64::from(on);
         }
     }
+    for (w, &b) in works.iter_mut().zip(&bins) {
+        w.fm(6 * b, b);
+    }
+    // The deposit loop stays per lane: its stencil depends on the lane's
+    // own new mass. Like the scalar it takes the bins whose `moved > 0.0`.
     for k in 0..NKR {
-        for l in 0..len {
-            if !mask[l] || moved[k][l] <= 0.0 {
-                continue;
-            }
+        for l in (0..len).filter(|&l| moved[k][l] > 0.0) {
             panel.n[ci][k][l] -= moved[k][l];
             if newm[k][l] > 0.0 {
                 deposit_mass_lane(
@@ -1370,31 +1380,153 @@ mod tests {
         assert!(mixed.cells < mixed.slots);
     }
 
+    /// One random bin value of a class that holds something: mostly
+    /// ordinary number densities, with subnormals, `-0.0`, zeros and the
+    /// tiny negatives advection leaves behind mixed in.
+    fn random_bin(rng: &mut Lcg) -> f32 {
+        let pick = rng.next();
+        if pick < 0.55 {
+            10f32.powf(rng.next() * 10.0 - 2.0)
+        } else if pick < 0.7 {
+            f32::from_bits((rng.0 >> 11) as u32 % 0x0080_0000) // subnormal or +0.0
+        } else if pick < 0.8 {
+            -0.0
+        } else if pick < 0.9 {
+            0.0
+        } else {
+            -1.0e-7 * rng.next()
+        }
+    }
+
+    /// A point that takes condensation branch `kind` (0: the guard's early
+    /// return, 1: warm, 2: mixed phase, 3: glaciated) with random spectra:
+    /// present classes are random, absent ones empty, and now and then a
+    /// NaN bin in a class that does not decide the branch.
+    fn random_point(kind: u8, rng: &mut Lcg) -> (PointBins, PointThermo) {
+        let mut bins = PointBins::empty();
+        let (t, sat) = match kind {
+            0 => (250.0 + rng.next() * 45.0, 0.5),
+            1 => (274.0 + rng.next() * 25.0, 0.8 + rng.next() * 0.25),
+            2 => (235.0 + rng.next() * 35.0, 0.9 + rng.next() * 0.15),
+            _ => (235.0 + rng.next() * 35.0, 0.6 + rng.next() * 0.35),
+        };
+        if kind != 0 {
+            for c in 0..NTYPES {
+                // Water where the branch needs liquid, snow where it needs
+                // ice; a glaciated point holds no water.
+                let must = match kind {
+                    1 => c == 0,
+                    2 => c == 0 || c == 4,
+                    _ => c == 4,
+                };
+                if (kind == 3 && c == 0) || !(must || rng.next() < 0.5) {
+                    continue;
+                }
+                let lo = (rng.next() * 20.0) as usize;
+                let hi = (lo + 2 + (rng.next() * 12.0) as usize).min(NKR - 1);
+                for b in lo..=hi {
+                    bins.n[c][b] = random_bin(rng);
+                }
+                bins.n[c][lo + 1] = 1.0e3 + rng.next() * 1.0e7;
+            }
+            if rng.next() < 0.15 {
+                let c = [1, 2, 3, 5, 6][(rng.next() * 5.0) as usize];
+                bins.n[c][(rng.next() * NKR as f32) as usize] = f32::NAN;
+            }
+        }
+        let p = 50_000.0 + rng.next() * 50_000.0;
+        let th = PointThermo {
+            t,
+            qv: qsat_liquid(t, p) * sat,
+            p,
+            rho: 0.5 + rng.next() * 0.8,
+        };
+        (bins, th)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// The panel against `condensation_branch` lane by lane, on random
+        /// spectra through all three branches and the guard's early
+        /// return (lane `l` takes branch `(l + offset) % 4`), with
+        /// subnormal tails, `-0.0` bins, tiny negatives, NaN bins and empty
+        /// classes,
+        /// in a panel of `len` live lanes whose dead lanes hold NaN, ±inf
+        /// and random bits: every live lane's state bits and `PointWork`
+        /// are the scalar's, and no dead lane's bits move.
+        #[test]
+        fn panel_condensation_is_bitwise_identical(
+            seed in proptest::any::<u64>(), len in 1usize..=LANES, offset in 0u8..4,
+        ) {
+            let grids = Grids::new();
+            let mut rng = Lcg(seed);
+            let points: Vec<_> = (0..len)
+                .map(|l| random_point((l as u8 + offset) % 4, &mut rng))
+                .collect();
+            let mut scalar = points.clone();
+            let mut sw = [PointWork::ZERO; LANES];
+            for (l, (bins, th)) in scalar.iter_mut().enumerate() {
+                let mut view = bins.view();
+                condensation::condensation_branch(&mut view, th, &grids, 5.0, &mut sw[l]);
+            }
+
+            let mut panel = gather(&points);
+            let junk = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0];
+            let dead = |rng: &mut Lcg| match (rng.next() * 5.0) as usize {
+                i @ 0..=3 => junk[i],
+                _ => f32::from_bits((rng.0 >> 17) as u32),
+            };
+            for l in len..LANES {
+                for c in 0..NTYPES {
+                    for k in 0..NKR {
+                        panel.n[c][k][l] = dead(&mut rng);
+                    }
+                }
+                panel.t[l] = dead(&mut rng);
+                panel.qv[l] = dead(&mut rng);
+                panel.p[l] = dead(&mut rng);
+                panel.rho[l] = dead(&mut rng);
+            }
+            let before = panel.n;
+            let mut pw = [PointWork::ZERO; LANES];
+            panel_condensation(&mut panel, &grids, 5.0, &mut pw);
+
+            assert_panel_matches(&panel, &scalar, "condensation");
+            for l in 0..len {
+                proptest::prop_assert_eq!(sw[l], pw[l], "lane {} condensation work", l);
+            }
+            for l in len..LANES {
+                for c in 0..NTYPES {
+                    for k in 0..NKR {
+                        let (got, was) = (panel.n[c][k][l].to_bits(), before[c][k][l].to_bits());
+                        proptest::prop_assert_eq!(got, was, "dead lane {} class {} bin {}", l, c, k);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The generator of `panel_condensation_is_bitwise_identical` lands
+    /// where it says: each kind takes its branch, or the guard's early
+    /// return.
     #[test]
-    fn panel_condensation_is_bitwise_identical() {
+    fn random_points_take_their_branch() {
         let grids = Grids::new();
-        let mut scalar = synth_points(LANES);
-        // Push one lane into each branch: warm (1), cold mixed (2), cold
-        // ice-only (3).
-        scalar[2].1.t = 298.0;
-        for k in 0..NKR {
-            scalar[3].0.n[0][k] = 0.0; // ice-only point
-        }
-        scalar[3].1.t = 255.0;
-        let points = scalar.clone();
-        let mut sw = [PointWork::ZERO; LANES];
-        for (l, (bins, th)) in scalar.iter_mut().enumerate() {
-            let mut view = bins.view();
-            condensation::condensation_branch(&mut view, th, &grids, 5.0, &mut sw[l]);
-        }
-
-        let mut panel = gather(&points);
-        let mut pw = [PointWork::ZERO; LANES];
-        panel_condensation(&mut panel, &grids, 5.0, &mut pw);
-
-        assert_panel_matches(&panel, &scalar, "condensation");
-        for l in 0..LANES {
-            assert_eq!(sw[l], pw[l], "lane {l} condensation work");
+        let mut rng = Lcg(11);
+        for kind in (0..4u8).cycle().take(400) {
+            let (mut bins, th) = random_point(kind, &mut rng);
+            let view = bins.view();
+            let mut w = PointWork::ZERO;
+            let condensate = view.total_condensate(&grids, &mut w);
+            let s = supersat_liquid(th.t, th.p, th.qv);
+            let numbers = HydroClass::ALL.map(|c| view.number_of(c));
+            let got = if condensate <= Q_EPS && s <= 0.0 {
+                0
+            } else {
+                condensation::branch(th.t, s, &numbers)
+            };
+            assert_eq!(got, kind, "{th:?}");
         }
     }
 
