@@ -831,18 +831,20 @@ fn panel_relax_class(
 
     // The two per-bin passes are straight-line loops over all LANES
     // slots, selects rather than branches, so they vectorise as the
-    // collision cell sweep does. A lane outside the mask — a dead lane
-    // holding anything at all included — computes and throws away: every
-    // store selects the old value, never adds `+0.0`. A lane inside it
-    // runs the scalar's operations on its own values in the scalar's
+    // collision cell sweep does (on local copies of the lane rows and
+    // masks, which is what lets them). A lane outside the mask — a dead
+    // lane holding anything at all included — computes and throws away:
+    // every store selects the old value, never adds `+0.0`. A lane inside
+    // it runs the scalar's operations on its own values in the scalar's
     // order.
     let mut cap = [0.0f32; LANES];
     let mut n_tot = [0.0f32; LANES];
+    let calling = *mask_in;
     for k in 0..NKR {
         let r = g.radius[k];
-        let n = &panel.n[ci][k];
+        let n = panel.n[ci][k];
         for l in 0..LANES {
-            let on = mask_in[l] & (n[l] > 0.0);
+            let on = calling[l] & (n[l] > 0.0);
             let (c, t) = (cap[l] + n[l] * r, n_tot[l] + n[l]);
             cap[l] = if on { c } else { cap[l] };
             n_tot[l] = if on { t } else { n_tot[l] };
@@ -882,30 +884,41 @@ fn panel_relax_class(
         return;
     }
 
-    // The share / `m_new` pass. The scalar skips a bin at `n <= 0.0`, so
-    // the guard is its negation: a NaN bin takes the scalar's path.
+    // The share / `m_new` pass, its two divides a bin. Its selects are
+    // bitwise, on lane masks of all-ones or all-zeros words: the form
+    // whose divides vectorise. Outside `on` both rows keep the `+0.0` they
+    // start from.
+    let relaxing = mask.map(|on| if on { u32::MAX } else { 0 });
     let mut moved = [[0.0f32; LANES]; NKR];
     let mut newm = [[0.0f32; LANES]; NKR];
-    let mut bins = [0u64; LANES];
+    let mut bins = [0u32; LANES];
     for k in 0..NKR {
-        let r = g.radius[k];
-        let mk = g.mass[k];
-        let n = &panel.n[ci][k];
+        let (r, mk) = (g.radius[k], g.mass[k]);
+        // The negation of the scalar's skip at `n <= 0.0`, so a NaN bin
+        // takes the scalar's path.
+        let on: [u32; LANES] = std::array::from_fn(|l| {
+            let n = panel.n[ci][k][l];
+            relaxing[l] & if n <= 0.0 { 0 } else { u32::MAX }
+        });
+        if on == [0; LANES] {
+            continue;
+        }
+        // A lane outside `on` divides `+0.0`, not whatever its bin holds.
+        let n: [f32; LANES] =
+            std::array::from_fn(|l| f32::from_bits(panel.n[ci][k][l].to_bits() & on[l]));
         for l in 0..LANES {
-            #[allow(clippy::neg_cmp_op_on_partial_ord)]
-            let on = mask[l] & !(n[l] <= 0.0);
             let share = (n[l] * r) / cap[l];
             let dm_total = dq[l] * share;
             let dm_per = dm_total / n[l];
             let m_new = mk + dm_per;
-            let m_new = if m_new <= 0.0 { 0.0 } else { m_new };
-            moved[k][l] = if on { n[l] } else { moved[k][l] };
-            newm[k][l] = if on { m_new } else { newm[k][l] };
-            bins[l] += u64::from(on);
+            let above = if m_new <= 0.0 { 0 } else { u32::MAX };
+            moved[k][l] = n[l];
+            newm[k][l] = f32::from_bits(m_new.to_bits() & on[l] & above);
+            bins[l] += on[l] & 1;
         }
     }
     for (w, &b) in works.iter_mut().zip(&bins) {
-        w.fm(6 * b, b);
+        w.fm(6 * u64::from(b), u64::from(b));
     }
     // The deposit loop stays per lane: its stencil depends on the lane's
     // own new mass. Like the scalar it takes the bins whose `moved > 0.0`.
@@ -1477,16 +1490,10 @@ mod tests {
                 i @ 0..=3 => junk[i],
                 _ => f32::from_bits((rng.0 >> 17) as u32),
             };
-            for l in len..LANES {
-                for c in 0..NTYPES {
-                    for k in 0..NKR {
-                        panel.n[c][k][l] = dead(&mut rng);
-                    }
-                }
-                panel.t[l] = dead(&mut rng);
-                panel.qv[l] = dead(&mut rng);
-                panel.p[l] = dead(&mut rng);
-                panel.rho[l] = dead(&mut rng);
+            let rows = panel.n.iter_mut().flatten();
+            let thermo = [&mut panel.t, &mut panel.qv, &mut panel.p, &mut panel.rho];
+            for slots in rows.chain(thermo) {
+                slots[len..].iter_mut().for_each(|x| *x = dead(&mut rng));
             }
             let before = panel.n;
             let mut pw = [PointWork::ZERO; LANES];
@@ -1496,14 +1503,10 @@ mod tests {
             for l in 0..len {
                 proptest::prop_assert_eq!(sw[l], pw[l], "lane {} condensation work", l);
             }
-            for l in len..LANES {
-                for c in 0..NTYPES {
-                    for k in 0..NKR {
-                        let (got, was) = (panel.n[c][k][l].to_bits(), before[c][k][l].to_bits());
-                        proptest::prop_assert_eq!(got, was, "dead lane {} class {} bin {}", l, c, k);
-                    }
-                }
-            }
+            let dead_bits = |n: &[[[f32; LANES]; NKR]; NTYPES]| -> Vec<u32> {
+                n.iter().flatten().flat_map(|row| row[len..].iter().map(|x| x.to_bits())).collect()
+            };
+            proptest::prop_assert!(dead_bits(&panel.n) == dead_bits(&before), "a dead lane's bits moved");
         }
     }
 
