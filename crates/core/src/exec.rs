@@ -18,9 +18,9 @@
 //!   work queue only ever contains points (or columns) whose collision
 //!   predicate fired. On CONUS-like sparsity (≤ 20% active) this shrinks
 //!   the queue ~5× before any scheduling happens. The three sweeps run
-//!   on the same pool, one unit per `(j,k)` row or `(i,j)` column (the
-//!   paper's §VIII: "the loops calling condensation routines are
-//!   currently being offloaded").
+//!   on the same pool, one unit per `(j,k)` row, condensation lane batch
+//!   or `(i,j)` column (the paper's §VIII: "the loops calling
+//!   condensation routines are currently being offloaded").
 
 use wrf_exec::ExecStats;
 

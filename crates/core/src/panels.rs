@@ -1463,11 +1463,10 @@ mod tests {
         /// The panel against `condensation_branch` lane by lane, on random
         /// spectra through all three branches and the guard's early
         /// return (lane `l` takes branch `(l + offset) % 4`), with
-        /// subnormal tails, `-0.0` bins, tiny negatives, NaN bins and empty
-        /// classes,
-        /// in a panel of `len` live lanes whose dead lanes hold NaN, ±inf
-        /// and random bits: every live lane's state bits and `PointWork`
-        /// are the scalar's, and no dead lane's bits move.
+        /// subnormal tails, `-0.0` bins, tiny negatives, NaN bins and
+        /// empty classes, in a panel of `len` live lanes whose dead lanes
+        /// hold NaN, ±inf and random bits: every live lane's state bits
+        /// and `PointWork` are the scalar's, and no dead lane's bits move.
         #[test]
         fn panel_condensation_is_bitwise_identical(
             seed in proptest::any::<u64>(), len in 1usize..=LANES, offset in 0u8..4,

@@ -201,7 +201,10 @@ pub fn onecond3(
 /// number totals in [`HydroClass::ALL`] order and `s` its supersaturation
 /// over liquid.
 pub fn branch(t: f32, s: f32, numbers: &[f32; NTYPES]) -> u8 {
-    let has_ice = (HydroClass::ALL.iter().zip(numbers)).any(|(c, &n)| c.is_ice() && n > N_EPS);
+    let has_ice = HydroClass::ALL
+        .iter()
+        .zip(numbers)
+        .any(|(c, &n)| c.is_ice() && n > N_EPS);
     let has_liquid = numbers[HydroClass::Water.index()] > N_EPS || s > 0.0;
     if t >= T_0 || !has_ice {
         1

@@ -26,8 +26,10 @@
 //! twice (nucleation + condensation before it, freezing/melting + breakup
 //! after) and every version sediments its columns. Under
 //! [`ExecMode::WorkSteal`] those three sweeps are launches on the same
-//! pool, one unit per `(j,k)` row or `(i,j)` column — the paper's §VIII,
-//! "the loops calling condensation routines are currently being
+//! pool, one unit per `(j,k)` row or `(i,j)` column — the panel layout's
+//! first sweep as two launches, rows for nucleation and then coherent
+//! lane batches of the points that need condensation — the paper's
+//! §VIII, "the loops calling condensation routines are currently being
 //! offloaded"; under [`ExecMode::StaticTiles`] they are the serial loops
 //! of the program the paper measured.
 //!
@@ -1530,7 +1532,9 @@ fn coherence_key(bins: &BinsView<'_>) -> u64 {
 fn condensation_key(bins: &BinsView<'_>, th: &PointThermo) -> u16 {
     let numbers = HydroClass::ALL.map(|c| bins.number_of(c));
     let s = supersat_liquid(th.t, th.p, th.qv);
-    let present = (numbers.iter()).fold(0, |bits, &n| bits << 1 | u16::from(n > N_EPS));
+    let present = numbers
+        .iter()
+        .fold(0, |bits, &n| bits << 1 | u16::from(n > N_EPS));
     u16::from(condensation::branch(th.t, s, &numbers)) << NTYPES | present
 }
 
