@@ -76,15 +76,16 @@ step_test() {
     return "$rc"
 }
 
-# Four launches a step on one persistent pool, back to back: 24 scheme
+# Five launches a step on one persistent pool, back to back: 24 scheme
 # steps (300 under CI_NIGHTLY) at 2 and 3 workers, every step's digest
 # compared with the one-worker run. Release build, where a worker that
 # wakes late for an epoch has the narrowest window to cross into the
 # next one. Under CI_NIGHTLY the same run also takes the ignored
-# `batch_shuffle_fuzz` (200 random lane-batch memberships, three steps
-# each, against the coherent batches: bits and statistics). Then two job
-# shapes on one pool every step — the model's dynamics dispatch, then
-# the scheme's four launches — for 8 model steps (48 under CI_NIGHTLY)
+# `batch_shuffle_fuzz` (200 random memberships of both lane-batch lists,
+# collision and condensation, three steps each, against the coherent
+# batches: bits and statistics). Then two job shapes on one pool every
+# step — the model's dynamics dispatch, then the scheme's five launches
+# — for 8 model steps (48 under CI_NIGHTLY)
 # at 2 and 3 workers against one. The grep keeps a rename from turning a
 # filter into a green no-op (it reads to the end: `grep -q` would close
 # the pipe on cargo).
