@@ -1641,10 +1641,8 @@ enum BatchOrder {
     /// patch-wide.
     #[default]
     Sorted,
-    /// Row by row: [`next_batch`], the builder `coal_row` uses and the
-    /// panel launch used before batches were level-wide; each row's
-    /// pending points in order, as `pre_row_panels` batches them and the
-    /// pre-sweep did before it had a condensation launch.
+    /// Row by row: [`next_batch`], the builder `coal_row` uses; each
+    /// row's pending points in order, as `pre_row_panels` batches them.
     Rows,
     /// Pressure bits, then a hash of the seed and the point: level-wide
     /// (patch-wide for condensation) membership drawn at random.
@@ -2261,8 +2259,7 @@ mod tests {
     }
 
     /// Who shares a condensation lane batch is schedule too: the spun-up
-    /// storm stepped twice with row-order condensation batches (the
-    /// pre-sweep's units before it had a condensation launch), coherent
+    /// storm stepped twice with row-order condensation batches, coherent
     /// ones and two random patch-wide memberships, on 1, 2 and 3 pool
     /// threads, ends in the same state bits with the same statistics —
     /// `work.cond`, the predicate's counts, every collision count,
