@@ -85,10 +85,9 @@ step_test() {
 # collision and condensation, three steps each, against the coherent
 # batches: bits and statistics). Then two job shapes on one pool every
 # step — the model's dynamics dispatch, then the scheme's five launches
-# — for 8 model steps (48 under CI_NIGHTLY)
-# at 2 and 3 workers against one. The grep keeps a rename from turning a
-# filter into a green no-op (it reads to the end: `grep -q` would close
-# the pipe on cargo).
+# — for 8 model steps (48 under CI_NIGHTLY) at 2 and 3 workers against
+# one. The grep keeps a rename from turning a filter into a green no-op
+# (it reads to the end: `grep -q` would close the pipe on cargo).
 step_pool_stress() {
     local filters="pool_stress_every_step_matches_one_worker" passed=1
     if [ -n "${CI_NIGHTLY:-}" ]; then
