@@ -1,14 +1,14 @@
 //! The per-grid-point `fast_sbm` driver, split for loop fission.
 //!
 //! Listing 1 guards the whole physics on `T_OLD > 193.15` K and the
-//! collision call additionally on `TT > 223.15` K. The offload versions
-//! (Listings 6–8) *fission* the grid loop: nucleation/condensation run in
-//! a first sweep that also records the collision predicate
-//! (`call_coal_bott_new`), the collision loop runs offloaded, and
-//! freezing/breakup finish in a third sweep. [`fast_sbm_point`] is the
-//! unfissioned composition used by the CPU versions; the `pre`/`post`
-//! halves are exported for the fissioned drivers so all versions execute
-//! the *same* physics in the same order.
+//! collision call additionally on `TT > 223.15` K. Listings 6–8
+//! *fission* the grid loop: nucleation/condensation run in a first sweep
+//! that also records the collision predicate (`call_coal_bott_new`), the
+//! collision loop runs on its own (offloaded, or on CPU tiles), and
+//! freezing/breakup finish in a third sweep. Every version of the scheme
+//! runs those sweeps over the `pre`/`coal`/`post` parts exported here, so
+//! all versions execute the *same* physics in the same order;
+//! [`fast_sbm_point`] is their unfissioned composition for one point.
 
 use crate::constants::{T_MIN_COAL, T_MIN_PHYSICS};
 use crate::kernels::KernelMode;
@@ -115,8 +115,9 @@ pub fn fast_sbm_post(
     out.work.breakup = w;
 }
 
-/// The unfissioned per-point `fast_sbm` used by the Baseline and Lookup
-/// versions (Listing 1 structure).
+/// The unfissioned per-point `fast_sbm` (Listing 1 structure): the
+/// single-point drivers and the tests run it; the scheme runs its three
+/// parts as separate sweeps, which changes no bit.
 pub fn fast_sbm_point(
     bins: &mut BinsView<'_>,
     th: &mut PointThermo,

@@ -4,34 +4,39 @@
 //! three decisions; here each [`SbmVersion`] names one [`CollisionPlan`]
 //! of `gpu-sim`'s plain-data schedule (dense tables or lookup; offloaded
 //! or not, at which collapse depth, with which storage) and
-//! [`FastSbm::step`] is a short driver over row-level stage functions.
+//! [`FastSbm::step`] runs one pipeline of row-level stage functions for
+//! all of them: the pre-sweep (nucleation, condensation, the collision
+//! predicate), the collision stage, the post-sweep (freezing/melting,
+//! breakup) and column sedimentation. The plan picks only the collision
+//! stage's launch unit.
 //!
-//! * [`SbmVersion::Baseline`] — Listing 1: the unfissioned grid loop;
-//!   inside the collision call, `kernals_ks` refills the 20 dense
-//!   collision tables for the local pressure (the global-module-state
-//!   pattern that blocks parallelization and that Codee's dependence
-//!   analysis untangles; `THREADPRIVATE` per tile here).
+//! * [`SbmVersion::Baseline`] — Listing 1's program: inside the collision
+//!   call, `kernals_ks` refills the 20 dense collision tables for the
+//!   local pressure (the global-module-state pattern that blocks
+//!   parallelization and that Codee's dependence analysis untangles;
+//!   `THREADPRIVATE` per WRF `numtiles` tile here).
 //! * [`SbmVersion::Lookup`] — §VI-A: dense tables and `kernals_ks`
 //!   deleted; kernel entries computed on demand by pure functions.
-//! * [`SbmVersion::OffloadCollapse2`] — §VI-B: loop fission isolates the
-//!   collision stage behind a predicate array; the `(j,k)` loops are
-//!   offloaded (functional execution with real host parallelism through
-//!   `gpu-sim`), the `i` loop stays serial inside each device thread, and
-//!   per-point bins live in automatic (stack) arrays.
+//! * [`SbmVersion::OffloadCollapse2`] — §VI-B: the collision loop, isolated
+//!   behind the predicate array, is offloaded over its `(j,k)` loops
+//!   (functional execution with real host parallelism through `gpu-sim`),
+//!   the `i` loop stays serial inside each device thread, and per-point
+//!   bins live in automatic (stack) arrays.
 //! * [`SbmVersion::OffloadCollapse3`] — §VI-C: the automatic arrays are
 //!   replaced by per-grid-point slices of the `temp_arrays` slabs
 //!   (`Field4` storage, Listing 8), enabling a full `collapse(3)`.
 //!
-//! Around the collision launch the fissioned versions sweep the patch
-//! twice (nucleation + condensation before it, freezing/melting + breakup
-//! after) and every version sediments its columns. Under
-//! [`ExecMode::WorkSteal`] those three sweeps are launches on the same
-//! pool, one unit per `(j,k)` row or `(i,j)` column — the panel layout's
-//! first sweep as two launches, rows for nucleation and then coherent
-//! lane batches of the points that need condensation — the paper's
-//! §VIII, "the loops calling condensation routines are currently being
-//! offloaded"; under [`ExecMode::StaticTiles`] they are the serial loops
-//! of the program the paper measured.
+//! Every version runs §VI-B's fissioned loop (Listing 6). Fission moves no
+//! bit: no grid point reads another point's state, so finishing a stage
+//! for the whole patch before the next begins changes no operation of any
+//! point. Listing 1's unfissioned loop nest lives where its structure is
+//! analysed, in `codee_sim::corpus`. Under [`ExecMode::WorkSteal`] the
+//! sweeps are launches on the collision stage's pool, one unit per `(j,k)`
+//! row or `(i,j)` column — the panel layout's pre-sweep as two launches,
+//! rows for nucleation and then coherent lane batches of the points that
+//! need condensation — the paper's §VIII, "the loops calling condensation
+//! routines are currently being offloaded"; under [`ExecMode::StaticTiles`]
+//! they are the serial loops of the program the paper measured.
 //!
 //! All versions run identical physics in identical per-point order, so
 //! their outputs agree to f32 round-off — the property §VII-B verifies
@@ -170,14 +175,16 @@ pub struct SbmConfig {
     /// (`None` = all available).
     pub workers: Option<usize>,
     /// WRF `numtiles`: OpenMP tiles per patch for the CPU versions
-    /// (Fig. 1's shared-memory level; the paper runs 1). The baseline's
-    /// shared collision tables become per-tile (`THREADPRIVATE`) copies.
+    /// (Fig. 1's shared-memory level; the paper runs 1) — the launch unit
+    /// of their collision stage, each tile looping over its own `(j,k)`
+    /// rows. The baseline's shared collision tables become per-tile
+    /// (`THREADPRIVATE`) copies. The sweeps around the collision stage
+    /// are the same for every version and ignore it.
     pub tiles: usize,
-    /// How iterations are scheduled onto the emulated device threads
-    /// (and the tiled CPU path): static partition, with serial sweeps
-    /// around the collision launch, or the persistent work-stealing
-    /// executor over the activity-compacted queue, which runs the sweeps
-    /// too.
+    /// How the collision stage's units — device iterations or CPU tiles —
+    /// are scheduled: static partition, with serial sweeps around the
+    /// collision launch, or the persistent work-stealing executor over the
+    /// activity-compacted queue, which runs the sweeps too.
     pub sched: ExecMode,
     /// Memoize the 20 interpolated pair tables per k-level
     /// ([`KernelMode::Cached`]); bitwise-identical to on-demand, cheaper
@@ -245,8 +252,8 @@ pub struct SbmStepStats {
     pub kernel_spec: Option<KernelSpec>,
     /// Surface precipitation this step, kg/m² summed over columns.
     pub precip: f64,
-    /// Wall-clock seconds of the collision-stage launch (0 for the CPU
-    /// versions; the metric the `bench-exec` arms compare).
+    /// Wall-clock seconds of the offloaded collision launch (0 for the
+    /// CPU versions' tiles; the metric the `bench-exec` arms compare).
     pub coal_wall: f64,
     /// Metered collision flops per launch unit (columns for
     /// `collapse(2)`, points for `collapse(3)`), collected only when
@@ -322,10 +329,11 @@ impl FastSbm {
     }
 
     /// The persistent worker pool, created on first use if this
-    /// configuration's steps launch on one — work stealing with a
-    /// fissioned plan or more than one tile — so a caller that shares it
+    /// configuration's steps launch on one — work stealing with an
+    /// offloaded plan or more than one tile — so a caller that shares it
     /// between the scheme's launches adds no thread; `None` when the steps
-    /// do not (static tiles, or an unfissioned single-tile plan).
+    /// do not (static tiles, or a CPU version on a single tile, whose
+    /// whole step runs on the calling thread).
     pub fn pool(&mut self) -> Option<&Executor> {
         let launches =
             self.cfg.sched.uses_executor() && (self.cfg.version.offloaded() || self.cfg.tiles > 1);
@@ -404,9 +412,9 @@ impl FastSbm {
 
     /// Advances the microphysics on `state` by one step: snapshot `T_OLD`,
     /// make sure the kernel cache and worker pool the configuration asks
-    /// for exist, run the grid loop the version's plan describes, sediment
-    /// every column, then fold the columns' precipitation in `(j, i)`
-    /// order.
+    /// for exist, run the pre-sweep, the collision stage the version's
+    /// plan describes, the post-sweep and sedimentation, then fold the
+    /// columns' precipitation in `(j, i)` order.
     pub fn step(&mut self, state: &mut SbmPatchState) -> SbmStepStats {
         state.snapshot_t_old();
         let plan = self.cfg.version.plan();
@@ -417,9 +425,7 @@ impl FastSbm {
         let p = state.patch;
         let mut stats = empty_stats(p.compute_points());
         let StepScratch { sweep, coal } = &mut self.scratch;
-        // Only the fissioned sweeps keep per-point slots for the whole
-        // patch; the unfissioned tile body keeps one row's per thread.
-        let slots = plan.offload.map_or(0, |_| p.compute_points());
+        let slots = p.compute_points();
         sweep.predicate.resize(slots, false);
         sweep.outcomes.resize(slots, PointOutcome::default());
         sweep.cond_key.resize(slots, NO_CONDENSATION);
@@ -441,15 +447,9 @@ impl FastSbm {
                 workers: self.cfg.workers,
                 exec: self.exec.as_ref(),
             };
-            let tally = match plan.offload {
-                None => unfissioned_tiles(&v, &launcher, &self.cfg, plan.dense_tables),
-                Some(Offload { collapse, .. }) => {
-                    let mut tally = pre_sweep(&v, &launcher, self.cfg.layout, coal);
-                    tally += coal_launch(&v, &launcher, &self.cfg, collapse, coal, &mut stats);
-                    tally += post_sweep(&v, &launcher);
-                    tally
-                }
-            };
+            let mut tally = pre_sweep(&v, &launcher, self.cfg.layout, coal);
+            tally += coal_launch(&v, &launcher, &self.cfg, plan, coal, &mut stats);
+            tally += post_sweep(&v, &launcher);
             sedimentation_sweep(&v, &launcher, self.cfg.layout, self.cfg.dz);
             tally
         };
@@ -484,63 +484,14 @@ impl FastSbm {
     }
 }
 
-// ---- The driver's three shapes of grid loop ---------------------------
+// ---- The four stages ------------------------------------------------------
 
-/// Baseline / Lookup: Listing 1's unfissioned loop, run per tile (WRF
-/// `numtiles`; one inline tile when `tiles <= 1`). Tiles partition the
-/// compute region and every tile owns its row scratch and — for the
-/// baseline — a private copy of the collision tables (what
-/// `!$omp threadprivate(cw**)` gives the Fortran code), so any tiling is
-/// bitwise identical to the serial sweep.
-fn unfissioned_tiles(
-    v: &PatchViews<'_>,
-    launcher: &Launcher<'_>,
-    cfg: &SbmConfig,
-    dense_tables: bool,
-) -> Tally {
-    // The Vec is only built when the patch actually splits, so the serial
-    // configuration allocates nothing per step.
-    let whole = [TileSpec {
-        id: 0,
-        it: v.patch.ip,
-        kt: v.patch.kp,
-        jt: v.patch.jp,
-    }];
-    let split;
-    let tiles: &[TileSpec] = if cfg.tiles <= 1 {
-        &whole
-    } else {
-        split = split_patch_into_tiles(&v.patch, cfg.tiles);
-        &split
-    };
-    let total = Mutex::new(Tally::default());
-    launcher.run(tiles.len() as u64, Grain::Coarse, |t| {
-        let tile = &tiles[t as usize];
-        let mut tally = Tally::default();
-        let mut dense = dense_tables.then(CollisionTables::new);
-        ROW_SCRATCH.with(|cell| {
-            let (pred, outs) = &mut *cell.borrow_mut();
-            pred.resize(tile.it.len(), false);
-            outs.resize(tile.it.len(), PointOutcome::default());
-            for j in tile.jt.iter() {
-                for k in tile.kt.iter() {
-                    tally.cond_lanes += pre_row(v, cfg.layout, j, k, tile.it, pred, outs);
-                    tally += coal_row(v, cfg.layout, j, k, tile.it, pred, dense.as_mut());
-                    tally += post_row(v, j, k, tile.it, outs);
-                }
-            }
-        });
-        *total.lock().expect("a tile body panicked") += tally;
-    });
-    total.into_inner().expect("a tile body panicked")
-}
-
-/// Fissioned sweep 1: nucleation + condensation, filling the predicate
-/// array `call_coal_bott_new` and the per-point outcomes (the loop the
-/// paper's §VIII says is offloaded next; no point reads another's state).
-/// `PointAos` runs [`pre_row`] as one launch of `(j,k)` rows. `PanelSoa`
-/// runs two launches: the rows again, for nucleation and the in-place
-/// guard, each point that needs condensation leaving its
+/// Stage 1: nucleation + condensation, filling the predicate array
+/// `call_coal_bott_new` and the per-point outcomes (the loop the paper's
+/// §VIII says is offloaded next; no point reads another's state).
+/// `PointAos` runs `fast_sbm_pre` per point as one launch of `(j,k)`
+/// rows. `PanelSoa` runs two launches: the rows again, for nucleation and
+/// the in-place guard, each point that needs condensation leaving its
 /// [`condensation_key`] in its key slot; then condensation and the
 /// predicate over the coherent lane batches [`build_cond_batch_list`]
 /// cuts from those keys. Returns how full the condensation panels ran.
@@ -551,45 +502,62 @@ fn pre_sweep(
     lists: &mut CoalLists,
 ) -> Tally {
     let ip = v.patch.ip;
-    launcher.sweep(v.row_count() as u64, |row| {
-        let row = row as usize;
-        let (j, k) = v.row(row);
-        let pred = v.predicate.subslice_mut(row * ip.len(), ip.len());
-        let outs = v.outcomes.subslice_mut(row * ip.len(), ip.len());
-        match layout {
-            Layout::PointAos => {
-                pre_row(v, layout, j, k, ip, pred, outs);
-            }
-            Layout::PanelSoa => {
-                let keys = v.cond_key.subslice_mut(row * ip.len(), ip.len());
+    // A row unit's `(j, k)` and the offset of its sweep-array slots.
+    let unit = |row: u64| (v.row(row as usize), row as usize * ip.len());
+    match layout {
+        Layout::PointAos => {
+            launcher.sweep(v.row_count() as u64, |r| {
+                let ((j, k), lo) = unit(r);
+                let pred = v.predicate.subslice_mut(lo, ip.len());
+                let outs = v.outcomes.subslice_mut(lo, ip.len());
+                let mut bins = PointBins::empty();
+                for (ix, i) in ip.iter().enumerate() {
+                    let at = v.idx3(i, k, j);
+                    let mut th = v.thermo(at);
+                    v.load_bins(at, &mut bins);
+                    outs[ix] = fast_sbm_pre(&mut bins.view(), &mut th, v.grids, v.dt, v.t_old[at]);
+                    v.store_bins(at, &bins);
+                    v.store_thermo(at, &th);
+                    pred[ix] = outs[ix].coal_called;
+                }
+            });
+            Tally::default()
+        }
+        Layout::PanelSoa => {
+            launcher.sweep(v.row_count() as u64, |r| {
+                let ((j, k), lo) = unit(r);
+                let pred = v.predicate.subslice_mut(lo, ip.len());
+                let outs = v.outcomes.subslice_mut(lo, ip.len());
+                let keys = v.cond_key.subslice_mut(lo, ip.len());
                 nucleate_row(v, v.idx3(ip.lo, k, j), pred, outs, keys);
+            });
+            build_cond_batch_list(v, lists);
+            let batches: &[PanelBatch] = &lists.batches;
+            let total = Mutex::new(LaneFill::default());
+            launcher.sweep(batches.len() as u64, |bi| {
+                let b = &batches[bi as usize];
+                let fill = cond_batch(v, &b.points[..b.len as usize]);
+                *total.lock().expect("a condensation unit panicked") += fill;
+            });
+            let cond_lanes = total.into_inner().expect("a condensation unit panicked");
+            Tally {
+                cond_lanes,
+                ..Tally::default()
             }
         }
-    });
-    let mut tally = Tally::default();
-    if layout == Layout::PanelSoa {
-        build_cond_batch_list(v, lists);
-        let batches: &[PanelBatch] = &lists.batches;
-        let total = Mutex::new(LaneFill::default());
-        launcher.sweep(batches.len() as u64, |bi| {
-            let b = &batches[bi as usize];
-            let fill = cond_batch(v, &b.points[..b.len as usize]);
-            *total.lock().expect("a condensation unit panicked") += fill;
-        });
-        tally.cond_lanes = total.into_inner().expect("a condensation unit panicked");
     }
-    tally
 }
 
-/// Fissioned sweep 2 (device): the isolated collision loop of Listing 6,
-/// executed with real host parallelism. `collapse(2)` launches one unit
-/// per `(j,k)` column with a serial `i` loop and per-thread automatic
-/// arrays; `collapse(3)` launches one unit per point operating in place
-/// on the slabs — or, in the panel layout, per coherent lane batch
-/// ([`build_batch_list`]): a level's predicate-true points, whatever row
-/// they sit in, grouped by pressure and by how alike their spectra are,
-/// so compaction is level-wide and a batch's lanes sweep nearly the same
-/// cells.
+/// Stage 2: the isolated collision loop of Listing 6, executed with real
+/// host parallelism; the plan's `offload` picks the launch unit. The CPU
+/// versions launch WRF `numtiles` tiles ([`coal_tiles`]). `collapse(2)`
+/// launches one unit per `(j,k)` column with a serial `i` loop and
+/// per-thread automatic arrays; `collapse(3)` launches one unit per point
+/// operating in place on the slabs — or, in the panel layout, per
+/// coherent lane batch ([`build_batch_list`]): a level's predicate-true
+/// points, whatever row they sit in, grouped by pressure and by how alike
+/// their spectra are, so compaction is level-wide and a batch's lanes
+/// sweep nearly the same cells.
 ///
 /// Launch geometry (`coal_iters`, warp efficiency) is always reported
 /// from the *full* iteration space: compaction and the panel layout
@@ -599,7 +567,7 @@ fn coal_launch(
     v: &PatchViews<'_>,
     launcher: &Launcher<'_>,
     cfg: &SbmConfig,
-    collapse: Collapse,
+    plan: CollisionPlan,
     lists: &mut CoalLists,
     stats: &mut SbmStepStats,
 ) -> Tally {
@@ -609,6 +577,10 @@ fn coal_launch(
     // The pre-sweep has finished and nothing writes the predicate again
     // this step: the collision units only read it.
     let predicate: &[bool] = v.predicate.subslice_mut(0, rows * ilen);
+    let collapse = match plan.offload {
+        None => return coal_tiles(v, launcher, cfg, plan.dense_tables, predicate),
+        Some(Offload { collapse, .. }) => collapse,
+    };
 
     let iters = match collapse {
         Collapse::Two => {
@@ -625,7 +597,7 @@ fn coal_launch(
         }
     };
     stats.coal_iters = iters as u64;
-    stats.kernel_spec = cfg.version.kernel_spec();
+    stats.kernel_spec = plan.kernel_spec();
 
     let sink = Mutex::new(CoalSink {
         tally: Tally::default(),
@@ -680,8 +652,55 @@ fn coal_launch(
     tally
 }
 
-/// Fissioned sweep 3: freezing/melting + breakup, one launch unit per
-/// `(j,k)` row, and the tally of everything sweeps 1 and 3 metered.
+/// The CPU versions' collision stage: WRF `numtiles` tiles (one inline
+/// tile when `tiles <= 1`), launched coarse, each looping over its own
+/// `(j,k)` rows through [`coal_row`] on its slice of the patch's
+/// `predicate`. Every tile owns — for the baseline — a private copy of
+/// the collision tables (what `!$omp threadprivate(cw**)` gives the
+/// Fortran code), so any tiling is bitwise identical to one tile.
+fn coal_tiles(
+    v: &PatchViews<'_>,
+    launcher: &Launcher<'_>,
+    cfg: &SbmConfig,
+    dense_tables: bool,
+    predicate: &[bool],
+) -> Tally {
+    let p = v.patch;
+    // The Vec is only built when the patch actually splits, so the serial
+    // configuration allocates nothing per step.
+    let whole = [TileSpec {
+        id: 0,
+        it: p.ip,
+        kt: p.kp,
+        jt: p.jp,
+    }];
+    let split;
+    let tiles: &[TileSpec] = if cfg.tiles <= 1 {
+        &whole
+    } else {
+        split = split_patch_into_tiles(&p, cfg.tiles);
+        &split
+    };
+    let total = Mutex::new(Tally::default());
+    launcher.run(tiles.len() as u64, Grain::Coarse, |t| {
+        let tile = &tiles[t as usize];
+        let mut tally = Tally::default();
+        let mut dense = dense_tables.then(CollisionTables::new);
+        for j in tile.jt.iter() {
+            for k in tile.kt.iter() {
+                let row = (j - p.jp.lo) as usize * p.kp.len() + (k - p.kp.lo) as usize;
+                let lo = row * p.ip.len() + (tile.it.lo - p.ip.lo) as usize;
+                let pred = &predicate[lo..lo + tile.it.len()];
+                tally += coal_row(v, cfg.layout, j, k, tile.it, pred, dense.as_mut());
+            }
+        }
+        *total.lock().expect("a tile panicked") += tally;
+    });
+    total.into_inner().expect("a tile panicked")
+}
+
+/// Stage 3: freezing/melting + breakup, one launch unit per `(j,k)` row,
+/// and the tally of everything stages 1 and 3 metered.
 fn post_sweep(v: &PatchViews<'_>, launcher: &Launcher<'_>) -> Tally {
     let ip = v.patch.ip;
     let total = Mutex::new(Tally::default());
@@ -695,8 +714,8 @@ fn post_sweep(v: &PatchViews<'_>, launcher: &Launcher<'_>) -> Tally {
     total.into_inner().expect("a row unit panicked")
 }
 
-/// Column sedimentation (all versions), one launch unit per `(i,j)`
-/// column: the fall carries a dependence from level to level, so the `k`
+/// Stage 4: column sedimentation, one launch unit per `(i,j)` column:
+/// the fall carries a dependence from level to level, so the `k`
 /// recurrence stays serial inside the unit. Each unit leaves its column's
 /// precipitation and metered work in its own [`ColumnFall`] slot; the
 /// driver folds them afterwards.
@@ -887,15 +906,9 @@ struct PanelBatch {
     len: u8,
 }
 
-// Per-thread row scratch of the unfissioned tile body: the predicate and
-// outcome slots of the row being processed (the patch-sized arrays of the
-// fissioned sweeps, one row long). Thread-local so the tile scheduler's
-// workers don't contend, and so steady-state steps stay allocation-free.
+// Per-thread sedimentation column: the column units of one sweep run on
+// every pool thread at once, and steady-state steps stay allocation-free.
 thread_local! {
-    static ROW_SCRATCH: std::cell::RefCell<(Vec<bool>, Vec<PointOutcome>)> =
-        const { std::cell::RefCell::new((Vec::new(), Vec::new())) };
-    // Per-thread for the same two reasons: column units of one sweep run
-    // on every pool thread at once.
     static COLUMN_SCRATCH: std::cell::RefCell<ColumnScratch> = const {
         std::cell::RefCell::new(ColumnScratch {
             rho: Vec::new(),
@@ -1147,77 +1160,8 @@ impl<'a> PatchViews<'a> {
 // ---- Row-level stages -----------------------------------------------------
 //
 // A row is the `i`-span `it` at one `(j, k)`; `pred` and `outs` are its
-// predicate and outcome slots. The unfissioned tile body runs the three
-// stages back to back per row, the fissioned driver runs each as a sweep
-// (the middle one always a launch, the outer two under work stealing).
-// Only the stages whose arithmetic differs between the layouts have two
-// forms.
-
-/// Nucleation + condensation + the collision predicate of Listing 6;
-/// returns how full the condensation panels ran (nothing in `PointAos`).
-fn pre_row(
-    v: &PatchViews<'_>,
-    layout: Layout,
-    j: i32,
-    k: i32,
-    it: Span,
-    pred: &mut [bool],
-    outs: &mut [PointOutcome],
-) -> LaneFill {
-    let fill = match layout {
-        Layout::PointAos => {
-            let mut bins = PointBins::empty();
-            for (ix, i) in it.iter().enumerate() {
-                let at = v.idx3(i, k, j);
-                let mut th = v.thermo(at);
-                v.load_bins(at, &mut bins);
-                outs[ix] = fast_sbm_pre(&mut bins.view(), &mut th, v.grids, v.dt, v.t_old[at]);
-                v.store_bins(at, &bins);
-                v.store_thermo(at, &th);
-            }
-            LaneFill::default()
-        }
-        Layout::PanelSoa => pre_row_panels(v, j, k, it, outs),
-    };
-    for (p, out) in pred.iter_mut().zip(outs.iter()) {
-        *p = out.coal_called;
-    }
-    fill
-}
-
-/// The panel form of [`pre_row`] for the unfissioned tile body:
-/// [`nucleate_point`] per point in place, then condensation and the
-/// predicate in lane batches over the points of the row that need them,
-/// in row order (batches may mix pressures).
-fn pre_row_panels(
-    v: &PatchViews<'_>,
-    j: i32,
-    k: i32,
-    it: Span,
-    outs: &mut [PointOutcome],
-) -> LaneFill {
-    let mut panel = SoaPanel::new();
-    let mut lane_ix = [0usize; LANES];
-    let mut fill = LaneFill::default();
-    let at0 = v.idx3(it.lo, k, j);
-    for ix in 0..=it.len() {
-        let row_done = ix == it.len();
-        if !row_done && nucleate_point(v, at0 + ix, &mut outs[ix]).is_some() {
-            lane_ix[panel.len] = ix;
-            v.gather(at0 + ix, &mut panel);
-        }
-        if panel.is_full() || (row_done && panel.len > 0) {
-            let (ats, len) = (lane_ix.map(|ix| at0 + ix), panel.len);
-            fill += condense_panel(v, &mut panel, &ats[..len], |l, work, pred| {
-                let out = &mut outs[lane_ix[l]];
-                out.work.cond = work;
-                out.coal_called = pred;
-            });
-            panel.clear();
-        }
-    }
-    fill
-}
+// predicate and outcome slots. Only the stages whose arithmetic differs
+// between the layouts have two forms.
 
 /// The scalar head of the panel pre-stage at the point `at`, in place:
 /// the `T_OLD` guard and nucleation, leaving the point's outcome in
@@ -1265,10 +1209,11 @@ fn nucleate_row(
     }
 }
 
-/// Gather → condensation and the predicate → scatter for one lane batch
-/// of the condensation launch (`points` are flat indices into the sweep
-/// arrays), filing each point's metered work and predicate in its
-/// outcome and predicate slots; returns how full its relaxes ran.
+/// Gather → condensation and the collision predicate → scatter for one
+/// lane batch of the condensation launch (`points` are flat indices into
+/// the sweep arrays): each lane's bins, temperature and vapor go back to
+/// its point, its metered work and predicate to its outcome and predicate
+/// slots. Returns how full the relaxes ran.
 fn cond_batch(v: &PatchViews<'_>, points: &[u32]) -> LaneFill {
     let mut panel = SoaPanel::new();
     let mut ats = [0usize; LANES];
@@ -1276,41 +1221,26 @@ fn cond_batch(v: &PatchViews<'_>, points: &[u32]) -> LaneFill {
         *at = v.at_point(pt as usize);
         v.gather(*at, &mut panel);
     }
-    condense_panel(v, &mut panel, &ats[..points.len()], |l, work, pred| {
-        let pt = points[l] as usize;
-        let out = &mut v.outcomes.subslice_mut(pt, 1)[0];
-        out.work.cond = work;
-        out.coal_called = pred;
-        v.predicate.set(pt, pred);
-    })
-}
-
-/// Condensation and the collision predicate over a gathered panel, then
-/// the scatter: lane `l`'s bins, temperature and vapor go back to the
-/// point at `ats[l]`, and `finish(l, work, predicate)` files its metered
-/// work and predicate. Returns how full the relaxes ran.
-fn condense_panel(
-    v: &PatchViews<'_>,
-    panel: &mut SoaPanel,
-    ats: &[usize],
-    mut finish: impl FnMut(usize, PointWork, bool),
-) -> LaneFill {
     let mut works = [PointWork::ZERO; LANES];
-    let fill = panel_condensation(panel, v.grids, v.dt, &mut works);
-    let preds = panel_coal_predicate(panel, v.grids, &mut works);
-    for (l, &at) in ats.iter().enumerate() {
-        v.scatter(at, panel, l);
+    let fill = panel_condensation(&mut panel, v.grids, v.dt, &mut works);
+    let preds = panel_coal_predicate(&panel, v.grids, &mut works);
+    for (l, (&pt, &at)) in points.iter().zip(&ats).enumerate() {
+        v.scatter(at, &panel, l);
         v.qv.set(at, panel.qv[l]);
-        finish(l, works[l], preds[l]);
+        let pt = pt as usize;
+        let out = &mut v.outcomes.subslice_mut(pt, 1)[0];
+        out.work.cond = works[l];
+        out.coal_called = preds[l];
+        v.predicate.set(pt, preds[l]);
     }
     fill
 }
 
-/// The collision stage over the predicate-true points of one row: the
-/// middle phase of the unfissioned tile body and the body of one
-/// `collapse(2)` launch unit (a column with its serial `i` loop, bins in
-/// automatic arrays). The panel form replaces the serial loop by
-/// pressure-uniform lane batches formed on the fly.
+/// The collision stage over the predicate-true points of one row: a CPU
+/// tile's step through its rows and the body of one `collapse(2)` launch
+/// unit (a column with its serial `i` loop, bins in automatic arrays).
+/// The panel form replaces the serial loop by pressure-uniform lane
+/// batches formed on the fly.
 fn coal_row(
     v: &PatchViews<'_>,
     layout: Layout,
@@ -1408,7 +1338,7 @@ fn coal_batch(
 
 /// Freezing/melting + breakup over the row's active points, scalar and in
 /// place in both layouts; returns the tally of the row's outcomes (all
-/// that `pre_row` and this stage metered, and the point counts).
+/// that the pre-sweep and this stage metered, and the point counts).
 fn post_row(v: &PatchViews<'_>, j: i32, k: i32, it: Span, outs: &mut [PointOutcome]) -> Tally {
     let mut tally = Tally::default();
     for (i, out) in it.iter().zip(outs) {
@@ -1642,7 +1572,7 @@ enum BatchOrder {
     #[default]
     Sorted,
     /// Row by row: [`next_batch`], the builder `coal_row` uses; each
-    /// row's pending points in order, as `pre_row_panels` batches them.
+    /// row's pending points in order.
     Rows,
     /// Pressure bits, then a hash of the seed and the point: level-wide
     /// (patch-wide for condensation) membership drawn at random.
@@ -2039,37 +1969,44 @@ mod tests {
         }
     }
 
-    /// Four launches a step on one persistent pool, back to back for
+    /// Five launches a step on one persistent pool, back to back for
     /// hundreds of steps: the executor's epoch handover (a late worker
     /// must never carry one launch's body into the next) under the
-    /// scheme's real traffic. Every step's digest at 2 and 3 workers must
-    /// equal the one-worker run's. 300 steps under `CI_NIGHTLY`
+    /// scheme's real traffic — the production configuration, and a tiled
+    /// CPU version whose collision launch is three coarse tiles between
+    /// the same sweeps. Every step's digest at 2 and 3 workers must equal
+    /// the one-worker run's. 300 steps under `CI_NIGHTLY`
     /// (`./ci.sh pool_stress`), 24 otherwise.
     #[test]
     fn pool_stress_every_step_matches_one_worker() {
         let nightly = std::env::var_os("CI_NIGHTLY").is_some_and(|v| !v.is_empty());
         let steps = if nightly { 300 } else { 24 };
-        let digests = |workers: usize| {
-            let mut st = test_state();
-            let mut cfg = SbmConfig::new(SbmVersion::OffloadCollapse3);
-            cfg.workers = Some(workers);
-            cfg.cached_kernels = true;
-            let mut scheme = FastSbm::new(cfg);
-            let per_step: Vec<StateDigest> = (0..steps)
-                .map(|_| {
-                    scheme.step(&mut st);
-                    st.digest()
-                })
-                .collect();
-            let epochs = scheme.exec.as_ref().expect("work stealing").stats().epochs;
-            assert_eq!(epochs, 5 * steps as u64, "five launches a step");
-            per_step
-        };
-        let want = digests(1);
-        assert_ne!(want[0], want[steps - 1], "the state must evolve");
-        for workers in [2, 3] {
-            for (step, (got, want)) in digests(workers).iter().zip(&want).enumerate() {
-                assert_eq!(got, want, "{workers} workers, step {step}");
+        let mut production = SbmConfig::new(SbmVersion::OffloadCollapse3);
+        production.cached_kernels = true;
+        let mut tiled = SbmConfig::new(SbmVersion::Lookup);
+        tiled.tiles = 3;
+        for mut cfg in [production, tiled] {
+            let what = cfg.version.label();
+            let mut digests = |workers: usize| {
+                let mut st = test_state();
+                cfg.workers = Some(workers);
+                let mut scheme = FastSbm::new(cfg);
+                let per_step: Vec<StateDigest> = (0..steps)
+                    .map(|_| {
+                        scheme.step(&mut st);
+                        st.digest()
+                    })
+                    .collect();
+                let epochs = scheme.exec.as_ref().expect("work stealing").stats().epochs;
+                assert_eq!(epochs, 5 * steps as u64, "{what}: five launches a step");
+                per_step
+            };
+            let want = digests(1);
+            assert_ne!(want[0], want[steps - 1], "{what}: the state must evolve");
+            for workers in [2, 3] {
+                for (step, (got, want)) in digests(workers).iter().zip(&want).enumerate() {
+                    assert_eq!(got, want, "{what}: {workers} workers, step {step}");
+                }
             }
         }
     }
@@ -2315,6 +2252,27 @@ mod tests {
         );
     }
 
+    /// One pre-sweep for every version: on the spun-up storm the first
+    /// step of all four — lookup or dense tables, tiles or an offloaded
+    /// launch — nucleates and condenses in the same coherent lane batches,
+    /// so the condensation fill and the metered nucleation and
+    /// condensation work agree to the count.
+    #[test]
+    fn every_version_condenses_in_the_same_batches() {
+        let start = storm_spinup_state();
+        let firsts = SbmVersion::ALL.map(|version| {
+            let mut st = start.clone();
+            let mut cfg = SbmConfig::new(version);
+            cfg.workers = Some(2);
+            let s = FastSbm::new(cfg).step(&mut st);
+            (s.cond_slots, s.cond_cells, s.work.nucl, s.work.cond)
+        });
+        assert!(firsts[0].1 > 0 && firsts[0].3.flops > 0, "{:?}", firsts[0]);
+        for (version, first) in SbmVersion::ALL.into_iter().zip(firsts) {
+            assert_eq!(first, firsts[0], "{version:?}");
+        }
+    }
+
     /// Nightly (`CI_NIGHTLY=1 ./ci.sh pool_stress`, release): 200 seeded
     /// shuffles of both lists — level-wide collision and patch-wide
     /// condensation membership — three steps each on two pool threads,
@@ -2355,29 +2313,30 @@ mod tests {
         st
     }
 
-    /// [`pre_row`] in `layout` over the row of a [`row_state`]: the state
-    /// after it, the predicate and the outcomes.
-    fn pre_row_on(
+    /// [`pre_sweep`] in `layout` over the one-row patch of a
+    /// [`row_state`], on the calling thread: the state after it, the
+    /// predicate and the outcomes.
+    fn pre_sweep_on(
         mut st: SbmPatchState,
         layout: Layout,
     ) -> (SbmPatchState, Vec<bool>, Vec<PointOutcome>) {
-        let patch = st.patch;
+        let n = st.patch.compute_points();
         let sbm = FastSbm::new(SbmConfig::new(SbmVersion::OffloadCollapse3));
-        let mut sweep = SweepArrays::default();
-        let mut pred = vec![false; patch.ip.len()];
-        let mut outs = vec![PointOutcome::default(); patch.ip.len()];
+        let mut sweep = SweepArrays {
+            predicate: vec![false; n],
+            outcomes: vec![PointOutcome::default(); n],
+            cond_key: vec![NO_CONDENSATION; n],
+            fall: Vec::new(),
+        };
+        let launcher = Launcher {
+            sched: ExecMode::StaticTiles,
+            workers: Some(1),
+            exec: None,
+        };
         let (grids, tables, splits) = (&sbm.grids, &sbm.tables, &sbm.splits);
         let v = PatchViews::new(grids, tables, None, splits, 5.0, &mut st, &mut sweep);
-        pre_row(
-            &v,
-            layout,
-            patch.jp.lo,
-            patch.kp.lo,
-            patch.ip,
-            &mut pred,
-            &mut outs,
-        );
-        (st, pred, outs)
+        pre_sweep(&v, &launcher, layout, &mut CoalLists::default());
+        (st, sweep.predicate, sweep.outcomes)
     }
 
     fn state_bits(st: &SbmPatchState) -> Vec<u32> {
@@ -2388,7 +2347,7 @@ mod tests {
             .collect()
     }
 
-    /// The two forms of [`pre_row`] on a row holding every kind of point
+    /// The two layouts' [`pre_sweep`] on a row holding every kind of point
     /// the panel form tells apart, eleven of them panel-bound (one full
     /// panel and a ragged one): identical state bits, predicate and whole
     /// outcomes, and each kind where it belongs.
@@ -2433,8 +2392,8 @@ mod tests {
             glaciated,
             (287.0, 0.99, warm),
         ];
-        let (aos, aos_pred, aos_outs) = pre_row_on(row_state(&points), Layout::PointAos);
-        let (soa, soa_pred, soa_outs) = pre_row_on(row_state(&points), Layout::PanelSoa);
+        let (aos, aos_pred, aos_outs) = pre_sweep_on(row_state(&points), Layout::PointAos);
+        let (soa, soa_pred, soa_outs) = pre_sweep_on(row_state(&points), Layout::PanelSoa);
         assert_eq!(state_bits(&soa), state_bits(&aos));
         assert_eq!(soa_pred, aos_pred);
         assert_eq!(soa_outs, aos_outs);
@@ -2483,7 +2442,7 @@ mod tests {
         let before = row_state(&temps.map(|t| (t, 0.4, PointBins::empty())));
         let mut outcomes = Vec::new();
         for layout in Layout::ALL {
-            let (after, pred, outs) = pre_row_on(before.clone(), layout);
+            let (after, pred, outs) = pre_sweep_on(before.clone(), layout);
             assert_eq!(state_bits(&after), state_bits(&before), "{layout:?}");
             assert!(
                 outs.iter().all(|o| o.active && !o.coal_called),
@@ -2585,11 +2544,11 @@ mod tile_tests {
     use super::*;
     use crate::scheme::tests as base_tests;
 
-    /// WRF numtiles > 1 must be bitwise identical to the serial sweep —
-    /// the shared-memory level of Fig. 1 changes nothing, including for
-    /// the baseline once its tables are THREADPRIVATE — in both layouts
-    /// and under both tile schedulers (the static one runs its four tiles
-    /// on threads, not inline).
+    /// WRF numtiles > 1 must be bitwise identical to one tile — the
+    /// shared-memory level of Fig. 1 changes nothing, including for the
+    /// baseline once its tables are THREADPRIVATE — in both layouts and
+    /// under both tile schedulers (the static one runs its four collision
+    /// tiles on threads, not inline), down to every step statistic.
     #[test]
     fn tiled_equals_serial_bitwise() {
         for version in [SbmVersion::Baseline, SbmVersion::Lookup] {
@@ -2609,10 +2568,7 @@ mod tile_tests {
                     for _ in 0..3 {
                         let a = serial.step(&mut serial_state);
                         let b = tiled.step(&mut tiled_state);
-                        assert_eq!(a.coal_entries, b.coal_entries, "{what}");
-                        assert_eq!(a.active_points, b.active_points, "{what}");
-                        assert_eq!(a.coal_points, b.coal_points, "{what}");
-                        assert_eq!(a.work.total(), b.work.total(), "{what}");
+                        assert_eq!(a, b, "{what}");
                     }
                     assert_eq!(
                         serial_state.tt.as_slice(),

@@ -134,11 +134,11 @@ pub struct Offload {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CollisionPlan {
     /// Refill the dense `kernals_ks` tables per collision call instead of
-    /// looking entries up (per-tile `THREADPRIVATE` state, so only
-    /// unfissioned plans carry them).
+    /// looking entries up (per-tile `THREADPRIVATE` state, so only plans
+    /// whose collision stage runs on CPU tiles carry them).
     pub dense_tables: bool,
-    /// Fission the grid loop around an offloaded collision launch of this
-    /// shape; `None` keeps Listing 1's single loop, run per tile.
+    /// Offload the collision stage as a launch of this shape; `None` runs
+    /// it on the CPU program's WRF `numtiles` tiles.
     pub offload: Option<Offload>,
 }
 
