@@ -215,11 +215,6 @@ pub struct LoopNest {
 }
 
 impl LoopNest {
-    /// Looks up a declaration.
-    pub fn decl(&self, name: &str) -> Option<&ArrayDecl> {
-        self.decls.iter().find(|d| d.name == name)
-    }
-
     /// All array references in program order (calls flattened).
     pub fn all_refs(&self) -> Vec<&ArrayRef> {
         let mut out = Vec::new();

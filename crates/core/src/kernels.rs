@@ -11,7 +11,7 @@
 //! relies on.
 
 use crate::bins::{all_grids, BinGrid};
-use crate::constants::{P_500MB, P_750MB, RHO_AIR_REF};
+use crate::constants::{P_500MB, P_750MB};
 use crate::meter::PointWork;
 use crate::thermo::air_density;
 use crate::types::{HydroClass, NKR};
@@ -589,15 +589,6 @@ impl<'a> KernelMode<'a> {
             cache.add_hits(hits);
             cache.add_misses(misses);
         }
-    }
-}
-
-/// Reference air density helper shared by tests and sedimentation.
-pub fn rho_at_reference(level: usize) -> f32 {
-    match level {
-        0 => RHO_AIR_REF,
-        1 => rho_750(),
-        _ => rho_500(),
     }
 }
 

@@ -61,11 +61,6 @@ impl SbmPatchState {
         jj * self.patch.ip.len() + ii
     }
 
-    /// Accumulated precipitation of column `(i, j)`, kg/m².
-    pub fn rainnc_at(&self, i: i32, j: i32) -> f32 {
-        self.rainnc[self.column_index(i, j)]
-    }
-
     /// Thermo scalars of one point.
     #[inline]
     pub fn thermo_at(&self, i: i32, k: i32, j: i32) -> PointThermo {

@@ -87,11 +87,6 @@ impl NestSpec {
             j0: self.j0,
         }
     }
-
-    /// Child grid extent, points.
-    pub fn child_extent(&self) -> (i32, i32) {
-        (self.w * self.ratio, self.h * self.ratio)
-    }
 }
 
 /// Pure child→parent index mapping. Child cell `ic` (1-based) sits at

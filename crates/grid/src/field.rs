@@ -244,13 +244,6 @@ impl<T> Field4<T> {
         self.nbin * (ii + self.i.len() * (kk + self.k.len() * jj))
     }
 
-    /// Flat offset of the first bin of `(i, k, j)` in [`Self::as_slice`]
-    /// — the base the slab kernels use with `SyncWriteSlice`.
-    #[inline]
-    pub fn flat_base(&self, i: i32, k: i32, j: i32) -> usize {
-        self.base(i, k, j)
-    }
-
     /// The contiguous per-grid-point bin slice `A(:, i, k, j)` — what the
     /// paper's pointer refactor (`fl1 => fl1_temp(:,Iin,Kin,Jin)`) aliases.
     #[inline]

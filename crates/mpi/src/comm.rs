@@ -114,12 +114,6 @@ impl CommError {
             | CommError::Killed { step, .. } => step,
         }
     }
-
-    /// True for the injected-kill variant (the victim's own error, as
-    /// opposed to a survivor's detection of it).
-    pub fn is_kill(&self) -> bool {
-        matches!(self, CommError::Killed { .. })
-    }
 }
 
 impl std::fmt::Display for CommError {
