@@ -36,17 +36,36 @@ step_build() {
     cargo build --release --workspace
 }
 
-# `*.rs` lines per crate under crates/ and their total, on one line —
-# reported, never gated: "least code" should be as visible per PR as the
-# test count.
+# Non-test lines of one crate: every `*.rs` under its src/ up to the
+# file's `#[cfg(test)] mod tests` line; files a `#[cfg(test)] mod name;`
+# declares, and tests/ directories, are left out.
+non_test_lines() {
+    find "$1/src" -name '*.rs' -exec awk '
+        FNR == 1 { p = 0; skip = 0 }
+        skip { next }
+        p && /^mod tests/ { n[FILENAME]--; skip = 1; next }
+        p && /^mod [a-z_0-9]+;/ {
+            d = FILENAME; sub(/[^\/]*$/, "", d)
+            m = $2; sub(/;.*/, "", m)
+            gated[d m ".rs"] = 1
+        }
+        { p = /^#\[cfg\(test\)\]/; n[FILENAME]++ }
+        END { for (f in n) if (!(f in gated)) c += n[f]; print c + 0 }' {} +
+}
+
+# `*.rs` lines per crate under crates/, with their non-test lines in
+# parentheses, and the totals, on one line — reported, never gated:
+# "least code" should be as visible in every change as the test count.
 code_size() {
-    local dir n total=0 out=""
+    local dir n t total=0 tests_out=0 out=""
     for dir in crates/*/; do
         n=$(find "$dir" -name '*.rs' -exec cat {} + | wc -l)
+        t=$(non_test_lines "$dir")
         total=$((total + n))
-        out+="$(basename "$dir") $n, "
+        tests_out=$((tests_out + t))
+        out+="$(basename "$dir") $n ($t), "
     done
-    printf '%stotal %s\n' "$out" "$total"
+    printf '%stotal %s (%s non-test)\n' "$out" "$total" "$tests_out"
 }
 
 # `cargo test -q` at the root runs the whole workspace (the root
@@ -67,18 +86,19 @@ step_test() {
     rm -f "$log"
     size=$(code_size)
     echo "==> ci.sh: test totals: $passed passed, $failed failed"
-    echo "==> ci.sh: code size (*.rs lines): $size"
+    echo "==> ci.sh: code size (*.rs lines, non-test in parentheses): $size"
     if [ -n "${GITHUB_STEP_SUMMARY:-}" ]; then
         summary_header
         printf '| test totals | %s passed, %s failed |\n' "$passed" "$failed" >> "$GITHUB_STEP_SUMMARY"
-        printf '| code size (*.rs lines) | %s |\n' "$size" >> "$GITHUB_STEP_SUMMARY"
+        printf '| code size (*.rs lines, non-test in parentheses) | %s |\n' "$size" >> "$GITHUB_STEP_SUMMARY"
     fi
     return "$rc"
 }
 
 # Five launches a step on one persistent pool, back to back: 24 scheme
 # steps (300 under CI_NIGHTLY) at 2 and 3 workers, every step's digest
-# compared with the one-worker run. Release build, where a worker that
+# compared with the one-worker run — the production configuration, then
+# a tiled CPU version (three collision tiles between the same sweeps). Release build, where a worker that
 # wakes late for an epoch has the narrowest window to cross into the
 # next one. Under CI_NIGHTLY the same run also takes the ignored
 # `batch_shuffle_fuzz` (200 random memberships of both lane-batch lists,
