@@ -51,11 +51,13 @@ impl BinGrid {
         }
     }
 
-    /// Terminal velocity of bin `k` at air density `rho_air`, m/s
-    /// (Foote–du Toit density correction).
+    /// Terminal velocity of bin `k` at air density `rho_air`, m/s:
+    /// `vt[k] × density_factor(rho_air)`. A caller that evaluates many
+    /// bins at one density takes the factor once and multiplies, which
+    /// gives the same bits.
     #[inline]
     pub fn vt_at(&self, k: usize, rho_air: f32) -> f32 {
-        self.vt[k] * (RHO_AIR_REF / rho_air.max(1e-3)).powf(0.4)
+        self.vt[k] * density_factor(rho_air)
     }
 
     /// Index of the bin whose mass is nearest `m` (clamped to the grid).
@@ -66,6 +68,14 @@ impl BinGrid {
         let ratio = (m / self.mass[0]).log2();
         (ratio.round() as usize).min(NKR - 1)
     }
+}
+
+/// The Foote–du Toit air-density correction of fall speeds,
+/// `(ρ_ref / ρ)^0.4` (density floored at 1e-3 kg/m³): the one factor that
+/// scales every bin's reference-density terminal velocity at `rho_air`.
+#[inline]
+pub fn density_factor(rho_air: f32) -> f32 {
+    (RHO_AIR_REF / rho_air.max(1e-3)).powf(0.4)
 }
 
 /// Three-regime terminal velocity for a sphere of radius `r` (m) and bulk

@@ -10,7 +10,7 @@
 //! identity-preserving — exactly what the paper's `diffwrf` verification
 //! relies on.
 
-use crate::bins::{all_grids, BinGrid};
+use crate::bins::{all_grids, density_factor, BinGrid};
 use crate::constants::{P_500MB, P_750MB};
 use crate::meter::PointWork;
 use crate::thermo::air_density;
@@ -173,10 +173,18 @@ pub fn collection_efficiency(a: HydroClass, b: HydroClass, ra: f32, rb: f32) -> 
 /// air density `rho_air`.
 #[inline]
 pub fn gravitational_kernel(ga: &BinGrid, gb: &BinGrid, i: usize, j: usize, rho_air: f32) -> f32 {
+    kernel_at_factor(ga, gb, i, j, density_factor(rho_air))
+}
+
+/// [`gravitational_kernel`] with the air density given as its fall-speed
+/// factor ([`density_factor`]), so a table fill at one density takes the
+/// factor once.
+#[inline]
+fn kernel_at_factor(ga: &BinGrid, gb: &BinGrid, i: usize, j: usize, factor: f32) -> f32 {
     let ra = ga.radius[i];
     let rb = gb.radius[j];
-    let va = ga.vt_at(i, rho_air);
-    let vb = gb.vt_at(j, rho_air);
+    let va = ga.vt[i] * factor;
+    let vb = gb.vt[j] * factor;
     let e = collection_efficiency(ga.class, gb.class, ra, rb);
     let sum_r = ra + rb;
     // A floor on |Δv| keeps equal-size pairs weakly interacting
@@ -208,6 +216,7 @@ impl KernelTables {
     /// Builds the tables from the bin grids.
     pub fn new() -> Self {
         let grids = all_grids();
+        let (f750, f500) = (density_factor(rho_750()), density_factor(rho_500()));
         let mut t750 = Vec::with_capacity(COLLISION_PAIRS.len());
         let mut t500 = Vec::with_capacity(COLLISION_PAIRS.len());
         for pair in &COLLISION_PAIRS {
@@ -217,8 +226,8 @@ impl KernelTables {
             let mut b = vec![0.0f32; NKR * NKR].into_boxed_slice();
             for i in 0..NKR {
                 for j in 0..NKR {
-                    a[i * NKR + j] = gravitational_kernel(ga, gb, i, j, rho_750());
-                    b[i * NKR + j] = gravitational_kernel(ga, gb, i, j, rho_500());
+                    a[i * NKR + j] = kernel_at_factor(ga, gb, i, j, f750);
+                    b[i * NKR + j] = kernel_at_factor(ga, gb, i, j, f500);
                 }
             }
             t750.push(a);

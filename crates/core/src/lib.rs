@@ -44,6 +44,9 @@ pub mod thermo;
 pub mod types;
 pub mod workload;
 
+#[cfg(test)]
+mod clear_air;
+
 pub use bins::BinGrid;
 pub use digest::{FieldDigest, MomentDigest, StateDigest};
 pub use exec::{ExecMode, ExecSummary};

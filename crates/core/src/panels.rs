@@ -26,7 +26,7 @@ use crate::bins::BinGrid;
 use crate::constants::{CP, L_F, T_0, T_MIN_COAL};
 use crate::kernels::{KernelMode, COLLISION_PAIRS};
 use crate::meter::PointWork;
-use crate::point::{Grids, N_EPS, Q_EPS};
+use crate::point::{all_zero, Grids, N_EPS, Q_EPS};
 use crate::processes::collision::{MAX_DEPLETION, NCOLL};
 use crate::processes::condensation::{self, NCOND};
 use crate::thermo::{growth_coefficient, latent_heating, qsat_ice, qsat_liquid, supersat_liquid};
@@ -188,14 +188,24 @@ impl SoaPanel {
         Some((lo, hi))
     }
 
-    /// Per-lane mirror of `BinsView::mass_of`: total mass in one class.
-    fn mass_of_lane(&self, class: HydroClass, g: &BinGrid, lane: usize, w: &mut PointWork) -> f32 {
-        let c = class.index();
-        let mut q = 0.0f32;
-        for k in 0..NKR {
-            q += self.n[c][k][lane] * g.mass[k];
-        }
+    /// Per-lane mirror of `BinsView::mass_of`: total mass in one class,
+    /// `+0.0` for an empty one without the serial sum.
+    pub(crate) fn mass_of_lane(
+        &self,
+        class: HydroClass,
+        g: &BinGrid,
+        lane: usize,
+        w: &mut PointWork,
+    ) -> f32 {
         w.fm(2 * NKR as u64, NKR as u64);
+        let bins = &self.n[class.index()];
+        if all_zero(bins.iter().map(|slots| slots[lane])) {
+            return 0.0;
+        }
+        let mut q = 0.0f32;
+        for (slots, m) in bins.iter().zip(&g.mass) {
+            q += slots[lane] * m;
+        }
         q
     }
 
@@ -211,7 +221,12 @@ impl SoaPanel {
 
     /// Per-lane mirror of `BinsView::total_condensate`: mass summed over
     /// every hydrometeor class in `HydroClass::ALL` order.
-    fn total_condensate_lane(&self, grids: &Grids, lane: usize, w: &mut PointWork) -> f32 {
+    pub(crate) fn total_condensate_lane(
+        &self,
+        grids: &Grids,
+        lane: usize,
+        w: &mut PointWork,
+    ) -> f32 {
         let mut tot = 0.0f32;
         for &c in HydroClass::ALL.iter() {
             tot += self.mass_of_lane(c, grids.of(c), lane, w);
@@ -989,14 +1004,12 @@ pub fn panel_coal_predicate(
 }
 
 /// Reusable scratch for the SoA sedimentation sweep: bin-major column
-/// storage plus precomputed fall speeds and the interface-flux line, so a
-/// column/class pass performs no heap allocation.
+/// storage plus the interface-flux line, so a column/class pass performs
+/// no heap allocation.
 #[derive(Default)]
 pub struct SedScratch {
     /// Bin-major column, `bins[k * nz + l]` (bin `k`, level `l`).
     pub bins: Vec<f32>,
-    /// Fall speeds `vt[k * nz + l]`, filled once per (column, class).
-    vt: Vec<f32>,
     /// Mass flux through the `nz + 1` level interfaces.
     flux: Vec<f32>,
 }
@@ -1006,7 +1019,6 @@ impl SedScratch {
     pub const fn new() -> Self {
         SedScratch {
             bins: Vec::new(),
-            vt: Vec::new(),
             flux: Vec::new(),
         }
     }
@@ -1014,47 +1026,42 @@ impl SedScratch {
     /// Sizes the buffers for an `nz`-level column.
     pub fn ensure(&mut self, nz: usize) {
         self.bins.resize(NKR * nz, 0.0);
-        self.vt.resize(NKR * nz, 0.0);
         self.flux.resize(nz + 1, 0.0);
     }
 }
 
 /// SoA mirror of `sedimentation_column`: explicit first-order upwind fall
-/// over a bin-major column held in `scratch.bins`.
+/// over a bin-major column held in `scratch.bins`, with the same
+/// per-level fall-speed `factor`s.
 ///
-/// Two transforms over the scalar, both bitwise-neutral: fall speeds are
-/// computed once per (bin, level) and reused across substeps (the scalar
-/// recomputes `vt_at` with identical arguments every substep), and bins
-/// that are exactly `+0.0` at every level are skipped with their scalar
-/// work bulk-metered (every update on an all-`+0.0` bin is an exact no-op;
-/// the bit test deliberately excludes `-0.0`, whose `max(0.0)` rewrite
-/// must still run).
+/// One transform over the scalar, bitwise-neutral: bins that are exactly
+/// `+0.0` at every level are skipped with their scalar work bulk-metered
+/// (every update on an all-`+0.0` bin is an exact no-op; the bit test
+/// deliberately excludes `-0.0`, whose `max(0.0)` rewrite must still
+/// run).
 pub fn sedimentation_column_soa(
     scratch: &mut SedScratch,
     grid: &BinGrid,
     rho: &[f32],
+    factor: &[f32],
     dz: f32,
     dt: f32,
     w: &mut PointWork,
 ) -> f32 {
     let nz = rho.len();
+    assert_eq!(nz, factor.len(), "density and factor length mismatch");
     assert!(dz > 0.0 && dt > 0.0, "sedimentation needs positive dz, dt");
     if nz == 0 {
         return 0.0;
     }
     scratch.ensure(nz);
-    let SedScratch { bins, vt, flux } = scratch;
+    let SedScratch { bins, flux } = scratch;
     let vmax = grid.vt_at(NKR - 1, rho.iter().cloned().fold(f32::INFINITY, f32::min));
     let nsub = ((vmax * dt / dz).ceil() as usize).max(1);
     let dts = dt / nsub as f32;
     w.f(6);
-    for k in 0..NKR {
-        for (l, &r) in rho.iter().enumerate() {
-            vt[k * nz + l] = grid.vt_at(k, r);
-        }
-    }
     let mut precip = 0.0f32;
-    for (k, mass_k) in grid.mass.iter().enumerate() {
+    for (k, (mass_k, &vt_k)) in grid.mass.iter().zip(&grid.vt).enumerate() {
         let col_k = &mut bins[k * nz..(k + 1) * nz];
         if col_k.iter().all(|v| v.to_bits() == 0) {
             w.fm(
@@ -1063,10 +1070,9 @@ pub fn sedimentation_column_soa(
             );
             continue;
         }
-        let vt_k = &vt[k * nz..(k + 1) * nz];
         for _ in 0..nsub {
             for l in 0..nz {
-                flux[l] = rho[l] * col_k[l] * vt_k[l];
+                flux[l] = rho[l] * col_k[l] * (vt_k * factor[l]);
             }
             flux[nz] = 0.0;
             for l in 0..nz {
@@ -1565,9 +1571,14 @@ mod tests {
                 }
             }
         }
+        let factor: Vec<f32> = rho
+            .iter()
+            .map(|&r| crate::bins::density_factor(r))
+            .collect();
         let mut scol = col.clone();
         let mut ws = PointWork::ZERO;
-        let precip_s = sedimentation::sedimentation_column(&mut scol, g, &rho, 400.0, 5.0, &mut ws);
+        let precip_s =
+            sedimentation::sedimentation_column(&mut scol, g, &rho, &factor, 400.0, 5.0, &mut ws);
 
         let mut scratch = SedScratch::new();
         scratch.ensure(nz);
@@ -1577,7 +1588,8 @@ mod tests {
             }
         }
         let mut wp = PointWork::ZERO;
-        let precip_p = sedimentation_column_soa(&mut scratch, g, &rho, 400.0, 5.0, &mut wp);
+        let precip_p =
+            sedimentation_column_soa(&mut scratch, g, &rho, &factor, 400.0, 5.0, &mut wp);
 
         assert_eq!(precip_s.to_bits(), precip_p.to_bits());
         assert_eq!(ws, wp);

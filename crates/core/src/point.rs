@@ -115,15 +115,19 @@ impl<'a> BinsView<'a> {
         self.n[c.index()]
     }
 
-    /// Mass mixing ratio of a class, kg/kg.
+    /// Mass mixing ratio of a class, kg/kg. An empty class (see
+    /// [`all_zero`]) returns the sum's `+0.0` without the serial sum,
+    /// metered as the sum.
     pub fn mass_of(&self, c: HydroClass, grids: &Grids, w: &mut PointWork) -> f32 {
-        let g = grids.of(c);
+        w.fm(2 * NKR as u64, NKR as u64);
         let s = self.class(c);
+        if all_zero(s.iter().copied()) {
+            return 0.0;
+        }
         let mut q = 0.0f32;
-        for (n, m) in s.iter().zip(&g.mass) {
+        for (n, m) in s.iter().zip(&grids.of(c).mass) {
             q += n * m;
         }
-        w.fm(2 * NKR as u64, NKR as u64);
         q
     }
 
@@ -162,6 +166,17 @@ impl<'a> BinsView<'a> {
             }
         }
     }
+}
+
+/// True when every value is `+0.0` or `-0.0`: one OR of the bit patterns,
+/// sign bit masked. This is the test of an empty class. A class that
+/// passes it makes each `q += n * m` over positive bin masses add a zero
+/// to the `+0.0` the sum starts from, which leaves `+0.0` (`+0.0 + -0.0`
+/// is `+0.0`), and takes no `n > 0.0` branch. A subnormal, a negative or
+/// a NaN bin fails it and takes the loop.
+#[inline]
+pub fn all_zero(values: impl IntoIterator<Item = f32>) -> bool {
+    values.into_iter().fold(0u32, |bits, v| bits | v.to_bits()) & !(1 << 31) == 0
 }
 
 /// Deposits `number` particles of per-particle mass `m` into class slice

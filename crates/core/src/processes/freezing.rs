@@ -8,19 +8,19 @@
 
 use crate::constants::{CP, L_F, T_0};
 use crate::meter::PointWork;
-use crate::point::{deposit_mass, BinsView, Grids, PointThermo};
+use crate::point::{all_zero, deposit_mass, BinsView, Grids, PointThermo};
 use crate::types::{HydroClass, NKR};
 
 /// Bigg freezing rate coefficient, 1/(kg·s) scaled for bin masses.
-const BIGG_B: f32 = 1.0e2;
+pub(crate) const BIGG_B: f32 = 1.0e2;
 /// Bigg exponential slope per kelvin of supercooling.
-const BIGG_A: f32 = 0.66;
+pub(crate) const BIGG_A: f32 = 0.66;
 /// Homogeneous freezing threshold, K.
-const T_HOM: f32 = T_0 - 38.0;
+pub(crate) const T_HOM: f32 = T_0 - 38.0;
 /// Melting timescale at 1 K above freezing, s.
-const TAU_MELT: f32 = 60.0;
+pub(crate) const TAU_MELT: f32 = 60.0;
 /// Drops at least this radius freeze into hail, smaller into graupel, m.
-const R_HAIL: f32 = 4.0e-4;
+pub(crate) const R_HAIL: f32 = 4.0e-4;
 
 /// Applies freezing (below 0 °C) or melting (above) over `dt`.
 pub fn freezing_melting(
@@ -44,37 +44,43 @@ fn freeze(
     dt: f32,
     w: &mut PointWork,
 ) {
-    let gw = grids.of(HydroClass::Water);
-    let supercool = T_0 - th.t;
-    let homogeneous = th.t < T_HOM;
-    let expfac = (BIGG_A * supercool).min(40.0).exp() - 1.0;
     w.f(8);
     let mut frozen_mass = 0.0f32;
-    for k in 0..NKR {
-        let n = bins.class(HydroClass::Water)[k];
-        w.m(1);
-        if n <= 0.0 {
-            continue;
+    if all_zero(bins.class(HydroClass::Water).iter().copied()) {
+        // No water, nothing to freeze: the bin loop would only count its
+        // loads, and `T` moves by `+0.0` below either way.
+        w.m(NKR as u64);
+    } else {
+        let gw = grids.of(HydroClass::Water);
+        let supercool = T_0 - th.t;
+        let homogeneous = th.t < T_HOM;
+        let expfac = (BIGG_A * supercool).min(40.0).exp() - 1.0;
+        for k in 0..NKR {
+            let n = bins.class(HydroClass::Water)[k];
+            w.m(1);
+            if n <= 0.0 {
+                continue;
+            }
+            let frac = if homogeneous {
+                1.0
+            } else {
+                (BIGG_B * gw.mass[k] * expfac * dt).min(1.0)
+            };
+            w.f(5);
+            if frac <= 0.0 {
+                continue;
+            }
+            let dn = n * frac;
+            let target = if gw.radius[k] >= R_HAIL {
+                HydroClass::Hail
+            } else {
+                HydroClass::Graupel
+            };
+            bins.class_mut(HydroClass::Water)[k] -= dn;
+            deposit_mass(bins.class_mut(target), grids.of(target), gw.mass[k], dn, w);
+            frozen_mass += dn * gw.mass[k];
+            w.fm(4, 2);
         }
-        let frac = if homogeneous {
-            1.0
-        } else {
-            (BIGG_B * gw.mass[k] * expfac * dt).min(1.0)
-        };
-        w.f(5);
-        if frac <= 0.0 {
-            continue;
-        }
-        let dn = n * frac;
-        let target = if gw.radius[k] >= R_HAIL {
-            HydroClass::Hail
-        } else {
-            HydroClass::Graupel
-        };
-        bins.class_mut(HydroClass::Water)[k] -= dn;
-        deposit_mass(bins.class_mut(target), grids.of(target), gw.mass[k], dn, w);
-        frozen_mass += dn * gw.mass[k];
-        w.fm(4, 2);
     }
     th.t += L_F * frozen_mass / CP;
     w.f(3);
@@ -85,6 +91,11 @@ fn melt(bins: &mut BinsView<'_>, th: &mut PointThermo, grids: &Grids, dt: f32, w
     let warm = th.t - T_0;
     let mut melted_mass = 0.0f32;
     for class in HydroClass::ALL.iter().filter(|c| c.is_ice()) {
+        // An empty class melts nothing: count the loop's loads, skip it.
+        if all_zero(bins.class(*class).iter().copied()) {
+            w.m(NKR as u64);
+            continue;
+        }
         let g = grids.of(*class);
         for k in 0..NKR {
             let n = bins.class(*class)[k];

@@ -10,17 +10,25 @@ use crate::meter::PointWork;
 use crate::types::NKR;
 
 /// Advances one class's column by `dt`. `col[l]` are the bin numbers at
-/// level `l` (0 = surface, top = last), `rho[l]` the air densities, `dz`
-/// the layer thickness in meters. Returns surface precipitation, kg/m².
+/// level `l` (0 = surface, top = last), `rho[l]` the air densities,
+/// `factor[l]` their fall-speed factors (`density_factor(rho[l])`, taken
+/// once per column by the caller), `dz` the layer thickness in meters.
+/// Returns surface precipitation, kg/m².
 pub fn sedimentation_column(
     col: &mut [[f32; NKR]],
     grid: &BinGrid,
     rho: &[f32],
+    factor: &[f32],
     dz: f32,
     dt: f32,
     w: &mut PointWork,
 ) -> f32 {
     assert_eq!(col.len(), rho.len(), "column and density length mismatch");
+    assert_eq!(
+        rho.len(),
+        factor.len(),
+        "density and factor length mismatch"
+    );
     assert!(dz > 0.0 && dt > 0.0);
     let nz = col.len();
     if nz == 0 {
@@ -36,12 +44,11 @@ pub fn sedimentation_column(
     let mut precip = 0.0f32;
     let mut flux = vec![0.0f32; nz + 1];
     for _ in 0..nsub {
-        for (k, mass_k) in grid.mass.iter().enumerate() {
+        for (k, (mass_k, vt_k)) in grid.mass.iter().zip(&grid.vt).enumerate() {
             // Number flux through each interface: F_l = ρ_l n_l v (falling
-            // from level l down through its lower face).
-            for (l, (lvl, rho_l)) in col.iter().zip(rho).enumerate() {
-                let v = grid.vt_at(k, *rho_l);
-                flux[l] = rho_l * lvl[k] * v;
+            // from level l down through its lower face), v = `vt_at(k, ρ_l)`.
+            for (l, (lvl, (rho_l, f_l))) in col.iter().zip(rho.iter().zip(factor)).enumerate() {
+                flux[l] = rho_l * lvl[k] * (vt_k * f_l);
                 w.fm(3, 2);
             }
             flux[nz] = 0.0;
@@ -60,11 +67,16 @@ pub fn sedimentation_column(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bins::density_factor;
     use crate::point::Grids;
     use crate::types::HydroClass;
 
     fn grids() -> Grids {
         Grids::new()
+    }
+
+    fn factors(rho: &[f32]) -> Vec<f32> {
+        rho.iter().map(|&r| density_factor(r)).collect()
     }
 
     #[test]
@@ -93,7 +105,8 @@ mod tests {
         let mut w = PointWork::ZERO;
         let mut precip_total = 0.0f64;
         for _ in 0..200 {
-            precip_total += sedimentation_column(&mut col, gw, &rho, dz, 5.0, &mut w) as f64;
+            precip_total +=
+                sedimentation_column(&mut col, gw, &rho, &factors(&rho), dz, 5.0, &mut w) as f64;
         }
         let after = column_mass(&col);
         let balance = (after + precip_total - before).abs() / before;
@@ -115,7 +128,7 @@ mod tests {
         col[15][8] = 1.0e3; // cloud droplets
         let mut w = PointWork::ZERO;
         for _ in 0..60 {
-            sedimentation_column(&mut col, gw, &rho, 400.0, 5.0, &mut w);
+            sedimentation_column(&mut col, gw, &rho, &factors(&rho), 400.0, 5.0, &mut w);
         }
         // Large drops have (numerically-diffusively) left level 15; cloud
         // droplets essentially haven't moved (vt ~ cm/s).
@@ -131,7 +144,7 @@ mod tests {
         let mut col = vec![[0.0f32; NKR]; 5];
         col[4][5] = 1.0e7;
         let mut w = PointWork::ZERO;
-        let p = sedimentation_column(&mut col, gw, &rho, 400.0, 5.0, &mut w);
+        let p = sedimentation_column(&mut col, gw, &rho, &factors(&rho), 400.0, 5.0, &mut w);
         assert!(p < 1e-8, "p = {p}");
     }
 
@@ -142,7 +155,7 @@ mod tests {
         let rho = vec![1.0f32; 4];
         let mut col = vec![[0.0f32; NKR]; 4];
         let mut w = PointWork::ZERO;
-        let p = sedimentation_column(&mut col, gw, &rho, 400.0, 5.0, &mut w);
+        let p = sedimentation_column(&mut col, gw, &rho, &factors(&rho), 400.0, 5.0, &mut w);
         assert_eq!(p, 0.0);
         assert!(col.iter().all(|l| l.iter().all(|&v| v == 0.0)));
     }
@@ -156,7 +169,7 @@ mod tests {
         let mut col = vec![[0.0f32; NKR]; 8];
         col[6][NKR - 1] = 100.0;
         let mut w = PointWork::ZERO;
-        sedimentation_column(&mut col, gh, &rho, 50.0, 20.0, &mut w);
+        sedimentation_column(&mut col, gh, &rho, &factors(&rho), 50.0, 20.0, &mut w);
         for lvl in &col {
             for v in lvl {
                 assert!(*v >= 0.0);
@@ -172,6 +185,6 @@ mod tests {
         let mut col = vec![[0.0f32; NKR]; 3];
         let rho = vec![1.0f32; 4];
         let mut w = PointWork::ZERO;
-        sedimentation_column(&mut col, gw, &rho, 400.0, 5.0, &mut w);
+        sedimentation_column(&mut col, gw, &rho, &factors(&rho), 400.0, 5.0, &mut w);
     }
 }

@@ -44,6 +44,7 @@
 //! the reference every gate compares against, the SoA lane panels are the
 //! production path, and both hang off the same driver, plan and launcher.
 
+use crate::bins::density_factor;
 use crate::exec::{compact_active_columns, compact_active_points, ExecMode, ExecSummary};
 use crate::kernels::{kernals_ks, CollisionTables, KernelCache, KernelMode, KernelTables};
 use crate::meter::{PointWork, WorkBreakdown};
@@ -884,11 +885,13 @@ struct ColumnFall {
     work: PointWork,
 }
 
-/// One thread's sedimentation column: the densities, and the column of one
-/// class while it falls — `[level][bin]` rows, or bin-major transposed so
-/// each bin's k-sweep is a contiguous, cache-blocked pass.
+/// One thread's sedimentation column: the densities and their fall-speed
+/// factors ([`density_factor`]), and the column of one class while it
+/// falls — `[level][bin]` rows, or bin-major transposed so each bin's
+/// k-sweep is a contiguous, cache-blocked pass.
 struct ColumnScratch {
     rho: Vec<f32>,
+    factor: Vec<f32>,
     col: Vec<[f32; NKR]>,
     sed: SedScratch,
 }
@@ -912,6 +915,7 @@ thread_local! {
     static COLUMN_SCRATCH: std::cell::RefCell<ColumnScratch> = const {
         std::cell::RefCell::new(ColumnScratch {
             rho: Vec::new(),
+            factor: Vec::new(),
             col: Vec::new(),
             sed: SedScratch::new(),
         })
@@ -1354,7 +1358,9 @@ fn post_row(v: &PatchViews<'_>, j: i32, k: i32, it: Span, outs: &mut [PointOutco
 }
 
 /// Sedimentation of the column at `(i, j)`, class by class. The layouts
-/// differ only in how a class's column is held while it falls.
+/// differ only in how a class's column is held while it falls. The
+/// levels' fall-speed factors are taken once, when the column's first
+/// class falls, and serve all seven.
 fn sediment_column(
     v: &PatchViews<'_>,
     layout: Layout,
@@ -1365,9 +1371,15 @@ fn sediment_column(
 ) -> ColumnFall {
     let kp = v.patch.kp;
     let nz = kp.len();
-    let ColumnScratch { rho, col, sed } = scratch;
+    let ColumnScratch {
+        rho,
+        factor,
+        col,
+        sed,
+    } = scratch;
     rho.clear();
     rho.extend(kp.iter().map(|k| v.rho[v.idx3(i, k, j)]));
+    factor.clear();
     match layout {
         Layout::PointAos => col.resize(nz, [0.0f32; NKR]),
         Layout::PanelSoa => sed.ensure(nz),
@@ -1376,33 +1388,32 @@ fn sediment_column(
     for (c, slab) in v.ff.iter().enumerate() {
         let grid = v.grids.by_index(c);
         let level = |kx: usize| slab.subslice_mut(v.idx3(i, kp.lo + kx as i32, j) * NKR, NKR);
-        let mut any = false;
+        // Look before copying: most columns hold one class.
+        if !(0..nz).any(|kx| level(kx).iter().any(|&x| x > 0.0)) {
+            continue;
+        }
+        if factor.is_empty() {
+            factor.extend(rho.iter().map(|&r| density_factor(r)));
+        }
         fall.precip[c] = match layout {
             Layout::PointAos => {
                 for (kx, lvl) in col.iter_mut().enumerate() {
                     lvl.copy_from_slice(level(kx));
-                    any |= lvl.iter().any(|&x| x > 0.0);
                 }
-                if !any {
-                    continue;
-                }
-                let precip = sedimentation_column(col, grid, rho, dz, v.dt, &mut fall.work);
+                let precip = sedimentation_column(col, grid, rho, factor, dz, v.dt, &mut fall.work);
                 for (kx, lvl) in col.iter().enumerate() {
                     level(kx).copy_from_slice(lvl);
                 }
                 precip
             }
             Layout::PanelSoa => {
-                // Look before transposing: most columns hold one class.
-                if !(0..nz).any(|kx| level(kx).iter().any(|&x| x > 0.0)) {
-                    continue;
-                }
                 for kx in 0..nz {
                     for (kb, &x) in level(kx).iter().enumerate() {
                         sed.bins[kb * nz + kx] = x;
                     }
                 }
-                let precip = sedimentation_column_soa(sed, grid, rho, dz, v.dt, &mut fall.work);
+                let precip =
+                    sedimentation_column_soa(sed, grid, rho, factor, dz, v.dt, &mut fall.work);
                 for kx in 0..nz {
                     for (kb, d) in level(kx).iter_mut().enumerate() {
                         *d = sed.bins[kb * nz + kx];

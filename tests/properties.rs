@@ -1,5 +1,6 @@
 //! Property-based tests of the core invariants (proptest).
 
+use fsbm_core::bins::density_factor;
 use fsbm_core::kernels::{kernals_ks, CollisionTables, KernelMode, KernelTables};
 use fsbm_core::meter::PointWork;
 use fsbm_core::point::{deposit_mass, Grids, PointBins, PointThermo};
@@ -124,7 +125,8 @@ proptest! {
         };
         let before = mass(&col);
         let mut w = PointWork::ZERO;
-        let precip = sedimentation_column(&mut col, g, &rho, dz, dt, &mut w) as f64;
+        let factor: Vec<f32> = rho.iter().map(|&r| density_factor(r)).collect();
+        let precip = sedimentation_column(&mut col, g, &rho, &factor, dz, dt, &mut w) as f64;
         let after = mass(&col);
         prop_assert!((after + precip - before).abs() / before.max(1e-30) < 1e-3,
             "{} + {} vs {}", after, precip, before);
