@@ -59,8 +59,7 @@ impl std::ops::AddAssign for Rk3Work {
 
 /// The three Wicker–Skamarock stages of a panel over caller workspaces
 /// (`scratch` and `tend`, at least one field per lane, reused across
-/// hundreds of bin scalars; the only allocation is the overlapped mode's
-/// `InteriorSplit`). φⁿ is never copied: stages 1–2 read it from
+/// hundreds of bin scalars). φⁿ is never copied: stages 1–2 read it from
 /// `lanes`, which nothing overwrites until stage 3 updates it in place.
 /// `tags`, when given, names the lanes to the engine's panel hooks; the
 /// one-lane wrappers leave the selection to their caller.

@@ -31,8 +31,48 @@ impl Region {
     }
 }
 
+/// The boundary strips of an [`InteriorSplit`]: at most four regions held
+/// inline, so a split costs no allocation. Reads as a slice of the
+/// strips that exist ([`Frame::as_slice`], or through `Deref`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Frame {
+    strips: [Region; 4],
+    len: usize,
+}
+
+impl Frame {
+    /// The non-empty regions of `strips`, in order.
+    fn of(strips: &[Region]) -> Self {
+        let empty = Region {
+            i: Span::new(0, -1),
+            j: Span::new(0, -1),
+        };
+        let mut frame = Frame {
+            strips: [empty; 4],
+            len: 0,
+        };
+        for r in strips.iter().filter(|r| !r.is_empty()) {
+            frame.strips[frame.len] = *r;
+            frame.len += 1;
+        }
+        frame
+    }
+
+    /// The strips, in order.
+    pub fn as_slice(&self) -> &[Region] {
+        &self.strips[..self.len]
+    }
+}
+
+impl std::ops::Deref for Frame {
+    type Target = [Region];
+    fn deref(&self) -> &[Region] {
+        self.as_slice()
+    }
+}
+
 /// The interior core and boundary frame of a patch's compute rectangle.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InteriorSplit {
     /// Columns whose `width`-wide stencils stay inside owned data; may
     /// be empty for patches thinner than `2·width + 1`.
@@ -40,7 +80,7 @@ pub struct InteriorSplit {
     /// Boundary strips covering the rest of the compute rectangle,
     /// pairwise disjoint. Order: south, north, west, east (the strips
     /// that exist).
-    pub frame: Vec<Region>,
+    pub frame: Frame,
 }
 
 impl InteriorSplit {
@@ -67,7 +107,7 @@ pub fn interior_split(patch: &PatchSpec, width: i32) -> InteriorSplit {
                 i: Span::new(patch.ip.lo, patch.ip.lo - 1),
                 j: Span::new(patch.jp.lo, patch.jp.lo - 1),
             },
-            frame: vec![whole],
+            frame: Frame::of(&[whole]),
         };
     }
     let core_i = Span::new(patch.ip.lo + width, patch.ip.hi - width);
@@ -97,10 +137,7 @@ pub fn interior_split(patch: &PatchSpec, width: i32) -> InteriorSplit {
     };
     InteriorSplit {
         core,
-        frame: [south, north, west, east]
-            .into_iter()
-            .filter(|r| !r.is_empty())
-            .collect(),
+        frame: Frame::of(&[south, north, west, east]),
     }
 }
 
