@@ -22,7 +22,8 @@
 #                  place, `wrf_gate::Depth`; ci.yml sets this on the
 #                  nightly schedule event only. The pool stress tests
 #                  read it too (300 scheme steps instead of 24, plus the
-#                  lane-batch shuffle fuzz; 48 model steps instead of 8),
+#                  lane-batch shuffle fuzz; 48 model steps instead of 8;
+#                  40 clear-air scheme steps instead of 4),
 #                  and the exhaustive bracket
 #                  sweep runs only under it.
 #   CI_DRIFT_BASE  diff base ref of the drift guards (default origin/$GITHUB_BASE_REF)
@@ -106,7 +107,9 @@ step_test() {
 # batches: bits and statistics). Then two job shapes on one pool every
 # step — the model's dynamics dispatch, then the scheme's five launches
 # — for 8 model steps (48 under CI_NIGHTLY) at 2 and 3 workers against
-# one. The grep keeps a rename from turning a filter into a green no-op
+# one; and the ledger's mostly clear sparse state for 4 scheme steps (40
+# under CI_NIGHTLY) at 2 and 3 workers in lockstep with one, whole step
+# statistics and state bits. The grep keeps a rename from turning a filter into a green no-op
 # (it reads to the end: `grep -q` would close the pipe on cargo).
 step_pool_stress() {
     local filters="pool_stress_every_step_matches_one_worker" passed=1
@@ -117,8 +120,9 @@ step_pool_stress() {
     # shellcheck disable=SC2086 # the filters are a word list on purpose
     cargo test --release -p fsbm-core --lib -- $filters 2>&1 |
         tee /dev/stderr | grep "^test result: ok. $passed passed" >/dev/null &&
-        cargo test --release -p miniwrf --lib -- pooled_dynamics_every_step_matches_one_worker 2>&1 |
-        tee /dev/stderr | grep "^test result: ok. 1 passed" >/dev/null
+        cargo test --release -p miniwrf --lib -- pooled_dynamics_every_step_matches_one_worker \
+            pool_stress_clear_air_matches_one_worker 2>&1 |
+        tee /dev/stderr | grep "^test result: ok. 2 passed" >/dev/null
 }
 
 # The panel deposit reads its bin bracket from the float's exponent; the

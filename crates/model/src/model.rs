@@ -650,7 +650,7 @@ pub fn periodic_refresh(p: PatchSpec) -> impl FnMut(&mut Field3<f32>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fsbm_core::scheme::SbmVersion;
+    use fsbm_core::scheme::{Layout, SbmVersion};
     use fsbm_core::ExecMode;
     use wrf_cases::CaseKind;
 
@@ -1058,6 +1058,77 @@ mod tests {
             assert_eq!(epochs, scheme_epochs + dispatches, "{workers} workers");
             for (step, (got, want)) in got.iter().zip(&want).enumerate() {
                 assert_eq!(got, want, "{workers} workers, step {step}");
+            }
+        }
+    }
+
+    /// The scheme's clear-air paths under the pool: the ledger's sparse
+    /// state (`ShallowConvection` at scale 0.12, gate levels, spun up one
+    /// model step, about a tenth of it cloudy), then scheme steps back to
+    /// back at 2 and 3 workers in lockstep with 1. Every step's whole
+    /// `SbmStepStats` (the collision wall clock aside) and every bit of
+    /// the state are the same. 40 steps under `CI_NIGHTLY`
+    /// (`./ci.sh pool_stress`), 4 otherwise.
+    #[test]
+    fn pool_stress_clear_air_matches_one_worker() {
+        let nightly = std::env::var_os("CI_NIGHTLY").is_some_and(|v| !v.is_empty());
+        let steps = if nightly { 40 } else { 4 };
+        let kind = CaseKind::ShallowConvection;
+        let mut cfg = ModelConfig::case_gate(
+            kind,
+            SbmVersion::OffloadCollapse3,
+            ExecMode::work_steal(),
+            1,
+        );
+        cfg.case = kind.params(0.12);
+        cfg.case.nz = ModelConfig::GATE_NZ;
+        cfg.layout = Layout::PanelSoa;
+        let mut m = Model::single_rank(cfg);
+        m.step();
+        let mut runs: Vec<(FastSbm, SbmPatchState)> = [1, 2, 3]
+            .map(|workers| {
+                let mut scheme = cfg.scheme_config();
+                scheme.workers = Some(workers);
+                (FastSbm::new(scheme), m.state.clone())
+            })
+            .into();
+        let bits = |st: &SbmPatchState| -> Vec<u32> {
+            let fields = [&st.tt, &st.qv].into_iter().map(|f| f.as_slice());
+            let slabs = st.ff.iter().map(|f| f.as_slice());
+            fields
+                .chain(slabs)
+                .chain([&st.rainnc[..]])
+                .flatten()
+                .map(|v| v.to_bits())
+                .collect()
+        };
+        for step in 0..steps {
+            let stats: Vec<SbmStepStats> = runs
+                .iter_mut()
+                .map(|(scheme, st)| SbmStepStats {
+                    coal_wall: 0.0,
+                    ..scheme.step(st)
+                })
+                .collect();
+            let (want, rest) = stats.split_first().expect("three runs");
+            assert!(
+                want.coal_points > 0 && want.coal_points * 4 < want.points,
+                "step {step}: mostly clear, not empty: {} of {}",
+                want.coal_points,
+                want.points
+            );
+            let want_bits = bits(&runs[0].1);
+            for (workers, (got, (_, st))) in (2..).zip(rest.iter().zip(&runs[1..])) {
+                assert_eq!(got, want, "{workers} workers, step {step}: stats");
+                assert!(
+                    bits(st) == want_bits,
+                    "{workers} workers, step {step}: state"
+                );
+                assert_eq!(
+                    st.precip_acc.to_bits(),
+                    runs[0].1.precip_acc.to_bits(),
+                    "{workers} workers, step {step}: precip_acc"
+                );
             }
         }
     }
