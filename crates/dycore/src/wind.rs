@@ -1,11 +1,19 @@
 //! Kinematic storm-scale wind fields.
 //!
-//! A streamfunction-derived circulation: convective updraft cells whose
-//! horizontal positions drift with a sheared steering flow. Deriving
-//! `(u, w)` from a streamfunction `ψ(x, z)` makes the 2-D overturning
-//! non-divergent by construction; the meridional component is a sheared
-//! zonal jet. This is the standard kinematic-driver idealization used in
+//! A streamfunction-shaped circulation: convective updraft cells whose
+//! horizontal positions drift with a sheared steering flow, after
+//! `ψ = A sin(kx x) sin(kz z)`; the meridional component is a sheared
+//! zonal jet. This is the kinematic-driver idealization used in
 //! microphysics testbeds (e.g. KiD), substituting for WRF's Euler solver.
+//!
+//! The overturning is **not** divergence-free. `w` below is already
+//! `−∂ψ/∂x` and is stored negated, so the analytic divergence of the
+//! fields is `∂u/∂x + ∂w/∂z = 2 w_max kz cos(kx x) cos(kz z)` (times the
+//! row's `j` modulation), not 0, and the flux-form transport turns it
+//! into a source `q·D`. The winds also sit at cell centres and are
+//! averaged to faces, so even with the sign fixed the discrete divergence
+//! is not zero. ROADMAP item 1 measured both; the fix it plans puts ψ on
+//! cell corners, with face winds as exact differences of it.
 
 use fsbm_core::meter::PointWork;
 use wrf_grid::{Field3, PatchSpec};
