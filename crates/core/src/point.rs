@@ -115,9 +115,9 @@ impl<'a> BinsView<'a> {
         self.n[c.index()]
     }
 
-    /// Mass mixing ratio of a class, kg/kg. An empty class (see
-    /// [`all_zero`]) returns the sum's `+0.0` without the serial sum,
-    /// metered as the sum.
+    /// Mass mixing ratio of a class, kg/kg. An empty class (every bin
+    /// `±0.0`) returns the sum's `+0.0` without the serial sum, metered
+    /// as the sum.
     pub fn mass_of(&self, c: HydroClass, grids: &Grids, w: &mut PointWork) -> f32 {
         w.fm(2 * NKR as u64, NKR as u64);
         let s = self.class(c);
@@ -175,7 +175,7 @@ impl<'a> BinsView<'a> {
 /// is `+0.0`), and takes no `n > 0.0` branch. A subnormal, a negative or
 /// a NaN bin fails it and takes the loop.
 #[inline]
-pub fn all_zero(values: impl IntoIterator<Item = f32>) -> bool {
+pub(crate) fn all_zero(values: impl IntoIterator<Item = f32>) -> bool {
     values.into_iter().fold(0u32, |bits, v| bits | v.to_bits()) & !(1 << 31) == 0
 }
 
