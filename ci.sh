@@ -192,7 +192,7 @@ GATES=(
     "comm;comm;BENCH_comm.json;overlap bench: blocking comm vs overlapped exposed comm"
     "fault;fault;BENCH_fault.json;kill a rank mid-run, recover from the newest checkpoint set"
     "share;share;BENCH_share.json;Table VII sweep"
-    "ensemble;ensemble;BENCH_ensemble.json;full-scale batched throughput"
+    "ensemble;ensemble;BENCH_ensemble.json;memory-capped packing"
     "zoo;zoo;BENCH_zoo.json;Table V version times per backend"
     "tune;tune;BENCH_tune.json;storage-family winners per backend"
     "cases;cases;BENCH_cases.json;per-case digest table"

@@ -183,7 +183,7 @@ const GATES: &[Gate] = &[
     Gate {
         name: "ensemble",
         report_file: "BENCH_ensemble.json",
-        about: "served members vs solo runs per version, retry and packing walls, full-scale batched throughput",
+        about: "served members vs solo runs per version, memory-capped packing walls",
         run: |_| Ok(wrf_gate::ensemble::run()),
         bless: None,
     },

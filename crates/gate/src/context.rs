@@ -11,8 +11,8 @@ use miniwrf::perfmodel::{
 };
 use wrf_cases::ConusParams;
 
-/// Simulated minutes of every full-scale experiment and ensemble member
-/// (the paper's 10-minute runs).
+/// Simulated minutes of every full-scale experiment (the paper's
+/// 10-minute runs).
 pub const MINUTES: f64 = 10.0;
 
 /// Everything the table/figure generators and the modeled gates need:
@@ -44,7 +44,7 @@ impl ReproContext {
         Self::with_fidelity(0.10, 50, 5)
     }
 
-    /// The context the modeled gates (share, ensemble, zoo, tune) and
+    /// The context the modeled gates (share, zoo, tune) and
     /// the tests price from: [`ReproContext::QUICK`] fidelity.
     pub fn quick() -> Self {
         let (scale, nz, steps) = Self::QUICK;

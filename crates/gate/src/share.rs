@@ -82,7 +82,7 @@ pub fn admission_parts(title: &str, scenarios: &[AdmissionCheck]) -> (Table, Vec
 
 /// Admits contexts `0, 1, …` through `admit` until one is refused: how
 /// many fit, and the typed refusal of the next.
-pub(crate) fn admit_until_refused<T>(
+fn admit_until_refused<T>(
     mut admit: impl FnMut(usize) -> Result<T, DeviceError>,
 ) -> (usize, DeviceError) {
     let mut cap = 0usize;

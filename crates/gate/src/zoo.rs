@@ -19,17 +19,15 @@
 //! * **Decay** — the Table VII shared-GPU sweep keeps its shape
 //!   everywhere: absolute time still improves 16 → 32 → 64 ranks while
 //!   the speedup over the matched CPU base decays;
-//! * **Packing** — the ensemble service's per-device member cap tracks
-//!   each backend's memory capacity (the caps genuinely differ), and
-//!   modeled members/hour stays finite and positive on all of them.
+//! * **Packing** — the per-device cap on full-scale ensemble members,
+//!   read from [`gpu_sim::DevicePool::admit`], tracks each backend's
+//!   memory capacity (the caps genuinely differ).
 //!
 //! The report is written to `BENCH_zoo.json`; any violation makes
 //! `repro zoo` exit nonzero.
 
 use crate::context::{ReproContext, MINUTES};
-use crate::ensemble::{
-    full_scale_schedule, member_cap, members_per_hour, over_capacity, DEVICES, MEMBERS,
-};
+use crate::ensemble::member_cap;
 use crate::report::{Cell, Check, Report, Table};
 use crate::share::{decay_violations, full_scale_slab_bytes};
 use crate::tables::{table7_arms, version_times, Table7Row, GPUS, RANKS};
@@ -71,10 +69,6 @@ pub struct BackendRow {
     pub walls: Vec<String>,
     /// Full-scale ensemble members one device admits.
     pub member_cap: usize,
-    /// Admission waves the ensemble arm took.
-    pub waves: usize,
-    /// Modeled batched ensemble throughput.
-    pub members_per_hour: f64,
     /// Per-backend shape violations (empty when the paper's conclusions
     /// hold on this backend).
     pub violations: Vec<String>,
@@ -195,8 +189,6 @@ pub fn report(rows: &[BackendRow], min_backends: usize) -> Report {
                 ("class", class(r).into()),
                 ("ranking", Cell::strs(&r.ranking)),
                 ("member_cap", r.member_cap.into()),
-                ("waves", r.waves.into()),
-                ("members_per_hour", Cell::num(r.members_per_hour, 4)),
                 ("pass", r.violations.is_empty().into()),
             ]
         }),
@@ -245,8 +237,6 @@ pub fn report(rows: &[BackendRow], min_backends: usize) -> Report {
             ("ranks", RANKS.into()),
             ("gpus", GPUS.into()),
             ("minutes", MINUTES.into()),
-            ("members", MEMBERS.into()),
-            ("devices", DEVICES.into()),
             ("min_backends", min_backends.into()),
         ],
         checks,
@@ -316,31 +306,6 @@ fn run_backend_row(backend: &'static Backend, base: &ReproContext) -> BackendRow
     }
     violations.extend(decay_violations(&sweep));
 
-    // Ensemble packing and throughput on this backend's capacity.
-    let (cap, _) = member_cap(backend);
-    let (mut waves, mut mph) = (0usize, 0.0f64);
-    match full_scale_schedule(&ctx, backend, SbmVersion::OffloadCollapse3).1 {
-        Ok(s) => {
-            waves = s.waves;
-            mph = members_per_hour(s.makespan_secs);
-            if !(mph.is_finite() && mph > 0.0) {
-                violations.push(format!(
-                    "ensemble throughput degenerate: {mph} members/hour"
-                ));
-            }
-            violations.extend(over_capacity(&s.devices));
-            for d in &s.devices {
-                if d.peak_residents > cap {
-                    violations.push(format!(
-                        "device {} packed {} members, cap is {cap}",
-                        d.device, d.peak_residents
-                    ));
-                }
-            }
-        }
-        Err(e) => violations.push(format!("ensemble arm failed admission: {e}")),
-    }
-
     BackendRow {
         backend: backend.name,
         is_cpu: backend.is_cpu(),
@@ -348,9 +313,7 @@ fn run_backend_row(backend: &'static Backend, base: &ReproContext) -> BackendRow
         ranking,
         sweep,
         walls,
-        member_cap: cap,
-        waves,
-        members_per_hour: mph,
+        member_cap: member_cap(backend).0,
         violations,
     }
 }
@@ -375,9 +338,8 @@ mod tests {
     use crate::ensemble::full_scale_footprint;
     use crate::tables::{Table7Arm, Table7Times};
     use miniwrf::perfmodel::{try_experiment, ExperimentConfig};
-    use miniwrf::service::{pressure_key, schedule_ensemble, EnsembleSpec, MemberTimings};
+    use miniwrf::service::member_batches;
     use proptest::prelude::*;
-    use wrf_cases::ConusParams;
 
     /// One sweep row at matched decomposition on the 16-GPU pool.
     fn sweep_row(ranks: usize, cpu_secs: f64, gpu_secs: f64) -> Table7Row {
@@ -433,8 +395,6 @@ mod tests {
             ],
             walls: Vec::new(),
             member_cap: cap,
-            waves: 2,
-            members_per_hour: 10.0 / v4,
             violations: Vec::new(),
         }
     }
@@ -524,7 +484,7 @@ mod tests {
         assert!(json.contains("\"pass\": true"));
         assert!(json.contains("\"backend\": \"v100-32gb\""));
         assert!(json.contains("\"ranking\": [\"baseline\""));
-        assert!(json.contains("\"members_per_hour\": 0.1"));
+        assert!(json.contains("\"member_cap\": 1"));
         let text = rep.rendered();
         assert!(text.contains("zoo gate: PASS"));
         assert!(text.contains("=== repro zoo: Table V version times per backend ==="));
@@ -623,45 +583,30 @@ mod tests {
         }
 
         /// Per-backend member packing follows `charged_bytes` exactly:
-        /// the scheduler's wave count and per-device peaks match the
-        /// arithmetic of the footprint against each backend's capacity
-        /// (first member per device also charges the shared lookup).
+        /// `admit` fills a device with ⌊hbm / charged⌋ members, so the
+        /// service needs ⌈members / (cap × devices)⌉ batches, and no
+        /// device of any batch goes over its capacity.
         #[test]
         fn member_packing_matches_charged_bytes(
             members in 1usize..12,
             devices in 1usize..4,
-            which in 0usize..5,
+            which in 0..ZOO.len(),
         ) {
             let backend = &ZOO[which];
             let fp = full_scale_footprint();
-            let full = ConusParams::full();
             let dev = backend.device_params();
             let charged = fp.charged_bytes(&dev).unwrap();
-            let base = charged - fp.lookup_bytes;
-            let capacity = dev.hbm_bytes;
-            let cap_per_dev = if capacity < charged {
-                0
-            } else {
-                (1 + (capacity - charged) / base) as usize
-            };
-            prop_assert!(cap_per_dev > 0, "every zoo device fits at least one member");
+            let cap = (dev.hbm_bytes / charged) as usize;
+            prop_assert!(cap > 0, "every zoo device fits at least one member");
+            prop_assert_eq!(member_cap(backend).0, cap);
 
-            let spec = EnsembleSpec {
-                members,
-                devices,
-                backend,
-                ..EnsembleSpec::default()
-            };
-            let timings: Vec<MemberTimings> = (0..members)
-                .map(|m| MemberTimings { member: m, service_per_step: vec![1.0; 3] })
-                .collect();
-            let s = schedule_ensemble(&timings, &spec, &fp, Some(pressure_key(&full))).unwrap();
-            let expected_waves = members.div_ceil(cap_per_dev * devices);
-            prop_assert_eq!(s.waves, expected_waves);
-            for d in &s.devices {
-                prop_assert!(d.peak_residents <= cap_per_dev);
-                prop_assert!(d.peak_used_bytes <= d.capacity_bytes);
-                prop_assert_eq!(d.capacity_bytes, capacity);
+            let placed = member_batches(&fp, backend, devices, members).unwrap();
+            let batches = placed.last().map_or(0, |&(batch, _)| batch + 1);
+            prop_assert_eq!(batches, members.div_ceil(cap * devices));
+            for slot in &placed {
+                let residents = placed.iter().filter(|p| *p == slot).count();
+                prop_assert!(residents <= cap);
+                prop_assert!(residents as u64 * charged <= dev.hbm_bytes);
             }
         }
     }

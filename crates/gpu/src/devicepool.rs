@@ -30,32 +30,9 @@
 //! reproducible and composes with the α–β halo accounting: exposed
 //! communication time and exposed queueing time are reported as
 //! separate ledgers.
-//!
-//! On top of the static round-robin plane, the ensemble service plane
-//! (PR 8) adds three capabilities:
-//!
-//! * **Packed admission** — [`DevicePool::admit_packed`] places a
-//!   context on the least-loaded device that fits (fewest residents,
-//!   then fewest charged bytes, then lowest id), instead of the modular
-//!   home. Deterministic: the same admission sequence always produces
-//!   the same packing.
-//! * **Shared lookup tables** — co-resident contexts that present the
-//!   same `lookup_key` (a digest of their pressure levels — the
-//!   `KernelMode::Cached` tables are a pure function of the column)
-//!   charge the 64 MiB lookup working set once per device, refcounted;
-//!   [`DevicePool::cache_stats`] ledgers the hits, misses, and bytes
-//!   saved. [`DevicePool::release`] refunds a context's charge exactly
-//!   and evicts the shared table with its last reference.
-//! * **Batched service windows** — [`DevicePool::replay_batched`]
-//!   groups submissions that arrive within `window_secs` of a batch's
-//!   opening submission into one service window, paying the context
-//!   slice once per *batch* rather than once per submission — the
-//!   launch-amortization the service plane trades queueing for. A
-//!   negative window degenerates to exactly [`DevicePool::replay`].
 
 use crate::error::DeviceError;
 use crate::machine::{Backend, Calibration, GpuParams, CALIBRATION};
-use std::collections::BTreeMap;
 
 /// Device-memory footprint one resident rank charges against its
 /// assigned device.
@@ -173,85 +150,11 @@ impl ShareReport {
     }
 }
 
-/// Outcome of a packed admission.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PackedAdmit {
-    /// Device the context landed on.
-    pub device: usize,
-    /// Whether the context's lookup tables were already resident (a
-    /// co-admitted context with the same key pays the bytes once).
-    pub cache_hit: bool,
-}
-
-/// Pool-wide ledger of shared-lookup admissions.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheShareStats {
-    /// Keyed admissions that found their table already resident.
-    pub hits: usize,
-    /// Keyed admissions that had to materialize the table.
-    pub misses: usize,
-    /// Device bytes not charged thanks to sharing (lookup bytes per
-    /// hit).
-    pub bytes_saved: u64,
-}
-
-impl CacheShareStats {
-    /// Hits over keyed admissions; 0 when none were keyed.
-    pub fn hit_rate(&self) -> f64 {
-        let n = self.hits + self.misses;
-        if n == 0 {
-            0.0
-        } else {
-            self.hits as f64 / n as f64
-        }
-    }
-}
-
-/// One refcounted lookup working set resident on a device.
-#[derive(Debug, Clone, Copy)]
-struct SharedLookup {
-    bytes: u64,
-    refs: usize,
-}
-
-/// Per-device outcome of one batched replay round.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BatchLedger {
-    /// Device id.
-    pub device: usize,
-    /// Submissions served this round.
-    pub submissions: usize,
-    /// Service windows (batches) they were grouped into.
-    pub batches: usize,
-    /// Context-slice seconds actually paid (one per batch when shared).
-    pub slice_secs: f64,
-    /// Slice seconds amortized away versus one slice per submission.
-    pub slice_secs_saved: f64,
-    /// Modeled time the device finished its last submission.
-    pub makespan_secs: f64,
-}
-
-/// Outcome of a batched replay: the share ledgers plus per-device batch
-/// accounting.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BatchedReplay {
-    /// Per-rank and per-device ledgers, as [`DevicePool::replay`].
-    pub share: ShareReport,
-    /// Per-device batching ledger, ordered by device id.
-    pub ledgers: Vec<BatchLedger>,
-}
-
-/// Memory-accounting state of one pooled device. `residents`,
-/// `charges`, and `keys` are parallel vectors (one entry per resident
-/// context); `lookups` holds the refcounted shared tables, whose bytes
-/// are part of `used_bytes` but belong to no single context.
+/// Memory-accounting state of one pooled device.
 #[derive(Debug, Clone)]
 struct PoolDevice {
     used_bytes: u64,
     residents: Vec<usize>,
-    charges: Vec<u64>,
-    keys: Vec<Option<u64>>,
-    lookups: BTreeMap<u64, SharedLookup>,
 }
 
 /// A pool of simulated devices shared by a communicator's ranks:
@@ -263,7 +166,6 @@ pub struct DevicePool {
     calib: Calibration,
     devices: Vec<PoolDevice>,
     slice_secs: f64,
-    cache: CacheShareStats,
 }
 
 impl DevicePool {
@@ -281,13 +183,9 @@ impl DevicePool {
                 .map(|_| PoolDevice {
                     used_bytes: 0,
                     residents: Vec::new(),
-                    charges: Vec::new(),
-                    keys: Vec::new(),
-                    lookups: BTreeMap::new(),
                 })
                 .collect(),
             slice_secs: CALIBRATION.service_slice_secs,
-            cache: CacheShareStats::default(),
         }
     }
 
@@ -338,17 +236,13 @@ impl DevicePool {
         &self.devices[device].residents
     }
 
-    /// Device a resident context actually landed on (`None` when it was
-    /// never admitted or has been released). For round-robin admissions
-    /// this agrees with [`DevicePool::device_for`]; packed admissions
-    /// have no modular home, so replays resolve residency through this.
-    pub fn device_of(&self, id: usize) -> Option<usize> {
-        self.devices.iter().position(|d| d.residents.contains(&id))
-    }
-
-    /// Pool-wide shared-lookup ledger across packed admissions.
-    pub fn cache_stats(&self) -> CacheShareStats {
-        self.cache
+    /// Device an admitted rank is resident on (`None` when it was never
+    /// admitted); agrees with [`DevicePool::device_for`] for every
+    /// admitted rank.
+    pub fn device_of(&self, rank: usize) -> Option<usize> {
+        self.devices
+            .iter()
+            .position(|d| d.residents.contains(&rank))
     }
 
     /// Bytes charged on `device` by its resident contexts.
@@ -389,129 +283,7 @@ impl DevicePool {
         }
         dev.used_bytes += requested;
         dev.residents.push(rank);
-        dev.charges.push(requested);
-        dev.keys.push(None);
         Ok(device)
-    }
-
-    /// Admits a context onto the least-loaded device that fits,
-    /// instead of its modular home: fewest residents first, then fewest
-    /// charged bytes, then lowest device id — a deterministic packing
-    /// for ensemble members that have no MPI rank structure. When
-    /// `lookup_key` is given and a co-resident context on the chosen
-    /// device already holds the same key, the lookup bytes are not
-    /// charged again (the `KernelMode::Cached` tables are a pure
-    /// function of the pressure column, so members with identical
-    /// levels share one resident copy); the share is refcounted and
-    /// ledgered in [`DevicePool::cache_stats`]. Fails with a typed
-    /// [`DeviceError`] describing the least-loaded device when no
-    /// device fits; the pool is unchanged on failure.
-    pub fn admit_packed(
-        &mut self,
-        id: usize,
-        footprint: &RankFootprint,
-        lookup_key: Option<u64>,
-    ) -> Result<PackedAdmit, DeviceError> {
-        assert!(
-            self.device_of(id).is_none(),
-            "context {id} admitted twice onto the pool"
-        );
-        let capacity = self.params.hbm_bytes;
-        // Checked, saturating accounting: a stack pool that overflows
-        // u64 can never fit, so it must not wrap into a small charge.
-        let base = self
-            .params
-            .checked_stack_pool_bytes(footprint.stack_bytes)
-            .and_then(|p| p.checked_add(footprint.temp_slab_bytes))
-            .unwrap_or(u64::MAX);
-        let need = |dev: &PoolDevice| -> u64 {
-            match lookup_key {
-                Some(k) if dev.lookups.contains_key(&k) => base,
-                _ => base.saturating_add(footprint.lookup_bytes),
-            }
-        };
-        let order = |d: usize, dev: &PoolDevice| (dev.residents.len(), dev.used_bytes, d);
-        let fit = (0..self.devices.len())
-            .filter(|&d| {
-                let dev = &self.devices[d];
-                need(dev) <= capacity - dev.used_bytes
-            })
-            .min_by_key(|&d| order(d, &self.devices[d]));
-        let Some(device) = fit else {
-            // Report the device the packing would have preferred.
-            let best = (0..self.devices.len())
-                .min_by_key(|&d| order(d, &self.devices[d]))
-                .expect("pool has devices");
-            let dev = &self.devices[best];
-            return Err(DeviceError {
-                rank: id,
-                device: best,
-                requested_bytes: need(dev),
-                used_bytes: dev.used_bytes,
-                capacity_bytes: capacity,
-                residents: dev.residents.len(),
-            });
-        };
-        let dev = &mut self.devices[device];
-        let mut cache_hit = false;
-        let charge = match lookup_key {
-            Some(k) => {
-                if let Some(sl) = dev.lookups.get_mut(&k) {
-                    sl.refs += 1;
-                    cache_hit = true;
-                    self.cache.hits += 1;
-                    self.cache.bytes_saved += footprint.lookup_bytes;
-                } else {
-                    dev.lookups.insert(
-                        k,
-                        SharedLookup {
-                            bytes: footprint.lookup_bytes,
-                            refs: 1,
-                        },
-                    );
-                    dev.used_bytes += footprint.lookup_bytes;
-                    self.cache.misses += 1;
-                }
-                base
-            }
-            None => base + footprint.lookup_bytes,
-        };
-        dev.used_bytes += charge;
-        dev.residents.push(id);
-        dev.charges.push(charge);
-        dev.keys.push(lookup_key);
-        Ok(PackedAdmit { device, cache_hit })
-    }
-
-    /// Releases a resident context, refunding exactly what its
-    /// admission charged; a shared lookup table is evicted (and its
-    /// bytes refunded) with its last reference. Returns the bytes
-    /// freed. Panics when the context is not resident.
-    pub fn release(&mut self, id: usize) -> u64 {
-        let device = self
-            .device_of(id)
-            .unwrap_or_else(|| panic!("context {id} released without being admitted"));
-        let dev = &mut self.devices[device];
-        let at = dev
-            .residents
-            .iter()
-            .position(|&r| r == id)
-            .expect("resident");
-        dev.residents.remove(at);
-        let charge = dev.charges.remove(at);
-        let key = dev.keys.remove(at);
-        dev.used_bytes -= charge;
-        let mut freed = charge;
-        if let Some(k) = key {
-            let sl = dev.lookups.get_mut(&k).expect("keyed context has a table");
-            sl.refs -= 1;
-            if sl.refs == 0 {
-                let sl = dev.lookups.remove(&k).expect("present");
-                dev.used_bytes -= sl.bytes;
-                freed += sl.bytes;
-            }
-        }
-        freed
     }
 
     /// Admits ranks `0..ranks`, all with the same footprint, in rank
@@ -529,28 +301,14 @@ impl DevicePool {
         Ok(())
     }
 
-    /// Replays one bulk-synchronous round of submissions unbatched: a
-    /// negative window puts every submission in its own batch, so on
+    /// Replays one bulk-synchronous round of submissions: on each
+    /// device, submissions are served in `(submit, rank)` order, and on
     /// devices with two or more submissions this round every service
-    /// window is preceded by the context-service slice.
+    /// window is preceded by the context-service slice. Exclusive
+    /// devices pay no slice. Panics if a submission names a rank that
+    /// was never admitted. Pure and deterministic — no wall clocks, no
+    /// mutation.
     pub fn replay(&self, submissions: &[RankSubmission]) -> ShareReport {
-        self.replay_batched(submissions, -1.0).share
-    }
-
-    /// Replays one round with windowed launch batching: on each device,
-    /// submissions are served in `(submit, rank)` order, but a
-    /// submission arriving within `window_secs` of the submission that
-    /// *opened* the current batch joins that batch, and the whole batch
-    /// pays the context-service slice once — the service-window
-    /// amortization of `Calibration::service_slice_secs`. Exclusive
-    /// devices still pay no slice. Panics if a submission names a rank
-    /// that was never admitted. Pure and deterministic — no wall clocks,
-    /// no mutation.
-    pub fn replay_batched(
-        &self,
-        submissions: &[RankSubmission],
-        window_secs: f64,
-    ) -> BatchedReplay {
         let mut per_device: Vec<Vec<RankSubmission>> = vec![Vec::new(); self.devices.len()];
         for sub in submissions {
             let device = self
@@ -561,7 +319,6 @@ impl DevicePool {
 
         let mut ranks: Vec<RankShare> = Vec::with_capacity(submissions.len());
         let mut devices: Vec<DeviceShare> = Vec::with_capacity(self.devices.len());
-        let mut ledgers: Vec<BatchLedger> = Vec::with_capacity(self.devices.len());
         for (d, subs) in per_device.iter_mut().enumerate() {
             subs.sort_by(|a, b| {
                 a.submit_secs
@@ -574,38 +331,20 @@ impl DevicePool {
             let mut busy = 0.0f64;
             let mut sliced = 0.0f64;
             let mut queued = 0.0f64;
-            let mut batches = 0usize;
-            let mut i = 0;
-            while i < subs.len() {
-                // The batch window opens when its first submission
-                // arrives; later submissions within the window ride the
-                // same context switch-in.
-                let open = subs[i].submit_secs;
-                let mut j = i + 1;
-                while j < subs.len() && subs[j].submit_secs - open <= window_secs {
-                    j += 1;
-                }
-                batches += 1;
-                let mut t = clock.max(open) + slice;
+            for sub in subs.iter() {
+                let begin = clock.max(sub.submit_secs) + slice;
+                let queue = begin - sub.submit_secs;
+                clock = begin + sub.service_secs;
                 sliced += slice;
-                for sub in &subs[i..j] {
-                    // Within a batch the device may still idle until a
-                    // window member actually arrives.
-                    let begin = t.max(sub.submit_secs);
-                    let queue = begin - sub.submit_secs;
-                    t = begin + sub.service_secs;
-                    busy += sub.service_secs;
-                    queued += queue;
-                    ranks.push(RankShare {
-                        rank: sub.rank,
-                        device: d,
-                        sharers,
-                        service_secs: sub.service_secs,
-                        queue_secs: queue,
-                    });
-                }
-                clock = t;
-                i = j;
+                busy += sub.service_secs;
+                queued += queue;
+                ranks.push(RankShare {
+                    rank: sub.rank,
+                    device: d,
+                    sharers,
+                    service_secs: sub.service_secs,
+                    queue_secs: queue,
+                });
             }
             devices.push(DeviceShare {
                 device: d,
@@ -616,20 +355,9 @@ impl DevicePool {
                 slice_secs: sliced,
                 queue_secs: queued,
             });
-            ledgers.push(BatchLedger {
-                device: d,
-                submissions: sharers,
-                batches,
-                slice_secs: sliced,
-                slice_secs_saved: (sharers.saturating_sub(batches)) as f64 * slice,
-                makespan_secs: clock,
-            });
         }
         ranks.sort_by_key(|r| r.rank);
-        BatchedReplay {
-            share: ShareReport { ranks, devices },
-            ledgers,
-        }
+        ShareReport { ranks, devices }
     }
 }
 
@@ -761,90 +489,10 @@ mod tests {
         assert!((rep.ranks[1].queue_secs - 0.2).abs() < 1e-12);
     }
 
-    #[test]
-    fn packed_admission_balances_and_shares_lookup() {
-        let mut pool = DevicePool::new(A100, 2);
-        let fp = paper_footprint();
-        let base = A100.stack_pool_bytes(fp.stack_bytes) + fp.temp_slab_bytes;
-        let key = Some(0xfeed_beefu64);
-        // Least-loaded packing alternates devices; the second context
-        // on each device finds the lookup tables already resident.
-        let hits: Vec<PackedAdmit> = (0..4)
-            .map(|m| pool.admit_packed(m, &fp, key).unwrap())
-            .collect();
-        assert_eq!(
-            hits,
-            vec![
-                PackedAdmit {
-                    device: 0,
-                    cache_hit: false
-                },
-                PackedAdmit {
-                    device: 1,
-                    cache_hit: false
-                },
-                PackedAdmit {
-                    device: 0,
-                    cache_hit: true
-                },
-                PackedAdmit {
-                    device: 1,
-                    cache_hit: true
-                },
-            ]
-        );
-        for d in 0..2 {
-            assert_eq!(pool.used_bytes(d), 2 * base + fp.lookup_bytes);
-        }
-        let stats = pool.cache_stats();
-        assert_eq!((stats.hits, stats.misses), (2, 2));
-        assert_eq!(stats.bytes_saved, 2 * fp.lookup_bytes);
-        assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
-        assert_eq!(pool.device_of(2), Some(0));
-        // Releasing one sharer keeps the table; releasing the last
-        // evicts it and refunds its bytes.
-        assert_eq!(pool.release(0), base);
-        assert_eq!(pool.used_bytes(0), base + fp.lookup_bytes);
-        assert_eq!(pool.release(2), base + fp.lookup_bytes);
-        assert_eq!(pool.used_bytes(0), 0);
-        assert_eq!(pool.device_of(0), None);
-        // Device 1 is untouched.
-        assert_eq!(pool.used_bytes(1), 2 * base + fp.lookup_bytes);
-    }
-
-    #[test]
-    fn packed_admission_without_key_shares_nothing() {
-        let mut pool = DevicePool::new(A100, 1);
-        let fp = paper_footprint();
-        let a = pool.admit_packed(0, &fp, None).unwrap();
-        let b = pool.admit_packed(1, &fp, None).unwrap();
-        assert!(!a.cache_hit && !b.cache_hit);
-        assert_eq!(pool.used_bytes(0), 2 * fp.charged_bytes(&A100).unwrap());
-        assert_eq!(pool.cache_stats(), CacheShareStats::default());
-    }
-
-    #[test]
-    fn oversized_stack_is_a_typed_packed_error() {
-        // 512 KiB NV_ACC_CUDA_STACKSIZE: the stack pool alone is
-        // 108 SMs x 2048 threads x 512 KiB = 108 GiB > 80 GB HBM, so
-        // the very first packed admission fails on an empty device.
-        let mut pool = DevicePool::new(A100, 2);
-        let fp = RankFootprint {
-            stack_bytes: 512 * 1024,
-            temp_slab_bytes: 0,
-            lookup_bytes: 64 << 20,
-        };
-        let err = pool.admit_packed(7, &fp, Some(1)).unwrap_err();
-        assert_eq!((err.rank, err.device, err.residents), (7, 0, 0));
-        assert!(err.requested_bytes > err.capacity_bytes);
-        assert_eq!(pool.used_bytes(0), 0);
-        assert_eq!(pool.cache_stats(), CacheShareStats::default());
-    }
-
     /// Regression for the unchecked stack-pool multiply: a stack size
     /// near `u64::MAX / thread_capacity` used to wrap into a footprint
-    /// that falsely fit admission. Both admission paths must reject it
-    /// with the typed error, charging nothing.
+    /// that falsely fit admission. Admission must reject it with the
+    /// typed error, charging nothing.
     #[test]
     fn overflowing_stack_pool_is_rejected_not_wrapped() {
         let huge = u64::MAX / A100.thread_capacity() + 1;
@@ -861,10 +509,6 @@ mod tests {
         assert_eq!((err.rank, err.device, err.residents), (0, 0, 0));
         assert_eq!(err.requested_bytes, u64::MAX);
         assert_eq!(pool.used_bytes(0), 0);
-        let err = pool.admit_packed(1, &fp, Some(7)).unwrap_err();
-        assert_eq!(err.requested_bytes, u64::MAX);
-        assert_eq!(pool.used_bytes(0), 0);
-        assert_eq!(pool.cache_stats(), CacheShareStats::default());
     }
 
     /// Regression for the calibration leak: replay pricing used to read
@@ -913,38 +557,6 @@ mod tests {
         let default = DevicePool::for_backend(crate::machine::default_backend(), 2);
         assert_eq!(default.capacity_bytes(), A100.hbm_bytes);
         assert_eq!(default.service_slice_secs(), CALIBRATION.service_slice_secs);
-    }
-
-    #[test]
-    fn batched_replay_amortizes_slices() {
-        let mut pool = DevicePool::new(A100, 1).with_service_slice(0.3);
-        for m in 0..4 {
-            pool.admit_packed(m, &paper_footprint(), Some(9)).unwrap();
-        }
-        let subs: Vec<RankSubmission> = (0..4)
-            .map(|rank| RankSubmission {
-                rank,
-                submit_secs: rank as f64 * 0.05,
-                service_secs: 0.1,
-            })
-            .collect();
-        // All four arrive within one 0.3 s window: one batch, one slice.
-        let b = pool.replay_batched(&subs, 0.3);
-        assert_eq!(b.ledgers[0].batches, 1);
-        assert!((b.ledgers[0].slice_secs - 0.3).abs() < 1e-12);
-        assert!((b.ledgers[0].slice_secs_saved - 0.9).abs() < 1e-12);
-        // makespan: slice + 4 services (arrivals overlap service).
-        assert!((b.ledgers[0].makespan_secs - 0.7).abs() < 1e-12);
-        // A negative window degenerates to the unbatched replay.
-        let plain = pool.replay_batched(&subs, -1.0);
-        assert_eq!(plain.ledgers[0].batches, 4);
-        assert_eq!(plain.ledgers[0].slice_secs_saved, 0.0);
-        assert!(b.ledgers[0].makespan_secs < plain.ledgers[0].makespan_secs);
-        // Batching trades slice overhead for queueing, never service.
-        assert_eq!(
-            b.share.devices[0].busy_secs,
-            plain.share.devices[0].busy_secs
-        );
     }
 
     #[test]
@@ -1014,73 +626,6 @@ mod tests {
             let (lo, hi) = (loads.iter().min().unwrap(), loads.iter().max().unwrap());
             prop_assert!(hi - lo <= 1, "unbalanced loads {:?}", loads);
             prop_assert_eq!(loads.iter().sum::<usize>(), ranks);
-        }
-
-        /// Widening the batch window never increases the slice seconds
-        /// a device pays, and the saved + paid slices always add up to
-        /// the unbatched bill.
-        #[test]
-        fn batching_only_ever_amortizes_slices(
-            ranks in 1usize..16,
-            devices in 1usize..4,
-            window_ms in 0u64..2000,
-            spacing_ms in 0u64..500,
-        ) {
-            let fp = RankFootprint { stack_bytes: 1024, temp_slab_bytes: 0, lookup_bytes: 0 };
-            let mut pool = DevicePool::new(A100, devices).with_service_slice(0.3);
-            pool.admit_all(ranks, &fp).unwrap();
-            let subs: Vec<RankSubmission> = (0..ranks)
-                .map(|rank| RankSubmission {
-                    rank,
-                    submit_secs: (rank as u64 * spacing_ms) as f64 * 1e-3,
-                    service_secs: 0.05,
-                })
-                .collect();
-            let plain = pool.replay_batched(&subs, -1.0);
-            let batched = pool.replay_batched(&subs, window_ms as f64 * 1e-3);
-            for (b, p) in batched.ledgers.iter().zip(&plain.ledgers) {
-                prop_assert!(b.slice_secs <= p.slice_secs + 1e-12);
-                prop_assert!(b.batches <= p.batches);
-                prop_assert!(b.makespan_secs <= p.makespan_secs + 1e-9);
-                prop_assert!((b.slice_secs + b.slice_secs_saved - p.slice_secs).abs() < 1e-9);
-            }
-        }
-
-        /// Packed admission + release is exactly reversible: whatever
-        /// interleaving of keyed/unkeyed admissions, used bytes always
-        /// equal the live charges plus the live shared tables, never
-        /// exceed capacity, and releasing everything refunds to zero.
-        #[test]
-        fn packed_release_refunds_exactly(
-            members in 1usize..24,
-            devices in 1usize..4,
-            slab_mb in 0u64..2000,
-            keyed in proptest::collection::vec(any::<bool>(), 24),
-        ) {
-            let fp = RankFootprint {
-                stack_bytes: 65536,
-                temp_slab_bytes: slab_mb * 1_000_000,
-                lookup_bytes: 64 << 20,
-            };
-            let mut pool = DevicePool::new(A100, devices);
-            let mut admitted = Vec::new();
-            for (m, &is_keyed) in keyed.iter().enumerate().take(members) {
-                let key = if is_keyed { Some(42u64) } else { None };
-                if pool.admit_packed(m, &fp, key).is_ok() {
-                    admitted.push(m);
-                }
-                for d in 0..devices {
-                    prop_assert!(pool.used_bytes(d) <= pool.capacity_bytes());
-                }
-            }
-            // Release in admission order; every device drains to zero.
-            for &m in &admitted {
-                pool.release(m);
-            }
-            for d in 0..devices {
-                prop_assert_eq!(pool.used_bytes(d), 0);
-                prop_assert!(pool.residents(d).is_empty());
-            }
         }
 
         /// Replay conserves service time and only ever adds queueing on

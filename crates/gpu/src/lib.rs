@@ -42,8 +42,7 @@ pub mod schedule;
 pub mod syncslice;
 
 pub use devicepool::{
-    BatchLedger, BatchedReplay, CacheShareStats, DevicePool, DeviceShare, PackedAdmit,
-    RankFootprint, RankShare, RankSubmission, ShareReport,
+    DevicePool, DeviceShare, RankFootprint, RankShare, RankSubmission, ShareReport,
 };
 pub use error::{DeviceError, GpuError};
 pub use launch::{launch_modeled, launch_modeled_with, KernelSpec, KernelWork, LaunchStats};

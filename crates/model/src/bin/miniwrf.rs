@@ -52,10 +52,10 @@ fn main() {
         cfg.version.label()
     );
 
-    // &ensemble: serve N perturbed members through the batch engine
-    // instead of one integration.
-    if cfg.ensemble.is_some() {
-        let report = match run_ensemble(&cfg, steps) {
+    // &ensemble: N perturbed members, placed in batches by the device
+    // pool's admission rule, instead of one integration.
+    if let Some(spec) = cfg.ensemble {
+        let report = match run_ensemble(&cfg, &spec, steps) {
             Ok(r) => r,
             Err(e) => {
                 eprintln!("miniwrf: ensemble service failed: {e}");
@@ -63,18 +63,12 @@ fn main() {
             }
         };
         for m in &report.members {
-            let s = &m.scheduled;
             println!(
-                "  member {:>3}: seed {:>4}  wave {}  device {}  attempts {}  \
-                 wait {:.3}s  service {:.3}s{}",
-                s.member,
+                "  member {:>3}: seed {:>4}  batch {}  device {}",
+                m.member,
                 m.seed,
-                s.wave,
-                s.device.map_or("-".to_string(), |d| d.to_string()),
-                m.attempts,
-                s.admit_secs - s.submit_secs,
-                s.service_secs,
-                if s.cache_hit { "  cache-hit" } else { "" },
+                m.batch,
+                m.device.map_or("-".to_string(), |d| d.to_string()),
             );
         }
         println!("{}", report.one_line());

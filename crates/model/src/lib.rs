@@ -46,7 +46,6 @@ pub use perfmodel::{
 pub use restart::{find_latest_checkpoint, run_parallel_restartable, RecoveryStats, RestartConfig};
 pub use schedule::{auto_version, tune_backend, tune_backend_with, version_for};
 pub use service::{
-    latency_percentiles, member_config, member_footprint, pressure_key, run_ensemble,
-    run_ensemble_with, schedule_ensemble, DeviceLedger, EnsembleReport, EnsembleSpec,
-    MemberOutcome, MemberTimings, Schedule, ScheduledMember, ServiceError, ServiceOptions,
+    member_batches, member_cap, member_config, member_footprint, run_ensemble, EnsembleReport,
+    EnsembleSpec, MemberOutcome, ServiceError,
 };

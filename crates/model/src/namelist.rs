@@ -235,15 +235,7 @@ const KNOWN_PARALLEL: &[&str] = &[
 const KNOWN_CASE: &[&str] = &["name", "nest_ratio", "nest_i", "nest_j", "nest_w", "nest_h"];
 
 /// Keys accepted in `&ensemble`.
-const KNOWN_ENSEMBLE: &[&str] = &[
-    "members",
-    "devices",
-    "seed_stride",
-    "batch_window",
-    "submit_spacing",
-    "max_attempts",
-    "checkpoint_interval",
-];
+const KNOWN_ENSEMBLE: &[&str] = &["members", "devices", "seed_stride"];
 
 /// Rejects unknown keys in the blocks this reproduction owns outright
 /// (`&parallel`, `&ensemble`): a typo like `backennd = 'v100-32gb'`
@@ -417,30 +409,26 @@ pub fn config_from_namelist(text: &str) -> Result<ModelConfig, NamelistError> {
     }
     // The &ensemble block turns the configuration into an ensemble
     // request served by `miniwrf::service`: N seed-strided members of
-    // the base scenario packed onto a shared device pool.
+    // the base scenario, admitted in batches onto a device pool of the
+    // run's &parallel backend. Members are one-rank runs without a nest.
     if nl.contains_key("ensemble") {
         let d = EnsembleSpec::default();
         let spec = EnsembleSpec {
             members: get(&nl, "ensemble", "members", d.members)?,
             devices: get(&nl, "ensemble", "devices", d.devices)?,
             seed_stride: get(&nl, "ensemble", "seed_stride", d.seed_stride)?,
-            window_secs: get(&nl, "ensemble", "batch_window", d.window_secs)?,
-            spacing_secs: get(&nl, "ensemble", "submit_spacing", d.spacing_secs)?,
-            max_attempts: get(&nl, "ensemble", "max_attempts", d.max_attempts)?,
-            checkpoint_interval: get(
-                &nl,
-                "ensemble",
-                "checkpoint_interval",
-                d.checkpoint_interval,
-            )?,
-            // The service prices on the run's &parallel backend.
-            backend: cfg.backend,
         };
         if spec.members == 0 {
             return Err(NamelistError::invalid(0, "&ensemble members must be >= 1"));
         }
         if spec.devices == 0 {
             return Err(NamelistError::invalid(0, "&ensemble devices must be >= 1"));
+        }
+        if cfg.nest.is_some() {
+            return Err(NamelistError::invalid(
+                0,
+                "&ensemble members run without a nest; drop &case nest_ratio",
+            ));
         }
         cfg.ensemble = Some(spec);
     }
@@ -574,19 +562,11 @@ mod tests {
         let cfg = config_from_namelist("&ensemble\n/\n").unwrap();
         assert_eq!(cfg.ensemble, Some(EnsembleSpec::default()));
         // Overrides.
-        let cfg = config_from_namelist(
-            "&ensemble\n members = 8, devices = 2, seed_stride = 3,\n \
-             batch_window = 0.5, submit_spacing = 0.1, max_attempts = 4, checkpoint_interval = 6\n/\n",
-        )
-        .unwrap();
+        let cfg =
+            config_from_namelist("&ensemble\n members = 8, devices = 3, seed_stride = 5\n/\n")
+                .unwrap();
         let spec = cfg.ensemble.unwrap();
-        assert_eq!(spec.members, 8);
-        assert_eq!(spec.devices, 2);
-        assert_eq!(spec.seed_stride, 3);
-        assert!((spec.window_secs - 0.5).abs() < 1e-12);
-        assert!((spec.spacing_secs - 0.1).abs() < 1e-12);
-        assert_eq!(spec.max_attempts, 4);
-        assert_eq!(spec.checkpoint_interval, 6);
+        assert_eq!((spec.members, spec.devices, spec.seed_stride), (8, 3, 5));
         // Degenerate requests are rejected.
         let err = config_from_namelist("&ensemble\n members = 0\n/\n").unwrap_err();
         assert!(err.message.contains("members"), "{err}");
@@ -611,14 +591,18 @@ mod tests {
         assert!(err.message.contains("&parallel"), "{err}");
         assert!(err.message.contains("backend"), "{err}");
 
-        let err = config_from_namelist("&ensemble\n membres = 8\n/\n").unwrap_err();
-        assert_eq!(
-            err.kind,
-            NamelistErrorKind::UnknownKey {
-                group: "ensemble".into(),
-                key: "membres".into(),
-            }
-        );
+        // A typo, and a key the ensemble service no longer reads.
+        for (key, value) in [("membres", "8"), ("batch_window", "0.5")] {
+            let text = format!("&ensemble\n {key} = {value}\n/\n");
+            let err = config_from_namelist(&text).unwrap_err();
+            assert_eq!(
+                err.kind,
+                NamelistErrorKind::UnknownKey {
+                    group: "ensemble".into(),
+                    key: key.into(),
+                }
+            );
+        }
 
         // Groups WRF owns keep ignoring unknown registry entries.
         let cfg = config_from_namelist("&domains\n cu_physics = 1\n/\n").unwrap();
@@ -731,6 +715,15 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.message.contains("&case nest"), "{err}");
+        // Ensemble members run without a nest: a loud error, not
+        // silently un-nested members.
+        let err = config_from_namelist(
+            "&domains\n e_we = 21, e_sn = 15, e_vert = 8\n/\n\
+             &case\n nest_ratio = 2, nest_i = 7, nest_j = 5, nest_w = 8, nest_h = 6\n/\n\
+             &ensemble\n members = 2\n/\n",
+        )
+        .unwrap_err();
+        assert!(err.message.contains("&ensemble"), "{err}");
         // nest_* without a ratio is a loud error, not a silent no-nest.
         let err = config_from_namelist("&case\n nest_w = 8\n/\n").unwrap_err();
         assert!(err.message.contains("nest_ratio"), "{err}");
