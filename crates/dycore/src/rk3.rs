@@ -11,15 +11,19 @@
 //! row's face velocities once. [`rk3_advect_scalar`] and
 //! [`rk3_advect_scalar_overlapped`] are its one-lane case. The comm mode
 //! decides only what "refresh the halo and evaluate the tendency" means:
-//! refresh fully, then one whole-patch tendency, or an interior slab of
-//! the whole panel between each round's post and finish, then the
-//! boundary frame.
+//! refresh fully, then one whole-patch tendency, or the regions of
+//! [`wrf_grid::overlap_plan`] between each round's post and finish —
+//! the first core row's interior behind round 0, every later core row at
+//! full patch width and the first row's edge pieces behind round 1 —
+//! then the south and north strips. Both cut the patch into one disjoint
+//! cover of whole-row runs of the same row kernel, so they agree bit for
+//! bit.
 
 use crate::advect::{tend_panel_region, tend_panel_region_pool, update_rows, STENCIL_WIDTH};
 use crate::wind::Wind;
 use fsbm_core::meter::PointWork;
 use wrf_exec::Executor;
-use wrf_grid::{interior_split, Field3, PatchSpec, Region};
+use wrf_grid::{overlap_plan, Field3, HaloSide, PatchSpec, Region};
 
 /// Halo refresh callback invoked on the provisional field before each
 /// tendency evaluation.
@@ -83,37 +87,43 @@ fn rk3_stages(
         i: patch.ip,
         j: patch.jp,
     };
-    let split = overlap.map(|pool| (pool, interior_split(patch, STENCIL_WIDTH)));
-    // What must wait for complete halos: the whole patch, or with a pool
-    // to overlap on, only the boundary frame around the interior core.
-    let after_refresh = match &split {
-        None => std::slice::from_ref(&whole),
-        Some((_, split)) => &split.frame[..],
-    };
     let rounds = engine.rounds();
+    let plan = overlap.map(|pool| {
+        assert_eq!(
+            rounds,
+            HaloSide::ROUNDS.len(),
+            "the overlapped sweep hides work behind the W/E and S/N rounds of HaloSide::ROUNDS; \
+             an engine with another round count must run blocking (overlap = None)"
+        );
+        (pool, overlap_plan(patch, STENCIL_WIDTH))
+    });
+    // What must wait for complete halos: the whole patch, or with a pool
+    // to overlap on, only what the plan leaves after the last round.
+    let after_refresh = match &plan {
+        None => std::slice::from_ref(&whole),
+        Some((_, plan)) => &plan.after[..],
+    };
     // Leaves `tend[l] = L(fields[l])` with every field's halo refreshed:
-    // round by round for the whole panel, and with a pool one interior
-    // `j`-slab of all lanes per round while that round is in flight
-    // (interior stencils never read halo cells and `finish_panel` writes
-    // only halo cells), then one sweep over what reads halo cells.
+    // round by round for the whole panel, and with a pool the plan's
+    // regions for round `r` of all lanes while that round is in flight
+    // (their stencils read only halo cells earlier rounds finished, and
+    // `finish_panel` writes only halo cells), then one sweep over the
+    // rest.
     let refresh_tend = |fields: &mut [Field3<f32>],
                         tend: &mut [Field3<f32>],
                         engine: &mut dyn HaloEngine,
                         work: &mut PointWork| {
         for r in 0..rounds {
             engine.post_panel(r, fields, tags);
-            if let Some((pool, split)) = &split {
-                // Every round has compute to hide behind (empty slabs of
-                // thin cores are skipped).
-                let slab = Region {
-                    i: split.core.i,
-                    j: split.core.j.part(rounds, r),
-                };
-                if !slab.is_empty() {
+            if let Some((pool, plan)) = &plan {
+                // A patch with an empty core hides nothing.
+                if !plan.hidden[r].is_empty() {
                     let mut w = PointWork::ZERO;
-                    tend_panel_region_pool(
-                        fields, wind, patch, &slab, dx, dy, dz, tend, pool, &mut w,
-                    );
+                    for region in plan.hidden[r].iter() {
+                        tend_panel_region_pool(
+                            fields, wind, patch, region, dx, dy, dz, tend, pool, &mut w,
+                        );
+                    }
                     engine.absorb(w);
                     *work += w;
                 }
@@ -171,9 +181,12 @@ fn rk3_stages(
 /// follow the number of scalars; one on the default hooks services the
 /// lanes one after another. `overlap` decides when the tendency runs:
 /// `None` after the panel is refreshed, as one sweep sharing each row's
-/// face velocities across the lanes; `Some(pool)` as one interior
-/// `j`-slab of the whole panel on `pool` between each round's post and
-/// finish, then the boundary frame. Both are bitwise-identical, per
+/// face velocities across the lanes; `Some(pool)` as the whole panel's
+/// share of [`wrf_grid::overlap_plan`] on `pool` between each round's
+/// post and finish (the first core row's interior in round 0, every
+/// later core row at full width and the first row's edges in round 1),
+/// then the south and north strips. `Some` needs an engine with the two
+/// rounds of [`HaloSide::ROUNDS`]. Both are bitwise-identical, per
 /// lane, to advancing that scalar on its own. `positive` enables WRF's
 /// positive-definite clipping.
 #[allow(clippy::too_many_arguments)]
@@ -263,9 +276,18 @@ pub fn rk3_advect_scalar(
 /// buffers span the full memory `i`-range, including halo columns
 /// received in round 0). A caller with nothing to overlap runs the
 /// rounds back-to-back ([`refresh_now`]); the overlapped driver advances
-/// interior tendencies between the post and the finish of each round and
-/// reports the work via `absorb`, which the engine's cost model counts
-/// as hiding the in-flight message time.
+/// tendencies between the post and the finish of each round and reports
+/// the work via `absorb`, which the engine's cost model counts as hiding
+/// the in-flight message time.
+///
+/// The round contract the overlapped driver relies on (its plan is
+/// [`wrf_grid::overlap_plan`]) is that of [`HaloSide::ROUNDS`]: two
+/// rounds; once round 0 has finished, every W/E halo cell of the compute
+/// rows is final; round 1 fills the S/N halo rows over the full memory
+/// `i`-range, corners included. Between a round's post and its finish,
+/// the driver reads no halo cell that round or a later one fills. Every
+/// engine in the tree keeps this contract; the overlapped driver asserts
+/// the round count and an engine with another one must run blocking.
 ///
 /// The RK3 driver refreshes a whole panel per round through
 /// [`HaloEngine::post_panel`] and [`HaloEngine::finish_panel`]. An
@@ -291,16 +313,25 @@ pub trait HaloEngine {
     /// flight, available to hide their modeled cost.
     fn absorb(&mut self, work: PointWork);
     /// Posts round `round` for every lane of a panel at once; `tags`,
-    /// when given, names the lanes. The default posts nothing and leaves
-    /// the round to [`HaloEngine::finish_panel`].
-    fn post_panel(&mut self, _round: usize, _fields: &[Field3<f32>], _tags: Option<&[FieldTag]>) {}
+    /// when given, names the lanes. It may write the halo cells this
+    /// round or a later one fills (an engine that receives in place
+    /// leaves them undefined until their round finishes), and nothing
+    /// else. The default posts nothing and leaves the round to
+    /// [`HaloEngine::finish_panel`].
+    fn post_panel(
+        &mut self,
+        _round: usize,
+        _fields: &mut [Field3<f32>],
+        _tags: Option<&[FieldTag]>,
+    ) {
+    }
     /// Completes round `round` for every lane of the panel. The default
     /// serves an engine that holds one lane's pending state: per lane,
     /// `select`, `post` and `finish` back-to-back. Posting this late is
     /// legal because what the driver computes between the two panel hooks
-    /// never reads a halo cell and writes no field (only tendencies), so
-    /// `post` packs the cells it would have packed earlier, and round
-    /// `r + 1` of a lane still packs after its round `r` has unpacked.
+    /// writes no field (only tendencies), so `post` packs the cells it
+    /// would have packed earlier, and round `r + 1` of a lane still packs
+    /// after its round `r` has unpacked.
     fn finish_panel(
         &mut self,
         round: usize,
@@ -328,8 +359,9 @@ pub fn refresh_now<E: HaloEngine + ?Sized>(engine: &mut E, field: &mut Field3<f3
 
 /// Advances one scalar by `dt` with RK3 like [`rk3_advect_scalar`], but
 /// each of the three pre-tendency halo refreshes is split-phase: halo
-/// messages fly while the interior tendency runs on `pool`, and only
-/// the boundary frame waits. The one-lane case of [`rk3_advect_panel`]
+/// messages fly while the rows [`wrf_grid::overlap_plan`] hides behind
+/// each round run on `pool`, and only the south and north strips wait
+/// for the last round. The one-lane case of [`rk3_advect_panel`]
 /// with `overlap = Some(pool)`; the caller has `select`ed the scalar.
 #[allow(clippy::too_many_arguments)]
 pub fn rk3_advect_scalar_overlapped(

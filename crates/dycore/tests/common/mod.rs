@@ -29,20 +29,9 @@ impl Batching {
     }
 }
 
-impl HaloEngine for Batching {
-    fn rounds(&self) -> usize {
-        2
-    }
-    fn post(&mut self, round: usize, field: &Field3<f32>) {
-        self.post_panel(round, std::slice::from_ref(field), None);
-    }
-    fn finish(&mut self, round: usize, field: &mut Field3<f32>) {
-        self.finish_panel(round, std::slice::from_mut(field), None);
-    }
-    fn absorb(&mut self, work: PointWork) {
-        self.absorbed += work;
-    }
-    fn post_panel(&mut self, round: usize, fields: &[Field3<f32>], _tags: Option<&[FieldTag]>) {
+impl Batching {
+    /// Packs round `round`'s two messages, every lane's strip in each.
+    fn pack(&mut self, round: usize, fields: &[Field3<f32>]) {
         for (side, buf) in HaloSide::ROUNDS[round].into_iter().zip(&mut self.bufs) {
             buf.clear();
             for field in fields {
@@ -50,6 +39,24 @@ impl HaloEngine for Batching {
             }
             self.messages += 1;
         }
+    }
+}
+
+impl HaloEngine for Batching {
+    fn rounds(&self) -> usize {
+        2
+    }
+    fn post(&mut self, round: usize, field: &Field3<f32>) {
+        self.pack(round, std::slice::from_ref(field));
+    }
+    fn finish(&mut self, round: usize, field: &mut Field3<f32>) {
+        self.finish_panel(round, std::slice::from_mut(field), None);
+    }
+    fn absorb(&mut self, work: PointWork) {
+        self.absorbed += work;
+    }
+    fn post_panel(&mut self, round: usize, fields: &mut [Field3<f32>], _tags: Option<&[FieldTag]>) {
+        self.pack(round, fields);
     }
     fn finish_panel(
         &mut self,

@@ -496,6 +496,7 @@ impl Drop for Executor {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
+    use std::time::Duration;
 
     #[test]
     fn covers_every_index_exactly_once() {
@@ -689,11 +690,43 @@ mod tests {
         }
     }
 
+    /// One epoch of `total` one-index chunks whose first body call holds
+    /// its chunk until a second thread has entered the body (or fails
+    /// after `patience`), so some helper provably runs a chunk. Returns
+    /// the epoch's claims ledger.
+    fn rendezvous_epoch(ex: &Executor, total: u64, patience: Duration) -> Claims {
+        let claims = Claims::default();
+        let entered = AtomicU64::new(0);
+        ex.run_ranges(total, Some(1), |lo, hi| {
+            claims.claim(lo, hi);
+            if entered.fetch_add(1, Ordering::SeqCst) == 0 {
+                let deadline = Instant::now() + patience;
+                // The caller blocks here, so any later entry is another
+                // thread's.
+                while entered.load(Ordering::SeqCst) < 2 {
+                    assert!(
+                        Instant::now() < deadline,
+                        "no second thread entered the body within {patience:?} at {} workers",
+                        ex.workers()
+                    );
+                    std::thread::yield_now();
+                }
+            }
+        });
+        claims
+    }
+
     #[test]
     fn every_index_is_claimed_once_by_one_thread() {
         for workers in [2usize, 3] {
             let ex = Executor::new(workers);
-            let mut helped = 0usize;
+            // The rendezvous makes "a helper ran a chunk" certain; the
+            // partition epochs below then vary sizes and chunking.
+            let total = 4 * workers as u64;
+            let (covered, owners) = rendezvous_epoch(&ex, total, Duration::from_secs(30)).totals();
+            assert_eq!(covered, total, "workers={workers} rendezvous");
+            assert!(owners <= workers);
+            let mut helped = usize::from(owners > 1);
             for epoch in 0..300u64 {
                 let total = 1 + (epoch * 37) % 400;
                 let chunk = [None, Some(1), Some(3), Some(64)][epoch as usize % 4];

@@ -26,4 +26,4 @@ pub use decomp::{split_patch_into_tiles, two_d_decomposition, DomainDecomp};
 pub use field::{Field3, Field4};
 pub use halo::{pack_halo, unpack_halo, HaloSide};
 pub use index::{Domain, PatchSpec, Span, TileSpec};
-pub use overlap::{interior_split, Frame, InteriorSplit, Region};
+pub use overlap::{interior_split, overlap_plan, Frame, InteriorSplit, OverlapPlan, Region};

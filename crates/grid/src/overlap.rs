@@ -6,8 +6,19 @@
 //! *core* is the compute rectangle shrunk by the stencil width on every
 //! horizontal side, so a stencil evaluated inside it never reads a halo
 //! cell; the *frame* is the remaining ring of boundary strips, disjoint
-//! and covering, evaluated once every halo receive has completed.
+//! and covering ([`interior_split`]).
+//!
+//! A refresh is two dependent rounds ([`HaloSide::ROUNDS`]): W/E, then
+//! S/N over the full memory `i`-range. Once round 0 has finished, every
+//! `i`-halo cell of the compute rows is final, so a row whose `j`-stencil
+//! stays inside the compute rows can run at full patch width while round
+//! 1 is in flight. [`overlap_plan`] cuts the patch along those rounds so
+//! that almost every row runs whole: round 0 hides the core of the first
+//! core row, round 1 every later core row at full width plus the first
+//! row's two edge pieces, and only the south and north strips wait for
+//! the last round.
 
+use crate::halo::HaloSide;
 use crate::index::{PatchSpec, Span};
 
 /// A rectangular horizontal region of a patch (full vertical extent).
@@ -31,9 +42,10 @@ impl Region {
     }
 }
 
-/// The boundary strips of an [`InteriorSplit`]: at most four regions held
-/// inline, so a split costs no allocation. Reads as a slice of the
-/// strips that exist ([`Frame::as_slice`], or through `Deref`).
+/// A short list of regions — the boundary strips of an [`InteriorSplit`],
+/// or one step of an [`OverlapPlan`]: at most four regions held inline,
+/// so a split or a plan costs no allocation. Reads as a slice of the
+/// regions that exist ([`Frame::as_slice`], or through `Deref`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Frame {
     strips: [Region; 4],
@@ -58,7 +70,7 @@ impl Frame {
         frame
     }
 
-    /// The strips, in order.
+    /// The regions, in order.
     pub fn as_slice(&self) -> &[Region] {
         &self.strips[..self.len]
     }
@@ -138,6 +150,77 @@ pub fn interior_split(patch: &PatchSpec, width: i32) -> InteriorSplit {
     InteriorSplit {
         core,
         frame: Frame::of(&[south, north, west, east]),
+    }
+}
+
+/// When each region of a patch's tendency runs under an overlapped
+/// two-round refresh: a disjoint cover of the compute rectangle, cut so
+/// that almost every row runs at full patch width. Built by
+/// [`overlap_plan`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OverlapPlan {
+    /// What runs between round `r`'s post and finish, by round: round 0
+    /// the core of the first core row, whose stencils read no halo cell;
+    /// round 1 every later core row at full width and the first core
+    /// row's west and east edge pieces, whose stencils read only the
+    /// `i`-halo of compute rows. Empty when the core is.
+    pub hidden: [Frame; HaloSide::ROUNDS.len()],
+    /// What waits for the last round: the south and north strips, full
+    /// width, or the whole patch when the core is empty.
+    pub after: Frame,
+}
+
+impl OverlapPlan {
+    /// Every region of the plan, in run order.
+    pub fn regions(&self) -> impl Iterator<Item = &Region> {
+        self.hidden
+            .iter()
+            .chain([&self.after])
+            .flat_map(|f| f.iter())
+    }
+
+    /// Total columns across the plan (equals the patch's).
+    pub fn columns(&self) -> usize {
+        self.regions().map(Region::columns).sum()
+    }
+}
+
+/// Cuts `patch` for a tendency of stencil width `width` under the
+/// rounds of [`HaloSide::ROUNDS`] (see [`OverlapPlan`]). A patch with an
+/// empty [`interior_split`] core hides nothing.
+pub fn overlap_plan(patch: &PatchSpec, width: i32) -> OverlapPlan {
+    let split = interior_split(patch, width);
+    let core = split.core;
+    if core.is_empty() {
+        return OverlapPlan {
+            hidden: [Frame::of(&[]); HaloSide::ROUNDS.len()],
+            after: split.frame,
+        };
+    }
+    let first = Span::new(core.j.lo, core.j.lo);
+    let rows = |j: Span| Region { i: patch.ip, j };
+    OverlapPlan {
+        hidden: [
+            Frame::of(&[Region {
+                i: core.i,
+                j: first,
+            }]),
+            Frame::of(&[
+                rows(Span::new(core.j.lo + 1, core.j.hi)),
+                Region {
+                    i: Span::new(patch.ip.lo, core.i.lo - 1),
+                    j: first,
+                },
+                Region {
+                    i: Span::new(core.i.hi + 1, patch.ip.hi),
+                    j: first,
+                },
+            ]),
+        ],
+        after: Frame::of(&[
+            rows(Span::new(patch.jp.lo, core.j.lo - 1)),
+            rows(Span::new(core.j.hi + 1, patch.jp.hi)),
+        ]),
     }
 }
 
@@ -236,6 +319,116 @@ mod tests {
         for p in &dd.patches {
             let s = interior_split(p, 2);
             covers_exactly(&s, p);
+        }
+    }
+
+    #[test]
+    fn plan_runs_later_core_rows_at_full_width() {
+        // An 11 × 15 patch: a 7 × 11 core.
+        let p = patch(11, 15);
+        let plan = overlap_plan(&p, 2);
+        let (ip, jp) = (p.ip, p.jp);
+        let region = |i: (i32, i32), j: (i32, i32)| Region {
+            i: Span::new(i.0, i.1),
+            j: Span::new(j.0, j.1),
+        };
+        let first = (jp.lo + 2, jp.lo + 2);
+        assert_eq!(plan.hidden[0][..], [region((ip.lo + 2, ip.hi - 2), first)]);
+        assert_eq!(
+            plan.hidden[1][..],
+            [
+                region((ip.lo, ip.hi), (jp.lo + 3, jp.hi - 2)),
+                region((ip.lo, ip.lo + 1), first),
+                region((ip.hi - 1, ip.hi), first),
+            ]
+        );
+        assert_eq!(
+            plan.after[..],
+            [
+                region((ip.lo, ip.hi), (jp.lo, jp.lo + 1)),
+                region((ip.lo, ip.hi), (jp.hi - 1, jp.hi)),
+            ]
+        );
+        assert_eq!(plan.columns(), p.compute_columns());
+    }
+
+    #[test]
+    fn plan_of_a_patch_without_core_hides_nothing() {
+        for (nx, ny) in [(4, 10), (10, 4), (1, 1)] {
+            let p = patch(nx, ny);
+            let plan = overlap_plan(&p, 2);
+            assert!(plan.hidden.iter().all(|h| h.is_empty()));
+            assert_eq!(plan.after[..], interior_split(&p, 2).frame[..]);
+        }
+    }
+
+    /// Property depth: 256 patches on PRs, 4096 under `CI_NIGHTLY`.
+    fn cover_cases() -> u32 {
+        if std::env::var_os("CI_NIGHTLY").is_some_and(|v| !v.is_empty()) {
+            4096
+        } else {
+            256
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(cover_cases()))]
+
+        /// On any patch (empty, thin, one core row, wide, odd, offset)
+        /// and any stencil width up to the halo, the plan is a disjoint
+        /// cover of the compute rectangle whose hidden regions read only
+        /// cells final by then: round 0's stencils stay inside compute
+        /// cells, round 1's inside the compute rows (`i`-halo allowed).
+        #[test]
+        fn plan_is_a_disjoint_cover_read_in_time(
+            shape in (0i32..=40, 0i32..=40),
+            origin in (-3i32..=20, -3i32..=20),
+            depth in (0i32..=3, 0i32..=3),
+        ) {
+            let ((nx, ny), (i0, j0)) = (shape, origin);
+            let (halo, width) = (depth.0, depth.1.min(depth.0));
+            let (ip, jp) = (Span::new(i0, i0 + nx - 1), Span::new(j0, j0 + ny - 1));
+            let p = PatchSpec {
+                rank: 0,
+                coords: (0, 0),
+                ip,
+                kp: Span::new(1, 2),
+                jp,
+                im: ip.grown(halo),
+                km: Span::new(1, 2),
+                jm: jp.grown(halo),
+                halo,
+            };
+            let plan = overlap_plan(&p, width);
+            let mut seen = std::collections::HashMap::new();
+            for r in plan.regions() {
+                proptest::prop_assert!(!r.is_empty(), "empty region kept: {r:?}");
+                for j in r.j.iter() {
+                    for i in r.i.iter() {
+                        *seen.entry((i, j)).or_insert(0usize) += 1;
+                    }
+                }
+            }
+            proptest::prop_assert!(seen.values().all(|&n| n == 1), "overlap: {plan:?}");
+            proptest::prop_assert_eq!(seen.len(), p.compute_columns());
+            proptest::prop_assert!(seen.keys().all(|&(i, j)| ip.contains(i) && jp.contains(j)));
+            proptest::prop_assert_eq!(plan.columns(), p.compute_columns());
+            let reach = |s: Span| Span::new(s.lo - width, s.hi + width);
+            let inside = |outer: Span, s: Span| outer.contains(s.lo) && outer.contains(s.hi);
+            for r in plan.hidden[0].iter() {
+                proptest::prop_assert!(inside(ip, reach(r.i)) && inside(jp, reach(r.j)), "{r:?}");
+            }
+            for r in plan.hidden[1].iter() {
+                proptest::prop_assert!(inside(p.im, reach(r.i)) && inside(jp, reach(r.j)), "{r:?}");
+            }
+            let core_empty = interior_split(&p, width).core.is_empty();
+            proptest::prop_assert_eq!(core_empty, plan.hidden[0].is_empty());
+            // Round 1 always gets the first core row's edge pieces, when
+            // the stencil has width at all.
+            if width > 0 {
+                proptest::prop_assert_eq!(core_empty, plan.hidden[1].is_empty());
+            }
+            proptest::prop_assert_eq!(interior_split(&p, width).columns(), p.compute_columns());
         }
     }
 }

@@ -204,27 +204,10 @@ impl<'a> MpiHaloEngine<'a> {
             error: None,
         }
     }
-}
 
-impl HaloEngine for MpiHaloEngine<'_> {
-    fn rounds(&self) -> usize {
-        2
-    }
-
-    fn post(&mut self, round: usize, field: &Field3<f32>) {
-        self.post_panel(round, std::slice::from_ref(field), None);
-    }
-
-    fn finish(&mut self, round: usize, field: &mut Field3<f32>) {
-        self.finish_panel(round, std::slice::from_mut(field), None);
-    }
-
-    fn absorb(&mut self, work: PointWork) {
-        self.cost
-            .absorb_compute(work.flops as f64 * self.secs_per_flop);
-    }
-
-    fn post_panel(&mut self, round: usize, fields: &[Field3<f32>], _tags: Option<&[FieldTag]>) {
+    /// Packs, prices and sends both sides of round `round` for every
+    /// lane of `fields`, and leaves the receives pending.
+    fn send_round(&mut self, round: usize, fields: &[Field3<f32>]) {
         if self.error.is_some() {
             return;
         }
@@ -258,6 +241,29 @@ impl HaloEngine for MpiHaloEngine<'_> {
             let req = self.rank.irecv_f32(peer, tag);
             self.pending.push((side, req));
         }
+    }
+}
+
+impl HaloEngine for MpiHaloEngine<'_> {
+    fn rounds(&self) -> usize {
+        2
+    }
+
+    fn post(&mut self, round: usize, field: &Field3<f32>) {
+        self.send_round(round, std::slice::from_ref(field));
+    }
+
+    fn finish(&mut self, round: usize, field: &mut Field3<f32>) {
+        self.finish_panel(round, std::slice::from_mut(field), None);
+    }
+
+    fn absorb(&mut self, work: PointWork) {
+        self.cost
+            .absorb_compute(work.flops as f64 * self.secs_per_flop);
+    }
+
+    fn post_panel(&mut self, round: usize, fields: &mut [Field3<f32>], _tags: Option<&[FieldTag]>) {
+        self.send_round(round, fields);
     }
 
     fn finish_panel(
@@ -739,7 +745,7 @@ mod tests {
             let mut panel = vec![Field3::filled(p.im, p.km, p.jm, me as f32); 8 - me];
             let mut engine = MpiHaloEngine::new(&mut rank, dd_ref, CommMode::Overlapped);
             for round in 0..engine.rounds() {
-                engine.post_panel(round, &panel, None);
+                engine.post_panel(round, &mut panel, None);
                 engine.finish_panel(round, &mut panel, None);
             }
             // Nothing was unpacked: every halo cell keeps its fill.
@@ -945,7 +951,7 @@ mod tests {
                     return None; // dies between two panels
                 }
                 for round in 0..engine.rounds() {
-                    engine.post_panel(round, &panel, None);
+                    engine.post_panel(round, &mut panel, None);
                     engine.finish_panel(round, &mut panel, None);
                 }
             }
