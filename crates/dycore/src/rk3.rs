@@ -15,9 +15,9 @@
 //! [`wrf_grid::overlap_plan`] between each round's post and finish —
 //! the first core row's interior behind round 0, every later core row at
 //! full patch width and the first row's edge pieces behind round 1 —
-//! then the south and north strips. Both cut the patch into one disjoint
-//! cover of whole-row runs of the same row kernel, so they agree bit for
-//! bit.
+//! then the south and north strips. The plan is a disjoint cover of the
+//! patch, so either way every point runs the one row kernel once and the
+//! two agree bit for bit.
 
 use crate::advect::{tend_panel_region, tend_panel_region_pool, update_rows, STENCIL_WIDTH};
 use crate::wind::Wind;
@@ -594,6 +594,30 @@ mod tests {
         }
         assert_eq!(got, want);
         assert_eq!(engine.absorbed, PointWork::ZERO);
+    }
+
+    #[test]
+    #[should_panic(expected = "an engine with another round count must run blocking")]
+    fn overlap_refuses_an_engine_with_other_rounds() {
+        let p = two_d_decomposition(Domain::new(8, 2, 8), 1, 2).patches[0];
+        let wind = Wind::calm(&p);
+        let mut f = Field3::for_patch(&p);
+        let (mut scratch, mut tend) = (Field3::for_patch(&p), Field3::for_patch(&p));
+        let mut refresh = periodic_i(p);
+        rk3_advect_scalar_overlapped(
+            &mut f,
+            &wind,
+            &p,
+            500.0,
+            500.0,
+            400.0,
+            5.0,
+            true,
+            &mut scratch,
+            &mut tend,
+            &mut CallbackEngine(&mut refresh),
+            &Executor::new(1),
+        );
     }
 
     #[test]

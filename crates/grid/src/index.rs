@@ -62,18 +62,17 @@ impl Span {
     /// an empty share are empty spans positioned after the previous chunk.
     pub fn split(&self, parts: usize) -> Vec<Span> {
         assert!(parts > 0, "cannot split into zero parts");
-        (0..parts).map(|p| self.part(parts, p)).collect()
-    }
-
-    /// Chunk `p` of [`Span::split`]`(parts)`, without building the list.
-    pub fn part(&self, parts: usize, p: usize) -> Span {
         let (base, extra) = (self.len() / parts, self.len() % parts);
-        let lo = self.lo + (p * base + p.min(extra)) as i32;
-        let mine = base + usize::from(p < extra);
-        Span {
-            lo,
-            hi: lo + mine as i32 - 1,
-        }
+        (0..parts)
+            .map(|p| {
+                let lo = self.lo + (p * base + p.min(extra)) as i32;
+                let mine = base + usize::from(p < extra);
+                Span {
+                    lo,
+                    hi: lo + mine as i32 - 1,
+                }
+            })
+            .collect()
     }
 }
 
