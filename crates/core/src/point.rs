@@ -12,10 +12,79 @@ use crate::bins::BinGrid;
 use crate::meter::PointWork;
 use crate::types::{HydroClass, NKR, NTYPES};
 
-/// Number-mixing-ratio floor below which a bin is treated as empty, #/kg.
+/// Emptiness threshold of a bin's number mixing ratio, #/kg: a bin at or
+/// below it counts as empty to every active-range scan, branch rule and
+/// batch key. It is a threshold, not a storage floor: values below it
+/// stay in the state (the storage floor is [`N_FLOOR`]).
 pub const N_EPS: f32 = 1.0e-3;
 /// Mass floor for "class is present" tests, kg/kg.
 pub const Q_EPS: f32 = 1.0e-12;
+
+/// Storage floor of a bin's number mixing ratio, #/kg: a positive value
+/// below it is stored as `+0.0` ([`floor_tail`]). It sits 22 decades
+/// below [`N_EPS`], so no decision that reads `N_EPS` can see it, and
+/// about 13 decades above f32's smallest normal (1.2e-38), so the
+/// products transport and condensation form from a surviving value within
+/// one step stay normal: no bin tail decays into subnormals, whose
+/// arithmetic runs in microcode assists.
+pub const N_FLOOR: f32 = 1.0e-25;
+
+/// True for a value [`floor_tail`] maps to `+0.0`: positive and below
+/// [`N_FLOOR`].
+#[inline]
+pub fn below_floor(v: f32) -> bool {
+    v > 0.0 && v < N_FLOOR
+}
+
+/// A positive value below [`N_FLOOR`] as `+0.0`; every other value (`0`,
+/// `-0.0`, negatives, NaN, ∞, anything ≥ `N_FLOOR`) unchanged. Applied at
+/// two writes the step already makes: transport's final RK3 stage of a
+/// positive-definite scalar and the sedimentation write-back.
+#[inline]
+pub fn floor_tail(v: f32) -> f32 {
+    if below_floor(v) {
+        0.0
+    } else {
+        v
+    }
+}
+
+/// What [`floor_tail`] removed, summed in the order the values were
+/// written (so no schedule moves a bit of it).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct Floored {
+    /// Values mapped to `+0.0`.
+    pub values: u64,
+    /// The number they held, #/kg.
+    pub number: f64,
+    /// Their mass, kg/kg: number times the bin's particle mass. Only the
+    /// scheme knows a value's bin; transport leaves it 0.
+    pub mass: f64,
+}
+
+impl Floored {
+    /// [`floor_tail`] of `v`, tallying a floored value with the particle
+    /// mass `m`, kg (0 where unknown).
+    #[inline]
+    pub fn floor(&mut self, v: f32, m: f32) -> f32 {
+        if below_floor(v) {
+            self.values += 1;
+            self.number += f64::from(v);
+            self.mass += f64::from(v) * f64::from(m);
+            0.0
+        } else {
+            v
+        }
+    }
+}
+
+impl std::ops::AddAssign for Floored {
+    fn add_assign(&mut self, rhs: Floored) {
+        self.values += rhs.values;
+        self.number += rhs.number;
+        self.mass += rhs.mass;
+    }
+}
 
 /// All seven bin grids, built once per scheme instance.
 #[derive(Debug, Clone)]
@@ -368,6 +437,58 @@ mod tests {
         v.scrub_negatives();
         assert_eq!(v.n[2][3], 0.0);
         assert_eq!(v.n[2][4], 5.0);
+    }
+
+    /// The floor's edges: the two values either side of `N_FLOOR`, the
+    /// smallest subnormal, both zeros, a negative subnormal, ±∞, NaN.
+    #[test]
+    fn floor_tail_edges() {
+        let below = f32::from_bits(N_FLOOR.to_bits() - 1);
+        for (v, want) in [
+            (N_FLOOR, N_FLOOR),
+            (below, 0.0),
+            (f32::from_bits(1), 0.0),
+            (0.0, 0.0),
+            (-0.0, -0.0),
+            (-f32::from_bits(1), -f32::from_bits(1)),
+            (f32::INFINITY, f32::INFINITY),
+            (f32::NEG_INFINITY, f32::NEG_INFINITY),
+        ] {
+            assert_eq!(floor_tail(v).to_bits(), want.to_bits(), "{v:e}");
+        }
+        assert!(floor_tail(f32::NAN).is_nan());
+        // N_FLOOR is a normal number with room above f32's smallest one.
+        assert!(N_FLOOR.is_normal() && N_FLOOR > 1.0e12 * f32::MIN_POSITIVE);
+        const { assert!(N_FLOOR < 1.0e-20 * N_EPS) };
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(4096))]
+
+        /// Every f32 bit pattern: `+0.0` exactly on (0, `N_FLOOR`), the
+        /// same bits everywhere else (NaN payloads included), and the
+        /// tally counts what was floored and nothing else.
+        #[test]
+        fn floor_tail_is_identity_off_the_tail(
+            bits in proptest::any::<u32>(),
+            tail in 1u32..0x1700_0000,
+            m in 0.0f32..1.0e-3,
+        ) {
+            // One draw over all patterns, one over the bits up to a little
+            // above `N_FLOOR` (0x15f7_9688).
+            for v in [f32::from_bits(bits), f32::from_bits(tail)] {
+                let in_tail = v > 0.0 && v < N_FLOOR;
+                let want = if in_tail { 0.0f32 } else { v };
+                proptest::prop_assert_eq!(floor_tail(v).to_bits(), want.to_bits());
+                proptest::prop_assert_eq!(below_floor(v), in_tail);
+                let mut tally = Floored::default();
+                proptest::prop_assert_eq!(tally.floor(v, m).to_bits(), want.to_bits());
+                let held = if in_tail { f64::from(v) } else { 0.0 };
+                proptest::prop_assert_eq!(tally.values, u64::from(in_tail));
+                proptest::prop_assert_eq!(tally.number, held);
+                proptest::prop_assert_eq!(tally.mass, held * f64::from(m));
+            }
+        }
     }
 
     #[test]

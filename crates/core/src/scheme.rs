@@ -52,7 +52,7 @@ use crate::panels::{
     panel_coal, panel_coal_predicate, panel_condensation, sedimentation_column_soa, DepositSplits,
     LaneFill, SedScratch, SoaPanel, LANES,
 };
-use crate::point::{BinsView, Grids, PointBins, PointThermo, N_EPS, Q_EPS};
+use crate::point::{BinsView, Floored, Grids, PointBins, PointThermo, N_EPS, Q_EPS};
 use crate::processes::condensation;
 use crate::processes::driver::{
     fast_sbm_coal, fast_sbm_nucleate, fast_sbm_post, fast_sbm_pre, PointOutcome,
@@ -253,6 +253,10 @@ pub struct SbmStepStats {
     pub kernel_spec: Option<KernelSpec>,
     /// Surface precipitation this step, kg/m² summed over columns.
     pub precip: f64,
+    /// Bin values the sedimentation write-back stored as `+0.0`
+    /// ([`crate::point::floor_tail`]), with their number and mass, folded
+    /// in the precipitation's column order.
+    pub floored: Floored,
     /// Wall-clock seconds of the offloaded collision launch (0 for the
     /// CPU versions' tiles; the metric the `bench-exec` arms compare).
     pub coal_wall: f64,
@@ -462,10 +466,10 @@ impl FastSbm {
         stats.cond_slots = tally.cond_lanes.slots;
         stats.cond_cells = tally.cond_lanes.cells;
         stats.work = tally.work;
-        // The step's one floating-point reduction, folded serially in the
-        // order the serial pass always used — columns `j` outer, `i`
-        // inner, classes within a column — so no schedule can move a bit
-        // of it. A class the column skipped reads `+0.0`, which leaves a
+        // The step's floating-point reductions (the precipitation and the
+        // floored tally), folded serially in the order the serial pass
+        // always used — columns `j` outer, `i` inner, classes within a
+        // column — so no schedule can move a bit of them. A class the column skipped reads `+0.0`, which leaves a
         // sum that started at `+0.0` unchanged.
         let mut sed = PointWork::ZERO;
         for (fall, rain) in sweep.fall.iter().zip(&mut state.rainnc) {
@@ -478,6 +482,7 @@ impl FastSbm {
                 *rain += col_precip;
             }
             sed += fall.work;
+            stats.floored += fall.floored;
         }
         stats.work.sed = sed;
         state.precip_acc += stats.precip;
@@ -877,12 +882,13 @@ type LanePoint = (u32, u64, u32);
 const NO_CONDENSATION: u16 = u16::MAX;
 
 /// What sedimentation leaves behind for one column: surface precipitation
-/// per class, kg/m² (`+0.0` for a class with nothing to fall), and the
-/// metered work.
+/// per class, kg/m² (`+0.0` for a class with nothing to fall), the
+/// metered work, and what the write-back floored.
 #[derive(Clone, Copy, Default)]
 struct ColumnFall {
     precip: [f32; NTYPES],
     work: PointWork,
+    floored: Floored,
 }
 
 /// One thread's sedimentation column: the densities and their fall-speed
@@ -1360,7 +1366,10 @@ fn post_row(v: &PatchViews<'_>, j: i32, k: i32, it: Span, outs: &mut [PointOutco
 /// Sedimentation of the column at `(i, j)`, class by class. The layouts
 /// differ only in how a class's column is held while it falls. The
 /// levels' fall-speed factors are taken once, when the column's first
-/// class falls, and serve all seven.
+/// class falls, and serve all seven. The write-back is the step's last
+/// write of every class the column holds, so it floors the tails there
+/// ([`Floored::floor`], levels bottom up, bins ascending); a class with
+/// no positive value is skipped, written by nothing.
 fn sediment_column(
     v: &PatchViews<'_>,
     layout: Layout,
@@ -1402,7 +1411,9 @@ fn sediment_column(
                 }
                 let precip = sedimentation_column(col, grid, rho, factor, dz, v.dt, &mut fall.work);
                 for (kx, lvl) in col.iter().enumerate() {
-                    level(kx).copy_from_slice(lvl);
+                    for ((d, &x), &m) in level(kx).iter_mut().zip(lvl).zip(&grid.mass) {
+                        *d = fall.floored.floor(x, m);
+                    }
                 }
                 precip
             }
@@ -1416,7 +1427,7 @@ fn sediment_column(
                     sedimentation_column_soa(sed, grid, rho, factor, dz, v.dt, &mut fall.work);
                 for kx in 0..nz {
                     for (kb, d) in level(kx).iter_mut().enumerate() {
-                        *d = sed.bins[kb * nz + kx];
+                        *d = fall.floored.floor(sed.bins[kb * nz + kx], grid.mass[kb]);
                     }
                 }
                 precip
@@ -1718,6 +1729,7 @@ fn empty_stats(points: usize) -> SbmStepStats {
         cond_cells: 0,
         kernel_spec: None,
         precip: 0.0,
+        floored: Floored::default(),
         coal_wall: 0.0,
         coal_profile: None,
     }

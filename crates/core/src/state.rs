@@ -7,7 +7,7 @@
 //! (Listing 8), so the `collapse(3)` version can alias per-point slices
 //! without copying.
 
-use crate::point::{BinsView, PointThermo};
+use crate::point::{below_floor, BinsView, PointThermo};
 use crate::types::{NKR, NTYPES};
 use wrf_grid::{Field3, Field4, PatchSpec};
 
@@ -131,6 +131,26 @@ impl SbmPatchState {
         s
     }
 
+    /// The bin values of the compute region that lie in a tail the
+    /// storage floor ([`crate::point::N_FLOOR`]) removes wherever the step
+    /// writes bins: a state the model stepped holds none.
+    pub fn tail_census(&self) -> TailCensus {
+        let mut census = TailCensus::default();
+        for f in &self.ff {
+            for j in self.patch.jp.iter() {
+                for k in self.patch.kp.iter() {
+                    for i in self.patch.ip.iter() {
+                        for &n in f.bin_slice(i, k, j) {
+                            census.subnormal += u64::from(n.is_subnormal());
+                            census.below_floor += u64::from(below_floor(n));
+                        }
+                    }
+                }
+            }
+        }
+        census
+    }
+
     /// Bytes of the seven slab arrays (device data-environment size of
     /// the `temp_arrays` module).
     pub fn slab_bytes(&self) -> u64 {
@@ -217,4 +237,14 @@ mod tests {
         let expect = 7 * st.patch.memory_points() as u64 * NKR as u64 * 4;
         assert_eq!(st.slab_bytes(), expect);
     }
+}
+
+/// [`SbmPatchState::tail_census`]: compute-region bin values by tail.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TailCensus {
+    /// Subnormal values, either sign.
+    pub subnormal: u64,
+    /// Positive values below [`crate::point::N_FLOOR`] (the positive
+    /// subnormals among them).
+    pub below_floor: u64,
 }

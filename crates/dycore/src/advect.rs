@@ -1,7 +1,8 @@
 //! `rk_scalar_tend` / `rk_update_scalar`: flux-divergence tendencies and
 //! RK3 stage updates, following WRF's `module_advect_em` structure
 //! (third-order upwind-biased horizontal fluxes, second-order vertical,
-//! positive-definite clipping on the final update).
+//! positive-definite clipping of every stage, and the tail floor
+//! [`fsbm_core::point::N_FLOOR`] on the final one).
 //!
 //! Every driver here is one row kernel: for each `i`-run of a `(k, j)`
 //! row the six face velocities are computed once (`FaceRows`) and
@@ -13,6 +14,7 @@
 use crate::wind::Wind;
 use fsbm_core::meter::PointWork;
 use fsbm_core::panels::LANES;
+use fsbm_core::point::Floored;
 use gpu_sim::syncslice::SyncWriteSlice;
 use wrf_exec::Executor;
 use wrf_grid::{Field3, PatchSpec, Region, Span};
@@ -400,8 +402,9 @@ pub(crate) fn tend_panel_region_pool(
     meter_tend(region, patch, scalars.len(), work);
 }
 
-/// One RK3 stage value: `base + dt_stage · tend`, clipped at zero when
-/// `positive`.
+/// One RK3 stage value: `base + dt_stage · tend`, negatives clipped to
+/// zero when `positive` (WRF's positive-definite clipping). The final
+/// stage's tail floor is [`update_rows`]'s.
 #[inline]
 fn stage_value(base: f32, tend: f32, dt_stage: f32, positive: bool) -> f32 {
     let v = base + dt_stage * tend;
@@ -413,7 +416,9 @@ fn stage_value(base: f32, tend: f32, dt_stage: f32, positive: bool) -> f32 {
 }
 
 /// RK3 stage update: `out = base + dt_stage · tend`, with WRF-style
-/// positive-definite clipping for moisture scalars when `positive`.
+/// positive-definite clipping for moisture scalars when `positive`
+/// (negatives to zero). An intermediate stage: the tail floor
+/// ([`fsbm_core::point::N_FLOOR`]) is applied by the final stage alone.
 pub fn rk_update_scalar(
     out: &mut Field3<f32>,
     base: &Field3<f32>,
@@ -423,12 +428,25 @@ pub fn rk_update_scalar(
     positive: bool,
     work: &mut PointWork,
 ) {
-    update_rows(out, Some(base), tend, dt_stage, patch, positive, work);
+    let mut unused = Floored::default();
+    update_rows(
+        out,
+        Some(base),
+        tend,
+        dt_stage,
+        patch,
+        positive,
+        work,
+        &mut unused,
+    );
 }
 
 /// [`rk_update_scalar`] by rows; `base: None` updates `out` in place
 /// (`out` is its own base — the final RK3 stage, which needs no copy of
-/// φⁿ because nothing overwrites it earlier).
+/// φⁿ because nothing overwrites it earlier) and, when `positive`, maps
+/// each value below [`fsbm_core::point::N_FLOOR`] to `+0.0` (row by
+/// row, in `j`, `k`, `i` order, tallied into `floored`).
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn update_rows(
     out: &mut Field3<f32>,
     base: Option<&Field3<f32>>,
@@ -437,6 +455,7 @@ pub(crate) fn update_rows(
     patch: &PatchSpec,
     positive: bool,
     work: &mut PointWork,
+    floored: &mut Floored,
 ) {
     let points = patch.ip.len() as u64;
     for j in patch.jp.iter() {
@@ -453,6 +472,12 @@ pub(crate) fn update_rows(
                 None => {
                     for (o, &t) in out.iter_mut().zip(tend) {
                         *o = stage_value(*o, t, dt_stage, positive);
+                    }
+                    // A second pass keeps the stage loop above vector.
+                    if positive {
+                        for o in out.iter_mut() {
+                            *o = floored.floor(*o, 0.0);
+                        }
                     }
                 }
             }

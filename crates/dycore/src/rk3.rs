@@ -22,6 +22,7 @@
 use crate::advect::{tend_panel_region, tend_panel_region_pool, update_rows, STENCIL_WIDTH};
 use crate::wind::Wind;
 use fsbm_core::meter::PointWork;
+use fsbm_core::point::Floored;
 use wrf_exec::Executor;
 use wrf_grid::{overlap_plan, Field3, HaloSide, PatchSpec, Region};
 
@@ -45,19 +46,23 @@ pub enum FieldTag {
 }
 
 /// Work accounting of one RK3 advance, split by the paper's hotspot
-/// routine names.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// routine names, and what the final stage's tail floor removed.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Rk3Work {
     /// `rk_scalar_tend` work.
     pub tend: PointWork,
     /// `rk_update_scalar` work.
     pub update: PointWork,
+    /// Values of positive-definite lanes the final stage stored as `+0.0`
+    /// ([`fsbm_core::point::floor_tail`]), summed lane by lane.
+    pub floored: Floored,
 }
 
 impl std::ops::AddAssign for Rk3Work {
     fn add_assign(&mut self, rhs: Rk3Work) {
         self.tend += rhs.tend;
         self.update += rhs.update;
+        self.floored += rhs.floored;
     }
 }
 
@@ -139,24 +144,26 @@ fn rk3_stages(
                   base: Option<&[Field3<f32>]>,
                   tend: &[Field3<f32>],
                   dt_stage: f32,
-                  work: &mut PointWork| {
+                  work: &mut Rk3Work| {
         for (lane, (out, tend)) in out.iter_mut().zip(tend).enumerate() {
             let base = base.map(|b| &b[lane]);
-            update_rows(out, base, tend, dt_stage, patch, positive, work);
+            let (meter, floored) = (&mut work.update, &mut work.floored);
+            update_rows(out, base, tend, dt_stage, patch, positive, meter, floored);
         }
     };
 
     // Stage 1: φ* = φⁿ + Δt/3 · L(φⁿ)
     refresh_tend(lanes, tend, engine, &mut work.tend);
-    update(scratch, Some(lanes), tend, dt / 3.0, &mut work.update);
+    update(scratch, Some(lanes), tend, dt / 3.0, &mut work);
 
     // Stage 2: φ** = φⁿ + Δt/2 · L(φ*)
     refresh_tend(scratch, tend, engine, &mut work.tend);
-    update(scratch, Some(lanes), tend, dt / 2.0, &mut work.update);
+    update(scratch, Some(lanes), tend, dt / 2.0, &mut work);
 
-    // Stage 3: φⁿ⁺¹ = φⁿ + Δt · L(φ**)
+    // Stage 3: φⁿ⁺¹ = φⁿ + Δt · L(φ**), the tails of positive lanes
+    // floored where they are written.
     refresh_tend(scratch, tend, engine, &mut work.tend);
-    update(lanes, None, tend, dt, &mut work.update);
+    update(lanes, None, tend, dt, &mut work);
 
     // The post-update refresh has no compute to hide behind (the next
     // consumer of the lanes is outside this call): rounds back-to-back.
@@ -188,7 +195,9 @@ fn rk3_stages(
 /// then the south and north strips. `Some` needs an engine with the two
 /// rounds of [`HaloSide::ROUNDS`]. Both are bitwise-identical, per
 /// lane, to advancing that scalar on its own. `positive` enables WRF's
-/// positive-definite clipping.
+/// positive-definite clipping (negatives to zero at every stage) and the
+/// final stage's tail floor (values below
+/// [`fsbm_core::point::N_FLOOR`] to `+0.0`).
 #[allow(clippy::too_many_arguments)]
 pub fn rk3_advect_panel(
     lanes: &mut [Field3<f32>],
@@ -238,8 +247,8 @@ impl HaloEngine for CallbackEngine<'_, '_> {
 
 /// Advances one scalar by `dt` with RK3: before each stage `refresh`
 /// completes the whole halo, then one whole-patch `rk_scalar_tend` runs.
-/// `positive` enables WRF's positive-definite clipping. The one-lane
-/// case of [`rk3_advect_panel`].
+/// `positive` enables WRF's positive-definite clipping and the final
+/// stage's tail floor. The one-lane case of [`rk3_advect_panel`].
 #[allow(clippy::too_many_arguments)]
 pub fn rk3_advect_scalar(
     scalar: &mut Field3<f32>,

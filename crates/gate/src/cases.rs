@@ -1,7 +1,7 @@
 //! The case-library gate (`repro cases`): per-case golden digests,
 //! activity bands, comm equivalence, and nested-vs-solo agreement.
 //!
-//! Four enforced claims about the idealized case library and the
+//! Five enforced claims about the idealized case library and the
 //! one-way nest:
 //!
 //! * **Reproducibility** — every library case (plus the legacy CONUS
@@ -18,6 +18,10 @@
 //!   are disjoint, and the fractions stay in-band across the sweep
 //!   scales (the standing `BENCH_cases.json` axis; PRs run the shallow
 //!   sweep, the nightly arm the deep one — [`crate::Depth`]).
+//! * **Bin tails** — each case's canonical end state holds no bin value
+//!   that is subnormal or positive below [`fsbm_core::point::N_FLOOR`]
+//!   ([`SbmPatchState::tail_census`]): the floor the step applies where
+//!   transport and sedimentation write keeps the tails out.
 //! * **Nesting** — the pinned nested configuration
 //!   ([`ModelConfig::GATE_NEST`] over the squall-line case) digests
 //!   identically to its canonical run across versions × comm modes, its child
@@ -36,9 +40,9 @@ use crate::golden::{
     MIN_STATE_DIGITS,
 };
 use crate::report::{Cell, Check, Report, Table};
-use fsbm_core::digest::StateDigest;
 use fsbm_core::exec::ExecMode;
 use fsbm_core::scheme::{Layout, SbmVersion};
+use fsbm_core::state::{SbmPatchState, TailCensus};
 use miniwrf::config::ModelConfig;
 use miniwrf::model::Model;
 use miniwrf::nest::{interior_max_rel, run_nested, run_solo_fine, NestedRun};
@@ -89,6 +93,9 @@ pub struct CaseCheck {
     pub band: (f64, f64),
     /// Canonical digest checksum of the `T` field (table/summary key).
     pub checksum: u64,
+    /// Bin values of the canonical end state in a tail the floor removes
+    /// (gated at zero).
+    pub census: TailCensus,
     /// Failure details (empty when passing).
     pub violations: Vec<String>,
 }
@@ -165,6 +172,19 @@ pub fn report(
         pins.parent_matches_case,
         "nested parent diverged from the un-nested squall-line run",
     ));
+    out.extend(checks.iter().map(|c| {
+        let detail = format!(
+            "{} subnormal and {} sub-floor bin values at step {}",
+            c.census.subnormal,
+            c.census.below_floor,
+            ModelConfig::GATE_STEPS
+        );
+        Check::new(
+            format!("tail census: {}", c.case),
+            c.census == TailCensus::default(),
+            detail,
+        )
+    }));
     out.extend(nest.iter().map(|n| {
         let detail = format!(
             "interior digits {:.2} < floor {:.2}",
@@ -195,6 +215,8 @@ pub fn report(
                 ("activity", Cell::num(c.activity, 6)),
                 ("band", Cell::List(vec![c.band.0.into(), c.band.1.into()])),
                 ("checksum", format!("{:016x}", c.checksum).into()),
+                ("subnormal_bins", c.census.subnormal.into()),
+                ("sub_floor_bins", c.census.below_floor.into()),
                 ("pass", c.violations.is_empty().into()),
             ]
         }),
@@ -269,25 +291,25 @@ fn case_fixture_description(kind: CaseKind) -> String {
 /// cases with >2 interior digits of headroom).
 pub const NEST_CASE: CaseKind = CaseKind::SquallLine;
 
-/// Runs one matrix entry of one case and digests the end state.
-fn case_digest(
+/// Runs one matrix entry of one case and returns the end state.
+fn case_state(
     kind: CaseKind,
     version: SbmVersion,
     mode: ExecMode,
     workers: usize,
     layout: Layout,
-) -> StateDigest {
+) -> SbmPatchState {
     let mut cfg = ModelConfig::case_gate(kind, version, mode, workers);
     cfg.layout = layout;
     let mut m = Model::single_rank(cfg);
     m.run(ModelConfig::GATE_STEPS);
-    m.state.digest()
+    m.state
 }
 
 /// The run that blesses a case's fixture and anchors its matrix: the
 /// baseline version, serial static tiles, the reference layout.
-fn canonical_case_digest(kind: CaseKind) -> StateDigest {
-    case_digest(
+fn canonical_case_state(kind: CaseKind) -> SbmPatchState {
+    case_state(
         kind,
         SbmVersion::Baseline,
         ExecMode::StaticTiles,
@@ -305,7 +327,7 @@ pub fn bless_case_fixture(kind: CaseKind) -> GoldenFixture {
     GoldenFixture {
         version: format!("case:{}", kind.slug()),
         case: case_fixture_description(kind),
-        digest: canonical_case_digest(kind),
+        digest: canonical_case_state(kind).digest(),
     }
 }
 
@@ -399,7 +421,8 @@ pub fn case_check(kind: CaseKind, goldens_dir: &Path) -> Result<CaseCheck, Strin
     // Reproducibility matrix: versions × schedulers on the production
     // layout, all single-rank, all required bitwise-identical to the
     // canonical (reference-layout) run.
-    let canonical = canonical_case_digest(kind);
+    let end = canonical_case_state(kind);
+    let (canonical, census) = (end.digest(), end.tail_census());
     let schedulers = [
         (ExecMode::StaticTiles, 1),
         (ExecMode::work_steal(), WORKERS),
@@ -414,7 +437,7 @@ pub fn case_check(kind: CaseKind, goldens_dir: &Path) -> Result<CaseCheck, Strin
     let bar = Bar::Bitwise("canonical vs matrix run");
     let matrix = equivalence_matrix(bar, arms, |&(version, mode, workers)| Sides {
         reference: vec![canonical.clone()],
-        candidate: vec![case_digest(kind, version, mode, workers, Layout::PanelSoa)],
+        candidate: vec![case_state(kind, version, mode, workers, Layout::PanelSoa).digest()],
         ..Sides::default()
     });
     let mut violations = arm_violations(&matrix);
@@ -462,6 +485,7 @@ pub fn case_check(kind: CaseKind, goldens_dir: &Path) -> Result<CaseCheck, Strin
         activity,
         band,
         checksum: canonical.field("T").map(|f| f.checksum).unwrap_or(0),
+        census,
         violations,
     })
 }
@@ -574,6 +598,7 @@ mod tests {
             activity: 0.2794,
             band: (0.25, 0.45),
             checksum: 0xdead_beef,
+            census: TailCensus::default(),
             violations: if pass {
                 Vec::new()
             } else {
@@ -630,6 +655,12 @@ mod tests {
         broken.parent_matches_case = false;
         let v = report(&[], &broken, &[], &[], &[]).violations();
         assert_eq!(v.len(), 3, "{v:?}");
+        // So does a bin tail the floor should have removed.
+        let mut tails = check(true);
+        tails.census.below_floor = 2;
+        let v = report(&[tails], &pins(), &[], &[], &[]).violations();
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].contains("2 sub-floor bin values at step 4"), "{v:?}");
     }
 
     #[test]
@@ -704,6 +735,7 @@ mod tests {
                 "nest matrix bitwise",
                 "nest child vs golden",
                 "nest parent vs case golden",
+                "tail census: shallow_convection",
                 "nest floor: shallow_convection",
                 "sweep in band: shallow_convection @ 0.05",
             ]

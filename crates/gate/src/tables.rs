@@ -464,8 +464,8 @@ mod tests {
             "\
 Table I: time contribution (%) of the top hotspots
 Routine               gprof     nsys  paper-gprof   paper-nsys
-fast_sbm              42.95    59.53        51.39        77.07
-rk_scalar_tend        31.21    22.13        28.07        10.15
+fast_sbm              42.93    59.52        51.39        77.07
+rk_scalar_tend        31.22    22.14        28.07        10.15
 rk_update_scalar       4.26     3.02         6.36         1.50
 "
         );
@@ -473,7 +473,7 @@ rk_update_scalar       4.26     3.02         6.36         1.50
         assert_eq!(
             hotspots::nsys_timeline(&exp, 100),
             "\
-timeline: 23.0989 s capture, 18 events
+timeline: 23.0901 s capture, 18 events
 solve_em           |####################################################################################################|
   rk_scalar_tend     |########.........................########.........................#########.........................|
   rk_update_scalar   |.......##...............................##................................##........................|

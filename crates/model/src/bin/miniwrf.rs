@@ -9,7 +9,8 @@
 //! cloned state and reports the per-step digit agreement — the
 //! `-gpu=autocompare` mode of §VII-B.
 
-use miniwrf::model::Model;
+use fsbm_core::point::Floored;
+use miniwrf::model::{Model, RunReport};
 use miniwrf::namelist::config_from_namelist;
 use miniwrf::nest::run_nested;
 use miniwrf::parallel::{run_parallel, run_parallel_checked};
@@ -161,9 +162,10 @@ fn main() {
         println!("accumulated precipitation: {precip:.4} kg/m^2 (column-summed)");
         for (rank, r) in out.reports.iter().enumerate() {
             println!(
-                "  rank {rank}: sbm {:.2e} flops, dynamics {:.2e} flops",
+                "  rank {rank}: sbm {:.2e} flops, dynamics {:.2e} flops, {}",
                 r.sbm_work.total().flops,
-                r.rk3.tend.flops + r.rk3.update.flops
+                r.rk3.tend.flops + r.rk3.update.flops,
+                floored_field(&r.floored)
             );
             if let Some(s) = r.share {
                 println!(
@@ -176,6 +178,7 @@ fn main() {
     }
 
     let mut model = Model::single_rank(cfg);
+    let mut run = RunReport::default();
     for step in 1..=steps {
         if autocompare {
             let (rep, digits) = model.step_autocompare();
@@ -183,6 +186,7 @@ fn main() {
                 "step {step:>4}: coal points {:>7}, agreement >= {digits} digits",
                 rep.sbm.coal_points
             );
+            run.absorb(rep);
         } else {
             let rep = model.step();
             if step % 12 == 0 || step == steps {
@@ -191,12 +195,14 @@ fn main() {
                     rep.sbm.active_points, rep.sbm.coal_points, model.state.precip_acc
                 );
             }
+            run.absorb(rep);
         }
     }
     println!(
-        "done: condensate {:.3e}, precip {:.4} kg/m^2",
+        "done: condensate {:.3e}, precip {:.4} kg/m^2, {}",
         model.state.total_condensate_sum(),
-        model.state.precip_acc
+        model.state.precip_acc,
+        floored_field(&run.floored)
     );
     // History write (the wrfout the `diffwrf` binary compares).
     let out = std::path::Path::new("wrfout_d01.bin");
@@ -204,4 +210,11 @@ fn main() {
         Ok(()) => println!("history written to {}", out.display()),
         Err(e) => eprintln!("miniwrf: could not write history: {e}"),
     }
+}
+
+/// The summary field of what the bin-tail floor removed over a run: the
+/// values (transport and sedimentation) and the mass (sedimentation's,
+/// the one write that knows a value's bin).
+fn floored_field(f: &Floored) -> String {
+    format!("floored {} bin values ({:.3e} kg/kg)", f.values, f.mass)
 }

@@ -3,6 +3,7 @@
 use crate::config::ModelConfig;
 use fsbm_core::meter::PointWork;
 use fsbm_core::panels::LANES;
+use fsbm_core::point::Floored;
 use fsbm_core::scheme::{FastSbm, SbmStepStats};
 use fsbm_core::state::SbmPatchState;
 use fsbm_core::types::{NKR, NTYPES};
@@ -49,6 +50,11 @@ pub struct RunReport {
     pub precip: f64,
     /// Total coal-kernel entries evaluated.
     pub coal_entries: u64,
+    /// Bin-tail values stored as `+0.0` over the run
+    /// ([`fsbm_core::point::floor_tail`]): each step's transport tally
+    /// (`rk3.floored`) then its sedimentation tally (`sbm.floored`), in
+    /// step order. Only the scheme's share carries a mass.
+    pub floored: Floored,
     /// Wall seconds (dynamics, microphysics).
     pub wall: (f64, f64),
     /// Wall seconds inside the collision-stage launches alone.
@@ -76,6 +82,8 @@ impl RunReport {
         self.sbm_work += s.sbm.work;
         self.precip += s.sbm.precip;
         self.coal_entries += s.sbm.coal_entries;
+        self.floored += s.rk3.floored;
+        self.floored += s.sbm.floored;
         self.wall.0 += s.wall_dynamics;
         self.wall.1 += s.wall_sbm;
         self.coal_wall += s.sbm.coal_wall;
@@ -310,22 +318,34 @@ impl Model {
                 Some(pool) => {
                     let workers = pool.workers();
                     helpers.resize_with(workers - 1, || Mutex::new(Transport::new(patch)));
-                    let (cursor, total) = (AtomicUsize::new(0), Mutex::new(&mut work));
+                    // Each job's advection work lands in its own slot and
+                    // is folded in list order below, as the plain loop
+                    // folds it: the floored tally's sums are floating
+                    // point, so the order they add in must not be the
+                    // claim order.
+                    let (cursor, total) = (AtomicUsize::new(0), Mutex::new(&mut work.1));
+                    let per_job = Mutex::new([Rk3Work::default(); MAX_JOBS]);
                     let claim = |ws: &mut Transport| {
                         let mut engine = PeriodicEngine { patch: *patch };
-                        let mut mine = (Rk3Work::default(), PointWork::ZERO);
-                        while let Some(&job) = jobs.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+                        let mut residual = PointWork::ZERO;
+                        loop {
+                            let ix = cursor.fetch_add(1, Ordering::Relaxed);
+                            let Some(&job) = jobs.get(ix) else { break };
+                            let mut mine = (Rk3Work::default(), PointWork::ZERO);
                             run_job(job, ws, &mut engine, None, &fields, &mut mine);
+                            lock(&per_job)[ix] = mine.0;
+                            residual += mine.1;
                         }
-                        let mut total = lock(&total);
-                        total.0 += mine.0;
-                        total.1 += mine.1;
+                        **lock(&total) += residual;
                     };
                     let first = Mutex::new(transport);
                     pool.run_indexed(workers as u64, Some(1), |slot| match slot as usize {
                         0 => claim(&mut lock(&first)),
                         helper => claim(&mut lock(&helpers[helper - 1])),
                     });
+                    for job in &lock(&per_job)[..jobs.len()] {
+                        work.0 += *job;
+                    }
                 }
             },
         }
