@@ -29,20 +29,13 @@ pub const Q_EPS: f32 = 1.0e-12;
 /// arithmetic runs in microcode assists.
 pub const N_FLOOR: f32 = 1.0e-25;
 
-/// True for a value [`floor_tail`] maps to `+0.0`: positive and below
-/// [`N_FLOOR`].
-#[inline]
-pub fn below_floor(v: f32) -> bool {
-    v > 0.0 && v < N_FLOOR
-}
-
 /// A positive value below [`N_FLOOR`] as `+0.0`; every other value (`0`,
 /// `-0.0`, negatives, NaN, ∞, anything ≥ `N_FLOOR`) unchanged. Applied at
 /// two writes the step already makes: transport's final RK3 stage of a
 /// positive-definite scalar and the sedimentation write-back.
 #[inline]
 pub fn floor_tail(v: f32) -> f32 {
-    if below_floor(v) {
+    if v > 0.0 && v < N_FLOOR {
         0.0
     } else {
         v
@@ -67,14 +60,14 @@ impl Floored {
     /// mass `m`, kg (0 where unknown).
     #[inline]
     pub fn floor(&mut self, v: f32, m: f32) -> f32 {
-        if below_floor(v) {
+        let floored = floor_tail(v);
+        // Bits, not values: a NaN passes through and is not counted.
+        if floored.to_bits() != v.to_bits() {
             self.values += 1;
             self.number += f64::from(v);
             self.mass += f64::from(v) * f64::from(m);
-            0.0
-        } else {
-            v
         }
+        floored
     }
 }
 
@@ -480,7 +473,6 @@ mod tests {
                 let in_tail = v > 0.0 && v < N_FLOOR;
                 let want = if in_tail { 0.0f32 } else { v };
                 proptest::prop_assert_eq!(floor_tail(v).to_bits(), want.to_bits());
-                proptest::prop_assert_eq!(below_floor(v), in_tail);
                 let mut tally = Floored::default();
                 proptest::prop_assert_eq!(tally.floor(v, m).to_bits(), want.to_bits());
                 let held = if in_tail { f64::from(v) } else { 0.0 };

@@ -469,8 +469,9 @@ impl FastSbm {
         // The step's floating-point reductions (the precipitation and the
         // floored tally), folded serially in the order the serial pass
         // always used — columns `j` outer, `i` inner, classes within a
-        // column — so no schedule can move a bit of them. A class the column skipped reads `+0.0`, which leaves a
-        // sum that started at `+0.0` unchanged.
+        // column — so no schedule can move a bit of them. A class the
+        // column skipped reads `+0.0`, which leaves a sum that started at
+        // `+0.0` unchanged.
         let mut sed = PointWork::ZERO;
         for (fall, rain) in sweep.fall.iter().zip(&mut state.rainnc) {
             let mut col_precip = 0.0f32;

@@ -7,7 +7,7 @@
 //! (Listing 8), so the `collapse(3)` version can alias per-point slices
 //! without copying.
 
-use crate::point::{below_floor, BinsView, PointThermo};
+use crate::point::{floor_tail, BinsView, PointThermo};
 use crate::types::{NKR, NTYPES};
 use wrf_grid::{Field3, Field4, PatchSpec};
 
@@ -142,7 +142,7 @@ impl SbmPatchState {
                     for i in self.patch.ip.iter() {
                         for &n in f.bin_slice(i, k, j) {
                             census.subnormal += u64::from(n.is_subnormal());
-                            census.below_floor += u64::from(below_floor(n));
+                            census.below_floor += u64::from(floor_tail(n).to_bits() != n.to_bits());
                         }
                     }
                 }

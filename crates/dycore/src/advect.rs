@@ -473,7 +473,8 @@ pub(crate) fn update_rows(
                     for (o, &t) in out.iter_mut().zip(tend) {
                         *o = stage_value(*o, t, dt_stage, positive);
                     }
-                    // A second pass keeps the stage loop above vector.
+                    // A second pass, so the stage loop above stays a
+                    // vector loop.
                     if positive {
                         for o in out.iter_mut() {
                             *o = floored.floor(*o, 0.0);
