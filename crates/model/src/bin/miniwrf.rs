@@ -180,13 +180,13 @@ fn main() {
     let mut model = Model::single_rank(cfg);
     let mut run = RunReport::default();
     for step in 1..=steps {
-        if autocompare {
+        let rep = if autocompare {
             let (rep, digits) = model.step_autocompare();
             println!(
                 "step {step:>4}: coal points {:>7}, agreement >= {digits} digits",
                 rep.sbm.coal_points
             );
-            run.absorb(rep);
+            rep
         } else {
             let rep = model.step();
             if step % 12 == 0 || step == steps {
@@ -195,8 +195,9 @@ fn main() {
                     rep.sbm.active_points, rep.sbm.coal_points, model.state.precip_acc
                 );
             }
-            run.absorb(rep);
-        }
+            rep
+        };
+        run.absorb(rep);
     }
     println!(
         "done: condensate {:.3e}, precip {:.4} kg/m^2, {}",
