@@ -175,11 +175,11 @@ step_shellcheck() {
     shellcheck ci.sh
 }
 
-# The nine repro gates, one row each:
+# The ten repro gates, one row each:
 #   ci step ; repro arguments ; report file ; summary section
 # `repro help` describes what each gate enforces. Every gate prints its
 # report, writes it to the report file (the same JSON envelope for all
-# nine), and exits nonzero on a violation. A committed report must come
+# ten), and exits nonzero on a violation. A committed report must come
 # out byte-identical (report_drift), the way goldens/ must. The last
 # field names the gate's headline table — the report section with that
 # title lands in the job summary, so a green job explains itself as a
@@ -196,6 +196,7 @@ GATES=(
     "zoo;zoo;BENCH_zoo.json;Table V version times per backend"
     "tune;tune;BENCH_tune.json;storage-family winners per backend"
     "cases;cases;BENCH_cases.json;per-case digest table"
+    "paper;paper;BENCH_paper.json;checks"
 )
 
 # Prints the GATES row of ci step $1 (nonzero when there is none).

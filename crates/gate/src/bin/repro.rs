@@ -1,105 +1,14 @@
-//! `repro` — regenerates every table and figure of the paper and runs
-//! the CI gates.
-//!
-//! `repro [TARGET]` prints a paper target ([`TARGETS`]; default `all`).
-//! Building the context runs the functional model for a few steps to
-//! measure work coefficients; use a release build.
+//! `repro` — runs the gates: the paper's tables and figures (`paper`)
+//! and the CI gates built on the same code.
 //!
 //! `repro GATE [FLAGS]` runs one gate of the registry ([`GATES`]): it
 //! prints the gate's report, writes it to the gate's report file, and
 //! exits 0 on pass, 1 on any violation, 2 on a usage or I/O error. The
 //! flags ([`FLAGS`]) are the same for every gate; `repro help` prints
-//! both tables.
+//! both tables. Use a release build.
 
-use gpu_sim::DeviceError;
 use std::path::PathBuf;
-use wrf_gate::ablations::{ablation_block_size, ablation_latency_knee, ablation_registers};
-use wrf_gate::figures::{fig2, fig3, fig4};
-use wrf_gate::future::project_cond_offload;
-use wrf_gate::tables::{headline, table1, table3, table4, table5, table6, table7};
-use wrf_gate::verify::verify_versions;
-use wrf_gate::{Depth, Report, ReproContext};
-
-fn listings() -> String {
-    use codee_sim::{corpus, rewrite_offload, screening};
-    let mut s = String::new();
-    s.push_str("=== Codee workflow (Listings 2-6) ===\n\n");
-    s.push_str("$ codee screening --config compile_commands.json\n");
-    let mut subs = corpus::fsbm_subprograms(false);
-    subs.extend(corpus::dynamics_subprograms());
-    let nests = vec![
-        corpus::kernals_ks_nest(),
-        corpus::grid_loop_baseline(),
-        corpus::grid_loop_lookup(),
-        corpus::coal_fission_loop(),
-    ];
-    s.push_str(&screening(&subs, &nests).to_string());
-    for (command, nest) in [
-        (
-            "--in-place module_mp_fast_sbm.f90:6293:4",
-            corpus::kernals_ks_nest(),
-        ),
-        (
-            "module_mp_fast_sbm.f90:2486 (baseline grid loop)",
-            corpus::grid_loop_baseline(),
-        ),
-        (
-            "(fissioned collision loop, Listing 6)",
-            corpus::coal_fission_loop(),
-        ),
-    ] {
-        s.push_str(&format!("\n$ codee rewrite --offload omp {command}\n"));
-        match rewrite_offload(&nest) {
-            Ok(code) => s.push_str(&code),
-            Err(e) => s.push_str(&format!("BLOCKED: {e}\n")),
-        }
-    }
-    s
-}
-
-/// How a paper target produces its text.
-enum Emit {
-    /// From the measured reproduction context (a configuration the
-    /// context's device cannot admit is the typed error).
-    Ctx(fn(&ReproContext) -> Result<String, DeviceError>),
-    /// Standalone.
-    Free(fn() -> String),
-}
-
-/// The paper targets, in the order `all` prints them.
-const TARGETS: &[(&str, Emit)] = &[
-    ("table1", Emit::Ctx(table1)),
-    ("timeline", Emit::Ctx(timeline)),
-    ("table3", Emit::Ctx(|c| Ok(table3(c)?.rendered))),
-    ("table4", Emit::Ctx(|c| Ok(table4(c)?.rendered))),
-    ("table5", Emit::Ctx(|c| Ok(table5(c)?.rendered))),
-    ("table6", Emit::Ctx(|c| Ok(table6(c)?.2))),
-    ("table7", Emit::Ctx(|c| Ok(table7(c)?.1))),
-    ("fig2", Emit::Free(fig2)),
-    ("fig3", Emit::Ctx(|c| Ok(fig3(c)?.1))),
-    ("fig4", Emit::Ctx(|c| Ok(fig4(c)?.1))),
-    ("ablation", Emit::Ctx(ablation)),
-    ("future", Emit::Ctx(|c| Ok(project_cond_offload(c)?.1))),
-    ("verify", Emit::Free(|| verify_versions(0.06, 12, 6).1)),
-    ("listings", Emit::Free(listings)),
-];
-
-fn timeline(ctx: &ReproContext) -> Result<String, DeviceError> {
-    let exp = headline(ctx, fsbm_core::scheme::SbmVersion::Baseline)?;
-    Ok(format!(
-        "Nsight-Systems-style view of the heavy rank (3 steps):\n{}",
-        miniwrf::hotspots::nsys_timeline(&exp, 100)
-    ))
-}
-
-fn ablation(ctx: &ReproContext) -> Result<String, DeviceError> {
-    Ok([
-        ablation_registers(ctx).1,
-        ablation_latency_knee(ctx).1,
-        ablation_block_size(ctx).1,
-    ]
-    .join("\n\n"))
-}
+use wrf_gate::{Depth, Report};
 
 /// One gate invocation's settings, parsed once from [`FLAGS`].
 struct Env {
@@ -208,6 +117,13 @@ const GATES: &[Gate] = &[
         run: |e| wrf_gate::cases::run(&e.goldens, Depth::of(e.nightly).cases_sweep),
         bless: Some(|e| wrf_gate::cases::bless_cases(&e.goldens)),
     },
+    Gate {
+        name: "paper",
+        report_file: "BENCH_paper.json",
+        about: "Tables I, III-VII, Figs. 2-4, ablations, \u{a7}VIII projection, diffwrf, Codee: the paper's shape claims",
+        run: |_| wrf_gate::paper::run(),
+        bless: None,
+    },
 ];
 
 /// A flag as typed: `--report PATH`, `--bless`.
@@ -216,12 +132,9 @@ fn spelled((name, value, _, _): &Flag) -> String {
 }
 
 fn usage() -> String {
-    let targets: Vec<&str> = TARGETS.iter().map(|t| t.0).collect();
-    let mut s = format!(
-        "usage: repro [TARGET]        print a paper target (default all)\n       \
-         repro GATE [FLAGS]   run a gate: exit 0 pass, 1 violation, 2 error\n\n\
-         targets: {}|all\n\ngates (report file):\n",
-        targets.join("|")
+    let mut s = String::from(
+        "usage: repro GATE [FLAGS]   run a gate: exit 0 pass, 1 violation, 2 error\n\n\
+         gates (report file):\n",
     );
     for g in GATES {
         s.push_str(&format!(
@@ -306,41 +219,14 @@ fn run_gate(gate: &Gate, args: &[String]) -> i32 {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let what = args.first().map_or("all", String::as_str);
+    let what = args.first().map_or("", String::as_str);
     if let Some(gate) = GATES.iter().find(|g| g.name == what) {
         std::process::exit(run_gate(gate, &args[1..]));
     }
-    let selected: Vec<_> = TARGETS
-        .iter()
-        .filter(|(name, _)| *name == what || what == "all")
-        .collect();
-    if selected.is_empty() {
-        if what == "help" || what == "--help" {
-            print!("{}", usage());
-            return;
-        }
-        eprint!("unknown target `{what}`\n{}", usage());
-        std::process::exit(2);
+    if what == "help" || what == "--help" {
+        print!("{}", usage());
+        return;
     }
-    let mut ctx = None;
-    for (name, emit) in selected {
-        let text = match emit {
-            Emit::Free(f) => Ok(f()),
-            Emit::Ctx(f) => f(ctx.get_or_insert_with(|| {
-                eprintln!("[repro] measuring work coefficients (functional model)...");
-                let ctx = ReproContext::full();
-                // One-line scheduling report of the measurement run (prof-sim
-                // format): mode, steals, active fraction, kernel-cache hit rate.
-                eprintln!("[repro] {}", ctx.coeffs.exec.one_line());
-                ctx
-            })),
-        };
-        match text {
-            Ok(text) => println!("{text}\n"),
-            Err(e) => {
-                eprintln!("repro {name}: {e}");
-                std::process::exit(2);
-            }
-        }
-    }
+    eprint!("unknown gate `{what}`\n{}", usage());
+    std::process::exit(2);
 }

@@ -29,6 +29,8 @@ pub struct ReproContext {
     pub traffic: TrafficRates,
     /// Scenario used by the modeled experiments.
     pub case: ConusParams,
+    /// `(scale, nz, steps)` of the functional measurement.
+    pub fidelity: (f64, i32, usize),
 }
 
 impl ReproContext {
@@ -37,9 +39,8 @@ impl ReproContext {
     /// the per-column coefficients the extrapolation relies on).
     pub const QUICK: (f64, i32, usize) = (0.05, 24, 2);
 
-    /// Full-quality context (the paper targets of the `repro` binary):
-    /// coefficients from a spun-up functional run at the case's full 50
-    /// levels.
+    /// Full-quality context (the `paper` gate's): coefficients from a
+    /// spun-up functional run at the case's full 50 levels.
     pub fn full() -> Self {
         Self::with_fidelity(0.10, 50, 5)
     }
@@ -65,6 +66,7 @@ impl ReproContext {
             pp: PerfParams::default(),
             traffic: traffic_rates(default_backend()),
             case: ConusParams::full(),
+            fidelity: (scale, nz, steps),
         }
     }
 
@@ -77,6 +79,7 @@ impl ReproContext {
             pp: PerfParams::for_backend(backend),
             traffic: traffic_rates(backend),
             case: self.case,
+            fidelity: self.fidelity,
         }
     }
 

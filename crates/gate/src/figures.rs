@@ -1,7 +1,8 @@
-//! Figures 3 and 4 of the paper.
+//! Figures 2–4 of the paper, as data: where a figure is a picture its
+//! bars come with the numbers they draw.
 
 use crate::context::ReproContext;
-use crate::tables::{headline, table7, Table7Row};
+use crate::tables::{headline, Table7Row, Table7Times};
 use fsbm_core::bulk::{kessler_step, BulkState, KesslerParams};
 use fsbm_core::kernels::{KernelMode, KernelTables};
 use fsbm_core::meter::PointWork;
@@ -11,16 +12,27 @@ use fsbm_core::scheme::SbmVersion;
 use fsbm_core::thermo::qsat_liquid;
 use fsbm_core::types::HydroClass;
 use gpu_sim::launch::{launch_modeled, KernelWork};
-use gpu_sim::roofline::{Roofline, RooflinePoint};
+use gpu_sim::roofline::RooflinePoint;
 use gpu_sim::DeviceError;
-use std::fmt::Write as _;
+
+/// Figure 2 as run: each scheme's water after the same parcel steps,
+/// and the bin scheme's droplet spectrum.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Fig2 {
+    /// `(what, kg/kg, cost flops)`: bulk cloud and rain water, then the
+    /// bin condensate; each scheme's cost on its first row.
+    pub water: [(&'static str, f32, Option<u64>); 3],
+    /// Every liquid bin above 1 /kg: `(radius µm, number /kg, bar)`, the
+    /// bar three `#` a decade.
+    pub spectrum: Vec<(f32, f32, String)>,
+}
 
 /// Figure 2 (executable form): bulk vs bin microphysics on the same
 /// rising moist parcel. The paper's figure is an illustration; here the
 /// two families actually run side by side, showing comparable water
 /// budgets, the bin scheme's resolved spectrum, and the cost gap that
 /// motivates the whole optimization effort.
-pub fn fig2() -> String {
+pub fn fig2() -> Fig2 {
     let (t, p) = (288.0f32, 85_000.0f32);
     let qv0 = qsat_liquid(t, p) * 1.06;
     let steps = 60;
@@ -65,45 +77,28 @@ pub fn fig2() -> String {
     let view = bins.view();
     let bin_cond = view.total_condensate(&grids, &mut w_bin);
 
-    let mut s = String::from(
-        "Figure 2 (executable): bulk vs bin microphysics on one moist parcel
-",
-    );
-    let _ = writeln!(
-        s,
-        "  bulk (Kessler): qc = {:.3e}, qr = {:.3e} kg/kg  | cost {:>12} flops",
-        bulk.qc, bulk.qr, w_bulk.flops
-    );
-    let _ = writeln!(
-        s,
-        "  bin  (FSBM)   : condensate = {:.3e} kg/kg       | cost {:>12} flops ({}x bulk)",
-        bin_cond,
-        w_bin.flops,
-        w_bin.flops / w_bulk.flops.max(1)
-    );
-    let _ = writeln!(
-        s,
-        "  bin-resolved droplet spectrum (what bulk cannot represent):"
-    );
     let gw = grids.of(HydroClass::Water);
-    for (b, &n) in view.class(HydroClass::Water).iter().enumerate() {
-        if n > 1.0 {
+    let spectrum = (view.class(HydroClass::Water).iter().enumerate())
+        .filter(|(_, &n)| n > 1.0)
+        .map(|(b, &n)| {
             let bar = "#".repeat((n.log10().max(0.0) * 3.0) as usize);
-            let _ = writeln!(
-                s,
-                "    r={:>7.1} um  n={:>10.3e}/kg {bar}",
-                gw.radius[b] * 1e6,
-                n
-            );
-        }
+            (gw.radius[b] * 1e6, n, bar)
+        })
+        .collect();
+    Fig2 {
+        water: [
+            ("bulk qc", bulk.qc, Some(w_bulk.flops)),
+            ("bulk qr", bulk.qr, None),
+            ("bin condensate", bin_cond, Some(w_bin.flops)),
+        ],
+        spectrum,
     }
-    s
 }
 
 /// Figure 3: roofline points of the collision kernel — collapse(2) and
 /// collapse(3), each in single and double precision, against the A100
 /// ceilings.
-pub fn fig3(ctx: &ReproContext) -> Result<(Vec<RooflinePoint>, String), DeviceError> {
+pub fn fig3(ctx: &ReproContext) -> Result<Vec<RooflinePoint>, DeviceError> {
     let mut points = Vec::new();
     for (version, label) in [
         (SbmVersion::OffloadCollapse2, "collapse(2)"),
@@ -133,43 +128,28 @@ pub fn fig3(ctx: &ReproContext) -> Result<(Vec<RooflinePoint>, String), DeviceEr
             points.push(RooflinePoint::from_launch(&format!("{label} f64"), &l64));
         }
     }
-    let roof = Roofline::of(&ctx.pp.gpu);
-    let mut s = String::from("Figure 3: GPU roofline of the collision kernel\n");
-    s.push_str(&roof.render(&points));
-    s.push_str(
-        "paper: both versions sit deep in the memory-bound region; the full \
-         collapse raises GFLOP/s sharply while *lowering* arithmetic \
-         intensity (uncoalesced slab traffic)\n",
-    );
-    Ok((points, s))
+    Ok(points)
 }
 
-/// Figure 4: elapsed-time bar groups (same data as Table VII plus the
-/// lookup CPU bars).
-pub fn fig4(ctx: &ReproContext) -> Result<(Vec<Table7Row>, String), DeviceError> {
-    let (rows, _) = table7(ctx)?;
-    let mut s =
-        String::from("Figure 4: total elapsed time by configuration (baseline / lookup / GPU)\n");
-    let max = rows
-        .iter()
-        .map(|(_, t)| t.baseline.max(t.lookup).max(t.gpu))
-        .fold(0.0f64, f64::max);
-    for (arm, t) in &rows {
-        let _ = writeln!(s, "{}:", arm.label);
-        for (name, v) in [
+/// Figure 4: elapsed-time bar groups of Table VII's arms, one
+/// `(config, side, secs, bar)` per arm and side (`baseline`, `lookup`,
+/// `gpu`), the longest bar of the figure 50 `#` wide.
+pub fn fig4(rows: &[Table7Row]) -> Vec<(&'static str, &'static str, f64, String)> {
+    let sides = |t: &Table7Times| {
+        [
             ("baseline", t.baseline),
             ("lookup", t.lookup),
             ("gpu", t.gpu),
-        ] {
-            let bar = "#".repeat(((v / max) * 50.0).round() as usize);
-            let _ = writeln!(s, "  {name:<9} {v:>8.1}s {bar}");
-        }
-    }
-    s.push_str(
-        "paper bars (baseline/GPU): 16r 1211/581 | 32r 655/360 | 64r 472/303 | \
-         2 nodes 380/397\n",
-    );
-    Ok((rows, s))
+        ]
+    };
+    let max = (rows.iter().flat_map(|(_, t)| sides(t))).fold(0.0f64, |m, (_, v)| m.max(v));
+    (rows.iter())
+        .flat_map(|(arm, t)| sides(t).map(|(side, secs)| (arm.label, side, secs)))
+        .map(|(config, side, secs)| {
+            let bar = "#".repeat(((secs / max) * 50.0).round() as usize);
+            (config, side, secs, bar)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -179,9 +159,9 @@ mod tests {
     #[test]
     fn fig3_points_are_memory_bound_with_c3_faster() {
         let ctx = ReproContext::quick_shared();
-        let (points, s) = fig3(ctx).unwrap();
+        let points = fig3(ctx).unwrap();
         assert_eq!(points.len(), 4);
-        let roof = Roofline::of(&ctx.pp.gpu);
+        let roof = gpu_sim::roofline::Roofline::of(&ctx.pp.gpu);
         let c2 = points
             .iter()
             .find(|p| p.label == "collapse(2) f32")
@@ -213,15 +193,19 @@ mod tests {
             c2.gflops,
             c3.gflops
         );
-        assert!(s.contains("ridge"));
     }
 
     #[test]
     fn fig4_renders_bars() {
         let ctx = ReproContext::quick_shared();
-        let (rows, s) = fig4(ctx).unwrap();
-        assert_eq!(rows.len(), 4);
-        assert!(s.contains("2 nodes"));
-        assert!(s.contains('#'));
+        let bars = fig4(&crate::tables::table7(ctx).unwrap());
+        assert_eq!(bars.len(), 12);
+        assert_eq!((bars[11].0, bars[11].1), ("2 nodes", "gpu"));
+        // The longest bar is 50 wide; every bar is as long as its share.
+        let max = bars.iter().map(|b| b.2).fold(0.0, f64::max);
+        for b in &bars {
+            assert_eq!(b.3.len(), (b.2 / max * 50.0).round() as usize, "{b:?}");
+        }
+        assert!(bars.iter().any(|b| b.3.len() == 50));
     }
 }

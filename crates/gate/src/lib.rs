@@ -9,9 +9,10 @@
 //! * **The paper's numbers** — one function per table and figure
 //!   ([`tables`], [`figures`], [`ablations`], [`future`], [`verify`]),
 //!   all priced from one measured plane, [`ReproContext`]. Each returns
-//!   structured data and rendered text, so the `repro` binary, the gates
-//!   and the tests share one implementation (mapping: DESIGN.md §4;
-//!   paper-vs-model numbers: EXPERIMENTS.md).
+//!   rows; the `paper` gate ([`paper`]) lays them out as one report next
+//!   to the paper's values and checks the shapes the paper claims, and
+//!   the other gates and the tests read the same rows (mapping:
+//!   DESIGN.md §4; paper-vs-model discussion: EXPERIMENTS.md).
 //! * **Golden verification** ([`golden`]) — the deterministic gate case
 //!   is run across every scheme version × scheduling mode × worker
 //!   count, end states are digested ([`fsbm_core::digest`]) and compared
@@ -23,9 +24,9 @@
 //! function of the source tree (`./ci.sh clock_free`). Measured seconds
 //! are the ledger's (`benchmark/`), on a recorded host.
 //!
-//! Eight more gates ([`execbench`], [`comm`], [`fault`], [`share`],
-//! [`ensemble`], [`zoo`], [`tune`], [`cases`]) enforce the claims of the
-//! layers built on top. Every gate produces the same [`Report`] —
+//! Nine more gates ([`paper`], [`execbench`], [`comm`], [`fault`],
+//! [`share`], [`ensemble`], [`zoo`], [`tune`], [`cases`]) enforce the
+//! paper's shapes and the claims of the layers built on top. Every gate produces the same [`Report`] —
 //! labelled checks and tables — whose verdict, text and JSON envelope
 //! are written once in [`report`]; every digest-equivalence table comes
 //! from one loop, [`golden::equivalence_matrix`]. `repro <gate>` writes
@@ -48,6 +49,7 @@ pub mod fixture;
 pub mod future;
 pub mod golden;
 pub mod json;
+pub mod paper;
 pub mod report;
 pub mod share;
 mod table;

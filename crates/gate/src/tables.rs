@@ -1,18 +1,17 @@
-//! Tables I and III–VII of the paper, each computed once: the rendered
-//! `repro table*` targets, Fig. 4, the share gate's shape checks and the
-//! zoo gate's per-backend ranking and decay checks all read the rows
-//! produced here from a [`ReproContext`].
+//! Tables I and III–VII of the paper, each computed once: the `paper`
+//! gate's tables, Fig. 4, the share gate's shape checks and the zoo
+//! gate's per-backend ranking and decay checks all read the rows
+//! produced here from a [`ReproContext`], next to the paper's own.
 
 use crate::context::ReproContext;
 use fsbm_core::scheme::SbmVersion;
 use fsbm_core::workload::{coal_memory_trace, TraceParams};
 use gpu_sim::cachesim::{scaled_l2, CacheSim, MemStats, A100_L1};
 use gpu_sim::devicepool::DeviceShare;
-use gpu_sim::ncu::{comparison_table, KernelProfile};
+use gpu_sim::ncu::KernelProfile;
 use gpu_sim::DeviceError;
 use miniwrf::hotspots;
 use miniwrf::perfmodel::ExperimentResult;
-use std::fmt::Write as _;
 
 /// Ranks of the paper's headline setup (Tables I and III–VI, Fig. 3).
 pub const RANKS: usize = 16;
@@ -20,7 +19,7 @@ pub const RANKS: usize = 16;
 /// pool Table VII's sweep shares.
 pub const GPUS: usize = 16;
 
-/// One speedup row of Tables III–V.
+/// One speedup row of Tables III–V, with the paper's.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpeedupRow {
     /// Row label (`coal_bott_new loop`, `fast_sbm`, `Overall`).
@@ -29,15 +28,8 @@ pub struct SpeedupRow {
     pub current: f64,
     /// Speedup vs the version where the row was first measured.
     pub cumulative: f64,
-}
-
-/// One of the speedup tables (III–V): its rows and its rendering.
-#[derive(Debug, Clone)]
-pub struct TableData {
-    /// The speedup rows.
-    pub rows: Vec<SpeedupRow>,
-    /// Rendered text.
-    pub rendered: String,
+    /// The paper's `(current, cumulative)`.
+    pub paper: (f64, f64),
 }
 
 /// Per-version timing triple used by the speedup tables.
@@ -70,134 +62,64 @@ pub fn version_times(ctx: &ReproContext) -> Result<[VersionTimes; 4], DeviceErro
     Ok([v1?, v2?, v3?, v4?])
 }
 
-/// Renders one of Tables III–V: each row is `(name, current, cumulative,
-/// paper current, paper cumulative)`.
-fn speedup_table(
-    id: &str,
-    heading: &str,
-    rows: &[(&'static str, f64, f64, f64, f64)],
-) -> TableData {
-    let mut s = String::new();
-    let _ = writeln!(s, "{id}: {heading}");
-    let _ = writeln!(
-        s,
-        "{:<22} {:>9} {:>11} {:>9} {:>11}",
-        "", "current", "cumulative", "paper", "paper-cum"
-    );
-    for (name, current, cumulative, pcur, pcum) in rows {
-        let _ = writeln!(
-            s,
-            "{name:<22} {current:>8.2}x {cumulative:>10.2}x {pcur:>8.2}x {pcum:>10.2}x"
-        );
-    }
-    TableData {
-        rows: (rows.iter())
-            .map(|&(name, current, cumulative, ..)| SpeedupRow {
-                name,
-                current,
-                cumulative,
-            })
-            .collect(),
-        rendered: s,
-    }
-}
+/// The paper's Table I: `(routine, gprof %, nsys %)`.
+pub const TABLE1_PAPER: [(&str, f64, f64); 3] = [
+    ("fast_sbm", 51.39, 77.07),
+    ("rk_scalar_tend", 28.07, 10.15),
+    ("rk_update_scalar", 6.361, 1.504),
+];
 
-/// Table I, rendered: hotspot percentages, gprof (all ranks) vs Nsight
-/// (heavy rank).
-pub fn table1(ctx: &ReproContext) -> Result<String, DeviceError> {
-    let rows = hotspots::table1(&headline(ctx, SbmVersion::Baseline)?);
-    let paper = [
-        ("fast_sbm", 51.39, 77.07),
-        ("rk_scalar_tend", 28.07, 10.15),
-        ("rk_update_scalar", 6.361, 1.504),
-    ];
-    let mut s = String::new();
-    let _ = writeln!(s, "Table I: time contribution (%) of the top hotspots");
-    let _ = writeln!(
-        s,
-        "{:<18} {:>8} {:>8} {:>12} {:>12}",
-        "Routine", "gprof", "nsys", "paper-gprof", "paper-nsys"
-    );
-    for ((name, g, n), (_, pg, pn)) in rows.iter().zip(paper) {
-        let _ = writeln!(s, "{name:<18} {g:>8.2} {n:>8.2} {pg:>12.2} {pn:>12.2}");
-    }
-    Ok(s)
+/// Table I: `(routine, gprof %, nsys %)` — each routine's share of the
+/// time over all ranks and on the heavy rank alone, in
+/// [`TABLE1_PAPER`]'s order.
+pub fn table1(ctx: &ReproContext) -> Result<Vec<(String, f64, f64)>, DeviceError> {
+    Ok(hotspots::table1(&headline(ctx, SbmVersion::Baseline)?))
 }
 
 /// Table III: speedups from the `kernals_ks` removal (lookup refactor).
-pub fn table3(ctx: &ReproContext) -> Result<TableData, DeviceError> {
+pub fn table3(ctx: &ReproContext) -> Result<Vec<SpeedupRow>, DeviceError> {
     let v = version_times(ctx)?;
     let (sbm, overall) = (v[0].fast_sbm / v[1].fast_sbm, v[0].overall / v[1].overall);
-    Ok(speedup_table(
-        "Table III",
-        "removal of kernals_ks (baseline -> lookup)",
-        &[
-            ("fast_sbm", sbm, sbm, 1.83, 1.83),
-            ("Overall", overall, overall, 1.42, 1.42),
-        ],
-    ))
+    let row = |name, x, paper| SpeedupRow {
+        name,
+        current: x,
+        cumulative: x,
+        paper: (paper, paper),
+    };
+    Ok(vec![
+        row("fast_sbm", sbm, 1.83),
+        row("Overall", overall, 1.42),
+    ])
 }
 
 /// The three rows of Tables IV and V: version `to` against its
 /// predecessor (current) and against the first version that measured
 /// the row (cumulative: the collision loop exists from v2 on).
-fn offload_table(
-    id: &str,
-    heading: &str,
-    v: &[VersionTimes; 4],
-    to: usize,
-    paper: [(f64, f64); 3],
-) -> TableData {
+fn offload_table(v: &[VersionTimes; 4], to: usize, paper: [(f64, f64); 3]) -> Vec<SpeedupRow> {
     let (prev, new) = (&v[to - 1], &v[to]);
-    speedup_table(
-        id,
-        heading,
-        &[
-            (
-                "coal_bott_new loop",
-                prev.coal_loop / new.coal_loop,
-                v[1].coal_loop / new.coal_loop,
-                paper[0].0,
-                paper[0].1,
-            ),
-            (
-                "fast_sbm",
-                prev.fast_sbm / new.fast_sbm,
-                v[0].fast_sbm / new.fast_sbm,
-                paper[1].0,
-                paper[1].1,
-            ),
-            (
-                "Overall",
-                prev.overall / new.overall,
-                v[0].overall / new.overall,
-                paper[2].0,
-                paper[2].1,
-            ),
-        ],
-    )
+    let row = |name, secs: fn(&VersionTimes) -> f64, first: &VersionTimes, paper| SpeedupRow {
+        name,
+        current: secs(prev) / secs(new),
+        cumulative: secs(first) / secs(new),
+        paper,
+    };
+    vec![
+        row("coal_bott_new loop", |t| t.coal_loop, &v[1], paper[0]),
+        row("fast_sbm", |t| t.fast_sbm, &v[0], paper[1]),
+        row("Overall", |t| t.overall, &v[0], paper[2]),
+    ]
 }
 
 /// Table IV: offloading the fissioned collision loop with `collapse(2)`.
-pub fn table4(ctx: &ReproContext) -> Result<TableData, DeviceError> {
-    Ok(offload_table(
-        "Table IV",
-        "offload of the collision loop, collapse(2)",
-        &version_times(ctx)?,
-        2,
-        [(6.47, 6.47), (1.54, 2.67), (1.33, 2.09)],
-    ))
+pub fn table4(ctx: &ReproContext) -> Result<Vec<SpeedupRow>, DeviceError> {
+    let paper = [(6.47, 6.47), (1.54, 2.67), (1.33, 2.09)];
+    Ok(offload_table(&version_times(ctx)?, 2, paper))
 }
 
 /// Table V: slab arrays + full `collapse(3)`.
-pub fn table5(ctx: &ReproContext) -> Result<TableData, DeviceError> {
-    Ok(offload_table(
-        "Table V",
-        "full collapse(3) via temp_arrays slabs",
-        &version_times(ctx)?,
-        3,
-        [(10.3, 66.6), (1.12, 2.99), (1.05, 2.20)],
-    ))
+pub fn table5(ctx: &ReproContext) -> Result<Vec<SpeedupRow>, DeviceError> {
+    let paper = [(10.3, 66.6), (1.12, 2.99), (1.05, 2.20)];
+    Ok(offload_table(&version_times(ctx)?, 3, paper))
 }
 
 /// Full-kernel cache statistics of `version`'s collision launch,
@@ -217,25 +139,19 @@ pub fn kernel_mem_stats(version: SbmVersion, total_mem_ops: f64) -> MemStats {
     sim.finish().scaled(total_mem_ops / trace.len() as f64)
 }
 
-/// Table VI: Nsight-Compute metrics of the two offloaded kernels, and
-/// the rendered comparison.
-pub fn table6(ctx: &ReproContext) -> Result<(KernelProfile, KernelProfile, String), DeviceError> {
+/// Table VI: Nsight-Compute metrics of the two offloaded kernels,
+/// `[collapse(2), collapse(3) w/ pointers]`.
+pub fn table6(ctx: &ReproContext) -> Result<[KernelProfile; 2], DeviceError> {
     let profile = |version, label| -> Result<KernelProfile, DeviceError> {
         let exp = headline(ctx, version)?;
         let launch = exp.critical().launch.clone().expect("offloaded");
         let mem = kernel_mem_stats(version, launch.dram_bytes / 4.0);
         Ok(KernelProfile::from_model(label, &launch, &mem))
     };
-    let p2 = profile(SbmVersion::OffloadCollapse2, "collapse(2)")?;
-    let p3 = profile(SbmVersion::OffloadCollapse3, "collapse(3) w/ pointers")?;
-    let mut s = String::from("Table VI: Nsight Compute metrics of the collision kernel\n");
-    s.push_str(&comparison_table(&p2, &p3));
-    s.push_str(
-        "paper: time 335.85 -> 29.11 ms | occupancy 4.63 -> 35.67 % | \
-         L1 84.82 -> 61.43 % | L2 95.84 -> 69.28 % | \
-         DRAM W 0.785 -> 4.290 GB | DRAM R 0.654 -> 10.24 GB\n",
-    );
-    Ok((p2, p3, s))
+    Ok([
+        profile(SbmVersion::OffloadCollapse2, "collapse(2)")?,
+        profile(SbmVersion::OffloadCollapse3, "collapse(3) w/ pointers")?,
+    ])
 }
 
 /// One arm of Table VII / Figure 4: a CPU side and a GPU side.
@@ -322,40 +238,20 @@ pub fn table7_arms(ctx: &ReproContext) -> Vec<Table7Outcome> {
     .collect()
 }
 
-/// Table VII / Figure 4 on a machine that admits every arm: the rows
-/// and the rendered table.
-pub fn table7(ctx: &ReproContext) -> Result<(Vec<Table7Row>, String), DeviceError> {
-    let rows = (table7_arms(ctx).into_iter())
+/// The paper's Table VII per arm: baseline seconds, GPU seconds,
+/// speedup.
+pub const TABLE7_PAPER: [(f64, f64, f64); 4] = [
+    (1211.45, 581.2, 2.08),
+    (655.1, 360.1, 1.82),
+    (471.7, 303.03, 1.56),
+    (379.8, 397.1, 0.956),
+];
+
+/// Table VII / Figure 4 on a machine that admits every arm.
+pub fn table7(ctx: &ReproContext) -> Result<Vec<Table7Row>, DeviceError> {
+    (table7_arms(ctx).into_iter())
         .map(|(arm, times)| Ok((arm, times?)))
-        .collect::<Result<Vec<Table7Row>, DeviceError>>()?;
-    let paper = [
-        (1211.45, 581.2, 2.08),
-        (655.1, 360.1, 1.82),
-        (471.7, 303.03, 1.56),
-        (379.8, 397.1, 0.956),
-    ];
-    let mut s = String::from(
-        "Table VII: total times, baseline vs final GPU version (10 simulated minutes)\n",
-    );
-    let _ = writeln!(
-        s,
-        "{:<10} {:>10} {:>10} {:>9} | {:>10} {:>10} {:>9}",
-        "Config", "base (s)", "GPU (s)", "speedup", "paper-base", "paper-GPU", "paper-x"
-    );
-    for ((arm, t), (pb, pg, px)) in rows.iter().zip(paper) {
-        let _ = writeln!(
-            s,
-            "{:<10} {:>10.1} {:>10.1} {:>8.2}x | {:>10.1} {:>10.1} {:>8.2}x",
-            arm.label,
-            t.baseline,
-            t.gpu,
-            t.speedup(),
-            pb,
-            pg,
-            px
-        );
-    }
-    Ok((rows, s))
+        .collect()
 }
 
 #[cfg(test)]
@@ -369,37 +265,36 @@ mod tests {
     #[test]
     fn table3_shape() {
         let t = table3(ctx()).unwrap();
-        assert!((1.2..2.8).contains(&t.rows[0].current), "{:?}", t.rows);
-        assert!((1.05..2.2).contains(&t.rows[1].current));
-        assert!(t.rendered.contains("paper"));
+        assert!((1.2..2.8).contains(&t[0].current), "{t:?}");
+        assert!((1.05..2.2).contains(&t[1].current));
     }
 
     #[test]
     fn table4_and_5_shapes() {
         let c = ctx();
         let t4 = table4(c).unwrap();
-        assert!(t4.rows[0].current > 3.0, "coal offload wins: {:?}", t4.rows);
-        assert!(t4.rows[2].cumulative > 1.3, "overall cum {:?}", t4.rows[2]);
+        assert!(t4[0].current > 3.0, "coal offload wins: {t4:?}");
+        assert!(t4[2].cumulative > 1.3, "overall cum {:?}", t4[2]);
         let t5 = table5(c).unwrap();
         assert!(
-            (3.0..40.0).contains(&t5.rows[0].current),
+            (3.0..40.0).contains(&t5[0].current),
             "collapse(3) gain {:?}",
-            t5.rows[0]
+            t5[0]
         );
         // Amdahl: overall gains shrink down the chain.
-        assert!(t5.rows[2].current < t4.rows[2].current + 0.3);
-        assert!(t5.rows[2].cumulative >= t4.rows[2].cumulative * 0.95);
+        assert!(t5[2].current < t4[2].current + 0.3);
+        assert!(t5[2].cumulative >= t4[2].cumulative * 0.95);
         // The cumulative collision-loop column starts where the loop was
         // first measured (v2): at v3 it is the current gain; at v4 the
         // product of the two.
-        assert_eq!(t4.rows[0].current, t4.rows[0].cumulative);
-        let chained = t4.rows[0].current * t5.rows[0].current;
-        assert!((t5.rows[0].cumulative / chained - 1.0).abs() < 1e-12);
+        assert_eq!(t4[0].current, t4[0].cumulative);
+        let chained = t4[0].current * t5[0].current;
+        assert!((t5[0].cumulative / chained - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn table6_shape() {
-        let (p2, p3, t) = table6(ctx()).unwrap();
+        let [p2, p3] = table6(ctx()).unwrap();
         assert!(
             p3.time_ms < p2.time_ms / 3.0,
             "{} vs {}",
@@ -410,12 +305,11 @@ mod tests {
         assert!(p2.l1_hit_pct > p3.l1_hit_pct);
         assert!(p2.l2_hit_pct > p3.l2_hit_pct);
         assert!(p3.dram_read_gb > p2.dram_read_gb);
-        assert!(t.contains("Achieved occupancy"));
     }
 
     #[test]
     fn table7_shape() {
-        let (rows, t) = table7(ctx()).unwrap();
+        let rows = table7(ctx()).unwrap();
         assert_eq!(rows.len(), 4);
         let (speedup, gpu) = (|i: usize| rows[i].1.speedup(), |i: usize| rows[i].1.gpu);
         // GPU wins whenever it has a GPU per few ranks (paper:
@@ -438,7 +332,7 @@ mod tests {
         // resources (paper: 0.956).
         assert!(!rows[3].0.in_sweep());
         assert!(speedup(3) < 1.1, "2-node crossover: {:?}", rows[3]);
-        assert!(t.contains("2 nodes"));
+        assert_eq!(rows[3].0.label, "2 nodes");
     }
 
     /// A device too small for the deep arms yields typed errors for
@@ -454,33 +348,36 @@ mod tests {
         assert!(table7(&ctx().on_backend(v100)).is_err());
     }
 
-    /// Table I and the three-step timeline, byte for byte, on the quick
-    /// context: two views of the same per-routine seconds (Σ over ranks,
-    /// the critical rank alone).
+    /// Table I and the three-step timeline, digit for digit, on the
+    /// quick context: two views of the same per-routine seconds (Σ over
+    /// ranks, the critical rank alone).
     #[test]
     fn table1_shape() {
+        let rows: Vec<_> = (table1(ctx()).unwrap().into_iter())
+            .map(|(routine, gprof, nsys)| format!("{routine} {gprof:.2} {nsys:.2}"))
+            .collect();
         assert_eq!(
-            table1(ctx()).unwrap(),
-            "\
-Table I: time contribution (%) of the top hotspots
-Routine               gprof     nsys  paper-gprof   paper-nsys
-fast_sbm              42.93    59.52        51.39        77.07
-rk_scalar_tend        31.22    22.14        28.07        10.15
-rk_update_scalar       4.26     3.02         6.36         1.50
-"
+            rows,
+            [
+                "fast_sbm 42.93 59.52",
+                "rk_scalar_tend 31.22 22.14",
+                "rk_update_scalar 4.26 3.02"
+            ]
         );
         let exp = headline(ctx(), SbmVersion::Baseline).unwrap();
+        let lanes: Vec<_> = (hotspots::timeline(&exp, 100).into_iter())
+            .map(|(lane, secs, bar)| format!("{lane} {secs:.4} {bar}"))
+            .collect();
         assert_eq!(
-            hotspots::nsys_timeline(&exp, 100),
-            "\
-timeline: 23.0901 s capture, 18 events
-solve_em           |####################################################################################################|
-  rk_scalar_tend     |########.........................########.........................#########.........................|
-  rk_update_scalar   |.......##...............................##................................##........................|
-  solve_em_other     |........######...........................######............................######...................|
-  fast_sbm           |.............#####################............#####################.............####################|
-  mpi_halo           |.................................#................................#................................#|
-"
+            lanes,
+            [
+                "solve_em 23.0901 ####################################################################################################",
+                "rk_scalar_tend 5.1127 ########.........................########.........................#########.........................",
+                "rk_update_scalar 0.6972 .......##...............................##................................##........................",
+                "solve_em_other 3.4859 ........######...........................######............................######...................",
+                "fast_sbm 13.7428 .............#####################............#####################.............####################",
+                "mpi_halo 0.0515 .................................#................................#................................#",
+            ]
         );
     }
 }

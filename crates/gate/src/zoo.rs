@@ -9,7 +9,8 @@
 //! the backend zoo ([`gpu_sim::machine::ZOO`]): every backend prices
 //! the same functional workload on its own plane
 //! ([`ReproContext::on_backend`]) — the same Table V and Table VII code
-//! `repro table5` / `table7` print, re-priced — and the gate checks
+//! `repro paper` reports as `table5` / `table7`, re-priced — and the
+//! gate checks
 //!
 //! * **Divergence** — the offloaded gate workload lands at a genuinely
 //!   different absolute time on every backend (no accidental A100

@@ -2,7 +2,7 @@
 //! its gate registry: the usage text it generates, the `GATES` rows of
 //! `ci.sh`, and the gate matrix of `.github/workflows/ci.yml`. Adding a
 //! gate is one line in each; this test fails when one is forgotten, or
-//! when its report file is neither committed nor git-ignored. Two
+//! when its report file is neither committed nor git-ignored. Three
 //! committed reports are regenerated here and compared byte for byte.
 
 use std::path::{Path, PathBuf};
@@ -45,27 +45,22 @@ fn unknown_target_prints_the_generated_usage_and_exits_2() {
     let out = repro(&["nonsense"]);
     assert_eq!(out.status.code(), Some(2));
     let usage = String::from_utf8(out.stderr).unwrap();
-    assert!(usage.contains("unknown target `nonsense`"), "{usage}");
+    assert!(usage.contains("unknown gate `nonsense`"), "{usage}");
     // The gate list comes from the registry (the hand-written message
     // had lost `cases`).
     let names: Vec<String> = registry(&usage).into_iter().map(|g| g.0).collect();
     assert!(names.len() >= 8, "{names:?}");
     assert!(names.iter().any(|n| n == "cases"), "{names:?}");
-    // The paper targets the old hand-written message forgot.
-    for target in [
-        "timeline",
-        "fig2",
-        "ablation",
-        "future",
-        "bench-exec",
-        "all",
-    ] {
-        assert!(usage.contains(target), "usage omits {target}: {usage}");
-    }
     assert!(
         !usage.contains("   -") && !usage.contains("\t"),
         "no broken continuations"
     );
+    // The paper's tables are one gate now: the old print targets, and
+    // the bare command that printed them all, are usage errors.
+    for gone in [&["all"][..], &["table3"], &["listings"], &[]] {
+        assert_eq!(repro(gone).status.code(), Some(2), "{gone:?}");
+    }
+    assert!(!usage.contains("targets"), "{usage}");
 }
 
 #[test]
@@ -99,7 +94,7 @@ fn unknown_flag_names_the_shared_flags_and_exits_2() {
 
 /// Runs `repro <gate> --report <tmp>` and holds the written report to
 /// the committed file byte for byte — the rule `ci.sh` applies to every
-/// committed report, here on two of them at PR depth.
+/// committed report, here on three of them at PR depth.
 fn regenerates_the_committed_bytes(gate: &str, report_file: &str) {
     let written = Path::new(env!("CARGO_TARGET_TMPDIR")).join(report_file);
     let out = repro(&[gate, "--report", written.to_str().expect("utf-8 path")]);
@@ -126,6 +121,11 @@ fn tune_regenerates_the_committed_bytes() {
 }
 
 #[test]
+fn paper_regenerates_the_committed_bytes() {
+    regenerates_the_committed_bytes("paper", "BENCH_paper.json");
+}
+
+#[test]
 fn report_write_failure_is_exit_2() {
     // zoo is the cheapest gate (modeled accounting only, ~6 s).
     let out = repro(&["zoo", "--report", "/nonexistent-dir/BENCH_zoo.json"]);
@@ -138,7 +138,7 @@ fn report_write_failure_is_exit_2() {
 fn ci_lists_match_the_registry() {
     let usage = String::from_utf8(repro(&["help"]).stdout).unwrap();
     let registry = registry(&usage);
-    assert_eq!(registry.len(), 9, "{usage}");
+    assert_eq!(registry.len(), 10, "{usage}");
     assert!(!usage.contains("bench-host") && !usage.contains("--check"));
 
     // ci.sh: `"step;repro arguments;report file;summary section"` rows.

@@ -2,7 +2,6 @@
 
 use crate::cachesim::MemStats;
 use crate::launch::LaunchStats;
-use std::fmt;
 
 /// The metric set Table VI reports for the collision kernel.
 #[derive(Debug, Clone, PartialEq)]
@@ -36,44 +35,6 @@ impl KernelProfile {
             dram_read_gb: mem.dram_read_bytes as f64 / 1e9,
         }
     }
-}
-
-impl fmt::Display for KernelProfile {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "ncu profile: {}", self.name)?;
-        writeln!(f, "  Time (ms)              {:>10.2}", self.time_ms)?;
-        writeln!(
-            f,
-            "  Achieved occupancy (%) {:>10.2}",
-            self.achieved_occupancy_pct
-        )?;
-        writeln!(f, "  L1/TEX hit rate (%)    {:>10.2}", self.l1_hit_pct)?;
-        writeln!(f, "  L2 hit rate (%)        {:>10.2}", self.l2_hit_pct)?;
-        writeln!(f, "  Writes to DRAM (GB)    {:>10.3}", self.dram_write_gb)?;
-        writeln!(f, "  Reads from DRAM (GB)   {:>10.3}", self.dram_read_gb)
-    }
-}
-
-/// Renders two profiles side by side, Table-VI style.
-pub fn comparison_table(a: &KernelProfile, b: &KernelProfile) -> String {
-    let mut s = String::new();
-    s.push_str(&format!("{:<26} {:>14} {:>26}\n", "Metric", a.name, b.name));
-    let rows: [(&str, f64, f64); 6] = [
-        ("Time (ms)", a.time_ms, b.time_ms),
-        (
-            "Achieved occupancy (%)",
-            a.achieved_occupancy_pct,
-            b.achieved_occupancy_pct,
-        ),
-        ("L1/TEX hit rate (%)", a.l1_hit_pct, b.l1_hit_pct),
-        ("L2 hit rate (%)", a.l2_hit_pct, b.l2_hit_pct),
-        ("Writes to DRAM (GB)", a.dram_write_gb, b.dram_write_gb),
-        ("Reads from DRAM (GB)", a.dram_read_gb, b.dram_read_gb),
-    ];
-    for (name, va, vb) in rows {
-        s.push_str(&format!("{name:<26} {va:>14.3} {vb:>26.3}\n"));
-    }
-    s
 }
 
 #[cfg(test)]
@@ -114,30 +75,5 @@ mod tests {
         assert!((p.dram_write_gb - 0.5).abs() < 1e-9);
         assert!(p.time_ms > 0.0);
         assert!(p.achieved_occupancy_pct > 0.0 && p.achieved_occupancy_pct <= 100.0);
-    }
-
-    #[test]
-    fn display_has_all_metrics() {
-        let s = sample().to_string();
-        for needle in [
-            "Time (ms)",
-            "Achieved occupancy",
-            "L1/TEX",
-            "L2 hit rate",
-            "Writes to DRAM",
-            "Reads from DRAM",
-        ] {
-            assert!(s.contains(needle), "missing {needle}");
-        }
-    }
-
-    #[test]
-    fn comparison_renders_both_columns() {
-        let a = sample();
-        let mut b = sample();
-        b.name = "collapse3".into();
-        let t = comparison_table(&a, &b);
-        assert!(t.contains("coal") && t.contains("collapse3"));
-        assert!(t.lines().count() >= 7);
     }
 }

@@ -87,36 +87,6 @@ impl Roofline {
             0.0
         }
     }
-
-    /// Renders an ASCII log-log roofline chart with the given points.
-    pub fn render(&self, points: &[RooflinePoint]) -> String {
-        let mut s = String::new();
-        s.push_str(&format!(
-            "Roofline: FP32 roof {:.0} GF/s, FP64 roof {:.0} GF/s, DRAM {:.0} GB/s\n",
-            self.fp32_gflops, self.fp64_gflops, self.bw_gbs
-        ));
-        s.push_str(&format!(
-            "ridge: FP32 at AI={:.1}, FP64 at AI={:.1} FLOP/B\n",
-            self.ridge(false),
-            self.ridge(true)
-        ));
-        for p in points {
-            let roof32 = self.attainable(p.ai, false);
-            s.push_str(&format!(
-                "  {:<22} AI={:>8.3} FLOP/B  {:>10.1} GF/s  ({:>5.1}% of roof, {})\n",
-                p.label,
-                p.ai,
-                p.gflops,
-                100.0 * p.gflops / roof32.max(1e-12),
-                if self.memory_bound(p.ai, false) {
-                    "memory-bound region"
-                } else {
-                    "compute-bound region"
-                }
-            ));
-        }
-        s
-    }
 }
 
 #[cfg(test)]
@@ -161,27 +131,6 @@ mod tests {
             gflops: r.attainable(1.0, false),
         };
         assert!((r.efficiency(&p, false) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn render_lists_points() {
-        let r = Roofline::of(&A100);
-        let pts = vec![
-            RooflinePoint {
-                label: "collapse(2) f32".into(),
-                ai: 0.4,
-                gflops: 30.0,
-            },
-            RooflinePoint {
-                label: "collapse(3) f32".into(),
-                ai: 0.2,
-                gflops: 250.0,
-            },
-        ];
-        let out = r.render(&pts);
-        assert!(out.contains("collapse(2) f32"));
-        assert!(out.contains("memory-bound region"));
-        assert!(out.contains("ridge"));
     }
 
     #[test]

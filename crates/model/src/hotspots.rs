@@ -8,7 +8,6 @@
 //! the same per-rank modeled times.
 
 use crate::perfmodel::{ExperimentResult, RankStepTime};
-use std::fmt::Write as _;
 
 /// The routines of one step, in the order the step runs them: the Table I
 /// names plus the residual categories.
@@ -37,10 +36,12 @@ fn share(ranks: &[RankStepTime], routine: &str) -> f64 {
     100.0 * secs(routine) / ROUTINES.iter().map(|r| secs(r)).sum::<f64>()
 }
 
-/// Renders three steps of the heavy rank as an Nsight-Systems-style text
-/// timeline: a `solve_em` lane over each whole step, one indented lane
-/// per routine, `width` characters across the capture.
-pub fn nsys_timeline(exp: &ExperimentResult, width: usize) -> String {
+/// Three steps of the heavy rank as an Nsight-Systems-style timeline: a
+/// `solve_em` lane over each whole step, then one lane per routine. Each
+/// lane is `(name, busy seconds, bar)`, the bar `width` characters across
+/// the capture with `#` where the lane is busy; `solve_em`'s seconds are
+/// the capture's.
+pub fn timeline(exp: &ExperimentResult, width: usize) -> Vec<(&'static str, f64, String)> {
     let rank = exp.critical();
     // (lane, start, end) on one running clock: a range opens where the
     // last one closed.
@@ -56,19 +57,20 @@ pub fn nsys_timeline(exp: &ExperimentResult, width: usize) -> String {
         ranges.push(("solve_em", step_start, clock));
     }
     let span = clock.max(1e-12);
-    let mut out = format!("timeline: {span:.4} s capture, {} events\n", ranges.len());
-    let lanes = std::iter::once(("solve_em", 0)).chain(ROUTINES.map(|r| (r, 2)));
-    for (lane, indent) in lanes {
-        let mut row = vec![b'.'; width];
-        for &(_, start, end) in ranges.iter().filter(|r| r.0 == lane) {
-            let a = (start / span * width as f64).floor() as usize;
-            let b = (end / span * width as f64).ceil() as usize;
-            row[a.min(width)..b.min(width)].fill(b'#');
-        }
-        let row = String::from_utf8(row).expect("ascii");
-        let _ = writeln!(out, "{:indent$}{lane:<18} |{row}|", "");
-    }
-    out
+    let lanes = std::iter::once("solve_em").chain(ROUTINES);
+    lanes
+        .map(|lane| {
+            let mut row = vec![b'.'; width];
+            let mut busy = 0.0;
+            for &(_, start, end) in ranges.iter().filter(|r| r.0 == lane) {
+                let a = (start / span * width as f64).floor() as usize;
+                let b = (end / span * width as f64).ceil() as usize;
+                row[a.min(width)..b.min(width)].fill(b'#');
+                busy += end - start;
+            }
+            (lane, busy, String::from_utf8(row).expect("ascii"))
+        })
+        .collect()
 }
 
 /// The Table I rows: `(routine, gprof %, nsys %)` — the share over all
@@ -112,12 +114,14 @@ mod tests {
                 "the view covers everything"
             );
         }
-        // The timeline renders every lane; solve_em wraps every step.
-        let t = nsys_timeline(&exp, 60);
-        for r in ROUTINES {
-            assert!(t.contains(r), "timeline lane {r} missing:\n{t}");
-        }
-        assert!(t.contains(&format!("solve_em           |{}|", "#".repeat(60))));
+        // The timeline has every lane; solve_em wraps every step and
+        // lasts as long as the routines together.
+        let t = timeline(&exp, 60);
+        let lanes: Vec<&str> = t.iter().map(|l| l.0).collect();
+        assert_eq!(lanes[1..], ROUTINES);
+        assert_eq!((lanes[0], t[0].2.as_str()), ("solve_em", &*"#".repeat(60)));
+        let routines: f64 = t[1..].iter().map(|l| l.1).sum();
+        assert!((t[0].1 / routines - 1.0).abs() < 1e-12, "{t:?}");
     }
 
     #[test]

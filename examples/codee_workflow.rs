@@ -1,5 +1,7 @@
 //! The Codee workflow of Section V-A / VI-A, end to end:
-//! screening → checks → dependence analysis → directive rewriting.
+//! screening → checks → dependence analysis → directive rewriting
+//! (Listings 2–6; `repro paper`'s `codee` table holds the findings per
+//! check and each rewrite's verdict).
 //!
 //! ```sh
 //! cargo run --release --example codee_workflow
@@ -60,7 +62,31 @@ fn main() {
         c.parallelizable_vars, c.collapsible
     );
 
-    // Listing 4: the rewrite Codee applies.
-    println!("\n$ codee rewrite --offload omp --in-place module_mp_fast_sbm.f90:6293:4\n");
-    println!("{}", rewrite_offload(&corpus::kernals_ks_nest()).unwrap());
+    // Listing 4: the rewrite Codee applies; the same request on the
+    // baseline grid loop is refused (its dependences, above); Listing 6:
+    // the fissioned collision loop the offload started from.
+    for (command, nest) in [
+        (
+            "--in-place module_mp_fast_sbm.f90:6293:4",
+            corpus::kernals_ks_nest(),
+        ),
+        (
+            "module_mp_fast_sbm.f90:2486 (baseline grid loop)",
+            corpus::grid_loop_baseline(),
+        ),
+        (
+            "(fissioned collision loop, Listing 6)",
+            corpus::coal_fission_loop(),
+        ),
+    ] {
+        println!("\n$ codee rewrite --offload omp {command}\n");
+        match rewrite_offload(&nest) {
+            Ok(code) => println!("{code}"),
+            Err(e) => println!(
+                "BLOCKED: {} dependences, e.g. {}",
+                e.reasons.len(),
+                e.reasons[0]
+            ),
+        }
+    }
 }

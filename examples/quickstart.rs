@@ -57,6 +57,7 @@ fn main() {
         model.state.precip_acc
     );
     println!(
-        "\nNext: `cargo run --release -p wrf-gate --bin repro all` regenerates the paper's tables."
+        "\nNext: `cargo run --release -p wrf-gate --bin repro paper` regenerates the paper's \
+         tables into BENCH_paper.json and checks their shapes."
     );
 }
