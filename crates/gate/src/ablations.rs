@@ -7,7 +7,7 @@
 //!   `-maxregcount` and watch occupancy/time saturate.
 //! * **Latency-hiding knee**: the GPU model's issue-rate calibration;
 //!   the sweep shows whether the collapse(2)/collapse(3) ratio depends
-//!   on it (on today's plane both kernels are memory-bound and it does
+//!   on it (on today's plane neither kernel is issue-bound, and it does
 //!   not).
 //! * **Block size**: the OpenMP `teams` default of 128 vs alternatives.
 

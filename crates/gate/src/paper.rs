@@ -140,22 +140,23 @@ pub fn registers_violations(rows: &[SweepRow]) -> Vec<String> {
         .collect()
 }
 
-/// The Codee rewrite verdicts `(nest id, rewritten)`: the baseline grid
-/// loop is blocked by its dependences, `kernals_ks` and the fissioned
-/// collision loop are rewritten.
-pub fn codee_violations(nests: &[(String, bool)]) -> Vec<String> {
+/// The Codee rewrite verdicts, `(nest id, dependences blocking its
+/// rewrite)`: the baseline grid loop is blocked, `kernals_ks` and the
+/// fissioned collision loop are rewritten.
+pub fn codee_violations(nests: &[(String, usize)]) -> Vec<String> {
     let expect = [
         (corpus::kernals_ks_nest().id, true),
         (corpus::grid_loop_baseline().id, false),
         (corpus::coal_fission_loop().id, true),
     ];
-    (expect.into_iter().filter(|e| !nests.contains(e)))
-        .map(|(id, rewritten)| {
-            format!(
-                "{id} must be {}",
-                if rewritten { "rewritten" } else { "blocked" }
-            )
+    let verdict = |rewritten| if rewritten { "rewritten" } else { "blocked" };
+    (expect.into_iter())
+        .filter(|(id, rewritten)| {
+            !nests
+                .iter()
+                .any(|(n, b)| n == id && (*b == 0) == *rewritten)
         })
+        .map(|(id, rewritten)| format!("{id} must be {}", verdict(rewritten)))
         .collect()
 }
 
@@ -186,8 +187,9 @@ pub fn verify_check(
 }
 
 /// Screening totals and findings per check id, then each screened nest's
-/// rewrite verdict (`count`: the dependences that block it).
-fn codee() -> (Table, Vec<(String, bool)>) {
+/// rewrite verdict (`count`: the dependences that block it), and the
+/// verdicts as [`codee_violations`] reads them.
+fn codee() -> (Table, Vec<(String, usize)>) {
     let mut subs = corpus::fsbm_subprograms(false);
     subs.extend(corpus::dynamics_subprograms());
     let nests = [
@@ -206,19 +208,22 @@ fn codee() -> (Table, Vec<(String, bool)>) {
         ("recommendations", s.infos),
         ("opportunities", s.opportunities),
     ];
-    let blocked: Vec<usize> = (nests.iter())
-        .map(|n| rewrite_offload(n).err().map_or(0, |e| e.reasons.len()))
-        .collect();
-    let rows = (totals.map(|(id, n)| ("screening", id, n, None)).into_iter())
-        .chain(s.by_check.iter().map(|(id, &n)| ("check", *id, n, None)))
-        .chain(nests.iter().zip(&blocked).map(|(nest, &n)| {
+    let blocked: Vec<(String, usize)> = (nests.iter())
+        .map(|n| {
             (
-                "rewrite",
-                nest.id.as_str(),
-                n,
-                Some(if n == 0 { "rewritten" } else { "blocked" }),
+                n.id.clone(),
+                rewrite_offload(n).err().map_or(0, |e| e.reasons.len()),
             )
-        }))
+        })
+        .collect();
+    let verdict = |n: usize| if n == 0 { "rewritten" } else { "blocked" };
+    let rows = (totals.iter().map(|&(id, n)| ("screening", id, n, None)))
+        .chain(s.by_check.iter().map(|(id, &n)| ("check", *id, n, None)))
+        .chain(
+            blocked
+                .iter()
+                .map(|(id, n)| ("rewrite", id.as_str(), *n, Some(verdict(*n)))),
+        )
         .map(|(kind, id, count, verdict)| -> Row {
             vec![
                 ("kind", kind.into()),
@@ -228,15 +233,7 @@ fn codee() -> (Table, Vec<(String, bool)>) {
             ]
         });
     let title = "Codee workflow (Listings 2-6): screening findings and rewrite verdicts";
-    let table = Table::new("codee", title, rows);
-    (
-        table,
-        nests
-            .iter()
-            .zip(blocked)
-            .map(|(n, b)| (n.id.clone(), b == 0))
-            .collect(),
-    )
+    (Table::new("codee", title, rows), blocked)
 }
 
 fn speedups(key: &'static str, title: &str, rows: &[SpeedupRow]) -> Table {
@@ -751,8 +748,9 @@ mod tests {
     fn codee_verdicts_name_the_nest_that_broke() {
         let (_, verdicts) = codee();
         assert!(codee_violations(&verdicts).is_empty(), "{verdicts:?}");
-        let mut flipped = verdicts.clone();
-        flipped.iter_mut().for_each(|v| v.1 = !v.1);
+        let flipped: Vec<_> = (verdicts.iter())
+            .map(|(id, n)| (id.clone(), if *n == 0 { 1 } else { 0 }))
+            .collect();
         let v = codee_violations(&flipped);
         assert_eq!(v.len(), 3, "{v:?}");
         assert_eq!(v[1], "module_mp_fast_sbm.f90:2486 must be blocked");
