@@ -227,6 +227,9 @@ fn main() {
         print!("{}", usage());
         return;
     }
-    eprint!("unknown gate `{what}`\n{}", usage());
+    if !what.is_empty() {
+        eprintln!("unknown gate `{what}`");
+    }
+    eprint!("{}", usage());
     std::process::exit(2);
 }
