@@ -26,7 +26,7 @@ use crate::bins::BinGrid;
 use crate::constants::{CP, L_F, T_0, T_MIN_COAL};
 use crate::kernels::{KernelMode, COLLISION_PAIRS};
 use crate::meter::PointWork;
-use crate::point::{all_zero, Grids, N_EPS, Q_EPS};
+use crate::point::{all_zero, Floored, Grids, N_EPS, N_FLOOR, Q_EPS};
 use crate::processes::collision::{MAX_DEPLETION, NCOLL};
 use crate::processes::condensation::{self, NCOND};
 use crate::thermo::{growth_coefficient, latent_heating, qsat_ice, qsat_liquid, supersat_liquid};
@@ -244,6 +244,41 @@ impl SoaPanel {
                 for (v, &on) in slots.iter_mut().zip(mask) {
                     debug_assert!(!(on && *v <= -1.0e-2), "large negative bin value {v}");
                     *v = if on && *v < 0.0 { 0.0 } else { *v };
+                }
+            }
+        }
+    }
+
+    /// Per-lane mirror of `BinsView::scrub_tails` over `classes` for the
+    /// lanes where `mask` holds (never one `>= len`): a negative or a
+    /// positive value below [`N_FLOOR`] becomes `+0.0`, every other slot,
+    /// `-0.0` and NaN included, keeps its bits. The store is a select over
+    /// all [`LANES`] slots; only a bin row in which some lane floors takes
+    /// the per-lane tally, so each lane's `floored` adds in the scalar's
+    /// order (classes, then bins).
+    fn scrub_tail_lanes(
+        &mut self,
+        classes: std::ops::Range<usize>,
+        mask: &[bool; LANES],
+        grids: &Grids,
+        floored: &mut [Floored; LANES],
+    ) {
+        for c in classes {
+            for (slots, &m) in self.n[c].iter_mut().zip(&grids.by_index(c).mass) {
+                let row = *slots;
+                let mut tail = false;
+                for (l, v) in slots.iter_mut().enumerate() {
+                    let x = row[l];
+                    debug_assert!(!(mask[l] && x <= -1.0e-2), "large negative bin value {x}");
+                    // Below the floor and not a zero: a negative or a tail.
+                    let cut = mask[l] & (x < N_FLOOR) & (x != 0.0);
+                    tail |= cut & (x > 0.0);
+                    *v = if cut { 0.0 } else { x };
+                }
+                if tail {
+                    for l in (0..LANES).filter(|&l| mask[l]) {
+                        floored[l].floor(row[l], m);
+                    }
                 }
             }
         }
@@ -750,13 +785,15 @@ fn coal_substep_panel(
 /// exactly as the scalar does, then the [`NCOND`] substeps run once with
 /// per-branch lane masks: the water relax covers branches 1–2, the six ice
 /// relaxes cover branches 2–3, reproducing `onecond1/2/3` per lane.
-/// Metering accumulates into `works` (the caller's condensation bucket).
-/// Returns how full the relax calls' lane vectors ran.
+/// Metering accumulates into `works` (the caller's condensation bucket),
+/// what the relaxes' scrubs floor into `floored`. Returns how full the
+/// relax calls' lane vectors ran.
 pub fn panel_condensation(
     panel: &mut SoaPanel,
     grids: &Grids,
     dt: f32,
     works: &mut [PointWork; LANES],
+    floored: &mut [Floored; LANES],
 ) -> LaneFill {
     let len = panel.len;
     let mut branch = [0u8; LANES];
@@ -819,6 +856,7 @@ pub fn panel_condensation(
                 dts,
                 &mut scrubbed,
                 works,
+                floored,
             );
         }
     }
@@ -827,7 +865,7 @@ pub fn panel_condensation(
 
 /// Lane-masked mirror of `condensation::relax_class`. `scrubbed` marks
 /// the lanes a relax of the running `panel_condensation` call has already
-/// scrubbed whole.
+/// scrubbed whole; `floored` takes what the scrubs floor, per lane.
 #[allow(clippy::too_many_arguments)]
 fn panel_relax_class(
     panel: &mut SoaPanel,
@@ -839,6 +877,7 @@ fn panel_relax_class(
     dt: f32,
     scrubbed: &mut [bool; LANES],
     works: &mut [PointWork; LANES],
+    floored: &mut [Floored; LANES],
 ) {
     let len = panel.len;
     let g = grids.of(class);
@@ -952,30 +991,32 @@ fn panel_relax_class(
             }
         }
     }
-    // The scalar ends every relax that moved mass with `scrub_negatives`
-    // over all seven classes. That pass can find something outside
-    // `class` only the first time it runs on a point within one
-    // condensation call: negatives arrive from other stages, the first
-    // scrub clears every class, and from then on the only writes to the
-    // lane until the call returns are the relaxes' own, each inside the
-    // class it was called for and each followed by that class's scrub. So
-    // a lane is scrubbed whole on its first relax and class-only after —
-    // the slots skipped are non-negative (or `-0.0`, or NaN), which the
-    // scalar's scrub leaves bit for bit. (The class scrub itself finds
-    // nothing on a lane scrubbed before: a moved bin is left at `n - n`,
-    // `+0.0`, and a deposit adds `number * frac` and `number - number *
-    // frac`, both `>= 0` for `frac` in `[0, 1]`, or `number * m / m_edge`.
-    // It stays because it costs one class and keeps the rule independent
-    // of the deposit arithmetic.)
+    // The scalar ends every relax that moved mass with `scrub_tails` over
+    // all seven classes: negatives to `0.0`, positive values below
+    // `N_FLOOR` to `+0.0`, tallied class by class, bin by bin. That pass
+    // can find something outside `class` only the first time it runs on a
+    // point within one condensation call: negatives and sub-floor values
+    // arrive from other stages, the first scrub clears every class, and
+    // from then on the only writes to the lane until the call returns are
+    // the relaxes' own, each inside the class it was called for and each
+    // followed by that class's scrub. So a lane is scrubbed whole on its
+    // first relax and class-only after — the slots skipped are `+0.0`,
+    // `-0.0`, NaN or at least `N_FLOOR`, which the scalar's scrub leaves
+    // bit for bit and does not tally, so each lane's tally adds the same
+    // values in the same order. The class scrub is where the floor fires:
+    // a deposit of `number * frac` or `number - number * frac` into a bin
+    // the spectrum is leaving lands below `N_FLOOR` (negatives it no
+    // longer finds: a moved bin is left at `n - n`, `+0.0`, and both
+    // deposits are `>= 0` for `frac` in `[0, 1]`).
     let mut first = [false; LANES];
     for l in 0..len {
         first[l] = mask[l] && !scrubbed[l];
         scrubbed[l] |= mask[l];
     }
     if first.contains(&true) {
-        panel.scrub_lanes(0..NTYPES, &first);
+        panel.scrub_tail_lanes(0..NTYPES, &first, grids, floored);
     }
-    panel.scrub_lanes(ci..ci + 1, &mask);
+    panel.scrub_tail_lanes(ci..ci + 1, &mask, grids, floored);
     for l in 0..len {
         if !mask[l] {
             continue;
@@ -1420,8 +1461,11 @@ mod tests {
     /// A point that takes condensation branch `kind` (0: the guard's early
     /// return, 1: warm, 2: mixed phase, 3: glaciated) with random spectra:
     /// present classes are random, absent ones empty, and now and then a
-    /// NaN bin in a class that does not decide the branch.
-    fn random_point(kind: u8, rng: &mut Lcg) -> (PointBins, PointThermo) {
+    /// NaN bin in a class that does not decide the branch. With `tails`,
+    /// every present class also holds a tail at 1e-25…1e-18 #/kg on both
+    /// sides of its spectrum, where the relaxes' deposits land below
+    /// [`N_FLOOR`] and the floor fires substep after substep.
+    fn random_point(kind: u8, tails: bool, rng: &mut Lcg) -> (PointBins, PointThermo) {
         let mut bins = PointBins::empty();
         let (t, sat) = match kind {
             0 => (250.0 + rng.next() * 45.0, 0.5),
@@ -1447,6 +1491,11 @@ mod tests {
                     bins.n[c][b] = random_bin(rng);
                 }
                 bins.n[c][lo + 1] = 1.0e3 + rng.next() * 1.0e7;
+                if tails {
+                    for b in (0..lo).chain(hi + 1..NKR) {
+                        bins.n[c][b] = 10f32.powf(rng.next() * 7.0 - 25.0).max(N_FLOOR);
+                    }
+                }
             }
             if rng.next() < 0.15 {
                 let c = [1, 2, 3, 5, 6][(rng.next() * 5.0) as usize];
@@ -1463,30 +1512,43 @@ mod tests {
         (bins, th)
     }
 
+    /// Property depth: 256 panels on PRs, 4096 under `CI_NIGHTLY`.
+    fn condensation_cases() -> u32 {
+        if std::env::var_os("CI_NIGHTLY").is_some_and(|v| !v.is_empty()) {
+            4096
+        } else {
+            256
+        }
+    }
+
     proptest::proptest! {
-        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+        #![proptest_config(proptest::ProptestConfig::with_cases(condensation_cases()))]
 
         /// The panel against `condensation_branch` lane by lane, on random
         /// spectra through all three branches and the guard's early
-        /// return (lane `l` takes branch `(l + offset) % 4`), with
+        /// return (lane `l` takes branch `(l + offset) % 4`, and carries
+        /// floor-firing tails when bit `l` of `tails` is set), with
         /// subnormal tails, `-0.0` bins, tiny negatives, NaN bins and
         /// empty classes, in a panel of `len` live lanes whose dead lanes
-        /// hold NaN, ±inf and random bits: every live lane's state bits
-        /// and `PointWork` are the scalar's, and no dead lane's bits move.
+        /// hold NaN, ±inf and random bits: every live lane's state bits,
+        /// `PointWork` and `Floored` are the scalar's, and no dead lane's
+        /// bits move.
         #[test]
         fn panel_condensation_is_bitwise_identical(
             seed in proptest::any::<u64>(), len in 1usize..=LANES, offset in 0u8..4,
+            tails in 0u32..256,
         ) {
             let grids = Grids::new();
             let mut rng = Lcg(seed);
             let points: Vec<_> = (0..len)
-                .map(|l| random_point((l as u8 + offset) % 4, &mut rng))
+                .map(|l| random_point((l as u8 + offset) % 4, tails >> l & 1 == 1, &mut rng))
                 .collect();
             let mut scalar = points.clone();
             let mut sw = [PointWork::ZERO; LANES];
+            let mut sf = [Floored::default(); LANES];
             for (l, (bins, th)) in scalar.iter_mut().enumerate() {
                 let mut view = bins.view();
-                condensation::condensation_branch(&mut view, th, &grids, 5.0, &mut sw[l]);
+                condensation::condensation_branch(&mut view, th, &grids, 5.0, &mut sw[l], &mut sf[l]);
             }
 
             let mut panel = gather(&points);
@@ -1502,11 +1564,13 @@ mod tests {
             }
             let before = panel.n;
             let mut pw = [PointWork::ZERO; LANES];
-            panel_condensation(&mut panel, &grids, 5.0, &mut pw);
+            let mut pf = [Floored::default(); LANES];
+            panel_condensation(&mut panel, &grids, 5.0, &mut pw, &mut pf);
 
             assert_panel_matches(&panel, &scalar, "condensation");
             for l in 0..len {
                 proptest::prop_assert_eq!(sw[l], pw[l], "lane {} condensation work", l);
+                proptest::prop_assert_eq!(floored_bits(&sf[l]), floored_bits(&pf[l]), "lane {} floored", l);
             }
             let dead_bits = |n: &[[[f32; LANES]; NKR]; NTYPES]| -> Vec<u32> {
                 n.iter().flatten().flat_map(|row| row[len..].iter().map(|x| x.to_bits())).collect()
@@ -1515,16 +1579,24 @@ mod tests {
         }
     }
 
+    /// A tally as comparable bits.
+    fn floored_bits(f: &Floored) -> (u64, u64, u64) {
+        (f.values, f.number.to_bits(), f.mass.to_bits())
+    }
+
     /// The generator of `panel_condensation_is_bitwise_identical` lands
     /// where it says: each kind takes its branch, or the guard's early
-    /// return.
+    /// return, with or without tails; and tails make the floor fire in
+    /// every branch that condenses.
     #[test]
     fn random_points_take_their_branch() {
         let grids = Grids::new();
         let mut rng = Lcg(11);
-        for kind in (0..4u8).cycle().take(400) {
-            let (mut bins, th) = random_point(kind, &mut rng);
-            let view = bins.view();
+        let mut fired = [0u64; 4];
+        for (n, kind) in (0..4u8).cycle().take(800).enumerate() {
+            let tails = n >= 400;
+            let (mut bins, mut th) = random_point(kind, tails, &mut rng);
+            let mut view = bins.view();
             let mut w = PointWork::ZERO;
             let condensate = view.total_condensate(&grids, &mut w);
             let s = supersat_liquid(th.t, th.p, th.qv);
@@ -1535,6 +1607,87 @@ mod tests {
                 condensation::branch(th.t, s, &numbers)
             };
             assert_eq!(got, kind, "{th:?}");
+            if tails {
+                let mut floored = Floored::default();
+                condensation::condensation_branch(
+                    &mut view,
+                    &mut th,
+                    &grids,
+                    5.0,
+                    &mut w,
+                    &mut floored,
+                );
+                fired[kind as usize] += floored.values;
+            }
+        }
+        assert_eq!(fired[0], 0, "the guard's early return scrubs nothing");
+        assert!(
+            fired[1..].iter().all(|&f| f > 0),
+            "tails floored: {fired:?}"
+        );
+    }
+
+    /// Both scrubs at their edges: `N_FLOOR` stays and its lower neighbour
+    /// goes (tallied), negatives become `+0.0` (not tallied), `±0.0`, NaN
+    /// and ∞ keep their bits; the panel's masked-off lanes keep theirs.
+    #[test]
+    fn scrub_tails_edges_in_both_layouts() {
+        let grids = Grids::new();
+        let below = f32::from_bits(N_FLOOR.to_bits() - 1);
+        let edges = [
+            (N_FLOOR, N_FLOOR),
+            (below, 0.0),
+            (f32::from_bits(1), 0.0),
+            (0.0, 0.0),
+            (-0.0, -0.0),
+            (-1.0e-7, 0.0),
+            (-f32::from_bits(1), 0.0),
+            (f32::INFINITY, f32::INFINITY),
+            (f32::NAN, f32::NAN),
+            (3.0e5, 3.0e5),
+        ];
+        // Edge `e` at bin `e` of class 2, so the tally knows its mass.
+        let (c, tails) = (2, [1, 2]);
+        let m = &grids.by_index(c).mass;
+        let want_mass: f64 = tails
+            .iter()
+            .map(|&e| f64::from(edges[e].0) * f64::from(m[e]))
+            .sum();
+        let want_number: f64 = tails.iter().map(|&e| f64::from(edges[e].0)).sum();
+
+        let mut bins = PointBins::empty();
+        for (e, &(v, _)) in edges.iter().enumerate() {
+            bins.n[c][e] = v;
+        }
+        let mut panel = gather(&vec![(bins.clone(), synth_points(1)[0].1); LANES]);
+        let mut scalar = Floored::default();
+        bins.view().scrub_tails(&grids, &mut scalar);
+
+        let mask: [bool; LANES] = std::array::from_fn(|l| l % 2 == 0);
+        let mut lanes = [Floored::default(); LANES];
+        panel.scrub_tail_lanes(0..NTYPES, &mask, &grids, &mut lanes);
+
+        for (e, &(v, want)) in edges.iter().enumerate() {
+            assert_eq!(bins.n[c][e].to_bits(), want.to_bits(), "scalar: {v:e}");
+            for l in 0..LANES {
+                let want = if mask[l] { want } else { v };
+                assert_eq!(
+                    panel.n[c][e][l].to_bits(),
+                    want.to_bits(),
+                    "lane {l}: {v:e}"
+                );
+            }
+        }
+        assert_eq!(scalar.values, tails.len() as u64);
+        assert_eq!(scalar.number, want_number);
+        assert_eq!(scalar.mass, want_mass);
+        for l in 0..LANES {
+            let want = if mask[l] {
+                floored_bits(&scalar)
+            } else {
+                (0, 0, 0)
+            };
+            assert_eq!(floored_bits(&lanes[l]), want, "lane {l}");
         }
     }
 

@@ -23,16 +23,20 @@ pub const Q_EPS: f32 = 1.0e-12;
 /// Storage floor of a bin's number mixing ratio, #/kg: a positive value
 /// below it is stored as `+0.0` ([`floor_tail`]). It sits 22 decades
 /// below [`N_EPS`], so no decision that reads `N_EPS` can see it, and
-/// about 13 decades above f32's smallest normal (1.2e-38), so the
-/// products transport and condensation form from a surviving value within
-/// one step stay normal: no bin tail decays into subnormals, whose
-/// arithmetic runs in microcode assists.
+/// about 13 decades above f32's smallest normal (1.2e-38), so a product
+/// of a stored value with a bin radius or a share stays normal. That is
+/// true of what is stored, not of what a sweep forms between stores: the
+/// condensation relax deposits sub-floor values and feeds them to its
+/// next substep, so it floors where it scrubs, after every relax that
+/// moves mass. No bin tail then decays into subnormals, whose arithmetic
+/// runs in microcode assists.
 pub const N_FLOOR: f32 = 1.0e-25;
 
 /// A positive value below [`N_FLOOR`] as `+0.0`; every other value (`0`,
 /// `-0.0`, negatives, NaN, ∞, anything ≥ `N_FLOOR`) unchanged. Applied at
-/// two writes the step already makes: transport's final RK3 stage of a
-/// positive-definite scalar and the sedimentation write-back.
+/// three writes the step already makes: transport's final RK3 stage of a
+/// positive-definite scalar, the condensation relax's scrub
+/// ([`BinsView::scrub_tails`]) and the sedimentation write-back.
 #[inline]
 pub fn floor_tail(v: f32) -> f32 {
     if v > 0.0 && v < N_FLOOR {
@@ -224,6 +228,24 @@ impl<'a> BinsView<'a> {
                 if *v < 0.0 {
                     debug_assert!(*v > -1.0e-2, "large negative bin {v}");
                     *v = 0.0;
+                }
+            }
+        }
+    }
+
+    /// The condensation relax's scrub: [`BinsView::scrub_negatives`] and
+    /// the storage floor in one pass. A negative becomes `0.0`, a positive
+    /// value below [`N_FLOOR`] `+0.0` (tallied in `floored` with its bin's
+    /// particle mass, classes in storage order, bins ascending), and every
+    /// other value, `-0.0` and NaN included, keeps its bits.
+    pub fn scrub_tails(&mut self, grids: &Grids, floored: &mut Floored) {
+        for (c, s) in self.n.iter_mut().enumerate() {
+            for (v, &m) in s.iter_mut().zip(&grids.by_index(c).mass) {
+                if *v < 0.0 {
+                    debug_assert!(*v > -1.0e-2, "large negative bin {v}");
+                    *v = 0.0;
+                } else {
+                    *v = floored.floor(*v, m);
                 }
             }
         }

@@ -15,7 +15,7 @@
 
 use crate::constants::T_0;
 use crate::meter::PointWork;
-use crate::point::{deposit_mass, BinsView, Grids, PointThermo, N_EPS, Q_EPS};
+use crate::point::{deposit_mass, BinsView, Floored, Grids, PointThermo, N_EPS, Q_EPS};
 use crate::thermo::{growth_coefficient, latent_heating, qsat_ice, qsat_liquid, supersat_liquid};
 use crate::types::{HydroClass, NKR, NTYPES};
 
@@ -27,7 +27,9 @@ use crate::types::{HydroClass, NKR, NTYPES};
 pub const NCOND: u32 = 12;
 
 /// One class's diffusional exchange toward saturation `qs` over `dt`.
-/// Returns the vapor consumed (negative = evaporated into vapor).
+/// Returns the vapor consumed (negative = evaporated into vapor). A relax
+/// that moves mass ends with [`BinsView::scrub_tails`], whose floor is
+/// tallied in `floored`.
 #[allow(clippy::too_many_arguments)] // mirrors the Fortran argument list
 fn relax_class(
     bins: &mut BinsView<'_>,
@@ -38,6 +40,7 @@ fn relax_class(
     over_ice: bool,
     dt: f32,
     w: &mut PointWork,
+    floored: &mut Floored,
 ) -> f32 {
     let g = grids.of(class);
     // Integrated diffusional capacity Σ n_k r_k (per kg of air).
@@ -107,7 +110,10 @@ fn relax_class(
             }
         }
     }
-    bins.scrub_negatives();
+    // The deposits above leave sub-floor values in bins the spectrum is
+    // leaving; unfloored, the next substep's cap and share passes would
+    // carry them down into subnormals.
+    bins.scrub_tails(grids, floored);
 
     th.qv -= dq;
     th.t += latent_heating(dq, over_ice);
@@ -123,13 +129,24 @@ pub fn onecond1(
     grids: &Grids,
     dt: f32,
     w: &mut PointWork,
+    floored: &mut Floored,
 ) -> f32 {
     let dts = dt / NCOND as f32;
     let mut total = 0.0;
     for _ in 0..NCOND {
         let qs = qsat_liquid(th.t, th.p);
         w.f(20);
-        total += relax_class(bins, HydroClass::Water, th, grids, qs, false, dts, w);
+        total += relax_class(
+            bins,
+            HydroClass::Water,
+            th,
+            grids,
+            qs,
+            false,
+            dts,
+            w,
+            floored,
+        );
     }
     total
 }
@@ -143,13 +160,24 @@ pub fn onecond2(
     grids: &Grids,
     dt: f32,
     w: &mut PointWork,
+    floored: &mut Floored,
 ) -> f32 {
     let dts = dt / NCOND as f32;
     let mut total = 0.0;
     for _ in 0..NCOND {
         let qs_w = qsat_liquid(th.t, th.p);
         w.f(20);
-        total += relax_class(bins, HydroClass::Water, th, grids, qs_w, false, dts, w);
+        total += relax_class(
+            bins,
+            HydroClass::Water,
+            th,
+            grids,
+            qs_w,
+            false,
+            dts,
+            w,
+            floored,
+        );
         for class in [
             HydroClass::IceColumns,
             HydroClass::IcePlates,
@@ -160,7 +188,7 @@ pub fn onecond2(
         ] {
             let qs_i = qsat_ice(th.t, th.p);
             w.f(20);
-            total += relax_class(bins, class, th, grids, qs_i, true, dts, w);
+            total += relax_class(bins, class, th, grids, qs_i, true, dts, w, floored);
         }
     }
     total
@@ -174,6 +202,7 @@ pub fn onecond3(
     grids: &Grids,
     dt: f32,
     w: &mut PointWork,
+    floored: &mut Floored,
 ) -> f32 {
     let dts = dt / NCOND as f32;
     let mut total = 0.0;
@@ -188,7 +217,7 @@ pub fn onecond3(
         ] {
             let qs_i = qsat_ice(th.t, th.p);
             w.f(20);
-            total += relax_class(bins, class, th, grids, qs_i, true, dts, w);
+            total += relax_class(bins, class, th, grids, qs_i, true, dts, w, floored);
         }
     }
     total
@@ -217,13 +246,15 @@ pub fn branch(t: f32, s: f32, numbers: &[f32; NTYPES]) -> u8 {
 
 /// Selects the condensation branch the way Listing 1 does ([`branch`]):
 /// `onecond1` when the point is warm or ice-free, `onecond2` in mixed
-/// phase, `onecond3` when fully glaciated.
+/// phase, `onecond3` when fully glaciated. What the relaxes' scrubs
+/// floor is tallied in `floored`.
 pub fn condensation_branch(
     bins: &mut BinsView<'_>,
     th: &mut PointThermo,
     grids: &Grids,
     dt: f32,
     w: &mut PointWork,
+    floored: &mut Floored,
 ) -> f32 {
     // Listing 1's conditionals: clear, subsaturated points skip the
     // expensive branch entirely (most of CONUS).
@@ -236,9 +267,9 @@ pub fn condensation_branch(
     let numbers = HydroClass::ALL.map(|c| bins.number_of(c));
     w.m(7 * NKR as u64);
     match branch(th.t, s, &numbers) {
-        1 => onecond1(bins, th, grids, dt, w),
-        2 => onecond2(bins, th, grids, dt, w),
-        _ => onecond3(bins, th, grids, dt, w),
+        1 => onecond1(bins, th, grids, dt, w, floored),
+        2 => onecond2(bins, th, grids, dt, w, floored),
+        _ => onecond3(bins, th, grids, dt, w, floored),
     }
 }
 
@@ -275,7 +306,7 @@ mod tests {
         let mut w = PointWork::ZERO;
         let mut v = b.view();
         let q_before = v.mass_of(HydroClass::Water, &g, &mut w);
-        let dq = onecond1(&mut v, &mut th, &g, 5.0, &mut w);
+        let dq = onecond1(&mut v, &mut th, &g, 5.0, &mut w, &mut Floored::default());
         let q_after = v.mass_of(HydroClass::Water, &g, &mut w);
         assert!(dq > 0.0, "supersaturated point must condense");
         assert!(th.t > t0, "latent heating");
@@ -300,7 +331,7 @@ mod tests {
         let mut w = PointWork::ZERO;
         let mut v = b.view();
         let q_before = v.mass_of(HydroClass::Water, &g, &mut w);
-        let dq = onecond1(&mut v, &mut th, &g, 5.0, &mut w);
+        let dq = onecond1(&mut v, &mut th, &g, 5.0, &mut w, &mut Floored::default());
         let q_after = v.mass_of(HydroClass::Water, &g, &mut w);
         assert!(dq < 0.0);
         assert!(q_after < q_before);
@@ -316,7 +347,7 @@ mod tests {
         let mut w = PointWork::ZERO;
         let mut v = b.view();
         let q_before = v.mass_of(HydroClass::Water, &g, &mut w);
-        let dq = onecond1(&mut v, &mut th, &g, 60.0, &mut w);
+        let dq = onecond1(&mut v, &mut th, &g, 60.0, &mut w, &mut Floored::default());
         assert!(-dq <= q_before * 1.0001, "dq {} vs q {}", dq, q_before);
         let q_after = v.mass_of(HydroClass::Water, &g, &mut w);
         assert!(q_after >= -1e-15);
@@ -329,7 +360,14 @@ mod tests {
         let mut th = supersaturated(285.0, 1.05);
         let qv0 = th.qv;
         let mut w = PointWork::ZERO;
-        let dq = onecond1(&mut b.view(), &mut th, &g, 5.0, &mut w);
+        let dq = onecond1(
+            &mut b.view(),
+            &mut th,
+            &g,
+            5.0,
+            &mut w,
+            &mut Floored::default(),
+        );
         assert_eq!(dq, 0.0);
         assert_eq!(th.qv, qv0);
     }
@@ -353,7 +391,7 @@ mod tests {
         let mut w = PointWork::ZERO;
         let mut v = b.view();
         let qi_before = v.mass_of(HydroClass::IcePlates, &g, &mut w);
-        onecond2(&mut v, &mut th, &g, 5.0, &mut w);
+        onecond2(&mut v, &mut th, &g, 5.0, &mut w, &mut Floored::default());
         let qi_after = v.mass_of(HydroClass::IcePlates, &g, &mut w);
         assert!(
             qi_after > qi_before,
@@ -370,7 +408,14 @@ mod tests {
         b.n[0][8] = 1.0e7;
         b.n[4][8] = 1.0e5;
         let mut th = supersaturated(290.0, 1.01);
-        let dq_warm = condensation_branch(&mut b.view(), &mut th, &g, 5.0, &mut w);
+        let dq_warm = condensation_branch(
+            &mut b.view(),
+            &mut th,
+            &g,
+            5.0,
+            &mut w,
+            &mut Floored::default(),
+        );
         assert!(dq_warm > 0.0);
         // Cold + ice → onecond2 path must touch ice classes.
         let mut b2 = PointBins::empty();
@@ -385,7 +430,7 @@ mod tests {
         };
         let mut v2 = b2.view();
         let qs_before = v2.mass_of(HydroClass::Snow, &g, &mut w);
-        condensation_branch(&mut v2, &mut th2, &g, 5.0, &mut w);
+        condensation_branch(&mut v2, &mut th2, &g, 5.0, &mut w, &mut Floored::default());
         let qs_after = v2.mass_of(HydroClass::Snow, &g, &mut w);
         assert!(qs_after > qs_before, "snow deposition in cold branch");
     }
@@ -401,7 +446,7 @@ mod tests {
         let mut w = PointWork::ZERO;
         for _ in 0..50 {
             let mut v = b.view();
-            onecond1(&mut v, &mut th, &g, 5.0, &mut w);
+            onecond1(&mut v, &mut th, &g, 5.0, &mut w, &mut Floored::default());
         }
         let s = supersat_liquid(th.t, th.p, th.qv);
         assert!(s.abs() < 0.01, "should be near saturation, s = {s}");

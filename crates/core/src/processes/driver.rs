@@ -13,7 +13,7 @@
 use crate::constants::{T_MIN_COAL, T_MIN_PHYSICS};
 use crate::kernels::KernelMode;
 use crate::meter::{PointWork, WorkBreakdown};
-use crate::point::{BinsView, Grids, PointThermo, Q_EPS};
+use crate::point::{BinsView, Floored, Grids, PointThermo, Q_EPS};
 use crate::processes::{breakup, collision, condensation, freezing, nucleation};
 
 /// Outcome of one point's microphysics.
@@ -27,6 +27,9 @@ pub struct PointOutcome {
     pub coal_entries: u64,
     /// Per-routine work.
     pub work: WorkBreakdown,
+    /// What the condensation relaxes' scrubs floored
+    /// ([`BinsView::scrub_tails`]).
+    pub floored: Floored,
 }
 
 /// First fissioned sweep: nucleation + condensation. Returns the outcome
@@ -44,7 +47,7 @@ pub fn fast_sbm_pre(
     };
 
     let mut w = PointWork::ZERO;
-    condensation::condensation_branch(bins, th, grids, dt, &mut w);
+    condensation::condensation_branch(bins, th, grids, dt, &mut w, &mut out.floored);
     out.work.cond = w;
 
     // The collision predicate of Listing 6: warm enough and something to

@@ -253,9 +253,10 @@ pub struct SbmStepStats {
     pub kernel_spec: Option<KernelSpec>,
     /// Surface precipitation this step, kg/m² summed over columns.
     pub precip: f64,
-    /// Bin values the sedimentation write-back stored as `+0.0`
-    /// ([`crate::point::floor_tail`]), with their number and mass, folded
-    /// in the precipitation's column order.
+    /// Bin values the scheme stored as `+0.0`
+    /// ([`crate::point::floor_tail`]), with their number and mass: the
+    /// condensation relaxes' scrubs folded in point order, then the
+    /// sedimentation write-back's in the precipitation's column order.
     pub floored: Floored,
     /// Wall-clock seconds of the offloaded collision launch (0 for the
     /// CPU versions' tiles; the metric the `bench-exec` arms compare).
@@ -432,7 +433,7 @@ impl FastSbm {
         let StepScratch { sweep, coal } = &mut self.scratch;
         let slots = p.compute_points();
         sweep.predicate.resize(slots, false);
-        sweep.outcomes.resize(slots, PointOutcome::default());
+        sweep.outcomes.resize(slots, SweepSlot::default());
         sweep.cond_key.resize(slots, NO_CONDENSATION);
         sweep
             .fall
@@ -467,11 +468,16 @@ impl FastSbm {
         stats.cond_cells = tally.cond_lanes.cells;
         stats.work = tally.work;
         // The step's floating-point reductions (the precipitation and the
-        // floored tally), folded serially in the order the serial pass
-        // always used — columns `j` outer, `i` inner, classes within a
-        // column — so no schedule can move a bit of them. A class the
-        // column skipped reads `+0.0`, which leaves a sum that started at
-        // `+0.0` unchanged.
+        // floored tally), folded serially in fixed orders so no schedule
+        // can move a bit of them: the condensation relaxes' floor point by
+        // point in sweep-array order, then sedimentation's in the order
+        // the serial pass always used — columns `j` outer, `i` inner,
+        // classes within a column. A class the column skipped, or a point
+        // that floored nothing, reads `+0.0`, which leaves a sum that
+        // started at `+0.0` unchanged.
+        for out in &sweep.outcomes {
+            stats.floored += out.floored;
+        }
         let mut sed = PointWork::ZERO;
         for (fall, rain) in sweep.fall.iter().zip(&mut state.rainnc) {
             let mut col_precip = 0.0f32;
@@ -522,7 +528,8 @@ fn pre_sweep(
                     let at = v.idx3(i, k, j);
                     let mut th = v.thermo(at);
                     v.load_bins(at, &mut bins);
-                    outs[ix] = fast_sbm_pre(&mut bins.view(), &mut th, v.grids, v.dt, v.t_old[at]);
+                    let out = fast_sbm_pre(&mut bins.view(), &mut th, v.grids, v.dt, v.t_old[at]);
+                    outs[ix] = SweepSlot::pre(&out);
                     v.store_bins(at, &bins);
                     v.store_thermo(at, &th);
                     pred[ix] = outs[ix].coal_called;
@@ -838,7 +845,7 @@ struct SweepArrays {
     /// `call_coal_bott_new`, `[row][i]` over the compute points.
     predicate: Vec<bool>,
     /// Per-point outcomes, same order.
-    outcomes: Vec<PointOutcome>,
+    outcomes: Vec<SweepSlot>,
     /// Per-point [`condensation_key`] the panel pre-sweep's row launch
     /// leaves for its condensation launch, same order
     /// ([`NO_CONDENSATION`] where a point needs none).
@@ -881,6 +888,37 @@ type LanePoint = (u32, u64, u32);
 
 /// The key slot of a point the condensation launch has nothing to do for.
 const NO_CONDENSATION: u16 = u16::MAX;
+
+/// A point's slot in the sweep arrays: the parts of its [`PointOutcome`]
+/// the pre and post sweeps write (collision reports through
+/// [`Tally::coal`], sedimentation through its column's [`ColumnFall`]),
+/// and what its condensation relaxes floored, folded in point order after
+/// the step. A patch-sized array, so it holds nothing more.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+struct SweepSlot {
+    active: bool,
+    coal_called: bool,
+    nucl: PointWork,
+    cond: PointWork,
+    freeze: PointWork,
+    breakup: PointWork,
+    floored: Floored,
+}
+
+impl SweepSlot {
+    /// The slot of a point whose pre-stage (or its nucleation head)
+    /// returned `out`.
+    fn pre(out: &PointOutcome) -> Self {
+        SweepSlot {
+            active: out.active,
+            coal_called: out.coal_called,
+            nucl: out.work.nucl,
+            cond: out.work.cond,
+            floored: out.floored,
+            ..SweepSlot::default()
+        }
+    }
+}
 
 /// What sedimentation leaves behind for one column: surface precipitation
 /// per class, kg/m² (`+0.0` for a class with nothing to fall), the
@@ -951,7 +989,7 @@ struct PatchViews<'a> {
     /// and key slots, a lane batch its points' predicate and outcome
     /// slots, a column unit its column's slot.
     predicate: SyncWriteSlice<'a, bool>,
-    outcomes: SyncWriteSlice<'a, PointOutcome>,
+    outcomes: SyncWriteSlice<'a, SweepSlot>,
     cond_key: SyncWriteSlice<'a, u16>,
     fall: SyncWriteSlice<'a, ColumnFall>,
 }
@@ -1183,18 +1221,19 @@ impl<'a> PatchViews<'a> {
 /// `condensation_branch` returns at its guard and the predicate reads
 /// false: it is metered as both would have metered it and finished here,
 /// like an inactive one.
-fn nucleate_point(v: &PatchViews<'_>, at: usize, out: &mut PointOutcome) -> Option<PointThermo> {
+fn nucleate_point(v: &PatchViews<'_>, at: usize, out: &mut SweepSlot) -> Option<PointThermo> {
     let mut th = v.thermo(at);
     let nucleated = fast_sbm_nucleate(&mut v.bins(at), &mut th, v.grids, v.dt, v.t_old[at]);
-    *out = nucleated.unwrap_or_default();
+    *out = nucleated
+        .as_ref()
+        .map_or_else(SweepSlot::default, SweepSlot::pre);
     nucleated?;
     v.store_thermo(at, &th);
     let mut sum = PointWork::ZERO;
     let condensate = v.bins(at).total_condensate(v.grids, &mut sum);
     if condensate <= Q_EPS && supersat_liquid(th.t, th.p, th.qv) <= 0.0 {
-        let cond = &mut out.work.cond;
-        *cond = sum + sum;
-        cond.f(25);
+        out.cond = sum + sum;
+        out.cond.f(25);
         return None;
     }
     Some(th)
@@ -1209,7 +1248,7 @@ fn nucleate_row(
     v: &PatchViews<'_>,
     at0: usize,
     pred: &mut [bool],
-    outs: &mut [PointOutcome],
+    outs: &mut [SweepSlot],
     keys: &mut [u16],
 ) {
     for (ix, ((p, out), key)) in pred.iter_mut().zip(outs).zip(keys).enumerate() {
@@ -1233,14 +1272,16 @@ fn cond_batch(v: &PatchViews<'_>, points: &[u32]) -> LaneFill {
         v.gather(*at, &mut panel);
     }
     let mut works = [PointWork::ZERO; LANES];
-    let fill = panel_condensation(&mut panel, v.grids, v.dt, &mut works);
+    let mut floored = [Floored::default(); LANES];
+    let fill = panel_condensation(&mut panel, v.grids, v.dt, &mut works, &mut floored);
     let preds = panel_coal_predicate(&panel, v.grids, &mut works);
     for (l, (&pt, &at)) in points.iter().zip(&ats).enumerate() {
         v.scatter(at, &panel, l);
         v.qv.set(at, panel.qv[l]);
         let pt = pt as usize;
         let out = &mut v.outcomes.subslice_mut(pt, 1)[0];
-        out.work.cond = works[l];
+        out.cond = works[l];
+        out.floored = floored[l];
         out.coal_called = preds[l];
         v.predicate.set(pt, preds[l]);
     }
@@ -1350,13 +1391,18 @@ fn coal_batch(
 /// Freezing/melting + breakup over the row's active points, scalar and in
 /// place in both layouts; returns the tally of the row's outcomes (all
 /// that the pre-sweep and this stage metered, and the point counts).
-fn post_row(v: &PatchViews<'_>, j: i32, k: i32, it: Span, outs: &mut [PointOutcome]) -> Tally {
+fn post_row(v: &PatchViews<'_>, j: i32, k: i32, it: Span, outs: &mut [SweepSlot]) -> Tally {
     let mut tally = Tally::default();
     for (i, out) in it.iter().zip(outs) {
         if out.active {
             let at = v.idx3(i, k, j);
             let mut th = v.thermo(at);
-            fast_sbm_post(&mut v.bins(at), &mut th, v.grids, v.dt, out);
+            let mut post = PointOutcome {
+                active: true,
+                ..PointOutcome::default()
+            };
+            fast_sbm_post(&mut v.bins(at), &mut th, v.grids, v.dt, &mut post);
+            (out.freeze, out.breakup) = (post.work.freeze, post.work.breakup);
             v.store_thermo(at, &th);
         }
         tally.add_point(out);
@@ -1681,10 +1727,16 @@ impl Tally {
 
     /// The pre and post stages' share of one point (its collision share
     /// arrives through [`Tally::coal`]).
-    fn add_point(&mut self, out: &PointOutcome) {
+    fn add_point(&mut self, out: &SweepSlot) {
         self.active += usize::from(out.active);
         self.coal_points += usize::from(out.coal_called);
-        self.work += out.work;
+        self.work += WorkBreakdown {
+            nucl: out.nucl,
+            cond: out.cond,
+            freeze: out.freeze,
+            breakup: out.breakup,
+            ..WorkBreakdown::default()
+        };
     }
 }
 
@@ -2337,18 +2389,18 @@ mod tests {
         st
     }
 
-    /// [`pre_sweep`] in `layout` over the one-row patch of a
-    /// [`row_state`], on the calling thread: the state after it, the
-    /// predicate and the outcomes.
+    /// [`pre_sweep`] in `layout` over the patch of `st` (the one-row
+    /// patch of a [`row_state`], or a whole storm), on the calling
+    /// thread: the state after it, the predicate and the outcomes.
     fn pre_sweep_on(
         mut st: SbmPatchState,
         layout: Layout,
-    ) -> (SbmPatchState, Vec<bool>, Vec<PointOutcome>) {
+    ) -> (SbmPatchState, Vec<bool>, Vec<SweepSlot>) {
         let n = st.patch.compute_points();
         let sbm = FastSbm::new(SbmConfig::new(SbmVersion::OffloadCollapse3));
         let mut sweep = SweepArrays {
             predicate: vec![false; n],
-            outcomes: vec![PointOutcome::default(); n],
+            outcomes: vec![SweepSlot::default(); n],
             cond_key: vec![NO_CONDENSATION; n],
             fall: Vec::new(),
         };
@@ -2440,8 +2492,8 @@ mod tests {
                 0 | 9 => {
                     assert_eq!(after, *before, "point {ix}");
                     let sum = 7 * NKR as u64;
-                    assert_eq!(out.work.cond.flops, 2 * 2 * sum + 25, "point {ix}");
-                    assert_eq!(out.work.cond.mem_ops, 2 * sum, "point {ix}");
+                    assert_eq!(out.cond.flops, 2 * 2 * sum + 25, "point {ix}");
+                    assert_eq!(out.cond.mem_ops, 2 * sum, "point {ix}");
                 }
                 5 => assert_eq!(after, *before, "point {ix}"),
                 // A clear supersaturated point nucleates, then condenses.
@@ -2453,6 +2505,27 @@ mod tests {
                 _ => assert_ne!(after, *before, "point {ix}"),
             }
         }
+    }
+
+    /// What condensation leaves behind: the spun-up storm after the
+    /// pre-sweep (nucleation, condensation, the predicate) holds no bin
+    /// value that is subnormal or in `(0, N_FLOOR)`, in either layout,
+    /// and the two layouts floored the same values point by point. The
+    /// storm holds no such value before the sweep; the relaxes' own
+    /// deposits form them (7 490, 546 of them subnormal, when the relax's
+    /// scrub does not floor), so the floor must fire on the way.
+    #[test]
+    fn condensation_leaves_no_tails() {
+        let runs = Layout::ALL.map(|layout| pre_sweep_on(storm_spinup_state(), layout));
+        for (layout, (st, _, outs)) in Layout::ALL.iter().zip(&runs) {
+            let census = st.tail_census();
+            assert_eq!(census, crate::state::TailCensus::default(), "{layout:?}");
+            let floored: u64 = outs.iter().map(|o| o.floored.values).sum();
+            assert!(floored > 0, "{layout:?}: nothing floored");
+        }
+        let [(aos, _, aos_outs), (soa, _, soa_outs)] = &runs;
+        assert_eq!(state_bits(aos), state_bits(soa));
+        assert_eq!(aos_outs, soa_outs);
     }
 
     /// A row that is clear and subsaturated over liquid and over ice —

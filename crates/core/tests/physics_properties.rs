@@ -4,7 +4,7 @@
 use fsbm_core::bins::terminal_velocity;
 use fsbm_core::kernels::{gravitational_kernel, KernelTables, COLLISION_PAIRS};
 use fsbm_core::meter::PointWork;
-use fsbm_core::point::{Grids, PointBins, PointThermo};
+use fsbm_core::point::{Floored, Grids, PointBins, PointThermo};
 use fsbm_core::processes::condensation::{condensation_branch, onecond1};
 use fsbm_core::processes::freezing::freezing_melting;
 use fsbm_core::thermo::{
@@ -93,7 +93,7 @@ proptest! {
         }
         let mut th = PointThermo { t, qv: rh * qsat_liquid(t, p), p, rho: 1.0 };
         let mut w = PointWork::ZERO;
-        onecond1(&mut b.view(), &mut th, &grids, 5.0, &mut w);
+        onecond1(&mut b.view(), &mut th, &grids, 5.0, &mut w, &mut Floored::default());
         prop_assert!(th.qv >= 0.0, "vapor went negative: {}", th.qv);
         let s = supersat_liquid(th.t, th.p, th.qv);
         // Relaxation cannot overshoot to strong sub/supersaturation of the
@@ -135,7 +135,7 @@ proptest! {
         let mut b = PointBins::empty();
         let mut th = PointThermo { t, qv: rh * qsat_liquid(t, p), p, rho: 1.0 };
         let mut w = PointWork::ZERO;
-        let dq = condensation_branch(&mut b.view(), &mut th, &grids, 5.0, &mut w);
+        let dq = condensation_branch(&mut b.view(), &mut th, &grids, 5.0, &mut w, &mut Floored::default());
         prop_assert_eq!(dq, 0.0);
         // Early-out: at most the guard scans.
         prop_assert!(w.flops < 1000, "clear point cost {} flops", w.flops);

@@ -21,7 +21,8 @@
 //! * **Bin tails** — each case's canonical end state holds no bin value
 //!   that is subnormal or positive below [`fsbm_core::point::N_FLOOR`]
 //!   ([`SbmPatchState::tail_census`]): the floor the step applies where
-//!   transport and sedimentation write keeps the tails out.
+//!   transport, the condensation relax and sedimentation write keeps the
+//!   tails out.
 //! * **Nesting** — the pinned nested configuration
 //!   ([`ModelConfig::GATE_NEST`] over the squall-line case) digests
 //!   identically to its canonical run across versions × comm modes, its child

@@ -52,8 +52,9 @@ pub struct RunReport {
     pub coal_entries: u64,
     /// Bin-tail values stored as `+0.0` over the run
     /// ([`fsbm_core::point::floor_tail`]): each step's transport tally
-    /// (`rk3.floored`) then its sedimentation tally (`sbm.floored`), in
-    /// step order. Only the scheme's share carries a mass.
+    /// (`rk3.floored`) then the scheme's (`sbm.floored`: its condensation
+    /// relaxes, then sedimentation), in step order. Only the scheme's
+    /// share carries a mass.
     pub floored: Floored,
     /// Wall seconds (dynamics, microphysics).
     pub wall: (f64, f64),
