@@ -359,8 +359,8 @@ mod tests {
         assert_eq!(
             rows,
             [
-                "fast_sbm 42.93 59.52",
-                "rk_scalar_tend 31.22 22.14",
+                "fast_sbm 42.89 59.48",
+                "rk_scalar_tend 31.24 22.16",
                 "rk_update_scalar 4.26 3.02"
             ]
         );
@@ -371,11 +371,11 @@ mod tests {
         assert_eq!(
             lanes,
             [
-                "solve_em 23.0901 ####################################################################################################",
+                "solve_em 23.0705 ####################################################################################################",
                 "rk_scalar_tend 5.1127 ########.........................########.........................#########.........................",
                 "rk_update_scalar 0.6972 .......##...............................##................................##........................",
                 "solve_em_other 3.4859 ........######...........................######............................######...................",
-                "fast_sbm 13.7428 .............#####################............#####################.............####################",
+                "fast_sbm 13.7232 .............#####################............#####################.............####################",
                 "mpi_halo 0.0515 .................................#................................#................................#",
             ]
         );
