@@ -234,12 +234,12 @@ impl SoaPanel {
         tot
     }
 
-    /// Per-lane mirror of `BinsView::scrub_negatives` over `classes` for
-    /// the lanes where `mask` holds (never one `>= len`): clamps tiny
+    /// Per-lane mirror of `BinsView::scrub_negatives` (collision's scrub)
+    /// for the lanes where `mask` holds (never one `>= len`): clamps tiny
     /// negative round-off to zero. A select over all [`LANES`] slots —
     /// every other slot, `-0.0` included, keeps its bits.
-    fn scrub_lanes(&mut self, classes: std::ops::Range<usize>, mask: &[bool; LANES]) {
-        for bins in &mut self.n[classes] {
+    fn scrub_lanes(&mut self, mask: &[bool; LANES]) {
+        for bins in &mut self.n {
             for slots in bins.iter_mut() {
                 for (v, &on) in slots.iter_mut().zip(mask) {
                     debug_assert!(!(on && *v <= -1.0e-2), "large negative bin value {v}");
@@ -776,7 +776,7 @@ fn coal_substep_panel(
             *misses += (acc_nent[l] - acc_hit[l]) as u64;
         }
     }
-    panel.scrub_lanes(0..NTYPES, &all);
+    panel.scrub_lanes(&all);
 }
 
 /// Batched mirror of `condensation::condensation_branch` over a panel.
@@ -1669,25 +1669,17 @@ mod tests {
 
         for (e, &(v, want)) in edges.iter().enumerate() {
             assert_eq!(bins.n[c][e].to_bits(), want.to_bits(), "scalar: {v:e}");
-            for l in 0..LANES {
-                let want = if mask[l] { want } else { v };
-                assert_eq!(
-                    panel.n[c][e][l].to_bits(),
-                    want.to_bits(),
-                    "lane {l}: {v:e}"
-                );
+            for (l, (got, &on)) in panel.n[c][e].iter().zip(&mask).enumerate() {
+                let want = if on { want } else { v };
+                assert_eq!(got.to_bits(), want.to_bits(), "lane {l}: {v:e}");
             }
         }
         assert_eq!(scalar.values, tails.len() as u64);
         assert_eq!(scalar.number, want_number);
         assert_eq!(scalar.mass, want_mass);
-        for l in 0..LANES {
-            let want = if mask[l] {
-                floored_bits(&scalar)
-            } else {
-                (0, 0, 0)
-            };
-            assert_eq!(floored_bits(&lanes[l]), want, "lane {l}");
+        for (l, (tally, &on)) in lanes.iter().zip(&mask).enumerate() {
+            let want = if on { floored_bits(&scalar) } else { (0, 0, 0) };
+            assert_eq!(floored_bits(tally), want, "lane {l}");
         }
     }
 
