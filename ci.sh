@@ -175,11 +175,11 @@ step_shellcheck() {
     shellcheck ci.sh
 }
 
-# The ten repro gates, one row each:
+# The nine repro gates, one row each:
 #   ci step ; repro arguments ; report file ; summary section
 # `repro help` describes what each gate enforces. Every gate prints its
 # report, writes it to the report file (the same JSON envelope for all
-# ten), and exits nonzero on a violation. A committed report must come
+# nine), and exits nonzero on a violation. A committed report must come
 # out byte-identical (report_drift), the way goldens/ must. The last
 # field names the gate's headline table — the report section with that
 # title lands in the job summary, so a green job explains itself as a
@@ -187,7 +187,6 @@ step_shellcheck() {
 # row in the registry of crates/gate/src/bin/repro.rs, and one line in
 # the ci.yml matrix — crates/gate/tests/cli.rs holds the three equal.
 GATES=(
-    "gate;gate;gate_report.json;"
     "bench-exec;bench-exec;BENCH_executor.json;speedup work-stealing+compaction vs static tiles"
     "comm;comm;BENCH_comm.json;overlap bench: blocking comm vs overlapped exposed comm"
     "fault;fault;BENCH_fault.json;kill a rank mid-run, recover from the newest checkpoint set"
@@ -214,8 +213,7 @@ gate_row() {
 # Fails when report file $1 is modified or newly created: every gate is
 # a function of the tree, so a committed report that a run changed means
 # the tree changed what it records — regenerate it and commit the diff.
-# An ignored report (gate_report.json) never shows. The diff goes to the
-# log and, with its stat, to the job summary.
+# The diff goes to the log and, with its stat, to the job summary.
 report_drift() {
     local status
     status=$(git status --porcelain -- "$1")
@@ -302,7 +300,7 @@ drift_guard() {
 # say so (`--bless` in the message body).
 step_golden_drift() {
     drift_guard golden-drift --bless %B \
-        "re-bless deliberately (repro gate --bless / repro cases --bless) and say so in the commit body" \
+        "re-bless deliberately (repro cases --bless) and say so in the commit body" \
         goldens/
 }
 

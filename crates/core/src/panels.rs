@@ -133,11 +133,6 @@ impl SoaPanel {
         self.len = 0;
     }
 
-    /// True when no further lane fits.
-    pub fn is_full(&self) -> bool {
-        self.len == LANES
-    }
-
     /// Gathers one point into the next lane and returns its lane index.
     /// `read(class, bin)` supplies the point's bin number densities.
     pub fn push_with(

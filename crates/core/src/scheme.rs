@@ -249,8 +249,6 @@ pub struct SbmStepStats {
     /// Of those, the slots of lanes inside the relax call's mask: the
     /// relaxes the scalar runs, the same under any grouping.
     pub cond_cells: u64,
-    /// Launch descriptor of the offloaded kernel, if any.
-    pub kernel_spec: Option<KernelSpec>,
     /// Surface precipitation this step, kg/m² summed over columns.
     pub precip: f64,
     /// Bin values the scheme stored as `+0.0`
@@ -611,7 +609,6 @@ fn coal_launch(
         }
     };
     stats.coal_iters = iters as u64;
-    stats.kernel_spec = plan.kernel_spec();
 
     let sink = Mutex::new(CoalSink {
         tally: Tally::default(),
@@ -1780,7 +1777,6 @@ fn empty_stats(points: usize) -> SbmStepStats {
         lane_cells: 0,
         cond_slots: 0,
         cond_cells: 0,
-        kernel_spec: None,
         precip: 0.0,
         floored: Floored::default(),
         coal_wall: 0.0,
@@ -1934,8 +1930,8 @@ mod tests {
     fn offload_versions_report_launch_geometry() {
         let (_, s2) = run_version(SbmVersion::OffloadCollapse2, 1);
         let (_, s3) = run_version(SbmVersion::OffloadCollapse3, 1);
-        let k2 = s2.kernel_spec.as_ref().unwrap();
-        let k3 = s3.kernel_spec.as_ref().unwrap();
+        let k2 = SbmVersion::OffloadCollapse2.kernel_spec().unwrap();
+        let k3 = SbmVersion::OffloadCollapse3.kernel_spec().unwrap();
         assert_eq!(k2.collapse, 2);
         assert_eq!(k3.collapse, 3);
         assert!(k2.stack_bytes_per_thread > 4096, "automatic arrays");
@@ -1981,12 +1977,13 @@ mod tests {
     }
 
     /// Neither the scheduler, the pool width nor the kernel cache can move
-    /// a bit: every work-stealing run — its three sweeps and the collision
-    /// launch on 1, 2, 3 or 8 pool threads — reproduces the static
-    /// partition's serial sweeps in state, precipitation and statistics.
+    /// a bit, in any version or layout: every work-stealing run — its
+    /// three sweeps and the collision launch on 1, 2, 3 or 8 pool threads
+    /// — and the static partition on 3 threads reproduce the static
+    /// partition on 4 in state, precipitation and statistics.
     #[test]
     fn exec_modes_and_kernel_cache_are_bitwise_identical() {
-        for version in [SbmVersion::OffloadCollapse2, SbmVersion::OffloadCollapse3] {
+        for version in SbmVersion::ALL {
             for layout in Layout::ALL {
                 // Reference: the static partition with no cache.
                 let mut cfg = SbmConfig::new(version);
@@ -1998,6 +1995,8 @@ mod tests {
                 assert!(ref_stats[2].work.sed.flops > 0 && ref_stats[2].work.cond.flops > 0);
 
                 let variants = [
+                    (ExecMode::StaticTiles, false, 3),
+                    (ExecMode::WorkSteal, true, 1),
                     (ExecMode::WorkSteal, false, 1),
                     (ExecMode::WorkSteal, false, 2),
                     (ExecMode::WorkSteal, false, 3),
@@ -2035,7 +2034,7 @@ mod tests {
                         ref_state.precip_acc.to_bits(),
                         "{what}: precip_acc"
                     );
-                    if cached && sched.uses_executor() {
+                    if cached && sched.uses_executor() && version.offloaded() {
                         let summary = scheme.exec_summary(&ref_stats[2]);
                         assert_eq!(summary.cache_hit_rate, 1.0, "pressure is k-only here");
                         assert_eq!(summary.workers, workers);

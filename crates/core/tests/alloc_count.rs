@@ -168,10 +168,8 @@ fn steady_fissioned_step(
 }
 
 /// The fissioned panel path reuses its sweep arrays, batch list and
-/// per-column activity flags the same way. One allocation per step is
-/// inherent in the statistics it returns (`SbmStepStats::kernel_spec`
-/// owns the kernel's name), so the pin is that the count is tiny and does
-/// not grow with the patch.
+/// per-column activity flags the same way: a steady `collapse(2)` step
+/// allocates nothing on either patch, so nothing grows with the patch.
 #[test]
 fn steady_state_collapse2_step_allocations_do_not_scale_with_the_patch() {
     let counts = [(12, 8), (36, 24)].map(|(ni, nj)| {
@@ -180,18 +178,15 @@ fn steady_state_collapse2_step_allocations_do_not_scale_with_the_patch() {
         assert_eq!(stats.coal_iters as usize, 6 * nj as usize);
         n
     });
-    assert_eq!(counts[0], counts[1], "allocations scale with the patch");
-    assert!(
-        counts[0] <= 2,
-        "steady collapse(2) step allocated {counts:?}"
-    );
+    assert_eq!(counts, [0, 0], "steady collapse(2) step allocations");
 }
 
 /// The production path — `collapse(3)`, work stealing, cached kernels —
 /// with its three sweeps and the collision launch going through the pool
 /// entry points: the per-column sedimentation results and the per-thread
-/// column scratch are reused, not rebuilt per step, so the kernel's name
-/// in the returned statistics is the step's only allocation on either
+/// column scratch are reused, not rebuilt per step, and the returned
+/// statistics own no heap memory (the launch geometry is the version's,
+/// `SbmVersion::kernel_spec`), so the step allocates nothing on either
 /// patch.
 #[test]
 fn steady_state_production_step_allocates_only_its_statistics() {
@@ -201,7 +196,7 @@ fn steady_state_production_step_allocates_only_its_statistics() {
         assert!(stats.coal_points > 0 && stats.work.sed.flops > 0);
         n
     });
-    assert_eq!(counts, [1, 1], "steady production step allocations");
+    assert_eq!(counts, [0, 0], "steady production step allocations");
 }
 
 /// The AoS baseline layout is *expected* to allocate (per-point bin

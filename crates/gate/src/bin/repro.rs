@@ -50,17 +50,9 @@ struct Gate {
 }
 
 /// The gate registry. Every report is a deterministic function of the
-/// source tree. `gate`'s is the git-ignored `gate_report.json` only
-/// because it restates `goldens/`; the others are committed, and a run
-/// that changes one shows in `git diff` (`ci.sh` fails on it).
+/// source tree and committed: a run that changes one shows in `git diff`
+/// (`ci.sh` fails on it).
 const GATES: &[Gate] = &[
-    Gate {
-        name: "gate",
-        report_file: "gate_report.json",
-        about: "golden matrix (versions x modes x workers, production layout, plus each fixture's blessing arm) vs goldens/",
-        run: |e| wrf_gate::run_gate(&e.goldens),
-        bless: Some(|e| wrf_gate::bless(&e.goldens)),
-    },
     Gate {
         name: "bench-exec",
         report_file: "BENCH_executor.json",
@@ -113,7 +105,7 @@ const GATES: &[Gate] = &[
     Gate {
         name: "cases",
         report_file: "BENCH_cases.json",
-        about: "every library case and the one-way nest vs goldens/case_*.golden, activity bands, nested-vs-solo floors",
+        about: "golden verification: every case and the nest, versions x layouts x schedulers bitwise vs goldens/, activity bands, nest floors",
         run: |e| wrf_gate::cases::run(&e.goldens, Depth::of(e.nightly).cases_sweep),
         bless: Some(|e| wrf_gate::cases::bless_cases(&e.goldens)),
     },

@@ -5,12 +5,14 @@
 //! one-way nest:
 //!
 //! * **Reproducibility** — every library case (plus the legacy CONUS
-//!   default) produces end-of-run digests *bitwise-identical* to its
-//!   canonical run (baseline version, serial, reference layout — the
-//!   run that blesses the fixture) across all four scheme versions ×
-//!   both schedulers on the production layout, and the canonical run
-//!   matches its committed `goldens/case_<slug>.golden` fixture under
-//!   the golden policy.
+//!   default, the state `ModelConfig::gate` builds) produces end-of-run
+//!   digests *bitwise-identical* to its canonical run (baseline version,
+//!   serial, reference layout — the run that blesses the fixture) across
+//!   all four scheme versions: each on the reference layout's serial
+//!   static tiles and on the production layout under both schedulers.
+//!   The canonical run matches its committed
+//!   `goldens/case_<slug>.golden` fixture — one fixture per state —
+//!   bitwise, or to [`MIN_FIXTURE_DIGITS`] on every field and moment.
 //! * **Comm equivalence** — each case decomposed over two ranks
 //!   digests identically under blocking and overlapped halo exchange.
 //! * **Activity bands** — each case's column-activity fraction lands in
@@ -37,10 +39,10 @@
 use crate::comm::both_modes;
 use crate::fixture::GoldenFixture;
 use crate::golden::{
-    compare_digests, compare_states, equivalence_matrix, Arm, Bar, EquivRow, Sides, StateAgreement,
-    MIN_STATE_DIGITS,
+    compare_digests, compare_states, equivalence_matrix, Arm, EquivRow, Sides, StateAgreement,
 };
 use crate::report::{Cell, Check, Report, Table};
+use fsbm_core::digest::StateDigest;
 use fsbm_core::exec::ExecMode;
 use fsbm_core::scheme::{Layout, SbmVersion};
 use fsbm_core::state::{SbmPatchState, TailCensus};
@@ -58,6 +60,12 @@ const WORKERS: usize = 3;
 /// Interior margin (child cells shaved off each lateral side) of the
 /// nested-vs-solo comparison.
 const NEST_MARGIN: i32 = 5;
+
+/// Minimum digits on every field and moment at which a canonical run
+/// that is not bitwise still matches its committed fixture. Every arm
+/// agrees bitwise today; 6 digits is the widest drift a libm or
+/// toolchain change could plausibly introduce without a physics bug.
+pub const MIN_FIXTURE_DIGITS: u32 = 6;
 
 /// Documented interior digit floor of the nested-vs-solo comparison at
 /// margin 5, per case. Measured agreement at the gate configuration is
@@ -80,7 +88,7 @@ pub fn nest_digit_floor(kind: CaseKind) -> f64 {
 pub struct CaseCheck {
     /// Case slug.
     pub case: &'static str,
-    /// Runs in the version × scheduler matrix.
+    /// Runs in the version × layout × scheduler matrix.
     pub matrix_runs: usize,
     /// True when every matrix run digested like the canonical run.
     pub bitwise: bool,
@@ -284,7 +292,13 @@ pub fn case_fixture_name(kind: CaseKind) -> String {
 
 /// Human description written into a case fixture.
 fn case_fixture_description(kind: CaseKind) -> String {
-    format!("case={} {}", kind.slug(), crate::golden::case_description())
+    format!(
+        "case={} scale={} nz={} steps={}",
+        kind.slug(),
+        ModelConfig::GATE_SCALE,
+        ModelConfig::GATE_NZ,
+        ModelConfig::GATE_STEPS
+    )
 }
 
 /// The case the pinned nested configuration runs (squall line: strong
@@ -309,7 +323,7 @@ fn case_state(
 
 /// The run that blesses a case's fixture and anchors its matrix: the
 /// baseline version, serial static tiles, the reference layout.
-fn canonical_case_state(kind: CaseKind) -> SbmPatchState {
+pub fn canonical_case_state(kind: CaseKind) -> SbmPatchState {
     case_state(
         kind,
         SbmVersion::Baseline,
@@ -321,10 +335,8 @@ fn canonical_case_state(kind: CaseKind) -> SbmPatchState {
 
 /// Builds the canonical committable fixture for one case.
 pub fn bless_case_fixture(kind: CaseKind) -> GoldenFixture {
-    // The `version` label is deliberately NOT an `SbmVersion::label()`:
-    // the main golden gate loads every `goldens/*.golden` and looks
-    // fixtures up by version label, so case fixtures carry a disjoint
-    // `case:` namespace to stay invisible to it.
+    // The `version` label names the state, not a scheme version: every
+    // version must reproduce the one fixture of the state.
     GoldenFixture {
         version: format!("case:{}", kind.slug()),
         case: case_fixture_description(kind),
@@ -414,46 +426,90 @@ fn arm_violations(rows: &[EquivRow]) -> Vec<String> {
         .collect()
 }
 
+/// How a canonical run's `digest` agrees with the committed fixture
+/// `goldens/<stem>.golden`, and the violation when it drifted: a field
+/// or moment missing or reshaped, or — short of bitwise — fewer than
+/// [`MIN_FIXTURE_DIGITS`] on any of them.
+pub fn fixture_check(
+    stem: &str,
+    fixture: &StateDigest,
+    digest: &StateDigest,
+) -> (StateAgreement, Option<String>) {
+    let cmp = compare_digests(fixture, digest);
+    let golden = StateAgreement::of(&cmp);
+    let drifted =
+        !cmp.structural.is_empty() || (!golden.bitwise && golden.min_digits < MIN_FIXTURE_DIGITS);
+    let violation = drifted.then(|| {
+        format!(
+            "canonical run drifted from goldens/{stem}.golden: {} digits (worst {}){}",
+            golden.min_digits,
+            golden.worst_field,
+            (cmp.structural.iter()).fold(String::new(), |s, m| s + "; " + m)
+        )
+    });
+    (golden, violation)
+}
+
+/// The arms of a reproducibility matrix, per version: `reference` on
+/// the reference layout (the baseline's is the canonical run itself),
+/// then each of `production` on the production layout — so every
+/// version is pinned in both layouts. `label` names a setting.
+fn layout_arms<M: Copy>(
+    reference: M,
+    production: &[M],
+    label: impl Fn(M) -> String,
+) -> Vec<Arm<(SbmVersion, Layout, M)>> {
+    let mut arms = Vec::new();
+    for version in SbmVersion::ALL {
+        let aos = (version != SbmVersion::Baseline).then_some((Layout::PointAos, reference));
+        let soa = production.iter().map(|&m| (Layout::PanelSoa, m));
+        arms.extend(aos.into_iter().chain(soa).map(|(layout, m)| Arm {
+            spec: (version, layout, m),
+            label: format!("{} [{} {}]", version.label(), label(m), layout.label()),
+            cells: Vec::new(),
+        }));
+    }
+    arms
+}
+
+/// A scheduling mode and its worker count.
+pub type Scheduler = (ExecMode, usize);
+
+/// A case's reproducibility matrix: serial static tiles in both layouts,
+/// and work stealing on [`WORKERS`] threads on the production layout.
+pub fn matrix_arms() -> Vec<Arm<(SbmVersion, Layout, Scheduler)>> {
+    let serial = (ExecMode::StaticTiles, 1);
+    let stealing = (ExecMode::work_steal(), WORKERS);
+    layout_arms(serial, &[serial, stealing], |(mode, workers)| {
+        format!("{} w={workers}", mode.label())
+    })
+}
+
 /// Gates one case: the reproducibility matrix, the committed fixture,
 /// comm equivalence, and the activity band.
 pub fn case_check(kind: CaseKind, goldens_dir: &Path) -> Result<CaseCheck, String> {
     let fixture = load_fixture(goldens_dir, &case_fixture_name(kind))?;
 
-    // Reproducibility matrix: versions × schedulers on the production
-    // layout, all single-rank, all required bitwise-identical to the
-    // canonical (reference-layout) run.
+    // Reproducibility matrix: every arm single-rank and required
+    // bitwise-identical to the canonical run.
     let end = canonical_case_state(kind);
     let (canonical, census) = (end.digest(), end.tail_census());
-    let schedulers = [
-        (ExecMode::StaticTiles, 1),
-        (ExecMode::work_steal(), WORKERS),
-    ];
-    let arms = SbmVersion::ALL.into_iter().flat_map(|version| {
-        schedulers.map(|(mode, workers)| Arm {
-            spec: (version, mode, workers),
-            label: format!("{} [{} w={workers}]", version.label(), mode.label()),
-            cells: Vec::new(),
-        })
-    });
-    let bar = Bar::Bitwise("canonical vs matrix run");
-    let matrix = equivalence_matrix(bar, arms, |&(version, mode, workers)| Sides {
-        reference: vec![canonical.clone()],
-        candidate: vec![case_state(kind, version, mode, workers, Layout::PanelSoa).digest()],
-        ..Sides::default()
-    });
+    let what = "canonical vs matrix run";
+    let matrix = equivalence_matrix(
+        what,
+        matrix_arms(),
+        |&(version, layout, (mode, workers))| Sides {
+            reference: vec![canonical.clone()],
+            candidate: vec![case_state(kind, version, mode, workers, layout).digest()],
+            ..Sides::default()
+        },
+    );
     let mut violations = arm_violations(&matrix);
     let (matrix_runs, bitwise) = (matrix.len(), violations.is_empty());
 
-    // Canonical vs the committed fixture, under the golden policy.
-    let golden = StateAgreement::of(&compare_digests(&fixture.digest, &canonical));
-    if golden.min_digits < MIN_STATE_DIGITS && !golden.bitwise {
-        violations.push(format!(
-            "canonical run drifted from goldens/{}.golden: {} digits (worst {})",
-            case_fixture_name(kind),
-            golden.min_digits,
-            golden.worst_field
-        ));
-    }
+    // Canonical vs the committed fixture.
+    let (golden, drift) = fixture_check(&case_fixture_name(kind), &fixture.digest, &canonical);
+    violations.extend(drift);
 
     // Comm equivalence on a small decomposition.
     let mut comm_cfg =
@@ -491,25 +547,20 @@ pub fn case_check(kind: CaseKind, goldens_dir: &Path) -> Result<CaseCheck, Strin
     })
 }
 
-/// Runs the pinned nested configuration across versions × comm modes on
-/// the production layout — parent and child must digest like the
-/// canonical nested run everywhere — and compares that run against the
-/// fixtures.
+/// Runs the pinned nested configuration across versions: blocking comm
+/// in both layouts, overlapped comm on the production layout — parent
+/// and child must digest like the canonical nested run everywhere — and
+/// compares that run against the fixtures.
 fn nest_pins(goldens_dir: &Path) -> Result<NestPins, String> {
     let nested_fixture = load_fixture(goldens_dir, "case_nested")?;
     let case_fixture = load_fixture(goldens_dir, &case_fixture_name(NEST_CASE))?;
     let canonical = canonical_nested_run()?;
     let (parent, child) = (canonical.parent.digest(), canonical.child.digest());
-    let arms = SbmVersion::ALL.into_iter().flat_map(|version| {
-        [CommMode::Blocking, CommMode::Overlapped].map(|comm| Arm {
-            spec: (version, comm),
-            label: format!("{} {}", version.label(), comm.name()),
-            cells: Vec::new(),
-        })
-    });
-    let bar = Bar::Bitwise("canonical vs nested matrix run");
-    let matrix = equivalence_matrix(bar, arms, |&(version, comm)| {
-        match nested_run(version, Layout::PanelSoa, comm) {
+    let comms = [CommMode::Blocking, CommMode::Overlapped];
+    let arms = layout_arms(CommMode::Blocking, &comms, |comm| comm.name().to_string());
+    let what = "canonical vs nested matrix run";
+    let matrix = equivalence_matrix(what, arms, |&(version, layout, comm)| {
+        match nested_run(version, layout, comm) {
             Err(e) => Sides::failed(e),
             Ok(run) => Sides {
                 reference: vec![parent.clone(), child.clone()],
@@ -565,17 +616,24 @@ pub fn activity_sweep(scales: &[f64]) -> Vec<SweepPoint> {
 }
 
 /// Runs the cases gate against the fixtures in `goldens_dir`, sweeping
-/// the activity fractions over `sweep_scales`.
+/// the activity fractions over `sweep_scales`. The per-case checks and
+/// the nested runs are independent integrations: they run on two
+/// threads, and the report is assembled in one fixed order.
 pub fn run(goldens_dir: &Path, sweep_scales: &[f64]) -> Result<Report, String> {
-    let checks = CaseKind::ALL
-        .into_iter()
-        .map(|kind| case_check(kind, goldens_dir))
-        .collect::<Result<Vec<_>, _>>()?;
-    let pins = nest_pins(goldens_dir)?;
-    let nest = CaseKind::ALL
-        .into_iter()
-        .map(nest_check)
-        .collect::<Result<Vec<_>, _>>()?;
+    let nested = || -> Result<(NestPins, Vec<NestCheck>), String> {
+        let pins = nest_pins(goldens_dir)?;
+        let nest = CaseKind::ALL.into_iter().map(nest_check);
+        Ok((pins, nest.collect::<Result<_, _>>()?))
+    };
+    let (checks, nested) = std::thread::scope(|s| {
+        let nested = s.spawn(nested);
+        let checks = CaseKind::ALL
+            .into_iter()
+            .map(|kind| case_check(kind, goldens_dir))
+            .collect::<Result<Vec<_>, _>>();
+        (checks, nested.join().expect("a nested run panicked"))
+    });
+    let (checks, (pins, nest)) = (checks?, nested?);
     let sweep = activity_sweep(sweep_scales);
     Ok(report(&checks, &pins, &nest, &sweep, sweep_scales))
 }
@@ -587,7 +645,7 @@ mod tests {
     fn check(pass: bool) -> CaseCheck {
         CaseCheck {
             case: "squall_line",
-            matrix_runs: 8,
+            matrix_runs: 11,
             bitwise: pass,
             golden: StateAgreement {
                 bitwise: pass,
@@ -705,6 +763,55 @@ mod tests {
             let f = nest_digit_floor(kind);
             assert!((1.0..=6.0).contains(&f), "{kind:?}: {f}");
         }
+    }
+
+    /// The matrix, by name: per version the reference layout's serial
+    /// arm — the baseline's is the canonical run, which blesses the
+    /// fixture — then the serial and work-stealing arms on the
+    /// production layout.
+    #[test]
+    fn matrix_pins_every_version_in_both_layouts() {
+        let got: Vec<String> = matrix_arms().into_iter().map(|a| a.label).collect();
+        let mut want = Vec::new();
+        for version in SbmVersion::ALL.map(SbmVersion::label) {
+            if version != SbmVersion::Baseline.label() {
+                want.push(format!("{version} [static-tiles w=1 point-aos]"));
+            }
+            want.push(format!("{version} [static-tiles w=1 panel-soa]"));
+            want.push(format!(
+                "{version} [work-stealing+compaction w=3 panel-soa]"
+            ));
+        }
+        assert_eq!(got, want);
+    }
+
+    /// A fixture that lost a field fails however well the rest agrees;
+    /// a drift short of bitwise passes only at [`MIN_FIXTURE_DIGITS`] on
+    /// every field.
+    #[test]
+    fn fixture_check_holds_shape_and_digits() {
+        use fsbm_core::digest::FieldDigest;
+        let values: Vec<f32> = (0..100).map(|i| 280.0 + i as f32).collect();
+        let digest = |fields: &[(&str, f32)]| StateDigest {
+            fields: (fields.iter())
+                .map(|&(name, scale)| {
+                    let scaled: Vec<f32> = values.iter().map(|v| v * scale).collect();
+                    FieldDigest::of(name, &scaled)
+                })
+                .collect(),
+            moments: Vec::new(),
+        };
+        let run = digest(&[("T", 1.0), ("QVAPOR", 1.0)]);
+        let (_, v) = fixture_check("case_x", &digest(&[("T", 1.0), ("RAINNC", 1.0)]), &run);
+        assert!(
+            v.as_deref().is_some_and(|v| v.contains("RAINNC missing")),
+            "{v:?}"
+        );
+        let (agreement, v) = fixture_check("case_x", &digest(&[("T", 1.0 + 1.0e-7)]), &run);
+        assert!(!agreement.bitwise && agreement.min_digits >= MIN_FIXTURE_DIGITS);
+        assert_eq!(v, None);
+        let (_, v) = fixture_check("case_x", &digest(&[("T", 1.0 + 1.0e-5)]), &run);
+        assert!(v.is_some_and(|v| v.contains("goldens/case_x.golden: 4 digits (worst T)")));
     }
 
     #[test]

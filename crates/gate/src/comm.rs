@@ -23,7 +23,7 @@
 //! The report is written to `BENCH_comm.json` with per-rank overlap
 //! stats; any violation makes `repro comm` exit nonzero.
 
-use crate::golden::{compare_states, equivalence, equivalence_matrix, Arm, Bar, EquivRow, Sides};
+use crate::golden::{compare_states, equivalence, equivalence_matrix, Arm, EquivRow, Sides};
 use crate::report::{Cell, Check, Report, Table};
 use fsbm_core::exec::ExecMode;
 use fsbm_core::panels::LANES;
@@ -177,7 +177,7 @@ pub fn report(equiv: &[EquivRow], bench: &OverlapBench) -> Report {
 }
 
 /// The two sides of every comparison here.
-const BAR: Bar = Bar::Bitwise("Blocking vs Overlapped");
+const SIDES: &str = "Blocking vs Overlapped";
 
 /// Runs one case in both comm modes: `(blocking, overlapped)`.
 pub(crate) fn both_modes(mut cfg: ModelConfig, steps: usize) -> (ParallelRun, ParallelRun) {
@@ -191,7 +191,7 @@ pub(crate) fn both_modes(mut cfg: ModelConfig, steps: usize) -> (ParallelRun, Pa
 /// the overlap bench.
 pub fn run() -> Report {
     let arms = SbmVersion::ALL.map(|v| Arm::version(v, vec![("ranks", RANKS.into())]));
-    let equiv = equivalence_matrix(BAR, arms, |&version| {
+    let equiv = equivalence_matrix(SIDES, arms, |&version| {
         let mut cfg = ModelConfig::gate(version, ExecMode::work_steal(), 3);
         cfg.ranks = RANKS;
         let (blocking, overlapped) = both_modes(cfg, ModelConfig::GATE_STEPS);

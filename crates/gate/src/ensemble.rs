@@ -17,7 +17,7 @@
 //! The report is written to `BENCH_ensemble.json`; any violation makes
 //! `repro ensemble` exit nonzero.
 
-use crate::golden::{equivalence, equivalence_matrix, Arm, Bar, EquivRow, Sides};
+use crate::golden::{equivalence, equivalence_matrix, Arm, EquivRow, Sides};
 use crate::report::Report;
 use crate::share::{admission_parts, AdmissionCheck};
 use fsbm_core::exec::ExecMode;
@@ -143,8 +143,7 @@ fn equivalence_rows(versions: impl IntoIterator<Item = SbmVersion>) -> Vec<Equiv
         ];
         Arm::version(v, cells)
     });
-    let bar = Bar::Bitwise("served members vs solo runs");
-    equivalence_matrix(bar, arms, |&version| {
+    equivalence_matrix("served members vs solo runs", arms, |&version| {
         let base = ModelConfig::gate(version, ExecMode::work_steal(), 2);
         let spec = EnsembleSpec {
             members: EQ_MEMBERS,

@@ -17,7 +17,7 @@
 //! report is written to `BENCH_fault.json`; any violation makes
 //! `repro fault` exit nonzero.
 
-use crate::golden::{equivalence, equivalence_matrix, Arm, Bar, EquivRow, Sides};
+use crate::golden::{equivalence, equivalence_matrix, Arm, EquivRow, Sides};
 use crate::report::{Cell, Report};
 use fsbm_core::exec::ExecMode;
 use fsbm_core::scheme::SbmVersion;
@@ -70,7 +70,7 @@ pub fn report(rows: &[EquivRow], timeout: Duration) -> Report {
 }
 
 /// The two sides of every arm.
-const BAR: Bar = Bar::Bitwise("recovered vs uninterrupted golden");
+const SIDES: &str = "recovered vs uninterrupted golden";
 
 /// One version × comm-mode arm of the recovery matrix.
 fn arm(version: SbmVersion, mode: CommMode) -> Arm<(SbmVersion, CommMode)> {
@@ -102,7 +102,7 @@ pub fn recovery_rows(
     timeout: Duration,
 ) -> Vec<EquivRow> {
     let arms = arms.into_iter().map(|(version, mode)| arm(version, mode));
-    equivalence_matrix(BAR, arms, |&(version, mode)| {
+    equivalence_matrix(SIDES, arms, |&(version, mode)| {
         let mut cfg = ModelConfig::gate(version, ExecMode::work_steal(), 3);
         cfg.ranks = RANKS;
         cfg.comm = mode;
@@ -173,7 +173,7 @@ mod tests {
             moments: Vec::new(),
         };
         let arms = [arm(SbmVersion::Baseline, CommMode::Blocking)];
-        equivalence_matrix(BAR, arms, |_| Sides {
+        equivalence_matrix(SIDES, arms, |_| Sides {
             reference: vec![digest(280.0)],
             candidate: vec![digest(if bitwise { 280.0 } else { 280.5 })],
             cells: stats_cells(&stats),

@@ -1,7 +1,7 @@
 //! The committed golden-fixture format (`goldens/*.golden`).
 //!
-//! One fixture pins one scheme version's end-of-run [`StateDigest`] on
-//! the deterministic gate case. The format is line-oriented text so
+//! One fixture pins one state's end-of-run [`StateDigest`] (a library
+//! case or the nested child at the gate configuration). The format is line-oriented text so
 //! diffs are reviewable: a header identifying the case, one `field` line
 //! per variable (with its strided raw samples as hex bit patterns on a
 //! following `samples` line), one `moment` line per scalar moment, and a
@@ -19,7 +19,7 @@ pub const MAGIC: &str = "wrf-gate golden v1";
 /// A golden fixture: a digest plus the identity of the run it pins.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GoldenFixture {
-    /// Scheme-version label (`SbmVersion::label()`).
+    /// Label of the pinned state (`case:<slug>`, `case:nested`).
     pub version: String,
     /// Human-readable case description (scale, nz, steps, seed).
     pub case: String,

@@ -13,25 +13,26 @@
 //!   to the paper's values and checks the shapes the paper claims, and
 //!   the other gates and the tests read the same rows (mapping:
 //!   DESIGN.md §4; paper-vs-model discussion: EXPERIMENTS.md).
-//! * **Golden verification** ([`golden`]) — the deterministic gate case
-//!   is run across every scheme version × scheduling mode × worker
-//!   count, end states are digested ([`fsbm_core::digest`]) and compared
-//!   against committed fixtures (`goldens/*.golden`, [`fixture`]) with
-//!   diffwrf-style statistics: digits of agreement, max abs/rel error,
-//!   RMSE, ULP distance.
+//! * **Fixture verification** ([`cases`]) — every library case and the
+//!   one-way nest is run across every scheme version × layout ×
+//!   scheduling mode, end states are digested ([`fsbm_core::digest`])
+//!   and compared against one committed fixture per state
+//!   (`goldens/case_*.golden`, [`fixture`]) with diffwrf-style
+//!   statistics ([`golden`]): digits of agreement, max relative error,
+//!   ULP distance.
 //!
 //! Nothing here reads a clock: what a gate emits or enforces is a
 //! function of the source tree (`./ci.sh clock_free`). Measured seconds
 //! are the ledger's (`benchmark/`), on a recorded host.
 //!
-//! Nine more gates ([`paper`], [`execbench`], [`comm`], [`fault`],
+//! Nine gates ([`paper`], [`execbench`], [`comm`], [`fault`],
 //! [`share`], [`ensemble`], [`zoo`], [`tune`], [`cases`]) enforce the
 //! paper's shapes and the claims of the layers built on top. Every gate produces the same [`Report`] —
 //! labelled checks and tables — whose verdict, text and JSON envelope
 //! are written once in [`report`]; every digest-equivalence table comes
 //! from one loop, [`golden::equivalence_matrix`]. `repro <gate>` writes
 //! the report to the gate's report file and exits nonzero on any
-//! violation; `repro gate --bless` regenerates the golden fixtures.
+//! violation; `repro cases --bless` regenerates the golden fixtures.
 //!
 //! A committed report is checked the way the fixtures are: by
 //! regenerating it. Nothing here reads one back — `ci.sh` fails a gate
@@ -60,11 +61,9 @@ pub mod zoo;
 
 pub use context::ReproContext;
 pub use fixture::GoldenFixture;
-pub use golden::GoldenRunSpec;
 pub use report::{Cell, Check, Report, Table};
 
 use miniwrf::config::ModelConfig;
-use std::path::{Path, PathBuf};
 
 /// How hard the gates push: the values that differ between a PR run
 /// and the nightly reference run. These two sets are the only
@@ -99,62 +98,6 @@ impl Depth {
             Depth::PR
         }
     }
-}
-
-/// Loads every committed fixture from `dir`.
-pub fn load_fixtures(dir: &Path) -> Result<Vec<GoldenFixture>, String> {
-    let entries = std::fs::read_dir(dir)
-        .map_err(|e| format!("cannot read goldens dir {}: {e}", dir.display()))?;
-    let mut fixtures = Vec::new();
-    let mut paths: Vec<PathBuf> = entries
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|x| x == "golden"))
-        .collect();
-    paths.sort();
-    for p in paths {
-        fixtures.push(GoldenFixture::read_from(&p)?);
-    }
-    if fixtures.is_empty() {
-        return Err(format!(
-            "no *.golden fixtures in {} — run `repro gate --bless`",
-            dir.display()
-        ));
-    }
-    Ok(fixtures)
-}
-
-/// Writes the four golden fixtures into `dir`.
-pub fn bless(dir: &Path) -> Result<Vec<PathBuf>, String> {
-    fsbm_core::scheme::SbmVersion::ALL
-        .into_iter()
-        .map(|v| golden::bless_fixture(v).write_to(dir, golden::version_slug(v)))
-        .collect()
-}
-
-/// Worker counts of the golden matrix.
-const GOLDEN_WORKERS: [usize; 2] = [1, 3];
-
-/// The `gate` report of the golden matrix's rows.
-pub fn gate_report(golden: &[golden::EquivRow]) -> Report {
-    let (table, checks) = golden::equivalence(
-        "golden",
-        "golden verification (diffwrf digits vs committed fixtures)",
-        golden,
-    );
-    Report {
-        gate: "gate",
-        case: vec![("golden", golden::case_description().into())],
-        checks,
-        tables: vec![table],
-    }
-}
-
-/// Runs the reproduction gate: the golden matrix against the fixtures
-/// in `goldens_dir`.
-pub fn run_gate(goldens_dir: &Path) -> Result<Report, String> {
-    let fixtures = load_fixtures(goldens_dir)?;
-    let golden = golden::run_golden_gate(&golden::gate_matrix(&GOLDEN_WORKERS), &fixtures, None)?;
-    Ok(gate_report(&golden))
 }
 
 #[cfg(test)]

@@ -21,8 +21,7 @@ use crate::table::TextTable;
 use std::fmt::Write as _;
 
 /// Version of the JSON envelope (`gate/format/pass/case/checks/tables/
-/// violations`) shared by `gate_report.json` and the gate-written
-/// `BENCH_*.json` files.
+/// violations`) shared by the gate-written `BENCH_*.json` files.
 pub const FORMAT: u32 = 2;
 
 /// One gated assertion.

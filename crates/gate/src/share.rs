@@ -24,7 +24,7 @@
 //! `repro share` exit nonzero.
 
 use crate::context::ReproContext;
-use crate::golden::{equivalence, equivalence_matrix, Arm, Bar, EquivRow, Sides};
+use crate::golden::{equivalence, equivalence_matrix, Arm, EquivRow, Sides};
 use crate::report::{Cell, Check, Report, Row, Table};
 use crate::tables::{table7_arms, Table7Outcome, Table7Row};
 use fsbm_core::exec::ExecMode;
@@ -301,7 +301,7 @@ pub fn equivalence_rows(versions: impl IntoIterator<Item = SbmVersion>) -> Vec<E
             vec![("ranks", RANKS.into()), ("devices", DEVICES.into())],
         )
     });
-    equivalence_matrix(Bar::Bitwise("exclusive vs shared"), arms, |&version| {
+    equivalence_matrix("exclusive vs shared", arms, |&version| {
         let mut cfg = ModelConfig::gate(version, ExecMode::work_steal(), 3);
         cfg.ranks = RANKS;
         cfg.gpus = 0;

@@ -1,8 +1,8 @@
 //! §VII-B output verification: the four versions agree (`diffwrf`).
 //!
 //! This is the *demonstration* surface (`repro paper`'s `verify` table);
-//! the bitwise form of the same claim is `repro gate`, which pins every version ×
-//! scheduling mode to the committed golden fixtures under `goldens/`
+//! the bitwise form of the same claim is `repro cases`, which pins every version ×
+//! layout × scheduling mode to the committed golden fixtures under `goldens/`
 //! (see the `wrf-gate` crate and DESIGN.md §5.6).
 
 use fsbm_core::scheme::SbmVersion;

@@ -2,8 +2,8 @@
 //! its gate registry: the usage text it generates, the `GATES` rows of
 //! `ci.sh`, and the gate matrix of `.github/workflows/ci.yml`. Adding a
 //! gate is one line in each; this test fails when one is forgotten, or
-//! when its report file is neither committed nor git-ignored. Three
-//! committed reports are regenerated here and compared byte for byte.
+//! when its report file is not committed. Three committed reports are
+//! regenerated here and compared byte for byte.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -76,11 +76,11 @@ fn unknown_flag_names_the_shared_flags_and_exits_2() {
     // The wall-clock gate and its flag are gone with the per-gate ones.
     assert!(!err.contains("--check"), "{err}");
     assert_eq!(repro(&["bench-host"]).status.code(), Some(2));
-    assert_eq!(repro(&["gate", "--check"]).status.code(), Some(2));
+    assert_eq!(repro(&["cases", "--check"]).status.code(), Some(2));
     // The per-gate flags are gone, not merely undocumented.
     for gone in [
         ["comm", "--ranks"],
-        ["gate", "--loose-tol"],
+        ["cases", "--loose-tol"],
         ["tune", "--check-steps"],
     ] {
         let out = repro(&[gone[0], gone[1], "1"]);
@@ -138,8 +138,11 @@ fn report_write_failure_is_exit_2() {
 fn ci_lists_match_the_registry() {
     let usage = String::from_utf8(repro(&["help"]).stdout).unwrap();
     let registry = registry(&usage);
-    assert_eq!(registry.len(), 10, "{usage}");
+    assert_eq!(registry.len(), 9, "{usage}");
     assert!(!usage.contains("bench-host") && !usage.contains("--check"));
+    // The golden gate folded into `cases`: one fixture check, one bless.
+    assert!(registry.iter().all(|(name, _)| name != "gate"), "{usage}");
+    assert_eq!(repro(&["gate"]).status.code(), Some(2));
 
     // ci.sh: `"step;repro arguments;report file;summary section"` rows.
     let ci_sh = repo_file("ci.sh");
@@ -168,22 +171,15 @@ fn ci_lists_match_the_registry() {
         );
     }
     assert!(rows.iter().all(|r| r[0] != "host"), "{rows:?}");
-    // ci.sh's byte check sees a report that is tracked; the one that is
-    // not committed must be ignored, not merely untracked.
+    // ci.sh's byte check sees a report only when it is tracked.
     for (_, report_file) in &registry {
-        let git = |args: &[&str]| {
-            let out = Command::new("git")
-                .current_dir(repo_root())
-                .args(args)
-                .arg(report_file)
-                .output()
-                .expect("git runs");
-            out.status.success()
-        };
-        assert!(
-            git(&["ls-files", "--error-unmatch", "--"]) || git(&["check-ignore", "-q", "--"]),
-            "{report_file} is neither tracked nor git-ignored"
-        );
+        let tracked = Command::new("git")
+            .current_dir(repo_root())
+            .args(["ls-files", "--error-unmatch", "--"])
+            .arg(report_file)
+            .output()
+            .expect("git runs");
+        assert!(tracked.status.success(), "{report_file} is not committed");
     }
     // ci.sh runs the one harness crate.
     assert!(ci_sh.contains("-p wrf-gate --bin repro"), "{ci_sh}");

@@ -133,9 +133,9 @@ impl ModelConfig {
         }
     }
 
-    /// The deterministic reproduction-gate case (`repro gate`): a small
-    /// storm scenario whose end-of-run state is pinned by the golden
-    /// fixtures under `goldens/`. Everything about it is fixed — scale,
+    /// The deterministic reproduction-gate case: a small storm scenario
+    /// whose end-of-run state is pinned by `goldens/case_conus.golden`
+    /// (`repro cases`; `CaseKind::Conus` is this state). Everything about it is fixed — scale,
     /// levels, storm count, seed — so any digest drift is a physics
     /// change, not a scenario change. Run it for [`Self::GATE_STEPS`]
     /// steps.

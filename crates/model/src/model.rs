@@ -752,7 +752,8 @@ mod tests {
             let mut m = tiny(v);
             let rep = m.run(3);
             assert!(rep.coal_entries > 0, "{v:?}");
-            let spec = rep.last_sbm.unwrap().kernel_spec.expect("offloaded");
+            assert!(rep.last_sbm.unwrap().coal_iters > 0, "{v:?}");
+            let spec = v.kernel_spec().expect("offloaded");
             assert_eq!(
                 spec.collapse,
                 if v == SbmVersion::OffloadCollapse2 {

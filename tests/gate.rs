@@ -1,98 +1,30 @@
-//! End-to-end tests of the reproduction gate (`repro gate`).
-//!
-//! These exercise the same paths the CI gate runs, on reduced matrices:
-//! golden fixtures round-trip through the committed text format, a clean
-//! tree passes bitwise, a perturbed run fails naming the worst field by
-//! digits of agreement.
+//! End-to-end tests of the fixture check of the cases gate
+//! (`repro cases`): `goldens/` holds one fixture per state and every
+//! case's canonical run re-blesses it byte for byte, a fixture that has
+//! drifted fails naming the worst field by digits of agreement, and a
+//! missing fixture names the one bless command.
 
-use wrf_offload_repro::fsbm_core::exec::ExecMode;
-use wrf_offload_repro::fsbm_core::scheme::{Layout, SbmVersion};
-use wrf_offload_repro::wrf_gate::golden::{bless_fixture, run_golden_gate, GoldenRunSpec};
-use wrf_offload_repro::wrf_gate::{gate_report, GoldenFixture};
+use wrf_offload_repro::wrf_cases::CaseKind;
+use wrf_offload_repro::wrf_gate::cases::{
+    bless_case_fixture, bless_nested_fixture, canonical_case_state, case_check, fixture_check,
+};
 
-/// A reduced golden matrix under the rule of the full one
-/// (`golden::gate_matrix`): two versions, each the arm that blesses its
-/// fixture (reference layout), then both modes × two worker counts on
-/// the production layout.
-fn reduced_matrix() -> Vec<GoldenRunSpec> {
-    let mut specs = Vec::new();
-    for version in [SbmVersion::Baseline, SbmVersion::OffloadCollapse2] {
-        specs.push(GoldenRunSpec::canonical(version));
-        for mode in [ExecMode::StaticTiles, ExecMode::work_steal()] {
-            for workers in [1usize, 2] {
-                specs.push(GoldenRunSpec {
-                    version,
-                    mode,
-                    workers,
-                    layout: Layout::PanelSoa,
-                });
-            }
-        }
+fn goldens() -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("goldens")
+}
+
+#[test]
+fn perturbed_fixture_fails_and_names_the_worst_field() {
+    // A fixture whose liquid-water distribution sits 5e-4 off the run:
+    // far below eyeball visibility, far above bitwise.
+    let kind = CaseKind::Conus;
+    let end = canonical_case_state(kind);
+    let mut drifted = end.clone();
+    for v in drifted.ff[0].as_mut_slice() {
+        *v *= 1.0 + 5.0e-4;
     }
-    specs
-}
-
-fn fixtures() -> Vec<GoldenFixture> {
-    // Round-trip through the committed text format so the fixtures the
-    // comparisons see are exactly what a checkout would parse.
-    [SbmVersion::Baseline, SbmVersion::OffloadCollapse2]
-        .into_iter()
-        .map(|v| GoldenFixture::parse(&bless_fixture(v).rendered()).expect("fixture round-trip"))
-        .collect()
-}
-
-#[test]
-fn clean_tree_passes_the_golden_gate_bitwise() {
-    let rows = run_golden_gate(&reduced_matrix(), &fixtures(), None).expect("gate runs");
-    let report = gate_report(&rows);
-    assert!(report.pass(), "violations: {:?}", report.violations());
-    // Every run — any version, any mode, any worker count — reproduces
-    // its fixture bit for bit (the §VII-B claim, strengthened).
-    assert!(rows
-        .iter()
-        .all(|r| r.agreement.bitwise && r.agreement.min_digits == 15));
-    // Cross-version comparisons are present, not just same-version.
-    assert!(rows.iter().any(|r| r.arm.ends_with("vs baseline")));
-    // The assertion inventory: one check per (run, fixture) comparison —
-    // the five baseline runs against themselves, the five collapse(2)
-    // runs against both. The one point-aos label per version is the
-    // blessing arm's.
-    let labels: Vec<&str> = report.checks.iter().map(|c| c.label.as_str()).collect();
-    assert_eq!(labels.len(), 5 + 2 * 5);
-    assert_eq!(
-        labels[0],
-        "golden: baseline [static-tiles w=1 point-aos] vs self"
-    );
-    assert_eq!(
-        labels[1],
-        "golden: baseline [static-tiles w=1 panel-soa] vs self"
-    );
-    let aos: Vec<&&str> = labels.iter().filter(|l| l.contains("point-aos")).collect();
-    assert_eq!(
-        aos,
-        [
-            &"golden: baseline [static-tiles w=1 point-aos] vs self",
-            &"golden: offload collapse(2) [static-tiles w=1 point-aos] vs self",
-            &"golden: offload collapse(2) [static-tiles w=1 point-aos] vs baseline",
-        ]
-    );
-    assert_eq!(
-        labels.iter().filter(|l| l.ends_with("vs baseline")).count(),
-        5
-    );
-}
-
-#[test]
-fn perturbed_run_fails_and_names_the_worst_field() {
-    // Perturb in the 4th significant digit: far below eyeball
-    // visibility, far above bitwise.
-    let rows =
-        run_golden_gate(&reduced_matrix()[..2], &fixtures(), Some(5.0e-4)).expect("gate runs");
-    let report = gate_report(&rows);
-    assert!(!report.pass());
-    let agreement = &rows[0].agreement;
-    // The perturbation hits the liquid-water distribution; the worst
-    // field by digits of agreement must be FF1 or its moments.
+    let (agreement, violation) = fixture_check("case_conus", &drifted.digest(), &end.digest());
+    // The worst field by digits of agreement must be FF1 or its moments.
     assert!(
         agreement.worst_field.contains("FF1"),
         "worst field {}",
@@ -100,65 +32,56 @@ fn perturbed_run_fails_and_names_the_worst_field() {
     );
     assert!(agreement.min_digits <= 4, "digits {}", agreement.min_digits);
     assert!(!agreement.bitwise);
-    let v = report.violations().join("\n");
-    assert!(v.contains("FF1"), "violations must name the field: {v}");
+    let violation = violation.expect("a drifted fixture fails");
+    assert!(
+        violation.starts_with("canonical run drifted from goldens/case_conus.golden")
+            && violation.contains("FF1"),
+        "the violation must name the fixture and the field: {violation}"
+    );
+    // The run against itself passes, bitwise.
+    let (agreement, violation) = fixture_check("case_conus", &end.digest(), &end.digest());
+    assert!(agreement.bitwise && violation.is_none());
 }
 
 #[test]
-fn golden_gate_requires_a_baseline_fixture() {
-    let only_c2: Vec<GoldenFixture> = fixtures()
-        .into_iter()
-        .filter(|f| f.version != SbmVersion::Baseline.label())
-        .collect();
-    let err = run_golden_gate(&reduced_matrix()[..1], &only_c2, None).unwrap_err();
-    assert!(err.contains("--bless"), "{err}");
+fn missing_case_fixture_names_the_bless_command() {
+    let empty = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("no_goldens");
+    let err = case_check(CaseKind::Supercell, &empty).unwrap_err();
+    assert!(err.contains("case_supercell.golden"), "{err}");
+    assert!(err.contains("run `repro cases --bless`"), "{err}");
 }
 
 #[test]
 fn committed_goldens_match_current_physics() {
-    // The committed version fixtures under goldens/ must reproduce from
-    // a fresh serial run — the same check `repro gate` performs, reduced
-    // to the canonical (static-tiles, 1 worker) runs. The directory also
-    // holds the case-library fixtures (`case:` version namespace, gated
-    // by `repro cases`); they must stay invisible to the version lookup.
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("goldens");
-    let fixtures = wrf_offload_repro::wrf_gate::load_fixtures(&dir).expect("committed fixtures");
-    assert_eq!(fixtures.len(), 10);
-    assert_eq!(
-        fixtures
-            .iter()
-            .filter(|f| f.version.starts_with("case:"))
-            .count(),
-        6
-    );
-    for version in SbmVersion::ALL {
-        let spec = GoldenRunSpec::canonical(version);
-        let rows = run_golden_gate(&[spec], &fixtures, None).expect("fixture per version");
-        let check = &rows[0];
-        assert!(check.arm.ends_with("point-aos] vs self"), "{}", check.arm);
+    // One fixture per state: the five cases and the nested child, and
+    // nothing else (the gate case's state is `case_conus`).
+    let mut names: Vec<String> = std::fs::read_dir(goldens())
+        .expect("goldens dir")
+        .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    let mut want: Vec<String> = CaseKind::ALL
+        .into_iter()
+        .map(|kind| format!("case_{}.golden", kind.slug()))
+        .chain(["case_nested.golden".to_string()])
+        .collect();
+    want.sort();
+    assert_eq!(names, want);
+    // Each canonical run re-blesses its committed fixture byte for byte:
+    // what `repro cases --bless` would write is what is committed.
+    let committed = |stem: &str| {
+        std::fs::read_to_string(goldens().join(format!("{stem}.golden"))).expect("fixture")
+    };
+    for kind in CaseKind::ALL {
+        let stem = format!("case_{}", kind.slug());
         assert!(
-            check.violations.is_empty(),
-            "{}: committed golden diverged: {:?}",
-            version.label(),
-            check.violations
+            bless_case_fixture(kind).rendered() == committed(&stem),
+            "{stem}: committed golden diverged from the canonical run"
         );
-        assert!(check.agreement.bitwise, "{}: not bitwise", version.label());
     }
-}
-
-#[test]
-fn gate_report_merges_and_serializes() {
-    let golden = run_golden_gate(&reduced_matrix()[..1], &fixtures(), None).unwrap();
-    let report = gate_report(&golden);
-    assert!(report.pass());
-    // One golden row, one line of the table (the writer's layout).
-    let json = report.to_json();
-    assert!(json.contains("\n  \"pass\": true,\n"), "{json}");
-    let (_, table) = json
-        .split_once("    \"golden\": [\n")
-        .expect("golden table");
-    let (rows, _) = table.split_once("\n    ]").expect("table closes");
-    assert_eq!(rows.lines().count(), 1, "{json}");
-    let text = report.rendered();
-    assert!(text.contains("gate: PASS"));
+    let nested = bless_nested_fixture().expect("nested run");
+    assert!(
+        nested.rendered() == committed("case_nested"),
+        "case_nested: committed golden diverged from the canonical run"
+    );
 }

@@ -83,7 +83,8 @@ fn offloaded_model_reports_the_narrative_geometry() {
     ] {
         let mut m = Model::single_rank(ModelConfig::functional(v, 0.05, 10));
         let rep = m.run(2);
-        let spec = rep.last_sbm.unwrap().kernel_spec.expect("offloaded");
+        assert!(rep.last_sbm.unwrap().coal_iters > 0, "{v:?} launched");
+        let spec = v.kernel_spec().expect("offloaded");
         assert_eq!(spec.collapse, collapse);
         assert_eq!(spec.stack_bytes_per_thread > 4096, big_stack);
     }
