@@ -473,11 +473,11 @@ fn layout_arms<M: Copy>(
 }
 
 /// A scheduling mode and its worker count.
-pub type Scheduler = (ExecMode, usize);
+type Scheduler = (ExecMode, usize);
 
 /// A case's reproducibility matrix: serial static tiles in both layouts,
 /// and work stealing on [`WORKERS`] threads on the production layout.
-pub fn matrix_arms() -> Vec<Arm<(SbmVersion, Layout, Scheduler)>> {
+fn matrix_arms() -> Vec<Arm<(SbmVersion, Layout, Scheduler)>> {
     let serial = (ExecMode::StaticTiles, 1);
     let stealing = (ExecMode::work_steal(), WORKERS);
     layout_arms(serial, &[serial, stealing], |(mode, workers)| {
