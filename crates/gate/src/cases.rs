@@ -39,7 +39,8 @@
 use crate::comm::both_modes;
 use crate::fixture::GoldenFixture;
 use crate::golden::{
-    compare_digests, compare_states, equivalence_matrix, Arm, EquivRow, Sides, StateAgreement,
+    compare_digests, compare_states, equivalence_matrix, layout_arms, Arm, EquivRow, Sides,
+    StateAgreement,
 };
 use crate::report::{Cell, Check, Report, Table};
 use fsbm_core::digest::StateDigest;
@@ -448,28 +449,6 @@ pub fn fixture_check(
         )
     });
     (golden, violation)
-}
-
-/// The arms of a reproducibility matrix, per version: `reference` on
-/// the reference layout (the baseline's is the canonical run itself),
-/// then each of `production` on the production layout — so every
-/// version is pinned in both layouts. `label` names a setting.
-fn layout_arms<M: Copy>(
-    reference: M,
-    production: &[M],
-    label: impl Fn(M) -> String,
-) -> Vec<Arm<(SbmVersion, Layout, M)>> {
-    let mut arms = Vec::new();
-    for version in SbmVersion::ALL {
-        let aos = (version != SbmVersion::Baseline).then_some((Layout::PointAos, reference));
-        let soa = production.iter().map(|&m| (Layout::PanelSoa, m));
-        arms.extend(aos.into_iter().chain(soa).map(|(layout, m)| Arm {
-            spec: (version, layout, m),
-            label: format!("{} [{} {}]", version.label(), label(m), layout.label()),
-            cells: Vec::new(),
-        }));
-    }
-    arms
 }
 
 /// A scheduling mode and its worker count.

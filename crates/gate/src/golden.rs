@@ -14,7 +14,7 @@
 
 use crate::report::{Check, Row, Table};
 use fsbm_core::digest::{fnv1a_step, ulp_distance, StateDigest, FNV1A_OFFSET};
-use fsbm_core::scheme::SbmVersion;
+use fsbm_core::scheme::{Layout, SbmVersion};
 use fsbm_core::state::SbmPatchState;
 use wrf_cases::diffwrf::digits_of;
 
@@ -308,6 +308,28 @@ impl Arm<SbmVersion> {
     }
 }
 
+/// The arms of a reproducibility matrix, per version: `reference` on
+/// the reference layout (the baseline's is the canonical run itself),
+/// then each of `production` on the production layout — so every
+/// version is pinned in both layouts. `label` names a setting.
+pub(crate) fn layout_arms<M: Copy>(
+    reference: M,
+    production: &[M],
+    label: impl Fn(M) -> String,
+) -> Vec<Arm<(SbmVersion, Layout, M)>> {
+    let mut arms = Vec::new();
+    for version in SbmVersion::ALL {
+        let aos = (version != SbmVersion::Baseline).then_some((Layout::PointAos, reference));
+        let soa = production.iter().map(|&m| (Layout::PanelSoa, m));
+        arms.extend(aos.into_iter().chain(soa).map(|(layout, m)| Arm {
+            spec: (version, layout, m),
+            label: format!("{} [{} {}]", version.label(), label(m), layout.label()),
+            cells: Vec::new(),
+        }));
+    }
+    arms
+}
+
 /// What running one arm yields: the two sides' end-state digests,
 /// paired in order, plus whatever else the arm measured or found.
 #[derive(Debug, Clone, Default)]
@@ -471,6 +493,54 @@ mod tests {
         let cmp = compare_digests(&a, &b);
         assert!(!cmp.structural.is_empty());
         assert!(!cmp.bitwise());
+    }
+
+    #[test]
+    fn matrix_covers_versions_and_modes() {
+        let arms = layout_arms("serial", &["serial", "stealing"], str::to_string);
+        assert_eq!(arms.len(), 3 + 4 * 2);
+        for version in SbmVersion::ALL {
+            for mode in ["serial", "stealing"] {
+                assert!(
+                    arms.iter()
+                        .any(|a| a.spec == (version, Layout::PanelSoa, mode)),
+                    "{} {mode} missing",
+                    version.label()
+                );
+            }
+        }
+    }
+
+    /// The matrix, by name: per version its one reference-layout arm,
+    /// then every production setting on the production layout. The
+    /// baseline has no reference-layout arm: its serial reference-layout
+    /// run is the canonical one that blesses the fixture, every arm's
+    /// reference side.
+    #[test]
+    fn matrix_is_production_layout_plus_the_blessing_arm() {
+        let arms = layout_arms("ref", &["a", "b"], str::to_string);
+        let got: Vec<&str> = arms.iter().map(|a| a.label.as_str()).collect();
+        let mut want = Vec::new();
+        for version in SbmVersion::ALL.map(SbmVersion::label) {
+            if version != SbmVersion::Baseline.label() {
+                want.push(format!("{version} [ref point-aos]"));
+            }
+            want.push(format!("{version} [a panel-soa]"));
+            want.push(format!("{version} [b panel-soa]"));
+        }
+        assert_eq!(got, want);
+        for version in SbmVersion::ALL {
+            let aos: Vec<_> = (arms.iter())
+                .filter(|a| a.spec.0 == version && a.spec.1 == Layout::PointAos)
+                .map(|a| a.spec.2)
+                .collect();
+            let want: &[&str] = if version == SbmVersion::Baseline {
+                &[]
+            } else {
+                &["ref"]
+            };
+            assert_eq!(aos, want, "{}", version.label());
+        }
     }
 
     #[test]

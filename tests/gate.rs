@@ -1,16 +1,68 @@
 //! End-to-end tests of the fixture check of the cases gate
 //! (`repro cases`): `goldens/` holds one fixture per state and every
-//! case's canonical run re-blesses it byte for byte, a fixture that has
-//! drifted fails naming the worst field by digits of agreement, and a
-//! missing fixture names the one bless command.
+//! case's canonical run re-blesses it byte for byte, the gate case's
+//! state passes every arm bitwise, a fixture that has drifted fails
+//! naming the worst field by digits of agreement, and a missing fixture
+//! names the one bless command.
 
+use std::sync::OnceLock;
 use wrf_offload_repro::wrf_cases::CaseKind;
 use wrf_offload_repro::wrf_gate::cases::{
     bless_case_fixture, bless_nested_fixture, canonical_case_state, case_check, fixture_check,
+    report, CaseCheck, NestPins,
 };
+use wrf_offload_repro::wrf_gate::golden::StateAgreement;
 
 fn goldens() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("goldens")
+}
+
+/// The cases check of the gate case's state (`ModelConfig::gate`'s,
+/// which every scheme version reproduces), run once for the tests that
+/// read it.
+fn conus_check() -> &'static CaseCheck {
+    static CHECK: OnceLock<CaseCheck> = OnceLock::new();
+    CHECK.get_or_init(|| case_check(CaseKind::Conus, &goldens()).expect("committed fixture"))
+}
+
+#[test]
+fn clean_tree_passes_the_golden_gate_bitwise() {
+    let check = conus_check();
+    assert!(check.violations.is_empty(), "{:?}", check.violations);
+    // Every arm — any version, either layout, either scheduler —
+    // reproduces the canonical run bit for bit (the §VII-B claim,
+    // strengthened): three reference-layout arms (the baseline's is the
+    // canonical run) and two production arms per version.
+    assert_eq!(check.matrix_runs, 3 + 4 * 2);
+    assert!(check.bitwise && check.comm_bitwise);
+    // The canonical run reproduces the committed fixture bit for bit.
+    assert!(check.golden.bitwise && check.golden.min_digits == 15);
+}
+
+#[test]
+fn gate_report_merges_and_serializes() {
+    // The case axis alone; the nest pins are at their passing value.
+    let pins = NestPins {
+        matrix: Vec::new(),
+        golden: StateAgreement::full(),
+        parent_matches_case: true,
+    };
+    let rep = report(std::slice::from_ref(conus_check()), &pins, &[], &[], &[]);
+    assert!(rep.pass(), "{:?}", rep.violations());
+    let labels: Vec<&str> = rep.checks.iter().map(|c| c.label.as_str()).collect();
+    assert!(labels.contains(&"case conus"), "{labels:?}");
+    assert!(labels.contains(&"tail census: conus"), "{labels:?}");
+    // One case, one line of the per-case table (the writer's layout).
+    let json = rep.to_json();
+    assert!(json.contains("\n  \"pass\": true,\n"), "{json}");
+    let (_, table) = json.split_once("    \"cases\": [\n").expect("cases table");
+    let (rows, _) = table.split_once("\n    ]").expect("table closes");
+    assert_eq!(rows.lines().count(), 1, "{json}");
+    assert!(
+        rows.contains("\"case\": \"conus\", \"matrix_runs\": 11"),
+        "{json}"
+    );
+    assert!(rep.rendered().contains("cases gate: PASS"));
 }
 
 #[test]
