@@ -96,10 +96,12 @@ step_test() {
     return "$rc"
 }
 
-# Five launches a step on one persistent pool, back to back: 24 scheme
-# steps (300 under CI_NIGHTLY) at 2 and 3 workers, every step's digest
-# compared with the one-worker run — the production configuration, then
-# a tiled CPU version (three collision tiles between the same sweeps). Release build, where a worker that
+# Launches on one persistent pool, back to back: 24 scheme steps (300
+# under CI_NIGHTLY) at 2 and 3 workers, every step's digest compared with
+# the one-worker run — five launches a step in the production
+# configuration and in a tiled CPU version (three collision tiles between
+# the same sweeps), then the static-tiles offloaded step's one collision
+# launch of contiguous blocks. Release build, where a worker that
 # wakes late for an epoch has the narrowest window to cross into the
 # next one. Under CI_NIGHTLY the same run also takes the ignored
 # `batch_shuffle_fuzz` (200 random memberships of both lane-batch lists,

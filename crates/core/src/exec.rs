@@ -2,16 +2,17 @@
 //! device threads are scheduled over the collision iteration space, and
 //! who runs the sweeps around it.
 //!
-//! Two strategies exist, the two `bench-exec` arms:
+//! Both strategies, the two `bench-exec` arms, run on the scheme's one
+//! persistent [`wrf_exec::Executor`] (created once per run, not per
+//! step):
 //!
 //! * **Static tiles** — the classic `schedule(static)` reference: the
-//!   iteration space is split into one contiguous block per worker and
-//!   nothing rebalances. Storm clustering leaves most workers idle. The
+//!   iteration space is split into one contiguous block per worker.
+//!   Storm clustering leaves most workers idle. The
 //!   nucleation/condensation, freeze/melt/breakup and sedimentation
 //!   sweeps stay serial loops on the calling thread — the paper's
 //!   program, where only the collision loop is offloaded.
-//! * **Work-stealing + compaction** — the production point. A persistent
-//!   [`wrf_exec::Executor`] (created once per run, not per step)
+//! * **Work-stealing + compaction** — the production point. The pool
 //!   distributes automatically sized chunks over per-worker deques and
 //!   idle workers steal; the predicate mask produced by the fissioned
 //!   pre-sweep is scanned into a compact active-index list first, so the
@@ -29,11 +30,11 @@ use wrf_exec::ExecStats;
 /// sweeps around it share those threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
-    /// Contiguous static partition, fresh threads per launch (the seed
-    /// behavior's `schedule(static)` analogue).
+    /// One contiguous block per worker of the scheme's pool, the
+    /// collision launch only (the `schedule(static)` analogue).
     StaticTiles,
-    /// Persistent work-stealing executor over the activity-compacted
-    /// iteration space, automatic chunk size.
+    /// Work stealing on the scheme's pool over the activity-compacted
+    /// iteration space, automatic chunk size, sweeps included.
     WorkSteal,
 }
 
@@ -41,11 +42,6 @@ impl ExecMode {
     /// The default production mode.
     pub const fn work_steal() -> Self {
         ExecMode::WorkSteal
-    }
-
-    /// True for the executor-backed variant.
-    pub fn uses_executor(self) -> bool {
-        self == ExecMode::WorkSteal
     }
 
     /// Short label for reports.
@@ -92,8 +88,7 @@ pub fn compact_active_columns(predicate: &[bool], ilen: usize) -> Vec<u32> {
 pub struct ExecSummary {
     /// Scheduling mode label ([`ExecMode::label`]).
     pub mode: &'static str,
-    /// Pool width (1 when no executor was created: the caller thread
-    /// ran everything).
+    /// Pool width (including the caller).
     pub workers: usize,
     /// Jobs dispatched to the pool.
     pub epochs: u64,
@@ -189,8 +184,7 @@ mod tests {
     #[test]
     fn mode_labels_and_default() {
         assert_eq!(ExecMode::default(), ExecMode::work_steal());
-        assert!(ExecMode::default().uses_executor());
-        assert!(!ExecMode::StaticTiles.uses_executor());
+        assert_eq!(ExecMode::default(), ExecMode::WorkSteal);
         assert_eq!(ExecMode::StaticTiles.label(), "static-tiles");
         assert_eq!(ExecMode::default().label(), "work-stealing+compaction");
     }
@@ -264,8 +258,8 @@ mod tests {
         );
     }
 
-    /// A scheme that never needed a pool reports the caller thread as its
-    /// one worker.
+    /// A CPU version on one tile runs on a 1-wide pool: the caller thread
+    /// is its one worker and runs each launch as one chunk.
     #[test]
     fn no_pool_is_one_worker() {
         use crate::scheme::{FastSbm, SbmConfig, SbmVersion};
@@ -273,7 +267,8 @@ mod tests {
         let mut serial = FastSbm::new(SbmConfig::new(SbmVersion::Baseline));
         let stats = serial.step(&mut crate::state::SbmPatchState::new(patch));
         let summary = serial.exec_summary(&stats);
-        assert_eq!((summary.workers, summary.epochs), (1, 0));
+        assert_eq!((summary.workers, summary.steals), (1, 0));
+        assert_eq!(summary.chunks, summary.epochs);
         assert_eq!(summary.balance, 1.0);
     }
 

@@ -62,10 +62,10 @@ use crate::state::SbmPatchState;
 use crate::thermo::supersat_liquid;
 use crate::types::{HydroClass, NKR, NTYPES};
 use crate::workload::warp_efficiency;
-use gpu_sim::launch::{launch_functional_static, KernelSpec};
+use gpu_sim::launch::KernelSpec;
 use gpu_sim::schedule::{Collapse, CollisionPlan, Offload, Storage};
 use gpu_sim::syncslice::SyncWriteSlice;
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 use wrf_exec::Executor;
 use wrf_grid::{split_patch_into_tiles, PatchSpec, Span, TileSpec};
 
@@ -135,10 +135,10 @@ impl SbmVersion {
 /// Memory layout of the microphysics inner loops.
 ///
 /// Orthogonal to [`SbmVersion`]: every version runs in either layout and
-/// produces bitwise-identical state (the layout proptests and the golden
-/// gate pin this). `PanelSoa` is the production layout and the default;
-/// `PointAos` is the reference path the gates and the benchmark oracle
-/// compare against, selected programmatically through
+/// produces bitwise-identical state (the layout proptests and the
+/// `repro cases` matrix pin this). `PanelSoa` is the production layout
+/// and the default; `PointAos` is the reference path the gates and the
+/// benchmark oracle compare against, selected programmatically through
 /// [`SbmConfig::layout`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Layout {
@@ -172,8 +172,9 @@ pub struct SbmConfig {
     pub dt: f32,
     /// Vertical layer thickness for sedimentation, m.
     pub dz: f32,
-    /// Host worker threads emulating the device for offloaded versions
-    /// (`None` = all available).
+    /// Width of the scheme's pool when its collision stage launches
+    /// parallel units — an offloaded version, or more than one tile
+    /// (`None` = all available); otherwise the pool is 1 wide.
     pub workers: Option<usize>,
     /// WRF `numtiles`: OpenMP tiles per patch for the CPU versions
     /// (Fig. 1's shared-memory level; the paper runs 1) — the launch unit
@@ -183,9 +184,10 @@ pub struct SbmConfig {
     /// are the same for every version and ignore it.
     pub tiles: usize,
     /// How the collision stage's units — device iterations or CPU tiles —
-    /// are scheduled: static partition, with serial sweeps around the
-    /// collision launch, or the persistent work-stealing executor over the
-    /// activity-compacted queue, which runs the sweeps too.
+    /// are scheduled on the scheme's pool: one contiguous block per
+    /// worker, with serial sweeps around the collision launch, or work
+    /// stealing over the activity-compacted queue, which runs the sweeps
+    /// too.
     pub sched: ExecMode,
     /// Memoize the 20 interpolated pair tables per k-level
     /// ([`KernelMode::Cached`]); bitwise-identical to on-demand, cheaper
@@ -301,10 +303,10 @@ pub struct FastSbm {
     pub cfg: SbmConfig,
     grids: Grids,
     tables: KernelTables,
-    /// Persistent worker pool, created lazily on the first step that
-    /// needs one and reused for the rest of the run (per rank — each
-    /// rank's scheme owns its own pool).
-    exec: Option<Executor>,
+    /// The persistent worker pool, created on first use and reused for
+    /// the rest of the run (per rank — each rank's scheme owns its own
+    /// pool). See [`FastSbm::pool`].
+    exec: OnceLock<Executor>,
     /// Per-k-level memoized collision kernels (when
     /// [`SbmConfig::cached_kernels`] is set).
     kcache: Option<KernelCache>,
@@ -325,29 +327,21 @@ impl FastSbm {
             cfg,
             grids,
             tables: KernelTables::new(),
-            exec: None,
+            exec: OnceLock::new(),
             kcache: None,
             splits,
             scratch: StepScratch::default(),
         }
     }
 
-    /// The persistent worker pool, created on first use if this
-    /// configuration's steps launch on one — work stealing with an
-    /// offloaded plan or more than one tile — so a caller that shares it
-    /// between the scheme's launches adds no thread; `None` when the steps
-    /// do not (static tiles, or a CPU version on a single tile, whose
-    /// whole step runs on the calling thread).
-    pub fn pool(&mut self) -> Option<&Executor> {
-        let launches =
-            self.cfg.sched.uses_executor() && (self.cfg.version.offloaded() || self.cfg.tiles > 1);
-        if !launches {
-            return None;
-        }
-        Some(self.exec.get_or_insert_with(|| match self.cfg.workers {
-            Some(w) => Executor::new(w),
-            None => Executor::with_available_parallelism(),
-        }))
+    /// The model's one executor, created on first use: the scheme's
+    /// launches run on it, and so do its model's pooled transport jobs
+    /// and overlapped interior tendencies. [`SbmConfig::workers`] wide
+    /// when the collision stage launches parallel units — an offloaded
+    /// plan or more than one tile, under either schedule — and 1 wide
+    /// otherwise, which starts no thread.
+    pub fn pool(&self) -> &Executor {
+        new_pool(&self.exec, &self.cfg)
     }
 
     /// Fills (or refreshes) the per-level kernel cache from the patch's
@@ -380,27 +374,14 @@ impl FastSbm {
         } else {
             0.0
         };
-        let cache_hit_rate = self.kcache.as_ref().map_or(1.0, |c| c.hit_rate());
-        match &self.exec {
-            Some(ex) => ExecSummary::from_stats(
-                self.cfg.sched.label(),
-                &ex.stats(),
-                active_fraction,
-                cache_hit_rate,
-                stats.lane_efficiency(),
-                stats.cond_lane_efficiency(),
-            ),
-            None => ExecSummary {
-                mode: self.cfg.sched.label(),
-                workers: 1, // no pool: the caller thread ran everything
-                balance: 1.0,
-                active_fraction,
-                cache_hit_rate,
-                lane_efficiency: stats.lane_efficiency(),
-                cond_efficiency: stats.cond_lane_efficiency(),
-                ..Default::default()
-            },
-        }
+        ExecSummary::from_stats(
+            self.cfg.sched.label(),
+            &self.pool().stats(),
+            active_fraction,
+            self.kcache.as_ref().map_or(1.0, |c| c.hit_rate()),
+            stats.lane_efficiency(),
+            stats.cond_lane_efficiency(),
+        )
     }
 
     /// The static kernel tables (shared with the data-environment
@@ -425,7 +406,7 @@ impl FastSbm {
         if self.cfg.cached_kernels {
             self.ensure_kcache(state);
         }
-        self.pool();
+        let exec = new_pool(&self.exec, &self.cfg);
         let p = state.patch;
         let mut stats = empty_stats(p.compute_points());
         let StepScratch { sweep, coal } = &mut self.scratch;
@@ -448,8 +429,7 @@ impl FastSbm {
             );
             let launcher = Launcher {
                 sched: self.cfg.sched,
-                workers: self.cfg.workers,
-                exec: self.exec.as_ref(),
+                exec,
             };
             let mut tally = pre_sweep(&v, &launcher, self.cfg.layout, coal);
             tally += coal_launch(&v, &launcher, &self.cfg, plan, coal, &mut stats);
@@ -644,7 +624,7 @@ fn coal_launch(
             let batches: &[PanelBatch] = &lists.batches;
             // The list holds only active batches: it is its own
             // compaction, under either scheduler.
-            launcher.run(batches.len() as u64, Grain::Fine, |bi| {
+            launcher.run(batches.len() as u64, |bi| {
                 let b = &batches[bi as usize];
                 let points = &b.points[..b.len as usize];
                 let (_, k) = v.row(points[0] as usize / ilen);
@@ -663,8 +643,8 @@ fn coal_launch(
     tally
 }
 
-/// The CPU versions' collision stage: WRF `numtiles` tiles (one inline
-/// tile when `tiles <= 1`), launched coarse, each looping over its own
+/// The CPU versions' collision stage: WRF `numtiles` tiles (one tile on
+/// the caller when `tiles <= 1`), each looping over its own
 /// `(j,k)` rows through [`coal_row`] on its slice of the patch's
 /// `predicate`. Every tile owns — for the baseline — a private copy of
 /// the collision tables (what `!$omp threadprivate(cw**)` gives the
@@ -693,7 +673,7 @@ fn coal_tiles(
         &split
     };
     let total = Mutex::new(Tally::default());
-    launcher.run(tiles.len() as u64, Grain::Coarse, |t| {
+    launcher.run(tiles.len() as u64, |t| {
         let tile = &tiles[t as usize];
         let mut tally = Tally::default();
         let mut dense = dense_tables.then(CollisionTables::new);
@@ -742,49 +722,38 @@ fn sedimentation_sweep(v: &PatchViews<'_>, launcher: &Launcher<'_>, layout: Layo
 
 // ---- Launching ----------------------------------------------------------
 
-/// Size class of a launch unit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Grain {
-    /// Points, columns, lane batches: thousands per launch, each small.
-    Fine,
-    /// Whole tiles: a handful per launch, each a worker's full share.
-    Coarse,
+/// The scheme's pool in `cell`, created on first use (see
+/// [`FastSbm::pool`]).
+fn new_pool<'a>(cell: &'a OnceLock<Executor>, cfg: &SbmConfig) -> &'a Executor {
+    cell.get_or_init(|| match cfg.workers {
+        _ if !cfg.version.offloaded() && cfg.tiles <= 1 => Executor::new(1),
+        Some(w) => Executor::new(w),
+        None => Executor::new(std::thread::available_parallelism().map_or(4, |n| n.get())),
+    })
 }
 
 /// Where a step's parallel launches run — tiles and collision units
-/// alike. The one place that tells [`ExecMode`]'s variants apart.
+/// alike — on the scheme's pool. The one place that tells [`ExecMode`]'s
+/// variants apart.
 struct Launcher<'a> {
     sched: ExecMode,
-    workers: Option<usize>,
-    /// The persistent pool; `None` when the configuration needs none (a
-    /// CPU version on a single tile).
-    exec: Option<&'a Executor>,
+    exec: &'a Executor,
 }
 
 impl Launcher<'_> {
-    /// Runs `body(u)` for every launch unit `u` in `0..total` and returns
-    /// the wall seconds. Static dispatch: `body` is inlined into each
-    /// scheduler's loop.
-    fn run<F>(&self, total: u64, grain: Grain, body: F) -> f64
+    /// Runs `body(u)` for every launch unit `u` in `0..total` on the pool
+    /// and returns the wall seconds: automatically sized chunks under
+    /// work stealing, one contiguous block per worker under static tiles.
+    /// Static dispatch: `body` is inlined into the pool's loop.
+    fn run<F>(&self, total: u64, body: F) -> f64
     where
         F: Fn(u64) + Sync,
     {
-        // A fine-grained static launch under 256 units is not worth its
-        // thread spawns, and its work-stealing chunk is the executor's
-        // automatic size; tiles are each worth a thread and a chunk of
-        // their own.
-        let (inline_below, chunk) = match grain {
-            Grain::Fine => (256, None),
-            Grain::Coarse => (2, Some(1)),
+        let chunk = match self.sched {
+            ExecMode::WorkSteal => None,
+            ExecMode::StaticTiles => Some(total.div_ceil(self.exec.workers() as u64)),
         };
-        match (self.sched, self.exec) {
-            (ExecMode::WorkSteal, Some(exec)) => exec.run_indexed(total, chunk, body),
-            // No pool, no parallelism: the static launcher's inline path.
-            (ExecMode::WorkSteal, None) => launch_functional_static(total, Some(1), 0, body),
-            (ExecMode::StaticTiles, _) => {
-                launch_functional_static(total, self.workers, inline_below, body)
-            }
-        }
+        self.exec.run_indexed(total, chunk, body)
     }
 
     /// [`Launcher::run`] for fine-grained units of which only some are
@@ -796,33 +765,33 @@ impl Launcher<'_> {
     where
         F: Fn(u64) + Sync,
     {
-        match (self.sched, self.exec) {
-            (ExecMode::WorkSteal, Some(exec)) => {
+        match self.sched {
+            ExecMode::WorkSteal => {
                 let list = active();
-                exec.run_ranges(list.len() as u64, None, |lo, hi| {
+                self.exec.run_ranges(list.len() as u64, None, |lo, hi| {
                     for x in lo..hi {
                         body(u64::from(list[x as usize]));
                     }
                 })
             }
-            _ => self.run(total, Grain::Fine, body),
+            ExecMode::StaticTiles => self.run(total, body),
         }
     }
 
     /// Runs `body(u)` for every unit in `0..total` of a sweep around the
     /// collision launch — `(j,k)` rows, `(i,j)` columns. Work stealing
-    /// spreads them over the persistent pool; the static arm is the
-    /// paper's program, where only the collision loop is offloaded, and
-    /// loops on the calling thread.
+    /// spreads them over the pool; the static arm is the paper's program,
+    /// where only the collision loop is offloaded, and loops on the
+    /// calling thread.
     fn sweep<F>(&self, total: u64, body: F)
     where
         F: Fn(u64) + Sync,
     {
-        match (self.sched, self.exec) {
-            (ExecMode::WorkSteal, Some(exec)) => {
-                exec.run_indexed(total, None, body);
+        match self.sched {
+            ExecMode::WorkSteal => {
+                self.exec.run_indexed(total, None, body);
             }
-            _ => (0..total).for_each(body),
+            ExecMode::StaticTiles => (0..total).for_each(body),
         }
     }
 }
@@ -2034,7 +2003,7 @@ mod tests {
                         ref_state.precip_acc.to_bits(),
                         "{what}: precip_acc"
                     );
-                    if cached && sched.uses_executor() && version.offloaded() {
+                    if cached && version.offloaded() {
                         let summary = scheme.exec_summary(&ref_stats[2]);
                         assert_eq!(summary.cache_hit_rate, 1.0, "pressure is k-only here");
                         assert_eq!(summary.workers, workers);
@@ -2044,14 +2013,15 @@ mod tests {
         }
     }
 
-    /// Five launches a step on one persistent pool, back to back for
-    /// hundreds of steps: the executor's epoch handover (a late worker
-    /// must never carry one launch's body into the next) under the
-    /// scheme's real traffic — the production configuration, and a tiled
-    /// CPU version whose collision launch is three coarse tiles between
-    /// the same sweeps. Every step's digest at 2 and 3 workers must equal
-    /// the one-worker run's. 300 steps under `CI_NIGHTLY`
-    /// (`./ci.sh pool_stress`), 24 otherwise.
+    /// Launches on one persistent pool, back to back for hundreds of
+    /// steps: the executor's epoch handover (a late worker must never
+    /// carry one launch's body into the next) under the scheme's real
+    /// traffic — five launches a step in the production configuration
+    /// and in a tiled CPU version whose collision launch is three coarse
+    /// tiles between the same sweeps, and the static-tiles offloaded
+    /// step's one collision launch of contiguous blocks. Every step's
+    /// digest at 2 and 3 workers must equal the one-worker run's. 300
+    /// steps under `CI_NIGHTLY` (`./ci.sh pool_stress`), 24 otherwise.
     #[test]
     fn pool_stress_every_step_matches_one_worker() {
         let nightly = std::env::var_os("CI_NIGHTLY").is_some_and(|v| !v.is_empty());
@@ -2060,8 +2030,14 @@ mod tests {
         production.cached_kernels = true;
         let mut tiled = SbmConfig::new(SbmVersion::Lookup);
         tiled.tiles = 3;
-        for mut cfg in [production, tiled] {
-            let what = cfg.version.label();
+        let mut blocks = SbmConfig::new(SbmVersion::OffloadCollapse3);
+        blocks.sched = ExecMode::StaticTiles;
+        for mut cfg in [production, tiled, blocks] {
+            let what = format!("{} {}", cfg.version.label(), cfg.sched.label());
+            let launches = match cfg.sched {
+                ExecMode::WorkSteal => 5,
+                ExecMode::StaticTiles => 1,
+            };
             let mut digests = |workers: usize| {
                 let mut st = test_state();
                 cfg.workers = Some(workers);
@@ -2072,8 +2048,8 @@ mod tests {
                         st.digest()
                     })
                     .collect();
-                let epochs = scheme.exec.as_ref().expect("work stealing").stats().epochs;
-                assert_eq!(epochs, 5 * steps as u64, "{what}: five launches a step");
+                let epochs = scheme.pool().stats().epochs;
+                assert_eq!(epochs, launches * steps as u64, "{what}: launches a step");
                 per_step
             };
             let want = digests(1);
@@ -2403,10 +2379,10 @@ mod tests {
             cond_key: vec![NO_CONDENSATION; n],
             fall: Vec::new(),
         };
+        let exec = Executor::new(1);
         let launcher = Launcher {
             sched: ExecMode::StaticTiles,
-            workers: Some(1),
-            exec: None,
+            exec: &exec,
         };
         let (grids, tables, splits) = (&sbm.grids, &sbm.tables, &sbm.splits);
         let v = PatchViews::new(grids, tables, None, splits, 5.0, &mut st, &mut sweep);
@@ -2692,11 +2668,7 @@ mod tile_tests {
         let exec = Executor::new(3);
         let active = || (0..1000u32).filter(|i| i % 7 == 0).collect::<Vec<_>>();
         for sched in [ExecMode::WorkSteal, ExecMode::StaticTiles] {
-            let launcher = Launcher {
-                sched,
-                workers: Some(3),
-                exec: Some(&exec),
-            };
+            let launcher = Launcher { sched, exec: &exec };
             let hits: Vec<AtomicU32> = (0..1000).map(|_| AtomicU32::new(0)).collect();
             launcher.run_active(1000, active, |u| {
                 hits[u as usize].fetch_add(1, Ordering::Relaxed);
@@ -2712,24 +2684,51 @@ mod tile_tests {
         }
     }
 
+    /// The static launch on the pool: one contiguous block per worker,
+    /// every unit run exactly once — with no units, with more workers
+    /// than units, and on a 1-wide pool.
+    #[test]
+    fn static_partition_covers_all_iterations() {
+        use std::sync::atomic::{AtomicU32, Ordering};
+        for workers in [1usize, 2, 3, 8] {
+            let exec = Executor::new(workers);
+            let launcher = Launcher {
+                sched: ExecMode::StaticTiles,
+                exec: &exec,
+            };
+            for total in [0u64, 1, 2, 5, 10_000] {
+                let chunks = exec.stats().total_chunks();
+                let hits: Vec<AtomicU32> = (0..total).map(|_| AtomicU32::new(0)).collect();
+                launcher.run(total, |u| {
+                    hits[u as usize].fetch_add(1, Ordering::Relaxed);
+                });
+                let what = format!("{workers} workers, {total} units");
+                assert!(
+                    hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
+                    "{what}"
+                );
+                let block = total.div_ceil(workers as u64).max(1);
+                let ran = exec.stats().total_chunks() - chunks;
+                assert_eq!(ran, total.div_ceil(block), "{what}: blocks");
+                assert!(ran <= workers as u64, "{what}: at most one block a worker");
+            }
+        }
+    }
+
     /// `Launcher::sweep` under both schedulers: without work stealing —
-    /// or without a pool — it is a plain loop, every unit in order on the
-    /// calling thread; work stealing runs every unit exactly once.
+    /// or on a 1-wide pool — it is a plain loop, every unit in order on
+    /// the calling thread; work stealing runs every unit exactly once.
     #[test]
     fn sweep_is_a_plain_loop_except_under_work_stealing() {
-        let exec = Executor::new(3);
+        let (exec, serial) = (Executor::new(3), Executor::new(1));
         let me = std::thread::current().id();
         let arms = [
-            (ExecMode::StaticTiles, Some(&exec), true),
-            (ExecMode::WorkSteal, None, true),
-            (ExecMode::WorkSteal, Some(&exec), false),
+            (ExecMode::StaticTiles, &exec, true),
+            (ExecMode::WorkSteal, &serial, true),
+            (ExecMode::WorkSteal, &exec, false),
         ];
         for (sched, exec, inline) in arms {
-            let launcher = Launcher {
-                sched,
-                workers: Some(3),
-                exec,
-            };
+            let launcher = Launcher { sched, exec };
             let seen = Mutex::new(Vec::new());
             launcher.sweep(1000, |u| {
                 let here = std::thread::current().id();

@@ -1,20 +1,22 @@
 #![warn(missing_docs)]
 
 //! Persistent work-stealing executor for the functional (host-emulated)
-//! device plane.
+//! device plane: the one pool of a model, which every parallel launch of
+//! its microphysics, its pooled transport and its overlapped interior
+//! tendencies runs on.
 //!
 //! The seed code emulated one GPU's parallelism by spawning a fresh
-//! scoped thread pool inside every kernel launch (what
-//! `gpu_sim::launch::launch_functional_static` still does for the
-//! `schedule(static)` arm): thread creation, stack setup and teardown
-//! were paid on *every microphysics step*. On the reduced
-//! CONUS cases a collision launch runs for a few hundred microseconds, so
-//! per-step spawn overhead and the cold stacks were a measurable fraction
-//! of the wall clock — and the per-launch atomic-counter loop offered no
-//! per-worker locality.
+//! scoped thread pool inside every kernel launch: thread creation, stack
+//! setup and teardown were paid on *every microphysics step*. On the
+//! reduced CONUS cases a collision launch runs for a few hundred
+//! microseconds, so per-step spawn overhead and the cold stacks were a
+//! measurable fraction of the wall clock — and the per-launch
+//! atomic-counter loop offered no per-worker locality.
 //!
 //! [`Executor`] replaces that with WRF's long-lived team model: workers
-//! are created **once per run** and parked between launches. Each worker
+//! are created **once per run** and parked between launches. A
+//! `schedule(static)` launch is one contiguous chunk per worker
+//! (`chunk = ceil(total / workers)`). Each worker
 //! owns a chunk deque; the owner pops newest-first (LIFO, cache-warm) and
 //! idle workers steal oldest-first (FIFO) from victims, which
 //! load-balances FSBM's spatially clustered storms without a shared
@@ -246,11 +248,6 @@ impl ExecStats {
         self.executed.iter().sum()
     }
 
-    /// Busy seconds per worker.
-    pub fn busy_secs(&self) -> Vec<f64> {
-        self.busy_ns.iter().map(|&n| n as f64 * 1e-9).collect()
-    }
-
     /// Ratio of the least-busy to the most-busy worker (1.0 = perfectly
     /// balanced). Returns 1.0 for empty/serial pools.
     pub fn balance(&self) -> f64 {
@@ -312,14 +309,6 @@ impl Executor {
             run_lock: Mutex::new(()),
             handles,
         }
-    }
-
-    /// A pool sized to the host (`available_parallelism`).
-    pub fn with_available_parallelism() -> Self {
-        let n = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4);
-        Self::new(n)
     }
 
     /// Pool width (including the caller).

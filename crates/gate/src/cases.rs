@@ -345,19 +345,31 @@ pub fn bless_case_fixture(kind: CaseKind) -> GoldenFixture {
     }
 }
 
-/// One nested run of the gate's pinned configuration.
-fn nested_run(version: SbmVersion, layout: Layout, comm: CommMode) -> Result<NestedRun, String> {
-    let mut cfg = ModelConfig::case_gate(NEST_CASE, version, ExecMode::StaticTiles, 1);
+/// A nested run's version, layout and comm mode.
+type NestArm = (SbmVersion, Layout, CommMode);
+
+/// Every case's nested-vs-solo check runs this arm; on [`NEST_CASE`] it
+/// reuses the nest matrix's run of it.
+const FLOOR_ARM: NestArm = (SbmVersion::Lookup, Layout::PanelSoa, CommMode::Blocking);
+
+/// The gate's pinned nested configuration of `kind` under `arm`.
+fn nested_config(kind: CaseKind, (version, layout, comm): NestArm) -> ModelConfig {
+    let mut cfg = ModelConfig::case_gate(kind, version, ExecMode::StaticTiles, 1);
     cfg.layout = layout;
     cfg.comm = comm;
     cfg.nest = Some(ModelConfig::GATE_NEST);
-    run_nested(cfg, ModelConfig::GATE_STEPS)
+    cfg
+}
+
+/// One nested run of the gate's pinned configuration.
+fn nested_run(arm: NestArm) -> Result<NestedRun, String> {
+    run_nested(nested_config(NEST_CASE, arm), ModelConfig::GATE_STEPS)
 }
 
 /// The nested run that blesses the child fixture and anchors the nested
 /// matrix: baseline version, reference layout, blocking comm.
 fn canonical_nested_run() -> Result<NestedRun, String> {
-    nested_run(SbmVersion::Baseline, Layout::PointAos, CommMode::Blocking)
+    nested_run((SbmVersion::Baseline, Layout::PointAos, CommMode::Blocking))
 }
 
 /// Builds the canonical committable fixture pinning the nested child.
@@ -529,8 +541,9 @@ pub fn case_check(kind: CaseKind, goldens_dir: &Path) -> Result<CaseCheck, Strin
 /// Runs the pinned nested configuration across versions: blocking comm
 /// in both layouts, overlapped comm on the production layout — parent
 /// and child must digest like the canonical nested run everywhere — and
-/// compares that run against the fixtures.
-fn nest_pins(goldens_dir: &Path) -> Result<NestPins, String> {
+/// compares that run against the fixtures. Returns the [`FLOOR_ARM`]
+/// run's child too (`None` when that run failed).
+fn nest_pins(goldens_dir: &Path) -> Result<(NestPins, Option<SbmPatchState>), String> {
     let nested_fixture = load_fixture(goldens_dir, "case_nested")?;
     let case_fixture = load_fixture(goldens_dir, &case_fixture_name(NEST_CASE))?;
     let canonical = canonical_nested_run()?;
@@ -538,30 +551,40 @@ fn nest_pins(goldens_dir: &Path) -> Result<NestPins, String> {
     let comms = [CommMode::Blocking, CommMode::Overlapped];
     let arms = layout_arms(CommMode::Blocking, &comms, |comm| comm.name().to_string());
     let what = "canonical vs nested matrix run";
-    let matrix = equivalence_matrix(what, arms, |&(version, layout, comm)| {
-        match nested_run(version, layout, comm) {
-            Err(e) => Sides::failed(e),
-            Ok(run) => Sides {
+    let mut floor_child = None;
+    let matrix = equivalence_matrix(what, arms, |&arm| match nested_run(arm) {
+        Err(e) => Sides::failed(e),
+        Ok(run) => {
+            let candidate = vec![run.parent.digest(), run.child.digest()];
+            if arm == FLOOR_ARM {
+                floor_child = Some(run.child);
+            }
+            Sides {
                 reference: vec![parent.clone(), child.clone()],
-                candidate: vec![run.parent.digest(), run.child.digest()],
+                candidate,
                 ..Sides::default()
-            },
+            }
         }
     });
-    Ok(NestPins {
+    let pins = NestPins {
         matrix: arm_violations(&matrix),
         golden: StateAgreement::of(&compare_digests(&nested_fixture.digest, &child)),
         parent_matches_case: compare_digests(&case_fixture.digest, &parent).bitwise(),
-    })
+    };
+    Ok((pins, floor_child))
 }
 
-/// Nested-vs-solo interior agreement of one case.
-pub fn nest_check(kind: CaseKind) -> Result<NestCheck, String> {
-    let mut cfg = ModelConfig::case_gate(kind, SbmVersion::Lookup, ExecMode::StaticTiles, 1);
-    cfg.nest = Some(ModelConfig::GATE_NEST);
-    let nested = run_nested(cfg, ModelConfig::GATE_STEPS)?;
+/// Nested-vs-solo interior agreement of one case: the [`FLOOR_ARM`]
+/// nested run's child — `child`, when the caller already integrated it —
+/// against the solo fine run.
+pub fn nest_check(kind: CaseKind, child: Option<SbmPatchState>) -> Result<NestCheck, String> {
+    let cfg = nested_config(kind, FLOOR_ARM);
+    let child = match child {
+        Some(child) => child,
+        None => run_nested(cfg, ModelConfig::GATE_STEPS)?.child,
+    };
     let solo = run_solo_fine(cfg, ModelConfig::GATE_STEPS)?;
-    let rel = interior_max_rel(&nested.child, &solo, NEST_MARGIN);
+    let rel = interior_max_rel(&child, &solo, NEST_MARGIN);
     let interior_digits = if rel <= 0.0 {
         15.0
     } else {
@@ -600,8 +623,9 @@ pub fn activity_sweep(scales: &[f64]) -> Vec<SweepPoint> {
 /// threads, and the report is assembled in one fixed order.
 pub fn run(goldens_dir: &Path, sweep_scales: &[f64]) -> Result<Report, String> {
     let nested = || -> Result<(NestPins, Vec<NestCheck>), String> {
-        let pins = nest_pins(goldens_dir)?;
-        let nest = CaseKind::ALL.into_iter().map(nest_check);
+        let (pins, mut reused) = nest_pins(goldens_dir)?;
+        let nest = (CaseKind::ALL.into_iter())
+            .map(|kind| nest_check(kind, reused.take_if(|_| kind == NEST_CASE)));
         Ok((pins, nest.collect::<Result<_, _>>()?))
     };
     let (checks, nested) = std::thread::scope(|s| {
@@ -808,7 +832,7 @@ mod tests {
         let rep = report(
             &[case_check(kind, &goldens).expect("committed fixture")],
             &pins(),
-            &[nest_check(kind).expect("nest runs")],
+            &[nest_check(kind, None).expect("nest runs")],
             &activity_sweep(&[ModelConfig::GATE_SCALE])[..1],
             &[ModelConfig::GATE_SCALE],
         );

@@ -41,7 +41,8 @@ pub struct ExecBenchRow {
     /// Summed per-step makespan of this arm's schedule on `workers`
     /// device workers, in metered collision flops.
     pub makespan_flops: u64,
-    /// Chunks the real executor ran (zero for static tiles).
+    /// Chunks the real run's pool ran (under static tiles, the collision
+    /// launch's blocks alone).
     pub chunks: u64,
     /// Kernel-cache hit rate of the real run's final step.
     pub cache_hit_rate: f64,
@@ -101,8 +102,9 @@ fn replay(profile: &[u64], mode: ExecMode, workers: usize) -> u64 {
         return total;
     }
     match mode {
-        // Contiguous static partition (`launch_functional_static`):
-        // worker `w` gets `[w*per, (w+1)*per)`.
+        // Strict contiguous static partition: worker `w` runs
+        // `[w*per, (w+1)*per)` (on the real pool an idle worker may still
+        // take a block whose owner has not started).
         ExecMode::StaticTiles => {
             let per = (profile.len() as u64).div_ceil(workers as u64) as usize;
             profile
@@ -165,7 +167,7 @@ fn measure(
     let mut cfg = case;
     cfg.device_workers = Some(workers);
     cfg.sched = mode;
-    cfg.cached_kernels = mode.uses_executor();
+    cfg.cached_kernels = mode == ExecMode::WorkSteal;
     let mut model = Model::single_rank(cfg);
     let mut last = None;
     for _ in 0..steps {
@@ -213,7 +215,7 @@ impl ExecBenchReport {
                 let scaling = self.serial_flops as f64 / r.makespan_flops as f64;
                 vec![
                     ("mode", r.mode.label().into()),
-                    ("cached_kernels", r.mode.uses_executor().into()),
+                    ("cached_kernels", (r.mode == ExecMode::WorkSteal).into()),
                     ("workers", r.workers.into()),
                     ("makespan_flops", r.makespan_flops.into()),
                     ("scaling_vs_serial", Cell::num(scaling, 3)),

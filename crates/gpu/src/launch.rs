@@ -1,10 +1,9 @@
-//! Kernel launch: functional parallel execution + modeled timing.
+//! Kernel launch: modeled timing.
 //!
 //! An OpenMP `target teams distribute parallel do collapse(n)` construct
 //! becomes a [`KernelSpec`] (geometry + per-thread resource demands) plus a
-//! closure over the collapsed iteration space. [`launch_functional_static`]
-//! runs the closure on a static partition of per-launch threads (the
-//! work-stealing alternative is [`wrf_exec::Executor`], called directly);
+//! closure over the collapsed iteration space. The closure runs on the
+//! scheme's one [`wrf_exec::Executor`], under either schedule;
 //! [`launch_modeled`] prices the launch on the modeled A100:
 //! instruction-issue throughput scaled by a latency-hiding factor of the
 //! achieved occupancy, bounded below by DRAM bandwidth — the roofline
@@ -242,61 +241,10 @@ pub fn launch_modeled_with(
     })
 }
 
-/// Static contiguous partition with per-launch scoped threads: worker
-/// `w` owns iterations `[w·per, (w+1)·per)` and nothing rebalances. This
-/// is the classic `schedule(static)` baseline [`wrf_exec::Executor`]'s
-/// work-stealing is benchmarked against. Launches of fewer than
-/// `inline_below` iterations run inline on the caller: thread spawns only
-/// pay off above a few hundred fine-grained iterations (grid points,
-/// columns), or from two coarse ones (whole tiles). Returns wall-clock
-/// seconds.
-pub fn launch_functional_static<F>(
-    iters: u64,
-    workers: Option<usize>,
-    inline_below: u64,
-    body: F,
-) -> f64
-where
-    F: Fn(u64) + Sync,
-{
-    let workers = workers
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4)
-        })
-        .max(1);
-    let start = std::time::Instant::now();
-    // A single iteration never needs a thread.
-    if workers == 1 || iters < inline_below.max(2) {
-        for i in 0..iters {
-            body(i);
-        }
-        return start.elapsed().as_secs_f64();
-    }
-    let threads = (workers as u64).min(iters);
-    let per = iters.div_ceil(threads);
-    crossbeam::thread::scope(|s| {
-        for w in 0..threads {
-            let body = &body;
-            s.spawn(move |_| {
-                let lo = w * per;
-                let hi = ((w + 1) * per).min(iters);
-                for i in lo..hi {
-                    body(i);
-                }
-            });
-        }
-    })
-    .expect("worker panicked");
-    start.elapsed().as_secs_f64()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::machine::A100;
-    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn work(iters: u64) -> KernelWork {
         KernelWork {
@@ -467,49 +415,5 @@ mod tests {
         // The default backend is priced exactly like the bare A100 path.
         let a100 = launch_modeled(&A100, &spec, &w).unwrap();
         assert_eq!(times[0], a100.time_secs);
-    }
-
-    #[test]
-    fn static_partition_covers_all_iterations() {
-        let hits = (0..10_000).map(|_| AtomicU64::new(0)).collect::<Vec<_>>();
-        launch_functional_static(10_000, Some(8), 256, |i| {
-            hits[i as usize].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-        // Serial path too.
-        let sum = AtomicU64::new(0);
-        launch_functional_static(100, Some(1), 256, |i| {
-            sum.fetch_add(i, Ordering::Relaxed);
-        });
-        assert_eq!(sum.load(Ordering::Relaxed), 99 * 100 / 2);
-        // Zero iterations never call the body, inline or threaded.
-        launch_functional_static(0, Some(4), 256, |_| panic!("must not run"));
-        launch_functional_static(0, Some(4), 0, |_| panic!("must not run"));
-    }
-
-    /// A handful of coarse iterations (tiles) must leave the caller
-    /// thread when the inline threshold says so, and stay on it below
-    /// the threshold — each iteration still runs exactly once, with more
-    /// workers than iterations too.
-    #[test]
-    fn static_partition_inline_threshold_is_the_callers() {
-        let caller = std::thread::current().id();
-        let off_caller = AtomicU64::new(0);
-        let hits = (0..4).map(|_| AtomicU64::new(0)).collect::<Vec<_>>();
-        let body = |i: u64| {
-            hits[i as usize].fetch_add(1, Ordering::Relaxed);
-            if std::thread::current().id() != caller {
-                off_caller.fetch_add(1, Ordering::Relaxed);
-            }
-        };
-        launch_functional_static(4, Some(8), 256, body);
-        assert_eq!(off_caller.load(Ordering::Relaxed), 0, "fine grain: inline");
-        launch_functional_static(4, Some(8), 2, body);
-        assert_eq!(
-            off_caller.load(Ordering::Relaxed),
-            4,
-            "coarse grain: threads"
-        );
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 2));
     }
 }

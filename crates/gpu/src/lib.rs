@@ -7,13 +7,13 @@
 //! this reproduction, this crate provides the device as a *simulated
 //! substrate* with two coupled planes:
 //!
-//! * **Functional plane** — [`wrf_exec::Executor`] (persistent
-//!   work-stealing pool, over the whole iteration space or a compacted
-//!   active set) and [`launch::launch_functional_static`] (per-launch
-//!   scoped threads, static partition) execute the kernel body — a Rust
-//!   closure over the collapsed iteration space — with real host
-//!   parallelism, so offloaded code paths produce real numerical results
-//!   that tests compare against the CPU versions.
+//! * **Functional plane** — [`wrf_exec::Executor`] (one persistent
+//!   pool per model: contiguous blocks under the static schedule, stolen
+//!   chunks of the whole iteration space or a compacted active set under
+//!   work stealing) executes the kernel body — a Rust closure over the
+//!   collapsed iteration space — with real host parallelism, so
+//!   offloaded code paths produce real numerical results that tests
+//!   compare against the CPU versions.
 //! * **Performance plane** — [`launch::launch_modeled`] prices the same
 //!   launch on modeled A100 hardware: an occupancy calculator
 //!   ([`occupancy`]), a latency-hiding throughput model, DRAM bandwidth

@@ -7,7 +7,6 @@ use gpu_sim::machine::{default_backend, Backend};
 use mpi_sim::CommMode;
 use wrf_cases::{CaseKind, ConusParams};
 use wrf_dycore::nest::NestSpec;
-use wrf_exec::Executor;
 
 /// Configuration of a model run (the subset of WRF's `namelist.input`
 /// the paper's experiments exercise).
@@ -30,8 +29,9 @@ pub struct ModelConfig {
     pub tiles: usize,
     /// Halo width (WRF uses 3 for 5th-order advection; ≥ 2 required).
     pub halo: i32,
-    /// Host worker threads standing in for one GPU's parallelism in
-    /// functional offloaded runs.
+    /// Host threads standing in for one GPU's parallelism: the width of
+    /// each rank's one pool when its collision stage launches parallel
+    /// units (offloaded, or tiles > 1), else 1 (`None` = all available).
     pub device_workers: Option<usize>,
     /// Simulated GPUs the ranks share round-robin (namelist `gpus`, or
     /// derived from `gpu_ranks_per_device`). 0 runs offloaded versions
@@ -48,7 +48,8 @@ pub struct ModelConfig {
     pub sched: ExecMode,
     /// Halo-exchange execution: blocking four-side exchanges (WRF's
     /// stock behaviour) or the nonblocking engine overlapping interior
-    /// tendencies with in-flight messages. Bitwise-identical results.
+    /// tendencies on the rank's pool with in-flight messages; results
+    /// are bitwise-identical.
     pub comm: CommMode,
     /// Memoize per-k-level collision kernels (bitwise-identical to the
     /// on-demand path).
@@ -146,7 +147,7 @@ impl ModelConfig {
         // The kernel cache is bitwise-identical to the on-demand path
         // (PR 1 invariant); keep it on only for the work-stealing arm so
         // the gate exercises both kernel paths.
-        cfg.cached_kernels = sched.uses_executor();
+        cfg.cached_kernels = sched == ExecMode::WorkSteal;
         cfg
     }
 
@@ -203,14 +204,6 @@ impl ModelConfig {
     /// Number of time steps in the configured run.
     pub fn steps(&self) -> usize {
         ((self.minutes * 60.0) / self.case.dt as f64).round() as usize
-    }
-
-    /// The interior-tendency pool of an overlapped run (`None` when
-    /// blocking): what drivers hand to `Model::step_with` as `overlap`,
-    /// the one place `comm` turns into control flow.
-    pub fn overlap_pool(&self) -> Option<Executor> {
-        matches!(self.comm, CommMode::Overlapped)
-            .then(|| Executor::new(self.device_workers.unwrap_or(1).max(1)))
     }
 }
 

@@ -7,6 +7,8 @@ use fsbm_core::point::Floored;
 use fsbm_core::scheme::{FastSbm, SbmStepStats};
 use fsbm_core::state::SbmPatchState;
 use fsbm_core::types::{NKR, NTYPES};
+use fsbm_core::ExecMode;
+use mpi_sim::CommMode;
 use prof_sim::Stopwatch;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -192,14 +194,14 @@ impl Model {
     }
 
     /// Advances the model by one step with a doubly-periodic single-patch
-    /// halo refresh and this rank's own occupied-bin masks. The step's
-    /// transport jobs run on the scheme's pool when it has one wider than
-    /// the calling thread (each worker with its own workspace and periodic
-    /// engine), else one after another on the calling thread; the bits
-    /// are the same either way.
+    /// halo refresh and this rank's own occupied-bin masks. Under work
+    /// stealing the step's transport jobs run on the scheme's pool when it
+    /// is wider than the calling thread (each worker with its own
+    /// workspace and periodic engine), else one after another on the
+    /// calling thread; the bits are the same either way.
     pub fn step(&mut self) -> StepReport {
         let masks = self.occupied_masks();
-        self.advance(Dispatch::Periodic, &masks)
+        self.advance(None, &masks)
     }
 
     /// The occupied-bin masks of all classes (the scalar set this rank
@@ -217,24 +219,27 @@ impl Model {
     /// after another on the calling thread, in job-list order, so an
     /// engine that exchanges messages sees the same sequence on every
     /// rank (only [`Model::step`], the periodic wrap, hands the jobs to
-    /// the scheme's pool). `overlap` decides only *when* the interior
-    /// tendency runs: `None` after each complete refresh, `Some(pool)`
-    /// between every round's `post` and `finish`. Both are
-    /// bitwise-identical given the same exchange data.
+    /// the scheme's pool). `cfg.comm` decides only *when* the interior
+    /// tendency runs: blocking after each complete refresh, overlapped on
+    /// the scheme's pool between every round's `post` and `finish`. Both
+    /// are bitwise-identical given the same exchange data.
     pub fn step_with(
         &mut self,
         engine: &mut dyn HaloEngine,
-        overlap: Option<&Executor>,
         masks: &[[bool; NKR]; NTYPES],
     ) -> StepReport {
-        self.advance(Dispatch::Engine(engine, overlap), masks)
+        self.advance(Some(engine), masks)
     }
 
-    /// One step: the dynamics as `dispatch` runs them, then the
-    /// microphysics.
-    fn advance(&mut self, dispatch: Dispatch<'_>, masks: &[[bool; NKR]; NTYPES]) -> StepReport {
+    /// One step: the dynamics with `engine`'s halos (`None`: the periodic
+    /// wrap), then the microphysics.
+    fn advance(
+        &mut self,
+        engine: Option<&mut dyn HaloEngine>,
+        masks: &[[bool; NKR]; NTYPES],
+    ) -> StepReport {
         let sw = Stopwatch::start();
-        let (rk3, wind_work, scalars_advected) = self.dynamics(dispatch, masks);
+        let (rk3, wind_work, scalars_advected) = self.dynamics(engine, masks);
         let wall_dynamics = sw.elapsed_secs();
 
         let sw = Stopwatch::start();
@@ -254,13 +259,16 @@ impl Model {
 
     /// The dynamics phase of a step: the wind at the current time, then
     /// the step's job list — θ, vapor (with its diffusion) and every bin
-    /// `masks` selects, in panels — through RK3 transport, run as
-    /// `dispatch` says. Returns the advection work, the residual dynamics work
-    /// (wind fill, θ conversion, diffusion) and the number of scalars
-    /// advected.
+    /// `masks` selects, in panels — through RK3 transport: the plain loop
+    /// with a caller's `engine`, overlapped on the scheme's pool when
+    /// `cfg.comm` says so; for the periodic wrap (`None`), under work
+    /// stealing the scheme's pool when it is wider than the calling
+    /// thread, else the plain loop. Returns the advection work, the
+    /// residual dynamics work (wind fill, θ conversion, diffusion) and the
+    /// number of scalars advected.
     fn dynamics(
         &mut self,
-        dispatch: Dispatch<'_>,
+        engine: Option<&mut dyn HaloEngine>,
         masks: &[[bool; NKR]; NTYPES],
     ) -> (Rk3Work, PointWork, usize) {
         let sp = self.wind_params();
@@ -268,6 +276,7 @@ impl Model {
         let residual = storm_wind(&mut self.wind, &self.patch, &sp, self.time, dx, dz);
 
         let Model {
+            ref cfg,
             ref patch,
             ref wind,
             state: ref mut st,
@@ -308,47 +317,47 @@ impl Model {
                 run_job(job, transport, engine, overlap, &fields, &mut work);
             }
         };
-        match dispatch {
-            Dispatch::Engine(engine, overlap) => plain(engine, overlap),
-            Dispatch::Periodic => match sbm.pool().filter(|pool| pool.workers() > 1) {
-                None => plain(&mut PeriodicEngine { patch: *patch }, None),
-                // One dispatch: each index is a worker's slot — its own
-                // workspace and engine — claiming jobs in list order
-                // until none is left. The cursor publishes nothing (the
-                // list is read-only, the state sits behind its locks).
-                Some(pool) => {
-                    let workers = pool.workers();
-                    helpers.resize_with(workers - 1, || Mutex::new(Transport::new(patch)));
-                    // Each job's advection work lands in its own slot and
-                    // is folded in list order below, as the plain loop
-                    // folds it: the floored tally's sums are floating
-                    // point, so the order they add in must not be the
-                    // claim order.
-                    let (cursor, total) = (AtomicUsize::new(0), Mutex::new(&mut work.1));
-                    let per_job = Mutex::new([Rk3Work::default(); MAX_JOBS]);
-                    let claim = |ws: &mut Transport| {
-                        let mut engine = PeriodicEngine { patch: *patch };
-                        let mut residual = PointWork::ZERO;
-                        loop {
-                            let ix = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some(&job) = jobs.get(ix) else { break };
-                            let mut mine = (Rk3Work::default(), PointWork::ZERO);
-                            run_job(job, ws, &mut engine, None, &fields, &mut mine);
-                            lock(&per_job)[ix] = mine.0;
-                            residual += mine.1;
-                        }
-                        **lock(&total) += residual;
-                    };
-                    let first = Mutex::new(transport);
-                    pool.run_indexed(workers as u64, Some(1), |slot| match slot as usize {
-                        0 => claim(&mut lock(&first)),
-                        helper => claim(&mut lock(&helpers[helper - 1])),
-                    });
-                    for job in &lock(&per_job)[..jobs.len()] {
-                        work.0 += *job;
+        let pool = sbm.pool();
+        let overlap = matches!(cfg.comm, CommMode::Overlapped).then_some(pool);
+        match engine {
+            Some(engine) => plain(engine, overlap),
+            // One dispatch: each index is a worker's slot — its own
+            // workspace and engine — claiming jobs in list order until
+            // none is left. The cursor publishes nothing (the list is
+            // read-only, the state sits behind its locks).
+            None if cfg.sched == ExecMode::WorkSteal && pool.workers() > 1 => {
+                let workers = pool.workers();
+                helpers.resize_with(workers - 1, || Mutex::new(Transport::new(patch)));
+                // Each job's advection work lands in its own slot and
+                // is folded in list order below, as the plain loop
+                // folds it: the floored tally's sums are floating
+                // point, so the order they add in must not be the
+                // claim order.
+                let (cursor, total) = (AtomicUsize::new(0), Mutex::new(&mut work.1));
+                let per_job = Mutex::new([Rk3Work::default(); MAX_JOBS]);
+                let claim = |ws: &mut Transport| {
+                    let mut engine = PeriodicEngine { patch: *patch };
+                    let mut residual = PointWork::ZERO;
+                    loop {
+                        let ix = cursor.fetch_add(1, Ordering::Relaxed);
+                        let Some(&job) = jobs.get(ix) else { break };
+                        let mut mine = (Rk3Work::default(), PointWork::ZERO);
+                        run_job(job, ws, &mut engine, None, &fields, &mut mine);
+                        lock(&per_job)[ix] = mine.0;
+                        residual += mine.1;
                     }
+                    **lock(&total) += residual;
+                };
+                let first = Mutex::new(transport);
+                pool.run_indexed(workers as u64, Some(1), |slot| match slot as usize {
+                    0 => claim(&mut lock(&first)),
+                    helper => claim(&mut lock(&helpers[helper - 1])),
+                });
+                for job in &lock(&per_job)[..jobs.len()] {
+                    work.0 += *job;
                 }
-            },
+            }
+            None => plain(&mut PeriodicEngine { patch: *patch }, None),
         }
         (work.0, work.1, advected)
     }
@@ -396,15 +405,6 @@ impl Model {
     pub fn exec_summary(&self, stats: &SbmStepStats) -> fsbm_core::exec::ExecSummary {
         self.sbm.exec_summary(stats)
     }
-}
-
-/// Who runs a step's transport jobs.
-enum Dispatch<'a> {
-    /// The periodic wrap: the scheme's pool when it is wider than the
-    /// calling thread, else the plain loop.
-    Periodic,
-    /// The plain loop with a caller's engine and interior-tendency pool.
-    Engine(&'a mut dyn HaloEngine, Option<&'a Executor>),
 }
 
 /// One unit of a step's transport. Jobs write disjoint scalars and read
@@ -695,7 +695,7 @@ mod tests {
 
     /// The supercell gate case under the production scheme, `sched` on
     /// `workers` workers, stepped `steps` times from a cold start: every
-    /// step's bits, and the epochs its pool ran (0 without one).
+    /// step's bits, and the epochs its pool ran.
     fn supercell_steps(sched: ExecMode, workers: usize, steps: usize) -> (Vec<StepBits>, u64) {
         let version = SbmVersion::OffloadCollapse3;
         let cfg = ModelConfig::case_gate(CaseKind::Supercell, version, sched, workers);
@@ -708,7 +708,7 @@ mod tests {
                 (fields, precip, s.rk3, s.wind_work, s.scalars_advected)
             })
             .collect();
-        (bits, m.sbm.pool().map_or(0, |pool| pool.stats().epochs))
+        (bits, m.sbm.pool().stats().epochs)
     }
 
     #[test]
@@ -803,20 +803,21 @@ mod tests {
     }
 
     /// The periodic source through both modes: interior slabs between
-    /// `post` and `finish` must reproduce `Model::step` bit for bit.
+    /// `post` and `finish`, on the model's own 2-wide pool, must
+    /// reproduce `Model::step` bit for bit.
     #[test]
     fn periodic_engine_overlapped_matches_step_bitwise() {
-        let mut blocking = tiny(SbmVersion::Lookup);
-        let mut overlapped = tiny(SbmVersion::Lookup);
+        let mut blocking = pooled(2);
+        let mut overlapped = pooled(2);
+        overlapped.cfg.comm = CommMode::Overlapped;
         let mut engine = PeriodicEngine {
             patch: overlapped.patch,
         };
-        let pool = Executor::new(2);
         let mut rained = 0u64;
         for step in 0..4 {
             let want = blocking.step();
             let masks = overlapped.occupied_masks();
-            let got = overlapped.step_with(&mut engine, Some(&pool), &masks);
+            let got = overlapped.step_with(&mut engine, &masks);
             assert_eq!(got.rk3, want.rk3, "step {step}");
             assert_eq!(got.scalars_advected, want.scalars_advected, "step {step}");
             assert_eq!(
@@ -827,6 +828,35 @@ mod tests {
             rained += want.sbm.coal_entries;
         }
         assert!(rained > 0, "the case must rain for bins to be advected");
+        let epochs = |m: &Model| m.sbm.pool().stats().epochs;
+        assert_eq!(overlapped.sbm.pool().workers(), 2);
+        assert!(
+            epochs(&overlapped) > epochs(&blocking),
+            "the hidden rows ran on the model's pool"
+        );
+    }
+
+    /// One pool per model, as wide as its collision launch: a CPU version
+    /// on one tile gets a 1-wide pool whatever `device_workers` and the
+    /// comm mode say; an offloaded one gets `device_workers` under either
+    /// schedule.
+    #[test]
+    fn pool_width_follows_the_collision_launch() {
+        for (version, sched, width) in [
+            (SbmVersion::Lookup, ExecMode::work_steal(), 1),
+            (SbmVersion::Lookup, ExecMode::StaticTiles, 1),
+            (SbmVersion::OffloadCollapse3, ExecMode::work_steal(), 4),
+            (SbmVersion::OffloadCollapse3, ExecMode::StaticTiles, 4),
+        ] {
+            let mut cfg = ModelConfig::functional(version, 0.05, 10);
+            cfg.sched = sched;
+            cfg.comm = CommMode::Overlapped;
+            assert_eq!(cfg.device_workers, Some(4));
+            let mut m = Model::single_rank(cfg);
+            let s = m.step();
+            let what = format!("{version:?} {sched:?}");
+            assert_eq!(m.exec_summary(&s.sbm).workers, width, "{what}");
+        }
     }
 
     /// A mask with holes. Only the selected bins move: every other bin
@@ -935,21 +965,27 @@ mod tests {
             );
         }
 
-        let pool = Executor::new(2);
         for mode in ["blocking", "overlapped", "pooled"] {
             let mut m = match mode {
-                "pooled" => pooled(2),
-                _ => tiny(SbmVersion::Lookup),
+                "blocking" => tiny(SbmVersion::Lookup),
+                _ => pooled(2),
             };
+            if mode == "overlapped" {
+                m.cfg.comm = CommMode::Overlapped;
+            }
             m.state = before.clone();
             let mut engine = PeriodicEngine { patch: p };
             let (rk3, _, advected) = match mode {
-                "blocking" => m.dynamics(Dispatch::Engine(&mut engine, None), &masks),
-                "overlapped" => m.dynamics(Dispatch::Engine(&mut engine, Some(&pool)), &masks),
-                _ => m.dynamics(Dispatch::Periodic, &masks),
+                "pooled" => m.dynamics(None, &masks),
+                _ => m.dynamics(Some(&mut engine), &masks),
             };
-            let epochs = m.sbm.pool().map(|pool| pool.stats().epochs);
-            assert_eq!(epochs, (mode == "pooled").then_some(1), "{mode}");
+            let epochs = m.sbm.pool().stats().epochs;
+            let want_epochs = match mode {
+                "blocking" => 0..=0,
+                "pooled" => 1..=1,
+                _ => 2..=u64::MAX,
+            };
+            assert!(want_epochs.contains(&epochs), "{mode}: {epochs} epochs");
             assert_eq!(advected, 2 + occupied.len(), "{mode}");
             assert_eq!(rk3, want, "{mode}");
             for (c, mask) in masks.iter().enumerate() {
@@ -1045,7 +1081,10 @@ mod tests {
     fn pooled_dynamics_matches_the_plain_loop_bitwise() {
         let steps = 8;
         let (want, epochs) = supercell_steps(ExecMode::StaticTiles, 1, steps);
-        assert_eq!(epochs, 0, "static tiles have no pool");
+        assert!(
+            epochs <= steps as u64,
+            "static tiles: the collision launch alone"
+        );
         assert!(want[steps - 1].4 > want[0].4, "the storm must grow bins");
         let mut scheme_epochs = 0;
         for workers in [1, 2, 3] {

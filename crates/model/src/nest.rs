@@ -152,7 +152,6 @@ pub fn run_nested(cfg: ModelConfig, steps: usize) -> Result<NestedRun, String> {
 
     let ratio = spec.ratio.max(1) as usize;
     let map = spec.map();
-    let pool = cfg.overlap_pool();
 
     let mut snap0 = parent.state.clone();
     for _ in 0..steps {
@@ -169,7 +168,7 @@ pub fn run_nested(cfg: ModelConfig, steps: usize) -> Result<NestedRun, String> {
                 patch: child_patch,
                 tag: FieldTag::Qv,
             };
-            child.step_with(&mut engine, pool.as_ref(), &masks);
+            child.step_with(&mut engine, &masks);
         }
         snap0 = snap1;
     }
@@ -206,7 +205,8 @@ pub fn run_solo_fine(cfg: ModelConfig, steps: usize) -> Result<SbmPatchState, St
 /// the same patch, over the compute interior shrunk by `margin` cells
 /// on each lateral side (the band where boundary treatment differs is
 /// excluded; the remaining interior is where nested-vs-solo agreement
-/// is asserted).
+/// is asserted). As in `diffwrf`, a differing pair with a non-finite
+/// side reads `f64::INFINITY`.
 pub fn interior_max_rel(a: &SbmPatchState, b: &SbmPatchState, margin: i32) -> f64 {
     assert_eq!(a.patch.ip, b.patch.ip, "states must share a patch");
     let p = a.patch;
@@ -218,6 +218,9 @@ pub fn interior_max_rel(a: &SbmPatchState, b: &SbmPatchState, margin: i32) -> f6
                     (a.tt.get(i, k, j), b.tt.get(i, k, j)),
                     (a.qv.get(i, k, j), b.qv.get(i, k, j)),
                 ] {
+                    if x.to_bits() != y.to_bits() && !(x.is_finite() && y.is_finite()) {
+                        return f64::INFINITY;
+                    }
                     let denom = f64::from(x.abs().max(y.abs()));
                     if denom > 0.0 {
                         let rel = f64::from((x - y).abs()) / denom;
@@ -276,6 +279,21 @@ mod tests {
         let mut solo = Model::single_rank(solo_cfg);
         solo.run(2);
         assert_eq!(nested.parent.digest(), solo.state.digest());
+    }
+
+    /// One NaN in the child's interior `T`, on either side of the
+    /// comparison, is the worst disagreement there is, not agreement.
+    #[test]
+    fn interior_nan_reads_as_infinite_disagreement() {
+        let cfg = nested_cfg(CommMode::Blocking);
+        let solo = Model::single_rank(cfg).state;
+        let mut child = solo.clone();
+        let p = child.patch;
+        assert_eq!(interior_max_rel(&child, &solo, 4), 0.0);
+        child.tt.set(p.ip.lo + 4, p.kp.lo, p.jp.lo + 4, f32::NAN);
+        assert_eq!(interior_max_rel(&child, &solo, 4), f64::INFINITY);
+        assert_eq!(interior_max_rel(&solo, &child, 4), f64::INFINITY);
+        assert_eq!(interior_max_rel(&child, &child.clone(), 4), 0.0);
     }
 
     #[test]

@@ -410,7 +410,6 @@ pub(crate) fn run_attempt(
             step,
             error,
         };
-        let pool = cfg.overlap_pool();
         let mut engine = MpiHaloEngine::new(&mut rank, dd_ref, cfg.comm);
         for step in start_step..steps as u64 {
             // The kill hook, and the failure detector: see
@@ -418,7 +417,7 @@ pub(crate) fn run_attempt(
             engine.rank.begin_step(step).map_err(|e| fail(step, e))?;
             let masks =
                 allreduce_masks(engine.rank, model.occupied_masks()).map_err(|e| fail(step, e))?;
-            let s = model.step_with(&mut engine, pool.as_ref(), &masks);
+            let s = model.step_with(&mut engine, &masks);
             if let Some(e) = engine.error.take() {
                 return Err(fail(step, e));
             }
