@@ -280,7 +280,7 @@ impl Model {
             ref patch,
             ref wind,
             state: ref mut st,
-            ref mut sbm,
+            ref sbm,
             ref mut transport,
             ref mut helpers,
             ref mut jobs,
