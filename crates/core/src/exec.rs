@@ -184,7 +184,7 @@ mod tests {
     #[test]
     fn mode_labels_and_default() {
         assert_eq!(ExecMode::default(), ExecMode::work_steal());
-        assert_eq!(ExecMode::default(), ExecMode::WorkSteal);
+        assert_eq!(ExecMode::work_steal(), ExecMode::WorkSteal);
         assert_eq!(ExecMode::StaticTiles.label(), "static-tiles");
         assert_eq!(ExecMode::default().label(), "work-stealing+compaction");
     }
