@@ -189,8 +189,8 @@ mod reference {
         w.f(6);
         let mut precip = 0.0f32;
         let mut flux = vec![0.0f32; nz + 1];
-        for _ in 0..nsub {
-            for (k, mass_k) in grid.mass.iter().enumerate() {
+        for (k, mass_k) in grid.mass.iter().enumerate() {
+            for _ in 0..nsub {
                 for (l, (lvl, rho_l)) in col.iter().zip(rho).enumerate() {
                     let v = grid.vt_at(k, *rho_l);
                     flux[l] = rho_l * lvl[k] * v;

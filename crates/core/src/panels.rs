@@ -1703,6 +1703,12 @@ mod tests {
         let nz = 12;
         let mut rng = Lcg(99);
         let rho: Vec<f32> = (0..nz).map(|_| 0.6 + rng.next() * 0.6).collect();
+        // A step long enough for the CFL to split it: each bin's
+        // surface flux is then summed over sub-steps, in one order in
+        // both layouts.
+        let (dz, dt) = (100.0, 60.0);
+        let vmax = g.vt_at(NKR - 1, rho.iter().cloned().fold(f32::INFINITY, f32::min));
+        assert!(vmax * dt / dz > 2.0, "one sub-step only: {vmax} m/s");
         let mut col = vec![[0.0f32; NKR]; nz];
         for lvl in col.iter_mut().take(8) {
             for v in lvl.iter_mut().take(25).skip(10) {
@@ -1718,7 +1724,7 @@ mod tests {
         let mut scol = col.clone();
         let mut ws = PointWork::ZERO;
         let precip_s =
-            sedimentation::sedimentation_column(&mut scol, g, &rho, &factor, 400.0, 5.0, &mut ws);
+            sedimentation::sedimentation_column(&mut scol, g, &rho, &factor, dz, dt, &mut ws);
 
         let mut scratch = SedScratch::new();
         scratch.ensure(nz);
@@ -1728,8 +1734,7 @@ mod tests {
             }
         }
         let mut wp = PointWork::ZERO;
-        let precip_p =
-            sedimentation_column_soa(&mut scratch, g, &rho, &factor, 400.0, 5.0, &mut wp);
+        let precip_p = sedimentation_column_soa(&mut scratch, g, &rho, &factor, dz, dt, &mut wp);
 
         assert_eq!(precip_s.to_bits(), precip_p.to_bits());
         assert_eq!(ws, wp);

@@ -41,10 +41,13 @@ pub fn sedimentation_column(
     let dts = dt / nsub as f32;
     w.f(6);
 
+    // Bins outer, sub-steps inner: each bin falls independently of the
+    // others, and the surface flux is summed in the order the panel
+    // layout's `sedimentation_column_soa` sums it.
     let mut precip = 0.0f32;
     let mut flux = vec![0.0f32; nz + 1];
-    for _ in 0..nsub {
-        for (k, (mass_k, vt_k)) in grid.mass.iter().zip(&grid.vt).enumerate() {
+    for (k, (mass_k, vt_k)) in grid.mass.iter().zip(&grid.vt).enumerate() {
+        for _ in 0..nsub {
             // Number flux through each interface: F_l = ρ_l n_l v (falling
             // from level l down through its lower face), v = `vt_at(k, ρ_l)`.
             for (l, (lvl, (rho_l, f_l))) in col.iter().zip(rho.iter().zip(factor)).enumerate() {

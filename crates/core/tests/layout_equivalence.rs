@@ -6,8 +6,10 @@
 //! panel pre-sweep tells apart ([`plant_cases`]).
 
 use fsbm_core::exec::ExecMode;
+use fsbm_core::point::Grids;
 use fsbm_core::scheme::{FastSbm, Layout, SbmConfig, SbmStepStats, SbmVersion};
 use fsbm_core::thermo::{air_density, qsat_ice, qsat_liquid};
+use fsbm_core::types::{HydroClass, NKR};
 use fsbm_core::{PointBins, SbmPatchState};
 use proptest::prelude::*;
 use wrf_grid::{two_d_decomposition, Domain};
@@ -267,6 +269,34 @@ fn planted_cases_take_their_branches() {
                 "{layout:?}: class {c} keeps a negative"
             );
         }
+    }
+}
+
+/// At WRF's usual CONUS-12 km step (dt = 60 s over 400 m layers) the
+/// fastest rain bin needs CFL sub-steps, so each bin's surface flux is a
+/// sum over sub-steps: both layouts must add it in the same order.
+#[test]
+fn panels_match_aos_at_a_sixty_second_step() {
+    let dt = 60.0;
+    let dz = SbmConfig::new(SbmVersion::Lookup).dz;
+    let st = build_state(9, 5, 4, 1.0, 7);
+    let rho_min = (st.rho.as_slice().iter().copied()).fold(f32::INFINITY, f32::min);
+    let vmax = Grids::new().of(HydroClass::Water).vt_at(NKR - 1, rho_min);
+    assert!(vmax * dt / dz > 1.0, "one sub-step only: {vmax} m/s");
+    for version in ALL_VERSIONS {
+        let [a, b] = [Layout::PointAos, Layout::PanelSoa].map(|layout| {
+            let mut cfg = SbmConfig::new(version);
+            cfg.workers = Some(1);
+            cfg.sched = ExecMode::StaticTiles;
+            cfg.layout = layout;
+            cfg.dt = dt;
+            let mut scheme = FastSbm::new(cfg);
+            let mut st = st.clone();
+            let stats: Vec<SbmStepStats> = (0..4).map(|_| scheme.step(&mut st)).collect();
+            (st, stats)
+        });
+        assert!(a.0.rainnc.iter().any(|&r| r > 0.0), "{version:?}: no rain");
+        assert_identical(&a.0, &b.0, &a.1, &b.1, &format!("{version:?}/dt60"));
     }
 }
 
