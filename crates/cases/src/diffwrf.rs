@@ -45,8 +45,26 @@ pub fn digits_of(max_rel: f64) -> u32 {
     }
 }
 
-fn diff_slices(name: &str, a: &[f32], b: &[f32], scale: f32) -> FieldDiff {
+/// Relative-difference denominator floor per variable: fields with
+/// physically tiny magnitudes get a floor so noise in empty regions does
+/// not read as disagreement. The one scale table: [`diffwrf`] reads the
+/// state and class-mass entries, the gates' digest comparisons the
+/// moment (`M0_*`, `M1_*`) and default ones too.
+pub fn denom_floor(name: &str) -> f64 {
+    match name {
+        "T" => 100.0,
+        "QVAPOR" => 1.0e-4,
+        "RAINNC" => 1.0e-3,
+        n if n.starts_with("FF") => 1.0e-8,
+        n if n.starts_with("M0_") => 1.0e3,
+        n if n.starts_with("M1_") => 1.0e-8,
+        _ => 1.0e-9,
+    }
+}
+
+fn diff_slices(name: &str, a: &[f32], b: &[f32]) -> FieldDiff {
     assert_eq!(a.len(), b.len(), "field size mismatch for {name}");
+    let scale = denom_floor(name) as f32;
     let mut max_rel = 0.0f64;
     let mut max_abs = 0.0f64;
     let mut sq = 0.0f64;
@@ -159,9 +177,9 @@ pub fn diffwrf(a: &SbmPatchState, b: &SbmPatchState) -> DiffReport {
     assert_eq!(a.patch, b.patch, "states must share a patch");
     let grids = Grids::new();
     let mut fields = vec![
-        diff_slices("T", a.tt.as_slice(), b.tt.as_slice(), 100.0),
-        diff_slices("QVAPOR", a.qv.as_slice(), b.qv.as_slice(), 1.0e-4),
-        diff_slices("RAINNC", &a.rainnc, &b.rainnc, 1.0e-3),
+        diff_slices("T", a.tt.as_slice(), b.tt.as_slice()),
+        diff_slices("QVAPOR", a.qv.as_slice(), b.qv.as_slice()),
+        diff_slices("RAINNC", &a.rainnc, &b.rainnc),
     ];
     // Microphysics: compare per-class *mass* fields (what diffwrf sees as
     // QCLOUD/QRAIN etc.), built from the bins.
@@ -175,12 +193,7 @@ pub fn diffwrf(a: &SbmPatchState, b: &SbmPatchState) -> DiffReport {
                 .map(|bins| bins.iter().zip(&g.mass).map(|(n, m)| n * m).sum())
                 .collect()
         };
-        fields.push(diff_slices(
-            class_var(c),
-            &to_mass(fa),
-            &to_mass(fb),
-            1.0e-8,
-        ));
+        fields.push(diff_slices(class_var(c), &to_mass(fa), &to_mass(fb)));
     }
     DiffReport { fields }
 }
@@ -196,6 +209,22 @@ mod tests {
         let case = ConusCase::new(params);
         let dd = two_d_decomposition(params.domain(), 1, 2);
         case.init_state(&dd.patches[0])
+    }
+
+    /// `diffwrf` compares in f32: each of its scales is the f32 it
+    /// always used, and the moments keep their own floors.
+    #[test]
+    fn one_scale_table_for_fields_and_moments() {
+        let f32_scale = |name| denom_floor(name) as f32;
+        assert_eq!(f32_scale("T").to_bits(), 100.0f32.to_bits());
+        assert_eq!(f32_scale("QVAPOR").to_bits(), 1.0e-4f32.to_bits());
+        assert_eq!(f32_scale("RAINNC").to_bits(), 1.0e-3f32.to_bits());
+        for c in HydroClass::ALL {
+            assert_eq!(f32_scale(class_var(c)).to_bits(), 1.0e-8f32.to_bits());
+        }
+        assert_eq!(denom_floor("M0_FF1"), 1.0e3);
+        assert_eq!(denom_floor("M1_FF1"), 1.0e-8);
+        assert_eq!(denom_floor("W"), 1.0e-9);
     }
 
     #[test]

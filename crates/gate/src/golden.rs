@@ -16,7 +16,7 @@ use crate::report::{Check, Row, Table};
 use fsbm_core::digest::{fnv1a_step, ulp_distance, StateDigest, FNV1A_OFFSET};
 use fsbm_core::scheme::{Layout, SbmVersion};
 use fsbm_core::state::SbmPatchState;
-use wrf_cases::diffwrf::digits_of;
+use wrf_cases::diffwrf::{denom_floor, digits_of};
 
 /// Per-field comparison statistics: the `diffwrf` digits and relative
 /// error, plus ULP distance.
@@ -32,21 +32,6 @@ pub struct FieldComparison {
     pub max_ulp: u32,
     /// Agreed significant digits: `floor(−log₁₀ max_rel)`, 15 when exact.
     pub digits: u32,
-}
-
-/// Relative-difference denominator floor per variable, mirroring the
-/// `diffwrf` scales: fields with physically tiny magnitudes get a floor
-/// so noise in empty regions does not read as disagreement.
-fn denom_floor(name: &str) -> f64 {
-    match name {
-        "T" => 100.0,
-        "QVAPOR" => 1.0e-4,
-        "RAINNC" => 1.0e-3,
-        n if n.starts_with("FF") => 1.0e-8,
-        n if n.starts_with("M0_") => 1.0e3,
-        n if n.starts_with("M1_") => 1.0e-8,
-        _ => 1.0e-9,
-    }
 }
 
 /// Relative difference of `a` and `b` over the larger magnitude, the
@@ -175,8 +160,8 @@ pub fn compare_digests(golden: &StateDigest, candidate: &StateDigest) -> DigestC
 }
 
 /// Combined bitwise checksum of a digest: FNV-style fold of every field
-/// checksum, order-sensitive (the one-token state identity of the tune
-/// report).
+/// checksum, order-sensitive (the one-token state identity of the zoo
+/// report's `bitwise` table).
 pub fn combined_checksum(digest: &StateDigest) -> u64 {
     (digest.fields.iter()).fold(FNV1A_OFFSET, |h, f| fnv1a_step(h, f.checksum))
 }
