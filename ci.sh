@@ -15,8 +15,9 @@
 #
 # Two knobs, both environment variables:
 #   CI_NIGHTLY     non-empty: every gate runs with `--nightly` — the
-#                  reference depth (tune 8 bitwise-check steps, cases
-#                  sweep at scales 0.05/0.1/0.2) instead of PR depth
+#                  reference depth (zoo 8 'auto'-vs-explicit bitwise
+#                  steps, cases sweep at scales 0.05/0.1/0.2) instead of
+#                  PR depth
 #                  (4 steps, scale 0.05 only) — and the committed-report
 #                  byte check is skipped. The two sets live in one
 #                  place, `wrf_gate::Depth`; ci.yml sets this on the
@@ -111,8 +112,9 @@ step_test() {
 # — for 8 model steps (48 under CI_NIGHTLY) at 2 and 3 workers against
 # one; and the ledger's mostly clear sparse state for 4 scheme steps (40
 # under CI_NIGHTLY) at 2 and 3 workers in lockstep with one, whole step
-# statistics and state bits. The grep keeps a rename from turning a filter into a green no-op
-# (it reads to the end: `grep -q` would close the pipe on cargo).
+# statistics and state bits. Each run must report its passed count
+# (release_tests_pass), so a rename cannot turn a filter into a green
+# no-op.
 step_pool_stress() {
     local filters="pool_stress_every_step_matches_one_worker" passed=1
     if [ -n "${CI_NIGHTLY:-}" ]; then
@@ -120,25 +122,37 @@ step_pool_stress() {
         passed=2
     fi
     # shellcheck disable=SC2086 # the filters are a word list on purpose
-    cargo test --release -p fsbm-core --lib -- $filters 2>&1 |
-        tee /dev/stderr | grep "^test result: ok. $passed passed" >/dev/null &&
-        cargo test --release -p miniwrf --lib -- pooled_dynamics_every_step_matches_one_worker \
-            pool_stress_clear_air_matches_one_worker 2>&1 |
-        tee /dev/stderr | grep "^test result: ok. 2 passed" >/dev/null
+    release_tests_pass "$passed" -p fsbm-core --lib -- $filters &&
+        release_tests_pass 2 -p miniwrf --lib -- pooled_dynamics_every_step_matches_one_worker \
+            pool_stress_clear_air_matches_one_worker
+}
+
+# Runs `cargo test --release` with arguments $2... and fails unless its
+# summary reads "ok. $1 passed". The output is printed and kept in a
+# temporary file, which the grep reads: piping through `tee /dev/stderr`
+# would reopen a redirected log with truncation and lose what came
+# before.
+release_tests_pass() {
+    local want="$1" out rc=0
+    shift
+    out=$(mktemp)
+    cargo test --release "$@" 2>&1 | tee "$out" || rc=$?
+    grep -q "^test result: ok. $want passed" "$out" || rc=1
+    rm -f "$out"
+    return "$rc"
 }
 
 # The panel deposit reads its bin bracket from the float's exponent; the
 # scalar searches for it with log2. Nightly only (seconds in release, a
 # skip otherwise): every f32 between the grid's ends — 2^23 values an
-# octave, 32 octaves — must give the same split both ways. Same grep
-# guard as the pool stress test.
+# octave, 32 octaves — must give the same split both ways. Same passed
+# count guard as the pool stress test.
 step_bracket_exhaustive() {
     if [ -z "${CI_NIGHTLY:-}" ]; then
         echo "==> ci.sh: bracket_exhaustive: nightly only (set CI_NIGHTLY); skipping"
         return 0
     fi
-    cargo test --release -p fsbm-core --lib -- --ignored bracket_exhaustive 2>&1 |
-        tee /dev/stderr | grep '^test result: ok. 1 passed' >/dev/null
+    release_tests_pass 1 -p fsbm-core --lib -- --ignored bracket_exhaustive
 }
 
 # The benchmark harness is a package of its own (own workspace and
@@ -177,11 +191,11 @@ step_shellcheck() {
     shellcheck ci.sh
 }
 
-# The nine repro gates, one row each:
+# The eight repro gates, one row each:
 #   ci step ; repro arguments ; report file ; summary section
 # `repro help` describes what each gate enforces. Every gate prints its
 # report, writes it to the report file (the same JSON envelope for all
-# nine), and exits nonzero on a violation. A committed report must come
+# eight), and exits nonzero on a violation. A committed report must come
 # out byte-identical (report_drift), the way goldens/ must. The last
 # field names the gate's headline table — the report section with that
 # title lands in the job summary, so a green job explains itself as a
@@ -192,10 +206,9 @@ GATES=(
     "bench-exec;bench-exec;BENCH_executor.json;speedup work-stealing+compaction vs static tiles"
     "comm;comm;BENCH_comm.json;overlap bench: blocking comm vs overlapped exposed comm"
     "fault;fault;BENCH_fault.json;kill a rank mid-run, recover from the newest checkpoint set"
-    "share;share;BENCH_share.json;Table VII sweep"
+    "share;share;BENCH_share.json;memory-capped admission"
     "ensemble;ensemble;BENCH_ensemble.json;memory-capped packing"
     "zoo;zoo;BENCH_zoo.json;Table V version times per backend"
-    "tune;tune;BENCH_tune.json;storage-family winners per backend"
     "cases;cases;BENCH_cases.json;per-case digest table"
     "paper;paper;BENCH_paper.json;checks"
 )

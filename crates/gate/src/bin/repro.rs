@@ -33,7 +33,7 @@ const FLAGS: &[Flag] = &[
     ("--report", Some("PATH"), "write the report here instead of the gate's report file", |e, v| e.report = v),
     ("--goldens", Some("DIR"), "golden fixture directory (default goldens)", |e, v| e.goldens = v),
     ("--bless", None, "regenerate the gate's committed fixtures instead of gating", |e, _| e.bless = true),
-    ("--nightly", None, "reference depth: the longer tune bitwise check and the deep cases sweep (default: PR depth)", |e, _| e.nightly = true),
+    ("--nightly", None, "reference depth: the longer zoo 'auto' bitwise check and the deep cases sweep (default: PR depth)", |e, _| e.nightly = true),
 ];
 
 type Bless = fn(&Env) -> Result<Vec<PathBuf>, String>;
@@ -77,7 +77,7 @@ const GATES: &[Gate] = &[
     Gate {
         name: "share",
         report_file: "BENCH_share.json",
-        about: "shared-pool vs exclusive digest equivalence, memory-capped admission, the Table VII sharing sweep",
+        about: "shared-pool vs exclusive digest equivalence, memory-capped admission",
         run: |_| Ok(wrf_gate::share::run()),
         bless: None,
     },
@@ -91,15 +91,8 @@ const GATES: &[Gate] = &[
     Gate {
         name: "zoo",
         report_file: "BENCH_zoo.json",
-        about: "every zoo backend priced end to end: version ranking, Table VII decay, capacity-tracking packing",
-        run: |_| Ok(wrf_gate::zoo::run()),
-        bless: None,
-    },
-    Gate {
-        name: "tune",
-        report_file: "BENCH_tune.json",
-        about: "schedule search per backend recovers the hand-derived v2/v3 kernels; schedule='auto' bitwise",
-        run: |e| Ok(wrf_gate::tune::run(Depth::of(e.nightly).tune_check_steps)),
+        about: "every zoo backend priced and searched: version ranking, Table VII decay, packing, v2/v3 recovery, schedule='auto' bitwise",
+        run: |e| Ok(wrf_gate::zoo::run(Depth::of(e.nightly).tune_check_steps)),
         bless: None,
     },
     Gate {

@@ -45,8 +45,8 @@ impl ReproContext {
         Self::with_fidelity(0.10, 50, 5)
     }
 
-    /// The context the modeled gates (share, zoo, tune) and
-    /// the tests price from: [`ReproContext::QUICK`] fidelity.
+    /// The context the zoo gate and the tests price from:
+    /// [`ReproContext::QUICK`] fidelity.
     pub fn quick() -> Self {
         let (scale, nz, steps) = Self::QUICK;
         Self::with_fidelity(scale, nz, steps)

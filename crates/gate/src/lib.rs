@@ -25,9 +25,10 @@
 //! function of the source tree (`./ci.sh clock_free`). Measured seconds
 //! are the ledger's (`benchmark/`), on a recorded host.
 //!
-//! Nine gates ([`paper`], [`execbench`], [`comm`], [`fault`],
-//! [`share`], [`ensemble`], [`zoo`], [`tune`], [`cases`]) enforce the
-//! paper's shapes and the claims of the layers built on top. Every gate produces the same [`Report`] —
+//! Eight gates ([`paper`], [`execbench`], [`comm`], [`fault`],
+//! [`share`], [`ensemble`], [`zoo`], [`cases`]) enforce the paper's
+//! shapes and the claims of the layers built on top, one gate per
+//! claim. Every gate produces the same [`Report`] —
 //! labelled checks and tables — whose verdict, text and JSON envelope
 //! are written once in [`report`]; every digest-equivalence table comes
 //! from one loop, [`golden::equivalence_matrix`]. `repro <gate>` writes
@@ -55,7 +56,6 @@ pub mod report;
 pub mod share;
 mod table;
 pub mod tables;
-pub mod tune;
 pub mod verify;
 pub mod zoo;
 
@@ -71,7 +71,8 @@ use miniwrf::config::ModelConfig;
 /// `CI_NIGHTLY`) selects the second.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Depth {
-    /// Steps of the tune gate's auto-vs-explicit bitwise arm.
+    /// Steps of the zoo gate's `schedule = 'auto'` vs explicit bitwise
+    /// arm.
     pub tune_check_steps: usize,
     /// Horizontal scales of the cases gate's activity sweep.
     pub cases_sweep: &'static [f64],

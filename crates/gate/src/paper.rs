@@ -7,7 +7,9 @@
 //! numbers where the paper prints them; where a figure is a picture, its
 //! bar is a text cell. The checks are the shape claims EXPERIMENTS.md
 //! makes in words, each bound taken from the paper, never from today's
-//! output. The report is `BENCH_paper.json`, regenerated byte-identical
+//! output; Table VII's full sharing-sweep shape is checked here and
+//! nowhere else (the zoo gate keeps its decay half per backend). The
+//! report is `BENCH_paper.json`, regenerated byte-identical
 //! like every committed report, so a change that moves a modeled figure
 //! shows in `git diff` as the rows that moved.
 
@@ -16,8 +18,10 @@ use crate::context::{ReproContext, MINUTES};
 use crate::figures::{fig2, fig3, fig4};
 use crate::future::{project_cond_offload, CondOffloadProjection};
 use crate::report::{Cell, Check, Report, Row, Table};
-use crate::share::{sweep_shape_violations, MAX_TWO_NODE_SPEEDUP};
-use crate::tables::{self, SpeedupRow, GPUS, RANKS, TABLE1_PAPER, TABLE7_PAPER};
+use crate::tables::{
+    self, sweep_shape_violations, SpeedupRow, GPUS, MAX_TWO_NODE_SPEEDUP, RANKS, TABLE1_PAPER,
+    TABLE7_PAPER,
+};
 use crate::verify::verify_versions;
 use codee_sim::{corpus, rewrite_offload, screening};
 use fsbm_core::scheme::SbmVersion;
@@ -338,9 +342,24 @@ pub fn report(ctx: &ReproContext) -> Result<Report, DeviceError> {
             ("base_secs", Cell::num(t.baseline, 1)),
             ("gpu_secs", Cell::num(t.gpu, 1)),
             ("speedup", Cell::num(t.speedup(), 2)),
+            ("queue_secs", Cell::num(t.queue_secs, 6)),
             ("paper_base_secs", Cell::num(pb, 1)),
             ("paper_gpu_secs", Cell::num(pg, 1)),
             ("paper_speedup", Cell::num(px, 2)),
+        ]
+    });
+    // The deepest arm of the sharing sweep: the last one at matched
+    // decomposition.
+    let deepest = t7.iter().rfind(|(arm, _)| arm.in_sweep());
+    let device_rows = deepest.iter().flat_map(|(_, t)| &t.devices).map(|d| {
+        vec![
+            ("device", d.device.into()),
+            ("residents", d.residents.into()),
+            ("used_bytes", d.used_bytes.into()),
+            ("capacity_bytes", d.capacity_bytes.into()),
+            ("busy_secs", Cell::num(d.busy_secs, 9)),
+            ("slice_secs", Cell::num(d.slice_secs, 9)),
+            ("queue_secs", Cell::num(d.queue_secs, 9)),
         ]
     });
     // Fig. 2: each scheme's water and cost, then the bin spectrum.
@@ -466,6 +485,11 @@ pub fn report(ctx: &ReproContext) -> Result<Report, DeviceError> {
             t7_rows,
         ),
         Table::new(
+            "table7_devices",
+            "Table VII: per-device ledger of the 64-rank arm, per step",
+            device_rows,
+        ),
+        Table::new(
             "fig2",
             "Figure 2 (executable): bulk vs bin microphysics, one parcel",
             fig2_rows,
@@ -573,6 +597,7 @@ mod tests {
                 "table5",
                 "table6",
                 "table7",
+                "table7_devices",
                 "fig2",
                 "fig3",
                 "fig4",
@@ -584,6 +609,9 @@ mod tests {
                 "codee",
             ]
         );
+        // The 64-rank arm's ledger: one row a device of the 16.
+        let devices = rep.tables.iter().find(|t| t.key == "table7_devices");
+        assert_eq!(devices.map(|t| t.rows.len()), Some(GPUS));
     }
 
     #[test]

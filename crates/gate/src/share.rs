@@ -1,7 +1,7 @@
-//! The shared-GPU gate (`repro share`): device-sharing equivalence,
-//! memory-capped admission, and the Table VII / Fig. 4 scaling sweep.
+//! The shared-GPU gate (`repro share`): device-sharing equivalence and
+//! memory-capped admission.
 //!
-//! Three enforced claims about the shared-device scheduler:
+//! Two enforced claims about the shared-device scheduler:
 //!
 //! * **Equivalence** — for every scheme version, the multi-rank gate
 //!   case produces *bitwise-identical* per-rank digests on exclusive
@@ -14,26 +14,23 @@
 //!   6th fails; the equal-resource 40-rank/8-GPU setup fits while
 //!   48/8 fails at exactly rank 40 on device 0, with the
 //!   [`gpu_sim::DeviceError`] naming rank, device, and bytes.
-//! * **Scaling** — the 16-GPU × {16,32,64}-rank sweep reproduces
-//!   Table VII's shape: absolute GPU time still improves with more
-//!   ranks (581 → 360 → 303 s), but the speedup over the CPU base
-//!   decays (2.08 → 1.82 → 1.56) because sharing queues kernels, and
-//!   the equal-resource 2-node comparison crosses over (0.956×).
+//!
+//! The 16-GPU × {16,32,64}-rank sharing sweep is Table VII, priced and
+//! shape-checked once, by the `paper` gate
+//! ([`crate::tables::sweep_shape_violations`]).
 //!
 //! The report is written to `BENCH_share.json`; any violation makes
 //! `repro share` exit nonzero.
 
-use crate::context::ReproContext;
 use crate::golden::{equivalence, equivalence_matrix, Arm, EquivRow, Sides};
 use crate::report::{Cell, Check, Report, Row, Table};
-use crate::tables::{table7_arms, Table7Outcome, Table7Row};
 use fsbm_core::exec::ExecMode;
 use fsbm_core::scheme::SbmVersion;
 use gpu_sim::devicepool::DevicePool;
 use gpu_sim::DeviceError;
 use miniwrf::config::ModelConfig;
 use miniwrf::parallel::{run_parallel, run_parallel_checked};
-use miniwrf::perfmodel::{rank_footprint, staged_bytes};
+use miniwrf::perfmodel::{rank_footprint, staged_bytes, PerfParams};
 use wrf_cases::ConusParams;
 
 /// Ranks of the equivalence runs (the gate case decomposed).
@@ -41,10 +38,6 @@ const RANKS: usize = 4;
 /// Devices of the equivalence runs' shared pool (< [`RANKS`], so the
 /// pool genuinely time-shares).
 const DEVICES: usize = 2;
-/// Ceiling on the equal-resource 2-node GPU/CPU speedup (the paper
-/// measures 0.956× — the GPUs lose once the CPU side has 256 cores
-/// against 8 heavily-shared devices).
-pub const MAX_TWO_NODE_SPEEDUP: f64 = 1.05;
 
 /// One admission scenario against a full-scale device pool (here ranks,
 /// in the ensemble gate members).
@@ -94,81 +87,8 @@ fn admit_until_refused<T>(
     }
 }
 
-/// The decay half of Table VII's shape over consecutive arms of the
-/// sharing sweep: absolute GPU time keeps improving with rank count
-/// while the speedup over the matched CPU base decays. At least two arms
-/// must have cleared the memory wall for the shape to be observable.
-pub fn decay_violations(rows: &[Table7Row]) -> Vec<String> {
-    let mut v = Vec::new();
-    if rows.len() < 2 {
-        v.push(format!(
-            "only {} feasible sweep rows, the decay shape needs at least 2",
-            rows.len()
-        ));
-    }
-    for w in rows.windows(2) {
-        let ((a, ta), (b, tb)) = (&w[0], &w[1]);
-        if tb.gpu >= ta.gpu {
-            v.push(format!(
-                "GPU absolute time must keep improving {} → {} ranks, got {:.1} → {:.1} s",
-                a.gpu_ranks, b.gpu_ranks, ta.gpu, tb.gpu
-            ));
-        }
-        if tb.speedup() >= ta.speedup() {
-            v.push(format!(
-                "shared-GPU speedup must decay {} → {} ranks, got {:.2} → {:.2}",
-                a.gpu_ranks,
-                b.gpu_ranks,
-                ta.speedup(),
-                tb.speedup()
-            ));
-        }
-    }
-    v
-}
-
-/// Checks the paper's Table VII shape over the sweep rows (the first
-/// three are the 16-GPU sweep in rank order, the last the 2-node
-/// comparison): absolute GPU time improves (paper: 581 → 360 → 303 s)
-/// while speedup decays (2.08 → 1.82 → 1.56) with a degrading scaling
-/// increment, queueing grows with sharing depth, and the equal-resource
-/// comparison crosses over.
-pub fn sweep_shape_violations(rows: &[Table7Row], max_two_node_speedup: f64) -> Vec<String> {
-    let [(_, r16), (_, r32), (_, r64), (_, nodes)] = rows else {
-        return vec![format!("sweep produced {} rows, expected 4", rows.len())];
-    };
-    let mut v = decay_violations(&rows[..3]);
-    if r16.gpu / r32.gpu <= r32.gpu / r64.gpu {
-        v.push(format!(
-            "scaling increment must degrade: 16→32 gain {:.3} should exceed 32→64 gain {:.3}",
-            r16.gpu / r32.gpu,
-            r32.gpu / r64.gpu
-        ));
-    }
-    if r16.queue_secs != 0.0 {
-        v.push(format!(
-            "exclusive 16-rank/16-GPU arm must not queue, got {:.3} s/step",
-            r16.queue_secs
-        ));
-    }
-    if !(r32.queue_secs > 0.0 && r64.queue_secs > r32.queue_secs) {
-        v.push(format!(
-            "queueing must grow with sharing depth: q32 {:.3} s, q64 {:.3} s",
-            r32.queue_secs, r64.queue_secs
-        ));
-    }
-    if nodes.speedup() >= max_two_node_speedup {
-        v.push(format!(
-            "equal-resource 2-node speedup {:.3} must stay below {:.3} (paper: 0.956)",
-            nodes.speedup(),
-            max_two_node_speedup
-        ));
-    }
-    v
-}
-
-/// Assembles the share report from its three arms.
-pub fn report(equiv: &[EquivRow], admission: &[AdmissionCheck], sweep: &[Table7Outcome]) -> Report {
+/// Assembles the share report from its two arms.
+pub fn report(equiv: &[EquivRow], admission: &[AdmissionCheck]) -> Report {
     let (equiv_table, mut checks) = equivalence(
         "equivalence",
         "exclusive vs shared-pool digest equivalence",
@@ -177,68 +97,11 @@ pub fn report(equiv: &[EquivRow], admission: &[AdmissionCheck], sweep: &[Table7O
     let (admission, admission_checks) =
         admission_parts("memory-capped admission (\u{a7}VII-A)", admission);
     checks.extend(admission_checks);
-    // The arms that ran (16/32/64 ranks, then 2 nodes) and the ones the
-    // pool refused (none are expected to be).
-    let mut ran: Vec<Table7Row> = Vec::new();
-    let mut rejected = Vec::new();
-    for (arm, times) in sweep {
-        match times {
-            Ok(times) => ran.push((*arm, times.clone())),
-            Err(e) => rejected.push(format!("sweep arm {} failed admission: {e}", arm.label)),
-        }
-    }
-    checks.push(Check::all_of("sweep arms admitted", &rejected));
-    checks.push(Check::all_of(
-        "sweep shape (Table VII)",
-        &sweep_shape_violations(&ran, MAX_TWO_NODE_SPEEDUP),
-    ));
-    let rows = Table::new(
-        "sweep",
-        "Table VII sweep (16 GPUs; equal-resource 2 nodes)",
-        ran.iter().map(|(arm, t)| {
-            vec![
-                ("label", arm.label.into()),
-                ("cpu_ranks", arm.cpu_ranks.into()),
-                ("gpu_ranks", arm.gpu_ranks.into()),
-                ("gpus", arm.gpus.into()),
-                ("cpu_secs", Cell::num(t.baseline, 3)),
-                ("gpu_secs", Cell::num(t.gpu, 3)),
-                ("speedup", Cell::num(t.speedup(), 4)),
-                ("queue_secs", Cell::num(t.queue_secs, 6)),
-            ]
-        }),
-    );
-    // The deepest arm of the sharing sweep: the last one at matched
-    // decomposition.
-    let deepest = ran.iter().rfind(|(arm, _)| arm.in_sweep());
-    let devices = Table::new(
-        "devices",
-        "per-device ledger of the 64-rank arm, per step",
-        deepest.iter().flat_map(|(_, t)| &t.devices).map(|d| {
-            vec![
-                ("device", d.device.into()),
-                ("residents", d.residents.into()),
-                ("used_bytes", d.used_bytes.into()),
-                ("capacity_bytes", d.capacity_bytes.into()),
-                ("busy_secs", Cell::num(d.busy_secs, 9)),
-                ("slice_secs", Cell::num(d.slice_secs, 9)),
-                ("queue_secs", Cell::num(d.queue_secs, 9)),
-            ]
-        }),
-    );
-    let (scale, nz, steps) = ReproContext::QUICK;
     Report {
         gate: "share",
-        case: vec![
-            ("ranks", RANKS.into()),
-            ("devices", DEVICES.into()),
-            ("sweep_scale", scale.into()),
-            ("sweep_nz", nz.into()),
-            ("sweep_steps", steps.into()),
-            ("max_two_node_speedup", MAX_TWO_NODE_SPEEDUP.into()),
-        ],
+        case: vec![("ranks", RANKS.into()), ("devices", DEVICES.into())],
         checks,
-        tables: vec![equiv_table, admission, rows, devices],
+        tables: vec![equiv_table, admission],
     }
 }
 
@@ -250,9 +113,9 @@ pub(crate) fn full_scale_slab_bytes(ranks: usize) -> u64 {
     staged_bytes(points)
 }
 
-/// Runs the admission scenarios against the full-scale pool.
-fn run_admission_checks(ctx: &ReproContext) -> Vec<AdmissionCheck> {
-    let pp = &ctx.pp;
+/// Runs the admission scenarios against the full-scale pool of `pp`'s
+/// device.
+fn run_admission_checks(pp: &PerfParams) -> Vec<AdmissionCheck> {
     let footprint = |ranks| rank_footprint(pp, full_scale_slab_bytes(ranks));
     let scenario = |label, ranks: usize, devices: usize, detail, pass| AdmissionCheck {
         label,
@@ -327,74 +190,17 @@ pub fn equivalence_rows(versions: impl IntoIterator<Item = SbmVersion>) -> Vec<E
     })
 }
 
-/// Runs the share gate: per-version equivalence on the gate case, the
-/// admission scenarios, then the Table VII sweep.
+/// Runs the share gate: per-version equivalence on the gate case, then
+/// the admission scenarios on the paper's device.
 pub fn run() -> Report {
     let equiv = equivalence_rows(SbmVersion::ALL);
-    let ctx = ReproContext::quick();
-    report(&equiv, &run_admission_checks(&ctx), &table7_arms(&ctx))
+    report(&equiv, &run_admission_checks(&PerfParams::default()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::golden::StateAgreement;
-    use crate::tables::{Table7Arm, Table7Times};
-    use gpu_sim::devicepool::DeviceShare;
-
-    /// Table VII rows with the paper's CPU seconds and the given GPU
-    /// side.
-    fn rows(q: [f64; 3], gpu: [f64; 3], two_node_speedup: f64) -> Vec<Table7Row> {
-        let row = |label, cpu_ranks, gpu_ranks, gpus, baseline: f64, gpu, queue_secs| {
-            let arm = Table7Arm {
-                label,
-                cpu_ranks,
-                gpu_ranks,
-                gpus,
-            };
-            let times = Table7Times {
-                baseline,
-                lookup: baseline / 1.4,
-                gpu,
-                queue_secs,
-                devices: Vec::new(),
-            };
-            (arm, times)
-        };
-        vec![
-            row("16 ranks", 16, 16, 16, 1211.45, gpu[0], q[0]),
-            row("32 ranks", 32, 32, 16, 655.1, gpu[1], q[1]),
-            row("64 ranks", 64, 64, 16, 471.7, gpu[2], q[2]),
-            row("2 nodes", 256, 40, 8, 379.8, 379.8 / two_node_speedup, 1.5),
-        ]
-    }
-
-    #[test]
-    fn paper_shape_passes() {
-        // Table VII's own numbers satisfy every ordering.
-        let v = sweep_shape_violations(&rows([0.0, 0.6, 1.8], [581.2, 360.1, 303.03], 0.956), 1.05);
-        assert!(v.is_empty(), "{v:?}");
-    }
-
-    #[test]
-    fn inverted_decay_is_caught() {
-        // Speedup *growing* with rank count (the pre-scheduler known
-        // deviation) must be flagged.
-        let v = sweep_shape_violations(&rows([0.0, 0.6, 1.8], [610.0, 295.0, 145.0], 0.956), 1.05);
-        assert!(v.iter().any(|x| x.contains("decay")), "{v:?}");
-    }
-
-    #[test]
-    fn queue_and_two_node_orderings_gate() {
-        // Exclusive arm queueing, shrinking queues, and a 2-node win
-        // are each violations.
-        let v = sweep_shape_violations(&rows([0.1, 0.6, 1.8], [581.2, 360.1, 303.03], 0.956), 1.05);
-        assert!(v.iter().any(|x| x.contains("exclusive")), "{v:?}");
-        let v = sweep_shape_violations(&rows([0.0, 1.8, 0.6], [581.2, 360.1, 303.03], 0.956), 1.05);
-        assert!(v.iter().any(|x| x.contains("sharing depth")), "{v:?}");
-        let v = sweep_shape_violations(&rows([0.0, 0.6, 1.8], [581.2, 360.1, 303.03], 1.2), 1.05);
-        assert!(v.iter().any(|x| x.contains("2-node")), "{v:?}");
-    }
 
     fn equiv_row(queue_secs: f64) -> EquivRow {
         EquivRow {
@@ -419,70 +225,38 @@ mod tests {
         }
     }
 
-    /// The paper's Table VII as the gate's sweep input, the deepest
-    /// sweep arm carrying a device ledger.
-    fn paper_sweep() -> Vec<Table7Outcome> {
-        let mut rows = rows([0.0, 0.6, 1.8], [581.2, 360.1, 303.03], 0.956);
-        rows[2].1.devices = vec![DeviceShare {
-            device: 0,
-            residents: 4,
-            used_bytes: 60 << 30,
-            capacity_bytes: 80 << 30,
-            busy_secs: 1.0,
-            slice_secs: 1.2,
-            queue_secs: 2.5,
-        }];
-        rows.into_iter().map(|(arm, t)| (arm, Ok(t))).collect()
-    }
-
     /// The parent format's keys and printed digits survive the envelope.
     #[test]
     fn report_verdict_flows_to_json_and_text() {
-        let rep = report(&[equiv_row(0.61)], &[admission(true)], &paper_sweep());
+        let rep = report(&[equiv_row(0.61)], &[admission(true)]);
         assert!(rep.pass(), "{:?}", rep.violations());
         let json = rep.to_json();
         assert!(json.contains("\"pass\": true"));
-        assert!(json.contains("\"label\": \"2 nodes\""));
-        assert!(json.contains("\"device\": 0"));
+        assert!(json.contains("\"label\": \"48 ranks / 8 GPUs\""));
         assert!(json.contains("\"queue_secs\": 0.61"));
-        assert!(json.contains("\"max_two_node_speedup\": 1.05"));
+        assert!(json.contains("\"case\": {\"ranks\": 4, \"devices\": 2}"));
         assert!(rep.rendered().contains("share gate: PASS"));
     }
 
     #[test]
     fn failed_admission_fails_the_report() {
-        let rep = report(&[], &[admission(false)], &paper_sweep());
+        let rep = report(&[], &[admission(false)]);
         assert!(!rep.pass());
         assert!(rep
             .violations()
             .iter()
             .any(|v| v.contains("unexpectedly admitted")));
-        assert!(report(&[], &[admission(true)], &paper_sweep()).pass());
-        // A refused sweep arm and a broken shape are violations too.
-        let mut sweep = paper_sweep();
-        sweep[2].1 = Err(gpu_sim::DeviceError {
-            rank: 20,
-            device: 4,
-            requested_bytes: 30 << 30,
-            used_bytes: 60 << 30,
-            capacity_bytes: 80 << 30,
-            residents: 3,
-        });
-        let v = report(&[], &[], &sweep).violations();
-        assert!(v.iter().any(|x| x.contains("sweep arms admitted")), "{v:?}");
-        assert!(v.iter().any(|x| x.contains("sweep shape")), "{v:?}");
+        assert!(report(&[], &[admission(true)]).pass());
     }
 
     /// The assertion inventory of the real gate at its cheapest: one
-    /// equivalence arm, the admission scenarios, and the sweep priced
-    /// on the shared quick context.
+    /// equivalence arm and the admission scenarios, which read the
+    /// default machine parameters and measure nothing.
     #[test]
     fn gate_arms_make_exactly_these_assertions() {
-        let ctx = ReproContext::quick_shared();
         let rep = report(
             &equivalence_rows([SbmVersion::OffloadCollapse2]),
-            &run_admission_checks(ctx),
-            &table7_arms(ctx),
+            &run_admission_checks(&PerfParams::default()),
         );
         assert!(rep.pass(), "{:?}", rep.violations());
         let labels: Vec<&str> = rep.checks.iter().map(|c| c.label.as_str()).collect();
@@ -493,9 +267,9 @@ mod tests {
                 "admission: per-device cap",
                 "admission: 40 ranks / 8 GPUs",
                 "admission: 48 ranks / 8 GPUs",
-                "sweep arms admitted",
-                "sweep shape (Table VII)",
             ]
         );
+        let keys: Vec<&str> = rep.tables.iter().map(|t| t.key).collect();
+        assert_eq!(keys, ["equivalence", "admission"]);
     }
 }

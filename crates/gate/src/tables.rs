@@ -1,7 +1,8 @@
 //! Tables I and III–VII of the paper, each computed once: the `paper`
-//! gate's tables, Fig. 4, the share gate's shape checks and the zoo
-//! gate's per-backend ranking and decay checks all read the rows
-//! produced here from a [`ReproContext`], next to the paper's own.
+//! gate's tables, Fig. 4 and the zoo gate's per-backend ranking and
+//! decay checks all read the rows produced here from a [`ReproContext`],
+//! next to the paper's own. Table VII's shape claims are checked here
+//! too ([`sweep_shape_violations`], [`decay_violations`]).
 
 use crate::context::ReproContext;
 use fsbm_core::scheme::SbmVersion;
@@ -254,12 +255,144 @@ pub fn table7(ctx: &ReproContext) -> Result<Vec<Table7Row>, DeviceError> {
         .collect()
 }
 
+/// Ceiling on the equal-resource 2-node GPU/CPU speedup (the paper
+/// measures 0.956× — the GPUs lose once the CPU side has 256 cores
+/// against 8 heavily-shared devices).
+pub const MAX_TWO_NODE_SPEEDUP: f64 = 1.05;
+
+/// The decay half of Table VII's shape over consecutive arms of the
+/// sharing sweep: absolute GPU time keeps improving with rank count
+/// while the speedup over the matched CPU base decays. At least two arms
+/// must have cleared the memory wall for the shape to be observable.
+pub fn decay_violations(rows: &[Table7Row]) -> Vec<String> {
+    let mut v = Vec::new();
+    if rows.len() < 2 {
+        v.push(format!(
+            "only {} feasible sweep rows, the decay shape needs at least 2",
+            rows.len()
+        ));
+    }
+    for w in rows.windows(2) {
+        let ((a, ta), (b, tb)) = (&w[0], &w[1]);
+        if tb.gpu >= ta.gpu {
+            v.push(format!(
+                "GPU absolute time must keep improving {} → {} ranks, got {:.1} → {:.1} s",
+                a.gpu_ranks, b.gpu_ranks, ta.gpu, tb.gpu
+            ));
+        }
+        if tb.speedup() >= ta.speedup() {
+            v.push(format!(
+                "shared-GPU speedup must decay {} → {} ranks, got {:.2} → {:.2}",
+                a.gpu_ranks,
+                b.gpu_ranks,
+                ta.speedup(),
+                tb.speedup()
+            ));
+        }
+    }
+    v
+}
+
+/// Checks the paper's Table VII shape over the sweep rows (the first
+/// three are the 16-GPU sweep in rank order, the last the 2-node
+/// comparison): absolute GPU time improves (paper: 581 → 360 → 303 s)
+/// while speedup decays (2.08 → 1.82 → 1.56) with a degrading scaling
+/// increment, queueing grows with sharing depth, and the equal-resource
+/// comparison crosses over.
+pub fn sweep_shape_violations(rows: &[Table7Row], max_two_node_speedup: f64) -> Vec<String> {
+    let [(_, r16), (_, r32), (_, r64), (_, nodes)] = rows else {
+        return vec![format!("sweep produced {} rows, expected 4", rows.len())];
+    };
+    let mut v = decay_violations(&rows[..3]);
+    if r16.gpu / r32.gpu <= r32.gpu / r64.gpu {
+        v.push(format!(
+            "scaling increment must degrade: 16→32 gain {:.3} should exceed 32→64 gain {:.3}",
+            r16.gpu / r32.gpu,
+            r32.gpu / r64.gpu
+        ));
+    }
+    if r16.queue_secs != 0.0 {
+        v.push(format!(
+            "exclusive 16-rank/16-GPU arm must not queue, got {:.3} s/step",
+            r16.queue_secs
+        ));
+    }
+    if !(r32.queue_secs > 0.0 && r64.queue_secs > r32.queue_secs) {
+        v.push(format!(
+            "queueing must grow with sharing depth: q32 {:.3} s, q64 {:.3} s",
+            r32.queue_secs, r64.queue_secs
+        ));
+    }
+    if nodes.speedup() >= max_two_node_speedup {
+        v.push(format!(
+            "equal-resource 2-node speedup {:.3} must stay below {:.3} (paper: 0.956)",
+            nodes.speedup(),
+            max_two_node_speedup
+        ));
+    }
+    v
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn ctx() -> &'static ReproContext {
         ReproContext::quick_shared()
+    }
+
+    /// Table VII rows with the paper's CPU seconds and the given GPU
+    /// side.
+    fn rows(q: [f64; 3], gpu: [f64; 3], two_node_speedup: f64) -> Vec<Table7Row> {
+        let row = |label, cpu_ranks, gpu_ranks, gpus, baseline: f64, gpu, queue_secs| {
+            let arm = Table7Arm {
+                label,
+                cpu_ranks,
+                gpu_ranks,
+                gpus,
+            };
+            let times = Table7Times {
+                baseline,
+                lookup: baseline / 1.4,
+                gpu,
+                queue_secs,
+                devices: Vec::new(),
+            };
+            (arm, times)
+        };
+        vec![
+            row("16 ranks", 16, 16, 16, 1211.45, gpu[0], q[0]),
+            row("32 ranks", 32, 32, 16, 655.1, gpu[1], q[1]),
+            row("64 ranks", 64, 64, 16, 471.7, gpu[2], q[2]),
+            row("2 nodes", 256, 40, 8, 379.8, 379.8 / two_node_speedup, 1.5),
+        ]
+    }
+
+    #[test]
+    fn paper_shape_passes() {
+        // Table VII's own numbers satisfy every ordering.
+        let v = sweep_shape_violations(&rows([0.0, 0.6, 1.8], [581.2, 360.1, 303.03], 0.956), 1.05);
+        assert!(v.is_empty(), "{v:?}");
+    }
+
+    #[test]
+    fn inverted_decay_is_caught() {
+        // Speedup *growing* with rank count (the pre-scheduler known
+        // deviation) must be flagged.
+        let v = sweep_shape_violations(&rows([0.0, 0.6, 1.8], [610.0, 295.0, 145.0], 0.956), 1.05);
+        assert!(v.iter().any(|x| x.contains("decay")), "{v:?}");
+    }
+
+    #[test]
+    fn queue_and_two_node_orderings_gate() {
+        // Exclusive arm queueing, shrinking queues, and a 2-node win
+        // are each violations.
+        let v = sweep_shape_violations(&rows([0.1, 0.6, 1.8], [581.2, 360.1, 303.03], 0.956), 1.05);
+        assert!(v.iter().any(|x| x.contains("exclusive")), "{v:?}");
+        let v = sweep_shape_violations(&rows([0.0, 1.8, 0.6], [581.2, 360.1, 303.03], 0.956), 1.05);
+        assert!(v.iter().any(|x| x.contains("sharing depth")), "{v:?}");
+        let v = sweep_shape_violations(&rows([0.0, 0.6, 1.8], [581.2, 360.1, 303.03], 1.2), 1.05);
+        assert!(v.iter().any(|x| x.contains("2-node")), "{v:?}");
     }
 
     #[test]

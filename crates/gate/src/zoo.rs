@@ -1,15 +1,19 @@
 //! The device-zoo gate (`repro zoo`): cross-backend portability of the
-//! paper's conclusions.
+//! paper's conclusions, every backend priced and searched in one pass.
 //!
 //! The paper measures one machine — A100s behind EPYC hosts. Davis et
 //! al. (arXiv:2010.09454) make the portability argument for OpenMP
 //! offload: absolute kernel times vary widely across devices and
 //! compilers, but the *relative* conclusions — which refactor wins,
-//! how sharing decays — are stable. This gate enforces that claim over
-//! the backend zoo ([`gpu_sim::machine::ZOO`]): every backend prices
-//! the same functional workload on its own plane
-//! ([`ReproContext::on_backend`]) — the same Table V and Table VII code
-//! `repro paper` reports as `table5` / `table7`, re-priced — and the
+//! how sharing decays — are stable. Hybrid Fortran (arXiv:1710.08616)
+//! makes the matching argument for schedules: the loop order and storage
+//! a target wants can be searched per target instead of hand-written.
+//! This gate enforces both over the backend zoo ([`ZOO`]) from one
+//! measured context: every backend prices the same functional workload
+//! on its own plane ([`ReproContext::on_backend`]) — the same Table V
+//! and Table VII code `repro paper` reports as `table5` / `table7`,
+//! re-priced — and runs [`codee_sim::tune`] over the corpus collision
+//! nest with the same measured work density. One row per backend; the
 //! gate checks
 //!
 //! * **Divergence** — the offloaded gate workload lands at a genuinely
@@ -22,21 +26,42 @@
 //!   the speedup over the matched CPU base decays;
 //! * **Packing** — the per-device cap on full-scale ensemble members,
 //!   read from [`gpu_sim::DevicePool::admit`], tracks each backend's
-//!   memory capacity (the caps genuinely differ).
+//!   memory capacity (the caps genuinely differ);
+//! * **Recovery** — on the paper's machine (`a100-80gb`), the best
+//!   unfissioned schedule of each offloaded version's storage family has
+//!   exactly that version's `kernel_spec()` geometry (collapse depth,
+//!   registers, stack bytes: the stack family v2's, the point-major slab
+//!   family v3's), with v3 priced faster than v2 — Table IV's ordering;
+//! * **Discovery** — the searched-best schedule on every backend is a
+//!   slab schedule at full collapse (the searched space contains the
+//!   hand-derived answer, so the winner can only match or beat it);
+//! * **Stability** — the slowest→fastest ordering of the three storage
+//!   families, and the version `'auto'` resolves to, are identical on
+//!   every backend;
+//! * **Auto** — `&parallel schedule = 'auto'` resolves to the version
+//!   implementing the winning geometry, and a functional run under
+//!   `'auto'` is bitwise-identical to the same run under the explicit
+//!   version name ([`crate::Depth::tune_check_steps`] steps).
 //!
 //! The report is written to `BENCH_zoo.json`; any violation makes
 //! `repro zoo` exit nonzero.
 
 use crate::context::{ReproContext, MINUTES};
 use crate::ensemble::member_cap;
+use crate::golden::combined_checksum;
 use crate::report::{Cell, Check, Report, Table};
-use crate::share::{decay_violations, full_scale_slab_bytes};
-use crate::tables::{table7_arms, version_times, Table7Row, GPUS, RANKS};
+use crate::share::full_scale_slab_bytes;
+use crate::tables::{decay_violations, table7_arms, version_times, Table7Row, GPUS, RANKS};
+use codee_sim::tune::{NestWork, TuneReport};
 use fsbm_core::scheme::SbmVersion;
-use gpu_sim::machine::{Backend, ZOO};
+use gpu_sim::machine::{default_backend, Backend, ZOO};
+use gpu_sim::schedule::Storage;
+use miniwrf::model::Model;
+use miniwrf::namelist::schedule_name;
 use miniwrf::perfmodel::rank_footprint;
+use miniwrf::schedule::{coal_nest_work_from, tune_backend_with, version_for};
 
-/// Minimum number of backends the gate must price end to end.
+/// Minimum number of backends the gate must price and search.
 pub const MIN_BACKENDS: usize = 5;
 
 /// One scheme version priced on one backend.
@@ -50,7 +75,49 @@ pub struct VersionTime {
     pub speedup: f64,
 }
 
-/// Everything the gate measured on one backend.
+/// The best schedule of one storage family on one backend.
+#[derive(Debug, Clone)]
+pub struct FamilyBest {
+    /// Family label ([`Storage::label`]).
+    pub family: &'static str,
+    /// Schedule label of the family's fastest variant.
+    pub label: String,
+    /// Its modeled seconds.
+    pub secs: f64,
+    /// Geometry of the family's fastest *unfissioned* variant — the
+    /// shape comparable to the paper's hand-derived kernels (the corpus
+    /// nest is the already-fissioned Listing 6 loop).
+    pub collapse: usize,
+    /// Registers per thread of the unfissioned best.
+    pub regs: u32,
+    /// Stack bytes per thread of the unfissioned best.
+    pub stack_bytes: u64,
+    /// Seconds of the unfissioned best.
+    pub unfissioned_secs: f64,
+}
+
+/// The schedule search of one backend.
+#[derive(Debug, Clone)]
+pub struct Search {
+    /// Variants enumerated (schedulable + skipped).
+    pub searched: usize,
+    /// Variants unschedulable on this target.
+    pub unschedulable: usize,
+    /// Label of the searched-best schedule.
+    pub winner: String,
+    /// Its modeled seconds.
+    pub winner_secs: f64,
+    /// Family winners, [`Storage::ALL`] order (a family missing from
+    /// the schedulable set is absent).
+    pub families: Vec<FamilyBest>,
+    /// Families ordered slowest → fastest (ties keep [`Storage::ALL`]
+    /// order) — the cross-backend stability witness.
+    pub ranking: Vec<&'static str>,
+    /// Version `schedule = 'auto'` resolves to on this backend.
+    pub auto_version: SbmVersion,
+}
+
+/// Everything the gate priced and searched on one backend.
 #[derive(Debug, Clone)]
 pub struct BackendRow {
     /// Backend name (a [`ZOO`] entry).
@@ -70,8 +137,25 @@ pub struct BackendRow {
     pub walls: Vec<String>,
     /// Full-scale ensemble members one device admits.
     pub member_cap: usize,
-    /// Per-backend shape violations (empty when the paper's conclusions
+    /// The collision nest's schedule search on this backend.
+    pub search: Search,
+    /// Per-backend violations (empty when the paper's conclusions
     /// hold on this backend).
+    pub violations: Vec<String>,
+}
+
+/// Outcome of the functional auto-vs-explicit arm.
+#[derive(Debug, Clone)]
+pub struct AutoBitwise {
+    /// Steps both runs integrated.
+    pub check_steps: usize,
+    /// Explicit schedule name the winner maps to (`'v4'`…).
+    pub explicit: String,
+    /// Combined state checksum of the `schedule = 'auto'` run.
+    pub auto_checksum: u64,
+    /// Combined state checksum of the explicit run.
+    pub explicit_checksum: u64,
+    /// Violations (version mismatch, digest divergence, parse failure).
     pub violations: Vec<String>,
 }
 
@@ -90,46 +174,167 @@ pub fn ranking_of(versions: &[VersionTime]) -> Vec<&'static str> {
     slowest_first(versions.iter().map(|t| (t.version, t.secs)))
 }
 
-/// What both per-backend gates hold across their rows: at least
-/// `min_backends` of them (`rows`: backend name and its slowest → fastest
-/// ranking of `what`), all ranking like the first.
-pub fn ranking_violations<'a>(
-    what: &str,
-    rows: impl IntoIterator<Item = (&'a str, &'a [&'static str])>,
-    min_backends: usize,
-) -> Vec<String> {
-    let rows: Vec<_> = rows.into_iter().collect();
+/// Orders the present families slowest → fastest; equal prices keep
+/// [`Storage::ALL`] order, so a CPU-class tie between the two slab layouts
+/// reports the same ordering as a GPU where the transposition wins by a
+/// margin smaller than the stack deficit.
+pub fn family_ranking(families: &[FamilyBest]) -> Vec<&'static str> {
+    slowest_first(families.iter().map(|f| (f.family, f.secs)))
+}
+
+/// The fastest variant of the `storage` family in `rep`, and the fastest
+/// unfissioned one (`None` when the family is entirely unschedulable).
+fn family_best(rep: &TuneReport, storage: Storage) -> Option<FamilyBest> {
+    let best = rep.family_winner(storage)?;
+    let un = rep
+        .ranked
+        .iter()
+        .find(|p| p.variant.storage == storage && p.variant.fission_at.is_none())?;
+    Some(FamilyBest {
+        family: storage.label(),
+        label: best.label.clone(),
+        secs: best.secs,
+        collapse: un.variant.collapse,
+        regs: un.spec.regs_per_thread,
+        stack_bytes: un.spec.stack_bytes_per_thread,
+        unfissioned_secs: un.secs,
+    })
+}
+
+/// Searches `backend` for the collision nest at `work`'s density, and
+/// checks the per-backend search claims: the search, and its violations.
+fn search_backend(backend: &Backend, work: &NestWork) -> (Search, Vec<String>) {
+    let rep = tune_backend_with(backend, work);
+    let families: Vec<FamilyBest> = Storage::ALL
+        .into_iter()
+        .filter_map(|s| family_best(&rep, s))
+        .collect();
+    let winner = rep.winner();
+    let mut v = Vec::new();
+    // §VI-C portability: the slab refactor's full-collapse schedule wins
+    // on every backend — CPU class included, where it wins on occupancy
+    // alone since the scatter penalty is flat.
+    if !winner.variant.storage.is_slab() {
+        v.push(format!(
+            "searched-best schedule is not a slab one: {}",
+            winner.label
+        ));
+    }
+    if winner.variant.collapse != 3 {
+        v.push(format!(
+            "searched-best schedule does not fully collapse: {}",
+            winner.label
+        ));
+    }
+    let fam = |name: &str| families.iter().find(|f| f.family == name);
+    match (fam("stack"), fam("slab[pt,bin]")) {
+        (Some(stack), Some(slab)) => {
+            if slab.unfissioned_secs >= stack.unfissioned_secs {
+                v.push(format!(
+                    "v3-shaped schedule must beat v2-shaped on every backend: {:.3e} >= {:.3e}",
+                    slab.unfissioned_secs, stack.unfissioned_secs
+                ));
+            }
+        }
+        _ => v.push("a storage family is entirely unschedulable".to_string()),
+    }
+    let search = Search {
+        searched: rep.ranked.len() + rep.unschedulable,
+        unschedulable: rep.unschedulable,
+        winner: winner.label.clone(),
+        winner_secs: winner.secs,
+        ranking: family_ranking(&families),
+        families,
+        auto_version: version_for(&rep),
+    };
+    (search, v)
+}
+
+/// Checks the paper machine's search for exact recovery of the
+/// hand-derived kernels: the best unfissioned schedule of each offloaded
+/// version's storage family has that version's `kernel_spec()` geometry.
+pub fn recovery_violations(search: &Search) -> Vec<String> {
+    let mut v = Vec::new();
+    let fam = |name: &str| search.families.iter().find(|f| f.family == name);
+    for (version, short, kernel) in [
+        (SbmVersion::OffloadCollapse2, "stack", "v2"),
+        (SbmVersion::OffloadCollapse3, "slab", "v3"),
+    ] {
+        let offload = version.plan().offload.expect("an offloaded version");
+        let Some(best) = fam(offload.storage.label()) else {
+            v.push(format!("{short} family unschedulable on a100-80gb"));
+            continue;
+        };
+        let spec = version.kernel_spec().expect("an offloaded version");
+        let got = (best.collapse as u32, best.regs, best.stack_bytes);
+        let want = (
+            spec.collapse,
+            spec.regs_per_thread,
+            spec.stack_bytes_per_thread,
+        );
+        if got != want {
+            v.push(format!(
+                "{short}-family best is not the hand-derived {kernel} kernel: \
+                 (collapse, regs, stack) = {got:?}, want {want:?}"
+            ));
+        }
+    }
+    if let (Some(slab), Some(tr)) = (fam("slab[pt,bin]"), fam("slab[bin,pt]")) {
+        if tr.secs > slab.secs {
+            v.push(format!(
+                "transposed slab must match or beat v3 (the space contains it): \
+                 {:.3e} > {:.3e}",
+                tr.secs, slab.secs
+            ));
+        }
+    }
+    v
+}
+
+/// Checks the cross-backend claims over the finished rows: at least
+/// `min_backends` of them, the version ranking, the family ranking and
+/// the `'auto'` resolution identical everywhere, genuinely distinct
+/// absolute times on the most-offloaded version, and genuinely distinct
+/// per-device member caps.
+pub fn cross_backend_violations(rows: &[BackendRow], min_backends: usize) -> Vec<String> {
     if rows.len() < min_backends {
         return vec![format!(
             "only {} backends ranked, gate requires {min_backends}",
             rows.len()
         )];
     }
-    let Some((&(reference, order), rest)) = rows.split_first() else {
+    let Some((reference, rest)) = rows.split_first() else {
         return Vec::new();
     };
-    let flip = |&(backend, ranking): &(&str, &[&str])| {
-        (ranking != order).then(|| {
+    let mut v = Vec::new();
+    let flip = |what: &str, backend: &str, want: &[&str], got: &[&str]| {
+        (got != want).then(|| {
             format!(
-                "{what} ranking flips on {backend}: {reference} orders [{}], {backend} orders [{}]",
-                order.join(" > "),
-                ranking.join(" > ")
+                "{what} ranking flips on {backend}: {} orders [{}], {backend} orders [{}]",
+                reference.backend,
+                want.join(" > "),
+                got.join(" > ")
             )
         })
     };
-    rest.iter().filter_map(flip).collect()
-}
-
-/// Checks the cross-backend claims over the finished rows: enough
-/// backends priced, identical version ranking everywhere, genuinely
-/// distinct absolute times on the most-offloaded version, and
-/// genuinely distinct per-device member caps.
-pub fn cross_backend_violations(rows: &[BackendRow], min_backends: usize) -> Vec<String> {
-    let ranked = rows.iter().map(|r| (r.backend, &r.ranking[..]));
-    let mut v = ranking_violations("version", ranked, min_backends);
-    let Some(reference) = rows.first().filter(|_| rows.len() >= min_backends) else {
-        return v;
-    };
+    for row in rest {
+        v.extend(flip(
+            "version",
+            row.backend,
+            &reference.ranking,
+            &row.ranking,
+        ));
+        let (want, got) = (&reference.search, &row.search);
+        v.extend(flip("family", row.backend, &want.ranking, &got.ranking));
+        if got.auto_version != want.auto_version {
+            v.push(format!(
+                "'auto' resolves differently on {}: {} vs {}",
+                row.backend,
+                want.auto_version.label(),
+                got.auto_version.label()
+            ));
+        }
+    }
     // Divergence on the most-offloaded version: CPU-only versions may
     // legitimately tie between backends sharing a host (the two A100s),
     // but the offloaded arm touches the device on every backend.
@@ -169,27 +374,84 @@ pub fn cross_backend_violations(rows: &[BackendRow], min_backends: usize) -> Vec
     v
 }
 
-/// Assembles the zoo report from the per-backend rows; `min_backends`
-/// is the floor of [`cross_backend_violations`].
-pub fn report(rows: &[BackendRow], min_backends: usize) -> Report {
+/// The functional auto-vs-explicit arm: builds one config through
+/// `&parallel schedule = 'auto'` and one through the explicit name of
+/// the resolved version, runs both for `check_steps`, and compares the
+/// end states bitwise.
+pub fn auto_bitwise_check(auto: SbmVersion, check_steps: usize) -> AutoBitwise {
+    let explicit = schedule_name(auto).to_string();
+    let mut violations = Vec::new();
+    let domains = "&domains\n e_we = 24, e_sn = 18, e_vert = 8, dt = 5.0\n/\n";
+    let run = |schedule: &str| -> Result<(SbmVersion, u64), String> {
+        let text = format!("{domains}&parallel\n schedule = '{schedule}'\n/\n");
+        let mut cfg = miniwrf::config_from_namelist(&text).map_err(|e| e.to_string())?;
+        cfg.device_workers = Some(2);
+        let mut m = Model::single_rank(cfg);
+        m.run(check_steps.max(1));
+        Ok((cfg.version, combined_checksum(&m.state.digest())))
+    };
+    let (mut auto_checksum, mut explicit_checksum) = (0, 0);
+    match (run("auto"), run(&explicit)) {
+        (Ok((va, ca)), Ok((ve, ce))) => {
+            auto_checksum = ca;
+            explicit_checksum = ce;
+            if va != ve {
+                violations.push(format!(
+                    "'auto' resolved {} but '{}' selects {}",
+                    va.label(),
+                    explicit,
+                    ve.label()
+                ));
+            }
+            if ca != ce {
+                violations.push(format!(
+                    "'auto' run diverges bitwise from explicit '{explicit}': \
+                     {ca:016x} != {ce:016x}"
+                ));
+            }
+        }
+        (Err(e), _) | (_, Err(e)) => violations.push(format!("bitwise arm failed: {e}")),
+    }
+    AutoBitwise {
+        check_steps,
+        explicit,
+        auto_checksum,
+        explicit_checksum,
+        violations,
+    }
+}
+
+/// Assembles the zoo report from the per-backend rows and the bitwise
+/// arm; `min_backends` is the floor of [`cross_backend_violations`].
+pub fn report(rows: &[BackendRow], bitwise: &AutoBitwise, min_backends: usize) -> Report {
     let class = |r: &BackendRow| if r.is_cpu { "cpu" } else { "gpu" };
     let mut checks: Vec<Check> = rows
         .iter()
         .map(|r| Check::all_of(format!("backend: {}", r.backend), &r.violations))
         .collect();
     checks.push(Check::all_of(
+        "auto bitwise vs explicit",
+        &bitwise.violations,
+    ));
+    checks.push(Check::all_of(
         "cross-backend",
         &cross_backend_violations(rows, min_backends),
     ));
     let backends = Table::new(
         "backends",
-        "ranking, packing and verdict per backend",
+        "ranking, packing, searched-best schedule and verdict per backend",
         rows.iter().map(|r| {
             vec![
                 ("backend", r.backend.into()),
                 ("class", class(r).into()),
                 ("ranking", Cell::strs(&r.ranking)),
                 ("member_cap", r.member_cap.into()),
+                ("searched", r.search.searched.into()),
+                ("unschedulable", r.search.unschedulable.into()),
+                ("winner", r.search.winner.as_str().into()),
+                ("winner_secs", Cell::sci(r.search.winner_secs, 6)),
+                ("auto", r.search.auto_version.label().into()),
+                ("family_ranking", Cell::strs(&r.search.ranking)),
                 ("pass", r.violations.is_empty().into()),
             ]
         }),
@@ -232,6 +494,35 @@ pub fn report(rows: &[BackendRow], min_backends: usize) -> Report {
             r.walls.iter().map(wall)
         }),
     );
+    let families = Table::new(
+        "families",
+        "storage-family winners per backend",
+        rows.iter().flat_map(|r| {
+            r.search.families.iter().map(|f| {
+                vec![
+                    ("backend", r.backend.into()),
+                    ("family", f.family.into()),
+                    ("label", f.label.as_str().into()),
+                    ("secs", Cell::sci(f.secs, 6)),
+                    ("collapse", f.collapse.into()),
+                    ("regs", f.regs.into()),
+                    ("stack_bytes", f.stack_bytes.into()),
+                ]
+            })
+        }),
+    );
+    let checksum = |x: u64| Cell::from(format!("{x:016x}"));
+    let auto = Table::new(
+        "bitwise",
+        "schedule = 'auto' vs the explicit winner, end-state checksums",
+        [vec![
+            ("explicit", bitwise.explicit.as_str().into()),
+            ("auto_checksum", checksum(bitwise.auto_checksum)),
+            ("explicit_checksum", checksum(bitwise.explicit_checksum)),
+            ("pass", bitwise.violations.is_empty().into()),
+        ]],
+    );
+    let (scale, nz, steps) = ReproContext::QUICK;
     Report {
         gate: "zoo",
         case: vec![
@@ -239,15 +530,19 @@ pub fn report(rows: &[BackendRow], min_backends: usize) -> Report {
             ("gpus", GPUS.into()),
             ("minutes", MINUTES.into()),
             ("min_backends", min_backends.into()),
+            ("coeff_scale", scale.into()),
+            ("coeff_nz", nz.into()),
+            ("coeff_steps", steps.into()),
+            ("check_steps", bitwise.check_steps.into()),
         ],
         checks,
-        tables: vec![backends, versions, sweep, walls],
+        tables: vec![backends, versions, sweep, walls, families, auto],
     }
 }
 
-/// Prices every arm of the gate on one backend: `base` re-priced on
-/// `backend`'s plane.
-fn run_backend_row(backend: &'static Backend, base: &ReproContext) -> BackendRow {
+/// Prices and searches one backend: `base` re-priced on `backend`'s
+/// plane, the collision nest searched at `work`'s density.
+fn run_backend_row(backend: &'static Backend, base: &ReproContext, work: &NestWork) -> BackendRow {
     let ctx = base.on_backend(backend);
     let mut violations = Vec::new();
 
@@ -307,6 +602,14 @@ fn run_backend_row(backend: &'static Backend, base: &ReproContext) -> BackendRow
     }
     violations.extend(decay_violations(&sweep));
 
+    // The schedule search; recovery of the hand-derived kernels is
+    // checked on the paper's machine.
+    let (search, search_violations) = search_backend(backend, work);
+    violations.extend(search_violations);
+    if std::ptr::eq(backend, default_backend()) {
+        violations.extend(recovery_violations(&search));
+    }
+
     BackendRow {
         backend: backend.name,
         is_cpu: backend.is_cpu(),
@@ -315,22 +618,29 @@ fn run_backend_row(backend: &'static Backend, base: &ReproContext) -> BackendRow
         sweep,
         walls,
         member_cap: member_cap(backend).0,
+        search,
         violations,
     }
 }
 
-/// Prices every [`ZOO`] backend end to end from one measured context
+/// Prices and searches every [`ZOO`] backend from one measured context
 /// (the coefficients are backend-independent; each backend swaps in its
-/// own perf plane).
+/// own perf plane and search target).
 pub fn backend_rows(base: &ReproContext) -> Vec<BackendRow> {
-    ZOO.iter().map(|b| run_backend_row(b, base)).collect()
+    let work = coal_nest_work_from(&base.coeffs);
+    ZOO.iter()
+        .map(|b| run_backend_row(b, base, &work))
+        .collect()
 }
 
 /// Runs the zoo gate: coefficients measured once on the functional
-/// plane, then every backend priced and the cross-backend claims
-/// checked.
-pub fn run() -> Report {
-    report(&backend_rows(&ReproContext::quick()), MIN_BACKENDS)
+/// plane, every backend priced and searched, the cross-backend claims
+/// checked, and the functional `'auto'` arm run bitwise for
+/// `check_steps`.
+pub fn run(check_steps: usize) -> Report {
+    let rows = backend_rows(&ReproContext::quick());
+    let bitwise = auto_bitwise_check(rows[0].search.auto_version, check_steps);
+    report(&rows, &bitwise, MIN_BACKENDS)
 }
 
 #[cfg(test)]
@@ -358,6 +668,48 @@ mod tests {
             devices: Vec::new(),
         };
         (arm, times)
+    }
+
+    fn synth_family(family: &'static str, secs: f64, geom: (usize, u32, u64)) -> FamilyBest {
+        FamilyBest {
+            family,
+            label: format!("order=j,k,i collapse={} {family}", geom.0),
+            secs,
+            collapse: geom.0,
+            regs: geom.1,
+            stack_bytes: geom.2,
+            unfissioned_secs: secs,
+        }
+    }
+
+    /// `(collapse, regs, stack bytes)` of `version`'s kernel.
+    fn geometry(version: SbmVersion) -> (usize, u32, u64) {
+        let s = version.kernel_spec().unwrap();
+        (
+            s.collapse as usize,
+            s.regs_per_thread,
+            s.stack_bytes_per_thread,
+        )
+    }
+
+    /// A search whose family seconds scale with `scale`.
+    fn synth_search(scale: f64) -> Search {
+        let v2 = geometry(SbmVersion::OffloadCollapse2);
+        let v3 = geometry(SbmVersion::OffloadCollapse3);
+        let families = vec![
+            synth_family("stack", 15.0e-3 * scale, v2),
+            synth_family("slab[pt,bin]", 5.5e-3 * scale, v3),
+            synth_family("slab[bin,pt]", 1.7e-3 * scale, v3),
+        ];
+        Search {
+            searched: 96,
+            unschedulable: 0,
+            winner: "order=j,k,i collapse=3 slab[bin,pt]".to_string(),
+            winner_secs: 1.7e-3 * scale,
+            ranking: family_ranking(&families),
+            families,
+            auto_version: SbmVersion::OffloadCollapse3,
+        }
     }
 
     fn synth_row(backend: &'static str, v4: f64, cap: usize) -> BackendRow {
@@ -396,6 +748,17 @@ mod tests {
             ],
             walls: Vec::new(),
             member_cap: cap,
+            search: synth_search(v4 / 100.0),
+            violations: Vec::new(),
+        }
+    }
+
+    fn auto_bitwise(checksum: u64) -> AutoBitwise {
+        AutoBitwise {
+            check_steps: 4,
+            explicit: "v4".into(),
+            auto_checksum: checksum,
+            explicit_checksum: checksum,
             violations: Vec::new(),
         }
     }
@@ -410,6 +773,49 @@ mod tests {
     }
 
     #[test]
+    fn family_ranking_orders_slowest_first_with_stable_ties() {
+        let search = synth_search(1.0);
+        assert_eq!(
+            search.ranking,
+            vec!["stack", "slab[pt,bin]", "slab[bin,pt]"]
+        );
+        // An exact slab tie (CPU class) keeps canonical order.
+        let mut tied = search.families.clone();
+        tied[2].secs = tied[1].secs;
+        assert_eq!(
+            family_ranking(&tied),
+            vec!["stack", "slab[pt,bin]", "slab[bin,pt]"]
+        );
+    }
+
+    #[test]
+    fn recovery_checks_pin_the_hand_derived_geometry() {
+        let good = synth_search(1.0);
+        assert!(recovery_violations(&good).is_empty());
+        // Wrong collapse depth in the stack family.
+        let mut bad = good.clone();
+        bad.families[0].collapse = 3;
+        let v = recovery_violations(&bad);
+        assert!(
+            v.iter().any(|x| x.contains("not the hand-derived v2")),
+            "{v:?}"
+        );
+        // Wrong registers in the slab family.
+        let mut bad = good.clone();
+        bad.families[1].regs = 168;
+        let v = recovery_violations(&bad);
+        assert!(
+            v.iter().any(|x| x.contains("not the hand-derived v3")),
+            "{v:?}"
+        );
+        // A transposed layout slower than v3 is a discovery failure.
+        let mut bad = good.clone();
+        bad.families[2].secs = bad.families[1].secs * 2.0;
+        let v = recovery_violations(&bad);
+        assert!(v.iter().any(|x| x.contains("match or beat v3")), "{v:?}");
+    }
+
+    #[test]
     fn cross_checks_catch_flips_ties_and_degenerate_caps() {
         let rows: Vec<BackendRow> = [("a", 100.0, 4), ("b", 130.0, 2), ("c", 90.0, 7)]
             .iter()
@@ -421,14 +827,37 @@ mod tests {
         let v = cross_backend_violations(&rows, 5);
         assert!(v.iter().any(|x| x.contains("requires 5")), "{v:?}");
 
-        // A ranking flip on one backend.
+        // A version ranking flip on one backend.
         let mut flipped = rows.clone();
         let (s2, s3) = (flipped[1].versions[2].secs, flipped[1].versions[3].secs);
         flipped[1].versions[2].secs = s3;
         flipped[1].versions[3].secs = s2;
         flipped[1].ranking = ranking_of(&flipped[1].versions);
         let v = cross_backend_violations(&flipped, 3);
-        assert!(v.iter().any(|x| x.contains("ranking flips on b")), "{v:?}");
+        assert!(
+            v.iter().any(|x| x.contains("version ranking flips on b")),
+            "{v:?}"
+        );
+
+        // A storage-family ranking flip on one backend.
+        let mut flipped = rows.clone();
+        let search = &mut flipped[1].search;
+        search.families[0].secs = 1.0e-6;
+        search.ranking = family_ranking(&search.families);
+        let v = cross_backend_violations(&flipped, 3);
+        assert!(
+            v.iter().any(|x| x.contains("family ranking flips on b")),
+            "{v:?}"
+        );
+
+        // A diverging auto resolution.
+        let mut diverged = rows.clone();
+        diverged[2].search.auto_version = SbmVersion::OffloadCollapse2;
+        let v = cross_backend_violations(&diverged, 3);
+        assert!(
+            v.iter().any(|x| x.contains("'auto' resolves differently")),
+            "{v:?}"
+        );
 
         // An accidental clone (identical offloaded time).
         let mut cloned = rows.clone();
@@ -467,7 +896,7 @@ mod tests {
         assert!(v.iter().any(|x| x.contains("at least 2")), "{v:?}");
     }
 
-    /// The parent format's keys and printed digits survive the envelope.
+    /// The parent formats' keys and printed digits survive the envelope.
     #[test]
     fn report_verdict_flows_to_json_and_text() {
         let mut rows: Vec<BackendRow> = [
@@ -478,46 +907,72 @@ mod tests {
         .iter()
         .map(|&(n, t, c)| synth_row(n, t, c))
         .collect();
-        let rep = report(&rows, 3);
+        let rep = report(&rows, &auto_bitwise(0xabc), 3);
         assert!(rep.pass(), "{:?}", rep.violations());
         let json = rep.to_json();
         assert!(json.contains("\"gate\": \"zoo\""));
         assert!(json.contains("\"pass\": true"));
         assert!(json.contains("\"backend\": \"v100-32gb\""));
         assert!(json.contains("\"ranking\": [\"baseline\""));
+        assert!(json.contains("\"family_ranking\": [\"stack\""));
         assert!(json.contains("\"member_cap\": 1"));
+        assert!(json.contains("\"winner\": \"order=j,k,i collapse=3 slab[bin,pt]\""));
+        assert!(json.contains("\"explicit\": \"v4\""));
+        assert!(json.contains("\"auto_checksum\": \"0000000000000abc\""));
+        assert!(json.contains("\"stack_bytes\": 20480"));
         let text = rep.rendered();
         assert!(text.contains("zoo gate: PASS"));
         assert!(text.contains("=== repro zoo: Table V version times per backend ==="));
+        assert!(text.contains("=== repro zoo: storage-family winners per backend ==="));
+        // A diverging bitwise arm is its own check's.
+        let mut diverged = auto_bitwise(0xabc);
+        diverged.violations.push("diverges".into());
+        let v = report(&rows, &diverged, 3).violations();
+        assert_eq!(v, ["zoo: auto bitwise vs explicit: diverges"]);
 
         rows[0].violations.push("synthetic".into());
-        let failing = report(&rows, 3);
+        let failing = report(&rows, &auto_bitwise(0xabc), 3);
         assert!(!failing.pass());
         assert!(failing
             .violations()
             .iter()
             .any(|v| v.contains("backend: a100-80gb: synthetic")));
         // Too few backends is the cross-backend check's to catch.
-        let v = report(&rows[1..], 3).violations();
+        let v = report(&rows[1..], &auto_bitwise(0xabc), 3).violations();
         assert!(
             v.iter().any(|x| x.contains("zoo: cross-backend: only 2")),
             "{v:?}"
         );
     }
 
-    /// The real gate, end to end: five backends priced, ranking stable,
-    /// decay shape everywhere, caps tracking capacity. This is the
-    /// empirical pin on the portability claim — and on the gate's
-    /// assertion inventory.
+    /// The real gate, end to end: five backends priced and searched,
+    /// ranking stable, decay shape everywhere, caps tracking capacity,
+    /// the paper's hand-derived kernels falling out of the search on the
+    /// paper's machine, and the functional 'auto' arm bitwise-identical
+    /// to the explicit winner. This is the empirical pin on the
+    /// portability claim — and on the gate's assertion inventory.
     #[test]
     fn zoo_gate_passes_end_to_end() {
         let rows = backend_rows(ReproContext::quick_shared());
-        let rep = report(&rows, MIN_BACKENDS);
+        let bitwise = auto_bitwise_check(SbmVersion::OffloadCollapse3, 4);
+        let rep = report(&rows, &bitwise, MIN_BACKENDS);
         assert!(rep.pass(), "{:#?}", rep.violations());
         let labels: Vec<&str> = rep.checks.iter().map(|c| c.label.as_str()).collect();
         let mut want: Vec<String> = ZOO.iter().map(|b| format!("backend: {}", b.name)).collect();
-        want.push("cross-backend".into());
+        want.extend(["auto bitwise vs explicit".into(), "cross-backend".into()]);
         assert_eq!(labels, want);
+        let keys: Vec<&str> = rep.tables.iter().map(|t| t.key).collect();
+        assert_eq!(
+            keys,
+            [
+                "backends",
+                "versions",
+                "sweep",
+                "memory_walls",
+                "families",
+                "bitwise"
+            ]
+        );
         assert!(rows.len() >= 5);
         let a100 = &rows[0];
         assert_eq!(a100.backend, "a100-80gb");
@@ -536,6 +991,29 @@ mod tests {
         }
         let grace = rows.iter().find(|r| r.is_cpu).unwrap();
         assert!(grace.member_cap > a100.member_cap);
+
+        // The search on the paper's machine.
+        let search = &a100.search;
+        assert_eq!(search.auto_version, SbmVersion::OffloadCollapse3);
+        assert_eq!(
+            search.searched, 96,
+            "3! perms × 3 collapses × storages × fission"
+        );
+        let family = |name: &str| search.families.iter().find(|f| f.family == name).unwrap();
+        let (stack, slab) = (family("stack"), family("slab[pt,bin]"));
+        assert_eq!(
+            (stack.collapse, stack.regs, stack.stack_bytes),
+            geometry(SbmVersion::OffloadCollapse2)
+        );
+        assert_eq!(
+            (slab.collapse, slab.regs, slab.stack_bytes),
+            geometry(SbmVersion::OffloadCollapse3)
+        );
+        assert!(slab.unfissioned_secs < stack.unfissioned_secs);
+        // And the bitwise arm really ran.
+        assert_eq!(bitwise.explicit, "v4");
+        assert_eq!(bitwise.auto_checksum, bitwise.explicit_checksum);
+        assert_ne!(bitwise.auto_checksum, 0);
     }
 
     proptest! {
@@ -581,6 +1059,28 @@ mod tests {
             offload_secs.sort_by(f64::total_cmp);
             offload_secs.dedup();
             prop_assert_eq!(offload_secs.len(), ZOO.len());
+        }
+
+        /// The family ranking and auto resolution are invariant to the
+        /// measured work density: scaling flops and memory together
+        /// never flips a conclusion on any backend.
+        #[test]
+        fn conclusions_stable_under_work_scaling(scale in 0.25f64..4.0) {
+            let coeffs = &ReproContext::quick_shared().coeffs;
+            let mut work = coal_nest_work_from(coeffs);
+            work.flops_per_point *= scale;
+            work.mem_ops_per_point *= scale;
+            let mut rankings = Vec::new();
+            for b in ZOO.iter() {
+                let rep = tune_backend_with(b, &work);
+                prop_assert!(rep.winner().variant.storage.is_slab(), "{}", b.name);
+                let families: Vec<FamilyBest> =
+                    Storage::ALL.into_iter().filter_map(|s| family_best(&rep, s)).collect();
+                rankings.push(family_ranking(&families));
+            }
+            for (n, r) in rankings.iter().enumerate().skip(1) {
+                prop_assert_eq!(r, &rankings[0], "backend {} flips", ZOO[n].name);
+            }
         }
 
         /// Per-backend member packing follows `charged_bytes` exactly:

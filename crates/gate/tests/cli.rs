@@ -81,7 +81,7 @@ fn unknown_flag_names_the_shared_flags_and_exits_2() {
     for gone in [
         ["comm", "--ranks"],
         ["cases", "--loose-tol"],
-        ["tune", "--check-steps"],
+        ["zoo", "--check-steps"],
     ] {
         let out = repro(&[gone[0], gone[1], "1"]);
         assert_eq!(out.status.code(), Some(2), "{gone:?}");
@@ -115,9 +115,10 @@ fn bench_exec_regenerates_the_committed_bytes() {
     regenerates_the_committed_bytes("bench-exec", "BENCH_executor.json");
 }
 
+/// The zoo gate absorbed the tune gate; the test keeps its name.
 #[test]
 fn tune_regenerates_the_committed_bytes() {
-    regenerates_the_committed_bytes("tune", "BENCH_tune.json");
+    regenerates_the_committed_bytes("zoo", "BENCH_zoo.json");
 }
 
 #[test]
@@ -127,7 +128,7 @@ fn paper_regenerates_the_committed_bytes() {
 
 #[test]
 fn report_write_failure_is_exit_2() {
-    // zoo is the cheapest gate (modeled accounting only, ~6 s).
+    // zoo is a cheap gate (modeled accounting and a 4-step bitwise arm).
     let out = repro(&["zoo", "--report", "/nonexistent-dir/BENCH_zoo.json"]);
     assert_eq!(out.status.code(), Some(2));
     let err = String::from_utf8(out.stderr).unwrap();
@@ -138,11 +139,17 @@ fn report_write_failure_is_exit_2() {
 fn ci_lists_match_the_registry() {
     let usage = String::from_utf8(repro(&["help"]).stdout).unwrap();
     let registry = registry(&usage);
-    assert_eq!(registry.len(), 9, "{usage}");
+    assert_eq!(registry.len(), 8, "{usage}");
     assert!(!usage.contains("bench-host") && !usage.contains("--check"));
     // The golden gate folded into `cases`: one fixture check, one bless.
     assert!(registry.iter().all(|(name, _)| name != "gate"), "{usage}");
     assert_eq!(repro(&["gate"]).status.code(), Some(2));
+    // The tune gate folded into `zoo`: one pass prices and searches.
+    assert!(registry.iter().all(|(name, _)| name != "tune"), "{usage}");
+    let out = repro(&["tune"]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(err.contains("unknown gate `tune`"), "{err}");
 
     // ci.sh: `"step;repro arguments;report file;summary section"` rows.
     let ci_sh = repo_file("ci.sh");
