@@ -54,8 +54,11 @@ pub mod json;
 pub mod paper;
 pub mod report;
 pub mod share;
+#[cfg(test)]
+mod synth;
 mod table;
 pub mod tables;
+pub mod tune;
 pub mod verify;
 pub mod zoo;
 
