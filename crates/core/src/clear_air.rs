@@ -10,16 +10,28 @@
 //! require the bits and the metered [`PointWork`] of both to agree, and
 //! the empty test to fire exactly on the classes whose bins all compare
 //! equal to zero.
+//!
+//! A point whose every class is empty after the pre stage is *clear*
+//! ([`BinsView::is_clear`](crate::point::BinsView::is_clear)): the
+//! post-sweep meters it without reading its bins
+//! ([`fast_sbm_post_clear`]), and a column of clear points falls without
+//! reading a density or a bin. The last three tests pin both skips to the
+//! paths they replace.
 
 use crate::bins::{density_factor, BinGrid};
 use crate::constants::{T_0, T_MIN_COAL};
 use crate::meter::PointWork;
 use crate::panels::{panel_coal_predicate, sedimentation_column_soa, SedScratch, SoaPanel, LANES};
 use crate::point::{all_zero, Grids, PointBins, PointThermo};
+use crate::processes::driver::{fast_sbm_post, fast_sbm_post_clear, PointOutcome};
 use crate::processes::freezing::freezing_melting;
 use crate::processes::sedimentation::sedimentation_column;
+use crate::scheme::{fall_after_pre, ColumnFall, Layout};
+use crate::state::SbmPatchState;
+use crate::thermo::{air_density, qsat_liquid};
 use crate::types::{HydroClass, NKR, NTYPES};
 use proptest::prelude::*;
+use wrf_grid::{two_d_decomposition, Domain};
 
 /// The loops as they ran before the fast paths.
 mod reference {
@@ -446,5 +458,187 @@ proptest! {
             prop_assert_eq!(got_bits, want_bits, "class {}", c);
             prop_assert_eq!(got, want, "class {}", c);
         }
+    }
+}
+
+/// The points the clear test tells apart, with whether each is clear:
+/// every class all `+0.0`, all `-0.0`, or mixed zeros; then mixed zeros
+/// with one positive subnormal, one `-1e-30` or one NaN in one class.
+fn clear_kinds() -> [(&'static str, PointBins, bool); 6] {
+    let mixed = PointBins {
+        n: std::array::from_fn(|c| {
+            std::array::from_fn(|k| if (c + k) % 3 == 0 { -0.0 } else { 0.0 })
+        }),
+    };
+    let with = |v: f32| {
+        let mut b = mixed.clone();
+        b.n[3][17] = v;
+        b
+    };
+    [
+        ("+0.0", PointBins::empty(), true),
+        (
+            "-0.0",
+            PointBins {
+                n: [[-0.0; NKR]; NTYPES],
+            },
+            true,
+        ),
+        ("mixed zeros", mixed.clone(), true),
+        ("positive subnormal", with(f32::from_bits(1)), false),
+        ("-1e-30", with(-1.0e-30), false),
+        ("NaN", with(f32::NAN), false),
+    ]
+}
+
+/// `is_clear` and the clear half of `condensate_and_clear` read only
+/// the two zeros as empty; the condensate half is `total_condensate`'s,
+/// bits and meter.
+#[test]
+fn clear_test_reads_only_zeros() {
+    let grids = Grids::new();
+    for (kind, mut b, want) in clear_kinds() {
+        let view = b.view();
+        assert_eq!(view.is_clear(), want, "{kind}");
+        let (mut got_w, mut want_w) = (PointWork::ZERO, PointWork::ZERO);
+        let (q, clear) = view.condensate_and_clear(&grids, &mut got_w);
+        let r = view.total_condensate(&grids, &mut want_w);
+        assert_eq!(clear, want, "{kind}");
+        assert_eq!(q.to_bits(), r.to_bits(), "{kind}");
+        assert_eq!(got_w, want_w, "{kind}");
+    }
+}
+
+/// The clear post path against the bins path below, at and above `T_0`
+/// (and below homogeneous freezing): the same meter, the thermo's bits
+/// unchanged by either, the bins' bits unchanged by the bins path.
+#[test]
+fn clear_post_matches_the_bins_path() {
+    let grids = Grids::new();
+    let mut empty = PointBins::empty();
+    for (kind, before, clear) in clear_kinds() {
+        if !clear {
+            continue;
+        }
+        for t in [T_0 - 45.0, T_0 - 12.0, T_0, T_0 + 4.0] {
+            let th = PointThermo {
+                t,
+                qv: 2.0e-3,
+                p: 70_000.0,
+                rho: 0.9,
+            };
+            let active = PointOutcome {
+                active: true,
+                ..PointOutcome::default()
+            };
+            let (mut b, mut th_bins, mut want) = (before.clone(), th, active);
+            fast_sbm_post(&mut b.view(), &mut th_bins, &grids, 5.0, &mut want);
+            let mut got = active;
+            fast_sbm_post_clear(th, &grids, 5.0, &mut empty, &mut got);
+            assert_eq!(got, want, "{kind}, T = {t}");
+            assert!(
+                want.work.freeze.flops + want.work.breakup.flops > 0,
+                "{kind}, T = {t}"
+            );
+            let thermo_bits = |th: &PointThermo| [th.t, th.qv, th.p, th.rho].map(f32::to_bits);
+            assert_eq!(thermo_bits(&th_bins), thermo_bits(&th), "{kind}, T = {t}");
+            assert_eq!(bits(&b), bits(&before), "{kind}, T = {t}");
+            assert_eq!(bits(&empty), bits(&PointBins::empty()), "{kind}, T = {t}");
+        }
+    }
+}
+
+/// An `8 × 4 × 2` patch, subsaturated at 280 K, one column of each kind
+/// the column skip tells apart: every level of one [`clear_kinds`] kind
+/// (the last three at one level only), a column with a level below the
+/// physics guard holding a NaN, a raining column; the second row clear.
+/// Returns the state and which columns are clear.
+fn column_state() -> (SbmPatchState, Vec<bool>) {
+    let d = Domain::new(8, 4, 2);
+    let patch = two_d_decomposition(d, 1, 0).patches[0];
+    let mut st = SbmPatchState::new(patch);
+    for j in patch.jm.iter() {
+        for k in patch.km.iter() {
+            for i in patch.im.iter() {
+                let (t, p) = (280.0 - 2.0 * k as f32, 90_000.0 - 5_000.0 * k as f32);
+                st.p.set(i, k, j, p);
+                st.tt.set(i, k, j, t);
+                st.rho.set(i, k, j, air_density(t, p));
+                st.qv.set(i, k, j, qsat_liquid(t, p) * 0.5);
+            }
+        }
+    }
+    let (i0, j0, k0) = (patch.ip.lo, patch.jp.lo, patch.kp.lo);
+    let mut clear = vec![true; patch.compute_columns()];
+    for (n, (_, bins, is_clear)) in clear_kinds().into_iter().enumerate() {
+        let i = i0 + n as i32;
+        let levels = if is_clear {
+            patch.kp.iter().collect()
+        } else {
+            vec![k0 + 1]
+        };
+        for k in levels {
+            st.store_bins(i, k, j0, &bins);
+        }
+        clear[n] = is_clear;
+    }
+    // Below the guard: inactive, so its column is not clear.
+    let mut nan = PointBins::empty();
+    nan.n[5][9] = f32::NAN;
+    st.tt.set(i0 + 6, k0 + 2, j0, 190.0);
+    st.store_bins(i0 + 6, k0 + 2, j0, &nan);
+    clear[6] = false;
+    // Rain at the lowest two levels.
+    let mut rain = PointBins::empty();
+    (20..=26).for_each(|b| rain.n[0][b] = 3.0e2);
+    for k in [k0, k0 + 1] {
+        st.store_bins(i0 + 7, k, j0, &rain);
+    }
+    clear[7] = false;
+    (st, clear)
+}
+
+/// A clear column's fall is the full loop's, and so is every other
+/// column's and every state bit, in both layouts; exactly the columns of
+/// clear points skip.
+#[test]
+fn clear_columns_fall_as_the_full_loop() {
+    let (st, want_clear) = column_state();
+    for layout in Layout::ALL {
+        let (skipped, got) = fall_after_pre(st.clone(), layout, true);
+        let (full, want) = fall_after_pre(st.clone(), layout, false);
+        let state_bits = |st: &SbmPatchState| -> Vec<u32> {
+            let slabs = st.ff.iter().map(|f| f.as_slice());
+            ([st.tt.as_slice(), st.qv.as_slice()]
+                .into_iter()
+                .chain(slabs))
+            .flat_map(|f| f.iter().map(|x| x.to_bits()))
+            .collect()
+        };
+        assert!(
+            state_bits(&skipped) == state_bits(&full),
+            "{layout:?}: state"
+        );
+        let clear: Vec<bool> = got.iter().map(|f| f.clear).collect();
+        assert_eq!(clear, want_clear, "{layout:?}");
+        assert!(want.iter().all(|f| !f.clear), "{layout:?}");
+        for (col, (got, want)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(
+                *got,
+                ColumnFall {
+                    clear: got.clear,
+                    ..*want
+                },
+                "{layout:?}, column {col}"
+            );
+        }
+        assert!(
+            want[7].precip[0] > 0.0,
+            "{layout:?}: the rain column must rain"
+        );
+        assert!(
+            want[3].floored.values > 0,
+            "{layout:?}: the subnormal is floored"
+        );
     }
 }

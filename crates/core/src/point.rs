@@ -185,16 +185,22 @@ impl<'a> BinsView<'a> {
     /// `±0.0`) returns the sum's `+0.0` without the serial sum, metered
     /// as the sum.
     pub fn mass_of(&self, c: HydroClass, grids: &Grids, w: &mut PointWork) -> f32 {
+        self.class_mass(c, grids, w).0
+    }
+
+    /// [`BinsView::mass_of`], and whether the class is empty.
+    #[inline]
+    fn class_mass(&self, c: HydroClass, grids: &Grids, w: &mut PointWork) -> (f32, bool) {
         w.fm(2 * NKR as u64, NKR as u64);
         let s = self.class(c);
         if all_zero(s.iter().copied()) {
-            return 0.0;
+            return (0.0, true);
         }
         let mut q = 0.0f32;
         for (n, m) in s.iter().zip(&grids.of(c).mass) {
             q += n * m;
         }
-        q
+        (q, false)
     }
 
     /// Total number mixing ratio of a class, #/kg.
@@ -213,12 +219,31 @@ impl<'a> BinsView<'a> {
         Some((lo, hi))
     }
 
+    /// True when every class is empty ([`all_zero`]): the point holds
+    /// nothing that freezing, melting, breakup or sedimentation would
+    /// read as present.
+    pub fn is_clear(&self) -> bool {
+        self.n.iter().all(|s| all_zero(s.iter().copied()))
+    }
+
     /// Total condensate mass across all classes, kg/kg.
     pub fn total_condensate(&self, grids: &Grids, w: &mut PointWork) -> f32 {
-        HydroClass::ALL
+        self.condensate_and_clear(grids, w).0
+    }
+
+    /// [`BinsView::total_condensate`] and [`BinsView::is_clear`] from one
+    /// read of the bins: the sum's empty tests are the clear test.
+    pub fn condensate_and_clear(&self, grids: &Grids, w: &mut PointWork) -> (f32, bool) {
+        let mut clear = true;
+        let q = HydroClass::ALL
             .iter()
-            .map(|&c| self.mass_of(c, grids, w))
-            .sum()
+            .map(|&c| {
+                let (q, empty) = self.class_mass(c, grids, w);
+                clear &= empty;
+                q
+            })
+            .sum();
+        (q, clear)
     }
 
     /// Clamps tiny negatives (numerical dust) to zero.

@@ -13,7 +13,7 @@
 use crate::constants::{T_MIN_COAL, T_MIN_PHYSICS};
 use crate::kernels::KernelMode;
 use crate::meter::{PointWork, WorkBreakdown};
-use crate::point::{BinsView, Floored, Grids, PointThermo, Q_EPS};
+use crate::point::{BinsView, Floored, Grids, PointBins, PointThermo, Q_EPS};
 use crate::processes::{breakup, collision, condensation, freezing, nucleation};
 
 /// Outcome of one point's microphysics.
@@ -116,6 +116,26 @@ pub fn fast_sbm_post(
     let mut w = PointWork::ZERO;
     breakup::breakup(bins, grids, dt, &mut w);
     out.work.breakup = w;
+}
+
+/// [`fast_sbm_post`] of a clear point ([`BinsView::is_clear`]) without
+/// reading its bins. Freezing, melting and breakup write nothing to an
+/// all-`±0` class, and `T` moves by `L_F·(+0.0)/CP`, which leaves it as
+/// it is, so the point's bins and thermo need no store. The meter depends
+/// on `T` alone: the stage replays on `th`'s copy over `empty`, all
+/// `+0.0` and left so, and meters exactly what the bins would have.
+pub fn fast_sbm_post_clear(
+    mut th: PointThermo,
+    grids: &Grids,
+    dt: f32,
+    empty: &mut PointBins,
+    out: &mut PointOutcome,
+) {
+    fast_sbm_post(&mut empty.view(), &mut th, grids, dt, out);
+    debug_assert!(
+        empty.view().is_clear(),
+        "the post stage filled an empty point"
+    );
 }
 
 /// The unfissioned per-point `fast_sbm` (Listing 1 structure): the

@@ -55,7 +55,8 @@ use crate::panels::{
 use crate::point::{BinsView, Floored, Grids, PointBins, PointThermo, N_EPS, Q_EPS};
 use crate::processes::condensation;
 use crate::processes::driver::{
-    fast_sbm_coal, fast_sbm_nucleate, fast_sbm_post, fast_sbm_pre, PointOutcome,
+    fast_sbm_coal, fast_sbm_nucleate, fast_sbm_post, fast_sbm_post_clear, fast_sbm_pre,
+    PointOutcome,
 };
 use crate::processes::sedimentation::sedimentation_column;
 use crate::state::SbmPatchState;
@@ -251,6 +252,14 @@ pub struct SbmStepStats {
     /// Of those, the slots of lanes inside the relax call's mask: the
     /// relaxes the scalar runs, the same under any grouping.
     pub cond_cells: u64,
+    /// Active points the pre-sweep left clear: every class all `±0`
+    /// ([`BinsView::is_clear`]). The post-sweep and sedimentation read no
+    /// bin of them. A property of the points, the same in either layout
+    /// and under any schedule or grouping.
+    pub clear_points: usize,
+    /// Columns whose every level is a clear point: sedimentation reads
+    /// neither their densities nor their bins.
+    pub clear_columns: usize,
     /// Surface precipitation this step, kg/m² summed over columns.
     pub precip: f64,
     /// Bin values the scheme stored as `+0.0`
@@ -444,6 +453,7 @@ impl FastSbm {
         stats.lane_cells = tally.lanes.cells;
         stats.cond_slots = tally.cond_lanes.slots;
         stats.cond_cells = tally.cond_lanes.cells;
+        stats.clear_points = tally.clear;
         stats.work = tally.work;
         // The step's floating-point reductions (the precipitation and the
         // floored tally), folded serially in fixed orders so no schedule
@@ -468,6 +478,7 @@ impl FastSbm {
             }
             sed += fall.work;
             stats.floored += fall.floored;
+            stats.clear_columns += usize::from(fall.clear);
         }
         stats.work.sed = sed;
         state.precip_acc += stats.precip;
@@ -508,6 +519,7 @@ fn pre_sweep(
                     v.load_bins(at, &mut bins);
                     let out = fast_sbm_pre(&mut bins.view(), &mut th, v.grids, v.dt, v.t_old[at]);
                     outs[ix] = SweepSlot::pre(&out);
+                    outs[ix].clear = out.active && bins.view().is_clear();
                     v.store_bins(at, &bins);
                     v.store_thermo(at, &th);
                     pred[ix] = outs[ix].coal_called;
@@ -859,11 +871,16 @@ const NO_CONDENSATION: u16 = u16::MAX;
 /// the pre and post sweeps write (collision reports through
 /// [`Tally::coal`], sedimentation through its column's [`ColumnFall`]),
 /// and what its condensation relaxes floored, folded in point order after
-/// the step. A patch-sized array, so it holds nothing more.
+/// the step. `clear` marks an active point whose every class the pre
+/// stage left all `±0` ([`BinsView::is_clear`]); nothing later in the
+/// step fills it, so the post-sweep and sedimentation take it as read. A
+/// patch-sized array, so it holds nothing more: the flags share the
+/// padding before the meters, and the slot stays 96 bytes.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 struct SweepSlot {
     active: bool,
     coal_called: bool,
+    clear: bool,
     nucl: PointWork,
     cond: PointWork,
     freeze: PointWork,
@@ -888,12 +905,14 @@ impl SweepSlot {
 
 /// What sedimentation leaves behind for one column: surface precipitation
 /// per class, kg/m² (`+0.0` for a class with nothing to fall), the
-/// metered work, and what the write-back floored.
-#[derive(Clone, Copy, Default)]
-struct ColumnFall {
-    precip: [f32; NTYPES],
-    work: PointWork,
-    floored: Floored,
+/// metered work, what the write-back floored, and whether every level
+/// was clear (then all else is the default: nothing fell or was metered).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub(crate) struct ColumnFall {
+    pub(crate) precip: [f32; NTYPES],
+    pub(crate) work: PointWork,
+    pub(crate) floored: Floored,
+    pub(crate) clear: bool,
 }
 
 /// One thread's sedimentation column: the densities and their fall-speed
@@ -981,8 +1000,10 @@ impl<'a> PatchViews<'a> {
         // condensation lane batch of distinct points (with those points'
         // `predicate`/`outcomes` slots), or an `(i,j)` column of the
         // sedimentation sweep (every level of that column, and its `fall`
-        // slot). The units of one launch partition the compute points:
-        // tiles partition the patch; compacted lists and batch lists name
+        // slot; it also reads, and never writes, its own column's
+        // `outcomes` slots, which the finished pre- and post-sweep
+        // launches wrote). The units of one launch partition the compute
+        // points: tiles partition the patch; compacted lists and batch lists name
         // each unit, and each point, at most once; the sweeps index
         // `0..rows` and `0..columns`, which `row`/`idx3` map one-to-one
         // onto the compute points (`many_tiles_cover_exactly`,
@@ -1067,6 +1088,15 @@ impl<'a> PatchViews<'a> {
         let ilen = self.patch.ip.len();
         let (j, k) = self.row(idx / ilen);
         self.idx3(self.patch.ip.lo + (idx % ilen) as i32, k, j)
+    }
+
+    /// Index of the compute point `(i, k, j)` in the sweep arrays
+    /// (`[row][i]`): what [`PatchViews::at_point`] inverts.
+    #[inline]
+    fn slot(&self, i: i32, k: i32, j: i32) -> usize {
+        let p = &self.patch;
+        let row = (j - p.jp.lo) as usize * p.kp.len() + (k - p.kp.lo) as usize;
+        row * p.ip.len() + (i - p.ip.lo) as usize
     }
 
     /// `(i, j)` of the `col`-th compute column ([`SbmPatchState::rainnc`]
@@ -1185,8 +1215,8 @@ impl<'a> PatchViews<'a> {
 /// thermo after nucleation when it has condensate or is supersaturated
 /// over liquid — it needs a panel. An active point with neither is where
 /// `condensation_branch` returns at its guard and the predicate reads
-/// false: it is metered as both would have metered it and finished here,
-/// like an inactive one.
+/// false: it is metered as both would have metered it, marked clear when
+/// it holds nothing, and finished here, like an inactive one.
 fn nucleate_point(v: &PatchViews<'_>, at: usize, out: &mut SweepSlot) -> Option<PointThermo> {
     let mut th = v.thermo(at);
     let nucleated = fast_sbm_nucleate(&mut v.bins(at), &mut th, v.grids, v.dt, v.t_old[at]);
@@ -1196,10 +1226,11 @@ fn nucleate_point(v: &PatchViews<'_>, at: usize, out: &mut SweepSlot) -> Option<
     nucleated?;
     v.store_thermo(at, &th);
     let mut sum = PointWork::ZERO;
-    let condensate = v.bins(at).total_condensate(v.grids, &mut sum);
+    let (condensate, clear) = v.bins(at).condensate_and_clear(v.grids, &mut sum);
     if condensate <= Q_EPS && supersat_liquid(th.t, th.p, th.qv) <= 0.0 {
         out.cond = sum + sum;
         out.cond.f(25);
+        out.clear = clear;
         return None;
     }
     Some(th)
@@ -1228,8 +1259,8 @@ fn nucleate_row(
 /// Gather → condensation and the collision predicate → scatter for one
 /// lane batch of the condensation launch (`points` are flat indices into
 /// the sweep arrays): each lane's bins, temperature and vapor go back to
-/// its point, its metered work and predicate to its outcome and predicate
-/// slots. Returns how full the relaxes ran.
+/// its point, its metered work, predicate and clear flag to its outcome
+/// and predicate slots. Returns how full the relaxes ran.
 fn cond_batch(v: &PatchViews<'_>, points: &[u32]) -> LaneFill {
     let mut panel = SoaPanel::new();
     let mut ats = [0usize; LANES];
@@ -1249,6 +1280,7 @@ fn cond_batch(v: &PatchViews<'_>, points: &[u32]) -> LaneFill {
         out.cond = works[l];
         out.floored = floored[l];
         out.coal_called = preds[l];
+        out.clear = !preds[l] && v.bins(at).is_clear();
         v.predicate.set(pt, preds[l]);
     }
     fill
@@ -1356,9 +1388,12 @@ fn coal_batch(
 
 /// Freezing/melting + breakup over the row's active points, scalar and in
 /// place in both layouts; returns the tally of the row's outcomes (all
-/// that the pre-sweep and this stage metered, and the point counts).
+/// that the pre-sweep and this stage metered, and the point counts). A
+/// clear point is metered by [`fast_sbm_post_clear`] and keeps its bins
+/// and thermo unread and unwritten.
 fn post_row(v: &PatchViews<'_>, j: i32, k: i32, it: Span, outs: &mut [SweepSlot]) -> Tally {
     let mut tally = Tally::default();
+    let mut empty = PointBins::empty();
     for (i, out) in it.iter().zip(outs) {
         if out.active {
             let at = v.idx3(i, k, j);
@@ -1367,9 +1402,13 @@ fn post_row(v: &PatchViews<'_>, j: i32, k: i32, it: Span, outs: &mut [SweepSlot]
                 active: true,
                 ..PointOutcome::default()
             };
-            fast_sbm_post(&mut v.bins(at), &mut th, v.grids, v.dt, &mut post);
+            if out.clear {
+                fast_sbm_post_clear(th, v.grids, v.dt, &mut empty, &mut post);
+            } else {
+                fast_sbm_post(&mut v.bins(at), &mut th, v.grids, v.dt, &mut post);
+                v.store_thermo(at, &th);
+            }
             (out.freeze, out.breakup) = (post.work.freeze, post.work.breakup);
-            v.store_thermo(at, &th);
         }
         tally.add_point(out);
     }
@@ -1383,6 +1422,11 @@ fn post_row(v: &PatchViews<'_>, j: i32, k: i32, it: Span, outs: &mut [SweepSlot]
 /// write of every class the column holds, so it floors the tails there
 /// ([`Floored::floor`], levels bottom up, bins ascending); a class with
 /// no positive value is skipped, written by nothing.
+///
+/// Which classes hold a positive value is read once per level the
+/// pre-sweep did not mark clear, as one fold a class; a clear level holds
+/// none. A column all of whose levels are clear skips every class, so it
+/// returns the empty fall without reading a density or a bin.
 fn sediment_column(
     v: &PatchViews<'_>,
     layout: Layout,
@@ -1393,6 +1437,22 @@ fn sediment_column(
 ) -> ColumnFall {
     let kp = v.patch.kp;
     let nz = kp.len();
+    let (slot0, ilen) = (v.slot(i, kp.lo, j), v.patch.ip.len());
+    let clear = |kx: usize| v.outcomes.get(slot0 + kx * ilen).clear;
+    if (0..nz).all(clear) {
+        return ColumnFall {
+            clear: true,
+            ..ColumnFall::default()
+        };
+    }
+    let mut held = [0u32; NTYPES];
+    for kx in (0..nz).filter(|&kx| !clear(kx)) {
+        let at = v.idx3(i, kp.lo + kx as i32, j);
+        for (h, slab) in held.iter_mut().zip(&v.ff) {
+            let level = slab.subslice_mut(at * NKR, NKR);
+            *h |= level.iter().fold(0, |h, &x| h | u32::from(x > 0.0));
+        }
+    }
     let ColumnScratch {
         rho,
         factor,
@@ -1411,7 +1471,7 @@ fn sediment_column(
         let grid = v.grids.by_index(c);
         let level = |kx: usize| slab.subslice_mut(v.idx3(i, kp.lo + kx as i32, j) * NKR, NKR);
         // Look before copying: most columns hold one class.
-        if !(0..nz).any(|kx| level(kx).iter().any(|&x| x > 0.0)) {
+        if held[c] == 0 {
             continue;
         }
         if factor.is_empty() {
@@ -1667,6 +1727,8 @@ fn build_row_batches(v: &PatchViews<'_>, predicate: &[bool], out: &mut Vec<Panel
 #[derive(Clone, Copy, Default)]
 struct Tally {
     active: usize,
+    /// Active points the pre-sweep left clear.
+    clear: usize,
     coal_points: usize,
     coal_entries: u64,
     /// How full the panel collision batches ran (per batch, not per
@@ -1695,6 +1757,7 @@ impl Tally {
     /// arrives through [`Tally::coal`]).
     fn add_point(&mut self, out: &SweepSlot) {
         self.active += usize::from(out.active);
+        self.clear += usize::from(out.clear);
         self.coal_points += usize::from(out.coal_called);
         self.work += WorkBreakdown {
             nucl: out.nucl,
@@ -1709,6 +1772,7 @@ impl Tally {
 impl std::ops::AddAssign for Tally {
     fn add_assign(&mut self, rhs: Tally) {
         self.active += rhs.active;
+        self.clear += rhs.clear;
         self.coal_points += rhs.coal_points;
         self.coal_entries += rhs.coal_entries;
         self.lanes += rhs.lanes;
@@ -1746,11 +1810,48 @@ fn empty_stats(points: usize) -> SbmStepStats {
         lane_cells: 0,
         cond_slots: 0,
         cond_cells: 0,
+        clear_points: 0,
+        clear_columns: 0,
         precip: 0.0,
         floored: Floored::default(),
         coal_wall: 0.0,
         coal_profile: None,
     }
+}
+
+/// [`pre_sweep`] and then the sedimentation sweep over `st` in `layout`,
+/// on the calling thread, `T_OLD` taken: the state after them and every column's fall,
+/// in `rainnc` order. With `skip_clear` false the pre-sweep's clear flags
+/// are dropped before sedimentation, so every column takes the full loop.
+#[cfg(test)]
+pub(crate) fn fall_after_pre(
+    mut st: SbmPatchState,
+    layout: Layout,
+    skip_clear: bool,
+) -> (SbmPatchState, Vec<ColumnFall>) {
+    st.snapshot_t_old();
+    let sbm = FastSbm::new(SbmConfig::new(SbmVersion::OffloadCollapse3));
+    let p = st.patch;
+    let mut sweep = SweepArrays {
+        predicate: vec![false; p.compute_points()],
+        outcomes: vec![SweepSlot::default(); p.compute_points()],
+        cond_key: vec![NO_CONDENSATION; p.compute_points()],
+        fall: vec![ColumnFall::default(); p.compute_columns()],
+    };
+    let exec = Executor::new(1);
+    let launcher = Launcher {
+        sched: ExecMode::StaticTiles,
+        exec: &exec,
+    };
+    let (grids, tables, splits) = (&sbm.grids, &sbm.tables, &sbm.splits);
+    let dt = sbm.cfg.dt;
+    let v = PatchViews::new(grids, tables, None, splits, dt, &mut st, &mut sweep);
+    pre_sweep(&v, &launcher, layout, &mut CoalLists::default());
+    if !skip_clear {
+        (0..v.outcomes.len()).for_each(|pt| v.outcomes.subslice_mut(pt, 1)[0].clear = false);
+    }
+    sedimentation_sweep(&v, &launcher, layout, sbm.cfg.dz);
+    (st, sweep.fall)
 }
 
 #[cfg(test)]
@@ -2505,7 +2606,8 @@ mod tests {
 
     /// A row that is clear and subsaturated over liquid and over ice —
     /// warm, cold, and colder than the collision floor — nucleates
-    /// nothing, so neither form may move a state bit.
+    /// nothing, so neither form may move a state bit, and both mark every
+    /// point clear.
     #[test]
     fn pre_row_leaves_a_clear_dry_row_untouched() {
         let temps = [
@@ -2517,7 +2619,7 @@ mod tests {
             let (after, pred, outs) = pre_sweep_on(before.clone(), layout);
             assert_eq!(state_bits(&after), state_bits(&before), "{layout:?}");
             assert!(
-                outs.iter().all(|o| o.active && !o.coal_called),
+                outs.iter().all(|o| o.active && !o.coal_called && o.clear),
                 "{layout:?}"
             );
             assert!(!pred.contains(&true), "{layout:?}");
@@ -2526,6 +2628,9 @@ mod tests {
         assert_eq!(outcomes[0], outcomes[1]);
     }
 
+    /// Most of the test patch is cloud-free, and most of that is clear:
+    /// the pre-sweep marks the same points and columns clear in either
+    /// layout and under either schedule.
     #[test]
     fn activity_is_sparse_like_conus() {
         let (_, s) = run_version(SbmVersion::Lookup, 1);
@@ -2537,6 +2642,31 @@ mod tests {
             s.coal_points,
             s.points
         );
+        assert!(
+            s.clear_points > s.points / 2 && s.clear_points <= s.active_points - s.coal_points,
+            "clear points: {} of {}",
+            s.clear_points,
+            s.points
+        );
+        let patch = test_state().patch;
+        let (columns, levels) = (patch.compute_columns(), patch.kp.len());
+        assert!(s.clear_columns > columns / 2 && s.clear_columns * levels <= s.clear_points);
+        for layout in Layout::ALL {
+            for sched in [ExecMode::StaticTiles, ExecMode::work_steal()] {
+                let mut cfg = SbmConfig::new(SbmVersion::Lookup);
+                (cfg.layout, cfg.sched, cfg.workers) = (layout, sched, Some(2));
+                let got = FastSbm::new(cfg).step(&mut test_state());
+                let counts = |s: &SbmStepStats| (s.clear_points, s.clear_columns);
+                assert_eq!(counts(&got), counts(&s), "{layout:?}, {sched:?}");
+            }
+        }
+    }
+
+    /// The clear flag rides in the slot's padding: a patch-sized array
+    /// of 152-byte slots cost the sparse dwarf 2 MiB of peak memory.
+    #[test]
+    fn sweep_slot_stays_96_bytes() {
+        assert_eq!(std::mem::size_of::<SweepSlot>(), 96);
     }
 
     #[test]

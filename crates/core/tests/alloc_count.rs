@@ -199,6 +199,24 @@ fn steady_state_production_step_allocates_only_its_statistics() {
     assert_eq!(counts, [0, 0], "steady production step allocations");
 }
 
+/// A steady production step on a mostly clear patch: the post-sweep's
+/// empty stand-in bins and the clear columns' early return reuse nothing
+/// that grows, so the clear-air skips allocate nothing either.
+#[test]
+fn steady_clear_air_step_allocates_nothing() {
+    let (version, sched) = (SbmVersion::OffloadCollapse3, ExecMode::WorkSteal);
+    let (stats, n) = steady_fissioned_step(version, sched, true, (36, 24));
+    let columns = 36 * 24;
+    assert!(
+        stats.clear_points * 2 > stats.points && stats.clear_columns * 2 > columns,
+        "mostly clear: {} of {} points, {} of {columns} columns",
+        stats.clear_points,
+        stats.points,
+        stats.clear_columns
+    );
+    assert_eq!(n, 0, "steady clear-air step allocations");
+}
+
 /// The AoS baseline layout is *expected* to allocate (per-point bin
 /// copies); this guards the comparison so the zero assert above stays
 /// meaningful.

@@ -1127,8 +1127,9 @@ mod tests {
     /// state (`ShallowConvection` at scale 0.12, gate levels, spun up one
     /// model step, about a tenth of it cloudy), then scheme steps back to
     /// back at 2 and 3 workers in lockstep with 1. Every step's whole
-    /// `SbmStepStats` (the collision wall clock aside) and every bit of
-    /// the state are the same. 40 steps under `CI_NIGHTLY`
+    /// `SbmStepStats` (the collision wall clock aside; the clear point and
+    /// column counts included, so the post and sedimentation skips run
+    /// under contention) and every bit of the state are the same. 40 steps under `CI_NIGHTLY`
     /// (`./ci.sh pool_stress`), 4 otherwise.
     #[test]
     fn pool_stress_clear_air_matches_one_worker() {
@@ -1177,6 +1178,12 @@ mod tests {
                 "step {step}: mostly clear, not empty: {} of {}",
                 want.coal_points,
                 want.points
+            );
+            assert!(
+                want.clear_points * 2 > want.points && want.clear_columns > 0,
+                "step {step}: the clear-point skips must run: {} points, {} columns",
+                want.clear_points,
+                want.clear_columns
             );
             let want_bits = bits(&runs[0].1);
             for (workers, (got, (_, st))) in (2..).zip(rest.iter().zip(&runs[1..])) {
