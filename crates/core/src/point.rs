@@ -222,7 +222,7 @@ impl<'a> BinsView<'a> {
     /// True when every class is empty ([`all_zero`]): the point holds
     /// nothing that freezing, melting, breakup or sedimentation would
     /// read as present.
-    pub fn is_clear(&self) -> bool {
+    pub(crate) fn is_clear(&self) -> bool {
         self.n.iter().all(|s| all_zero(s.iter().copied()))
     }
 
@@ -233,7 +233,7 @@ impl<'a> BinsView<'a> {
 
     /// [`BinsView::total_condensate`] and [`BinsView::is_clear`] from one
     /// read of the bins: the sum's empty tests are the clear test.
-    pub fn condensate_and_clear(&self, grids: &Grids, w: &mut PointWork) -> (f32, bool) {
+    pub(crate) fn condensate_and_clear(&self, grids: &Grids, w: &mut PointWork) -> (f32, bool) {
         let mut clear = true;
         let q = HydroClass::ALL
             .iter()

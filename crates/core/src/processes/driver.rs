@@ -124,7 +124,7 @@ pub fn fast_sbm_post(
 /// it is, so the point's bins and thermo need no store. The meter depends
 /// on `T` alone: the stage replays on `th`'s copy over `empty`, all
 /// `+0.0` and left so, and meters exactly what the bins would have.
-pub fn fast_sbm_post_clear(
+pub(crate) fn fast_sbm_post_clear(
     mut th: PointThermo,
     grids: &Grids,
     dt: f32,

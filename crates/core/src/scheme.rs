@@ -253,7 +253,7 @@ pub struct SbmStepStats {
     /// relaxes the scalar runs, the same under any grouping.
     pub cond_cells: u64,
     /// Active points the pre-sweep left clear: every class all `±0`
-    /// ([`BinsView::is_clear`]). The post-sweep and sedimentation read no
+    /// (`BinsView::is_clear`). The post-sweep and sedimentation read no
     /// bin of them. A property of the points, the same in either layout
     /// and under any schedule or grouping.
     pub clear_points: usize,
@@ -1003,8 +1003,8 @@ impl<'a> PatchViews<'a> {
         // slot; it also reads, and never writes, its own column's
         // `outcomes` slots, which the finished pre- and post-sweep
         // launches wrote). The units of one launch partition the compute
-        // points: tiles partition the patch; compacted lists and batch lists name
-        // each unit, and each point, at most once; the sweeps index
+        // points: tiles partition the patch; compacted lists and batch
+        // lists name each unit, and each point, at most once; the sweeps index
         // `0..rows` and `0..columns`, which `row`/`idx3` map one-to-one
         // onto the compute points (`many_tiles_cover_exactly`,
         // `batch_list_covers_active_points_exactly_once`,
@@ -1470,7 +1470,7 @@ fn sediment_column(
     for (c, slab) in v.ff.iter().enumerate() {
         let grid = v.grids.by_index(c);
         let level = |kx: usize| slab.subslice_mut(v.idx3(i, kp.lo + kx as i32, j) * NKR, NKR);
-        // Look before copying: most columns hold one class.
+        // Most columns hold one class: copy only what can fall.
         if held[c] == 0 {
             continue;
         }
@@ -1819,17 +1819,17 @@ fn empty_stats(points: usize) -> SbmStepStats {
     }
 }
 
-/// [`pre_sweep`] and then the sedimentation sweep over `st` in `layout`,
-/// on the calling thread, `T_OLD` taken: the state after them and every column's fall,
-/// in `rainnc` order. With `skip_clear` false the pre-sweep's clear flags
-/// are dropped before sedimentation, so every column takes the full loop.
+/// [`pre_sweep`] in `layout` over the patch of `st` on the calling
+/// thread, then, given `fall = Some(skip_clear)`, the sedimentation
+/// sweep (with `skip_clear` false the pre-sweep's clear flags are dropped
+/// first, so every column takes the full loop): the state after them and
+/// the sweep arrays.
 #[cfg(test)]
-pub(crate) fn fall_after_pre(
+fn sweeps_on(
     mut st: SbmPatchState,
     layout: Layout,
-    skip_clear: bool,
-) -> (SbmPatchState, Vec<ColumnFall>) {
-    st.snapshot_t_old();
+    fall: Option<bool>,
+) -> (SbmPatchState, SweepArrays) {
     let sbm = FastSbm::new(SbmConfig::new(SbmVersion::OffloadCollapse3));
     let p = st.patch;
     let mut sweep = SweepArrays {
@@ -1844,13 +1844,27 @@ pub(crate) fn fall_after_pre(
         exec: &exec,
     };
     let (grids, tables, splits) = (&sbm.grids, &sbm.tables, &sbm.splits);
-    let dt = sbm.cfg.dt;
-    let v = PatchViews::new(grids, tables, None, splits, dt, &mut st, &mut sweep);
+    let v = PatchViews::new(grids, tables, None, splits, sbm.cfg.dt, &mut st, &mut sweep);
     pre_sweep(&v, &launcher, layout, &mut CoalLists::default());
-    if !skip_clear {
-        (0..v.outcomes.len()).for_each(|pt| v.outcomes.subslice_mut(pt, 1)[0].clear = false);
+    if let Some(skip_clear) = fall {
+        if !skip_clear {
+            (0..v.outcomes.len()).for_each(|pt| v.outcomes.subslice_mut(pt, 1)[0].clear = false);
+        }
+        sedimentation_sweep(&v, &launcher, layout, sbm.cfg.dz);
     }
-    sedimentation_sweep(&v, &launcher, layout, sbm.cfg.dz);
+    (st, sweep)
+}
+
+/// [`sweeps_on`] with the sedimentation sweep, `T_OLD` taken first: the
+/// state after it and every column's fall, in `rainnc` order.
+#[cfg(test)]
+pub(crate) fn fall_after_pre(
+    mut st: SbmPatchState,
+    layout: Layout,
+    skip_clear: bool,
+) -> (SbmPatchState, Vec<ColumnFall>) {
+    st.snapshot_t_old();
+    let (st, sweep) = sweeps_on(st, layout, Some(skip_clear));
     (st, sweep.fall)
 }
 
@@ -2469,25 +2483,10 @@ mod tests {
     /// patch of a [`row_state`], or a whole storm), on the calling
     /// thread: the state after it, the predicate and the outcomes.
     fn pre_sweep_on(
-        mut st: SbmPatchState,
+        st: SbmPatchState,
         layout: Layout,
     ) -> (SbmPatchState, Vec<bool>, Vec<SweepSlot>) {
-        let n = st.patch.compute_points();
-        let sbm = FastSbm::new(SbmConfig::new(SbmVersion::OffloadCollapse3));
-        let mut sweep = SweepArrays {
-            predicate: vec![false; n],
-            outcomes: vec![SweepSlot::default(); n],
-            cond_key: vec![NO_CONDENSATION; n],
-            fall: Vec::new(),
-        };
-        let exec = Executor::new(1);
-        let launcher = Launcher {
-            sched: ExecMode::StaticTiles,
-            exec: &exec,
-        };
-        let (grids, tables, splits) = (&sbm.grids, &sbm.tables, &sbm.splits);
-        let v = PatchViews::new(grids, tables, None, splits, 5.0, &mut st, &mut sweep);
-        pre_sweep(&v, &launcher, layout, &mut CoalLists::default());
+        let (st, sweep) = sweeps_on(st, layout, None);
         (st, sweep.predicate, sweep.outcomes)
     }
 
