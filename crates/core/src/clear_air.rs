@@ -492,17 +492,18 @@ fn clear_kinds() -> [(&'static str, PointBins, bool); 6] {
 }
 
 /// `is_clear` and the clear half of `condensate_and_clear` read only
-/// the two zeros as empty; the condensate half is `total_condensate`'s,
-/// bits and meter.
+/// the two zeros as empty; the condensate half is the loop's sum, bits
+/// and meter.
 #[test]
 fn clear_test_reads_only_zeros() {
     let grids = Grids::new();
     for (kind, mut b, want) in clear_kinds() {
+        let before = b.clone();
         let view = b.view();
         assert_eq!(view.is_clear(), want, "{kind}");
         let (mut got_w, mut want_w) = (PointWork::ZERO, PointWork::ZERO);
         let (q, clear) = view.condensate_and_clear(&grids, &mut got_w);
-        let r = view.total_condensate(&grids, &mut want_w);
+        let r = reference::total_condensate(&before, &grids, &mut want_w);
         assert_eq!(clear, want, "{kind}");
         assert_eq!(q.to_bits(), r.to_bits(), "{kind}");
         assert_eq!(got_w, want_w, "{kind}");
