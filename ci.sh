@@ -191,11 +191,11 @@ step_shellcheck() {
     shellcheck ci.sh
 }
 
-# The eight repro gates, one row each:
+# The seven repro gates, one row each:
 #   ci step ; repro arguments ; report file ; summary section
 # `repro help` describes what each gate enforces. Every gate prints its
 # report, writes it to the report file (the same JSON envelope for all
-# eight), and exits nonzero on a violation. A committed report must come
+# seven), and exits nonzero on a violation. A committed report must come
 # out byte-identical (report_drift), the way goldens/ must. The last
 # field names the gate's headline table — the report section with that
 # title lands in the job summary, so a green job explains itself as a
@@ -207,7 +207,6 @@ GATES=(
     "comm;comm;BENCH_comm.json;overlap bench: blocking comm vs overlapped exposed comm"
     "fault;fault;BENCH_fault.json;kill a rank mid-run, recover from the newest checkpoint set"
     "share;share;BENCH_share.json;memory-capped admission"
-    "ensemble;ensemble;BENCH_ensemble.json;memory-capped packing"
     "zoo;zoo;BENCH_zoo.json;Table V version times per backend"
     "cases;cases;BENCH_cases.json;per-case digest table"
     "paper;paper;BENCH_paper.json;checks"

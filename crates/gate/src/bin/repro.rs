@@ -82,13 +82,6 @@ const GATES: &[Gate] = &[
         bless: None,
     },
     Gate {
-        name: "ensemble",
-        report_file: "BENCH_ensemble.json",
-        about: "served members vs solo runs per version, memory-capped packing walls",
-        run: |_| Ok(wrf_gate::ensemble::run()),
-        bless: None,
-    },
-    Gate {
         name: "zoo",
         report_file: "BENCH_zoo.json",
         about: "every zoo backend priced and searched: version ranking, Table VII decay, packing, v2/v3 recovery, schedule='auto' bitwise",

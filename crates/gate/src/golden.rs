@@ -253,7 +253,7 @@ pub fn compare_states(a: &[SbmPatchState], b: &[SbmPatchState]) -> StateAgreemen
 }
 
 /// One arm of a digest-equivalence matrix — the row every equivalence
-/// gate (comm, fault, share, ensemble, cases) reports.
+/// gate (comm, fault, share, cases) reports.
 #[derive(Debug, Clone)]
 pub struct EquivRow {
     /// What was compared (`baseline`, `lookup blocking`, …): the check

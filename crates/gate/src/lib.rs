@@ -25,8 +25,8 @@
 //! function of the source tree (`./ci.sh clock_free`). Measured seconds
 //! are the ledger's (`benchmark/`), on a recorded host.
 //!
-//! Eight gates ([`paper`], [`execbench`], [`comm`], [`fault`],
-//! [`share`], [`ensemble`], [`zoo`], [`cases`]) enforce the paper's
+//! Seven gates ([`paper`], [`execbench`], [`comm`], [`fault`],
+//! [`share`], [`zoo`], [`cases`]) enforce the paper's
 //! shapes and the claims of the layers built on top, one gate per
 //! claim. Every gate produces the same [`Report`] —
 //! labelled checks and tables — whose verdict, text and JSON envelope
@@ -43,7 +43,6 @@ pub mod ablations;
 pub mod cases;
 pub mod comm;
 pub mod context;
-pub mod ensemble;
 pub mod execbench;
 pub mod fault;
 pub mod figures;

@@ -39,8 +39,7 @@ const RANKS: usize = 4;
 /// pool genuinely time-shares).
 const DEVICES: usize = 2;
 
-/// One admission scenario against a full-scale device pool (here ranks,
-/// in the ensemble gate members).
+/// One admission scenario against a full-scale device pool.
 #[derive(Debug, Clone)]
 pub struct AdmissionCheck {
     /// What the scenario exercises.
@@ -75,7 +74,7 @@ pub fn admission_parts(title: &str, scenarios: &[AdmissionCheck]) -> (Table, Vec
 
 /// Admits contexts `0, 1, …` through `admit` until one is refused: how
 /// many fit, and the typed refusal of the next.
-fn admit_until_refused<T>(
+pub(crate) fn admit_until_refused<T>(
     mut admit: impl FnMut(usize) -> Result<T, DeviceError>,
 ) -> (usize, DeviceError) {
     let mut cap = 0usize;

@@ -24,9 +24,9 @@
 //! * **Decay** — the Table VII shared-GPU sweep keeps its shape
 //!   everywhere: absolute time still improves 16 → 32 → 64 ranks while
 //!   the speedup over the matched CPU base decays;
-//! * **Packing** — the per-device cap on full-scale ensemble members,
-//!   read from [`gpu_sim::DevicePool::admit`], tracks each backend's
-//!   memory capacity (the caps genuinely differ);
+//! * **Packing** — the per-device cap on full-scale members (1-rank
+//!   CONUS-12km contexts), read from [`gpu_sim::DevicePool::admit`],
+//!   tracks each backend's memory capacity (the caps genuinely differ);
 //! * **Recovery** — on the paper's machine (`a100-80gb`), the best
 //!   unfissioned schedule of each offloaded version's storage family has
 //!   exactly that version's `kernel_spec()` geometry (collapse depth,
@@ -47,17 +47,17 @@
 //! `repro zoo` exit nonzero.
 
 use crate::context::{ReproContext, MINUTES};
-use crate::ensemble::member_cap;
 use crate::report::{Cell, Check, Report, Table};
-use crate::share::full_scale_slab_bytes;
+use crate::share::{admit_until_refused, full_scale_slab_bytes};
 use crate::tables::{decay_violations, table7_arms, version_times, Table7Row, GPUS, RANKS};
 use crate::tune::{
     auto_bitwise_check, recovery_violations, search_backend, search_flips, AutoBitwise, Search,
 };
 use codee_sim::tune::NestWork;
 use fsbm_core::scheme::SbmVersion;
+use gpu_sim::devicepool::{DevicePool, RankFootprint};
 use gpu_sim::machine::{default_backend, Backend, ZOO};
-use miniwrf::perfmodel::rank_footprint;
+use miniwrf::perfmodel::{rank_footprint, PerfParams};
 use miniwrf::schedule::coal_nest_work_from;
 
 /// Minimum number of backends the gate must price and search.
@@ -92,7 +92,7 @@ pub struct BackendRow {
     /// Sweep arms the §VII-A memory wall rejected, exactly as the
     /// capacity arithmetic predicted (informational, not violations).
     pub walls: Vec<String>,
-    /// Full-scale ensemble members one device admits.
+    /// Full-scale members one device admits (`filled_device`).
     pub member_cap: usize,
     /// The collision nest's schedule search on this backend.
     pub search: Search,
@@ -323,6 +323,21 @@ pub fn report(rows: &[BackendRow], bitwise: &AutoBitwise, min_backends: usize) -
     }
 }
 
+/// One full-scale member's footprint: a 1-rank CONUS-12km context at
+/// the paper's stack setting. The bytes are backend-independent; what
+/// varies per backend is the capacity they are admitted against.
+fn member_footprint() -> RankFootprint {
+    rank_footprint(&PerfParams::default(), full_scale_slab_bytes(1))
+}
+
+/// A one-device pool of `backend` filled with full-scale members by
+/// [`DevicePool::admit`] until it refuses one, and how many it took.
+fn filled_device(backend: &Backend) -> (DevicePool, usize) {
+    let (mut pool, footprint) = (DevicePool::for_backend(backend, 1), member_footprint());
+    let (cap, _) = admit_until_refused(|member| pool.admit(member, &footprint));
+    (pool, cap)
+}
+
 /// Prices and searches one backend: `base` re-priced on `backend`'s
 /// plane, the collision nest searched at `work`'s density.
 fn run_backend_row(backend: &'static Backend, base: &ReproContext, work: &NestWork) -> BackendRow {
@@ -400,7 +415,7 @@ fn run_backend_row(backend: &'static Backend, base: &ReproContext, work: &NestWo
         ranking,
         sweep,
         walls,
-        member_cap: member_cap(backend).0,
+        member_cap: filled_device(backend).1,
         search,
         violations,
     }
@@ -429,10 +444,8 @@ pub fn run(check_steps: usize) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ensemble::full_scale_footprint;
     use crate::synth::{auto_bitwise, gate_run, synth_row};
     use miniwrf::perfmodel::{try_experiment, ExperimentConfig};
-    use miniwrf::service::member_batches;
     use proptest::prelude::*;
 
     #[test]
@@ -633,33 +646,22 @@ mod tests {
             offload_secs.dedup();
             prop_assert_eq!(offload_secs.len(), ZOO.len());
         }
+    }
 
-        /// Per-backend member packing follows `charged_bytes` exactly:
-        /// `admit` fills a device with ⌊hbm / charged⌋ members, so the
-        /// service needs ⌈members / (cap × devices)⌉ batches, and no
-        /// device of any batch goes over its capacity.
-        #[test]
-        fn member_packing_matches_charged_bytes(
-            members in 1usize..12,
-            devices in 1usize..4,
-            which in 0..ZOO.len(),
-        ) {
-            let backend = &ZOO[which];
-            let fp = full_scale_footprint();
+    /// Per-backend member packing follows `charged_bytes` exactly:
+    /// `admit` fills a device with ⌊hbm / charged⌋ full-scale members,
+    /// and the device it filled is not over its capacity.
+    #[test]
+    fn member_packing_matches_charged_bytes() {
+        for backend in ZOO.iter() {
             let dev = backend.device_params();
-            let charged = fp.charged_bytes(&dev).unwrap();
+            let charged = member_footprint().charged_bytes(&dev).unwrap();
             let cap = (dev.hbm_bytes / charged) as usize;
-            prop_assert!(cap > 0, "every zoo device fits at least one member");
-            prop_assert_eq!(member_cap(backend).0, cap);
-
-            let placed = member_batches(&fp, backend, devices, members).unwrap();
-            let batches = placed.last().map_or(0, |&(batch, _)| batch + 1);
-            prop_assert_eq!(batches, members.div_ceil(cap * devices));
-            for slot in &placed {
-                let residents = placed.iter().filter(|p| *p == slot).count();
-                prop_assert!(residents <= cap);
-                prop_assert!(residents as u64 * charged <= dev.hbm_bytes);
-            }
+            assert!(cap > 0, "{} fits no full-scale member", backend.name);
+            let (pool, filled) = filled_device(backend);
+            assert_eq!(filled, cap, "{}", backend.name);
+            assert_eq!(pool.used_bytes(0), cap as u64 * charged);
+            assert!(pool.used_bytes(0) <= dev.hbm_bytes, "{}", backend.name);
         }
     }
 }

@@ -49,7 +49,7 @@ fn unknown_target_prints_the_generated_usage_and_exits_2() {
     // The gate list comes from the registry (the hand-written message
     // had lost `cases`).
     let names: Vec<String> = registry(&usage).into_iter().map(|g| g.0).collect();
-    assert!(names.len() >= 8, "{names:?}");
+    assert_eq!(names.len(), 7, "{names:?}");
     assert!(names.iter().any(|n| n == "cases"), "{names:?}");
     assert!(
         !usage.contains("   -") && !usage.contains("\t"),
@@ -139,17 +139,20 @@ fn report_write_failure_is_exit_2() {
 fn ci_lists_match_the_registry() {
     let usage = String::from_utf8(repro(&["help"]).stdout).unwrap();
     let registry = registry(&usage);
-    assert_eq!(registry.len(), 8, "{usage}");
+    assert_eq!(registry.len(), 7, "{usage}");
     assert!(!usage.contains("bench-host") && !usage.contains("--check"));
     // The golden gate folded into `cases`: one fixture check, one bless.
     assert!(registry.iter().all(|(name, _)| name != "gate"), "{usage}");
     assert_eq!(repro(&["gate"]).status.code(), Some(2));
-    // The tune gate folded into `zoo`: one pass prices and searches.
-    assert!(registry.iter().all(|(name, _)| name != "tune"), "{usage}");
-    let out = repro(&["tune"]);
-    assert_eq!(out.status.code(), Some(2));
-    let err = String::from_utf8(out.stderr).unwrap();
-    assert!(err.contains("unknown gate `tune`"), "{err}");
+    // The tune gate folded into `zoo` (one pass prices and searches);
+    // the ensemble gate went with the ensemble service.
+    for gone in ["tune", "ensemble"] {
+        assert!(registry.iter().all(|(name, _)| name != gone), "{usage}");
+        let out = repro(&[gone]);
+        assert_eq!(out.status.code(), Some(2));
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(err.contains(&format!("unknown gate `{gone}`")), "{err}");
+    }
 
     // ci.sh: `"step;repro arguments;report file;summary section"` rows.
     let ci_sh = repo_file("ci.sh");

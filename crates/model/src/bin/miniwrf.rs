@@ -15,7 +15,6 @@ use miniwrf::namelist::config_from_namelist;
 use miniwrf::nest::run_nested;
 use miniwrf::parallel::{run_parallel, run_parallel_checked};
 use miniwrf::restart::{run_parallel_restartable, RestartConfig};
-use miniwrf::service::run_ensemble;
 use wrf_cases::wrfout::save_state;
 
 fn main() {
@@ -52,29 +51,6 @@ fn main() {
         cfg.ranks,
         cfg.version.label()
     );
-
-    // &ensemble: N perturbed members, placed in batches by the device
-    // pool's admission rule, instead of one integration.
-    if let Some(spec) = cfg.ensemble {
-        let report = match run_ensemble(&cfg, &spec, steps) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("miniwrf: ensemble service failed: {e}");
-                std::process::exit(1);
-            }
-        };
-        for m in &report.members {
-            println!(
-                "  member {:>3}: seed {:>4}  batch {}  device {}",
-                m.member,
-                m.seed,
-                m.batch,
-                m.device.map_or("-".to_string(), |d| d.to_string()),
-            );
-        }
-        println!("{}", report.one_line());
-        return;
-    }
 
     // &case nest_*: one-way nested integration — the parent advances
     // coarse steps, the refined child takes `ratio` substeps per parent

@@ -1,6 +1,5 @@
 //! Namelist-style model configuration.
 
-use crate::service::EnsembleSpec;
 use fsbm_core::exec::ExecMode;
 use fsbm_core::scheme::{Layout, SbmConfig, SbmVersion};
 use gpu_sim::machine::{default_backend, Backend};
@@ -68,11 +67,6 @@ pub struct ModelConfig {
     /// compare against). Bitwise-identical results; set programmatically,
     /// there is no namelist key.
     pub layout: Layout,
-    /// Ensemble-service request (namelist `&ensemble` block): run this
-    /// configuration as the *base* of N perturbed members through
-    /// `miniwrf::service` instead of one solo integration. `None` for
-    /// ordinary runs.
-    pub ensemble: Option<EnsembleSpec>,
     /// Hardware backend the performance plane prices this run on
     /// (namelist `&parallel backend`, one of [`gpu_sim::machine::ZOO`]).
     /// The functional plane is backend-independent; the default backend
@@ -102,7 +96,6 @@ impl ModelConfig {
             profile_coal: false,
             restart_interval: 0,
             layout: Layout::default(),
-            ensemble: None,
             backend: default_backend(),
         }
     }
@@ -129,7 +122,6 @@ impl ModelConfig {
             profile_coal: false,
             restart_interval: 0,
             layout: Layout::default(),
-            ensemble: None,
             backend: default_backend(),
         }
     }

@@ -29,7 +29,6 @@ pub mod parallel;
 pub mod perfmodel;
 pub mod restart;
 pub mod schedule;
-pub mod service;
 
 pub use config::ModelConfig;
 pub use model::{Model, RunReport, StepReport};
@@ -45,7 +44,3 @@ pub use perfmodel::{
 };
 pub use restart::{find_latest_checkpoint, run_parallel_restartable, RecoveryStats, RestartConfig};
 pub use schedule::{auto_version, tune_backend, tune_backend_with, version_for};
-pub use service::{
-    member_batches, member_cap, member_config, member_footprint, run_ensemble, EnsembleReport,
-    EnsembleSpec, MemberOutcome, ServiceError,
-};

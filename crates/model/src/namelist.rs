@@ -17,10 +17,11 @@
 //! ```
 //!
 //! Groups and keys not listed are ignored (as WRF ignores unknown
-//! registry entries at this level); malformed syntax is an error.
+//! registry entries at this level); malformed syntax is an error, and so
+//! is a block this reproduction used to read and no longer does
+//! (`&ensemble`), rather than a run that quietly drops it.
 
 use crate::config::ModelConfig;
-use crate::service::EnsembleSpec;
 use fsbm_core::scheme::SbmVersion;
 use std::collections::BTreeMap;
 use wrf_cases::CaseKind;
@@ -33,7 +34,7 @@ pub enum NamelistErrorKind {
     /// Malformed syntax or an unusable value.
     Invalid,
     /// A key this reproduction does not know inside a block it checks
-    /// (`&parallel` / `&ensemble`), e.g. the typo `backennd`.
+    /// (`&parallel` / `&case`), e.g. the typo `backennd`.
     UnknownKey {
         /// The checked block (without the `&`).
         group: String,
@@ -234,20 +235,21 @@ const KNOWN_PARALLEL: &[&str] = &[
 /// Keys accepted in `&case` (idealized-case selection + one-way nest).
 const KNOWN_CASE: &[&str] = &["name", "nest_ratio", "nest_i", "nest_j", "nest_w", "nest_h"];
 
-/// Keys accepted in `&ensemble`.
-const KNOWN_ENSEMBLE: &[&str] = &["members", "devices", "seed_stride"];
-
 /// Rejects unknown keys in the blocks this reproduction owns outright
-/// (`&parallel`, `&ensemble`): a typo like `backennd = 'v100-32gb'`
-/// would otherwise run silently on the default backend. Groups WRF owns
+/// (`&parallel`, `&case`): a typo like `backennd = 'v100-32gb'` would
+/// otherwise run silently on the default backend. Groups WRF owns
 /// (`&domains`, `&physics`, ...) keep the registry's ignore-unknown
-/// behavior.
+/// behavior. The removed `&ensemble` block is rejected whole: ignored,
+/// it would run one integration where it asked for several.
 fn reject_unknown_keys(nl: &Namelist) -> Result<(), NamelistError> {
-    for (group, known) in [
-        ("parallel", KNOWN_PARALLEL),
-        ("ensemble", KNOWN_ENSEMBLE),
-        ("case", KNOWN_CASE),
-    ] {
+    if nl.contains_key("ensemble") {
+        return Err(NamelistError::invalid(
+            0,
+            "the &ensemble block was removed: run each member solo with \
+             &scenario seed = base + member * stride",
+        ));
+    }
+    for (group, known) in [("parallel", KNOWN_PARALLEL), ("case", KNOWN_CASE)] {
         if let Some(g) = nl.get(group) {
             if let Some(key) = g.keys().find(|k| !known.contains(&k.as_str())) {
                 return Err(NamelistError::unknown_key(group, key, known));
@@ -407,31 +409,6 @@ pub fn config_from_namelist(text: &str) -> Result<ModelConfig, NamelistError> {
             "&case nest_* keys require nest_ratio >= 1",
         ));
     }
-    // The &ensemble block turns the configuration into an ensemble
-    // request served by `miniwrf::service`: N seed-strided members of
-    // the base scenario, admitted in batches onto a device pool of the
-    // run's &parallel backend. Members are one-rank runs without a nest.
-    if nl.contains_key("ensemble") {
-        let d = EnsembleSpec::default();
-        let spec = EnsembleSpec {
-            members: get(&nl, "ensemble", "members", d.members)?,
-            devices: get(&nl, "ensemble", "devices", d.devices)?,
-            seed_stride: get(&nl, "ensemble", "seed_stride", d.seed_stride)?,
-        };
-        if spec.members == 0 {
-            return Err(NamelistError::invalid(0, "&ensemble members must be >= 1"));
-        }
-        if spec.devices == 0 {
-            return Err(NamelistError::invalid(0, "&ensemble devices must be >= 1"));
-        }
-        if cfg.nest.is_some() {
-            return Err(NamelistError::invalid(
-                0,
-                "&ensemble members run without a nest; drop &case nest_ratio",
-            ));
-        }
-        cfg.ensemble = Some(spec);
-    }
     Ok(cfg)
 }
 
@@ -553,28 +530,23 @@ mod tests {
         assert_eq!((cfg.gpus, cfg.backend.name), (16, "a100-40gb"));
     }
 
+    /// A leftover `&ensemble` block used to parse into a service
+    /// request; ignored like a WRF registry group, it would quietly run
+    /// one integration instead.
     #[test]
-    fn ensemble_block_parsed_with_defaults_and_overrides() {
-        // No block: no ensemble request.
-        let cfg = config_from_namelist("").unwrap();
-        assert!(cfg.ensemble.is_none());
-        // Empty block: the defaults.
-        let cfg = config_from_namelist("&ensemble\n/\n").unwrap();
-        assert_eq!(cfg.ensemble, Some(EnsembleSpec::default()));
-        // Overrides.
-        let cfg =
-            config_from_namelist("&ensemble\n members = 8, devices = 3, seed_stride = 5\n/\n")
-                .unwrap();
-        let spec = cfg.ensemble.unwrap();
-        assert_eq!((spec.members, spec.devices, spec.seed_stride), (8, 3, 5));
-        // Degenerate requests are rejected.
-        let err = config_from_namelist("&ensemble\n members = 0\n/\n").unwrap_err();
-        assert!(err.message.contains("members"), "{err}");
-        let err = config_from_namelist("&ensemble\n devices = 0\n/\n").unwrap_err();
-        assert!(err.message.contains("devices"), "{err}");
+    fn removed_ensemble_block_is_a_typed_error() {
+        for text in [
+            "&ensemble\n/\n",
+            "&ensemble\n members = 8, seed_stride = 5\n/\n",
+        ] {
+            let err = config_from_namelist(text).unwrap_err();
+            assert_eq!(err.kind, NamelistErrorKind::Invalid);
+            assert!(err.message.contains("&ensemble"), "{err}");
+            assert!(err.message.contains("&scenario seed"), "{err}");
+        }
     }
 
-    /// Regression: a typo'd key in `&parallel`/`&ensemble` used to be
+    /// Regression: a typo'd key in `&parallel` used to be
     /// silently ignored, so `backennd = 'v100-32gb'` ran on the default
     /// backend with no diagnostic.
     #[test]
@@ -590,19 +562,6 @@ mod tests {
         assert!(err.message.contains("`backennd`"), "{err}");
         assert!(err.message.contains("&parallel"), "{err}");
         assert!(err.message.contains("backend"), "{err}");
-
-        // A typo, and a key the ensemble service no longer reads.
-        for (key, value) in [("membres", "8"), ("batch_window", "0.5")] {
-            let text = format!("&ensemble\n {key} = {value}\n/\n");
-            let err = config_from_namelist(&text).unwrap_err();
-            assert_eq!(
-                err.kind,
-                NamelistErrorKind::UnknownKey {
-                    group: "ensemble".into(),
-                    key: key.into(),
-                }
-            );
-        }
 
         // Groups WRF owns keep ignoring unknown registry entries.
         let cfg = config_from_namelist("&domains\n cu_physics = 1\n/\n").unwrap();
@@ -715,15 +674,6 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.message.contains("&case nest"), "{err}");
-        // Ensemble members run without a nest: a loud error, not
-        // silently un-nested members.
-        let err = config_from_namelist(
-            "&domains\n e_we = 21, e_sn = 15, e_vert = 8\n/\n\
-             &case\n nest_ratio = 2, nest_i = 7, nest_j = 5, nest_w = 8, nest_h = 6\n/\n\
-             &ensemble\n members = 2\n/\n",
-        )
-        .unwrap_err();
-        assert!(err.message.contains("&ensemble"), "{err}");
         // nest_* without a ratio is a loud error, not a silent no-nest.
         let err = config_from_namelist("&case\n nest_w = 8\n/\n").unwrap_err();
         assert!(err.message.contains("nest_ratio"), "{err}");
@@ -782,7 +732,6 @@ mod tests {
         ("time_control", &["restart_interval"]),
         ("parallel", KNOWN_PARALLEL),
         ("case", KNOWN_CASE),
-        ("ensemble", KNOWN_ENSEMBLE),
     ];
 
     /// Values that stress the typed parsers and the geometry checks

@@ -7,7 +7,7 @@
 //! recorders that used to live here are gone: Table I is arithmetic
 //! over the perf plane's per-rank seconds (`miniwrf::hotspots`), and
 //! each summary line is printed by the type that owns its numbers. The
-//! span/counter stream of ROADMAP item 1 (`prof_sim::trace`) lands in
+//! program's span/counter stream (`prof_sim::trace`, planned) lands in
 //! this crate.
 
 use std::time::Instant;
