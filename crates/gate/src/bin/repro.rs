@@ -30,10 +30,30 @@ type Flag = (
     fn(&mut Env, PathBuf),
 );
 const FLAGS: &[Flag] = &[
-    ("--report", Some("PATH"), "write the report here instead of the gate's report file", |e, v| e.report = v),
-    ("--goldens", Some("DIR"), "golden fixture directory (default goldens)", |e, v| e.goldens = v),
-    ("--bless", None, "regenerate the gate's committed fixtures instead of gating", |e, _| e.bless = true),
-    ("--nightly", None, "reference depth: the longer zoo 'auto' bitwise check and the deep cases sweep (default: PR depth)", |e, _| e.nightly = true),
+    (
+        "--report",
+        Some("PATH"),
+        "write the report here instead of the gate's report file",
+        |e, v| e.report = v,
+    ),
+    (
+        "--goldens",
+        Some("DIR"),
+        "golden fixture directory (default goldens)",
+        |e, v| e.goldens = v,
+    ),
+    (
+        "--bless",
+        None,
+        "regenerate the gate's committed fixtures instead of gating",
+        |e, _| e.bless = true,
+    ),
+    (
+        "--nightly",
+        None,
+        "reference depth: the deep cases sweep (default: PR depth)",
+        |e, _| e.nightly = true,
+    ),
 ];
 
 type Bless = fn(&Env) -> Result<Vec<PathBuf>, String>;
@@ -84,8 +104,8 @@ const GATES: &[Gate] = &[
     Gate {
         name: "zoo",
         report_file: "BENCH_zoo.json",
-        about: "every zoo backend priced and searched: version ranking, Table VII decay, packing, v2/v3 recovery, schedule='auto' bitwise",
-        run: |e| Ok(wrf_gate::zoo::run(Depth::of(e.nightly).tune_check_steps)),
+        about: "every zoo backend priced and searched: version ranking, Table VII decay, packing, v2/v3 recovery, fsbm_auto resolves as searched",
+        run: |_| Ok(wrf_gate::zoo::run()),
         bless: None,
     },
     Gate {

@@ -13,7 +13,7 @@
 //! required bitwise-identical.
 
 use crate::report::{Check, Row, Table};
-use fsbm_core::digest::{fnv1a_step, ulp_distance, StateDigest, FNV1A_OFFSET};
+use fsbm_core::digest::{ulp_distance, StateDigest};
 use fsbm_core::scheme::{Layout, SbmVersion};
 use fsbm_core::state::SbmPatchState;
 use wrf_cases::diffwrf::{denom_floor, digits_of};
@@ -157,13 +157,6 @@ pub fn compare_digests(golden: &StateDigest, candidate: &StateDigest) -> DigestC
         });
     }
     DigestComparison { fields, structural }
-}
-
-/// Combined bitwise checksum of a digest: FNV-style fold of every field
-/// checksum, order-sensitive (the one-token state identity of the zoo
-/// report's `bitwise` table).
-pub fn combined_checksum(digest: &StateDigest) -> u64 {
-    (digest.fields.iter()).fold(FNV1A_OFFSET, |h, f| fnv1a_step(h, f.checksum))
 }
 
 /// How well two sets of end states agree: the fold of
@@ -469,6 +462,52 @@ mod tests {
             Some("x vs y digests differ (min digits 0, worst )")
         );
         assert!(Sides::failed("never ran".into()).candidate.is_empty());
+    }
+
+    /// The negative case of every equivalence table: over two small
+    /// states, the arm whose candidate moves T by one ULP at one point
+    /// fails its check and names T, and the identical arm passes.
+    #[test]
+    fn one_ulp_of_t_fails_its_arm_and_names_t() {
+        let domain = wrf_grid::Domain::new(4, 2, 3);
+        let patch = wrf_grid::two_d_decomposition(domain, 1, 0).patches[0];
+        let mut state = SbmPatchState::new(patch);
+        for (n, t) in state.tt.as_mut_slice().iter_mut().enumerate() {
+            *t = 280.0 + n as f32 * 0.25;
+        }
+        let mut moved = state.clone();
+        let (i, k, j) = (patch.ip.lo + 1, patch.kp.lo, patch.jp.lo + 2);
+        let t = moved.tt.get(i, k, j);
+        moved.tt.set(i, k, j, f32::from_bits(t.to_bits() + 1));
+        let arms = [SbmVersion::Baseline, SbmVersion::Lookup].map(|v| Arm::version(v, Vec::new()));
+        let rows = equivalence_matrix("reference vs candidate", arms, |&version| {
+            let candidate = if version == SbmVersion::Lookup {
+                &moved
+            } else {
+                &state
+            };
+            Sides::of_states(
+                std::slice::from_ref(&state),
+                std::slice::from_ref(candidate),
+            )
+        });
+        let (table, checks) = equivalence("pins", "one ULP", &rows);
+        let labels: Vec<(&str, bool)> = checks.iter().map(|c| (c.label.as_str(), c.pass)).collect();
+        assert_eq!(labels, [("pins: baseline", true), ("pins: lookup", false)]);
+        assert!(
+            checks[1]
+                .detail
+                .starts_with("reference vs candidate digests differ"),
+            "{}",
+            checks[1].detail
+        );
+        let worst = table.columns.iter().position(|&c| c == "worst_field");
+        let worst = worst.expect("a worst_field column");
+        assert_eq!(table.rows[1][worst], Cell::from("T"));
+        assert_eq!(rows[1].agreement.worst_field, "T");
+        assert_eq!(rows[1].agreement.worst_ulp, 1);
+        assert!(!rows[1].agreement.bitwise);
+        assert!(rows[0].agreement.bitwise && rows[0].violations.is_empty());
     }
 
     #[test]

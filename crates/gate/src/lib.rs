@@ -73,23 +73,18 @@ use miniwrf::config::ModelConfig;
 /// `CI_NIGHTLY`) selects the second.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Depth {
-    /// Steps of the zoo gate's `schedule = 'auto'` vs explicit bitwise
-    /// arm.
-    pub tune_check_steps: usize,
     /// Horizontal scales of the cases gate's activity sweep.
     pub cases_sweep: &'static [f64],
 }
 
 impl Depth {
-    /// What PR CI enforces: the deterministic arms run shallow.
+    /// What PR CI enforces: the cases sweep at the gate scale alone.
     pub const PR: Depth = Depth {
-        tune_check_steps: 4,
         cases_sweep: &[ModelConfig::GATE_SCALE],
     };
 
     /// The reference depth, enforced nightly.
     pub const NIGHTLY: Depth = Depth {
-        tune_check_steps: 8,
         cases_sweep: &[0.05, 0.1, 0.2],
     };
 
@@ -111,10 +106,7 @@ mod tests {
     #[test]
     fn the_two_depths_are_what_ci_enforces() {
         let (pr, nightly) = (Depth::of(false), Depth::of(true));
-        assert_eq!((pr.tune_check_steps, pr.cases_sweep), (4, &[0.05][..]));
-        assert_eq!(
-            (nightly.tune_check_steps, nightly.cases_sweep),
-            (8, &[0.05, 0.1, 0.2][..])
-        );
+        assert_eq!(pr.cases_sweep, &[0.05][..]);
+        assert_eq!(nightly.cases_sweep, &[0.05, 0.1, 0.2][..]);
     }
 }

@@ -2,7 +2,7 @@
 //! real zoo gate's rows built once per test process.
 
 use crate::tables::{Table7Arm, Table7Row, Table7Times, GPUS};
-use crate::tune::{auto_bitwise_check, family_ranking, AutoBitwise, FamilyBest, Search};
+use crate::tune::{family_ranking, FamilyBest, Search};
 use crate::zoo::{backend_rows, ranking_of, BackendRow, VersionTime};
 use crate::ReproContext;
 use fsbm_core::scheme::SbmVersion;
@@ -48,17 +48,6 @@ pub fn synth_search(scale: f64) -> Search {
         ranking: family_ranking(&families),
         families,
         auto_version: SbmVersion::OffloadCollapse3,
-    }
-}
-
-/// A passing bitwise arm whose two runs both end at `checksum`.
-pub fn auto_bitwise(checksum: u64) -> AutoBitwise {
-    AutoBitwise {
-        check_steps: 4,
-        explicit: "v4".into(),
-        auto_checksum: checksum,
-        explicit_checksum: checksum,
-        violations: Vec::new(),
     }
 }
 
@@ -123,11 +112,8 @@ pub fn synth_row(backend: &'static str, v4: f64, cap: usize) -> BackendRow {
     }
 }
 
-/// The gate's rows and bitwise arm, built once per test process.
-pub fn gate_run() -> &'static (Vec<BackendRow>, AutoBitwise) {
-    static RUN: std::sync::OnceLock<(Vec<BackendRow>, AutoBitwise)> = std::sync::OnceLock::new();
-    RUN.get_or_init(|| {
-        let rows = backend_rows(ReproContext::quick_shared());
-        (rows, auto_bitwise_check(SbmVersion::OffloadCollapse3, 4))
-    })
+/// The gate's rows, built once per test process.
+pub fn gate_run() -> &'static [BackendRow] {
+    static RUN: std::sync::OnceLock<Vec<BackendRow>> = std::sync::OnceLock::new();
+    RUN.get_or_init(|| backend_rows(ReproContext::quick_shared()))
 }

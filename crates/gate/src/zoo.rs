@@ -36,12 +36,12 @@
 //!   slab schedule at full collapse (the searched space contains the
 //!   hand-derived answer, so the winner can only match or beat it);
 //! * **Stability** — the slowest→fastest ordering of the three storage
-//!   families, and the version `'auto'` resolves to, are identical on
+//!   families, and the version the winner maps to, are identical on
 //!   every backend;
-//! * **Auto** — `&parallel schedule = 'auto'` resolves to the version
-//!   implementing the winning geometry, and a functional run under
-//!   `'auto'` is bitwise-identical to the same run under the explicit
-//!   version name ([`crate::Depth::tune_check_steps`] steps).
+//! * **Auto** — on every backend, `&physics mp_physics = 'fsbm_auto'`
+//!   parses to the version the gate's search resolved: the namelist
+//!   searches at the nominal work density, the gate at the measured one
+//!   ([`crate::tune::auto_violation`]).
 //!
 //! The report is written to `BENCH_zoo.json`; any violation makes
 //! `repro zoo` exit nonzero.
@@ -50,9 +50,7 @@ use crate::context::{ReproContext, MINUTES};
 use crate::report::{Cell, Check, Report, Table};
 use crate::share::{admit_until_refused, full_scale_slab_bytes};
 use crate::tables::{decay_violations, table7_arms, version_times, Table7Row, GPUS, RANKS};
-use crate::tune::{
-    auto_bitwise_check, recovery_violations, search_backend, search_flips, AutoBitwise, Search,
-};
+use crate::tune::{auto_violation, recovery_violations, search_backend, search_flips, Search};
 use codee_sim::tune::NestWork;
 use fsbm_core::scheme::SbmVersion;
 use gpu_sim::devicepool::{DevicePool, RankFootprint};
@@ -136,7 +134,7 @@ pub fn ranking_flip(
 
 /// Checks the cross-backend claims over the finished rows: at least
 /// `min_backends` of them, the version ranking, the family ranking and
-/// the `'auto'` resolution identical everywhere, genuinely distinct
+/// the version the search resolves identical everywhere, genuinely distinct
 /// absolute times on the most-offloaded version, and genuinely distinct
 /// per-device member caps.
 pub fn cross_backend_violations(rows: &[BackendRow], min_backends: usize) -> Vec<String> {
@@ -204,18 +202,19 @@ pub fn cross_backend_violations(rows: &[BackendRow], min_backends: usize) -> Vec
     v
 }
 
-/// Assembles the zoo report from the per-backend rows and the bitwise
-/// arm; `min_backends` is the floor of [`cross_backend_violations`].
-pub fn report(rows: &[BackendRow], bitwise: &AutoBitwise, min_backends: usize) -> Report {
+/// Assembles the zoo report from the per-backend rows; `min_backends` is
+/// the floor of [`cross_backend_violations`].
+pub fn report(rows: &[BackendRow], min_backends: usize) -> Report {
     let class = |r: &BackendRow| if r.is_cpu { "cpu" } else { "gpu" };
     let mut checks: Vec<Check> = rows
         .iter()
         .map(|r| Check::all_of(format!("backend: {}", r.backend), &r.violations))
         .collect();
-    checks.push(Check::all_of(
-        "auto bitwise vs explicit",
-        &bitwise.violations,
-    ));
+    let auto: Vec<String> = rows
+        .iter()
+        .filter_map(|r| auto_violation(r.backend, &r.search))
+        .collect();
+    checks.push(Check::all_of("auto resolves as searched", &auto));
     checks.push(Check::all_of(
         "cross-backend",
         &cross_backend_violations(rows, min_backends),
@@ -294,17 +293,6 @@ pub fn report(rows: &[BackendRow], bitwise: &AutoBitwise, min_backends: usize) -
             })
         }),
     );
-    let checksum = |x: u64| Cell::from(format!("{x:016x}"));
-    let auto = Table::new(
-        "bitwise",
-        "schedule = 'auto' vs the explicit winner, end-state checksums",
-        [vec![
-            ("explicit", bitwise.explicit.as_str().into()),
-            ("auto_checksum", checksum(bitwise.auto_checksum)),
-            ("explicit_checksum", checksum(bitwise.explicit_checksum)),
-            ("pass", bitwise.violations.is_empty().into()),
-        ]],
-    );
     let (scale, nz, steps) = ReproContext::QUICK;
     Report {
         gate: "zoo",
@@ -316,10 +304,9 @@ pub fn report(rows: &[BackendRow], bitwise: &AutoBitwise, min_backends: usize) -
             ("coeff_scale", scale.into()),
             ("coeff_nz", nz.into()),
             ("coeff_steps", steps.into()),
-            ("check_steps", bitwise.check_steps.into()),
         ],
         checks,
-        tables: vec![backends, versions, sweep, walls, families, auto],
+        tables: vec![backends, versions, sweep, walls, families],
     }
 }
 
@@ -432,19 +419,16 @@ pub fn backend_rows(base: &ReproContext) -> Vec<BackendRow> {
 }
 
 /// Runs the zoo gate: coefficients measured once on the functional
-/// plane, every backend priced and searched, the cross-backend claims
-/// checked, and the functional `'auto'` arm run bitwise for
-/// `check_steps`.
-pub fn run(check_steps: usize) -> Report {
-    let rows = backend_rows(&ReproContext::quick());
-    let bitwise = auto_bitwise_check(rows[0].search.auto_version, check_steps);
-    report(&rows, &bitwise, MIN_BACKENDS)
+/// plane, every backend priced and searched, and the per-backend and
+/// cross-backend claims checked.
+pub fn run() -> Report {
+    report(&backend_rows(&ReproContext::quick()), MIN_BACKENDS)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::synth::{auto_bitwise, gate_run, synth_row};
+    use crate::synth::{gate_run, synth_row};
     use miniwrf::perfmodel::{try_experiment, ExperimentConfig};
     use proptest::prelude::*;
 
@@ -524,12 +508,12 @@ mod tests {
         let mut rows: Vec<BackendRow> = [
             ("a100-80gb", 100.0, 4),
             ("v100-32gb", 130.0, 1),
-            ("mi", 90.0, 3),
+            ("mi250x-gcd", 90.0, 3),
         ]
         .iter()
         .map(|&(n, t, c)| synth_row(n, t, c))
         .collect();
-        let rep = report(&rows, &auto_bitwise(0xabc), 3);
+        let rep = report(&rows, 3);
         assert!(rep.pass(), "{:?}", rep.violations());
         let json = rep.to_json();
         assert!(json.contains("\"gate\": \"zoo\""));
@@ -542,14 +526,14 @@ mod tests {
         assert!(text.contains("=== repro zoo: Table V version times per backend ==="));
 
         rows[0].violations.push("synthetic".into());
-        let failing = report(&rows, &auto_bitwise(0xabc), 3);
+        let failing = report(&rows, 3);
         assert!(!failing.pass());
         assert!(failing
             .violations()
             .iter()
             .any(|v| v.contains("backend: a100-80gb: synthetic")));
         // Too few backends is the cross-backend check's to catch.
-        let v = report(&rows[1..], &auto_bitwise(0xabc), 3).violations();
+        let v = report(&rows[1..], 3).violations();
         assert!(
             v.iter().any(|x| x.contains("zoo: cross-backend: only 2")),
             "{v:?}"
@@ -563,24 +547,17 @@ mod tests {
     /// inventory.
     #[test]
     fn zoo_gate_passes_end_to_end() {
-        let (rows, bitwise) = gate_run();
-        let rep = report(rows, bitwise, MIN_BACKENDS);
+        let rows = gate_run();
+        let rep = report(rows, MIN_BACKENDS);
         assert!(rep.pass(), "{:#?}", rep.violations());
         let labels: Vec<&str> = rep.checks.iter().map(|c| c.label.as_str()).collect();
         let mut want: Vec<String> = ZOO.iter().map(|b| format!("backend: {}", b.name)).collect();
-        want.extend(["auto bitwise vs explicit".into(), "cross-backend".into()]);
+        want.extend(["auto resolves as searched".into(), "cross-backend".into()]);
         assert_eq!(labels, want);
         let keys: Vec<&str> = rep.tables.iter().map(|t| t.key).collect();
         assert_eq!(
             keys,
-            [
-                "backends",
-                "versions",
-                "sweep",
-                "memory_walls",
-                "families",
-                "bitwise"
-            ]
+            ["backends", "versions", "sweep", "memory_walls", "families"]
         );
         assert!(rows.len() >= 5);
         let a100 = &rows[0];

@@ -128,7 +128,7 @@ fn paper_regenerates_the_committed_bytes() {
 
 #[test]
 fn report_write_failure_is_exit_2() {
-    // zoo is a cheap gate (modeled accounting and a 4-step bitwise arm).
+    // zoo is a cheap gate (modeled accounting over a short coefficient run).
     let out = repro(&["zoo", "--report", "/nonexistent-dir/BENCH_zoo.json"]);
     assert_eq!(out.status.code(), Some(2));
     let err = String::from_utf8(out.stderr).unwrap();

@@ -118,7 +118,7 @@ fn main() {
                 }
             }
         } else if cfg.gpus > 0 {
-            // &parallel gpus / gpu_ranks_per_device: admission against
+            // &parallel gpus: admission against
             // the shared device pool can fail (the §VII-A memory cap),
             // so surface the typed error instead of panicking.
             match run_parallel_checked(cfg, steps) {

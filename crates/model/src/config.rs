@@ -32,8 +32,8 @@ pub struct ModelConfig {
     /// each rank's one pool when its collision stage launches parallel
     /// units (offloaded, or tiles > 1), else 1 (`None` = all available).
     pub device_workers: Option<usize>,
-    /// Simulated GPUs the ranks share round-robin (namelist `gpus`, or
-    /// derived from `gpu_ranks_per_device`). 0 runs offloaded versions
+    /// Simulated GPUs the ranks share round-robin (namelist `gpus`; K
+    /// ranks a device is `gpus = ⌈ranks / K⌉`). 0 runs offloaded versions
     /// on exclusive devices (one per rank) — no admission, no queueing.
     /// With `gpus > 0`, rank `r` is resident on device `r % gpus`:
     /// memory-capped admission can fail, and time-shared devices expose

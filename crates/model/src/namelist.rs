@@ -18,8 +18,9 @@
 //!
 //! Groups and keys not listed are ignored (as WRF ignores unknown
 //! registry entries at this level); malformed syntax is an error, and so
-//! is a block this reproduction used to read and no longer does
-//! (`&ensemble`), rather than a run that quietly drops it.
+//! is a block or key this reproduction used to read and no longer does
+//! (`&ensemble`, `&parallel schedule`, `&parallel gpu_ranks_per_device`),
+//! rather than a run that quietly drops it. Each setting has one key.
 
 use crate::config::ModelConfig;
 use fsbm_core::scheme::SbmVersion;
@@ -194,59 +195,51 @@ pub fn version_from_name(name: &str) -> Option<SbmVersion> {
     }
 }
 
-/// The explicit `&parallel schedule` names: `'v1'..'v4'` index the
-/// version ladder directly (`'auto'` is resolved by the caller through
-/// the autotuner and is not an explicit name). The one table both
-/// directions read.
-pub const SCHEDULE_NAMES: [(&str, SbmVersion); 4] = [
-    ("v1", SbmVersion::Baseline),
-    ("v2", SbmVersion::Lookup),
-    ("v3", SbmVersion::OffloadCollapse2),
-    ("v4", SbmVersion::OffloadCollapse3),
-];
-
-/// The version an explicit `&parallel schedule` name selects
-/// (case-insensitive).
-pub fn schedule_from_name(name: &str) -> Option<SbmVersion> {
-    let name = name.to_ascii_lowercase();
-    SCHEDULE_NAMES
-        .into_iter()
-        .find_map(|(n, v)| (n == name).then_some(v))
-}
-
-/// The explicit `&parallel schedule` name of `version`.
-pub fn schedule_name(version: SbmVersion) -> &'static str {
-    SCHEDULE_NAMES
-        .into_iter()
-        .find_map(|(n, v)| (v == version).then_some(n))
-        .expect("every version has a schedule name")
-}
-
 /// Keys accepted in `&parallel`.
-const KNOWN_PARALLEL: &[&str] = &[
-    "nproc",
-    "numtiles",
-    "gpus",
-    "gpu_ranks_per_device",
-    "backend",
-    "schedule",
-];
+const KNOWN_PARALLEL: &[&str] = &["nproc", "numtiles", "gpus", "backend"];
 
 /// Keys accepted in `&case` (idealized-case selection + one-way nest).
 const KNOWN_CASE: &[&str] = &["name", "nest_ratio", "nest_i", "nest_j", "nest_w", "nest_h"];
 
-/// Rejects unknown keys in the blocks this reproduction owns outright
-/// (`&parallel`, `&case`): a typo like `backennd = 'v100-32gb'` would
-/// otherwise run silently on the default backend. Groups WRF owns
-/// (`&domains`, `&physics`, ...) keep the registry's ignore-unknown
-/// behavior. The removed `&ensemble` block is rejected whole: ignored,
-/// it would run one integration where it asked for several.
+/// What this reproduction used to read and no longer does — a whole
+/// block (`None`) or one key of a block — and what to set instead. Each
+/// is an error naming its replacement: ignored, `&ensemble` would run
+/// one integration where it asked for several; reported only as
+/// unknown, a removed key would not say which key now holds its setting.
+const REMOVED: &[(&str, Option<&str>, &str)] = &[
+    (
+        "ensemble",
+        None,
+        "run each member solo with &scenario seed = base + member * stride",
+    ),
+    (
+        "parallel",
+        Some("schedule"),
+        "set &physics mp_physics (`fsbm_auto` for the search)",
+    ),
+    (
+        "parallel",
+        Some("gpu_ranks_per_device"),
+        "set &parallel gpus = \u{2308}nproc / K\u{2309}",
+    ),
+];
+
+/// Rejects what [`REMOVED`] lists, then unknown keys in the blocks this
+/// reproduction owns outright (`&parallel`, `&case`): a typo like
+/// `backennd = 'v100-32gb'` would otherwise run silently on the default
+/// backend. Groups WRF owns (`&domains`, `&physics`, ...) keep the
+/// registry's ignore-unknown behavior. Runs before any key is read.
 fn reject_unknown_keys(nl: &Namelist) -> Result<(), NamelistError> {
-    if nl.contains_key("ensemble") {
+    for &(group, key, instead) in REMOVED {
+        let Some(g) = nl.get(group) else { continue };
+        let what = match key {
+            None => format!("the &{group} block"),
+            Some(key) if g.contains_key(key) => format!("&{group} {key}"),
+            Some(_) => continue,
+        };
         return Err(NamelistError::invalid(
             0,
-            "the &ensemble block was removed: run each member solo with \
-             &scenario seed = base + member * stride",
+            format!("{what} was removed: {instead}"),
         ));
     }
     for (group, known) in [("parallel", KNOWN_PARALLEL), ("case", KNOWN_CASE)] {
@@ -261,8 +254,8 @@ fn reject_unknown_keys(nl: &Namelist) -> Result<(), NamelistError> {
 
 /// Builds a [`ModelConfig`] from WRF-style namelist text: registry
 /// defaults overlaid with the recognized keys, unknown keys in the
-/// blocks this reproduction owns rejected, and `&parallel schedule`
-/// resolved (`'auto'` runs the backend's schedule search).
+/// blocks this reproduction owns rejected, and `mp_physics = 'fsbm_auto'`
+/// resolved by the configured backend's schedule search.
 pub fn config_from_namelist(text: &str) -> Result<ModelConfig, NamelistError> {
     let nl = parse(text)?;
     reject_unknown_keys(&nl)?;
@@ -308,22 +301,9 @@ pub fn config_from_namelist(text: &str) -> Result<ModelConfig, NamelistError> {
     )?;
     cfg.ranks = get(&nl, "parallel", "nproc", cfg.ranks)?;
     cfg.tiles = get(&nl, "parallel", "numtiles", cfg.tiles)?;
-    // Device sharing (§VII-A): either name the device count directly
-    // (`gpus`) or the sharing depth (`gpu_ranks_per_device`); the two
-    // express the same pool, so setting both is a conflict.
-    let gpus: usize = get(&nl, "parallel", "gpus", 0)?;
-    let per_device: usize = get(&nl, "parallel", "gpu_ranks_per_device", 0)?;
-    cfg.gpus = match (gpus, per_device) {
-        (0, 0) => 0,
-        (g, 0) => g,
-        (0, k) => cfg.ranks.div_ceil(k),
-        _ => {
-            return Err(NamelistError::invalid(
-                0,
-                "set either &parallel gpus or gpu_ranks_per_device, not both",
-            ))
-        }
-    };
+    // Device sharing (§VII-A): the device count the ranks share
+    // round-robin (0 = exclusive devices).
+    cfg.gpus = get(&nl, "parallel", "gpus", cfg.gpus)?;
     // Hardware backend the performance plane prices on (&parallel
     // backend = 'v100', ...). Functional results are backend-independent,
     // so this never changes physics — only modeled times, admission
@@ -340,44 +320,16 @@ pub fn config_from_namelist(text: &str) -> Result<ModelConfig, NamelistError> {
             )
         })?;
     }
+    // The scheme version. `fsbm_auto` asks the codee autotuner for the
+    // searched-best schedule on the configured backend (parsed above) and
+    // takes the version implementing that geometry.
     if let Some(name) = nl.get("physics").and_then(|g| g.get("mp_physics")) {
-        cfg.version = version_from_name(name)
-            .ok_or_else(|| NamelistError::invalid(0, format!("unknown mp_physics `{name}`")))?;
-    }
-    // Schedule selection (&parallel schedule): 'v1'..'v4' pick a rung
-    // of the version ladder explicitly; 'auto' asks the codee autotuner
-    // for the searched-best schedule on the configured backend and maps
-    // it to the version implementing that geometry. Both name the same
-    // knob as &physics mp_physics, so a disagreement is a conflict, not
-    // a precedence rule.
-    if let Some(name) = nl.get("parallel").and_then(|g| g.get("schedule")) {
-        let resolved = if name.eq_ignore_ascii_case("auto") {
+        cfg.version = if name.eq_ignore_ascii_case("fsbm_auto") {
             crate::schedule::auto_version(cfg.backend)
         } else {
-            schedule_from_name(name).ok_or_else(|| {
-                let known: Vec<&str> = SCHEDULE_NAMES.iter().map(|&(n, _)| n).collect();
-                NamelistError::invalid(
-                    0,
-                    format!(
-                        "unknown &parallel schedule `{name}` (auto, {})",
-                        known.join(", ")
-                    ),
-                )
-            })?
+            version_from_name(name)
+                .ok_or_else(|| NamelistError::invalid(0, format!("unknown mp_physics `{name}`")))?
         };
-        if let Some(mp) = nl.get("physics").and_then(|g| g.get("mp_physics")) {
-            if cfg.version != resolved {
-                return Err(NamelistError::invalid(
-                    0,
-                    format!(
-                        "&parallel schedule = '{name}' selects {} but &physics mp_physics = '{mp}' selects {}; set one, not both",
-                        resolved.label(),
-                        cfg.version.label()
-                    ),
-                ));
-            }
-        }
-        cfg.version = resolved;
     }
     if cfg.case.nx < 8 || cfg.case.ny < 8 || cfg.case.nz < 4 {
         return Err(NamelistError::invalid(
@@ -488,20 +440,9 @@ mod tests {
         // Direct device count.
         let cfg = config_from_namelist("&parallel\n nproc = 32, gpus = 16\n/\n").unwrap();
         assert_eq!(cfg.gpus, 16);
-        // Sharing depth derives the pool size (§VII-A's 2 ranks/GPU).
-        let cfg =
-            config_from_namelist("&parallel\n nproc = 32, gpu_ranks_per_device = 2\n/\n").unwrap();
-        assert_eq!(cfg.gpus, 16);
-        // Non-dividing rank counts round the pool up.
-        let cfg =
-            config_from_namelist("&parallel\n nproc = 33, gpu_ranks_per_device = 2\n/\n").unwrap();
-        assert_eq!(cfg.gpus, 17);
-        // Both knobs at once is a conflict, even when consistent.
-        let err = config_from_namelist(
-            "&parallel\n nproc = 32, gpus = 16, gpu_ranks_per_device = 2\n/\n",
-        )
-        .unwrap_err();
-        assert!(err.message.contains("not both"), "{err}");
+        // Non-dividing rank counts leave the last device less shared.
+        let cfg = config_from_namelist("&parallel\n nproc = 33, gpus = 17\n/\n").unwrap();
+        assert_eq!((cfg.ranks, cfg.gpus), (33, 17));
     }
 
     #[test]
@@ -573,47 +514,51 @@ mod tests {
         .is_ok());
     }
 
+    /// `&parallel gpu_ranks_per_device = K` was a second spelling of
+    /// `gpus = ⌈nproc / K⌉`; a leftover one names the key that replaced it.
     #[test]
-    fn schedule_parsed_from_parallel() {
-        // Explicit rungs of the version ladder.
-        let cfg = config_from_namelist("&parallel\n schedule = 'v1'\n/\n").unwrap();
-        assert_eq!(cfg.version, SbmVersion::Baseline);
-        let cfg = config_from_namelist("&parallel\n schedule = 'v3'\n/\n").unwrap();
-        assert_eq!(cfg.version, SbmVersion::OffloadCollapse2);
-        let cfg = config_from_namelist("&parallel\n schedule = 'V4'\n/\n").unwrap();
-        assert_eq!(cfg.version, SbmVersion::OffloadCollapse3);
-        // One name per version, in ladder order, read both ways.
-        for ((name, version), want) in SCHEDULE_NAMES.into_iter().zip(SbmVersion::ALL) {
-            assert_eq!(version, want);
-            assert_eq!(schedule_from_name(name), Some(version));
-            assert_eq!(schedule_name(version), name);
+    fn removed_gpu_ranks_per_device_is_a_typed_error() {
+        for text in [
+            "&parallel\n nproc = 32, gpu_ranks_per_device = 2\n/\n",
+            // Before any key is read: an unparsable value elsewhere
+            // does not hide it.
+            "&parallel\n nproc = banana, gpus = 16, gpu_ranks_per_device = 2\n/\n",
+        ] {
+            let err = config_from_namelist(text).unwrap_err();
+            assert_eq!(err.kind, NamelistErrorKind::Invalid);
+            assert!(err.message.contains("gpu_ranks_per_device"), "{err}");
+            assert!(err.message.contains("&parallel gpus"), "{err}");
         }
-        // 'auto' resolves through the autotuner: the slab collapse(3)
-        // schedule wins on the default backend.
-        let cfg = config_from_namelist("&parallel\n schedule = 'auto'\n/\n").unwrap();
-        assert_eq!(cfg.version, SbmVersion::OffloadCollapse3);
-        assert_eq!(cfg.version, crate::schedule::auto_version(cfg.backend));
-        // Unknown names are rejected with the accepted list.
-        let err = config_from_namelist("&parallel\n schedule = 'v9'\n/\n").unwrap_err();
-        assert!(err.message.contains("unknown &parallel schedule"), "{err}");
-        assert!(err.message.contains("(auto, v1, v2, v3, v4)"), "{err}");
+    }
+
+    /// `&parallel schedule` was a second spelling of `&physics
+    /// mp_physics` (`'v1'..'v4'` for the paper's v0–v3); a leftover one
+    /// names `mp_physics` and the search's value.
+    #[test]
+    fn removed_schedule_key_is_a_typed_error() {
+        for value in ["auto", "v4", "v9"] {
+            let text = format!("&parallel\n schedule = '{value}'\n/\n");
+            let err = config_from_namelist(&text).unwrap_err();
+            assert_eq!(err.kind, NamelistErrorKind::Invalid);
+            assert!(err.message.contains("&parallel schedule"), "{err}");
+            assert!(err.message.contains("&physics mp_physics"), "{err}");
+            assert!(err.message.contains("fsbm_auto"), "{err}");
+        }
     }
 
     #[test]
-    fn schedule_and_mp_physics_conflict_is_an_error() {
-        // Agreement is fine.
+    fn fsbm_auto_resolves_through_the_search() {
+        // The slab collapse(3) schedule wins on the default backend.
+        let cfg = config_from_namelist("&physics\n mp_physics = 'fsbm_auto'\n/\n").unwrap();
+        assert_eq!(cfg.version, SbmVersion::OffloadCollapse3);
+        assert_eq!(cfg.version, crate::schedule::auto_version(cfg.backend));
+        // Case-insensitive, and steered by &parallel backend.
         let cfg = config_from_namelist(
-            "&physics\n mp_physics = 'fsbm_gpu'\n/\n&parallel\n schedule = 'v4'\n/\n",
+            "&physics\n mp_physics = 'FSBM_AUTO'\n/\n&parallel\n backend = 'grace-cpu'\n/\n",
         )
         .unwrap();
-        assert_eq!(cfg.version, SbmVersion::OffloadCollapse3);
-        // Disagreement names both selections.
-        let err = config_from_namelist(
-            "&physics\n mp_physics = 'fsbm_lookup'\n/\n&parallel\n schedule = 'v4'\n/\n",
-        )
-        .unwrap_err();
-        assert!(err.message.contains("set one, not both"), "{err}");
-        assert!(err.message.contains("fsbm_lookup"), "{err}");
+        assert_eq!(cfg.backend.name, "grace-cpu");
+        assert_eq!(cfg.version, crate::schedule::auto_version(cfg.backend));
     }
 
     #[test]
@@ -755,7 +700,7 @@ mod tests {
         "",
         "banana",
         "'fsbm_gpu'",
-        "'v3'",
+        "'fsbm_auto'",
         "'v100'",
         "'squall_line'",
     ];

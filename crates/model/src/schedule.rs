@@ -1,5 +1,5 @@
 //! Schedule selection through the codee autotuner
-//! (`&parallel schedule = 'auto'`).
+//! (`&physics mp_physics = 'fsbm_auto'`).
 //!
 //! The paper picked its offload schedule by hand; here the model plane
 //! can ask [`codee_sim::tune`] instead. The search runs over the corpus
@@ -74,7 +74,7 @@ pub fn version_for(report: &TuneReport) -> SbmVersion {
         .expect("an offloaded version of each storage family")
 }
 
-/// The version `&parallel schedule = 'auto'` resolves to on `backend`:
+/// The version `mp_physics = 'fsbm_auto'` resolves to on `backend`:
 /// search, then map the winner.
 pub fn auto_version(backend: &Backend) -> SbmVersion {
     version_for(&tune_backend(backend))
@@ -97,7 +97,7 @@ mod tests {
     }
 
     /// On every zoo backend the searched-best schedule is the slab one,
-    /// so `schedule = 'auto'` resolves to the paper's best version.
+    /// so `mp_physics = 'fsbm_auto'` resolves to the paper's best version.
     #[test]
     fn auto_resolves_to_collapse3_across_the_zoo() {
         for b in ZOO.iter() {
@@ -110,7 +110,7 @@ mod tests {
         }
     }
 
-    /// The other half of `'auto'`: for each offloaded version, a search
+    /// The other half of `fsbm_auto`: for each offloaded version, a search
     /// whose winner has that version's plan — its storage, at its
     /// collapse depth — maps back to that version.
     #[test]
