@@ -471,29 +471,35 @@ pub fn run_parallel(cfg: ModelConfig, steps: usize) -> ParallelRun {
     run_parallel_checked(cfg, steps).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// [`run_parallel`] with device admission surfaced: when `cfg.gpus > 0`
-/// and the version is offloaded, every rank's context is admitted onto
-/// its round-robin device *before* any thread spawns (mirroring context
-/// creation at `MPI_Init`) — a configuration past the memory cap fails
-/// fast with a typed [`DeviceError`] naming rank, device, and bytes.
-/// After the run, each step's modeled device occupancies are replayed
-/// through the pool and the per-rank [`ShareStats`] attached to the
-/// reports. Sharing never touches the functional arithmetic: states are
-/// bitwise-identical to an exclusive-device run.
-pub fn run_parallel_checked(cfg: ModelConfig, steps: usize) -> Result<ParallelRun, DeviceError> {
-    let pool = (cfg.gpus > 0 && cfg.version.offloaded())
-        .then(|| -> Result<DevicePool, DeviceError> {
-            let dd = two_d_decomposition(cfg.case.domain(), cfg.ranks, cfg.halo);
-            let pp = PerfParams::for_backend(cfg.backend);
-            let mut pool = DevicePool::for_backend(cfg.backend, cfg.gpus);
-            for patch in &dd.patches {
-                let bytes = staged_bytes(patch.compute_points() as u64);
-                pool.admit(patch.rank, &rank_footprint(&pp, bytes))?;
-            }
-            Ok(pool)
-        })
-        .transpose()?;
+/// Admits every rank's context onto its round-robin device when
+/// `cfg.gpus > 0` and the version is offloaded, mirroring context
+/// creation at `MPI_Init`: the pool the run's device occupancies replay
+/// through (`None` on exclusive devices), or the typed [`DeviceError`] of
+/// the first rank past the §VII-A memory cap. Both drivers — this
+/// module's and the restart supervisor — call it before any rank spawns.
+pub(crate) fn admit_ranks(cfg: &ModelConfig) -> Result<Option<DevicePool>, DeviceError> {
+    if cfg.gpus == 0 || !cfg.version.offloaded() {
+        return Ok(None);
+    }
+    let dd = two_d_decomposition(cfg.case.domain(), cfg.ranks, cfg.halo);
+    let pp = PerfParams::for_backend(cfg.backend);
+    let mut pool = DevicePool::for_backend(cfg.backend, cfg.gpus);
+    for patch in &dd.patches {
+        let bytes = staged_bytes(patch.compute_points() as u64);
+        pool.admit(patch.rank, &rank_footprint(&pp, bytes))?;
+    }
+    Ok(Some(pool))
+}
 
+/// [`run_parallel`] with device admission surfaced ([`admit_ranks`]): a
+/// configuration past the memory cap fails fast with a typed
+/// [`DeviceError`] naming rank, device, and bytes. After the run, each
+/// step's modeled device occupancies are replayed through the pool and
+/// the per-rank [`ShareStats`] attached to the reports. Sharing never
+/// touches the functional arithmetic: states are bitwise-identical to an
+/// exclusive-device run.
+pub fn run_parallel_checked(cfg: ModelConfig, steps: usize) -> Result<ParallelRun, DeviceError> {
+    let pool = admit_ranks(&cfg)?;
     let results = run_attempt(cfg, steps, None, None, None, DEFAULT_TIMEOUT);
     let mut states = Vec::with_capacity(results.len());
     let mut reports = Vec::with_capacity(results.len());
@@ -515,7 +521,7 @@ pub fn run_parallel_checked(cfg: ModelConfig, steps: usize) -> Result<ParallelRu
 /// Replays each step's device submissions bulk-synchronously through
 /// the pool (submissions ordered deterministically by rank within the
 /// step) and attaches the accumulated per-rank summary.
-fn attach_share(reports: &mut [RunReport], pool: &DevicePool) {
+pub(crate) fn attach_share(reports: &mut [RunReport], pool: &DevicePool) {
     let steps = reports
         .iter()
         .map(|r| r.device_secs_per_step.len())

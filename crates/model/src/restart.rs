@@ -20,7 +20,9 @@
 //! version × comm mode.
 
 use crate::config::ModelConfig;
-use crate::parallel::{run_attempt, CheckpointSpec, ParallelRun, RankFailure, StartPoint};
+use crate::parallel::{
+    admit_ranks, attach_share, run_attempt, CheckpointSpec, ParallelRun, RankFailure, StartPoint,
+};
 use fsbm_core::state::SbmPatchState;
 use mpi_sim::{FaultPlan, DEFAULT_TIMEOUT};
 use std::path::{Path, PathBuf};
@@ -162,7 +164,10 @@ pub fn find_latest_checkpoint(dir: &Path, ranks: usize) -> Option<Vec<StartPoint
 /// and relaunches — up to `rcfg.max_attempts` times. `plan` scripts
 /// faults for testing; pass `None` in production. The returned states
 /// are bitwise-identical to an uninterrupted [`crate::run_parallel`]
-/// run of the same `cfg`.
+/// run of the same `cfg`. Device admission comes first, as in
+/// [`crate::run_parallel_checked`]: a configuration past the §VII-A
+/// memory cap is an error before any rank spawns or any checkpoint is
+/// written, and a shared run's reports carry the same [`crate::ShareStats`].
 pub fn run_parallel_restartable(
     cfg: ModelConfig,
     steps: usize,
@@ -172,6 +177,7 @@ pub fn run_parallel_restartable(
     if rcfg.interval == 0 {
         return Err("restart supervisor needs interval > 0".into());
     }
+    let pool = admit_ranks(&cfg).map_err(|e| e.to_string())?;
     // Before any rank spawns: a rank that cannot write its checkpoint has
     // no way to fail but to panic, leaving its peers to time out.
     std::fs::create_dir_all(&rcfg.dir).map_err(|e| {
@@ -225,6 +231,9 @@ pub fn run_parallel_restartable(
                 let (state, report) = r.expect("no failures");
                 run.states.push(state);
                 run.reports.push(report);
+            }
+            if let Some(pool) = &pool {
+                attach_share(&mut run.reports, pool);
             }
             return Ok((run, stats));
         }
@@ -454,6 +463,41 @@ mod tests {
         };
         let err = run_parallel_restartable(small_cfg(), 2, &rcfg, None).unwrap_err();
         assert!(err.contains("cannot be created"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The supervisor admits devices like `run_parallel_checked`: the
+    /// sixth rank on one device is past the §VII-A cap, and the run
+    /// stops before any rank writes a checkpoint.
+    #[test]
+    fn supervisor_refuses_an_oversubscribed_device() {
+        let mut cfg = ModelConfig::functional(SbmVersion::OffloadCollapse3, 0.06, 8);
+        cfg.ranks = 6;
+        cfg.gpus = 1;
+        let dir = tmpdir("oversubscribed");
+        let err = run_parallel_restartable(cfg, 2, &RestartConfig::new(&dir, 1), None).unwrap_err();
+        assert!(err.contains("rank 5 needs"), "{err}");
+        assert!(err.contains("on device 0"), "{err}");
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0, "no checkpoint");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A shared restartable run attaches the ledger `run_parallel_checked`
+    /// attaches for the same configuration.
+    #[test]
+    fn supervisor_attaches_the_share_ledger() {
+        let mut cfg = ModelConfig::functional(SbmVersion::OffloadCollapse3, 0.06, 8);
+        cfg.ranks = 4;
+        cfg.gpus = 2;
+        let dir = tmpdir("shared");
+        let want = crate::run_parallel_checked(cfg, 2).unwrap();
+        let (got, _) =
+            run_parallel_restartable(cfg, 2, &RestartConfig::new(&dir, 1), None).unwrap();
+        for (rank, (g, w)) in got.reports.iter().zip(&want.reports).enumerate() {
+            assert!(g.share.is_some(), "rank {rank}");
+            assert_eq!(g.share, w.share, "rank {rank}");
+        }
+        assert_bitwise(&got.states, &want.states);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
