@@ -15,10 +15,9 @@
 #
 # Two knobs, both environment variables:
 #   CI_NIGHTLY     non-empty: every gate runs with `--nightly` — the
-#                  reference depth (zoo 8 'auto'-vs-explicit bitwise
-#                  steps, cases sweep at scales 0.05/0.1/0.2) instead of
-#                  PR depth
-#                  (4 steps, scale 0.05 only) — and the committed-report
+#                  reference depth, which changes one thing: the cases
+#                  sweep runs at scales 0.05/0.1/0.2 instead of PR
+#                  depth's 0.05 only — and the committed-report
 #                  byte check is skipped. The two sets live in one
 #                  place, `wrf_gate::Depth`; ci.yml sets this on the
 #                  nightly schedule event only. The pool stress tests

@@ -508,7 +508,7 @@ mod tests {
         let mut rows: Vec<BackendRow> = [
             ("a100-80gb", 100.0, 4),
             ("v100-32gb", 130.0, 1),
-            ("mi250x-gcd", 90.0, 3),
+            ("mi", 90.0, 3),
         ]
         .iter()
         .map(|&(n, t, c)| synth_row(n, t, c))
