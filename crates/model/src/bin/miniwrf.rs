@@ -118,9 +118,9 @@ fn main() {
                 }
             }
         } else if cfg.gpus > 0 {
-            // &parallel gpus: admission against
-            // the shared device pool can fail (the §VII-A memory cap),
-            // so surface the typed error instead of panicking.
+            // &parallel gpus: admission against the shared device pool
+            // can fail (the §VII-A memory cap), so surface the typed
+            // error instead of panicking.
             match run_parallel_checked(cfg, steps) {
                 Ok(out) => out,
                 Err(e) => {
