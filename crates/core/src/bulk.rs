@@ -110,6 +110,7 @@ mod tests {
     use super::*;
     use crate::kernels::KernelMode;
     use crate::kernels::KernelTables;
+    use crate::panels::DepositSplits;
     use crate::point::{Grids, PointBins, PointThermo};
     use crate::processes::driver::fast_sbm_point;
 
@@ -213,6 +214,7 @@ mod tests {
         // Bin (FSBM point with seeded CCN-like droplets).
         let grids = Grids::new();
         let tables = KernelTables::new();
+        let splits = DepositSplits::new(&grids);
         let mut bins = PointBins::empty();
         let mut th = PointThermo {
             t,
@@ -229,6 +231,7 @@ mod tests {
                 &mut th,
                 &grids,
                 KernelMode::OnDemand { tables: &tables, p },
+                &splits,
                 5.0,
                 told,
             );

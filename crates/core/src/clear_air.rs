@@ -25,7 +25,6 @@ use crate::panels::{panel_coal_predicate, sedimentation_column_soa, SedScratch, 
 use crate::point::{all_zero, Grids, PointBins, PointThermo};
 use crate::processes::driver::{fast_sbm_post, fast_sbm_post_clear, PointOutcome};
 use crate::processes::freezing::freezing_melting;
-use crate::processes::sedimentation::sedimentation_column;
 use crate::scheme::{fall_after_pre, ColumnFall, Layout};
 use crate::state::SbmPatchState;
 use crate::thermo::{air_density, qsat_liquid};
@@ -184,41 +183,6 @@ mod reference {
         }
         th.t -= L_F * melted_mass / CP;
         w.f(3);
-    }
-
-    pub fn sedimentation_column(
-        col: &mut [[f32; NKR]],
-        grid: &BinGrid,
-        rho: &[f32],
-        dz: f32,
-        dt: f32,
-        w: &mut PointWork,
-    ) -> f32 {
-        let nz = col.len();
-        let vmax = grid.vt_at(NKR - 1, rho.iter().cloned().fold(f32::INFINITY, f32::min));
-        let nsub = ((vmax * dt / dz).ceil() as usize).max(1);
-        let dts = dt / nsub as f32;
-        w.f(6);
-        let mut precip = 0.0f32;
-        let mut flux = vec![0.0f32; nz + 1];
-        for (k, mass_k) in grid.mass.iter().enumerate() {
-            for _ in 0..nsub {
-                for (l, (lvl, rho_l)) in col.iter().zip(rho).enumerate() {
-                    let v = grid.vt_at(k, *rho_l);
-                    flux[l] = rho_l * lvl[k] * v;
-                    w.fm(3, 2);
-                }
-                flux[nz] = 0.0;
-                for (l, (lvl, rho_l)) in col.iter_mut().zip(rho).enumerate() {
-                    let dn = (flux[l + 1] - flux[l]) * dts / (rho_l * dz);
-                    lvl[k] = (lvl[k] + dn).max(0.0);
-                    w.fm(5, 2);
-                }
-                precip += flux[0] * dts * mass_k;
-                w.f(3);
-            }
-        }
-        precip
     }
 
     /// The bin-major sweep over `bins[k * nz + l]`, fall speeds filled
@@ -415,7 +379,7 @@ proptest! {
         }
     }
 
-    /// Both sedimentation columns over random densities, every class.
+    /// The sedimentation column over random densities, every class.
     #[test]
     fn sedimentation_matches_the_loops(seed in any::<u64>()) {
         let grids = Grids::new();
@@ -428,17 +392,6 @@ proptest! {
         for c in 0..NTYPES {
             let grid: &BinGrid = grids.by_index(c);
             let col: Vec<[f32; NKR]> = (0..nz).map(|_| d.class()).collect();
-
-            let (mut got_col, mut want_col) = (col.clone(), col.clone());
-            let (mut got, mut want) = (PointWork::ZERO, PointWork::ZERO);
-            let p = sedimentation_column(&mut got_col, grid, &rho, &factor, dz, dt, &mut got);
-            let r = reference::sedimentation_column(&mut want_col, grid, &rho, dz, dt, &mut want);
-            prop_assert_eq!(p.to_bits(), r.to_bits(), "class {}", c);
-            let bits = |col: &[[f32; NKR]]| -> Vec<u32> {
-                col.iter().flatten().map(|v| v.to_bits()).collect()
-            };
-            prop_assert_eq!(bits(&got_col), bits(&want_col), "class {}", c);
-            prop_assert_eq!(got, want, "class {}", c);
 
             let mut scratch = SedScratch::new();
             scratch.ensure(nz);

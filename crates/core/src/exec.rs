@@ -15,9 +15,9 @@
 //! * **Work-stealing + compaction** — the production point. The pool
 //!   distributes automatically sized chunks over per-worker deques and
 //!   idle workers steal; the predicate mask produced by the fissioned
-//!   pre-sweep is scanned into a compact active-index list first, so the
-//!   work queue only ever contains points (or columns) whose collision
-//!   predicate fired. On CONUS-like sparsity (≤ 20% active) this shrinks
+//!   pre-sweep is scanned into a compact list first — lane batches of
+//!   active points, or active columns — so the work queue only ever
+//!   contains units whose collision predicate fired. On CONUS-like sparsity (≤ 20% active) this shrinks
 //!   the queue ~5× before any scheduling happens. The three sweeps run
 //!   on the same pool, one unit per `(j,k)` row, condensation lane batch
 //!   or `(i,j)` column (the paper's §VIII: "the loops calling
@@ -57,16 +57,6 @@ impl Default for ExecMode {
     fn default() -> Self {
         ExecMode::work_steal()
     }
-}
-
-/// Scans a predicate mask into the compact list of active flat indices
-/// (the activity-compacted work queue for a `collapse(3)` launch).
-pub fn compact_active_points(predicate: &[bool]) -> Vec<u32> {
-    predicate
-        .iter()
-        .enumerate()
-        .filter_map(|(i, &on)| on.then_some(i as u32))
-        .collect()
 }
 
 /// Scans a point predicate laid out as `[column][i]` into the compact
@@ -163,13 +153,6 @@ impl ExecSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn compaction_points_match_mask() {
-        let pred = [false, true, true, false, false, true];
-        assert_eq!(compact_active_points(&pred), vec![1, 2, 5]);
-        assert!(compact_active_points(&[]).is_empty());
-    }
 
     #[test]
     fn compaction_columns_or_over_i() {

@@ -55,7 +55,7 @@ pub use kernels::{
 };
 pub use meter::PointWork;
 pub use panels::{SoaPanel, LANES};
-pub use point::{fast_sbm_point, PointBins, PointThermo};
+pub use point::{PointBins, PointThermo};
 pub use scheme::{FastSbm, Layout, SbmConfig, SbmStepStats, SbmVersion};
 pub use state::SbmPatchState;
 pub use types::{HydroClass, NKR, NTYPES};

@@ -1,32 +1,31 @@
-//! SoA lane panels: batched, lane-masked mirrors of the per-point hot loops.
+//! SoA lane panels: the one body of collision, condensation and
+//! sedimentation.
 //!
-//! The scalar scheme walks one grid point at a time over AoS
-//! [`crate::point::PointBins`] storage: every collision pair, condensation
-//! substep and sedimentation flux touches one point's 7×33 bin block before
-//! the next point starts. The panel layout instead gathers up to [`LANES`]
-//! active points into structure-of-arrays storage — bin-major, lane-fastest
-//! (`n[class][bin][lane]`) — and runs the inner loops once per batch with
-//! per-lane masks. Dense lane batches keep the 33-bin working set in cache,
-//! hoist per-(i,j) invariants (kernel values, mass-deposition stencils) out
-//! of the point loop, and replace per-entry atomic cache metering with one
-//! bulk flush per batch.
+//! A panel gathers up to [`LANES`] grid points into structure-of-arrays
+//! storage — bin-major, lane-fastest (`n[class][bin][lane]`) — and runs
+//! each process's inner loops once per batch with per-lane masks. Dense
+//! lane batches keep the 33-bin working set in cache, hoist per-(i,j)
+//! invariants (kernel values, mass-deposition stencils) out of the point
+//! loop, and replace per-entry atomic cache metering with one bulk flush
+//! per batch. The scheme's reference layout runs the same kernels one
+//! point per batch ([`one_lane`] is that batch for a single point).
 //!
-//! Bitwise contract: every routine here replays the *exact* per-point f32
-//! operation sequence of its scalar counterpart — same operations, same
-//! order, same associativity, no speculative masked arithmetic (a masked
-//! `+= 0.0` is not a no-op for `-0.0`, so inactive lanes are skipped by
-//! branch, never by multiply-by-zero). Each lane therefore produces results
-//! bit-identical to running the scalar routine on that point alone, and the
-//! committed golden digests hold in both layouts. The same discipline
-//! applies to [`crate::meter::PointWork`]: panels meter the scalar op
-//! counts per lane even where a value was computed once and reused, so the
-//! modeled work stays layout-invariant.
+//! Per-lane contract: a lane's bits, its [`crate::meter::PointWork`] and
+//! its [`Floored`] tally are the ones it gets when batched alone, whoever
+//! shares its batch. Each lane runs its own operation sequence in its own
+//! order with its own associativity, and no speculative masked arithmetic
+//! touches it (a masked `+= 0.0` is not a no-op for `-0.0`, so a lane
+//! outside a mask is skipped by branch or keeps its bits by select, never
+//! by multiply-by-zero); the meter counts each lane's operations even
+//! where a value was computed once and shared by the batch. So any
+//! grouping of points gives the same state and the same modeled work, and
+//! the committed golden digests hold at every batch width.
 
 use crate::bins::BinGrid;
 use crate::constants::{CP, L_F, T_0, T_MIN_COAL};
 use crate::kernels::{KernelMode, COLLISION_PAIRS};
 use crate::meter::PointWork;
-use crate::point::{all_zero, Floored, Grids, N_EPS, N_FLOOR, Q_EPS};
+use crate::point::{all_zero, BinsView, Floored, Grids, PointThermo, N_EPS, N_FLOOR, Q_EPS};
 use crate::processes::collision::{MAX_DEPLETION, NCOLL};
 use crate::processes::condensation::{self, NCOND};
 use crate::thermo::{growth_coefficient, latent_heating, qsat_ice, qsat_liquid, supersat_liquid};
@@ -55,9 +54,9 @@ pub struct LaneFill {
     /// dead and ragged lanes included, because the vector loop runs them.
     pub slots: u64,
     /// Of those, the slots that did their own lane's work: inside the
-    /// lane's `(i, j)` window (the cells the scalar visits for that
-    /// point), or inside the relax call's lane mask (the relaxes the
-    /// scalar runs for that point).
+    /// lane's `(i, j)` window (the cells that point visits batched
+    /// alone), or inside the relax call's lane mask (the relaxes its
+    /// branch runs). A single point sweeps [`LANES`] slots a cell.
     pub cells: u64,
 }
 
@@ -68,9 +67,9 @@ impl std::ops::AddAssign for LaneFill {
     }
 }
 
-/// The relaxes of one condensation substep in the order `onecond1/2/3`
-/// run them, each with whether it relaxes toward ice saturation: water,
-/// then the six ice classes.
+/// The relaxes of one condensation substep in Listing 1's order
+/// (`onecond1/2/3`), each with whether it relaxes toward ice saturation:
+/// water, then the six ice classes.
 const RELAX_ORDER: [(HydroClass, bool); 7] = [
     (HydroClass::Water, false),
     (HydroClass::IceColumns, true),
@@ -168,8 +167,10 @@ impl SoaPanel {
         }
     }
 
-    /// Per-lane mirror of `BinsView::active_range`: first/last bin with
-    /// number density above [`N_EPS`], metering one pass over the class.
+    /// The `(lo, hi)` inclusive range of one lane's bins of `class` with
+    /// number density above [`N_EPS`], or `None` when there is none — the
+    /// sparsity the lookup optimization exploits ("not every entry of an
+    /// array is used"). Metered as one pass over the class.
     fn active_range_lane(
         &self,
         class: HydroClass,
@@ -204,7 +205,7 @@ impl SoaPanel {
         q
     }
 
-    /// Per-lane mirror of `BinsView::number_of` (unmetered, like the scalar).
+    /// Per-lane mirror of `BinsView::number_of` (unmetered, like it).
     fn number_of_lane(&self, class: HydroClass, lane: usize) -> f32 {
         let c = class.index();
         let mut s = 0.0f32;
@@ -229,10 +230,10 @@ impl SoaPanel {
         tot
     }
 
-    /// Per-lane mirror of `BinsView::scrub_negatives` (collision's scrub)
-    /// for the lanes where `mask` holds (never one `>= len`): clamps tiny
-    /// negative round-off to zero. A select over all [`LANES`] slots —
-    /// every other slot, `-0.0` included, keeps its bits.
+    /// Collision's scrub, for the lanes where `mask` holds (never one
+    /// `>= len`): clamps tiny negative round-off to `0.0`. A select over
+    /// all [`LANES`] slots — every other slot, `-0.0` included, keeps its
+    /// bits.
     fn scrub_lanes(&mut self, mask: &[bool; LANES]) {
         for bins in &mut self.n {
             for slots in bins.iter_mut() {
@@ -244,13 +245,14 @@ impl SoaPanel {
         }
     }
 
-    /// Per-lane mirror of `BinsView::scrub_tails` over `classes` for the
-    /// lanes where `mask` holds (never one `>= len`): a negative or a
-    /// positive value below [`N_FLOOR`] becomes `+0.0`, every other slot,
-    /// `-0.0` and NaN included, keeps its bits. The store is a select over
-    /// all [`LANES`] slots; only a bin row in which some lane floors takes
-    /// the per-lane tally, so each lane's `floored` adds in the scalar's
-    /// order (classes, then bins).
+    /// The condensation relax's scrub over `classes`, for the lanes where
+    /// `mask` holds (never one `>= len`): a negative or a positive value
+    /// below [`N_FLOOR`] becomes `+0.0`, every other slot, `-0.0` and NaN
+    /// included, keeps its bits. The store is a select over all [`LANES`]
+    /// slots; only a bin row in which some lane floors takes the per-lane
+    /// tally, so each lane's `floored` adds its floored values (with their
+    /// bin's particle mass) in storage order: classes, then bins
+    /// ascending.
     fn scrub_tail_lanes(
         &mut self,
         classes: std::ops::Range<usize>,
@@ -280,6 +282,23 @@ impl SoaPanel {
     }
 }
 
+/// Runs `body` on a panel whose one live lane holds the point `bins`
+/// at `th`, then stores that lane back into `bins`, `th.t` and `th.qv`:
+/// the point batched alone, which is what each lane of a wider batch
+/// equals.
+pub fn one_lane<R>(
+    bins: &mut BinsView<'_>,
+    th: &mut PointThermo,
+    body: impl FnOnce(&mut SoaPanel) -> R,
+) -> R {
+    let mut panel = SoaPanel::new();
+    panel.push_with(th.t, th.qv, th.p, th.rho, |c, k| bins.n[c][k]);
+    let out = body(&mut panel);
+    panel.scatter_with(0, |c, k, x| bins.n[c][k] = x);
+    (th.t, th.qv) = (panel.t[0], panel.qv[0]);
+    out
+}
+
 /// One precomputed mass-deposition stencil: where `deposit_mass` puts
 /// number for a fixed deposited mass `m` on a fixed grid. The collision
 /// outcome mass `ga.mass[i] + gb.mass[j]` depends only on the pair and the
@@ -289,7 +308,7 @@ impl SoaPanel {
 pub enum Split {
     /// `m` at or below the smallest bin: everything lands in bin 0 scaled
     /// by `m / m0`. The two factors are kept separate so the lane applies
-    /// the scalar's exact `number * m / m0`.
+    /// `deposit_mass`'s exact `number * m / m0`.
     Bottom {
         /// Deposited mass.
         m: f32,
@@ -344,7 +363,8 @@ impl Split {
 
     /// Deposits `number` through the stencil via `add(bin, value)`,
     /// metering what `deposit_mass` meters. The caller guarantees
-    /// `number > 0` and `m > 0` (the scalar's unmetered early return).
+    /// `number > 0` and `m > 0` (`deposit_mass`'s unmetered early
+    /// return).
     #[inline]
     pub fn apply(&self, add: impl FnMut(usize, f32), number: f32, w: &mut PointWork) {
         w.fm(8, 2);
@@ -375,11 +395,10 @@ impl Split {
 /// carries `m0`'s mantissa under the exponent `exp(m0) + k`
 /// (`bin_masses_share_the_mantissa_of_m0`). Positive normal floats order
 /// as their `(exponent, mantissa)` pairs, hence `k = exp(m) - exp(m0) -
-/// (mant(m) < mant(m0))`. The scalar `deposit_mass` keeps its `log2` +
-/// `floor` + two nudges, which land on the same bin (the `bracket_*`
-/// tests; the exhaustive one walks every f32 of the grid) — so wherever
-/// the layouts are compared, every deposit the program makes
-/// cross-checks the two.
+/// (mant(m) < mant(m0))`. `deposit_mass`, which freezing and melting
+/// call, keeps its `log2` + `floor` + two nudges, which land on the same
+/// bin (the `bracket_*` tests; the exhaustive one walks every f32 of the
+/// grid).
 fn bracket_from_bits(grid: &BinGrid, m: f32) -> usize {
     const MANT: u32 = (1 << 23) - 1;
     let (b, b0) = (m.to_bits(), grid.mass[0].to_bits());
@@ -440,7 +459,7 @@ impl DepositSplits {
     }
 }
 
-/// Mirror of `deposit_mass` writing into one lane of a SoA class column.
+/// `deposit_mass` writing into one lane of a SoA class column.
 fn deposit_mass_lane(
     col: &mut [[f32; LANES]; NKR],
     lane: usize,
@@ -455,8 +474,16 @@ fn deposit_mass_lane(
     Split::for_mass(grid, m).apply(|k, v| col[k][lane] += v, number, w);
 }
 
-/// Batched mirror of `coal_bott_new`: runs the [`NCOLL`] collision
-/// substeps over every live lane of the panel.
+/// `coal_bott_new`: collision–coalescence by the Bott flux method (see
+/// [`crate::processes::collision`]), [`NCOLL`] substeps over every live
+/// lane of the panel. Per substep, each interacting class pair runs over
+/// the lane's occupied bin ranges in `(i, j)` order: collection events at
+/// rate `K(i,j) · n_i · n_j · ρ`, capped at [`MAX_DEPLETION`] of either
+/// collider, remove particles from both and deposit the merged mass into
+/// the outcome class through the pair's [`DepositSplits`] stencil; riming
+/// warms the lane by the latent heat of the frozen liquid; the substep
+/// ends with the negative scrub. Returns per lane the kernel entries
+/// evaluated (the quantity whose reduction drives Table III).
 ///
 /// Requirements: every lane is a coal-called point and all lanes share the
 /// same pressure bits (so the kernel value for a given `(pair, i, j)` is
@@ -496,8 +523,7 @@ pub fn panel_coal(
     fill
 }
 
-/// One collision substep over the panel: the lane-masked mirror of
-/// `collision::coal_substep`.
+/// One collision substep over the panel, lane-masked.
 #[allow(clippy::too_many_arguments)]
 fn coal_substep_panel(
     panel: &mut SoaPanel,
@@ -512,8 +538,8 @@ fn coal_substep_panel(
     fill: &mut LaneFill,
 ) {
     let len = panel.len;
-    // Phase gate uses the temperature at substep start, as the scalar
-    // substep snapshots `th.t` before riming updates it.
+    // The phase gate reads each lane's temperature at substep start,
+    // before this substep's riming warms it.
     let tsnap = panel.t;
     let (kc_f, kc_m) = kernels.access_cost();
     let mut all = [false; LANES];
@@ -530,8 +556,8 @@ fn coal_substep_panel(
             if involves_ice && tsnap[l] >= T_0 {
                 continue;
             }
-            // Both range scans meter even when the first comes up empty,
-            // matching the scalar's two-call tuple.
+            // Both range scans meter even when the first comes up empty:
+            // a lane pays for both lookups of its pair.
             let ra = panel.active_range_lane(pair.a, l, &mut works[l]);
             let rb = panel.active_range_lane(pair.b, l, &mut works[l]);
             let (Some(a), Some(b)) = (ra, rb) else {
@@ -547,7 +573,7 @@ fn coal_substep_panel(
         }
 
         // Union i bounds over the live lanes; each lane masks itself to
-        // its own ranges so it sees exactly its scalar (i, j) subsequence.
+        // its own ranges so it sees exactly its own (i, j) subsequence.
         let (mut ilo, mut ihi) = (NKR, 0usize);
         for l in 0..len {
             if on[l] {
@@ -574,7 +600,7 @@ fn coal_substep_panel(
             // Lanes whose a-range covers this i row, and the union of
             // *their* j bounds — tighter than the global union, and an
             // empty row skips the j loop entirely. Both are bitwise-safe:
-            // a lane outside its own ranges does nothing in the scalar.
+            // a lane does nothing outside its own ranges.
             let mut ion = [false; LANES];
             let (mut jlo_i, mut jhi_i) = (NKR, 0usize);
             for l in 0..len {
@@ -584,8 +610,9 @@ fn coal_substep_panel(
                     jhi_i = jhi_i.max(br[l].1);
                 }
             }
-            // Self-collection rows start at j = i like the scalar, even
-            // when that undershoots every lane's active range.
+            // Self-collection visits unordered pairs once: its rows start
+            // at j = i, even when that undershoots every lane's active
+            // range.
             let jlo_row = if same { i } else { jlo_i };
             let jhi_row = jhi_i.min(NKR - 1);
             if jlo_row > jhi_row {
@@ -619,7 +646,7 @@ fn coal_substep_panel(
             // bitwise `x` for every finite float including -0.0, and the
             // deposit/riming stores select the old value rather than
             // adding 0.0, which would flip -0.0 to +0.0). Each lane's
-            // own float-op sequence stays in the scalar's (i, j) order;
+            // own float-op sequence stays in its own (i, j) order;
             // only the interleaving across lanes changes, which no
             // per-lane value observes. Lanes outside the row (or the
             // batch) get an empty j-window so they count nothing.
@@ -657,8 +684,8 @@ fn coal_substep_panel(
                 for l in 0..LANES {
                     let jin = jj >= js[l] && jj <= je[l];
                     let pop = jin & (ni_v[l] > 0.0) & (nj_v[l] > 0.0);
-                    // The scalar's op order: ((((kv·ni)·nj)·rho)·dt),
-                    // then the halve multiply.
+                    // The op order: ((((kv·ni)·nj)·rho)·dt), then the
+                    // halve multiply.
                     let dn = kvj * ni_v[l] * nj_v[l] * rho_v[l] * dt * hmul;
                     let com = pop & (dn > 0.0);
                     let cap_i = MAX_DEPLETION * ni_v[l] * hmul;
@@ -688,8 +715,8 @@ fn coal_substep_panel(
                     }
                 }
                 // Deposit stores load after the subtractions above, so
-                // an outcome row that aliases row i or j sees them, as
-                // the scalar's in-place updates do.
+                // an outcome row that aliases row i or j sees them: the
+                // updates are in place, in Listing order.
                 match sp[j] {
                     Split::Bottom { m, m0 } => {
                         for l in 0..LANES {
@@ -748,12 +775,12 @@ fn coal_substep_panel(
             }
         }
 
-        // Pair-level meter flush. Per populated entry the scalar meters
-        // m(2) + the kernel access cost + f(6), plus f(4) + the
-        // deposit's fm(8, 2) + fm(5, 4) on the committed path, and
-        // f(4) per commit on riming pairs; a failed populated check
-        // meters its two loads. u64 adds are associative, so
-        // count-times-cost equals the scalar's call-by-call sum.
+        // Pair-level meter flush. A populated entry meters m(2) + the
+        // kernel access cost + f(6), plus f(4) + the deposit's fm(8, 2)
+        // + fm(5, 4) on the committed path, and f(4) per commit on
+        // riming pairs; a failed populated check meters its two loads.
+        // u64 adds are associative, so count-times-cost equals the
+        // entry-by-entry sum.
         for l in 0..len {
             let nent = acc_nent[l] as u64;
             let ncommit = acc_cc[l] as u64;
@@ -774,13 +801,14 @@ fn coal_substep_panel(
     panel.scrub_lanes(&all);
 }
 
-/// Batched mirror of `condensation::condensation_branch` over a panel.
-///
-/// Each lane selects its branch (liquid-only / mixed-phase / ice-only)
-/// exactly as the scalar does, then the [`NCOND`] substeps run once with
-/// per-branch lane masks: the water relax covers branches 1–2, the six ice
-/// relaxes cover branches 2–3, reproducing `onecond1/2/3` per lane.
-/// Metering accumulates into `works` (the caller's condensation bucket),
+/// Listing 1's condensation over a panel (see
+/// [`crate::processes::condensation`]): a lane whose point holds no
+/// condensate and is not supersaturated over liquid does nothing more;
+/// every other lane takes its branch ([`condensation::branch`]:
+/// liquid-only, mixed-phase or ice-only), and the [`NCOND`] substeps run
+/// once with per-branch lane masks: the water relax covers branches 1–2,
+/// the six ice relaxes cover branches 2–3, which is `onecond1/2/3` per
+/// lane. Metering accumulates into `works` (the caller's condensation bucket),
 /// what the relaxes' scrubs floor into `floored`. Returns how full the
 /// relax calls' lane vectors ran.
 pub fn panel_condensation(
@@ -858,9 +886,16 @@ pub fn panel_condensation(
     fill
 }
 
-/// Lane-masked mirror of `condensation::relax_class`. `scrubbed` marks
-/// the lanes a relax of the running `panel_condensation` call has already
-/// scrubbed whole; `floored` takes what the scrubs floor, per lane.
+/// One class's diffusional exchange toward saturation `qs` over `dt`, for
+/// the lanes of `mask_in`: the phase-relaxation rate `4π G Σ n_k r_k`
+/// gives the vapor exchanged, `Δq = (qv − qs)(1 − e^{−rate·dt})` (an
+/// evaporation capped at what the class holds), shared across bins in
+/// proportion to `n_k r_k` and re-binned at each bin's new mean mass with
+/// the conserving two-bin split; a relax that moves mass ends with the
+/// scrub, then takes `Δq` from the vapor and its latent heat into `T`.
+/// `scrubbed` marks the lanes a relax of the running `panel_condensation`
+/// call has already scrubbed whole; `floored` takes what the scrubs
+/// floor, per lane.
 #[allow(clippy::too_many_arguments)]
 fn panel_relax_class(
     panel: &mut SoaPanel,
@@ -884,8 +919,7 @@ fn panel_relax_class(
     // masks, which is what lets them). A lane outside the mask — a dead
     // lane holding anything at all included — computes and throws away:
     // every store selects the old value, never adds `+0.0`. A lane inside
-    // it runs the scalar's operations on its own values in the scalar's
-    // order.
+    // it runs its own operations on its own values in bin order.
     let mut cap = [0.0f32; LANES];
     let mut n_tot = [0.0f32; LANES];
     let calling = *mask_in;
@@ -943,8 +977,8 @@ fn panel_relax_class(
     let mut bins = [0u32; LANES];
     for k in 0..NKR {
         let (r, mk) = (g.radius[k], g.mass[k]);
-        // The negation of the scalar's skip at `n <= 0.0`, so a NaN bin
-        // takes the scalar's path.
+        // The negation of a skip at `n <= 0.0`, so a NaN bin is not
+        // skipped.
         let on: [u32; LANES] = std::array::from_fn(|l| {
             let n = panel.n[ci][k][l];
             relaxing[l] & if n <= 0.0 { 0 } else { u32::MAX }
@@ -970,7 +1004,7 @@ fn panel_relax_class(
         w.fm(6 * u64::from(b), u64::from(b));
     }
     // The deposit loop stays per lane: its stencil depends on the lane's
-    // own new mass. Like the scalar it takes the bins whose `moved > 0.0`.
+    // own new mass. It takes the bins whose `moved > 0.0`.
     for k in 0..NKR {
         for l in (0..len).filter(|&l| moved[k][l] > 0.0) {
             panel.n[ci][k][l] -= moved[k][l];
@@ -986,9 +1020,9 @@ fn panel_relax_class(
             }
         }
     }
-    // The scalar ends every relax that moved mass with `scrub_tails` over
-    // all seven classes: negatives to `0.0`, positive values below
-    // `N_FLOOR` to `+0.0`, tallied class by class, bin by bin. That pass
+    // Every relax that moved mass ends with the point's scrub over all
+    // seven classes: negatives to `0.0`, positive values below `N_FLOOR`
+    // to `+0.0`, tallied class by class, bin by bin. That pass
     // can find something outside `class` only the first time it runs on a
     // point within one condensation call: negatives and sub-floor values
     // arrive from other stages, the first scrub clears every class, and
@@ -996,8 +1030,8 @@ fn panel_relax_class(
     // the relaxes' own, each inside the class it was called for and each
     // followed by that class's scrub. So a lane is scrubbed whole on its
     // first relax and class-only after — the slots skipped are `+0.0`,
-    // `-0.0`, NaN or at least `N_FLOOR`, which the scalar's scrub leaves
-    // bit for bit and does not tally, so each lane's tally adds the same
+    // `-0.0`, NaN or at least `N_FLOOR`, which a whole scrub leaves bit
+    // for bit and does not tally, so each lane's tally adds the same
     // values in the same order. The class scrub is where the floor fires:
     // a deposit of `number * frac` or `number - number * frac` into a bin
     // the spectrum is leaving lands below `N_FLOOR` (negatives it no
@@ -1022,10 +1056,9 @@ fn panel_relax_class(
     }
 }
 
-/// Per-lane mirror of the driver's coalescence predicate: total condensate
-/// above [`Q_EPS`] and temperature above the coalescence floor. Metering
-/// lands in `works` (the caller's condensation bucket, as in
-/// `fast_sbm_pre`).
+/// Listing 6's collision predicate (`call_coal_bott_new`) per lane: total
+/// condensate above [`Q_EPS`] and temperature above the coalescence floor.
+/// Metering lands in `works` (the caller's condensation bucket).
 pub fn panel_coal_predicate(
     panel: &SoaPanel,
     grids: &Grids,
@@ -1066,15 +1099,20 @@ impl SedScratch {
     }
 }
 
-/// SoA mirror of `sedimentation_column`: explicit first-order upwind fall
-/// over a bin-major column held in `scratch.bins`, with the same
-/// per-level fall-speed `factor`s.
+/// Bin-resolved sedimentation of one class's column (see
+/// [`crate::processes::sedimentation`]) held bin-major in `scratch.bins`
+/// (level 0 = surface): each bin falls at its terminal velocity
+/// `vt[k] · factor[l]` (`factor[l]` = `density_factor(rho[l])`) by a
+/// density-weighted first-order upwind flux, CFL sub-stepped so the
+/// fastest bin crosses at most one `dz` layer per sub-step. Bins run
+/// outer and sub-steps inner, since each bin falls independently of the
+/// others, and the surface flux is summed in that order. Returns the
+/// surface precipitation, kg/m².
 ///
-/// One transform over the scalar, bitwise-neutral: bins that are exactly
-/// `+0.0` at every level are skipped with their scalar work bulk-metered
-/// (every update on an all-`+0.0` bin is an exact no-op; the bit test
-/// deliberately excludes `-0.0`, whose `max(0.0)` rewrite must still
-/// run).
+/// Bins that are exactly `+0.0` at every level are skipped with their
+/// work bulk-metered, which moves no bit (every update on an all-`+0.0`
+/// bin is an exact no-op; the bit test deliberately excludes `-0.0`,
+/// whose `max(0.0)` rewrite must still run).
 pub fn sedimentation_column_soa(
     scratch: &mut SedScratch,
     grid: &BinGrid,
@@ -1126,8 +1164,7 @@ pub fn sedimentation_column_soa(
 mod tests {
     use super::*;
     use crate::kernels::{CollisionTables, KernelCache, KernelTables};
-    use crate::point::{PointBins, PointThermo};
-    use crate::processes::{collision, condensation, sedimentation};
+    use crate::point::PointBins;
 
     /// Deterministic pseudo-random f32 in [0, 1).
     struct Lcg(u64);
@@ -1186,8 +1223,10 @@ mod tests {
         panel
     }
 
-    fn assert_panel_matches(panel: &SoaPanel, scalar: &[(PointBins, PointThermo)], what: &str) {
-        for (l, (bins, th)) in scalar.iter().enumerate() {
+    /// Each lane of `panel` holds the bits of the same point batched
+    /// alone (`alone[l]`).
+    fn assert_panel_matches(panel: &SoaPanel, alone: &[(PointBins, PointThermo)], what: &str) {
+        for (l, (bins, th)) in alone.iter().enumerate() {
             for c in 0..NTYPES {
                 for k in 0..NKR {
                     assert_eq!(
@@ -1322,6 +1361,10 @@ mod tests {
         }
     }
 
+    /// In every kernel mode, each lane of a ragged five-point batch (its
+    /// last point empty) ends with the bits, the entries and the meter of
+    /// the same point batched alone, and the batch counts the cache hits
+    /// and misses the five alone count.
     #[test]
     fn panel_coal_is_bitwise_identical_per_mode() {
         let grids = Grids::new();
@@ -1350,19 +1393,21 @@ mod tests {
             };
             let points = synth_points(5);
 
-            // Scalar reference, one point at a time.
+            // Each point batched alone.
             cache.reset_stats();
-            let mut scalar = points.clone();
+            let mut alone = points.clone();
             let mut sw = [PointWork::ZERO; LANES];
             let mut se = [0u64; LANES];
-            for (l, (bins, th)) in scalar.iter_mut().enumerate() {
-                let mut view = bins.view();
-                se[l] =
-                    collision::coal_bott_new(&mut view, th, &grids, make_mode(), 5.0, &mut sw[l]);
+            for (l, (bins, th)) in alone.iter_mut().enumerate() {
+                let (mut w, mut e) = ([PointWork::ZERO; LANES], [0u64; LANES]);
+                one_lane(&mut bins.view(), th, |panel| {
+                    panel_coal(panel, &grids, make_mode(), &splits, 5.0, &mut w, &mut e)
+                });
+                (sw[l], se[l]) = (w[0], e[0]);
             }
             let (sh, sm) = (cache.hits(), cache.misses());
 
-            // Panel run over the same points.
+            // The same points batched together.
             cache.reset_stats();
             let mut panel = gather(&points);
             let mut pw = [PointWork::ZERO; LANES];
@@ -1377,7 +1422,7 @@ mod tests {
                 &mut pe,
             );
 
-            assert_panel_matches(&panel, &scalar, name);
+            assert_panel_matches(&panel, &alone, name);
             assert!(
                 se.iter().sum::<u64>() > 0,
                 "{name}: no collisions exercised"
@@ -1519,15 +1564,15 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(condensation_cases()))]
 
-        /// The panel against `condensation_branch` lane by lane, on random
-        /// spectra through all three branches and the guard's early
+        /// A batch against its points batched alone, lane by lane, on
+        /// random spectra through all three branches and the guard's early
         /// return (lane `l` takes branch `(l + offset) % 4`, and carries
         /// floor-firing tails when bit `l` of `tails` is set), with
         /// subnormal tails, `-0.0` bins, tiny negatives, NaN bins and
         /// empty classes, in a panel of `len` live lanes whose dead lanes
         /// hold NaN, ±inf and random bits: every live lane's state bits,
-        /// `PointWork` and `Floored` are the scalar's, and no dead lane's
-        /// bits move.
+        /// `PointWork` and `Floored` are those of its point alone, and no
+        /// dead lane's bits move.
         #[test]
         fn panel_condensation_is_bitwise_identical(
             seed in proptest::any::<u64>(), len in 1usize..=LANES, offset in 0u8..4,
@@ -1538,12 +1583,15 @@ mod tests {
             let points: Vec<_> = (0..len)
                 .map(|l| random_point((l as u8 + offset) % 4, tails >> l & 1 == 1, &mut rng))
                 .collect();
-            let mut scalar = points.clone();
+            let mut alone = points.clone();
             let mut sw = [PointWork::ZERO; LANES];
             let mut sf = [Floored::default(); LANES];
-            for (l, (bins, th)) in scalar.iter_mut().enumerate() {
-                let mut view = bins.view();
-                condensation::condensation_branch(&mut view, th, &grids, 5.0, &mut sw[l], &mut sf[l]);
+            for (l, (bins, th)) in alone.iter_mut().enumerate() {
+                let (mut w, mut f) = ([PointWork::ZERO; LANES], [Floored::default(); LANES]);
+                one_lane(&mut bins.view(), th, |panel| {
+                    panel_condensation(panel, &grids, 5.0, &mut w, &mut f)
+                });
+                (sw[l], sf[l]) = (w[0], f[0]);
             }
 
             let mut panel = gather(&points);
@@ -1562,7 +1610,7 @@ mod tests {
             let mut pf = [Floored::default(); LANES];
             panel_condensation(&mut panel, &grids, 5.0, &mut pw, &mut pf);
 
-            assert_panel_matches(&panel, &scalar, "condensation");
+            assert_panel_matches(&panel, &alone, "condensation");
             for l in 0..len {
                 proptest::prop_assert_eq!(sw[l], pw[l], "lane {} condensation work", l);
                 proptest::prop_assert_eq!(floored_bits(&sf[l]), floored_bits(&pf[l]), "lane {} floored", l);
@@ -1603,16 +1651,11 @@ mod tests {
             };
             assert_eq!(got, kind, "{th:?}");
             if tails {
-                let mut floored = Floored::default();
-                condensation::condensation_branch(
-                    &mut view,
-                    &mut th,
-                    &grids,
-                    5.0,
-                    &mut w,
-                    &mut floored,
-                );
-                fired[kind as usize] += floored.values;
+                let (mut w, mut floored) = ([w; LANES], [Floored::default(); LANES]);
+                one_lane(&mut view, &mut th, |panel| {
+                    panel_condensation(panel, &grids, 5.0, &mut w, &mut floored)
+                });
+                fired[kind as usize] += floored[0].values;
             }
         }
         assert_eq!(fired[0], 0, "the guard's early return scrubs nothing");
@@ -1622,9 +1665,11 @@ mod tests {
         );
     }
 
-    /// Both scrubs at their edges: `N_FLOOR` stays and its lower neighbour
-    /// goes (tallied), negatives become `+0.0` (not tallied), `±0.0`, NaN
-    /// and ∞ keep their bits; the panel's masked-off lanes keep theirs.
+    /// The relax's scrub at its edges: `N_FLOOR` stays and its lower
+    /// neighbour goes (tallied), negatives become `+0.0` (not tallied),
+    /// `±0.0`, NaN and ∞ keep their bits — on a point scrubbed alone, and
+    /// on every masked lane of an eight-lane batch of it, whose
+    /// masked-off lanes keep their bits and tally nothing.
     #[test]
     fn scrub_tails_edges_in_both_layouts() {
         let grids = Grids::new();
@@ -1654,30 +1699,77 @@ mod tests {
         for (e, &(v, _)) in edges.iter().enumerate() {
             bins.n[c][e] = v;
         }
-        let mut panel = gather(&vec![(bins.clone(), synth_points(1)[0].1); LANES]);
-        let mut scalar = Floored::default();
-        bins.view().scrub_tails(&grids, &mut scalar);
+        let point = (bins, synth_points(1)[0].1);
+        let mut alone = gather(std::slice::from_ref(&point));
+        let mut one = [Floored::default(); LANES];
+        alone.scrub_tail_lanes(
+            0..NTYPES,
+            &std::array::from_fn(|l| l == 0),
+            &grids,
+            &mut one,
+        );
 
+        let mut panel = gather(&vec![point; LANES]);
         let mask: [bool; LANES] = std::array::from_fn(|l| l % 2 == 0);
         let mut lanes = [Floored::default(); LANES];
         panel.scrub_tail_lanes(0..NTYPES, &mask, &grids, &mut lanes);
 
         for (e, &(v, want)) in edges.iter().enumerate() {
-            assert_eq!(bins.n[c][e].to_bits(), want.to_bits(), "scalar: {v:e}");
+            assert_eq!(alone.n[c][e][0].to_bits(), want.to_bits(), "alone: {v:e}");
             for (l, (got, &on)) in panel.n[c][e].iter().zip(&mask).enumerate() {
                 let want = if on { want } else { v };
                 assert_eq!(got.to_bits(), want.to_bits(), "lane {l}: {v:e}");
             }
         }
-        assert_eq!(scalar.values, tails.len() as u64);
-        assert_eq!(scalar.number, want_number);
-        assert_eq!(scalar.mass, want_mass);
+        assert_eq!(one[0].values, tails.len() as u64);
+        assert_eq!(one[0].number, want_number);
+        assert_eq!(one[0].mass, want_mass);
         for (l, (tally, &on)) in lanes.iter().zip(&mask).enumerate() {
-            let want = if on { floored_bits(&scalar) } else { (0, 0, 0) };
+            let want = if on { floored_bits(&one[0]) } else { (0, 0, 0) };
             assert_eq!(floored_bits(tally), want, "lane {l}");
         }
     }
 
+    /// Collision's scrub: a negative becomes `0.0` on the masked lane, and
+    /// everything else — positive values, `-0.0`, a masked-off lane's
+    /// negative — keeps its bits.
+    #[test]
+    fn scrub_negatives() {
+        let mut bins = PointBins::empty();
+        bins.n[2][3] = -1.0e-6;
+        bins.n[2][4] = 5.0;
+        bins.n[2][5] = -0.0;
+        let mut panel = gather(&vec![(bins, synth_points(1)[0].1); 2]);
+        panel.scrub_lanes(&std::array::from_fn(|l| l == 0));
+        let bits = |k: usize, l: usize| panel.n[2][k][l].to_bits();
+        assert_eq!(
+            [bits(3, 0), bits(4, 0), bits(5, 0)],
+            [0.0f32, 5.0, -0.0].map(f32::to_bits)
+        );
+        assert_eq!(bits(3, 1), (-1.0e-6f32).to_bits());
+    }
+
+    /// A lane's occupied range: `None` for an empty class, else the first
+    /// and last bin above `N_EPS`, whatever the other lanes hold; one
+    /// metered pass over the class a call.
+    #[test]
+    fn active_range_finds_occupied_bins() {
+        let th = synth_points(1)[0].1;
+        let mut bins = PointBins::empty();
+        bins.n[0][4] = 1.0;
+        bins.n[0][9] = 1.0;
+        let panel = gather(&[(PointBins::empty(), th), (bins, th)]);
+        let mut w = PointWork::ZERO;
+        assert_eq!(panel.active_range_lane(HydroClass::Water, 0, &mut w), None);
+        assert_eq!(
+            panel.active_range_lane(HydroClass::Water, 1, &mut w),
+            Some((4, 9))
+        );
+        assert_eq!(w.mem_ops, 2 * NKR as u64);
+    }
+
+    /// Each lane's predicate and its meter are those of its point batched
+    /// alone: condensate above `Q_EPS`, warmer than the coalescence floor.
     #[test]
     fn panel_predicate_matches_driver() {
         let grids = Grids::new();
@@ -1686,67 +1778,15 @@ mod tests {
         let mut pw = [PointWork::ZERO; LANES];
         let pred = panel_coal_predicate(&panel, &grids, &mut pw);
         for (l, (bins, th)) in points.iter().enumerate() {
-            let mut b = bins.clone();
-            let view = b.view();
-            let mut w = PointWork::ZERO;
-            let condensate = view.total_condensate(&grids, &mut w);
-            let want = th.t > T_MIN_COAL && condensate > Q_EPS;
-            assert_eq!(pred[l], want, "lane {l} predicate");
-            assert_eq!(pw[l], w, "lane {l} predicate work");
+            let (mut b, mut th) = (bins.clone(), *th);
+            let mut w = [PointWork::ZERO; LANES];
+            let alone = one_lane(&mut b.view(), &mut th, |panel| {
+                panel_coal_predicate(panel, &grids, &mut w)[0]
+            });
+            assert_eq!(pred[l], alone, "lane {l} predicate");
+            assert_eq!(pw[l], w[0], "lane {l} predicate work");
+            let condensate = b.view().total_condensate(&grids, &mut w[1]);
+            assert_eq!(alone, th.t > T_MIN_COAL && condensate > Q_EPS, "lane {l}");
         }
-    }
-
-    #[test]
-    fn soa_sedimentation_matches_scalar_column() {
-        let grids = Grids::new();
-        let g = grids.of(HydroClass::Snow);
-        let nz = 12;
-        let mut rng = Lcg(99);
-        let rho: Vec<f32> = (0..nz).map(|_| 0.6 + rng.next() * 0.6).collect();
-        // A step long enough for the CFL to split it: each bin's
-        // surface flux is then summed over sub-steps, in one order in
-        // both layouts.
-        let (dz, dt) = (100.0, 60.0);
-        let vmax = g.vt_at(NKR - 1, rho.iter().cloned().fold(f32::INFINITY, f32::min));
-        assert!(vmax * dt / dz > 2.0, "one sub-step only: {vmax} m/s");
-        let mut col = vec![[0.0f32; NKR]; nz];
-        for lvl in col.iter_mut().take(8) {
-            for v in lvl.iter_mut().take(25).skip(10) {
-                if rng.next() > 0.5 {
-                    *v = rng.next() * 5.0e6;
-                }
-            }
-        }
-        let factor: Vec<f32> = rho
-            .iter()
-            .map(|&r| crate::bins::density_factor(r))
-            .collect();
-        let mut scol = col.clone();
-        let mut ws = PointWork::ZERO;
-        let precip_s =
-            sedimentation::sedimentation_column(&mut scol, g, &rho, &factor, dz, dt, &mut ws);
-
-        let mut scratch = SedScratch::new();
-        scratch.ensure(nz);
-        for (l, lvl) in col.iter().enumerate() {
-            for (k, &v) in lvl.iter().enumerate() {
-                scratch.bins[k * nz + l] = v;
-            }
-        }
-        let mut wp = PointWork::ZERO;
-        let precip_p = sedimentation_column_soa(&mut scratch, g, &rho, &factor, dz, dt, &mut wp);
-
-        assert_eq!(precip_s.to_bits(), precip_p.to_bits());
-        assert_eq!(ws, wp);
-        for (l, lvl) in scol.iter().enumerate() {
-            for (k, v) in lvl.iter().enumerate() {
-                assert_eq!(
-                    v.to_bits(),
-                    scratch.bins[k * nz + l].to_bits(),
-                    "level {l} bin {k}"
-                );
-            }
-        }
-        assert!(precip_s >= 0.0);
     }
 }

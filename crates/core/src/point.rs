@@ -5,8 +5,11 @@
 //! subroutines; here a grid point's distributions are a [`PointBins`]
 //! (owned, stack-allocated — the "automatic arrays" of Listing 7) or a
 //! [`BinsView`] borrowing per-point slices of the `temp_arrays` slabs
-//! (the pointer refactor of Listing 8). All processes operate on
-//! [`BinsView`], so the four scheme versions share the physics.
+//! (the pointer refactor of Listing 8). Nucleation, freezing and breakup
+//! operate on [`BinsView`]; condensation, collision and sedimentation on
+//! the lane panels of [`crate::panels`], which gather from and scatter to
+//! the same views. Every scheme version runs the same routines, so the
+//! four share the physics.
 
 use crate::bins::BinGrid;
 use crate::meter::PointWork;
@@ -35,8 +38,9 @@ pub const N_FLOOR: f32 = 1.0e-25;
 /// A positive value below [`N_FLOOR`] as `+0.0`; every other value (`0`,
 /// `-0.0`, negatives, NaN, ∞, anything ≥ `N_FLOOR`) unchanged. Applied at
 /// three writes the step already makes: transport's final RK3 stage of a
-/// positive-definite scalar, the condensation relax's scrub
-/// ([`BinsView::scrub_tails`]) and the sedimentation write-back.
+/// positive-definite scalar, the condensation relax's scrub (in
+/// [`crate::panels::panel_condensation`]) and the sedimentation
+/// write-back.
 #[inline]
 pub fn floor_tail(v: f32) -> f32 {
     if v > 0.0 && v < N_FLOOR {
@@ -208,17 +212,6 @@ impl<'a> BinsView<'a> {
         self.class(c).iter().sum()
     }
 
-    /// The `(lo, hi)` inclusive range of occupied bins of a class, or
-    /// `None` when empty — the sparsity the lookup optimization exploits
-    /// ("not every entry of an array is used").
-    pub fn active_range(&self, c: HydroClass, w: &mut PointWork) -> Option<(usize, usize)> {
-        let s = self.class(c);
-        w.m(NKR as u64);
-        let lo = s.iter().position(|&v| v > N_EPS)?;
-        let hi = s.iter().rposition(|&v| v > N_EPS)?;
-        Some((lo, hi))
-    }
-
     /// True when every class is empty ([`all_zero`]): the point holds
     /// nothing that freezing, melting, breakup or sedimentation would
     /// read as present.
@@ -244,36 +237,6 @@ impl<'a> BinsView<'a> {
             })
             .sum();
         (q, clear)
-    }
-
-    /// Clamps tiny negatives (numerical dust) to zero.
-    pub fn scrub_negatives(&mut self) {
-        for s in &mut self.n {
-            for v in s.iter_mut() {
-                if *v < 0.0 {
-                    debug_assert!(*v > -1.0e-2, "large negative bin {v}");
-                    *v = 0.0;
-                }
-            }
-        }
-    }
-
-    /// The condensation relax's scrub: [`BinsView::scrub_negatives`] and
-    /// the storage floor in one pass. A negative becomes `0.0`, a positive
-    /// value below [`N_FLOOR`] `+0.0` (tallied in `floored` with its bin's
-    /// particle mass, classes in storage order, bins ascending), and every
-    /// other value, `-0.0` and NaN included, keeps its bits.
-    pub fn scrub_tails(&mut self, grids: &Grids, floored: &mut Floored) {
-        for (c, s) in self.n.iter_mut().enumerate() {
-            for (v, &m) in s.iter_mut().zip(&grids.by_index(c).mass) {
-                if *v < 0.0 {
-                    debug_assert!(*v > -1.0e-2, "large negative bin {v}");
-                    *v = 0.0;
-                } else {
-                    *v = floored.floor(*v, m);
-                }
-            }
-        }
     }
 }
 
@@ -329,10 +292,6 @@ pub fn deposit_mass(target: &mut [f32], grid: &BinGrid, m: f32, number: f32, w: 
     target[k + 1] += n_hi;
 }
 
-/// The state-variable tuple `fast_sbm` owns per grid point: views +
-/// thermo. Re-exported convenience used by the scheme drivers.
-pub use crate::processes::driver::fast_sbm_point;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -362,19 +321,6 @@ mod tests {
         assert!((q - expect).abs() / expect < 1e-6);
         assert!(w.flops > 0);
         let _ = &mut bv;
-    }
-
-    #[test]
-    fn active_range_finds_occupied_bins() {
-        let mut b = PointBins::empty();
-        let mut w = PointWork::ZERO;
-        assert_eq!(b.view().active_range(HydroClass::Water, &mut w), None);
-        b.n[0][4] = 1.0;
-        b.n[0][9] = 1.0;
-        assert_eq!(
-            b.view().active_range(HydroClass::Water, &mut w),
-            Some((4, 9))
-        );
     }
 
     #[test]
@@ -466,17 +412,6 @@ mod tests {
         deposit_mass(&mut target, gw, -1.0, 5.0, &mut w);
         deposit_mass(&mut target, gw, 1.0e-12, 0.0, &mut w);
         assert!(target.iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
-    fn scrub_negatives() {
-        let mut b = PointBins::empty();
-        b.n[2][3] = -1.0e-6;
-        b.n[2][4] = 5.0;
-        let mut v = b.view();
-        v.scrub_negatives();
-        assert_eq!(v.n[2][3], 0.0);
-        assert_eq!(v.n[2][4], 5.0);
     }
 
     /// The floor's edges: the two values either side of `N_FLOOR`, the

@@ -6,22 +6,18 @@
 //! deposit the merged mass into the outcome class with the
 //! number-and-mass-conserving two-bin split of
 //! [`crate::point::deposit_mass`]. Kernel values come from
-//! [`KernelMode`]: the dense per-point tables (baseline) or the
-//! on-demand pure computation (lookup refactor) — numerically identical.
+//! [`crate::kernels::KernelMode`]: the dense per-point tables (baseline)
+//! or the on-demand pure computation (lookup refactor) — numerically
+//! identical. The body is [`crate::panels::panel_coal`], which runs it
+//! over a lane batch of points; one point is a batch of its own
+//! ([`crate::panels::one_lane`]).
 //!
 //! The two sparsities the paper's Section VI-A exploits appear here
 //! naturally: class pairs whose colliders are absent are skipped ("not
 //! all 20 collision arrays are used"), and only occupied bin ranges are
 //! visited ("not every entry of an array is used").
 
-use crate::constants::{CP, L_F, T_0};
-use crate::kernels::{KernelMode, COLLISION_PAIRS};
-use crate::meter::PointWork;
-use crate::point::{deposit_mass, BinsView, Grids, PointThermo};
-use crate::types::NKR;
-
 /// Fraction of a bin that may be depleted per step (stability cap).
-/// Shared with the SoA panel mirror of this kernel.
 pub(crate) const MAX_DEPLETION: f32 = 0.5;
 
 /// Internal collision substeps per model step: the stochastic collection
@@ -30,113 +26,33 @@ pub(crate) const MAX_DEPLETION: f32 = 0.5;
 /// substepping). Identical in all four versions.
 pub const NCOLL: u32 = 3;
 
-/// Integrates collision–coalescence for one grid point over `dt` seconds
-/// with [`NCOLL`] internal substeps. Returns the number of kernel entries
-/// actually evaluated (the quantity whose reduction drives Table III).
-pub fn coal_bott_new(
-    bins: &mut BinsView<'_>,
-    th: &mut PointThermo,
-    grids: &Grids,
-    kernels: KernelMode<'_>,
-    dt: f32,
-    w: &mut PointWork,
-) -> u64 {
-    let mut entries = 0u64;
-    let dts = dt / NCOLL as f32;
-    for _ in 0..NCOLL {
-        entries += coal_substep(bins, th, grids, kernels, dts, w);
-    }
-    entries
-}
-
-fn coal_substep(
-    bins: &mut BinsView<'_>,
-    th: &mut PointThermo,
-    grids: &Grids,
-    kernels: KernelMode<'_>,
-    dt: f32,
-    w: &mut PointWork,
-) -> u64 {
-    let mut entries = 0u64;
-    let t = th.t;
-    for (pidx, pair) in COLLISION_PAIRS.iter().enumerate() {
-        // Phase gating: riming and aggregation only below freezing.
-        let involves_ice = pair.a.is_ice() || pair.b.is_ice();
-        w.f(2);
-        if involves_ice && t >= T_0 {
-            continue;
-        }
-        let (Some((alo, ahi)), Some((blo, bhi))) =
-            (bins.active_range(pair.a, w), bins.active_range(pair.b, w))
-        else {
-            continue; // a collider class is absent: whole table unused
-        };
-
-        let ga = grids.of(pair.a);
-        let gb = grids.of(pair.b);
-        let gout = grids.of(pair.outcome);
-        let same = pair.a == pair.b;
-        let riming = pair.a.is_ice() != pair.b.is_ice();
-
-        for i in alo..=ahi {
-            // Self-collection: visit unordered pairs once.
-            let jstart = if same { i } else { blo };
-            for j in jstart..=bhi.min(NKR - 1) {
-                let ni = bins.class(pair.a)[i];
-                let nj = bins.class(pair.b)[j];
-                w.m(2);
-                if ni <= 0.0 || nj <= 0.0 {
-                    continue;
-                }
-                let k = kernels.get(pidx, i, j, w);
-                entries += 1;
-                // Collection events per kg of air over dt.
-                let mut dn = k * ni * nj * th.rho * dt;
-                w.f(6);
-                if same && i == j {
-                    dn *= 0.5;
-                }
-                if dn <= 0.0 {
-                    continue;
-                }
-                // Stability: never deplete a bin past the cap; identical
-                // colliders consume two particles per event.
-                let cap_i = MAX_DEPLETION * ni / if same && i == j { 2.0 } else { 1.0 };
-                let cap_j = MAX_DEPLETION * nj;
-                let dn = dn.min(cap_i).min(cap_j);
-                w.f(4);
-
-                let mi = ga.mass[i];
-                let mj = gb.mass[j];
-                if same && i == j {
-                    bins.class_mut(pair.a)[i] -= 2.0 * dn;
-                } else {
-                    bins.class_mut(pair.a)[i] -= dn;
-                    bins.class_mut(pair.b)[j] -= dn;
-                }
-                deposit_mass(bins.class_mut(pair.outcome), gout, mi + mj, dn, w);
-                w.fm(5, 4);
-
-                // Riming freezes the liquid collider: latent heat of
-                // fusion warms the point.
-                if riming {
-                    let liquid_mass = if pair.a.is_ice() { mj } else { mi } * dn;
-                    th.t += L_F * liquid_mass / CP;
-                    w.f(4);
-                }
-            }
-        }
-    }
-    bins.scrub_negatives();
-    entries
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernels::{kernals_ks, CollisionTables, KernelTables};
-    use crate::point::PointBins;
-    use crate::types::HydroClass;
+    use crate::kernels::{kernals_ks, CollisionTables, KernelMode, KernelTables};
+    use crate::meter::PointWork;
+    use crate::panels::{one_lane, panel_coal, DepositSplits, LANES};
+    use crate::point::{BinsView, Grids, PointBins, PointThermo};
+    use crate::types::{HydroClass, NKR};
+
+    /// One point's collision over `dt`, batched alone: the kernel entries
+    /// it evaluated, its work metered into `w`.
+    fn coal(
+        bins: &mut BinsView<'_>,
+        th: &mut PointThermo,
+        grids: &Grids,
+        kernels: KernelMode<'_>,
+        dt: f32,
+        w: &mut PointWork,
+    ) -> u64 {
+        let splits = DepositSplits::new(grids);
+        let (mut works, mut entries) = ([PointWork::ZERO; LANES], [0u64; LANES]);
+        one_lane(bins, th, |panel| {
+            panel_coal(panel, grids, kernels, &splits, dt, &mut works, &mut entries)
+        });
+        *w += works[0];
+        entries[0]
+    }
 
     fn thermo(t: f32) -> PointThermo {
         PointThermo {
@@ -168,7 +84,7 @@ mod tests {
         let mut v = b.view();
         let q_before = v.mass_of(HydroClass::Water, &g, &mut w);
         let n_large_before: f32 = v.class(HydroClass::Water)[19..].iter().sum();
-        let entries = coal_bott_new(
+        let entries = coal(
             &mut v,
             &mut th,
             &g,
@@ -211,7 +127,7 @@ mod tests {
         let mut b2 = seed.clone();
         let mut th1 = thermo(263.0);
         let mut th2 = thermo(263.0);
-        coal_bott_new(
+        coal(
             &mut b1.view(),
             &mut th1,
             &g,
@@ -219,7 +135,7 @@ mod tests {
             5.0,
             &mut w,
         );
-        coal_bott_new(
+        coal(
             &mut b2.view(),
             &mut th2,
             &g,
@@ -238,7 +154,7 @@ mod tests {
         let mut b = PointBins::empty();
         let mut th = thermo(280.0);
         let mut w = PointWork::ZERO;
-        let entries = coal_bott_new(
+        let entries = coal(
             &mut b.view(),
             &mut th,
             &g,
@@ -264,7 +180,7 @@ mod tests {
         }
         let mut th = thermo(285.0);
         let mut w = PointWork::ZERO;
-        let entries = coal_bott_new(
+        let entries = coal(
             &mut b.view(),
             &mut th,
             &g,
@@ -291,7 +207,7 @@ mod tests {
         let mut w = PointWork::ZERO;
         let mut v = b.view();
         let snow_before = v.number_of(HydroClass::Snow);
-        coal_bott_new(
+        coal(
             &mut v,
             &mut th,
             &g,
@@ -320,7 +236,7 @@ mod tests {
         let mut w = PointWork::ZERO;
         let mut v = b.view();
         let qg_before = v.mass_of(HydroClass::Graupel, &g, &mut w);
-        coal_bott_new(
+        coal(
             &mut v,
             &mut th,
             &g,
@@ -347,7 +263,7 @@ mod tests {
         let mut th = thermo(285.0);
         let mut w = PointWork::ZERO;
         let mut v = b.view();
-        coal_bott_new(
+        coal(
             &mut v,
             &mut th,
             &g,
@@ -377,7 +293,7 @@ mod tests {
         let run = |mut b: PointBins| {
             let mut th = thermo(285.0);
             let mut w = PointWork::ZERO;
-            let e = coal_bott_new(
+            let e = coal(
                 &mut b.view(),
                 &mut th,
                 &g,

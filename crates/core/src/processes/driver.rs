@@ -6,15 +6,21 @@
 //! that also records the collision predicate (`call_coal_bott_new`), the
 //! collision loop runs on its own (offloaded, or on CPU tiles), and
 //! freezing/breakup finish in a third sweep. Every version of the scheme
-//! runs those sweeps over the `pre`/`coal`/`post` parts exported here, so
-//! all versions execute the *same* physics in the same order;
-//! [`fast_sbm_point`] is their unfissioned composition for one point.
+//! runs those sweeps: the guard and nucleation head ([`fast_sbm_nucleate`])
+//! and the post stage ([`fast_sbm_post`]) per point, condensation, the
+//! predicate and collision as the lane-batch kernels of
+//! [`crate::panels`]. So all versions execute the *same* physics in the
+//! same order; [`fast_sbm_point`] is their unfissioned composition for
+//! one point.
 
-use crate::constants::{T_MIN_COAL, T_MIN_PHYSICS};
+use crate::constants::T_MIN_PHYSICS;
 use crate::kernels::KernelMode;
 use crate::meter::{PointWork, WorkBreakdown};
-use crate::point::{BinsView, Floored, Grids, PointBins, PointThermo, Q_EPS};
-use crate::processes::{breakup, collision, condensation, freezing, nucleation};
+use crate::panels::{
+    one_lane, panel_coal, panel_coal_predicate, panel_condensation, DepositSplits, LANES,
+};
+use crate::point::{BinsView, Floored, Grids, PointBins, PointThermo};
+use crate::processes::{breakup, freezing, nucleation};
 
 /// Outcome of one point's microphysics.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -27,41 +33,13 @@ pub struct PointOutcome {
     pub coal_entries: u64,
     /// Per-routine work.
     pub work: WorkBreakdown,
-    /// What the condensation relaxes' scrubs floored
-    /// ([`BinsView::scrub_tails`]).
+    /// What the condensation relaxes' scrubs floored.
     pub floored: Floored,
 }
 
-/// First fissioned sweep: nucleation + condensation. Returns the outcome
-/// with `coal_called` set to the Listing 6 predicate
-/// (`call_coal_bott_new(i,k,j)`).
-pub fn fast_sbm_pre(
-    bins: &mut BinsView<'_>,
-    th: &mut PointThermo,
-    grids: &Grids,
-    dt: f32,
-    t_old: f32,
-) -> PointOutcome {
-    let Some(mut out) = fast_sbm_nucleate(bins, th, grids, dt, t_old) else {
-        return PointOutcome::default();
-    };
-
-    let mut w = PointWork::ZERO;
-    condensation::condensation_branch(bins, th, grids, dt, &mut w, &mut out.floored);
-    out.work.cond = w;
-
-    // The collision predicate of Listing 6: warm enough and something to
-    // collide.
-    let mut w = PointWork::ZERO;
-    let condensate = bins.total_condensate(grids, &mut w);
-    out.coal_called = th.t > T_MIN_COAL && condensate > Q_EPS;
-    out.work.cond += w;
-    out
-}
-
-/// The guard + nucleation head of [`fast_sbm_pre`], split out so the
-/// panel layout can run it per point before batching condensation.
-/// Returns `None` for points failing the `T_OLD > 193.15` guard.
+/// The guard + nucleation head of the first fissioned sweep, which the
+/// scheme runs per point before batching condensation. Returns `None`
+/// for points failing the `T_OLD > 193.15` guard.
 pub fn fast_sbm_nucleate(
     bins: &mut BinsView<'_>,
     th: &mut PointThermo,
@@ -80,22 +58,6 @@ pub fn fast_sbm_nucleate(
     nucleation::jernucl01_ks(bins, th, grids, dt, &mut w);
     out.work.nucl = w;
     Some(out)
-}
-
-/// The collision stage (the offloaded kernel body). Adds its work and
-/// entry count into `out`.
-pub fn fast_sbm_coal(
-    bins: &mut BinsView<'_>,
-    th: &mut PointThermo,
-    grids: &Grids,
-    kernels: KernelMode<'_>,
-    dt: f32,
-    out: &mut PointOutcome,
-) {
-    debug_assert!(out.coal_called);
-    let mut w = PointWork::ZERO;
-    out.coal_entries = collision::coal_bott_new(bins, th, grids, kernels, dt, &mut w);
-    out.work.coal += w;
 }
 
 /// Final fissioned sweep: freezing/melting + breakup.
@@ -138,21 +100,37 @@ pub(crate) fn fast_sbm_post_clear(
     );
 }
 
-/// The unfissioned per-point `fast_sbm` (Listing 1 structure): the
-/// single-point drivers and the tests run it; the scheme runs its three
-/// parts as separate sweeps, which changes no bit.
+/// The unfissioned per-point `fast_sbm` (Listing 1 structure), for the
+/// single-point drivers and the tests: the guard and nucleation, then the
+/// point batched alone ([`one_lane`]) through condensation, the collision
+/// predicate and, where it holds, collision with `kernels` and the
+/// scheme's deposition stencils `splits`, then freezing and breakup. The
+/// scheme runs the same stages as separate sweeps over lane batches,
+/// which changes no bit of any point.
 pub fn fast_sbm_point(
     bins: &mut BinsView<'_>,
     th: &mut PointThermo,
     grids: &Grids,
     kernels: KernelMode<'_>,
+    splits: &DepositSplits,
     dt: f32,
     t_old: f32,
 ) -> PointOutcome {
-    let mut out = fast_sbm_pre(bins, th, grids, dt, t_old);
-    if out.coal_called {
-        fast_sbm_coal(bins, th, grids, kernels, dt, &mut out);
-    }
+    let Some(mut out) = fast_sbm_nucleate(bins, th, grids, dt, t_old) else {
+        return PointOutcome::default();
+    };
+    let (mut cond, mut floored) = ([PointWork::ZERO; LANES], [Floored::default(); LANES]);
+    let (mut coal, mut entries) = ([PointWork::ZERO; LANES], [0u64; LANES]);
+    out.coal_called = one_lane(bins, th, |panel| {
+        panel_condensation(panel, grids, dt, &mut cond, &mut floored);
+        let called = panel_coal_predicate(panel, grids, &mut cond)[0];
+        if called {
+            panel_coal(panel, grids, kernels, splits, dt, &mut coal, &mut entries);
+        }
+        called
+    });
+    (out.work.cond, out.floored) = (cond[0], floored[0]);
+    (out.work.coal, out.coal_entries) = (coal[0], entries[0]);
     fast_sbm_post(bins, th, grids, dt, &mut out);
     out
 }
@@ -182,6 +160,7 @@ mod tests {
     fn frigid_points_do_nothing() {
         let g = grids();
         let tables = KernelTables::new();
+        let splits = DepositSplits::new(&g);
         let mut b = PointBins::empty();
         b.n[0][10] = 1.0e7;
         let before = b.clone();
@@ -199,6 +178,7 @@ mod tests {
                 tables: &tables,
                 p: 20_000.0,
             },
+            &splits,
             5.0,
             180.0,
         );
@@ -212,6 +192,7 @@ mod tests {
     fn cloudy_point_runs_the_full_chain() {
         let g = grids();
         let tables = KernelTables::new();
+        let splits = DepositSplits::new(&g);
         let mut b = PointBins::empty();
         for k in 6..=13 {
             b.n[0][k] = 4.0e7;
@@ -226,6 +207,7 @@ mod tests {
                 tables: &tables,
                 p: 85_000.0,
             },
+            &splits,
             5.0,
             t_old,
         );
@@ -241,6 +223,7 @@ mod tests {
     fn cold_dry_point_skips_coal_by_predicate() {
         let g = grids();
         let tables = KernelTables::new();
+        let splits = DepositSplits::new(&g);
         let mut b = PointBins::empty();
         // Active temperature range but no condensate and subsaturated.
         let mut th = PointThermo {
@@ -259,6 +242,7 @@ mod tests {
                 tables: &tables,
                 p: pres,
             },
+            &splits,
             5.0,
             t_old,
         );
@@ -271,6 +255,7 @@ mod tests {
     fn fissioned_equals_unfissioned() {
         let g = grids();
         let tables = KernelTables::new();
+        let splits = DepositSplits::new(&g);
         let mk = || {
             let mut b = PointBins::empty();
             for k in 6..=13 {
@@ -290,15 +275,25 @@ mod tests {
         };
 
         let t_old1 = th1.t;
-        let o1 = fast_sbm_point(&mut b1.view(), &mut th1, &g, km, dt, t_old1);
+        let o1 = fast_sbm_point(&mut b1.view(), &mut th1, &g, km, &splits, dt, t_old1);
 
-        // Fissioned path, as the offload drivers run it.
+        // Fissioned path, as the scheme's sweeps run it: each stage gathers
+        // the point into a batch of its own and stores it back.
         let mut v2 = b2.view();
         let t_old2 = th2.t;
-        let mut o2 = fast_sbm_pre(&mut v2, &mut th2, &g, dt, t_old2);
-        if o2.coal_called {
-            fast_sbm_coal(&mut v2, &mut th2, &g, km, dt, &mut o2);
-        }
+        let mut o2 = fast_sbm_nucleate(&mut v2, &mut th2, &g, dt, t_old2).expect("active");
+        let (mut cond, mut floored) = ([PointWork::ZERO; LANES], [Floored::default(); LANES]);
+        o2.coal_called = one_lane(&mut v2, &mut th2, |panel| {
+            panel_condensation(panel, &g, dt, &mut cond, &mut floored);
+            panel_coal_predicate(panel, &g, &mut cond)[0]
+        });
+        (o2.work.cond, o2.floored) = (cond[0], floored[0]);
+        assert!(o2.coal_called, "the collision stage must run");
+        let (mut coal, mut entries) = ([PointWork::ZERO; LANES], [0u64; LANES]);
+        one_lane(&mut v2, &mut th2, |panel| {
+            panel_coal(panel, &g, km, &splits, dt, &mut coal, &mut entries)
+        });
+        (o2.work.coal, o2.coal_entries) = (coal[0], entries[0]);
         fast_sbm_post(&mut v2, &mut th2, &g, dt, &mut o2);
         drop(v2);
 
@@ -306,5 +301,6 @@ mod tests {
         assert_eq!(th1, th2);
         assert_eq!(o1.coal_entries, o2.coal_entries);
         assert_eq!(o1.work.total(), o2.work.total());
+        assert_eq!(o1, o2);
     }
 }

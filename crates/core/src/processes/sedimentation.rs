@@ -1,78 +1,48 @@
 //! Bin-resolved sedimentation (column sweep).
 //!
 //! Each bin falls at its terminal velocity; the column update is a
-//! density-weighted upwind flux scheme with CFL sub-stepping. Returns the
-//! precipitation mass delivered to the surface — the model's rain/snow
-//! accumulation diagnostic.
-
-use crate::bins::BinGrid;
-use crate::meter::PointWork;
-use crate::types::NKR;
-
-/// Advances one class's column by `dt`. `col[l]` are the bin numbers at
-/// level `l` (0 = surface, top = last), `rho[l]` the air densities,
-/// `factor[l]` their fall-speed factors (`density_factor(rho[l])`, taken
-/// once per column by the caller), `dz` the layer thickness in meters.
-/// Returns surface precipitation, kg/m².
-pub fn sedimentation_column(
-    col: &mut [[f32; NKR]],
-    grid: &BinGrid,
-    rho: &[f32],
-    factor: &[f32],
-    dz: f32,
-    dt: f32,
-    w: &mut PointWork,
-) -> f32 {
-    assert_eq!(col.len(), rho.len(), "column and density length mismatch");
-    assert_eq!(
-        rho.len(),
-        factor.len(),
-        "density and factor length mismatch"
-    );
-    assert!(dz > 0.0 && dt > 0.0);
-    let nz = col.len();
-    if nz == 0 {
-        return 0.0;
-    }
-
-    // CFL: sub-step so the fastest bin crosses at most one layer.
-    let vmax = grid.vt_at(NKR - 1, rho.iter().cloned().fold(f32::INFINITY, f32::min));
-    let nsub = ((vmax * dt / dz).ceil() as usize).max(1);
-    let dts = dt / nsub as f32;
-    w.f(6);
-
-    // Bins outer, sub-steps inner: each bin falls independently of the
-    // others, and the surface flux is summed in the order the panel
-    // layout's `sedimentation_column_soa` sums it.
-    let mut precip = 0.0f32;
-    let mut flux = vec![0.0f32; nz + 1];
-    for (k, (mass_k, vt_k)) in grid.mass.iter().zip(&grid.vt).enumerate() {
-        for _ in 0..nsub {
-            // Number flux through each interface: F_l = ρ_l n_l v (falling
-            // from level l down through its lower face), v = `vt_at(k, ρ_l)`.
-            for (l, (lvl, (rho_l, f_l))) in col.iter().zip(rho.iter().zip(factor)).enumerate() {
-                flux[l] = rho_l * lvl[k] * (vt_k * f_l);
-                w.fm(3, 2);
-            }
-            flux[nz] = 0.0;
-            for (l, (lvl, rho_l)) in col.iter_mut().zip(rho).enumerate() {
-                let dn = (flux[l + 1] - flux[l]) * dts / (rho_l * dz);
-                lvl[k] = (lvl[k] + dn).max(0.0);
-                w.fm(5, 2);
-            }
-            precip += flux[0] * dts * mass_k;
-            w.f(3);
-        }
-    }
-    precip
-}
+//! density-weighted upwind flux scheme with CFL sub-stepping. It returns
+//! the precipitation mass delivered to the surface — the model's rain/snow
+//! accumulation diagnostic. The body is
+//! [`crate::panels::sedimentation_column_soa`], which holds one class's
+//! column bin-major.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::bins::density_factor;
+    use crate::bins::{density_factor, BinGrid};
+    use crate::meter::PointWork;
+    use crate::panels::{sedimentation_column_soa, SedScratch};
     use crate::point::Grids;
-    use crate::types::HydroClass;
+    use crate::types::{HydroClass, NKR};
+
+    /// One class's `[level][bin]` column falling over `dt`: held bin-major
+    /// while it falls, then stored back. Returns the surface
+    /// precipitation, kg/m².
+    fn sedimentation_column(
+        col: &mut [[f32; NKR]],
+        grid: &BinGrid,
+        rho: &[f32],
+        factor: &[f32],
+        dz: f32,
+        dt: f32,
+        w: &mut PointWork,
+    ) -> f32 {
+        let nz = col.len();
+        let mut scratch = SedScratch::new();
+        scratch.ensure(nz);
+        for (l, lvl) in col.iter().enumerate() {
+            for (k, &v) in lvl.iter().enumerate() {
+                scratch.bins[k * nz + l] = v;
+            }
+        }
+        let precip = sedimentation_column_soa(&mut scratch, grid, rho, factor, dz, dt, w);
+        for (l, lvl) in col.iter_mut().enumerate() {
+            for (k, v) in lvl.iter_mut().enumerate() {
+                *v = scratch.bins[k * nz + l];
+            }
+        }
+        precip
+    }
 
     fn grids() -> Grids {
         Grids::new()
@@ -180,14 +150,16 @@ mod tests {
         }
     }
 
+    /// The body sizes the column from the densities, so the lengths that
+    /// can disagree are the densities' and the fall-speed factors'.
     #[test]
     #[should_panic(expected = "length mismatch")]
     fn mismatched_inputs_panic() {
         let g = grids();
         let gw = g.of(HydroClass::Water);
-        let mut col = vec![[0.0f32; NKR]; 3];
+        let mut col = vec![[0.0f32; NKR]; 4];
         let rho = vec![1.0f32; 4];
         let mut w = PointWork::ZERO;
-        sedimentation_column(&mut col, gw, &rho, &factors(&rho), 400.0, 5.0, &mut w);
+        sedimentation_column(&mut col, gw, &rho, &factors(&rho[..3]), 400.0, 5.0, &mut w);
     }
 }

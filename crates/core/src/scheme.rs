@@ -32,20 +32,22 @@
 //! point. Listing 1's unfissioned loop nest lives where its structure is
 //! analysed, in `codee_sim::corpus`. Under [`ExecMode::WorkSteal`] the
 //! sweeps are launches on the collision stage's pool, one unit per `(j,k)`
-//! row or `(i,j)` column — the panel layout's pre-sweep as two launches,
-//! rows for nucleation and then coherent lane batches of the points that
-//! need condensation — the paper's §VIII, "the loops calling condensation
+//! row or `(i,j)` column — the pre-sweep as two launches, rows for
+//! nucleation and then coherent lane batches of the points that need
+//! condensation — the paper's §VIII, "the loops calling condensation
 //! routines are currently being offloaded"; under [`ExecMode::StaticTiles`]
 //! they are the serial loops of the program the paper measured.
 //!
 //! All versions run identical physics in identical per-point order, so
 //! their outputs agree to f32 round-off — the property §VII-B verifies
-//! with `diffwrf`. [`Layout`] is orthogonal: the per-point AoS stages are
-//! the reference every gate compares against, the SoA lane panels are the
-//! production path, and both hang off the same driver, plan and launcher.
+//! with `diffwrf`. Condensation, collision and sedimentation run as the
+//! lane-batch kernels of [`crate::panels`] in every version; [`Layout`]
+//! picks only how many points a batch may hold — one in the reference
+//! layout the gates compare against, up to [`LANES`] in production — and
+//! a point's bits do not depend on who shares its batch.
 
 use crate::bins::density_factor;
-use crate::exec::{compact_active_columns, compact_active_points, ExecMode, ExecSummary};
+use crate::exec::{compact_active_columns, ExecMode, ExecSummary};
 use crate::kernels::{kernals_ks, CollisionTables, KernelCache, KernelMode, KernelTables};
 use crate::meter::{PointWork, WorkBreakdown};
 use crate::panels::{
@@ -55,10 +57,8 @@ use crate::panels::{
 use crate::point::{BinsView, Floored, Grids, PointBins, PointThermo, N_EPS, Q_EPS};
 use crate::processes::condensation;
 use crate::processes::driver::{
-    fast_sbm_coal, fast_sbm_nucleate, fast_sbm_post, fast_sbm_post_clear, fast_sbm_pre,
-    PointOutcome,
+    fast_sbm_nucleate, fast_sbm_post, fast_sbm_post_clear, PointOutcome,
 };
-use crate::processes::sedimentation::sedimentation_column;
 use crate::state::SbmPatchState;
 use crate::thermo::supersat_liquid;
 use crate::types::{HydroClass, NKR, NTYPES};
@@ -133,20 +133,22 @@ impl SbmVersion {
     }
 }
 
-/// Memory layout of the microphysics inner loops.
+/// How many points a lane batch of the microphysics kernels holds: the
+/// one thing a layout decides.
 ///
-/// Orthogonal to [`SbmVersion`]: every version runs in either layout and
-/// produces bitwise-identical state (the layout proptests and the
-/// `repro cases` matrix pin this). `PanelSoa` is the production layout
-/// and the default; `PointAos` is the reference path the gates and the
-/// benchmark oracle compare against, selected programmatically through
-/// [`SbmConfig::layout`].
+/// Orthogonal to [`SbmVersion`]: every version runs the same panel
+/// kernels ([`crate::panels`]) at either width and produces
+/// bitwise-identical state, because a lane's bits do not depend on which
+/// lanes share its batch (the layout proptests and the `repro cases`
+/// matrix pin this). `PanelSoa` is the production layout and the default;
+/// `PointAos` is the reference the gates and the benchmark oracle compare
+/// against, selected programmatically through [`SbmConfig::layout`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Layout {
-    /// Per-grid-point AoS bin arrays, one point at a time.
+    /// Width 1: every point is a batch of its own.
     PointAos,
-    /// SoA lane panels: up to [`LANES`] active points batched per inner
-    /// loop with lane masks (see [`crate::panels`]).
+    /// Up to [`LANES`] points a batch, grouped so their lanes sweep
+    /// nearly the same cells.
     #[default]
     PanelSoa,
 }
@@ -154,6 +156,14 @@ pub enum Layout {
 impl Layout {
     /// Both layouts, reference first.
     pub const ALL: [Layout; 2] = [Layout::PointAos, Layout::PanelSoa];
+
+    /// The most points a lane batch holds in this layout.
+    pub fn width(self) -> usize {
+        match self {
+            Layout::PointAos => 1,
+            Layout::PanelSoa => LANES,
+        }
+    }
 
     /// Stable label used in reports and benchmark JSON.
     pub fn label(self) -> &'static str {
@@ -198,8 +208,8 @@ pub struct SbmConfig {
     /// [`SbmStepStats::coal_profile`] (off by default; used by
     /// `bench-exec` to replay the schedule).
     pub profile_coal: bool,
-    /// Memory layout of the inner loops (SoA lane panels, or the AoS
-    /// reference path).
+    /// How many points the inner loops' lane batches hold (up to
+    /// [`LANES`], or one in the reference layout).
     pub layout: Layout,
 }
 
@@ -239,7 +249,8 @@ pub struct SbmStepStats {
     /// Warp efficiency of the offloaded kernel (1.0 for CPU versions).
     pub warp_efficiency: f64,
     /// Lane slots the panel collision sweeps ran, over the whole step
-    /// ([`LaneFill::slots`]; 0 in the `PointAos` layout).
+    /// ([`LaneFill::slots`]; in the `PointAos` layout, whose batches hold
+    /// one point, [`LANES`] for each cell a point sweeps).
     pub lane_slots: u64,
     /// Of those, the slots inside their own lane's window
     /// ([`LaneFill::cells`]): a property of the points, the same under
@@ -247,10 +258,11 @@ pub struct SbmStepStats {
     pub lane_cells: u64,
     /// Lane slots the panel condensation relaxes ran: [`LANES`] per relax
     /// call, over the whole step ([`LaneFill::slots`] of
-    /// [`panel_condensation`]; 0 in the `PointAos` layout).
+    /// [`panel_condensation`]; in the `PointAos` layout each call relaxes
+    /// one point).
     pub cond_slots: u64,
     /// Of those, the slots of lanes inside the relax call's mask: the
-    /// relaxes the scalar runs, the same under any grouping.
+    /// relaxes the points' branches run, the same under any grouping.
     pub cond_cells: u64,
     /// Active points the pre-sweep left clear: every class all `±0`
     /// (`BinsView::is_clear`). The post-sweep and sedimentation read no
@@ -432,7 +444,7 @@ impl FastSbm {
                 &self.tables,
                 self.kcache.as_ref(),
                 &self.splits,
-                self.cfg.dt,
+                &self.cfg,
                 state,
                 sweep,
             );
@@ -440,10 +452,10 @@ impl FastSbm {
                 sched: self.cfg.sched,
                 exec,
             };
-            let mut tally = pre_sweep(&v, &launcher, self.cfg.layout, coal);
+            let mut tally = pre_sweep(&v, &launcher, coal);
             tally += coal_launch(&v, &launcher, &self.cfg, plan, coal, &mut stats);
             tally += post_sweep(&v, &launcher);
-            sedimentation_sweep(&v, &launcher, self.cfg.layout, self.cfg.dz);
+            sedimentation_sweep(&v, &launcher, self.cfg.dz);
             tally
         };
         stats.active_points = tally.active;
@@ -490,83 +502,51 @@ impl FastSbm {
 
 /// Stage 1: nucleation + condensation, filling the predicate array
 /// `call_coal_bott_new` and the per-point outcomes (the loop the paper's
-/// §VIII says is offloaded next; no point reads another's state).
-/// `PointAos` runs `fast_sbm_pre` per point as one launch of `(j,k)`
-/// rows. `PanelSoa` runs two launches: the rows again, for nucleation and
-/// the in-place guard, each point that needs condensation leaving its
-/// [`condensation_key`] in its key slot; then condensation and the
-/// predicate over the coherent lane batches [`build_cond_batch_list`]
-/// cuts from those keys. Returns how full the condensation panels ran.
-fn pre_sweep(
-    v: &PatchViews<'_>,
-    launcher: &Launcher<'_>,
-    layout: Layout,
-    lists: &mut CoalLists,
-) -> Tally {
+/// §VIII says is offloaded next; no point reads another's state). Two
+/// launches: `(j,k)` rows, for nucleation and the in-place guard, each
+/// point that needs condensation leaving its [`condensation_key`] in its
+/// key slot; then condensation and the predicate over the lane batches
+/// [`build_cond_batch_list`] cuts from those keys. Returns how full the
+/// condensation panels ran.
+fn pre_sweep(v: &PatchViews<'_>, launcher: &Launcher<'_>, lists: &mut CoalLists) -> Tally {
     let ip = v.patch.ip;
-    // A row unit's `(j, k)` and the offset of its sweep-array slots.
-    let unit = |row: u64| (v.row(row as usize), row as usize * ip.len());
-    match layout {
-        Layout::PointAos => {
-            launcher.sweep(v.row_count() as u64, |r| {
-                let ((j, k), lo) = unit(r);
-                let pred = v.predicate.subslice_mut(lo, ip.len());
-                let outs = v.outcomes.subslice_mut(lo, ip.len());
-                let mut bins = PointBins::empty();
-                for (ix, i) in ip.iter().enumerate() {
-                    let at = v.idx3(i, k, j);
-                    let mut th = v.thermo(at);
-                    v.load_bins(at, &mut bins);
-                    let out = fast_sbm_pre(&mut bins.view(), &mut th, v.grids, v.dt, v.t_old[at]);
-                    outs[ix] = SweepSlot::pre(&out);
-                    outs[ix].clear = out.active && bins.view().is_clear();
-                    v.store_bins(at, &bins);
-                    v.store_thermo(at, &th);
-                    pred[ix] = outs[ix].coal_called;
-                }
-            });
-            Tally::default()
-        }
-        Layout::PanelSoa => {
-            launcher.sweep(v.row_count() as u64, |r| {
-                let ((j, k), lo) = unit(r);
-                let pred = v.predicate.subslice_mut(lo, ip.len());
-                let outs = v.outcomes.subslice_mut(lo, ip.len());
-                let keys = v.cond_key.subslice_mut(lo, ip.len());
-                nucleate_row(v, v.idx3(ip.lo, k, j), pred, outs, keys);
-            });
-            build_cond_batch_list(v, lists);
-            let batches: &[PanelBatch] = &lists.batches;
-            let total = Mutex::new(LaneFill::default());
-            launcher.sweep(batches.len() as u64, |bi| {
-                let b = &batches[bi as usize];
-                let fill = cond_batch(v, &b.points[..b.len as usize]);
-                *total.lock().expect("a condensation unit panicked") += fill;
-            });
-            let cond_lanes = total.into_inner().expect("a condensation unit panicked");
-            Tally {
-                cond_lanes,
-                ..Tally::default()
-            }
-        }
+    launcher.sweep(v.row_count() as u64, |r| {
+        let (j, k) = v.row(r as usize);
+        let lo = r as usize * ip.len();
+        let pred = v.predicate.subslice_mut(lo, ip.len());
+        let outs = v.outcomes.subslice_mut(lo, ip.len());
+        let keys = v.cond_key.subslice_mut(lo, ip.len());
+        nucleate_row(v, v.idx3(ip.lo, k, j), pred, outs, keys);
+    });
+    build_cond_batch_list(v, lists);
+    let batches: &[PanelBatch] = &lists.batches;
+    let total = Mutex::new(LaneFill::default());
+    launcher.sweep(batches.len() as u64, |bi| {
+        let b = &batches[bi as usize];
+        let fill = cond_batch(v, &b.points[..b.len as usize]);
+        *total.lock().expect("a condensation unit panicked") += fill;
+    });
+    let cond_lanes = total.into_inner().expect("a condensation unit panicked");
+    Tally {
+        cond_lanes,
+        ..Tally::default()
     }
 }
 
 /// Stage 2: the isolated collision loop of Listing 6, executed with real
 /// host parallelism; the plan's `offload` picks the launch unit. The CPU
 /// versions launch WRF `numtiles` tiles ([`coal_tiles`]). `collapse(2)`
-/// launches one unit per `(j,k)` column with a serial `i` loop and
-/// per-thread automatic arrays; `collapse(3)` launches one unit per point
-/// operating in place on the slabs — or, in the panel layout, per
-/// coherent lane batch ([`build_batch_list`]): a level's predicate-true
-/// points, whatever row they sit in, grouped by pressure and by how alike
-/// their spectra are, so compaction is level-wide and a batch's lanes
-/// sweep nearly the same cells.
+/// launches one unit per `(j,k)` column with a serial `i` loop over its
+/// lane batches; `collapse(3)` launches one unit per coherent lane batch
+/// ([`build_batch_list`]): a level's predicate-true points, whatever row
+/// they sit in, grouped by pressure and by how alike their spectra are,
+/// so compaction is level-wide and a batch's lanes sweep nearly the same
+/// cells.
 ///
 /// Launch geometry (`coal_iters`, warp efficiency) is always reported
-/// from the *full* iteration space: compaction and the panel layout
-/// change how host threads are scheduled, not what the modeled device
-/// launch looks like.
+/// from the *full* iteration space: compaction and the batch width change
+/// how host threads are scheduled, not what the modeled device launch
+/// looks like.
 fn coal_launch(
     v: &PatchViews<'_>,
     launcher: &Launcher<'_>,
@@ -608,30 +588,18 @@ fn coal_launch(
     });
     let sink_lock = || sink.lock().expect("a collision unit panicked");
 
-    stats.coal_wall = match (collapse, cfg.layout) {
-        (Collapse::Two, layout) => {
+    stats.coal_wall = match collapse {
+        Collapse::Two => {
             let active = || compact_active_columns(predicate, ilen);
             launcher.run_active(rows as u64, active, |jk| {
                 let jk = jk as usize;
                 let (j, k) = v.row(jk);
                 let pred = &predicate[jk * ilen..(jk + 1) * ilen];
-                let tally = coal_row(v, layout, j, k, p.ip, pred, None);
+                let tally = coal_row(v, j, k, p.ip, pred, None);
                 sink_lock().add(jk, tally);
             })
         }
-        (Collapse::Three, Layout::PointAos) => {
-            let active = || compact_active_points(predicate);
-            launcher.run_active(iters as u64, active, |idx| {
-                let idx = idx as usize;
-                if predicate[idx] {
-                    let (j, k) = v.row(idx / ilen);
-                    let at = v.idx3(p.ip.lo + (idx % ilen) as i32, k, j);
-                    let tally = coal_point_aos(v, at, k, true, None);
-                    sink_lock().add(idx, tally);
-                }
-            })
-        }
-        (Collapse::Three, Layout::PanelSoa) => {
+        Collapse::Three => {
             build_batch_list(v, predicate, lists);
             let batches: &[PanelBatch] = &lists.batches;
             // The list holds only active batches: it is its own
@@ -694,7 +662,7 @@ fn coal_tiles(
                 let row = (j - p.jp.lo) as usize * p.kp.len() + (k - p.kp.lo) as usize;
                 let lo = row * p.ip.len() + (tile.it.lo - p.ip.lo) as usize;
                 let pred = &predicate[lo..lo + tile.it.len()];
-                tally += coal_row(v, cfg.layout, j, k, tile.it, pred, dense.as_mut());
+                tally += coal_row(v, j, k, tile.it, pred, dense.as_mut());
             }
         }
         *total.lock().expect("a tile panicked") += tally;
@@ -722,12 +690,11 @@ fn post_sweep(v: &PatchViews<'_>, launcher: &Launcher<'_>) -> Tally {
 /// recurrence stays serial inside the unit. Each unit leaves its column's
 /// precipitation and metered work in its own [`ColumnFall`] slot; the
 /// driver folds them afterwards.
-fn sedimentation_sweep(v: &PatchViews<'_>, launcher: &Launcher<'_>, layout: Layout, dz: f32) {
+fn sedimentation_sweep(v: &PatchViews<'_>, launcher: &Launcher<'_>, dz: f32) {
     launcher.sweep(v.patch.compute_columns() as u64, |col| {
         let col = col as usize;
         let (i, j) = v.column(col);
-        let fall = COLUMN_SCRATCH
-            .with(|cell| sediment_column(v, layout, dz, i, j, &mut cell.borrow_mut()));
+        let fall = COLUMN_SCRATCH.with(|cell| sediment_column(v, dz, i, j, &mut cell.borrow_mut()));
         v.fall.set(col, fall);
     });
 }
@@ -917,12 +884,11 @@ pub(crate) struct ColumnFall {
 
 /// One thread's sedimentation column: the densities and their fall-speed
 /// factors ([`density_factor`]), and the column of one class while it
-/// falls — `[level][bin]` rows, or bin-major transposed so each bin's
-/// k-sweep is a contiguous, cache-blocked pass.
+/// falls, bin-major so each bin's k-sweep is a contiguous, cache-blocked
+/// pass.
 struct ColumnScratch {
     rho: Vec<f32>,
     factor: Vec<f32>,
-    col: Vec<[f32; NKR]>,
     sed: SedScratch,
 }
 
@@ -946,7 +912,6 @@ thread_local! {
         std::cell::RefCell::new(ColumnScratch {
             rho: Vec::new(),
             factor: Vec::new(),
-            col: Vec::new(),
             sed: SedScratch::new(),
         })
     };
@@ -964,6 +929,8 @@ struct PatchViews<'a> {
     kcache: Option<&'a KernelCache>,
     splits: &'a DepositSplits,
     dt: f32,
+    /// The most points a lane batch holds ([`Layout::width`]).
+    width: usize,
     t_old: &'a [f32],
     p: &'a [f32],
     rho: &'a [f32],
@@ -985,7 +952,7 @@ impl<'a> PatchViews<'a> {
         tables: &'a KernelTables,
         kcache: Option<&'a KernelCache>,
         splits: &'a DepositSplits,
-        dt: f32,
+        cfg: &SbmConfig,
         state: &'a mut SbmPatchState,
         sweep: &'a mut SweepArrays,
     ) -> Self {
@@ -995,7 +962,7 @@ impl<'a> PatchViews<'a> {
         // elements, bin slices and sweep-array slots of the grid points of
         // the launch unit it was called for — a tile, a `(j,k)` row of one
         // (a `collapse(2)` "column"), a collision lane batch of distinct
-        // points, a single point, a `(j,k)` row of the pre- or post-sweep
+        // points, a `(j,k)` row of the pre- or post-sweep
         // (with that row's `predicate`/`outcomes`/`cond_key` slots), a
         // condensation lane batch of distinct points (with those points'
         // `predicate`/`outcomes` slots), or an `(i,j)` column of the
@@ -1039,7 +1006,8 @@ impl<'a> PatchViews<'a> {
             tables,
             kcache,
             splits,
-            dt,
+            dt: cfg.dt,
+            width: cfg.layout.width(),
             t_old: state.t_old.as_slice(),
             p: state.p.as_slice(),
             rho: state.rho.as_slice(),
@@ -1132,21 +1100,6 @@ impl<'a> PatchViews<'a> {
         }))
     }
 
-    /// Copies a point's bins into automatic arrays, and back (Listing 7).
-    #[inline]
-    fn load_bins(&self, at: usize, local: &mut PointBins) {
-        for (dst, src) in local.n.iter_mut().zip(self.bins(at).n) {
-            dst.copy_from_slice(src);
-        }
-    }
-
-    #[inline]
-    fn store_bins(&self, at: usize, local: &PointBins) {
-        for (src, dst) in local.n.iter().zip(self.bins(at).n) {
-            dst.copy_from_slice(src);
-        }
-    }
-
     /// Gathers the point at `at` into the panel's next lane.
     #[inline]
     fn gather(&self, at: usize, panel: &mut SoaPanel) {
@@ -1205,18 +1158,17 @@ impl<'a> PatchViews<'a> {
 // ---- Row-level stages -----------------------------------------------------
 //
 // A row is the `i`-span `it` at one `(j, k)`; `pred` and `outs` are its
-// predicate and outcome slots. Only the stages whose arithmetic differs
-// between the layouts have two forms.
+// predicate and outcome slots.
 
-/// The scalar head of the panel pre-stage at the point `at`, in place:
-/// the `T_OLD` guard and nucleation, leaving the point's outcome in
-/// `out`, then `condensation_branch`'s guard on the slab slices, with the
-/// sum it makes (and the predicate makes again). Returns the point's
-/// thermo after nucleation when it has condensate or is supersaturated
-/// over liquid — it needs a panel. An active point with neither is where
-/// `condensation_branch` returns at its guard and the predicate reads
-/// false: it is metered as both would have metered it, marked clear when
-/// it holds nothing, and finished here, like an inactive one.
+/// The per-point head of the pre-stage at the point `at`, in place: the
+/// `T_OLD` guard and nucleation, leaving the point's outcome in `out`,
+/// then [`panel_condensation`]'s guard on the slab slices, with the sum
+/// it makes (and the predicate makes again). Returns the point's thermo
+/// after nucleation when it has condensate or is supersaturated over
+/// liquid — it needs a panel. An active point with neither is one whose
+/// lane would stop at that guard and read a false predicate: it is
+/// metered as both would have metered it, marked clear when it holds
+/// nothing, and finished here, like an inactive one.
 fn nucleate_point(v: &PatchViews<'_>, at: usize, out: &mut SweepSlot) -> Option<PointThermo> {
     let mut th = v.thermo(at);
     let nucleated = fast_sbm_nucleate(&mut v.bins(at), &mut th, v.grids, v.dt, v.t_old[at]);
@@ -1236,7 +1188,7 @@ fn nucleate_point(v: &PatchViews<'_>, at: usize, out: &mut SweepSlot) -> Option<
     Some(th)
 }
 
-/// The `PanelSoa` pre-sweep's row unit: [`nucleate_point`] over the row
+/// The pre-sweep's row unit: [`nucleate_point`] over the row
 /// whose first point is at `at0`. A point that needs condensation leaves
 /// its [`condensation_key`] in its `keys` slot and every other point
 /// [`NO_CONDENSATION`]; the predicate reads false until the condensation
@@ -1288,12 +1240,10 @@ fn cond_batch(v: &PatchViews<'_>, points: &[u32]) -> LaneFill {
 
 /// The collision stage over the predicate-true points of one row: a CPU
 /// tile's step through its rows and the body of one `collapse(2)` launch
-/// unit (a column with its serial `i` loop, bins in automatic arrays).
-/// The panel form replaces the serial loop by pressure-uniform lane
+/// unit (a column with its serial `i` loop), over pressure-uniform lane
 /// batches formed on the fly.
 fn coal_row(
     v: &PatchViews<'_>,
-    layout: Layout,
     j: i32,
     k: i32,
     it: Span,
@@ -1302,59 +1252,22 @@ fn coal_row(
 ) -> Tally {
     let mut tally = Tally::default();
     let at0 = v.idx3(it.lo, k, j);
-    match layout {
-        Layout::PointAos => {
-            for ix in (0..it.len()).filter(|&ix| pred[ix]) {
-                tally += coal_point_aos(v, at0 + ix, k, false, dense.as_deref_mut());
-            }
-        }
-        Layout::PanelSoa => {
-            let mut ix = 0;
-            while let Some((ixs, len)) = next_batch(pred, &v.p[at0..at0 + it.len()], &mut ix) {
-                let ats = ixs.map(|ix| at0 + ix as usize);
-                let (per_lane, fill) = coal_batch(v, k, &ats[..len], dense.as_deref_mut());
-                tally.lanes += fill;
-                per_lane.for_each(|lane| tally += lane);
-            }
-        }
+    let p = &v.p[at0..at0 + it.len()];
+    let mut ix = 0;
+    while let Some((ixs, len)) = next_batch(pred, p, v.width, &mut ix) {
+        let ats = ixs.map(|ix| at0 + ix as usize);
+        let (per_lane, fill) = coal_batch(v, k, &ats[..len], dense.as_deref_mut());
+        tally.lanes += fill;
+        per_lane.for_each(|lane| tally += lane);
     }
     tally
-}
-
-/// One point of the collision stage, AoS form: in place on the slab
-/// slices (Listing 8), or on automatic arrays with copy in/out
-/// (Listing 7).
-fn coal_point_aos(
-    v: &PatchViews<'_>,
-    at: usize,
-    k: i32,
-    in_place: bool,
-    dense: Option<&mut CollisionTables>,
-) -> Tally {
-    let mut th = v.thermo(at);
-    let mut out = PointOutcome {
-        active: true,
-        coal_called: true,
-        ..Default::default()
-    };
-    let km = v.collision_kernels(k, th.p, dense, &mut out.work.kernals);
-    if in_place {
-        fast_sbm_coal(&mut v.bins(at), &mut th, v.grids, km, v.dt, &mut out);
-    } else {
-        let mut local = PointBins::empty();
-        v.load_bins(at, &mut local);
-        fast_sbm_coal(&mut local.view(), &mut th, v.grids, km, v.dt, &mut out);
-        v.store_bins(at, &local);
-    }
-    v.tt.set(at, th.t);
-    Tally::coal(out.coal_entries, out.work.coal, out.work.kernals)
 }
 
 /// Gather → `panel_coal` → scatter for one pressure-uniform lane batch at
 /// level `k` (`ats` are the flat field indices of its points); yields the
 /// per-lane tallies and how full the batch's lane slots ran. With dense
 /// tables the batch shares one fill (identical pressure), metered per
-/// point as the scalar baseline does.
+/// point: each point pays for the fill it would make alone.
 fn coal_batch(
     v: &PatchViews<'_>,
     k: i32,
@@ -1386,8 +1299,8 @@ fn coal_batch(
     (per_lane, fill)
 }
 
-/// Freezing/melting + breakup over the row's active points, scalar and in
-/// place in both layouts; returns the tally of the row's outcomes (all
+/// Freezing/melting + breakup over the row's active points, per point
+/// and in place; returns the tally of the row's outcomes (all
 /// that the pre-sweep and this stage metered, and the point counts). A
 /// clear point is metered by [`fast_sbm_post_clear`] and keeps its bins
 /// and thermo unread and unwritten.
@@ -1415,9 +1328,8 @@ fn post_row(v: &PatchViews<'_>, j: i32, k: i32, it: Span, outs: &mut [SweepSlot]
     tally
 }
 
-/// Sedimentation of the column at `(i, j)`, class by class. The layouts
-/// differ only in how a class's column is held while it falls. The
-/// levels' fall-speed factors are taken once, when the column's first
+/// Sedimentation of the column at `(i, j)`, class by class, each class's
+/// column held bin-major while it falls. The levels' fall-speed factors are taken once, when the column's first
 /// class falls, and serve all seven. The write-back is the step's last
 /// write of every class the column holds, so it floors the tails there
 /// ([`Floored::floor`], levels bottom up, bins ascending); a class with
@@ -1429,7 +1341,6 @@ fn post_row(v: &PatchViews<'_>, j: i32, k: i32, it: Span, outs: &mut [SweepSlot]
 /// returns the empty fall without reading a density or a bin.
 fn sediment_column(
     v: &PatchViews<'_>,
-    layout: Layout,
     dz: f32,
     i: i32,
     j: i32,
@@ -1453,19 +1364,11 @@ fn sediment_column(
             *h |= level.iter().fold(0, |h, &x| h | u32::from(x > 0.0));
         }
     }
-    let ColumnScratch {
-        rho,
-        factor,
-        col,
-        sed,
-    } = scratch;
+    let ColumnScratch { rho, factor, sed } = scratch;
     rho.clear();
     rho.extend(kp.iter().map(|k| v.rho[v.idx3(i, k, j)]));
     factor.clear();
-    match layout {
-        Layout::PointAos => col.resize(nz, [0.0f32; NKR]),
-        Layout::PanelSoa => sed.ensure(nz),
-    }
+    sed.ensure(nz);
     let mut fall = ColumnFall::default();
     for (c, slab) in v.ff.iter().enumerate() {
         let grid = v.grids.by_index(c);
@@ -1477,47 +1380,35 @@ fn sediment_column(
         if factor.is_empty() {
             factor.extend(rho.iter().map(|&r| density_factor(r)));
         }
-        fall.precip[c] = match layout {
-            Layout::PointAos => {
-                for (kx, lvl) in col.iter_mut().enumerate() {
-                    lvl.copy_from_slice(level(kx));
-                }
-                let precip = sedimentation_column(col, grid, rho, factor, dz, v.dt, &mut fall.work);
-                for (kx, lvl) in col.iter().enumerate() {
-                    for ((d, &x), &m) in level(kx).iter_mut().zip(lvl).zip(&grid.mass) {
-                        *d = fall.floored.floor(x, m);
-                    }
-                }
-                precip
+        for kx in 0..nz {
+            for (kb, &x) in level(kx).iter().enumerate() {
+                sed.bins[kb * nz + kx] = x;
             }
-            Layout::PanelSoa => {
-                for kx in 0..nz {
-                    for (kb, &x) in level(kx).iter().enumerate() {
-                        sed.bins[kb * nz + kx] = x;
-                    }
-                }
-                let precip =
-                    sedimentation_column_soa(sed, grid, rho, factor, dz, v.dt, &mut fall.work);
-                for kx in 0..nz {
-                    for (kb, d) in level(kx).iter_mut().enumerate() {
-                        *d = fall.floored.floor(sed.bins[kb * nz + kx], grid.mass[kb]);
-                    }
-                }
-                precip
+        }
+        fall.precip[c] = sedimentation_column_soa(sed, grid, rho, factor, dz, v.dt, &mut fall.work);
+        for kx in 0..nz {
+            for (kb, d) in level(kx).iter_mut().enumerate() {
+                *d = fall.floored.floor(sed.bins[kb * nz + kx], grid.mass[kb]);
             }
-        };
+        }
     }
     fall
 }
 
 /// The next collision lane batch of a row: starting at `*ix`, up to
-/// [`LANES`] predicate-true offsets whose pressures share the first one's
-/// bits (gaps of predicate-false points allowed; a pressure change ends
-/// the batch). Returns `None` once the row holds no further active point.
-fn next_batch(pred: &[bool], p: &[f32], ix: &mut usize) -> Option<([u32; LANES], usize)> {
+/// `width` (at most [`LANES`]) predicate-true offsets whose pressures
+/// share the first one's bits (gaps of predicate-false points allowed; a
+/// pressure change ends the batch). Returns `None` once the row holds no
+/// further active point.
+fn next_batch(
+    pred: &[bool],
+    p: &[f32],
+    width: usize,
+    ix: &mut usize,
+) -> Option<([u32; LANES], usize)> {
     let mut ixs = [0u32; LANES];
     let mut len = 0;
-    while *ix < pred.len() && len < LANES {
+    while *ix < pred.len() && len < width {
         if pred[*ix] {
             if len > 0 && p[*ix].to_bits() != p[ixs[0] as usize].to_bits() {
                 break;
@@ -1566,14 +1457,14 @@ fn condensation_key(bins: &BinsView<'_>, th: &PointThermo) -> u16 {
 /// Pre-builds the launch units of the panel condensation launch from the
 /// key slots the row launch left: every point of the patch that needs
 /// condensation, sorted by [`condensation_key`] and then by index, cut
-/// into runs of [`LANES`]. A condensation lane takes nothing from its
+/// into runs of the batch width. A condensation lane takes nothing from its
 /// batch — no kernel row, no pressure — so one patch-wide sort serves:
 /// only the last batch can be ragged, and only a batch that straddles a
 /// change of key mixes relax sequences.
 ///
 /// Which points share a batch is invisible to every one of them: a lane
-/// picks its own branch and replays its own scalar relax sequence under
-/// its own mask (`panel_condensation`), and what it reports — its metered
+/// picks its own branch and runs its own relax sequence under its own
+/// mask (`panel_condensation`), and what it reports — its metered
 /// work, its predicate — is filed per point. So any grouping gives the
 /// same bits (`cond_batch_membership_is_invisible_to_every_point` steps
 /// row-order, sorted and shuffled membership side by side).
@@ -1597,14 +1488,14 @@ fn build_cond_batch_list(v: &PatchViews<'_>, lists: &mut CoalLists) {
     }
     level.sort_unstable();
     batches.clear();
-    cut_batches(level, batches);
+    cut_batches(level, v.width, batches);
 }
 
 /// Appends sorted points to `batches`, cut where the group changes and
-/// into runs of at most [`LANES`] within a group.
-fn cut_batches(sorted: &[LanePoint], batches: &mut Vec<PanelBatch>) {
+/// into runs of at most `width` (at most [`LANES`]) within a group.
+fn cut_batches(sorted: &[LanePoint], width: usize, batches: &mut Vec<PanelBatch>) {
     for run in sorted.chunk_by(|a, b| a.0 == b.0) {
-        for lanes in run.chunks(LANES) {
+        for lanes in run.chunks(width) {
             let mut points = [0u32; LANES];
             for (slot, &(_, _, idx)) in points.iter_mut().zip(lanes) {
                 *slot = idx;
@@ -1618,11 +1509,11 @@ fn cut_batches(sorted: &[LanePoint], batches: &mut Vec<PanelBatch>) {
 /// Pre-builds the launch units of the panel `collapse(3)` kernel, level
 /// by level: a level's predicate-true points across all its rows, sorted
 /// by pressure bits and then by [`coherence_key`], cut into runs of one
-/// pressure and those into batches of at most [`LANES`]. `predicate` is
-/// laid out `[row][i]` over the patch's compute points.
+/// pressure and those into batches of at most the batch width.
+/// `predicate` is laid out `[row][i]` over the patch's compute points.
 ///
 /// Which points share a batch is invisible to every one of them: a lane
-/// replays its own scalar `(i, j)` sequence under its own window
+/// runs its own `(i, j)` sequence under its own window
 /// (`panel_coal`), the kernel values it reads depend on the pressure bits
 /// alone, and what it reports is integer counts filed per point. So any
 /// grouping of same-pressure points gives the same bits, and the sort is
@@ -1651,7 +1542,7 @@ fn build_batch_list(v: &PatchViews<'_>, predicate: &[bool], lists: &mut CoalList
             }
         }
         level.sort_unstable();
-        cut_batches(level, batches);
+        cut_batches(level, v.width, batches);
     }
 }
 
@@ -1711,7 +1602,7 @@ fn build_row_batches(v: &PatchViews<'_>, predicate: &[bool], out: &mut Vec<Panel
     for (row, pred) in predicate.chunks_exact(ilen).enumerate() {
         let at0 = v.at_point(row * ilen);
         let mut ix = 0;
-        while let Some((ixs, len)) = next_batch(pred, &v.p[at0..at0 + ilen], &mut ix) {
+        while let Some((ixs, len)) = next_batch(pred, &v.p[at0..at0 + ilen], v.width, &mut ix) {
             let points = ixs.map(|ix| (row * ilen) as u32 + ix);
             let len = len as u8;
             out.push(PanelBatch { points, len });
@@ -1819,8 +1710,8 @@ fn empty_stats(points: usize) -> SbmStepStats {
     }
 }
 
-/// [`pre_sweep`] in `layout` over the patch of `st` on the calling
-/// thread, then, given `fall = Some(skip_clear)`, the sedimentation
+/// [`pre_sweep`] at `layout`'s batch width over the patch of `st` on the
+/// calling thread, then, given `fall = Some(skip_clear)`, the sedimentation
 /// sweep (with `skip_clear` false the pre-sweep's clear flags are dropped
 /// first, so every column takes the full loop): the state after them and
 /// the sweep arrays.
@@ -1830,7 +1721,10 @@ fn sweeps_on(
     layout: Layout,
     fall: Option<bool>,
 ) -> (SbmPatchState, SweepArrays) {
-    let sbm = FastSbm::new(SbmConfig::new(SbmVersion::OffloadCollapse3));
+    let sbm = FastSbm::new(SbmConfig {
+        layout,
+        ..SbmConfig::new(SbmVersion::OffloadCollapse3)
+    });
     let p = st.patch;
     let mut sweep = SweepArrays {
         predicate: vec![false; p.compute_points()],
@@ -1844,13 +1738,13 @@ fn sweeps_on(
         exec: &exec,
     };
     let (grids, tables, splits) = (&sbm.grids, &sbm.tables, &sbm.splits);
-    let v = PatchViews::new(grids, tables, None, splits, sbm.cfg.dt, &mut st, &mut sweep);
-    pre_sweep(&v, &launcher, layout, &mut CoalLists::default());
+    let v = PatchViews::new(grids, tables, None, splits, &sbm.cfg, &mut st, &mut sweep);
+    pre_sweep(&v, &launcher, &mut CoalLists::default());
     if let Some(skip_clear) = fall {
         if !skip_clear {
             (0..v.outcomes.len()).for_each(|pt| v.outcomes.subslice_mut(pt, 1)[0].clear = false);
         }
-        sedimentation_sweep(&v, &launcher, layout, sbm.cfg.dz);
+        sedimentation_sweep(&v, &launcher, sbm.cfg.dz);
     }
     (st, sweep)
 }
@@ -2479,7 +2373,7 @@ mod tests {
         st
     }
 
-    /// [`pre_sweep`] in `layout` over the patch of `st` (the one-row
+    /// [`pre_sweep`] at `layout`'s width over the patch of `st` (the one-row
     /// patch of a [`row_state`], or a whole storm), on the calling
     /// thread: the state after it, the predicate and the outcomes.
     fn pre_sweep_on(
@@ -2498,10 +2392,11 @@ mod tests {
             .collect()
     }
 
-    /// The two layouts' [`pre_sweep`] on a row holding every kind of point
-    /// the panel form tells apart, eleven of them panel-bound (one full
-    /// panel and a ragged one): identical state bits, predicate and whole
-    /// outcomes, and each kind where it belongs.
+    /// [`pre_sweep`] one point a batch and [`LANES`] a batch on a row
+    /// holding every kind of point the pre-sweep tells apart, eleven of
+    /// them panel-bound (one full panel and a ragged one at the wider
+    /// width): identical state bits, predicate and whole outcomes, and
+    /// each kind where it belongs.
     #[test]
     fn pre_row_forms_agree_case_by_case() {
         let mut warm = PointBins::empty();
@@ -2562,8 +2457,8 @@ mod tests {
             assert_eq!(out.active, ix != 5, "point {ix}");
             match ix {
                 // Clear and frigid points keep their bins; the clear one
-                // is still metered: `condensation_branch`'s sum and
-                // guard, then the predicate's sum.
+                // is still metered: condensation's sum and guard, then
+                // the predicate's sum.
                 0 | 9 => {
                     assert_eq!(after, *before, "point {ix}");
                     let sum = 7 * NKR as u64;
@@ -2584,8 +2479,8 @@ mod tests {
 
     /// What condensation leaves behind: the spun-up storm after the
     /// pre-sweep (nucleation, condensation, the predicate) holds no bin
-    /// value that is subnormal or in `(0, N_FLOOR)`, in either layout,
-    /// and the two layouts floored the same values point by point. The
+    /// value that is subnormal or in `(0, N_FLOOR)`, at either batch
+    /// width, and both floored the same values point by point. The
     /// storm holds no such value before the sweep; the relaxes' own
     /// deposits form them (7 490, 546 of them subnormal, when the relax's
     /// scrub does not floor), so the floor must fire on the way.
@@ -2893,7 +2788,9 @@ mod tile_tests {
             let (probe, mut state) = (SbmPatchState::new(patch), SbmPatchState::new(patch));
             let mut sweep = SweepArrays::default();
             let (grids, tables, splits) = (&sbm.grids, &sbm.tables, &sbm.splits);
-            let v = PatchViews::new(grids, tables, None, splits, 5.0, &mut state, &mut sweep);
+            let v = PatchViews::new(
+                grids, tables, None, splits, &sbm.cfg, &mut state, &mut sweep,
+            );
             // Hits per memory point: once in the compute region, never
             // in the halo.
             let covered = |hits: &[u8]| {
@@ -2932,7 +2829,8 @@ mod tile_tests {
 
     /// The launch units the disjoint-write views rely on: any tile count
     /// (more tiles than j-rows included) covers every compute point
-    /// exactly once, and the compacted lists name each active unit once.
+    /// exactly once, and the compacted column list names each active
+    /// column once.
     #[test]
     fn many_tiles_cover_exactly() {
         let mut state = base_tests::test_state();
@@ -2955,10 +2853,6 @@ mod tile_tests {
         let predicate: Vec<bool> = (0..60)
             .map(|x| x % 7 == 0 || (20..25).contains(&x))
             .collect();
-        let points = compact_active_points(&predicate);
-        assert!(points.windows(2).all(|w| w[0] < w[1]), "each point once");
-        assert!(points.iter().all(|&x| predicate[x as usize]));
-        assert_eq!(points.len(), predicate.iter().filter(|&&on| on).count());
         let columns = compact_active_columns(&predicate, ilen);
         assert!(columns.windows(2).all(|w| w[0] < w[1]), "each column once");
         for (c, col) in predicate.chunks_exact(ilen).enumerate() {
@@ -2975,20 +2869,22 @@ mod tile_tests {
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(64))]
 
-        /// The panel `collapse(3)` launch units: over random predicates,
-        /// pressure fields and spectra, the batch list covers every
-        /// predicate-true point exactly once and never a predicate-false
-        /// one; each batch holds at most `LANES` points of one level with
-        /// identical pressure bits, from any of its rows; the points of a
-        /// level that share pressure bits fill `ceil(n / LANES)` batches
-        /// (so a level whose pressure differs from point to point ships
-        /// single-lane batches, as row order did); building twice gives
-        /// the same list. When the patch has two levels the first is
-        /// emptied and the second cut down to one point.
+        /// The panel `collapse(3)` launch units at either batch width:
+        /// over random predicates, pressure fields and spectra, the batch
+        /// list covers every predicate-true point exactly once and never a
+        /// predicate-false one; each batch holds at most `width` points of
+        /// one level with identical pressure bits, from any of its rows;
+        /// the points of a level that share pressure bits fill
+        /// `ceil(n / width)` batches (so a level whose pressure differs
+        /// from point to point ships single-lane batches, as row order
+        /// did); building twice gives the same list. When the patch has
+        /// two levels the first is emptied and the second cut down to one
+        /// point.
         #[test]
         fn batch_list_covers_active_points_exactly_once(
             ni in 1i32..40, nk in 1i32..4, nj in 1i32..4, halo in 0i32..3,
             act10 in 0u64..11, levels in 1u64..5, seed in 1u64..1_000_000,
+            layout in 0usize..2,
         ) {
             let d = wrf_grid::Domain::new(ni, nk, nj);
             let patch = wrf_grid::two_d_decomposition(d, 1, halo).patches[0];
@@ -3026,10 +2922,12 @@ mod tile_tests {
                 }
             }
 
-            let sbm = FastSbm::new(SbmConfig::new(SbmVersion::OffloadCollapse3));
+            let layout = Layout::ALL[layout];
+            let width = layout.width();
+            let sbm = FastSbm::new(SbmConfig { layout, ..SbmConfig::new(SbmVersion::OffloadCollapse3) });
             let mut sweep = SweepArrays::default();
             let v = PatchViews::new(
-                &sbm.grids, &sbm.tables, None, &sbm.splits, 5.0, &mut state, &mut sweep,
+                &sbm.grids, &sbm.tables, None, &sbm.splits, &sbm.cfg, &mut state, &mut sweep,
             );
             let mut lists = CoalLists::default();
             build_batch_list(&v, &predicate, &mut lists);
@@ -3042,7 +2940,7 @@ mod tile_tests {
             let mut groups = std::collections::BTreeMap::<(usize, u32), (usize, usize)>::new();
             for b in &lists.batches {
                 let points = &b.points[..b.len as usize];
-                proptest::prop_assert!(!points.is_empty() && points.len() <= LANES);
+                proptest::prop_assert!(!points.is_empty() && points.len() <= width);
                 let group = (level_of(points[0] as usize), v.p[v.at_point(points[0] as usize)].to_bits());
                 for &pt in points {
                     let pt = pt as usize;
@@ -3057,7 +2955,7 @@ mod tile_tests {
                 proptest::prop_assert_eq!(h, u8::from(on), "point {}", idx);
             }
             for (group, (points, batches)) in groups {
-                proptest::prop_assert_eq!(batches, points.div_ceil(LANES), "{:?}", group);
+                proptest::prop_assert_eq!(batches, points.div_ceil(width), "{:?}", group);
                 proptest::prop_assert!(levels != 4 || points == 1, "{:?}", group);
             }
             if nk >= 2 {
@@ -3070,16 +2968,17 @@ mod tile_tests {
             }
         }
 
-        /// The panel condensation launch units: over random key slots on
-        /// random patches, the list names every point that left a key
-        /// exactly once and no other, in (key, index) order, in
-        /// `ceil(n / LANES)` batches of which only the last may be short;
-        /// building twice gives the same list. The row-order hook cuts
-        /// each row's keyed points, in order, into batches of their own.
+        /// The panel condensation launch units at either batch width:
+        /// over random key slots on random patches, the list names every
+        /// point that left a key exactly once and no other, in (key,
+        /// index) order, in `ceil(n / width)` batches of which only the
+        /// last may be short; building twice gives the same list. The
+        /// row-order hook cuts each row's keyed points, in order, into
+        /// batches of their own.
         #[test]
         fn cond_batch_list_covers_pending_points_exactly_once(
             ni in 1i32..40, nk in 1i32..4, nj in 1i32..4, halo in 0i32..3,
-            pend10 in 0u64..11, seed in 1u64..1_000_000,
+            pend10 in 0u64..11, seed in 1u64..1_000_000, layout in 0usize..2,
         ) {
             let d = wrf_grid::Domain::new(ni, nk, nj);
             let patch = wrf_grid::two_d_decomposition(d, 1, halo).patches[0];
@@ -3092,10 +2991,12 @@ mod tile_tests {
                 .map(|_| if draw(10) < pend10 { draw(512) as u16 } else { NO_CONDENSATION })
                 .collect();
             let mut state = SbmPatchState::new(patch);
-            let sbm = FastSbm::new(SbmConfig::new(SbmVersion::OffloadCollapse3));
+            let layout = Layout::ALL[layout];
+            let width = layout.width();
+            let sbm = FastSbm::new(SbmConfig { layout, ..SbmConfig::new(SbmVersion::OffloadCollapse3) });
             let mut sweep = SweepArrays { cond_key: keys.clone(), ..Default::default() };
             let v = PatchViews::new(
-                &sbm.grids, &sbm.tables, None, &sbm.splits, 5.0, &mut state, &mut sweep,
+                &sbm.grids, &sbm.tables, None, &sbm.splits, &sbm.cfg, &mut state, &mut sweep,
             );
             let mut lists = CoalLists::default();
             build_cond_batch_list(&v, &mut lists);
@@ -3112,8 +3013,8 @@ mod tile_tests {
             let in_rows = want.clone();
             want.sort_by_key(|&pt| (keys[pt as usize], pt));
             proptest::prop_assert_eq!(listed(&lists.batches), want.clone());
-            proptest::prop_assert_eq!(lists.batches.len(), want.len().div_ceil(LANES));
-            let short = lists.batches.iter().filter(|b| usize::from(b.len) < LANES).count();
+            proptest::prop_assert_eq!(lists.batches.len(), want.len().div_ceil(width));
+            let short = lists.batches.iter().filter(|b| usize::from(b.len) < width).count();
             proptest::prop_assert!(short <= 1, "{} short batches", short);
 
             let ilen = patch.ip.len() as u32;

@@ -1,7 +1,8 @@
 //! Counting-allocator test: after a warm-up step grows every scratch
-//! buffer, a steady-state `PanelSoa` microphysics step performs **zero**
-//! heap allocations — the panel layout replaced all the per-point
-//! `vec![0.0; NKR]` temporaries with stack panels and reused scratch.
+//! buffer, a steady-state microphysics step performs **zero** heap
+//! allocations at either batch width — the lane panels live on the stack
+//! and every buffer is reused scratch. A fresh scheme's first step is the
+//! positive control: it grows that scratch, so the counter must see it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -112,35 +113,43 @@ fn cloudy_state_on(ni: i32, nj: i32) -> SbmPatchState {
     st
 }
 
-/// The zero-allocation configuration: lookup kernels (no dense-table
-/// rebuild), the SoA panel layout, and the inline single-tile path (no
+/// The zero-allocation configuration at `layout`'s batch width: lookup
+/// kernels (no dense-table rebuild) and the inline single-tile path (no
 /// worker threads to spawn).
-#[test]
-fn steady_state_panel_step_allocates_nothing() {
-    let mut st = cloudy_state();
+fn serial_lookup_scheme(layout: fsbm_core::Layout) -> FastSbm {
     let mut cfg = SbmConfig::new(SbmVersion::Lookup);
-    cfg.layout = fsbm_core::Layout::PanelSoa;
+    cfg.layout = layout;
     cfg.tiles = 1;
     cfg.workers = Some(1);
     cfg.sched = ExecMode::StaticTiles;
-    let mut scheme = FastSbm::new(cfg);
+    FastSbm::new(cfg)
+}
 
-    // Warm-up: grows the step scratch, the thread-local row lists, and
-    // the sedimentation transpose buffer to their steady-state sizes.
-    let warm = scheme.step(&mut st);
-    assert!(warm.active_points > 0, "warm-up must exercise the physics");
-    assert!(
-        warm.coal_points > 0,
-        "warm-up must reach the collision path"
-    );
+/// A steady step of [`serial_lookup_scheme`], one point a batch and
+/// [`fsbm_core::LANES`] a batch alike.
+#[test]
+fn steady_state_panel_step_allocates_nothing() {
+    for layout in fsbm_core::Layout::ALL {
+        let mut st = cloudy_state();
+        let mut scheme = serial_lookup_scheme(layout);
 
-    let (stats, n) = counting(|| scheme.step(&mut st));
+        // Warm-up: grows the step scratch, the batch lists, and the
+        // sedimentation transpose buffer to their steady-state sizes.
+        let warm = scheme.step(&mut st);
+        assert!(warm.active_points > 0, "warm-up must exercise the physics");
+        assert!(
+            warm.coal_points > 0,
+            "warm-up must reach the collision path"
+        );
 
-    assert!(stats.active_points > 0, "steady step must do real work");
-    assert_eq!(
-        n, 0,
-        "steady-state PanelSoa step performed {n} heap allocations"
-    );
+        let (stats, n) = counting(|| scheme.step(&mut st));
+
+        assert!(stats.active_points > 0, "steady step must do real work");
+        assert_eq!(
+            n, 0,
+            "steady-state {layout:?} step performed {n} heap allocations"
+        );
+    }
 }
 
 /// A warmed-up fissioned `PanelSoa` step of `version` under `sched`, one
@@ -217,23 +226,13 @@ fn steady_clear_air_step_allocates_nothing() {
     assert_eq!(n, 0, "steady clear-air step allocations");
 }
 
-/// The AoS baseline layout is *expected* to allocate (per-point bin
-/// copies); this guards the comparison so the zero assert above stays
-/// meaningful.
+/// The positive control that keeps the zero asserts above meaningful: a
+/// fresh scheme's first (cold) step grows its sweep arrays, batch lists
+/// and column buffers, and the counter must see those allocations.
 #[test]
-fn aos_layout_still_allocates() {
+fn cold_step_allocates() {
     let mut st = cloudy_state();
-    let mut cfg = SbmConfig::new(SbmVersion::Lookup);
-    cfg.layout = fsbm_core::Layout::PointAos;
-    cfg.tiles = 1;
-    cfg.workers = Some(1);
-    cfg.sched = ExecMode::StaticTiles;
-    let mut scheme = FastSbm::new(cfg);
-    scheme.step(&mut st);
-
+    let mut scheme = serial_lookup_scheme(fsbm_core::Layout::PanelSoa);
     let (_, n) = counting(|| scheme.step(&mut st));
-    assert!(
-        n > 0,
-        "AoS steady step should still allocate per-point temporaries"
-    );
+    assert!(n > 0, "a cold step must allocate its scratch");
 }

@@ -1,9 +1,10 @@
-//! Property tests: the `PanelSoa` layout is bitwise-identical to
-//! `PointAos` for every scheme version and scheduling mode, over random
-//! patch shapes (including ragged last lanes), activity fractions
-//! (including the all-clear 0.0 and all-cloudy 1.0 extremes), and random
-//! cloud seeds — with, planted in every patch, one point of each kind the
-//! panel pre-sweep tells apart ([`plant_cases`]).
+//! Property tests: the panel kernels at width `LANES` (`PanelSoa`) are
+//! bitwise-identical to the same kernels at width 1 (`PointAos`, every
+//! point a batch of its own) for every scheme version and scheduling
+//! mode, over random patch shapes (including ragged last lanes), activity
+//! fractions (including the all-clear 0.0 and all-cloudy 1.0 extremes),
+//! and random cloud seeds — with, planted in every patch, one point of
+//! each kind the pre-sweep tells apart ([`plant_cases`]).
 
 use fsbm_core::exec::ExecMode;
 use fsbm_core::point::Grids;
@@ -246,8 +247,8 @@ fn assert_identical(
     }
 }
 
-/// The planted cases reach the branches they were planted for, in both
-/// layouts: the guard, the predicate and the first relax's scrub, read
+/// The planted cases reach the branches they were planted for at both
+/// widths: the guard, the predicate and the first relax's scrub, read
 /// off one step's statistics and state (`pre_row_forms_agree_case_by_case`
 /// in `scheme.rs` looks at each point right after the pre-sweep).
 #[test]
@@ -274,7 +275,7 @@ fn planted_cases_take_their_branches() {
 
 /// At WRF's usual CONUS-12 km step (dt = 60 s over 400 m layers) the
 /// fastest rain bin needs CFL sub-steps, so each bin's surface flux is a
-/// sum over sub-steps: both layouts must add it in the same order.
+/// sum over sub-steps: both widths must add it in the same order.
 #[test]
 fn panels_match_aos_at_a_sixty_second_step() {
     let dt = 60.0;

@@ -4,14 +4,30 @@
 use fsbm_core::bins::terminal_velocity;
 use fsbm_core::kernels::{gravitational_kernel, KernelTables, COLLISION_PAIRS};
 use fsbm_core::meter::PointWork;
-use fsbm_core::point::{Floored, Grids, PointBins, PointThermo};
-use fsbm_core::processes::condensation::{condensation_branch, onecond1};
+use fsbm_core::panels::{one_lane, panel_condensation, LANES};
+use fsbm_core::point::{BinsView, Floored, Grids, PointBins, PointThermo};
 use fsbm_core::processes::freezing::freezing_melting;
 use fsbm_core::thermo::{
     air_density, esat_ice, esat_liquid, qsat_ice, qsat_liquid, supersat_liquid,
 };
 use fsbm_core::types::{HydroClass, NKR};
 use proptest::prelude::*;
+
+/// One point's condensation over `dt`, batched alone, its work metered
+/// into `w`.
+fn condense(
+    bins: &mut BinsView<'_>,
+    th: &mut PointThermo,
+    grids: &Grids,
+    dt: f32,
+    w: &mut PointWork,
+) {
+    let (mut works, mut floored) = ([PointWork::ZERO; LANES], [Floored::default(); LANES]);
+    one_lane(bins, th, |panel| {
+        panel_condensation(panel, grids, dt, &mut works, &mut floored)
+    });
+    *w += works[0];
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -93,7 +109,7 @@ proptest! {
         }
         let mut th = PointThermo { t, qv: rh * qsat_liquid(t, p), p, rho: 1.0 };
         let mut w = PointWork::ZERO;
-        onecond1(&mut b.view(), &mut th, &grids, 5.0, &mut w, &mut Floored::default());
+        condense(&mut b.view(), &mut th, &grids, 5.0, &mut w);
         prop_assert!(th.qv >= 0.0, "vapor went negative: {}", th.qv);
         let s = supersat_liquid(th.t, th.p, th.qv);
         // Relaxation cannot overshoot to strong sub/supersaturation of the
@@ -135,8 +151,9 @@ proptest! {
         let mut b = PointBins::empty();
         let mut th = PointThermo { t, qv: rh * qsat_liquid(t, p), p, rho: 1.0 };
         let mut w = PointWork::ZERO;
-        let dq = condensation_branch(&mut b.view(), &mut th, &grids, 5.0, &mut w, &mut Floored::default());
-        prop_assert_eq!(dq, 0.0);
+        let qv = th.qv;
+        condense(&mut b.view(), &mut th, &grids, 5.0, &mut w);
+        prop_assert_eq!(th.qv, qv);
         // Early-out: at most the guard scans.
         prop_assert!(w.flops < 1000, "clear point cost {} flops", w.flops);
     }

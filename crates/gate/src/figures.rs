@@ -6,6 +6,7 @@ use crate::tables::{headline, Table7Row, Table7Times};
 use fsbm_core::bulk::{kessler_step, BulkState, KesslerParams};
 use fsbm_core::kernels::{KernelMode, KernelTables};
 use fsbm_core::meter::PointWork;
+use fsbm_core::panels::DepositSplits;
 use fsbm_core::point::{Grids, PointBins, PointThermo};
 use fsbm_core::processes::driver::fast_sbm_point;
 use fsbm_core::scheme::SbmVersion;
@@ -53,6 +54,7 @@ pub fn fig2() -> Fig2 {
     // Bin (FSBM point).
     let grids = Grids::new();
     let tables = KernelTables::new();
+    let splits = DepositSplits::new(&grids);
     let mut bins = PointBins::empty();
     let mut th = PointThermo {
         t,
@@ -69,6 +71,7 @@ pub fn fig2() -> Fig2 {
             &mut th,
             &grids,
             KernelMode::OnDemand { tables: &tables, p },
+            &splits,
             5.0,
             told,
         );

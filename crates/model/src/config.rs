@@ -61,11 +61,10 @@ pub struct ModelConfig {
     /// `restart_interval`, here in steps rather than minutes). 0
     /// disables checkpointing.
     pub restart_interval: usize,
-    /// Host memory layout of the microphysics hot path: SoA lane panels
-    /// (`PanelSoa`, the production default) or per-point automatic arrays
-    /// (`PointAos`, the paper's structure and the reference the gates
-    /// compare against). Bitwise-identical results; set programmatically,
-    /// there is no namelist key.
+    /// Batch width of the microphysics lane panels: up to `LANES` points
+    /// (`PanelSoa`, the production default) or one (`PointAos`, the
+    /// reference the gates compare against). Bitwise-identical results;
+    /// set programmatically, there is no namelist key.
     pub layout: Layout,
     /// Hardware backend the performance plane prices this run on
     /// (namelist `&parallel backend`, one of [`gpu_sim::machine::ZOO`]).

@@ -3,9 +3,10 @@
 use fsbm_core::bins::density_factor;
 use fsbm_core::kernels::{kernals_ks, CollisionTables, KernelMode, KernelTables};
 use fsbm_core::meter::PointWork;
+use fsbm_core::panels::{
+    one_lane, panel_coal, sedimentation_column_soa, DepositSplits, SedScratch, LANES,
+};
 use fsbm_core::point::{deposit_mass, Grids, PointBins, PointThermo};
-use fsbm_core::processes::collision::coal_bott_new;
-use fsbm_core::processes::sedimentation::sedimentation_column;
 use fsbm_core::types::{HydroClass, NKR};
 use fsbm_core::workload::warp_efficiency;
 use gpu_sim::cachesim::{CacheConfig, CacheSim, MemAccess};
@@ -73,14 +74,12 @@ proptest! {
         let mut w = PointWork::ZERO;
         let mut v = b.view();
         let before = v.total_condensate(&grids, &mut w) as f64;
-        coal_bott_new(
-            &mut v,
-            &mut th,
-            &grids,
-            KernelMode::OnDemand { tables: &tables, p: 70_000.0 },
-            dt,
-            &mut w,
-        );
+        let kernels = KernelMode::OnDemand { tables: &tables, p: 70_000.0 };
+        let splits = DepositSplits::new(&grids);
+        let (mut works, mut entries) = ([PointWork::ZERO; LANES], [0u64; LANES]);
+        one_lane(&mut v, &mut th, |panel| {
+            panel_coal(panel, &grids, kernels, &splits, dt, &mut works, &mut entries)
+        });
         let after = v.total_condensate(&grids, &mut w) as f64;
         prop_assert!((after - before).abs() / before.max(1e-30) < 5e-3,
             "condensate {} -> {}", before, after);
@@ -115,22 +114,25 @@ proptest! {
         let nz = 8;
         let dz = 400.0f32;
         let rho = vec![1.0f32; nz];
-        let mut col = vec![[0.0f32; NKR]; nz];
+        // The column bin-major: bin `k` at level `l` is `bins[k * nz + l]`.
+        let mut col = SedScratch::new();
+        col.ensure(nz);
         for (l, k, n) in fills {
-            col[l][k] += n;
+            col.bins[k * nz + l] += n;
         }
-        let mass = |c: &[[f32; NKR]]| -> f64 {
-            c.iter().flat_map(|lvl| lvl.iter().zip(&g.mass).map(|(n, m)| (*n as f64) * (*m as f64)))
+        let mass = |c: &SedScratch| -> f64 {
+            c.bins.chunks_exact(nz).zip(&g.mass)
+                .flat_map(|(levels, m)| levels.iter().map(move |n| (*n as f64) * (*m as f64)))
                 .sum::<f64>() * dz as f64
         };
         let before = mass(&col);
         let mut w = PointWork::ZERO;
         let factor: Vec<f32> = rho.iter().map(|&r| density_factor(r)).collect();
-        let precip = sedimentation_column(&mut col, g, &rho, &factor, dz, dt, &mut w) as f64;
+        let precip = sedimentation_column_soa(&mut col, g, &rho, &factor, dz, dt, &mut w) as f64;
         let after = mass(&col);
         prop_assert!((after + precip - before).abs() / before.max(1e-30) < 1e-3,
             "{} + {} vs {}", after, precip, before);
-        prop_assert!(col.iter().all(|l| l.iter().all(|&v| v >= 0.0)));
+        prop_assert!(col.bins.iter().all(|&v| v >= 0.0));
     }
 
     /// Occupancy is always within [0, 1], achieved ≤ theoretical, and at
