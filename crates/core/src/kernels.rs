@@ -497,7 +497,10 @@ pub enum KernelMode<'a> {
 }
 
 impl<'a> KernelMode<'a> {
-    /// Kernel value for `pair` at bins `(i, j)`, m³/s.
+    /// Kernel value for `pair` at bins `(i, j)`, m³/s, metered and
+    /// counted one access at a time: the reference that [`Self::peek`],
+    /// [`Self::peek_row`] and [`Self::access_cost`] — what the panel
+    /// kernels resolve through — are tested against.
     #[inline]
     pub fn get(&self, pair: usize, i: usize, j: usize, work: &mut PointWork) -> f32 {
         match self {

@@ -478,7 +478,7 @@ fn deposit_mass_lane(
 /// [`crate::processes::collision`]), [`NCOLL`] substeps over every live
 /// lane of the panel. Per substep, each interacting class pair runs over
 /// the lane's occupied bin ranges in `(i, j)` order: collection events at
-/// rate `K(i,j) · n_i · n_j · ρ`, capped at [`MAX_DEPLETION`] of either
+/// rate `K(i,j) · n_i · n_j · ρ`, capped at `MAX_DEPLETION` of either
 /// collider, remove particles from both and deposit the merged mass into
 /// the outcome class through the pair's [`DepositSplits`] stencil; riming
 /// warms the lane by the latent heat of the frozen liquid; the substep

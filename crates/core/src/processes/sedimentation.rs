@@ -18,7 +18,7 @@ mod tests {
     /// One class's `[level][bin]` column falling over `dt`: held bin-major
     /// while it falls, then stored back. Returns the surface
     /// precipitation, kg/m².
-    fn sedimentation_column(
+    fn fall(
         col: &mut [[f32; NKR]],
         grid: &BinGrid,
         rho: &[f32],
@@ -78,8 +78,7 @@ mod tests {
         let mut w = PointWork::ZERO;
         let mut precip_total = 0.0f64;
         for _ in 0..200 {
-            precip_total +=
-                sedimentation_column(&mut col, gw, &rho, &factors(&rho), dz, 5.0, &mut w) as f64;
+            precip_total += fall(&mut col, gw, &rho, &factors(&rho), dz, 5.0, &mut w) as f64;
         }
         let after = column_mass(&col);
         let balance = (after + precip_total - before).abs() / before;
@@ -101,7 +100,7 @@ mod tests {
         col[15][8] = 1.0e3; // cloud droplets
         let mut w = PointWork::ZERO;
         for _ in 0..60 {
-            sedimentation_column(&mut col, gw, &rho, &factors(&rho), 400.0, 5.0, &mut w);
+            fall(&mut col, gw, &rho, &factors(&rho), 400.0, 5.0, &mut w);
         }
         // Large drops have (numerically-diffusively) left level 15; cloud
         // droplets essentially haven't moved (vt ~ cm/s).
@@ -117,7 +116,7 @@ mod tests {
         let mut col = vec![[0.0f32; NKR]; 5];
         col[4][5] = 1.0e7;
         let mut w = PointWork::ZERO;
-        let p = sedimentation_column(&mut col, gw, &rho, &factors(&rho), 400.0, 5.0, &mut w);
+        let p = fall(&mut col, gw, &rho, &factors(&rho), 400.0, 5.0, &mut w);
         assert!(p < 1e-8, "p = {p}");
     }
 
@@ -128,7 +127,7 @@ mod tests {
         let rho = vec![1.0f32; 4];
         let mut col = vec![[0.0f32; NKR]; 4];
         let mut w = PointWork::ZERO;
-        let p = sedimentation_column(&mut col, gw, &rho, &factors(&rho), 400.0, 5.0, &mut w);
+        let p = fall(&mut col, gw, &rho, &factors(&rho), 400.0, 5.0, &mut w);
         assert_eq!(p, 0.0);
         assert!(col.iter().all(|l| l.iter().all(|&v| v == 0.0)));
     }
@@ -142,7 +141,7 @@ mod tests {
         let mut col = vec![[0.0f32; NKR]; 8];
         col[6][NKR - 1] = 100.0;
         let mut w = PointWork::ZERO;
-        sedimentation_column(&mut col, gh, &rho, &factors(&rho), 50.0, 20.0, &mut w);
+        fall(&mut col, gh, &rho, &factors(&rho), 50.0, 20.0, &mut w);
         for lvl in &col {
             for v in lvl {
                 assert!(*v >= 0.0);
@@ -160,6 +159,6 @@ mod tests {
         let mut col = vec![[0.0f32; NKR]; 4];
         let rho = vec![1.0f32; 4];
         let mut w = PointWork::ZERO;
-        sedimentation_column(&mut col, gw, &rho, &factors(&rho[..3]), 400.0, 5.0, &mut w);
+        fall(&mut col, gw, &rho, &factors(&rho[..3]), 400.0, 5.0, &mut w);
     }
 }

@@ -856,8 +856,8 @@ struct SweepSlot {
 }
 
 impl SweepSlot {
-    /// The slot of a point whose pre-stage (or its nucleation head)
-    /// returned `out`.
+    /// The slot of a point whose nucleation head
+    /// ([`fast_sbm_nucleate`]) returned `out`.
     fn pre(out: &PointOutcome) -> Self {
         SweepSlot {
             active: out.active,
