@@ -13,10 +13,10 @@
 //!
 //! A point whose every class is empty after the pre stage is *clear*
 //! ([`BinsView::is_clear`](crate::point::BinsView::is_clear)): the
-//! post-sweep meters it without reading its bins
-//! ([`fast_sbm_post_clear`]), and a column of clear points falls without
-//! reading a density or a bin. The last three tests pin both skips to the
-//! paths they replace.
+//! post-sweep meters it by its `T` alone, from a table of
+//! [`fast_sbm_post_clear`]'s three meters, and a column of clear points
+//! falls without reading a density or a bin. The last three tests pin
+//! both skips to the paths they replace.
 
 use crate::bins::{density_factor, BinGrid};
 use crate::constants::{T_0, T_MIN_COAL};

@@ -127,11 +127,6 @@ impl SoaPanel {
         }
     }
 
-    /// Drops all lanes (storage is left stale, not rezeroed).
-    pub fn clear(&mut self) {
-        self.len = 0;
-    }
-
     /// Gathers one point into the next lane and returns its lane index.
     /// `read(class, bin)` supplies the point's bin number densities.
     pub fn push_with(
@@ -366,15 +361,8 @@ impl Split {
     /// `number > 0` and `m > 0` (`deposit_mass`'s unmetered early
     /// return).
     #[inline]
-    pub fn apply(&self, add: impl FnMut(usize, f32), number: f32, w: &mut PointWork) {
+    pub fn apply(&self, mut add: impl FnMut(usize, f32), number: f32, w: &mut PointWork) {
         w.fm(8, 2);
-        self.apply_unmetered(add, number);
-    }
-
-    /// [`Split::apply`] without the `fm(8, 2)` meter update, for callers
-    /// that coalesce it into a wider per-entry accumulation.
-    #[inline]
-    pub fn apply_unmetered(&self, mut add: impl FnMut(usize, f32), number: f32) {
         match *self {
             Split::Bottom { m, m0 } => add(0, number * m / m0),
             Split::Top { m, mtop } => add(NKR - 1, number * m / mtop),
@@ -443,12 +431,6 @@ impl DepositSplits {
             }
         }
         DepositSplits { s }
-    }
-
-    /// The stencil for collision pair `pidx` between bins `i` and `j`.
-    #[inline]
-    pub fn get(&self, pidx: usize, i: usize, j: usize) -> Split {
-        self.s[(pidx * NKR + i) * NKR + j]
     }
 
     /// The contiguous stencil row for collision pair `pidx` and bin `i`,
@@ -669,85 +651,61 @@ fn coal_substep_panel(
             }
             let mut cp = [0u32; LANES]; // populated entries
             let mut cc = [0u32; LANES]; // committed entries
-            for j in jlo_row..=jhi_row {
-                let jj = j as i32;
-                let kvj = kv[j];
-                let halve = same && i == j;
-                // `x * 1.0` is bitwise `x` and `x * 0.5 == x / 2.0`
-                // exactly, so the halve factor is a plain multiply and
-                // no divide is issued.
-                let hmul = if halve { 0.5f32 } else { 1.0 };
+
+            // Self-collection's diagonal cell (`j == i`, the first of its
+            // row) halves its rate and its i-cap and depletes bin `i`
+            // twice; every other cell runs the loop below without that
+            // multiply, which would be `x * 1.0`, bitwise `x`. A
+            // self-collection pair never rimes.
+            let mut jstart = jlo_row;
+            if same {
+                let ni_v = panel.n[ai][i];
+                let window = (i as i32, &js, &je);
+                let (commit, dne) =
+                    diagonal_depletion(kv[i], &ni_v, &rho_v, dt, window, &mut cp, &mut cc);
+                for l in 0..LANES {
+                    panel.n[ai][i][l] = ni_v[l] - 2.0 * dne[l];
+                }
+                deposit_lanes(&mut panel.n[oi], sp[i], &commit, &dne);
+                jstart = i + 1;
+            }
+            for j in jstart..=jhi_row {
                 let ni_v = panel.n[ai][i];
                 let nj_v = panel.n[bi][j];
+                let (jj, kvj) = (j as i32, kv[j]);
                 let mut commit = [false; LANES];
                 let mut dne = [0.0f32; LANES];
+                // The lane loop stays inline: as a helper shared with the
+                // diagonal cell it ran the dense collision launch slower.
                 for l in 0..LANES {
                     let jin = jj >= js[l] && jj <= je[l];
                     let pop = jin & (ni_v[l] > 0.0) & (nj_v[l] > 0.0);
-                    // The op order: ((((kv·ni)·nj)·rho)·dt), then the
-                    // halve multiply.
-                    let dn = kvj * ni_v[l] * nj_v[l] * rho_v[l] * dt * hmul;
+                    // The op order: ((((kv·ni)·nj)·rho)·dt).
+                    let dn = kvj * ni_v[l] * nj_v[l] * rho_v[l] * dt;
                     let com = pop & (dn > 0.0);
-                    let cap_i = MAX_DEPLETION * ni_v[l] * hmul;
+                    let cap_i = MAX_DEPLETION * ni_v[l];
                     let cap_j = MAX_DEPLETION * nj_v[l];
-                    // Bare-`minps` form of `dn.min(cap_i).min(cap_j)`:
-                    // identical bits whenever no operand is NaN, which
-                    // holds on every committed lane (`com` requires
-                    // dn > 0), and uncommitted lanes discard `dnc` —
-                    // this skips `f32::min`'s 4-op NaN fixup per min.
-                    let m1 = if dn < cap_i { dn } else { cap_i };
-                    let dnc = if m1 < cap_j { m1 } else { cap_j };
+                    // Bare-`minps` form of `dn.min(cap_i).min(cap_j)`,
+                    // the caps' min taken off the rate's dependency
+                    // chain: identical bits whenever no operand is NaN or
+                    // `-0.0`, which holds on every committed lane (`com`
+                    // requires dn > 0 and both colliders > 0), and
+                    // uncommitted lanes discard `dnc` — this skips
+                    // `f32::min`'s 4-op NaN fixup per min.
+                    let cap = if cap_i < cap_j { cap_i } else { cap_j };
+                    let dnc = if dn < cap { dn } else { cap };
                     commit[l] = com;
                     dne[l] = if com { dnc } else { 0.0 };
                     cp[l] += pop as u32;
                     cc[l] += com as u32;
                 }
-                if halve {
-                    for l in 0..LANES {
-                        panel.n[ai][i][l] = ni_v[l] - 2.0 * dne[l];
-                    }
-                } else {
-                    for l in 0..LANES {
-                        panel.n[ai][i][l] = ni_v[l] - dne[l];
-                    }
-                    for l in 0..LANES {
-                        panel.n[bi][j][l] = nj_v[l] - dne[l];
-                    }
+                for l in 0..LANES {
+                    panel.n[ai][i][l] = ni_v[l] - dne[l];
                 }
-                // Deposit stores load after the subtractions above, so
-                // an outcome row that aliases row i or j sees them: the
-                // updates are in place, in Listing order.
-                match sp[j] {
-                    Split::Bottom { m, m0 } => {
-                        for l in 0..LANES {
-                            let o = panel.n[oi][0][l];
-                            let v = o + dne[l] * m / m0;
-                            panel.n[oi][0][l] = if commit[l] { v } else { o };
-                        }
-                    }
-                    Split::Top { m, mtop } => {
-                        for l in 0..LANES {
-                            let o = panel.n[oi][NKR - 1][l];
-                            let v = o + dne[l] * m / mtop;
-                            panel.n[oi][NKR - 1][l] = if commit[l] { v } else { o };
-                        }
-                    }
-                    Split::Mid { k, frac } => {
-                        let k = k as usize;
-                        for l in 0..LANES {
-                            let n_hi = dne[l] * frac;
-                            let o0 = panel.n[oi][k][l];
-                            let v = o0 + (dne[l] - n_hi);
-                            panel.n[oi][k][l] = if commit[l] { v } else { o0 };
-                        }
-                        for l in 0..LANES {
-                            let n_hi = dne[l] * frac;
-                            let o1 = panel.n[oi][k + 1][l];
-                            let v = o1 + n_hi;
-                            panel.n[oi][k + 1][l] = if commit[l] { v } else { o1 };
-                        }
-                    }
+                for l in 0..LANES {
+                    panel.n[bi][j][l] = nj_v[l] - dne[l];
                 }
+                deposit_lanes(&mut panel.n[oi], sp[j], &commit, &dne);
                 if riming {
                     let lm_src = if a_ice { gb.mass[j] } else { mi };
                     for l in 0..LANES {
@@ -799,6 +757,87 @@ fn coal_substep_panel(
         }
     }
     panel.scrub_lanes(&all);
+}
+
+/// Self-collection's diagonal cell `(i, i)` over all [`LANES`] slots:
+/// the off-diagonal cells' lane loop in `coal_substep_panel` with the
+/// halve multiply on the rate and the i-cap (`x * 0.5 == x / 2.0`
+/// exactly, so no divide is issued) — which lanes commit and the number
+/// each removes, the populated and committed counts added to `cp` and
+/// `cc`; uncommitted lanes deplete `0.0`.
+fn diagonal_depletion(
+    kvi: f32,
+    ni_v: &[f32; LANES],
+    rho_v: &[f32; LANES],
+    dt: f32,
+    (ii, js, je): (i32, &[i32; LANES], &[i32; LANES]),
+    cp: &mut [u32; LANES],
+    cc: &mut [u32; LANES],
+) -> ([bool; LANES], [f32; LANES]) {
+    let mut commit = [false; LANES];
+    let mut dne = [0.0f32; LANES];
+    for l in 0..LANES {
+        let jin = ii >= js[l] && ii <= je[l];
+        let pop = jin & (ni_v[l] > 0.0);
+        // ((((kv·ni)·ni)·rho)·dt), then the halve multiply.
+        let dn = kvi * ni_v[l] * ni_v[l] * rho_v[l] * dt * 0.5;
+        let com = pop & (dn > 0.0);
+        let cap_i = MAX_DEPLETION * ni_v[l] * 0.5;
+        let cap_j = MAX_DEPLETION * ni_v[l];
+        let cap = if cap_i < cap_j { cap_i } else { cap_j };
+        let dnc = if dn < cap { dn } else { cap };
+        commit[l] = com;
+        dne[l] = if com { dnc } else { 0.0 };
+        cp[l] += pop as u32;
+        cc[l] += com as u32;
+    }
+    (commit, dne)
+}
+
+/// One cell's deposit into the outcome class `col` through its stencil
+/// `split`: each committed lane adds its `dne`, every other lane stores
+/// the bits it loaded (a select, not `+ 0.0`, which would flip `-0.0`).
+/// The loads follow the caller's subtractions, so an outcome row that
+/// aliases row `i` or `j` sees them: the updates are in place, in
+/// Listing order.
+#[inline(always)]
+fn deposit_lanes(
+    col: &mut [[f32; LANES]; NKR],
+    split: Split,
+    commit: &[bool; LANES],
+    dne: &[f32; LANES],
+) {
+    match split {
+        Split::Bottom { m, m0 } => {
+            for l in 0..LANES {
+                let o = col[0][l];
+                let v = o + dne[l] * m / m0;
+                col[0][l] = if commit[l] { v } else { o };
+            }
+        }
+        Split::Top { m, mtop } => {
+            for l in 0..LANES {
+                let o = col[NKR - 1][l];
+                let v = o + dne[l] * m / mtop;
+                col[NKR - 1][l] = if commit[l] { v } else { o };
+            }
+        }
+        Split::Mid { k, frac } => {
+            let k = k as usize;
+            for l in 0..LANES {
+                let n_hi = dne[l] * frac;
+                let o0 = col[k][l];
+                let v = o0 + (dne[l] - n_hi);
+                col[k][l] = if commit[l] { v } else { o0 };
+            }
+            for l in 0..LANES {
+                let n_hi = dne[l] * frac;
+                let o1 = col[k + 1][l];
+                let v = o1 + n_hi;
+                col[k + 1][l] = if commit[l] { v } else { o1 };
+            }
+        }
+    }
 }
 
 /// Listing 1's condensation over a panel (see

@@ -47,6 +47,7 @@
 //! a point's bits do not depend on who shares its batch.
 
 use crate::bins::density_factor;
+use crate::constants::T_0;
 use crate::exec::{compact_active_columns, ExecMode, ExecSummary};
 use crate::kernels::{kernals_ks, CollisionTables, KernelCache, KernelMode, KernelTables};
 use crate::meter::{PointWork, WorkBreakdown};
@@ -334,6 +335,8 @@ pub struct FastSbm {
     /// Precomputed mass-deposition stencils for the panel collision path
     /// (pair × i × j, a pure function of the bin grids).
     splits: DepositSplits,
+    /// The post stage's meter of a clear point, by its `T`.
+    clear_post: ClearPostMeters,
     /// Reusable per-step buffers (sweep arrays, batch lists, sedimentation
     /// columns): grown once, then steady-state steps allocate nothing.
     scratch: StepScratch,
@@ -344,6 +347,7 @@ impl FastSbm {
     pub fn new(cfg: SbmConfig) -> Self {
         let grids = Grids::new();
         let splits = DepositSplits::new(&grids);
+        let clear_post = ClearPostMeters::new(&grids, cfg.dt);
         FastSbm {
             cfg,
             grids,
@@ -351,6 +355,7 @@ impl FastSbm {
             exec: OnceLock::new(),
             kcache: None,
             splits,
+            clear_post,
             scratch: StepScratch::default(),
         }
     }
@@ -444,6 +449,7 @@ impl FastSbm {
                 &self.tables,
                 self.kcache.as_ref(),
                 &self.splits,
+                &self.clear_post,
                 &self.cfg,
                 state,
                 sweep,
@@ -506,8 +512,9 @@ impl FastSbm {
 /// launches: `(j,k)` rows, for nucleation and the in-place guard, each
 /// point that needs condensation leaving its [`condensation_key`] in its
 /// key slot; then condensation and the predicate over the lane batches
-/// [`build_cond_batch_list`] cuts from those keys. Returns how full the
-/// condensation panels ran.
+/// [`build_cond_batch_list`] cuts from those keys, each predicate-true
+/// point leaving its spectrum key ([`lane_coherence_keys`]) in the same
+/// slot for the collision list. Returns how full the condensation panels ran.
 fn pre_sweep(v: &PatchViews<'_>, launcher: &Launcher<'_>, lists: &mut CoalLists) -> Tally {
     let ip = v.patch.ip;
     launcher.sweep(v.row_count() as u64, |r| {
@@ -539,9 +546,9 @@ fn pre_sweep(v: &PatchViews<'_>, launcher: &Launcher<'_>, lists: &mut CoalLists)
 /// launches one unit per `(j,k)` column with a serial `i` loop over its
 /// lane batches; `collapse(3)` launches one unit per coherent lane batch
 /// ([`build_batch_list`]): a level's predicate-true points, whatever row
-/// they sit in, grouped by pressure and by how alike their spectra are,
-/// so compaction is level-wide and a batch's lanes sweep nearly the same
-/// cells.
+/// they sit in, grouped by pressure and by the spectrum keys the
+/// condensation launch left, so compaction is level-wide and a batch's
+/// lanes sweep nearly the same cells.
 ///
 /// Launch geometry (`coal_iters`, warp efficiency) is always reported
 /// from the *full* iteration space: compaction and the batch width change
@@ -791,10 +798,13 @@ struct SweepArrays {
     predicate: Vec<bool>,
     /// Per-point outcomes, same order.
     outcomes: Vec<SweepSlot>,
-    /// Per-point [`condensation_key`] the panel pre-sweep's row launch
-    /// leaves for its condensation launch, same order
-    /// ([`NO_CONDENSATION`] where a point needs none).
-    cond_key: Vec<u16>,
+    /// Per-point key slot, same order: the [`condensation_key`] the
+    /// pre-sweep's row launch leaves for its condensation launch
+    /// ([`NO_CONDENSATION`] where a point needs none), then, once
+    /// [`build_cond_batch_list`] has read it, the spectrum key
+    /// ([`lane_coherence_keys`]) the condensation launch leaves for the
+    /// collision list at each predicate-true point.
+    cond_key: Vec<u64>,
     /// Per-column sedimentation results, `[j][i]` ([`SbmPatchState::rainnc`]
     /// order).
     fall: Vec<ColumnFall>,
@@ -826,13 +836,13 @@ struct CoalLists {
 /// One point as a batch builder sorts it: the group no batch crosses
 /// (pressure bits for the collision list, 0 for the condensation list,
 /// whose lanes may mix pressures), the key that groups look-alikes
-/// ([`coherence_key`], [`condensation_key`]), the flat index into the
+/// ([`lane_coherence_keys`], [`condensation_key`]), the flat index into the
 /// sweep arrays. The index makes every entry distinct, so an unstable
 /// sort is deterministic.
 type LanePoint = (u32, u64, u32);
 
 /// The key slot of a point the condensation launch has nothing to do for.
-const NO_CONDENSATION: u16 = u16::MAX;
+const NO_CONDENSATION: u64 = u64::MAX;
 
 /// A point's slot in the sweep arrays: the parts of its [`PointOutcome`]
 /// the pre and post sweeps write (collision reports through
@@ -928,6 +938,7 @@ struct PatchViews<'a> {
     tables: &'a KernelTables,
     kcache: Option<&'a KernelCache>,
     splits: &'a DepositSplits,
+    clear_post: &'a ClearPostMeters,
     dt: f32,
     /// The most points a lane batch holds ([`Layout::width`]).
     width: usize,
@@ -942,16 +953,18 @@ struct PatchViews<'a> {
     /// slots, a column unit its column's slot.
     predicate: SyncWriteSlice<'a, bool>,
     outcomes: SyncWriteSlice<'a, SweepSlot>,
-    cond_key: SyncWriteSlice<'a, u16>,
+    cond_key: SyncWriteSlice<'a, u64>,
     fall: SyncWriteSlice<'a, ColumnFall>,
 }
 
 impl<'a> PatchViews<'a> {
+    #[allow(clippy::too_many_arguments)]
     fn new(
         grids: &'a Grids,
         tables: &'a KernelTables,
         kcache: Option<&'a KernelCache>,
         splits: &'a DepositSplits,
+        clear_post: &'a ClearPostMeters,
         cfg: &SbmConfig,
         state: &'a mut SbmPatchState,
         sweep: &'a mut SweepArrays,
@@ -965,7 +978,7 @@ impl<'a> PatchViews<'a> {
         // points, a `(j,k)` row of the pre- or post-sweep
         // (with that row's `predicate`/`outcomes`/`cond_key` slots), a
         // condensation lane batch of distinct points (with those points'
-        // `predicate`/`outcomes` slots), or an `(i,j)` column of the
+        // `predicate`/`outcomes`/`cond_key` slots), or an `(i,j)` column of the
         // sedimentation sweep (every level of that column, and its `fall`
         // slot; it also reads, and never writes, its own column's
         // `outcomes` slots, which the finished pre- and post-sweep
@@ -983,10 +996,11 @@ impl<'a> PatchViews<'a> {
         // (the Codee-proven independence of the grid loop; a batch list is
         // built on the calling thread between two launches — the
         // condensation list from the `cond_key` slots the finished row
-        // launch wrote, the collision list from the bins and the whole
-        // `predicate` the finished pre-sweep wrote, which the collision
-        // launch only reads). `t_old`, `p` and `rho` are never written
-        // during a step.
+        // launch wrote, before the condensation launch writes them again;
+        // the collision list from the whole `predicate` and the
+        // `cond_key` slots the finished condensation launch wrote, which
+        // the collision launch only reads). `t_old`, `p` and `rho` are
+        // never written during a step.
         let (tt, qv, ff, predicate, outcomes, cond_key, fall) = unsafe {
             (
                 SyncWriteSlice::new(state.tt.as_mut_slice()),
@@ -1006,6 +1020,7 @@ impl<'a> PatchViews<'a> {
             tables,
             kcache,
             splits,
+            clear_post,
             dt: cfg.dt,
             width: cfg.layout.width(),
             t_old: state.t_old.as_slice(),
@@ -1198,12 +1213,13 @@ fn nucleate_row(
     at0: usize,
     pred: &mut [bool],
     outs: &mut [SweepSlot],
-    keys: &mut [u16],
+    keys: &mut [u64],
 ) {
     for (ix, ((p, out), key)) in pred.iter_mut().zip(outs).zip(keys).enumerate() {
         let at = at0 + ix;
-        *key = nucleate_point(v, at, out)
-            .map_or(NO_CONDENSATION, |th| condensation_key(&v.bins(at), &th));
+        *key = nucleate_point(v, at, out).map_or(NO_CONDENSATION, |th| {
+            u64::from(condensation_key(&v.bins(at), &th))
+        });
         *p = false;
     }
 }
@@ -1212,7 +1228,9 @@ fn nucleate_row(
 /// lane batch of the condensation launch (`points` are flat indices into
 /// the sweep arrays): each lane's bins, temperature and vapor go back to
 /// its point, its metered work, predicate and clear flag to its outcome
-/// and predicate slots. Returns how full the relaxes ran.
+/// and predicate slots, and a predicate-true lane's spectrum key
+/// ([`lane_coherence_keys`], read from the panel the lane's bins are
+/// scattered from) to its key slot. Returns how full the relaxes ran.
 fn cond_batch(v: &PatchViews<'_>, points: &[u32]) -> LaneFill {
     let mut panel = SoaPanel::new();
     let mut ats = [0usize; LANES];
@@ -1224,6 +1242,7 @@ fn cond_batch(v: &PatchViews<'_>, points: &[u32]) -> LaneFill {
     let mut floored = [Floored::default(); LANES];
     let fill = panel_condensation(&mut panel, v.grids, v.dt, &mut works, &mut floored);
     let preds = panel_coal_predicate(&panel, v.grids, &mut works);
+    let keys = lane_coherence_keys(&panel);
     for (l, (&pt, &at)) in points.iter().zip(&ats).enumerate() {
         v.scatter(at, &panel, l);
         v.qv.set(at, panel.qv[l]);
@@ -1234,6 +1253,9 @@ fn cond_batch(v: &PatchViews<'_>, points: &[u32]) -> LaneFill {
         out.coal_called = preds[l];
         out.clear = !preds[l] && v.bins(at).is_clear();
         v.predicate.set(pt, preds[l]);
+        if preds[l] {
+            v.cond_key.set(pt, keys[l]);
+        }
     }
     fill
 }
@@ -1302,35 +1324,76 @@ fn coal_batch(
 /// Freezing/melting + breakup over the row's active points, per point
 /// and in place; returns the tally of the row's outcomes (all
 /// that the pre-sweep and this stage metered, and the point counts). A
-/// clear point is metered by [`fast_sbm_post_clear`] and keeps its bins
-/// and thermo unread and unwritten.
+/// clear point takes its meter from the [`ClearPostMeters`] table by its
+/// `T` and keeps its bins and the rest of its thermo unread, and all of
+/// them unwritten.
 fn post_row(v: &PatchViews<'_>, j: i32, k: i32, it: Span, outs: &mut [SweepSlot]) -> Tally {
     let mut tally = Tally::default();
-    let mut empty = PointBins::empty();
     for (i, out) in it.iter().zip(outs) {
         if out.active {
             let at = v.idx3(i, k, j);
-            let mut th = v.thermo(at);
-            let mut post = PointOutcome {
-                active: true,
-                ..PointOutcome::default()
-            };
-            if out.clear {
-                fast_sbm_post_clear(th, v.grids, v.dt, &mut empty, &mut post);
+            (out.freeze, out.breakup) = if out.clear {
+                v.clear_post.at(v.tt.get(at))
             } else {
+                let mut th = v.thermo(at);
+                let mut post = PointOutcome {
+                    active: true,
+                    ..PointOutcome::default()
+                };
                 fast_sbm_post(&mut v.bins(at), &mut th, v.grids, v.dt, &mut post);
                 v.store_thermo(at, &th);
-            }
-            (out.freeze, out.breakup) = (post.work.freeze, post.work.breakup);
+                (post.work.freeze, post.work.breakup)
+            };
         }
         tally.add_point(out);
     }
     tally
 }
 
+/// The post stage's `(freeze, breakup)` meter of a clear point, which
+/// depends on its `T` alone ([`fast_sbm_post_clear`]) and through one
+/// comparison with `T_0`: freezing below, melting above, neither at
+/// `T_0` or at NaN. Three entries, replayed once per scheme instance.
+#[derive(Debug, Clone, Copy)]
+struct ClearPostMeters([(PointWork, PointWork); 3]);
+
+impl ClearPostMeters {
+    fn new(grids: &Grids, dt: f32) -> Self {
+        let replay = |t: f32| {
+            let th = PointThermo {
+                t,
+                qv: 0.0,
+                p: 0.0,
+                rho: 0.0,
+            };
+            let mut post = PointOutcome {
+                active: true,
+                ..PointOutcome::default()
+            };
+            fast_sbm_post_clear(th, grids, dt, &mut PointBins::empty(), &mut post);
+            (post.work.freeze, post.work.breakup)
+        };
+        ClearPostMeters([T_0 - 1.0, T_0 + 1.0, T_0].map(replay))
+    }
+
+    /// The meter of a clear point at temperature `t`.
+    #[inline]
+    fn at(&self, t: f32) -> (PointWork, PointWork) {
+        let entry = if t < T_0 {
+            0
+        } else if t > T_0 {
+            1
+        } else {
+            2
+        };
+        self.0[entry]
+    }
+}
+
 /// Sedimentation of the column at `(i, j)`, class by class, each class's
-/// column held bin-major while it falls. The levels' fall-speed factors are taken once, when the column's first
-/// class falls, and serve all seven. The write-back is the step's last
+/// column held bin-major while it falls. The levels' fall-speed factors
+/// are taken once, when the column's first class falls, and serve all
+/// seven. The write-back is the step's last
 /// write of every class the column holds, so it floors the tails there
 /// ([`Floored::floor`], levels bottom up, bins ascending); a class with
 /// no positive value is skipped, written by nothing.
@@ -1427,7 +1490,9 @@ fn next_batch(
 /// occupied bin of each class, plus one (six bits a class, 0 for an empty
 /// one — where its `(i, j)` windows end). Points whose keys are close
 /// sweep nearly the same windows, so a batch of them wastes few slots on
-/// the union.
+/// the union. The test oracle of [`lane_coherence_keys`], which the
+/// scheme runs.
+#[cfg(test)]
 fn coherence_key(bins: &BinsView<'_>) -> u64 {
     let (mut present, mut tops) = (0u64, 0u64);
     for n in &bins.n {
@@ -1436,6 +1501,34 @@ fn coherence_key(bins: &BinsView<'_>) -> u64 {
         tops = tops << 6 | top.map_or(0, |t| t as u64 + 1);
     }
     present << (6 * NTYPES) | tops
+}
+
+/// What decides which cells a point's collision sweep visits, as one
+/// sortable word: which classes hold a bin above [`N_EPS`] (one bit a
+/// class, water first — the pairs a lane enters at all), then the top
+/// occupied bin of each class, plus one (six bits a class, 0 for an empty
+/// one — where its `(i, j)` windows end). Read for every lane of the
+/// condensation panel at once, one select a bin row; a live lane's bins
+/// are the ones scattered to its point. Points whose keys are close
+/// sweep nearly the same windows, so a batch of them wastes few slots on
+/// the union.
+fn lane_coherence_keys(panel: &SoaPanel) -> [u64; LANES] {
+    let (mut present, mut tops) = ([0u64; LANES], [0u64; LANES]);
+    for n in &panel.n {
+        // `u32`, the width of the compare's mask: the select stays one
+        // blend per vector.
+        let mut top = [0u32; LANES];
+        for (k, slots) in (1..).zip(n) {
+            for (t, &x) in top.iter_mut().zip(slots) {
+                *t = if x > N_EPS { k } else { *t };
+            }
+        }
+        for l in 0..LANES {
+            present[l] = present[l] << 1 | u64::from(top[l] > 0);
+            tops[l] = tops[l] << 6 | u64::from(top[l]);
+        }
+    }
+    std::array::from_fn(|l| present[l] << (6 * NTYPES) | tops[l])
 }
 
 /// What decides which relaxes a point's condensation runs, as one
@@ -1473,22 +1566,31 @@ fn build_cond_batch_list(v: &PatchViews<'_>, lists: &mut CoalLists) {
     let order = lists.cond_order;
     let CoalLists { batches, level, .. } = lists;
     let ilen = v.patch.ip.len();
-    // The row launch has finished, and nothing writes a key slot again
-    // this step.
-    let keys: &[u16] = v.cond_key.subslice_mut(0, v.row_count() * ilen);
+    // The row launch has finished, and the condensation launch, which
+    // writes the key slots of its predicate-true points, has not begun.
+    let keys: &[u64] = v.cond_key.subslice_mut(0, v.row_count() * ilen);
     level.clear();
     for (idx, &key) in keys.iter().enumerate() {
         if key == NO_CONDENSATION {
             continue;
         }
-        let point = (0, u64::from(key), idx as u32);
+        let point = (0, key, idx as u32);
         #[cfg(test)]
         let point = order.cond_rekey(point, ilen);
         level.push(point);
     }
-    level.sort_unstable();
+    sort_points(level);
     batches.clear();
     cut_batches(level, v.width, batches);
+}
+
+/// Sorts a batch builder's points in tuple order, compared as one packed
+/// `u128` (group, key and index from the top): the same order, in one
+/// integer compare instead of up to three.
+fn sort_points(points: &mut [LanePoint]) {
+    points.sort_unstable_by_key(|&(group, key, idx)| {
+        u128::from(group) << 96 | u128::from(key) << 32 | u128::from(idx)
+    });
 }
 
 /// Appends sorted points to `batches`, cut where the group changes and
@@ -1508,9 +1610,11 @@ fn cut_batches(sorted: &[LanePoint], width: usize, batches: &mut Vec<PanelBatch>
 
 /// Pre-builds the launch units of the panel `collapse(3)` kernel, level
 /// by level: a level's predicate-true points across all its rows, sorted
-/// by pressure bits and then by [`coherence_key`], cut into runs of one
-/// pressure and those into batches of at most the batch width.
-/// `predicate` is laid out `[row][i]` over the patch's compute points.
+/// by pressure bits and then by the spectrum key
+/// ([`lane_coherence_keys`]) the condensation launch left in each one's
+/// key slot, cut into runs of one pressure and those into batches of at
+/// most the batch width. `predicate` is laid out `[row][i]` over the
+/// patch's compute points.
 ///
 /// Which points share a batch is invisible to every one of them: a lane
 /// runs its own `(i, j)` sequence under its own window
@@ -1528,6 +1632,9 @@ fn build_batch_list(v: &PatchViews<'_>, predicate: &[bool], lists: &mut CoalList
     }
     let CoalLists { batches, level, .. } = lists;
     let (ilen, klen) = (v.patch.ip.len(), v.patch.kp.len());
+    // The condensation launch has finished, and nothing writes a key slot
+    // again this step.
+    let keys: &[u64] = v.cond_key.subslice_mut(0, v.row_count() * ilen);
     batches.clear();
     for kx in 0..klen {
         level.clear();
@@ -1535,13 +1642,13 @@ fn build_batch_list(v: &PatchViews<'_>, predicate: &[bool], lists: &mut CoalList
             let at0 = v.at_point(row * ilen);
             for idx in (row * ilen..(row + 1) * ilen).filter(|&idx| predicate[idx]) {
                 let at = at0 + idx % ilen;
-                let key = coherence_key(&v.bins(at));
+                let key = keys[idx];
                 #[cfg(test)]
                 let key = order.rekey(key, idx);
                 level.push((v.p[at].to_bits(), key, idx as u32));
             }
         }
-        level.sort_unstable();
+        sort_points(level);
         cut_batches(level, v.width, batches);
     }
 }
@@ -1553,7 +1660,7 @@ fn build_batch_list(v: &PatchViews<'_>, predicate: &[bool], lists: &mut CoalList
 #[cfg(test)]
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 enum BatchOrder {
-    /// Pressure bits, then [`coherence_key`]; [`condensation_key`]
+    /// Pressure bits, then [`lane_coherence_keys`]; [`condensation_key`]
     /// patch-wide.
     #[default]
     Sorted,
@@ -1738,7 +1845,16 @@ fn sweeps_on(
         exec: &exec,
     };
     let (grids, tables, splits) = (&sbm.grids, &sbm.tables, &sbm.splits);
-    let v = PatchViews::new(grids, tables, None, splits, &sbm.cfg, &mut st, &mut sweep);
+    let v = PatchViews::new(
+        grids,
+        tables,
+        None,
+        splits,
+        &sbm.clear_post,
+        &sbm.cfg,
+        &mut st,
+        &mut sweep,
+    );
     pre_sweep(&v, &launcher, &mut CoalLists::default());
     if let Some(skip_clear) = fall {
         if !skip_clear {
@@ -1765,7 +1881,6 @@ pub(crate) fn fall_after_pre(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::digest::StateDigest;
     use crate::thermo::qsat_liquid;
     use wrf_grid::{two_d_decomposition, Domain};
 
@@ -2029,8 +2144,9 @@ mod tests {
     /// and in a tiled CPU version whose collision launch is three coarse
     /// tiles between the same sweeps, and the static-tiles offloaded
     /// step's one collision launch of contiguous blocks. Every step's
-    /// digest at 2 and 3 workers must equal the one-worker run's. 300
-    /// steps under `CI_NIGHTLY` (`./ci.sh pool_stress`), 24 otherwise.
+    /// digest and [`pool_counts`] at 2 and 3 workers must equal the
+    /// one-worker run's. 300 steps under `CI_NIGHTLY` (`./ci.sh
+    /// pool_stress`), 24 otherwise.
     #[test]
     fn pool_stress_every_step_matches_one_worker() {
         let nightly = std::env::var_os("CI_NIGHTLY").is_some_and(|v| !v.is_empty());
@@ -2051,10 +2167,10 @@ mod tests {
                 let mut st = test_state();
                 cfg.workers = Some(workers);
                 let mut scheme = FastSbm::new(cfg);
-                let per_step: Vec<StateDigest> = (0..steps)
+                let per_step: Vec<_> = (0..steps)
                     .map(|_| {
-                        scheme.step(&mut st);
-                        st.digest()
+                        let counts = pool_counts(&scheme.step(&mut st));
+                        (st.digest(), counts)
                     })
                     .collect();
                 let epochs = scheme.pool().stats().epochs;
@@ -2062,13 +2178,39 @@ mod tests {
                 per_step
             };
             let want = digests(1);
-            assert_ne!(want[0], want[steps - 1], "{what}: the state must evolve");
+            assert_ne!(
+                want[0].0,
+                want[steps - 1].0,
+                "{what}: the state must evolve"
+            );
             for workers in [2, 3] {
                 for (step, (got, want)) in digests(workers).iter().zip(&want).enumerate() {
-                    assert_eq!(got, want, "{what}: {workers} workers, step {step}");
+                    assert_eq!(
+                        got.1, want.1,
+                        "{what}: {workers} workers, step {step} stats"
+                    );
+                    assert_eq!(got.0, want.0, "{what}: {workers} workers, step {step}");
                 }
             }
         }
+    }
+
+    /// The step statistics a race on the sweep arrays moves before it
+    /// moves a bit of state — a lost key slot regroups the collision
+    /// batches and shows in `lane_slots` — and the rest of the counts,
+    /// the work and what was floored, to the bit.
+    #[allow(clippy::type_complexity)]
+    fn pool_counts(
+        s: &SbmStepStats,
+    ) -> ([u64; 4], [usize; 2], u64, WorkBreakdown, (u64, u64, u64)) {
+        let f = &s.floored;
+        (
+            [s.lane_slots, s.lane_cells, s.cond_slots, s.cond_cells],
+            [s.clear_points, s.clear_columns],
+            s.coal_entries,
+            s.work,
+            (f.values, f.number.to_bits(), f.mass.to_bits()),
+        )
     }
 
     /// A supercell-like storm on a 20 × 12 × 12 patch, spun up for three
@@ -2498,6 +2640,76 @@ mod tests {
         assert_eq!(aos_outs, soa_outs);
     }
 
+    /// The collision list's keys come from the condensation panel: after
+    /// the pre-sweep over the spun-up storm, at either batch width, every
+    /// predicate-true point's key slot holds [`coherence_key`] of the bins
+    /// scattered to it.
+    #[test]
+    fn hot_keys_are_the_scattered_bins_keys() {
+        for layout in Layout::ALL {
+            let (mut st, mut sweep) = sweeps_on(storm_spinup_state(), layout, None);
+            let predicate = sweep.predicate.clone();
+            let sbm = FastSbm::new(SbmConfig {
+                layout,
+                ..SbmConfig::new(SbmVersion::OffloadCollapse3)
+            });
+            let (grids, tables, splits) = (&sbm.grids, &sbm.tables, &sbm.splits);
+            let v = PatchViews::new(
+                grids,
+                tables,
+                None,
+                splits,
+                &sbm.clear_post,
+                &sbm.cfg,
+                &mut st,
+                &mut sweep,
+            );
+            let hot: Vec<usize> = (0..predicate.len()).filter(|&pt| predicate[pt]).collect();
+            assert!(hot.len() > 200, "{layout:?}: {} hot points", hot.len());
+            for pt in hot {
+                let want = coherence_key(&v.bins(v.at_point(pt)));
+                assert_eq!(v.cond_key.get(pt), want, "{layout:?}: point {pt}");
+            }
+        }
+    }
+
+    /// The clear post meter by table against its replay: at `T_0` and one
+    /// ULP either side, at ±∞ and at NaN, [`ClearPostMeters::at`] is
+    /// [`fast_sbm_post_clear`]'s meter at that `T`.
+    #[test]
+    fn clear_post_meters_match_the_replay() {
+        let sbm = FastSbm::new(SbmConfig::new(SbmVersion::OffloadCollapse3));
+        let temps = [
+            T_0,
+            T_0.next_down(),
+            T_0.next_up(),
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+        ];
+        for t in temps {
+            let th = PointThermo {
+                t,
+                qv: 2.0e-3,
+                p: 70_000.0,
+                rho: 0.9,
+            };
+            let mut post = PointOutcome {
+                active: true,
+                ..PointOutcome::default()
+            };
+            fast_sbm_post_clear(
+                th,
+                &sbm.grids,
+                sbm.cfg.dt,
+                &mut PointBins::empty(),
+                &mut post,
+            );
+            let want = (post.work.freeze, post.work.breakup);
+            assert_eq!(sbm.clear_post.at(t), want, "T = {t}");
+        }
+    }
+
     /// A row that is clear and subsaturated over liquid and over ice —
     /// warm, cold, and colder than the collision floor — nucleates
     /// nothing, so neither form may move a state bit, and both mark every
@@ -2789,7 +3001,14 @@ mod tile_tests {
             let mut sweep = SweepArrays::default();
             let (grids, tables, splits) = (&sbm.grids, &sbm.tables, &sbm.splits);
             let v = PatchViews::new(
-                grids, tables, None, splits, &sbm.cfg, &mut state, &mut sweep,
+                grids,
+                tables,
+                None,
+                splits,
+                &sbm.clear_post,
+                &sbm.cfg,
+                &mut state,
+                &mut sweep,
             );
             // Hits per memory point: once in the compute region, never
             // in the halo.
@@ -2877,9 +3096,10 @@ mod tile_tests {
         /// the points of a level that share pressure bits fill
         /// `ceil(n / width)` batches (so a level whose pressure differs
         /// from point to point ships single-lane batches, as row order
-        /// did); building twice gives the same list. When the patch has
-        /// two levels the first is emptied and the second cut down to one
-        /// point.
+        /// did); building twice gives the same list. The key slots are the
+        /// ones the pre-sweep leaves over the random state, supersaturated
+        /// at 280 K. When the patch has two levels the first is emptied
+        /// and the second cut down to one point.
         #[test]
         fn batch_list_covers_active_points_exactly_once(
             ni in 1i32..40, nk in 1i32..4, nj in 1i32..4, halo in 0i32..3,
@@ -2910,6 +3130,12 @@ mod tile_tests {
                     }
                 }
             }
+            for (at, &p) in state.p.as_slice().iter().enumerate() {
+                state.tt.as_mut_slice()[at] = 280.0;
+                state.rho.as_mut_slice()[at] = crate::thermo::air_density(280.0, p);
+                state.qv.as_mut_slice()[at] = crate::thermo::qsat_liquid(280.0, p) * 1.01;
+            }
+            state.snapshot_t_old();
             let ilen = patch.ip.len();
             let mut predicate: Vec<bool> =
                 (0..patch.compute_points()).map(|_| draw(10) < act10).collect();
@@ -2925,9 +3151,10 @@ mod tile_tests {
             let layout = Layout::ALL[layout];
             let width = layout.width();
             let sbm = FastSbm::new(SbmConfig { layout, ..SbmConfig::new(SbmVersion::OffloadCollapse3) });
-            let mut sweep = SweepArrays::default();
+            let (mut state, mut sweep) = sweeps_on(state, layout, None);
             let v = PatchViews::new(
-                &sbm.grids, &sbm.tables, None, &sbm.splits, &sbm.cfg, &mut state, &mut sweep,
+                &sbm.grids, &sbm.tables, None, &sbm.splits, &sbm.clear_post, &sbm.cfg,
+                &mut state, &mut sweep,
             );
             let mut lists = CoalLists::default();
             build_batch_list(&v, &predicate, &mut lists);
@@ -2987,8 +3214,8 @@ mod tile_tests {
                 rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
                 (rng >> 33) % n
             };
-            let keys: Vec<u16> = (0..patch.compute_points())
-                .map(|_| if draw(10) < pend10 { draw(512) as u16 } else { NO_CONDENSATION })
+            let keys: Vec<u64> = (0..patch.compute_points())
+                .map(|_| if draw(10) < pend10 { draw(512) } else { NO_CONDENSATION })
                 .collect();
             let mut state = SbmPatchState::new(patch);
             let layout = Layout::ALL[layout];
@@ -2996,7 +3223,8 @@ mod tile_tests {
             let sbm = FastSbm::new(SbmConfig { layout, ..SbmConfig::new(SbmVersion::OffloadCollapse3) });
             let mut sweep = SweepArrays { cond_key: keys.clone(), ..Default::default() };
             let v = PatchViews::new(
-                &sbm.grids, &sbm.tables, None, &sbm.splits, &sbm.cfg, &mut state, &mut sweep,
+                &sbm.grids, &sbm.tables, None, &sbm.splits, &sbm.clear_post, &sbm.cfg,
+                &mut state, &mut sweep,
             );
             let mut lists = CoalLists::default();
             build_cond_batch_list(&v, &mut lists);
