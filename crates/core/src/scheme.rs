@@ -978,9 +978,9 @@ impl<'a> PatchViews<'a> {
         // points, a `(j,k)` row of the pre- or post-sweep
         // (with that row's `predicate`/`outcomes`/`cond_key` slots), a
         // condensation lane batch of distinct points (with those points'
-        // `predicate`/`outcomes`/`cond_key` slots), or an `(i,j)` column of the
-        // sedimentation sweep (every level of that column, and its `fall`
-        // slot; it also reads, and never writes, its own column's
+        // `predicate`/`outcomes`/`cond_key` slots), or an `(i,j)` column
+        // of the sedimentation sweep (every level of that column, and its
+        // `fall` slot; it also reads, and never writes, its own column's
         // `outcomes` slots, which the finished pre- and post-sweep
         // launches wrote). The units of one launch partition the compute
         // points: tiles partition the patch; compacted lists and batch
@@ -1393,10 +1393,10 @@ impl ClearPostMeters {
 /// Sedimentation of the column at `(i, j)`, class by class, each class's
 /// column held bin-major while it falls. The levels' fall-speed factors
 /// are taken once, when the column's first class falls, and serve all
-/// seven. The write-back is the step's last
-/// write of every class the column holds, so it floors the tails there
-/// ([`Floored::floor`], levels bottom up, bins ascending); a class with
-/// no positive value is skipped, written by nothing.
+/// seven. The write-back is the step's last write of every class the
+/// column holds, so it floors the tails there ([`Floored::floor`],
+/// levels bottom up, bins ascending); a class with no positive value is
+/// skipped, written by nothing.
 ///
 /// Which classes hold a positive value is read once per level the
 /// pre-sweep did not mark clear, as one fold a class; a clear level holds
@@ -1484,14 +1484,9 @@ fn next_batch(
     (len > 0).then_some((ixs, len))
 }
 
-/// What decides which cells a point's collision sweep visits, as one
-/// sortable word: which classes hold a bin above [`N_EPS`] (one bit a
-/// class, water first — the pairs a lane enters at all), then the top
-/// occupied bin of each class, plus one (six bits a class, 0 for an empty
-/// one — where its `(i, j)` windows end). Points whose keys are close
-/// sweep nearly the same windows, so a batch of them wastes few slots on
-/// the union. The test oracle of [`lane_coherence_keys`], which the
-/// scheme runs.
+/// [`lane_coherence_keys`]' key of one point, read from its bins: the
+/// oracle the scheme's read from the condensation panel is tested
+/// against.
 #[cfg(test)]
 fn coherence_key(bins: &BinsView<'_>) -> u64 {
     let (mut present, mut tops) = (0u64, 0u64);
@@ -1515,8 +1510,6 @@ fn coherence_key(bins: &BinsView<'_>) -> u64 {
 fn lane_coherence_keys(panel: &SoaPanel) -> [u64; LANES] {
     let (mut present, mut tops) = ([0u64; LANES], [0u64; LANES]);
     for n in &panel.n {
-        // `u32`, the width of the compare's mask: the select stays one
-        // blend per vector.
         let mut top = [0u32; LANES];
         for (k, slots) in (1..).zip(n) {
             for (t, &x) in top.iter_mut().zip(slots) {
@@ -2144,8 +2137,11 @@ mod tests {
     /// and in a tiled CPU version whose collision launch is three coarse
     /// tiles between the same sweeps, and the static-tiles offloaded
     /// step's one collision launch of contiguous blocks. Every step's
-    /// digest and [`pool_counts`] at 2 and 3 workers must equal the
-    /// one-worker run's. 300 steps under `CI_NIGHTLY` (`./ci.sh
+    /// statistics (wall clock zeroed; `floored` to the bit) and digest at
+    /// 2 and 3 workers must equal the one-worker run's: a race on the
+    /// sweep arrays moves a count before it moves a bit of state — a lost
+    /// key slot regroups the collision batches and shows in
+    /// `lane_slots`. 300 steps under `CI_NIGHTLY` (`./ci.sh
     /// pool_stress`), 24 otherwise.
     #[test]
     fn pool_stress_every_step_matches_one_worker() {
@@ -2163,54 +2159,35 @@ mod tests {
                 ExecMode::WorkSteal => 5,
                 ExecMode::StaticTiles => 1,
             };
-            let mut digests = |workers: usize| {
+            let mut run = |workers: usize| {
                 let mut st = test_state();
                 cfg.workers = Some(workers);
                 let mut scheme = FastSbm::new(cfg);
                 let per_step: Vec<_> = (0..steps)
                     .map(|_| {
-                        let counts = pool_counts(&scheme.step(&mut st));
-                        (st.digest(), counts)
+                        let stats = SbmStepStats {
+                            coal_wall: 0.0,
+                            ..scheme.step(&mut st)
+                        };
+                        let floored = [stats.floored.number, stats.floored.mass].map(f64::to_bits);
+                        (st.digest(), stats, floored)
                     })
                     .collect();
                 let epochs = scheme.pool().stats().epochs;
                 assert_eq!(epochs, launches * steps as u64, "{what}: launches a step");
                 per_step
             };
-            let want = digests(1);
-            assert_ne!(
-                want[0].0,
-                want[steps - 1].0,
-                "{what}: the state must evolve"
-            );
+            let want = run(1);
+            let evolved = want[0].0 != want[steps - 1].0;
+            assert!(evolved, "{what}: the state must evolve");
             for workers in [2, 3] {
-                for (step, (got, want)) in digests(workers).iter().zip(&want).enumerate() {
-                    assert_eq!(
-                        got.1, want.1,
-                        "{what}: {workers} workers, step {step} stats"
-                    );
-                    assert_eq!(got.0, want.0, "{what}: {workers} workers, step {step}");
+                for (step, (got, want)) in run(workers).iter().zip(&want).enumerate() {
+                    let at = format!("{what}: {workers} workers, step {step}");
+                    assert_eq!((&got.1, got.2), (&want.1, want.2), "{at}: stats");
+                    assert_eq!(got.0, want.0, "{at}");
                 }
             }
         }
-    }
-
-    /// The step statistics a race on the sweep arrays moves before it
-    /// moves a bit of state — a lost key slot regroups the collision
-    /// batches and shows in `lane_slots` — and the rest of the counts,
-    /// the work and what was floored, to the bit.
-    #[allow(clippy::type_complexity)]
-    fn pool_counts(
-        s: &SbmStepStats,
-    ) -> ([u64; 4], [usize; 2], u64, WorkBreakdown, (u64, u64, u64)) {
-        let f = &s.floored;
-        (
-            [s.lane_slots, s.lane_cells, s.cond_slots, s.cond_cells],
-            [s.clear_points, s.clear_columns],
-            s.coal_entries,
-            s.work,
-            (f.values, f.number.to_bits(), f.mass.to_bits()),
-        )
     }
 
     /// A supercell-like storm on a 20 × 12 × 12 patch, spun up for three
