@@ -60,11 +60,6 @@ impl Affine {
     pub fn coeff(&self, v: &str) -> i64 {
         self.terms.get(v).copied().unwrap_or(0)
     }
-
-    /// True when no loop variable appears.
-    pub fn is_constant(&self) -> bool {
-        !self.unknown && self.terms.is_empty()
-    }
 }
 
 /// Where an array lives — determines whether cross-iteration writes are
@@ -262,8 +257,6 @@ mod tests {
         assert_eq!(a.coeff("i"), 2);
         assert_eq!(a.coeff("j"), 0);
         assert_eq!(a.offset, 1);
-        assert!(!a.is_constant());
-        assert!(Affine::constant(5).is_constant());
         assert!(Affine::unknown().unknown);
         assert_eq!(Affine::var("k"), Affine::linear("k", 1, 0));
     }
@@ -271,7 +264,7 @@ mod tests {
     #[test]
     fn zero_coefficient_not_stored() {
         let a = Affine::linear("i", 0, 3);
-        assert!(a.is_constant());
+        assert!(a.terms.is_empty());
         assert_eq!(a.offset, 3);
     }
 

@@ -59,15 +59,6 @@ impl BinGrid {
     pub fn vt_at(&self, k: usize, rho_air: f32) -> f32 {
         self.vt[k] * density_factor(rho_air)
     }
-
-    /// Index of the bin whose mass is nearest `m` (clamped to the grid).
-    pub fn bin_of_mass(&self, m: f32) -> usize {
-        if m <= self.mass[0] {
-            return 0;
-        }
-        let ratio = (m / self.mass[0]).log2();
-        (ratio.round() as usize).min(NKR - 1)
-    }
 }
 
 /// The Foote–du Toit air-density correction of fall speeds,
@@ -168,16 +159,6 @@ mod tests {
         let v_surface = g.vt_at(20, 1.2);
         let v_aloft = g.vt_at(20, 0.6);
         assert!(v_aloft > v_surface);
-    }
-
-    #[test]
-    fn bin_of_mass_roundtrip() {
-        let g = BinGrid::new(HydroClass::Water);
-        for k in 0..NKR {
-            assert_eq!(g.bin_of_mass(g.mass[k]), k);
-        }
-        assert_eq!(g.bin_of_mass(0.0), 0);
-        assert_eq!(g.bin_of_mass(1.0), NKR - 1);
     }
 
     #[test]

@@ -407,13 +407,6 @@ impl KernelCache {
         }
     }
 
-    /// Drops every filled level (e.g. when the pressure profile changes).
-    pub fn invalidate(&mut self) {
-        for l in &mut self.levels {
-            *l = None;
-        }
-    }
-
     /// Cache hits since construction / [`KernelCache::reset_stats`].
     pub fn hits(&self) -> u64 {
         self.hits.load(std::sync::atomic::Ordering::Relaxed)
@@ -813,8 +806,6 @@ mod tests {
         cm.get(4, 8, 8, &mut w);
         assert_eq!(cache.hits(), 1);
         assert!(cache.bytes() > 0);
-        cache.invalidate();
-        assert_eq!(cache.bytes(), 0);
     }
 
     #[test]

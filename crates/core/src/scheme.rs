@@ -205,10 +205,6 @@ pub struct SbmConfig {
     /// ([`KernelMode::Cached`]); bitwise-identical to on-demand, cheaper
     /// per access when pressure only varies vertically.
     pub cached_kernels: bool,
-    /// Record per-launch-unit metered collision flops into
-    /// [`SbmStepStats::coal_profile`] (off by default; used by
-    /// `bench-exec` to replay the schedule).
-    pub profile_coal: bool,
     /// How many points the inner loops' lane batches hold (up to
     /// [`LANES`], or one in the reference layout).
     pub layout: Layout,
@@ -225,14 +221,13 @@ impl SbmConfig {
             tiles: 1,
             sched: ExecMode::work_steal(),
             cached_kernels: false,
-            profile_coal: false,
             layout: Layout::default(),
         }
     }
 }
 
 /// Statistics of one `fast_sbm` step over the patch.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SbmStepStats {
     /// Grid points visited.
     pub points: usize,
@@ -283,12 +278,6 @@ pub struct SbmStepStats {
     /// Wall-clock seconds of the offloaded collision launch (0 for the
     /// CPU versions' tiles; the metric the `bench-exec` arms compare).
     pub coal_wall: f64,
-    /// Metered collision flops per launch unit (columns for
-    /// `collapse(2)`, points for `collapse(3)`), collected only when
-    /// [`SbmConfig::profile_coal`] is set. `bench-exec` replays this
-    /// profile through each scheduling policy to compute the makespan a
-    /// multi-worker device would see, independent of host core count.
-    pub coal_profile: Option<Vec<u64>>,
 }
 
 impl SbmStepStats {
@@ -419,6 +408,17 @@ impl FastSbm {
     /// The bin grids.
     pub fn grids(&self) -> &Grids {
         &self.grids
+    }
+
+    /// The last step's metered collision flops per launch unit of the
+    /// offloaded collision kernel — columns for `collapse(2)`, points for
+    /// `collapse(3)`, [`SbmStepStats::coal_iters`] entries summing to the
+    /// step's `work.coal.flops` — and empty for the CPU versions' tiles.
+    /// `bench-exec` replays it through each scheduling policy to compute
+    /// the makespan a multi-worker device would see, independent of host
+    /// core count.
+    pub fn coal_profile(&self) -> &[u64] {
+        &self.scratch.coal.profile
     }
 
     /// Advances the microphysics on `state` by one step: snapshot `T_OLD`,
@@ -569,7 +569,10 @@ fn coal_launch(
     // this step: the collision units only read it.
     let predicate: &[bool] = v.predicate.subslice_mut(0, rows * ilen);
     let collapse = match plan.offload {
-        None => return coal_tiles(v, launcher, cfg, plan.dense_tables, predicate),
+        None => {
+            lists.profile.clear();
+            return coal_tiles(v, launcher, cfg, plan.dense_tables, predicate);
+        }
         Some(Offload { collapse, .. }) => collapse,
     };
 
@@ -584,14 +587,20 @@ fn coal_launch(
         }
         Collapse::Three => {
             stats.warp_efficiency = warp_efficiency(predicate, 32);
+            build_batch_list(v, predicate, lists);
             rows * ilen
         }
     };
     stats.coal_iters = iters as u64;
 
+    let CoalLists {
+        batches, profile, ..
+    } = lists;
+    profile.clear();
+    profile.resize(iters, 0);
     let sink = Mutex::new(CoalSink {
         tally: Tally::default(),
-        profile: cfg.profile_coal.then(|| vec![0; iters]),
+        profile,
     });
     let sink_lock = || sink.lock().expect("a collision unit panicked");
 
@@ -607,10 +616,9 @@ fn coal_launch(
             })
         }
         Collapse::Three => {
-            build_batch_list(v, predicate, lists);
-            let batches: &[PanelBatch] = &lists.batches;
             // The list holds only active batches: it is its own
             // compaction, under either scheduler.
+            let batches: &[PanelBatch] = batches;
             launcher.run(batches.len() as u64, |bi| {
                 let b = &batches[bi as usize];
                 let points = &b.points[..b.len as usize];
@@ -625,9 +633,7 @@ fn coal_launch(
             })
         }
     };
-    let CoalSink { tally, profile } = sink.into_inner().expect("a collision unit panicked");
-    stats.coal_profile = profile;
-    tally
+    sink.into_inner().expect("a collision unit panicked").tally
 }
 
 /// The CPU versions' collision stage: WRF `numtiles` tiles (one tile on
@@ -817,6 +823,9 @@ struct SweepArrays {
 struct CoalLists {
     /// Per-column "any point active" flags of the `collapse(2)` launch.
     lane_active: Vec<bool>,
+    /// The offloaded collision launch's metered flops per launch unit
+    /// ([`FastSbm::coal_profile`]); left empty by the CPU versions' tiles.
+    profile: Vec<u64>,
     /// The launch units of the panel condensation launch, then of the
     /// panel `collapse(3)` launch, level by level.
     batches: Vec<PanelBatch>,
@@ -1772,19 +1781,17 @@ impl std::ops::AddAssign for Tally {
     }
 }
 
-/// Where the collision launch's units report: the running tally and,
-/// when profiling, the metered collision flops per launch unit.
-struct CoalSink {
+/// Where the collision launch's units report: the running tally and
+/// the metered collision flops per launch unit.
+struct CoalSink<'a> {
     tally: Tally,
-    profile: Option<Vec<u64>>,
+    profile: &'a mut [u64],
 }
 
-impl CoalSink {
+impl CoalSink<'_> {
     fn add(&mut self, unit: usize, tally: Tally) {
         self.tally += tally;
-        if let Some(profile) = &mut self.profile {
-            profile[unit] += tally.work.coal.flops;
-        }
+        self.profile[unit] += tally.work.coal.flops;
     }
 }
 
@@ -1806,7 +1813,6 @@ fn empty_stats(points: usize) -> SbmStepStats {
         precip: 0.0,
         floored: Floored::default(),
         coal_wall: 0.0,
-        coal_profile: None,
     }
 }
 
@@ -2264,33 +2270,35 @@ mod tests {
         st
     }
 
-    /// `steps` production steps (profiled, cached kernels) from `start`
-    /// with the panel collision launch batching in `order` and the
-    /// condensation launch in `cond_order`, on `workers` pool threads:
-    /// the state bits after them and each step's statistics, wall clock
-    /// zeroed.
+    /// `steps` production steps (cached kernels) from `start` with the
+    /// panel collision launch batching in `order` and the condensation
+    /// launch in `cond_order`, on `workers` pool threads: the state bits
+    /// after them, each step's statistics, wall clock zeroed, and each
+    /// step's per-point collision profile.
     fn run_ordered(
         start: &SbmPatchState,
         order: BatchOrder,
         cond_order: BatchOrder,
         workers: usize,
         steps: usize,
-    ) -> (Vec<u32>, Vec<SbmStepStats>) {
+    ) -> (Vec<u32>, Vec<SbmStepStats>, Vec<Vec<u64>>) {
         let mut st = start.clone();
         let mut cfg = SbmConfig::new(SbmVersion::OffloadCollapse3);
         cfg.workers = Some(workers);
         cfg.cached_kernels = true;
-        cfg.profile_coal = true;
         let mut scheme = FastSbm::new(cfg);
         scheme.scratch.coal.order = order;
         scheme.scratch.coal.cond_order = cond_order;
-        let stats = (0..steps)
-            .map(|_| SbmStepStats {
-                coal_wall: 0.0,
-                ..scheme.step(&mut st)
+        let (stats, profiles) = (0..steps)
+            .map(|_| {
+                let stats = SbmStepStats {
+                    coal_wall: 0.0,
+                    ..scheme.step(&mut st)
+                };
+                (stats, scheme.coal_profile().to_vec())
             })
-            .collect();
-        (state_bits(&st), stats)
+            .unzip();
+        (state_bits(&st), stats, profiles)
     }
 
     /// `stats` without the counts that depend on who shares a batch: the
@@ -2300,7 +2308,7 @@ mod tests {
         let strip = |s: &SbmStepStats| SbmStepStats {
             lane_slots: if coal { 0 } else { s.lane_slots },
             cond_slots: if cond { 0 } else { s.cond_slots },
-            ..s.clone()
+            ..*s
         };
         stats.iter().map(strip).collect()
     }
@@ -2317,23 +2325,22 @@ mod tests {
     /// spun-up storm stepped twice with row-order batches, coherent
     /// batches and two random level-wide memberships, on 1, 2 and 3 pool
     /// threads, ends in the same state bits with the same statistics —
-    /// every `Tally` count, `coal_entries`, the per-point `coal_profile`,
-    /// `lane_cells` — and only `lane_slots` tells the groupings apart.
+    /// every `Tally` count, `coal_entries`, `lane_cells`, and the per-point
+    /// collision profile ([`FastSbm::coal_profile`]) — and only
+    /// `lane_slots` tells the groupings apart.
     #[test]
     fn batch_membership_is_invisible_to_every_point() {
         let start = storm_spinup_state();
         let run = |order, workers| run_ordered(&start, order, BatchOrder::Sorted, workers, 2);
-        let (want_bits, want) = run(BatchOrder::Rows, 1);
+        let (want_bits, want, want_profiles) = run(BatchOrder::Rows, 1);
         assert!(want[1].coal_points > 200 && want[1].lane_cells > 0);
-        assert!(want[1]
-            .coal_profile
-            .as_ref()
-            .is_some_and(|p| p.iter().any(|&f| f > 0)));
+        assert!(want_profiles[1].iter().any(|&f| f > 0));
         let mut slots = std::collections::BTreeSet::new();
         for order in ORDERS {
             for workers in [1, 2, 3] {
-                let (bits, stats) = run(order, workers);
+                let (bits, stats, profiles) = run(order, workers);
                 assert!(bits == want_bits, "{order:?} x{workers}: state bits");
+                assert!(profiles == want_profiles, "{order:?} x{workers}: profile");
                 assert_eq!(
                     membership_free(&stats, true, false),
                     membership_free(&want, true, false),
@@ -2356,8 +2363,8 @@ mod tests {
     #[test]
     fn sorted_batches_sweep_fewer_slots_than_row_order() {
         let start = storm_spinup_state();
-        let (_, rows) = run_ordered(&start, BatchOrder::Rows, BatchOrder::Sorted, 2, 1);
-        let (_, sorted) = run_ordered(&start, BatchOrder::Sorted, BatchOrder::Sorted, 2, 1);
+        let (_, rows, _) = run_ordered(&start, BatchOrder::Rows, BatchOrder::Sorted, 2, 1);
+        let (_, sorted, _) = run_ordered(&start, BatchOrder::Sorted, BatchOrder::Sorted, 2, 1);
         let (rows, sorted) = (&rows[0], &sorted[0]);
         assert_eq!(sorted.lane_cells, rows.lane_cells);
         assert!(
@@ -2384,13 +2391,14 @@ mod tests {
     fn cond_batch_membership_is_invisible_to_every_point() {
         let start = storm_spinup_state();
         let run = |order, workers| run_ordered(&start, BatchOrder::Sorted, order, workers, 2);
-        let (want_bits, want) = run(BatchOrder::Rows, 1);
+        let (want_bits, want, want_profiles) = run(BatchOrder::Rows, 1);
         assert!(want[1].cond_cells > 0 && want[1].work.cond.flops > 0);
         let mut slots = std::collections::BTreeSet::new();
         for order in ORDERS {
             for workers in [1, 2, 3] {
-                let (bits, stats) = run(order, workers);
+                let (bits, stats, profiles) = run(order, workers);
                 assert!(bits == want_bits, "{order:?} x{workers}: state bits");
+                assert!(profiles == want_profiles, "{order:?} x{workers}: profile");
                 assert_eq!(
                     membership_free(&stats, false, true),
                     membership_free(&want, false, true),
@@ -2413,8 +2421,8 @@ mod tests {
     #[test]
     fn cond_batches_run_their_relaxes_full() {
         let start = storm_spinup_state();
-        let (_, rows) = run_ordered(&start, BatchOrder::Sorted, BatchOrder::Rows, 2, 1);
-        let (_, sorted) = run_ordered(&start, BatchOrder::Sorted, BatchOrder::Sorted, 2, 1);
+        let (_, rows, _) = run_ordered(&start, BatchOrder::Sorted, BatchOrder::Rows, 2, 1);
+        let (_, sorted, _) = run_ordered(&start, BatchOrder::Sorted, BatchOrder::Sorted, 2, 1);
         let (rows, sorted) = (&rows[0], &sorted[0]);
         assert_eq!(sorted.cond_cells, rows.cond_cells);
         assert!(
@@ -2452,20 +2460,50 @@ mod tests {
         }
     }
 
+    /// The collision profile is the offloaded launch's work, unit by unit:
+    /// on the spun-up storm both offloaded versions leave `coal_iters`
+    /// entries summing to the step's metered collision flops, and the CPU
+    /// versions' tiles leave none.
+    #[test]
+    fn coal_profile_holds_each_launch_unit() {
+        let start = storm_spinup_state();
+        for version in SbmVersion::ALL {
+            let mut st = start.clone();
+            let mut cfg = SbmConfig::new(version);
+            cfg.workers = Some(2);
+            let mut scheme = FastSbm::new(cfg);
+            let s = scheme.step(&mut st);
+            let profile = scheme.coal_profile();
+            if version.plan().offload.is_some() {
+                assert!(s.work.coal.flops > 0, "{version:?}");
+                assert_eq!(profile.len() as u64, s.coal_iters, "{version:?}");
+                assert_eq!(
+                    profile.iter().sum::<u64>(),
+                    s.work.coal.flops,
+                    "{version:?}"
+                );
+            } else {
+                assert!(profile.is_empty(), "{version:?}");
+            }
+        }
+    }
+
     /// Nightly (`CI_NIGHTLY=1 ./ci.sh pool_stress`, release): 200 seeded
     /// shuffles of both lists — level-wide collision and patch-wide
     /// condensation membership — three steps each on two pool threads,
-    /// against the coherent run: state bits and every statistic but
-    /// `lane_slots` and `cond_slots`.
+    /// against the coherent run: state bits, the collision profile and
+    /// every statistic but `lane_slots` and `cond_slots`.
     #[test]
     #[ignore = "nightly: run in release through CI_NIGHTLY=1 ./ci.sh pool_stress"]
     fn batch_shuffle_fuzz() {
         let start = storm_spinup_state();
-        let (want_bits, want) = run_ordered(&start, BatchOrder::Sorted, BatchOrder::Sorted, 2, 3);
+        let (want_bits, want, want_profiles) =
+            run_ordered(&start, BatchOrder::Sorted, BatchOrder::Sorted, 2, 3);
         for seed in 0..200 {
             let order = BatchOrder::Shuffled(seed);
-            let (bits, stats) = run_ordered(&start, order, order, 2, 3);
+            let (bits, stats, profiles) = run_ordered(&start, order, order, 2, 3);
             assert!(bits == want_bits, "shuffle {seed}: state bits");
+            assert!(profiles == want_profiles, "shuffle {seed}: profile");
             assert_eq!(
                 membership_free(&stats, true, true),
                 membership_free(&want, true, true),

@@ -81,14 +81,6 @@ impl HydroClass {
         !matches!(self, HydroClass::Water)
     }
 
-    /// True for the three crystal habits.
-    pub fn is_crystal(self) -> bool {
-        matches!(
-            self,
-            HydroClass::IceColumns | HydroClass::IcePlates | HydroClass::IceDendrites
-        )
-    }
-
     /// Short FSBM-style tag used in kernel-table names (`l`, `i1`…`i3`,
     /// `s`, `g`, `h`).
     pub fn tag(self) -> &'static str {
@@ -120,8 +112,6 @@ mod tests {
     fn class_properties() {
         assert!(!HydroClass::Water.is_ice());
         assert!(HydroClass::Snow.is_ice());
-        assert!(HydroClass::IcePlates.is_crystal());
-        assert!(!HydroClass::Graupel.is_crystal());
         assert_eq!(HydroClass::Water.tag(), "l");
         assert_eq!(HydroClass::Hail.tag(), "h");
     }

@@ -221,31 +221,11 @@ pub fn rk_scalar_tend(
         i: patch.ip,
         j: patch.jp,
     };
-    rk_scalar_tend_region(scalar, wind, patch, &whole, dx, dy, dz, tend, work);
-}
-
-/// Tendency over one horizontal sub-rectangle of the patch (full `k`
-/// extent) — the building block of the interior/boundary split used for
-/// comm–compute overlap. Identical per-point arithmetic to
-/// [`rk_scalar_tend`], so a cover of disjoint regions reproduces the
-/// full sweep bit for bit, with the same total metered work.
-#[allow(clippy::too_many_arguments)]
-pub fn rk_scalar_tend_region(
-    scalar: &Field3<f32>,
-    wind: &Wind,
-    patch: &PatchSpec,
-    region: &Region,
-    dx: f32,
-    dy: f32,
-    dz: f32,
-    tend: &mut Field3<f32>,
-    work: &mut PointWork,
-) {
     tend_panel_region(
         std::slice::from_ref(scalar),
         wind,
         patch,
-        region,
+        &whole,
         dx,
         dy,
         dz,
@@ -284,9 +264,13 @@ fn meter_tend(region: &Region, patch: &PatchSpec, lanes: usize, work: &mut Point
     );
 }
 
-/// [`rk_scalar_tend_region`] for a panel: `tend[l] = L(scalars[l])` over
-/// `region`, with each row's face velocities computed once and applied
-/// to every lane.
+/// [`rk_scalar_tend`] for a panel over one horizontal sub-rectangle of
+/// the patch (full `k` extent): `tend[l] = L(scalars[l])` over `region`,
+/// with each row's face velocities computed once and applied to every
+/// lane. Identical per-point arithmetic whatever the region, so a cover
+/// of disjoint regions — the interior/boundary split of comm–compute
+/// overlap — reproduces the full sweep bit for bit, with the same total
+/// metered work.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn tend_panel_region(
     scalars: &[Field3<f32>],
@@ -314,44 +298,14 @@ pub(crate) fn tend_panel_region(
     meter_tend(region, patch, scalars.len(), work);
 }
 
-/// [`rk_scalar_tend_region`] parallelized over `j`-planes on the
-/// persistent work-stealing pool. Each index owns one `j`-plane, every
-/// `tend` cell is written by exactly one plane, and the row arithmetic
-/// is shared with the serial path — so results are bitwise identical
-/// under every worker count, and the metered work (a fixed per-point
-/// count) is accumulated once for the whole region. The one-lane case
-/// of the panel sweep.
-#[allow(clippy::too_many_arguments)]
-pub fn rk_scalar_tend_region_pool(
-    scalar: &Field3<f32>,
-    wind: &Wind,
-    patch: &PatchSpec,
-    region: &Region,
-    dx: f32,
-    dy: f32,
-    dz: f32,
-    tend: &mut Field3<f32>,
-    pool: &Executor,
-    work: &mut PointWork,
-) {
-    tend_panel_region_pool(
-        std::slice::from_ref(scalar),
-        wind,
-        patch,
-        region,
-        dx,
-        dy,
-        dz,
-        std::slice::from_mut(tend),
-        pool,
-        work,
-    );
-}
-
 /// [`tend_panel_region`] on the pool: one unit per `j`-plane of the
 /// whole panel (at most [`LANES`] lanes, all shaped alike), so a plane's
-/// face velocities are still computed once for every lane. A one-worker
-/// pool runs the units in order on the caller.
+/// face velocities are still computed once for every lane. Every `tend`
+/// cell is written by exactly one plane and the row arithmetic is shared
+/// with the serial path, so results are bitwise identical under every
+/// worker count, and the metered work (a fixed per-point count) is
+/// accumulated once for the whole region. A one-worker pool runs the
+/// units in order on the caller.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn tend_panel_region_pool(
     scalars: &[Field3<f32>],
@@ -703,15 +657,15 @@ mod tests {
             &mut want_work,
         );
         let pool = Executor::new(3);
-        rk_scalar_tend_region_pool(
-            &scalar,
+        tend_panel_region_pool(
+            std::slice::from_ref(&scalar),
             &wind,
             &p,
             &core,
             dx,
             dy,
             dz,
-            &mut got,
+            std::slice::from_mut(&mut got),
             &pool,
             &mut got_work,
         );

@@ -36,10 +36,7 @@ mod reference;
 pub mod rk3;
 pub mod wind;
 
-pub use advect::{
-    rk_scalar_tend, rk_scalar_tend_region, rk_scalar_tend_region_pool, rk_update_scalar,
-    STENCIL_WIDTH,
-};
+pub use advect::{rk_scalar_tend, rk_update_scalar, STENCIL_WIDTH};
 pub use diffusion::horizontal_diffusion;
 pub use nest::{fill_halo_round, time_interp, NestMap, NestSpec};
 pub use rk3::{

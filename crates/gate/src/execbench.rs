@@ -7,7 +7,7 @@
 //!
 //! The headline is computed by **schedule replay**: one serial reference
 //! run records the metered collision flops of every launch unit
-//! (`SbmStepStats::coal_profile`; physics is bitwise identical across
+//! (`Model::coal_profile`; physics is bitwise identical across
 //! arms, so one profile serves all), and each scheduling policy is
 //! replayed over that profile to get the per-step makespan, in flops, a
 //! `W`-worker device would see. Scaling is serial flops over makespan.
@@ -134,7 +134,6 @@ fn reference(case: ModelConfig, steps: usize) -> Reference {
     cfg.device_workers = Some(1);
     cfg.sched = ExecMode::StaticTiles;
     cfg.cached_kernels = false;
-    cfg.profile_coal = true;
     let mut model = Model::single_rank(cfg);
     // No warm-up: the early steps are the sparse-convection regime (the
     // predicate spreads with the developing clouds), and the reference
@@ -146,7 +145,7 @@ fn reference(case: ModelConfig, steps: usize) -> Reference {
         let s = model.step().sbm;
         serial_flops += s.work.coal.flops;
         active += s.coal_points as f64 / s.points.max(1) as f64;
-        profiles.push(s.coal_profile.expect("profiling enabled"));
+        profiles.push(model.coal_profile().to_vec());
     }
     Reference {
         profiles,

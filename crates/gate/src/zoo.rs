@@ -19,7 +19,7 @@
 //! * **Divergence** — the offloaded gate workload lands at a genuinely
 //!   different absolute time on every backend (no accidental A100
 //!   clones slipping into the zoo);
-//! * **Ranking** — the Table V version ordering (v1 → v4) is identical
+//! * **Ranking** — the Table V version ordering (v0 → v3) is identical
 //!   on every backend, the CPU-class one included;
 //! * **Decay** — the Table VII shared-GPU sweep keeps its shape
 //!   everywhere: absolute time still improves 16 → 32 → 64 ranks while

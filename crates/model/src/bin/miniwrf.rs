@@ -7,7 +7,9 @@
 //!
 //! With `--autocompare`, every step also runs the baseline scheme on a
 //! cloned state and reports the per-step digit agreement — the
-//! `-gpu=autocompare` mode of §VII-B.
+//! `-gpu=autocompare` mode of §VII-B. It runs only on the plain
+//! single-rank loop: a nested run, more than one rank, checkpoints or
+//! shared devices refuse it.
 
 use fsbm_core::point::Floored;
 use miniwrf::model::{Model, RunReport};
@@ -41,6 +43,16 @@ fn main() {
         }
     };
     let steps = cfg.steps();
+    // Checkpoints and device admission live in the rank drivers, which
+    // accept a single rank too.
+    let ranked = cfg.ranks > 1 || cfg.restart_interval > 0 || cfg.gpus > 0;
+    if autocompare && (ranked || cfg.nest.is_some()) {
+        eprintln!(
+            "miniwrf: --autocompare runs only the plain single-rank loop \
+             (no &case nest, nproc = 1, restart_interval = 0, gpus = 0)"
+        );
+        std::process::exit(1);
+    }
     eprintln!(
         "miniwrf: {}x{}x{} grid, dt={}s, {} steps, {} rank(s), scheme `{}`",
         cfg.case.nx,
@@ -101,7 +113,7 @@ fn main() {
         return;
     }
 
-    if cfg.ranks > 1 {
+    if ranked {
         // With &time_control restart_interval > 0, run under the
         // fault-tolerant supervisor: periodic per-rank restart files
         // and automatic relaunch from the newest complete set.

@@ -53,10 +53,6 @@ pub struct ModelConfig {
     /// Memoize per-k-level collision kernels (bitwise-identical to the
     /// on-demand path).
     pub cached_kernels: bool,
-    /// Collect the per-launch-unit collision work profile
-    /// (`SbmStepStats::coal_profile`) for schedule replay in
-    /// `bench-exec`; off by default.
-    pub profile_coal: bool,
     /// Steps between WRF-style restart checkpoints (namelist
     /// `restart_interval`, here in steps rather than minutes). 0
     /// disables checkpointing.
@@ -92,7 +88,6 @@ impl ModelConfig {
             sched: ExecMode::work_steal(),
             comm: CommMode::Blocking,
             cached_kernels: false,
-            profile_coal: false,
             restart_interval: 0,
             layout: Layout::default(),
             backend: default_backend(),
@@ -118,7 +113,6 @@ impl ModelConfig {
             sched: ExecMode::work_steal(),
             comm: CommMode::Blocking,
             cached_kernels: true,
-            profile_coal: false,
             restart_interval: 0,
             layout: Layout::default(),
             backend: default_backend(),
@@ -186,7 +180,6 @@ impl ModelConfig {
             tiles: self.tiles.max(1),
             sched: self.sched,
             cached_kernels: self.cached_kernels,
-            profile_coal: self.profile_coal,
             layout: self.layout,
             ..SbmConfig::new(self.version)
         }

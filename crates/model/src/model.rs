@@ -20,7 +20,7 @@ use wrf_exec::Executor;
 use wrf_grid::{two_d_decomposition, Field3, Field4, PatchSpec};
 
 /// Per-step report of the functional model.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StepReport {
     /// Advection work split by routine.
     pub rk3: Rk3Work,
@@ -400,6 +400,12 @@ impl Model {
         rep
     }
 
+    /// The last step's metered collision flops per launch unit (see
+    /// [`FastSbm::coal_profile`]; empty for the CPU versions).
+    pub fn coal_profile(&self) -> &[u64] {
+        self.sbm.coal_profile()
+    }
+
     /// Executor/cache summary for the given step's stats (see
     /// [`FastSbm::exec_summary`]).
     pub fn exec_summary(&self, stats: &SbmStepStats) -> fsbm_core::exec::ExecSummary {
@@ -718,7 +724,7 @@ mod tests {
         assert_eq!(rep.steps, 8);
         assert!(rep.coal_entries > 0, "storms must collide");
         assert!(rep.rk3.tend.flops > 0);
-        assert!(rep.last_sbm.as_ref().unwrap().active_points > 0);
+        assert!(rep.last_sbm.unwrap().active_points > 0);
         assert!(m.time > 39.0);
     }
 

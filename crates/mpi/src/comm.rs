@@ -438,7 +438,7 @@ impl Rank {
 
     /// Sends `data` to `to` with `tag` (buffered, non-blocking — MPI
     /// eager semantics), reporting a dead peer instead of panicking.
-    /// Messages matched by an armed fault plan may be dropped or
+    /// Messages matched by the launch's fault plan may be dropped or
     /// delayed here.
     pub fn send_f32_checked(&self, to: usize, tag: Tag, data: &[f32]) -> Result<(), CommError> {
         assert!(to < self.size, "send to rank {to} of {}", self.size);

@@ -5,8 +5,8 @@
 //! A [`FaultPlan`] scripts failures against a [`crate::comm::run_ranks`]
 //! launch: kill rank R when it begins step N, or drop/delay messages
 //! matched by a (src, dst, tag) predicate. Every fault fires a bounded
-//! number of times and the whole plan can be [`FaultPlan::disarm`]ed, so
-//! a supervisor's relaunch after a detected failure runs clean.
+//! number of times, so a supervisor's relaunch that shares the plan after
+//! a detected failure runs clean once the faults are spent.
 //!
 //! Faults are checked inside [`crate::comm::Rank`]: kills at
 //! [`crate::comm::Rank::begin_step`], message faults at send time. All
@@ -51,25 +51,19 @@ struct MessageFault {
 ///
 /// Plans are built with the fluent constructors and handed to
 /// [`crate::comm::run_ranks_with_faults`]. Each kill fires at most
-/// once; each message fault fires at most `max_hits` times; and
-/// [`FaultPlan::disarm`] turns the whole plan off (the supervisor does
-/// this implicitly by relying on the one-shot semantics across
-/// relaunches that share the plan).
+/// once and each message fault at most `max_hits` times; the supervisor
+/// relies on these one-shot semantics across relaunches that share the
+/// plan.
 #[derive(Debug, Default)]
 pub struct FaultPlan {
     kills: Vec<Kill>,
     messages: Vec<MessageFault>,
-    armed: AtomicBool,
 }
 
 impl FaultPlan {
-    /// An empty, armed plan.
+    /// An empty plan.
     pub fn new() -> Self {
-        FaultPlan {
-            kills: Vec::new(),
-            messages: Vec::new(),
-            armed: AtomicBool::new(true),
-        }
+        FaultPlan::default()
     }
 
     /// Kill `rank` when it begins step `step` (0-based). Fires once.
@@ -103,23 +97,10 @@ impl FaultPlan {
         self
     }
 
-    /// Turns every fault off for the rest of the plan's life.
-    pub fn disarm(&self) {
-        self.armed.store(false, Ordering::SeqCst);
-    }
-
-    /// Whether the plan is still armed.
-    pub fn is_armed(&self) -> bool {
-        self.armed.load(Ordering::SeqCst)
-    }
-
     /// True when `rank` must die at (or past) `step`. Consumes the kill:
     /// the same spec never fires twice, so a supervised relaunch that
     /// replays the step runs clean.
     pub fn should_kill(&self, rank: usize, step: u64) -> bool {
-        if !self.is_armed() {
-            return false;
-        }
         self.kills
             .iter()
             .any(|k| k.rank == rank && step >= k.step && !k.fired.swap(true, Ordering::SeqCst))
@@ -128,9 +109,6 @@ impl FaultPlan {
     /// The action (if any) to apply to a message `src -> dst` with
     /// `tag`. Consumes one hit of the first matching fault.
     pub fn on_send(&self, src: usize, dst: usize, tag: Tag) -> Option<FaultAction> {
-        if !self.is_armed() {
-            return None;
-        }
         for f in &self.messages {
             let matches = f.src.is_none_or(|s| s == src)
                 && f.dst.is_none_or(|d| d == dst)
@@ -174,20 +152,5 @@ mod tests {
         assert_eq!(plan.on_send(0, 1, 11), None, "max_hits exhausted");
         assert_eq!(plan.on_send(1, 0, 9), None, "direction mismatch");
         assert_eq!(plan.message_hits(), 2);
-    }
-
-    #[test]
-    fn disarm_silences_everything() {
-        let plan = FaultPlan::new().kill_rank_at(0, 0).on_message(
-            None,
-            None,
-            None,
-            FaultAction::Delay(3),
-            100,
-        );
-        plan.disarm();
-        assert!(!plan.should_kill(0, 0));
-        assert_eq!(plan.on_send(0, 1, 0), None);
-        assert!(!plan.is_armed());
     }
 }

@@ -23,7 +23,7 @@
 //! | [`codee_sim`] | dependence analysis, Open-Catalog checks, directive rewriting |
 //! | [`wrf_cases`] | synthetic CONUS-12km scenario + `diffwrf` |
 //! | [`miniwrf`]   | integrated model driver + the full-scale performance model |
-//! | [`wrf_gate`]  | the reproduction harness: the paper's tables and figures, golden verification, the nine gates (`repro`) |
+//! | [`wrf_gate`]  | the reproduction harness: the paper's tables and figures, golden verification, the seven gates (`repro`) |
 //!
 //! ## Quick start
 //!

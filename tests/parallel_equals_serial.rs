@@ -74,6 +74,14 @@ fn assert_matches_single(cfg: ModelConfig, ranks: usize, steps: usize) {
     }
 }
 
+/// The rank drivers a single-rank `miniwrf` run takes for checkpoints
+/// or shared devices give the single-rank loop's bits.
+#[test]
+fn one_rank_matches_single_rank_bitwise() {
+    let cfg = ModelConfig::functional(SbmVersion::Lookup, 0.05, 8);
+    assert_matches_single(cfg, 1, 3);
+}
+
 #[test]
 fn two_ranks_match_single_rank_bitwise() {
     let cfg = ModelConfig::functional(SbmVersion::Lookup, 0.05, 8);
