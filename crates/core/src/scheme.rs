@@ -618,7 +618,6 @@ fn coal_launch(
         Collapse::Three => {
             // The list holds only active batches: it is its own
             // compaction, under either scheduler.
-            let batches: &[PanelBatch] = batches;
             launcher.run(batches.len() as u64, |bi| {
                 let b = &batches[bi as usize];
                 let points = &b.points[..b.len as usize];
