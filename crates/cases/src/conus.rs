@@ -338,26 +338,17 @@ impl ConusCase {
     /// Analytic per-patch activity statistics (no state allocation), used
     /// by the performance model at full scale.
     pub fn activity(&self, patch: &PatchSpec) -> ActivityStats {
-        let mut active_cols = 0usize;
-        let mut cloud_sum = 0.0f64;
+        let mut active_columns = 0usize;
         for j in patch.jp.iter() {
             for i in patch.ip.iter() {
-                let cf = self.cloud_factor(i, j);
-                if cf > CLOUD_THRESHOLD {
-                    active_cols += 1;
-                    cloud_sum += cf as f64;
+                if self.cloud_factor(i, j) > CLOUD_THRESHOLD {
+                    active_columns += 1;
                 }
             }
         }
-        let columns = patch.compute_columns();
         ActivityStats {
-            columns,
-            active_columns: active_cols,
-            mean_cloud_factor: if active_cols > 0 {
-                cloud_sum / active_cols as f64
-            } else {
-                0.0
-            },
+            columns: patch.compute_columns(),
+            active_columns,
         }
     }
 
@@ -374,8 +365,6 @@ pub struct ActivityStats {
     pub columns: usize,
     /// Columns hosting convection.
     pub active_columns: usize,
-    /// Mean cloud factor over active columns.
-    pub mean_cloud_factor: f64,
 }
 
 impl ActivityStats {

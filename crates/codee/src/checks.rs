@@ -274,7 +274,6 @@ mod tests {
                 "cwls",
                 vec![Affine::var("i"), Affine::var("j")],
             ))],
-            decls: vec![],
         };
         let f = run_loop_checks(&[nest]);
         assert!(f.iter().any(|x| x.check == "PWR050"));
@@ -291,7 +290,6 @@ mod tests {
                 Stmt::Access(ArrayRef::write("a", vec![Affine::var("i")])),
                 Stmt::Access(ArrayRef::read("a", vec![Affine::linear("i", 1, -1)])),
             ],
-            decls: vec![],
         };
         let f = run_loop_checks(&[nest]);
         assert!(f.iter().any(|x| x.check == "RMK010"));

@@ -7,7 +7,7 @@
 //! the two loops §VIII names as next: the nucleation/condensation sweep
 //! and sedimentation.
 
-use crate::ir::{Affine, ArrayDecl, ArrayRef, LoopNest, LoopVar, Scope, Stmt, Subprogram};
+use crate::ir::{Affine, ArrayRef, LoopNest, LoopVar, Stmt, Subprogram};
 use gpu_sim::schedule::Storage;
 
 /// Number of mass bins (`nkr` in FSBM).
@@ -49,7 +49,6 @@ pub fn kernals_ks_nest() -> LoopNest {
             reads: vec![],
         },
     ];
-    let mut decls = Vec::new();
     for (c, t750) in collision_array_names().iter().zip(
         kernel_table_names()
             .chunks(2)
@@ -67,23 +66,11 @@ pub fn kernals_ks_nest() -> LoopNest {
             c,
             vec![Affine::var("i"), Affine::var("j")],
         )));
-        decls.push(ArrayDecl::new(c, &[(1, NKR), (1, NKR)], Scope::Global));
-        decls.push(ArrayDecl::new(
-            &t750.0,
-            &[(1, NKR), (1, NKR), (1, 2)],
-            Scope::Global,
-        ));
-        decls.push(ArrayDecl::new(
-            &t750.1,
-            &[(1, NKR), (1, NKR), (1, 2)],
-            Scope::Global,
-        ));
     }
     LoopNest {
         id: "module_mp_fast_sbm.f90:6293".into(),
         vars: vec![LoopVar::new("j", 1, NKR), LoopVar::new("i", 1, NKR)],
         body,
-        decls,
     }
 }
 
@@ -121,16 +108,6 @@ pub fn grid_loop_baseline() -> LoopNest {
     }
     coal_accesses.extend(per_point_state_accesses(true));
 
-    let mut decls: Vec<ArrayDecl> = collision_array_names()
-        .iter()
-        .map(|c| ArrayDecl::new(c, &[(1, NKR), (1, NKR)], Scope::Global))
-        .collect();
-    decls.push(ArrayDecl::new(
-        "t_old",
-        &[(1, 106), (1, 50), (1, 75)],
-        Scope::Dummy,
-    ));
-
     LoopNest {
         id: "module_mp_fast_sbm.f90:2486".into(),
         vars: vec![
@@ -156,7 +133,6 @@ pub fn grid_loop_baseline() -> LoopNest {
                 accesses: coal_accesses,
             },
         ],
-        decls,
     }
 }
 
@@ -194,10 +170,6 @@ pub fn grid_loop_lookup() -> LoopNest {
                 accesses: coal_accesses,
             },
         ],
-        decls: kernel_table_names()
-            .iter()
-            .map(|t| ArrayDecl::new(t, &[(1, NKR), (1, NKR), (1, 2)], Scope::Global))
-            .collect(),
     }
 }
 
@@ -228,11 +200,6 @@ pub fn coal_fission_loop() -> LoopNest {
                 accesses: coal,
             },
         ],
-        decls: vec![ArrayDecl::new(
-            "call_coal_bott_new",
-            &[(1, 106), (1, 50), (1, 75)],
-            Scope::Local,
-        )],
     }
 }
 
@@ -294,11 +261,6 @@ pub fn condensation_sweep_loop() -> LoopNest {
             call("onecond2"),
             Stmt::Access(ArrayRef::write("call_coal_bott_new", ikj())),
         ],
-        decls: vec![ArrayDecl::new(
-            "call_coal_bott_new",
-            &[(1, 106), (1, 50), (1, 75)],
-            Scope::Local,
-        )],
     }
 }
 
@@ -327,7 +289,6 @@ pub fn sedimentation_loop() -> LoopNest {
             LoopVar::new("k", 1, 50),
         ],
         body,
-        decls: vec![ArrayDecl::new("rainnc", &[(1, 106), (1, 75)], Scope::Dummy)],
     }
 }
 

@@ -37,8 +37,6 @@ pub struct Dependence {
 /// Analysis result for one nest.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LoopAnalysis {
-    /// Analyzed nest id.
-    pub nest_id: String,
     /// All loop-carried dependences found.
     pub dependences: Vec<Dependence>,
     /// Loop variables free of carried dependences, outermost first.
@@ -275,7 +273,6 @@ pub fn analyze(nest: &LoopNest) -> LoopAnalysis {
     }
 
     LoopAnalysis {
-        nest_id: nest.id.clone(),
         dependences,
         parallelizable_vars,
         private_scalars,
@@ -289,14 +286,13 @@ pub fn analyze(nest: &LoopNest) -> LoopAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::{Affine, ArrayDecl, ArrayRef, LoopNest, LoopVar, Scope, Stmt};
+    use crate::ir::{Affine, ArrayRef, LoopNest, LoopVar, Stmt};
 
     fn nest(vars: Vec<LoopVar>, body: Vec<Stmt>) -> LoopNest {
         LoopNest {
             id: "test".into(),
             vars,
             body,
-            decls: vec![ArrayDecl::new("a", &[(1, 100)], Scope::Global)],
         }
     }
 
@@ -479,7 +475,6 @@ mod tests {
                     vec![Affine::var("i"), Affine::var("j")],
                 )),
             ],
-            decls: vec![],
         };
         let r = analyze(&n);
         assert_eq!(r.collapsible, 2);
@@ -502,7 +497,6 @@ mod tests {
                     vec![Affine::linear("i", 1, -1), Affine::var("j")],
                 )),
             ],
-            decls: vec![],
         };
         let r = analyze(&n);
         assert_eq!(r.parallelizable_vars, vec!["j"]);

@@ -62,48 +62,6 @@ impl Affine {
     }
 }
 
-/// Where an array lives — determines whether cross-iteration writes are
-/// a correctness hazard for parallelization.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Scope {
-    /// Module/global variable (the original `cw**` collision arrays).
-    Global,
-    /// Local (automatic) to the loop's enclosing subprogram.
-    Local,
-    /// Dummy argument.
-    Dummy,
-}
-
-/// Declaration of an array: name, per-dimension inclusive bounds, scope.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ArrayDecl {
-    /// Array name.
-    pub name: String,
-    /// Per-dimension `(lo, hi)` bounds.
-    pub dims: Vec<(i64, i64)>,
-    /// Storage scope.
-    pub scope: Scope,
-}
-
-impl ArrayDecl {
-    /// Creates a declaration.
-    pub fn new(name: &str, dims: &[(i64, i64)], scope: Scope) -> Self {
-        ArrayDecl {
-            name: name.to_string(),
-            dims: dims.to_vec(),
-            scope,
-        }
-    }
-
-    /// Total element count.
-    pub fn elements(&self) -> u64 {
-        self.dims
-            .iter()
-            .map(|(lo, hi)| (hi - lo + 1).max(0) as u64)
-            .product()
-    }
-}
-
 /// One array reference inside a loop body.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ArrayRef {
@@ -205,8 +163,6 @@ pub struct LoopNest {
     pub vars: Vec<LoopVar>,
     /// Body statements in program order.
     pub body: Vec<Stmt>,
-    /// Array declarations visible to the nest.
-    pub decls: Vec<ArrayDecl>,
 }
 
 impl LoopNest {
@@ -269,12 +225,6 @@ mod tests {
     }
 
     #[test]
-    fn decl_elements() {
-        let d = ArrayDecl::new("cwls", &[(1, 33), (1, 33)], Scope::Global);
-        assert_eq!(d.elements(), 33 * 33);
-    }
-
-    #[test]
     fn nest_flattens_call_refs() {
         let nest = LoopNest {
             id: "t".into(),
@@ -286,7 +236,6 @@ mod tests {
                     accesses: vec![ArrayRef::write("b", vec![Affine::var("i")])],
                 },
             ],
-            decls: vec![],
         };
         assert_eq!(nest.all_refs().len(), 2);
     }

@@ -35,7 +35,7 @@ pub mod tune;
 
 pub use checks::{run_checks, Check, Finding, Severity};
 pub use depend::{analyze, Dependence, DependenceKind, LoopAnalysis};
-pub use ir::{Affine, ArrayDecl, ArrayRef, LoopNest, LoopVar, Scope, Stmt, Subprogram};
+pub use ir::{Affine, ArrayRef, LoopNest, LoopVar, Stmt, Subprogram};
 pub use modernize::{modernize, Modernized};
 pub use rewrite::rewrite_offload;
 pub use screening::{screening, ScreeningReport};

@@ -11,20 +11,12 @@
 
 use crate::ir::Subprogram;
 
-/// One applied fix.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Fix {
-    /// Catalog id the fix discharges.
-    pub check: &'static str,
-    /// Human-readable description.
-    pub description: String,
-}
-
 /// Result of modernizing one subprogram.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Modernized {
-    /// Fixes applied (empty when the code was already modern).
-    pub fixes: Vec<Fix>,
+    /// Catalog ids of the fixes applied, in order (empty when the code
+    /// was already modern).
+    pub fixes: Vec<&'static str>,
     /// The rewritten interface, pseudo-Fortran.
     pub interface: String,
 }
@@ -35,10 +27,7 @@ pub fn modernize(sub: &Subprogram) -> Modernized {
     let mut lines = Vec::new();
 
     let pure_prefix = if !sub.writes_module_vars && !sub.pure_decl {
-        fixes.push(Fix {
-            check: "PWR069",
-            description: format!("declare `{}` pure (no side effects)", sub.name),
-        });
+        fixes.push("PWR069");
         "pure "
     } else if sub.pure_decl {
         "pure "
@@ -54,10 +43,7 @@ pub fn modernize(sub: &Subprogram) -> Modernized {
     ));
 
     if !sub.implicit_none {
-        fixes.push(Fix {
-            check: "PWR007",
-            description: format!("insert `implicit none` in `{}`", sub.name),
-        });
+        fixes.push("PWR007");
     }
     lines.push("  implicit none".to_string());
 
@@ -65,18 +51,10 @@ pub fn modernize(sub: &Subprogram) -> Modernized {
         // Without flow information the safe modernization is
         // `intent(inout)`; Codee infers tighter intents when it can.
         if !has_intent {
-            fixes.push(Fix {
-                check: "PWR008",
-                description: format!("add `intent(inout)` to dummy `{name}`"),
-            });
+            fixes.push("PWR008");
         }
         let shape = if *assumed_size {
-            fixes.push(Fix {
-                check: "PWR068",
-                description: format!(
-                    "convert assumed-size `{name}(*)` to assumed-shape `{name}(:)`"
-                ),
-            });
+            fixes.push("PWR068");
             "(:)"
         } else {
             ""
@@ -102,10 +80,9 @@ mod tests {
         let subs = corpus::fsbm_subprograms(false);
         let onecond = subs.iter().find(|s| s.name == "onecond1").unwrap();
         let m = modernize(onecond);
-        let checks: Vec<&str> = m.fixes.iter().map(|f| f.check).collect();
-        assert!(checks.contains(&"PWR007"), "implicit none");
-        assert!(checks.contains(&"PWR008"), "intents");
-        assert!(checks.contains(&"PWR068"), "assumed-shape");
+        assert!(m.fixes.contains(&"PWR007"), "implicit none");
+        assert!(m.fixes.contains(&"PWR008"), "intents");
+        assert!(m.fixes.contains(&"PWR068"), "assumed-shape");
         assert!(m.interface.contains("implicit none"));
         assert!(m.interface.contains("intent(inout) :: tps(:)"));
         assert!(m.interface.starts_with("pure subroutine onecond1"));

@@ -150,7 +150,6 @@ mod tests {
                     vec![Affine::var("i"), Affine::var("j")],
                 )),
             ],
-            decls: vec![],
         }
     }
 
@@ -178,7 +177,6 @@ mod tests {
             id: "one.f90:1".into(),
             vars: vec![LoopVar::new("i", 1, 100)],
             body: vec![Stmt::Access(ArrayRef::write("a", vec![Affine::var("i")]))],
-            decls: vec![],
         };
         let out = rewrite_offload(&nest).unwrap();
         assert!(out.contains("!$omp parallel do"), "{out}");
@@ -196,7 +194,6 @@ mod tests {
                 Stmt::Access(ArrayRef::write("a", vec![Affine::var("i")])),
                 Stmt::Access(ArrayRef::read("a", vec![Affine::linear("i", 1, -1)])),
             ],
-            decls: vec![],
         };
         let err = rewrite_offload(&nest).unwrap_err();
         assert_eq!(err.nest_id, "bad.f90:1");
@@ -216,7 +213,6 @@ mod tests {
                 "out",
                 vec![Affine::var("i"), Affine::var("k"), Affine::var("j")],
             ))],
-            decls: vec![],
         };
         let out = rewrite_offload(&nest).unwrap();
         assert!(out.contains("collapse(2)"), "{out}");

@@ -1,6 +1,6 @@
 //! Project-level screening report (`codee screening`).
 
-use crate::checks::{run_checks, Finding, Severity};
+use crate::checks::{run_checks, Severity};
 use crate::ir::{LoopNest, Subprogram};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -25,16 +25,13 @@ pub struct ScreeningReport {
     pub infos: usize,
     /// Performance opportunities (offload/simd).
     pub opportunities: usize,
-    /// All findings.
-    pub findings: Vec<Finding>,
 }
 
 /// Runs the full analysis and aggregates (`codee screening --config ...`).
 pub fn screening(subs: &[Subprogram], nests: &[LoopNest]) -> ScreeningReport {
-    let findings = run_checks(subs, nests);
     let mut by_check: BTreeMap<&'static str, usize> = BTreeMap::new();
     let (mut warnings, mut infos, mut opportunities) = (0, 0, 0);
-    for f in &findings {
+    for f in run_checks(subs, nests) {
         *by_check.entry(f.check).or_insert(0) += 1;
         match f.severity {
             Severity::Warning => warnings += 1,
@@ -57,7 +54,6 @@ pub fn screening(subs: &[Subprogram], nests: &[LoopNest]) -> ScreeningReport {
         warnings,
         infos,
         opportunities,
-        findings,
     }
 }
 

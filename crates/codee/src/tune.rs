@@ -173,10 +173,6 @@ pub struct PricedVariant {
 /// The ranked schedule table of one nest on one backend.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TuneReport {
-    /// Nest that was searched.
-    pub nest_id: String,
-    /// Backend the table was priced on.
-    pub backend: &'static str,
     /// All schedulable variants, fastest first; ties keep enumeration
     /// order, so equal-priced variants rank identically on every
     /// backend that prices them equally.
@@ -467,8 +463,6 @@ pub fn tune(
     }
     ranked.sort_by(|x, y| x.secs.total_cmp(&y.secs).then(x.index.cmp(&y.index)));
     Ok(TuneReport {
-        nest_id: nest.id.clone(),
-        backend: target.backend.name,
         ranked,
         unschedulable,
     })
@@ -656,7 +650,6 @@ mod tests {
                 Stmt::ScalarRead("t".into()),
                 Stmt::Access(ArrayRef::write("a", vec![Affine::var("i")])),
             ],
-            decls: vec![],
         };
         let a = crate::depend::analyze(&nest);
         let pts = licensed_fission_points(&nest, &a);

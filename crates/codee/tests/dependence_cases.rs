@@ -11,7 +11,6 @@ fn nest(vars: Vec<LoopVar>, body: Vec<Stmt>) -> LoopNest {
         id: "case".into(),
         vars,
         body,
-        decls: vec![],
     }
 }
 

@@ -270,8 +270,6 @@ impl Default for KernelTables {
 pub struct CollisionTables {
     /// `cw[pair][i * NKR + j]`.
     cw: Vec<Box<[f32]>>,
-    /// Pressure the tables were last filled for.
-    pub filled_for_p: f32,
 }
 
 impl CollisionTables {
@@ -281,7 +279,6 @@ impl CollisionTables {
             cw: (0..COLLISION_PAIRS.len())
                 .map(|_| vec![0.0f32; NKR * NKR].into_boxed_slice())
                 .collect(),
-            filled_for_p: f32::NAN,
         }
     }
 
@@ -318,7 +315,6 @@ pub fn kernals_ks(tables: &KernelTables, p: f32, out: &mut CollisionTables, work
             }
         }
     }
-    out.filled_for_p = p;
 }
 
 /// One memoized k-level: the 20 pair tables interpolated to that level's
@@ -689,7 +685,6 @@ mod tests {
         let mut dense = CollisionTables::new();
         let mut w = PointWork::ZERO;
         kernals_ks(&t, 60_000.0, &mut dense, &mut w);
-        assert_eq!(dense.filled_for_p, 60_000.0);
         // 20 pairs × 33² entries.
         let entries = 20 * NKR as u64 * NKR as u64;
         assert_eq!(w.flops, 4 * entries);

@@ -12,8 +12,6 @@ pub struct DomainDecomp {
     pub shape: (usize, usize),
     /// Per-rank patches, indexed by rank.
     pub patches: Vec<PatchSpec>,
-    /// Halo width used for the memory spans.
-    pub halo: i32,
 }
 
 /// Chooses the process-grid factorization `nproc_x × nproc_y == ntasks`
@@ -21,7 +19,6 @@ pub struct DomainDecomp {
 /// `compute_mesh` / MPASPECT. Ties prefer the more square mesh.
 pub fn choose_process_mesh(ntasks: usize, nx: usize, ny: usize) -> (usize, usize) {
     assert!(ntasks > 0);
-    let target = nx as f64 / ny as f64;
     let mut best = (1, ntasks);
     let mut best_err = f64::INFINITY;
     for px in 1..=ntasks {
@@ -37,7 +34,6 @@ pub fn choose_process_mesh(ntasks: usize, nx: usize, ny: usize) -> (usize, usize
             best = (px, py);
         }
     }
-    let _ = target;
     best
 }
 
@@ -71,7 +67,6 @@ pub fn two_d_decomposition(domain: Domain, ntasks: usize, halo: i32) -> DomainDe
         domain,
         shape: (px, py),
         patches,
-        halo,
     }
 }
 

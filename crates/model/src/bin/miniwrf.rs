@@ -15,7 +15,7 @@ use fsbm_core::point::Floored;
 use miniwrf::model::{Model, RunReport};
 use miniwrf::namelist::config_from_namelist;
 use miniwrf::nest::run_nested;
-use miniwrf::parallel::{run_parallel, run_parallel_checked};
+use miniwrf::parallel::run_parallel_checked;
 use miniwrf::restart::{run_parallel_restartable, RestartConfig};
 use wrf_cases::wrfout::save_state;
 
@@ -67,15 +67,9 @@ fn main() {
     // &case nest_*: one-way nested integration — the parent advances
     // coarse steps, the refined child takes `ratio` substeps per parent
     // step with parent-forced lateral boundaries. Histories go to
-    // wrfout_d01.bin (parent) and wrfout_d02.bin (child), WRF-style.
+    // wrfout_d01.bin (parent) and wrfout_d02.bin (child), WRF-style. The
+    // namelist refuses a nest with ranks, checkpoints or devices.
     if let Some(spec) = cfg.nest {
-        if cfg.ranks > 1 {
-            eprintln!(
-                "miniwrf: &case nesting runs single-rank (got ranks = {})",
-                cfg.ranks
-            );
-            std::process::exit(1);
-        }
         let run = match run_nested(cfg, steps) {
             Ok(r) => r,
             Err(e) => {
@@ -129,10 +123,10 @@ fn main() {
                     std::process::exit(1);
                 }
             }
-        } else if cfg.gpus > 0 {
+        } else {
             // &parallel gpus: admission against the shared device pool
             // can fail (the §VII-A memory cap), so surface the typed
-            // error instead of panicking.
+            // error instead of panicking; exclusive devices admit nothing.
             match run_parallel_checked(cfg, steps) {
                 Ok(out) => out,
                 Err(e) => {
@@ -140,8 +134,6 @@ fn main() {
                     std::process::exit(1);
                 }
             }
-        } else {
-            run_parallel(cfg, steps)
         };
         let precip: f64 = out.reports.iter().map(|r| r.precip).sum();
         let entries: u64 = out.reports.iter().map(|r| r.coal_entries).sum();

@@ -13,10 +13,6 @@ use wrf_dycore::nest::NestSpec;
 pub struct ModelConfig {
     /// Scenario parameters (grid, spacing, Δt, storms).
     pub case: ConusParams,
-    /// Which library case `case` was built from (namelist `&case name`),
-    /// used for labeling fixtures/benches; `CaseKind::Conus` for the
-    /// legacy default.
-    pub case_kind: CaseKind,
     /// One-way nested child grid riding inside this run's domain
     /// (namelist `&case nest_* keys`); `None` for un-nested runs.
     pub nest: Option<NestSpec>,
@@ -76,7 +72,6 @@ impl ModelConfig {
     pub fn paper_default(version: SbmVersion) -> Self {
         ModelConfig {
             case: ConusParams::full(),
-            case_kind: CaseKind::Conus,
             nest: None,
             version,
             ranks: 16,
@@ -101,7 +96,6 @@ impl ModelConfig {
         case.nz = nz;
         ModelConfig {
             case,
-            case_kind: CaseKind::Conus,
             nest: None,
             version,
             ranks: 1,
@@ -147,7 +141,6 @@ impl ModelConfig {
         let mut case = kind.params(Self::GATE_SCALE);
         case.nz = Self::GATE_NZ;
         cfg.case = case;
-        cfg.case_kind = kind;
         cfg
     }
 
@@ -213,7 +206,11 @@ mod tests {
             ExecMode::StaticTiles,
             1,
         );
-        assert_eq!(c.case_kind, CaseKind::Supercell);
+        let overlaid = ConusParams {
+            nz: ModelConfig::GATE_NZ,
+            ..CaseKind::Supercell.params(ModelConfig::GATE_SCALE)
+        };
+        assert_eq!(c.case, overlaid);
         assert_eq!(
             (c.case.nx, c.case.ny, c.case.nz),
             (base.case.nx, base.case.ny, base.case.nz)

@@ -24,8 +24,6 @@ use wrf_grid::{two_d_decomposition, Field3, Field4, PatchSpec};
 pub struct StepReport {
     /// Advection work split by routine.
     pub rk3: Rk3Work,
-    /// Wind-fill work (part of the residual dynamics).
-    pub wind_work: PointWork,
     /// Number of 3-D scalars advected this step (θ, vapor, and every
     /// occupied bin: 2 + bins).
     pub scalars_advected: usize,
@@ -239,7 +237,7 @@ impl Model {
         masks: &[[bool; NKR]; NTYPES],
     ) -> StepReport {
         let sw = Stopwatch::start();
-        let (rk3, wind_work, scalars_advected) = self.dynamics(engine, masks);
+        let (rk3, scalars_advected) = self.dynamics(engine, masks);
         let wall_dynamics = sw.elapsed_secs();
 
         let sw = Stopwatch::start();
@@ -249,7 +247,6 @@ impl Model {
         self.time += self.cfg.case.dt;
         StepReport {
             rk3,
-            wind_work,
             scalars_advected,
             sbm,
             wall_dynamics,
@@ -263,17 +260,16 @@ impl Model {
     /// with a caller's `engine`, overlapped on the scheme's pool when
     /// `cfg.comm` says so; for the periodic wrap (`None`), under work
     /// stealing the scheme's pool when it is wider than the calling
-    /// thread, else the plain loop. Returns the advection work, the
-    /// residual dynamics work (wind fill, θ conversion, diffusion) and the
+    /// thread, else the plain loop. Returns the advection work and the
     /// number of scalars advected.
     fn dynamics(
         &mut self,
         engine: Option<&mut dyn HaloEngine>,
         masks: &[[bool; NKR]; NTYPES],
-    ) -> (Rk3Work, PointWork, usize) {
+    ) -> (Rk3Work, usize) {
         let sp = self.wind_params();
         let (dx, dz, dt) = (self.cfg.case.dx, self.cfg.case.dz, self.cfg.case.dt);
-        let residual = storm_wind(&mut self.wind, &self.patch, &sp, self.time, dx, dz);
+        storm_wind(&mut self.wind, &self.patch, &sp, self.time, dx, dz);
 
         let Model {
             ref cfg,
@@ -311,7 +307,7 @@ impl Model {
             dt,
         };
 
-        let mut work = (Rk3Work::default(), residual);
+        let mut work = Rk3Work::default();
         let mut plain = |engine: &mut dyn HaloEngine, overlap: Option<&Executor>| {
             for &job in jobs {
                 run_job(job, transport, engine, overlap, &fields, &mut work);
@@ -333,20 +329,17 @@ impl Model {
                 // folds it: the floored tally's sums are floating
                 // point, so the order they add in must not be the
                 // claim order.
-                let (cursor, total) = (AtomicUsize::new(0), Mutex::new(&mut work.1));
+                let cursor = AtomicUsize::new(0);
                 let per_job = Mutex::new([Rk3Work::default(); MAX_JOBS]);
                 let claim = |ws: &mut Transport| {
                     let mut engine = PeriodicEngine { patch: *patch };
-                    let mut residual = PointWork::ZERO;
                     loop {
                         let ix = cursor.fetch_add(1, Ordering::Relaxed);
                         let Some(&job) = jobs.get(ix) else { break };
-                        let mut mine = (Rk3Work::default(), PointWork::ZERO);
+                        let mut mine = Rk3Work::default();
                         run_job(job, ws, &mut engine, None, &fields, &mut mine);
-                        lock(&per_job)[ix] = mine.0;
-                        residual += mine.1;
+                        lock(&per_job)[ix] = mine;
                     }
-                    **lock(&total) += residual;
                 };
                 let first = Mutex::new(transport);
                 pool.run_indexed(workers as u64, Some(1), |slot| match slot as usize {
@@ -354,12 +347,12 @@ impl Model {
                     helper => claim(&mut lock(&helpers[helper - 1])),
                 });
                 for job in &lock(&per_job)[..jobs.len()] {
-                    work.0 += *job;
+                    work += *job;
                 }
             }
             None => plain(&mut PeriodicEngine { patch: *patch }, None),
         }
-        (work.0, work.1, advected)
+        (work, advected)
     }
 
     /// The `-gpu=autocompare` analogue of §VII-B: advances one step with
@@ -503,14 +496,14 @@ struct StepFields<'a> {
 }
 
 /// Runs one job in the workspace `ws`, its halos refreshed by `engine`,
-/// and adds its advection and residual work to `rk3` and `residual`.
+/// and adds its advection work to `rk3`.
 fn run_job(
     job: Job,
     ws: &mut Transport,
     engine: &mut dyn HaloEngine,
     overlap: Option<&Executor>,
     f: &StepFields<'_>,
-    (rk3, residual): &mut (Rk3Work, PointWork),
+    rk3: &mut Rk3Work,
 ) {
     let Transport {
         lanes,
@@ -548,18 +541,16 @@ fn run_job(
             {
                 *t = th * (p / 100_000.0).powf(KAPPA);
             }
-            // (3 flops, 3 memory ops) per memory point for each conversion.
-            let converted = 2 * 3 * f.patch.memory_points() as u64;
-            residual.fm(converted, converted);
         }
         Job::Vapor => {
             let qv: &mut Field3<f32> = &mut lock(&f.qv);
             *rk3 += advect(engine, std::slice::from_mut(qv), &[FieldTag::Qv], true);
             // Weak second-order horizontal diffusion on the moisture field
-            // (WRF diff_opt=1-style hygiene on the kinematic core).
+            // (WRF diff_opt=1-style hygiene on the kinematic core; its
+            // metering is not reported).
             engine.select(FieldTag::Qv);
             refresh_now(engine, qv);
-            horizontal_diffusion(qv, f.patch, 1.0e4, f.dx, f.dt, residual);
+            horizontal_diffusion(qv, f.patch, 1.0e4, f.dx, f.dt, &mut PointWork::default());
         }
         // Every occupied hydrometeor bin is a transported scalar: a panel
         // is gathered from and scattered to the class slab in one pass
@@ -696,8 +687,8 @@ mod tests {
     /// What one step leaves, bit for bit: every digested field's checksum
     /// and the accumulated precipitation's bits (a long run can reach
     /// NaN, which the digest's float summaries never equal), then the
-    /// dynamics' metering (advection, residual, scalars advected).
-    type StepBits = (Vec<u64>, u64, Rk3Work, PointWork, usize);
+    /// dynamics' metering (advection, scalars advected).
+    type StepBits = (Vec<u64>, u64, Rk3Work, usize);
 
     /// The supercell gate case under the production scheme, `sched` on
     /// `workers` workers, stepped `steps` times from a cold start: every
@@ -711,7 +702,7 @@ mod tests {
                 let s = m.step();
                 let fields = m.state.digest().fields.iter().map(|f| f.checksum).collect();
                 let precip = m.state.precip_acc.to_bits();
-                (fields, precip, s.rk3, s.wind_work, s.scalars_advected)
+                (fields, precip, s.rk3, s.scalars_advected)
             })
             .collect();
         (bits, m.sbm.pool().stats().epochs)
@@ -981,7 +972,7 @@ mod tests {
             }
             m.state = before.clone();
             let mut engine = PeriodicEngine { patch: p };
-            let (rk3, _, advected) = match mode {
+            let (rk3, advected) = match mode {
                 "pooled" => m.dynamics(None, &masks),
                 _ => m.dynamics(Some(&mut engine), &masks),
             };
@@ -1091,7 +1082,7 @@ mod tests {
             epochs <= steps as u64,
             "static tiles: the collision launch alone"
         );
-        assert!(want[steps - 1].4 > want[0].4, "the storm must grow bins");
+        assert!(want[steps - 1].3 > want[0].3, "the storm must grow bins");
         let mut scheme_epochs = 0;
         for workers in [1, 2, 3] {
             let (got, epochs) = supercell_steps(ExecMode::work_steal(), workers, steps);

@@ -20,7 +20,9 @@
 //! registry entries at this level); malformed syntax is an error, and so
 //! is a block or key this reproduction used to read and no longer does
 //! (`&ensemble`, `&parallel schedule`, `&parallel gpu_ranks_per_device`),
-//! rather than a run that quietly drops it. Each setting has one key.
+//! rather than a run that quietly drops it. Each setting has one key, and
+//! a combination the drivers would ignore is an error naming both keys
+//! (see [`refuse_ignored`]).
 
 use crate::config::ModelConfig;
 use fsbm_core::scheme::SbmVersion;
@@ -286,7 +288,6 @@ pub fn config_from_namelist(text: &str) -> Result<ModelConfig, NamelistError> {
         cfg.case.moisture = lib.moisture;
         cfg.case.placement = lib.placement;
         cfg.case.wind = lib.wind;
-        cfg.case_kind = kind;
     }
     cfg.case.n_storms = get(&nl, "scenario", "n_storms", cfg.case.n_storms)?;
     cfg.case.seed = get(&nl, "scenario", "seed", cfg.case.seed)?;
@@ -320,17 +321,18 @@ pub fn config_from_namelist(text: &str) -> Result<ModelConfig, NamelistError> {
             )
         })?;
     }
-    // The scheme version. `fsbm_auto` asks the codee autotuner for the
-    // searched-best schedule on the configured backend (parsed above) and
-    // takes the version implementing that geometry.
-    if let Some(name) = nl.get("physics").and_then(|g| g.get("mp_physics")) {
-        cfg.version = if name.eq_ignore_ascii_case("fsbm_auto") {
-            crate::schedule::auto_version(cfg.backend)
-        } else {
-            version_from_name(name)
-                .ok_or_else(|| NamelistError::invalid(0, format!("unknown mp_physics `{name}`")))?
-        };
-    }
+    // The scheme version, `fsbm_lookup` when &physics does not say.
+    // `fsbm_auto` asks the codee autotuner for the searched-best schedule
+    // on the configured backend (parsed above) and takes the version
+    // implementing that geometry.
+    let physics =
+        (nl.get("physics").and_then(|g| g.get("mp_physics"))).map_or("fsbm_lookup", String::as_str);
+    cfg.version = if physics.eq_ignore_ascii_case("fsbm_auto") {
+        crate::schedule::auto_version(cfg.backend)
+    } else {
+        version_from_name(physics)
+            .ok_or_else(|| NamelistError::invalid(0, format!("unknown mp_physics `{physics}`")))?
+    };
     if cfg.case.nx < 8 || cfg.case.ny < 8 || cfg.case.nz < 4 {
         return Err(NamelistError::invalid(
             0,
@@ -361,7 +363,63 @@ pub fn config_from_namelist(text: &str) -> Result<ModelConfig, NamelistError> {
             "&case nest_* keys require nest_ratio >= 1",
         ));
     }
+    refuse_ignored(&cfg, physics)?;
     Ok(cfg)
+}
+
+/// Refuses what no driver would honour, naming the keys involved:
+/// `nproc = 0` (the decomposition needs a rank), `numtiles = 0`; a nest
+/// with `nproc > 1`, `restart_interval > 0` or `gpus > 0` (the nest
+/// driver runs one rank, writes no checkpoint and admits no device);
+/// `gpus > 0` with a CPU scheme (only offloaded versions are admitted
+/// to a device); `numtiles > 1` with an offloaded scheme (its collision
+/// units are device threads, not tiles). Runs on the resolved
+/// configuration, so `fsbm_auto` is judged by the version it picked;
+/// `physics` is the `mp_physics` value as written.
+fn refuse_ignored(cfg: &ModelConfig, physics: &str) -> Result<(), NamelistError> {
+    let refuse = |what: String| Err(NamelistError::invalid(0, what));
+    if cfg.ranks == 0 {
+        return refuse("&parallel nproc = 0: a run needs at least one rank".into());
+    }
+    if cfg.tiles == 0 {
+        return refuse("&parallel numtiles = 0: a rank needs at least one tile".into());
+    }
+    if cfg.nest.is_some() {
+        for (key, value, set) in [
+            ("&parallel nproc", cfg.ranks, cfg.ranks > 1),
+            (
+                "&time_control restart_interval",
+                cfg.restart_interval,
+                cfg.restart_interval > 0,
+            ),
+            ("&parallel gpus", cfg.gpus, cfg.gpus > 0),
+        ] {
+            if set {
+                return refuse(format!(
+                    "&case nest_ratio with {key} = {value}: a nested run is one rank \
+                     without checkpoints or shared devices"
+                ));
+            }
+        }
+    }
+    let offloaded = cfg.version.offloaded();
+    if cfg.gpus > 0 && !offloaded {
+        return refuse(format!(
+            "&parallel gpus = {} with &physics mp_physics = '{physics}' ({}): only an \
+             offloaded scheme (fsbm_collapse2, fsbm_collapse3) runs on a device",
+            cfg.gpus,
+            cfg.version.label()
+        ));
+    }
+    if cfg.tiles > 1 && offloaded {
+        return refuse(format!(
+            "&parallel numtiles = {} with &physics mp_physics = '{physics}' ({}): an \
+             offloaded scheme launches device threads, not tiles",
+            cfg.tiles,
+            cfg.version.label()
+        ));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -437,11 +495,14 @@ mod tests {
         // Exclusive by default.
         let cfg = config_from_namelist("").unwrap();
         assert_eq!(cfg.gpus, 0);
-        // Direct device count.
-        let cfg = config_from_namelist("&parallel\n nproc = 32, gpus = 16\n/\n").unwrap();
+        // Direct device count, for an offloaded scheme.
+        let physics = "&physics\n mp_physics = 'fsbm_collapse3'\n/\n";
+        let cfg = config_from_namelist(&format!("{physics}&parallel\n nproc = 32, gpus = 16\n/\n"))
+            .unwrap();
         assert_eq!(cfg.gpus, 16);
         // Non-dividing rank counts leave the last device less shared.
-        let cfg = config_from_namelist("&parallel\n nproc = 33, gpus = 17\n/\n").unwrap();
+        let cfg = config_from_namelist(&format!("{physics}&parallel\n nproc = 33, gpus = 17\n/\n"))
+            .unwrap();
         assert_eq!((cfg.ranks, cfg.gpus), (33, 17));
     }
 
@@ -465,9 +526,11 @@ mod tests {
         assert!(err.message.contains("unknown &parallel backend"), "{err}");
         assert!(err.message.contains("a100-80gb"), "{err}");
         // Composes with the sharing knobs.
-        let cfg =
-            config_from_namelist("&parallel\n nproc = 32, gpus = 16, backend = 'a100-40gb'\n/\n")
-                .unwrap();
+        let cfg = config_from_namelist(
+            "&physics\n mp_physics = 'fsbm_collapse3'\n/\n\
+             &parallel\n nproc = 32, gpus = 16, backend = 'a100-40gb'\n/\n",
+        )
+        .unwrap();
         assert_eq!((cfg.gpus, cfg.backend.name), (16, "a100-40gb"));
     }
 
@@ -509,7 +572,8 @@ mod tests {
         assert_eq!(cfg.case.nx, 425);
         // And every known key still passes.
         assert!(config_from_namelist(
-            "&parallel\n nproc = 4, numtiles = 1, gpus = 2, backend = 'a100-80gb'\n/\n"
+            "&physics\n mp_physics = 'fsbm_collapse3'\n/\n\
+             &parallel\n nproc = 4, numtiles = 1, gpus = 2, backend = 'a100-80gb'\n/\n"
         )
         .is_ok());
     }
@@ -565,24 +629,29 @@ mod tests {
     fn case_block_selects_a_library_scenario() {
         // No block: the legacy CONUS default.
         let cfg = config_from_namelist("").unwrap();
-        assert_eq!(cfg.case_kind, CaseKind::Conus);
+        assert_eq!(cfg.case, wrf_cases::ConusParams::full());
         // A named case overlays its ingredients, keeping the grid under
         // &domains control.
         let cfg = config_from_namelist(
             "&domains\n e_we = 48, e_sn = 36\n/\n&case\n name = 'squall_line'\n/\n",
         )
         .unwrap();
-        assert_eq!(cfg.case_kind, CaseKind::SquallLine);
         assert_eq!((cfg.case.nx, cfg.case.ny), (48, 36));
         let lib = CaseKind::SquallLine.params(1.0);
         assert_eq!(cfg.case.seed, lib.seed);
         assert_eq!(cfg.case.n_storms, lib.n_storms);
+        assert_eq!(cfg.case.sounding, lib.sounding);
+        assert_eq!(cfg.case.moisture, lib.moisture);
         assert_eq!(cfg.case.placement, lib.placement);
         assert_eq!(cfg.case.wind, lib.wind);
         // Aliases parse; explicit &scenario keys still win.
         let cfg = config_from_namelist("&case\n name = 'maritime'\n/\n&scenario\n seed = 7\n/\n")
             .unwrap();
-        assert_eq!(cfg.case_kind, CaseKind::ShallowConvection);
+        let lib = CaseKind::ShallowConvection.params(1.0);
+        assert_eq!(
+            (cfg.case.placement, cfg.case.wind),
+            (lib.placement, lib.wind)
+        );
         assert_eq!(cfg.case.seed, 7);
         // Unknown names list the library.
         let err = config_from_namelist("&case\n name = 'derecho'\n/\n").unwrap_err();
@@ -604,7 +673,7 @@ mod tests {
         let cfg = config_from_namelist(
             "&domains\n e_we = 21, e_sn = 15, e_vert = 8\n/\n\
              &case\n name = 'supercell', nest_ratio = 2, nest_i = 7, nest_j = 5, \
-             nest_w = 8, nest_h = 6\n/\n",
+             nest_w = 8, nest_h = 6\n/\n&parallel\n nproc = 1\n/\n",
         )
         .unwrap();
         let spec = cfg.nest.unwrap();
@@ -624,6 +693,104 @@ mod tests {
         assert!(err.message.contains("nest_ratio"), "{err}");
         // No nest keys: no nest.
         assert!(config_from_namelist("").unwrap().nest.is_none());
+    }
+
+    /// The error of a namelist the drivers would not honour: `Invalid`,
+    /// naming every key in `keys`.
+    fn refused(text: &str, keys: &[&str]) -> NamelistError {
+        let err = config_from_namelist(text).unwrap_err();
+        assert_eq!(err.kind, NamelistErrorKind::Invalid, "{err}");
+        for key in keys {
+            assert!(err.message.contains(key), "`{key}` not named: {err}");
+        }
+        err
+    }
+
+    /// A valid nest on a gate-sized grid, then `extra`.
+    fn nested(extra: &str) -> String {
+        "&domains\n e_we = 21, e_sn = 15, e_vert = 8\n/\n\
+         &case\n name = 'squall_line', nest_ratio = 2, nest_i = 7, nest_j = 5, \
+         nest_w = 8, nest_h = 6\n/\n"
+            .to_string()
+            + extra
+    }
+
+    /// The nest driver runs one rank: `nproc > 1` used to be refused
+    /// only by `miniwrf`, after parsing.
+    #[test]
+    fn nest_with_ranks_is_refused() {
+        refused(
+            &nested("&parallel\n nproc = 2\n/\n"),
+            &["&case nest_ratio", "&parallel nproc = 2"],
+        );
+        assert!(config_from_namelist(&nested("&parallel\n nproc = 1\n/\n")).is_ok());
+    }
+
+    /// The nest driver writes no checkpoint: `restart_interval` was
+    /// accepted and dropped.
+    #[test]
+    fn nest_with_restart_interval_is_refused() {
+        refused(
+            &nested("&time_control\n restart_interval = 1\n/\n&parallel\n nproc = 1\n/\n"),
+            &["&case nest_ratio", "&time_control restart_interval = 1"],
+        );
+    }
+
+    /// The nest driver admits no device: `gpus` was accepted and dropped,
+    /// even for an offloaded scheme.
+    #[test]
+    fn nest_with_gpus_is_refused() {
+        refused(
+            &nested(
+                "&physics\n mp_physics = 'fsbm_collapse3'\n/\n&parallel\n nproc = 1, gpus = 1\n/\n",
+            ),
+            &["&case nest_ratio", "&parallel gpus = 1"],
+        );
+    }
+
+    /// Only offloaded versions are admitted to a device: `gpus` with a
+    /// CPU scheme — named, or the `fsbm_lookup` default — ran with no
+    /// admission and no share line.
+    #[test]
+    fn gpus_with_cpu_physics_is_refused() {
+        refused(
+            "&physics\n mp_physics = 'fsbm'\n/\n&parallel\n nproc = 2, gpus = 1\n/\n",
+            &["&parallel gpus = 1", "&physics mp_physics = 'fsbm'"],
+        );
+        refused(
+            "&parallel\n nproc = 2, gpus = 1\n/\n",
+            &["&parallel gpus = 1", "&physics mp_physics = 'fsbm_lookup'"],
+        );
+        assert!(config_from_namelist("&parallel\n nproc = 2, gpus = 0\n/\n").is_ok());
+    }
+
+    /// An offloaded scheme's collision units are device threads: its
+    /// pool and launch ignore `numtiles`.
+    #[test]
+    fn tiles_with_offloaded_physics_is_refused() {
+        refused(
+            "&physics\n mp_physics = 'fsbm_collapse2'\n/\n&parallel\n numtiles = 4\n/\n",
+            &[
+                "&parallel numtiles = 4",
+                "&physics mp_physics = 'fsbm_collapse2'",
+            ],
+        );
+        // The CPU versions run WRF tiles.
+        let cfg = config_from_namelist("&parallel\n numtiles = 4\n/\n").unwrap();
+        assert_eq!((cfg.tiles, cfg.version), (4, SbmVersion::Lookup));
+    }
+
+    /// `nproc = 0` parsed, then panicked in the process-mesh choice once
+    /// a rank driver ran (checked here without running one).
+    #[test]
+    fn zero_ranks_is_refused() {
+        refused("&parallel\n nproc = 0\n/\n", &["&parallel nproc = 0"]);
+    }
+
+    /// `numtiles = 0` was quietly run as one tile.
+    #[test]
+    fn zero_tiles_is_refused() {
+        refused("&parallel\n numtiles = 0\n/\n", &["&parallel numtiles = 0"]);
     }
 
     #[test]
@@ -751,6 +918,31 @@ mod tests {
             let text = assign("domains", &["e_we", "e_sn"], &mut picks)
                 + &assign("case", &KNOWN_CASE[1..], &mut picks);
             let _ = config_from_namelist(&text);
+        }
+    }
+
+    /// The shipped `namelist.input` and every fenced namelist block of
+    /// `README.md` (one whose first line opens a group) parse: what the
+    /// documents show is a configuration the drivers honour.
+    #[test]
+    fn shipped_and_documented_namelists_parse() {
+        let readme = include_str!("../../../README.md");
+        let blocks: Vec<&str> = (readme.split("```").skip(1).step_by(2))
+            .filter_map(|fenced| fenced.split_once('\n').map(|(_, body)| body))
+            .filter(|body| body.trim_start().starts_with('&'))
+            .collect();
+        assert!(
+            blocks.len() >= 4,
+            "README namelist blocks: {}",
+            blocks.len()
+        );
+        for text in blocks
+            .into_iter()
+            .chain([include_str!("../../../namelist.input")])
+        {
+            if let Err(e) = config_from_namelist(text) {
+                panic!("{e}:\n{text}");
+            }
         }
     }
 

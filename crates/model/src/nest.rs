@@ -45,8 +45,6 @@ pub struct NestedRun {
     pub parent: SbmPatchState,
     /// Child end-of-run state on the refined patch.
     pub child: SbmPatchState,
-    /// The child's patch (for interior comparisons).
-    pub child_patch: PatchSpec,
     /// The nest geometry that produced it.
     pub spec: NestSpec,
 }
@@ -148,7 +146,6 @@ pub fn run_nested(cfg: ModelConfig, steps: usize) -> Result<NestedRun, String> {
     parent_cfg.nest = None;
     let mut parent = Model::single_rank(parent_cfg);
     let mut child = child_model(&parent_cfg, &parent.case, spec);
-    let child_patch = child.patch;
 
     let ratio = spec.ratio.max(1) as usize;
     let map = spec.map();
@@ -165,7 +162,7 @@ pub fn run_nested(cfg: ModelConfig, steps: usize) -> Result<NestedRun, String> {
                 snap1: &snap1,
                 tau,
                 map,
-                patch: child_patch,
+                patch: child.patch,
                 tag: FieldTag::Qv,
             };
             child.step_with(&mut engine, &masks);
@@ -176,7 +173,6 @@ pub fn run_nested(cfg: ModelConfig, steps: usize) -> Result<NestedRun, String> {
     Ok(NestedRun {
         parent: parent.state,
         child: child.state,
-        child_patch,
         spec,
     })
 }

@@ -29,8 +29,8 @@ use gpu_sim::devicepool::{DevicePool, RankFootprint, RankSubmission, ShareReport
 use gpu_sim::error::DeviceError;
 use gpu_sim::launch::{launch_modeled_with, KernelSpec, KernelWork, LaunchStats};
 use gpu_sim::machine::{
-    default_backend, Backend, Calibration, CpuParams, GpuParams, Interconnect, A100, CALIBRATION,
-    EPYC_7763, SLINGSHOT,
+    default_backend, Backend, Calibration, GpuParams, Interconnect, A100, CALIBRATION, EPYC_7763,
+    SLINGSHOT,
 };
 use gpu_sim::schedule::{Collapse, CollisionPlan, TrafficRates};
 use wrf_cases::{ConusCase, ConusParams};
@@ -42,8 +42,6 @@ use wrf_grid::{two_d_decomposition, PatchSpec};
 /// Machine and calibration parameters of the performance model.
 #[derive(Debug, Clone, Copy)]
 pub struct PerfParams {
-    /// Host CPU.
-    pub cpu: CpuParams,
     /// GPU.
     pub gpu: GpuParams,
     /// Network.
@@ -82,9 +80,9 @@ pub struct PerfParams {
 }
 
 impl PerfParams {
-    /// Parameters for pricing on `backend`: its host CPU, its device view
-    /// (a real GPU, or the self-hosted synthesis for CPU backends) and its
-    /// calibration bundle. The *model coefficients* stay structural —
+    /// Parameters for pricing on `backend`: its device view (a real GPU,
+    /// or the self-hosted synthesis for CPU backends) and its calibration
+    /// bundle. The *model coefficients* stay structural —
     /// scalar counts, halo shape, I/O volume — but the sustained host
     /// rates scale with the backend host's measured sustained throughput
     /// and memory bandwidth relative to the EPYC 7763 they were calibrated
@@ -95,7 +93,6 @@ impl PerfParams {
         let host_scale = backend.host.sustained_flops_per_core / EPYC_7763.sustained_flops_per_core;
         let bw_scale = backend.host.mem_bw / EPYC_7763.mem_bw;
         PerfParams {
-            cpu: backend.host,
             gpu: backend.device_params(),
             calib: backend.calib,
             sbm_flops_per_core: d.sbm_flops_per_core * host_scale,
@@ -109,7 +106,6 @@ impl PerfParams {
 impl Default for PerfParams {
     fn default() -> Self {
         PerfParams {
-            cpu: EPYC_7763,
             gpu: A100,
             net: SLINGSHOT,
             sbm_flops_per_core: 2.0e9,
@@ -155,10 +151,6 @@ pub struct MeasuredCoeffs {
     pub warp_eff_c2: f64,
     /// Warp efficiency of the collapse(3) launch.
     pub warp_eff_c3: f64,
-    /// Executor summary of the measurement run (scheduling mode, steals,
-    /// active fraction, kernel-cache hit rate) — logged by `repro` so
-    /// compaction-effectiveness regressions are visible per run.
-    pub exec: fsbm_core::exec::ExecSummary,
 }
 
 /// Measures the coefficients by running the functional model at
@@ -228,7 +220,6 @@ pub fn measure_coeffs(scale: f64, nz: i32, steps: usize) -> MeasuredCoeffs {
         entries_per_coal_point: s.coal_entries as f64 / coal_points as f64,
         warp_eff_c2: warp_eff(SbmVersion::OffloadCollapse2),
         warp_eff_c3: warp_eff(SbmVersion::OffloadCollapse3),
-        exec: rep.exec.unwrap_or_default(),
     }
 }
 

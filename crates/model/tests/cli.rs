@@ -133,3 +133,28 @@ fn autocompare_beyond_the_single_rank_loop_exits_1() {
     assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
     assert!(stderr(&out).contains("--autocompare"), "{}", stderr(&out));
 }
+
+/// A nested run has one rank and neither checkpoints nor shared
+/// devices: a nest asking for them is refused before anything runs,
+/// where it used to run to exit 0 and drop both.
+#[test]
+fn nested_run_with_checkpoints_exits_1() {
+    let dir = WorkDir::new("nest_restart");
+    let text = namelist(
+        "&case\n  name = 'squall_line', nest_ratio = 3, nest_i = 7, nest_j = 5, \
+         nest_w = 8, nest_h = 6,\n/\n\
+         &time_control\n  restart_interval = 1,\n/\n\
+         &physics\n  mp_physics = 'fsbm_collapse3',\n/\n\
+         &parallel\n  nproc = 1, gpus = 1,\n/\n",
+    );
+    let out = dir.run(&text, &[]);
+    assert_eq!(out.status.code(), Some(1), "{}", stdout(&out));
+    assert!(
+        stderr(&out).contains("restart_interval"),
+        "{}",
+        stderr(&out)
+    );
+    for name in ["wrfout_d01.bin", "wrfout_d02.bin", "restart"] {
+        assert!(!dir.path().join(name).exists(), "{name} left behind");
+    }
+}
