@@ -695,15 +695,14 @@ mod tests {
         assert!(config_from_namelist("").unwrap().nest.is_none());
     }
 
-    /// The error of a namelist the drivers would not honour: `Invalid`,
-    /// naming every key in `keys`.
-    fn refused(text: &str, keys: &[&str]) -> NamelistError {
+    /// Asserts that `text` is refused as `Invalid`, naming every key in
+    /// `keys`.
+    fn refused(text: &str, keys: &[&str]) {
         let err = config_from_namelist(text).unwrap_err();
         assert_eq!(err.kind, NamelistErrorKind::Invalid, "{err}");
         for key in keys {
             assert!(err.message.contains(key), "`{key}` not named: {err}");
         }
-        err
     }
 
     /// A valid nest on a gate-sized grid, then `extra`.
